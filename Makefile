@@ -19,8 +19,10 @@ test:
 # rings — the live netio path, fault injector, and the multi-tenant
 # serve front end plus its flight recorder), one short round of each fuzz
 # harness, the report determinism check including cross-pool-width byte
-# identity, and the kernel benchmark regression gate against the previous
-# PR's snapshot.
+# identity, and the kernel benchmark regression gate against the newest
+# BENCH_*.json snapshot. The race target also carries the map→combine
+# stage's differential oracle and allocation guard (engine), the key
+# indexer's property test (workload) and the compiled filter (sql).
 check: vet fmt-check ctxcheck race fuzz-short determinism bounded-growth bench-gate
 
 vet:
@@ -28,8 +30,7 @@ vet:
 
 # ctxcheck rejects exported functions in the I/O-bearing packages
 # (core, engine, netio, serve) whose names announce I/O or execution
-# but that do not take a leading context.Context (Deprecated: bridges
-# are exempt). See cmd/ctxcheck.
+# but that do not take a leading context.Context. See cmd/ctxcheck.
 ctxcheck:
 	$(GO) run ./cmd/ctxcheck
 
@@ -44,7 +45,8 @@ race:
 		./internal/netio/... ./internal/faults/... \
 		./internal/parallel/... ./internal/olap/... ./internal/similarity/... \
 		./internal/cache/... ./internal/serve/... ./internal/ingest/... \
-		./internal/durable/... ./internal/lp/... ./internal/placement/...
+		./internal/durable/... ./internal/lp/... ./internal/placement/... \
+		./internal/workload/... ./internal/sql/...
 
 # fuzz-short runs each native fuzz target briefly against its checked-in
 # seed corpus — a smoke round, not a campaign. One -fuzz invocation per
@@ -107,17 +109,26 @@ golden:
 	$(GO) test ./internal/experiments -run TestReportSchemaGolden -update
 	$(GO) test ./internal/obs/export -run TestChromeTraceGolden -update
 
+# bench runs the end-to-end benchmark harness (bench/, BENCHMARK.json):
+# one workload when W names it, all four otherwise. TRACE=1 prints the
+# per-layer metrics instead of the end-to-end ones.
+W ?=
+SEED ?= 42
+TRACE ?= 0
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	@for w in $(if $(W),$(W),fig6-batch query-miss query-ingest-mix ingest-durable); do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds 20 --trace $(TRACE) || exit 1; \
+	done
 
 # bench-snapshot appends to the perf trajectory: one JSON document of
-# benchmark measurements per PR (BENCH_<tag>.json at the repo root).
+# benchmark measurements per PR (BENCH_$(TAG).json at the repo root).
+TAG ?= pr15
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -tag pr10
+	$(GO) run ./cmd/benchsnap -tag $(TAG)
 
 # bench-gate reruns the CPU kernels (cube build, minhash, probe scoring,
 # the 64-site placement LP) and fails if any regresses past the tolerance
-# band relative to the previous PR's snapshot. Kernels the baseline lacks
-# are skipped, so adding coverage never blocks the gate.
+# band relative to the newest snapshot in the trajectory. Kernels the
+# baseline lacks are skipped, so adding coverage never blocks the gate.
 bench-gate:
-	$(GO) run ./cmd/benchsnap -gate -baseline BENCH_pr9.json -band 1.3
+	$(GO) run ./cmd/benchsnap -gate -baseline $$(ls BENCH_*.json | sort -V | tail -1) -band 1.3

@@ -4,9 +4,7 @@
 // function or method whose name announces such work — Run, Dial, Put,
 // Query, Acquire, and friends — but whose first parameter is not a
 // context.Context. The gate is what keeps the PR 6 redesign from
-// regressing: new entry points either take a context up front or are
-// explicitly marked "Deprecated:" (the positional bridges kept for old
-// callers).
+// regressing: every such entry point takes a context up front.
 //
 // Usage: go run ./cmd/ctxcheck [dir ...]   (defaults to the gated set)
 package main
@@ -69,20 +67,8 @@ func firstParamIsContext(ft *ast.FuncType) bool {
 	return ok && pkg.Name == "context" && sel.Sel.Name == "Context"
 }
 
-func isDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
 func checkFile(fset *token.FileSet, path string) ([]string, error) {
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +78,7 @@ func checkFile(fset *token.FileSet, path string) ([]string, error) {
 		if !ok || !fn.Name.IsExported() || !matchesVerb(fn.Name.Name) {
 			continue
 		}
-		if isDeprecated(fn.Doc) || firstParamIsContext(fn.Type) {
+		if firstParamIsContext(fn.Type) {
 			continue
 		}
 		pos := fset.Position(fn.Pos())
@@ -100,7 +86,7 @@ func checkFile(fset *token.FileSet, path string) ([]string, error) {
 		if fn.Recv != nil && len(fn.Recv.List) > 0 {
 			recv = "(" + types(fn.Recv.List[0].Type) + ")."
 		}
-		bad = append(bad, fmt.Sprintf("%s:%d: %s%s must take context.Context as its first parameter (or carry a Deprecated: marker)",
+		bad = append(bad, fmt.Sprintf("%s:%d: %s%s must take context.Context as its first parameter",
 			pos.Filename, pos.Line, recv, fn.Name.Name))
 	}
 	return bad, nil

@@ -299,32 +299,22 @@ func (s *Store[K, V]) overLocked() bool {
 }
 
 // enforceLocked evicts least-recently-used entries until both caps
-// hold. Victims are ordered by (stamp ascending, key ascending) — a
-// total, deterministic order, so the same access history always evicts
-// the same entries whatever the pool width was. Callers hold s.mu.
+// hold. Victims go in (stamp ascending, key ascending) order — a total,
+// deterministic order, so the same access history always evicts the same
+// entries whatever the pool width was. Each victim is the minimum of one
+// scan over the live entries: the common over-cap insert evicts exactly
+// one entry and pays no sort and no allocation. Callers hold s.mu.
 func (s *Store[K, V]) enforceLocked() {
-	if !s.overLocked() {
-		return
-	}
-	type victim struct {
-		key  K
-		used uint64
-	}
-	order := make([]victim, 0, len(s.entries))
-	for k, e := range s.entries {
-		order = append(order, victim{key: k, used: e.used})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].used != order[j].used {
-			return order[i].used < order[j].used
+	for s.overLocked() && len(s.entries) > 0 {
+		var victim K
+		var oldest uint64
+		first := true
+		for k, e := range s.entries {
+			if first || e.used < oldest || e.used == oldest && k < victim {
+				victim, oldest, first = k, e.used, false
+			}
 		}
-		return order[i].key < order[j].key
-	})
-	for _, v := range order {
-		if !s.overLocked() {
-			return
-		}
-		s.dropLocked(v.key)
+		s.dropLocked(victim)
 		s.evictions++
 		s.col.Count(s.name+".evictions", 1)
 	}

@@ -220,16 +220,6 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 	return rep, nil
 }
 
-// RunDynamicWithOptions is the pre-context positional form of RunDynamic.
-//
-// Deprecated: use RunDynamic with a context and functional options; this
-// bridge exists only so stragglers migrate deliberately, and it will be
-// removed.
-func RunDynamicWithOptions(c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID,
-	opts placement.Options, dyn DynamicConfig) (*DynamicReport, error) {
-	return RunDynamic(context.Background(), c, w, scheme, dyn, WithPlacement(opts))
-}
-
 // planShares computes, per dataset and source site, the fraction of the
 // site's pre-move data the plan shipped to each destination.
 func planShares(plan *placement.Plan, n int) map[string][][]float64 {

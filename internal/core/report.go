@@ -144,11 +144,3 @@ func Run(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme pl
 	}
 	return sys.Report(), nil
 }
-
-// RunWithOptions is the pre-context positional form of Run.
-//
-// Deprecated: use Run with a context and functional options; this bridge
-// exists only so stragglers migrate deliberately, and it will be removed.
-func RunWithOptions(c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opts placement.Options) (*Report, error) {
-	return Run(context.Background(), c, w, scheme, WithPlacement(opts))
-}

@@ -115,9 +115,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		cfg      JobConfig
 		q        Query
 		taskFrac []float64
-		assigner Assigner
-		ppe      int
-		cube     bool
 		input    [][]KV
 		res      *RunResult
 		// sp is the query's trace span; stage children accumulate via
@@ -151,21 +148,12 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		if math.Abs(fracSum-1) > 1e-3 {
 			return nil, fmt.Errorf("engine: job %d task fractions sum to %v, want 1", ji, fracSum)
 		}
-		assigner := cfg.Assigner
-		if assigner == nil {
-			assigner = RoundRobinAssigner{}
-		}
-		ppe := cfg.PartitionsPerExecutor
-		if ppe <= 0 {
-			ppe = 4
-		}
 		input := make([][]KV, n)
 		for i, sd := range c.Data {
 			input[i] = sd.Records(q.Dataset)
 		}
 		jobs[ji] = &jobState{
-			cfg: cfg, q: q, taskFrac: taskFrac, assigner: assigner, ppe: ppe,
-			cube:  cfg.CubeInput,
+			cfg: cfg, q: q, taskFrac: taskFrac,
 			input: input,
 			res:   &RunResult{IntermediateMBPerSite: make([]float64, n)},
 			sp:    cfg.Obs.Current().Child(fmt.Sprintf("q%02d:%s", ji, q.Name)),
@@ -223,29 +211,27 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			// shared state — metric observation, shuffle routing, flow
 			// accumulation — folds the pooled results sequentially in site
 			// order below, preserving the sequential path byte for byte.
-			type siteMapOut struct {
-				inter         []KV
-				raw           int
-				mapT, assignT float64
-			}
-			outs, err := parallel.MapOrdered(0, n, func(i int) (siteMapOut, error) {
+			outs, err := parallel.MapOrdered(0, n, func(i int) (StageResult, error) {
 				// One site's map+combine is the cancellation chunk: a
 				// cancelled batch stops launching new sites but never
 				// truncates a site already mapping.
 				if cerr := ctx.Err(); cerr != nil {
-					return siteMapOut{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, cerr)
+					return StageResult{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, cerr)
 				}
-				inter, raw, mapT, assignT, merr := c.mapAndCombineOpts(job.input[i], job.q, i, job.assigner, job.ppe, job.cube)
+				out, merr := MapCombine(job.input[i], &job.q, Stage{
+					Exec: c.Exec[i], Assigner: job.cfg.Assigner,
+					PartitionsPerExecutor: job.cfg.PartitionsPerExecutor, CubeInput: job.cfg.CubeInput,
+				})
 				if merr != nil {
-					return siteMapOut{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, merr)
+					return StageResult{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, merr)
 				}
-				return siteMapOut{inter: inter, raw: raw, mapT: mapT, assignT: assignT}, nil
+				return out, nil
 			})
 			if err != nil {
 				return nil, err
 			}
 			for i := 0; i < n; i++ {
-				inter, raw, mapT, assignT := outs[i].inter, outs[i].raw, outs[i].mapT, outs[i].assignT
+				inter, raw, mapT, assignT := outs[i].Inter, outs[i].Raw, outs[i].MapTime, outs[i].AssignOverhead
 				if raw > 0 && job.cfg.Obs != nil {
 					job.cfg.Obs.Observe("combine.reduction.ratio", 1-float64(len(inter))/float64(raw))
 				}
@@ -368,77 +354,120 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 	return out, nil
 }
 
-// mapAndCombine runs the map stage of one site: partition the input,
-// assign partitions to executors machine by machine, map and combine per
-// executor, and concatenate executor outputs (records are NOT combined
-// across executors — exactly the inefficiency §6's RDD similarity
-// clustering reduces).
-func (c *Cluster) mapAndCombine(records []KV, q Query, site int, assigner Assigner, ppe int) (inter []KV, mapTime, assignOverhead float64, err error) {
-	inter, _, mapTime, assignOverhead, err = c.mapAndCombineOpts(records, q, site, assigner, ppe, false)
-	return inter, mapTime, assignOverhead, err
+// Stage configures one site's map→combine stage for MapCombine.
+type Stage struct {
+	// Exec is the site's compute: records split evenly across machines,
+	// each machine's share into PerMachine×PartitionsPerExecutor partitions
+	// (default 4 per executor) that Assigner (default round-robin) places
+	// on the machine's executors.
+	Exec                  Executors
+	Assigner              Assigner
+	PartitionsPerExecutor int
+	// CubeInput charges an executor's map cost per distinct input key
+	// (pre-aggregated cube cell) instead of per raw record.
+	CubeInput bool
+	// CountOnly asks for Count alone: nothing is folded, kept or ordered.
+	CountOnly bool
 }
 
-// mapAndCombineOpts is mapAndCombine with cube-input cost accounting (when
-// cubeInput is set, an executor's map cost is charged per distinct key —
-// pre-aggregated cube cell — instead of per raw record) and a raw count:
-// the pre-combiner mapped record total, the denominator of the combiner
-// reduction ratio.
-func (c *Cluster) mapAndCombineOpts(records []KV, q Query, site int, assigner Assigner, ppe int, cubeInput bool) (inter []KV, raw int, mapTime, assignOverhead float64, err error) {
-	ex := c.Exec[site]
+// StageResult is what one site's map→combine stage produced.
+type StageResult struct {
+	// Inter holds the post-combiner records (nil under CountOnly):
+	// executors in (machine, executor) order, each executor's groups in
+	// first-emit order. Records are NOT combined across executors — exactly
+	// the inefficiency §6's RDD similarity clustering reduces.
+	Inter []KV
+	// Count is the number of post-combiner records; Raw the pre-combiner
+	// emitted total, the denominator of the combiner reduction ratio.
+	Count, Raw int
+	// MapTime is the modeled time of the slowest executor; AssignOverhead
+	// the largest per-machine assignment overhead.
+	MapTime, AssignOverhead float64
+}
+
+// MapCombine is the map→combine stage of one site, the single
+// implementation the simulated engine, the planner's profiling replays and
+// the live netio worker all run: partition the records, assign partitions
+// to executors machine by machine, then stream each executor's partitions
+// in place through q.Map into that executor's combiner. Nothing is copied
+// per record, so a stage allocates for the groups it opens, not the
+// records it scans.
+//
+// The combiner keeps groups in first-emit order instead of sorting them.
+// One key appears at most once per executor, so a reducer still meets each
+// key's partials in (site, machine, executor) order: every reduced sum and
+// every modeled time is bit-identical to a sorting combiner's, at any pool
+// width (DESIGN.md §14).
+func MapCombine(records []KV, q *Query, st Stage) (StageResult, error) {
+	var res StageResult
 	if len(records) == 0 {
-		return nil, 0, 0, 0, nil
+		return res, nil
+	}
+	ex := st.Exec
+	if st.Assigner == nil {
+		st.Assigner = RoundRobinAssigner{}
+	}
+	if st.PartitionsPerExecutor <= 0 {
+		st.PartitionsPerExecutor = 4
+	}
+	cb := newCombiner(q.Combine, 0)
+	emit := cb.emit
+	if st.CountOnly {
+		emit = cb.count
+	}
+	var inputKeys map[string]struct{}
+	if st.CubeInput {
+		inputKeys = make(map[string]struct{})
 	}
 	perMachine := (len(records) + ex.Machines - 1) / ex.Machines
-	for m := 0; m < ex.Machines; m++ {
-		lo := m * perMachine
-		if lo >= len(records) {
-			break
+	for lo := 0; lo < len(records); lo += perMachine {
+		machineRecs := records[lo:min(lo+perMachine, len(records))]
+		parts, err := PartitionRecords(machineRecs, ex.PerMachine*st.PartitionsPerExecutor)
+		if err != nil {
+			return res, err
 		}
-		hi := lo + perMachine
-		if hi > len(records) {
-			hi = len(records)
-		}
-		machineRecs := records[lo:hi]
-		parts, perr := PartitionRecords(machineRecs, ex.PerMachine*ppe)
-		if perr != nil {
-			return nil, 0, 0, 0, perr
-		}
-		assignment, overhead, aerr := assigner.Assign(parts, ex.PerMachine)
-		if aerr != nil {
-			return nil, 0, 0, 0, aerr
+		assignment, overhead, err := st.Assigner.Assign(parts, ex.PerMachine)
+		if err != nil {
+			return res, err
 		}
 		if len(assignment) != len(parts) {
-			return nil, 0, 0, 0, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
+			return res, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
 		}
-		if overhead > assignOverhead {
-			assignOverhead = overhead
-		}
-		// Per-executor map + combine.
-		perExec := make([][]KV, ex.PerMachine)
 		for pi, e := range assignment {
 			if e < 0 || e >= ex.PerMachine {
-				return nil, 0, 0, 0, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
+				return res, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
 			}
-			perExec[e] = append(perExec[e], parts[pi].Records...)
 		}
-		for _, recs := range perExec {
-			if len(recs) == 0 {
-				continue
+		res.AssignOverhead = max(res.AssignOverhead, overhead)
+		for e := 0; e < ex.PerMachine; e++ {
+			cb.next()
+			clear(inputKeys)
+			costBasis := 0
+			for pi, pe := range assignment {
+				if pe != e {
+					continue
+				}
+				costBasis += len(parts[pi].Records)
+				for _, r := range parts[pi].Records {
+					if st.CubeInput {
+						inputKeys[r.Key] = struct{}{}
+					}
+					if q.Map == nil {
+						emit(r.Key, r.Val)
+					} else {
+						q.Map(r, emit)
+					}
+				}
 			}
-			costBasis := len(recs)
-			if cubeInput {
-				costBasis = DistinctKeys(recs)
+			if st.CubeInput {
+				costBasis = len(inputKeys)
 			}
-			t := float64(costBasis) * q.MapCost
-			if t > mapTime {
-				mapTime = t // machines and executors run in parallel
-			}
-			mapped := q.applyMap(recs)
-			raw += len(mapped)
-			inter = append(inter, Combine(mapped, q.Combine)...)
+			// Machines and executors run in parallel.
+			res.MapTime = max(res.MapTime, float64(costBasis)*q.MapCost)
 		}
 	}
-	return inter, raw, mapTime, assignOverhead, nil
+	res.Inter, res.Count, res.Raw = cb.out, cb.groups, cb.raw
+	return res, nil
 }
 
 // ProfileIntermediate replays the map+combine stage of one site on the
@@ -446,13 +475,11 @@ func (c *Cluster) mapAndCombineOpts(records []KV, q Query, site int, assigner As
 // the quantity a recurring query's previous run reveals. The paper's
 // prototype estimates data reduction exactly this way (§7: "the input and
 // actual intermediate data size of the previous query"), and the planner
-// uses it to derive realized (executor-split-aware) similarity.
+// uses it to derive realized (executor-split-aware) similarity. The replay
+// runs the stage count-only: it never builds the records it counts.
 func (c *Cluster) ProfileIntermediate(records []KV, q Query, site int) (int, error) {
-	inter, _, _, err := c.mapAndCombine(records, q, site, RoundRobinAssigner{}, 4)
-	if err != nil {
-		return 0, err
-	}
-	return len(inter), nil
+	res, err := MapCombine(records, &q, Stage{Exec: c.Exec[site], CountOnly: true})
+	return res.Count, err
 }
 
 // KeyOwner picks the reduce site of a key with probability proportional to

@@ -74,25 +74,62 @@ func (op CombineOp) initial(v float64) float64 {
 	return v
 }
 
+// combiner folds emitted records by key under an operation, keeping the
+// groups in first-emit order: for one key, values merge in exactly the
+// order they were emitted. One combiner serves the executors of a site
+// stage in turn — groups of every executor land in the same out slice, and
+// next forgets the keys (not the buckets) between executors.
+type combiner struct {
+	op   CombineOp
+	slot map[string]int32 // key → index in out, current executor's groups only
+	out  []KV
+	// groups and raw count the groups opened and the records emitted over
+	// the combiner's lifetime; groups == len(out) unless counting only.
+	groups, raw int
+}
+
+func newCombiner(op CombineOp, sizeHint int) *combiner {
+	return &combiner{op: op, slot: make(map[string]int32, sizeHint)}
+}
+
+// emit folds one record into its key's group.
+func (c *combiner) emit(key string, val float64) {
+	c.raw++
+	v := c.op.initial(val)
+	if i, ok := c.slot[key]; ok {
+		c.out[i].Val = c.op.apply(c.out[i].Val, v)
+		return
+	}
+	c.slot[key] = int32(len(c.out))
+	c.out = append(c.out, KV{Key: key, Val: v})
+	c.groups++
+}
+
+// count is emit for a caller that wants only the number of groups: no
+// value is folded and no record is kept.
+func (c *combiner) count(key string, _ float64) {
+	c.raw++
+	if _, ok := c.slot[key]; !ok {
+		c.slot[key] = 0
+		c.groups++
+	}
+}
+
+// next starts the next executor: its groups are independent of the ones
+// already in out.
+func (c *combiner) next() { clear(c.slot) }
+
 // Combine merges records by key under the operation, returning output
-// sorted by key for deterministic downstream behaviour. This is exactly
-// what a combiner (and a reducer) does.
+// sorted by key for deterministic downstream behaviour — what a reducer
+// does. (The map-side combiner skips the sort: see MapCombine.)
 func Combine(records []KV, op CombineOp) []KV {
-	acc := make(map[string]float64, len(records))
+	c := newCombiner(op, len(records))
+	c.out = make([]KV, 0, len(records))
 	for _, r := range records {
-		v, ok := acc[r.Key]
-		if !ok {
-			acc[r.Key] = op.initial(r.Val)
-			continue
-		}
-		acc[r.Key] = op.apply(v, op.initial(r.Val))
+		c.emit(r.Key, r.Val)
 	}
-	out := make([]KV, 0, len(acc))
-	for k, v := range acc {
-		out = append(out, KV{Key: k, Val: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	sort.Slice(c.out, func(i, j int) bool { return c.out[i].Key < c.out[j].Key })
+	return c.out
 }
 
 // CombinePartials merges already-combined partial aggregates by key. It

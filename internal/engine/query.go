@@ -3,8 +3,12 @@ package engine
 import "fmt"
 
 // MapFn transforms one input record into zero or more intermediate
-// records. A nil MapFn is the identity.
-type MapFn func(KV) []KV
+// records by calling emit once per output record. A nil MapFn is the
+// identity. The engine shares one MapFn between sites mapping in parallel,
+// so it must not keep state across calls; emit folds the record into the
+// calling executor's combiner before it returns and keeps key only when it
+// opens a new group, so a key that is a substring of r.Key costs nothing.
+type MapFn func(r KV, emit func(key string, val float64))
 
 // Query describes one recurring analytics query over a dataset. The
 // engine executes it as map → combine → shuffle → reduce, iterated
@@ -54,18 +58,6 @@ func (q *Query) rounds() int {
 	return q.Iterations
 }
 
-// applyMap runs the map function over a record slice.
-func (q *Query) applyMap(in []KV) []KV {
-	if q.Map == nil {
-		return in
-	}
-	var out []KV
-	for _, r := range in {
-		out = append(out, q.Map(r)...)
-	}
-	return out
-}
-
 // DefaultCosts are per-record compute costs calibrated so that the
 // simulated QCTs land in the seconds range the paper reports for 40
 // GB-per-site workloads scaled down to in-memory record counts.
@@ -89,7 +81,7 @@ func ScanQuery(name, dataset string) Query {
 func AggregationQuery(name, dataset string, groupKey func(string) string) Query {
 	var m MapFn
 	if groupKey != nil {
-		m = func(r KV) []KV { return []KV{{Key: groupKey(r.Key), Val: r.Val}} }
+		m = func(r KV, emit func(string, float64)) { emit(groupKey(r.Key), r.Val) }
 	}
 	return Query{
 		Name: name, Dataset: dataset, QueryType: "aggregation",
@@ -104,13 +96,11 @@ func AggregationQuery(name, dataset string, groupKey func(string) string) Query 
 func UDFQuery(name, dataset string, iterations int) Query {
 	return Query{
 		Name: name, Dataset: dataset, QueryType: "udf",
-		Map: func(r KV) []KV {
+		Map: func(r KV, emit func(string, float64)) {
 			// Damped contribution kept on the page plus a share emitted to
 			// a deterministic "linked" page (same key space).
-			return []KV{
-				{Key: r.Key, Val: 0.15 + 0.85*r.Val*0.5},
-				{Key: linkOf(r.Key), Val: 0.85 * r.Val * 0.5},
-			}
+			emit(r.Key, 0.15+0.85*r.Val*0.5)
+			emit(linkOf(r.Key), 0.85*r.Val*0.5)
 		},
 		Combine:    OpSum,
 		Iterations: iterations,
@@ -126,11 +116,4 @@ func linkOf(key string) string {
 	// the key hash: pages sharing a hash bucket link to the same target,
 	// giving the skewed in-degree distribution real webgraphs have.
 	return fmt.Sprintf("%s#%d", key[:min(len(key), 2)], h%(1<<16))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -296,7 +296,7 @@ func TestStitchedDistributedTrace(t *testing.T) {
 	}
 	for _, path := range [][]string{
 		{"map@site0", "deserialize"},
-		{"map@site0", "map"}, {"map@site0", "combine"}, {"map@site0", "scatter"},
+		{"map@site0", "map"}, {"map@site0", "scatter"},
 		{"map@site1", "map"},
 		{"reduce@site0", "gather"}, {"reduce@site0", "reduce"},
 		{"reduce@site1", "reduce"},

@@ -5,14 +5,15 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"bohr/internal/engine"
 	"bohr/internal/faults"
 	"bohr/internal/obs"
+	"bohr/internal/olap"
 	"bohr/internal/stats"
+	"bohr/internal/workload"
 )
 
 // Worker is one live site: it stores dataset records, answers probe and
@@ -302,41 +303,20 @@ func (w *Worker) handlePut(req *Envelope) *Envelope {
 }
 
 // projector builds the key projection for the requested dims against the
-// dataset's stored schema. Empty dims keep the full key.
+// dataset's registered schema. No dims means the full key.
 func (w *Worker) projector(dataset string, dims []string) (func(string) string, error) {
 	if len(dims) == 0 {
 		return func(k string) string { return k }, nil
 	}
-	w.mu.Lock()
-	schema := w.schemas[dataset]
-	w.mu.Unlock()
-	if schema == nil {
+	names := w.schemaOf(dataset)
+	if names == nil {
 		return nil, fmt.Errorf("dataset %q has no schema", dataset)
 	}
-	idx := make([]int, len(dims))
-	for i, d := range dims {
-		idx[i] = -1
-		for j, s := range schema {
-			if s == d {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("dataset %q has no dimension %q", dataset, d)
-		}
+	schema, err := olap.NewSchema(names...)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %q: %w", dataset, err)
 	}
-	return func(key string) string {
-		coords := strings.Split(key, "\x1f")
-		if len(coords) != len(schema) {
-			return key
-		}
-		parts := make([]string, len(idx))
-		for i, j := range idx {
-			parts[i] = coords[j]
-		}
-		return strings.Join(parts, "\x1f")
-	}, nil
+	return workload.Projector(schema, dims)
 }
 
 func (w *Worker) handleStats(req *Envelope) *Envelope {
@@ -533,15 +513,17 @@ func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 	w.mu.Lock()
 	recs := w.datasets[q.Dataset]
 	w.mu.Unlock()
+	// The stage is the engine's own, with the whole site as one executor.
 	ms := tcol.StartSpan("map")
-	mapped := make([]engine.KV, len(recs))
-	for i, r := range recs {
-		mapped[i] = engine.KV{Key: proj(r.Key), Val: r.Val}
-	}
+	stage, err := engine.MapCombine(recs, &engine.Query{
+		Map:     func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) },
+		Combine: q.Combine,
+	}, engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 1}})
 	ms.End()
-	cs := tcol.StartSpan("combine")
-	inter := engine.Combine(mapped, q.Combine)
-	cs.End()
+	if err != nil {
+		return w.errEnv(CodeUnknown, "runmap: %v", err)
+	}
+	inter := stage.Inter
 	w.count2(tcol, "netio.map.records", float64(len(recs)))
 	w.count2(tcol, "netio.intermediate.records", float64(len(inter)))
 

@@ -79,7 +79,7 @@ func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cac
 	}
 	n := c.N()
 	dom := ds.DominantQuery()
-	proj, err := workload.Projector(ds.Schema, dom.Dims)
+	proj, err := workload.NewProjection(ds.Schema, dom.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cac
 		return cache.GetOrBuild(key, hash, func() (*olap.Cube, error) {
 			rows := make([]olap.Row, len(recs))
 			for r, rec := range recs {
-				rows[r] = olap.Row{Coords: workload.SplitKey(proj(rec.Key)), Measure: rec.Val}
+				rows[r] = olap.Row{Coords: proj.Coords(rec.Key), Measure: rec.Val}
 			}
 			cube, berr := olap.BuildCube(schema, rows, 0)
 			if berr != nil {
@@ -202,6 +202,7 @@ func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cac
 func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64 {
 	const sample = 256
 	in, out := 0, 0
+	count := func(string, float64) { out++ }
 	for i := 0; i < c.N() && in < sample; i++ {
 		for _, rec := range c.Data[i].Records(dataset) {
 			if in >= sample {
@@ -212,7 +213,7 @@ func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64
 				out++
 				continue
 			}
-			out += len(q.Map(rec))
+			q.Map(rec, count)
 		}
 	}
 	if in == 0 {

@@ -132,7 +132,15 @@ func Normalize(stmt *sql.Statement) string {
 			if i > 0 {
 				b.WriteString(" AND ")
 			}
-			fmt.Fprintf(&b, "%s %s %s", strings.ToLower(c.Column), c.Op, c.Value)
+			// String values print quoted and escaped: a bare rendering
+			// would give hour < '5' (string compare) and hour < 5 (numeric)
+			// one key, and let a literal holding " AND " pose as two
+			// conjuncts.
+			if c.Numeric {
+				fmt.Fprintf(&b, "%s %s %s", strings.ToLower(c.Column), c.Op, c.Value)
+			} else {
+				fmt.Fprintf(&b, "%s %s %q", strings.ToLower(c.Column), c.Op, c.Value)
+			}
 		}
 	}
 	if len(stmt.GroupBy) > 0 {

@@ -94,3 +94,46 @@ func TestEngineBackendServesRealQueries(t *testing.T) {
 		t.Fatal("cancelled engine run succeeded")
 	}
 }
+
+// TestCacheKeyKeepsLiteralKinds is the regression for the result-cache key
+// printing WHERE values bare: a string and a numeric literal, or one
+// literal spelling out a second conjunct, normalized to the same text, and
+// the second statement was answered with the first one's rows.
+func TestCacheKeyKeepsLiteralKinds(t *testing.T) {
+	sys := smallSystem(t)
+	backend := NewEngineBackend(sys)
+	ds := sys.Workload.Datasets[0].Name
+	fe := New(backend, Config{}, obs.NewCollector())
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+
+	for _, pair := range [][2]string{
+		// hours are "00".."23": every one sorts below the string '5', five
+		// of them are below the number 5.
+		{"SELECT hour, COUNT(*) FROM " + ds + " WHERE hour < '5' GROUP BY hour",
+			"SELECT hour, COUNT(*) FROM " + ds + " WHERE hour < 5 GROUP BY hour"},
+		{"SELECT country, COUNT(*) FROM " + ds + " WHERE country = 'US AND hour = 0' GROUP BY country",
+			"SELECT country, COUNT(*) FROM " + ds + " WHERE country = 'US' AND hour = 0 GROUP BY country"},
+	} {
+		var keys [2]string
+		var outs [2]QueryResponse
+		for i, text := range pair {
+			stmt, err := sql.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[i] = fe.results.Key(stmt, 1)
+			var resp *http.Response
+			resp, outs[i] = postQuery(t, ts.URL, "alice", text)
+			if resp.StatusCode != http.StatusOK || outs[i].Cached {
+				t.Fatalf("%q: status %d cached %v, want a fresh answer", text, resp.StatusCode, outs[i].Cached)
+			}
+		}
+		if keys[0] == keys[1] {
+			t.Fatalf("%q and %q share the cache key %q", pair[0], pair[1], keys[0])
+		}
+		if outs[0].RowCount == outs[1].RowCount {
+			t.Fatalf("%q and %q both returned %d rows; the statements select different rows", pair[0], pair[1], outs[0].RowCount)
+		}
+	}
+}

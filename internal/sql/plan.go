@@ -73,29 +73,38 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 		break
 	}
 
-	pred, err := compilePredicate(stmt.Where, schema)
+	checks, err := compileChecks(stmt.Where, schema)
 	if err != nil {
 		return nil, err
 	}
-	var proj func(string) string
-	if len(dims) > 0 {
-		proj, err = workload.Projector(schema, dims)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		proj = func(string) string { return "<all>" }
+	proj, err := workload.NewProjection(schema, dims)
+	if err != nil {
+		return nil, err
 	}
+	grouped := len(dims) > 0
 
 	q := engine.Query{
 		Name:      "sql:" + summarize(stmt),
 		Dataset:   stmt.Dataset,
 		QueryType: string(olap.QueryTypeFor(dims)),
-		Map: func(r engine.KV) []engine.KV {
-			if !pred(r.Key) {
-				return nil
+		// One in-place index of the stored key serves the WHERE conjuncts
+		// and the projection alike.
+		Map: func(r engine.KV, emit func(string, float64)) {
+			key := "<all>" // a pure aggregate groups on a constant
+			if grouped || len(checks) > 0 {
+				var x workload.KeyIndex
+				shaped := proj.Index(&x, r.Key)
+				if len(checks) > 0 && !(shaped && passes(checks, &x)) {
+					return
+				}
+				if grouped {
+					key = r.Key // foreign key shape: leave untouched
+					if shaped {
+						key = proj.Key(&x)
+					}
+				}
 			}
-			return []engine.KV{{Key: proj(r.Key), Val: r.Val}}
+			emit(key, r.Val)
 		},
 		Combine:    op,
 		MapCost:    engine.DefaultMapCost,
@@ -140,18 +149,17 @@ func CompileString(query string, schema *olap.Schema) (*Plan, error) {
 	return Compile(stmt, schema)
 }
 
-// compilePredicate builds the row filter for the WHERE conjuncts.
-func compilePredicate(conds []Condition, schema *olap.Schema) (func(string) bool, error) {
-	if len(conds) == 0 {
-		return func(string) bool { return true }, nil
-	}
-	type check struct {
-		idx     int
-		op      string
-		value   string
-		numeric bool
-		numVal  float64
-	}
+// check is one compiled WHERE conjunct.
+type check struct {
+	idx     int
+	op      string
+	value   string
+	numeric bool
+	numVal  float64
+}
+
+// compileChecks resolves the WHERE conjuncts against the schema.
+func compileChecks(conds []Condition, schema *olap.Schema) ([]check, error) {
 	checks := make([]check, len(conds))
 	for i, c := range conds {
 		ch := check{idx: schema.Index(c.Column), op: c.Op, value: c.Value, numeric: c.Numeric}
@@ -164,50 +172,50 @@ func compilePredicate(conds []Condition, schema *olap.Schema) (func(string) bool
 		}
 		checks[i] = ch
 	}
-	nd := schema.NumDims()
-	return func(key string) bool {
-		coords := workload.SplitKey(key)
-		if len(coords) != nd {
-			return false
-		}
-		for _, ch := range checks {
-			got := coords[ch.idx]
-			var cmp int
-			if ch.numeric {
-				gv, err := strconv.ParseFloat(got, 64)
-				if err != nil {
-					return false
-				}
-				switch {
-				case gv < ch.numVal:
-					cmp = -1
-				case gv > ch.numVal:
-					cmp = 1
-				}
-			} else {
-				cmp = strings.Compare(got, ch.value)
-			}
-			ok := false
-			switch ch.op {
-			case "=":
-				ok = cmp == 0
-			case "!=":
-				ok = cmp != 0
-			case "<":
-				ok = cmp < 0
-			case "<=":
-				ok = cmp <= 0
-			case ">":
-				ok = cmp > 0
-			case ">=":
-				ok = cmp >= 0
-			}
-			if !ok {
+	return checks, nil
+}
+
+// passes reports whether an indexed, schema-shaped key satisfies every
+// conjunct.
+func passes(checks []check, x *workload.KeyIndex) bool {
+	for i := range checks {
+		ch := &checks[i]
+		got := x.Field(ch.idx)
+		var cmp int
+		if ch.numeric {
+			gv, err := strconv.ParseFloat(got, 64)
+			if err != nil {
 				return false
 			}
+			switch {
+			case gv < ch.numVal:
+				cmp = -1
+			case gv > ch.numVal:
+				cmp = 1
+			}
+		} else {
+			cmp = strings.Compare(got, ch.value)
 		}
-		return true
-	}, nil
+		ok := false
+		switch ch.op {
+		case "=":
+			ok = cmp == 0
+		case "!=":
+			ok = cmp != 0
+		case "<":
+			ok = cmp < 0
+		case "<=":
+			ok = cmp <= 0
+		case ">":
+			ok = cmp > 0
+		case ">=":
+			ok = cmp >= 0
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // summarize renders a short name for the compiled query.

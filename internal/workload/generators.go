@@ -132,8 +132,8 @@ func projectedQuery(name, dataset string, schema *olap.Schema, dims []string, op
 		Name:      name,
 		Dataset:   dataset,
 		QueryType: string(olap.QueryTypeFor(dims)),
-		Map: func(r engine.KV) []engine.KV {
-			return []engine.KV{{Key: proj(r.Key), Val: r.Val}}
+		Map: func(r engine.KV, emit func(string, float64)) {
+			emit(proj(r.Key), r.Val)
 		},
 		Combine: op,
 		MapCost: mapCost, ReduceCost: reduceCost,
@@ -151,12 +151,10 @@ func udfQuery(name, dataset string, schema *olap.Schema, dims []string, iteratio
 		Name:      name,
 		Dataset:   dataset,
 		QueryType: string(olap.QueryTypeFor(dims)),
-		Map: func(r engine.KV) []engine.KV {
+		Map: func(r engine.KV, emit func(string, float64)) {
 			k := proj(r.Key)
-			return []engine.KV{
-				{Key: k, Val: 0.15 + 0.85*r.Val*0.5},
-				{Key: linkTarget(k), Val: 0.85 * r.Val * 0.5},
-			}
+			emit(k, 0.15+0.85*r.Val*0.5)
+			emit(linkTarget(k), 0.85*r.Val*0.5)
 		},
 		Combine:    engine.OpSum,
 		Iterations: iterations,

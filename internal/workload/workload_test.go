@@ -2,12 +2,14 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"bohr/internal/engine"
 	"bohr/internal/olap"
 	"bohr/internal/similarity"
+	"bohr/internal/stats"
 	"bohr/internal/wan"
 )
 
@@ -280,6 +282,68 @@ func TestProjector(t *testing.T) {
 	}
 	if _, err := Projector(schema, []string{"zzz"}); err == nil {
 		t.Fatal("unknown dim should error")
+	}
+}
+
+// Property: the in-place indexer sees the fields strings.Split sees — on
+// keys with empty fields, too many or too few fields, more fields than the
+// index can address, and no separator at all — and every projection built
+// on it equals the split-pick-join it replaced.
+func TestKeyIndexAgreesWithSplit(t *testing.T) {
+	rng := stats.NewRand(5)
+	alphabet := []string{"", "a", "bc", "x/y", "\x1e", "long-coordinate-value", "0"}
+	schema := olap.MustSchema("d0", "d1", "d2", "d3")
+	var projections []*Projection
+	var dimSets [][]string
+	for _, dims := range [][]string{{"d0"}, {"d3"}, {"d1", "d2"}, {"d0", "d1", "d2", "d3"}, {"d2", "d0"}, {"d0", "d2"}, {"d3", "d2"}, {}} {
+		p, err := NewProjection(schema, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		projections, dimSets = append(projections, p), append(dimSets, dims)
+	}
+	for trial := 0; trial < 5000; trial++ {
+		fields := make([]string, 1+rng.Intn(6))
+		if trial%50 == 0 {
+			fields = make([]string, maxKeyFields+rng.Intn(4))
+		}
+		for i := range fields {
+			fields[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		key := JoinKey(fields)
+		want := SplitKey(key)
+		var x KeyIndex
+		if n := x.Reset(key); n != len(want) {
+			t.Fatalf("key %q: %d fields, strings.Split finds %d", key, n, len(want))
+		}
+		for i := 0; i < len(want) && i < maxKeyFields; i++ {
+			if got := x.Field(i); got != want[i] {
+				t.Fatalf("key %q: field %d = %q, strings.Split gives %q", key, i, got, want[i])
+			}
+		}
+		for pi, p := range projections {
+			wantKey, wantCoords := key, want
+			if len(want) == schema.NumDims() {
+				wantCoords = make([]string, len(dimSets[pi]))
+				for i, d := range dimSets[pi] {
+					wantCoords[i] = want[schema.Index(d)]
+				}
+				wantKey = JoinKey(wantCoords)
+			}
+			if got := p.Project(key); got != wantKey {
+				t.Fatalf("key %q onto %v = %q, want %q", key, dimSets[pi], got, wantKey)
+			}
+			if got := p.Coords(key); strings.Join(got, "|") != strings.Join(wantCoords, "|") || len(got) != len(wantCoords) {
+				t.Fatalf("key %q onto %v: coords %q, want %q", key, dimSets[pi], got, wantCoords)
+			}
+		}
+	}
+	wide := make([]string, maxKeyFields+1)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("d%d", i)
+	}
+	if _, err := NewProjection(olap.MustSchema(wide...), wide[:1]); err == nil {
+		t.Fatal("a schema wider than the key index must be refused")
 	}
 }
 
