@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt-check ctxcheck race determinism fuzz-short bounded-growth golden bench bench-snapshot bench-gate crash
+.PHONY: all build test check vet fmt-check ctxcheck race determinism fuzz-short bounded-growth golden bench bench-smoke bench-snapshot bench-gate crash
 
 all: build
 
@@ -21,9 +21,13 @@ test:
 # harness, the report determinism check including cross-pool-width byte
 # identity, and the kernel benchmark regression gate against the newest
 # BENCH_*.json snapshot. The race target also carries the map→combine
-# stage's differential oracle and allocation guard (engine), the key
-# indexer's property test (workload) and the compiled filter (sql).
-check: vet fmt-check ctxcheck race fuzz-short determinism bounded-growth bench-gate
+# stage's differential oracle and allocation guard and the site store's
+# differential against the reference mover (engine; none of them is
+# skipped under -short, and race passes no -short), the key indexer's
+# property test (workload) and the compiled filter (sql). bench-smoke
+# runs the end-to-end benchmark's own tests, whose oracles and trace
+# coverage floor nothing else in check sees.
+check: vet fmt-check ctxcheck race fuzz-short determinism bounded-growth bench-smoke bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -120,9 +124,17 @@ bench:
 		bash bench/run.sh --workload $$w --seed $(SEED) --seconds 20 --trace $(TRACE) || exit 1; \
 	done
 
+# bench-smoke runs every bench/ workload at a twentieth of its length,
+# untraced and traced, three times: the oracles (delivered == sent,
+# post-recovery counts, query rows against a naive fold) and the floor on
+# trace.coverage (≥ 0.9 — an un-spanned cost that grows relative to the
+# spanned ones fails it) must hold on each.
+bench-smoke:
+	$(GO) test ./bench -count=3
+
 # bench-snapshot appends to the perf trajectory: one JSON document of
 # benchmark measurements per PR (BENCH_$(TAG).json at the repo root).
-TAG ?= pr15
+TAG ?= pr17
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -tag $(TAG)
 

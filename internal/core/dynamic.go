@@ -259,9 +259,18 @@ func snapshotSizes(c *engine.Cluster, dataset string) []int {
 	return out
 }
 
-// moveBatchByShares forwards each site's newly-arrived batch records along
-// the plan's movement fractions, using the dataset's mover so
-// similarity-aware schemes still pick combinable records out of the batch.
+// moveBatchByShares forwards, from each site a batch just landed at, the
+// plan's movement fraction of the arrived volume to each destination. The
+// batch decides how many records leave; which ones is the dataset's
+// mover's choice over the site's whole record set (engine.ApplyMoves), not
+// over the batch — a similarity-aware scheme ships an older resident
+// record whose cell combines at the destination before a just-arrived one
+// whose cell the destination does not hold. This is how the reproduction
+// reads §8.6 step 2: "transferred according to the current placement
+// decision" fixes the per-link share, and the site then peels off its most
+// combinable cells (§4.1); rows are not tagged by arrival. The dynamic
+// golden report pins it, and it is why the state after a run of batches
+// depends on how the records were grouped into batches.
 func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, before []int, shares [][]float64) error {
 	if shares == nil {
 		return nil

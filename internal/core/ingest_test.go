@@ -69,6 +69,50 @@ func TestIngestBatchAppliesRows(t *testing.T) {
 	}
 }
 
+// TestIngestMoveSelectsFromWholeSite pins the §8.6 step-2 reading
+// moveBatchByShares documents: the arrived batch sets the forwarded
+// volume, the mover picks from everything the site holds. The live rows'
+// cells exist nowhere else, so Bohr's mover ranks them last, and resident
+// records leave while just-arrived ones stay.
+func TestIngestMoveSelectsFromWholeSite(t *testing.T) {
+	sys, ds := preparedSystem(t)
+	src := -1
+	for s, row := range sys.shares[ds.Name] {
+		for _, frac := range row {
+			if frac > 0 && len(sys.Cluster.Data[s].Records(ds.Name)) > 0 {
+				src = s
+			}
+		}
+	}
+	if src < 0 {
+		t.Fatal("the plan moves nothing out of a non-empty site; the test needs a forwarding share")
+	}
+	resident := map[string]int{}
+	for _, r := range sys.Cluster.Data[src].Records(ds.Name) {
+		resident[r.Key]++
+	}
+	rows := liveRows(ds, 40)
+	if _, err := sys.IngestBatch(context.Background(), []Arrival{{Dataset: ds.Name, Site: src, Rows: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	arrivedKept := 0
+	for _, r := range sys.Cluster.Data[src].Records(ds.Name) {
+		if strings.HasPrefix(r.Key, "live") {
+			arrivedKept++
+		} else {
+			resident[r.Key]--
+		}
+	}
+	residentLeft := 0
+	for _, n := range resident {
+		residentLeft += n
+	}
+	if residentLeft == 0 || arrivedKept == 0 {
+		t.Fatalf("%d resident records left site %d and %d of %d arrived rows stayed; want residents to leave before arrivals",
+			residentLeft, src, arrivedKept, len(rows))
+	}
+}
+
 func TestIngestBatchValidatesAllOrNothing(t *testing.T) {
 	sys, ds := preparedSystem(t)
 	before := totalRecords(sys, ds.Name)

@@ -17,23 +17,43 @@ type Executors struct {
 // Total returns the number of executors at the site.
 func (e Executors) Total() int { return e.Machines * e.PerMachine }
 
-// SiteData holds the records of every dataset stored at one site.
+// SiteData holds one site's stores, one per dataset stored there.
 type SiteData struct {
-	Datasets map[string][]KV
+	stores map[string]*Store
 }
 
-// NewSiteData creates an empty site store.
+// NewSiteData creates an empty site.
 func NewSiteData() *SiteData {
-	return &SiteData{Datasets: make(map[string][]KV)}
+	return &SiteData{stores: make(map[string]*Store)}
+}
+
+// Store returns the dataset's store at this site, nil if the site has
+// none (a nil *Store reads as empty, at version 0).
+func (s *SiteData) Store(dataset string) *Store { return s.stores[dataset] }
+
+// ensure returns the dataset's store, creating it when absent.
+func (s *SiteData) ensure(dataset string) *Store {
+	st := s.stores[dataset]
+	if st == nil {
+		st = &Store{}
+		s.stores[dataset] = st
+	}
+	return st
 }
 
 // Add appends records to a dataset at this site.
 func (s *SiteData) Add(dataset string, records ...KV) {
-	s.Datasets[dataset] = append(s.Datasets[dataset], records...)
+	s.ensure(dataset).Add(records...)
+}
+
+// Restore replaces a dataset's records at this site wholesale; see
+// Store.Restore.
+func (s *SiteData) Restore(dataset string, records []KV) {
+	s.ensure(dataset).Restore(records)
 }
 
 // Records returns the records of one dataset (nil if absent).
-func (s *SiteData) Records(dataset string) []KV { return s.Datasets[dataset] }
+func (s *SiteData) Records(dataset string) []KV { return s.stores[dataset].Records() }
 
 // Cluster is the geo-distributed deployment: the WAN topology, per-site
 // executors, per-site data, and the record-size constant that converts
@@ -97,11 +117,24 @@ func (c *Cluster) InputMB(dataset string) []float64 {
 	return out
 }
 
+// Version returns the dataset's change counter: the sum of its per-site
+// store versions, which rises on every mutation of any of them, in
+// O(sites) and without allocating. ok is false when no site holds records
+// of the dataset.
+func (c *Cluster) Version(dataset string) (v uint64, ok bool) {
+	for _, sd := range c.Data {
+		st := sd.Store(dataset)
+		v += st.Version()
+		ok = ok || len(st.Records()) > 0
+	}
+	return v, ok
+}
+
 // DatasetNames returns the union of dataset names across sites, sorted.
 func (c *Cluster) DatasetNames() []string {
 	seen := map[string]bool{}
 	for _, sd := range c.Data {
-		for name := range sd.Datasets {
+		for name := range sd.stores {
 			seen[name] = true
 		}
 	}
@@ -114,8 +147,8 @@ func (c *Cluster) DatasetNames() []string {
 }
 
 // Clone deep-copies the cluster's data (topology and executors are shared,
-// records are copied) so a scheme can mutate placement without affecting
-// other schemes run on the same inputs.
+// records, store versions and cell indexes are copied) so a scheme can
+// mutate placement without affecting other schemes run on the same inputs.
 func (c *Cluster) Clone() *Cluster {
 	out := &Cluster{
 		Top:            c.Top,
@@ -125,8 +158,8 @@ func (c *Cluster) Clone() *Cluster {
 	}
 	for i, sd := range c.Data {
 		nd := NewSiteData()
-		for name, recs := range sd.Datasets {
-			nd.Datasets[name] = append([]KV(nil), recs...)
+		for name, st := range sd.stores {
+			nd.stores[name] = st.clone()
 		}
 		out.Data[i] = nd
 	}

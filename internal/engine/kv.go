@@ -143,16 +143,6 @@ func CombinePartials(records []KV, op CombineOp) []KV {
 	return Combine(records, op)
 }
 
-// KeyCounts tallies how many records exist per key — the multiset view
-// similarity scoring and similarity-aware movement consume.
-func KeyCounts(records []KV) map[string]int {
-	m := make(map[string]int, len(records))
-	for _, r := range records {
-		m[r.Key]++
-	}
-	return m
-}
-
 // DistinctKeys returns the number of distinct keys in records.
 func DistinctKeys(records []KV) int {
 	seen := make(map[string]struct{}, len(records))

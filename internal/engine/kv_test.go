@@ -63,9 +63,12 @@ func TestCombineOpStrings(t *testing.T) {
 
 func TestKeyCountsAndDistinct(t *testing.T) {
 	recs := []KV{{"a", 1}, {"a", 2}, {"b", 3}}
-	kc := KeyCounts(recs)
-	if kc["a"] != 2 || kc["b"] != 1 {
-		t.Fatalf("KeyCounts = %v", kc)
+	// Key counts live in the store's cell index, maintained by Add.
+	st := &Store{}
+	ix := st.index(cellView{})
+	st.Add(recs...)
+	if ix.count[ix.ids["a"]] != 2 || ix.count[ix.ids["b"]] != 1 {
+		t.Fatalf("cell counts = %v over %v", ix.count, ix.keys)
 	}
 	if DistinctKeys(recs) != 2 {
 		t.Fatalf("DistinctKeys = %d", DistinctKeys(recs))

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"bohr/internal/wan"
 )
@@ -18,24 +20,23 @@ type MoveSpec struct {
 
 // Mover chooses which records leave a site when a MoveSpec is executed.
 // The choice is the heart of Bohr: similarity-agnostic systems pick
-// randomly, Bohr picks records that combine at the destination.
+// randomly, Bohr picks records that combine at the destination. Movers
+// are applied through Store.Select.
 type Mover interface {
-	// Select returns the indices (into src) of n records to move toward a
-	// destination whose key counts are dstCounts.
-	Select(src []KV, dstCounts map[string]int, n int, rng *rand.Rand) []int
+	// pick returns the ascending positions of n of src's records
+	// (0 < n < len(src.recs)) to move toward dst.
+	pick(src *Store, dst DstView, n int, rng *rand.Rand) []int
 }
 
 // RandomMover models Iridium-style similarity-agnostic placement: a
-// uniform random sample of records leaves the site.
+// uniform random sample of records leaves the site. It never looks at the
+// destination.
 type RandomMover struct{}
 
-// Select implements Mover.
-func (RandomMover) Select(src []KV, _ map[string]int, n int, rng *rand.Rand) []int {
-	if n >= len(src) {
-		return allIndices(len(src))
-	}
-	perm := rng.Perm(len(src))
-	return perm[:n]
+func (RandomMover) pick(src *Store, _ DstView, n int, rng *rand.Rand) []int {
+	at := rng.Perm(len(src.recs))[:n]
+	sort.Ints(at)
+	return at
 }
 
 // SimilarMover implements Bohr's similarity-aware selection: records whose
@@ -44,102 +45,81 @@ func (RandomMover) Select(src []KV, _ map[string]int, n int, rng *rand.Rand) []i
 // cluster leaving removes one post-combiner cell from the bottleneck
 // regardless of size). This mirrors §4.1: the dimension cube has already
 // clustered and sorted records by similarity, so the site peels off the
-// most combinable records.
+// most combinable cells — the cube here being the cell index the source
+// and destination stores maintain for the mover's projection.
 type SimilarMover struct {
 	// Project maps a stored key into the attribute space the dominant
 	// query type combines on (the dimension-cube view of §4.1). nil keeps
 	// full keys.
 	Project func(string) string
+	// Dims identifies Project — a func cannot be compared — so a store
+	// can tell whether the index it keeps was built for this mover's
+	// projection: movers of one dataset with equal Dims must project
+	// identically. The planner passes the dominant dimension list.
+	Dims string
 	// DstTopK bounds what the mover knows about the destination: only the
 	// destination's DstTopK largest (projected) cells — what its probe
 	// carried (§4.2). Zero means full knowledge.
 	DstTopK int
 }
 
-// Select implements Mover.
-func (m SimilarMover) Select(src []KV, dstCounts map[string]int, n int, _ *rand.Rand) []int {
-	if n >= len(src) {
-		return allIndices(len(src))
-	}
-	proj := m.Project
-	if proj == nil {
-		proj = func(k string) string { return k }
-	}
-	srcCounts := make(map[string]int, len(src))
-	projected := make([]string, len(src))
-	for i, r := range src {
-		projected[i] = proj(r.Key)
-		srcCounts[projected[i]]++
-	}
-	projDst := make(map[string]int, len(dstCounts))
-	for k, c := range dstCounts {
-		projDst[proj(k)] += c
-	}
-	dstCounts = projDst
-	if m.DstTopK > 0 && len(dstCounts) > m.DstTopK {
-		// The probe carried only the destination's top cells; forget the
-		// rest.
-		type kc struct {
-			k string
-			c int
-		}
-		cells := make([]kc, 0, len(dstCounts))
-		for k, c := range dstCounts {
-			cells = append(cells, kc{k, c})
-		}
-		sort.Slice(cells, func(a, b int) bool {
-			if cells[a].c != cells[b].c {
-				return cells[a].c > cells[b].c
-			}
-			return cells[a].k < cells[b].k
-		})
-		dstCounts = make(map[string]int, m.DstTopK)
-		for _, cell := range cells[:m.DstTopK] {
-			dstCounts[cell.k] = cell.c
-		}
-	}
-	// Order keys for maximum combining benefit per moved megabyte.
-	// Destination-shared keys move first: their records vanish into
+func (m SimilarMover) pick(src *Store, dst DstView, n int, _ *rand.Rand) []int {
+	view := cellView{dims: m.Dims, project: m.Project}
+	ix := src.index(view)
+	dstCount := dst.index(view).known(m.DstTopK)
+	// Order cells for maximum combining benefit per moved megabyte.
+	// Destination-shared cells move first: their records vanish into
 	// existing destination cells, and within that class smaller source
-	// clusters go first — a whole cluster leaving removes one cell from
-	// the source's post-combiner output regardless of its size, so small
-	// clusters relieve the bottleneck fastest. Keys the destination does
-	// not hold follow, smallest clusters first for the same reason.
-	keys := make([]string, 0, len(srcCounts))
-	for k := range srcCounts {
-		keys = append(keys, k)
+	// cells go first — a whole cell leaving removes one cell from the
+	// source's post-combiner output regardless of its size, so small
+	// cells relieve the bottleneck fastest. Cells the destination does
+	// not hold follow, smallest first for the same reason.
+	type rankedCell struct {
+		id       int32
+		src, dst int
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
-		da, db := dstCounts[ka], dstCounts[kb]
-		if (da > 0) != (db > 0) {
-			return da > 0
+	cells := make([]rankedCell, 0, len(ix.count))
+	for id, c := range ix.count {
+		if c > 0 {
+			cells = append(cells, rankedCell{int32(id), c, dstCount(ix.keys[id])})
 		}
-		if srcCounts[ka] != srcCounts[kb] {
-			return srcCounts[ka] < srcCounts[kb]
+	}
+	slices.SortFunc(cells, func(a, b rankedCell) int {
+		if (a.dst > 0) != (b.dst > 0) {
+			if a.dst > 0 {
+				return -1
+			}
+			return 1
 		}
-		if da != db {
-			return da > db
+		if a.src != b.src {
+			return a.src - b.src
 		}
-		return ka < kb
+		if a.dst != b.dst {
+			return b.dst - a.dst
+		}
+		return strings.Compare(ix.keys[a.id], ix.keys[b.id])
 	})
-	rank := make(map[string]int, len(keys))
-	for i, k := range keys {
-		rank[k] = i
+	// Whole cells leave in rank order; the cell that crosses n gives up
+	// only its earliest records.
+	quota := make([]int, len(ix.count))
+	left := n
+	for _, c := range cells {
+		q := min(c.src, left)
+		quota[c.id] = q
+		if left -= q; left == 0 {
+			break
+		}
 	}
-	idx := allIndices(len(src))
-	sort.SliceStable(idx, func(a, b int) bool {
-		return rank[projected[idx[a]]] < rank[projected[idx[b]]]
-	})
-	return idx[:n]
-}
-
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+	at := make([]int, 0, n)
+	for i, id := range ix.cell {
+		if quota[id] > 0 {
+			quota[id]--
+			if at = append(at, i); len(at) == n {
+				break
+			}
+		}
 	}
-	return out
+	return at
 }
 
 // MoveResult reports what a movement execution did.
@@ -154,8 +134,9 @@ type MoveResult struct {
 }
 
 // ApplyMoves executes movement specs against the cluster's data in place:
-// the mover selects records at each source, which are removed there and
-// appended at the destination. Moves are applied in deterministic order
+// the mover selects records at each source store — from the store's whole
+// record set, in store order — which are removed there and appended at
+// the destination. Moves are applied in deterministic order
 // (by dataset, then src, then dst). The rng drives random selection only.
 func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*MoveResult, error) {
 	if mover == nil {
@@ -184,42 +165,23 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 		if sp.Src < 0 || sp.Src >= c.N() || sp.Dst < 0 || sp.Dst >= c.N() {
 			return nil, fmt.Errorf("engine: move %q %d→%d out of range", sp.Dataset, sp.Src, sp.Dst)
 		}
-		src := c.Data[sp.Src].Records(sp.Dataset)
-		if len(src) == 0 {
+		src := c.Data[sp.Src].Store(sp.Dataset)
+		if len(src.Records()) == 0 {
 			continue
 		}
 		n := c.RecordsFor(sp.MB)
 		if n == 0 {
 			continue
 		}
-		if n > len(src) {
-			n = len(src)
+		dst := c.Data[sp.Dst].ensure(sp.Dataset)
+		sel := src.Select(mover, dst, n, rng)
+		if err := src.Remove(sel); err != nil {
+			return nil, err
 		}
-		dstCounts := KeyCounts(c.Data[sp.Dst].Records(sp.Dataset))
-		idx := mover.Select(src, dstCounts, n, rng)
-		if len(idx) > n {
-			idx = idx[:n]
-		}
-		moving := make(map[int]bool, len(idx))
-		for _, i := range idx {
-			if i < 0 || i >= len(src) {
-				return nil, fmt.Errorf("engine: mover returned out-of-range index %d", i)
-			}
-			moving[i] = true
-		}
-		var kept, moved []KV
-		for i, r := range src {
-			if moving[i] {
-				moved = append(moved, r)
-			} else {
-				kept = append(kept, r)
-			}
-		}
-		c.Data[sp.Src].Datasets[sp.Dataset] = kept
-		c.Data[sp.Dst].Add(sp.Dataset, moved...)
-		res.Records += len(moved)
+		dst.Add(sel.Records...)
+		res.Records += len(sel.Records)
 		res.Transfers = append(res.Transfers, wan.Transfer{
-			Src: wan.SiteID(sp.Src), Dst: wan.SiteID(sp.Dst), MB: c.MB(len(moved)),
+			Src: wan.SiteID(sp.Src), Dst: wan.SiteID(sp.Dst), MB: c.MB(len(sel.Records)),
 		})
 	}
 	res.Duration = c.Top.Simulate(res.Transfers).Makespan

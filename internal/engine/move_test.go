@@ -3,10 +3,22 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"bohr/internal/stats"
 )
+
+// selectFrom has the mover choose n records of src, held in a fresh store,
+// toward a destination described by cell counts.
+func selectFrom(m Mover, src []KV, dst DstCells, n int, rng *rand.Rand) []KV {
+	st := &Store{}
+	st.Add(src...)
+	return st.Select(m, dst, n, rng).Records
+}
 
 func TestRandomMoverSelectsN(t *testing.T) {
 	rng := stats.NewRand(1)
@@ -14,19 +26,19 @@ func TestRandomMoverSelectsN(t *testing.T) {
 	for i := range src {
 		src[i] = KV{Key: fmt.Sprintf("k%d", i)}
 	}
-	idx := RandomMover{}.Select(src, nil, 30, rng)
-	if len(idx) != 30 {
-		t.Fatalf("selected %d", len(idx))
+	got := selectFrom(RandomMover{}, src, nil, 30, rng)
+	if len(got) != 30 {
+		t.Fatalf("selected %d", len(got))
 	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if i < 0 || i >= 100 || seen[i] {
-			t.Fatalf("bad index %d", i)
+	seen := map[string]bool{}
+	for _, r := range got {
+		if seen[r.Key] {
+			t.Fatalf("record %q selected twice", r.Key)
 		}
-		seen[i] = true
+		seen[r.Key] = true
 	}
 	// Over-ask returns everything.
-	if got := (RandomMover{}).Select(src, nil, 1000, rng); len(got) != 100 {
+	if got := selectFrom(RandomMover{}, src, nil, 1000, rng); len(got) != 100 {
 		t.Fatalf("over-ask = %d", len(got))
 	}
 }
@@ -37,21 +49,20 @@ func TestSimilarMoverPrefersSharedKeys(t *testing.T) {
 		{"local-only", 1}, {"local-only", 1}, {"local-only", 1},
 		{"shared-small", 1},
 	}
-	dst := map[string]int{"shared-big": 50, "shared-small": 2}
-	idx := SimilarMover{}.Select(src, dst, 3, nil)
-	if len(idx) != 3 {
-		t.Fatalf("selected %d", len(idx))
+	dst := DstCells{"shared-big": 50, "shared-small": 2}
+	got := selectFrom(SimilarMover{}, src, dst, 3, nil)
+	if len(got) != 3 {
+		t.Fatalf("selected %d", len(got))
 	}
-	for _, i := range idx {
-		k := src[i].Key
-		if k != "shared-big" && k != "shared-small" {
-			t.Fatalf("selected non-shared key %q before shared ones", k)
+	for _, r := range got {
+		if r.Key != "shared-big" && r.Key != "shared-small" {
+			t.Fatalf("selected non-shared key %q before shared ones", r.Key)
 		}
 	}
 	// Among shared keys, the smaller source cluster leaves first:
 	// shared-small (1 record) precedes shared-big (2 records).
-	if src[idx[0]].Key != "shared-small" {
-		t.Fatalf("smallest shared cluster should move first, got %q", src[idx[0]].Key)
+	if first := selectFrom(SimilarMover{}, src, dst, 1, nil); first[0].Key != "shared-small" {
+		t.Fatalf("smallest shared cluster should move first, got %q", first[0].Key)
 	}
 }
 
@@ -59,10 +70,10 @@ func TestSimilarMoverDstTopKBoundsKnowledge(t *testing.T) {
 	// With DstTopK=1 the mover only knows the destination's biggest cell;
 	// records of other shared keys rank as unknown.
 	src := []KV{{"big", 1}, {"small", 1}, {"tail", 1}}
-	dst := map[string]int{"big": 50, "small": 2}
-	idx := SimilarMover{DstTopK: 1}.Select(src, dst, 1, nil)
-	if src[idx[0]].Key != "big" {
-		t.Fatalf("only the known top cell should rank first, got %q", src[idx[0]].Key)
+	dst := DstCells{"big": 50, "small": 2}
+	got := selectFrom(SimilarMover{DstTopK: 1}, src, dst, 1, nil)
+	if got[0].Key != "big" {
+		t.Fatalf("only the known top cell should rank first, got %q", got[0].Key)
 	}
 }
 
@@ -74,18 +85,17 @@ func TestSimilarMoverSharedSmallClustersFirst(t *testing.T) {
 		{"dup", 1}, {"dup", 1}, {"dup", 1},
 		{"solo1", 1}, {"solo2", 1},
 	}
-	dst := map[string]int{"dup": 4, "solo1": 1, "solo2": 1}
-	idx := SimilarMover{}.Select(src, dst, 2, nil)
-	for _, i := range idx {
-		if src[i].Key == "dup" {
-			t.Fatalf("shared singletons should move before the shared duplicated key, got %q", src[i].Key)
+	dst := DstCells{"dup": 4, "solo1": 1, "solo2": 1}
+	for _, r := range selectFrom(SimilarMover{}, src, dst, 2, nil) {
+		if r.Key == "dup" {
+			t.Fatalf("shared singletons should move before the shared duplicated key, got %q", r.Key)
 		}
 	}
 }
 
 func TestSimilarMoverOverAsk(t *testing.T) {
 	src := []KV{{"a", 1}, {"b", 2}}
-	if got := (SimilarMover{}).Select(src, nil, 10, nil); len(got) != 2 {
+	if got := selectFrom(SimilarMover{}, src, nil, 10, nil); len(got) != 2 {
 		t.Fatalf("over-ask = %d", len(got))
 	}
 }
@@ -215,5 +225,244 @@ func TestSimilarMoveImprovesCombining(t *testing.T) {
 	random := run(RandomMover{})
 	if similar >= random {
 		t.Fatalf("similarity-aware movement should reduce intermediate data: similar=%v random=%v", similar, random)
+	}
+}
+
+// refSelect is the selection and split ApplyMoves ran before stores kept a
+// cell index, kept as the reference the store path must reproduce: count
+// the destination's keys, project and count every source record, cut the
+// destination to its top cells, rank the projected keys, stable-sort the
+// record indices by rank, take the first n, and split the source in
+// source order.
+func refSelect(src, dstRecs []KV, similar bool, project func(string) string, topK, n int, rng *rand.Rand) (moved, kept []KV) {
+	allIndices := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	var idx []int
+	switch {
+	case n >= len(src):
+		idx = allIndices(len(src))
+	case !similar:
+		idx = rng.Perm(len(src))[:n]
+	default:
+		proj := project
+		if proj == nil {
+			proj = func(k string) string { return k }
+		}
+		srcCounts := make(map[string]int, len(src))
+		projected := make([]string, len(src))
+		for i, r := range src {
+			projected[i] = proj(r.Key)
+			srcCounts[projected[i]]++
+		}
+		dstCounts := map[string]int{}
+		for _, r := range dstRecs {
+			dstCounts[proj(r.Key)]++
+		}
+		if topK > 0 && len(dstCounts) > topK {
+			type kc struct {
+				k string
+				c int
+			}
+			cells := make([]kc, 0, len(dstCounts))
+			for k, c := range dstCounts {
+				cells = append(cells, kc{k, c})
+			}
+			sort.Slice(cells, func(a, b int) bool {
+				if cells[a].c != cells[b].c {
+					return cells[a].c > cells[b].c
+				}
+				return cells[a].k < cells[b].k
+			})
+			dstCounts = make(map[string]int, topK)
+			for _, cell := range cells[:topK] {
+				dstCounts[cell.k] = cell.c
+			}
+		}
+		keys := make([]string, 0, len(srcCounts))
+		for k := range srcCounts {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool {
+			ka, kb := keys[a], keys[b]
+			da, db := dstCounts[ka], dstCounts[kb]
+			if (da > 0) != (db > 0) {
+				return da > 0
+			}
+			if srcCounts[ka] != srcCounts[kb] {
+				return srcCounts[ka] < srcCounts[kb]
+			}
+			if da != db {
+				return da > db
+			}
+			return ka < kb
+		})
+		rank := make(map[string]int, len(keys))
+		for i, k := range keys {
+			rank[k] = i
+		}
+		idx = allIndices(len(src))
+		sort.SliceStable(idx, func(a, b int) bool {
+			return rank[projected[idx[a]]] < rank[projected[idx[b]]]
+		})
+		idx = idx[:n]
+	}
+	moving := make(map[int]bool, len(idx))
+	for _, i := range idx {
+		moving[i] = true
+	}
+	for i, r := range src {
+		if moving[i] {
+			moved = append(moved, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	return moved, kept
+}
+
+// TestStoreMovesMatchReference drives seeded random sequences of add /
+// move / clone-then-diverge / restore over real clusters and, beside each,
+// a model of plain record slices moved by refSelect. After every step the
+// stores must hold the model's records in the model's order (so the same
+// records moved, in the same order, and the same stayed), every live
+// index must equal a from-scratch recount, and the version must have
+// risen on exactly the stores the step mutated.
+func TestStoreMovesMatchReference(t *testing.T) {
+	const sites = 3
+	prefix := func(fields int) func(string) string {
+		return func(k string) string {
+			return strings.Join(strings.SplitN(k, "|", fields+1)[:fields], "|")
+		}
+	}
+	movers := []SimilarMover{
+		{}, {DstTopK: 1}, {DstTopK: 500},
+		{Project: prefix(2), Dims: "a,b"}, {Project: prefix(2), Dims: "a,b", DstTopK: 1},
+		{Project: prefix(2), Dims: "a,b", DstTopK: 3}, {Project: prefix(1), Dims: "a", DstTopK: 2},
+	}
+	// pair is one cluster and its model; clones join the list and diverge.
+	type pair struct {
+		c   *Cluster
+		ref [sites][]KV
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := stats.NewRand(seed)
+		serial := 0.0
+		randRecs := func(n int) []KV {
+			out := make([]KV, n)
+			for i := range out {
+				serial++ // distinct values tell records of one key apart
+				out[i] = KV{Key: fmt.Sprintf("a%d|b%d|c%d", rng.Intn(3), rng.Intn(4), rng.Intn(6)), Val: serial}
+			}
+			return out
+		}
+		versions := func(ps []*pair) [][sites]uint64 {
+			out := make([][sites]uint64, len(ps))
+			for p, pr := range ps {
+				for i := range out[p] {
+					out[p][i] = pr.c.Data[i].Store("d").Version()
+				}
+			}
+			return out
+		}
+		pairs := []*pair{{c: testClusterQ(sites, 1)}}
+		for step := 0; step < 80; step++ {
+			pi := rng.Intn(len(pairs))
+			p := pairs[pi]
+			before := versions(pairs)
+			var mutated [sites]bool
+			what := ""
+			switch op := rng.Intn(10); {
+			case op < 3:
+				site, recs := rng.Intn(sites), randRecs(1+rng.Intn(40))
+				what = fmt.Sprintf("add %d@%d", len(recs), site)
+				p.c.Data[site].Add("d", recs...)
+				p.ref[site] = append(p.ref[site], recs...)
+				mutated[site] = true
+			case op < 8:
+				src, dst := rng.Intn(sites), rng.Intn(sites)
+				if src == dst || len(p.ref[src]) == 0 {
+					continue
+				}
+				// Asks reach past the source, so n ≥ len(src) happens.
+				mb := p.c.MB(1 + rng.Intn(len(p.ref[src])+5))
+				n := min(p.c.RecordsFor(mb), len(p.ref[src]))
+				if n == 0 {
+					continue
+				}
+				var mover Mover = RandomMover{}
+				var sm SimilarMover
+				similar := rng.Intn(4) > 0
+				if similar {
+					sm = movers[rng.Intn(len(movers))]
+					mover = sm
+				}
+				what = fmt.Sprintf("move %d %d→%d %T dims=%q topK=%d", n, src, dst, mover, sm.Dims, sm.DstTopK)
+				moveSeed := rng.Int63()
+				res, err := p.c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: src, Dst: dst, MB: mb}}, mover, stats.NewRand(moveSeed))
+				if err != nil {
+					t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
+				}
+				moved, kept := refSelect(p.ref[src], p.ref[dst], similar, sm.Project, sm.DstTopK, n, stats.NewRand(moveSeed))
+				if res.Records != len(moved) {
+					t.Fatalf("seed %d step %d (%s): moved %d records, reference %d", seed, step, what, res.Records, len(moved))
+				}
+				p.ref[src] = kept
+				p.ref[dst] = append(p.ref[dst], moved...)
+				mutated[src], mutated[dst] = true, true
+			case op < 9:
+				what = "clone"
+				cl := &pair{c: p.c.Clone(), ref: p.ref}
+				for i := range cl.ref {
+					cl.ref[i] = slices.Clone(cl.ref[i])
+				}
+				pairs = append(pairs, cl)
+				before = append(before, before[pi]) // a clone starts at its source's versions
+			default:
+				site, recs := rng.Intn(sites), randRecs(rng.Intn(30))
+				what = fmt.Sprintf("restore %d@%d", len(recs), site)
+				p.c.Data[site].Restore("d", slices.Clone(recs))
+				p.ref[site] = recs
+				mutated[site] = true
+			}
+			after := versions(pairs)
+			for q, pr := range pairs {
+				for i := 0; i < sites; i++ {
+					at := fmt.Sprintf("seed %d step %d (%s): cluster %d site %d", seed, step, what, q, i)
+					if rose := after[q][i] > before[q][i]; rose != (q == pi && mutated[i]) {
+						t.Fatalf("%s: version %d → %d, mutated=%v", at, before[q][i], after[q][i], q == pi && mutated[i])
+					}
+					st := pr.c.Data[i].Store("d")
+					if !slices.Equal(st.Records(), pr.ref[i]) {
+						t.Fatalf("%s: records diverge from the reference\n got %v\nwant %v", at, st.Records(), pr.ref[i])
+					}
+					if st == nil || st.idx == nil {
+						continue
+					}
+					ix := st.idx
+					if len(ix.cell) != len(st.recs) {
+						t.Fatalf("%s: cell column has %d entries for %d records", at, len(ix.cell), len(st.recs))
+					}
+					recount := make([]int, len(ix.count))
+					for r, rec := range st.recs {
+						cell := rec.Key
+						if ix.view.project != nil {
+							cell = ix.view.project(cell)
+						}
+						if ix.keys[ix.cell[r]] != cell {
+							t.Fatalf("%s: record %d is in cell %q, projects to %q", at, r, ix.keys[ix.cell[r]], cell)
+						}
+						recount[ix.cell[r]]++
+					}
+					if !slices.Equal(recount, ix.count) {
+						t.Fatalf("%s: index counts %v, recount %v", at, ix.count, recount)
+					}
+				}
+			}
+		}
 	}
 }

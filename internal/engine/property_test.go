@@ -42,17 +42,18 @@ func TestRunConservesMassProperty(t *testing.T) {
 	}
 }
 
-// Property: movers return exactly min(n, len(src)) distinct in-range
-// indices, for both policies, any projection, and any destination counts.
+// Property: movers select exactly min(n, len(src)) distinct in-range
+// positions, in store order, for both policies and any destination
+// counts, and Remove takes exactly those.
 func TestMoverSelectionProperty(t *testing.T) {
 	f := func(seed int64, nRaw, askRaw uint8, similar bool) bool {
 		rng := stats.NewRand(seed)
 		n := int(nRaw%200) + 1
-		src := make([]KV, n)
-		for i := range src {
-			src[i] = KV{Key: fmt.Sprintf("k%d", rng.Intn(30)), Val: 1}
+		st := &Store{}
+		for i := 0; i < n; i++ {
+			st.Add(KV{Key: fmt.Sprintf("k%d", rng.Intn(30)), Val: float64(i)})
 		}
-		dst := map[string]int{}
+		dst := DstCells{}
 		for i := 0; i < rng.Intn(20); i++ {
 			dst[fmt.Sprintf("k%d", rng.Intn(30))] = rng.Intn(50) + 1
 		}
@@ -61,25 +62,17 @@ func TestMoverSelectionProperty(t *testing.T) {
 		if similar {
 			mover = SimilarMover{DstTopK: rng.Intn(10)}
 		}
-		idx := mover.Select(src, dst, ask, rng)
-		want := ask
-		if want > n {
-			want = n
-		}
-		if ask <= 0 {
-			want = 0
-		}
-		if len(idx) < want {
+		sel := st.Select(mover, dst, ask, rng)
+		want := min(ask, n)
+		if len(sel.Records) != want || len(sel.at) != want {
 			return false
 		}
-		seen := map[int]bool{}
-		for _, i := range idx {
-			if i < 0 || i >= n || seen[i] {
+		for k, i := range sel.at {
+			if i < 0 || i >= n || (k > 0 && i <= sel.at[k-1]) || sel.Records[k] != st.recs[i] {
 				return false
 			}
-			seen[i] = true
 		}
-		return true
+		return st.Remove(sel) == nil && len(st.Records()) == n-want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,310 @@
+package engine
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
+)
+
+// Store holds the records of one dataset at one site. It owns the record
+// slice: every mutation goes through Add, Remove or Restore, each of
+// which bumps the store's version, so "did this site's data change" is a
+// counter comparison instead of a scan. Once a similarity-aware move has
+// touched the store it also keeps a cell index for that mover's
+// projection (the dimension-cube view of §4.1) up to date at write time,
+// so the next move ranks cells instead of re-projecting, re-counting and
+// re-sorting every record.
+//
+// The slice Records returns is never modified afterwards: Add appends
+// beyond its length and Remove and Restore install a new slice. A reader
+// that fetched it under the owner's lock may keep scanning it unlocked.
+// No read path (Records, Version, clone of the source) builds or writes
+// the index, so readers under a shared lock stay read-only.
+type Store struct {
+	recs    []KV
+	version uint64
+	// gen counts the mutations that renumber records (Remove, Restore); a
+	// Selection is good for one gen.
+	gen uint64
+	// idx is nil until a similarity-aware mover selects from or toward
+	// the store, and again after Restore.
+	idx *cellIndex
+}
+
+// Records returns the store's records (nil for a nil or empty store).
+func (s *Store) Records() []KV {
+	if s == nil {
+		return nil
+	}
+	return s.recs
+}
+
+// Version returns the store's mutation counter. It rises by at least one
+// on every Add of records, every Remove that takes records and every
+// Restore, and never otherwise; a clone starts at its source's version
+// (the two diverge afterwards, so across objects a version is not a
+// content identity). A nil store is at version 0.
+func (s *Store) Version() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.version
+}
+
+// Add appends records. With an index present it costs one projection and
+// one map lookup per added record.
+func (s *Store) Add(records ...KV) {
+	if len(records) == 0 {
+		return
+	}
+	s.recs = append(s.recs, records...)
+	s.version++
+	if s.idx != nil {
+		for _, r := range records {
+			s.idx.add(r.Key)
+		}
+	}
+}
+
+// Restore replaces the store's records wholesale (a snapshot load); the
+// store takes ownership of the slice. The index is dropped and rebuilt by
+// the next similarity-aware move.
+func (s *Store) Restore(records []KV) {
+	s.recs = records
+	s.version++
+	s.gen++
+	s.idx = nil
+}
+
+// clone deep-copies the store, index included, at the same version.
+func (s *Store) clone() *Store {
+	return &Store{
+		recs:    append([]KV(nil), s.recs...),
+		version: s.version,
+		gen:     s.gen,
+		idx:     s.idx.clone(),
+	}
+}
+
+// cellView names the attribute space a cell index is built in: dims is
+// the comparable identity of the projection (a func is not comparable),
+// project the projection itself (nil keeps full keys).
+type cellView struct {
+	dims    string
+	project func(string) string
+}
+
+// cellIndex is the write-time-maintained view similarity-aware movement
+// reads: the store's records grouped into cells by projected key. Cell
+// ids are dense and stable — a cell whose last record left keeps its id
+// at count zero — so per-cell state is an array lookup.
+type cellIndex struct {
+	view  cellView
+	ids   map[string]int32 // projected key → cell id
+	keys  []string         // cell id → projected key
+	count []int            // cell id → live records
+	// cell is the cell id of each record, parallel to the store's
+	// records; nil for an index that only describes a destination
+	// (DstCells).
+	cell []int32
+}
+
+func newCellIndex(v cellView, sizeHint int) *cellIndex {
+	return &cellIndex{view: v, ids: make(map[string]int32, sizeHint)}
+}
+
+// matches reports whether the index was built for the view. Funcs do not
+// compare, so dims stands for the projection; whether there is one at all
+// is checked too, since dims "" alone does not tell a full-key view apart.
+func (ix *cellIndex) matches(v cellView) bool {
+	return ix.view.dims == v.dims && (ix.view.project != nil) == (v.project != nil)
+}
+
+// intern returns the id of the cell with this projected key.
+func (ix *cellIndex) intern(cell string) int32 {
+	id, ok := ix.ids[cell]
+	if !ok {
+		id = int32(len(ix.keys))
+		ix.ids[cell] = id
+		ix.keys = append(ix.keys, cell)
+		ix.count = append(ix.count, 0)
+	}
+	return id
+}
+
+// add indexes one appended record.
+func (ix *cellIndex) add(key string) {
+	if ix.view.project != nil {
+		key = ix.view.project(key)
+	}
+	id := ix.intern(key)
+	ix.count[id]++
+	ix.cell = append(ix.cell, id)
+}
+
+func (ix *cellIndex) clone() *cellIndex {
+	if ix == nil {
+		return nil
+	}
+	out := *ix
+	out.ids = maps.Clone(ix.ids)
+	out.keys = slices.Clone(ix.keys)
+	out.count = slices.Clone(ix.count)
+	out.cell = slices.Clone(ix.cell)
+	return &out
+}
+
+// known returns the cell-count lookup a mover may use about this side as
+// a destination: every live cell, or — topK > 0 and more live cells than
+// that — only the topK largest, ties broken by key (what a probe of that
+// size would have carried, §4.2).
+func (ix *cellIndex) known(topK int) func(cell string) int {
+	all := func(cell string) int {
+		if id, ok := ix.ids[cell]; ok {
+			return ix.count[id]
+		}
+		return 0
+	}
+	if topK <= 0 {
+		return all
+	}
+	live := make([]int32, 0, len(ix.count))
+	for id, n := range ix.count {
+		if n > 0 {
+			live = append(live, int32(id))
+		}
+	}
+	if len(live) <= topK {
+		return all
+	}
+	slices.SortFunc(live, func(a, b int32) int {
+		if ix.count[a] != ix.count[b] {
+			return ix.count[b] - ix.count[a]
+		}
+		return strings.Compare(ix.keys[a], ix.keys[b])
+	})
+	last := live[topK-1]
+	minCount, maxKey := ix.count[last], ix.keys[last]
+	return func(cell string) int {
+		n := all(cell)
+		if n > minCount || (n == minCount && cell <= maxKey) {
+			return n
+		}
+		return 0
+	}
+}
+
+// index returns the store's cell index for the view, building it (one
+// projection and one map lookup per record) when the store has none or
+// has one for another view — a replan with different dominant dimensions
+// re-indexes once.
+func (s *Store) index(v cellView) *cellIndex {
+	if s.idx != nil && s.idx.matches(v) {
+		return s.idx
+	}
+	ix := newCellIndex(v, 0)
+	ix.cell = make([]int32, 0, len(s.recs))
+	for _, r := range s.recs {
+		ix.add(r.Key)
+	}
+	s.idx = ix
+	return ix
+}
+
+// DstView is what a mover may learn about the destination of a move: the
+// destination's own store (the simulated cluster, where the transfer-time
+// handshake of §4.2 is a function call) or the cells a probe carried over
+// the wire (DstCells).
+type DstView interface {
+	index(v cellView) *cellIndex
+}
+
+// DstCells is a destination described by cell counts already in the
+// mover's attribute space — the probe cells a live worker receives in a
+// move request.
+type DstCells map[string]int
+
+func (d DstCells) index(v cellView) *cellIndex {
+	ix := newCellIndex(v, len(d))
+	for cell, n := range d {
+		ix.count[ix.intern(cell)] += n
+	}
+	return ix
+}
+
+// Selection is the outcome of Store.Select: the records chosen to leave,
+// still in the store until Remove takes them. Records appended in between
+// stay; a Remove or Restore in between makes the selection stale.
+type Selection struct {
+	// Records are the chosen records, in store order.
+	Records []KV
+
+	store *Store
+	gen   uint64
+	at    []int // ascending positions of Records in the store
+}
+
+// Select has the mover choose n records (all of them when n exceeds the
+// store) to move toward dst. It does not change the store's records; a
+// similarity-aware mover builds the store's — and a store destination's —
+// cell index on first use.
+func (s *Store) Select(m Mover, dst DstView, n int, rng *rand.Rand) Selection {
+	sel := Selection{store: s, gen: s.gen}
+	if n <= 0 || len(s.recs) == 0 {
+		return sel
+	}
+	if n >= len(s.recs) {
+		sel.at = make([]int, len(s.recs))
+		for i := range sel.at {
+			sel.at[i] = i
+		}
+	} else {
+		sel.at = m.pick(s, dst, n, rng)
+	}
+	sel.Records = make([]KV, len(sel.at))
+	for k, i := range sel.at {
+		sel.Records[k] = s.recs[i]
+	}
+	return sel
+}
+
+// Remove takes a selection's records out of the store in one
+// order-preserving pass; the kept records keep their relative order.
+func (s *Store) Remove(sel Selection) error {
+	if sel.store != s || sel.gen != s.gen {
+		return fmt.Errorf("engine: stale selection: the store was reorganised since Select")
+	}
+	if len(sel.at) == 0 {
+		return nil
+	}
+	var kept []KV
+	if n := len(s.recs) - len(sel.at); n > 0 {
+		// The slack append would leave: without it the next Add, which at
+		// a site under ingest follows every Remove, copies the whole site
+		// once more.
+		kept = make([]KV, 0, n+n/4)
+	}
+	prev := 0
+	for _, i := range sel.at {
+		kept = append(kept, s.recs[prev:i]...)
+		prev = i + 1
+	}
+	kept = append(kept, s.recs[prev:]...)
+	if ix := s.idx; ix != nil {
+		// The cell column is private to the store: compact it in place.
+		w, prev := 0, 0
+		for _, i := range sel.at {
+			ix.count[ix.cell[i]]--
+			w += copy(ix.cell[w:], ix.cell[prev:i])
+			prev = i + 1
+		}
+		w += copy(ix.cell[w:], ix.cell[prev:])
+		ix.cell = ix.cell[:w]
+	}
+	s.recs = kept
+	s.version++
+	s.gen++
+	return nil
+}

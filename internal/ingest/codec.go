@@ -55,13 +55,31 @@ type Batch struct {
 
 const fieldSep = '|'
 
-// fieldEscaper escapes the characters that would break field or line
-// framing.
-var fieldEscaper = strings.NewReplacer(
-	"%", "%25", "|", "%7C", "\n", "%0A", "\r", "%0D",
-)
-
-func escapeField(s string) string { return fieldEscaper.Replace(s) }
+// appendField appends s, percent-escaping the four characters that would
+// break field or line framing. One scan: a field without any — nearly
+// every field — is copied in a single append.
+func appendField(dst []byte, s string) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '%':
+			esc = "%25"
+		case '|':
+			esc = "%7C"
+		case '\n':
+			esc = "%0A"
+		case '\r':
+			esc = "%0D"
+		default:
+			continue
+		}
+		dst = append(dst, s[from:i]...)
+		dst = append(dst, esc...)
+		from = i + 1
+	}
+	return append(dst, s[from:]...)
+}
 
 func unescapeField(s string) (string, error) {
 	if !strings.ContainsRune(s, '%') {
@@ -101,26 +119,33 @@ func hexNibble(c byte) (byte, error) {
 	return 0, fmt.Errorf("not hex: %q", c)
 }
 
+// numbersRoom is what EncodeBatch reserves per record beyond its strings
+// and the separators before its coordinates: a 10-digit offset, a 3-digit
+// site, the longest measure (24), four separators and the newline.
+const numbersRoom = 10 + 3 + 24 + 5
+
+// appendRecord appends one record's wire line (no trailing newline).
+func appendRecord(dst []byte, r *Record) []byte {
+	dst = appendField(dst, r.Source)
+	dst = append(dst, fieldSep)
+	dst = strconv.AppendUint(dst, r.Offset, 10)
+	dst = append(dst, fieldSep)
+	dst = appendField(dst, r.Dataset)
+	dst = append(dst, fieldSep)
+	dst = strconv.AppendInt(dst, int64(r.Site), 10)
+	dst = append(dst, fieldSep)
+	dst = strconv.AppendFloat(dst, r.Measure, 'g', -1, 64)
+	for _, c := range r.Coords {
+		dst = append(dst, fieldSep)
+		dst = appendField(dst, c)
+	}
+	return dst
+}
+
 // EncodeRecord renders one record as a wire line (no trailing newline).
 // The rendering is canonical: decoding it and re-encoding reproduces the
 // same bytes.
-func EncodeRecord(r Record) string {
-	var b strings.Builder
-	b.WriteString(escapeField(r.Source))
-	b.WriteByte(fieldSep)
-	b.WriteString(strconv.FormatUint(r.Offset, 10))
-	b.WriteByte(fieldSep)
-	b.WriteString(escapeField(r.Dataset))
-	b.WriteByte(fieldSep)
-	b.WriteString(strconv.Itoa(r.Site))
-	b.WriteByte(fieldSep)
-	b.WriteString(strconv.FormatFloat(r.Measure, 'g', -1, 64))
-	for _, c := range r.Coords {
-		b.WriteByte(fieldSep)
-		b.WriteString(escapeField(c))
-	}
-	return b.String()
-}
+func EncodeRecord(r Record) string { return string(appendRecord(nil, &r)) }
 
 // DecodeRecord parses one wire line. It never panics: malformed input —
 // missing fields, a zero or non-numeric offset, a negative site, a
@@ -179,12 +204,23 @@ func DecodeRecord(line string) (Record, error) {
 // EncodeBatch renders records one per line with a trailing newline —
 // the POST /v1/ingest request body.
 func EncodeBatch(recs []Record) []byte {
-	var b strings.Builder
-	for _, r := range recs {
-		b.WriteString(EncodeRecord(r))
-		b.WriteByte('\n')
+	// One allocation in the common case: the size of the strings plus room
+	// for the numbers and separators. A batch with escapes, 11-digit
+	// offsets or the like grows past it.
+	size := 0
+	for i := range recs {
+		r := &recs[i]
+		size += len(r.Source) + len(r.Dataset) + len(r.Coords) + numbersRoom
+		for _, c := range r.Coords {
+			size += len(c)
+		}
 	}
-	return []byte(b.String())
+	out := make([]byte, 0, size)
+	for i := range recs {
+		out = appendRecord(out, &recs[i])
+		out = append(out, '\n')
+	}
+	return out
 }
 
 // DecodeBatch parses a request body: one record per line, blank lines

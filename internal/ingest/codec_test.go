@@ -37,6 +37,14 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("re-encode %q != %q", again, line)
 		}
 	}
+	// The bytes are pinned: WAL frames written by earlier builds hold them.
+	const hostile = "a%7Cb%25c|7|with%0Anewline|1|1e+300||pipe%7Cpipe|pct%2525|%0D%0A"
+	if line := EncodeRecord(recs[2]); line != hostile {
+		t.Fatalf("EncodeRecord = %q, pinned %q", line, hostile)
+	}
+	if body := string(EncodeBatch(recs[2:3])); body != hostile+"\n" {
+		t.Fatalf("EncodeBatch = %q, pinned %q", body, hostile+"\n")
+	}
 }
 
 func TestDecodeRecordRejectsMalformed(t *testing.T) {

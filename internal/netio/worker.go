@@ -38,9 +38,9 @@ type Worker struct {
 	conns  map[net.Conn]struct{} // live connections, force-closed on Close
 	wg     sync.WaitGroup        // serve loop + per-connection handlers
 
-	mu       sync.Mutex
-	schemas  map[string][]string    // dataset → dimension names
-	datasets map[string][]engine.KV // dataset → records
+	mu      sync.Mutex
+	schemas map[string][]string // dataset → dimension names
+	data    *engine.SiteData    // the site's record stores
 	// inter keys received intermediate batches by (query, source site) so
 	// a re-scattered batch after a map retry REPLACES the earlier copy
 	// instead of double-counting it.
@@ -67,7 +67,7 @@ func NewWorker(site int, addr string, upMBps float64, seed int64) (*Worker, erro
 		writeTimeout: 30 * time.Second,
 		conns:        map[net.Conn]struct{}{},
 		schemas:      map[string][]string{},
-		datasets:     map[string][]engine.KV{},
+		data:         engine.NewSiteData(),
 		inter:        map[string]map[int][]engine.KV{},
 	}
 	if upMBps > 0 {
@@ -297,7 +297,7 @@ func (w *Worker) handlePut(req *Envelope) *Envelope {
 	if len(req.Schema) > 0 {
 		w.schemas[req.Dataset] = append([]string(nil), req.Schema...)
 	}
-	w.datasets[req.Dataset] = append(w.datasets[req.Dataset], req.Records...)
+	w.data.Add(req.Dataset, req.Records...)
 	w.mu.Unlock()
 	return &Envelope{Type: MsgPutOK, Count: len(req.Records)}
 }
@@ -325,7 +325,7 @@ func (w *Worker) handleStats(req *Envelope) *Envelope {
 		return w.errEnv(CodeNotFound, "stats: %v", err)
 	}
 	w.mu.Lock()
-	recs := w.datasets[req.Dataset]
+	recs := w.data.Records(req.Dataset)
 	w.mu.Unlock()
 	counts := map[string]int{}
 	for _, r := range recs {
@@ -362,7 +362,7 @@ func (w *Worker) handleScore(req *Envelope) *Envelope {
 		return w.errEnv(CodeNotFound, "score: %v", err)
 	}
 	w.mu.Lock()
-	recs := w.datasets[req.Dataset]
+	recs := w.data.Records(req.Dataset)
 	w.mu.Unlock()
 	local := map[string]bool{}
 	for _, r := range recs {
@@ -388,40 +388,29 @@ func (w *Worker) handleScore(req *Envelope) *Envelope {
 func (w *Worker) handleMove(req *Envelope, decode time.Duration) *Envelope {
 	tcol := w.beginTrace(req, decode)
 	w.mu.Lock()
-	src := w.datasets[req.Dataset]
+	src := w.data.Store(req.Dataset)
+	n := len(src.Records())
 	w.mu.Unlock()
-	if req.Count <= 0 || len(src) == 0 {
+	if req.Count <= 0 || n == 0 {
 		return finishTrace(tcol, &Envelope{Type: MsgMoveOK, Count: 0}, fmt.Sprintf("move@site%d", w.Site))
 	}
-	n := req.Count
-	if n > len(src) {
-		n = len(src)
-	}
 	sel := tcol.StartSpan("select")
-	var mover engine.Mover
-	dstCounts := map[string]int{}
+	var mover engine.Mover = engine.RandomMover{}
+	var dstCells engine.DstCells
 	if req.Similar {
-		for _, c := range req.Cells {
-			dstCounts[c.Key] = c.Count
-		}
 		mover = engine.SimilarMover{}
-	} else {
-		mover = engine.RandomMover{}
-	}
-	rng := stats.NewRand(stats.Split(w.seed, int64(len(src))))
-	idx := mover.Select(src, dstCounts, n, rng)
-	moving := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		moving[i] = true
-	}
-	var kept, moved []engine.KV
-	for i, r := range src {
-		if moving[i] {
-			moved = append(moved, r)
-		} else {
-			kept = append(kept, r)
+		dstCells = make(engine.DstCells, len(req.Cells))
+		for _, c := range req.Cells {
+			dstCells[c.Key] = c.Count
 		}
 	}
+	// Select under the lock (it may build the store's cell index), push
+	// without it: records that arrive meanwhile are appended behind the
+	// selection and survive the Remove.
+	w.mu.Lock()
+	picked := src.Select(mover, dstCells, req.Count, stats.NewRand(stats.Split(w.seed, int64(n))))
+	w.mu.Unlock()
+	moved := picked.Records
 	sel.End()
 
 	// Push to the destination through the shaped uplink, then commit the
@@ -440,8 +429,11 @@ func (w *Worker) handleMove(req *Envelope, decode time.Duration) *Envelope {
 	tcol.MergeSnapshot(resp.Metrics)
 	ps.End()
 	w.mu.Lock()
-	w.datasets[req.Dataset] = kept
+	err = src.Remove(picked)
 	w.mu.Unlock()
+	if err != nil {
+		return w.errEnv(CodeUnknown, "move: %v", err)
+	}
 	w.count2(tcol, "netio.move.records", float64(len(moved)))
 	w.count2(tcol, "netio.move.bytes", float64(bytes))
 	return finishTrace(tcol, &Envelope{Type: MsgMoveOK, Count: len(moved)}, fmt.Sprintf("move@site%d", w.Site))
@@ -491,7 +483,7 @@ func (w *Worker) handleTransfer(req *Envelope) *Envelope {
 	if len(req.Schema) > 0 && w.schemas[req.Dataset] == nil {
 		w.schemas[req.Dataset] = append([]string(nil), req.Schema...)
 	}
-	w.datasets[req.Dataset] = append(w.datasets[req.Dataset], req.Records...)
+	w.data.Add(req.Dataset, req.Records...)
 	w.mu.Unlock()
 	return &Envelope{Type: MsgTransferOK, Count: len(req.Records)}
 }
@@ -511,7 +503,7 @@ func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 		return w.errEnv(CodeNotFound, "runmap: %v", err)
 	}
 	w.mu.Lock()
-	recs := w.datasets[q.Dataset]
+	recs := w.data.Records(q.Dataset)
 	w.mu.Unlock()
 	// The stage is the engine's own, with the whole site as one executor.
 	ms := tcol.StartSpan("map")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"bohr/internal/engine"
 	"bohr/internal/faults"
@@ -310,7 +311,11 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 			// netio workers exchange the destination's top cells in the
 			// move handshake); the tiny planning probes only bound the
 			// LP's similarity estimates.
-			plan.movers[st.Name] = engine.SimilarMover{Project: proj, DstTopK: transferSummaryCells}
+			plan.movers[st.Name] = engine.SimilarMover{
+				Project: proj,
+				Dims:    strings.Join(st.DominantDims, ","),
+				DstTopK: transferSummaryCells,
+			}
 			plan.CheckTime += st.CheckTime
 		} else {
 			plan.movers[st.Name] = engine.RandomMover{}

@@ -64,8 +64,9 @@ func (b *EngineBackend) CaptureState() *durable.State {
 // RestoreState loads a snapshot dump into the backend: every dataset's
 // per-site rows are replaced wholesale, cube bases are swapped for
 // datasets the snapshot carries cubes for (others keep their seed-
-// derived state, which is what the snapshot's absence asserts), the
-// ingest batch counter resumes, and content-hash memos drop.
+// derived state, which is what the snapshot's absence asserts) and the
+// ingest batch counter resumes. Every restored store's version rises, so
+// content hashes taken before the restore no longer match.
 func (b *EngineBackend) RestoreState(st *durable.State) error {
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
@@ -83,15 +84,14 @@ func (b *EngineBackend) RestoreState(st *durable.State) error {
 			if ss.Site != strconv.Itoa(i) {
 				return fmt.Errorf("serve: restore: %q site %d labeled %q", ds.Name, i, ss.Site)
 			}
-			if len(ss.Records) == 0 {
-				delete(c.Data[i].Datasets, ds.Name)
-				continue
+			var kvs []engine.KV
+			if len(ss.Records) > 0 {
+				kvs = make([]engine.KV, len(ss.Records))
+				for j, r := range ss.Records {
+					kvs[j] = engine.KV{Key: r.Key, Val: r.Val}
+				}
 			}
-			kvs := make([]engine.KV, len(ss.Records))
-			for j, r := range ss.Records {
-				kvs[j] = engine.KV{Key: r.Key, Val: r.Val}
-			}
-			c.Data[i].Datasets[ds.Name] = kvs
+			c.Data[i].Restore(ds.Name, kvs)
 		}
 		if ds.HasCubes {
 			sites := make([]core.SiteCubeState, len(ds.Sites))
@@ -111,9 +111,6 @@ func (b *EngineBackend) RestoreState(st *durable.State) error {
 		}
 	}
 	b.sys.RestoreIngestProgress(st.IngestBatches)
-	b.mu.Lock()
-	b.hashes = map[string]uint64{}
-	b.mu.Unlock()
 	return nil
 }
 

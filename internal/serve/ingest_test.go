@@ -7,15 +7,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bohr/internal/core"
+	"bohr/internal/engine"
+	"bohr/internal/experiments"
 	"bohr/internal/ingest"
 	"bohr/internal/obs"
 	"bohr/internal/obs/export"
+	"bohr/internal/placement"
+	"bohr/internal/sql"
+	"bohr/internal/stats"
+	"bohr/internal/workload"
 )
 
 func clusterRecords(sys *core.System, dataset string) int {
@@ -95,6 +102,144 @@ func TestIngestInvalidatesCachedQuery(t *testing.T) {
 	snap := col.MetricsSnapshot()
 	if snap.Counters["serve.ingest.invalidations"] == 0 {
 		t.Fatal("invalidation not counted")
+	}
+}
+
+// TestContentHashTracksVersion pins what the result cache's key rests on
+// now that the content hash is the dataset's store-version counter: it
+// moves on every kind of mutation (ingest add, move-out, move-in,
+// restore), on nothing else (queries, clones), and reading it allocates
+// nothing.
+func TestContentHashTracksVersion(t *testing.T) {
+	sys := smallSystem(t)
+	ds := sys.Workload.Datasets[0]
+	b := NewEngineBackend(sys)
+	ctx := context.Background()
+	hash := func() uint64 {
+		t.Helper()
+		h, ok := b.ContentHash(ds.Name)
+		if !ok {
+			t.Fatalf("dataset %q has no content hash", ds.Name)
+		}
+		return h
+	}
+	versions := func() []uint64 {
+		out := make([]uint64, sys.Cluster.N())
+		for i := range out {
+			out[i] = sys.Cluster.Data[i].Store(ds.Name).Version()
+		}
+		return out
+	}
+	h0 := hash()
+
+	clone := sys.Cluster.Clone()
+	for i, v := range versions() {
+		if cv := clone.Data[i].Store(ds.Name).Version(); cv != v {
+			t.Fatalf("site %d: unmutated clone at version %d, source at %d", i, cv, v)
+		}
+	}
+	plan, err := sql.CompileString("SELECT COUNT(*) FROM "+ds.Name, ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(ctx, plan); err != nil {
+		t.Fatal(err)
+	}
+	if h := hash(); h != h0 {
+		t.Fatalf("a query and a clone moved the content hash %d → %d", h0, h)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.ContentHash(ds.Name) }); allocs != 0 {
+		t.Fatalf("ContentHash allocates %v times per call", allocs)
+	}
+
+	// Add.
+	changed, err := b.ApplyBatch(ctx, ingest.Batch{Records: []ingest.Record{liveRecord(sys, "src", 1, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(changed) != 1 || changed[0] != ds.Name {
+		t.Fatalf("ApplyBatch changed %v, want [%s]", changed, ds.Name)
+	}
+	h1 := hash()
+	if h1 == h0 {
+		t.Fatal("an ingested row left the content hash unchanged")
+	}
+
+	// Move-out at the source, move-in at the destination, nothing elsewhere.
+	before := versions()
+	mv := engine.MoveSpec{Dataset: ds.Name, MB: sys.Cluster.MB(3)}
+	for i := range before { // placement may have emptied a site: leave the fullest
+		if len(sys.Cluster.Data[i].Records(ds.Name)) > len(sys.Cluster.Data[mv.Src].Records(ds.Name)) {
+			mv.Src = i
+		}
+	}
+	mv.Dst = (mv.Src + 1) % len(before)
+	if res, err := sys.Cluster.ApplyMoves([]engine.MoveSpec{mv}, engine.RandomMover{}, stats.NewRand(1)); err != nil || res.Records == 0 {
+		t.Fatalf("move: %+v, %v", res, err)
+	}
+	for i, v := range versions() {
+		if moved := i == mv.Src || i == mv.Dst; (v > before[i]) != moved {
+			t.Fatalf("site %d: version %d → %d across a %d→%d move", i, before[i], v, mv.Src, mv.Dst)
+		}
+	}
+	h2 := hash()
+	if h2 == h1 {
+		t.Fatal("a move left the content hash unchanged")
+	}
+
+	// Restore, even of identical content.
+	if err := b.RestoreState(b.CaptureState()); err != nil {
+		t.Fatal(err)
+	}
+	if h3 := hash(); h3 == h2 || h3 == h1 || h3 == h0 {
+		t.Fatalf("restore left the content hash at an earlier value: %d after %d, %d, %d", h3, h0, h1, h2)
+	}
+}
+
+// TestApplyBatchReportsReplannedDatasets: a batch that triggers a live
+// replan re-executes moves for every dataset, so ApplyBatch must name the
+// datasets the batch never mentioned too, or their cached results strand
+// under a dead key until LRU.
+func TestApplyBatchReportsReplannedDatasets(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets = 2
+	s.RowsPerSite = 120
+	c, w, err := s.Populated(workload.BigDataScan, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.New(c, w, placement.Bohr, s.PlacementOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sys.SetReplanEvery(1)
+	b := NewEngineBackend(sys)
+	hashes := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, ds := range w.Datasets {
+			out[ds.Name], _ = b.ContentHash(ds.Name)
+		}
+		return out
+	}
+	before := hashes()
+	changed, err := b.ApplyBatch(context.Background(), ingest.Batch{Records: []ingest.Record{liveRecord(sys, "src", 1, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, ds := range w.Datasets {
+		if h, _ := b.ContentHash(ds.Name); h != before[ds.Name] {
+			want = append(want, ds.Name)
+		}
+	}
+	if len(want) != 2 {
+		t.Fatalf("the replan moved only %v; the test needs it to reach the dataset the batch did not name", want)
+	}
+	if !slices.Equal(changed, want) {
+		t.Fatalf("ApplyBatch reported %v, datasets whose content hash moved: %v", changed, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -39,10 +38,10 @@ type Backend interface {
 
 // EngineBackend serves queries against a prepared core.System: the
 // simulated cluster with data already placed, the same substrate bohrctl
-// drives. Per-dataset content hashes are memoized and dropped when the
-// ingest path lands new rows for a dataset, so the result cache's keys
-// track data changes. Queries read under a shared lock; ingest applies
-// under the exclusive lock, so live arrivals never race in-flight scans.
+// drives. A dataset's content hash is read off its site stores' version
+// counters, so the result cache's keys track every data change. Queries
+// read under a shared lock; ingest applies under the exclusive lock, so
+// live arrivals never race in-flight scans.
 type EngineBackend struct {
 	sys *core.System
 
@@ -50,14 +49,11 @@ type EngineBackend struct {
 	// cube sets, and the placement plan. Queries and content hashing
 	// hold it shared; ingest batch application holds it exclusively.
 	stateMu sync.RWMutex
-
-	mu     sync.Mutex
-	hashes map[string]uint64
 }
 
 // NewEngineBackend wraps a prepared system (Prepare must have run).
 func NewEngineBackend(sys *core.System) *EngineBackend {
-	return &EngineBackend{sys: sys, hashes: map[string]uint64{}}
+	return &EngineBackend{sys: sys}
 }
 
 // Schema resolves the dataset's schema from the system's workload.
@@ -70,37 +66,15 @@ func (b *EngineBackend) Schema(dataset string) *olap.Schema {
 	return nil
 }
 
-// ContentHash hashes the dataset's records across all sites (FNV-1a over
-// site, key, value in site order). The hash is memoized until ingest
-// invalidates it by landing new rows for the dataset.
+// ContentHash returns the dataset's change counter (engine.Cluster.
+// Version: the sum of the per-site store versions) — O(sites), no
+// allocation, and different after every mutation of any site's records,
+// which is all the result cache's key needs of it. It says nothing about
+// two clusters holding equal content.
 func (b *EngineBackend) ContentHash(dataset string) (uint64, bool) {
 	b.stateMu.RLock()
 	defer b.stateMu.RUnlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if h, ok := b.hashes[dataset]; ok {
-		return h, true
-	}
-	c := b.sys.Cluster
-	found := false
-	h := fnv.New64a()
-	for site := 0; site < c.N(); site++ {
-		recs := c.Data[site].Records(dataset)
-		if len(recs) == 0 {
-			continue
-		}
-		found = true
-		fmt.Fprintf(h, "site=%d;", site)
-		for _, kv := range recs {
-			fmt.Fprintf(h, "%s=%g;", kv.Key, kv.Val)
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	sum := h.Sum64()
-	b.hashes[dataset] = sum
-	return sum, true
+	return b.sys.Cluster.Version(dataset)
 }
 
 // Run executes the plan under the system's placement. It holds the
@@ -141,56 +115,53 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 
 // ApplyBatch implements the ingest pipeline's delivery side over the
 // engine backend: records are grouped into per-(dataset, site) arrivals
-// in first-seen order, applied to the system under the exclusive state
+// in first-seen order and applied to the system under the exclusive state
 // lock (cluster data + incremental cube maintenance + plan-directed
-// movement + the periodic replan hook), and the affected datasets'
-// content-hash memos are dropped so subsequent queries key the result
-// cache off the new contents. Batches the system can never apply come
-// back Reject-wrapped, telling the pipeline to drop rather than retry.
+// movement + the periodic replan hook). It returns every dataset whose
+// version moved — a live replan re-executes moves for datasets the batch
+// did not name — so the result cache drops their now-unreachable entries
+// at once. Batches the system can never apply come back Reject-wrapped,
+// telling the pipeline to drop rather than retry.
 func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]string, error) {
 	type groupKey struct {
 		dataset string
 		site    int
 	}
-	groups := map[groupKey]*core.Arrival{}
-	var arrivals []*core.Arrival
-	var datasets []string
-	seenDS := map[string]bool{}
+	groups := map[groupKey]int{}
+	var arrivals []core.Arrival
 	for _, r := range batch.Records {
 		gk := groupKey{r.Dataset, r.Site}
 		g, ok := groups[gk]
 		if !ok {
-			g = &core.Arrival{Dataset: r.Dataset, Site: r.Site}
+			g = len(arrivals)
 			groups[gk] = g
-			arrivals = append(arrivals, g)
+			arrivals = append(arrivals, core.Arrival{Dataset: r.Dataset, Site: r.Site})
 		}
-		g.Rows = append(g.Rows, olap.Row{Coords: r.Coords, Measure: r.Measure})
-		if !seenDS[r.Dataset] {
-			seenDS[r.Dataset] = true
-			datasets = append(datasets, r.Dataset)
-		}
+		arrivals[g].Rows = append(arrivals[g].Rows, olap.Row{Coords: r.Coords, Measure: r.Measure})
 	}
 	if len(arrivals) == 0 {
 		return nil, nil
 	}
-	flat := make([]core.Arrival, len(arrivals))
-	for i, a := range arrivals {
-		flat[i] = *a
-	}
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
-	if _, err := b.sys.IngestBatch(ctx, flat); err != nil {
+	dss := b.sys.Workload.Datasets
+	before := make([]uint64, len(dss))
+	for i, ds := range dss {
+		before[i], _ = b.sys.Cluster.Version(ds.Name)
+	}
+	if _, err := b.sys.IngestBatch(ctx, arrivals); err != nil {
 		if errors.Is(err, core.ErrBadArrival) {
 			return nil, ingest.Reject(err)
 		}
 		return nil, err
 	}
-	b.mu.Lock()
-	for _, ds := range datasets {
-		delete(b.hashes, ds)
+	var changed []string
+	for i, ds := range dss {
+		if v, _ := b.sys.Cluster.Version(ds.Name); v != before[i] {
+			changed = append(changed, ds.Name)
+		}
 	}
-	b.mu.Unlock()
-	return datasets, nil
+	return changed, nil
 }
 
 // TracedBackend is the optional backend extension the flight recorder
@@ -333,13 +304,22 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxQueryBody bounds one POST /v1/query request body: a statement and a
+// tenant name, never megabytes.
+const maxQueryBody = 1 << 20
+
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.fail(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxQueryBody)
+			return
+		}
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

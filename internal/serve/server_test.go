@@ -150,6 +150,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{`{"tenant":"a","query":"SELECT FROM WHERE"}`, http.StatusBadRequest},
 		{`{"tenant":"a","query":"SELECT url, SUM(measure) FROM nope GROUP BY url"}`, http.StatusNotFound},
 		{`not json`, http.StatusBadRequest},
+		// One byte over the body cap, all of it inside the query string.
+		{`{"tenant":"a","query":"` + strings.Repeat("x", maxQueryBody) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -157,7 +159,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Fatalf("body %q: status = %d, want %d", tc.body, resp.StatusCode, tc.want)
+			t.Fatalf("body %.60q: status = %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/query")
