@@ -54,12 +54,13 @@ race:
 
 # fuzz-short runs each native fuzz target briefly against its checked-in
 # seed corpus — a smoke round, not a campaign. One -fuzz invocation per
-# package (a go test restriction).
+# target (a go test restriction).
 fuzz-short:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzRecordCodec -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzWALFrame -fuzztime 5s
+	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzSnapshotImage -fuzztime 5s
 
 # crash runs the full crash-consistency harness under the race detector:
 # 20 seeded kill-restart trials against a child bohrd (quiesced kills
@@ -134,7 +135,7 @@ bench-smoke:
 
 # bench-snapshot appends to the perf trajectory: one JSON document of
 # benchmark measurements per PR (BENCH_$(TAG).json at the repo root).
-TAG ?= pr17
+TAG ?= pr18
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -tag $(TAG)
 

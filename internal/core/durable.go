@@ -2,63 +2,46 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"bohr/internal/olap"
 )
 
-// SiteCubeState is one site's base-cube dump for one dataset: the cells
-// in insertion order plus the raw row count — what a durability
-// snapshot persists and recovery feeds back through RestoreCubeStates.
-type SiteCubeState struct {
-	Cells []olap.Cell
-	Rows  int
+// ExportCubeState copies out the per-site base-cube columns of a dataset
+// with live ingest state — what a durability snapshot persists and
+// recovery feeds back through RestoreCubeState. A dataset never ingested
+// into yields nil: its cube state derives from the seed workload, so a
+// snapshot need not carry it. The caller must hold the system quiescent
+// (the serving layer exports under its state lock and a pipeline barrier).
+func (s *System) ExportCubeState(dataset string) []olap.Columns {
+	p, ok := s.preps[dataset]
+	if !ok {
+		return nil
+	}
+	sites := make([]olap.Columns, len(p.Sites))
+	for i, cs := range p.Sites {
+		sites[i] = cs.Base().ExportColumns()
+	}
+	return sites
 }
 
-// ExportCubeStates dumps the per-site base cubes of every dataset with
-// live ingest state. Datasets never ingested into have no entry: their
-// cube state is derivable from the seed workload, so a snapshot need
-// not carry it. The caller must hold the system quiescent (the serving
-// layer exports under its exclusive state lock and a pipeline barrier).
-func (s *System) ExportCubeStates() map[string][]SiteCubeState {
-	out := make(map[string][]SiteCubeState, len(s.preps))
-	for name, p := range s.preps {
-		sites := make([]SiteCubeState, len(p.Sites))
-		for i, cs := range p.Sites {
-			base := cs.Base()
-			sites[i] = SiteCubeState{Cells: base.ExportCells(), Rows: base.NumRows()}
-		}
-		out[name] = sites
+// RestoreCubeState replaces the dataset's per-site cube state with a
+// snapshot's: the preprocessor is materialized if the system has not
+// ingested into the dataset yet this run, then every site's base cube is
+// swapped and its derived cubes invalidated (they rebuild from the
+// restored base on next use). Call on a prepared system before serving
+// starts.
+func (s *System) RestoreCubeState(dataset string, sites []olap.Columns) error {
+	p, err := s.preprocessor(dataset)
+	if err != nil {
+		return fmt.Errorf("core: restore cube state: %w", err)
 	}
-	return out
-}
-
-// RestoreCubeStates replaces the named datasets' per-site cube state
-// with a snapshot dump: the preprocessor is materialized if the system
-// has not ingested into the dataset yet this run, then every site's
-// base cube is swapped and its derived cubes invalidated (they rebuild
-// from the restored base on next use). Call on a prepared system before
-// serving starts.
-func (s *System) RestoreCubeStates(states map[string][]SiteCubeState) error {
-	names := make([]string, 0, len(states))
-	for name := range states {
-		names = append(names, name)
+	if len(sites) != len(p.Sites) {
+		return fmt.Errorf("core: restore cube state: %q snapshot has %d sites, system has %d",
+			dataset, len(sites), len(p.Sites))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		p, err := s.preprocessor(name)
-		if err != nil {
-			return fmt.Errorf("core: restore cube states: %w", err)
-		}
-		sites := states[name]
-		if len(sites) != len(p.Sites) {
-			return fmt.Errorf("core: restore cube states: %q snapshot has %d sites, system has %d",
-				name, len(sites), len(p.Sites))
-		}
-		for i, st := range sites {
-			if err := p.Sites[i].RestoreBase(st.Cells, st.Rows); err != nil {
-				return fmt.Errorf("core: restore cube states: %q site %d: %w", name, i, err)
-			}
+	for i, cols := range sites {
+		if err := p.Sites[i].RestoreBase(cols); err != nil {
+			return fmt.Errorf("core: restore cube state: %q site %d: %w", dataset, i, err)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -100,6 +101,77 @@ func FuzzWALFrame(f *testing.F) {
 		for i, p := range want {
 			if !bytes.Equal(got[i], p) {
 				t.Fatalf("frame %d mis-replayed: %q vs %q", i+1, got[i], p)
+			}
+		}
+	})
+}
+
+// unframe is the fuzz input form of a snapshot image: its frames'
+// payloads, each behind a one-byte length, checksums dropped. reframe
+// turns any bytes read that way back into an image whose frames all
+// pass their CRC, so the fuzzer's mutations reach the block parsers
+// instead of dying at the checksum.
+func unframe(t testing.TB, image []byte) []byte {
+	var out []byte
+	for rest := image[len(snapMagic):]; len(rest) > 0; {
+		payload, after, err := DecodeFrame(rest)
+		if err != nil || len(payload) > 255 {
+			t.Fatalf("seed frame: %d bytes, %v", len(payload), err)
+		}
+		out = append(append(out, byte(len(payload))), payload...)
+		rest = after
+	}
+	return out
+}
+
+func reframe(data []byte) []byte {
+	var out []byte
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		out = EncodeFrame(out, data[1:1+n])
+		data = data[1+n:]
+	}
+	return out
+}
+
+// FuzzSnapshotImage throws arbitrary bytes at the snapshot decoder, raw
+// and re-framed with valid checksums. It must never panic, must never
+// allocate more than a constant multiple of its input (every count in
+// the format is checked against the bytes that remain before anything
+// is made for it), and whatever it accepts must encode to an image that
+// decodes to the same state.
+func FuzzSnapshotImage(f *testing.F) {
+	restore := setFrameCap(200) // seed payloads must fit unframe's length byte
+	image := encodeImage(f, sampleState(4, 12))
+	restore()
+	seed := unframe(f, image)
+	if _, err := decodeImage(reframe(seed)); err != nil {
+		f.Fatalf("seed does not survive unframe/reframe: %v", err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(image[len(snapMagic):])
+	f.Add(unframe(f, encodeImage(f, &State{})))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reframe(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := decodeImage(in)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+64<<10); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), got, limit)
+			}
+			if err != nil {
+				continue
+			}
+			again, err := decodeImage(encodeImage(t, st)[len(snapMagic):])
+			if err != nil {
+				t.Fatalf("accepted image does not re-encode: %v", err)
+			}
+			if dumpState(again) != dumpState(st) {
+				t.Fatal("accepted image re-encodes to a different state")
 			}
 		}
 	})

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strings"
+	"sync"
 
 	"bohr/internal/ingest"
 )
@@ -29,6 +31,10 @@ type Manager struct {
 	cfg  Config
 	wal  *WAL
 	scan WALScan
+
+	// snapMu serializes WriteSnapshot: snap keeps its buffers between calls.
+	snapMu sync.Mutex
+	snap   imageCodec
 }
 
 // RecoverySummary reports what Recover did.
@@ -98,7 +104,9 @@ func (m *Manager) Journal() ingest.Journal { return journal{m} }
 // to restore (skipped when no snapshot exists — the system starts from
 // its seed state), then replays every WAL frame past the snapshot
 // through the per-source offset trackers, handing only not-yet-covered
-// records to apply. Replay is therefore exactly-once even though the
+// records to apply. After a skipped snapshot the log seldom reaches back
+// far enough — a checkpoint prunes what it covers — and Recover then
+// fails with ErrLogGap, naming the file. Replay is exactly-once though the
 // journal is at-least-once: a batch journaled and acked just before a
 // crash, then re-sent by the client and journaled again after restart,
 // dedupes on its offsets.
@@ -159,6 +167,9 @@ func (m *Manager) Recover(ctx context.Context, restore func(*State) error, apply
 		return apply(ctx, fresh)
 	})
 	if err != nil {
+		if len(skipped) > 0 {
+			err = fmt.Errorf("%w (after skipping corrupt snapshot %s)", err, strings.Join(skipped, ", "))
+		}
 		return nil, err
 	}
 
@@ -185,19 +196,23 @@ func (m *Manager) Recover(ctx context.Context, restore func(*State) error, apply
 // WriteSnapshot persists st (whose WalSeq the caller captured under a
 // pipeline barrier, so the state and the log position agree), then
 // prunes older snapshots and every WAL segment the new snapshot fully
-// covers.
-func (m *Manager) WriteSnapshot(st *State) error {
-	if err := writeSnapshotFile(m.cfg.Dir, st); err != nil {
-		return err
+// covers. It reads st's records and columns while it runs and returns
+// the snapshot file's size.
+func (m *Manager) WriteSnapshot(st *State) (int64, error) {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	size, err := m.snap.writeFile(m.cfg.Dir, st)
+	if err != nil {
+		return 0, err
 	}
 	if err := pruneSnapshots(m.cfg.Dir, st.WalSeq); err != nil {
-		return err
+		return 0, err
 	}
 	if err := m.wal.Prune(st.WalSeq); err != nil {
-		return err
+		return 0, err
 	}
-	m.logInfo("durable: snapshot written", slog.Uint64("wal_seq", st.WalSeq))
-	return nil
+	m.logInfo("durable: snapshot written", slog.Uint64("wal_seq", st.WalSeq), slog.Int64("bytes", size))
+	return size, nil
 }
 
 // Close seals the WAL. Call after the pipeline has stopped journaling.

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,17 +13,29 @@ import (
 	"strings"
 )
 
-// Snapshot files are snap-<wal seq, 16 digits>.snap: a magic line
-// followed by one CRC frame whose payload is the JSON State. The CRC
-// makes a half-written or bit-rotted snapshot detectable, in which case
-// the loader falls back to the next-newest valid one — a snapshot is an
-// optimization over full-log replay, never the only copy of anything
-// the WAL still holds.
+// Snapshot files are snap-<wal seq, 16 digits>.snap: a magic line, then
+// a sequence of CRC frames holding one stream of values — uvarints,
+// strings (uvarint length + bytes) and raw little-endian float64s — cut
+// between values wherever a frame would pass the cap, so neither a site
+// nor the image has a size ceiling. imageCodec.state is the layout: a
+// header, per dataset and site a record block (n, n keys, n values) and,
+// with cube state, a cube block (the cube's columns as they are), each
+// ending its frame, then the number of frames so far in a trailer frame.
+// The CRCs catch a bit-rotted snapshot and the trailer a truncated one.
 const (
-	snapMagic  = "BOHRSNAP1\n"
-	snapPrefix = "snap-"
-	snapSuffix = ".snap"
+	snapMagic       = "BOHRSNAP2\n"
+	snapMagicFamily = "BOHRSNAP"
+	snapPrefix      = "snap-"
+	snapSuffix      = ".snap"
 )
+
+// ErrSnapshotFormat reports a snapshot in a format this build does not
+// read. Recovery stops on it: the WAL prefix it covers is already pruned.
+var ErrSnapshotFormat = errors.New("durable: unsupported snapshot format")
+
+// frameCap is the payload size frames are cut at. A variable only so a
+// test can make a small state span many frames.
+var frameCap = MaxFramePayload
 
 func snapName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix)
@@ -38,51 +52,243 @@ func parseSnapName(name string) (uint64, bool) {
 	return n, true
 }
 
-// writeSnapshotFile persists st atomically: write to a temp file, fsync
-// it, rename into place, fsync the directory. A crash at any point
-// leaves either the old set of snapshots or the old set plus a complete
-// new one — never a visible partial file.
-func writeSnapshotFile(dir string, st *State) error {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("durable: snapshot encode: %w", err)
-	}
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("durable: snapshot %d bytes over frame cap %d", len(payload), MaxFramePayload)
-	}
-	buf := make([]byte, 0, len(snapMagic)+frameHeaderLen+len(payload))
-	buf = append(buf, snapMagic...)
-	buf = EncodeFrame(buf, payload)
+// imageCodec carries a State to or from its value stream. One walk,
+// state, describes the layout; each value method writes its argument
+// when enc is set and reads into it otherwise, so the two directions
+// cannot drift apart. Encoding builds the image in buffers kept between
+// checkpoints. The first failure sticks: later writes are dropped and
+// later reads yield zeros.
+type imageCodec struct {
+	enc        bool
+	buf, image []byte // encoding: the payload being built, the frames so far
+	data       []byte // decoding: the frames not yet opened
+	p          []byte // decoding: what is left of the open frame's payload
+	s          string // decoding: that payload, for strings to be cut from
+	frames     uint64 // frames written or opened
+	err        error
+}
 
+func (c *imageCodec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("frame %d: "+format, append([]any{c.frames}, args...)...)
+	}
+	c.data, c.p = nil, nil
+}
+
+// flush, encoding, ends the payload being built, if any: it joins the
+// image as a frame and the next one starts.
+func (c *imageCodec) flush() {
+	if c.enc && len(c.buf) > 0 {
+		c.image, c.buf, c.frames = EncodeFrame(c.image, c.buf), c.buf[:0], c.frames+1
+	}
+}
+
+// room, encoding, starts another frame unless this one takes n more
+// bytes — no value is split across frames — and, decoding, opens the next
+// frame once the open one is used up.
+func (c *imageCodec) room(n int) {
+	if c.enc {
+		if n > frameCap {
+			c.fail("value of %d bytes over frame cap %d", n, frameCap)
+		}
+		if len(c.buf)+n > frameCap {
+			c.flush()
+		}
+		return
+	}
+	if len(c.p) > 0 || c.err != nil {
+		return
+	}
+	p, rest, err := DecodeFrame(c.data)
+	if err != nil {
+		c.fail("%w", err)
+		return
+	}
+	c.data, c.p, c.s, c.frames = rest, p, string(p), c.frames+1
+}
+
+func (c *imageCodec) uvarint(v *uint64) {
+	c.room(binary.MaxVarintLen64)
+	if c.enc {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	x, n := binary.Uvarint(c.p)
+	if n <= 0 {
+		c.fail("bad uvarint")
+		x, n = 0, 0
+	}
+	*v, c.p = x, c.p[n:]
+}
+
+// num carries an integer field as a uvarint.
+func num[T int | uint32](c *imageCodec, v *T) {
+	x := uint64(*v)
+	c.uvarint(&x)
+	if !c.enc {
+		*v = T(x)
+	}
+}
+
+// sized carries a slice's length and, decoding, makes the slice — once
+// the length is checked against the bytes the file has left, of which an
+// item takes at least min.
+func sized[T any](c *imageCodec, s *[]T, min int) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if !c.enc && n > uint64((len(c.p)+len(c.data))/min) {
+		c.fail("length %d over the bytes left", n)
+	} else if !c.enc && n > 0 {
+		*s = make([]T, n)
+	}
+}
+
+// str, decoding, cuts the string out of the one copy made of its frame.
+func (c *imageCodec) str(s *string) {
+	if c.enc {
+		c.room(binary.MaxVarintLen64 + len(*s))
+		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*s))), *s...)
+		return
+	}
+	var n uint64
+	if c.uvarint(&n); n > uint64(len(c.p)) {
+		c.fail("string of %d bytes, %d left in its frame", n, len(c.p))
+		n = 0
+	}
+	at := len(c.s) - len(c.p)
+	*s, c.p = c.s[at:at+int(n)], c.p[n:]
+}
+
+func (c *imageCodec) f64(v *float64) {
+	c.room(8)
+	if c.enc {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	} else if len(c.p) < 8 {
+		c.fail("float64 with %d bytes left in its frame", len(c.p))
+	} else {
+		*v, c.p = math.Float64frombits(binary.LittleEndian.Uint64(c.p)), c.p[8:]
+	}
+}
+
+func (c *imageCodec) state(st *State) {
+	c.uvarint(&st.WalSeq)
+	num(c, &st.IngestBatches)
+	sized(c, &st.Sources, 3)
+	for i := range st.Sources {
+		so := &st.Sources[i]
+		c.str(&so.Source)
+		c.uvarint(&so.Watermark)
+		sized(c, &so.Above, 1)
+		for j := range so.Above {
+			c.uvarint(&so.Above[j])
+		}
+	}
+	sized(c, &st.Datasets, 3)
+	c.flush()
+	for i := range st.Datasets {
+		ds := &st.Datasets[i]
+		c.str(&ds.Name)
+		sized(c, &ds.Records, 1)
+		for j := range ds.Records {
+			sized(c, &ds.Records[j], 9)
+			recs := ds.Records[j]
+			for k := range recs {
+				c.str(&recs[k].Key)
+			}
+			for k := range recs {
+				c.f64(&recs[k].Val)
+			}
+			c.flush()
+		}
+		sized(c, &ds.Cubes, 5)
+		for j := range ds.Cubes {
+			cube := &ds.Cubes[j]
+			num(c, &cube.Rows)
+			sized(c, &cube.Dicts, 1)
+			for d := range cube.Dicts {
+				sized(c, &cube.Dicts[d], 1)
+				for k := range cube.Dicts[d] {
+					c.str(&cube.Dicts[d][k])
+				}
+			}
+			sized(c, &cube.Coords, 1)
+			for d := range cube.Coords {
+				sized(c, &cube.Coords[d], 1)
+				for k := range cube.Coords[d] {
+					num(c, &cube.Coords[d][k])
+				}
+			}
+			sized(c, &cube.Sums, 8)
+			for k := range cube.Sums {
+				c.f64(&cube.Sums[k])
+			}
+			sized(c, &cube.Counts, 1)
+			for k := range cube.Counts {
+				num(c, &cube.Counts[k])
+			}
+			c.flush()
+		}
+	}
+	// The trailer is alone in the last frame and counts those before it.
+	c.flush()
+	n, left := c.frames, len(c.p)
+	c.uvarint(&n)
+	if !c.enc && (left != 0 || n != c.frames-1 || len(c.p)+len(c.data) != 0) {
+		c.fail("bad trailer: %w", ErrTornFrame)
+	}
+	c.flush()
+}
+
+// encode returns the snapshot file for st: the magic line and the frames.
+// The bytes are the codec's and last until its next encode.
+func (c *imageCodec) encode(st *State) ([]byte, error) {
+	c.enc, c.buf, c.frames, c.err = true, c.buf[:0], 0, nil
+	c.image = append(c.image[:0], snapMagic...)
+	c.state(st)
+	c.enc = false
+	return c.image, c.err
+}
+
+// decodeImage reads the frames after the magic line back into a State.
+func decodeImage(data []byte) (*State, error) {
+	c, st := imageCodec{data: data}, &State{}
+	c.state(st)
+	return st, c.err
+}
+
+// writeFile persists st atomically and returns the file's size: write to
+// a temp file, fsync it, rename into place, fsync the directory. A crash
+// at any point leaves either the old set of snapshots or the old set
+// plus a complete new one — never a visible partial file.
+func (c *imageCodec) writeFile(dir string, st *State) (int64, error) {
 	final := filepath.Join(dir, snapName(st.WalSeq))
 	tmp := final + ".tmp"
+	image, err := c.encode(st)
+	if err != nil {
+		return 0, fmt.Errorf("durable: snapshot encode: %w", err)
+	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: snapshot create: %w", err)
+		return 0, fmt.Errorf("durable: snapshot create: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot write: %w", err)
+	if _, err = f.Write(image); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot sync: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot close: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, final)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot rename: %w", err)
+		return 0, fmt.Errorf("durable: snapshot write: %w", err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
+	return int64(len(image)), nil
 }
 
 // readSnapshotFile loads and validates one snapshot file.
@@ -91,26 +297,24 @@ func readSnapshotFile(path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	name := filepath.Base(path)
 	if !bytes.HasPrefix(data, []byte(snapMagic)) {
-		return nil, fmt.Errorf("durable: snapshot %s: bad magic", filepath.Base(path))
+		if line, _, _ := bytes.Cut(data, []byte("\n")); bytes.HasPrefix(line, []byte(snapMagicFamily)) {
+			return nil, fmt.Errorf("durable: snapshot %s: %w: file is %q, not %q", name, ErrSnapshotFormat, line, snapMagic)
+		}
+		return nil, fmt.Errorf("durable: snapshot %s: bad magic", name)
 	}
-	payload, rest, err := DecodeFrame(data[len(snapMagic):])
+	st, err := decodeImage(data[len(snapMagic):])
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: %w", filepath.Base(path), err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("durable: snapshot %s: %d trailing bytes", filepath.Base(path), len(rest))
-	}
-	st := &State{}
-	if err := json.Unmarshal(payload, st); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: decode: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("durable: snapshot %s: %w", name, err)
 	}
 	return st, nil
 }
 
 // loadLatestSnapshot returns the newest valid snapshot in dir, or nil
-// if none exists. Corrupt snapshots are skipped (with their names
-// reported) rather than failing recovery — the WAL can always fill in.
+// if none exists. Corrupt snapshots are skipped with their names
+// reported — whether the WAL still holds what they covered is for
+// Replay's gap check to say — but one in another format stops the load.
 func loadLatestSnapshot(dir string) (st *State, skipped []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -132,6 +336,9 @@ func loadLatestSnapshot(dir string) (st *State, skipped []string, err error) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
 	for _, c := range cands {
 		st, err := readSnapshotFile(filepath.Join(dir, c.name))
+		if errors.Is(err, ErrSnapshotFormat) {
+			return nil, skipped, err
+		}
 		if err != nil {
 			skipped = append(skipped, c.name)
 			continue

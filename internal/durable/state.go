@@ -1,57 +1,40 @@
 package durable
 
-import "bohr/internal/ingest"
+import (
+	"bohr/internal/engine"
+	"bohr/internal/ingest"
+	"bohr/internal/olap"
+)
 
-// State is everything a snapshot captures: the WAL position it covers,
-// the per-source offset trackers, and the applied site state (raw rows
-// plus cube cells) for every served dataset. It is pure data — the
-// serve layer adapts it to and from live engine state, keeping this
-// package free of engine dependencies.
+// State is what a checkpoint covers: the WAL position, the per-source
+// offset trackers, and the applied site state of every served dataset.
+// On the way out it is a handle on live state captured under the
+// pipeline barrier, not a copy of it; on the way in it is what the
+// snapshot file decoded to, owned by the caller.
 //
 // The invariant a snapshot asserts: applying WAL frames 1..WalSeq to an
 // empty system yields exactly this state, so recovery may restore it
 // and replay only frames > WalSeq.
 type State struct {
 	// WalSeq is the last WAL frame the snapshot covers.
-	WalSeq uint64 `json:"wal_seq"`
+	WalSeq uint64
 	// IngestBatches is the system's applied-batch counter (it paces
 	// replan cadence, so recovery restores it for determinism).
-	IngestBatches int `json:"ingest_batches"`
+	IngestBatches int
 	// Sources holds each source's offset tracker, name-sorted.
-	Sources []ingest.SourceOffsets `json:"sources,omitempty"`
+	Sources []ingest.SourceOffsets
 	// Datasets holds per-dataset site state, in serving order.
-	Datasets []DatasetState `json:"datasets,omitempty"`
+	Datasets []DatasetState
 }
 
-// DatasetState is one dataset's per-site applied state. HasCubes
-// distinguishes "no live cube state existed" (the dataset was never
-// ingested into — its cubes are derivable from the seed workload) from
-// "cube state existed but some sites were empty"; only the former may
-// skip cube restoration.
+// DatasetState is one dataset's applied state, indexed by site. Records
+// holds the slices the engine.Stores handed out, which a store never
+// modifies afterwards (an add appends past the length, a move copies).
+// Cubes holds a copy of each base cube's columns — a live cube folds into
+// them in place — and is nil for a dataset never ingested into, whose
+// cubes derive from the seed workload: only then may a restore skip them.
 type DatasetState struct {
-	Name     string      `json:"name"`
-	HasCubes bool        `json:"has_cubes,omitempty"`
-	Sites    []SiteState `json:"sites,omitempty"`
-}
-
-// SiteState is one site's slice of one dataset: the raw rows it holds
-// and its cube (cells in insertion order, which the cube preserves).
-type SiteState struct {
-	Site      string      `json:"site"`
-	Records   []KVState   `json:"records,omitempty"`
-	CubeCells []CellState `json:"cube_cells,omitempty"`
-	CubeRows  int         `json:"cube_rows,omitempty"`
-}
-
-// KVState is one raw row.
-type KVState struct {
-	Key string  `json:"k"`
-	Val float64 `json:"v"`
-}
-
-// CellState is one cube cell: its coordinate tuple and aggregates.
-type CellState struct {
-	Coords []string `json:"c"`
-	Sum    float64  `json:"s"`
-	Count  int      `json:"n"`
+	Name    string
+	Records [][]engine.KV
+	Cubes   []olap.Columns
 }

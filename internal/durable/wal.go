@@ -2,6 +2,7 @@ package durable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -349,8 +350,13 @@ func (w *WAL) SyncedSeq() uint64 {
 	return w.syncedSeq
 }
 
+// ErrLogGap reports that the log no longer holds the frame replay has to
+// start at: a snapshot other than the one recovery loaded had it pruned.
+var ErrLogGap = errors.New("durable: wal does not reach back to the replay point")
+
 // Replay re-reads the log from disk and hands every frame with seq >
-// from to fn, in order. The log must have been opened by OpenWAL (which
+// from to fn, in order; a log whose oldest surviving frame is past
+// from+1 is ErrLogGap. The log must have been opened by OpenWAL (which
 // truncated any torn tail), so corruption here means the files changed
 // underneath us — it returns ErrTornFrame-wrapped rather than guessing.
 func (w *WAL) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
@@ -362,6 +368,9 @@ func (w *WAL) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	for i, name := range names {
 		if next == 0 {
 			next = seqs[i]
+			if next > from+1 {
+				return fmt.Errorf("%w: oldest segment %s starts at frame %d, replay starts at %d", ErrLogGap, name, next, from+1)
+			}
 		} else if seqs[i] != next {
 			return fmt.Errorf("durable: wal replay: segment %s breaks sequencing (expected %d)", name, next)
 		}

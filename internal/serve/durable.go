@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strconv"
+	"time"
 
-	"bohr/internal/core"
 	"bohr/internal/durable"
 	"bohr/internal/engine"
 	"bohr/internal/ingest"
-	"bohr/internal/olap"
 )
 
 // DurableBackend is a backend whose applied state can be captured into a
@@ -18,52 +16,41 @@ import (
 // implements it.
 type DurableBackend interface {
 	RowApplier
-	// CaptureState dumps the applied serving state (cluster rows, cube
-	// bases, ingest progress). The caller fills in WalSeq and Sources —
+	// CaptureState takes a handle on the applied serving state (cluster
+	// rows, cube bases, ingest progress) that stays valid, and unchanged,
+	// while ingest carries on. The caller fills in WalSeq and Sources —
 	// both live at the pipeline layer — and must hold the pipeline
-	// barriered so the dump and the WAL position agree.
+	// barriered so the state and the WAL position agree.
 	CaptureState() *durable.State
-	// RestoreState replaces the applied state with a snapshot dump. Call
-	// on a freshly prepared backend before serving starts.
+	// RestoreState replaces the applied state with a decoded snapshot,
+	// which it takes ownership of. Call on a freshly prepared backend
+	// before serving starts.
 	RestoreState(st *durable.State) error
 }
 
-// CaptureState dumps every dataset's per-site rows plus — for datasets
-// live-ingested into — the per-site base cubes, under the shared state
-// lock (capture only reads; the pipeline barrier has already quiesced
-// writers).
+// CaptureState takes, under the shared state lock (capture only reads;
+// the pipeline barrier has already quiesced writers), the record slice
+// of every (dataset, site) store — O(stores), no record is touched — and
+// a copy of the base-cube columns of datasets live-ingested into.
 func (b *EngineBackend) CaptureState() *durable.State {
 	b.stateMu.RLock()
 	defer b.stateMu.RUnlock()
 	st := &durable.State{IngestBatches: b.sys.IngestBatches()}
-	cubes := b.sys.ExportCubeStates()
 	c := b.sys.Cluster
 	for _, ds := range b.sys.Workload.Datasets {
-		siteCubes, hasCubes := cubes[ds.Name]
-		dstate := durable.DatasetState{Name: ds.Name, HasCubes: hasCubes}
-		for site := 0; site < c.N(); site++ {
-			ss := durable.SiteState{Site: strconv.Itoa(site)}
-			for _, kv := range c.Data[site].Records(ds.Name) {
-				ss.Records = append(ss.Records, durable.KVState{Key: kv.Key, Val: kv.Val})
-			}
-			if hasCubes {
-				for _, cell := range siteCubes[site].Cells {
-					ss.CubeCells = append(ss.CubeCells, durable.CellState{
-						Coords: cell.Coords, Sum: cell.Sum, Count: cell.Count,
-					})
-				}
-				ss.CubeRows = siteCubes[site].Rows
-			}
-			dstate.Sites = append(dstate.Sites, ss)
+		dstate := durable.DatasetState{Name: ds.Name, Records: make([][]engine.KV, c.N())}
+		for site := range dstate.Records {
+			dstate.Records[site] = c.Data[site].Records(ds.Name)
 		}
+		dstate.Cubes = b.sys.ExportCubeState(ds.Name)
 		st.Datasets = append(st.Datasets, dstate)
 	}
 	return st
 }
 
-// RestoreState loads a snapshot dump into the backend: every dataset's
-// per-site rows are replaced wholesale, cube bases are swapped for
-// datasets the snapshot carries cubes for (others keep their seed-
+// RestoreState loads a decoded snapshot into the backend: every
+// dataset's per-site rows are replaced wholesale, cube bases are swapped
+// for datasets the snapshot carries cubes for (others keep their seed-
 // derived state, which is what the snapshot's absence asserts) and the
 // ingest batch counter resumes. Every restored store's version rises, so
 // content hashes taken before the restore no longer match.
@@ -71,42 +58,21 @@ func (b *EngineBackend) RestoreState(st *durable.State) error {
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
 	c := b.sys.Cluster
-	cubeStates := map[string][]core.SiteCubeState{}
 	for _, ds := range st.Datasets {
 		if b.Schema(ds.Name) == nil {
 			return fmt.Errorf("serve: restore: snapshot has unknown dataset %q", ds.Name)
 		}
-		if len(ds.Sites) != c.N() {
+		if len(ds.Records) != c.N() {
 			return fmt.Errorf("serve: restore: %q snapshot has %d sites, cluster has %d",
-				ds.Name, len(ds.Sites), c.N())
+				ds.Name, len(ds.Records), c.N())
 		}
-		for i, ss := range ds.Sites {
-			if ss.Site != strconv.Itoa(i) {
-				return fmt.Errorf("serve: restore: %q site %d labeled %q", ds.Name, i, ss.Site)
-			}
-			var kvs []engine.KV
-			if len(ss.Records) > 0 {
-				kvs = make([]engine.KV, len(ss.Records))
-				for j, r := range ss.Records {
-					kvs[j] = engine.KV{Key: r.Key, Val: r.Val}
-				}
-			}
-			c.Data[i].Restore(ds.Name, kvs)
+		for i, recs := range ds.Records {
+			c.Data[i].Restore(ds.Name, recs)
 		}
-		if ds.HasCubes {
-			sites := make([]core.SiteCubeState, len(ds.Sites))
-			for i, ss := range ds.Sites {
-				cells := make([]olap.Cell, len(ss.CubeCells))
-				for j, cs := range ss.CubeCells {
-					cells[j] = olap.Cell{Coords: cs.Coords, Sum: cs.Sum, Count: cs.Count}
-				}
-				sites[i] = core.SiteCubeState{Cells: cells, Rows: ss.CubeRows}
-			}
-			cubeStates[ds.Name] = sites
+		if ds.Cubes == nil {
+			continue
 		}
-	}
-	if len(cubeStates) > 0 {
-		if err := b.sys.RestoreCubeStates(cubeStates); err != nil {
+		if err := b.sys.RestoreCubeState(ds.Name, ds.Cubes); err != nil {
 			return fmt.Errorf("serve: restore: %w", err)
 		}
 	}
@@ -148,14 +114,15 @@ func (s *Server) EnableDurableIngest(ctx context.Context, cfg ingest.Config, m *
 }
 
 // SnapshotNow cuts one snapshot at a pipeline barrier: admission pauses,
-// buffers drain through the applier, and the state dump is captured
-// together with the WAL position it corresponds to. The file write and
-// WAL prune happen after the barrier releases — the dump is a deep copy,
-// so ingest resumes while it hits disk.
+// buffers drain through the applier, and a handle on the applied state
+// is captured together with the WAL position it corresponds to. Encoding,
+// the file write and the WAL prune happen after the barrier releases:
+// nothing the handle refers to is modified afterwards.
 func (s *Server) SnapshotNow(ctx context.Context) error {
 	if s.dman == nil || s.pipe == nil {
 		return fmt.Errorf("serve: durable ingest not enabled")
 	}
+	start := time.Now()
 	var st *durable.State
 	err := s.pipe.Barrier(ctx, func() error {
 		st = s.dback.CaptureState()
@@ -166,10 +133,15 @@ func (s *Server) SnapshotNow(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := s.dman.WriteSnapshot(st); err != nil {
+	barrier := time.Since(start) // how long admission was paused, drain included
+	size, err := s.dman.WriteSnapshot(st)
+	if err != nil {
 		return err
 	}
 	s.count("serve.durable.snapshots", 1)
+	s.observe("serve.durable.barrier_ms", float64(barrier.Nanoseconds())/1e6)
+	s.observe("serve.durable.snapshot_ms", float64(time.Since(start).Nanoseconds())/1e6)
+	s.observe("serve.durable.snapshot_bytes", float64(size))
 	return nil
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
@@ -12,7 +14,11 @@ import (
 
 	"bohr/internal/core"
 	"bohr/internal/durable"
+	"bohr/internal/engine"
 	"bohr/internal/ingest"
+	"bohr/internal/obs"
+	"bohr/internal/obs/window"
+	"bohr/internal/sql"
 )
 
 // pushRange pushes offsets [from, to] of the "prop" source straight at
@@ -170,12 +176,12 @@ func TestIngestServerCrashChaos(t *testing.T) {
 // IngestBatch forwards each batch's arrivals along the movement shares,
 // so regrouped resends can land rows at different sites — but movement
 // only relocates rows, so the global multiset is invariant.
-func flatRecords(st *durable.State) map[string][]durable.KVState {
-	out := map[string][]durable.KVState{}
+func flatRecords(st *durable.State) map[string][]engine.KV {
+	out := map[string][]engine.KV{}
 	for _, ds := range st.Datasets {
-		var all []durable.KVState
-		for _, site := range ds.Sites {
-			all = append(all, site.Records...)
+		var all []engine.KV
+		for _, recs := range ds.Records {
+			all = append(all, recs...)
 		}
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Key != all[j].Key {
@@ -188,16 +194,23 @@ func flatRecords(st *durable.State) map[string][]durable.KVState {
 	return out
 }
 
-// siteCubes is each dataset's per-site cube state with the raw records
-// stripped. Cubes update at the arrival site before any movement, so
-// they are exact regardless of batch grouping.
-func siteCubes(st *durable.State) map[string][]durable.SiteState {
-	out := map[string][]durable.SiteState{}
+// siteCubes is each dataset's per-site cube state — the cells in
+// insertion order, one line each, after the raw row count — with the raw
+// records left out. Cubes update at the arrival site before any movement,
+// so they are exact regardless of batch grouping.
+func siteCubes(st *durable.State) map[string][][]string {
+	out := map[string][][]string{}
 	for _, ds := range st.Datasets {
-		sites := make([]durable.SiteState, len(ds.Sites))
-		for i, site := range ds.Sites {
-			site.Records = nil
-			sites[i] = site
+		sites := make([][]string, len(ds.Cubes))
+		for i, c := range ds.Cubes {
+			sites[i] = []string{fmt.Sprintf("rows %d", c.Rows)}
+			for row := range c.Sums {
+				coords := make([]string, len(c.Dicts))
+				for d := range coords {
+					coords[d] = c.Dicts[d][c.Coords[d][row]]
+				}
+				sites[i] = append(sites[i], fmt.Sprintf("%q sum %x count %d", coords, math.Float64bits(c.Sums[row]), c.Counts[row]))
+			}
 		}
 		out[ds.Name] = sites
 	}
@@ -306,5 +319,270 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 	}
 	if want, got := flatRecords(wantState), flatRecords(gotState); !reflect.DeepEqual(want, got) {
 		t.Fatalf("record multisets diverged:\n never-crashed: %+v\n recovered:     %+v", want, got)
+	}
+}
+
+// liveState renders everything a checkpoint must carry — every store's
+// records in order, every base cube's cells in insertion order, raw row
+// counts, the batch counter — with floats as bit patterns, so two
+// backends hold the same state exactly when the renderings are equal.
+func liveState(b *EngineBackend) string {
+	var out strings.Builder
+	st := b.CaptureState()
+	fmt.Fprintf(&out, "batches %d\n", st.IngestBatches)
+	for _, ds := range st.Datasets {
+		for i, cube := range siteCubes(st)[ds.Name] {
+			fmt.Fprintf(&out, "%s cube %d: %s\n", ds.Name, i, strings.Join(cube, "\n  "))
+		}
+		for i, recs := range ds.Records {
+			fmt.Fprintf(&out, "%s site %d: %d records\n", ds.Name, i, len(recs))
+			for _, kv := range recs {
+				fmt.Fprintf(&out, "  %q %x\n", kv.Key, math.Float64bits(kv.Val))
+			}
+		}
+	}
+	return out.String()
+}
+
+// TestCheckpointRoundTrip is the image's property test: after seeded
+// random ingest (forwarded by the plan's similarity-aware mover), random
+// moves, a live replan and a batch of values no wire codec would let in,
+// a checkpoint restored into a freshly prepared backend reproduces the
+// state bit for bit — store order and cube insertion order included —
+// with nothing left to replay, the same offset trackers, and the same
+// answer to a pinned aggregate query.
+func TestCheckpointRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	coordPool := []string{"", "a|b", "100%", "line\nbreak", "\xff\xfe not utf-8", "liveA"}
+	hostileVals := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000123)}
+	pcfg := ingest.Config{MaxBatchRecords: 16, FlushInterval: -1, Seed: 3}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		sys := systemOf(t, 2)
+		sys.SetReplanEvery(5)
+		b := NewEngineBackend(sys)
+		fe := New(b, Config{}, nil)
+		m, err := durable.Open(durable.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, _, err := fe.EnableDurableIngest(ctx, pcfg, m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A record's coordinates are either those of a row the dataset
+		// holds (so it lands in a cell the mover knows) or drawn from the
+		// hostile pool.
+		record := func(off uint64, measure float64) ingest.Record {
+			ds := sys.Workload.Datasets[rng.Intn(len(sys.Workload.Datasets))]
+			rows := ds.Rows[rng.Intn(len(ds.Rows))]
+			coords := append([]string(nil), rows[rng.Intn(len(rows))].Coords...)
+			for j := range coords {
+				if rng.Intn(3) == 0 {
+					coords[j] = coordPool[rng.Intn(len(coordPool))]
+				}
+			}
+			return ingest.Record{Source: "prop", Offset: off, Dataset: ds.Name,
+				Site: rng.Intn(sys.Cluster.N()), Coords: coords, Measure: measure}
+		}
+		off := uint64(1)
+		push := func(n int) {
+			recs := make([]ingest.Record, n)
+			for i := range recs {
+				recs[i] = record(off, rng.NormFloat64())
+				off++
+			}
+			if _, err := pipe.Push(ctx, recs...); err != nil {
+				t.Fatal(err)
+			}
+			if err := pipe.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		push(150)
+		b.stateMu.Lock()
+		for i := 0; i < 6; i++ {
+			ds := sys.Workload.Datasets[i%2].Name
+			src := rng.Intn(sys.Cluster.N())
+			spec := engine.MoveSpec{Dataset: ds, Src: src, Dst: (src + 1 + rng.Intn(sys.Cluster.N()-1)) % sys.Cluster.N(), MB: sys.Cluster.MB(5 + rng.Intn(40))}
+			if _, err := sys.Cluster.ApplyMoves([]engine.MoveSpec{spec}, engine.RandomMover{}, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Cluster.Data[0].Add(sys.Workload.Datasets[0].Name, engine.KV{Key: "", Val: hostileVals[0]})
+		b.stateMu.Unlock()
+		push(150)
+		if sys.IngestReplans() == 0 {
+			t.Fatal("no live replan ran; the test means to checkpoint after one")
+		}
+		hostile := make([]ingest.Record, 2*len(hostileVals))
+		for i := range hostile {
+			hostile[i] = record(uint64(1000+i), hostileVals[i%len(hostileVals)])
+		}
+		if _, err := b.ApplyBatch(ctx, ingest.Batch{Records: hostile}); err != nil {
+			t.Fatal(err)
+		}
+
+		if err := fe.SnapshotNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want, wantOffs := liveState(b), pipe.OffsetsSnapshot()
+		// The pinned query runs on the backend: its answer holds the NaN
+		// and infinite sums, which the HTTP response's JSON cannot.
+		ds0 := sys.Workload.Datasets[0]
+		plan, err := sql.CompileString("SELECT "+ds0.Schema.Dims()[0]+", SUM(measure) FROM "+ds0.Name+" GROUP BY "+ds0.Schema.Dims()[0], ds0.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := func(b *EngineBackend) string {
+			rows, err := b.Run(ctx, plan)
+			if err != nil || len(rows) == 0 {
+				t.Fatalf("seed %d: pinned query: %d rows, %v", seed, len(rows), err)
+			}
+			var out strings.Builder
+			for _, kv := range rows {
+				fmt.Fprintf(&out, "%q %x\n", kv.Key, math.Float64bits(kv.Val))
+			}
+			return out.String()
+		}
+		wantRows := answer(b)
+		pipe.Kill()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		sys2 := systemOf(t, 2)
+		sys2.SetReplanEvery(5)
+		b2 := NewEngineBackend(sys2)
+		fe2 := New(b2, Config{}, nil)
+		m2, err := durable.Open(durable.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe2, sum, err := fe2.EnableDurableIngest(ctx, pcfg, m2, 0)
+		if err != nil {
+			t.Fatalf("seed %d: recovering the checkpoint: %v", seed, err)
+		}
+		if sum.SnapshotSeq == 0 || sum.FramesReplayed != 0 {
+			t.Fatalf("seed %d: recovery summary %+v, want the checkpoint and no replay", seed, sum)
+		}
+		if got := liveState(b2); got != want {
+			t.Fatalf("seed %d: restored state differs from the captured one:\n got:\n%s\nwant:\n%s", seed, got, want)
+		}
+		if got := pipe2.OffsetsSnapshot(); !reflect.DeepEqual(got, wantOffs) {
+			t.Fatalf("seed %d: offsets %+v, want %+v", seed, got, wantOffs)
+		}
+		if got := answer(b2); got != wantRows {
+			t.Fatalf("seed %d: pinned query answers differ:\n got:\n%swant:\n%s", seed, got, wantRows)
+		}
+		pipe2.Kill()
+		m2.Close()
+	}
+}
+
+// TestSnapshotMetricsInStats checks a checkpoint reports itself through
+// the window registry: its whole duration, how long it paused admission,
+// and the file's size, all readable from /v1/stats.
+func TestSnapshotMetricsInStats(t *testing.T) {
+	ctx := context.Background()
+	col := obs.NewCollector(obs.WithWallClock())
+	win := window.New(nil)
+	col.SetSink(win)
+	sys := smallSystem(t)
+	fe := New(NewEngineBackend(sys), Config{Windows: win}, col)
+	m, err := durable.Open(durable.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	pipe, _, err := fe.EnableDurableIngest(ctx, ingest.Config{MaxBatchRecords: 8, FlushInterval: -1}, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	pushRange(t, sys, pipe, "web", 1, 20)
+	if err := fe.SnapshotNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+	var stats StatsDoc
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Windows == nil {
+		t.Fatal("stats has no windowed snapshot")
+	}
+	for _, name := range []string{"serve.durable.snapshot_ms", "serve.durable.barrier_ms", "serve.durable.snapshot_bytes"} {
+		h := stats.Windows.Histograms[name]["1m"]
+		if h.Count != 1 || h.Max <= 0 {
+			t.Errorf("%s in /v1/stats = %+v, want one positive observation", name, h)
+		}
+	}
+	snap, barrier := stats.Windows.Histograms["serve.durable.snapshot_ms"]["1m"], stats.Windows.Histograms["serve.durable.barrier_ms"]["1m"]
+	if barrier.Max > snap.Max {
+		t.Errorf("barrier %v ms longer than the whole checkpoint %v ms", barrier.Max, snap.Max)
+	}
+	if got := stats.Windows.Counters["serve.durable.snapshots"]["1m"].Sum; got != 1 {
+		t.Errorf("serve.durable.snapshots = %v, want 1", got)
+	}
+}
+
+// TestCheckpointWhileIngesting cuts background checkpoints every second
+// batch while a client keeps pushing: the image is encoded from the
+// stores' live record slices as later batches append to and move records
+// between those stores, which is only sound because a slice a store has
+// handed out is never modified. Under -race a write into a captured slice
+// would be reported; either way the directory must recover to exactly
+// what was acked.
+func TestCheckpointWhileIngesting(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	pcfg := ingest.Config{MaxBatchRecords: 4, FlushInterval: -1, Seed: 9}
+	sys := smallSystem(t)
+	ds := sys.Workload.Datasets[0]
+	seed := clusterRecords(sys, ds.Name)
+	fe := New(NewEngineBackend(sys), Config{}, nil)
+	m, err := durable.Open(durable.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, _, err := fe.EnableDurableIngest(ctx, pcfg, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 400
+	for off := uint64(1); off <= total; off += 4 {
+		pushRange(t, sys, pipe, "web", off, off+3)
+		if err := pipe.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fe.DrainSnapshots()
+	pipe.Kill()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2 := smallSystem(t)
+	fe2 := New(NewEngineBackend(sys2), Config{}, nil)
+	m2, err := durable.Open(durable.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	pipe2, sum, err := fe2.EnableDurableIngest(ctx, pcfg, m2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe2.Close()
+	if sum.SnapshotSeq == 0 {
+		t.Fatal("no background checkpoint landed; the test exercised nothing")
+	}
+	if got := clusterRecords(sys2, ds.Name); got != seed+total {
+		t.Fatalf("recovered %d live records (snapshot seq %d, %d replayed), want %d",
+			got-seed, sum.SnapshotSeq, sum.RecordsReplayed, total)
+	}
+	if w := pipe2.Watermark("web"); w != total {
+		t.Fatalf("recovered watermark %d, want %d", w, total)
 	}
 }

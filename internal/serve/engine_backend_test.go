@@ -16,10 +16,13 @@ import (
 
 // smallSystem prepares a tiny real system (cluster + workload + Bohr
 // placement) for end-to-end serving tests.
-func smallSystem(t *testing.T) *core.System {
+func smallSystem(t *testing.T) *core.System { return systemOf(t, 1) }
+
+// systemOf is a prepared Bohr system over that many 120-row datasets.
+func systemOf(t *testing.T, datasets int) *core.System {
 	t.Helper()
 	s := experiments.QuickSetup()
-	s.Datasets = 1
+	s.Datasets = datasets
 	s.RowsPerSite = 120
 	c, w, err := s.Populated(workload.BigDataScan, false, 0)
 	if err != nil {
