@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt-check ctxcheck race determinism fuzz-short bounded-growth golden bench bench-smoke bench-snapshot bench-gate crash
+.PHONY: all build test check vet fmt-check ctxcheck race determinism fuzz-short bounded-growth golden bench bench-smoke crash
 
 all: build
 
@@ -18,16 +18,15 @@ test:
 # the ./internal/obs/... wildcard, including the windowed-metrics bucket
 # rings — the live netio path, fault injector, and the multi-tenant
 # serve front end plus its flight recorder), one short round of each fuzz
-# harness, the report determinism check including cross-pool-width byte
-# identity, and the kernel benchmark regression gate against the newest
-# BENCH_*.json snapshot. The race target also carries the map→combine
+# harness, and the report determinism check including cross-pool-width
+# byte identity. The race target also carries the map→combine
 # stage's differential oracle and allocation guard and the site store's
 # differential against the reference mover (engine; none of them is
 # skipped under -short, and race passes no -short), the key indexer's
 # property test (workload) and the compiled filter (sql). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
 # coverage floor nothing else in check sees.
-check: vet fmt-check ctxcheck race fuzz-short determinism bounded-growth bench-smoke bench-gate
+check: vet fmt-check ctxcheck race fuzz-short determinism bounded-growth bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -132,16 +131,3 @@ bench:
 # spanned ones fails it) must hold on each.
 bench-smoke:
 	$(GO) test ./bench -count=3
-
-# bench-snapshot appends to the perf trajectory: one JSON document of
-# benchmark measurements per PR (BENCH_$(TAG).json at the repo root).
-TAG ?= pr18
-bench-snapshot:
-	$(GO) run ./cmd/benchsnap -tag $(TAG)
-
-# bench-gate reruns the CPU kernels (cube build, minhash, probe scoring,
-# the 64-site placement LP) and fails if any regresses past the tolerance
-# band relative to the newest snapshot in the trajectory. Kernels the
-# baseline lacks are skipped, so adding coverage never blocks the gate.
-bench-gate:
-	$(GO) run ./cmd/benchsnap -gate -baseline $$(ls BENCH_*.json | sort -V | tail -1) -band 1.3

@@ -24,7 +24,6 @@ import (
 	"bohr/internal/obs"
 	"bohr/internal/obs/critpath"
 	"bohr/internal/obs/export"
-	"bohr/internal/placement"
 	"bohr/internal/sql"
 	"bohr/internal/stats"
 	"bohr/internal/workload"
@@ -131,7 +130,7 @@ func run(o cliOpts) error {
 		var col *obs.Collector
 		if o.jsonOut {
 			col = obs.NewCollector()
-			opts = opts.With(placement.WithObs(col))
+			opts.Obs = col
 		}
 		rep, err := core.RunDynamic(context.Background(), empty, w, scheme, core.DefaultDynamicConfig(), core.WithPlacement(opts))
 		if err != nil {
@@ -169,7 +168,7 @@ func run(o cliOpts) error {
 	var col *obs.Collector
 	if needObs {
 		col = obs.NewCollector()
-		opts = opts.With(placement.WithObs(col))
+		opts.Obs = col
 	}
 	if o.common.TelemetryAddr != "" {
 		srv := export.New(col)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"bohr/internal/engine"
@@ -42,15 +41,19 @@ func (s *System) IngestReplans() int { return s.ingestReplans }
 // IngestBatches reports how many ingest batches have been applied.
 func (s *System) IngestBatches() int { return s.ingestBatches }
 
+// RestoreIngestProgress sets the applied-batch counter a snapshot
+// recorded, so the replan cadence resumes where the crashed process
+// left off instead of restarting from zero.
+func (s *System) RestoreIngestProgress(batches int) { s.ingestBatches = batches }
+
 // IngestBatch applies one delivered batch of arrivals to a prepared
 // system: every arrival is validated up front (all-or-nothing, returning
 // ErrBadArrival-wrapped errors for unappliable batches), then each
-// arrival's rows update the per-site OLAP cubes incrementally
-// (Preprocessor.Ingest), land in the cluster's data at the arrival site,
-// and are forwarded along the current plan's movement shares — the same
-// §8.6 step-2 discipline RunDynamic applies to scripted batches. Every
-// SetReplanEvery batches the system replans, refreshing the plan the
-// serving layer executes queries under.
+// arrival's rows land in the arrival site's store and are forwarded
+// along the current plan's movement shares — the same §8.6 step-2
+// discipline RunDynamic applies to scripted batches. Every SetReplanEvery
+// batches the system replans, refreshing the plan the serving layer
+// executes queries under.
 //
 // IngestBatch is not safe for concurrent use with queries; the serving
 // layer serializes it against reads (see serve.EngineBackend).
@@ -90,16 +93,7 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 	span := s.Obs.StartSpan("ingest.apply")
 	defer span.End()
 	for _, a := range arrivals {
-		prep, err := s.preprocessor(a.Dataset)
-		if err != nil {
-			return false, err
-		}
 		before := snapshotSizes(s.Cluster, a.Dataset)
-		// Cubes first: Preprocessor.Ingest is all-or-nothing, so any
-		// residual failure surfaces before cluster data mutates.
-		if err := prep.Ingest(a.Site, a.Rows...); err != nil {
-			return false, fmt.Errorf("%w: %v", ErrBadArrival, err)
-		}
 		kvs := make([]engine.KV, len(a.Rows))
 		for i, r := range a.Rows {
 			kvs[i] = engine.KV{Key: workload.JoinKey(r.Coords), Val: r.Measure}
@@ -122,30 +116,6 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 	return false, nil
 }
 
-// preprocessor lazily builds (and memoizes) the per-dataset cube-state
-// maintainer. It is seeded from the workload's initial rows, so live
-// arrivals extend the same per-site cube sets the §4.1 pre-processing
-// step would have built.
-func (s *System) preprocessor(dataset string) (*Preprocessor, error) {
-	if p, ok := s.preps[dataset]; ok {
-		return p, nil
-	}
-	ds := s.datasetNamed(dataset)
-	if ds == nil {
-		return nil, fmt.Errorf("%w: unknown dataset %q", ErrBadArrival, dataset)
-	}
-	p, err := NewPreprocessor(ds)
-	if err != nil {
-		return nil, fmt.Errorf("core: ingest preprocessor %q: %w", dataset, err)
-	}
-	p.AttachObs(s.Obs)
-	if s.preps == nil {
-		s.preps = map[string]*Preprocessor{}
-	}
-	s.preps[dataset] = p
-	return p, nil
-}
-
 func (s *System) datasetNamed(name string) *workload.Dataset {
 	for _, ds := range s.Workload.Datasets {
 		if ds.Name == name {
@@ -157,19 +127,11 @@ func (s *System) datasetNamed(name string) *workload.Dataset {
 
 // replanForIngest re-runs similarity checking and placement with
 // up-to-date information, then re-executes the movement plan — the live
-// counterpart of RunDynamic's periodic replan. Pending cube updates are
-// flushed first so the planner sees current per-site cubes.
+// counterpart of RunDynamic's periodic replan. The planner reads the
+// stores, so it sees every applied batch.
 func (s *System) replanForIngest(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: ingest replan: %w", err)
-	}
-	names := make([]string, 0, len(s.preps))
-	for name := range s.preps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.preps[name].FlushBackground()
 	}
 	opts := s.Opts
 	opts.Obs = s.Obs

@@ -63,12 +63,6 @@ func WithPlacement(o placement.Options) Option {
 	return func(rc *runConfig) { rc.placement = o }
 }
 
-// WithPlacementOptions applies functional placement options on top of the
-// current placement configuration.
-func WithPlacementOptions(opts ...placement.Option) Option {
-	return func(rc *runConfig) { rc.placement = rc.placement.With(opts...) }
-}
-
 // WithObs attaches an observability collector gathering phase spans and
 // metrics for the whole pipeline.
 func WithObs(col *obs.Collector) Option {

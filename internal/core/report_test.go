@@ -100,10 +100,7 @@ func TestSchemeIDJSON(t *testing.T) {
 func TestRunOneShot(t *testing.T) {
 	c, w := setup(t, workload.BigDataScan)
 	col := obs.NewCollector()
-	opts := placement.NewOptions(
-		placement.WithLag(30), placement.WithProbeK(30),
-		placement.WithSeed(7), placement.WithObs(col),
-	)
+	opts := placement.Options{Lag: 30, ProbeK: 30, Seed: 7, Obs: col}
 	rep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, WithPlacement(opts))
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,13 @@
 // Package core ties the Bohr reproduction together: a System couples a
 // geo-distributed cluster with a workload and a placement scheme, and
-// drives the paper's pipeline — pre-processing into OLAP cubes, probe
-// exchange, (joint) data/task placement, offline data movement in the
+// drives the paper's pipeline — similarity checking and (joint) data/task
+// placement (package placement, which folds the stores' records into the
+// dimension cubes and probes it needs), offline data movement in the
 // query lag, and query execution with runtime RDD similarity. It also
 // implements the §8.6 highly-dynamic-dataset mode where data arrives in
-// batches between recurring queries.
+// batches between recurring queries, and live ingest into a prepared
+// system (ingest.go). A System holds one copy of a site's data: the
+// cluster's engine.Stores.
 package core
 
 import (
@@ -34,10 +37,8 @@ type System struct {
 	prepRep *PrepareReport
 	lastRun *RunReport
 
-	// Live-ingest state (see ingest.go): per-dataset cube maintainers,
-	// the current plan's movement shares for forwarding new batches, and
-	// the replan cadence counters.
-	preps         map[string]*Preprocessor
+	// Live-ingest state (see ingest.go): the current plan's movement
+	// shares for forwarding new batches and the replan cadence counters.
 	shares        map[string][][]float64
 	replanEvery   int
 	ingestBatches int

@@ -9,7 +9,6 @@ import (
 
 	"bohr/internal/engine"
 	"bohr/internal/ingest"
-	"bohr/internal/olap"
 )
 
 func mkRecs(source string, offs ...uint64) []ingest.Record {
@@ -178,11 +177,6 @@ func TestManagerRecoverSnapshotPlusTail(t *testing.T) {
 		Datasets: []DatasetState{{
 			Name:    "sales",
 			Records: [][]engine.KV{{{Key: "a|b", Val: 3}}},
-			Cubes: []olap.Columns{{
-				Dicts:  [][]string{{"a"}, {"b"}},
-				Coords: [][]uint32{{0}, {0}},
-				Sums:   []float64{3}, Counts: []int{3}, Rows: 3,
-			}},
 		}},
 	}
 	if _, err := m.WriteSnapshot(snap); err != nil {

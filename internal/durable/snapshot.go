@@ -18,12 +18,11 @@ import (
 // strings (uvarint length + bytes) and raw little-endian float64s — cut
 // between values wherever a frame would pass the cap, so neither a site
 // nor the image has a size ceiling. imageCodec.state is the layout: a
-// header, per dataset and site a record block (n, n keys, n values) and,
-// with cube state, a cube block (the cube's columns as they are), each
+// header, per dataset and site a record block (n, n keys, n values)
 // ending its frame, then the number of frames so far in a trailer frame.
 // The CRCs catch a bit-rotted snapshot and the trailer a truncated one.
 const (
-	snapMagic       = "BOHRSNAP2\n"
+	snapMagic       = "BOHRSNAP3\n"
 	snapMagicFamily = "BOHRSNAP"
 	snapPrefix      = "snap-"
 	snapSuffix      = ".snap"
@@ -121,15 +120,6 @@ func (c *imageCodec) uvarint(v *uint64) {
 	*v, c.p = x, c.p[n:]
 }
 
-// num carries an integer field as a uvarint.
-func num[T int | uint32](c *imageCodec, v *T) {
-	x := uint64(*v)
-	c.uvarint(&x)
-	if !c.enc {
-		*v = T(x)
-	}
-}
-
 // sized carries a slice's length and, decoding, makes the slice — once
 // the length is checked against the bytes the file has left, of which an
 // item takes at least min.
@@ -172,7 +162,10 @@ func (c *imageCodec) f64(v *float64) {
 
 func (c *imageCodec) state(st *State) {
 	c.uvarint(&st.WalSeq)
-	num(c, &st.IngestBatches)
+	batches := uint64(st.IngestBatches)
+	if c.uvarint(&batches); !c.enc {
+		st.IngestBatches = int(batches)
+	}
 	sized(c, &st.Sources, 3)
 	for i := range st.Sources {
 		so := &st.Sources[i]
@@ -183,7 +176,7 @@ func (c *imageCodec) state(st *State) {
 			c.uvarint(&so.Above[j])
 		}
 	}
-	sized(c, &st.Datasets, 3)
+	sized(c, &st.Datasets, 2)
 	c.flush()
 	for i := range st.Datasets {
 		ds := &st.Datasets[i]
@@ -197,34 +190,6 @@ func (c *imageCodec) state(st *State) {
 			}
 			for k := range recs {
 				c.f64(&recs[k].Val)
-			}
-			c.flush()
-		}
-		sized(c, &ds.Cubes, 5)
-		for j := range ds.Cubes {
-			cube := &ds.Cubes[j]
-			num(c, &cube.Rows)
-			sized(c, &cube.Dicts, 1)
-			for d := range cube.Dicts {
-				sized(c, &cube.Dicts[d], 1)
-				for k := range cube.Dicts[d] {
-					c.str(&cube.Dicts[d][k])
-				}
-			}
-			sized(c, &cube.Coords, 1)
-			for d := range cube.Coords {
-				sized(c, &cube.Coords[d], 1)
-				for k := range cube.Coords[d] {
-					num(c, &cube.Coords[d][k])
-				}
-			}
-			sized(c, &cube.Sums, 8)
-			for k := range cube.Sums {
-				c.f64(&cube.Sums[k])
-			}
-			sized(c, &cube.Counts, 1)
-			for k := range cube.Counts {
-				num(c, &cube.Counts[k])
 			}
 			c.flush()
 		}

@@ -13,7 +13,6 @@ import (
 
 	"bohr/internal/engine"
 	"bohr/internal/ingest"
-	"bohr/internal/olap"
 )
 
 // hostileKeys and hostileVals are what a text codec gets wrong: the
@@ -24,8 +23,8 @@ var (
 		math.Float64frombits(0x7ff8000000000123), math.SmallestNonzeroFloat64}
 )
 
-// sampleState builds a state of two datasets over three sites, the first
-// with cube columns; n scales the records and cells per site.
+// sampleState builds a state of two datasets over three sites; n scales
+// the records per site.
 func sampleState(seed int64, n int) *State {
 	rng := rand.New(rand.NewSource(seed))
 	st := &State{
@@ -36,7 +35,7 @@ func sampleState(seed int64, n int) *State {
 			{Source: "web\n", Watermark: 1 << 40, Above: []uint64{1<<40 + 2, 1<<40 + 9}},
 		},
 		Datasets: []DatasetState{
-			{Name: "sales", Records: make([][]engine.KV, 3), Cubes: make([]olap.Columns, 3)},
+			{Name: "sales", Records: make([][]engine.KV, 3)},
 			{Name: "", Records: make([][]engine.KV, 3)},
 		},
 	}
@@ -57,22 +56,6 @@ func sampleState(seed int64, n int) *State {
 			}
 		}
 	}
-	for si := range st.Datasets[0].Cubes {
-		c := &st.Datasets[0].Cubes[si]
-		c.Dicts = [][]string{nil, nil}
-		c.Coords = [][]uint32{nil, nil}
-		c.Rows = 3 * n * si
-		for i := 0; i < n*si; i++ {
-			c.Dicts[0] = append(c.Dicts[0], fmt.Sprintf("url-%d%%", i))
-			if i%7 == 0 {
-				c.Dicts[1] = append(c.Dicts[1], fmt.Sprintf("day\n%d", i))
-			}
-			c.Coords[0] = append(c.Coords[0], uint32(i))
-			c.Coords[1] = append(c.Coords[1], uint32(i/7))
-			c.Sums = append(c.Sums, hostileVals[i%len(hostileVals)])
-			c.Counts = append(c.Counts, 1+rng.Intn(9))
-		}
-	}
 	return st
 }
 
@@ -83,14 +66,7 @@ func dumpState(st *State) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq %d batches %d sources %+v\n", st.WalSeq, st.IngestBatches, st.Sources)
 	for _, ds := range st.Datasets {
-		fmt.Fprintf(&b, "dataset %q sites %d cubes %d\n", ds.Name, len(ds.Records), len(ds.Cubes))
-		for si, c := range ds.Cubes {
-			fmt.Fprintf(&b, " cube %d: rows %d dicts %q coords %v counts %v sums", si, c.Rows, c.Dicts, c.Coords, c.Counts)
-			for _, s := range c.Sums {
-				fmt.Fprintf(&b, " %x", math.Float64bits(s))
-			}
-			b.WriteByte('\n')
-		}
+		fmt.Fprintf(&b, "dataset %q sites %d\n", ds.Name, len(ds.Records))
 		for si, recs := range ds.Records {
 			fmt.Fprintf(&b, " site %d: %d records\n", si, len(recs))
 			for _, kv := range recs {
@@ -143,9 +119,9 @@ func TestSnapshotImageRoundTrip(t *testing.T) {
 	if g, w := dumpState(got), dumpState(want); g != w {
 		t.Fatalf("decoded state differs:\n got:\n%s\nwant:\n%s", g, w)
 	}
-	// One frame per block: header, six record blocks, three cube
-	// blocks, the cube-less dataset's empty cube list, trailer.
-	if n := len(frameEnds(t, image)) - 1; n != 1+6+3+1+1 {
+	// One frame per block: header, six record blocks (the second
+	// dataset's name rides in its first), trailer.
+	if n := len(frameEnds(t, image)) - 1; n != 1+6+1 {
 		t.Fatalf("image has %d frames", n)
 	}
 	// An empty state is an image too.
@@ -156,10 +132,10 @@ func TestSnapshotImageRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotImageMultiFrame lowers the frame cap so that one site's
-// records and one cube's dictionaries and columns each span many frames —
-// the state is far larger than a frame — and checks the image still round
-// trips, that no frame passes the cap, and that every way of cutting the
-// file short or flipping a bit in it is refused.
+// records span many frames — the state is far larger than a frame — and
+// checks the image still round trips, that no frame passes the cap, and
+// that every way of cutting the file short or flipping a bit in it is
+// refused.
 func TestSnapshotImageMultiFrame(t *testing.T) {
 	t.Cleanup(setFrameCap(4 << 10))
 	want := sampleState(2, 2500)
@@ -173,9 +149,9 @@ func TestSnapshotImageMultiFrame(t *testing.T) {
 			t.Fatalf("frame %d has %d payload bytes, cap %d", i-1, n, frameCap)
 		}
 	}
-	// Uncut, the image has 12 frames; 4 sites hold records and 2 hold a
-	// cube, each many times the cap.
-	if n := len(ends) - 1; n < 12+6*3 {
+	// Uncut, the image has 8 frames; 4 sites hold records, each many
+	// times the cap.
+	if n := len(ends) - 1; n < 8+4*3 {
 		t.Fatalf("image has %d frames; blocks were not cut", n)
 	}
 	got, err := decodeImage(image[len(snapMagic):])
@@ -339,22 +315,28 @@ func TestRecoverFailsOnCorruptNewestSnapshot(t *testing.T) {
 }
 
 // TestRecoverRefusesV1Snapshot hand-writes a BOHRSNAP1 file (magic line
-// plus one frame of JSON, what PR 9 to 17 wrote): it is not corrupt, its
-// log prefix is pruned, and no reader for it is kept, so recovery stops
-// and says which format it met.
+// plus one frame of JSON, what PR 9 to 17 wrote) and a BOHRSNAP2 one (PR
+// 18's frames, which put a cube block after each dataset's records):
+// neither is corrupt, its log prefix is pruned, and no reader for it is
+// kept, so recovery stops and says which format it met.
 func TestRecoverRefusesV1Snapshot(t *testing.T) {
 	dir := t.TempDir()
 	snap := checkpointAndPrune(t, dir)
-	v1 := EncodeFrame([]byte("BOHRSNAP1\n"), []byte(`{"wal_seq":40,"sources":[{"source":"web","watermark":40}]}`))
-	if err := os.WriteFile(snap, v1, 0o644); err != nil {
-		t.Fatal(err)
+	current := encodeImage(t, &State{WalSeq: 40, Sources: []ingest.SourceOffsets{{Source: "web", Watermark: 40}}})
+	for magic, file := range map[string][]byte{
+		"BOHRSNAP1": EncodeFrame([]byte("BOHRSNAP1\n"), []byte(`{"wal_seq":40,"sources":[{"source":"web","watermark":40}]}`)),
+		"BOHRSNAP2": append([]byte("BOHRSNAP2\n"), current[len(snapMagic):]...),
+	} {
+		if err := os.WriteFile(snap, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := recoverDir(t, dir)
+		if !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), magic) ||
+			!strings.Contains(err.Error(), filepath.Base(snap)) {
+			t.Fatalf("error = %v, want ErrSnapshotFormat naming %s and the file", err, magic)
+		}
 	}
-	_, _, err := recoverDir(t, dir)
-	if !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), "BOHRSNAP1") ||
-		!strings.Contains(err.Error(), filepath.Base(snap)) {
-		t.Fatalf("error = %v, want ErrSnapshotFormat naming BOHRSNAP1 and the file", err)
-	}
-	// A v1 file is refused even when a readable older snapshot sits
+	// An old-format file is refused even when a readable older snapshot sits
 	// beside it: skipping it would silently drop what it covered.
 	if _, err := new(imageCodec).writeFile(dir, &State{WalSeq: 5}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package durable
 import (
 	"bohr/internal/engine"
 	"bohr/internal/ingest"
-	"bohr/internal/olap"
 )
 
 // State is what a checkpoint covers: the WAL position, the per-source
@@ -30,11 +29,7 @@ type State struct {
 // DatasetState is one dataset's applied state, indexed by site. Records
 // holds the slices the engine.Stores handed out, which a store never
 // modifies afterwards (an add appends past the length, a move copies).
-// Cubes holds a copy of each base cube's columns — a live cube folds into
-// them in place — and is nil for a dataset never ingested into, whose
-// cubes derive from the seed workload: only then may a restore skip them.
 type DatasetState struct {
 	Name    string
 	Records [][]engine.KV
-	Cubes   []olap.Columns
 }

@@ -36,7 +36,7 @@ func (r *refCube) add(coords []string, sum float64, count int) {
 	r.order = append(r.order, k)
 }
 
-// inOrder returns the cells in insertion order (the ExportColumns contract).
+// inOrder returns the cells in insertion order (the cube's row order).
 func (r *refCube) inOrder() []Cell {
 	out := make([]Cell, 0, len(r.order))
 	for _, k := range r.order {
@@ -45,15 +45,11 @@ func (r *refCube) inOrder() []Cell {
 	return out
 }
 
-// cells renders a column dump cell by cell, in row order.
-func (cols Columns) cells() []Cell {
-	out := make([]Cell, len(cols.Sums))
+// inOrder renders the cube cell by cell, in row (= insertion) order.
+func (c *Cube) inOrder() []Cell {
+	out := make([]Cell, c.NumCells())
 	for row := range out {
-		coords := make([]string, len(cols.Dicts))
-		for d := range coords {
-			coords[d] = cols.Dicts[d][cols.Coords[d][row]]
-		}
-		out[row] = Cell{Coords: coords, Sum: cols.Sums[row], Count: cols.Counts[row]}
+		out[row] = Cell{Coords: c.coordsForRow(row), Sum: c.sums[row], Count: c.counts[row]}
 	}
 	return out
 }
@@ -153,7 +149,7 @@ func without[T any](s []T, i int) []T {
 }
 
 // matchCells compares a cube against the reference cell-for-cell: same
-// insertion order (ExportColumns), same sorted order including tie-breaks
+// insertion order (row order), same sorted order including tie-breaks
 // (Cells / TopCells), and every reference cell reachable through Lookup.
 // exact demands bit-equal sums (width-1 paths); otherwise a relative
 // tolerance absorbs the chunked fold's reassociated additions.
@@ -178,7 +174,7 @@ func matchCells(t *testing.T, label string, c *Cube, ref *refCube, exact bool) {
 			}
 		}
 	}
-	check("export", c.ExportColumns().cells(), ref.inOrder())
+	check("rows", c.inOrder(), ref.inOrder())
 	wantSorted := ref.sorted()
 	check("cells", c.Cells(), wantSorted)
 	k := len(wantSorted)/2 + 1

@@ -202,67 +202,6 @@ func (cs *CubeSet) Insert(rows ...Row) error {
 	return nil
 }
 
-// InsertBatch folds a batch of raw rows in one step — the streaming-
-// ingest entry point, where arrivals are large and skewed. It differs
-// from Insert in three ways: rows are validated up front so a bad row
-// leaves the set untouched (all-or-nothing, which is what lets the
-// ingest pipeline reject a batch cleanly instead of half-applying it);
-// duplicate coordinates within the batch are pre-aggregated so the base
-// cube sees one merge per distinct cell rather than one per record; and
-// the store's logical clock advances once for the whole batch. Dimension
-// cubes still buffer the raw rows, preserving Prepare's incremental
-// fold and exact row accounting.
-func (cs *CubeSet) InsertBatch(rows []Row) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for i, r := range rows {
-		if len(r.Coords) != cs.base.schema.NumDims() {
-			return fmt.Errorf("olap: cubeset batch row %d: has %d coords, schema has %d dims",
-				i, len(r.Coords), cs.base.schema.NumDims())
-		}
-		for j, v := range r.Coords {
-			if strings.ContainsRune(v, sep) {
-				return fmt.Errorf("olap: cubeset batch row %d: coord %d contains reserved separator", i, j)
-			}
-		}
-	}
-	// Pre-aggregate per distinct cell in first-seen order, so the base
-	// cube's insertion-order cell walk stays deterministic for a given
-	// batch.
-	type agg struct {
-		coords []string
-		sum    float64
-		count  int
-	}
-	byKey := make(map[string]*agg, len(rows))
-	var order []*agg
-	for _, r := range rows {
-		k := key(r.Coords)
-		a, ok := byKey[k]
-		if !ok {
-			a = &agg{coords: r.Coords}
-			byKey[k] = a
-			order = append(order, a)
-		}
-		a.sum += r.Measure
-		a.count++
-	}
-	for _, a := range order {
-		cs.base.add(a.coords, a.sum, a.count)
-	}
-	cs.base.rows += len(rows)
-	for _, id := range cs.idsLocked() {
-		st, ok := cs.store.Peek(id)
-		if !ok {
-			continue // evicted: rebuilt from base on next Prepare
-		}
-		st.pending = append(st.pending, rows...)
-		cs.store.Put(id, st) // refresh the size estimate
-	}
-	cs.store.AdvanceTo(cs.base.Generation())
-	return nil
-}
-
 // Prepare eagerly folds the pending rows into the dimension cube of one
 // query type — what Bohr does for the cube "used by the coming query" —
 // and returns that cube. When nothing changed since the cube was last

@@ -46,12 +46,18 @@ func TestPlanSchemeRoutesAroundDeadSite(t *testing.T) {
 	}
 }
 
+// TestWithFaultsOption: a schedule set on Options reaches the plan, whose
+// Execute drains its moves through the fault-scaled links.
 func TestWithFaultsOption(t *testing.T) {
+	c, w := testSetup(t, workload.BigDataScan, false)
 	sched := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.KindSiteCrash, Site: 0, Start: 0, End: 1},
 	}}
-	o := NewOptions(WithFaults(sched))
-	if o.Faults != sched {
-		t.Fatal("WithFaults did not attach the schedule")
+	plan, err := PlanScheme(Iridium, c, w, Options{Seed: 1, Faults: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.faults != sched {
+		t.Fatal("the plan does not carry the schedule Options.Faults held")
 	}
 }

@@ -16,8 +16,8 @@ import (
 // implements it.
 type DurableBackend interface {
 	RowApplier
-	// CaptureState takes a handle on the applied serving state (cluster
-	// rows, cube bases, ingest progress) that stays valid, and unchanged,
+	// CaptureState takes a handle on the applied serving state (every
+	// store's records, ingest progress) that stays valid, and unchanged,
 	// while ingest carries on. The caller fills in WalSeq and Sources —
 	// both live at the pipeline layer — and must hold the pipeline
 	// barriered so the state and the WAL position agree.
@@ -30,8 +30,7 @@ type DurableBackend interface {
 
 // CaptureState takes, under the shared state lock (capture only reads;
 // the pipeline barrier has already quiesced writers), the record slice
-// of every (dataset, site) store — O(stores), no record is touched — and
-// a copy of the base-cube columns of datasets live-ingested into.
+// of every (dataset, site) store — O(stores), no record is touched.
 func (b *EngineBackend) CaptureState() *durable.State {
 	b.stateMu.RLock()
 	defer b.stateMu.RUnlock()
@@ -42,18 +41,15 @@ func (b *EngineBackend) CaptureState() *durable.State {
 		for site := range dstate.Records {
 			dstate.Records[site] = c.Data[site].Records(ds.Name)
 		}
-		dstate.Cubes = b.sys.ExportCubeState(ds.Name)
 		st.Datasets = append(st.Datasets, dstate)
 	}
 	return st
 }
 
 // RestoreState loads a decoded snapshot into the backend: every
-// dataset's per-site rows are replaced wholesale, cube bases are swapped
-// for datasets the snapshot carries cubes for (others keep their seed-
-// derived state, which is what the snapshot's absence asserts) and the
-// ingest batch counter resumes. Every restored store's version rises, so
-// content hashes taken before the restore no longer match.
+// dataset's per-site records are replaced wholesale and the ingest batch
+// counter resumes. Every restored store's version rises, so content
+// hashes taken before the restore no longer match.
 func (b *EngineBackend) RestoreState(st *durable.State) error {
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
@@ -68,12 +64,6 @@ func (b *EngineBackend) RestoreState(st *durable.State) error {
 		}
 		for i, recs := range ds.Records {
 			c.Data[i].Restore(ds.Name, recs)
-		}
-		if ds.Cubes == nil {
-			continue
-		}
-		if err := b.sys.RestoreCubeState(ds.Name, ds.Cubes); err != nil {
-			return fmt.Errorf("serve: restore: %w", err)
 		}
 	}
 	b.sys.RestoreIngestProgress(st.IngestBatches)

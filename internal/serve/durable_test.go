@@ -2,10 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -194,36 +198,44 @@ func flatRecords(st *durable.State) map[string][]engine.KV {
 	return out
 }
 
-// siteCubes is each dataset's per-site cube state — the cells in
-// insertion order, one line each, after the raw row count — with the raw
-// records left out. Cubes update at the arrival site before any movement,
-// so they are exact regardless of batch grouping.
-func siteCubes(st *durable.State) map[string][][]string {
-	out := map[string][][]string{}
-	for _, ds := range st.Datasets {
-		sites := make([][]string, len(ds.Cubes))
-		for i, c := range ds.Cubes {
-			sites[i] = []string{fmt.Sprintf("rows %d", c.Rows)}
-			for row := range c.Sums {
-				coords := make([]string, len(c.Dicts))
-				for d := range coords {
-					coords[d] = c.Dicts[d][c.Coords[d][row]]
-				}
-				sites[i] = append(sites[i], fmt.Sprintf("%q sum %x count %d", coords, math.Float64bits(c.Sums[row]), c.Counts[row]))
-			}
+// pinnedAnswers sends a fixed set of statements over the first dataset
+// — a scan, a grouped SUM, one with a WHERE, and COUNT(*) last — through
+// /v1/query and renders the replies' rows.
+func pinnedAnswers(t *testing.T, fe *Server, sys *core.System) (rendered string, count float64) {
+	t.Helper()
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+	ds := sys.Workload.Datasets[0]
+	d := ds.Schema.Dims()
+	var out strings.Builder
+	for _, q := range []string{
+		"SELECT " + d[0] + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + d[0] + " ORDER BY value DESC LIMIT 20",
+		"SELECT " + d[1] + ", " + d[2] + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + d[1] + ", " + d[2],
+		"SELECT " + d[1] + ", COUNT(*) FROM " + ds.Name + " WHERE " + d[0] + " = 'liveA' GROUP BY " + d[1],
+		"SELECT COUNT(*) FROM " + ds.Name,
+	} {
+		resp, reply := postQuery(t, ts.URL, "alice", q)
+		if resp.StatusCode != 200 || len(reply.Rows) == 0 {
+			t.Fatalf("%q: status %d, %d rows", q, resp.StatusCode, len(reply.Rows))
 		}
-		out[ds.Name] = sites
+		rows, err := json.Marshal(reply.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s\n%s\n", q, rows)
+		count = reply.Rows[0].Val
 	}
-	return out
+	return out.String(), count
 }
 
 // TestRecoverEquivalentToNeverCrashed is the durability property: for a
 // fixed stream, a server that crashes and recovers at seeded points —
 // with seeded snapshot cuts and seeded at-least-once client rewinds —
 // must converge to the same logical state as a server that never
-// crashed (and never journaled at all): identical offset trackers,
-// identical per-site cubes, and an identical global record multiset per
-// dataset.
+// crashed (and never journaled at all): identical offset trackers, an
+// identical global record multiset per dataset, byte-identical answers
+// to the pinned statements, and a COUNT(*) that equals the seed records
+// plus the acked ones and a naive fold over the stores.
 func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 	ctx := context.Background()
 	const total = 90
@@ -246,6 +258,7 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 	}
 	wantState := bC.CaptureState()
 	wantOffs := pipeC.OffsetsSnapshot()
+	wantRows, wantCount := pinnedAnswers(t, feC, sysC)
 	if err := pipeC.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +268,7 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	sys := smallSystem(t)
+	seed := clusterRecords(sys, sys.Workload.Datasets[0].Name)
 	b := NewEngineBackend(sys)
 	fe := New(b, Config{}, nil)
 	m, err := durable.Open(durable.Config{Dir: dir})
@@ -299,6 +313,7 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 	}
 	gotState := b.CaptureState()
 	gotOffs := pipe.OffsetsSnapshot()
+	gotRows, gotCount := pinnedAnswers(t, fe, sys)
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,32 +323,33 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 
 	// Batch boundaries legitimately differ across the two histories
 	// (resends regroup records, which also shifts share-based movement),
-	// so the comparison is the batch-invariant state: trackers, per-site
-	// cubes, and each dataset's global record multiset.
+	// so the comparison is the batch-invariant state: trackers, each
+	// dataset's global record multiset, and what a client is told.
 	if !reflect.DeepEqual(wantOffs, gotOffs) {
 		t.Fatalf("offset trackers diverged:\n never-crashed: %+v\n recovered:     %+v",
 			wantOffs, gotOffs)
 	}
-	if want, got := siteCubes(wantState), siteCubes(gotState); !reflect.DeepEqual(want, got) {
-		t.Fatalf("per-site cubes diverged:\n never-crashed: %+v\n recovered:     %+v", want, got)
-	}
 	if want, got := flatRecords(wantState), flatRecords(gotState); !reflect.DeepEqual(want, got) {
 		t.Fatalf("record multisets diverged:\n never-crashed: %+v\n recovered:     %+v", want, got)
+	}
+	if gotRows != wantRows {
+		t.Fatalf("pinned answers diverged:\n never-crashed:\n%s recovered:\n%s", wantRows, gotRows)
+	}
+	if stored := clusterRecords(sys, sys.Workload.Datasets[0].Name); gotCount != wantCount ||
+		gotCount != float64(seed+total) || gotCount != float64(stored) {
+		t.Fatalf("COUNT(*) = %v recovered, %v never-crashed; seed %d + acked %d, stores hold %d",
+			gotCount, wantCount, seed, total, stored)
 	}
 }
 
 // liveState renders everything a checkpoint must carry — every store's
-// records in order, every base cube's cells in insertion order, raw row
-// counts, the batch counter — with floats as bit patterns, so two
+// records in order and the batch counter — with floats as bit patterns, so two
 // backends hold the same state exactly when the renderings are equal.
 func liveState(b *EngineBackend) string {
 	var out strings.Builder
 	st := b.CaptureState()
 	fmt.Fprintf(&out, "batches %d\n", st.IngestBatches)
 	for _, ds := range st.Datasets {
-		for i, cube := range siteCubes(st)[ds.Name] {
-			fmt.Fprintf(&out, "%s cube %d: %s\n", ds.Name, i, strings.Join(cube, "\n  "))
-		}
 		for i, recs := range ds.Records {
 			fmt.Fprintf(&out, "%s site %d: %d records\n", ds.Name, i, len(recs))
 			for _, kv := range recs {
@@ -348,7 +364,7 @@ func liveState(b *EngineBackend) string {
 // random ingest (forwarded by the plan's similarity-aware mover), random
 // moves, a live replan and a batch of values no wire codec would let in,
 // a checkpoint restored into a freshly prepared backend reproduces the
-// state bit for bit — store order and cube insertion order included —
+// state bit for bit — store order included —
 // with nothing left to replay, the same offset trackers, and the same
 // answer to a pinned aggregate query.
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -478,6 +494,53 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		pipe2.Kill()
 		m2.Close()
+	}
+}
+
+// TestSnapshotHoldsRecordsOnly bounds the image by what it is for: after
+// a run of ingested batches it holds each stored record once — its key,
+// a length byte or two and eight bytes of value — plus a frame per
+// (dataset, site) block and the header and trailer, and no second copy of
+// the data in any other shape.
+func TestSnapshotHoldsRecordsOnly(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	sys := smallSystem(t)
+	fe := New(NewEngineBackend(sys), Config{}, nil)
+	m, err := durable.Open(durable.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	pipe, _, err := fe.EnableDurableIngest(ctx, ingest.Config{MaxBatchRecords: 8, FlushInterval: -1}, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	pushRange(t, sys, pipe, "web", 1, 160)
+	if err := fe.SnapshotNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const perBlock, headerAndTrailer = 8 + binary.MaxVarintLen64 + 16, 256
+	bound := int64(headerAndTrailer)
+	for _, ds := range sys.Workload.Datasets {
+		for site := 0; site < sys.Cluster.N(); site++ {
+			bound += perBlock
+			for _, kv := range sys.Cluster.Data[site].Records(ds.Name) {
+				bound += int64(len(binary.AppendUvarint(nil, uint64(len(kv.Key)))) + len(kv.Key) + 8)
+			}
+		}
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files %v, %v; want one", snaps, err)
+	}
+	info, err := os.Stat(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() > bound {
+		t.Fatalf("image is %d bytes; its records and framing account for at most %d", info.Size(), bound)
 	}
 }
 

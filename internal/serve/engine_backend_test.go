@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"bohr/internal/core"
@@ -69,20 +70,35 @@ func TestEngineBackendServesRealQueries(t *testing.T) {
 
 	dim := schema.Dims()[0]
 	query := "SELECT " + dim + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + dim + " LIMIT 5"
-	resp, out := postQuery(t, ts.URL, "alice", query)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	// The second statement's order is not the engine's and its LIMIT
+	// cuts: a hit must serve the rows the miss served, which is what the
+	// cache holds, not the engine's output under that key.
+	ordered := "SELECT " + dim + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + dim + " ORDER BY value DESC LIMIT 3"
+	for _, q := range []string{query, ordered} {
+		resp, out := postQuery(t, ts.URL, "alice", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if out.Cached || out.RowCount == 0 {
+			t.Fatalf("response = %+v, want uncached rows", out)
+		}
+		// The repeat is a cache hit with identical rows.
+		resp2, out2 := postQuery(t, ts.URL, "bob", q)
+		if resp2.StatusCode != http.StatusOK || !out2.Cached {
+			t.Fatalf("repeat = %d %+v, want cached", resp2.StatusCode, out2)
+		}
+		if !reflect.DeepEqual(out2.Rows, out.Rows) {
+			t.Fatalf("cached rows %v != fresh rows %v", out2.Rows, out.Rows)
+		}
 	}
-	if out.Cached || out.RowCount == 0 {
-		t.Fatalf("response = %+v, want uncached rows", out)
+	stmt, err := sql.Parse(ordered)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The repeat is a cache hit with identical rows.
-	resp2, out2 := postQuery(t, ts.URL, "bob", query)
-	if resp2.StatusCode != http.StatusOK || !out2.Cached {
-		t.Fatalf("repeat = %d %+v, want cached", resp2.StatusCode, out2)
-	}
-	if len(out2.Rows) != len(out.Rows) || out2.Rows[0] != out.Rows[0] {
-		t.Fatalf("cached rows %v != fresh rows %v", out2.Rows, out.Rows)
+	hash, _ := backend.ContentHash(ds.Name)
+	held, ok := fe.results.Get(fe.results.Key(stmt, hash))
+	if !ok || len(held) != 3 || cap(held) != 3 || !(held[0].Val >= held[1].Val && held[1].Val >= held[2].Val) {
+		t.Fatalf("cache holds %v (cap %d, present %v), want the 3 rows served, largest first", held, cap(held), ok)
 	}
 
 	// A pre-cancelled context unwinds inside the engine (chunk-boundary

@@ -45,9 +45,9 @@ type Backend interface {
 type EngineBackend struct {
 	sys *core.System
 
-	// stateMu guards the system's mutable serving state: cluster data,
-	// cube sets, and the placement plan. Queries and content hashing
-	// hold it shared; ingest batch application holds it exclusively.
+	// stateMu guards the system's mutable serving state: the site stores
+	// and the placement plan. Queries and content hashing hold it
+	// shared; ingest batch application holds it exclusively.
 	stateMu sync.RWMutex
 }
 
@@ -116,12 +116,12 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 // ApplyBatch implements the ingest pipeline's delivery side over the
 // engine backend: records are grouped into per-(dataset, site) arrivals
 // in first-seen order and applied to the system under the exclusive state
-// lock (cluster data + incremental cube maintenance + plan-directed
-// movement + the periodic replan hook). It returns every dataset whose
-// version moved — a live replan re-executes moves for datasets the batch
-// did not name — so the result cache drops their now-unreachable entries
-// at once. Batches the system can never apply come back Reject-wrapped,
-// telling the pipeline to drop rather than retry.
+// lock (add to the arrival site's store + plan-directed movement + the
+// periodic replan hook). It returns every dataset whose version moved — a
+// live replan re-executes moves for datasets the batch did not name — so
+// the result cache drops their now-unreachable entries at once. Batches
+// the system can never apply come back Reject-wrapped, telling the
+// pipeline to drop rather than retry.
 func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]string, error) {
 	type groupKey struct {
 		dataset string
@@ -378,6 +378,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Result cache: textual variants of one statement over unchanged
 	// data are answered without touching the scheduler or the engine.
+	// ORDER BY and LIMIT are part of the key, so an entry holds the rows
+	// as served and a hit replies with them as they are.
 	var key string
 	if hash, ok := s.backend.ContentHash(stmt.Dataset); ok {
 		key = s.results.Key(stmt, hash)
@@ -386,7 +388,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			s.count("serve.tenant."+mt+".cache.hits", 1)
 			rec.Cached = true
 			s.finish(&rec, start, "ok", nil, nil)
-			s.reply(w, req.Tenant, plan.PostProcess(rows), true, start)
+			s.reply(w, req.Tenant, rows, true, start)
 			return
 		}
 	}
@@ -428,13 +430,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	rows = plan.PostProcess(rows)
 	if key != "" {
 		s.results.Insert(key, stmt.Dataset, rows)
 	}
 	s.observe("serve.tenant."+mt+".latency_s", time.Since(start).Seconds())
 	s.observe("serve.latency_s", time.Since(start).Seconds())
 	s.finish(&rec, start, "ok", nil, trace)
-	s.reply(w, req.Tenant, plan.PostProcess(rows), false, start)
+	s.reply(w, req.Tenant, rows, false, start)
 }
 
 // finish stamps the record's outcome, hands it to the flight recorder,

@@ -114,7 +114,8 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 }
 
 // PostProcess applies the statement's ORDER BY and LIMIT to the engine's
-// (key-sorted) reduce output.
+// (key-sorted) reduce output. The result shares no memory with out, and
+// when LIMIT cuts it, none with the rows cut off either.
 func (p *Plan) PostProcess(out []engine.KV) []engine.KV {
 	rows := append([]engine.KV(nil), out...)
 	stmt := p.Statement
@@ -135,7 +136,7 @@ func (p *Plan) PostProcess(out []engine.KV) []engine.KV {
 		})
 	}
 	if stmt.Limit > 0 && len(rows) > stmt.Limit {
-		rows = rows[:stmt.Limit]
+		rows = append([]engine.KV(nil), rows[:stmt.Limit]...)
 	}
 	return rows
 }
