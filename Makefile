@@ -20,9 +20,11 @@ test:
 # serve front end plus its flight recorder), one short round of each fuzz
 # harness, and the report determinism check including cross-pool-width
 # byte identity. The race target also carries the map→combine
-# stage's differential oracle and allocation guard and the site store's
-# differential against the reference mover (engine; none of them is
-# skipped under -short, and race passes no -short), the key indexer's
+# stage's differential oracle and allocation guard, the site store's
+# differential against the reference mover and its clone-aliasing and
+# memo-singleflight tests (engine; none of them is skipped under -short,
+# and race passes no -short), two goroutines planning two clones of one
+# snapshot (placement), the key indexer's
 # property test (workload) and the compiled filter (sql). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
 # coverage floor nothing else in check sees.
@@ -101,8 +103,11 @@ determinism:
 	fi; \
 	echo "determinism: OK (byte-identical faulted reports, width-independent, eviction-neutral)"
 
-# bounded-growth: a long dynamic run must settle every memo cache at or
-# below its configured capacity (the PR 5 eviction gate).
+# bounded-growth: a long dynamic run must settle the signature cache at
+# or below its configured capacity (the PR 5 eviction gate; the planner's
+# per-site derived state lives on the stores' contents and has no cap to
+# settle under, the gate only checks that it still serves replans over
+# unchanged sites).
 bounded-growth:
 	$(GO) test ./internal/core -run 'TestDynamicCacheBounded|TestDynamicReportEvictionNeutral' -count=1
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bohr/internal/engine"
+	"bohr/internal/obs"
 	"bohr/internal/placement"
 	"bohr/internal/similarity"
 	"bohr/internal/stats"
@@ -129,14 +130,12 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 		return delivered
 	}
 
-	// Dynamic mode replans over largely unchanged sites, so it memoizes
-	// the planner's per-site dimension cubes and the RDD assigner's
-	// signatures across rounds unless the caller brought its own caches.
-	// Both are bounded: each query arrival below ticks their logical
-	// clocks, so entries unused for enough arrivals age out LRU.
-	if opts.CubeCache == nil {
-		opts.CubeCache = placement.NewCubeCache(opts.Obs)
-	}
+	// Dynamic mode replans over largely unchanged sites. The planner's
+	// per-site derived state (dimension cubes, replay counts) is memoized
+	// on the stores' contents and lives as long as they do; the RDD
+	// assigner's signatures are memoized across rounds in a bounded cache
+	// unless the caller brought its own: each query arrival below ticks
+	// its logical clock, so entries unused for enough arrivals age out LRU.
 	if opts.SigCache == nil {
 		opts.SigCache = similarity.NewSignatureCache(opts.Obs)
 	}
@@ -149,6 +148,7 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 	if err != nil {
 		return nil, fmt.Errorf("core: initial dynamic plan: %w", err)
 	}
+	countDerived(opts.Obs, plan)
 	if _, err := plan.Execute(c, stats.Split(opts.Seed, 2001)); err != nil {
 		return nil, err
 	}
@@ -163,11 +163,10 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: dynamic arrival %d: %w", qi, err)
 		}
-		// Each query arrival is one logical-clock round for the memo
-		// caches: a sequential point where over-capacity entries age out
+		// Each query arrival is one logical-clock round for the signature
+		// cache: a sequential point where over-capacity entries age out
 		// deterministically (eviction never changes results, so reports
 		// stay byte-identical across capacity settings).
-		opts.CubeCache.Advance()
 		opts.SigCache.Advance()
 
 		// (4) Periodic re-plan with up-to-date information.
@@ -176,6 +175,7 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 			if err != nil {
 				return nil, fmt.Errorf("core: dynamic replan %d: %w", rep.Replans, err)
 			}
+			countDerived(opts.Obs, plan)
 			if _, err := plan.Execute(c, stats.Split(opts.Seed, int64(3000+qi))); err != nil {
 				return nil, err
 			}
@@ -212,12 +212,18 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 			}
 		}
 	}
-	// Settle the caches: one final round so the reported entry counts
-	// and resident bytes are within the configured caps.
-	opts.CubeCache.Advance()
+	// Settle the cache: one final round so the reported entry count and
+	// resident bytes are within the configured caps.
 	opts.SigCache.Advance()
 	rep.MeanQCT = stats.Mean(rep.QCTs)
 	return rep, nil
+}
+
+// countDerived adds one planning round's content-memo lookups to the run's
+// metrics.
+func countDerived(col *obs.Collector, plan *placement.Plan) {
+	col.Count(placement.CounterDerivedHits, float64(plan.DerivedHits))
+	col.Count(placement.CounterDerivedMisses, float64(plan.DerivedMisses))
 }
 
 // planShares computes, per dataset and source site, the fraction of the

@@ -7,24 +7,24 @@ import (
 
 	"bohr/internal/cache"
 	"bohr/internal/engine"
+	"bohr/internal/obs"
 	"bohr/internal/parallel"
 	"bohr/internal/placement"
 	"bohr/internal/similarity"
 	"bohr/internal/workload"
 )
 
-// dynCacheRun executes one dynamic run on a fresh empty cluster with
-// explicitly-sized memo caches and returns the report's JSON plus the
-// caches for inspection.
-func dynCacheRun(t *testing.T, w *workload.Workload, c *engine.Cluster, caps cache.Caps, scheme placement.SchemeID) ([]byte, *placement.CubeCache, *similarity.SignatureCache) {
+// dynCacheRun executes one dynamic run on a fresh empty cluster with an
+// explicitly-sized signature cache and returns the report's JSON plus the
+// cache for inspection.
+func dynCacheRun(t *testing.T, w *workload.Workload, c *engine.Cluster, caps cache.Caps, scheme placement.SchemeID) ([]byte, *similarity.SignatureCache) {
 	t.Helper()
 	empty, err := engine.NewCluster(c.Top, 1, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := placement.NewCubeCacheSized(nil, caps)
 	sc := similarity.NewSignatureCacheSized(nil, caps)
-	opts := placement.Options{Seed: 3, CubeCache: cc, SigCache: sc}
+	opts := placement.Options{Seed: 3, SigCache: sc}
 	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.05, ReplanEvery: 3, Queries: 9}
 	rep, err := RunDynamic(context.Background(), empty, w, scheme, dyn, WithPlacement(opts))
 	if err != nil {
@@ -34,21 +34,21 @@ func dynCacheRun(t *testing.T, w *workload.Workload, c *engine.Cluster, caps cac
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, cc, sc
+	return b, sc
 }
 
 // TestDynamicReportEvictionNeutral is the acceptance gate of the
 // bounded memo layer: eviction changes WHAT is cached, never what is
 // computed, so a dynamic run's report is byte-identical whether the
-// caches are unlimited, default-capped, or squeezed to a handful of
-// entries — while the squeezed run demonstrably evicted and stayed
+// signature cache is unlimited, default-capped, or squeezed to a handful
+// of entries — while the squeezed run demonstrably evicted and stayed
 // within its caps.
 func TestDynamicReportEvictionNeutral(t *testing.T) {
 	c, w := setup(t, workload.TPCDS)
 
-	unlimited, _, _ := dynCacheRun(t, w, c, cache.Unlimited(), placement.Bohr)
-	deflt, dcc, dsc := dynCacheRun(t, w, c, cache.Caps{Entries: cache.DefaultEntries, Bytes: cache.DefaultBytes}, placement.Bohr)
-	tiny, tcc, tsc := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
+	unlimited, _ := dynCacheRun(t, w, c, cache.Unlimited(), placement.Bohr)
+	deflt, dsc := dynCacheRun(t, w, c, cache.Caps{Entries: cache.DefaultEntries, Bytes: cache.DefaultBytes}, placement.Bohr)
+	tiny, tsc := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
 
 	if string(unlimited) != string(deflt) {
 		t.Fatalf("default caps changed the report:\n%s\nvs\n%s", deflt, unlimited)
@@ -57,15 +57,12 @@ func TestDynamicReportEvictionNeutral(t *testing.T) {
 		t.Fatalf("tiny caps changed the report:\n%s\nvs\n%s", tiny, unlimited)
 	}
 	// Default caps are far above this run's working set: no eviction.
-	if dcc.Evictions() != 0 || dsc.Evictions() != 0 {
-		t.Fatalf("default caps evicted: cubecache=%d sigcache=%d", dcc.Evictions(), dsc.Evictions())
+	if dsc.Evictions() != 0 {
+		t.Fatalf("default caps evicted: sigcache=%d", dsc.Evictions())
 	}
 	// The squeezed run really was squeezed, and settled within caps.
-	if tcc.Evictions() == 0 {
-		t.Fatal("tiny caps never evicted the cube cache")
-	}
-	if tcc.Len() > 4 {
-		t.Fatalf("cube cache settled at %d entries over the 4-entry cap", tcc.Len())
+	if tsc.Evictions() == 0 {
+		t.Fatal("tiny caps never evicted the signature cache")
 	}
 	if tsc.Len() > 4 {
 		t.Fatalf("signature cache settled at %d entries over the 4-entry cap", tsc.Len())
@@ -81,25 +78,28 @@ func TestDynamicReportWidthIndependentUnderEviction(t *testing.T) {
 
 	prev := parallel.SetDefaultWidth(1)
 	defer parallel.SetDefaultWidth(prev)
-	w1, w1cc, _ := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
+	w1, w1sc := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
 
 	parallel.SetDefaultWidth(8)
-	w8, w8cc, _ := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
+	w8, w8sc := dynCacheRun(t, w, c, cache.Caps{Entries: 4}, placement.Bohr)
 
 	if string(w1) != string(w8) {
 		t.Fatalf("width changed the evicting report:\n%s\nvs\n%s", w1, w8)
 	}
-	if w1cc.Evictions() != w8cc.Evictions() {
-		t.Fatalf("eviction counts diverge across widths: %d vs %d", w1cc.Evictions(), w8cc.Evictions())
+	if w1sc.Evictions() != w8sc.Evictions() {
+		t.Fatalf("eviction counts diverge across widths: %d vs %d", w1sc.Evictions(), w8sc.Evictions())
 	}
-	if w1cc.Evictions() == 0 {
+	if w1sc.Evictions() == 0 {
 		t.Fatal("configuration did not exercise eviction")
 	}
 }
 
 // TestDynamicCacheBounded is the make-check bounded-growth gate: a
-// longer dynamic run with default capacities keeps every cache's entry
-// count at or below its configured cap once settled.
+// longer dynamic run with default capacities keeps the signature cache's
+// entry count and bytes at or below its configured cap once settled. The
+// planner's derived state needs no cap — it lives on the stores' contents
+// and goes when they change — but must still serve the replans that see
+// unchanged sites.
 func TestDynamicCacheBounded(t *testing.T) {
 	c, w := setup(t, workload.TPCDS)
 	empty, err := engine.NewCluster(c.Top, 1, 4, 100)
@@ -107,30 +107,24 @@ func TestDynamicCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	caps := cache.DefaultCaps()
-	cc := placement.NewCubeCacheSized(nil, caps)
 	sc := similarity.NewSignatureCacheSized(nil, caps)
-	opts := placement.Options{Seed: 5, CubeCache: cc, SigCache: sc}
+	col := obs.NewCollector()
+	opts := placement.Options{Seed: 5, SigCache: sc, Obs: col}
 	// The stream exhausts after the third batch, so the later replans
-	// (q8, q12) see unchanged sites — the recurring fast path the cube
-	// cache exists for.
+	// (q8, q12) see sites unchanged since the previous plan's moves — the
+	// recurring fast path the content memo exists for.
 	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.25, ReplanEvery: 4, Queries: 16}
 	if _, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, WithPlacement(opts)); err != nil {
 		t.Fatal(err)
 	}
-	if caps.Entries > 0 && cc.Len() > caps.Entries {
-		t.Fatalf("cube cache %d entries over cap %d", cc.Len(), caps.Entries)
-	}
 	if caps.Entries > 0 && sc.Len() > caps.Entries {
 		t.Fatalf("signature cache %d entries over cap %d", sc.Len(), caps.Entries)
-	}
-	if caps.Bytes > 0 && cc.Bytes() > caps.Bytes {
-		t.Fatalf("cube cache %d bytes over cap %d", cc.Bytes(), caps.Bytes)
 	}
 	if caps.Bytes > 0 && sc.Bytes() > caps.Bytes {
 		t.Fatalf("signature cache %d bytes over cap %d", sc.Bytes(), caps.Bytes)
 	}
 	// The memo layer is doing its job: recurring rounds hit.
-	if hits, _ := cc.Stats(); hits == 0 {
-		t.Fatal("cube cache never hit across 16 arrivals")
+	if hits := col.MetricsSnapshot().Counters[placement.CounterDerivedHits]; hits == 0 {
+		t.Fatal("derived state never hit across 16 arrivals")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // (Run, RunDynamic). It subsumes the placement.Options struct the
 // positional forms took — WithPlacement adopts a whole struct, the other
 // options tune individual fields — and adds run-scoped knobs the struct
-// never carried: the worker-pool width and the memo-cache capacity.
+// never carried: the worker-pool width and the signature-cache capacity.
 type Option func(*runConfig)
 
 // runConfig is the resolved option set one Run call executes under.
@@ -22,25 +22,20 @@ type runConfig struct {
 	// width, when positive, pins the parallel kernel pool width for the
 	// duration of the run (0 keeps the process default).
 	width int
-	// caps, when set, bounds the run's memo caches (planner cubes,
-	// minhash signatures) instead of the process default capacities.
+	// caps, when set, bounds the run's signature cache instead of the
+	// process default capacities.
 	caps *cache.Caps
 }
 
 // resolve folds the options into a config and materializes derived state
-// (sized caches when a capacity override was requested).
+// (a sized cache when a capacity override was requested).
 func resolve(opts []Option) runConfig {
 	var rc runConfig
 	for _, fn := range opts {
 		fn(&rc)
 	}
-	if rc.caps != nil {
-		if rc.placement.CubeCache == nil {
-			rc.placement.CubeCache = placement.NewCubeCacheSized(rc.placement.Obs, *rc.caps)
-		}
-		if rc.placement.SigCache == nil {
-			rc.placement.SigCache = similarity.NewSignatureCacheSized(rc.placement.Obs, *rc.caps)
-		}
+	if rc.caps != nil && rc.placement.SigCache == nil {
+		rc.placement.SigCache = similarity.NewSignatureCacheSized(rc.placement.Obs, *rc.caps)
 	}
 	return rc
 }
@@ -98,9 +93,9 @@ func WithWidth(n int) Option {
 	return func(rc *runConfig) { rc.width = n }
 }
 
-// WithCacheCaps bounds the run's memo caches (planner dimension cubes,
-// minhash signatures) with explicit capacities instead of the process
-// defaults. Caches already attached via WithPlacement keep their own caps.
+// WithCacheCaps bounds the run's minhash-signature cache with explicit
+// capacities instead of the process defaults. A cache already attached via
+// WithPlacement keeps its own caps.
 func WithCacheCaps(caps cache.Caps) Option {
 	return func(rc *runConfig) { c := caps; rc.caps = &c }
 }

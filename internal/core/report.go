@@ -20,8 +20,11 @@ import (
 // placement.cubecache.*) to the metrics snapshot. v5 added the bounded
 // memo layer's level counters (<cache>.entries/.bytes/.evictions for
 // each of the three caches) to the metrics snapshot and the optional
-// dynamic section (§8.6 run summary).
-const ReportSchemaVersion = 5
+// dynamic section (§8.6 run summary). v6: the planner's cube cache is
+// gone (derived state lives on the stores' contents), so dynamic reports
+// lose placement.cubecache.* and gain placement.derived.{hits,misses} —
+// deterministic at any pool width: exactly one miss per content × key.
+const ReportSchemaVersion = 6
 
 // ResilienceReport captures a run's failure handling: the fault events
 // that fired on the modeled timeline and the resilience machinery's

@@ -146,9 +146,10 @@ func (c *Cluster) DatasetNames() []string {
 	return out
 }
 
-// Clone deep-copies the cluster's data (topology and executors are shared,
-// records, store versions and cell indexes are copied) so a scheme can
-// mutate placement without affecting other schemes run on the same inputs.
+// Clone copies the cluster's data so a scheme can mutate placement without
+// affecting other schemes run on the same inputs, in O(stores): topology
+// and executors are shared, and each store's clone shares its source's
+// records, content and cell index until either side writes (Store.clone).
 func (c *Cluster) Clone() *Cluster {
 	out := &Cluster{
 		Top:            c.Top,

@@ -513,7 +513,9 @@ func mix(x uint64) uint64 {
 }
 
 // UplinkProportional returns task fractions proportional to each site's
-// uplink bandwidth — the baseline task placement heuristic.
+// uplink bandwidth — the baseline task placement heuristic, and the prior
+// the planner falls back to when the task LP stalls. A topology with no
+// uplink capacity at all splits evenly.
 func UplinkProportional(top *wan.Topology) []float64 {
 	ups := top.Uplinks()
 	var total float64
@@ -522,7 +524,11 @@ func UplinkProportional(top *wan.Topology) []float64 {
 	}
 	out := make([]float64, len(ups))
 	for i, u := range ups {
-		out[i] = u / total
+		if total <= 0 {
+			out[i] = 1 / float64(len(ups))
+		} else {
+			out[i] = u / total
+		}
 	}
 	return out
 }

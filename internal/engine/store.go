@@ -6,31 +6,100 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Store holds the records of one dataset at one site. It owns the record
 // slice: every mutation goes through Add, Remove or Restore, each of
 // which bumps the store's version, so "did this site's data change" is a
-// counter comparison instead of a scan. Once a similarity-aware move has
-// touched the store it also keeps a cell index for that mover's
-// projection (the dimension-cube view of §4.1) up to date at write time,
-// so the next move ranks cells instead of re-projecting, re-counting and
-// re-sorting every record.
+// counter comparison instead of a scan, and gives the store a fresh
+// content, so "do these two stores hold the same records" is a pointer
+// comparison and state derived from the records (Derive) lives exactly as
+// long as they do. Once a similarity-aware move has touched the store it
+// also keeps a cell index for that mover's projection (the dimension-cube
+// view of §4.1) up to date at write time, so the next move ranks cells
+// instead of re-projecting, re-counting and re-sorting every record.
 //
 // The slice Records returns is never modified afterwards: Add appends
 // beyond its length and Remove and Restore install a new slice. A reader
-// that fetched it under the owner's lock may keep scanning it unlocked.
-// No read path (Records, Version, clone of the source) builds or writes
-// the index, so readers under a shared lock stay read-only.
+// that fetched it under the owner's lock may keep scanning it unlocked,
+// and a clone shares it. No read path (Records, Version, Derive, clone of
+// the source) writes the store, so readers under a shared lock stay
+// read-only; what they memoize goes into the content, under its own lock.
 type Store struct {
 	recs    []KV
 	version uint64
 	// gen counts the mutations that renumber records (Remove, Restore); a
 	// Selection is good for one gen.
 	gen uint64
+	// content identifies the record sequence: replaced on every mutation,
+	// shared with clones. nil only for a store that never held a record.
+	content *content
 	// idx is nil until a similarity-aware mover selects from or toward
-	// the store, and again after Restore.
+	// the store, and again after Restore. An index the content's memo
+	// holds is shared with every store of that content and immutable: the
+	// store copies it before its first write (ownIndex).
 	idx *cellIndex
+}
+
+// content is the identity of one record sequence, and the memo of pure
+// functions of it. Stores with the same content hold the same records in
+// the same order; the converse does not hold (equal records reached by
+// different mutations have different contents).
+type content struct {
+	mu   sync.Mutex
+	memo map[any]*derived
+}
+
+// derived is one memoized value; once makes concurrent first lookups
+// share a single build.
+type derived struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// Derive returns build(records) memoized under key on the store's
+// content: clones of one snapshot share the value, and the store's next
+// mutation leaves it behind with the content it described. build must be
+// a pure function of the records and of what key names — key carries
+// every other input — and its value must not be modified afterwards.
+// Concurrent first lookups run build once; hit is false for the one
+// caller that ran it. A failed build is not kept. A store that never held
+// a record has no content: build runs unmemoized.
+func Derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
+	if s == nil || s.content == nil {
+		val, err = build(nil)
+		return val, false, err
+	}
+	ct, recs := s.content, s.recs
+	ct.mu.Lock()
+	d := ct.memo[key]
+	if d == nil {
+		if ct.memo == nil {
+			ct.memo = make(map[any]*derived)
+		}
+		d = &derived{}
+		ct.memo[key] = d
+	}
+	ct.mu.Unlock()
+	hit = true
+	d.once.Do(func() {
+		hit = false
+		v, berr := build(recs)
+		// Under the lock: ownIndex compares val without going through once.
+		ct.mu.Lock()
+		d.val, d.err = v, berr
+		if berr != nil {
+			delete(ct.memo, key)
+		}
+		ct.mu.Unlock()
+	})
+	if d.err != nil {
+		return val, hit, d.err
+	}
+	val, _ = d.val.(T)
+	return val, hit, nil
 }
 
 // Records returns the store's records (nil for a nil or empty store).
@@ -45,7 +114,7 @@ func (s *Store) Records() []KV {
 // on every Add of records, every Remove that takes records and every
 // Restore, and never otherwise; a clone starts at its source's version
 // (the two diverge afterwards, so across objects a version is not a
-// content identity). A nil store is at version 0.
+// content identity — the content is). A nil store is at version 0.
 func (s *Store) Version() uint64 {
 	if s == nil {
 		return 0
@@ -62,10 +131,12 @@ func (s *Store) Add(records ...KV) {
 	s.recs = append(s.recs, records...)
 	s.version++
 	if s.idx != nil {
+		s.ownIndex()
 		for _, r := range records {
 			s.idx.add(r.Key)
 		}
 	}
+	s.content = &content{}
 }
 
 // Restore replaces the store's records wholesale (a snapshot load); the
@@ -76,15 +147,35 @@ func (s *Store) Restore(records []KV) {
 	s.version++
 	s.gen++
 	s.idx = nil
+	s.content = &content{}
 }
 
-// clone deep-copies the store, index included, at the same version.
+// clone returns a store with the same records, version and content in
+// O(1): the record slice is shared with its capacity clipped, so an Add on
+// either side lands outside what the other can reach (the source appends
+// past the clone's capacity, the clone reallocates), and the index is
+// shared through the content's memo, where whichever side writes first
+// copies it.
 func (s *Store) clone() *Store {
-	return &Store{
-		recs:    append([]KV(nil), s.recs...),
-		version: s.version,
-		gen:     s.gen,
-		idx:     s.idx.clone(),
+	n := len(s.recs)
+	out := &Store{recs: s.recs[:n:n], version: s.version, gen: s.gen, content: s.content}
+	if s.idx != nil && s.content != nil {
+		out.idx, _, _ = Derive(s, s.idx.view.key(), func([]KV) (*cellIndex, error) { return s.idx, nil })
+	}
+	return out
+}
+
+// ownIndex makes the store's index private ahead of a write.
+func (s *Store) ownIndex() {
+	if s.content == nil {
+		return
+	}
+	s.content.mu.Lock()
+	d := s.content.memo[s.idx.view.key()]
+	shared := d != nil && d.val == any(s.idx)
+	s.content.mu.Unlock()
+	if shared {
+		s.idx = s.idx.clone()
 	}
 }
 
@@ -95,6 +186,17 @@ type cellView struct {
 	dims    string
 	project func(string) string
 }
+
+// cellViewKey is a view's comparable identity, the memo key of its index.
+// Funcs do not compare, so dims stands for the projection; whether there
+// is one at all is kept too, since dims "" alone does not tell a full-key
+// view apart.
+type cellViewKey struct {
+	dims      string
+	projected bool
+}
+
+func (v cellView) key() cellViewKey { return cellViewKey{v.dims, v.project != nil} }
 
 // cellIndex is the write-time-maintained view similarity-aware movement
 // reads: the store's records grouped into cells by projected key. Cell
@@ -115,12 +217,8 @@ func newCellIndex(v cellView, sizeHint int) *cellIndex {
 	return &cellIndex{view: v, ids: make(map[string]int32, sizeHint)}
 }
 
-// matches reports whether the index was built for the view. Funcs do not
-// compare, so dims stands for the projection; whether there is one at all
-// is checked too, since dims "" alone does not tell a full-key view apart.
-func (ix *cellIndex) matches(v cellView) bool {
-	return ix.view.dims == v.dims && (ix.view.project != nil) == (v.project != nil)
-}
+// matches reports whether the index was built for the view.
+func (ix *cellIndex) matches(v cellView) bool { return ix.view.key() == v.key() }
 
 // intern returns the id of the cell with this projected key.
 func (ix *cellIndex) intern(cell string) int32 {
@@ -145,9 +243,6 @@ func (ix *cellIndex) add(key string) {
 }
 
 func (ix *cellIndex) clone() *cellIndex {
-	if ix == nil {
-		return nil
-	}
 	out := *ix
 	out.ids = maps.Clone(ix.ids)
 	out.keys = slices.Clone(ix.keys)
@@ -196,21 +291,23 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 	}
 }
 
-// index returns the store's cell index for the view, building it (one
-// projection and one map lookup per record) when the store has none or
-// has one for another view — a replan with different dominant dimensions
-// re-indexes once.
+// index returns the store's cell index for the view. When the store has
+// none, or one for another view (a replan with different dominant
+// dimensions), it adopts the content's: built once per content — one
+// projection and one map lookup per record — however many clones ask.
 func (s *Store) index(v cellView) *cellIndex {
 	if s.idx != nil && s.idx.matches(v) {
 		return s.idx
 	}
-	ix := newCellIndex(v, 0)
-	ix.cell = make([]int32, 0, len(s.recs))
-	for _, r := range s.recs {
-		ix.add(r.Key)
-	}
-	s.idx = ix
-	return ix
+	s.idx, _, _ = Derive(s, v.key(), func(recs []KV) (*cellIndex, error) {
+		ix := newCellIndex(v, 0)
+		ix.cell = make([]int32, 0, len(recs))
+		for _, r := range recs {
+			ix.add(r.Key)
+		}
+		return ix, nil
+	})
+	return s.idx
 }
 
 // DstView is what a mover may learn about the destination of a move: the
@@ -292,8 +389,10 @@ func (s *Store) Remove(sel Selection) error {
 		prev = i + 1
 	}
 	kept = append(kept, s.recs[prev:]...)
-	if ix := s.idx; ix != nil {
-		// The cell column is private to the store: compact it in place.
+	if s.idx != nil {
+		// Once private, the cell column is compacted in place.
+		s.ownIndex()
+		ix := s.idx
 		w, prev := 0, 0
 		for _, i := range sel.at {
 			ix.count[ix.cell[i]]--
@@ -306,5 +405,6 @@ func (s *Store) Remove(sel Selection) error {
 	s.recs = kept
 	s.version++
 	s.gen++
+	s.content = &content{}
 	return nil
 }

@@ -237,11 +237,14 @@ func (fp *foldPartial) key(k int32) []byte { return fp.arena[fp.offs[k]:fp.offs[
 // InsertAll does, at the same first offending row.
 func foldChunk(schema *Schema, rows []Row, lo, hi int) (*foldPartial, error) {
 	nd := schema.NumDims()
+	// Sized for the rows given, up to what a full chunk starts with: the
+	// planner folds 1,000-row sites, and every buffer grows on demand.
+	n := hi - lo
 	fp := &foldPartial{
-		cells: make([]Cell, 0, 2048),
+		cells: make([]Cell, 0, min(n, 2048)),
 		table: newCellTable(),
-		arena: make([]byte, 0, 128<<10),
-		offs:  make([]uint32, 1, 2048),
+		arena: make([]byte, 0, min(16*n, 128<<10)),
+		offs:  make([]uint32, 1, min(n+1, 2048)),
 	}
 	for i := lo; i < hi; i++ {
 		r := rows[i]

@@ -31,7 +31,8 @@ func TestTensorToMoves(t *testing.T) {
 func TestProfileVolumesMatchesEngine(t *testing.T) {
 	c, w := testSetup(t, workload.BigDataScan, false)
 	plan := &Plan{movers: map[string]engine.Mover{}}
-	f, err := profileVolumes(c, w, plan, nil, 1)
+	prof := &profiler{c: c, w: w, plan: plan, seed: 1}
+	f, err := prof.volumes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestProfileVolumesMatchesEngine(t *testing.T) {
 			t.Fatalf("site %d profiled %v vs realized %v", i, f[0][i], res.IntermediateMBPerSite[i])
 		}
 	}
-	// profileVolumes must not mutate the real cluster.
+	// Profiling must not mutate the real cluster.
 	before := len(c.Data[0].Records(w.Datasets[0].Name))
 	moves := []engine.MoveSpec{{Dataset: w.Datasets[0].Name, Src: 0, Dst: 1, MB: 0.01}}
 	plan.movers[w.Datasets[0].Name] = engine.RandomMover{}
-	if _, err := profileVolumes(c, w, plan, moves, 1); err != nil {
+	if _, err := prof.volumes(moves); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Data[0].Records(w.Datasets[0].Name)) != before {
@@ -116,7 +117,8 @@ func TestPlannedTimeRanksPlans(t *testing.T) {
 	for _, ds := range w.Datasets {
 		plan.movers[ds.Name] = engine.RandomMover{}
 	}
-	tNone, err := plannedTime(c, c.Top, w, plan, nil, 1)
+	prof := &profiler{c: c, w: w, plan: plan, seed: 1}
+	tNone, err := prof.plannedTime(c.Top, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestPlannedTimeRanksPlans(t *testing.T) {
 			bad = append(bad, engine.MoveSpec{Dataset: ds.Name, Src: src, Dst: 0, MB: half})
 		}
 	}
-	tBad, err := plannedTime(c, c.Top, w, plan, bad, 1)
+	tBad, err := prof.plannedTime(c.Top, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

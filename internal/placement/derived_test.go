@@ -1,0 +1,138 @@
+package placement
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"bohr/internal/engine"
+	"bohr/internal/workload"
+)
+
+// coldCopy rebuilds a cluster record by record: same records in the same
+// order at every site, no content shared with c.
+func coldCopy(t *testing.T, c *engine.Cluster) *engine.Cluster {
+	t.Helper()
+	out, err := engine.NewCluster(c.Top, c.Exec[0].Machines, c.Exec[0].PerMachine, c.BytesPerRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sd := range c.Data {
+		for _, name := range c.DatasetNames() {
+			for _, r := range sd.Records(name) {
+				out.Data[i].Add(name, r)
+			}
+		}
+	}
+	return out
+}
+
+// samePlan compares what a plan decided and the inputs it decided from.
+func samePlan(t *testing.T, name string, got, want *Plan) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Moves, want.Moves) {
+		t.Errorf("%s: moves differ:\n%+v\nvs\n%+v", name, got.Moves, want.Moves)
+	}
+	if !reflect.DeepEqual(got.TaskFrac, want.TaskFrac) {
+		t.Errorf("%s: task fractions differ: %v vs %v", name, got.TaskFrac, want.TaskFrac)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("%s: planner statistics differ", name)
+	}
+	if got.LPTime != want.LPTime {
+		t.Errorf("%s: LP time %v vs %v", name, got.LPTime, want.LPTime)
+	}
+}
+
+// TestPlanWarmMemoMatchesCold is the memo's differential: for every scheme
+// and workload kind, a plan made on a clone whose contents already carry
+// the derived state of an earlier plan on a sibling clone equals the plan
+// made on a cluster rebuilt record by record, which shares nothing and so
+// derives everything itself.
+func TestPlanWarmMemoMatchesCold(t *testing.T) {
+	for _, kind := range workload.Kinds() {
+		c, w := testSetup(t, kind, false)
+		opts := Options{Seed: 11}
+		// Warm the snapshot's contents: cubes and replay counts (any
+		// scheme), the similarity-aware mover's base cell index (Bohr).
+		if _, err := PlanScheme(Bohr, c.Clone(), w, opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range AllSchemes() {
+			name := kind.String() + "/" + id.String()
+			warm, err := PlanScheme(id, c.Clone(), w, opts)
+			if err != nil {
+				t.Fatalf("%s warm: %v", name, err)
+			}
+			if warm.DerivedHits == 0 {
+				t.Errorf("%s: the warm plan never hit the memo", name)
+			}
+			cold, err := PlanScheme(id, coldCopy(t, c), w, opts)
+			if err != nil {
+				t.Fatalf("%s cold: %v", name, err)
+			}
+			samePlan(t, name, warm, cold)
+			if cold.DerivedMisses <= warm.DerivedMisses {
+				t.Errorf("%s: cold plan missed %d times, warm %d — nothing was shared",
+					name, cold.DerivedMisses, warm.DerivedMisses)
+			}
+			if warm.DerivedHits+warm.DerivedMisses != cold.DerivedHits+cold.DerivedMisses {
+				t.Errorf("%s: %d lookups warm, %d cold", name,
+					warm.DerivedHits+warm.DerivedMisses, cold.DerivedHits+cold.DerivedMisses)
+			}
+		}
+	}
+}
+
+// TestPlanConcurrentClonesOfOneSnapshot plans two clones of one snapshot
+// from two goroutines, the way the experiments run a figure's schemes: the
+// clones share contents, so both goroutines look up, build and adopt the
+// same memo entries while their scratch clones copy-on-write the shared
+// cell indexes. Run under -race (make race); the plans must also equal the
+// ones made alone.
+func TestPlanConcurrentClonesOfOneSnapshot(t *testing.T) {
+	c, w := testSetup(t, workload.TPCDS, false)
+	opts := Options{Seed: 5}
+	ids := []SchemeID{Bohr, BohrSim}
+	plans := make([]*Plan, len(ids))
+	var wg sync.WaitGroup
+	for k, id := range ids {
+		clone := c.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := PlanScheme(id, clone, w, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := p.Execute(clone, 1); err != nil {
+				t.Error(err)
+			}
+			plans[k] = p
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for k, id := range ids {
+		alone, err := PlanScheme(id, coldCopy(t, c), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, id.String(), plans[k], alone)
+	}
+}
+
+// TestPlanSchemeRejectsAmbiguousQueryNames: the replay-count memo keys on
+// the query's name, so a workload in which a name does not identify a
+// query must not reach it.
+func TestPlanSchemeRejectsAmbiguousQueryNames(t *testing.T) {
+	c, w := testSetup(t, workload.TPCDS, false)
+	ds := w.Datasets[0]
+	ds.Queries[1].Query.Name = ds.Queries[0].Query.Name
+	if _, err := PlanScheme(Iridium, c, w, Options{}); err == nil {
+		t.Fatal("planned a workload with two queries of one name")
+	}
+}

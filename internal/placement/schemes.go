@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,10 +139,6 @@ type Options struct {
 	// Obs optionally collects planning phase spans (probes, lp, calibrate,
 	// move) and metrics. Nil disables collection at no cost.
 	Obs *obs.Collector
-	// CubeCache optionally memoizes the per-site planning cubes across
-	// planning rounds (content-hash validated). Dynamic mode attaches one
-	// automatically; single-shot planning gains nothing from it.
-	CubeCache *CubeCache
 	// SigCache optionally memoizes minhash signatures across planning
 	// rounds for the RDD assigner. Nil makes each RDD plan create its
 	// own per-plan cache; dynamic mode passes a shared one so recurring
@@ -180,6 +177,9 @@ type Plan struct {
 	CheckTime float64
 	// Stats are the planner inputs, retained for reporting.
 	Stats []*DatasetStats
+	// DerivedHits and DerivedMisses count this planning round's lookups of
+	// state memoized on store contents (CounterDerivedHits/Misses).
+	DerivedHits, DerivedMisses int
 	// obs is the collector the plan was made under (from Options.Obs);
 	// Execute reports the move span and WAN metrics to it. Scratch plans
 	// built during profiling carry nil so replays never pollute metrics.
@@ -271,17 +271,21 @@ func (p *Plan) Execute(c *engine.Cluster, seed int64) (*engine.MoveResult, error
 // cluster snapshot (pre-movement).
 func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
-	// A planning round is one tick of the memo caches' logical clocks:
+	// The replay-count memo keys on query names.
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	// A planning round is one tick of the signature cache's logical clock:
 	// entries untouched for enough rounds age out here, at a sequential
 	// point, never from inside the pooled kernels below.
-	opts.CubeCache.Advance()
 	opts.SigCache.Advance()
 	planTop, err := plannerTopology(c.Top, opts)
 	if err != nil {
 		return nil, err
 	}
+	dc := &derivedCounts{}
 	probes := opts.Obs.StartSpan("probes")
-	allStats, err := ComputeAllStatsCached(c, w, opts.ProbeK, opts.CubeCache)
+	allStats, err := computeAllStats(c, w, opts.ProbeK, dc)
 	if err != nil {
 		probes.End()
 		return nil, err
@@ -327,6 +331,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	lpSpan := opts.Obs.StartSpan("lp")
 	defer lpSpan.End()
 	in := buildLPInput(planTop, len(c.Top.Sites), allStats, opts, id)
+	prof := &profiler{c: c, w: w, plan: plan, seed: opts.Seed, dc: dc}
 	if id.usesJointLP() {
 		// The joint LP's volume predictions are calibrated against a
 		// profiled replay (the recurring-query methodology of §7: the
@@ -358,7 +363,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 			if iter == calibrationRounds-1 {
 				break
 			}
-			fReal, err := profileVolumes(c, w, plan, moves, opts.Seed)
+			fReal, err := prof.volumes(moves)
 			if err != nil {
 				return nil, err
 			}
@@ -375,11 +380,11 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		// comparison: the fallback is the conservative no-move plan.
 		if !lpStalled {
 			heur := sequentialHeuristic(planTop, allStats, opts, true)
-			tLP, err := plannedTime(c, planTop, w, plan, moves, opts.Seed)
+			tLP, err := prof.plannedTime(planTop, moves)
 			if err != nil {
 				return nil, err
 			}
-			tHeur, err := plannedTime(c, planTop, w, plan, heur, opts.Seed)
+			tHeur, err := prof.plannedTime(planTop, heur)
 			if err != nil {
 				return nil, err
 			}
@@ -395,7 +400,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	// Task placement for every scheme is solved against the *realized*
 	// post-move shuffle volumes of a profiled replay — exactly what a
 	// recurring query's previous run provides in the prototype (§7).
-	fReal, err := profileVolumes(c, w, plan, plan.Moves, opts.Seed)
+	fReal, err := prof.volumes(plan.Moves)
 	if err != nil {
 		return nil, err
 	}
@@ -404,13 +409,14 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		// Degrade to the bandwidth-proportional prior the alternating
 		// solver itself starts from; the plan stays executable.
 		opts.Obs.Count("lp.stalled", 1)
-		frac = uplinkProportional(planTop.Uplinks())
+		frac = engine.UplinkProportional(planTop)
 		pivots = 0
 	} else if err != nil {
 		return nil, fmt.Errorf("placement: task LP: %w", err)
 	}
 	plan.TaskFrac = frac
 	plan.LPTime += float64(pivots) * lpPivotCost
+	plan.DerivedHits, plan.DerivedMisses = int(dc.hits.Load()), int(dc.misses.Load())
 	opts.Obs.Count("lp.pivots", float64(pivots))
 	lpSpan.Add(plan.LPTime)
 
@@ -430,27 +436,6 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	return plan, nil
 }
 
-// uplinkProportional is the bandwidth-proportional reduce-fraction prior
-// (the alternating solver's own starting point), used when the task LP
-// stalls at the pivot cap.
-func uplinkProportional(up []float64) []float64 {
-	r := make([]float64, len(up))
-	var total float64
-	for _, u := range up {
-		total += u
-	}
-	if total <= 0 {
-		for i := range r {
-			r[i] = 1 / float64(len(r))
-		}
-		return r
-	}
-	for i, u := range up {
-		r[i] = u / total
-	}
-	return r
-}
-
 // tensorToMoves converts an LP movement tensor into MoveSpecs.
 func tensorToMoves(allStats []*DatasetStats, tensor [][][]float64) []engine.MoveSpec {
 	var moves []engine.MoveSpec
@@ -466,22 +451,47 @@ func tensorToMoves(allStats []*DatasetStats, tensor [][][]float64) []engine.Move
 	return moves
 }
 
-// profileVolumes applies the plan's moves to a scratch clone and replays
-// each dataset's dominant map+combine stage, returning the realized
-// post-combiner volume f[a][i] in MB.
-func profileVolumes(c *engine.Cluster, w *workload.Workload, plan *Plan, moves []engine.MoveSpec, seed int64) ([][]float64, error) {
-	clone := c.Clone()
-	scratch := &Plan{Scheme: plan.Scheme, Moves: moves, movers: plan.movers}
-	if _, err := scratch.Execute(clone, stats.Split(seed, 501)); err != nil {
+// profiler profiles candidate move lists for one PlanScheme call. A
+// profile is a pure function of the move list (same snapshot, movers and
+// seed throughout the call), so each distinct list is profiled once: the
+// joint planner's winner is not re-profiled for task placement, nor a
+// calibration round's list for the LP-versus-heuristic comparison.
+type profiler struct {
+	c    *engine.Cluster
+	w    *workload.Workload
+	plan *Plan // the scheme and movers the scratch plans run under
+	seed int64
+	dc   *derivedCounts
+	done []profiled
+}
+
+type profiled struct {
+	moves []engine.MoveSpec
+	f     [][]float64
+}
+
+// volumes applies the moves to a scratch clone and replays each dataset's
+// dominant map+combine stage, returning the realized post-combiner volume
+// f[a][i] in MB. The clone shares every store's content with the snapshot
+// until a move touches it, so only touched sites replay (replayCount).
+func (p *profiler) volumes(moves []engine.MoveSpec) ([][]float64, error) {
+	for _, d := range p.done {
+		if slices.Equal(d.moves, moves) {
+			return d.f, nil
+		}
+	}
+	clone := p.c.Clone()
+	scratch := &Plan{Scheme: p.plan.Scheme, Moves: moves, movers: p.plan.movers}
+	if _, err := scratch.Execute(clone, stats.Split(p.seed, 501)); err != nil {
 		return nil, err
 	}
 	// Per-site replays only read the scratch clone; fan each dataset's
 	// sites out over the worker pool (results merged in site order).
-	f := make([][]float64, len(w.Datasets))
-	for a, ds := range w.Datasets {
+	f := make([][]float64, len(p.w.Datasets))
+	for a, ds := range p.w.Datasets {
 		q := ds.DominantQuery().Query
 		row, err := parallel.MapOrdered(0, clone.N(), func(i int) (float64, error) {
-			out, perr := clone.ProfileIntermediate(clone.Data[i].Records(ds.Name), q, i)
+			out, perr := replayCount(clone, ds.Name, q, i, p.dc)
 			if perr != nil {
 				return 0, fmt.Errorf("placement: profiling %q site %d: %w", ds.Name, i, perr)
 			}
@@ -492,13 +502,14 @@ func profileVolumes(c *engine.Cluster, w *workload.Workload, plan *Plan, moves [
 		}
 		f[a] = row
 	}
+	p.done = append(p.done, profiled{moves, f})
 	return f, nil
 }
 
 // plannedTime profiles a movement plan and returns the optimal-r shuffle
 // time on the realized volumes — the planner's figure of merit.
-func plannedTime(c *engine.Cluster, planTop *wan.Topology, w *workload.Workload, plan *Plan, moves []engine.MoveSpec, seed int64) (float64, error) {
-	f, err := profileVolumes(c, w, plan, moves, seed)
+func (p *profiler) plannedTime(planTop *wan.Topology, moves []engine.MoveSpec) (float64, error) {
+	f, err := p.volumes(moves)
 	if err != nil {
 		return 0, err
 	}

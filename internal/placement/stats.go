@@ -8,7 +8,8 @@ package placement
 
 import (
 	"fmt"
-	"strconv"
+	"strings"
+	"sync/atomic"
 
 	"bohr/internal/engine"
 	"bohr/internal/olap"
@@ -58,22 +59,74 @@ type DatasetStats struct {
 	ProbeShare int
 }
 
+// Counter names of the planner's lookups of state memoized on store
+// contents (engine.Derive): a site's dominant-dimension cube and its
+// dominant query's replay count. Dynamic runs report them. Both are
+// deterministic at any pool width: exactly one miss per content × key,
+// however many goroutines ask first.
+const (
+	CounterDerivedHits   = "placement.derived.hits"
+	CounterDerivedMisses = "placement.derived.misses"
+)
+
+// derivedCounts tallies the memo lookups of one planning round from the
+// pooled per-site kernels. A nil *derivedCounts counts nothing.
+type derivedCounts struct{ hits, misses atomic.Int64 }
+
+// derive is engine.Derive, tallied.
+func derive[T any](dc *derivedCounts, st *engine.Store, key any, build func([]engine.KV) (T, error)) (T, error) {
+	v, hit, err := engine.Derive(st, key, build)
+	if dc != nil {
+		if hit {
+			dc.hits.Add(1)
+		} else {
+			dc.misses.Add(1)
+		}
+	}
+	return v, err
+}
+
+// cubeKey is the memo key of a site's dimension cube: the dataset's schema
+// and the dimension list the cube projects to, both in order.
+type cubeKey struct{ schema, dims string }
+
+// replayKey is the memo key of a site's replay count. A MapFn is not
+// comparable, so the query's name stands for it — workload validation
+// keeps names unique within a dataset, and a store holds one dataset —
+// beside the executor shape the stage partitions by.
+type replayKey struct {
+	query string
+	exec  engine.Executors
+}
+
+// replayCount replays q's map+combine stage over the dataset's records at
+// one site (engine.ProfileIntermediate) and returns the post-combiner
+// record count — once per content: schemes planning on clones of one
+// snapshot share it, and a scratch clone replays only the sites its moves
+// touched.
+func replayCount(c *engine.Cluster, dataset string, q engine.Query, site int, dc *derivedCounts) (int, error) {
+	st := c.Data[site].Store(dataset)
+	if len(st.Records()) == 0 {
+		return 0, nil
+	}
+	return derive(dc, st, replayKey{q.Name, c.Exec[site]}, func(recs []engine.KV) (int, error) {
+		return c.ProfileIntermediate(recs, q, site)
+	})
+}
+
 // ComputeStats builds planner statistics for one dataset from the cluster
 // snapshot: per-site dimension cubes for the dominant query type, probe
 // exchange (top-k cells weighted across query types), and map-expansion
-// profiling of the dominant query.
+// profiling of the dominant query. Per-site cube builds and profiling
+// replays are memoized on each store's content and fan out over the
+// worker pool; every per-site result is independent and merged in site
+// order, so the statistics are identical at every pool width and memo
+// state.
 func ComputeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, error) {
-	return ComputeStatsCached(c, ds, probeK, nil)
+	return computeStats(c, ds, probeK, nil)
 }
 
-// ComputeStatsCached is ComputeStats with an optional cube cache: each
-// site's dominant-dimension cube is reused when the site's record
-// content hash is unchanged since it was last built — the recurring
-// replanning fast path. Per-site cube builds and the per-site profiling
-// replays fan out over the worker pool; every per-site result is
-// independent and merged in site order, so the statistics are identical
-// at every pool width and cache state.
-func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cache *CubeCache) (*DatasetStats, error) {
+func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *derivedCounts) (*DatasetStats, error) {
 	if probeK <= 0 {
 		return nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
 	}
@@ -94,18 +147,17 @@ func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cac
 
 	// Per-site dimension cubes over the stored records, projected to the
 	// dominant query type's attributes. Sites build independently on the
-	// worker pool; an attached cube cache serves sites whose record
-	// content is unchanged since the last planning round.
+	// worker pool; a site whose content already carries the cube (an
+	// earlier round, or a sibling clone's) does not rebuild it. The cubes
+	// are shared read-only, per Cube's concurrency contract.
 	schema, err := ds.Schema.Project(dom.Dims...)
 	if err != nil {
 		return nil, err
 	}
 	qt := olap.QueryTypeFor(dom.Dims)
+	ckey := cubeKey{strings.Join(ds.Schema.Dims(), "\x1f"), strings.Join(dom.Dims, "\x1f")}
 	cubes, err := parallel.MapOrdered(0, n, func(i int) (*olap.Cube, error) {
-		recs := c.Data[i].Records(ds.Name)
-		key := ds.Name + "\x1f" + strconv.Itoa(i) + "\x1f" + string(qt)
-		hash := hashRecords(recs)
-		return cache.GetOrBuild(key, hash, func() (*olap.Cube, error) {
+		return derive(dc, c.Data[i].Store(ds.Name), ckey, func(recs []engine.KV) (*olap.Cube, error) {
 			rows := make([]olap.Row, len(recs))
 			for r, rec := range recs {
 				rows[r] = olap.Row{Coords: proj.Coords(rec.Key), Measure: rec.Val}
@@ -155,7 +207,7 @@ func ComputeStatsCached(c *engine.Cluster, ds *workload.Dataset, probeK int, cac
 		recs := c.Data[i].Records(ds.Name)
 		realized := cross[i][i]
 		if len(recs) > 0 && st.Reduction > 0 {
-			out, perr := c.ProfileIntermediate(recs, dom.Query, i)
+			out, perr := replayCount(c, ds.Name, dom.Query, i, dc)
 			if perr != nil {
 				return 0, perr
 			}
@@ -222,16 +274,15 @@ func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64
 	return float64(out) / float64(in)
 }
 
-// ComputeAllStats computes DatasetStats for every dataset of a workload.
+// ComputeAllStats computes DatasetStats for every dataset of a workload,
+// fanned out over the worker pool: datasets only read the shared cluster
+// snapshot, so they are independent.
 func ComputeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, error) {
-	return ComputeAllStatsCached(c, w, probeK, nil)
+	return computeAllStats(c, w, probeK, nil)
 }
 
-// ComputeAllStatsCached fans the per-dataset statistics computation out
-// over the worker pool — datasets only read the shared cluster snapshot,
-// so they are independent — and forwards the optional cube cache to each.
-func ComputeAllStatsCached(c *engine.Cluster, w *workload.Workload, probeK int, cache *CubeCache) ([]*DatasetStats, error) {
+func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int, dc *derivedCounts) ([]*DatasetStats, error) {
 	return parallel.MapOrdered(0, len(w.Datasets), func(i int) (*DatasetStats, error) {
-		return ComputeStatsCached(c, w.Datasets[i], probeK, cache)
+		return computeStats(c, w.Datasets[i], probeK, dc)
 	})
 }

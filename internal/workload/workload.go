@@ -351,7 +351,32 @@ func Generate(kind Kind, cfg Config) (*Workload, error) {
 		}
 		w.Datasets = append(w.Datasets, ds)
 	}
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
 	return w, nil
+}
+
+// Validate checks the names a workload is addressed by: dataset names are
+// unique, and so are query names within a dataset — a site keeps one store
+// per dataset name, and the planner remembers a replayed query by its name
+// (a map function cannot be compared).
+func (w *Workload) Validate() error {
+	datasets := make(map[string]bool, len(w.Datasets))
+	for _, ds := range w.Datasets {
+		if datasets[ds.Name] {
+			return fmt.Errorf("workload: duplicate dataset name %q", ds.Name)
+		}
+		datasets[ds.Name] = true
+		queries := make(map[string]bool, len(ds.Queries))
+		for _, q := range ds.Queries {
+			if queries[q.Query.Name] {
+				return fmt.Errorf("workload: dataset %q has two queries named %q", ds.Name, q.Query.Name)
+			}
+			queries[q.Query.Name] = true
+		}
+	}
+	return nil
 }
 
 // Populate loads every dataset's rows into the cluster as engine records

@@ -472,3 +472,35 @@ func TestAffinityGroupsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWorkloadValidateNames: every generated workload validates, and one
+// in which a dataset name or — within a dataset — a query name no longer
+// identifies one thing does not (the planner's replay memo keys on query
+// names, a site's stores on dataset names).
+func TestWorkloadValidateNames(t *testing.T) {
+	for _, kind := range Kinds() {
+		w, err := Generate(kind, smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("%v: generated workload invalid: %v", kind, err)
+		}
+		ds := w.Datasets[0]
+		saved := ds.Queries[1].Query.Name
+		ds.Queries[1].Query.Name = ds.Queries[0].Query.Name
+		if err := w.Validate(); err == nil {
+			t.Fatalf("%v: two query specs of one name accepted", kind)
+		}
+		ds.Queries[1].Query.Name = saved
+		// The same query name in two datasets is fine.
+		w.Datasets[1].Queries[0].Query.Name = ds.Queries[0].Query.Name
+		if err := w.Validate(); err != nil {
+			t.Fatalf("%v: a query name shared across datasets rejected: %v", kind, err)
+		}
+		w.Datasets[1].Name = ds.Name
+		if err := w.Validate(); err == nil {
+			t.Fatalf("%v: two datasets of one name accepted", kind)
+		}
+	}
+}
