@@ -1,6 +1,6 @@
 // Package cache is the shared bounded memo store under the
 // reproduction's recurring-round caches (olap.CubeSet's derived cubes,
-// similarity.SignatureCache, serve's result cache). Each wrapper
+// serve's result cache). Each wrapper
 // keeps its own content-hash/generation validation and hit/miss
 // accounting; this package owns what they had in common to NOT own:
 // capacity.

@@ -25,11 +25,12 @@ type Common struct {
 	// Width is the worker pool width for parallel kernels (0 =
 	// GOMAXPROCS or $BOHR_PARALLEL_WIDTH, 1 = sequential).
 	Width int
-	// CacheEntries caps memo cache entries per cache (0 = unlimited,
-	// -1 = default or $BOHR_CACHE_ENTRIES).
+	// CacheEntries caps the entries of the query result cache and of each
+	// site's derived-cube cache (0 = unlimited, -1 = default or
+	// $BOHR_CACHE_ENTRIES).
 	CacheEntries int
-	// CacheBytes caps memo cache resident bytes per cache (0 =
-	// unlimited, -1 = default or $BOHR_CACHE_BYTES).
+	// CacheBytes caps the same caches' resident bytes (0 = unlimited,
+	// -1 = default or $BOHR_CACHE_BYTES).
 	CacheBytes int64
 	// TelemetryAddr serves /metrics, /healthz and /debug/pprof when
 	// non-empty (e.g. 127.0.0.1:9100).
@@ -47,9 +48,9 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Width, "width", 0,
 		"worker pool width for parallel kernels (0 = GOMAXPROCS or $BOHR_PARALLEL_WIDTH, 1 = sequential)")
 	fs.IntVar(&c.CacheEntries, "cache-entries", -1,
-		"memo cache entry cap per cache (0 = unlimited, -1 = default or $BOHR_CACHE_ENTRIES)")
+		"entry cap of the result cache and of each derived-cube cache (0 = unlimited, -1 = default or $BOHR_CACHE_ENTRIES)")
 	fs.Int64Var(&c.CacheBytes, "cache-bytes", -1,
-		"memo cache resident-byte cap per cache (0 = unlimited, -1 = default or $BOHR_CACHE_BYTES)")
+		"resident-byte cap of the result cache and of each derived-cube cache (0 = unlimited, -1 = default or $BOHR_CACHE_BYTES)")
 	fs.StringVar(&c.TelemetryAddr, "telemetry-addr", "",
 		"serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9100)")
 	fs.StringVar(&c.LogLevel, "log-level", "info",

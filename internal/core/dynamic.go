@@ -7,7 +7,6 @@ import (
 	"bohr/internal/engine"
 	"bohr/internal/obs"
 	"bohr/internal/placement"
-	"bohr/internal/similarity"
 	"bohr/internal/stats"
 	"bohr/internal/workload"
 )
@@ -51,9 +50,8 @@ func (c DynamicConfig) validate() error {
 }
 
 // DynamicReport summarizes a dynamic run. It marshals stably (fixed
-// field order) and carries no cache or timing state, so two runs that
-// differ only in cache capacity produce byte-identical reports — the
-// eviction-neutrality contract the determinism gate checks.
+// field order) and carries no memo or timing state, so two runs of one
+// seed produce byte-identical reports at any pool width.
 type DynamicReport struct {
 	Scheme placement.SchemeID `json:"scheme"`
 	// QCTs per query arrival, averaged over datasets.
@@ -130,15 +128,10 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 		return delivered
 	}
 
-	// Dynamic mode replans over largely unchanged sites. The planner's
-	// per-site derived state (dimension cubes, replay counts) is memoized
-	// on the stores' contents and lives as long as they do; the RDD
-	// assigner's signatures are memoized across rounds in a bounded cache
-	// unless the caller brought its own: each query arrival below ticks
-	// its logical clock, so entries unused for enough arrivals age out LRU.
-	if opts.SigCache == nil {
-		opts.SigCache = similarity.NewSignatureCache(opts.Obs)
-	}
+	// Dynamic mode replans and re-queries largely unchanged sites. What
+	// both derive per site (dimension cubes, replay counts, the map
+	// stage's executor layout) is memoized on the stores' contents and
+	// lives as long as they do.
 
 	// (1) Initial data and initial placement.
 	for _, ds := range w.Datasets {
@@ -163,12 +156,6 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: dynamic arrival %d: %w", qi, err)
 		}
-		// Each query arrival is one logical-clock round for the signature
-		// cache: a sequential point where over-capacity entries age out
-		// deterministically (eviction never changes results, so reports
-		// stay byte-identical across capacity settings).
-		opts.SigCache.Advance()
-
 		// (4) Periodic re-plan with up-to-date information.
 		if qi > 0 && qi%dyn.ReplanEvery == 0 {
 			plan, err = placement.PlanScheme(scheme, c, w, opts)
@@ -212,9 +199,6 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 			}
 		}
 	}
-	// Settle the cache: one final round so the reported entry count and
-	// resident bytes are within the configured caps.
-	opts.SigCache.Advance()
 	rep.MeanQCT = stats.Mean(rep.QCTs)
 	return rep, nil
 }

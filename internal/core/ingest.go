@@ -141,6 +141,7 @@ func (s *System) replanForIngest(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: ingest replan: %w", err)
 	}
+	countDerived(s.Obs, plan)
 	if _, err := plan.Execute(s.Cluster, stats.Split(s.Opts.Seed, int64(9000+s.ingestBatches))); err != nil {
 		return fmt.Errorf("core: ingest replan move: %w", err)
 	}

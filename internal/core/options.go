@@ -1,19 +1,17 @@
 package core
 
 import (
-	"bohr/internal/cache"
 	"bohr/internal/faults"
 	"bohr/internal/obs"
 	"bohr/internal/parallel"
 	"bohr/internal/placement"
-	"bohr/internal/similarity"
 )
 
 // Option is a functional configuration knob for the one-shot pipelines
 // (Run, RunDynamic). It subsumes the placement.Options struct the
 // positional forms took — WithPlacement adopts a whole struct, the other
-// options tune individual fields — and adds run-scoped knobs the struct
-// never carried: the worker-pool width and the signature-cache capacity.
+// options tune individual fields — and adds the one run-scoped knob the
+// struct never carried: the worker-pool width.
 type Option func(*runConfig)
 
 // runConfig is the resolved option set one Run call executes under.
@@ -22,20 +20,13 @@ type runConfig struct {
 	// width, when positive, pins the parallel kernel pool width for the
 	// duration of the run (0 keeps the process default).
 	width int
-	// caps, when set, bounds the run's signature cache instead of the
-	// process default capacities.
-	caps *cache.Caps
 }
 
-// resolve folds the options into a config and materializes derived state
-// (a sized cache when a capacity override was requested).
+// resolve folds the options into a config.
 func resolve(opts []Option) runConfig {
 	var rc runConfig
 	for _, fn := range opts {
 		fn(&rc)
-	}
-	if rc.caps != nil && rc.placement.SigCache == nil {
-		rc.placement.SigCache = similarity.NewSignatureCacheSized(rc.placement.Obs, *rc.caps)
 	}
 	return rc
 }
@@ -91,11 +82,4 @@ func WithProbeK(k int) Option {
 // concurrently-starting run that also sets a width.
 func WithWidth(n int) Option {
 	return func(rc *runConfig) { rc.width = n }
-}
-
-// WithCacheCaps bounds the run's minhash-signature cache with explicit
-// capacities instead of the process defaults. A cache already attached via
-// WithPlacement keeps its own caps.
-func WithCacheCaps(caps cache.Caps) Option {
-	return func(rc *runConfig) { c := caps; rc.caps = &c }
 }

@@ -24,7 +24,13 @@ import (
 // gone (derived state lives on the stores' contents), so dynamic reports
 // lose placement.cubecache.* and gain placement.derived.{hits,misses} —
 // deterministic at any pool width: exactly one miss per content × key.
-const ReportSchemaVersion = 6
+// v7: the signature cache is gone (a site's executor layout is derived
+// state of its store), so the metrics snapshot loses
+// similarity.sigcache.{hits,misses,entries,bytes,evictions} and reports
+// whose queries ran under the collector (RunAll; not RunDynamic's) gain
+// engine.layout.{hits,misses}, one lookup per query and site holding
+// records of its dataset.
+const ReportSchemaVersion = 7
 
 // ResilienceReport captures a run's failure handling: the fault events
 // that fired on the modeled timeline and the resilience machinery's
@@ -131,7 +137,7 @@ func (s *System) Report() *Report {
 // (planning, movement) and at the engine's chunk boundaries, so a
 // deadline or cancellation stops the pipeline within one stage. Options
 // configure placement (WithPlacement adopts a whole placement.Options
-// struct), the pool width, and the memo-cache capacity.
+// struct) and the pool width.
 func Run(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opts ...Option) (*Report, error) {
 	rc := resolve(opts)
 	defer rc.apply()()

@@ -4,7 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"bohr/internal/obs"
 )
 
 func TestCombinePartialsSumsCounts(t *testing.T) {
@@ -161,7 +166,7 @@ func TestProfileIntermediateMatchesRun(t *testing.T) {
 		c.Data[0].Add("d", KV{Key: fmt.Sprintf("k%d", i%100), Val: 1})
 	}
 	q := ScanQuery("s", "d")
-	profiled, err := c.ProfileIntermediate(c.Data[0].Records("d"), q, 0)
+	profiled, err := c.ProfileIntermediate("d", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +188,82 @@ func TestMapCostScaleStillWorks(t *testing.T) {
 	scaled, _ := c.Run(context.Background(), JobConfig{Query: ScanQuery("s", "d"), MapCostScale: 0.5})
 	if math.Abs(scaled.Rounds[0].MapTime-base.Rounds[0].MapTime/2) > 1e-12 {
 		t.Fatalf("map scale 0.5: %v vs base %v", scaled.Rounds[0].MapTime, base.Rounds[0].MapTime)
+	}
+}
+
+// countingAssigner is round-robin that counts its calls: one per machine
+// per layout built.
+type countingAssigner struct{ calls *atomic.Int64 }
+
+func (a countingAssigner) Assign(parts []Partition, executors int) ([]int, float64, error) {
+	a.calls.Add(1)
+	return RoundRobinAssigner{}.Assign(parts, executors)
+}
+
+// TestFirstQueriesOnColdContentBuildOneLayout has many goroutines issue
+// the first query over stores nobody has queried, each through its own
+// clone of the cluster and with its own collector, the way concurrent
+// /v1/query requests meet a dataset after an ingest batch: every site's
+// layout is built once, exactly one query is told it missed at each site,
+// all get the same result, and a write leaves the layout behind. Run under
+// -race (make race).
+func TestFirstQueriesOnColdContentBuildOneLayout(t *testing.T) {
+	c := testCluster(t)
+	loadSkewed(c, "d", 3)
+	var calls atomic.Int64
+	cfg := JobConfig{Query: ScanQuery("s", "d"), Assigner: countingAssigner{&calls}, CubeInput: true}
+	sites := int64(c.N())
+
+	const queries = 12
+	results := make([]*RunResult, queries)
+	var hits, misses atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < queries; g++ {
+		clone, col := c.Clone(), obs.NewCollector()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			mine := cfg
+			mine.Obs = col
+			res, err := clone.Run(context.Background(), mine)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[g] = res
+			counters := col.MetricsSnapshot().Counters
+			hits.Add(int64(counters[CounterLayoutHits]))
+			misses.Add(int64(counters[CounterLayoutMisses]))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// testCluster has one machine per site: one Assign call per layout.
+	if calls.Load() != sites || misses.Load() != sites || hits.Load() != (queries-1)*sites {
+		t.Fatalf("%d queries over %d cold sites: %d layouts built, %d misses, %d hits; want %d, %d, %d",
+			queries, sites, calls.Load(), misses.Load(), hits.Load(), sites, sites, (queries-1)*sites)
+	}
+	for g := 1; g < queries; g++ {
+		if !reflect.DeepEqual(results[g], results[0]) {
+			t.Fatalf("query %d's result differs from query 0's", g)
+		}
+	}
+
+	// A write to one site leaves that site's layout behind, and only that.
+	c.Data[1].Add("d", KV{Key: "fresh", Val: 1})
+	col := obs.NewCollector()
+	cfg.Obs = col
+	if _, err := c.Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	counters := col.MetricsSnapshot().Counters
+	if calls.Load() != sites+1 || counters[CounterLayoutMisses] != 1 || counters[CounterLayoutHits] != float64(sites-1) {
+		t.Fatalf("after a write to one site: %d layouts built in all, %v misses, %v hits; want %d, 1, %d",
+			calls.Load(), counters[CounterLayoutMisses], counters[CounterLayoutHits], sites+1, sites-1)
 	}
 }

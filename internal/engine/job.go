@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 
 	"bohr/internal/faults"
 	"bohr/internal/obs"
@@ -115,8 +116,10 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		cfg      JobConfig
 		q        Query
 		taskFrac []float64
-		input    [][]KV
-		res      *RunResult
+		// input is what the next round maps: the previous round's reduce
+		// output per site. Round 0 reads the dataset's stores.
+		input [][]KV
+		res   *RunResult
 		// sp is the query's trace span; stage children accumulate via
 		// Child().Add() because concurrent jobs interleave rounds.
 		sp *obs.Span
@@ -148,15 +151,10 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		if math.Abs(fracSum-1) > 1e-3 {
 			return nil, fmt.Errorf("engine: job %d task fractions sum to %v, want 1", ji, fracSum)
 		}
-		input := make([][]KV, n)
-		for i, sd := range c.Data {
-			input[i] = sd.Records(q.Dataset)
-		}
 		jobs[ji] = &jobState{
 			cfg: cfg, q: q, taskFrac: taskFrac,
-			input: input,
-			res:   &RunResult{IntermediateMBPerSite: make([]float64, n)},
-			sp:    cfg.Obs.Current().Child(fmt.Sprintf("q%02d:%s", ji, q.Name)),
+			res: &RunResult{IntermediateMBPerSite: make([]float64, n)},
+			sp:  cfg.Obs.Current().Child(fmt.Sprintf("q%02d:%s", ji, q.Name)),
 		}
 		if r := q.rounds(); r > maxRounds {
 			maxRounds = r
@@ -211,29 +209,56 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			// shared state — metric observation, shuffle routing, flow
 			// accumulation — folds the pooled results sequentially in site
 			// order below, preserving the sequential path byte for byte.
-			outs, err := parallel.MapOrdered(0, n, func(i int) (StageResult, error) {
+			// looked says the site's layout was asked of its store; hit that
+			// the store already had it.
+			type siteStage struct {
+				StageResult
+				looked, hit bool
+			}
+			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
 				// cancelled batch stops launching new sites but never
 				// truncates a site already mapping.
 				if cerr := ctx.Err(); cerr != nil {
-					return StageResult{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, cerr)
+					return siteStage{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, cerr)
 				}
-				out, merr := MapCombine(job.input[i], &job.q, Stage{
+				stage := Stage{
 					Exec: c.Exec[i], Assigner: job.cfg.Assigner,
 					PartitionsPerExecutor: job.cfg.PartitionsPerExecutor, CubeInput: job.cfg.CubeInput,
-				})
-				if merr != nil {
-					return StageResult{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, merr)
 				}
+				var out siteStage
+				var l *Layout
+				var lerr error
+				switch store := c.Data[i].Store(job.q.Dataset); {
+				case round == 0 && len(store.Records()) > 0:
+					out.looked = true
+					l, out.hit, lerr = store.Layout(stage)
+				case round > 0 && len(job.input[i]) > 0:
+					// Reduce output: nobody scans it again, nobody keeps
+					// its layout.
+					l, lerr = NewLayout(job.input[i], stage)
+				default:
+					return out, nil
+				}
+				if lerr != nil {
+					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
+				}
+				out.StageResult = l.Scan(&job.q, false)
 				return out, nil
 			})
 			if err != nil {
 				return nil, err
 			}
+			var hits, misses int
 			for i := 0; i < n; i++ {
 				inter, raw, mapT, assignT := outs[i].Inter, outs[i].Raw, outs[i].MapTime, outs[i].AssignOverhead
 				if raw > 0 && job.cfg.Obs != nil {
 					job.cfg.Obs.Observe("combine.reduction.ratio", 1-float64(len(inter))/float64(raw))
+				}
+				if outs[i].hit {
+					hits++
+				} else if outs[i].looked {
+					misses++
 				}
 				mapT *= fs.ComputeFactor(i, clock)
 				st.mapSite[i] = mapT
@@ -263,6 +288,10 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			}
 			wan.RecordFlows(job.cfg.Obs, c.Top, "shuffle", flows[jobFlowStart:])
 			job.cfg.Obs.Count("engine.shuffle.mb", st.rm.ShuffleMB)
+			if round == 0 {
+				job.cfg.Obs.Count(CounterLayoutHits, float64(hits))
+				job.cfg.Obs.Count(CounterLayoutMisses, float64(misses))
+			}
 		}
 
 		// The shuffle starts when the slowest job's map+assign finishes.
@@ -354,7 +383,18 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 	return out, nil
 }
 
-// Stage configures one site's map→combine stage for MapCombine.
+// Counter names of round 0's layout lookups, one per site that holds
+// records of the query's dataset. Exactly one miss per content × stage,
+// however many queries ask first, so the totals are identical at any pool
+// width.
+const (
+	CounterLayoutHits   = "engine.layout.hits"
+	CounterLayoutMisses = "engine.layout.misses"
+)
+
+// Stage configures the executor layout of one site's map→combine stage.
+// A store memoizes its layouts under the stage's value (Store.Layout), so
+// everything a layout depends on besides the records is in here.
 type Stage struct {
 	// Exec is the site's compute: records split evenly across machines,
 	// each machine's share into PerMachine×PartitionsPerExecutor partitions
@@ -364,15 +404,125 @@ type Stage struct {
 	Assigner              Assigner
 	PartitionsPerExecutor int
 	// CubeInput charges an executor's map cost per distinct input key
-	// (pre-aggregated cube cell) instead of per raw record.
+	// (pre-aggregated cube cell) instead of per raw record. Only a layout
+	// built with it counts distinct keys.
 	CubeInput bool
-	// CountOnly asks for Count alone: nothing is folded, kept or ordered.
-	CountOnly bool
+}
+
+func (st Stage) withDefaults() Stage {
+	if st.Assigner == nil {
+		st.Assigner = RoundRobinAssigner{}
+	}
+	if st.PartitionsPerExecutor <= 0 {
+		st.PartitionsPerExecutor = 4
+	}
+	return st
+}
+
+// Layout is the half of one site's map→combine stage that does not depend
+// on the statement: which records each executor scans, in which order, and
+// what the modeled stage charges for it (§6's runtime RDD-similarity step
+// is a function of a machine's partitions, not of the query). It is
+// immutable; any number of Scans may share one.
+type Layout struct {
+	// AssignOverhead is the largest per-machine modeled assignment cost.
+	AssignOverhead float64
+	// execs are the executors in (machine, executor) order.
+	execs []execLayout
+}
+
+type execLayout struct {
+	// parts are the executor's partitions in partition order, each a
+	// sub-slice of the site's records.
+	parts [][]KV
+	// basis is what the executor's modeled map cost is charged per: its
+	// records, or under CubeInput its distinct input keys.
+	basis int
+}
+
+// NewLayout partitions the records, has the stage's assigner place every
+// machine's partitions on its executors and validates what it returned.
+// The layout references the records: they must not be modified afterwards
+// (a store's never are).
+func NewLayout(records []KV, st Stage) (*Layout, error) {
+	ex := st.Exec
+	if ex.Machines <= 0 || ex.PerMachine <= 0 {
+		return nil, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
+	}
+	st = st.withDefaults()
+	l := &Layout{}
+	if len(records) == 0 {
+		return l, nil
+	}
+	var inputKeys map[string]struct{}
+	if st.CubeInput {
+		inputKeys = make(map[string]struct{})
+	}
+	perMachine := (len(records) + ex.Machines - 1) / ex.Machines
+	// Only the machines that get records have executors in the layout.
+	l.execs = make([]execLayout, 0, (len(records)+perMachine-1)/perMachine*ex.PerMachine)
+	for lo := 0; lo < len(records); lo += perMachine {
+		machineRecs := records[lo:min(lo+perMachine, len(records))]
+		parts, err := PartitionRecords(machineRecs, ex.PerMachine*st.PartitionsPerExecutor)
+		if err != nil {
+			return nil, err
+		}
+		assignment, overhead, err := st.Assigner.Assign(parts, ex.PerMachine)
+		if err != nil {
+			return nil, err
+		}
+		if len(assignment) != len(parts) {
+			return nil, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
+		}
+		l.AssignOverhead = max(l.AssignOverhead, overhead)
+		machine := len(l.execs)
+		l.execs = l.execs[:machine+ex.PerMachine]
+		for pi, e := range assignment {
+			if e < 0 || e >= ex.PerMachine {
+				return nil, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
+			}
+			el := &l.execs[machine+e]
+			el.parts = append(el.parts, parts[pi].Records)
+			el.basis += len(parts[pi].Records)
+		}
+		if !st.CubeInput {
+			continue
+		}
+		for e := machine; e < len(l.execs); e++ {
+			clear(inputKeys)
+			for _, part := range l.execs[e].parts {
+				for _, r := range part {
+					inputKeys[r.Key] = struct{}{}
+				}
+			}
+			l.execs[e].basis = len(inputKeys)
+		}
+	}
+	return l, nil
+}
+
+// layoutKey is the memo key of a store's layout: the stage, defaults
+// filled in.
+type layoutKey Stage
+
+// Layout returns the store's layout for the stage, built once per content
+// (Derive): a recurring query, a new statement or a new plan over a site
+// nobody wrote to re-partitions, re-clusters and re-counts nothing. hit is
+// false for the caller that built it. An assigner whose value cannot stand
+// for what it does — not comparable, or a pointer, whose identity says
+// nothing about its configuration — is never memoized.
+func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
+	st = st.withDefaults()
+	if t := reflect.TypeOf(st.Assigner); !t.Comparable() || t.Kind() == reflect.Pointer {
+		l, err = NewLayout(s.Records(), st)
+		return l, false, err
+	}
+	return Derive(s, layoutKey(st), func(recs []KV) (*Layout, error) { return NewLayout(recs, st) })
 }
 
 // StageResult is what one site's map→combine stage produced.
 type StageResult struct {
-	// Inter holds the post-combiner records (nil under CountOnly):
+	// Inter holds the post-combiner records (nil when counting only):
 	// executors in (machine, executor) order, each executor's groups in
 	// first-emit order. Records are NOT combined across executors — exactly
 	// the inefficiency §6's RDD similarity clustering reduces.
@@ -385,101 +535,62 @@ type StageResult struct {
 	MapTime, AssignOverhead float64
 }
 
-// MapCombine is the map→combine stage of one site, the single
+// Scan is the per-statement half of the map→combine stage, the single
 // implementation the simulated engine, the planner's profiling replays and
-// the live netio worker all run: partition the records, assign partitions
-// to executors machine by machine, then stream each executor's partitions
-// in place through q.Map into that executor's combiner. Nothing is copied
-// per record, so a stage allocates for the groups it opens, not the
-// records it scans.
+// the live netio worker all run: stream each executor's partitions in
+// place through q.Map into that executor's combiner. Nothing is copied per
+// record, so a scan allocates for the groups it opens, not the records it
+// reads. countOnly asks for Count alone: nothing is folded, kept or
+// ordered.
 //
 // The combiner keeps groups in first-emit order instead of sorting them.
 // One key appears at most once per executor, so a reducer still meets each
 // key's partials in (site, machine, executor) order: every reduced sum and
 // every modeled time is bit-identical to a sorting combiner's, at any pool
 // width (DESIGN.md §14).
-func MapCombine(records []KV, q *Query, st Stage) (StageResult, error) {
-	var res StageResult
-	if len(records) == 0 {
-		return res, nil
-	}
-	ex := st.Exec
-	if st.Assigner == nil {
-		st.Assigner = RoundRobinAssigner{}
-	}
-	if st.PartitionsPerExecutor <= 0 {
-		st.PartitionsPerExecutor = 4
+func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
+	res := StageResult{AssignOverhead: l.AssignOverhead}
+	if len(l.execs) == 0 {
+		return res
 	}
 	cb := newCombiner(q.Combine, 0)
 	emit := cb.emit
-	if st.CountOnly {
+	if countOnly {
 		emit = cb.count
 	}
-	var inputKeys map[string]struct{}
-	if st.CubeInput {
-		inputKeys = make(map[string]struct{})
-	}
-	perMachine := (len(records) + ex.Machines - 1) / ex.Machines
-	for lo := 0; lo < len(records); lo += perMachine {
-		machineRecs := records[lo:min(lo+perMachine, len(records))]
-		parts, err := PartitionRecords(machineRecs, ex.PerMachine*st.PartitionsPerExecutor)
-		if err != nil {
-			return res, err
-		}
-		assignment, overhead, err := st.Assigner.Assign(parts, ex.PerMachine)
-		if err != nil {
-			return res, err
-		}
-		if len(assignment) != len(parts) {
-			return res, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
-		}
-		for pi, e := range assignment {
-			if e < 0 || e >= ex.PerMachine {
-				return res, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
-			}
-		}
-		res.AssignOverhead = max(res.AssignOverhead, overhead)
-		for e := 0; e < ex.PerMachine; e++ {
-			cb.next()
-			clear(inputKeys)
-			costBasis := 0
-			for pi, pe := range assignment {
-				if pe != e {
-					continue
-				}
-				costBasis += len(parts[pi].Records)
-				for _, r := range parts[pi].Records {
-					if st.CubeInput {
-						inputKeys[r.Key] = struct{}{}
-					}
-					if q.Map == nil {
-						emit(r.Key, r.Val)
-					} else {
-						q.Map(r, emit)
-					}
+	for i := range l.execs {
+		ex := &l.execs[i]
+		cb.next()
+		for _, part := range ex.parts {
+			for _, r := range part {
+				if q.Map == nil {
+					emit(r.Key, r.Val)
+				} else {
+					q.Map(r, emit)
 				}
 			}
-			if st.CubeInput {
-				costBasis = len(inputKeys)
-			}
-			// Machines and executors run in parallel.
-			res.MapTime = max(res.MapTime, float64(costBasis)*q.MapCost)
 		}
+		// Machines and executors run in parallel.
+		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
 	res.Inter, res.Count, res.Raw = cb.out, cb.groups, cb.raw
-	return res, nil
+	return res
 }
 
-// ProfileIntermediate replays the map+combine stage of one site on the
-// given records and returns the post-combiner intermediate record count —
-// the quantity a recurring query's previous run reveals. The paper's
-// prototype estimates data reduction exactly this way (§7: "the input and
-// actual intermediate data size of the previous query"), and the planner
-// uses it to derive realized (executor-split-aware) similarity. The replay
-// runs the stage count-only: it never builds the records it counts.
-func (c *Cluster) ProfileIntermediate(records []KV, q Query, site int) (int, error) {
-	res, err := MapCombine(records, &q, Stage{Exec: c.Exec[site], CountOnly: true})
-	return res.Count, err
+// ProfileIntermediate replays the map+combine stage of one site over the
+// dataset's records there and returns the post-combiner intermediate
+// record count — the quantity a recurring query's previous run reveals.
+// The paper's prototype estimates data reduction exactly this way (§7:
+// "the input and actual intermediate data size of the previous query"),
+// and the planner uses it to derive realized (executor-split-aware)
+// similarity. The replay scans count-only: it never builds the records it
+// counts.
+func (c *Cluster) ProfileIntermediate(dataset string, q Query, site int) (int, error) {
+	l, _, err := c.Data[site].Store(dataset).Layout(Stage{Exec: c.Exec[site]})
+	if err != nil {
+		return 0, err
+	}
+	return l.Scan(&q, true).Count, nil
 }
 
 // KeyOwner picks the reduce site of a key with probability proportional to

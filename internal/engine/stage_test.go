@@ -13,7 +13,7 @@ import (
 )
 
 // refStage is the map→combine stage as the engine ran it before the
-// streaming rewrite, kept as the oracle MapCombine is compared against:
+// streaming rewrite, kept as the oracle a layout's scan is compared against:
 // copy every executor's records into one slice, materialize the mapped
 // records, fold them in a map and sort the result by key. It returns the
 // combined records per executor, in (machine, executor) order.
@@ -173,17 +173,36 @@ func stageCases(t *testing.T) []stageCase {
 	return cases
 }
 
+// sameStage compares two stage results field by field, values bit for bit.
+func sameStage(a, b engine.StageResult) bool {
+	if a.Count != b.Count || a.Raw != b.Raw || a.MapTime != b.MapTime ||
+		a.AssignOverhead != b.AssignOverhead || len(a.Inter) != len(b.Inter) {
+		return false
+	}
+	for i := range a.Inter {
+		if a.Inter[i].Key != b.Inter[i].Key || math.Float64bits(a.Inter[i].Val) != math.Float64bits(b.Inter[i].Val) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestMapCombineMatchesReference is the differential oracle of the
-// streaming stage: against the materialize-then-sort reference it must
-// produce, per executor, the same groups with bit-equal values, and the
-// same raw count, map time and assignment overhead — with cube-input cost
-// accounting on and off, under both assigners, round after round.
+// streaming stage: against the materialize-then-sort reference a layout's
+// scan must produce, per executor, the same groups with bit-equal values,
+// and the same raw count, map time and assignment overhead — with
+// cube-input cost accounting on and off, under both assigners, round after
+// round. Round 0 runs the way the engine runs it, on the layout a store
+// keeps: the first lookup builds it, the second is served the same value,
+// and a layout built from the bare records scans to the same result.
 func TestMapCombineMatchesReference(t *testing.T) {
 	assigners := map[string]func() engine.Assigner{
 		"round-robin": func() engine.Assigner { return engine.RoundRobinAssigner{} },
 		"rdd":         func() engine.Assigner { return rdd.NewAssigner(11) },
 	}
 	for _, tc := range stageCases(t) {
+		store := &engine.Store{}
+		store.Add(tc.records...)
 		for aname, mk := range assigners {
 			for _, cube := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/cube=%v", tc.name, aname, cube)
@@ -197,9 +216,26 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
 					}
-					got, err := engine.MapCombine(input, &tc.query, st)
+					layout, err := engine.NewLayout(input, st)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
+					}
+					got := layout.Scan(&tc.query, false)
+					if round == 0 {
+						// A second assigner of the same configuration is the
+						// same key: a new plan over an unwritten site hits.
+						for lookup, stage := range []engine.Stage{st, {Exec: st.Exec, Assigner: mk(), PartitionsPerExecutor: 4, CubeInput: cube}} {
+							kept, hit, err := store.Layout(stage)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if hit != (lookup == 1) {
+								t.Fatalf("%s: lookup %d of the store's layout: hit = %v", name, lookup, hit)
+							}
+							if !sameStage(kept.Scan(&tc.query, false), got) {
+								t.Fatalf("%s: lookup %d: the store's layout scans differently from one built from its records", name, lookup)
+							}
+						}
 					}
 					if got.Raw != wantRaw || got.MapTime != wantMap || got.AssignOverhead != wantAssign {
 						t.Fatalf("%s round %d: raw/mapTime/assign = %d/%v/%v, reference %d/%v/%v",
@@ -225,20 +261,137 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					if len(rest) != 0 {
 						t.Fatalf("%s round %d: %d records beyond the reference's", name, round, len(rest))
 					}
-					counted := st
-					counted.CountOnly = true
-					only, err := engine.MapCombine(input, &tc.query, counted)
-					if err != nil {
-						t.Fatal(err)
-					}
+					only := layout.Scan(&tc.query, true)
 					if only.Inter != nil || only.Count != got.Count || only.Raw != got.Raw ||
 						only.MapTime != got.MapTime || only.AssignOverhead != got.AssignOverhead {
-						t.Fatalf("%s round %d: count-only stage = %+v, full stage counted %d", name, round, only, got.Count)
+						t.Fatalf("%s round %d: count-only scan = %+v, full scan counted %d", name, round, only, got.Count)
 					}
 					// The next round maps what this round's reducer put out.
 					input = engine.CombinePartials(got.Inter, tc.query.Combine)
 				}
 			}
+		}
+	}
+}
+
+// TestLayoutRejectsBadStage: a stage is caller-built (the netio worker's
+// is), so a layout refuses one without executors instead of dividing by
+// it, and an assigner that misplaces a partition; a store keeps neither.
+func TestLayoutRejectsBadStage(t *testing.T) {
+	recs := []engine.KV{{Key: "a", Val: 1}, {Key: "b", Val: 2}, {Key: "c", Val: 3}}
+	store := &engine.Store{}
+	store.Add(recs...)
+	for _, ex := range []engine.Executors{{}, {Machines: 0, PerMachine: 2}, {Machines: 2, PerMachine: 0}, {Machines: -1, PerMachine: 1}} {
+		for _, input := range [][]engine.KV{recs, nil} {
+			if _, err := engine.NewLayout(input, engine.Stage{Exec: ex}); err == nil {
+				t.Errorf("executors %+v over %d records: layout built", ex, len(input))
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, hit, err := store.Layout(engine.Stage{Exec: ex}); err == nil || hit {
+				t.Errorf("executors %+v: store lookup %d: hit = %v, err = %v", ex, i, hit, err)
+			}
+		}
+	}
+	if _, err := engine.NewLayout(recs, engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 2}, Assigner: strayAssigner{}}); err == nil {
+		t.Error("a partition placed on executor 2 of 2 was accepted")
+	}
+}
+
+// TestLayoutKeyedByAssignerConfig: one store serves differently configured
+// assigners without cross-talk — another seed is another layout, the same
+// configuration minted again (a replan's new plan) is the same one.
+func TestLayoutKeyedByAssignerConfig(t *testing.T) {
+	tc := stageCases(t)[0]
+	store := &engine.Store{}
+	store.Add(tc.records...)
+	stage := func(seed int64) engine.Stage {
+		return engine.Stage{Exec: engine.Executors{Machines: 2, PerMachine: 3}, Assigner: rdd.NewAssigner(seed), CubeInput: true}
+	}
+	for _, step := range []struct {
+		seed    int64
+		wantHit bool
+	}{{5, false}, {6, false}, {5, true}, {6, true}} {
+		kept, hit, err := store.Layout(stage(step.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != step.wantHit {
+			t.Fatalf("seed %d: hit = %v, want %v", step.seed, hit, step.wantHit)
+		}
+		cold, err := engine.NewLayout(tc.records, stage(step.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameStage(kept.Scan(&tc.query, false), cold.Scan(&tc.query, false)) {
+			t.Fatalf("seed %d: the store served a layout of another configuration", step.seed)
+		}
+	}
+	five, _, _ := store.Layout(stage(5))
+	six, _, _ := store.Layout(stage(6))
+	if sameStage(five.Scan(&tc.query, false), six.Scan(&tc.query, false)) {
+		t.Fatal("seeds 5 and 6 place alike on this input: the test cannot tell their layouts apart")
+	}
+}
+
+// strayAssigner places every partition one past the last executor.
+type strayAssigner struct{}
+
+func (strayAssigner) Assign(parts []engine.Partition, executors int) ([]int, float64, error) {
+	out := make([]int, len(parts))
+	for i := range out {
+		out[i] = executors
+	}
+	return out, 0, nil
+}
+
+// sliceAssigner is round-robin behind a value that cannot be a map key;
+// ptrAssigner behind a pointer, whose identity says nothing about what it
+// points at.
+type sliceAssigner struct{ pad []int }
+
+func (sliceAssigner) Assign(parts []engine.Partition, executors int) ([]int, float64, error) {
+	return engine.RoundRobinAssigner{}.Assign(parts, executors)
+}
+
+type ptrAssigner struct{ offset int }
+
+func (a *ptrAssigner) Assign(parts []engine.Partition, executors int) ([]int, float64, error) {
+	out := make([]int, len(parts))
+	for i := range out {
+		out[i] = (i + a.offset) % executors
+	}
+	return out, 0, nil
+}
+
+// TestLayoutUnkeyableAssignerNotMemoized: an assigner whose value cannot
+// key the memo is served a fresh layout every time — never a panic from
+// hashing it, never a stale layout of a pointee that has changed since.
+func TestLayoutUnkeyableAssignerNotMemoized(t *testing.T) {
+	store := &engine.Store{}
+	for i := 0; i < 40; i++ {
+		store.Add(engine.KV{Key: fmt.Sprintf("k%d", i%8), Val: 1})
+	}
+	ex := engine.Executors{Machines: 1, PerMachine: 2}
+	q := engine.ScanQuery("q", "d")
+	for i := 0; i < 2; i++ {
+		if _, hit, err := store.Layout(engine.Stage{Exec: ex, Assigner: sliceAssigner{pad: []int{1}}}); err != nil || hit {
+			t.Fatalf("slice-valued assigner, lookup %d: hit = %v, err = %v", i, hit, err)
+		}
+	}
+	pa := &ptrAssigner{}
+	for _, offset := range []int{0, 1, 0} {
+		pa.offset = offset
+		l, hit, err := store.Layout(engine.Stage{Exec: ex, Assigner: pa, PartitionsPerExecutor: 3})
+		if err != nil || hit {
+			t.Fatalf("pointer assigner at offset %d: hit = %v, err = %v", offset, hit, err)
+		}
+		want, err := engine.NewLayout(store.Records(), engine.Stage{Exec: ex, Assigner: pa, PartitionsPerExecutor: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameStage(l.Scan(&q, false), want.Scan(&q, false)) {
+			t.Fatalf("pointer assigner at offset %d: the store served another configuration's layout", offset)
 		}
 	}
 }
@@ -267,12 +420,12 @@ func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		layout, err := engine.NewLayout(recs, st)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var res engine.StageResult
-		allocs := testing.AllocsPerRun(5, func() {
-			if res, err = engine.MapCombine(recs, &plan.Query, st); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := testing.AllocsPerRun(5, func() { res = layout.Scan(&plan.Query, false) })
 		if res.Raw < len(recs)/2 {
 			t.Fatalf("%s: only %d of %d records passed the filter; the guard needs a scan that emits", text, res.Raw, len(recs))
 		}

@@ -502,19 +502,23 @@ func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 	if err != nil {
 		return w.errEnv(CodeNotFound, "runmap: %v", err)
 	}
-	w.mu.Lock()
-	recs := w.data.Records(q.Dataset)
-	w.mu.Unlock()
 	// The stage is the engine's own, with the whole site as one executor.
-	ms := tcol.StartSpan("map")
-	stage, err := engine.MapCombine(recs, &engine.Query{
-		Map:     func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) },
-		Combine: q.Combine,
-	}, engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 1}})
-	ms.End()
+	// The store keeps its layout; the scan reads records no transfer
+	// modifies, so it runs unlocked.
+	w.mu.Lock()
+	store := w.data.Store(q.Dataset)
+	recs := store.Records()
+	layout, _, err := store.Layout(engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 1}})
+	w.mu.Unlock()
 	if err != nil {
 		return w.errEnv(CodeUnknown, "runmap: %v", err)
 	}
+	ms := tcol.StartSpan("map")
+	stage := layout.Scan(&engine.Query{
+		Map:     func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) },
+		Combine: q.Combine,
+	}, false)
+	ms.End()
 	inter := stage.Inter
 	w.count2(tcol, "netio.map.records", float64(len(recs)))
 	w.count2(tcol, "netio.intermediate.records", float64(len(inter)))

@@ -14,7 +14,6 @@ import (
 	"bohr/internal/obs"
 	"bohr/internal/parallel"
 	"bohr/internal/rdd"
-	"bohr/internal/similarity"
 	"bohr/internal/stats"
 	"bohr/internal/wan"
 	"bohr/internal/workload"
@@ -139,11 +138,6 @@ type Options struct {
 	// Obs optionally collects planning phase spans (probes, lp, calibrate,
 	// move) and metrics. Nil disables collection at no cost.
 	Obs *obs.Collector
-	// SigCache optionally memoizes minhash signatures across planning
-	// rounds for the RDD assigner. Nil makes each RDD plan create its
-	// own per-plan cache; dynamic mode passes a shared one so recurring
-	// rounds reuse (and eviction bounds) it.
-	SigCache *similarity.SignatureCache
 }
 
 // withDefaults fills zero fields.
@@ -275,10 +269,6 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	// A planning round is one tick of the signature cache's logical clock:
-	// entries untouched for enough rounds age out here, at a sequential
-	// point, never from inside the pooled kernels below.
-	opts.SigCache.Advance()
 	planTop, err := plannerTopology(c.Top, opts)
 	if err != nil {
 		return nil, err
@@ -421,17 +411,10 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	lpSpan.Add(plan.LPTime)
 
 	if id.usesRDD() {
-		asg := rdd.NewAssigner(stats.Split(opts.Seed, 77))
-		// The assigner re-places largely identical partitions on every
-		// recurring query, so signatures mostly hit after the first
-		// round. A shared cache from opts (dynamic mode) persists across
-		// plans; otherwise one per-plan cache. Counters land in the
-		// report's metrics snapshot via opts.Obs.
-		asg.Cache = opts.SigCache
-		if asg.Cache == nil {
-			asg.Cache = similarity.NewSignatureCache(opts.Obs)
-		}
-		plan.Assigner = asg
+		// A configuration value, equal from plan to plan: a replan over a
+		// site nobody moved finds the layout the last plan's queries left
+		// on its store.
+		plan.Assigner = rdd.NewAssigner(stats.Split(opts.Seed, 77))
 	}
 	return plan, nil
 }

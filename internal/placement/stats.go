@@ -109,8 +109,8 @@ func replayCount(c *engine.Cluster, dataset string, q engine.Query, site int, dc
 	if len(st.Records()) == 0 {
 		return 0, nil
 	}
-	return derive(dc, st, replayKey{q.Name, c.Exec[site]}, func(recs []engine.KV) (int, error) {
-		return c.ProfileIntermediate(recs, q, site)
+	return derive(dc, st, replayKey{q.Name, c.Exec[site]}, func([]engine.KV) (int, error) {
+		return c.ProfileIntermediate(dataset, q, site)
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bohr/internal/engine"
-	"bohr/internal/similarity"
 )
 
 // Assigner is Bohr's similarity-aware replacement for random partition→
@@ -13,26 +12,26 @@ import (
 // with k-means into one cluster per executor, and co-locates each cluster.
 // The modeled checking time is returned as assignment overhead, which the
 // engine adds to QCT — matching the paper's measurement methodology.
+//
+// An Assigner is a comparable configuration value and Assign a pure
+// function of it and the partitions: two equal assigners place alike, which
+// is what lets a store keep the layout one of them produced
+// (engine.Store.Layout) for the next plan's.
 type Assigner struct {
 	Config DimsumConfig
 	// KMeansIters bounds Lloyd iterations (default 20).
 	KMeansIters int
-	// Cache, when set, memoizes partition minhash signatures by content
-	// hash across Assign calls — recurring rounds re-place largely
-	// unchanged partitions, so their signatures need not be rebuilt. The
-	// cache is synchronized; one Assigner may serve concurrent sites.
-	Cache *similarity.SignatureCache
 }
 
 // NewAssigner creates an assigner with the default DIMSUM configuration.
-func NewAssigner(seed int64) *Assigner {
+func NewAssigner(seed int64) Assigner {
 	cfg := DefaultDimsum()
 	cfg.Seed = seed
-	return &Assigner{Config: cfg}
+	return Assigner{Config: cfg}
 }
 
 // Assign implements engine.Assigner.
-func (a *Assigner) Assign(parts []engine.Partition, executors int) ([]int, float64, error) {
+func (a Assigner) Assign(parts []engine.Partition, executors int) ([]int, float64, error) {
 	if executors <= 0 {
 		return nil, 0, fmt.Errorf("rdd: assigner needs positive executors, got %d", executors)
 	}
@@ -42,7 +41,7 @@ func (a *Assigner) Assign(parts []engine.Partition, executors int) ([]int, float
 	if executors == 1 {
 		return make([]int, len(parts)), 0, nil
 	}
-	mat, err := PairwiseSimilarityCached(parts, a.Config, a.Cache)
+	mat, err := PairwiseSimilarity(parts, a.Config)
 	if err != nil {
 		return nil, 0, err
 	}

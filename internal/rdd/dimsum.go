@@ -61,16 +61,6 @@ type SimilarityMatrix struct {
 	Overhead float64
 }
 
-// PairwiseSimilarity estimates the Jaccard similarity between every pair
-// of partitions. Signatures are built once per partition (m hash
-// functions); per pair only a γ-sample of the signature entries is
-// compared, and a pair whose sampled prefix shows no matches at all is
-// skipped after the prefix — DIMSUM's probabilistic pruning mapped onto
-// minhash signatures.
-func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*SimilarityMatrix, error) {
-	return PairwiseSimilarityCached(parts, cfg, nil)
-}
-
 // pairRow is one partition's half-row of pairwise estimates: vals[l] is
 // the estimate for the pair (i, i+1+l) and compared counts the signature
 // entries that survived probabilistic skipping.
@@ -79,14 +69,18 @@ type pairRow struct {
 	compared int
 }
 
-// PairwiseSimilarityCached is PairwiseSimilarity with an optional
-// signature cache: partition signatures are served from the cache by
-// content hash (recurring rounds mostly hit) and the remainder computed
-// as a pooled batch; pair rows then fan out over the worker pool. Every
-// worker computes an independent half-row merged in index order, so both
-// the matrix and the Comparisons counter are identical at any pool width
-// and any cache state.
-func PairwiseSimilarityCached(parts []engine.Partition, cfg DimsumConfig, cache *similarity.SignatureCache) (*SimilarityMatrix, error) {
+// PairwiseSimilarity estimates the Jaccard similarity between every pair
+// of partitions. Signatures are built once per partition (m hash
+// functions); per pair only a γ-sample of the signature entries is
+// compared, and a pair whose sampled prefix shows no matches at all is
+// skipped after the prefix — DIMSUM's probabilistic pruning mapped onto
+// minhash signatures.
+//
+// Signatures are computed as a pooled batch and pair rows fan out over the
+// worker pool; every worker computes an independent half-row merged in
+// index order, so both the matrix and the Comparisons counter are
+// identical at any pool width.
+func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*SimilarityMatrix, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -106,7 +100,7 @@ func PairwiseSimilarityCached(parts []engine.Partition, cfg DimsumConfig, cache 
 		keysets[i] = keys
 		totalRecords += len(p.Records)
 	}
-	sigs := cache.SignatureBatch(hasher, keysets, 0)
+	sigs := hasher.SignatureBatch(keysets, 0)
 
 	sample := int(float64(m)*cfg.Gamma + 0.5)
 	if sample < 1 {

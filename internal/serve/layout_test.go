@@ -1,0 +1,215 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"testing"
+
+	"bohr/internal/engine"
+	"bohr/internal/ingest"
+	"bohr/internal/obs"
+	"bohr/internal/stats"
+	"bohr/internal/workload"
+)
+
+// missStatement is one statement of the three shapes the query-miss
+// benchmark sends (url, country, hour are the dataset's dimensions), with
+// what a naive fold needs to recompute it. The nonce conjunct is always
+// true and only makes the text new, so the result cache never answers.
+type missStatement struct {
+	shape, text, filter string
+	limit               int
+}
+
+func missStatements(dataset string, nonce int) []missStatement {
+	return []missStatement{
+		{shape: "scan", filter: "JP", limit: 7,
+			text: fmt.Sprintf("SELECT url, SUM(measure) FROM %s WHERE country != 'JP' AND hour != 'n%d' GROUP BY url ORDER BY value DESC LIMIT 7", dataset, nonce)},
+		{shape: "aggr", filter: "US",
+			text: fmt.Sprintf("SELECT country, hour, SUM(measure) FROM %s WHERE country != 'US' AND url != 'n%d' GROUP BY country, hour", dataset, nonce)},
+		{shape: "count", filter: "07",
+			text: fmt.Sprintf("SELECT country, COUNT(*) FROM %s WHERE hour != '07' AND url != 'n%d' GROUP BY country", dataset, nonce)},
+	}
+}
+
+// naiveFold recomputes a statement's groups straight from the records
+// every site stores, sharing nothing with the engine or the SQL compiler.
+func naiveFold(st missStatement, dataset string, c *engine.Cluster) map[string]float64 {
+	out := map[string]float64{}
+	for site := 0; site < c.N(); site++ {
+		for _, kv := range c.Data[site].Records(dataset) {
+			co := workload.SplitKey(kv.Key) // url, country, hour
+			switch st.shape {
+			case "scan":
+				if co[1] != st.filter {
+					out[co[0]] += kv.Val
+				}
+			case "aggr":
+				if co[1] != st.filter {
+					out[workload.JoinKey(co[1:3])] += kv.Val
+				}
+			case "count":
+				if co[2] != st.filter {
+					out[co[1]]++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstFold compares a reply with the naive fold: every returned
+// group has the naive value, the count of rows is right, and under ORDER
+// BY value DESC LIMIT n the rows are the n largest in order. Sums are
+// compared to 1e-9 because the engine adds per site first.
+func checkAgainstFold(st missStatement, rows []QueryRow, want map[string]float64) error {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	wantRows := len(want)
+	if st.limit > 0 && st.limit < wantRows {
+		wantRows = st.limit
+	}
+	if len(rows) != wantRows || wantRows == 0 {
+		return fmt.Errorf("%d rows, naive fold has %d", len(rows), wantRows)
+	}
+	for _, r := range rows {
+		if v, ok := want[r.Key]; !ok || !near(v, r.Val) {
+			return fmt.Errorf("group %q = %v, naive fold has %v (present %v)", r.Key, r.Val, v, ok)
+		}
+	}
+	if st.limit == 0 {
+		return nil
+	}
+	vals := make([]float64, 0, len(want))
+	for _, v := range want {
+		vals = append(vals, v)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+	for i, r := range rows {
+		if !near(r.Val, vals[i]) {
+			return fmt.Errorf("row %d has value %v, the %d-th largest is %v", i, r.Val, i+1, vals[i])
+		}
+	}
+	return nil
+}
+
+// TestQueryMissMatchesNaiveFoldAcrossMutations sends the query-miss
+// statement shapes through the handler and checks each reply against a
+// naive fold over the stored records — before any write, and after an
+// ingest batch, a replan's plan-directed moves and a bare Remove. Every
+// mutation leaves the written sites' layouts behind (the first statement
+// after it misses there and only there); every other statement, new text
+// or not, finds all of them: hits and no misses, on the system's collector
+// where /metrics reads them.
+func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
+	// Of three datasets the first stays spread over all four sites.
+	sys := systemOf(t, 3)
+	col := obs.NewCollector(obs.WithWallClock())
+	sys.Obs = col
+	sys.SetReplanEvery(2)
+	ds := sys.Workload.Datasets[0]
+	backend := NewEngineBackend(sys)
+	ts := httptest.NewServer(New(backend, Config{}, col).Handler())
+	defer ts.Close()
+
+	versions := func() []uint64 {
+		out := make([]uint64, sys.Cluster.N())
+		for i := range out {
+			out[i] = sys.Cluster.Data[i].Store(ds.Name).Version()
+		}
+		return out
+	}
+	layoutCounts := func() (hits, misses float64) {
+		c := col.MetricsSnapshot().Counters
+		return c[engine.CounterLayoutHits], c[engine.CounterLayoutMisses]
+	}
+	holding := func() (n float64) {
+		for i := 0; i < sys.Cluster.N(); i++ {
+			if len(sys.Cluster.Data[i].Records(ds.Name)) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	nonce := 0
+	// refresh sends the three shapes; written is how many sites' content
+	// changed since the last one.
+	refresh := func(phase string, written float64) {
+		t.Helper()
+		for k, st := range missStatements(ds.Name, nonce) {
+			nonce++
+			hits0, misses0 := layoutCounts()
+			resp, out := postQuery(t, ts.URL, "alice", st.text)
+			if resp.StatusCode != http.StatusOK || out.Cached {
+				t.Fatalf("%s: %q: status %d, cached %v", phase, st.text, resp.StatusCode, out.Cached)
+			}
+			if err := checkAgainstFold(st, out.Rows, naiveFold(st, ds.Name, sys.Cluster)); err != nil {
+				t.Fatalf("%s: %q: %v", phase, st.text, err)
+			}
+			hits, misses := layoutCounts()
+			wantMisses := 0.0
+			if k == 0 {
+				wantMisses = written
+			}
+			if misses-misses0 != wantMisses || hits-hits0 != holding()-wantMisses {
+				t.Fatalf("%s: statement %d added %v layout hits and %v misses, want %v and %v",
+					phase, k, hits-hits0, misses-misses0, holding()-wantMisses, wantMisses)
+			}
+		}
+	}
+	changed := func(before []uint64) (n float64) {
+		for i, v := range versions() {
+			if v != before[i] && len(sys.Cluster.Data[i].Records(ds.Name)) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+
+	refresh("as placed", holding())
+	refresh("unwritten", 0)
+
+	before := versions()
+	batch := func(off uint64) ingest.Batch {
+		var recs []ingest.Record
+		for i := uint64(0); i < 12; i++ {
+			r := liveRecord(sys, "src", off+i, int(i)%sys.Cluster.N())
+			r.Coords = []string{fmt.Sprintf("live-url-%d", i%3), "JP", "07"}
+			recs = append(recs, r)
+		}
+		return ingest.Batch{Records: recs}
+	}
+	if _, err := backend.ApplyBatch(context.Background(), batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if sys.IngestReplans() != 0 {
+		t.Fatal("the first batch replanned")
+	}
+	refresh("after an ingest batch", changed(before))
+
+	before = versions()
+	if _, err := backend.ApplyBatch(context.Background(), batch(100)); err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for _, mv := range sys.Plan().Moves {
+		moved = moved || mv.Dataset == ds.Name
+	}
+	if sys.IngestReplans() != 1 || !moved {
+		t.Fatalf("the second batch must replan and move %s: %d replans, moves %+v", ds.Name, sys.IngestReplans(), sys.Plan().Moves)
+	}
+	refresh("after a replan's moves", changed(before))
+
+	before = versions()
+	st := sys.Cluster.Data[0].Store(ds.Name)
+	if err := st.Remove(st.Select(engine.RandomMover{}, st, 9, stats.NewRand(4))); err != nil {
+		t.Fatal(err)
+	}
+	if changed(before) != 1 {
+		t.Fatal("the Remove did not change site 0's version alone")
+	}
+	refresh("after a Remove", 1)
+}

@@ -56,13 +56,6 @@ const (
 	fnvPrime64   uint64 = 1099511628211
 )
 
-// load64 reads 8 little-endian bytes of s at offset j. The bounds are the
-// caller's responsibility; the compiler inlines this to a single load.
-func load64(s string, j int) uint64 {
-	return uint64(s[j]) | uint64(s[j+1])<<8 | uint64(s[j+2])<<16 | uint64(s[j+3])<<24 |
-		uint64(s[j+4])<<32 | uint64(s[j+5])<<40 | uint64(s[j+6])<<48 | uint64(s[j+7])<<56
-}
-
 // baseHash hashes a key once; per-function values are derived by mixing
 // the base hash with each function's seed through a full-avalanche
 // finalizer, which gives a family that is close enough to min-wise
@@ -139,7 +132,7 @@ func (h *MinHasher) Signature(keys []string) []uint64 {
 // worker pool (width <= 0 ⇒ parallel.DefaultWidth). Each signature is an
 // independent pure computation and results are merged in index order, so
 // the output is identical at every width — the batch entry point DIMSUM
-// and the signature cache use.
+// uses.
 func (h *MinHasher) SignatureBatch(keysets [][]string, width int) [][]uint64 {
 	workers := sigTuner.Workers(len(keysets), parallel.Resolve(width))
 	t0 := time.Now()

@@ -3,6 +3,7 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -157,5 +158,41 @@ func BenchmarkSignature1000Keys(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Signature(keys)
+	}
+}
+
+func testKeysets(rng *rand.Rand, sets, keys int) [][]string {
+	out := make([][]string, sets)
+	for i := range out {
+		ks := make([]string, keys)
+		for j := range ks {
+			ks[j] = fmt.Sprintf("key-%d", rng.Intn(keys*3))
+		}
+		out[i] = ks
+	}
+	return out
+}
+
+// TestSignatureBatchMatchesSignature checks the pooled batch kernel
+// returns exactly what per-set Signature calls return, at every width.
+func TestSignatureBatchMatchesSignature(t *testing.T) {
+	h, err := NewMinHasher(64, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysets := testKeysets(rand.New(rand.NewSource(1)), 37, 50)
+	want := make([][]uint64, len(keysets))
+	for i, ks := range keysets {
+		want[i] = h.Signature(ks)
+	}
+	for _, width := range []int{1, 2, 4, 8} {
+		got := h.SignatureBatch(keysets, width)
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("width %d set %d slot %d: %d != %d", width, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
 	}
 }

@@ -2,9 +2,11 @@ package similarity
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"bohr/internal/olap"
+	"bohr/internal/parallel"
 	"bohr/internal/stats"
 )
 
@@ -270,6 +272,49 @@ func TestScoreBoundsProperty(t *testing.T) {
 		}
 		if covered, _ := ScoreCovered(p, cube); covered != 1 {
 			t.Fatalf("covered self score = %v", covered)
+		}
+	}
+}
+
+// TestCrossSiteMatrixWidthIndependent checks the pooled probe/score
+// matrix is identical at width 1 and width 8, and symmetric-diagonal
+// sane, exercising the concurrent read path over shared cubes.
+func TestCrossSiteMatrixWidthIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	schema := olap.MustSchema("a", "b")
+	cubes := make([]*olap.Cube, 4)
+	for s := range cubes {
+		c := olap.NewCube(schema)
+		for r := 0; r < 300; r++ {
+			err := c.Insert(olap.Row{
+				Coords:  []string{fmt.Sprintf("a%d", rng.Intn(6)), fmt.Sprintf("b%d", rng.Intn(6))},
+				Measure: rng.Float64(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		cubes[s] = c
+	}
+	qt := olap.QueryTypeFor([]string{"a", "b"})
+
+	run := func(width int) [][]float64 {
+		t.Helper()
+		prev := parallel.SetDefaultWidth(width)
+		defer parallel.SetDefaultWidth(prev)
+		m, err := CrossSiteMatrix("ds", qt, cubes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1 := run(1)
+	m8 := run(8)
+	for i := range m1 {
+		for j := range m1[i] {
+			if m1[i][j] != m8[i][j] {
+				t.Fatalf("matrix[%d][%d] differs across widths: %v vs %v", i, j, m1[i][j], m8[i][j])
+			}
 		}
 	}
 }
