@@ -21,7 +21,8 @@ test:
 # harness, and the report determinism check including cross-pool-width
 # byte identity. The race target also carries the map→combine
 # stage's differential oracle and allocation guard, the site store's
-# differential against the reference mover, its clone-aliasing and
+# differential against the reference mover with its tie-heavy leg and the
+# selection helper's property test, its clone-aliasing and
 # memo-singleflight tests and concurrent first queries building one layout
 # per cold site (engine; none of them is skipped under -short, and race
 # passes no -short), two goroutines planning two clones of one snapshot

@@ -192,7 +192,7 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 				before := snapshotSizes(c, ds.Name)
 				if deliver(ds.Name, dyn.BatchFraction) > 0 {
 					rep.BatchesDelivered++
-					if err := moveBatchByShares(c, plan, ds.Name, before, shares[ds.Name]); err != nil {
+					if _, err := moveBatchByShares(c, plan, ds.Name, before, shares[ds.Name]); err != nil {
 						return nil, err
 					}
 				}
@@ -260,10 +260,11 @@ func snapshotSizes(c *engine.Cluster, dataset string) []int {
 // decision" fixes the per-link share, and the site then peels off its most
 // combinable cells (§4.1); rows are not tagged by arrival. The dynamic
 // golden report pins it, and it is why the state after a run of batches
-// depends on how the records were grouped into batches.
-func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, before []int, shares [][]float64) error {
+// depends on how the records were grouped into batches. It returns how many
+// records it forwarded.
+func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, before []int, shares [][]float64) (int, error) {
 	if shares == nil {
-		return nil
+		return 0, nil
 	}
 	var specs []engine.MoveSpec
 	for src := 0; src < c.N(); src++ {
@@ -281,8 +282,11 @@ func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, 
 		}
 	}
 	if len(specs) == 0 {
-		return nil
+		return 0, nil
 	}
-	_, err := c.ApplyMoves(specs, plan.MoverFor(dataset), stats.NewRand(int64(len(specs))))
-	return err
+	res, err := c.ApplyMoves(specs, plan.MoverFor(dataset), stats.NewRand(int64(len(specs))))
+	if err != nil {
+		return 0, err
+	}
+	return res.Records, nil
 }

@@ -100,10 +100,14 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 		}
 		s.Cluster.Data[a.Site].Add(a.Dataset, kvs...)
 		// New rows follow the current placement decision (§8.6 step 2).
-		if err := moveBatchByShares(s.Cluster, s.plan, a.Dataset, before, s.shares[a.Dataset]); err != nil {
+		fwd := s.Obs.StartSpan("ingest.forward")
+		forwarded, err := moveBatchByShares(s.Cluster, s.plan, a.Dataset, before, s.shares[a.Dataset])
+		fwd.End()
+		if err != nil {
 			return false, fmt.Errorf("core: ingest move %q: %w", a.Dataset, err)
 		}
 		s.Obs.Count("core.ingest.rows", float64(len(a.Rows)))
+		s.Obs.Count("core.ingest.forwarded", float64(forwarded))
 	}
 	s.ingestBatches++
 	s.Obs.Count("core.ingest.batches", 1)

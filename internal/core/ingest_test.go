@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bohr/internal/obs"
 	"bohr/internal/olap"
 	"bohr/internal/placement"
 	"bohr/internal/workload"
@@ -110,6 +111,62 @@ func TestIngestMoveSelectsFromWholeSite(t *testing.T) {
 	if residentLeft == 0 || arrivedKept == 0 {
 		t.Fatalf("%d resident records left site %d and %d of %d arrived rows stayed; want residents to leave before arrivals",
 			residentLeft, src, arrivedKept, len(rows))
+	}
+}
+
+// TestIngestBatchCountsForwarded pins what the live daemon reports about
+// the forward step: core.ingest.forwarded is exactly the number of records
+// that changed site — batch by batch, one arrival each, so every record
+// that left the arrival site was forwarded from it — and each arrival's
+// forward runs under an ingest.forward span inside ingest.apply.
+func TestIngestBatchCountsForwarded(t *testing.T) {
+	sys, ds := preparedSystem(t)
+	col := obs.NewCollector()
+	sys.Obs = col
+	sizes := func() []int { return snapshotSizes(sys.Cluster, ds.Name) }
+	moved, arrivals := 0, 0
+	for round := 0; round < 3; round++ {
+		for site := 0; site < sys.Cluster.N(); site++ {
+			before := sizes()
+			rows := liveRows(ds, 30+7*site+round)
+			if _, err := sys.IngestBatch(context.Background(), []Arrival{{Dataset: ds.Name, Site: site, Rows: rows}}); err != nil {
+				t.Fatal(err)
+			}
+			arrivals++
+			after, gained := sizes(), 0
+			for s := range after {
+				if s != site {
+					if after[s] < before[s] {
+						t.Fatalf("site %d lost records to an arrival at site %d", s, site)
+					}
+					gained += after[s] - before[s]
+				}
+			}
+			if left := before[site] + len(rows) - after[site]; left != gained {
+				t.Fatalf("arrival at site %d: %d records left it, %d reached other sites", site, left, gained)
+			}
+			moved += gained
+			if got := col.MetricsSnapshot().Counters["core.ingest.forwarded"]; got != float64(moved) {
+				t.Fatalf("after an arrival at site %d: core.ingest.forwarded = %v, %d records changed site", site, got, moved)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no arrival was forwarded; the test needs a forwarding share")
+	}
+	forwards := 0
+	for _, apply := range col.Trace().Children {
+		if apply.Name != "ingest.apply" {
+			t.Fatalf("unexpected top-level span %q", apply.Name)
+		}
+		for _, ch := range apply.Children {
+			if ch.Name == "ingest.forward" {
+				forwards++
+			}
+		}
+	}
+	if forwards != arrivals {
+		t.Fatalf("%d ingest.forward spans under ingest.apply for %d arrivals", forwards, arrivals)
 	}
 }
 

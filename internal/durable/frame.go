@@ -41,11 +41,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // EncodeFrame appends one framed payload to dst and returns the extended
 // slice: [uint32 len][uint32 crc32c(payload)][payload].
 func EncodeFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	hdr := frameHeader(payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// frameHeader is the length and checksum that precede payload in its frame.
+func frameHeader(payload []byte) (hdr [frameHeaderLen]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
 }
 
 // DecodeFrame reads one frame from the head of data, returning the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,17 +55,20 @@ func parseSnapName(name string) (uint64, bool) {
 // imageCodec carries a State to or from its value stream. One walk,
 // state, describes the layout; each value method writes its argument
 // when enc is set and reads into it otherwise, so the two directions
-// cannot drift apart. Encoding builds the image in buffers kept between
-// checkpoints. The first failure sticks: later writes are dropped and
-// later reads yield zeros.
+// cannot drift apart. Encoding hands each frame to w as it is cut, so
+// only one payload, in a buffer kept between checkpoints, is ever held.
+// The first failure sticks: later writes are dropped and later reads yield
+// zeros.
 type imageCodec struct {
-	enc        bool
-	buf, image []byte // encoding: the payload being built, the frames so far
-	data       []byte // decoding: the frames not yet opened
-	p          []byte // decoding: what is left of the open frame's payload
-	s          string // decoding: that payload, for strings to be cut from
-	frames     uint64 // frames written or opened
-	err        error
+	enc    bool
+	buf    []byte    // encoding: the payload being built
+	w      io.Writer // encoding: where the magic line and finished frames go
+	size   int64     // encoding: bytes handed to w
+	data   []byte    // decoding: the frames not yet opened
+	p      []byte    // decoding: what is left of the open frame's payload
+	s      string    // decoding: that payload, for strings to be cut from
+	frames uint64    // frames written or opened
+	err    error
 }
 
 func (c *imageCodec) fail(format string, args ...any) {
@@ -74,11 +78,25 @@ func (c *imageCodec) fail(format string, args ...any) {
 	c.data, c.p = nil, nil
 }
 
-// flush, encoding, ends the payload being built, if any: it joins the
-// image as a frame and the next one starts.
+// write, encoding, hands bytes to w; nothing follows a failure.
+func (c *imageCodec) write(b []byte) {
+	if c.err != nil {
+		return
+	}
+	n, err := c.w.Write(b)
+	if c.size += int64(n); err != nil {
+		c.fail("%w", err)
+	}
+}
+
+// flush, encoding, ends the payload being built, if any: it goes out as a
+// frame and the next one starts.
 func (c *imageCodec) flush() {
 	if c.enc && len(c.buf) > 0 {
-		c.image, c.buf, c.frames = EncodeFrame(c.image, c.buf), c.buf[:0], c.frames+1
+		hdr := frameHeader(c.buf)
+		c.write(hdr[:])
+		c.write(c.buf)
+		c.buf, c.frames = c.buf[:0], c.frames+1
 	}
 }
 
@@ -204,14 +222,14 @@ func (c *imageCodec) state(st *State) {
 	c.flush()
 }
 
-// encode returns the snapshot file for st: the magic line and the frames.
-// The bytes are the codec's and last until its next encode.
-func (c *imageCodec) encode(st *State) ([]byte, error) {
-	c.enc, c.buf, c.frames, c.err = true, c.buf[:0], 0, nil
-	c.image = append(c.image[:0], snapMagic...)
+// encode writes the snapshot file for st to w — the magic line, then each
+// frame as it is cut — and returns the bytes written.
+func (c *imageCodec) encode(w io.Writer, st *State) (int64, error) {
+	c.enc, c.w, c.buf, c.size, c.frames, c.err = true, w, c.buf[:0], 0, 0, nil
+	c.write([]byte(snapMagic))
 	c.state(st)
-	c.enc = false
-	return c.image, c.err
+	c.enc, c.w = false, nil
+	return c.size, c.err
 }
 
 // decodeImage reads the frames after the magic line back into a State.
@@ -221,22 +239,20 @@ func decodeImage(data []byte) (*State, error) {
 	return st, c.err
 }
 
-// writeFile persists st atomically and returns the file's size: write to
-// a temp file, fsync it, rename into place, fsync the directory. A crash
-// at any point leaves either the old set of snapshots or the old set
-// plus a complete new one — never a visible partial file.
+// writeFile persists st atomically and returns the file's size: stream
+// the frames to a temp file, fsync it, rename into place, fsync the
+// directory. A crash or a failure at any point — a write error, a value
+// no frame can hold — leaves either the old set of snapshots or the old
+// set plus a complete new one — never a visible partial file.
 func (c *imageCodec) writeFile(dir string, st *State) (int64, error) {
 	final := filepath.Join(dir, snapName(st.WalSeq))
 	tmp := final + ".tmp"
-	image, err := c.encode(st)
-	if err != nil {
-		return 0, fmt.Errorf("durable: snapshot encode: %w", err)
-	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("durable: snapshot create: %w", err)
 	}
-	if _, err = f.Write(image); err == nil {
+	size, err := c.encode(f, st)
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -253,7 +269,7 @@ func (c *imageCodec) writeFile(dir string, st *State) (int64, error) {
 		d.Sync()
 		d.Close()
 	}
-	return int64(len(image)), nil
+	return size, nil
 }
 
 // readSnapshotFile loads and validates one snapshot file.

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -80,11 +82,11 @@ func dumpState(st *State) string {
 // encodeImage is the snapshot file's bytes for st.
 func encodeImage(t testing.TB, st *State) []byte {
 	t.Helper()
-	image, err := new(imageCodec).encode(st)
-	if err != nil {
+	var image bytes.Buffer
+	if _, err := new(imageCodec).encode(&image, st); err != nil {
 		t.Fatal(err)
 	}
-	return image
+	return image.Bytes()
 }
 
 // frameEnds returns the offset after the magic line and after each frame.
@@ -343,5 +345,110 @@ func TestRecoverRefusesV1Snapshot(t *testing.T) {
 	}
 	if _, _, err := loadLatestSnapshot(dir); !errors.Is(err, ErrSnapshotFormat) {
 		t.Fatalf("loadLatestSnapshot = %v, want ErrSnapshotFormat", err)
+	}
+}
+
+// TestSnapshotStreamedFileMatchesImage writes a many-frame state through
+// writeFile, which streams each frame to the temp file as it is cut, and
+// requires the file to be byte for byte the image built in memory, of the
+// size writeFile reports — and that image to be the bytes BOHRSNAP3 had
+// before checkpoints were streamed (hashes taken at the last commit that
+// buffered the whole file).
+func TestSnapshotStreamedFileMatchesImage(t *testing.T) {
+	pinned := func(st *State, want string) []byte {
+		t.Helper()
+		image := encodeImage(t, st)
+		if got := fmt.Sprintf("%x", sha256.Sum256(image)); got != want {
+			t.Fatalf("BOHRSNAP3 image bytes changed: sha256 %s, pinned %s", got, want)
+		}
+		return image
+	}
+	pinned(sampleState(1, 40), "29b769488e4c71e1a496a42c6e2a12cef377088a5ae3145f640fbad40402925f")
+	t.Cleanup(setFrameCap(4 << 10))
+	st := sampleState(2, 2500)
+	image := pinned(st, "cf7d29be7a4928e779cb6900bbcce823264530511ba07d24439d9f0363518f9f")
+	dir := t.TempDir()
+	var c imageCodec
+	for round := 0; round < 2; round++ { // the codec is reused between checkpoints
+		size, err := c.writeFile(dir, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, snapName(st.WalSeq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, image) || size != int64(len(image)) {
+			t.Fatalf("round %d: streamed file is %d bytes (reported %d), image %d; equal=%v",
+				round, len(file), size, len(image), bytes.Equal(file, image))
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d files in the snapshot directory, want the snapshot alone", len(entries))
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	n      int
+	writes int // writes attempted after the first failure
+	failed bool
+}
+
+var errDiskFull = errors.New("injected: no space left on device")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.writes++
+		return 0, errDiskFull
+	}
+	if len(p) > w.n {
+		w.failed = true
+		n := w.n
+		w.n = 0
+		return n, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestSnapshotWriteFailure fails the checkpoint's writer at every frame
+// boundary and inside frames: the encode reports the writer's error,
+// counts only the bytes taken and writes nothing after the failure. On a
+// real file the same failure must leave no snapshot and no temp file —
+// nothing is visible before the whole image is durable.
+func TestSnapshotWriteFailure(t *testing.T) {
+	t.Cleanup(setFrameCap(4 << 10))
+	st := sampleState(3, 400)
+	image := encodeImage(t, st)
+	cuts := frameEnds(t, image)
+	for _, end := range cuts[:len(cuts)-1] {
+		for _, room := range []int{0, end, end + 3, end + frameHeaderLen + 1} {
+			if room >= len(image) {
+				continue // the trailer frame is shorter than that
+			}
+			w := &failAfter{n: room}
+			size, err := new(imageCodec).encode(w, st)
+			if !errors.Is(err, errDiskFull) || size != int64(room) || w.writes != 0 {
+				t.Fatalf("writer with room for %d bytes: encode = %d, %v, %d writes after the failure", room, size, err, w.writes)
+			}
+		}
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a real file's writes with")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, snapName(st.WalSeq)+".tmp")); err != nil {
+		t.Skip(err)
+	}
+	if _, err := new(imageCodec).writeFile(dir, st); err == nil {
+		t.Fatal("writeFile onto a full device succeeded")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed checkpoint left %d files behind", len(entries))
+	}
+	if got, _, err := loadLatestSnapshot(dir); got != nil || err != nil {
+		t.Fatalf("loadLatestSnapshot after a failed checkpoint = %v, %v", got, err)
 	}
 }

@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
-	"strings"
 
 	"bohr/internal/wan"
 )
@@ -84,31 +82,32 @@ func (m SimilarMover) pick(src *Store, dst DstView, n int, _ *rand.Rand) []int {
 			cells = append(cells, rankedCell{int32(id), c, dstCount(ix.keys[id])})
 		}
 	}
-	slices.SortFunc(cells, func(a, b rankedCell) int {
+	before := func(a, b rankedCell) bool {
 		if (a.dst > 0) != (b.dst > 0) {
-			if a.dst > 0 {
-				return -1
-			}
-			return 1
+			return a.dst > 0
 		}
 		if a.src != b.src {
-			return a.src - b.src
+			return a.src < b.src
 		}
 		if a.dst != b.dst {
-			return b.dst - a.dst
+			return a.dst > b.dst
 		}
-		return strings.Compare(ix.keys[a.id], ix.keys[b.id])
-	})
+		return ix.keys[a.id] < ix.keys[b.id]
+	}
 	// Whole cells leave in rank order; the cell that crosses n gives up
-	// only its earliest records.
+	// only its earliest records. Only the cells that leave are ordered:
+	// one heapify, then a pop per departing cell.
+	for i := len(cells)/2 - 1; i >= 0; i-- {
+		siftDown(cells, i, before)
+	}
 	quota := make([]int, len(ix.count))
-	left := n
-	for _, c := range cells {
+	for left := n; left > 0 && len(cells) > 0; {
+		c, last := cells[0], len(cells)-1
+		cells[0], cells = cells[last], cells[:last]
+		siftDown(cells, 0, before)
 		q := min(c.src, left)
 		quota[c.id] = q
-		if left -= q; left == 0 {
-			break
-		}
+		left -= q
 	}
 	at := make([]int, 0, n)
 	for i, id := range ix.cell {

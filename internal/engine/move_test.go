@@ -466,3 +466,183 @@ func TestStoreMovesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreMovesMatchReferenceTieHeavy is the differential where selection,
+// as opposed to sorting, can go wrong: hundreds of cells whose counts are
+// 1, 2 or 3, so the destination's top-K cut and the source's rank both fall
+// inside large groups only the key tie-break orders, with the cut at, just
+// inside and just past the live cell count and asks from one record through
+// several cell boundaries to the whole store.
+func TestStoreMovesMatchReferenceTieHeavy(t *testing.T) {
+	const cells = 640
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := stats.NewRand(seed)
+		site := func(tag float64) []KV {
+			var recs []KV
+			for cell := range cells {
+				for range 1 + rng.Intn(3) {
+					recs = append(recs, KV{Key: fmt.Sprintf("k%03d", cell), Val: tag + float64(len(recs))})
+				}
+			}
+			rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+			return recs
+		}
+		// The destination misses some of the source's cells and holds others
+		// the source lacks, so both rank classes are populated.
+		srcRecs, dstRecs := site(0), site(1e6)
+		srcRecs = slices.DeleteFunc(srcRecs, func(r KV) bool { return r.Key < "k020" })
+		dstRecs = slices.DeleteFunc(dstRecs, func(r KV) bool { return r.Key >= "k620" })
+		const live = 620
+		asks := []int{1, 2, 3, 4, 5, 7, 12, 40, 300, 900, len(srcRecs) - 1, len(srcRecs)}
+		for _, topK := range []int{0, 1, live - 1, live, live + 1, 500} {
+			for _, n := range asks {
+				c := testClusterQ(2, 1)
+				c.Data[0].Add("d", srcRecs...)
+				c.Data[1].Add("d", dstRecs...)
+				at := fmt.Sprintf("seed %d topK %d n %d", seed, topK, n)
+				// Two moves in a row: the second selects from an index the
+				// first one's Remove compacted.
+				ref := [2][]KV{srcRecs, dstRecs}
+				for round := range 2 {
+					mb := c.MB(n)
+					n := min(c.RecordsFor(mb), len(ref[0]))
+					if _, err := c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: mb}}, SimilarMover{DstTopK: topK}, nil); err != nil {
+						t.Fatalf("%s round %d: %v", at, round, err)
+					}
+					moved, kept := refSelect(ref[0], ref[1], true, nil, topK, n, nil)
+					ref[0], ref[1] = kept, append(slices.Clone(ref[1]), moved...)
+					for i := range ref {
+						if got := c.Data[i].Records("d"); !slices.Equal(got, ref[i]) {
+							t.Fatalf("%s round %d: site %d diverges from the reference (%d records, want %d)", at, round, i, len(got), len(ref[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNthElementMatchesSort checks the selection helper against a full
+// sort: the element at n is the sorted one and nothing on either side of it
+// belongs on the other — for every n on small inputs, the ends and a spread
+// of n on large ones, over shuffled, sorted, reversed and all-equal-count
+// input under the mover's (count desc, key asc) order.
+func TestNthElementMatchesSort(t *testing.T) {
+	type cell struct {
+		count int
+		key   string
+	}
+	less := func(a, b cell) bool {
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		return a.key < b.key
+	}
+	cmp := func(a, b cell) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	}
+	rng := stats.NewRand(5)
+	check := func(name string, in []cell, n int) {
+		t.Helper()
+		want := slices.Clone(in)
+		slices.SortFunc(want, cmp)
+		got := slices.Clone(in)
+		nthElement(got, n, less)
+		if got[n] != want[n] {
+			t.Fatalf("%s: n=%d of %d: got %v, sorted has %v", name, n, len(in), got[n], want[n])
+		}
+		for i, c := range got {
+			if (i < n && less(got[n], c)) || (i > n && less(c, got[n])) {
+				t.Fatalf("%s: n=%d of %d: %v at %d is on the wrong side of %v", name, n, len(in), c, i, got[n])
+			}
+		}
+		slices.SortFunc(got, cmp)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: n=%d of %d: selection changed the elements", name, n, len(in))
+		}
+	}
+	for size := 1; size <= 700; size += 1 + size/3 {
+		for _, counts := range []int{1, 3, 1000} {
+			in := make([]cell, size)
+			for i := range in {
+				in[i] = cell{1 + rng.Intn(counts), fmt.Sprintf("k%04d", i)}
+			}
+			sorted := slices.Clone(in)
+			slices.SortFunc(sorted, cmp)
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			shuffled := slices.Clone(in)
+			rng.Shuffle(size, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for name, input := range map[string][]cell{"insertion": in, "sorted": sorted, "reversed": reversed, "shuffled": shuffled} {
+				name = fmt.Sprintf("%s/counts≤%d", name, counts)
+				ns := []int{0, size - 1, size / 2, rng.Intn(size)}
+				if size <= 16 {
+					ns = ns[:0]
+					for n := range size {
+						ns = append(ns, n)
+					}
+				}
+				for _, n := range ns {
+					check(name, input, n)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkForwardSmallMove is the live write path's forward step in
+// isolation: 12 records arrive at a 2,500-record, 600-cell site and 12
+// leave it, chosen from the whole site, toward a destination holding 580
+// of those cells of which the mover knows the 500 largest. The sites are
+// rebuilt, off the clock, every 64 forwards so the destination stays the
+// size named here.
+func BenchmarkForwardSmallMove(b *testing.B) {
+	const cells, records, dstCells, batch = 600, 2500, 580, 12
+	rng := stats.NewRand(42)
+	key := func(cell int) string { return fmt.Sprintf("a%02d|b%02d|c%d", cell/30, cell%30, cell%7) }
+	site := func(cells, records int) []KV {
+		recs := make([]KV, records)
+		for i := range recs {
+			cell := i // every cell at least once, the rest skewed low
+			if i >= cells {
+				cell = rng.Intn(1+rng.Intn(cells)) % cells
+			}
+			recs[i] = KV{Key: key(cell), Val: float64(i)}
+		}
+		return recs
+	}
+	srcRecs, dstRecs := site(cells, records), site(dstCells, records)
+	arrivals := make([][]KV, 64)
+	for i := range arrivals {
+		arrivals[i] = make([]KV, batch)
+		for j := range arrivals[i] {
+			arrivals[i][j] = KV{Key: key(rng.Intn(cells)), Val: -1}
+		}
+	}
+	mover := SimilarMover{DstTopK: 500}
+	var c *Cluster
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%len(arrivals) == 0 {
+			b.StopTimer()
+			c = testClusterQ(2, 1)
+			c.Data[0].Add("d", srcRecs...)
+			c.Data[1].Add("d", dstRecs...)
+			if _, err := c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: c.MB(1)}}, mover, nil); err != nil {
+				b.Fatal(err) // builds both indexes off the clock
+			}
+			b.StartTimer()
+		}
+		c.Data[0].Add("d", arrivals[i%len(arrivals)]...)
+		res, err := c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: c.MB(batch)}}, mover, nil)
+		if err != nil || res.Records != batch {
+			b.Fatalf("forwarded %+v, %v", res, err)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -274,11 +273,13 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 	if len(live) <= topK {
 		return all
 	}
-	slices.SortFunc(live, func(a, b int32) int {
+	// Only the cut is read: select it. Counts decide; keys are compared
+	// only between cells of equal count.
+	nthElement(live, topK-1, func(a, b int32) bool {
 		if ix.count[a] != ix.count[b] {
-			return ix.count[b] - ix.count[a]
+			return ix.count[a] > ix.count[b]
 		}
-		return strings.Compare(ix.keys[a], ix.keys[b])
+		return ix.keys[a] < ix.keys[b]
 	})
 	last := live[topK-1]
 	minCount, maxKey := ix.count[last], ix.keys[last]

@@ -61,17 +61,8 @@ const fieldSep = '|'
 func appendField(dst []byte, s string) []byte {
 	from := 0
 	for i := 0; i < len(s); i++ {
-		var esc string
-		switch s[i] {
-		case '%':
-			esc = "%25"
-		case '|':
-			esc = "%7C"
-		case '\n':
-			esc = "%0A"
-		case '\r':
-			esc = "%0D"
-		default:
+		esc := fieldEscapes[s[i]]
+		if esc == "" {
 			continue
 		}
 		dst = append(dst, s[from:i]...)
@@ -80,6 +71,9 @@ func appendField(dst []byte, s string) []byte {
 	}
 	return append(dst, s[from:]...)
 }
+
+// fieldEscapes maps a byte to its escape; "" for the bytes that need none.
+var fieldEscapes = [256]string{'%': "%25", '|': "%7C", '\n': "%0A", '\r': "%0D"}
 
 func unescapeField(s string) (string, error) {
 	if !strings.ContainsRune(s, '%') {

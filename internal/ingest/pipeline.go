@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -354,24 +355,39 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 		p.mu.Unlock()
 		return res, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
+	// The push, not the record, is the unit of bookkeeping: one clock
+	// reading, one lookup per run of records from one source, and the
+	// collector's counters moved once with the push's totals.
 	var pushErr error
 	var accepted []Record // records to journal, in admission order
-	touched := map[string]*sourceState{}
+	if p.cfg.Journal != nil {
+		accepted = make([]Record, 0, len(recs))
+	}
+	type pushed struct {
+		name string
+		st   *sourceState
+	}
+	var touched []pushed // sources this push reached, few: scanned, not hashed
+	var cur pushed
+	now := p.cfg.Now()
 	for _, r := range recs {
 		if r.Source == "" || r.Offset == 0 {
 			pushErr = fmt.Errorf("ingest: record needs a source and a 1-based offset")
 			break
 		}
-		st := p.sourceLocked(r.Source)
-		touched[r.Source] = st
+		if r.Source != cur.name { // never "": the first record looks its source up
+			cur = pushed{r.Source, p.sourceLocked(r.Source)}
+			if !slices.Contains(touched, cur) {
+				touched = append(touched, cur)
+			}
+		}
+		st := cur.st
 		if st.offsets.Seen(r.Offset) {
 			res.Deduped++
 			st.deduped++
-			p.stats.Deduped++
-			p.col.Count("ingest.replay.deduped", 1)
 			continue
 		}
-		if p.cfg.SourceRate > 0 && !p.takeTokenLocked(st) {
+		if p.cfg.SourceRate > 0 && !p.takeTokenLocked(st, now) {
 			p.stats.Throttled++
 			p.col.Count("ingest.throttled", 1)
 			pushErr = ErrThrottled
@@ -385,12 +401,9 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 		}
 		st.offsets.Admit(r.Offset)
 		st.buf = append(st.buf, r)
-		st.admitAt = append(st.admitAt, p.cfg.Now())
-		p.pending++
+		st.admitAt = append(st.admitAt, now)
 		res.Accepted++
 		st.accepted++
-		p.stats.Accepted++
-		p.col.Count("ingest.accepted", 1)
 		if p.cfg.Journal != nil {
 			accepted = append(accepted, r)
 		}
@@ -398,9 +411,18 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 			kick = true
 		}
 	}
+	p.pending += res.Accepted
+	p.stats.Accepted += uint64(res.Accepted)
+	p.stats.Deduped += uint64(res.Deduped)
+	if res.Accepted > 0 {
+		p.col.Count("ingest.accepted", float64(res.Accepted))
+	}
+	if res.Deduped > 0 {
+		p.col.Count("ingest.replay.deduped", float64(res.Deduped))
+	}
 	p.col.Gauge("ingest.queue_depth", float64(p.pending))
-	for name, st := range touched {
-		p.publishLocked(st, name)
+	for _, t := range touched {
+		p.publishLocked(t.st, t.name)
 	}
 	p.mu.Unlock()
 	if kick {
@@ -434,12 +456,11 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 
 // takeTokenLocked runs the per-source token bucket: capacity one second
 // of SourceRate (at least one record), refilled continuously.
-func (p *Pipeline) takeTokenLocked(st *sourceState) bool {
+func (p *Pipeline) takeTokenLocked(st *sourceState, now time.Time) bool {
 	burst := p.cfg.SourceRate
 	if burst < 1 {
 		burst = 1
 	}
-	now := p.cfg.Now()
 	if !st.hasRate {
 		st.hasRate = true
 		st.tokens = burst

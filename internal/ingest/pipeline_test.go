@@ -461,3 +461,110 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	return s.w.Write(p)
 }
+
+// countSink records the deltas the collector's counters move by.
+type countSink struct {
+	mu     sync.Mutex
+	deltas map[string][]float64
+}
+
+func (s *countSink) Count(name string, delta float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deltas[name] = append(s.deltas[name], delta)
+}
+func (*countSink) Gauge(string, float64)   {}
+func (*countSink) Observe(string, float64) {}
+
+func (s *countSink) take(name string) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := s.deltas[name]
+	delete(s.deltas, name)
+	return d
+}
+
+// TestPushCountsPerBatch pins the push as the unit of bookkeeping: the
+// collector's counters move once per push with its totals, per-source
+// counts stay per source, and a push stopped midway — throttled, or by a
+// malformed record — reports and counts exactly what it admitted before.
+func TestPushCountsPerBatch(t *testing.T) {
+	now := time.Unix(0, 0)
+	col, sink := obs.NewCollector(), &countSink{deltas: map[string][]float64{}}
+	p := New(Config{FlushInterval: -1, MaxBatchRecords: 1 << 20, MaxPending: 1 << 20,
+		SourceRate: 300, Now: func() time.Time { return now }}, &recApplier{}, col)
+	defer p.Close()
+	col.SetSink(sink)
+	ctx := context.Background()
+
+	// 256 records in runs from two sources, the last 16 replaying the first.
+	var batch []Record
+	for off := uint64(1); off <= 120; off++ {
+		batch = append(batch, rec("a", off))
+	}
+	for off := uint64(1); off <= 120; off++ {
+		batch = append(batch, rec("b", off))
+	}
+	for off := uint64(1); off <= 16; off++ {
+		batch = append(batch, rec("a", off))
+	}
+	res, err := p.Push(ctx, batch...)
+	if err != nil || res.Accepted != 240 || res.Deduped != 16 {
+		t.Fatalf("push = %+v, %v; want 240 accepted, 16 deduped", res, err)
+	}
+	if got := sink.take("ingest.accepted"); len(got) != 1 || got[0] != 240 {
+		t.Fatalf("ingest.accepted moved by %v, want one step of 240", got)
+	}
+	if got := sink.take("ingest.replay.deduped"); len(got) != 1 || got[0] != 16 {
+		t.Fatalf("ingest.replay.deduped moved by %v, want one step of 16", got)
+	}
+	snaps := p.SourcesSnapshot()
+	if a, b := snaps[0], snaps[1]; a.Accepted != 120 || a.Deduped != 16 || a.Pending != 120 || b.Accepted != 120 || b.Deduped != 0 {
+		t.Fatalf("per-source counts a=%+v b=%+v", a, b)
+	}
+
+	// A whole 256-record batch from one source, after the bucket refilled.
+	now = now.Add(time.Second)
+	batch = batch[:0]
+	for off := uint64(1); off <= 256; off++ {
+		batch = append(batch, rec("c", off))
+	}
+	if res, err = p.Push(ctx, batch...); err != nil || res.Accepted != 256 {
+		t.Fatalf("push = %+v, %v; want 256 accepted", res, err)
+	}
+	if got := sink.take("ingest.accepted"); len(got) != 1 || got[0] != 256 {
+		t.Fatalf("ingest.accepted moved by %v, want one step of 256", got)
+	}
+
+	// Source c's bucket holds 300-256 = 44 tokens: record 45 of the next
+	// push throttles, 44 stay accepted and are counted.
+	batch = batch[:0]
+	for off := uint64(257); off <= 356; off++ {
+		batch = append(batch, rec("c", off))
+	}
+	res, err = p.Push(ctx, batch...)
+	if !errors.Is(err, ErrThrottled) || res.Accepted != 44 {
+		t.Fatalf("push = %+v, %v; want ErrThrottled after 44", res, err)
+	}
+	if got := sink.take("ingest.accepted"); len(got) != 1 || got[0] != 44 {
+		t.Fatalf("ingest.accepted moved by %v, want one step of 44", got)
+	}
+	if got := sink.take("ingest.throttled"); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("ingest.throttled moved by %v, want one step of 1", got)
+	}
+
+	// A malformed record stops the push; what preceded it stays counted.
+	res, err = p.Push(ctx, rec("d", 1), rec("d", 2), Record{Source: "d"}, rec("d", 3))
+	if err == nil || res.Accepted != 2 {
+		t.Fatalf("push = %+v, %v; want an error after 2", res, err)
+	}
+	if got := sink.take("ingest.accepted"); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("ingest.accepted moved by %v, want one step of 2", got)
+	}
+	if st := p.Stats(); st.Accepted != 240+256+44+2 || st.Deduped != 16 || st.Throttled != 1 || p.Pending() != int(st.Accepted) {
+		t.Fatalf("stats %+v, pending %d", st, p.Pending())
+	}
+	if got := col.MetricsSnapshot().Counters["ingest.accepted"]; got != 240+256+44+2 {
+		t.Fatalf("ingest.accepted = %v", got)
+	}
+}

@@ -25,11 +25,19 @@ func systemOf(t *testing.T, datasets int) *core.System {
 	s := experiments.QuickSetup()
 	s.Datasets = datasets
 	s.RowsPerSite = 120
+	return prepareSystem(t, s, nil)
+}
+
+// prepareSystem generates the setup's bigdata-scan data and places it under
+// Bohr, reporting to col (nil for none).
+func prepareSystem(t testing.TB, s experiments.Setup, col *obs.Collector) *core.System {
+	t.Helper()
 	c, w, err := s.Populated(workload.BigDataScan, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := s.PlacementOptions(0)
+	opts.Obs = col
 	sys, err := core.New(c, w, placement.Bohr, opts)
 	if err != nil {
 		t.Fatal(err)
