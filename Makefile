@@ -24,11 +24,13 @@ test:
 # differential against the reference mover with its tie-heavy leg and the
 # selection helper's property test, its clone-aliasing and
 # memo-singleflight tests and concurrent first queries building one layout
-# per cold site (engine; none of them is skipped under -short, and race
-# passes no -short), two goroutines planning two clones of one snapshot
-# (placement), the query-miss statements against a naive fold across
-# ingest, replan and Remove (serve), the key indexer's
-# property test (workload) and the compiled filter (sql). bench-smoke
+# and one set of key columns per cold site while clones write into the
+# dictionaries they share (engine; none of them is skipped under -short,
+# and race passes no -short), two goroutines planning two clones of one
+# snapshot (placement), the query-miss statements against a naive fold
+# across ingest, replan and Remove (serve), the key indexer's property test
+# (workload) and a compiled statement's coded scan against the reference
+# closure and a naive fold (sql). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
 # coverage floor nothing else in check sees.
 check: vet fmt-check ctxcheck race fuzz-short determinism bench-smoke
@@ -61,6 +63,7 @@ race:
 # target (a go test restriction).
 fuzz-short:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 5s
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzSelect -fuzztime 5s
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzRecordCodec -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzWALFrame -fuzztime 5s

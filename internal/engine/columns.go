@@ -1,0 +1,323 @@
+package engine
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+)
+
+// KeySep separates the fields of a record key (workload.JoinKey writes it);
+// a field never contains it.
+const KeySep = "\x1f"
+
+// GroupAll is the group key of a Select that keeps no field.
+const GroupAll = "<all>"
+
+// Select is a map function the engine can read: emit each record whose key
+// fields pass every conjunct under its Keep fields, joined by KeySep in
+// that order (GroupAll when there are none). A key that does not have
+// Fields fields — the width the statement was compiled for — is foreign:
+// dropped when there is a Where, emitted under its full key when only Keep
+// is set, under GroupAll otherwise.
+type Select struct {
+	Fields int
+	Where  []Cond
+	Keep   []int
+}
+
+// Cond is one conjunct: Pass, a pure function, decides on the text of field
+// Field, once per distinct value rather than per record.
+type Cond struct {
+	Field int
+	Pass  func(field string) bool
+}
+
+func (sel *Select) validate(query string) error {
+	fields := slices.Clone(sel.Keep)
+	for _, c := range sel.Where {
+		fields = append(fields, c.Field)
+	}
+	for _, f := range fields {
+		if f < 0 || f >= sel.Fields {
+			return fmt.Errorf("engine: query %q reads field %d of keys of %d fields", query, f, sel.Fields)
+		}
+	}
+	return nil
+}
+
+// Names of round 0's column lookups, one per site a Select scans: a miss
+// re-encoded a site written (or never read) since the last statement.
+const (
+	CounterColumnsHits   = "engine.columns.hits"
+	CounterColumnsMisses = "engine.columns.misses"
+	HistColumnsBuild     = "engine.columns.build_s"
+)
+
+// columns are a content's keys split into dictionary-coded fields — derived
+// state like a layout: a pure function of records and width that dies with
+// the content. A code means something only through dict; nothing a scan
+// puts out depends on its value.
+type columns struct {
+	codes   [][]uint32 // codes[f][i] is field f of record i
+	dict    [][]string // dict[f][code] is its text
+	foreign []int32    // ascending: the records whose key has another width
+	buildS  float64    // wall seconds the encode took
+}
+
+type columnsKey struct{ width int } // the memo key of a content's columns
+
+// dictionaries intern field texts, by field position, for one lineage (a
+// store, its clones, what their Adds and Removes make of them; Restore
+// starts another). They only grow: a re-encode after a write interns the new
+// values alone, and a prefix of strs handed out stays valid unlocked.
+type dictionaries struct {
+	mu     sync.Mutex
+	fields []fieldDict
+}
+
+type fieldDict struct {
+	ids  map[string]uint32
+	strs []string
+}
+
+// columns returns the coded keys of the layout's records, encoded once per
+// content; hit is false for the caller that encoded them.
+func (l *Layout) columns(width int) (cols *columns, hit bool) {
+	cols, hit, _ = Derive(l.src, columnsKey{width}, func(recs []KV) (*columns, error) {
+		t0, ct := time.Now(), l.src.content
+		ct.mu.Lock()
+		if ct.dicts == nil {
+			ct.dicts = &dictionaries{}
+		}
+		ds := ct.dicts
+		ct.mu.Unlock()
+
+		n := len(recs)
+		c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
+		flat := make([]uint32, width*n)
+		for f := range c.codes {
+			c.codes[f] = flat[f*n : (f+1)*n : (f+1)*n]
+		}
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		for len(ds.fields) < width {
+			ds.fields = append(ds.fields, fieldDict{ids: map[string]uint32{}})
+		}
+		for i, r := range recs {
+			key := r.Key
+			if strings.Count(key, KeySep) != width-1 {
+				c.foreign = append(c.foreign, int32(i))
+				continue
+			}
+			for f := range c.codes {
+				field := key // the last one
+				if j := strings.IndexByte(key, KeySep[0]); j >= 0 {
+					field, key = key[:j], key[j+1:]
+				}
+				d := &ds.fields[f]
+				id, ok := d.ids[field]
+				if !ok {
+					id = uint32(len(d.strs))
+					d.ids[field], d.strs = id, append(d.strs, field)
+				}
+				c.codes[f][i] = id
+			}
+		}
+		for f := range c.dict {
+			c.dict[f] = slices.Clip(ds.fields[f].strs)
+		}
+		c.buildS = time.Since(t0).Seconds()
+		return c, nil
+	})
+	return cols, hit
+}
+
+// grouper addresses a scan's groups by the kept fields' codes packed into
+// one integer: a table indexed by it when the kept dictionaries' product is
+// no larger than the busiest executor's share, an open-addressed one
+// otherwise. A slot holds the ordinal (from 1, over the whole scan) of the
+// group it was last given; ordinals at or below the executor's base are an
+// earlier executor's and read as free, so nothing is cleared in between.
+type grouper struct {
+	cols   *columns
+	keep   []int
+	codes  [][]uint32 // the kept fields' columns
+	stride []uint64
+	packs  bool // the product fits 64 bits; if not, groups go by name
+	run    bool // keep is an ascending contiguous run: a group key is a substring
+	dense  []int32
+	open   []openSlot
+}
+
+type openSlot struct {
+	tuple uint64
+	ord   int32
+}
+
+func newGrouper(cols *columns, keep []int, share int) *grouper {
+	g := &grouper{cols: cols, keep: keep, packs: true, run: true,
+		codes: make([][]uint32, len(keep)), stride: make([]uint64, len(keep))}
+	product := uint64(1)
+	for k, f := range keep {
+		g.codes[k], g.stride[k] = cols.codes[f], product
+		hi, lo := bits.Mul64(product, uint64(max(len(cols.dict[f]), 1)))
+		g.packs, product = g.packs && hi == 0, lo
+		g.run = g.run && (k == 0 || f == keep[k-1]+1)
+	}
+	switch {
+	case !g.packs:
+	case product <= uint64(share):
+		g.dense = make([]int32, product)
+	default:
+		g.open = make([]openSlot, 1<<bits.Len(uint(2*share)))
+	}
+	return g
+}
+
+// slot returns where the ordinal of record i's group lives: the group's
+// slot when this executor opened it, else a free one claimed for it.
+func (g *grouper) slot(i int, base int32) *int32 {
+	var t uint64
+	for k, col := range g.codes {
+		t += uint64(col[i]) * g.stride[k]
+	}
+	if g.dense != nil {
+		return &g.dense[t]
+	}
+	mask := uint64(len(g.open) - 1)
+	for h := mix(t) & mask; ; h = (h + 1) & mask {
+		if s := &g.open[h]; s.ord <= base || s.tuple == t {
+			s.tuple = t
+			return &s.ord
+		}
+	}
+}
+
+// key builds record i's group key: when keep is a run, the substring of the
+// stored key that the lengths of the fields before and in it locate.
+func (g *grouper) key(recs []KV, i int) string {
+	if len(g.keep) == 0 {
+		return GroupAll
+	}
+	text := func(f int) string { return g.cols.dict[f][g.cols.codes[f][i]] }
+	if !g.run {
+		kept := make([]string, len(g.keep))
+		for k, f := range g.keep {
+			kept[k] = text(f)
+		}
+		return strings.Join(kept, KeySep)
+	}
+	start, size := 0, len(g.keep)-1
+	for f := 0; f < g.keep[0]; f++ {
+		start += len(text(f)) + 1
+	}
+	for _, f := range g.keep {
+		size += len(text(f))
+	}
+	return recs[i].Key[start : start+size]
+}
+
+// scanSelect is Scan for a Select: a conjunct is decided once per dictionary
+// entry, a record costs integer work — test its codes, address its group by
+// the kept ones, fold its value — and a group's key is built when the group
+// opens. Records fold in record order and groups come out in first-emit
+// order per executor: the equivalent MapFn's result, bit for bit (DESIGN.md
+// §14).
+func (l *Layout) scanSelect(cols *columns, q *Query, countOnly bool) StageResult {
+	sel, recs, op := q.Select, l.src.recs, q.Combine
+	res := StageResult{AssignOverhead: l.AssignOverhead}
+	type test struct {
+		codes []uint32
+		pass  []bool
+	}
+	var tests []test // a conjunct every entry passes is not one
+	for _, c := range sel.Where {
+		pass, all := make([]bool, len(cols.dict[c.Field])), true
+		for code, s := range cols.dict[c.Field] {
+			pass[code] = c.Pass(s)
+			all = all && pass[code]
+		}
+		if !all {
+			tests = append(tests, test{cols.codes[c.Field], pass})
+		}
+	}
+	share := 0
+	for i := range l.execs {
+		share = max(share, l.execs[i].records)
+	}
+	g := newGrouper(cols, sel.Keep, share)
+	// Groups go by name when their tuples do not pack, and when foreign keys
+	// are grouped: a foreign key's full text may spell what a kept
+	// projection of another key spells, and the two are one group.
+	foreign, filtered := cols.foreign, len(sel.Where) > 0
+	var names map[string]int32
+	if !g.packs || (len(foreign) > 0 && len(sel.Keep) > 0 && !filtered) {
+		names = map[string]int32{}
+	}
+	additive := op == OpSum || op == OpCount // the common folds skip a call
+	var groups int32
+	for e := range l.execs {
+		ex := &l.execs[e]
+		base := groups
+		clear(names)
+		if e == 1 {
+			// The other executors open about as many groups as the first.
+			res.Inter = slices.Grow(res.Inter, len(res.Inter)*(len(l.execs)-1))
+		}
+		for _, p := range ex.parts {
+			fi := sort.Search(len(foreign), func(k int) bool { return int(foreign[k]) >= p.lo })
+		records:
+			for i := p.lo; i < p.hi; i++ {
+				shaped := true
+				if fi < len(foreign) && int(foreign[fi]) == i {
+					fi++
+					if filtered {
+						continue
+					}
+					shaped = false
+				}
+				for k := range tests {
+					if t := &tests[k]; !t.pass[t.codes[i]] {
+						continue records
+					}
+				}
+				res.Raw++
+				var ord int32
+				var slot *int32
+				var key string
+				if names != nil {
+					if key = recs[i].Key; shaped {
+						key = g.key(recs, i)
+					}
+					ord = names[key]
+				} else if slot = g.slot(i, base); *slot > base {
+					ord = *slot
+				}
+				switch {
+				case ord == 0: // the first record of its group under this executor
+					groups++
+					if names != nil {
+						names[key] = groups
+					} else if *slot = groups; !countOnly {
+						key = g.key(recs, i)
+					}
+					if !countOnly {
+						res.Inter = append(res.Inter, KV{Key: key, Val: op.initial(recs[i].Val)})
+					}
+				case countOnly:
+				case additive:
+					res.Inter[ord-1].Val += op.initial(recs[i].Val)
+				default:
+					res.Inter[ord-1].Val = op.apply(res.Inter[ord-1].Val, recs[i].Val)
+				}
+			}
+		}
+		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
+	}
+	res.Count = int(groups)
+	return res
+}

@@ -210,10 +210,13 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			// accumulation — folds the pooled results sequentially in site
 			// order below, preserving the sequential path byte for byte.
 			// looked says the site's layout was asked of its store; hit that
-			// the store already had it.
+			// the store already had it; cols and colsHit the same of the key
+			// columns a Select reads. owners are the records' reduce sites.
 			type siteStage struct {
 				StageResult
-				looked, hit bool
+				looked, hit, colsHit bool
+				cols                 *columns
+				owners               []int32
 			}
 			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
@@ -243,13 +246,33 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				if lerr != nil {
 					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
 				}
+				if sel := job.q.Select; sel != nil {
+					out.cols, out.colsHit = l.columns(sel.Fields)
+				}
 				out.StageResult = l.Scan(&job.q, false)
+				out.owners = make([]int32, len(out.Inter))
+				for k, rec := range out.Inter {
+					out.owners[k] = int32(KeyOwner(rec.Key, job.taskFrac))
+				}
 				return out, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			var hits, misses int
+			// Every reducer's arrivals are allocated once, at their size.
+			perOwner := make([]int, n)
+			for i := range outs {
+				for _, owner := range outs[i].owners {
+					perOwner[owner]++
+				}
+			}
+			for j, arrivals := range perOwner {
+				if arrivals > 0 {
+					st.arriving[j] = make([]KV, 0, arrivals)
+				}
+			}
+			crossMB := make([]float64, n)
+			var hits, misses, colsHits int
 			for i := 0; i < n; i++ {
 				inter, raw, mapT, assignT := outs[i].Inter, outs[i].Raw, outs[i].MapTime, outs[i].AssignOverhead
 				if raw > 0 && job.cfg.Obs != nil {
@@ -259,6 +282,11 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					hits++
 				} else if outs[i].looked {
 					misses++
+				}
+				if outs[i].colsHit {
+					colsHits++
+				} else if outs[i].cols != nil && job.cfg.Obs.WallClock() {
+					job.cfg.Obs.Observe(HistColumnsBuild, outs[i].cols.buildS)
 				}
 				mapT *= fs.ComputeFactor(i, clock)
 				st.mapSite[i] = mapT
@@ -271,9 +299,9 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				st.rm.IntermediateMB[i] = c.MB(len(inter))
 				job.res.IntermediateMBPerSite[i] += st.rm.IntermediateMB[i]
 
-				crossMB := make([]float64, n)
-				for _, rec := range inter {
-					owner := KeyOwner(rec.Key, job.taskFrac)
+				clear(crossMB)
+				for k, rec := range inter {
+					owner := int(outs[i].owners[k])
 					st.arriving[owner] = append(st.arriving[owner], rec)
 					if owner != i {
 						crossMB[owner] += c.BytesPerRecord / 1e6
@@ -291,6 +319,10 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			if round == 0 {
 				job.cfg.Obs.Count(CounterLayoutHits, float64(hits))
 				job.cfg.Obs.Count(CounterLayoutMisses, float64(misses))
+				if job.q.Select != nil { // looked up wherever a layout was
+					job.cfg.Obs.Count(CounterColumnsHits, float64(colsHits))
+					job.cfg.Obs.Count(CounterColumnsMisses, float64(hits+misses-colsHits))
+				}
 			}
 		}
 
@@ -427,30 +459,40 @@ func (st Stage) withDefaults() Stage {
 type Layout struct {
 	// AssignOverhead is the largest per-machine modeled assignment cost.
 	AssignOverhead float64
+	// src is the store as the layout found it: the records its ranges
+	// index, and the content their key columns are kept under.
+	src *Store
 	// execs are the executors in (machine, executor) order.
 	execs []execLayout
 }
 
 type execLayout struct {
-	// parts are the executor's partitions in partition order, each a
-	// sub-slice of the site's records.
-	parts [][]KV
-	// basis is what the executor's modeled map cost is charged per: its
-	// records, or under CubeInput its distinct input keys.
-	basis int
+	// parts are the executor's partitions in partition order, each an index
+	// range of the site's records — and of their columns.
+	parts []span
+	// records counts the parts' records; basis is what the executor's
+	// modeled map cost is charged per: them, or under CubeInput their
+	// distinct keys.
+	records, basis int
 }
+
+type span struct{ lo, hi int }
 
 // NewLayout partitions the records, has the stage's assigner place every
 // machine's partitions on its executors and validates what it returned.
 // The layout references the records: they must not be modified afterwards
 // (a store's never are).
 func NewLayout(records []KV, st Stage) (*Layout, error) {
-	ex := st.Exec
+	return newLayout(&Store{recs: records, content: &content{}}, st)
+}
+
+func newLayout(src *Store, st Stage) (*Layout, error) {
+	ex, records := st.Exec, src.recs
 	if ex.Machines <= 0 || ex.PerMachine <= 0 {
 		return nil, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
 	}
 	st = st.withDefaults()
-	l := &Layout{}
+	l := &Layout{src: src}
 	if len(records) == 0 {
 		return l, nil
 	}
@@ -477,21 +519,22 @@ func NewLayout(records []KV, st Stage) (*Layout, error) {
 		l.AssignOverhead = max(l.AssignOverhead, overhead)
 		machine := len(l.execs)
 		l.execs = l.execs[:machine+ex.PerMachine]
+		at := lo // partitions are contiguous, in order
 		for pi, e := range assignment {
 			if e < 0 || e >= ex.PerMachine {
 				return nil, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
 			}
-			el := &l.execs[machine+e]
-			el.parts = append(el.parts, parts[pi].Records)
-			el.basis += len(parts[pi].Records)
+			el, n := &l.execs[machine+e], len(parts[pi].Records)
+			el.parts = append(el.parts, span{at, at + n})
+			el.records, el.basis, at = el.records+n, el.basis+n, at+n
 		}
 		if !st.CubeInput {
 			continue
 		}
 		for e := machine; e < len(l.execs); e++ {
 			clear(inputKeys)
-			for _, part := range l.execs[e].parts {
-				for _, r := range part {
+			for _, p := range l.execs[e].parts {
+				for _, r := range records[p.lo:p.hi] {
 					inputKeys[r.Key] = struct{}{}
 				}
 			}
@@ -513,11 +556,16 @@ type layoutKey Stage
 // nothing about its configuration — is never memoized.
 func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
 	st = st.withDefaults()
+	var ct *content
+	if s != nil {
+		ct = s.content
+	}
+	build := func(recs []KV) (*Layout, error) { return newLayout(&Store{recs: recs, content: ct}, st) }
 	if t := reflect.TypeOf(st.Assigner); !t.Comparable() || t.Kind() == reflect.Pointer {
-		l, err = NewLayout(s.Records(), st)
+		l, err = build(s.Records())
 		return l, false, err
 	}
-	return Derive(s, layoutKey(st), func(recs []KV) (*Layout, error) { return NewLayout(recs, st) })
+	return Derive(s, layoutKey(st), build)
 }
 
 // StageResult is what one site's map→combine stage produced.
@@ -553,6 +601,10 @@ func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
 	if len(l.execs) == 0 {
 		return res
 	}
+	if q.Select != nil {
+		cols, _ := l.columns(q.Select.Fields)
+		return l.scanSelect(cols, q, countOnly)
+	}
 	cb := newCombiner(q.Combine, 0)
 	emit := cb.emit
 	if countOnly {
@@ -561,8 +613,8 @@ func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
 	for i := range l.execs {
 		ex := &l.execs[i]
 		cb.next()
-		for _, part := range ex.parts {
-			for _, r := range part {
+		for _, p := range ex.parts {
+			for _, r := range l.src.recs[p.lo:p.hi] {
 				if q.Map == nil {
 					emit(r.Key, r.Val)
 				} else {

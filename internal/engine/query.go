@@ -23,6 +23,10 @@ type Query struct {
 	QueryType string
 	// Map is applied to every input record. nil = identity.
 	Map MapFn
+	// Select is the declarative alternative to Map for what a filter and a
+	// projection of the key's fields can say; the engine runs it over the
+	// store's dictionary-coded key columns. At most one of the two is set.
+	Select *Select
 	// Combine is the associative merge for the combiner and reducer.
 	Combine CombineOp
 	// Iterations > 1 chains rounds (e.g. PageRank); reduce output becomes
@@ -47,7 +51,16 @@ func (q *Query) Validate() error {
 	if q.Iterations < 0 {
 		return fmt.Errorf("engine: query %q has negative iterations", q.Name)
 	}
-	return nil
+	if q.Select == nil {
+		return nil
+	}
+	if q.Map != nil {
+		return fmt.Errorf("engine: query %q sets both Map and Select", q.Name)
+	}
+	if q.Iterations > 1 {
+		return fmt.Errorf("engine: query %q iterates a Select: reduce output does not have its key shape", q.Name)
+	}
+	return q.Select.validate(q.Name)
 }
 
 // rounds returns the effective iteration count.

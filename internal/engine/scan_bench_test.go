@@ -1,0 +1,104 @@
+package engine_test
+
+import (
+	"fmt"
+	"testing"
+
+	"bohr/internal/engine"
+	"bohr/internal/sql"
+	"bohr/internal/workload"
+)
+
+// BenchmarkScanSelect sizes the coded scan on one serve-shaped site (5,000
+// bigdata-scan records: url × country × hour) under the three statement
+// shapes bench/querymiss.go sends, per record scanned:
+//
+//	ref-closure  the statement as the MapFn sql.Compile used to emit (index
+//	             the key in place, compare the WHERE fields as strings, fold
+//	             by projected string)
+//	coded        the same statement as a Select over the site's kept columns
+//	encode       what the first statement after a write pays once on top:
+//	             splitting the keys of a never-encoded site (new dictionaries,
+//	             the worst case) and counting them
+func BenchmarkScanSelect(b *testing.B) {
+	cfg := workload.DefaultConfig(workload.BigDataScan)
+	cfg.Sites, cfg.Datasets, cfg.RowsPerSite, cfg.KeysPerPool, cfg.Seed = 1, 1, 5000, 100, 42
+	w, err := workload.Generate(workload.BigDataScan, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := w.Datasets[0]
+	recs := siteRecords(ds, 0)
+	st := engine.Stage{Exec: engine.Executors{Machines: 2, PerMachine: 2}}
+	var coded, closure []engine.Query
+	for _, text := range []string{
+		"SELECT url, SUM(measure) FROM %s WHERE country != 'JP' AND hour != 'n7' GROUP BY url ORDER BY value DESC LIMIT 9",
+		"SELECT country, hour, SUM(measure) FROM %s WHERE country != 'US' AND url != 'n3' GROUP BY country, hour",
+		"SELECT country, COUNT(*) FROM %s WHERE hour != '07' AND url != 'n5' GROUP BY country",
+	} {
+		plan, err := sql.CompileString(fmt.Sprintf(text, ds.Name), ds.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proj, err := workload.NewProjection(ds.Schema, plan.Dims)
+		if err != nil {
+			b.Fatal(err)
+		}
+		where := plan.Query.Select.Where
+		ref := plan.Query
+		ref.Select = nil
+		ref.Map = func(r engine.KV, emit func(string, float64)) {
+			var x workload.KeyIndex
+			if !proj.Index(&x, r.Key) {
+				return
+			}
+			for _, c := range where {
+				if !c.Pass(x.Field(c.Field)) {
+					return
+				}
+			}
+			emit(proj.Key(&x), r.Val)
+		}
+		coded, closure = append(coded, plan.Query), append(closure, ref)
+	}
+	layout, err := engine.NewLayout(recs, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range coded {
+		if !sameStage(layout.Scan(&coded[i], false), layout.Scan(&closure[i], false)) {
+			b.Fatalf("statement %d: the closure and the Select scan differently", i)
+		}
+	}
+	perRecord := func(b *testing.B, scans int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*scans*len(recs)), "ns/record")
+	}
+	for name, qs := range map[string][]engine.Query{"ref-closure": closure, "coded": coded} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := range qs {
+					layout.Scan(&qs[k], false)
+				}
+			}
+			perRecord(b, len(qs))
+		})
+	}
+	b.Run("encode", func(b *testing.B) {
+		count, err := sql.CompileString("SELECT COUNT(*) FROM "+ds.Name, ds.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh, err := engine.NewLayout(recs, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			fresh.Scan(&count.Query, true)
+		}
+		perRecord(b, 1)
+	})
+}

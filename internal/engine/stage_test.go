@@ -3,7 +3,9 @@ package engine_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"bohr/internal/engine"
@@ -67,14 +69,44 @@ func refStage(records []engine.KV, q *engine.Query, st engine.Stage) (perExec []
 }
 
 func refApplyMap(q *engine.Query, in []engine.KV) []engine.KV {
-	if q.Map == nil {
+	m := q.Map
+	if q.Select != nil {
+		m = func(r engine.KV, emit func(string, float64)) { refSelect(q.Select, r, emit) }
+	}
+	if m == nil {
 		return in
 	}
 	var out []engine.KV
 	for _, r := range in {
-		q.Map(r, func(k string, v float64) { out = append(out, engine.KV{Key: k, Val: v}) })
+		m(r, func(k string, v float64) { out = append(out, engine.KV{Key: k, Val: v}) })
 	}
 	return out
+}
+
+// refSelect is what a Select means, one record at a time on split strings.
+func refSelect(sel *engine.Select, r engine.KV, emit func(string, float64)) {
+	fields := strings.Split(r.Key, engine.KeySep)
+	shaped := len(fields) == sel.Fields
+	if len(sel.Where) > 0 && !shaped {
+		return
+	}
+	for _, c := range sel.Where {
+		if !c.Pass(fields[c.Field]) {
+			return
+		}
+	}
+	key := engine.GroupAll
+	if len(sel.Keep) > 0 {
+		key = r.Key
+		if shaped {
+			kept := make([]string, len(sel.Keep))
+			for k, f := range sel.Keep {
+				kept[k] = fields[f]
+			}
+			key = strings.Join(kept, engine.KeySep)
+		}
+	}
+	emit(key, r.Val)
 }
 
 func refCombine(records []engine.KV, op engine.CombineOp) []engine.KV {
@@ -435,5 +467,50 @@ func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 			t.Fatalf("%s: %.0f allocations for %d records in %d groups, want at most %.0f", text, allocs, len(recs), res.Count, limit)
 		}
 		t.Logf("%d records, %d groups, %.0f allocations", len(recs), res.Count, allocs)
+	}
+}
+
+// TestSelectGroupsByNameWhenTuplesDoNotPack: nine kept fields of 256 values
+// each have 2^72 tuples, more than 64 bits count (packed regardless, the
+// product wraps to zero), so the scan groups by the materialized key instead
+// of by packed codes — to the same result as the reference, executor by
+// executor.
+func TestSelectGroupsByNameWhenTuplesDoNotPack(t *testing.T) {
+	const width = 9
+	recs := make([]engine.KV, 600)
+	for i := range recs {
+		fields := make([]string, width)
+		for f := range fields {
+			fields[f] = fmt.Sprintf("v%d", (i+7*f)%256)
+		}
+		recs[i] = engine.KV{Key: strings.Join(fields, engine.KeySep), Val: float64(i) / 7}
+	}
+	q := engine.Query{Name: "wide", Dataset: "d", Combine: engine.OpSum, MapCost: engine.DefaultMapCost,
+		Select: &engine.Select{Fields: width, Keep: []int{8, 7, 6, 5, 4, 3, 2, 1, 0},
+			Where: []engine.Cond{{Field: 0, Pass: func(s string) bool { return s != "v3" }}}}}
+	st := engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 2}, Assigner: engine.RoundRobinAssigner{}, PartitionsPerExecutor: 4}
+	want, wantRaw, _, _, err := refStage(recs, &q, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := engine.NewLayout(recs, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := layout.Scan(&q, false)
+	if only := layout.Scan(&q, true); only.Count != got.Count || only.Raw != got.Raw || got.Raw != wantRaw || only.Inter != nil {
+		t.Fatalf("raw %d, reference %d; count-only scan %+v, full scan counted %d", got.Raw, wantRaw, only, got.Count)
+	}
+	rest := got.Inter
+	for e, exec := range want {
+		mine := append([]engine.KV(nil), rest[:min(len(exec), len(rest))]...)
+		rest = rest[len(mine):]
+		sort.Slice(mine, func(i, j int) bool { return mine[i].Key < mine[j].Key })
+		if !reflect.DeepEqual(mine, exec) {
+			t.Fatalf("executor %d: %d groups differ from the reference's %d", e, len(mine), len(exec))
+		}
+	}
+	if len(rest) != 0 || got.Count != len(got.Inter) {
+		t.Fatalf("%d groups beyond the reference's; Count %d of %d", len(rest), got.Count, len(got.Inter))
 	}
 }

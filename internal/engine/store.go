@@ -48,6 +48,20 @@ type Store struct {
 type content struct {
 	mu   sync.Mutex
 	memo map[any]*derived
+	// dicts are the key-field dictionaries of the store's lineage
+	// (columns.go): the one thing a content hands its successor.
+	dicts *dictionaries
+}
+
+// successor is the content of the store's next record sequence: a new
+// identity, an empty memo, the lineage's dictionaries.
+func (ct *content) successor() *content {
+	if ct == nil {
+		return &content{}
+	}
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return &content{dicts: ct.dicts}
 }
 
 // derived is one memoized value; once makes concurrent first lookups
@@ -135,12 +149,13 @@ func (s *Store) Add(records ...KV) {
 			s.idx.add(r.Key)
 		}
 	}
-	s.content = &content{}
+	s.content = s.content.successor()
 }
 
 // Restore replaces the store's records wholesale (a snapshot load); the
 // store takes ownership of the slice. The index is dropped and rebuilt by
-// the next similarity-aware move.
+// the next similarity-aware move, and the key dictionaries start over with
+// the next Select.
 func (s *Store) Restore(records []KV) {
 	s.recs = records
 	s.version++
@@ -406,6 +421,6 @@ func (s *Store) Remove(sel Selection) error {
 	s.recs = kept
 	s.version++
 	s.gen++
-	s.content = &content{}
+	s.content = s.content.successor()
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -79,5 +80,40 @@ func BenchmarkDurableIngestBatch(b *testing.B) {
 	b.StopTimer()
 	if got := pipe.Stats().RecordsDelivered; got != uint64(b.N*batchRecords) {
 		b.Fatalf("%d records delivered, %d sent", got, b.N*batchRecords)
+	}
+}
+
+// BenchmarkQueryMissRefresh is bench/'s query-miss op under `go test`, so
+// the uncached read path can be profiled without editing bench/: the same
+// deployment as above with ingest off, and per op one dashboard refresh —
+// the three missStatements shapes, texts nobody sent before — through
+// Server.Handler().
+func BenchmarkQueryMissRefresh(b *testing.B) {
+	s := experiments.QuickSetup()
+	s.RowsPerSite, s.Seed = 5000, 42
+	col, win := obs.NewCollector(obs.WithWallClock()), window.New(nil)
+	col.SetSink(win)
+	sys := prepareSystem(b, s, col)
+	handler := New(NewEngineBackend(sys), Config{Windows: win}, col).Handler()
+	dss := sys.Workload.Datasets
+	nonce := 0
+	refresh := func(i int) {
+		nonce++
+		for _, st := range missStatements(dss[i%len(dss)].Name, nonce) {
+			body, _ := json.Marshal(QueryRequest{Tenant: "bench", Query: st.text})
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("refresh %d: %q: status %d: %s", i, st.text, rec.Code, rec.Body)
+			}
+		}
+	}
+	for i := 0; i < len(dss); i++ {
+		refresh(i) // every dataset's layouts and columns exist
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh(i)
 	}
 }

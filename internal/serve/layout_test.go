@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"bohr/internal/engine"
+	"bohr/internal/experiments"
 	"bohr/internal/ingest"
 	"bohr/internal/obs"
+	"bohr/internal/sql"
 	"bohr/internal/stats"
 	"bohr/internal/workload"
 )
@@ -96,14 +98,25 @@ func checkAgainstFold(st missStatement, rows []QueryRow, want map[string]float64
 	return nil
 }
 
+// sitesHolding counts the sites that store records of the dataset.
+func sitesHolding(c *engine.Cluster, dataset string) (n float64) {
+	for i := 0; i < c.N(); i++ {
+		if len(c.Data[i].Records(dataset)) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestQueryMissMatchesNaiveFoldAcrossMutations sends the query-miss
 // statement shapes through the handler and checks each reply against a
 // naive fold over the stored records — before any write, and after an
 // ingest batch, a replan's plan-directed moves and a bare Remove. Every
-// mutation leaves the written sites' layouts behind (the first statement
-// after it misses there and only there); every other statement, new text
-// or not, finds all of them: hits and no misses, on the system's collector
-// where /metrics reads them.
+// mutation leaves the written sites' layouts and key columns behind (the
+// first statement after it misses there and only there: it pays the
+// re-partition and the re-encode); every other statement, new text or not,
+// finds all of them: hits and no misses, on the system's collector where
+// /metrics reads them.
 func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
 	// Of three datasets the first stays spread over all four sites.
 	sys := systemOf(t, 3)
@@ -122,18 +135,20 @@ func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
 		}
 		return out
 	}
+	// Layouts and columns are looked up together, once per site holding
+	// the dataset: their counters must move alike.
 	layoutCounts := func() (hits, misses float64) {
-		c := col.MetricsSnapshot().Counters
+		t.Helper()
+		snap := col.MetricsSnapshot()
+		c := snap.Counters
+		if c[engine.CounterColumnsHits] != c[engine.CounterLayoutHits] || c[engine.CounterColumnsMisses] != c[engine.CounterLayoutMisses] ||
+			float64(snap.Histograms[engine.HistColumnsBuild].Count) != c[engine.CounterColumnsMisses] {
+			t.Fatalf("column hits/misses/builds %v/%v/%d beside layout hits/misses %v/%v", c[engine.CounterColumnsHits],
+				c[engine.CounterColumnsMisses], snap.Histograms[engine.HistColumnsBuild].Count, c[engine.CounterLayoutHits], c[engine.CounterLayoutMisses])
+		}
 		return c[engine.CounterLayoutHits], c[engine.CounterLayoutMisses]
 	}
-	holding := func() (n float64) {
-		for i := 0; i < sys.Cluster.N(); i++ {
-			if len(sys.Cluster.Data[i].Records(ds.Name)) > 0 {
-				n++
-			}
-		}
-		return n
-	}
+	holding := func() float64 { return sitesHolding(sys.Cluster, ds.Name) }
 	nonce := 0
 	// refresh sends the three shapes; written is how many sites' content
 	// changed since the last one.
@@ -212,4 +227,55 @@ func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
 		t.Fatal("the Remove did not change site 0's version alone")
 	}
 	refresh("after a Remove", 1)
+}
+
+// TestNoStatementNoColumns: what fig6-batch and ingest-durable do — plan,
+// run the recurring queries, apply ingest batches with a replan — never
+// sends a Select, so no site's keys are ever looked up as columns (only a
+// Select's scan encodes them or allocates a dictionary:
+// engine.TestColumnsBuiltOncePerContent), and the first statement then
+// misses at every site holding its dataset.
+func TestNoStatementNoColumns(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 2, 120
+	col := obs.NewCollector(obs.WithWallClock())
+	sys := prepareSystem(t, s, col)
+	sys.SetReplanEvery(2)
+	if _, err := sys.RunAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	backend := NewEngineBackend(sys)
+	for off := uint64(1); off <= 3; off++ {
+		var recs []ingest.Record
+		for i := uint64(0); i < 12; i++ {
+			recs = append(recs, liveRecord(sys, "src", 100*off+i, int(i)%sys.Cluster.N()))
+		}
+		if _, err := backend.ApplyBatch(context.Background(), ingest.Batch{Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys.IngestReplans() == 0 {
+		t.Fatal("setup: no batch replanned")
+	}
+	counters := col.MetricsSnapshot().Counters
+	if counters[engine.CounterLayoutMisses] == 0 {
+		t.Fatal("setup: the recurring queries looked up no layout")
+	}
+	for _, name := range []string{engine.CounterColumnsHits, engine.CounterColumnsMisses} {
+		if v, ok := counters[name]; ok {
+			t.Fatalf("%s = %v on a system no statement was sent to", name, v)
+		}
+	}
+	ds := sys.Workload.Datasets[0]
+	plan, err := sql.CompileString("SELECT country, COUNT(*) FROM "+ds.Name+" GROUP BY country", ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := backend.RunTraced(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	holding := sitesHolding(sys.Cluster, ds.Name)
+	if counters = col.MetricsSnapshot().Counters; counters[engine.CounterColumnsMisses] != holding || counters[engine.CounterColumnsHits] != 0 {
+		t.Fatalf("the first statement: %v column misses, %v hits; want %v, 0", counters[engine.CounterColumnsMisses], counters[engine.CounterColumnsHits], holding)
+	}
 }

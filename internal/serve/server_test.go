@@ -148,6 +148,12 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{`{"tenant":"","query":"SELECT url FROM logs"}`, http.StatusBadRequest},
 		{`{"tenant":"a","query":""}`, http.StatusBadRequest},
 		{`{"tenant":"a","query":"SELECT FROM WHERE"}`, http.StatusBadRequest},
+		// Statements that parse but would answer wrongly: a second aggregate,
+		// an aggregate over something other than the measure, a column
+		// grouped on twice.
+		{`{"tenant":"a","query":"SELECT country, SUM(measure), COUNT(*) FROM logs GROUP BY country"}`, http.StatusBadRequest},
+		{`{"tenant":"a","query":"SELECT MAX(nosuch) FROM logs"}`, http.StatusBadRequest},
+		{`{"tenant":"a","query":"SELECT SUM(measure) FROM logs GROUP BY country, country"}`, http.StatusBadRequest},
 		{`{"tenant":"a","query":"SELECT url, SUM(measure) FROM nope GROUP BY url"}`, http.StatusNotFound},
 		{`not json`, http.StatusBadRequest},
 		// One byte over the body cap, all of it inside the query string.

@@ -2,13 +2,12 @@ package sql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"bohr/internal/engine"
 	"bohr/internal/olap"
-	"bohr/internal/workload"
 )
 
 // Plan is a compiled statement: the engine query to run plus the attribute
@@ -24,13 +23,15 @@ type Plan struct {
 
 // Compile turns a parsed statement into an engine query against a dataset
 // stored with the given schema. The engine's stored keys are the full
-// coordinate tuples (workload.JoinKey), so the compiled map function
-// filters on WHERE and projects to the grouping dimensions.
+// coordinate tuples (workload.JoinKey), so the statement compiles to a
+// declarative select over their fields: the WHERE conjuncts, then the
+// grouping dimensions.
 func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 	if stmt == nil {
 		return nil, fmt.Errorf("sql: nil statement")
 	}
-	// Resolve the grouping dimensions.
+	// Resolve the grouping dimensions; none is a pure aggregate over
+	// everything.
 	dims := stmt.GroupBy
 	if len(dims) == 0 {
 		for _, it := range stmt.Items {
@@ -39,26 +40,24 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 			}
 		}
 	}
-	if len(dims) == 0 {
-		// Pure aggregate over everything: group on a constant.
-		dims = nil
-	}
-	for _, d := range dims {
+	keep := make([]int, len(dims))
+	for i, d := range dims {
 		if !schema.Has(d) {
 			return nil, fmt.Errorf("sql: unknown column %q (schema has %v)", d, schema.Dims())
 		}
-	}
-	for _, c := range stmt.Where {
-		if !schema.Has(c.Column) {
-			return nil, fmt.Errorf("sql: unknown column %q in WHERE", c.Column)
+		if slices.Contains(dims[:i], d) {
+			return nil, fmt.Errorf("sql: column %q is grouped on twice", d)
 		}
+		keep[i] = schema.Index(d)
 	}
 
-	// Pick the combine op from the first aggregate (the engine carries a
-	// single measure).
-	op := engine.OpSum
+	// The engine carries one measure, so a statement has at most one
+	// aggregate, over it.
+	op, aggs := engine.OpSum, 0
 	for _, it := range stmt.Items {
 		switch it.Agg {
+		case AggNone:
+			continue
 		case AggCount:
 			op = engine.OpCount
 		case AggMax:
@@ -67,45 +66,24 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 			op = engine.OpMin
 		case AggSum:
 			op = engine.OpSum
-		default:
-			continue
 		}
-		break
+		if aggs++; aggs > 1 {
+			return nil, fmt.Errorf("sql: %s(%s) is a second aggregate; a statement computes one", it.Agg, it.Column)
+		}
+		if it.Column != "measure" && it.Column != "*" {
+			return nil, fmt.Errorf("sql: %s(%s): aggregates are over measure (or * for COUNT)", it.Agg, it.Column)
+		}
 	}
 
-	checks, err := compileChecks(stmt.Where, schema)
+	where, err := compileWhere(stmt.Where, schema)
 	if err != nil {
 		return nil, err
 	}
-	proj, err := workload.NewProjection(schema, dims)
-	if err != nil {
-		return nil, err
-	}
-	grouped := len(dims) > 0
-
 	q := engine.Query{
-		Name:      "sql:" + summarize(stmt),
-		Dataset:   stmt.Dataset,
-		QueryType: string(olap.QueryTypeFor(dims)),
-		// One in-place index of the stored key serves the WHERE conjuncts
-		// and the projection alike.
-		Map: func(r engine.KV, emit func(string, float64)) {
-			key := "<all>" // a pure aggregate groups on a constant
-			if grouped || len(checks) > 0 {
-				var x workload.KeyIndex
-				shaped := proj.Index(&x, r.Key)
-				if len(checks) > 0 && !(shaped && passes(checks, &x)) {
-					return
-				}
-				if grouped {
-					key = r.Key // foreign key shape: leave untouched
-					if shaped {
-						key = proj.Key(&x)
-					}
-				}
-			}
-			emit(key, r.Val)
-		},
+		Name:       "sql:" + summarize(stmt),
+		Dataset:    stmt.Dataset,
+		QueryType:  string(olap.QueryTypeFor(dims)),
+		Select:     &engine.Select{Fields: schema.NumDims(), Where: where, Keep: keep},
 		Combine:    op,
 		MapCost:    engine.DefaultMapCost,
 		ReduceCost: engine.DefaultReduceCost,
@@ -119,20 +97,26 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 func (p *Plan) PostProcess(out []engine.KV) []engine.KV {
 	rows := append([]engine.KV(nil), out...)
 	stmt := p.Statement
+	var less func(a, b engine.KV) bool
 	switch stmt.OrderBy {
 	case "value":
-		sort.SliceStable(rows, func(i, j int) bool {
-			if stmt.Desc {
-				return rows[i].Val > rows[j].Val
-			}
-			return rows[i].Val < rows[j].Val
-		})
+		less = func(a, b engine.KV) bool { return a.Val < b.Val }
 	case "key":
-		sort.SliceStable(rows, func(i, j int) bool {
+		less = func(a, b engine.KV) bool { return a.Key < b.Key }
+	}
+	if less != nil {
+		// Rows that do not order (NaN values) compare equal to everything.
+		slices.SortStableFunc(rows, func(a, b engine.KV) int {
 			if stmt.Desc {
-				return rows[i].Key > rows[j].Key
+				a, b = b, a
 			}
-			return rows[i].Key < rows[j].Key
+			switch {
+			case less(a, b):
+				return -1
+			case less(b, a):
+				return 1
+			}
+			return 0
 		})
 	}
 	if stmt.Limit > 0 && len(rows) > stmt.Limit {
@@ -152,18 +136,28 @@ func CompileString(query string, schema *olap.Schema) (*Plan, error) {
 
 // check is one compiled WHERE conjunct.
 type check struct {
-	idx     int
-	op      string
+	// holds says, for the field ordering before, equal to or after the
+	// value, whether the operator is satisfied.
+	holds   [3]bool
 	value   string
 	numeric bool
 	numVal  float64
 }
 
-// compileChecks resolves the WHERE conjuncts against the schema.
-func compileChecks(conds []Condition, schema *olap.Schema) ([]check, error) {
-	checks := make([]check, len(conds))
+var operators = map[string][3]bool{
+	"=": {false, true, false}, "!=": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
+}
+
+// compileWhere resolves the WHERE conjuncts against the schema.
+func compileWhere(conds []Condition, schema *olap.Schema) ([]engine.Cond, error) {
+	where := make([]engine.Cond, len(conds))
 	for i, c := range conds {
-		ch := check{idx: schema.Index(c.Column), op: c.Op, value: c.Value, numeric: c.Numeric}
+		if !schema.Has(c.Column) {
+			return nil, fmt.Errorf("sql: unknown column %q in WHERE", c.Column)
+		}
+		ch := check{holds: operators[c.Op], value: c.Value, numeric: c.Numeric}
 		if c.Numeric {
 			v, err := strconv.ParseFloat(c.Value, 64)
 			if err != nil {
@@ -171,52 +165,28 @@ func compileChecks(conds []Condition, schema *olap.Schema) ([]check, error) {
 			}
 			ch.numVal = v
 		}
-		checks[i] = ch
+		where[i] = engine.Cond{Field: schema.Index(c.Column), Pass: ch.pass}
 	}
-	return checks, nil
+	return where, nil
 }
 
-// passes reports whether an indexed, schema-shaped key satisfies every
-// conjunct.
-func passes(checks []check, x *workload.KeyIndex) bool {
-	for i := range checks {
-		ch := &checks[i]
-		got := x.Field(ch.idx)
-		var cmp int
-		if ch.numeric {
-			gv, err := strconv.ParseFloat(got, 64)
-			if err != nil {
-				return false
-			}
-			switch {
-			case gv < ch.numVal:
-				cmp = -1
-			case gv > ch.numVal:
-				cmp = 1
-			}
-		} else {
-			cmp = strings.Compare(got, ch.value)
-		}
-		ok := false
-		switch ch.op {
-		case "=":
-			ok = cmp == 0
-		case "!=":
-			ok = cmp != 0
-		case "<":
-			ok = cmp < 0
-		case "<=":
-			ok = cmp <= 0
-		case ">":
-			ok = cmp > 0
-		case ">=":
-			ok = cmp >= 0
-		}
-		if !ok {
-			return false
-		}
+// pass reports whether a field's text satisfies the conjunct. A numeric
+// conjunct fails a field that is not a number, and takes one that does not
+// order against its value (NaN) as equal to it.
+func (ch check) pass(got string) bool {
+	if !ch.numeric {
+		return ch.holds[strings.Compare(got, ch.value)+1]
 	}
-	return true
+	gv, err := strconv.ParseFloat(got, 64)
+	switch {
+	case err != nil:
+		return false
+	case gv < ch.numVal:
+		return ch.holds[0]
+	case gv > ch.numVal:
+		return ch.holds[2]
+	}
+	return ch.holds[1]
 }
 
 // summarize renders a short name for the compiled query.

@@ -257,13 +257,27 @@ func TestCompileAggregateOps(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	schema := olap.MustSchema("a", "b")
-	bad := []string{
-		"SELECT zzz FROM t GROUP BY zzz",
-		"SELECT SUM(measure) FROM t WHERE nope = 'x'",
+	// Each statement with what its message must name.
+	bad := map[string]string{
+		"SELECT zzz FROM t GROUP BY zzz":              "zzz",
+		"SELECT SUM(measure) FROM t WHERE nope = 'x'": "nope",
+		// The engine carries one measure: a second aggregate would be
+		// dropped, an argument other than the measure never resolved.
+		"SELECT a, SUM(measure), COUNT(*) FROM t GROUP BY a": "COUNT(*)",
+		"SELECT MAX(nosuch) FROM t":                          "MAX(nosuch)",
+		"SELECT COUNT(a) FROM t":                             "COUNT(a)",
+		"SELECT SUM(measure) FROM t GROUP BY a, a":           `"a"`,
+		"SELECT b, b FROM t":                                 `"b"`,
+		"SELECT SUM(measure) FROM t WHERE a < 1.2.3":         "1.2.3",
 	}
-	for _, q := range bad {
-		if _, err := CompileString(q, schema); err == nil {
-			t.Errorf("CompileString(%q) should error", q)
+	for q, names := range bad {
+		if _, err := CompileString(q, schema); err == nil || !strings.Contains(err.Error(), names) {
+			t.Errorf("CompileString(%q) = %v, want an error naming %s", q, err, names)
+		}
+	}
+	for _, q := range []string{"SELECT COUNT(measure) FROM t", "SELECT a, b, MIN(measure) FROM t GROUP BY b, a"} {
+		if _, err := CompileString(q, schema); err != nil {
+			t.Errorf("CompileString(%q): %v", q, err)
 		}
 	}
 	if _, err := Compile(nil, schema); err == nil {

@@ -177,7 +177,7 @@ type Workload struct {
 
 // keySep joins coordinates into engine keys; olap.Row coordinates never
 // contain it.
-const keySep = "\x1f"
+const keySep = engine.KeySep
 
 // JoinKey builds the engine record key from row coordinates.
 func JoinKey(coords []string) string { return strings.Join(coords, keySep) }
