@@ -16,7 +16,7 @@ import (
 
 // restoredCopy is the cluster with every store's records installed anew:
 // the same records in the same order at every site, no content — and so no
-// layout, cube or replay count — shared with c.
+// layout, cube or cell column — shared with c.
 func restoredCopy(c *engine.Cluster) *engine.Cluster {
 	out := c.Clone()
 	for i, sd := range c.Data {

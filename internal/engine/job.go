@@ -183,6 +183,8 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		type roundState struct {
 			rm       RoundMetrics
 			arriving [][]KV
+			// groups[j] is what reducer j's combiner is sized for.
+			groups []int
 			// mapSite / reduceSite hold per-site stage times for the
 			// trace's per-site child spans (critical-path attribution).
 			mapSite    []float64
@@ -198,6 +200,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			st := &roundState{
 				rm:         RoundMetrics{IntermediateMB: make([]float64, n)},
 				arriving:   make([][]KV, n),
+				groups:     make([]int, n),
 				mapSite:    make([]float64, n),
 				reduceSite: make([]float64, n),
 			}
@@ -259,11 +262,17 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			if err != nil {
 				return nil, err
 			}
-			// Every reducer's arrivals are allocated once, at their size.
-			perOwner := make([]int, n)
+			// Every reducer's arrivals are allocated once, at their size, and
+			// its combiner for the largest partial one site sends it.
+			perOwner, fromSite := make([]int, n), make([]int, n)
 			for i := range outs {
+				clear(fromSite)
 				for _, owner := range outs[i].owners {
-					perOwner[owner]++
+					fromSite[owner]++
+				}
+				for j, k := range fromSite {
+					perOwner[j] += k
+					st.groups[j] = max(st.groups[j], k)
 				}
 			}
 			for j, arrivals := range perOwner {
@@ -366,7 +375,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			job.res.TotalShuffleMB += st.rm.ShuffleMB
 			output := make([][]KV, n)
 			for j := 0; j < n; j++ {
-				output[j] = CombinePartials(st.arriving[j], job.q.Combine)
+				output[j] = combinePartials(st.arriving[j], job.q.Combine, st.groups[j])
 				execs := c.Exec[j].Total()
 				t := float64(len(st.arriving[j])) * job.q.ReduceCost / float64(execs)
 				t *= fs.ComputeFactor(j, reduceStart)
@@ -409,7 +418,8 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		for _, recs := range job.input {
 			all = append(all, recs...)
 		}
-		job.res.Output = CombinePartials(all, job.q.Combine)
+		// A key has one owner, so the reducers' outputs are disjoint.
+		job.res.Output = combinePartials(all, job.q.Combine, len(all))
 		out[ji] = job.res
 	}
 	return out, nil
@@ -487,61 +497,77 @@ func NewLayout(records []KV, st Stage) (*Layout, error) {
 }
 
 func newLayout(src *Store, st Stage) (*Layout, error) {
-	ex, records := st.Exec, src.recs
-	if ex.Machines <= 0 || ex.PerMachine <= 0 {
-		return nil, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
+	execs, overhead, err := st.lay(len(src.recs), src.recs)
+	if err != nil {
+		return nil, err
 	}
-	st = st.withDefaults()
-	l := &Layout{src: src}
-	if len(records) == 0 {
-		return l, nil
-	}
+	l := &Layout{AssignOverhead: overhead, src: src, execs: execs}
 	var inputKeys map[string]struct{}
 	if st.CubeInput {
 		inputKeys = make(map[string]struct{})
 	}
-	perMachine := (len(records) + ex.Machines - 1) / ex.Machines
-	// Only the machines that get records have executors in the layout.
-	l.execs = make([]execLayout, 0, (len(records)+perMachine-1)/perMachine*ex.PerMachine)
-	for lo := 0; lo < len(records); lo += perMachine {
-		machineRecs := records[lo:min(lo+perMachine, len(records))]
-		parts, err := PartitionRecords(machineRecs, ex.PerMachine*st.PartitionsPerExecutor)
-		if err != nil {
-			return nil, err
-		}
-		assignment, overhead, err := st.Assigner.Assign(parts, ex.PerMachine)
-		if err != nil {
-			return nil, err
-		}
-		if len(assignment) != len(parts) {
-			return nil, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
-		}
-		l.AssignOverhead = max(l.AssignOverhead, overhead)
-		machine := len(l.execs)
-		l.execs = l.execs[:machine+ex.PerMachine]
-		at := lo // partitions are contiguous, in order
-		for pi, e := range assignment {
-			if e < 0 || e >= ex.PerMachine {
-				return nil, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
-			}
-			el, n := &l.execs[machine+e], len(parts[pi].Records)
-			el.parts = append(el.parts, span{at, at + n})
-			el.records, el.basis, at = el.records+n, el.basis+n, at+n
-		}
+	for e := range l.execs {
+		el := &l.execs[e]
+		el.basis = el.records
 		if !st.CubeInput {
 			continue
 		}
-		for e := machine; e < len(l.execs); e++ {
-			clear(inputKeys)
-			for _, p := range l.execs[e].parts {
-				for _, r := range records[p.lo:p.hi] {
-					inputKeys[r.Key] = struct{}{}
-				}
+		clear(inputKeys)
+		for _, p := range el.parts {
+			for _, r := range src.recs[p.lo:p.hi] {
+				inputKeys[r.Key] = struct{}{}
 			}
-			l.execs[e].basis = len(inputKeys)
 		}
+		el.basis = len(inputKeys)
 	}
 	return l, nil
+}
+
+// lay cuts n records into the stage's executors and returns them with the
+// largest per-machine assignment overhead. records are what the assigner
+// reads; nil under the default one, which counts partitions only.
+func (st Stage) lay(n int, records []KV) ([]execLayout, float64, error) {
+	ex := st.Exec
+	if ex.Machines <= 0 || ex.PerMachine <= 0 {
+		return nil, 0, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
+	}
+	st = st.withDefaults()
+	if n == 0 {
+		return nil, 0, nil
+	}
+	perMachine := (n + ex.Machines - 1) / ex.Machines
+	// Only the machines that get records have executors in the layout.
+	execs := make([]execLayout, 0, (n+perMachine-1)/perMachine*ex.PerMachine)
+	var overhead float64
+	for lo := 0; lo < n; lo += perMachine {
+		spans := partitionSpans(lo, min(lo+perMachine, n), ex.PerMachine*st.PartitionsPerExecutor)
+		parts := make([]Partition, len(spans))
+		for pi, s := range spans {
+			parts[pi].Index = pi
+			if records != nil {
+				parts[pi].Records = records[s.lo:s.hi]
+			}
+		}
+		assignment, oh, err := st.Assigner.Assign(parts, ex.PerMachine)
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(assignment) != len(parts) {
+			return nil, 0, fmt.Errorf("assigner returned %d assignments for %d partitions", len(assignment), len(parts))
+		}
+		overhead = max(overhead, oh)
+		machine := len(execs)
+		execs = execs[:machine+ex.PerMachine]
+		for pi, e := range assignment {
+			if e < 0 || e >= ex.PerMachine {
+				return nil, 0, fmt.Errorf("assigner placed partition %d on executor %d of %d", pi, e, ex.PerMachine)
+			}
+			el := &execs[machine+e]
+			el.parts = append(el.parts, spans[pi])
+			el.records += spans[pi].hi - spans[pi].lo
+		}
+	}
+	return execs, overhead, nil
 }
 
 // layoutKey is the memo key of a store's layout: the stage, defaults
@@ -584,12 +610,11 @@ type StageResult struct {
 }
 
 // Scan is the per-statement half of the map→combine stage, the single
-// implementation the simulated engine, the planner's profiling replays and
-// the live netio worker all run: stream each executor's partitions in
-// place through q.Map into that executor's combiner. Nothing is copied per
-// record, so a scan allocates for the groups it opens, not the records it
-// reads. countOnly asks for Count alone: nothing is folded, kept or
-// ordered.
+// implementation the simulated engine and the live netio worker both
+// run: stream each executor's partitions in place through q.Map into
+// that executor's combiner. Nothing is copied per record, so a scan
+// allocates for the groups it opens, not the records it reads. countOnly
+// asks for Count alone: nothing is folded, kept or ordered.
 //
 // The combiner keeps groups in first-emit order instead of sorting them.
 // One key appears at most once per executor, so a reducer still meets each
@@ -627,22 +652,6 @@ func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
 	}
 	res.Inter, res.Count, res.Raw = cb.out, cb.groups, cb.raw
 	return res
-}
-
-// ProfileIntermediate replays the map+combine stage of one site over the
-// dataset's records there and returns the post-combiner intermediate
-// record count — the quantity a recurring query's previous run reveals.
-// The paper's prototype estimates data reduction exactly this way (§7:
-// "the input and actual intermediate data size of the previous query"),
-// and the planner uses it to derive realized (executor-split-aware)
-// similarity. The replay scans count-only: it never builds the records it
-// counts.
-func (c *Cluster) ProfileIntermediate(dataset string, q Query, site int) (int, error) {
-	l, _, err := c.Data[site].Store(dataset).Layout(Stage{Exec: c.Exec[site]})
-	if err != nil {
-		return 0, err
-	}
-	return l.Scan(&q, true).Count, nil
 }
 
 // KeyOwner picks the reduce site of a key with probability proportional to

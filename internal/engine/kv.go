@@ -9,7 +9,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // KV is one record: a combine key and a numeric value. Workloads project
@@ -122,13 +123,17 @@ func (c *combiner) next() { clear(c.slot) }
 // Combine merges records by key under the operation, returning output
 // sorted by key for deterministic downstream behaviour — what a reducer
 // does. (The map-side combiner skips the sort: see MapCombine.)
-func Combine(records []KV, op CombineOp) []KV {
-	c := newCombiner(op, len(records))
-	c.out = make([]KV, 0, len(records))
+func Combine(records []KV, op CombineOp) []KV { return combine(records, op, 0) }
+
+// combine is Combine sized for groups keys, a lower bound the caller saw:
+// most partials fold away. Keys are unique once folded.
+func combine(records []KV, op CombineOp, groups int) []KV {
+	c := newCombiner(op, groups)
+	c.out = make([]KV, 0, groups)
 	for _, r := range records {
 		c.emit(r.Key, r.Val)
 	}
-	sort.Slice(c.out, func(i, j int) bool { return c.out[i].Key < c.out[j].Key })
+	slices.SortFunc(c.out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return c.out
 }
 
@@ -136,11 +141,13 @@ func Combine(records []KV, op CombineOp) []KV {
 // is Combine for every operation except COUNT, whose partial values are
 // partial counts and must be summed rather than re-counted — the standard
 // combiner/reducer asymmetry of two-stage counting.
-func CombinePartials(records []KV, op CombineOp) []KV {
+func CombinePartials(records []KV, op CombineOp) []KV { return combinePartials(records, op, 0) }
+
+func combinePartials(records []KV, op CombineOp, groups int) []KV {
 	if op == OpCount {
 		op = OpSum
 	}
-	return Combine(records, op)
+	return combine(records, op, groups)
 }
 
 // DistinctKeys returns the number of distinct keys in records.

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"bohr/internal/wan"
 )
@@ -19,11 +22,11 @@ type MoveSpec struct {
 // Mover chooses which records leave a site when a MoveSpec is executed.
 // The choice is the heart of Bohr: similarity-agnostic systems pick
 // randomly, Bohr picks records that combine at the destination. Movers
-// are applied through Store.Select.
+// are applied through Store.Select and a Profile's dry run.
 type Mover interface {
-	// pick returns the ascending positions of n of src's records
-	// (0 < n < len(src.recs)) to move toward dst.
-	pick(src *Store, dst DstView, n int, rng *rand.Rand) []int
+	// pick returns the ascending positions of n of src's size records
+	// (0 < n < size) to move toward dst.
+	pick(src DstView, size int, dst DstView, n int, rng *rand.Rand) []int
 }
 
 // RandomMover models Iridium-style similarity-agnostic placement: a
@@ -31,8 +34,8 @@ type Mover interface {
 // destination.
 type RandomMover struct{}
 
-func (RandomMover) pick(src *Store, _ DstView, n int, rng *rand.Rand) []int {
-	at := rng.Perm(len(src.recs))[:n]
+func (RandomMover) pick(_ DstView, size int, _ DstView, n int, rng *rand.Rand) []int {
+	at := rng.Perm(size)[:n]
 	sort.Ints(at)
 	return at
 }
@@ -61,8 +64,10 @@ type SimilarMover struct {
 	DstTopK int
 }
 
-func (m SimilarMover) pick(src *Store, dst DstView, n int, _ *rand.Rand) []int {
-	view := cellView{dims: m.Dims, project: m.Project}
+func (m SimilarMover) view() cellView { return cellView{dims: m.Dims, project: m.Project} }
+
+func (m SimilarMover) pick(src DstView, _ int, dst DstView, n int, _ *rand.Rand) []int {
+	view := m.view()
 	ix := src.index(view)
 	dstCount := dst.index(view).known(m.DstTopK)
 	// Order cells for maximum combining benefit per moved megabyte.
@@ -138,42 +143,18 @@ type MoveResult struct {
 // the destination. Moves are applied in deterministic order
 // (by dataset, then src, then dst). The rng drives random selection only.
 func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*MoveResult, error) {
-	if mover == nil {
-		return nil, fmt.Errorf("engine: ApplyMoves needs a mover")
+	steps, err := c.moveSteps(specs, mover)
+	if err != nil {
+		return nil, err
 	}
-	ordered := append([]MoveSpec(nil), specs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.Dataset != b.Dataset {
-			return a.Dataset < b.Dataset
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
-
 	res := &MoveResult{}
-	for _, sp := range ordered {
-		if sp.MB <= 0 {
-			continue
-		}
-		if sp.Src == sp.Dst {
-			continue
-		}
-		if sp.Src < 0 || sp.Src >= c.N() || sp.Dst < 0 || sp.Dst >= c.N() {
-			return nil, fmt.Errorf("engine: move %q %d→%d out of range", sp.Dataset, sp.Src, sp.Dst)
-		}
+	for _, sp := range steps {
 		src := c.Data[sp.Src].Store(sp.Dataset)
 		if len(src.Records()) == 0 {
 			continue
 		}
-		n := c.RecordsFor(sp.MB)
-		if n == 0 {
-			continue
-		}
 		dst := c.Data[sp.Dst].ensure(sp.Dataset)
-		sel := src.Select(mover, dst, n, rng)
+		sel := src.Select(mover, dst, sp.n, rng)
 		if err := src.Remove(sel); err != nil {
 			return nil, err
 		}
@@ -185,4 +166,34 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 	}
 	res.Duration = c.Top.Simulate(res.Transfers).Makespan
 	return res, nil
+}
+
+// moveStep is a spec as ApplyMoves executes it: n records toward Dst.
+type moveStep struct {
+	MoveSpec
+	n int
+}
+
+// moveSteps is the specs in ApplyMoves' order — dataset, src, dst —
+// without the ones it skips, each with its record count.
+func (c *Cluster) moveSteps(specs []MoveSpec, mover Mover) ([]moveStep, error) {
+	if mover == nil {
+		return nil, fmt.Errorf("engine: ApplyMoves needs a mover")
+	}
+	steps := make([]moveStep, 0, len(specs))
+	for _, sp := range specs {
+		if sp.MB <= 0 || sp.Src == sp.Dst {
+			continue
+		}
+		if sp.Src < 0 || sp.Src >= c.N() || sp.Dst < 0 || sp.Dst >= c.N() {
+			return nil, fmt.Errorf("engine: move %q %d→%d out of range", sp.Dataset, sp.Src, sp.Dst)
+		}
+		if n := c.RecordsFor(sp.MB); n > 0 {
+			steps = append(steps, moveStep{sp, n})
+		}
+	}
+	slices.SortStableFunc(steps, func(a, b moveStep) int {
+		return cmp.Or(strings.Compare(a.Dataset, b.Dataset), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return steps, nil
 }

@@ -18,25 +18,35 @@ func PartitionRecords(records []KV, n int) ([]Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: partition count must be positive, got %d", n)
 	}
-	if len(records) == 0 {
+	spans := partitionSpans(0, len(records), n)
+	if spans == nil {
 		return nil, nil
 	}
-	if n > len(records) {
-		n = len(records)
+	out := make([]Partition, len(spans))
+	for i, s := range spans {
+		out[i] = Partition{Index: i, Records: records[s.lo:s.hi]}
 	}
-	out := make([]Partition, 0, n)
-	size := len(records) / n
-	extra := len(records) % n
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
+	return out, nil
+}
+
+// partitionSpans cuts the index range [lo, hi) as PartitionRecords cuts
+// records.
+func partitionSpans(lo, hi, n int) []span {
+	if hi <= lo {
+		return nil
+	}
+	n = min(n, hi-lo)
+	out := make([]span, n)
+	size, extra := (hi-lo)/n, (hi-lo)%n
+	for i := range out {
+		end := lo + size
 		if i < extra {
 			end++
 		}
-		out = append(out, Partition{Index: i, Records: records[start:end]})
-		start = end
+		out[i] = span{lo, end}
+		lo = end
 	}
-	return out, nil
+	return out
 }
 
 // Assigner maps partitions to executors on one machine. Implementations:

@@ -251,9 +251,40 @@ func (ix *cellIndex) add(key string) {
 	if ix.view.project != nil {
 		key = ix.view.project(key)
 	}
-	id := ix.intern(key)
+	ix.addCell(key)
+}
+
+// addCell indexes one appended record by its cell's key.
+func (ix *cellIndex) addCell(cell string) int32 {
+	id := ix.intern(cell)
 	ix.count[id]++
 	ix.cell = append(ix.cell, id)
+	return id
+}
+
+// remove takes the records at ascending positions out, in place.
+func (ix *cellIndex) remove(at []int) {
+	w, prev := 0, 0
+	for _, i := range at {
+		ix.count[ix.cell[i]]--
+		w += copy(ix.cell[w:], ix.cell[prev:i])
+		prev = i + 1
+	}
+	w += copy(ix.cell[w:], ix.cell[prev:])
+	ix.cell = ix.cell[:w]
+}
+
+// fork is clone for a dry run, with room for extra incoming records; a
+// fork that receives none shares ix's cell-id map.
+func (ix *cellIndex) fork(extra int) *cellIndex {
+	out := *ix
+	out.keys = ix.keys[:len(ix.keys):len(ix.keys)]
+	out.count = append(make([]int, 0, len(ix.count)+extra), ix.count...)
+	out.cell = append(make([]int32, 0, len(ix.cell)+extra), ix.cell...)
+	if extra > 0 {
+		out.ids = maps.Clone(ix.ids)
+	}
+	return &out
 }
 
 func (ix *cellIndex) clone() *cellIndex {
@@ -309,13 +340,19 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 
 // index returns the store's cell index for the view. When the store has
 // none, or one for another view (a replan with different dominant
-// dimensions), it adopts the content's: built once per content — one
-// projection and one map lookup per record — however many clones ask.
+// dimensions), it adopts the content's (cells).
 func (s *Store) index(v cellView) *cellIndex {
-	if s.idx != nil && s.idx.matches(v) {
-		return s.idx
+	s.idx, _ = s.cells(v)
+	return s.idx
+}
+
+// cells is index without adopting, so it never writes the store; hit is
+// false for the caller that built the content's. Copy it to write it.
+func (s *Store) cells(v cellView) (ix *cellIndex, hit bool) {
+	if s != nil && s.idx != nil && s.idx.matches(v) {
+		return s.idx, true
 	}
-	s.idx, _, _ = Derive(s, v.key(), func(recs []KV) (*cellIndex, error) {
+	ix, hit, _ = Derive(s, v.key(), func(recs []KV) (*cellIndex, error) {
 		ix := newCellIndex(v, 0)
 		ix.cell = make([]int32, 0, len(recs))
 		for _, r := range recs {
@@ -323,16 +360,19 @@ func (s *Store) index(v cellView) *cellIndex {
 		}
 		return ix, nil
 	})
-	return s.idx
+	return ix, hit
 }
 
 // DstView is what a mover may learn about the destination of a move: the
 // destination's own store (the simulated cluster, where the transfer-time
 // handshake of §4.2 is a function call) or the cells a probe carried over
-// the wire (DstCells).
+// the wire (DstCells). A mover reads its source through it too.
 type DstView interface {
 	index(v cellView) *cellIndex
 }
+
+// index makes a Profile's dry-run column a side of a move.
+func (ix *cellIndex) index(cellView) *cellIndex { return ix }
 
 // DstCells is a destination described by cell counts already in the
 // mover's attribute space — the probe cells a live worker receives in a
@@ -364,23 +404,30 @@ type Selection struct {
 // similarity-aware mover builds the store's — and a store destination's —
 // cell index on first use.
 func (s *Store) Select(m Mover, dst DstView, n int, rng *rand.Rand) Selection {
-	sel := Selection{store: s, gen: s.gen}
-	if n <= 0 || len(s.recs) == 0 {
+	sel := Selection{store: s, gen: s.gen, at: selectAt(m, s, len(s.recs), dst, n, rng)}
+	if len(sel.at) == 0 {
 		return sel
-	}
-	if n >= len(s.recs) {
-		sel.at = make([]int, len(s.recs))
-		for i := range sel.at {
-			sel.at[i] = i
-		}
-	} else {
-		sel.at = m.pick(s, dst, n, rng)
 	}
 	sel.Records = make([]KV, len(sel.at))
 	for k, i := range sel.at {
 		sel.Records[k] = s.recs[i]
 	}
 	return sel
+}
+
+// selectAt is Select's choice of positions out of a source of size records.
+func selectAt(m Mover, src DstView, size int, dst DstView, n int, rng *rand.Rand) []int {
+	if n <= 0 || size == 0 {
+		return nil
+	}
+	if n < size {
+		return m.pick(src, size, dst, n, rng)
+	}
+	at := make([]int, size)
+	for i := range at {
+		at[i] = i
+	}
+	return at
 }
 
 // Remove takes a selection's records out of the store in one
@@ -408,15 +455,7 @@ func (s *Store) Remove(sel Selection) error {
 	if s.idx != nil {
 		// Once private, the cell column is compacted in place.
 		s.ownIndex()
-		ix := s.idx
-		w, prev := 0, 0
-		for _, i := range sel.at {
-			ix.count[ix.cell[i]]--
-			w += copy(ix.cell[w:], ix.cell[prev:i])
-			prev = i + 1
-		}
-		w += copy(ix.cell[w:], ix.cell[prev:])
-		ix.cell = ix.cell[:w]
+		s.idx.remove(sel.at)
 	}
 	s.recs = kept
 	s.version++

@@ -28,10 +28,22 @@ func TestTensorToMoves(t *testing.T) {
 	}
 }
 
+// newProfiler is the profiler PlanScheme builds, for a plan whose movers
+// the caller chooses.
+func newProfiler(t *testing.T, c *engine.Cluster, w *workload.Workload, plan *Plan, seed int64) *profiler {
+	t.Helper()
+	all, profiles, err := computeAllStats(c, w, 30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Stats = all
+	return &profiler{c: c, plan: plan, seed: seed, profiles: profiles}
+}
+
 func TestProfileVolumesMatchesEngine(t *testing.T) {
 	c, w := testSetup(t, workload.BigDataScan, false)
 	plan := &Plan{movers: map[string]engine.Mover{}}
-	prof := &profiler{c: c, w: w, plan: plan, seed: 1}
+	prof := newProfiler(t, c, w, plan, 1)
 	f, err := prof.volumes(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +129,7 @@ func TestPlannedTimeRanksPlans(t *testing.T) {
 	for _, ds := range w.Datasets {
 		plan.movers[ds.Name] = engine.RandomMover{}
 	}
-	prof := &profiler{c: c, w: w, plan: plan, seed: 1}
+	prof := newProfiler(t, c, w, plan, 1)
 	tNone, err := prof.plannedTime(c.Top, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -53,8 +53,9 @@ func TestPlanWarmMemoMatchesCold(t *testing.T) {
 	for _, kind := range workload.Kinds() {
 		c, w := testSetup(t, kind, false)
 		opts := Options{Seed: 11}
-		// Warm the snapshot's contents: cubes and replay counts (any
-		// scheme), the similarity-aware mover's base cell index (Bohr).
+		// Warm the snapshot's contents: cubes and the dominant view's cell
+		// columns, which every scheme profiles on and Bohr's mover selects
+		// from.
 		if _, err := PlanScheme(Bohr, c.Clone(), w, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -87,9 +88,9 @@ func TestPlanWarmMemoMatchesCold(t *testing.T) {
 // TestPlanConcurrentClonesOfOneSnapshot plans two clones of one snapshot
 // from two goroutines, the way the experiments run a figure's schemes: the
 // clones share contents, so both goroutines look up, build and adopt the
-// same memo entries while their scratch clones copy-on-write the shared
-// cell indexes. Run under -race (make race); the plans must also equal the
-// ones made alone.
+// same memo entries while their profiles' dry runs copy the shared cell
+// indexes and their moves copy-on-write them. Run under -race (make race);
+// the plans must also equal the ones made alone.
 func TestPlanConcurrentClonesOfOneSnapshot(t *testing.T) {
 	c, w := testSetup(t, workload.TPCDS, false)
 	opts := Options{Seed: 5}
@@ -125,9 +126,8 @@ func TestPlanConcurrentClonesOfOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlanSchemeRejectsAmbiguousQueryNames: the replay-count memo keys on
-// the query's name, so a workload in which a name does not identify a
-// query must not reach it.
+// TestPlanSchemeRejectsAmbiguousQueryNames: a workload in which a name
+// does not identify a query must not reach the planner.
 func TestPlanSchemeRejectsAmbiguousQueryNames(t *testing.T) {
 	c, w := testSetup(t, workload.TPCDS, false)
 	ds := w.Datasets[0]

@@ -14,7 +14,14 @@ import (
 // testSetup builds a 4-site cluster with one small generated workload.
 func testSetup(t *testing.T, kind workload.Kind, locality bool) (*engine.Cluster, *workload.Workload) {
 	t.Helper()
+	return seededSetup(t, kind, locality, workload.DefaultConfig(kind).Seed)
+}
+
+// seededSetup is testSetup with the workload generated from seed.
+func seededSetup(t *testing.T, kind workload.Kind, locality bool, seed int64) (*engine.Cluster, *workload.Workload) {
+	t.Helper()
 	cfg := workload.DefaultConfig(kind)
+	cfg.Seed = seed
 	cfg.Sites = 4
 	cfg.Datasets = 3
 	cfg.RowsPerSite = 800

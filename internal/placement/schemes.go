@@ -12,7 +12,6 @@ import (
 	"bohr/internal/faults"
 	"bohr/internal/lp"
 	"bohr/internal/obs"
-	"bohr/internal/parallel"
 	"bohr/internal/rdd"
 	"bohr/internal/stats"
 	"bohr/internal/wan"
@@ -175,14 +174,12 @@ type Plan struct {
 	// state memoized on store contents (CounterDerivedHits/Misses).
 	DerivedHits, DerivedMisses int
 	// obs is the collector the plan was made under (from Options.Obs);
-	// Execute reports the move span and WAN metrics to it. Scratch plans
-	// built during profiling carry nil so replays never pollute metrics.
+	// Execute reports the move span and WAN metrics to it.
 	obs *obs.Collector
 	// faults is the schedule the plan was made under (from
 	// Options.Faults); Execute drains moves through fault-scaled links
-	// and JobConfigFor forwards it to the engine. Scratch plans built
-	// during profiling carry nil — the planner profiles the clean
-	// network, it cannot foresee faults record by record.
+	// and JobConfigFor forwards it to the engine. The profiler counts
+	// volumes, which no fault changes.
 	faults *faults.Schedule
 }
 
@@ -230,17 +227,10 @@ func (p *Plan) JobConfigFor(q engine.Query) engine.JobConfig {
 func (p *Plan) Execute(c *engine.Cluster, seed int64) (*engine.MoveResult, error) {
 	rng := stats.NewRand(seed)
 	agg := &engine.MoveResult{}
-	byDataset := map[string][]engine.MoveSpec{}
-	var order []string
-	for _, sp := range p.Moves {
-		if _, ok := byDataset[sp.Dataset]; !ok {
-			order = append(order, sp.Dataset)
-		}
-		byDataset[sp.Dataset] = append(byDataset[sp.Dataset], sp)
-	}
+	order, groups := byDataset(p.Moves)
 	sp := p.obs.StartSpan("move")
 	for _, name := range order {
-		res, err := c.ApplyMoves(byDataset[name], p.MoverFor(name), rng)
+		res, err := c.ApplyMoves(groups[name], p.MoverFor(name), rng)
 		if err != nil {
 			return nil, fmt.Errorf("placement: executing %s moves: %w", name, err)
 		}
@@ -261,24 +251,43 @@ func (p *Plan) Execute(c *engine.Cluster, seed int64) (*engine.MoveResult, error
 	return agg, nil
 }
 
+// byDataset groups moves by dataset in order of first appearance, the
+// order Execute and the profiler draw from their one rng in.
+func byDataset(moves []engine.MoveSpec) (order []string, groups map[string][]engine.MoveSpec) {
+	groups = map[string][]engine.MoveSpec{}
+	for _, sp := range moves {
+		if _, ok := groups[sp.Dataset]; !ok {
+			order = append(order, sp.Dataset)
+		}
+		groups[sp.Dataset] = append(groups[sp.Dataset], sp)
+	}
+	return order, groups
+}
+
 // PlanScheme computes a scheme's plan for the workload on the given
 // cluster snapshot (pre-movement).
 func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Options) (*Plan, error) {
+	plan, _, err := planScheme(id, c, w, opts)
+	return plan, err
+}
+
+// planScheme is PlanScheme, also returning the profiler it planned with.
+func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Options) (*Plan, *profiler, error) {
 	opts = opts.withDefaults()
-	// The replay-count memo keys on query names.
+	// Stores and the profiler's columns are addressed by dataset name.
 	if err := w.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	planTop, err := plannerTopology(c.Top, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dc := &derivedCounts{}
 	probes := opts.Obs.StartSpan("probes")
-	allStats, err := computeAllStats(c, w, opts.ProbeK, dc)
+	allStats, profiles, err := computeAllStats(c, w, opts.ProbeK, dc)
 	if err != nil {
 		probes.End()
-		return nil, err
+		return nil, nil, err
 	}
 	n := len(c.Top.Sites)
 	for _, st := range allStats {
@@ -298,7 +307,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		if id.usesSimilarity() {
 			proj, perr := workload.Projector(w.Datasets[i].Schema, st.DominantDims)
 			if perr != nil {
-				return nil, perr
+				return nil, nil, perr
 			}
 			// Record selection happens at transfer time, when the source
 			// fetches a larger cell summary from the destination (the live
@@ -321,13 +330,13 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	lpSpan := opts.Obs.StartSpan("lp")
 	defer lpSpan.End()
 	in := buildLPInput(planTop, len(c.Top.Sites), allStats, opts, id)
-	prof := &profiler{c: c, w: w, plan: plan, seed: opts.Seed, dc: dc}
+	prof := &profiler{c: c, plan: plan, seed: opts.Seed, profiles: profiles}
 	if id.usesJointLP() {
-		// The joint LP's volume predictions are calibrated against a
-		// profiled replay (the recurring-query methodology of §7: the
-		// previous run reveals actual intermediate sizes): solve, apply
-		// the moves to a scratch clone, replay map+combine, scale the
-		// incoming-similarity estimates by the observed error, re-solve.
+		// The joint LP's volume predictions are calibrated against profiled
+		// volumes (the recurring-query methodology of §7: the previous run
+		// reveals actual intermediate sizes): solve, count what map+combine
+		// would produce after the moves, scale the incoming-similarity
+		// estimates by the observed error, re-solve.
 		var moves []engine.MoveSpec
 		lpStalled := false
 		calibrationRounds := 3
@@ -346,7 +355,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 				break
 			}
 			if err != nil {
-				return nil, fmt.Errorf("placement: joint LP: %w", err)
+				return nil, nil, fmt.Errorf("placement: joint LP: %w", err)
 			}
 			plan.LPTime += float64(sol.PivotCount) * lpPivotCost
 			moves = tensorToMoves(allStats, sol.Move)
@@ -355,7 +364,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 			}
 			fReal, err := prof.volumes(moves)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			opts.Obs.Count("placement.calibration.rounds", 1)
 			lpSpan.Child("calibrate")
@@ -372,11 +381,11 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 			heur := sequentialHeuristic(planTop, allStats, opts, true)
 			tLP, err := prof.plannedTime(planTop, moves)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			tHeur, err := prof.plannedTime(planTop, heur)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if tHeur < tLP {
 				moves = heur
@@ -388,11 +397,11 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	}
 
 	// Task placement for every scheme is solved against the *realized*
-	// post-move shuffle volumes of a profiled replay — exactly what a
-	// recurring query's previous run provides in the prototype (§7).
+	// post-move shuffle volumes of a profile — exactly what a recurring
+	// query's previous run provides in the prototype (§7).
 	fReal, err := prof.volumes(plan.Moves)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	frac, _, pivots, err := lp.SolveTaskPlacementVolumesCapped(fReal, planTop.Uplinks(), planTop.Downlinks(), opts.LPMaxPivots)
 	if errors.Is(err, lp.ErrStalled) {
@@ -402,11 +411,16 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		frac = engine.UplinkProportional(planTop)
 		pivots = 0
 	} else if err != nil {
-		return nil, fmt.Errorf("placement: task LP: %w", err)
+		return nil, nil, fmt.Errorf("placement: task LP: %w", err)
 	}
 	plan.TaskFrac = frac
 	plan.LPTime += float64(pivots) * lpPivotCost
 	plan.DerivedHits, plan.DerivedMisses = int(dc.hits.Load()), int(dc.misses.Load())
+	for _, pr := range profiles {
+		hits, misses := pr.Lookups()
+		plan.DerivedHits += hits
+		plan.DerivedMisses += misses
+	}
 	opts.Obs.Count("lp.pivots", float64(pivots))
 	lpSpan.Add(plan.LPTime)
 
@@ -416,7 +430,7 @@ func PlanScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		// on its store.
 		plan.Assigner = rdd.NewAssigner(stats.Split(opts.Seed, 77))
 	}
-	return plan, nil
+	return plan, prof, nil
 }
 
 // tensorToMoves converts an LP movement tensor into MoveSpecs.
@@ -440,12 +454,11 @@ func tensorToMoves(allStats []*DatasetStats, tensor [][][]float64) []engine.Move
 // joint planner's winner is not re-profiled for task placement, nor a
 // calibration round's list for the LP-versus-heuristic comparison.
 type profiler struct {
-	c    *engine.Cluster
-	w    *workload.Workload
-	plan *Plan // the scheme and movers the scratch plans run under
-	seed int64
-	dc   *derivedCounts
-	done []profiled
+	c        *engine.Cluster
+	plan     *Plan             // the datasets (Stats) and movers the lists would run under
+	seed     int64             // Execute's, for the rng its moves draw from
+	profiles []*engine.Profile // by dataset, from computeStats
+	done     []profiled
 }
 
 type profiled struct {
@@ -453,37 +466,33 @@ type profiled struct {
 	f     [][]float64
 }
 
-// volumes applies the moves to a scratch clone and replays each dataset's
-// dominant map+combine stage, returning the realized post-combiner volume
-// f[a][i] in MB. The clone shares every store's content with the snapshot
-// until a move touches it, so only touched sites replay (replayCount).
+// volumes returns the post-combiner volume f[a][i] in MB each dataset's
+// dominant query would produce once Execute ran the moves, counted on the
+// cell columns (engine.Profile) without moving a record.
 func (p *profiler) volumes(moves []engine.MoveSpec) ([][]float64, error) {
 	for _, d := range p.done {
 		if slices.Equal(d.moves, moves) {
 			return d.f, nil
 		}
 	}
-	clone := p.c.Clone()
-	scratch := &Plan{Scheme: p.plan.Scheme, Moves: moves, movers: p.plan.movers}
-	if _, err := scratch.Execute(clone, stats.Split(p.seed, 501)); err != nil {
-		return nil, err
-	}
-	// Per-site replays only read the scratch clone; fan each dataset's
-	// sites out over the worker pool (results merged in site order).
-	f := make([][]float64, len(p.w.Datasets))
-	for a, ds := range p.w.Datasets {
-		q := ds.DominantQuery().Query
-		row, err := parallel.MapOrdered(0, clone.N(), func(i int) (float64, error) {
-			out, perr := replayCount(clone, ds.Name, q, i, p.dc)
-			if perr != nil {
-				return 0, fmt.Errorf("placement: profiling %q site %d: %w", ds.Name, i, perr)
-			}
-			return clone.MB(out), nil
-		})
-		if err != nil {
-			return nil, err
+	f := make([][]float64, len(p.profiles))
+	rng := stats.NewRand(stats.Split(p.seed, 501))
+	order, groups := byDataset(moves)
+	for _, st := range p.plan.Stats {
+		if groups[st.Name] == nil {
+			order = append(order, st.Name) // no moves: nothing drawn
 		}
-		f[a] = row
+	}
+	for _, name := range order {
+		a := slices.IndexFunc(p.plan.Stats, func(st *DatasetStats) bool { return st.Name == name })
+		counts, err := p.profiles[a].Counts(groups[name], p.plan.MoverFor(name), rng)
+		if err != nil {
+			return nil, fmt.Errorf("placement: profiling %q: %w", name, err)
+		}
+		f[a] = make([]float64, len(counts))
+		for i, n := range counts {
+			f[a][i] = p.c.MB(n)
+		}
 	}
 	p.done = append(p.done, profiled{moves, f})
 	return f, nil

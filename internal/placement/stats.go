@@ -60,10 +60,10 @@ type DatasetStats struct {
 }
 
 // Counter names of the planner's lookups of state memoized on store
-// contents (engine.Derive): a site's dominant-dimension cube and its
-// dominant query's replay count. Dynamic runs report them. Both are
-// deterministic at any pool width: exactly one miss per content × key,
-// however many goroutines ask first.
+// contents (engine.Derive): a site's dominant-dimension cube, and its
+// dominant-view cell column each volume profile reads. Dynamic runs
+// report them. Both are deterministic at any pool width: exactly one miss
+// per content × key, however many goroutines ask first.
 const (
 	CounterDerivedHits   = "placement.derived.hits"
 	CounterDerivedMisses = "placement.derived.misses"
@@ -90,51 +90,29 @@ func derive[T any](dc *derivedCounts, st *engine.Store, key any, build func([]en
 // and the dimension list the cube projects to, both in order.
 type cubeKey struct{ schema, dims string }
 
-// replayKey is the memo key of a site's replay count. A MapFn is not
-// comparable, so the query's name stands for it — workload validation
-// keeps names unique within a dataset, and a store holds one dataset —
-// beside the executor shape the stage partitions by.
-type replayKey struct {
-	query string
-	exec  engine.Executors
-}
-
-// replayCount replays q's map+combine stage over the dataset's records at
-// one site (engine.ProfileIntermediate) and returns the post-combiner
-// record count — once per content: schemes planning on clones of one
-// snapshot share it, and a scratch clone replays only the sites its moves
-// touched.
-func replayCount(c *engine.Cluster, dataset string, q engine.Query, site int, dc *derivedCounts) (int, error) {
-	st := c.Data[site].Store(dataset)
-	if len(st.Records()) == 0 {
-		return 0, nil
-	}
-	return derive(dc, st, replayKey{q.Name, c.Exec[site]}, func([]engine.KV) (int, error) {
-		return c.ProfileIntermediate(dataset, q, site)
-	})
-}
-
 // ComputeStats builds planner statistics for one dataset from the cluster
 // snapshot: per-site dimension cubes for the dominant query type, probe
 // exchange (top-k cells weighted across query types), and map-expansion
-// profiling of the dominant query. Per-site cube builds and profiling
-// replays are memoized on each store's content and fan out over the
-// worker pool; every per-site result is independent and merged in site
-// order, so the statistics are identical at every pool width and memo
-// state.
+// profiling of the dominant query. Per-site cubes and cell columns are
+// memoized on each store's content and built on the worker pool; every
+// per-site result is independent and merged in site order, so the
+// statistics are identical at every pool width and memo state.
 func ComputeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, error) {
-	return computeStats(c, ds, probeK, nil)
+	st, _, err := computeStats(c, ds, probeK, nil)
+	return st, err
 }
 
-func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *derivedCounts) (*DatasetStats, error) {
+// computeStats also returns the dataset's volume profile, for the round's
+// profiler.
+func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *derivedCounts) (*DatasetStats, *engine.Profile, error) {
 	if probeK <= 0 {
-		return nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
+		return nil, nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
 	}
 	n := c.N()
 	dom := ds.DominantQuery()
 	proj, err := workload.NewProjection(ds.Schema, dom.Dims)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The dominant query type's share of the probe budget (§4.2).
 	domShare := probeK
@@ -152,7 +130,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 	// are shared read-only, per Cube's concurrency contract.
 	schema, err := ds.Schema.Project(dom.Dims...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	qt := olap.QueryTypeFor(dom.Dims)
 	ckey := cubeKey{strings.Join(ds.Schema.Dims(), "\x1f"), strings.Join(dom.Dims, "\x1f")}
@@ -170,7 +148,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 		})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var totalCells int
 	for _, cube := range cubes {
@@ -179,7 +157,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 
 	cross, err := similarity.CrossSiteMatrix(ds.Name, qt, cubes, domShare)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := &DatasetStats{
 		Name:         ds.Name,
@@ -197,36 +175,20 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 	// Probe scores measure *ideal* key overlap; the realized combiner
 	// reduction is lower because records split across executors and only
 	// co-located duplicates merge. The prototype estimates realized
-	// reduction from the previous run of the recurring query (§7); we
-	// replay one map+combine per site and scale the probe similarities to
-	// realized combiner efficiency.
-	// Profiling replays are read-only over the cluster and independent
-	// per site, so they run on the pool; the κ scaling below stays
-	// sequential (it rewrites matrix columns in site order).
-	realizedBySite, err := parallel.MapOrdered(0, n, func(i int) (float64, error) {
-		recs := c.Data[i].Records(ds.Name)
-		realized := cross[i][i]
-		if len(recs) > 0 && st.Reduction > 0 {
-			out, perr := replayCount(c, ds.Name, dom.Query, i, dc)
-			if perr != nil {
-				return 0, perr
-			}
-			realized = 1 - float64(out)/(float64(len(recs))*st.Reduction)
-			if realized < 0 {
-				realized = 0
-			}
-			if realized > 1 {
-				realized = 1
-			}
-		}
-		return realized, nil
-	})
+	// reduction from the previous run of the recurring query (§7); we count
+	// one map+combine per site (engine.Profile) and scale the probe
+	// similarities to realized combiner efficiency.
+	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, strings.Join(dom.Dims, ","), proj.Project)
+	counts, err := prof.Counts(nil, nil, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
 	}
 	for i := 0; i < n; i++ {
 		ideal := cross[i][i]
-		realized := realizedBySite[i]
+		realized := ideal
+		if recs := len(c.Data[i].Records(ds.Name)); recs > 0 && st.Reduction > 0 {
+			realized = min(max(1-float64(counts[i])/(float64(recs)*st.Reduction), 0), 1)
+		}
 		st.SelfSim[i] = realized
 		kappa := 1.0
 		if ideal > 1e-9 {
@@ -245,7 +207,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 	dims := float64(st.NumDims)
 	st.CheckTime = float64(totalCells)*dims*cellSortCost +
 		float64(domShare*(n-1))*dims*probeScoreCost
-	return st, nil
+	return st, prof, nil
 }
 
 // profileReduction estimates R, the map-stage expansion ratio, by applying
@@ -278,11 +240,15 @@ func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64
 // fanned out over the worker pool: datasets only read the shared cluster
 // snapshot, so they are independent.
 func ComputeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, error) {
-	return computeAllStats(c, w, probeK, nil)
+	all, _, err := computeAllStats(c, w, probeK, nil)
+	return all, err
 }
 
-func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int, dc *derivedCounts) ([]*DatasetStats, error) {
-	return parallel.MapOrdered(0, len(w.Datasets), func(i int) (*DatasetStats, error) {
-		return computeStats(c, w.Datasets[i], probeK, dc)
+func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int, dc *derivedCounts) ([]*DatasetStats, []*engine.Profile, error) {
+	profs := make([]*engine.Profile, len(w.Datasets))
+	all, err := parallel.MapOrdered(0, len(w.Datasets), func(i int) (st *DatasetStats, err error) {
+		st, profs[i], err = computeStats(c, w.Datasets[i], probeK, dc)
+		return st, err
 	})
+	return all, profs, err
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"bohr/internal/engine"
 	"bohr/internal/olap"
@@ -185,8 +186,17 @@ func linkTarget(key string) string {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return fmt.Sprintf("link-%d", h%4096)
+	return linkTargets()[h%4096]
 }
+
+// linkTargets names the ring's pages, formatted once instead of per call.
+var linkTargets = sync.OnceValue(func() []string {
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = fmt.Sprintf("link-%d", i)
+	}
+	return names
+})
 
 // generateAMPLab builds one AMPLab big-data-benchmark dataset: the
 // rankings/uservisits schema reduced to (url, country, hour) with a page

@@ -126,7 +126,9 @@ func (c Config) validate() error {
 // query and the attribute set (query type) it accesses.
 type QuerySpec struct {
 	Query engine.Query
-	// Dims are the schema attributes the query combines on.
+	// Dims are the schema attributes the query combines on and all it
+	// reads (§4.1): records that agree on Dims emit the same keys, which
+	// the planner's volume counts rely on (TestQueriesReadOnlyTheirDims).
 	Dims []string
 	// Count is how many recurring queries of this type the dataset sees;
 	// probe budget weights derive from it (§4.2).
@@ -359,8 +361,8 @@ func Generate(kind Kind, cfg Config) (*Workload, error) {
 
 // Validate checks the names a workload is addressed by: dataset names are
 // unique, and so are query names within a dataset — a site keeps one store
-// per dataset name, and the planner remembers a replayed query by its name
-// (a map function cannot be compared).
+// per dataset name, and reports name a query by its name (a map function
+// cannot be compared).
 func (w *Workload) Validate() error {
 	datasets := make(map[string]bool, len(w.Datasets))
 	for _, ds := range w.Datasets {

@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -501,6 +502,48 @@ func TestWorkloadValidateNames(t *testing.T) {
 		w.Datasets[1].Name = ds.Name
 		if err := w.Validate(); err == nil {
 			t.Fatalf("%v: two datasets of one name accepted", kind)
+		}
+	}
+}
+
+// TestQueriesReadOnlyTheirDims pins the query-type contract QuerySpec.Dims
+// states, which the planner's volume profile counts by: for every kind and
+// every query, dominant or not, all records that agree on the query's Dims
+// emit the same set of keys.
+func TestQueriesReadOnlyTheirDims(t *testing.T) {
+	for _, kind := range Kinds() {
+		w, err := Generate(kind, smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range w.Datasets {
+			for _, spec := range ds.Queries {
+				proj, err := NewProjection(ds.Schema, spec.Dims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byCell := map[string]string{}
+				for _, rows := range ds.Rows {
+					for _, row := range rows {
+						key := JoinKey(row.Coords)
+						var emitted []string
+						spec.Query.Map(engine.KV{Key: key, Val: row.Measure}, func(k string, _ float64) {
+							emitted = append(emitted, k)
+						})
+						slices.Sort(emitted)
+						set := strings.Join(slices.Compact(emitted), "\n")
+						cell := proj.Project(key)
+						if seen, ok := byCell[cell]; !ok {
+							byCell[cell] = set
+						} else if seen != set {
+							t.Fatalf("%v %s: records of cell %q emit %q and %q", kind, spec.Query.Name, cell, seen, set)
+						}
+					}
+				}
+				if len(byCell) == 0 {
+					t.Fatalf("%v %s: no records", kind, spec.Query.Name)
+				}
+			}
 		}
 	}
 }
