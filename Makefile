@@ -13,16 +13,20 @@ test:
 # check is the CI gate: static checks (including the context-first API
 # gate), the race detector on the packages with real concurrency
 # (engine's pooled job runner, the parallel worker pool, olap's pooled
-# cube builds, similarity's pooled signature/probe kernels, obs's
+# cube builds for Table 6 and CubeSet, similarity's pooled signature
+# kernels and probe matrix over the stores' cell columns, obs's
 # collector plus its export/critpath/window subpackages — all covered by
 # the ./internal/obs/... wildcard, including the windowed-metrics bucket
-# rings — the live netio path, fault injector, and the multi-tenant
-# serve front end plus its flight recorder), one short round of each fuzz
-# harness, and the report determinism check including cross-pool-width
-# byte identity. The race target also carries the map→combine
+# rings — the live netio path with a worker's Stats, Score, Put and Move
+# overlapping on one store (TestWorkerCellsConcurrent), fault injector,
+# and the multi-tenant serve front end plus its flight recorder), one
+# short round of each fuzz harness, and the report determinism check
+# including cross-pool-width byte identity. The race target also carries the map→combine
 # stage's differential oracle and allocation guard, the site store's
 # differential against the reference mover with its tie-heavy leg and the
-# selection helper's property test, its clone-aliasing and
+# selection helper's property test, the cell-count view's differential
+# against olap's cubes on tie-heavy and moved stores
+# (TestCellCountsMatchOlapCube), the store's clone-aliasing and
 # memo-singleflight tests and concurrent first queries building one layout
 # and one set of key columns per cold site while clones write into the
 # dictionaries they share (engine; none of them is skipped under -short,

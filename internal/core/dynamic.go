@@ -129,7 +129,7 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 	}
 
 	// Dynamic mode replans and re-queries largely unchanged sites. What
-	// both derive per site (dimension cubes, cell columns, the map
+	// both derive per site (the dominant view's cell column, the map
 	// stage's executor layout) is memoized on the stores' contents and
 	// lives as long as they do.
 

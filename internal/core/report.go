@@ -24,6 +24,8 @@ import (
 // gone (derived state lives on the stores' contents), so dynamic reports
 // lose placement.cubecache.* and gain placement.derived.{hits,misses} —
 // deterministic at any pool width: exactly one miss per content × key.
+// They count the planner's lookups of a site's dominant-view cell column,
+// its only per-site derived state since it stopped building olap cubes.
 // v7: the signature cache is gone (a site's executor layout is derived
 // state of its store), so the metrics snapshot loses
 // similarity.sigcache.{hits,misses,entries,bytes,evictions} and reports

@@ -1,8 +1,8 @@
 // Package core ties the Bohr reproduction together: a System couples a
 // geo-distributed cluster with a workload and a placement scheme, and
 // drives the paper's pipeline — similarity checking and (joint) data/task
-// placement (package placement, which folds the stores' records into the
-// dimension cubes and probes it needs), offline data movement in the
+// placement (package placement, which probes the dimension cubes the
+// stores' cell columns already count), offline data movement in the
 // query lag, and query execution with runtime RDD similarity. It also
 // implements the §8.6 highly-dynamic-dataset mode where data arrives in
 // batches between recurring queries, and live ingest into a prepared

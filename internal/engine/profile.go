@@ -64,6 +64,19 @@ func (p *Profile) Counts(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]int, 
 	return out, err
 }
 
+// Cells returns every site's cell counts: the stores' own columns the
+// profile counts on, looked up once.
+func (p *Profile) Cells() ([]CellCounts, error) {
+	if err := p.countSites(); err != nil {
+		return nil, err
+	}
+	out := make([]CellCounts, len(p.sites))
+	for i, col := range p.sites {
+		out[i] = CellCounts{col.ix}
+	}
+	return out, nil
+}
+
 // Lookups returns the column lookups that hit and missed the stores'
 // memo, one per site; a dry run's reread of a column is a hit.
 func (p *Profile) Lookups() (hits, misses int) { return p.hits, p.misses }

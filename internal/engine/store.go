@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 )
 
@@ -301,33 +302,16 @@ func (ix *cellIndex) clone() *cellIndex {
 // that — only the topK largest, ties broken by key (what a probe of that
 // size would have carried, §4.2).
 func (ix *cellIndex) known(topK int) func(cell string) int {
-	all := func(cell string) int {
-		if id, ok := ix.ids[cell]; ok {
-			return ix.count[id]
-		}
-		return 0
-	}
+	all := CellCounts{ix}.Count
 	if topK <= 0 {
 		return all
 	}
-	live := make([]int32, 0, len(ix.count))
-	for id, n := range ix.count {
-		if n > 0 {
-			live = append(live, int32(id))
-		}
-	}
-	if len(live) <= topK {
+	top := ix.top(topK)
+	if len(top) < topK {
 		return all
 	}
-	// Only the cut is read: select it. Counts decide; keys are compared
-	// only between cells of equal count.
-	nthElement(live, topK-1, func(a, b int32) bool {
-		if ix.count[a] != ix.count[b] {
-			return ix.count[a] > ix.count[b]
-		}
-		return ix.keys[a] < ix.keys[b]
-	})
-	last := live[topK-1]
+	// Only the cut is read.
+	last := top[topK-1]
 	minCount, maxKey := ix.count[last], ix.keys[last]
 	return func(cell string) int {
 		n := all(cell)
@@ -336,6 +320,94 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 		}
 		return 0
 	}
+}
+
+// top returns, in a new slice, the ids of the column's k largest live
+// cells (larger), the k-th of them last and the rest unordered — or of every
+// live cell, unordered, when k <= 0 or there are fewer than k.
+func (ix *cellIndex) top(k int) []int32 {
+	live := make([]int32, 0, len(ix.count))
+	for id, n := range ix.count {
+		if n > 0 {
+			live = append(live, int32(id))
+		}
+	}
+	if k > 0 && k <= len(live) {
+		nthElement(live, k-1, ix.larger)
+		live = live[:k]
+	}
+	return live
+}
+
+// larger orders cells by count, descending; keys are compared only between
+// cells of equal count.
+func (ix *cellIndex) larger(a, b int32) bool {
+	if ix.count[a] != ix.count[b] {
+		return ix.count[a] > ix.count[b]
+	}
+	return ix.keys[a] < ix.keys[b]
+}
+
+// Cell is one cell of a cell column: its projected key and how many records
+// it holds.
+type Cell struct {
+	Key   string
+	Count int
+}
+
+// CellCounts is a read-only view of a store's cell column: the store's
+// records counted by projected key — the dimension cube of §4.1, as counts.
+// It reads the column in place, so it stays valid only as long as nothing
+// writes the store (a store's own column follows its writes).
+type CellCounts struct{ ix *cellIndex }
+
+// Cells returns the store's cell counts in the view dims and project name,
+// as SimilarMover's do (project nil keeps full keys), without writing the
+// store: its own column when it keeps one for the view, else the
+// content's. hit is false for the caller that built the content's.
+func (s *Store) Cells(dims string, project func(string) string) (counts CellCounts, hit bool) {
+	ix, hit := s.cells(cellView{dims, project})
+	return CellCounts{ix}, hit
+}
+
+// Dims names the view the cells are projected in.
+func (c CellCounts) Dims() string { return c.ix.view.dims }
+
+// Count returns how many records the cell with this projected key holds.
+func (c CellCounts) Count(key string) int {
+	if id, ok := c.ix.ids[key]; ok {
+		return c.ix.count[id]
+	}
+	return 0
+}
+
+// Total returns the number of records.
+func (c CellCounts) Total() int { return len(c.ix.cell) }
+
+// Distinct returns the number of cells that hold a record; a cell whose
+// records all left stays in the column at count zero and is not one.
+func (c CellCounts) Distinct() int {
+	n := 0
+	for _, k := range c.ix.count {
+		if k > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Top returns the k largest cells (every one when k <= 0), count
+// descending, then key ascending: the head of the cube's cell order, which
+// is what a probe carries (§4.2). The cut is selected, so only the k are
+// sorted.
+func (c CellCounts) Top(k int) []Cell {
+	ids := c.ix.top(k)
+	sort.Slice(ids, func(i, j int) bool { return c.ix.larger(ids[i], ids[j]) })
+	out := make([]Cell, len(ids))
+	for i, id := range ids {
+		out[i] = Cell{c.ix.keys[id], c.ix.count[id]}
+	}
+	return out
 }
 
 // index returns the store's cell index for the view. When the store has

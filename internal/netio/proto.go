@@ -117,11 +117,9 @@ type QueryDTO struct {
 	Combine engine.CombineOp
 }
 
-// ProbeCellDTO is one probe record on the wire.
-type ProbeCellDTO struct {
-	Key   string
-	Count int
-}
+// ProbeCellDTO is one probe record on the wire: a cell of the sender's
+// column, its projected key and record count.
+type ProbeCellDTO = engine.Cell
 
 // Envelope is the single wire message shape. Only the fields relevant to
 // Type are populated.

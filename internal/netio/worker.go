@@ -12,6 +12,7 @@ import (
 	"bohr/internal/faults"
 	"bohr/internal/obs"
 	"bohr/internal/olap"
+	"bohr/internal/similarity"
 	"bohr/internal/stats"
 	"bohr/internal/workload"
 )
@@ -303,81 +304,55 @@ func (w *Worker) handlePut(req *Envelope) *Envelope {
 }
 
 // projector builds the key projection for the requested dims against the
-// dataset's registered schema. No dims means the full key.
-func (w *Worker) projector(dataset string, dims []string) (func(string) string, error) {
+// dataset's registered schema, and names its cell view by both: a Put may
+// replace the schema. No dims means the full key — no projection, the view
+// SimilarMover{} moves in.
+func (w *Worker) projector(dataset string, dims []string) (project func(string) string, view string, err error) {
 	if len(dims) == 0 {
-		return func(k string) string { return k }, nil
+		return nil, "", nil
 	}
 	names := w.schemaOf(dataset)
 	if names == nil {
-		return nil, fmt.Errorf("dataset %q has no schema", dataset)
+		return nil, "", fmt.Errorf("dataset %q has no schema", dataset)
 	}
 	schema, err := olap.NewSchema(names...)
 	if err != nil {
-		return nil, fmt.Errorf("dataset %q: %w", dataset, err)
+		return nil, "", fmt.Errorf("dataset %q: %w", dataset, err)
 	}
-	return workload.Projector(schema, dims)
+	project, err = workload.Projector(schema, dims)
+	return project, fmt.Sprintf("%q %q", names, dims), err
 }
 
+// handleStats answers from the store's cell counts in the requested view:
+// the top-k cells (every cell when k <= 0) and the record count.
 func (w *Worker) handleStats(req *Envelope) *Envelope {
-	proj, err := w.projector(req.Dataset, req.Dims)
+	proj, view, err := w.projector(req.Dataset, req.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "stats: %v", err)
 	}
+	// Under the lock: the store's own column, which the mover keeps, changes
+	// with the store.
 	w.mu.Lock()
-	recs := w.data.Records(req.Dataset)
+	cells, _ := w.data.Store(req.Dataset).Cells(view, proj)
+	top, records := cells.Top(req.TopK), cells.Total()
 	w.mu.Unlock()
-	counts := map[string]int{}
-	for _, r := range recs {
-		counts[proj(r.Key)]++
-	}
-	type kc struct {
-		k string
-		c int
-	}
-	cells := make([]kc, 0, len(counts))
-	for k, c := range counts {
-		cells = append(cells, kc{k, c})
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].c != cells[j].c {
-			return cells[i].c > cells[j].c
-		}
-		return cells[i].k < cells[j].k
-	})
-	topK := req.TopK
-	if topK <= 0 || topK > len(cells) {
-		topK = len(cells)
-	}
-	out := make([]ProbeCellDTO, topK)
-	for i := 0; i < topK; i++ {
-		out[i] = ProbeCellDTO{Key: cells[i].k, Count: cells[i].c}
-	}
-	return &Envelope{Type: MsgStatsOK, Count: len(recs), Cells: out}
+	return &Envelope{Type: MsgStatsOK, Count: records, Cells: top}
 }
 
+// handleScore scores the request's probe cells against the store's cells
+// in the requested view, over the probe's own mass (ScoreCovered).
 func (w *Worker) handleScore(req *Envelope) *Envelope {
-	proj, err := w.projector(req.Dataset, req.Dims)
+	proj, view, err := w.projector(req.Dataset, req.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "score: %v", err)
 	}
+	probe := similarity.Probe{Dataset: req.Dataset, Dims: view, Records: req.Cells}
 	w.mu.Lock()
-	recs := w.data.Records(req.Dataset)
+	cells, _ := w.data.Store(req.Dataset).Cells(view, proj)
+	score, err := similarity.ScoreCovered(probe, cells)
 	w.mu.Unlock()
-	local := map[string]bool{}
-	for _, r := range recs {
-		local[proj(r.Key)] = true
-	}
-	var matched, total float64
-	for _, c := range req.Cells {
-		total += float64(c.Count)
-		if local[c.Key] {
-			matched += float64(c.Count)
-		}
-	}
-	score := 0.0
-	if total > 0 {
-		score = matched / total
+	if err != nil {
+		return w.errEnv(CodeBadRequest, "score: %v", err)
 	}
 	return &Envelope{Type: MsgScoreOK, Score: score}
 }
@@ -498,7 +473,7 @@ func (w *Worker) handleTransfer(req *Envelope) *Envelope {
 func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 	tcol := w.beginTrace(req, decode)
 	q := req.Query
-	proj, err := w.projector(q.Dataset, q.Dims)
+	proj, _, err := w.projector(q.Dataset, q.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "runmap: %v", err)
 	}
@@ -514,10 +489,11 @@ func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 		return w.errEnv(CodeUnknown, "runmap: %v", err)
 	}
 	ms := tcol.StartSpan("map")
-	stage := layout.Scan(&engine.Query{
-		Map:     func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) },
-		Combine: q.Combine,
-	}, false)
+	query := &engine.Query{Combine: q.Combine} // no dims: a nil Map emits full keys
+	if proj != nil {
+		query.Map = func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) }
+	}
+	stage := layout.Scan(query, false)
 	ms.End()
 	inter := stage.Inter
 	w.count2(tcol, "netio.map.records", float64(len(recs)))

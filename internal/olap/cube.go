@@ -287,11 +287,10 @@ func (c *Cube) add(coords []string, sum float64, count int) {
 }
 
 // Lookup returns the cell's measures at the given coordinates, if
-// populated. This is the hot probe-scoring path: coordinates resolve
-// through the per-dimension dictionaries to a stack ID buffer and one
-// packed-table probe — zero heap allocations, no key join. The returned
-// Cell carries no Coords (the caller passed them in); use Cells for full
-// copies.
+// populated. Coordinates resolve through the per-dimension dictionaries to
+// a stack ID buffer and one packed-table probe — zero heap allocations, no
+// key join. The returned Cell carries no Coords (the caller passed them
+// in); use Cells for full copies.
 func (c *Cube) Lookup(coords ...string) (Cell, bool) {
 	nd := len(c.dicts)
 	if len(coords) != nd || len(c.sums) == 0 {

@@ -32,7 +32,7 @@ func TestTensorToMoves(t *testing.T) {
 // the caller chooses.
 func newProfiler(t *testing.T, c *engine.Cluster, w *workload.Workload, plan *Plan, seed int64) *profiler {
 	t.Helper()
-	all, profiles, err := computeAllStats(c, w, 30, nil)
+	all, profiles, err := computeAllStats(c, w, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

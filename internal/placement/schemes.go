@@ -282,9 +282,8 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err != nil {
 		return nil, nil, err
 	}
-	dc := &derivedCounts{}
 	probes := opts.Obs.StartSpan("probes")
-	allStats, profiles, err := computeAllStats(c, w, opts.ProbeK, dc)
+	allStats, profiles, err := computeAllStats(c, w, opts.ProbeK)
 	if err != nil {
 		probes.End()
 		return nil, nil, err
@@ -415,7 +414,6 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	}
 	plan.TaskFrac = frac
 	plan.LPTime += float64(pivots) * lpPivotCost
-	plan.DerivedHits, plan.DerivedMisses = int(dc.hits.Load()), int(dc.misses.Load())
 	for _, pr := range profiles {
 		hits, misses := pr.Lookups()
 		plan.DerivedHits += hits

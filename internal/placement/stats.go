@@ -9,10 +9,8 @@ package placement
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"bohr/internal/engine"
-	"bohr/internal/olap"
 	"bohr/internal/parallel"
 	"bohr/internal/similarity"
 	"bohr/internal/workload"
@@ -60,51 +58,30 @@ type DatasetStats struct {
 }
 
 // Counter names of the planner's lookups of state memoized on store
-// contents (engine.Derive): a site's dominant-dimension cube, and its
-// dominant-view cell column each volume profile reads. Dynamic runs
-// report them. Both are deterministic at any pool width: exactly one miss
-// per content × key, however many goroutines ask first.
+// contents (engine.Derive): the dominant-view cell column each site's
+// probes and volume profile read. Dynamic runs report them. Both are
+// deterministic at any pool width: exactly one miss per content × key,
+// however many goroutines ask first.
 const (
 	CounterDerivedHits   = "placement.derived.hits"
 	CounterDerivedMisses = "placement.derived.misses"
 )
 
-// derivedCounts tallies the memo lookups of one planning round from the
-// pooled per-site kernels. A nil *derivedCounts counts nothing.
-type derivedCounts struct{ hits, misses atomic.Int64 }
-
-// derive is engine.Derive, tallied.
-func derive[T any](dc *derivedCounts, st *engine.Store, key any, build func([]engine.KV) (T, error)) (T, error) {
-	v, hit, err := engine.Derive(st, key, build)
-	if dc != nil {
-		if hit {
-			dc.hits.Add(1)
-		} else {
-			dc.misses.Add(1)
-		}
-	}
-	return v, err
-}
-
-// cubeKey is the memo key of a site's dimension cube: the dataset's schema
-// and the dimension list the cube projects to, both in order.
-type cubeKey struct{ schema, dims string }
-
 // ComputeStats builds planner statistics for one dataset from the cluster
 // snapshot: per-site dimension cubes for the dominant query type, probe
 // exchange (top-k cells weighted across query types), and map-expansion
-// profiling of the dominant query. Per-site cubes and cell columns are
-// memoized on each store's content and built on the worker pool; every
-// per-site result is independent and merged in site order, so the
-// statistics are identical at every pool width and memo state.
+// profiling of the dominant query. A site's cube is its store's cell column
+// in the dominant view, memoized on the store's content; every per-site
+// result is independent and merged in site order, so the statistics are
+// identical at every pool width and memo state.
 func ComputeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, error) {
-	st, _, err := computeStats(c, ds, probeK, nil)
+	st, _, err := computeStats(c, ds, probeK)
 	return st, err
 }
 
 // computeStats also returns the dataset's volume profile, for the round's
 // profiler.
-func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *derivedCounts) (*DatasetStats, *engine.Profile, error) {
+func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, *engine.Profile, error) {
 	if probeK <= 0 {
 		return nil, nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
 	}
@@ -114,48 +91,22 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 	if err != nil {
 		return nil, nil, err
 	}
-	// The dominant query type's share of the probe budget (§4.2).
-	domShare := probeK
-	if total := ds.TotalQueries(); total > 0 {
-		domShare = int(float64(probeK)*float64(dom.Count)/float64(total) + 0.5)
-	}
-	if domShare < 1 {
-		domShare = 1
-	}
+	domShare := similarity.ProbeShare(probeK, dom.Count, ds.TotalQueries())
 
-	// Per-site dimension cubes over the stored records, projected to the
-	// dominant query type's attributes. Sites build independently on the
-	// worker pool; a site whose content already carries the cube (an
-	// earlier round, or a sibling clone's) does not rebuild it. The cubes
-	// are shared read-only, per Cube's concurrency contract.
-	schema, err := ds.Schema.Project(dom.Dims...)
+	// Each site's dimension cube is the cell column the profile counts on and
+	// the mover selects from: the stored records counted by their projection
+	// onto the dominant query type's attributes (§4.1).
+	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, strings.Join(dom.Dims, ","), proj.Project)
+	cubes, err := prof.Cells()
 	if err != nil {
-		return nil, nil, err
-	}
-	qt := olap.QueryTypeFor(dom.Dims)
-	ckey := cubeKey{strings.Join(ds.Schema.Dims(), "\x1f"), strings.Join(dom.Dims, "\x1f")}
-	cubes, err := parallel.MapOrdered(0, n, func(i int) (*olap.Cube, error) {
-		return derive(dc, c.Data[i].Store(ds.Name), ckey, func(recs []engine.KV) (*olap.Cube, error) {
-			rows := make([]olap.Row, len(recs))
-			for r, rec := range recs {
-				rows[r] = olap.Row{Coords: proj.Coords(rec.Key), Measure: rec.Val}
-			}
-			cube, berr := olap.BuildCube(schema, rows, 0)
-			if berr != nil {
-				return nil, fmt.Errorf("placement: dataset %q site %d: %w", ds.Name, i, berr)
-			}
-			return cube, nil
-		})
-	})
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
 	}
 	var totalCells int
 	for _, cube := range cubes {
-		totalCells += cube.NumCells()
+		totalCells += cube.Distinct()
 	}
 
-	cross, err := similarity.CrossSiteMatrix(ds.Name, qt, cubes, domShare)
+	cross, err := similarity.CrossSiteMatrix(ds.Name, cubes, domShare)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,7 +129,6 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int, dc *deriv
 	// reduction from the previous run of the recurring query (§7); we count
 	// one map+combine per site (engine.Profile) and scale the probe
 	// similarities to realized combiner efficiency.
-	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, strings.Join(dom.Dims, ","), proj.Project)
 	counts, err := prof.Counts(nil, nil, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
@@ -240,14 +190,14 @@ func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64
 // fanned out over the worker pool: datasets only read the shared cluster
 // snapshot, so they are independent.
 func ComputeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, error) {
-	all, _, err := computeAllStats(c, w, probeK, nil)
+	all, _, err := computeAllStats(c, w, probeK)
 	return all, err
 }
 
-func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int, dc *derivedCounts) ([]*DatasetStats, []*engine.Profile, error) {
+func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, []*engine.Profile, error) {
 	profs := make([]*engine.Profile, len(w.Datasets))
 	all, err := parallel.MapOrdered(0, len(w.Datasets), func(i int) (st *DatasetStats, err error) {
-		st, profs[i], err = computeStats(c, w.Datasets[i], probeK, dc)
+		st, profs[i], err = computeStats(c, w.Datasets[i], probeK)
 		return st, err
 	})
 	return all, profs, err

@@ -2,99 +2,51 @@ package similarity
 
 import (
 	"fmt"
-	"sort"
 
-	"bohr/internal/olap"
+	"bohr/internal/engine"
 	"bohr/internal/parallel"
 )
 
-// ProbeRecord is one representative record inside a probe: the coordinates
-// of a cell in the sender's dimension cube plus how many raw records that
-// cell clusters.
-type ProbeRecord struct {
-	Coords []string
-	Count  int
-}
+// ProbeRecord is one representative record inside a probe: a cell of the
+// sender's dimension cube — its projected key — plus how many raw records
+// that cell clusters.
+type ProbeRecord = engine.Cell
 
 // Probe carries representative records of one query type's dimension cube
 // from the bottleneck site to other sites (§4.2). Probes are deliberately
 // tiny compared to the dataset.
 type Probe struct {
 	Dataset    string
-	QueryType  olap.QueryTypeID
+	Dims       string // the view the records' keys are projected in
 	Records    []ProbeRecord
 	TotalCount int // total raw records in the sender's dimension cube
 }
 
-// BuildProbe selects the top-k cells of a dimension cube by cluster size —
-// the paper's "top-k records according to the record cluster size".
-func BuildProbe(dataset string, qt olap.QueryTypeID, cube *olap.Cube, k int) (Probe, error) {
+// ProbeShare is one query type's share of a dataset's probe budget of k
+// records (§4.2: "we choose k records in total for all query types, by
+// considering the relative weight of each query type"): k weighted by the
+// type's queries over the dataset's total, rounded, and at least one. A
+// dataset without queries gives the whole budget.
+func ProbeShare(k, queries, total int) int {
+	share := k
+	if total > 0 {
+		share = int(float64(k)*float64(queries)/float64(total) + 0.5)
+	}
+	return max(share, 1)
+}
+
+// BuildProbe selects the top-k cells of a site's dimension cube by cluster
+// size — the paper's "top-k records according to the record cluster size".
+func BuildProbe(dataset string, cube engine.CellCounts, k int) (Probe, error) {
 	if k <= 0 {
 		return Probe{}, fmt.Errorf("similarity: probe needs k > 0, got %d", k)
 	}
-	cells := cube.TopCells(k)
-	recs := make([]ProbeRecord, len(cells))
-	for i, c := range cells {
-		recs[i] = ProbeRecord{Coords: c.Coords, Count: c.Count}
-	}
 	return Probe{
 		Dataset:    dataset,
-		QueryType:  qt,
-		Records:    recs,
-		TotalCount: cube.TotalCount(),
+		Dims:       cube.Dims(),
+		Records:    cube.Top(k),
+		TotalCount: cube.Total(),
 	}, nil
-}
-
-// QueryTypeWeight is the share of a dataset's queries belonging to one
-// query type; weights across a dataset's types should sum to ~1.
-type QueryTypeWeight struct {
-	QueryType olap.QueryTypeID
-	Dims      []string
-	Weight    float64
-}
-
-// BuildProbes splits a total budget of k records across a dataset's query
-// types proportionally to their weights (§4.2: "we choose k records in
-// total for all query types, by considering the relative weight of each
-// query type"), building one probe per type from its dimension cube in the
-// CubeSet. Every type with positive weight receives at least one record.
-func BuildProbes(dataset string, cs *olap.CubeSet, weights []QueryTypeWeight, k int) ([]Probe, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("similarity: probe budget must be positive, got %d", k)
-	}
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("similarity: no query types for dataset %q", dataset)
-	}
-	var totalW float64
-	for _, w := range weights {
-		if w.Weight < 0 {
-			return nil, fmt.Errorf("similarity: negative weight for query type %q", w.QueryType)
-		}
-		totalW += w.Weight
-	}
-	if totalW == 0 {
-		return nil, fmt.Errorf("similarity: all query type weights are zero for dataset %q", dataset)
-	}
-	probes := make([]Probe, 0, len(weights))
-	for _, w := range weights {
-		if w.Weight == 0 {
-			continue
-		}
-		share := int(float64(k)*w.Weight/totalW + 0.5)
-		if share < 1 {
-			share = 1
-		}
-		dc, err := cs.Prepare(w.QueryType)
-		if err != nil {
-			return nil, fmt.Errorf("similarity: dataset %q: %w", dataset, err)
-		}
-		p, err := BuildProbe(dataset, w.QueryType, dc, share)
-		if err != nil {
-			return nil, err
-		}
-		probes = append(probes, p)
-	}
-	return probes, nil
 }
 
 // Score is the receiving site's similarity check (§4.2): the fraction of
@@ -104,22 +56,10 @@ func BuildProbes(dataset string, cs *olap.CubeSet, weights []QueryTypeWeight, k 
 // counts as dissimilar; larger probes (bigger k) therefore surface more of
 // the true similarity, which is exactly the accuracy-versus-k trade-off
 // Figures 12/13 of the paper measure. The result is in [0, 1].
-func Score(p Probe, local *olap.Cube) (float64, error) {
-	if len(p.Records) == 0 {
-		return 0, nil // nothing to match: no evidence of similarity
-	}
-	if local.Schema().NumDims() != probeDims(p) {
-		return 0, fmt.Errorf("similarity: probe %q/%s has %d dims, local cube has %d",
-			p.Dataset, p.QueryType, probeDims(p), local.Schema().NumDims())
-	}
-	var matched float64
-	for _, r := range p.Records {
-		if _, ok := local.Lookup(r.Coords...); ok {
-			matched += float64(r.Count)
-		}
-	}
-	if p.TotalCount <= 0 {
-		return 0, nil
+func Score(p Probe, local engine.CellCounts) (float64, error) {
+	matched, _, err := match(p, local)
+	if err != nil || p.TotalCount <= 0 {
+		return 0, err
 	}
 	return matched / float64(p.TotalCount), nil
 }
@@ -128,85 +68,42 @@ func Score(p Probe, local *olap.Cube) (float64, error) {
 // sender's total: the match rate among probed records only, ignoring
 // coverage. Useful for diagnostics and for callers that track coverage
 // separately.
-func ScoreCovered(p Probe, local *olap.Cube) (float64, error) {
-	if len(p.Records) == 0 {
-		return 0, nil
-	}
-	if local.Schema().NumDims() != probeDims(p) {
-		return 0, fmt.Errorf("similarity: probe %q/%s has %d dims, local cube has %d",
-			p.Dataset, p.QueryType, probeDims(p), local.Schema().NumDims())
-	}
-	var matched, total float64
-	for _, r := range p.Records {
-		total += float64(r.Count)
-		if _, ok := local.Lookup(r.Coords...); ok {
-			matched += float64(r.Count)
-		}
-	}
-	if total == 0 {
-		return 0, nil
+func ScoreCovered(p Probe, local engine.CellCounts) (float64, error) {
+	matched, total, err := match(p, local)
+	if err != nil || total == 0 {
+		return 0, err
 	}
 	return matched / total, nil
 }
 
-func probeDims(p Probe) int {
+// match sums the probe's mass and the part of it with a local cell.
+func match(p Probe, local engine.CellCounts) (matched, total float64, err error) {
 	if len(p.Records) == 0 {
-		return 0
+		return 0, 0, nil // nothing to match: no evidence of similarity
 	}
-	return len(p.Records[0].Coords)
+	if p.Dims != local.Dims() {
+		return 0, 0, fmt.Errorf("similarity: probe %q in view %q scored against cells in view %q",
+			p.Dataset, p.Dims, local.Dims())
+	}
+	for _, r := range p.Records {
+		total += float64(r.Count)
+		if local.Count(r.Key) > 0 {
+			matched += float64(r.Count)
+		}
+	}
+	return matched, total, nil
 }
 
 // SelfSimilarity is S_i of the paper's Table 1: the combiner-reduction
 // fraction of a site's own data for one query type. With n raw records
 // collapsing into c distinct cells the combiner removes (n-c)/n of the
 // intermediate records.
-func SelfSimilarity(cube *olap.Cube) float64 {
-	n := cube.TotalCount()
+func SelfSimilarity(cube engine.CellCounts) float64 {
+	n := cube.Total()
 	if n == 0 {
 		return 0
 	}
-	return 1 - float64(cube.NumCells())/float64(n)
-}
-
-// RankedCell is a source cell ordered for similarity-aware movement.
-type RankedCell struct {
-	Coords []string
-	Count  int
-	// DstCount is how many records the destination already clusters at
-	// these coordinates; moving cells with large DstCount first maximizes
-	// combining at the destination.
-	DstCount int
-}
-
-// RankForDestination orders the source cube's cells for movement toward a
-// destination cube: cells whose coordinates the destination already holds
-// come first (largest destination cluster first), then the remaining cells
-// by descending local size. This is the "similarity search ... sorts the
-// data" preparation of §4.1 applied to a concrete destination.
-func RankForDestination(src, dst *olap.Cube) ([]RankedCell, error) {
-	if !src.Schema().Equal(dst.Schema()) {
-		return nil, fmt.Errorf("similarity: rank: schema mismatch %v vs %v",
-			src.Schema().Dims(), dst.Schema().Dims())
-	}
-	cells := src.Cells()
-	out := make([]RankedCell, len(cells))
-	for i, c := range cells {
-		rc := RankedCell{Coords: c.Coords, Count: c.Count}
-		if d, ok := dst.Lookup(c.Coords...); ok {
-			rc.DstCount = d.Count
-		}
-		out[i] = rc
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if (out[i].DstCount > 0) != (out[j].DstCount > 0) {
-			return out[i].DstCount > 0
-		}
-		if out[i].DstCount != out[j].DstCount {
-			return out[i].DstCount > out[j].DstCount
-		}
-		return out[i].Count > out[j].Count
-	})
-	return out, nil
+	return 1 - float64(cube.Distinct())/float64(n)
 }
 
 // CrossSiteMatrix computes the pairwise similarity S_{i,j} for one dataset
@@ -215,13 +112,13 @@ func RankForDestination(src, dst *olap.Cube) ([]RankedCell, error) {
 // site's self-similarity S_i.
 //
 // Probe construction and per-row scoring fan out over the worker pool —
-// both only read the cubes (safe under Cube's concurrency contract) and
-// each matrix entry is computed independently, so the result is
-// identical at every pool width.
-func CrossSiteMatrix(dataset string, qt olap.QueryTypeID, cubes []*olap.Cube, k int) ([][]float64, error) {
+// both only read the cubes, which nothing writes meanwhile, and each
+// matrix entry is computed independently, so the result is identical at
+// every pool width.
+func CrossSiteMatrix(dataset string, cubes []engine.CellCounts, k int) ([][]float64, error) {
 	n := len(cubes)
 	probes, err := parallel.MapOrdered(0, n, func(i int) (Probe, error) {
-		return BuildProbe(dataset, qt, cubes[i], k)
+		return BuildProbe(dataset, cubes[i], k)
 	})
 	if err != nil {
 		return nil, err

@@ -3,57 +3,76 @@ package similarity
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"bohr/internal/olap"
+	"bohr/internal/engine"
 	"bohr/internal/parallel"
 	"bohr/internal/stats"
 )
 
-// urlCube builds a single-dimension cube with the given key→count map.
-func urlCube(t *testing.T, counts map[string]int) *olap.Cube {
-	t.Helper()
-	c := olap.NewCube(olap.MustSchema("url"))
+// storeCells stores the keys and counts them in the view dims under
+// project (nil keeps full keys).
+func storeCells(keys []string, dims string, project func(string) string) engine.CellCounts {
+	st := new(engine.Store)
+	for _, k := range keys {
+		st.Add(engine.KV{Key: k, Val: 1})
+	}
+	cells, _ := st.Cells(dims, project)
+	return cells
+}
+
+// urlCube is a single-dimension cube with the given key→count map.
+func urlCube(counts map[string]int) engine.CellCounts {
+	var keys []string
 	for k, n := range counts {
 		for i := 0; i < n; i++ {
-			if err := c.Insert(olap.Row{Coords: []string{k}, Measure: 1}); err != nil {
-				t.Fatal(err)
-			}
+			keys = append(keys, k)
 		}
 	}
-	return c
+	return storeCells(keys, "url", nil)
+}
+
+// field projects a two-field key onto one of its fields.
+func field(f int) func(string) string {
+	return func(key string) string { return strings.Split(key, engine.KeySep)[f] }
 }
 
 func TestBuildProbeTopK(t *testing.T) {
-	cube := urlCube(t, map[string]int{"a": 5, "b": 3, "c": 1, "d": 1})
-	p, err := BuildProbe("ds", "url", cube, 2)
+	cube := urlCube(map[string]int{"a": 5, "b": 3, "c": 1, "d": 1})
+	p, err := BuildProbe("ds", cube, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Records) != 2 {
 		t.Fatalf("probe size = %d", len(p.Records))
 	}
-	if p.Records[0].Coords[0] != "a" || p.Records[0].Count != 5 {
+	if p.Records[0].Key != "a" || p.Records[0].Count != 5 {
 		t.Fatalf("largest cluster first: %+v", p.Records[0])
 	}
-	if p.Records[1].Coords[0] != "b" {
+	if p.Records[1].Key != "b" {
 		t.Fatalf("second cluster: %+v", p.Records[1])
 	}
 	if p.TotalCount != 10 {
 		t.Fatalf("TotalCount = %d", p.TotalCount)
 	}
-	if _, err := BuildProbe("ds", "url", cube, 0); err == nil {
+	// A budget beyond the cube carries every cell, ties by key.
+	all, _ := BuildProbe("ds", cube, 30)
+	if len(all.Records) != 4 || all.Records[2].Key != "c" || all.Records[3].Key != "d" {
+		t.Fatalf("exhausted probe = %+v", all.Records)
+	}
+	if _, err := BuildProbe("ds", cube, 0); err == nil {
 		t.Fatal("k=0 should error")
 	}
 }
 
 func TestScore(t *testing.T) {
-	src := urlCube(t, map[string]int{"a": 6, "b": 3, "c": 1})
-	p, _ := BuildProbe("ds", "url", src, 3)
+	src := urlCube(map[string]int{"a": 6, "b": 3, "c": 1})
+	p, _ := BuildProbe("ds", src, 3)
 
 	// Destination has a and c but not b: matched mass (6+1) over the
 	// sender's 10 records.
-	dst := urlCube(t, map[string]int{"a": 1, "c": 2, "z": 5})
+	dst := urlCube(map[string]int{"a": 1, "c": 2, "z": 5})
 	s, err := Score(p, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +89,7 @@ func TestScore(t *testing.T) {
 
 	// Coverage matters: a k=1 probe of the same data can vouch for at most
 	// its own mass (6 of 10 records).
-	small, _ := BuildProbe("ds", "url", src, 1)
+	small, _ := BuildProbe("ds", src, 1)
 	if s, _ := Score(small, src); s != 0.6 {
 		t.Fatalf("k=1 self score = %v, want 0.6 (coverage-limited)", s)
 	}
@@ -80,26 +99,27 @@ func TestScore(t *testing.T) {
 	}
 
 	// Disjoint destination scores 0.
-	disjoint := urlCube(t, map[string]int{"x": 3})
+	disjoint := urlCube(map[string]int{"x": 3})
 	if s, _ := Score(p, disjoint); s != 0 {
 		t.Fatalf("disjoint score = %v", s)
 	}
 }
 
 func TestScoreSchemaMismatch(t *testing.T) {
-	src := urlCube(t, map[string]int{"a": 1})
-	p, _ := BuildProbe("ds", "url", src, 1)
-	two := olap.NewCube(olap.MustSchema("x", "y"))
-	_ = two.Insert(olap.Row{Coords: []string{"a", "b"}})
+	src := urlCube(map[string]int{"a": 1})
+	p, _ := BuildProbe("ds", src, 1)
+	two := storeCells([]string{"a" + engine.KeySep + "b"}, "x,y", nil)
 	if _, err := Score(p, two); err == nil {
-		t.Fatal("dim mismatch should error")
+		t.Fatal("view mismatch should error")
+	}
+	if _, err := ScoreCovered(p, two); err == nil {
+		t.Fatal("view mismatch should error")
 	}
 }
 
 func TestScoreEmptyProbe(t *testing.T) {
-	empty := olap.NewCube(olap.MustSchema("url"))
-	p, _ := BuildProbe("ds", "url", empty, 5)
-	dst := urlCube(t, map[string]int{"a": 1})
+	p, _ := BuildProbe("ds", urlCube(nil), 5)
+	dst := urlCube(map[string]int{"a": 1})
 	s, err := Score(p, dst)
 	if err != nil || s != 0 {
 		t.Fatalf("empty probe score = %v err=%v", s, err)
@@ -108,132 +128,73 @@ func TestScoreEmptyProbe(t *testing.T) {
 
 func TestSelfSimilarity(t *testing.T) {
 	// 10 records in 4 cells → combiner removes 6/10.
-	c := urlCube(t, map[string]int{"a": 5, "b": 3, "c": 1, "d": 1})
+	c := urlCube(map[string]int{"a": 5, "b": 3, "c": 1, "d": 1})
 	if got := SelfSimilarity(c); got != 0.6 {
 		t.Fatalf("SelfSimilarity = %v, want 0.6", got)
 	}
-	if got := SelfSimilarity(olap.NewCube(olap.MustSchema("k"))); got != 0 {
+	if got := SelfSimilarity(urlCube(nil)); got != 0 {
 		t.Fatalf("empty cube similarity = %v", got)
 	}
 	// All-distinct data has zero similarity.
-	d := urlCube(t, map[string]int{"a": 1, "b": 1})
+	d := urlCube(map[string]int{"a": 1, "b": 1})
 	if got := SelfSimilarity(d); got != 0 {
 		t.Fatalf("distinct data similarity = %v", got)
 	}
 }
 
+// TestBuildProbesWeightSplit builds one probe per query type from the
+// types' shares of one budget: 0.8 of 30 = 24 but only 7 distinct urls
+// exist; 0.2 of 30 = 6 but only 3 countries exist.
 func TestBuildProbesWeightSplit(t *testing.T) {
-	cs := olap.NewCubeSet(olap.MustSchema("url", "country"))
+	var keys []string
 	for i := 0; i < 50; i++ {
-		_ = cs.Insert(olap.Row{Coords: []string{fmt.Sprintf("u%d", i%7), fmt.Sprintf("c%d", i%3)}, Measure: 1})
+		keys = append(keys, fmt.Sprintf("u%d%sc%d", i%7, engine.KeySep, i%3))
 	}
-	idURL, _ := cs.RegisterQueryType([]string{"url"})
-	idCty, _ := cs.RegisterQueryType([]string{"country"})
-	weights := []QueryTypeWeight{
-		{QueryType: idURL, Dims: []string{"url"}, Weight: 0.8},
-		{QueryType: idCty, Dims: []string{"country"}, Weight: 0.2},
-	}
-	probes, err := BuildProbes("ds", cs, weights, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probes) != 2 {
-		t.Fatalf("probe count = %d", len(probes))
-	}
-	byType := map[olap.QueryTypeID]Probe{}
-	for _, p := range probes {
-		byType[p.QueryType] = p
-	}
-	// 0.8 of 30 = 24 but only 7 distinct urls exist; 0.2 of 30 = 6 but only
-	// 3 countries exist.
-	if got := len(byType[idURL].Records); got != 7 {
-		t.Fatalf("url probe records = %d, want 7 (cube exhausted)", got)
-	}
-	if got := len(byType[idCty].Records); got != 3 {
-		t.Fatalf("country probe records = %d, want 3", got)
+	for _, tc := range []struct {
+		dims    string
+		f       int
+		queries int
+		share   int
+		records int
+	}{{"url", 0, 80, 24, 7}, {"country", 1, 20, 6, 3}} {
+		share := ProbeShare(30, tc.queries, 100)
+		if share != tc.share {
+			t.Fatalf("%s share = %d, want %d", tc.dims, share, tc.share)
+		}
+		p, err := BuildProbe("ds", storeCells(keys, tc.dims, field(tc.f)), share)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(p.Records); got != tc.records {
+			t.Fatalf("%s probe records = %d, want %d (cube exhausted)", tc.dims, got, tc.records)
+		}
 	}
 }
 
 func TestBuildProbesPaperExample(t *testing.T) {
 	// §4.2: 500 queries, one type with 100 queries → weight 0.2; k=30 →
 	// 6 records for that type.
-	cs := olap.NewCubeSet(olap.MustSchema("a", "b"))
-	for i := 0; i < 100; i++ {
-		_ = cs.Insert(olap.Row{Coords: []string{fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)}, Measure: 1})
+	if got := ProbeShare(30, 100, 500); got != 6 {
+		t.Fatalf("weight-0.2 type got %d records, want 6", got)
 	}
-	idA, _ := cs.RegisterQueryType([]string{"a"})
-	idB, _ := cs.RegisterQueryType([]string{"b"})
-	weights := []QueryTypeWeight{
-		{QueryType: idA, Weight: 0.2},
-		{QueryType: idB, Weight: 0.8},
+	if got := ProbeShare(30, 400, 500); got != 24 {
+		t.Fatalf("weight-0.8 type got %d records, want 24", got)
 	}
-	probes, err := BuildProbes("ds", cs, weights, 30)
-	if err != nil {
-		t.Fatal(err)
+	// Every type with queries gets at least one record; a dataset without
+	// queries gives the whole budget.
+	if got := ProbeShare(30, 1, 1000); got != 1 {
+		t.Fatalf("a rare type got %d records, want the floor of 1", got)
 	}
-	for _, p := range probes {
-		if p.QueryType == idA && len(p.Records) != 6 {
-			t.Fatalf("weight-0.2 type got %d records, want 6", len(p.Records))
-		}
-		if p.QueryType == idB && len(p.Records) != 24 {
-			t.Fatalf("weight-0.8 type got %d records, want 24", len(p.Records))
-		}
-	}
-}
-
-func TestBuildProbesValidation(t *testing.T) {
-	cs := olap.NewCubeSet(olap.MustSchema("a"))
-	id, _ := cs.RegisterQueryType([]string{"a"})
-	w := []QueryTypeWeight{{QueryType: id, Weight: 1}}
-	if _, err := BuildProbes("ds", cs, w, 0); err == nil {
-		t.Fatal("k=0 should error")
-	}
-	if _, err := BuildProbes("ds", cs, nil, 10); err == nil {
-		t.Fatal("no query types should error")
-	}
-	if _, err := BuildProbes("ds", cs, []QueryTypeWeight{{QueryType: id, Weight: -1}}, 10); err == nil {
-		t.Fatal("negative weight should error")
-	}
-	if _, err := BuildProbes("ds", cs, []QueryTypeWeight{{QueryType: id, Weight: 0}}, 10); err == nil {
-		t.Fatal("all-zero weights should error")
-	}
-	if _, err := BuildProbes("ds", cs, []QueryTypeWeight{{QueryType: "bogus", Weight: 1}}, 10); err == nil {
-		t.Fatal("unknown query type should error")
-	}
-}
-
-func TestRankForDestinationSimilarFirst(t *testing.T) {
-	src := urlCube(t, map[string]int{"a": 5, "b": 4, "c": 3, "d": 2})
-	dst := urlCube(t, map[string]int{"c": 10, "d": 1, "z": 7})
-	ranked, err := RankForDestination(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 4 {
-		t.Fatalf("ranked = %d cells", len(ranked))
-	}
-	// c (dst 10) first, then d (dst 1), then a/b by local size.
-	if ranked[0].Coords[0] != "c" || ranked[1].Coords[0] != "d" {
-		t.Fatalf("similar cells should rank first: %+v", ranked[:2])
-	}
-	if ranked[2].Coords[0] != "a" || ranked[3].Coords[0] != "b" {
-		t.Fatalf("dissimilar cells by local size: %+v", ranked[2:])
-	}
-}
-
-func TestRankForDestinationSchemaMismatch(t *testing.T) {
-	src := urlCube(t, map[string]int{"a": 1})
-	other := olap.NewCube(olap.MustSchema("different"))
-	if _, err := RankForDestination(src, other); err == nil {
-		t.Fatal("schema mismatch should error")
+	if got := ProbeShare(30, 0, 0); got != 30 {
+		t.Fatalf("no queries: %d records, want 30", got)
 	}
 }
 
 func TestCrossSiteMatrix(t *testing.T) {
-	a := urlCube(t, map[string]int{"x": 4, "y": 4}) // S = 1 - 2/8 = .75
-	b := urlCube(t, map[string]int{"x": 2, "z": 2}) // shares x with a
-	c := urlCube(t, map[string]int{"q": 1, "r": 1}) // disjoint
-	m, err := CrossSiteMatrix("ds", "url", []*olap.Cube{a, b, c}, 10)
+	a := urlCube(map[string]int{"x": 4, "y": 4}) // S = 1 - 2/8 = .75
+	b := urlCube(map[string]int{"x": 2, "z": 2}) // shares x with a
+	c := urlCube(map[string]int{"q": 1, "r": 1}) // disjoint
+	m, err := CrossSiteMatrix("ds", []engine.CellCounts{a, b, c}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +218,9 @@ func TestScoreBoundsProperty(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			counts[fmt.Sprintf("k%d", rng.Intn(20))]++
 		}
-		cube := urlCube(t, counts)
-		p, _ := BuildProbe("ds", "url", cube, 1+rng.Intn(10))
-		other := urlCube(t, map[string]int{fmt.Sprintf("k%d", rng.Intn(20)): 1})
+		cube := urlCube(counts)
+		p, _ := BuildProbe("ds", cube, 1+rng.Intn(10))
+		other := urlCube(map[string]int{fmt.Sprintf("k%d", rng.Intn(20)): 1})
 		s, err := Score(p, other)
 		if err != nil || s < 0 || s > 1 {
 			t.Fatalf("score out of bounds: %v (%v)", s, err)
@@ -278,31 +239,23 @@ func TestScoreBoundsProperty(t *testing.T) {
 
 // TestCrossSiteMatrixWidthIndependent checks the pooled probe/score
 // matrix is identical at width 1 and width 8, and symmetric-diagonal
-// sane, exercising the concurrent read path over shared cubes.
+// sane, exercising the concurrent read path over shared columns.
 func TestCrossSiteMatrixWidthIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	schema := olap.MustSchema("a", "b")
-	cubes := make([]*olap.Cube, 4)
+	cubes := make([]engine.CellCounts, 4)
 	for s := range cubes {
-		c := olap.NewCube(schema)
-		for r := 0; r < 300; r++ {
-			err := c.Insert(olap.Row{
-				Coords:  []string{fmt.Sprintf("a%d", rng.Intn(6)), fmt.Sprintf("b%d", rng.Intn(6))},
-				Measure: rng.Float64(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		keys := make([]string, 300)
+		for r := range keys {
+			keys[r] = fmt.Sprintf("a%d%sb%d", rng.Intn(6), engine.KeySep, rng.Intn(6))
 		}
-		cubes[s] = c
+		cubes[s] = storeCells(keys, "a,b", nil)
 	}
-	qt := olap.QueryTypeFor([]string{"a", "b"})
 
 	run := func(width int) [][]float64 {
 		t.Helper()
 		prev := parallel.SetDefaultWidth(width)
 		defer parallel.SetDefaultWidth(prev)
-		m, err := CrossSiteMatrix("ds", qt, cubes, 5)
+		m, err := CrossSiteMatrix("ds", cubes, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,20 +302,6 @@ func (p *Projection) Project(key string) string {
 	return p.Key(&x)
 }
 
-// Coords returns the projected coordinates of one key — SplitKey of its
-// projection, without building the projected key in between.
-func (p *Projection) Coords(key string) []string {
-	var x KeyIndex
-	if !p.Index(&x, key) {
-		return SplitKey(key)
-	}
-	out := make([]string, len(p.idx))
-	for i, j := range p.idx {
-		out[i] = x.Field(j)
-	}
-	return out
-}
-
 // Projector returns a function projecting a full engine key down to the
 // given attribute subset of the schema.
 func Projector(schema *olap.Schema, dims []string) (func(string) string, error) {
