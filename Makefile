@@ -22,7 +22,10 @@ test:
 # and the multi-tenant serve front end plus its flight recorder), one
 # short round of each fuzz harness, and the report determinism check
 # including cross-pool-width byte identity. The race target also carries the map→combine
-# stage's differential oracle and allocation guard, the site store's
+# stage's differential oracle and allocation guard, the job round's key
+# table against the per-record routing it replaced (TestRunMatchesReference)
+# with its allocation guard, the live netio reduce against engine.Run
+# (TestLiveReduceMatchesEngine), the site store's
 # differential against the reference mover with its tie-heavy leg and the
 # selection helper's property test, the cell-count view's differential
 # against olap's cubes on tie-heavy and moved stores

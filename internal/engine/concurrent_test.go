@@ -19,9 +19,63 @@ func TestCombinePartialsSumsCounts(t *testing.T) {
 	if len(out) != 1 || out[0].Val != 5 {
 		t.Fatalf("partial counts = %+v, want k=5", out)
 	}
-	// Non-count ops behave exactly like Combine.
+	// Other ops merge the partial values themselves.
 	if got := CombinePartials([]KV{{"k", 3}, {"k", 9}}, OpMax); got[0].Val != 9 {
 		t.Fatalf("partial max = %v", got[0].Val)
+	}
+}
+
+// TestReduceAllocsScaleWithKeys pins the point of a round's key table: the
+// reduce side allocates for the distinct keys and the reducers, never per
+// partial. Folding four times the partials over the same keys allocates
+// about the same, and cutting the table into reducer outputs allocates three
+// times at any number of reducers: the count pass sizes every output before
+// the fill pass, so nothing grows.
+func TestReduceAllocsScaleWithKeys(t *testing.T) {
+	const keys = 3000
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("k%04d", k)
+	}
+	partials := func(perKey int) []KV {
+		out := make([]KV, 0, keys*perKey)
+		for p := 0; p < perKey; p++ {
+			for _, name := range names {
+				out = append(out, KV{Key: name, Val: float64(p)})
+			}
+		}
+		return out
+	}
+	for _, frac := range [][]float64{{1}, {0.1, 0.2, 0, 0.3, 0.15, 0.25}} {
+		fold := func(recs []KV) *keyTable {
+			tab := newKeyTable(OpSum, frac, 0)
+			for _, r := range recs {
+				tab.add(r)
+			}
+			return tab
+		}
+		few, many := partials(2), partials(8)
+		fewAllocs := testing.AllocsPerRun(5, func() { fold(few).runs() })
+		manyAllocs := testing.AllocsPerRun(5, func() { fold(many).runs() })
+		// The map's table splits depend on its hash seed: a few either way.
+		if math.Abs(manyAllocs-fewAllocs) > 4 {
+			t.Fatalf("%d reducers: %.0f allocations for %d partials, %.0f for %d over the same %d keys",
+				len(frac), fewAllocs, len(few), manyAllocs, len(many), keys)
+		}
+		// Growing slices and a growing map allocate O(log keys) times,
+		// plus a table per thousand keys or so; one allocation per 32 keys
+		// is already a generous bound.
+		if limit := float64(keys/32 + 16); fewAllocs > limit {
+			t.Fatalf("%d reducers: %.0f allocations for %d keys, want at most %.0f", len(frac), fewAllocs, keys, limit)
+		}
+		tab := fold(many)
+		if cut := testing.AllocsPerRun(5, func() { tab.runs() }); cut != 3 {
+			t.Fatalf("%d reducers: cutting the table into outputs took %.0f allocations, want 3", len(frac), cut)
+		}
+		if sorted := testing.AllocsPerRun(1, func() { tab.sorted() }); sorted != 0 {
+			t.Fatalf("%d reducers: the sorted table took %.0f allocations", len(frac), sorted)
+		}
+		t.Logf("%d reducers, %d keys: %.0f allocations for %d or %d partials", len(frac), keys, fewAllocs, len(few), len(many))
 	}
 }
 

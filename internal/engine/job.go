@@ -181,10 +181,8 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		}
 		var flows []wan.Transfer
 		type roundState struct {
-			rm       RoundMetrics
-			arriving [][]KV
-			// groups[j] is what reducer j's combiner is sized for.
-			groups []int
+			rm   RoundMetrics
+			keys *keyTable
 			// mapSite / reduceSite hold per-site stage times for the
 			// trace's per-site child spans (critical-path attribution).
 			mapSite    []float64
@@ -199,8 +197,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			}
 			st := &roundState{
 				rm:         RoundMetrics{IntermediateMB: make([]float64, n)},
-				arriving:   make([][]KV, n),
-				groups:     make([]int, n),
 				mapSite:    make([]float64, n),
 				reduceSite: make([]float64, n),
 			}
@@ -214,12 +210,11 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			// order below, preserving the sequential path byte for byte.
 			// looked says the site's layout was asked of its store; hit that
 			// the store already had it; cols and colsHit the same of the key
-			// columns a Select reads. owners are the records' reduce sites.
+			// columns a Select reads.
 			type siteStage struct {
 				StageResult
 				looked, hit, colsHit bool
 				cols                 *columns
-				owners               []int32
 			}
 			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
@@ -253,33 +248,19 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					out.cols, out.colsHit = l.columns(sel.Fields)
 				}
 				out.StageResult = l.Scan(&job.q, false)
-				out.owners = make([]int32, len(out.Inter))
-				for k, rec := range out.Inter {
-					out.owners[k] = int32(KeyOwner(rec.Key, job.taskFrac))
-				}
 				return out, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			// Every reducer's arrivals are allocated once, at their size, and
-			// its combiner for the largest partial one site sends it.
-			perOwner, fromSite := make([]int, n), make([]int, n)
+			// The round's partials fold into one key table in (site, Inter)
+			// order, which routes each key once, on its first arrival. It is
+			// sized for the most partials one site sends.
+			hint := 0
 			for i := range outs {
-				clear(fromSite)
-				for _, owner := range outs[i].owners {
-					fromSite[owner]++
-				}
-				for j, k := range fromSite {
-					perOwner[j] += k
-					st.groups[j] = max(st.groups[j], k)
-				}
+				hint = max(hint, len(outs[i].Inter))
 			}
-			for j, arrivals := range perOwner {
-				if arrivals > 0 {
-					st.arriving[j] = make([]KV, 0, arrivals)
-				}
-			}
+			st.keys = newKeyTable(job.q.Combine, job.taskFrac, hint)
 			crossMB := make([]float64, n)
 			var hits, misses, colsHits int
 			for i := 0; i < n; i++ {
@@ -309,10 +290,8 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				job.res.IntermediateMBPerSite[i] += st.rm.IntermediateMB[i]
 
 				clear(crossMB)
-				for k, rec := range inter {
-					owner := int(outs[i].owners[k])
-					st.arriving[owner] = append(st.arriving[owner], rec)
-					if owner != i {
+				for _, rec := range inter {
+					if owner := st.keys.add(rec); int(owner) != i {
 						crossMB[owner] += c.BytesPerRecord / 1e6
 					}
 				}
@@ -373,11 +352,9 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			}
 			st.rm.ShuffleTime = shuffleTime
 			job.res.TotalShuffleMB += st.rm.ShuffleMB
-			output := make([][]KV, n)
 			for j := 0; j < n; j++ {
-				output[j] = combinePartials(st.arriving[j], job.q.Combine, st.groups[j])
 				execs := c.Exec[j].Total()
-				t := float64(len(st.arriving[j])) * job.q.ReduceCost / float64(execs)
+				t := float64(st.keys.arrivals[j]) * job.q.ReduceCost / float64(execs)
 				t *= fs.ComputeFactor(j, reduceStart)
 				st.reduceSite[j] = t
 				if t > st.rm.ReduceTime {
@@ -405,7 +382,14 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					rs.Child(c.Top.Sites[j].Name).Add(rt)
 				}
 			}
-			job.input = output
+			// The next round maps each reducer's output where it ran; the
+			// last round's outputs, disjoint by owner, sorted together are
+			// the query's.
+			if round+1 < job.q.rounds() {
+				job.input = st.keys.runs()
+			} else {
+				job.res.Output = st.keys.sorted()
+			}
 		}
 		clock = reduceStart + maxReduce
 	}
@@ -414,12 +398,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 	for ji, job := range jobs {
 		job.res.QCT += job.cfg.ExtraQCT
 		job.sp.Add(job.res.QCT)
-		var all []KV
-		for _, recs := range job.input {
-			all = append(all, recs...)
-		}
-		// A key has one owner, so the reducers' outputs are disjoint.
-		job.res.Output = combinePartials(all, job.q.Combine, len(all))
 		out[ji] = job.res
 	}
 	return out, nil
@@ -630,7 +608,7 @@ func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
 		cols, _ := l.columns(q.Select.Fields)
 		return l.scanSelect(cols, q, countOnly)
 	}
-	cb := newCombiner(q.Combine, 0)
+	cb := newCombiner(q.Combine)
 	emit := cb.emit
 	if countOnly {
 		emit = cb.count

@@ -89,8 +89,8 @@ type combiner struct {
 	groups, raw int
 }
 
-func newCombiner(op CombineOp, sizeHint int) *combiner {
-	return &combiner{op: op, slot: make(map[string]int32, sizeHint)}
+func newCombiner(op CombineOp) *combiner {
+	return &combiner{op: op, slot: make(map[string]int32)}
 }
 
 // emit folds one record into its key's group.
@@ -120,34 +120,96 @@ func (c *combiner) count(key string, _ float64) {
 // already in out.
 func (c *combiner) next() { clear(c.slot) }
 
-// Combine merges records by key under the operation, returning output
-// sorted by key for deterministic downstream behaviour — what a reducer
-// does. (The map-side combiner skips the sort: see MapCombine.)
-func Combine(records []KV, op CombineOp) []KV { return combine(records, op, 0) }
-
-// combine is Combine sized for groups keys, a lower bound the caller saw:
-// most partials fold away. Keys are unique once folded.
-func combine(records []KV, op CombineOp, groups int) []KV {
-	c := newCombiner(op, groups)
-	c.out = make([]KV, 0, groups)
-	for _, r := range records {
-		c.emit(r.Key, r.Val)
-	}
-	slices.SortFunc(c.out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
-	return c.out
+// keyTable is the reduce side of one job round: a slot per distinct key, in
+// first-arrival order, holding the key's folded partials and its reduce
+// site. A key's owner is computed once, when its first partial arrives.
+// Every partial of a key goes to that one owner, so folding a round's
+// partials in arrival order adds each key's values in exactly the order its
+// reducer meets them.
+type keyTable struct {
+	op       CombineOp
+	taskFrac []float64
+	index    map[string]int32
+	slots    []KV
+	owner    []int32
+	// arrivals[j] counts the partials reducer j received.
+	arrivals []int
 }
 
-// CombinePartials merges already-combined partial aggregates by key. It
-// is Combine for every operation except COUNT, whose partial values are
-// partial counts and must be summed rather than re-counted — the standard
-// combiner/reducer asymmetry of two-stage counting.
-func CombinePartials(records []KV, op CombineOp) []KV { return combinePartials(records, op, 0) }
-
-func combinePartials(records []KV, op CombineOp, groups int) []KV {
-	if op == OpCount {
-		op = OpSum
+// newKeyTable sizes a table for about hint keys. Owners are drawn from
+// taskFrac by KeyOwner; none or one fraction is a single reducer.
+func newKeyTable(op CombineOp, taskFrac []float64, hint int) *keyTable {
+	return &keyTable{
+		op: op, taskFrac: taskFrac, index: make(map[string]int32, hint),
+		slots: make([]KV, 0, hint), owner: make([]int32, 0, hint),
+		arrivals: make([]int, max(len(taskFrac), 1)),
 	}
-	return combine(records, op, groups)
+}
+
+// add folds one partial into its key's slot and returns the key's owner.
+// The first partial is the slot's value and later ones merge under
+// op.apply, which adds COUNT's partial counts rather than re-counting them:
+// the combiner/reducer asymmetry of two-stage counting.
+func (t *keyTable) add(r KV) int32 {
+	s, ok := t.index[r.Key]
+	if ok {
+		t.slots[s].Val = t.op.apply(t.slots[s].Val, r.Val)
+	} else {
+		s = int32(len(t.slots))
+		t.index[r.Key] = s
+		t.slots = append(t.slots, r)
+		var owner int32
+		if len(t.taskFrac) > 1 {
+			owner = int32(KeyOwner(r.Key, t.taskFrac))
+		}
+		t.owner = append(t.owner, owner)
+	}
+	o := t.owner[s]
+	t.arrivals[o]++
+	return o
+}
+
+// sorted returns every slot sorted by key, the reducers' outputs merged:
+// their keys are disjoint. It ends the table, whose owners no longer line
+// up with its slots.
+func (t *keyTable) sorted() []KV {
+	slices.SortFunc(t.slots, byKey)
+	return t.slots
+}
+
+// runs returns each reducer's output, its slots sorted by key, cut from one
+// array that a count pass sizes exactly before the fill pass.
+func (t *keyTable) runs() [][]KV {
+	keys := make([]int, len(t.arrivals))
+	for _, o := range t.owner {
+		keys[o]++
+	}
+	all, runs := make([]KV, len(t.slots)), make([][]KV, len(keys))
+	lo := 0
+	for j, k := range keys {
+		runs[j] = all[lo : lo : lo+k]
+		lo += k
+	}
+	for s, o := range t.owner {
+		runs[o] = append(runs[o], t.slots[s])
+	}
+	for _, run := range runs {
+		slices.SortFunc(run, byKey)
+	}
+	return runs
+}
+
+func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
+
+// CombinePartials merges already-combined partial aggregates by key into
+// one reducer's output, sorted by key: a round's key table with a single
+// owner, so the live netio reducer and the simulated ones run one fold.
+func CombinePartials(records []KV, op CombineOp) []KV {
+	t := newKeyTable(op, nil, 0)
+	for _, r := range records {
+		t.add(r)
+	}
+	return t.sorted()
 }
 
 // DistinctKeys returns the number of distinct keys in records.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCombineSum(t *testing.T) {
-	out := Combine([]KV{{"a", 1}, {"b", 2}, {"a", 3}}, OpSum)
+	out := CombinePartials([]KV{{"a", 1}, {"b", 2}, {"a", 3}}, OpSum)
 	if len(out) != 2 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -22,8 +22,15 @@ func TestCombineSum(t *testing.T) {
 	}
 }
 
+// TestCombineCount: counting happens in the map-side combiner, which
+// counts records whatever their values; the reducer sums its partials
+// (TestCombinePartialsSumsCounts).
 func TestCombineCount(t *testing.T) {
-	out := Combine([]KV{{"a", 99}, {"a", 1}, {"a", 7}}, OpCount)
+	l, err := NewLayout([]KV{{"a", 99}, {"a", 1}, {"a", 7}}, Stage{Exec: Executors{Machines: 1, PerMachine: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := l.Scan(&Query{Combine: OpCount}, false).Inter
 	if len(out) != 1 || out[0].Val != 3 {
 		t.Fatalf("count = %+v", out)
 	}
@@ -31,22 +38,22 @@ func TestCombineCount(t *testing.T) {
 
 func TestCombineMaxMin(t *testing.T) {
 	in := []KV{{"a", 5}, {"a", -2}, {"a", 3}}
-	if out := Combine(in, OpMax); out[0].Val != 5 {
+	if out := CombinePartials(in, OpMax); out[0].Val != 5 {
 		t.Fatalf("max = %v", out[0].Val)
 	}
-	if out := Combine(in, OpMin); out[0].Val != -2 {
+	if out := CombinePartials(in, OpMin); out[0].Val != -2 {
 		t.Fatalf("min = %v", out[0].Val)
 	}
 }
 
 func TestCombineEmpty(t *testing.T) {
-	if out := Combine(nil, OpSum); len(out) != 0 {
+	if out := CombinePartials(nil, OpSum); len(out) != 0 {
 		t.Fatalf("empty combine = %v", out)
 	}
 }
 
 func TestCombineSortedOutput(t *testing.T) {
-	out := Combine([]KV{{"z", 1}, {"a", 1}, {"m", 1}}, OpSum)
+	out := CombinePartials([]KV{{"z", 1}, {"a", 1}, {"m", 1}}, OpSum)
 	for i := 1; i < len(out); i++ {
 		if out[i-1].Key >= out[i].Key {
 			t.Fatalf("output not sorted: %v", out)
@@ -85,8 +92,8 @@ func TestSelfSimilarity(t *testing.T) {
 	}
 }
 
-// Property: Combine is idempotent (combining combined output changes
-// nothing) and conserves sums under OpSum.
+// Property: CombinePartials is idempotent (combining combined output
+// changes nothing) and conserves sums under OpSum.
 func TestCombineProperties(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := stats.NewRand(seed)
@@ -98,8 +105,8 @@ func TestCombineProperties(t *testing.T) {
 			recs[i] = KV{Key: fmt.Sprintf("k%d", rng.Intn(10)), Val: v}
 			total += v
 		}
-		once := Combine(recs, OpSum)
-		twice := Combine(once, OpSum)
+		once := CombinePartials(recs, OpSum)
+		twice := CombinePartials(once, OpSum)
 		if len(once) != len(twice) {
 			return false
 		}

@@ -11,6 +11,10 @@ import (
 
 	"bohr/internal/engine"
 	"bohr/internal/obs"
+	"bohr/internal/olap"
+	"bohr/internal/stats"
+	"bohr/internal/wan"
+	"bohr/internal/workload"
 )
 
 func TestBucketValidation(t *testing.T) {
@@ -253,6 +257,70 @@ func TestDistributedCountQuery(t *testing.T) {
 	}
 	if got["a"] != 3 || got["b"] != 1 {
 		t.Fatalf("counts = %v (partial counts must sum across sites)", got)
+	}
+}
+
+// TestLiveReduceMatchesEngine is the live leg of one aggregate over one
+// dataset: the same records on three workers and on an engine cluster of
+// one executor per site, queried with the same task fractions. Both sides
+// fold every key's partials in source-site order — the workers' reducers
+// through engine.CombinePartials, the engine through its round's key table
+// — so the controller's output equals engine.Run's bit for bit.
+func TestLiveReduceMatchesEngine(t *testing.T) {
+	ctx := context.Background()
+	const n = 3
+	ctl, _ := liveCluster(t, n, 0)
+	top, err := wan.NewTopology([]string{"a", "b", "c"}, []float64{10, 20, 30}, []float64{10, 20, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := engine.NewCluster(top, 1, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"url", "country"}
+	rng := stats.NewRand(17)
+	for site := 0; site < n; site++ {
+		recs := make([]engine.KV, 400)
+		for i := range recs {
+			recs[i] = engine.KV{
+				Key: key(fmt.Sprintf("u%d", rng.Intn(40)), fmt.Sprintf("c%d", rng.Intn(5))),
+				Val: (rng.Float64() - 0.4) * 1e3,
+			}
+		}
+		if err := ctl.Put(ctx, site, "logs", names, recs); err != nil {
+			t.Fatal(err)
+		}
+		c.Data[site].Add("logs", recs...)
+	}
+	schema, err := olap.NewSchema(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	project, err := workload.Projector(schema, []string{"url"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac := []float64{0.2, 0.5, 0.3}
+	for _, op := range []engine.CombineOp{engine.OpSum, engine.OpCount, engine.OpMax} {
+		live, err := ctl.RunQuery(ctx, QueryDTO{ID: "live-" + op.String(), Dataset: "logs", Dims: []string{"url"}, Combine: op}, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := engine.AggregationQuery(op.String(), "logs", project)
+		q.Combine = op
+		sim, err := c.Run(ctx, engine.JobConfig{Query: q, TaskFrac: frac})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.ShuffledRecords == 0 || len(sim.Output) == 0 || len(live.Output) != len(sim.Output) {
+			t.Fatalf("%v: %d live rows after shuffling %d records, %d engine rows", op, len(live.Output), live.ShuffledRecords, len(sim.Output))
+		}
+		for i, want := range sim.Output {
+			if got := live.Output[i]; got.Key != want.Key || math.Float64bits(got.Val) != math.Float64bits(want.Val) {
+				t.Fatalf("%v: row %d = %q %v live, %q %v in the engine", op, i, got.Key, got.Val, want.Key, want.Val)
+			}
+		}
 	}
 }
 
