@@ -36,8 +36,10 @@ test:
 # and race passes no -short), two goroutines planning two clones of one
 # snapshot (placement), the query-miss statements against a naive fold
 # across ingest, replan and Remove (serve), the key indexer's property test
-# (workload) and a compiled statement's coded scan against the reference
-# closure and a naive fold (sql). bench-smoke
+# (workload), a compiled statement's coded scan against the reference
+# closure and a naive fold (sql), and the LP solver against its reference
+# (refSolve) with the certificate tests and TestSolvePlacementAllocs, whose
+# second input is BenchmarkSolvePlacement10Sites20Datasets's (lp). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
 # coverage floor nothing else in check sees.
 check: vet fmt-check ctxcheck race fuzz-short determinism bench-smoke

@@ -219,13 +219,12 @@ func xIndex(n, a, i, j int) int {
 	return 1 + a*n*(n-1) + i*(n-1) + col
 }
 
-// buildXProblem assembles the movement-plan LP for a fixed task
-// placement r — shared by solveX and the sparse-vs-dense equivalence
-// tests, which need the raw Problem to hand to both solvers.
-func buildXProblem(in *PlacementInput, r []float64) *Problem {
+// xProblem assembles the movement-plan LP for a fixed task placement r
+// in w's reused problem, which it returns.
+func (w *workspace) xProblem(in *PlacementInput, r []float64) *Problem {
 	n, m := in.Sites, in.Datasets
 	nVars := 1 + m*n*(n-1)
-	prob := Problem{C: make([]float64, nVars), MaxPivots: in.MaxPivots}
+	prob := w.problem(nVars, in.MaxPivots)
 	prob.C[0] = 1
 	for v := 1; v < nVars; v++ {
 		prob.C[v] = movePenalty
@@ -246,19 +245,19 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 	// (3) upload of shuffle data at each site i:
 	// Σ_a (1−r_i)·f_i^a(x) ≤ t·U_i
 	for i := 0; i < n; i++ {
-		row := make([]float64, nVars)
+		row := w.row()
 		row[0] = -in.Up[i]
 		rhs := 0.0
-		w := 1 - r[i]
+		share := 1 - r[i]
 		for a := 0; a < m; a++ {
 			R := in.Reduction[a]
-			rhs -= w * in.Input[a][i] * R * (1 - in.SelfSim[a][i])
+			rhs -= share * in.Input[a][i] * R * (1 - in.SelfSim[a][i])
 			for j := 0; j < n; j++ {
 				if j == i {
 					continue
 				}
-				row[xIndex(n, a, i, j)] -= w * R * (1 - in.SelfSim[a][i]) // data leaving i
-				row[xIndex(n, a, j, i)] += w * R * in.incomingFraction(a, j, i)
+				row[xIndex(n, a, i, j)] -= share * R * (1 - in.SelfSim[a][i]) // data leaving i
+				row[xIndex(n, a, j, i)] += share * R * in.incomingFraction(a, j, i)
 			}
 		}
 		prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: rhs})
@@ -267,10 +266,10 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 	// (4) download of shuffle data at each site i:
 	// r_i · Σ_a Σ_{j≠i} f_j^a(x) ≤ t·D_i
 	for i := 0; i < n; i++ {
-		row := make([]float64, nVars)
+		row := w.row()
 		row[0] = -in.Down[i]
 		rhs := 0.0
-		w := r[i]
+		share := r[i]
 		for a := 0; a < m; a++ {
 			R := in.Reduction[a]
 			for j := 0; j < n; j++ {
@@ -278,13 +277,13 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 					continue
 				}
 				// f_j depends on x through j's outgoing and incoming flows.
-				rhs -= w * in.Input[a][j] * R * (1 - in.SelfSim[a][j])
+				rhs -= share * in.Input[a][j] * R * (1 - in.SelfSim[a][j])
 				for k := 0; k < n; k++ {
 					if k == j {
 						continue
 					}
-					row[xIndex(n, a, j, k)] -= w * R * (1 - in.SelfSim[a][j])
-					row[xIndex(n, a, k, j)] += w * R * in.incomingFraction(a, k, j)
+					row[xIndex(n, a, j, k)] -= share * R * (1 - in.SelfSim[a][j])
+					row[xIndex(n, a, k, j)] += share * R * in.incomingFraction(a, k, j)
 				}
 			}
 		}
@@ -293,7 +292,7 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 
 	// (5) pre-shuffle movement upload budget: Σ_a Σ_j x_{i,j} ≤ T·U_i.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nVars)
+		row := w.row()
 		for a := 0; a < m; a++ {
 			for j := 0; j < n; j++ {
 				if j != i {
@@ -305,7 +304,7 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 	}
 	// (6) pre-shuffle movement download budget: Σ_a Σ_k x_{k,i} ≤ T·D_i.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nVars)
+		row := w.row()
 		for a := 0; a < m; a++ {
 			for k := 0; k < n; k++ {
 				if k != i {
@@ -318,7 +317,7 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 	// Conservation: a site cannot move out more than it holds.
 	for a := 0; a < m; a++ {
 		for i := 0; i < n; i++ {
-			row := make([]float64, nVars)
+			row := w.row()
 			for j := 0; j < n; j++ {
 				if j != i {
 					row[xIndex(n, a, i, j)] = 1
@@ -336,7 +335,7 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 			if cap <= 0 {
 				continue
 			}
-			row := make([]float64, nVars)
+			row := w.row()
 			rhs := cap
 			for a := 0; a < m; a++ {
 				rhs -= in.Input[a][i]
@@ -351,15 +350,14 @@ func buildXProblem(in *PlacementInput, r []float64) *Problem {
 			prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: rhs})
 		}
 	}
-	return &prob
+	return prob
 }
 
 // solveX optimizes the movement plan x for a fixed task placement r.
 // Always feasible: x = 0 satisfies every constraint with large enough t.
-func solveX(in *PlacementInput, r []float64) (move [][][]float64, t float64, pivots int, err error) {
+func (w *workspace) solveX(in *PlacementInput, r []float64) (move [][][]float64, t float64, pivots int, err error) {
 	n, m := in.Sites, in.Datasets
-	prob := buildXProblem(in, r)
-	sol, err := prob.Solve()
+	sol, err := w.solve(w.xProblem(in, r))
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -369,11 +367,9 @@ func solveX(in *PlacementInput, r []float64) (move [][][]float64, t float64, piv
 	if sol.Status != Optimal {
 		return nil, 0, sol.Iterations, fmt.Errorf("lp: x-subproblem %s", sol.Status)
 	}
-	move = make([][][]float64, m)
+	move = newMove(m, n)
 	for a := 0; a < m; a++ {
-		move[a] = make([][]float64, n)
 		for i := 0; i < n; i++ {
-			move[a][i] = make([]float64, n)
 			for j := 0; j < n; j++ {
 				if j != i {
 					if v := sol.X[xIndex(n, a, i, j)]; v > 1e-7 {
@@ -388,14 +384,13 @@ func solveX(in *PlacementInput, r []float64) (move [][][]float64, t float64, piv
 
 // solveR optimizes the task placement r for a fixed movement plan.
 // Variables: t (0), r_0..r_{n-1}.
-func solveR(in *PlacementInput, move [][][]float64) (r []float64, t float64, pivots int, err error) {
-	return solveTaskPlacementVolumes(in.ShuffleVolumes(move), in.Up, in.Down, in.MaxPivots)
+func (w *workspace) solveR(in *PlacementInput, move [][][]float64) (r []float64, t float64, pivots int, err error) {
+	return w.solveTaskPlacementVolumes(in.ShuffleVolumes(move), in.Up, in.Down, in.MaxPivots)
 }
 
-// buildRProblem assembles the task-placement LP for given per-dataset
-// per-site shuffle volumes — shared by the solvers and the sparse-vs-
-// dense equivalence tests.
-func buildRProblem(f [][]float64, up, down []float64) (*Problem, error) {
+// rProblem assembles the task-placement LP for given per-dataset per-site
+// shuffle volumes in w's reused problem, which it returns.
+func (w *workspace) rProblem(f [][]float64, up, down []float64, maxPivots int) (*Problem, error) {
 	n := len(up)
 	if n == 0 || len(down) != n {
 		return nil, fmt.Errorf("lp: task placement needs matching bandwidth arrays, got %d/%d", len(up), len(down))
@@ -416,28 +411,27 @@ func buildRProblem(f [][]float64, up, down []float64) (*Problem, error) {
 			}
 		}
 	}
-	nVars := 1 + n
-	prob := Problem{C: make([]float64, nVars)}
+	prob := w.problem(1+n, maxPivots)
 	prob.C[0] = 1
 	for i := 0; i < n; i++ {
 		// (3): own_i − r_i·own_i ≤ t·U_i
-		row := make([]float64, nVars)
+		row := w.row()
 		row[0] = -up[i]
 		row[1+i] = -own[i]
 		prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: -own[i]})
 		// (4): r_i·others_i ≤ t·D_i
-		row = make([]float64, nVars)
+		row = w.row()
 		row[0] = -down[i]
 		row[1+i] = others[i]
 		prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: 0})
 	}
 	// (7): Σ r_i = 1.
-	row := make([]float64, nVars)
+	row := w.row()
 	for i := 0; i < n; i++ {
 		row[1+i] = 1
 	}
 	prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: EQ, B: 1})
-	return &prob, nil
+	return prob, nil
 }
 
 // SolveTaskPlacementVolumes optimizes the reduce-task fractions for given
@@ -445,7 +439,7 @@ func buildRProblem(f [][]float64, up, down []float64) (*Problem, error) {
 // alternating solver and by planners that profile realized volumes from a
 // previous run of the recurring query. Variables: t (0), r_0..r_{n-1}.
 func SolveTaskPlacementVolumes(f [][]float64, up, down []float64) (r []float64, t float64, pivots int, err error) {
-	return solveTaskPlacementVolumes(f, up, down, 0)
+	return new(workspace).solveTaskPlacementVolumes(f, up, down, 0)
 }
 
 // SolveTaskPlacementVolumesCapped is SolveTaskPlacementVolumes with an
@@ -453,17 +447,16 @@ func SolveTaskPlacementVolumes(f [][]float64, up, down []float64) (r []float64, 
 // stalls returns an error wrapping ErrStalled, so planners can degrade
 // to a heuristic fraction split instead of failing the round.
 func SolveTaskPlacementVolumesCapped(f [][]float64, up, down []float64, maxPivots int) (r []float64, t float64, pivots int, err error) {
-	return solveTaskPlacementVolumes(f, up, down, maxPivots)
+	return new(workspace).solveTaskPlacementVolumes(f, up, down, maxPivots)
 }
 
-func solveTaskPlacementVolumes(f [][]float64, up, down []float64, maxPivots int) (r []float64, t float64, pivots int, err error) {
+func (w *workspace) solveTaskPlacementVolumes(f [][]float64, up, down []float64, maxPivots int) (r []float64, t float64, pivots int, err error) {
 	n := len(up)
-	prob, err := buildRProblem(f, up, down)
+	prob, err := w.rProblem(f, up, down, maxPivots)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	prob.MaxPivots = maxPivots
-	sol, err := prob.Solve()
+	sol, err := w.solve(prob)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -485,7 +478,7 @@ func SolveTaskPlacement(in *PlacementInput, move [][][]float64) (taskFrac []floa
 	if err := in.Validate(); err != nil {
 		return nil, 0, 0, err
 	}
-	return solveR(in, move)
+	return new(workspace).solveR(in, move)
 }
 
 // SolvePlacement runs the joint optimization of §5. Constraint (3) couples
@@ -511,17 +504,20 @@ func SolvePlacement(in *PlacementInput) (*PlacementPlan, error) {
 		r[i] = in.Up[i] / totalUp
 	}
 
+	// One workspace serves every round: after round 0 the x-LP and r-LP
+	// rebuild in place and solve without growing it.
+	w := new(workspace)
 	plan := &PlacementPlan{}
 	var bestMove [][][]float64
 	bestT := in.ShuffleTimeFor(nil, r)
 	const maxRounds = 8
 	for round := 0; round < maxRounds; round++ {
-		move, _, p1, err := solveX(in, r)
+		move, _, p1, err := w.solveX(in, r)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 		plan.PivotCount += p1
-		newR, t2, p2, err := solveR(in, move)
+		newR, t2, p2, err := w.solveR(in, move)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
@@ -536,7 +532,7 @@ func SolvePlacement(in *PlacementInput) (*PlacementPlan, error) {
 		bestT = t2
 	}
 	if bestMove == nil {
-		bestMove = emptyMove(in.Datasets, n)
+		bestMove = newMove(in.Datasets, n)
 	}
 	plan.Move = bestMove
 	plan.TaskFrac = r
@@ -547,13 +543,17 @@ func SolvePlacement(in *PlacementInput) (*PlacementPlan, error) {
 	return plan, nil
 }
 
-func emptyMove(m, n int) [][][]float64 {
+// newMove allocates an all-zero m×n×n move tensor in three slabs.
+func newMove(m, n int) [][][]float64 {
+	cells := make([]float64, m*n*n)
+	rows := make([][]float64, m*n)
 	move := make([][][]float64, m)
-	for a := 0; a < m; a++ {
-		move[a] = make([][]float64, n)
+	for a := range move {
 		for i := 0; i < n; i++ {
-			move[a][i] = make([]float64, n)
+			k := (a*n + i) * n
+			rows[a*n+i] = cells[k : k+n : k+n]
 		}
+		move[a] = rows[a*n : a*n+n : a*n+n]
 	}
 	return move
 }

@@ -280,7 +280,9 @@ func TestShuffleTimeForConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkSolvePlacement10Sites20Datasets(b *testing.B) {
+// tenSitesTwentyDatasets is a 10-site, 20-dataset joint placement
+// problem: five times fig6-batch's datasets, so several times its pivots.
+func tenSitesTwentyDatasets() *PlacementInput {
 	rng := stats.NewRand(3)
 	n, m := 10, 20
 	in := &PlacementInput{Sites: n, Datasets: m, Lag: 30}
@@ -303,10 +305,22 @@ func BenchmarkSolvePlacement10Sites20Datasets(b *testing.B) {
 		in.CrossSim = append(in.CrossSim, cs)
 		in.Reduction = append(in.Reduction, 0.5)
 	}
+	return in
+}
+
+// BenchmarkSolvePlacement10Sites20Datasets reports the joint solve's
+// time, bytes, allocations and simplex pivots per op.
+func BenchmarkSolvePlacement10Sites20Datasets(b *testing.B) {
+	in := tenSitesTwentyDatasets()
+	b.ReportAllocs()
 	b.ResetTimer()
+	pivots := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := SolvePlacement(in); err != nil {
+		plan, err := SolvePlacement(in)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pivots += plan.PivotCount
 	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }

@@ -12,15 +12,16 @@
 // Solve runs the sparse revised simplex (revised.go), which prices
 // against a maintained basis inverse instead of renormalizing a dense
 // tableau each pivot — placement problems are >99% zeros, so this is
-// what lets the §5 LP scale past tens of sites. SolveDense keeps the
-// original dense tableau as the reference implementation the
-// equivalence tests compare against.
+// what lets the §5 LP scale past tens of sites. Every Optimal it returns
+// carries a checked certificate: a primal-feasible basic solution, dual
+// prices that price every column nonnegative, and no duality gap, each
+// within feasTol. A basis that fails the check is solved again with
+// Harris's ratio test, and reported Stalled if that fails too.
 package lp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Op is a constraint relation.
@@ -161,130 +162,7 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// SolveDense runs the two-phase simplex method on the dense tableau —
-// the original reference implementation. Solve (the sparse revised
-// simplex) is what production paths use; this stays for small problems
-// and as the oracle the sparse solver is property-tested against.
-func (p *Problem) SolveDense() (Solution, error) {
-	if err := p.Validate(); err != nil {
-		return Solution{}, err
-	}
-	t := newTableau(p)
-	cap := p.pivotCap()
-	iters1, out1, feasible := t.phase1(cap)
-	if out1 == iterStalled {
-		return Solution{Status: Stalled, Iterations: iters1}, nil
-	}
-	if !feasible {
-		return Solution{Status: Infeasible, Iterations: iters1}, nil
-	}
-	iters2, out2 := t.phase2(cap)
-	sol := Solution{Iterations: iters1 + iters2}
-	switch out2 {
-	case iterStalled:
-		sol.Status = Stalled
-		return sol, nil
-	case iterUnbounded:
-		sol.Status = Unbounded
-		return sol, nil
-	}
-	sol.Status = Optimal
-	sol.X = t.extract(len(p.C))
-	var obj float64
-	for i, c := range p.C {
-		obj += c * sol.X[i]
-	}
-	sol.Objective = obj
-	return sol, nil
-}
-
-// tableau is the dense simplex tableau. Columns: the n structural
-// variables, then slack/surplus variables, then artificial variables, then
-// the RHS column. Rows: one per constraint, plus the objective row(s)
-// managed separately.
-type tableau struct {
-	rows     int
-	cols     int // structural + slack + artificial (excludes RHS)
-	nStruct  int
-	nArt     int
-	a        [][]float64 // rows x (cols+1); last column is RHS
-	basis    []int       // basic variable per row
-	cost     []float64   // phase-2 objective coefficients per column
-	artBegin int         // first artificial column index
-}
-
-func newTableau(p *Problem) *tableau {
-	n := len(p.C)
-	m := len(p.Constraints)
-	// Count slack and artificial columns.
-	nSlack := 0
-	nArt := 0
-	for _, c := range p.Constraints {
-		b := c.B
-		op := c.Op
-		if b < 0 { // normalize RHS ≥ 0 by negating the row
-			op = flip(op)
-		}
-		switch op {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
-	cols := n + nSlack + nArt
-	t := &tableau{
-		rows:     m,
-		cols:     cols,
-		nStruct:  n,
-		nArt:     nArt,
-		a:        make([][]float64, m),
-		basis:    make([]int, m),
-		cost:     make([]float64, cols),
-		artBegin: n + nSlack,
-	}
-	copy(t.cost, p.C)
-
-	slackCol := n
-	artCol := t.artBegin
-	for i, c := range p.Constraints {
-		row := make([]float64, cols+1)
-		sign := 1.0
-		op := c.Op
-		b := c.B
-		if b < 0 {
-			sign = -1
-			b = -b
-			op = flip(op)
-		}
-		for j, v := range c.A {
-			row[j] = sign * v
-		}
-		row[cols] = b
-		switch op {
-		case LE:
-			row[slackCol] = 1
-			t.basis[i] = slackCol
-			slackCol++
-		case GE:
-			row[slackCol] = -1 // surplus
-			slackCol++
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		case EQ:
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		}
-		t.a[i] = row
-	}
-	return t
-}
-
+// flip is the relation a constraint keeps when both sides are negated.
 func flip(o Op) Op {
 	switch o {
 	case LE:
@@ -295,174 +173,7 @@ func flip(o Op) Op {
 	return EQ
 }
 
-// reducedCosts computes the objective row z_j - c_j for the given cost
-// vector over the current basis.
-func (t *tableau) reducedCosts(cost []float64) []float64 {
-	// y = c_B (dual multipliers implicit via tableau form): since the
-	// tableau is kept in canonical form (basis columns are identity), the
-	// reduced cost of column j is cost[j] - Σ_i cost[basis[i]] * a[i][j].
-	rc := make([]float64, t.cols+1)
-	for j := 0; j <= t.cols; j++ {
-		var z float64
-		for i := 0; i < t.rows; i++ {
-			cb := 0.0
-			if t.basis[i] < len(cost) {
-				cb = cost[t.basis[i]]
-			}
-			z += cb * t.a[i][j]
-		}
-		cj := 0.0
-		if j < len(cost) {
-			cj = cost[j]
-		}
-		rc[j] = cj - z
-	}
-	return rc
-}
-
-// pivot performs a pivot on (row, col), renormalizing the tableau.
-func (t *tableau) pivot(row, col int) {
-	pr := t.a[row]
-	pv := pr[col]
-	for j := range pr {
-		pr[j] /= pv
-	}
-	for i := 0; i < t.rows; i++ {
-		if i == row {
-			continue
-		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i]
-		for j := range ri {
-			ri[j] -= f * pr[j]
-		}
-	}
-	t.basis[row] = col
-}
-
-// blandAfter is the pivot count at which both solvers abandon Dantzig's
+// blandAfter is the pivot count at which the solver abandons Dantzig's
 // rule (most negative reduced cost, converges fast) for Bland's rule
 // (lowest eligible index, cannot cycle).
 const blandAfter = 5000
-
-// iterate runs simplex pivots for the given cost vector until optimal,
-// unbounded, or the pivot cap. banned columns (artificials in phase 2)
-// are never entered.
-func (t *tableau) iterate(cost []float64, banned func(int) bool, cap int) (iters int, out iterOutcome) {
-	for iters = 0; iters < cap; iters++ {
-		rc := t.reducedCosts(cost)
-		enter := -1
-		if iters < blandAfter {
-			most := -eps
-			for j := 0; j < t.cols; j++ {
-				if banned != nil && banned(j) {
-					continue
-				}
-				if rc[j] < most {
-					most = rc[j]
-					enter = j
-				}
-			}
-		} else {
-			for j := 0; j < t.cols; j++ {
-				if banned != nil && banned(j) {
-					continue
-				}
-				if rc[j] < -eps {
-					enter = j
-					break
-				}
-			}
-		}
-		if enter < 0 {
-			return iters, iterConverged
-		}
-		// Ratio test, ties broken by lowest basis index (Bland).
-		leave := -1
-		best := math.Inf(1)
-		for i := 0; i < t.rows; i++ {
-			if t.a[i][enter] > eps {
-				ratio := t.a[i][t.cols] / t.a[i][enter]
-				if ratio < best-eps || (ratio < best+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
-					best = ratio
-					leave = i
-				}
-			}
-		}
-		if leave < 0 {
-			return iters, iterUnbounded
-		}
-		t.pivot(leave, enter)
-	}
-	// The cap is a stall, not convergence: reporting the basis we stopped
-	// on as optimal handed callers a bogus objective (the pre-Stalled
-	// bug). The caller surfaces Stalled and falls back.
-	return iters, iterStalled
-}
-
-// phase1 minimizes the sum of artificial variables to find a basic
-// feasible solution.
-func (t *tableau) phase1(cap int) (iters int, out iterOutcome, feasible bool) {
-	if t.nArt == 0 {
-		return 0, iterConverged, true
-	}
-	cost1 := make([]float64, t.cols)
-	for j := t.artBegin; j < t.cols; j++ {
-		cost1[j] = 1
-	}
-	iters, out = t.iterate(cost1, nil, cap)
-	if out == iterStalled {
-		// Feasibility was not decided either way; the caller reports
-		// Stalled, not Infeasible.
-		return iters, out, false
-	}
-	// Objective value of phase 1 = sum of artificial values.
-	var artSum float64
-	for i := 0; i < t.rows; i++ {
-		if t.basis[i] >= t.artBegin {
-			artSum += t.a[i][t.cols]
-		}
-	}
-	if artSum > feasTol {
-		return iters, out, false
-	}
-	// Drive any lingering artificial basics out of the basis if possible.
-	for i := 0; i < t.rows; i++ {
-		if t.basis[i] < t.artBegin {
-			continue
-		}
-		for j := 0; j < t.artBegin; j++ {
-			if math.Abs(t.a[i][j]) > eps {
-				t.pivot(i, j)
-				break
-			}
-		}
-	}
-	return iters, out, true
-}
-
-// phase2 minimizes the real objective from the feasible basis.
-func (t *tableau) phase2(cap int) (iters int, out iterOutcome) {
-	banned := func(j int) bool { return j >= t.artBegin }
-	return t.iterate(t.cost, banned, cap)
-}
-
-// extract reads the first n variable values out of the basis. Components
-// negative within feasTol — the same tolerance phase 1 accepted the
-// basis under — clamp to exact zero.
-func (t *tableau) extract(n int) []float64 {
-	x := make([]float64, n)
-	for i, b := range t.basis {
-		if b < n {
-			v := t.a[i][t.cols]
-			if v < 0 && v > -feasTol {
-				v = 0
-			}
-			x[b] = v
-		}
-	}
-	return x
-}
