@@ -12,8 +12,9 @@ test:
 
 # check is the CI gate: static checks (including the context-first API
 # gate), the race detector on the packages with real concurrency
-# (engine's pooled job runner, the parallel worker pool, olap's pooled
-# cube builds for Table 6 and CubeSet, similarity's pooled signature
+# (engine's pooled job runner, the parallel worker pool, olap's cube
+# builds — TestBuildCubeWidthIndependent holds a cube bit-identical at
+# widths 1, 4 and 8 — similarity's pooled signature
 # kernels and probe matrix over the stores' cell columns, obs's
 # collector plus its export/critpath/window subpackages — all covered by
 # the ./internal/obs/... wildcard, including the windowed-metrics bucket

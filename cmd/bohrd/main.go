@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"bohr/internal/cache"
 	"bohr/internal/cliflags"
 	"bohr/internal/core"
 	"bohr/internal/durable"
@@ -105,6 +106,10 @@ func runServe(args []string) error {
 		fsync     = fs.Bool("fsync", true, "fsync the WAL before acking a push (group commit); needs -data-dir")
 		snapEvery = fs.Int("snapshot-every", 16,
 			"cut a state snapshot every N applied ingest batches, 0 = only at shutdown; needs -data-dir")
+		cacheEntries = fs.Int("cache-entries", -1,
+			"entry cap of the query result cache (0 = unlimited, -1 = default or $BOHR_CACHE_ENTRIES)")
+		cacheBytes = fs.Int64("cache-bytes", -1,
+			"resident-byte cap of the query result cache (0 = unlimited, -1 = default or $BOHR_CACHE_BYTES)")
 	)
 	fs.Parse(args)
 	common.Apply()
@@ -171,13 +176,11 @@ func runServe(args []string) error {
 		schedCfg.Weights[name] = wgt
 	}
 	cfg := serve.Config{
-		Sched:   schedCfg,
-		Flight:  &serve.FlightConfig{RingSize: *flightRing, SlowThreshold: *slowQuery},
-		Windows: win,
-		Logger:  logger,
-	}
-	if caps, ok := common.Caps(); ok {
-		cfg.CacheCaps = caps
+		Sched:     schedCfg,
+		CacheCaps: cacheCaps(*cacheEntries, *cacheBytes),
+		Flight:    &serve.FlightConfig{RingSize: *flightRing, SlowThreshold: *slowQuery},
+		Windows:   win,
+		Logger:    logger,
 	}
 	fe := serve.New(serve.NewEngineBackend(sys), cfg, col)
 	sys.SetReplanEvery(ing.Replan)
@@ -250,6 +253,24 @@ func runServe(args []string) error {
 		}
 	}
 	return nil
+}
+
+// cacheCaps resolves -cache-entries / -cache-bytes: a negative value keeps
+// the default (or $BOHR_CACHE_*), 0 lifts the cap, anything else sets it.
+// Both caps lifted is cache.Unlimited(), because serve.New reads the zero
+// Caps as "use the defaults".
+func cacheCaps(entries int, bytes int64) cache.Caps {
+	caps := cache.DefaultCaps()
+	if entries >= 0 {
+		caps.Entries = entries
+	}
+	if bytes >= 0 {
+		caps.Bytes = bytes
+	}
+	if caps == (cache.Caps{}) {
+		return cache.Unlimited()
+	}
+	return caps
 }
 
 func runWorker(args []string) error {

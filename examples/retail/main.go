@@ -1,6 +1,6 @@
 // Retail: TPC-DS-flavoured business intelligence through the SQL front
-// end — OLAP cube exploration (slice / roll-up / dimension cubes) on the
-// store_sales schema, then SQL aggregations executed under full Bohr.
+// end — an OLAP cube and its region dimension cube on the store_sales
+// schema, then SQL aggregations executed under full Bohr.
 //
 //	go run ./examples/retail
 package main
@@ -13,6 +13,7 @@ import (
 
 	"bohr/internal/core"
 	"bohr/internal/experiments"
+	"bohr/internal/olap"
 	"bohr/internal/placement"
 	"bohr/internal/sql"
 	"bohr/internal/workload"
@@ -34,12 +35,11 @@ func run() error {
 	}
 	ds := w.Datasets[0]
 
-	// 1. OLAP cube exploration: build the site-0 cube and drill around.
-	sets, err := ds.CubeSets()
+	// 1. OLAP cube exploration: build the site-0 cube and roll it up.
+	base, err := olap.BuildCube(ds.Schema, ds.Rows[0], 0)
 	if err != nil {
 		return err
 	}
-	base := sets[0].Base()
 	fmt.Printf("Retail analytics on %s (schema %v)\n", ds.Name, ds.Schema.Dims())
 	fmt.Printf("Site 0 cube: %d rows in %d cells\n\n", base.NumRows(), base.NumCells())
 
@@ -51,12 +51,7 @@ func run() error {
 	for _, cell := range byRegion.TopCells(4) {
 		fmt.Printf("  %-8s %8.0f sales over %d transactions\n", cell.Coords[0], cell.Sum, cell.Count)
 	}
-
-	amer, err := base.Slice("region", "AMER")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nSlice region=AMER: %d cells, %.0f total sales\n\n", amer.NumCells(), amer.TotalMeasure())
+	fmt.Println()
 
 	// 2. SQL under full Bohr across the ten regions.
 	sys, err := core.New(cluster, w, placement.Bohr, s.PlacementOptions(0))
@@ -71,6 +66,7 @@ func run() error {
 
 	queries := []string{
 		fmt.Sprintf("SELECT region, SUM(measure) FROM %s GROUP BY region ORDER BY value DESC", ds.Name),
+		fmt.Sprintf("SELECT SUM(measure) FROM %s WHERE region = 'AMER'", ds.Name),
 		fmt.Sprintf("SELECT store, SUM(measure) FROM %s WHERE region = 'APAC' GROUP BY store ORDER BY value DESC LIMIT 4", ds.Name),
 		fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE region != 'AMER'", ds.Name),
 	}

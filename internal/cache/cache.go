@@ -1,41 +1,32 @@
-// Package cache is the shared bounded memo store under the
-// reproduction's recurring-round caches (olap.CubeSet's derived cubes,
-// serve's result cache). Each wrapper
-// keeps its own content-hash/generation validation and hit/miss
-// accounting; this package owns what they had in common to NOT own:
-// capacity.
+// Package cache is the bounded memo store under serve's query result
+// cache. The wrapper keeps its own content-hash validation, dataset
+// index and hit/miss accounting; this package owns capacity.
 //
 // A Store evicts least-recently-used entries over a *logical clock*,
-// never wall time. The clock only moves when a driver calls Advance (or
-// AdvanceTo) at a deterministic point — a placement round, a base-cube
-// generation — so every access inside one round carries the same stamp
-// regardless of goroutine scheduling, and eviction order is a pure
-// function of (stamp, key). That is what keeps `make determinism`
-// byte-identical at pool width 1 and 8 with eviction enabled: which
-// entries die never depends on which worker touched them first.
+// never wall time. The clock only moves when the driver calls Advance at
+// a deterministic point (a result insert), so eviction order is a pure
+// function of (stamp, key): which entries die never depends on which
+// goroutine touched them first.
 //
 // Capacity is enforced in both entry count and estimated resident
-// bytes, at Advance time. Between advances a round may transiently
-// overshoot; a settled store (every driver advances once more before
-// reporting) is always within caps. Eviction, live-entry and
-// resident-byte levels are published on an obs.Collector as *additive
-// counter deltas* — many stores sharing one metric name (one CubeSet
-// per site, say) aggregate correctly and deterministically, which a
-// last-writer-wins gauge would not.
+// bytes, at Advance time. Between advances the store may transiently
+// overshoot. Eviction, live-entry and resident-byte levels are
+// published on an obs.Collector as *additive counter deltas*, so stores
+// sharing one metric name aggregate correctly, which a last-writer-wins
+// gauge would not.
 package cache
 
 import (
 	"cmp"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 
 	"bohr/internal/obs"
 )
 
-// Environment variables consulted once at init to seed the process-wide
-// default capacities. A value of 0 means unlimited.
+// Environment variables consulted once at init to override the default
+// capacities. A value of 0 or less means unlimited.
 const (
 	EnvEntries = "BOHR_CACHE_ENTRIES"
 	EnvBytes   = "BOHR_CACHE_BYTES"
@@ -49,8 +40,8 @@ const (
 	DefaultBytes   = 256 << 20 // 256 MiB of estimated resident bytes
 )
 
-// Caps bounds a store. A zero (or negative) field means unlimited in
-// that dimension; Unlimited() is the all-zero value.
+// Caps bounds a store. A zero or negative field means unlimited in that
+// dimension.
 type Caps struct {
 	// Entries caps live entry count.
 	Entries int
@@ -58,13 +49,12 @@ type Caps struct {
 	Bytes int64
 }
 
-// Unlimited returns caps that never evict.
-func Unlimited() Caps { return Caps{} }
+// Unlimited returns caps that never evict. Its fields are negative, so
+// it differs from the zero Caps, which configs such as serve.Config read
+// as "use DefaultCaps".
+func Unlimited() Caps { return Caps{Entries: -1, Bytes: -1} }
 
-var (
-	defaultMu   sync.Mutex
-	defaultCaps = capsFromEnv()
-)
+var defaultCaps = capsFromEnv()
 
 func capsFromEnv() Caps {
 	c := Caps{Entries: DefaultEntries, Bytes: DefaultBytes}
@@ -81,24 +71,9 @@ func capsFromEnv() Caps {
 	return c
 }
 
-// DefaultCaps returns the process-wide default capacities new stores
-// are built with: the built-in defaults, overridden by the environment,
-// overridden by SetDefaultCaps (the -cache-entries/-cache-bytes flags).
-func DefaultCaps() Caps {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return defaultCaps
-}
-
-// SetDefaultCaps replaces the process-wide default capacities and
-// returns the previous value. It only affects stores created afterwards.
-func SetDefaultCaps(c Caps) Caps {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	prev := defaultCaps
-	defaultCaps = c
-	return prev
-}
+// DefaultCaps returns the default capacities: the built-in defaults,
+// overridden by the environment.
+func DefaultCaps() Caps { return defaultCaps }
 
 // entry is one live memo: the value, its size estimate, and the logical
 // clock stamp of its last touch.
@@ -112,15 +87,14 @@ type entry[V any] struct {
 // methods are mutex-guarded and safe for concurrent use; a nil *Store
 // is a valid no-op that never holds anything.
 type Store[K cmp.Ordered, V any] struct {
-	mu        sync.Mutex
-	name      string
-	caps      Caps
-	sizeOf    func(K, V) int64
-	entries   map[K]*entry[V]
-	bytes     int64
-	clock     uint64
-	evictions uint64
-	col       *obs.Collector
+	mu      sync.Mutex
+	name    string
+	caps    Caps
+	sizeOf  func(K, V) int64
+	entries map[K]*entry[V]
+	bytes   int64
+	clock   uint64
+	col     *obs.Collector
 }
 
 // New creates a store. name prefixes the metric names registered on the
@@ -142,39 +116,6 @@ func New[K cmp.Ordered, V any](name string, caps Caps, col *obs.Collector, sizeO
 	return s
 }
 
-// Caps returns the store's capacity limits.
-func (s *Store[K, V]) Caps() Caps {
-	if s == nil {
-		return Unlimited()
-	}
-	return s.caps
-}
-
-// SetCollector re-routes the store's level counters to a new collector
-// (nil detaches). The current entry/byte levels transfer: they are
-// subtracted from the old collector and added to the new one, so each
-// collector's counters keep reflecting the live level of every store
-// attached to it. The evictions counter is an event count and does not
-// transfer.
-func (s *Store[K, V]) SetCollector(col *obs.Collector) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.col == col {
-		return
-	}
-	if s.col != nil {
-		s.col.Count(s.name+".entries", -float64(len(s.entries)))
-		s.col.Count(s.name+".bytes", -float64(s.bytes))
-	}
-	s.col = col
-	col.Count(s.name+".evictions", 0)
-	col.Count(s.name+".entries", float64(len(s.entries)))
-	col.Count(s.name+".bytes", float64(s.bytes))
-}
-
 // Get returns the value under k and stamps it as used this round.
 func (s *Store[K, V]) Get(k K) (V, bool) {
 	var zero V
@@ -192,8 +133,7 @@ func (s *Store[K, V]) Get(k K) (V, bool) {
 }
 
 // Peek returns the value under k without touching its recency — the
-// accessor form for introspection (pending-row counts, storage sums)
-// that must not perturb LRU order.
+// accessor form for introspection that must not perturb LRU order.
 func (s *Store[K, V]) Peek(k K) (V, bool) {
 	var zero V
 	if s == nil {
@@ -260,8 +200,8 @@ func (s *Store[K, V]) dropLocked(k K) {
 
 // Advance moves the logical clock one round forward and enforces the
 // capacity limits. Call it from sequential driver code at round
-// boundaries (a replan, a query arrival) — never from inside a pooled
-// kernel — so eviction decisions stay scheduling-independent.
+// boundaries — never from inside a pooled kernel — so eviction decisions
+// stay scheduling-independent.
 func (s *Store[K, V]) Advance() {
 	if s == nil {
 		return
@@ -269,21 +209,6 @@ func (s *Store[K, V]) Advance() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
-	s.enforceLocked()
-}
-
-// AdvanceTo moves the logical clock forward to t (never backward) and
-// enforces the capacity limits — the form for callers whose round
-// counter lives elsewhere, like a base cube's generation.
-func (s *Store[K, V]) AdvanceTo(t uint64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t > s.clock {
-		s.clock = t
-	}
 	s.enforceLocked()
 }
 
@@ -301,7 +226,7 @@ func (s *Store[K, V]) overLocked() bool {
 // enforceLocked evicts least-recently-used entries until both caps
 // hold. Victims go in (stamp ascending, key ascending) order — a total,
 // deterministic order, so the same access history always evicts the same
-// entries whatever the pool width was. Each victim is the minimum of one
+// entries. Each victim is the minimum of one
 // scan over the live entries: the common over-cap insert evicts exactly
 // one entry and pays no sort and no allocation. Callers hold s.mu.
 func (s *Store[K, V]) enforceLocked() {
@@ -315,7 +240,6 @@ func (s *Store[K, V]) enforceLocked() {
 			}
 		}
 		s.dropLocked(victim)
-		s.evictions++
 		s.col.Count(s.name+".evictions", 1)
 	}
 }
@@ -328,56 +252,4 @@ func (s *Store[K, V]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// Bytes reports the summed size estimates of live entries.
-func (s *Store[K, V]) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Evictions reports how many entries have been evicted over capacity
-// (deliberate Deletes not included).
-func (s *Store[K, V]) Evictions() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
-// Keys returns the live keys in ascending order (tests, debugging).
-func (s *Store[K, V]) Keys() []K {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]K, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Range calls fn for every live entry without touching recency, in
-// unspecified order; fn returning false stops the walk. The store's
-// lock is held across the walk — fn must not call back into the store.
-func (s *Store[K, V]) Range(fn func(k K, v V) bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, e := range s.entries {
-		if !fn(k, e.val) {
-			return
-		}
-	}
 }

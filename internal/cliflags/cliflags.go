@@ -1,8 +1,8 @@
 // Package cliflags is the one place the cmd tools define their shared
-// flag surface: worker-pool width, memo-cache capacity, and the
-// telemetry address register identically on every FlagSet that embeds
-// Common, so bohrctl, bohrbench, and every bohrd subcommand accept the
-// same knobs with the same semantics instead of hand-rolling drift.
+// flag surface: worker-pool width, logging and the telemetry address
+// register identically on every FlagSet that embeds Common, so bohrctl,
+// bohrbench, and every bohrd subcommand accept the same knobs with the
+// same semantics instead of hand-rolling drift.
 package cliflags
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"bohr/internal/cache"
 	"bohr/internal/ingest"
 	"bohr/internal/parallel"
 	"bohr/internal/placement"
@@ -25,13 +24,6 @@ type Common struct {
 	// Width is the worker pool width for parallel kernels (0 =
 	// GOMAXPROCS or $BOHR_PARALLEL_WIDTH, 1 = sequential).
 	Width int
-	// CacheEntries caps the entries of the query result cache and of each
-	// site's derived-cube cache (0 = unlimited, -1 = default or
-	// $BOHR_CACHE_ENTRIES).
-	CacheEntries int
-	// CacheBytes caps the same caches' resident bytes (0 = unlimited,
-	// -1 = default or $BOHR_CACHE_BYTES).
-	CacheBytes int64
 	// TelemetryAddr serves /metrics, /healthz and /debug/pprof when
 	// non-empty (e.g. 127.0.0.1:9100).
 	TelemetryAddr string
@@ -47,10 +39,6 @@ type Common struct {
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Width, "width", 0,
 		"worker pool width for parallel kernels (0 = GOMAXPROCS or $BOHR_PARALLEL_WIDTH, 1 = sequential)")
-	fs.IntVar(&c.CacheEntries, "cache-entries", -1,
-		"entry cap of the result cache and of each derived-cube cache (0 = unlimited, -1 = default or $BOHR_CACHE_ENTRIES)")
-	fs.Int64Var(&c.CacheBytes, "cache-bytes", -1,
-		"resident-byte cap of the result cache and of each derived-cube cache (0 = unlimited, -1 = default or $BOHR_CACHE_BYTES)")
 	fs.StringVar(&c.TelemetryAddr, "telemetry-addr", "",
 		"serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9100)")
 	fs.StringVar(&c.LogLevel, "log-level", "info",
@@ -88,29 +76,10 @@ func (c *Common) Logger(w io.Writer) (*slog.Logger, error) {
 	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", c.LogFormat)
 }
 
-// Apply pushes the parsed values into the process-wide defaults (pool
-// width, memo-cache caps). Call once, after FlagSet.Parse.
+// Apply pushes the parsed pool width into the process-wide default.
+// Call once, after FlagSet.Parse.
 func (c *Common) Apply() {
 	parallel.SetDefaultWidth(c.Width)
-	if caps, ok := c.Caps(); ok {
-		cache.SetDefaultCaps(caps)
-	}
-}
-
-// Caps resolves the flag values into explicit cache capacities; ok is
-// false when both flags are at their "keep the default" sentinel.
-func (c *Common) Caps() (caps cache.Caps, ok bool) {
-	if c.CacheEntries < 0 && c.CacheBytes < 0 {
-		return cache.Caps{}, false
-	}
-	caps = cache.DefaultCaps()
-	if c.CacheEntries >= 0 {
-		caps.Entries = c.CacheEntries
-	}
-	if c.CacheBytes >= 0 {
-		caps.Bytes = c.CacheBytes
-	}
-	return caps, true
 }
 
 // Ingest is the shared flag surface for the streaming-ingestion

@@ -28,30 +28,30 @@ const (
 )
 
 // OverheadCubeGeneration reproduces §8.5's cube-generation measurements:
-// it actually formats the scaled corpus into cubes (logs via olap inserts,
+// it actually formats the scaled corpus into cubes (logs via olap.BuildCube,
 // images via VSM-style vectors + LSH bucketing) and reports modeled
 // seconds at the paper's 40 GB scale.
 func OverheadCubeGeneration(s Setup) ([]OverheadRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	// Text logs: one site's worth of rows into a cube.
+	// Text logs: every site's rows of dataset 0 into one cube.
 	w, err := workload.Generate(workload.BigDataScan, s.workloadConfig(workload.BigDataScan, false, 0))
 	if err != nil {
 		return nil, err
 	}
 	ds := w.Datasets[0]
-	cube := olap.NewCube(ds.Schema)
-	logRows := 0
-	for _, rows := range ds.Rows {
-		if err := cube.InsertAll(rows); err != nil {
-			return nil, err
-		}
-		logRows += len(rows)
+	var rows []olap.Row
+	for _, site := range ds.Rows {
+		rows = append(rows, site...)
 	}
+	if _, err := olap.BuildCube(ds.Schema, rows, 0); err != nil {
+		return nil, err
+	}
+	logRows := len(rows)
 	// Modeled full-build time charges each 40GB-equivalent row the
 	// calibrated per-row cost.
-	logFull := float64(logRows) * logInsertCost * scaleToPaper(s, logRows)
+	logFull := float64(logRows) * logInsertCost * scaleToPaper(logRows)
 	logInc := logFull * imageBatchSize
 
 	// Images: synthesize vectors, sign with LSH, bucket into a cube.
@@ -70,7 +70,7 @@ func OverheadCubeGeneration(s Setup) ([]OverheadRow, error) {
 	if _, err := img.FeatureCube(0, lsh); err != nil {
 		return nil, err
 	}
-	imgFull := float64(logRows) * (logInsertCost + imageSignCost) * scaleToPaper(s, logRows)
+	imgFull := float64(logRows) * (logInsertCost + imageSignCost) * scaleToPaper(logRows)
 	imgInc := imgFull * imageBatchSize
 
 	return []OverheadRow{
@@ -82,7 +82,7 @@ func OverheadCubeGeneration(s Setup) ([]OverheadRow, error) {
 // scaleToPaper converts the scaled corpus's row count to the paper's
 // 40 GB-per-node equivalent so modeled times are comparable across Setup
 // sizes: the calibrated costs assume the default corpus.
-func scaleToPaper(s Setup, rows int) float64 {
+func scaleToPaper(rows int) float64 {
 	def := DefaultSetup()
 	defRows := def.RowsPerSite * def.Sites
 	if rows == 0 {

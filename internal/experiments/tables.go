@@ -63,15 +63,17 @@ func Table2(s Setup) ([]Table2Row, error) {
 		for d := range dims {
 			dims[d] = fmt.Sprintf("d%02d", d)
 		}
-		cube := olap.NewCube(olap.MustSchema(dims...))
-		for r := 0; r < n; r++ {
+		cubeRows := make([]olap.Row, n)
+		for r := range cubeRows {
 			coords := make([]string, p.dims)
 			for d := range coords {
 				coords[d] = fmt.Sprintf("v%d", rng.Intn(50))
 			}
-			if err := cube.Insert(olap.Row{Coords: coords, Measure: 1}); err != nil {
-				return nil, err
-			}
+			cubeRows[r] = olap.Row{Coords: coords, Measure: 1}
+		}
+		cube, err := olap.BuildCube(olap.MustSchema(dims...), cubeRows, 0)
+		if err != nil {
+			return nil, err
 		}
 		// Probe allocation by size (total = ProbeK across the datasets).
 		probeRecords := int(float64(s.ProbeK)*p.gb/totalGB + 0.5)
@@ -257,16 +259,28 @@ func Table6(s Setup) ([]Table6Row, error) {
 	rawPerNode := float64(s.Datasets*s.RowsPerSite) * s.BytesPerRecord
 	toGB := func(bytes float64) float64 { return bytes * 40.0 / rawPerNode }
 
-	// Cube + similarity metadata bytes per node, measured on real cubes.
+	// Cube + similarity metadata bytes per node, measured on real cubes:
+	// each site's base cube plus one dimension cube per query type.
 	var cubeBytes, metaBytes float64
 	for _, ds := range w.Datasets {
-		sets, err := ds.CubeSets()
-		if err != nil {
-			return nil, err
-		}
 		var per float64
-		for _, cs := range sets {
-			per += float64(cs.StorageBytes())
+		for i, rows := range ds.Rows {
+			base, err := olap.BuildCube(ds.Schema, rows, 0)
+			if err != nil {
+				return nil, fmt.Errorf("table 6: dataset %q site %d: %w", ds.Name, i, err)
+			}
+			per += float64(base.StorageBytes())
+			seen := map[olap.QueryTypeID]bool{}
+			for _, q := range ds.Queries {
+				if id := olap.QueryTypeFor(q.Dims); !seen[id] {
+					seen[id] = true
+					dc, err := base.DimensionCube(q.Dims...)
+					if err != nil {
+						return nil, fmt.Errorf("table 6: dataset %q site %d: %w", ds.Name, i, err)
+					}
+					per += float64(dc.StorageBytes())
+				}
+			}
 		}
 		cubeBytes += per / float64(s.Sites)
 		// Similarity metadata: probes + per-site minhash signatures.

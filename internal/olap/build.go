@@ -9,34 +9,24 @@ import (
 	"bohr/internal/parallel"
 )
 
-// Chunk grains are FIXED — derived from the input, never from the pool
-// width or any measured timing — so the per-chunk float reduction tree,
-// and hence every folded Sum bit pattern, is identical whether the chunks
-// run on one goroutine or sixteen. Only the merge order matters after
-// that, and the merge always walks chunks in index order. The width
-// auto-tuner (parallel.Tuner) chooses how many WORKERS run those fixed
-// chunks, which cannot change any output bit.
-const (
-	// buildGrain is the rows-per-chunk grain of BuildCube. It is large
-	// because every chunk pays a merge pass over its distinct cells: a
-	// coarse grain amortizes that against the per-row fold savings while
-	// still giving a 120k-row build four-way parallelism.
-	buildGrain = 32768
-	// dimCubeGrain is the cells-per-chunk grain of pooled DimensionCube.
-	dimCubeGrain = 2048
-)
+// buildGrain is the rows-per-chunk grain of BuildCube. It is FIXED —
+// derived from the input, never from the pool width or any measured
+// timing — so the per-chunk float reduction tree, and hence every folded
+// Sum bit pattern, is identical whether the chunks run on one goroutine
+// or sixteen; the merge always walks chunks in index order. It is large
+// because every chunk pays a merge pass over its distinct cells: a coarse
+// grain amortizes that against the per-row fold savings while still
+// giving a 120k-row build four-way parallelism.
+const buildGrain = 32768
 
-// Per-kernel width tuners: each learns its kernel's measured per-chunk
-// cost and shrinks the worker count when a job is too small to amortize
-// pool dispatch — replacing the old fixed dimCubePooledMin cell-count
-// threshold.
-var (
-	buildTuner   = parallel.NewTuner()
-	dimCubeTuner = parallel.NewTuner()
-)
+// buildTuner learns BuildCube's per-chunk cost and shrinks the worker
+// count when a build is too small to amortize pool dispatch. It chooses
+// only how many WORKERS run the fixed chunks, which cannot change any
+// output bit.
+var buildTuner = parallel.NewTuner()
 
 // cellTable is an open-addressed (linear probing) index from cell-key
-// hash to row position. Both the pooled fold and the columnar Cube use it
+// hash to row position. Both the build fold and the columnar Cube use it
 // in place of a Go map: one PACKED 8-byte entry per slot — the top 32
 // bits of the key hash as a tag, the row index plus one in the low 32 —
 // so a 2304-cell table probes a few KB that sit in L1/L2, and nearly
@@ -67,15 +57,6 @@ func newCellTableSized(size uint64) *cellTable {
 		mask:    size - 1,
 		entries: make([]uint64, size),
 		hashes:  make([]uint64, 0, size/2),
-	}
-}
-
-func (t *cellTable) clone() *cellTable {
-	return &cellTable{
-		mask:    t.mask,
-		entries: append([]uint64(nil), t.entries...),
-		used:    t.used,
-		hashes:  append([]uint64(nil), t.hashes...),
 	}
 }
 
@@ -230,11 +211,10 @@ func (fp *foldPartial) key(k int32) []byte { return fp.arena[fp.offs[k]:fp.offs[
 // one joined-key copy onto the arena tail (dropped again if the cell
 // already exists), one word-wise hash with the separator validation
 // fused into the same loads, and one packed-table probe that usually
-// resolves on a single word compare with one bytes.Equal to confirm —
-// versus Insert's per-coordinate validation scans and map probe. No
+// resolves on a single word compare with one bytes.Equal to confirm. No
 // per-row heap object is allocated. Row errors carry the GLOBAL row
-// index so the pooled path reports the same "row %d: …" the sequential
-// InsertAll does, at the same first offending row.
+// index, and parallel.MapOrdered returns the lowest failing chunk's
+// error, so BuildCube names the first offending row at every width.
 func foldChunk(schema *Schema, rows []Row, lo, hi int) (*foldPartial, error) {
 	nd := schema.NumDims()
 	// Sized for the rows given, up to what a full chunk starts with: the
@@ -280,7 +260,7 @@ func foldChunk(schema *Schema, rows []Row, lo, hi int) (*foldPartial, error) {
 		if seps != nd-1 {
 			// A joined nd-coordinate key always carries exactly nd-1
 			// separators, so a mismatch means some coordinate contains
-			// one; rescan slowly to name it in InsertAll's exact error.
+			// one; rescan slowly to name it.
 			for ci, v := range r.Coords {
 				if strings.IndexByte(v, sep) >= 0 {
 					return nil, fmt.Errorf("row %d: olap: insert: coord %d contains reserved separator", i, ci)
@@ -326,8 +306,8 @@ func foldChunk(schema *Schema, rows []Row, lo, hi int) (*foldPartial, error) {
 // mergeInto folds p's cells into base, reusing the hashes and key spans
 // both folds already computed: every merge step is a packed-table probe
 // of base's table, and no joined key is ever rebuilt or converted to a
-// string. Cell order is first-occurrence in chunk order, matching the
-// sequential reference.
+// string. Cell order is first-occurrence in chunk order, the order a
+// single sequential pass over the rows would give.
 func (base *foldPartial) mergeInto(p *foldPartial) {
 	t := base.table
 	for k := range p.cells {
@@ -368,7 +348,7 @@ func (base *foldPartial) mergeInto(p *foldPartial) {
 // row with its measures copied over. Key strings are materialized only
 // for first-seen coordinate VALUES, not per cell.
 func (fp *foldPartial) materialize(schema *Schema) *Cube {
-	out := NewCube(schema)
+	out := newCube(schema)
 	n := len(fp.cells)
 	// Presize the row index so the build never pays a mid-materialize
 	// rehash: next power of two above twice the (known) cell count.
@@ -401,38 +381,27 @@ func (fp *foldPartial) materialize(schema *Schema) *Cube {
 		out.counts[row] = fp.cells[i].Count
 	}
 	out.rows = fp.rows
-	out.gen = uint64(fp.rows)
 	return out
 }
 
-// BuildCube constructs a cube over schema from rows. Width <= 1 (after
-// resolving 0 to the process default), or any input at or under one
-// grain, folds a single chunk — the same per-cell accumulation order as
-// the sequential Insert loop, so the width-1 reference semantics the
-// determinism gate pins are unchanged. Wider builds fold fixed-grain row
-// chunks on the worker pool and merge them in chunk order: Counts and
-// cell order match the reference exactly, and because the chunk grain is
-// width-independent the float Sums are bit-identical at every width > 1
-// too. (Sums can differ from the width-1 fold in the last ulps — float
-// addition is not associative — which is why nothing serialized by
-// core.Report ever reads a cube Sum.) The tuner only chooses how many
-// workers run the fixed chunks, so its timing-driven decisions cannot
-// surface in any output byte.
+// BuildCube constructs a cube over schema from rows. The rows always
+// fold in fixed buildGrain chunks, merged in chunk order, so counts, cell
+// order and the bit pattern of every Sum are the same at every pool
+// width: width only sets how many workers (at most, after resolving 0 to
+// the process default) run the chunks, and at width 1 they run inline.
+// A build at or under one grain is a single sequential fold. (Sums of a
+// multi-chunk build can differ from one sequential pass in the last ulps
+// — float addition is not associative — which is why nothing serialized
+// by core.Report ever reads a cube Sum.)
 func BuildCube(schema *Schema, rows []Row, width int) (*Cube, error) {
-	width = parallel.Resolve(width)
-	if width <= 1 || len(rows) <= buildGrain {
-		fp, err := foldChunk(schema, rows, 0, len(rows))
-		if err != nil {
-			return nil, err
-		}
-		return fp.materialize(schema), nil
-	}
 	chunks := parallel.Chunks(len(rows), buildGrain)
-	workers := buildTuner.Workers(len(chunks), width)
+	if len(chunks) == 0 {
+		return newCube(schema), nil
+	}
+	workers := buildTuner.Workers(len(chunks), parallel.Resolve(width))
 	t0 := time.Now()
 	partials, err := parallel.MapOrdered(workers, len(chunks), func(ci int) (*foldPartial, error) {
-		lo, hi := chunks[ci][0], chunks[ci][1]
-		return foldChunk(schema, rows, lo, hi)
+		return foldChunk(schema, rows, chunks[ci][0], chunks[ci][1])
 	})
 	if err != nil {
 		return nil, err
@@ -446,93 +415,4 @@ func BuildCube(schema *Schema, rows []Row, width int) (*Cube, error) {
 		base.mergeInto(p)
 	}
 	return base.materialize(schema), nil
-}
-
-// dimensionCubeFold folds c's cells into out through the precomputed
-// remap tables — pure integer column work. Width 1 is the sequential
-// reference: one pass in row order. Width > 1 folds fixed-grain cell
-// chunks into partial cubes on the worker pool and merges them in chunk
-// order; the chunk grain never depends on the width or the tuner, so the
-// result is bit-identical at every width > 1. The tuner picks only the
-// worker count for those fixed chunks (1 worker runs them inline), so
-// a timing-driven downshift cannot change any output bit.
-func (c *Cube) dimensionCubeFold(out *Cube, remap [][]uint32, srcIdx []int) {
-	n := len(c.sums)
-	if n == 0 {
-		return
-	}
-	nd := len(remap)
-	width := parallel.DefaultWidth()
-	if width <= 1 {
-		ids := make([]uint32, nd)
-		for row := 0; row < n; row++ {
-			for k, si := range srcIdx {
-				ids[k] = remap[k][c.cols[si][row]]
-			}
-			r := out.upsertRow(ids, hashIDs(ids))
-			out.sums[r] += c.sums[row]
-			out.counts[r] += c.counts[row]
-			out.gen++
-		}
-		return
-	}
-	chunks := parallel.Chunks(n, dimCubeGrain)
-	workers := dimCubeTuner.Workers(len(chunks), width)
-	t0 := time.Now()
-	// Partials share out's dictionaries — the remap tables pre-interned
-	// every reachable value, so the fold only READS them, which is safe
-	// across goroutines.
-	partials, _ := parallel.MapOrdered(workers, len(chunks), func(ci int) (*Cube, error) {
-		lo, hi := chunks[ci][0], chunks[ci][1]
-		p := &Cube{
-			schema: out.schema,
-			dicts:  out.dicts,
-			cols:   make([][]uint32, nd),
-			idx:    newCellTableSized(256),
-		}
-		ids := make([]uint32, nd)
-		for row := lo; row < hi; row++ {
-			for k, si := range srcIdx {
-				ids[k] = remap[k][c.cols[si][row]]
-			}
-			r := p.upsertRow(ids, hashIDs(ids))
-			p.sums[r] += c.sums[row]
-			p.counts[r] += c.counts[row]
-		}
-		return p, nil
-	})
-	dimCubeTuner.Observe(len(chunks), workers, time.Since(t0))
-	base := partials[0]
-	for _, p := range partials[1:] {
-		base.absorbIDs(p)
-	}
-	out.cols = base.cols
-	out.sums = base.sums
-	out.counts = base.counts
-	out.idx = base.idx
-	out.keyBytes = base.keyBytes
-	// Generation accounting matches the pre-columnar pooled fold: the
-	// first partial contributes nothing, each later one its distinct-cell
-	// count (absorbIDs). Derived-cube generations only need to be
-	// deterministic — no memo keys off them — and chunk boundaries are
-	// width-independent, so this is.
-	out.gen += base.gen
-}
-
-// absorbIDs folds every cell of p — which must share c's dictionaries —
-// into c, preserving p's row order for first occurrences. Called
-// chunk-by-chunk in index order by dimensionCubeFold, so the merge —
-// like the chunks — is deterministic.
-func (c *Cube) absorbIDs(p *Cube) {
-	nd := len(c.cols)
-	ids := make([]uint32, nd)
-	for row := 0; row < len(p.sums); row++ {
-		for d := 0; d < nd; d++ {
-			ids[d] = p.cols[d][row]
-		}
-		r := c.upsertRow(ids, p.idx.hashes[row])
-		c.sums[r] += p.sums[row]
-		c.counts[r] += p.counts[row]
-	}
-	c.gen += uint64(len(p.sums))
 }

@@ -25,18 +25,6 @@ func benchRows(n int) []Row {
 	return rows
 }
 
-func BenchmarkInsertAll120k(b *testing.B) {
-	schema := MustSchema("region", "product", "day")
-	rows := benchRows(120_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewCube(schema)
-		if err := c.InsertAll(rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFoldRows120kOneChunk(b *testing.B) {
 	schema := MustSchema("region", "product", "day")
 	rows := benchRows(120_000)

@@ -80,53 +80,9 @@ func (r *refCube) dimIndex(dim string) int {
 	return -1
 }
 
-func (r *refCube) slice(dim, value string) *refCube {
-	di := r.dimIndex(dim)
-	out := newRefCube(without(r.dims, di))
-	for _, c := range r.inOrder() {
-		if c.Coords[di] != value {
-			continue
-		}
-		out.add(without(c.Coords, di), c.Sum, c.Count)
-	}
-	return out
-}
-
-func (r *refCube) dice(filters map[string][]string) *refCube {
-	out := newRefCube(r.dims)
-	for _, c := range r.inOrder() {
-		keep := true
-		for dim, vals := range filters {
-			di := r.dimIndex(dim)
-			ok := false
-			for _, v := range vals {
-				if c.Coords[di] == v {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out.add(c.Coords, c.Sum, c.Count)
-		}
-	}
-	return out
-}
-
-func (r *refCube) rollUp(dim string) *refCube {
-	di := r.dimIndex(dim)
-	out := newRefCube(without(r.dims, di))
-	for _, c := range r.inOrder() {
-		out.add(without(c.Coords, di), c.Sum, c.Count)
-	}
-	return out
-}
-
-func (r *refCube) pivot(dims []string) *refCube {
+// dimensionCube projects every cell onto dims, in the order given, and
+// folds the projections in insertion order.
+func (r *refCube) dimensionCube(dims ...string) *refCube {
 	out := newRefCube(dims)
 	idx := make([]int, len(dims))
 	for k, d := range dims {
@@ -142,17 +98,27 @@ func (r *refCube) pivot(dims []string) *refCube {
 	return out
 }
 
-func without[T any](s []T, i int) []T {
-	out := make([]T, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
+// refBuild folds rows the way BuildCube is specified to: fixed buildGrain
+// chunks, each one sequential pass, merged into the first in chunk order.
+func refBuild(dims []string, rows []Row) *refCube {
+	out := newRefCube(dims)
+	for lo := 0; lo < len(rows); lo += buildGrain {
+		chunk := newRefCube(dims)
+		for _, r := range rows[lo:min(lo+buildGrain, len(rows))] {
+			chunk.add(r.Coords, r.Measure, 1)
+		}
+		for _, c := range chunk.inOrder() {
+			out.add(c.Coords, c.Sum, c.Count)
+		}
+	}
+	return out
 }
 
 // matchCells compares a cube against the reference cell-for-cell: same
 // insertion order (row order), same sorted order including tie-breaks
 // (Cells / TopCells), and every reference cell reachable through Lookup.
-// exact demands bit-equal sums (width-1 paths); otherwise a relative
-// tolerance absorbs the chunked fold's reassociated additions.
+// exact demands bit-equal sums; otherwise a relative tolerance absorbs
+// the chunked fold's reassociated additions.
 func matchCells(t *testing.T, label string, c *Cube, ref *refCube, exact bool) {
 	t.Helper()
 	sumEq := func(a, b float64) bool {
@@ -195,11 +161,10 @@ func matchCells(t *testing.T, label string, c *Cube, ref *refCube, exact bool) {
 }
 
 // TestColumnarMatchesMapReference property-tests the columnar cube
-// against the map-backed reference across base construction and every
-// derived view, at widths 1, 4 and 8. Width 1 must match the reference
-// bit-for-bit (it is the sequential seed semantics); wider builds must
-// agree on cells, counts, both orders and lookups, with sums equal up to
-// the chunked fold's float reassociation.
+// against the map-backed reference, for BuildCube and for DimensionCube
+// over the built cube, at widths 1, 4 and 8. The reference folds the same
+// fixed chunks BuildCube does, so every width must match it bit for bit:
+// cells, counts, both orders, lookups and sums.
 func TestColumnarMatchesMapReference(t *testing.T) {
 	prev := parallel.DefaultWidth()
 	defer parallel.SetDefaultWidth(prev)
@@ -207,67 +172,24 @@ func TestColumnarMatchesMapReference(t *testing.T) {
 	dims := []string{"region", "product", "day"}
 	for _, width := range []int{1, 4, 8} {
 		parallel.SetDefaultWidth(width)
-		exact := width == 1
 		rng := rand.New(rand.NewSource(606)) // same rows at every width
 		for trial := 0; trial < 4; trial++ {
-			n := buildGrain + 500 + rng.Intn(2000) // cross the chunked-build threshold
-			rows := make([]Row, n)
-			for i := range rows {
-				rows[i] = Row{
-					Coords: []string{
-						fmt.Sprintf("r%d", rng.Intn(5)),
-						fmt.Sprintf("p%d", rng.Intn(7)),
-						fmt.Sprintf("d%d", rng.Intn(11)),
-					},
-					Measure: rng.Float64() * 100,
-				}
-			}
-			ref := newRefCube(dims)
-			for _, r := range rows {
-				ref.add(r.Coords, r.Measure, 1)
-			}
+			rows := randomRows(rng, buildGrain+500+rng.Intn(2000)) // more than one chunk
+			ref := refBuild(dims, rows)
 			c, err := BuildCube(MustSchema(dims...), rows, width)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("width %d trial %d", width, trial)
-			matchCells(t, label+" base", c, ref, exact)
+			matchCells(t, label+" base", c, ref, true)
 
-			ru, err := c.RollUp("product")
-			if err != nil {
-				t.Fatal(err)
+			for _, sub := range [][]string{{"day", "region", "product"}, {"day", "region"}} {
+				dc, err := c.DimensionCube(sub...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchCells(t, fmt.Sprintf("%s dimension cube %v", label, sub), dc, ref.dimensionCube(sub...), true)
 			}
-			// Derived folds run over the base cube's cells sequentially in
-			// both implementations, so even a width>1 base diverges only by
-			// its already-accumulated sums.
-			matchCells(t, label+" rollup", ru, ref.rollUp("product"), exact)
-
-			sl, err := c.Slice("region", "r2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			matchCells(t, label+" slice", sl, ref.slice("region", "r2"), exact)
-
-			di, err := c.Dice(map[string][]string{"region": {"r0", "r3"}, "day": {"d1", "d4", "d7"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			matchCells(t, label+" dice", di, ref.dice(map[string][]string{"region": {"r0", "r3"}, "day": {"d1", "d4", "d7"}}), exact)
-
-			pv, err := c.Pivot("day", "region", "product")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pivot routes through the chunked DimensionCube fold at
-			// width > 1, which reassociates sums; width 1 stays exact.
-			matchCells(t, label+" pivot", pv, ref.pivot([]string{"day", "region", "product"}), exact)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -62,39 +62,19 @@ func (d *dict) id(v string) (uint32, bool) {
 	return id, ok
 }
 
-func (d *dict) clone() dict {
-	out := dict{
-		byVal: make(map[string]uint32, len(d.byVal)),
-		vals:  append([]string(nil), d.vals...),
-	}
-	for v, id := range d.byVal {
-		out.byVal[v] = id
-	}
-	return out
-}
-
 // Cube is a sparse multi-dimensional OLAP cube stored as columnar slabs:
 // one interned-coordinate-ID column per dimension plus contiguous Sum and
 // Count measure columns, indexed by the same packed open-addressed hash
-// table the pooled fold uses (build.go). Row position IS insertion order,
-// so the fold walks that RollUp/Slice/Dice/DimensionCube and the Total*
-// reductions perform are tight loops over contiguous memory — no map
-// iteration, no string keys, no per-cell heap objects.
+// table the build fold uses (build.go). Row position IS first-insertion
+// order, so DimensionCube and TotalCount are tight loops over contiguous
+// memory — no map iteration, no string keys, no per-cell heap objects.
 //
-// Concurrency contract: a Cube is NOT self-synchronized. Any number of
-// goroutines may call read-only methods (Lookup, Cells, TopCells,
-// Total*, Slice, Dice, RollUp*, DimensionCube, Pivot, Clone,
-// StorageBytes) concurrently, but mutation (Insert, InsertAll, add)
-// must not overlap with reads or other mutations — CubeSet is the
-// synchronized wrapper for mixed workloads. Cells and TopCells return
-// fully independent copies (coordinate slices included), so holding a
-// result across later mutations is safe.
+// A Cube is immutable once BuildCube or DimensionCube returns it, so any
+// number of goroutines may read it concurrently. Cells and TopCells
+// return fully independent copies (coordinate slices included).
 //
-// Iteration state: the cube tracks cell insertion order (row order) and
-// every aggregation (RollUp, Slice, DimensionCube, …) folds cells in that
-// order. Folding floats in map-iteration order — the pre-PR 4 behavior —
-// made derived-cube Sums depend on Go's randomized map order; the
-// insertion-order walk makes every derived cube bit-reproducible.
+// DimensionCube folds cells in row order, never map order, so every
+// derived Sum is bit-reproducible.
 type Cube struct {
 	schema *Schema
 	dicts  []dict     // one interning dictionary per dimension
@@ -108,13 +88,11 @@ type Cube struct {
 	// are appended so StorageBytes is O(1).
 	keyBytes int64
 
-	scratch []uint32 // ID buffer for mutations (which never overlap)
-	rows    int      // raw records inserted
-	gen     uint64   // bumped on every mutation; keys derived-cube memoization
+	rows int // raw records folded in
 }
 
-// NewCube creates an empty cube over the schema.
-func NewCube(schema *Schema) *Cube {
+// newCube creates an empty cube over the schema.
+func newCube(schema *Schema) *Cube {
 	nd := schema.NumDims()
 	c := &Cube{
 		schema: schema,
@@ -130,21 +108,12 @@ func NewCube(schema *Schema) *Cube {
 	return c
 }
 
-// Schema returns the cube's schema.
-func (c *Cube) Schema() *Schema { return c.schema }
-
 // NumCells returns the number of populated cells.
 func (c *Cube) NumCells() int { return len(c.sums) }
 
-// NumRows returns the number of raw records inserted (directly or via the
-// cube this one was derived from).
+// NumRows returns the number of raw records folded in (directly or via
+// the cube this one was derived from).
 func (c *Cube) NumRows() int { return c.rows }
-
-// Generation returns a counter that increases with every mutation of the
-// cube. A derived artifact (dimension cube, probe, …) computed at
-// generation g is still valid iff the base cube's generation is still g —
-// the versioned-memo key CubeSet's cache and placement's cube cache use.
-func (c *Cube) Generation() uint64 { return c.gen }
 
 func key(coords []string) string { return strings.Join(coords, string(sep)) }
 
@@ -219,7 +188,7 @@ func (c *Cube) appendRow(ids []uint32) int32 {
 }
 
 // upsertRow returns the row for the ID tuple, appending (and indexing) a
-// new zeroed row when absent. Mutation — must not race with reads.
+// new zeroed row when absent. Only a cube under construction calls it.
 func (c *Cube) upsertRow(ids []uint32, h uint64) int32 {
 	t := c.idx
 	tag := h & tagMask
@@ -241,49 +210,6 @@ func (c *Cube) upsertRow(ids []uint32, h uint64) int32 {
 		}
 		j++
 	}
-}
-
-// Insert folds one row into the cube. The row must have exactly one
-// coordinate per schema dimension, and coordinates must not contain the
-// reserved separator character.
-func (c *Cube) Insert(r Row) error {
-	if len(r.Coords) != c.schema.NumDims() {
-		return fmt.Errorf("olap: insert: row has %d coords, schema has %d dims",
-			len(r.Coords), c.schema.NumDims())
-	}
-	for i, v := range r.Coords {
-		if strings.ContainsRune(v, sep) {
-			return fmt.Errorf("olap: insert: coord %d contains reserved separator", i)
-		}
-	}
-	c.add(r.Coords, r.Measure, 1)
-	c.rows++
-	return nil
-}
-
-// InsertAll folds rows into the cube, stopping at the first error.
-func (c *Cube) InsertAll(rows []Row) error {
-	for i, r := range rows {
-		if err := c.Insert(r); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// add merges a pre-aggregated cell contribution.
-func (c *Cube) add(coords []string, sum float64, count int) {
-	if c.scratch == nil {
-		c.scratch = make([]uint32, c.schema.NumDims())
-	}
-	ids := c.scratch[:len(coords)]
-	for d, v := range coords {
-		ids[d] = c.dicts[d].intern(v)
-	}
-	row := c.upsertRow(ids, hashIDs(ids))
-	c.sums[row] += sum
-	c.counts[row] += count
-	c.gen++
 }
 
 // Lookup returns the cell's measures at the given coordinates, if
@@ -349,8 +275,8 @@ func (s *cellSorter) Swap(i, j int) {
 // Cells returns all populated cells sorted by descending record count and
 // then lexical key order, so iteration is deterministic. The paper's probe
 // construction takes the head of this order (largest record clusters).
-// The result is a deep copy — coordinate slices included — so it stays
-// valid and immutable however the cube is mutated afterwards.
+// The result is a deep copy — coordinate slices included — so the caller
+// may modify it without touching the cube.
 func (c *Cube) Cells() []Cell {
 	n := len(c.sums)
 	out := make([]Cell, 0, n)
@@ -376,16 +302,6 @@ func (c *Cube) TopCells(k int) []Cell {
 	return cells
 }
 
-// TotalMeasure returns the sum of measures across all cells, folded in
-// insertion order (deterministic despite float non-associativity).
-func (c *Cube) TotalMeasure() float64 {
-	var s float64
-	for _, v := range c.sums {
-		s += v
-	}
-	return s
-}
-
 // TotalCount returns the total raw record count across all cells.
 func (c *Cube) TotalCount() int {
 	var n int
@@ -395,266 +311,40 @@ func (c *Cube) TotalCount() int {
 	return n
 }
 
-// buildRemap interns every value of the source dictionary into dst
-// (optionally coarsened) and returns the srcID → dstID translation, so a
-// derived-cube fold is pure integer column work with no per-row string
-// handling. Interning runs in source-ID order — first-seen order — which
-// keeps the derived cube's IDs, and therefore everything downstream,
-// deterministic.
-func buildRemap(src *dict, dst *dict, coarsen func(string) string) []uint32 {
-	remap := make([]uint32, len(src.vals))
-	for id, v := range src.vals {
-		if coarsen != nil {
-			v = coarsen(v)
-		}
-		remap[id] = dst.intern(v)
-	}
-	return remap
-}
-
-// Slice picks the sub-array where dim == value and removes that dimension,
-// producing a cube with one fewer dimension (§2.2).
-func (c *Cube) Slice(dim, value string) (*Cube, error) {
-	di := c.schema.Index(dim)
-	if di < 0 {
-		return nil, fmt.Errorf("olap: slice: unknown dimension %q", dim)
-	}
-	ns, err := c.schema.Without(dim)
-	if err != nil {
-		return nil, fmt.Errorf("olap: slice: %w", err)
-	}
-	out := NewCube(ns)
-	vid, ok := c.dicts[di].id(value)
-	if !ok {
-		return out, nil // value never seen: empty result
-	}
-	kept := make([]int, 0, len(c.dicts)-1)
-	for d := range c.dicts {
-		if d != di {
-			kept = append(kept, d)
-		}
-	}
-	remap := make([][]uint32, len(kept))
-	for k, d := range kept {
-		remap[k] = buildRemap(&c.dicts[d], &out.dicts[k], nil)
-	}
-	ids := make([]uint32, len(kept))
-	filter := c.cols[di]
-	for row := 0; row < len(c.sums); row++ {
-		if filter[row] != vid {
-			continue
-		}
-		for k, d := range kept {
-			ids[k] = remap[k][c.cols[d][row]]
-		}
-		r := out.upsertRow(ids, hashIDs(ids))
-		out.sums[r] += c.sums[row]
-		out.counts[r] += c.counts[row]
-		out.gen++
-		out.rows += c.counts[row]
-	}
-	return out, nil
-}
-
-// Dice produces a subcube keeping only cells whose coordinate for each
-// filtered dimension is in the allowed set. Dimensions absent from filters
-// are unconstrained. The schema is unchanged (§2.2).
-func (c *Cube) Dice(filters map[string][]string) (*Cube, error) {
-	// allowed[d] is nil for unconstrained dimensions; otherwise a bitmap
-	// over dimension d's IDs (filter values never seen stay false — no
-	// cell can match them).
-	allowed := make([][]bool, len(c.dicts))
-	for dim, vals := range filters {
-		di := c.schema.Index(dim)
-		if di < 0 {
-			return nil, fmt.Errorf("olap: dice: unknown dimension %q", dim)
-		}
-		set := make([]bool, len(c.dicts[di].vals))
-		for _, v := range vals {
-			if id, ok := c.dicts[di].id(v); ok {
-				set[id] = true
-			}
-		}
-		allowed[di] = set
-	}
-	out := NewCube(c.schema)
-	// Same schema, same coordinates: share the interned vocabulary so the
-	// kept rows' IDs pass through unchanged.
-	for d := range c.dicts {
-		out.dicts[d] = c.dicts[d].clone()
-	}
-	ids := make([]uint32, len(c.dicts))
-	for row := 0; row < len(c.sums); row++ {
-		keep := true
-		for d, set := range allowed {
-			if set != nil && !set[c.cols[d][row]] {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		for d := range ids {
-			ids[d] = c.cols[d][row]
-		}
-		r := out.upsertRow(ids, hashIDs(ids))
-		out.sums[r] += c.sums[row]
-		out.counts[r] += c.counts[row]
-		out.gen++
-		out.rows += c.counts[row]
-	}
-	return out, nil
-}
-
-// RollUp aggregates away one dimension entirely, producing the dimension
-// cube over the remaining dimensions.
-func (c *Cube) RollUp(dim string) (*Cube, error) {
-	di := c.schema.Index(dim)
-	if di < 0 {
-		return nil, fmt.Errorf("olap: rollup: unknown dimension %q", dim)
-	}
-	ns, err := c.schema.Without(dim)
-	if err != nil {
-		return nil, fmt.Errorf("olap: rollup: %w", err)
-	}
-	out := NewCube(ns)
-	kept := make([]int, 0, len(c.dicts)-1)
-	for d := range c.dicts {
-		if d != di {
-			kept = append(kept, d)
-		}
-	}
-	remap := make([][]uint32, len(kept))
-	for k, d := range kept {
-		remap[k] = buildRemap(&c.dicts[d], &out.dicts[k], nil)
-	}
-	ids := make([]uint32, len(kept))
-	for row := 0; row < len(c.sums); row++ {
-		for k, d := range kept {
-			ids[k] = remap[k][c.cols[d][row]]
-		}
-		r := out.upsertRow(ids, hashIDs(ids))
-		out.sums[r] += c.sums[row]
-		out.counts[r] += c.counts[row]
-		out.gen++
-	}
-	out.rows = c.rows
-	return out, nil
-}
-
-// RollUpLevel coarsens one dimension in place of removing it, using the
-// hierarchy's Coarsen function (e.g. day → month). The schema keeps the
-// same dimension name.
-func (c *Cube) RollUpLevel(h Hierarchy) (*Cube, error) {
-	di := c.schema.Index(h.Dim)
-	if di < 0 {
-		return nil, fmt.Errorf("olap: rollup level: unknown dimension %q", h.Dim)
-	}
-	if h.Coarsen == nil {
-		return nil, fmt.Errorf("olap: rollup level: hierarchy for %q has no coarsen function", h.Dim)
-	}
-	out := NewCube(c.schema)
-	remap := make([][]uint32, len(c.dicts))
-	for d := range c.dicts {
-		coarsen := h.Coarsen
-		if d != di {
-			coarsen = nil
-		}
-		// Coarsening runs once per distinct value here, not once per cell.
-		remap[d] = buildRemap(&c.dicts[d], &out.dicts[d], coarsen)
-	}
-	ids := make([]uint32, len(c.dicts))
-	for row := 0; row < len(c.sums); row++ {
-		for d := range ids {
-			ids[d] = remap[d][c.cols[d][row]]
-		}
-		r := out.upsertRow(ids, hashIDs(ids))
-		out.sums[r] += c.sums[row]
-		out.counts[r] += c.counts[row]
-		out.gen++
-	}
-	out.rows = c.rows
-	return out, nil
-}
-
 // DimensionCube aggregates the cube down to exactly the named dimensions,
 // in the order given — the per-query-type view of §4.1. Dimensions not
-// named are aggregated away. At pool width > 1 the fold runs fixed-grain
-// cell chunks through the worker pool (see dimensionCubeFold), which
-// keeps the result bit-identical at every pool width > 1; width 1 is the
-// plain sequential reference fold.
+// named are aggregated away. The fold is one sequential pass in row
+// order, so the result is bit-reproducible.
 func (c *Cube) DimensionCube(dims ...string) (*Cube, error) {
 	ns, err := c.schema.Project(dims...)
 	if err != nil {
 		return nil, fmt.Errorf("olap: dimension cube: %w", err)
 	}
+	out := newCube(ns)
 	srcIdx := make([]int, len(dims))
-	for i, d := range dims {
-		srcIdx[i] = c.schema.Index(d)
-	}
-	out := NewCube(ns)
 	remap := make([][]uint32, len(dims))
-	for k, si := range srcIdx {
-		remap[k] = buildRemap(&c.dicts[si], &out.dicts[k], nil)
+	for k, d := range dims {
+		si := c.schema.Index(d)
+		srcIdx[k] = si
+		// Interning every source value once, in source-ID (first-seen)
+		// order, makes the fold pure integer column work and keeps the
+		// derived IDs deterministic.
+		remap[k] = make([]uint32, len(c.dicts[si].vals))
+		for id, v := range c.dicts[si].vals {
+			remap[k][id] = out.dicts[k].intern(v)
+		}
 	}
-	c.dimensionCubeFold(out, remap, srcIdx)
+	ids := make([]uint32, len(dims))
+	for row := range c.sums {
+		for k, si := range srcIdx {
+			ids[k] = remap[k][c.cols[si][row]]
+		}
+		r := out.upsertRow(ids, hashIDs(ids))
+		out.sums[r] += c.sums[row]
+		out.counts[r] += c.counts[row]
+	}
 	out.rows = c.rows
 	return out, nil
-}
-
-// Pivot reorders the cube's dimensions. dims must be a permutation of the
-// schema's dimensions.
-func (c *Cube) Pivot(dims ...string) (*Cube, error) {
-	if len(dims) != c.schema.NumDims() {
-		return nil, fmt.Errorf("olap: pivot: got %d dims, schema has %d", len(dims), c.schema.NumDims())
-	}
-	seen := make(map[string]bool, len(dims))
-	for _, d := range dims {
-		if !c.schema.Has(d) {
-			return nil, fmt.Errorf("olap: pivot: unknown dimension %q", d)
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("olap: pivot: dimension %q repeated", d)
-		}
-		seen[d] = true
-	}
-	return c.DimensionCube(dims...)
-}
-
-// DrillDown rebuilds a finer-grained view from base: it returns base's
-// dimension cube over c's dimensions plus the extra dimensions requested.
-// (A derived cube cannot invent detail it aggregated away; like real OLAP
-// engines we drill down by going back to the base cube.)
-func (c *Cube) DrillDown(base *Cube, extra ...string) (*Cube, error) {
-	dims := append(append([]string(nil), c.schema.Dims()...), extra...)
-	for _, d := range dims {
-		if !base.schema.Has(d) {
-			return nil, fmt.Errorf("olap: drill down: base cube lacks dimension %q", d)
-		}
-	}
-	return base.DimensionCube(dims...)
-}
-
-// Clone returns a deep copy of the cube (insertion order preserved).
-func (c *Cube) Clone() *Cube {
-	out := &Cube{
-		schema:   c.schema,
-		dicts:    make([]dict, len(c.dicts)),
-		cols:     make([][]uint32, len(c.cols)),
-		sums:     append([]float64(nil), c.sums...),
-		counts:   append([]int(nil), c.counts...),
-		idx:      c.idx.clone(),
-		keyBytes: c.keyBytes,
-		rows:     c.rows,
-		// gen deliberately restarts at zero: a clone is a fresh cube, not a
-		// continuation of the original's mutation history.
-	}
-	for d := range c.dicts {
-		out.dicts[d] = c.dicts[d].clone()
-		out.cols[d] = append([]uint32(nil), c.cols[d]...)
-	}
-	return out
 }
 
 // StorageBytes estimates the in-memory/on-disk footprint of the cube:

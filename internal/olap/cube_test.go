@@ -10,89 +10,56 @@ import (
 	"bohr/internal/stats"
 )
 
+// mustBuild is BuildCube at pool width 1 that fails the test on error.
+func mustBuild(t testing.TB, schema *Schema, rows []Row) *Cube {
+	t.Helper()
+	c, err := BuildCube(schema, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// totalMeasure sums the cube's cell measures in row order.
+func totalMeasure(c *Cube) float64 {
+	var s float64
+	for _, v := range c.sums {
+		s += v
+	}
+	return s
+}
+
 // salesCube builds the paper's Figure-2 style cube: time × region × product.
 func salesCube(t *testing.T) *Cube {
 	t.Helper()
-	c := NewCube(MustSchema("time", "region", "product"))
-	rows := []Row{
+	return mustBuild(t, MustSchema("time", "region", "product"), []Row{
 		{Coords: []string{"2012", "US", "A"}, Measure: 10},
 		{Coords: []string{"2012", "US", "B"}, Measure: 5},
 		{Coords: []string{"2013", "EU", "A"}, Measure: 7},
 		{Coords: []string{"2014", "US", "A"}, Measure: 3},
 		{Coords: []string{"2014", "EU", "B"}, Measure: 4},
 		{Coords: []string{"2014", "US", "A"}, Measure: 6}, // same cell as row 3
-	}
-	if err := c.InsertAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	return c
+	})
 }
 
-func TestNewSchemaValidation(t *testing.T) {
-	if _, err := NewSchema(); err == nil {
-		t.Fatal("empty schema should error")
-	}
-	if _, err := NewSchema("a", ""); err == nil {
-		t.Fatal("empty dim name should error")
-	}
-	if _, err := NewSchema("a", "a"); err == nil {
-		t.Fatal("duplicate dim should error")
-	}
-	if _, err := NewSchema("a\x1fb"); err == nil {
-		t.Fatal("separator in dim name should error")
-	}
-}
-
-func TestSchemaOps(t *testing.T) {
-	s := MustSchema("a", "b", "c")
-	if s.NumDims() != 3 || s.Index("b") != 1 || s.Index("z") != -1 {
-		t.Fatalf("schema basics broken: %+v", s.Dims())
-	}
-	p, err := s.Project("c", "a")
-	if err != nil || p.NumDims() != 2 || p.Dims()[0] != "c" {
-		t.Fatalf("project: %v %v", p, err)
-	}
-	if _, err := s.Project("z"); err == nil {
-		t.Fatal("project unknown should error")
-	}
-	w, err := s.Without("b")
-	if err != nil || !w.Equal(MustSchema("a", "c")) {
-		t.Fatalf("without: %v %v", w, err)
-	}
-	if _, err := s.Without("z"); err == nil {
-		t.Fatal("without unknown should error")
-	}
-	one := MustSchema("a")
-	if _, err := one.Without("a"); err == nil {
-		t.Fatal("removing last dim should error")
-	}
-	if s.Equal(MustSchema("a", "b")) || s.Equal(MustSchema("a", "c", "b")) {
-		t.Fatal("Equal too lax")
-	}
-}
-
-func TestMustSchemaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSchema should panic on error")
-		}
-	}()
-	MustSchema()
-}
-
+// TestInsertValidation checks BuildCube refuses malformed rows and names
+// the first offending one.
 func TestInsertValidation(t *testing.T) {
-	c := NewCube(MustSchema("a", "b"))
-	if err := c.Insert(Row{Coords: []string{"x"}, Measure: 1}); err == nil {
+	schema := MustSchema("a", "b")
+	if _, err := BuildCube(schema, []Row{{Coords: []string{"x"}, Measure: 1}}, 1); err == nil {
 		t.Fatal("wrong arity should error")
 	}
-	if err := c.Insert(Row{Coords: []string{"x", "y\x1fz"}, Measure: 1}); err == nil {
+	if _, err := BuildCube(schema, []Row{{Coords: []string{"x", "y\x1fz"}, Measure: 1}}, 1); err == nil {
 		t.Fatal("separator in coord should error")
 	}
-	if err := c.InsertAll([]Row{{Coords: []string{"x", "y"}}, {Coords: []string{"w"}}}); err == nil {
-		t.Fatal("InsertAll should surface row errors")
+	_, err := BuildCube(schema, []Row{{Coords: []string{"x", "y"}}, {Coords: []string{"w"}}, {Coords: []string{"v"}}}, 1)
+	if err == nil || !strings.HasPrefix(err.Error(), "row 1:") {
+		t.Fatalf("row error = %v, want one naming row 1", err)
 	}
 }
 
+// TestInsertAggregates checks rows that share coordinates fold into one
+// cell.
 func TestInsertAggregates(t *testing.T) {
 	c := salesCube(t)
 	if c.NumRows() != 6 {
@@ -108,8 +75,8 @@ func TestInsertAggregates(t *testing.T) {
 	if _, ok := c.Lookup("1999", "US", "A"); ok {
 		t.Fatal("absent cell should not be found")
 	}
-	if got := c.TotalMeasure(); got != 35 {
-		t.Fatalf("TotalMeasure = %v", got)
+	if got := totalMeasure(c); got != 35 {
+		t.Fatalf("total measure = %v", got)
 	}
 	if got := c.TotalCount(); got != 6 {
 		t.Fatalf("TotalCount = %v", got)
@@ -146,99 +113,36 @@ func TestTopCells(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	c := salesCube(t)
-	s, err := c.Slice("time", "2014")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Schema().Equal(MustSchema("region", "product")) {
-		t.Fatalf("slice schema = %v", s.Schema().Dims())
-	}
-	if s.NumCells() != 2 {
-		t.Fatalf("slice cells = %d", s.NumCells())
-	}
-	cell, ok := s.Lookup("US", "A")
-	if !ok || cell.Sum != 9 {
-		t.Fatalf("slice cell = %+v", cell)
-	}
-	if _, err := c.Slice("nope", "x"); err == nil {
-		t.Fatal("unknown dim should error")
-	}
-}
-
-func TestDice(t *testing.T) {
-	c := salesCube(t)
-	d, err := c.Dice(map[string][]string{"time": {"2014"}, "product": {"A"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumCells() != 1 {
-		t.Fatalf("dice cells = %d", d.NumCells())
-	}
-	if !d.Schema().Equal(c.Schema()) {
-		t.Fatal("dice must preserve schema")
-	}
-	if _, err := c.Dice(map[string][]string{"bogus": {"x"}}); err == nil {
-		t.Fatal("unknown dim should error")
-	}
-	// Empty filter keeps everything.
-	all, err := c.Dice(nil)
-	if err != nil || all.NumCells() != c.NumCells() {
-		t.Fatalf("empty dice: %v cells=%d", err, all.NumCells())
-	}
-}
-
+// TestRollUp aggregates region away by keeping the other dimensions in
+// schema order: the rolled-up cells fold the rows that differed only in
+// region, and the totals and row provenance are conserved.
 func TestRollUp(t *testing.T) {
 	c := salesCube(t)
-	r, err := c.RollUp("region")
+	r, err := c.DimensionCube("time", "product")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Schema().Equal(MustSchema("time", "product")) {
-		t.Fatalf("rollup schema = %v", r.Schema().Dims())
+	if got := fmt.Sprint(r.schema.Dims()); got != "[time product]" {
+		t.Fatalf("rollup schema = %v", got)
 	}
 	cell, ok := r.Lookup("2014", "A")
 	if !ok || cell.Sum != 9 || cell.Count != 2 {
 		t.Fatalf("rolled cell = %+v", cell)
 	}
-	if r.TotalMeasure() != c.TotalMeasure() {
+	if cell, ok := r.Lookup("2012", "A"); !ok || cell.Sum != 10 || cell.Count != 1 {
+		t.Fatalf("rolled cell 2012/A = %+v ok=%v", cell, ok)
+	}
+	if r.NumCells() != 5 {
+		t.Fatalf("rollup cells = %d, want 5", r.NumCells())
+	}
+	if totalMeasure(r) != totalMeasure(c) {
 		t.Fatal("rollup must conserve total measure")
 	}
 	if r.NumRows() != c.NumRows() {
 		t.Fatal("rollup must keep row provenance")
 	}
-	if _, err := c.RollUp("bogus"); err == nil {
+	if _, err := c.DimensionCube("time", "bogus"); err == nil {
 		t.Fatal("unknown dim should error")
-	}
-}
-
-func TestRollUpLevel(t *testing.T) {
-	c := NewCube(MustSchema("date", "product"))
-	_ = c.InsertAll([]Row{
-		{Coords: []string{"2014-01-03", "A"}, Measure: 1},
-		{Coords: []string{"2014-01-20", "A"}, Measure: 2},
-		{Coords: []string{"2014-02-01", "A"}, Measure: 4},
-	})
-	h := Hierarchy{Dim: "date", Level: "month", Coarsen: func(s string) string {
-		if len(s) >= 7 {
-			return s[:7]
-		}
-		return s
-	}}
-	m, err := c.RollUpLevel(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := m.Lookup("2014-01", "A")
-	if !ok || cell.Sum != 3 || cell.Count != 2 {
-		t.Fatalf("month cell = %+v", cell)
-	}
-	if _, err := c.RollUpLevel(Hierarchy{Dim: "nope", Coarsen: h.Coarsen}); err == nil {
-		t.Fatal("unknown dim should error")
-	}
-	if _, err := c.RollUpLevel(Hierarchy{Dim: "date"}); err == nil {
-		t.Fatal("nil coarsen should error")
 	}
 }
 
@@ -248,14 +152,14 @@ func TestDimensionCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dc.Schema().Equal(MustSchema("product", "time")) {
-		t.Fatalf("dc schema = %v", dc.Schema().Dims())
+	if got := fmt.Sprint(dc.schema.Dims()); got != "[product time]" {
+		t.Fatalf("dc schema = %v", got)
 	}
 	cell, ok := dc.Lookup("A", "2014")
-	if !ok || cell.Sum != 9 {
+	if !ok || cell.Sum != 9 || cell.Count != 2 {
 		t.Fatalf("dc cell = %+v", cell)
 	}
-	if dc.TotalMeasure() != c.TotalMeasure() || dc.TotalCount() != c.TotalCount() {
+	if totalMeasure(dc) != totalMeasure(c) || dc.TotalCount() != c.TotalCount() || dc.NumRows() != c.NumRows() {
 		t.Fatal("dimension cube must conserve totals")
 	}
 	if _, err := c.DimensionCube("zzz"); err == nil {
@@ -263,78 +167,20 @@ func TestDimensionCube(t *testing.T) {
 	}
 }
 
-func TestPivot(t *testing.T) {
-	c := salesCube(t)
-	p, err := c.Pivot("product", "time", "region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := p.Lookup("A", "2014", "US")
-	if !ok || cell.Sum != 9 {
-		t.Fatalf("pivot cell = %+v", cell)
-	}
-	if p.NumCells() != c.NumCells() {
-		t.Fatal("pivot must preserve cell count")
-	}
-	if _, err := c.Pivot("product", "time"); err == nil {
-		t.Fatal("wrong arity should error")
-	}
-	if _, err := c.Pivot("product", "time", "time"); err == nil {
-		t.Fatal("repeated dim should error")
-	}
-	if _, err := c.Pivot("product", "time", "bogus"); err == nil {
-		t.Fatal("unknown dim should error")
-	}
-}
-
-func TestDrillDown(t *testing.T) {
-	base := salesCube(t)
-	coarse, err := base.DimensionCube("time")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := coarse.DrillDown(base, "region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fine.Schema().Equal(MustSchema("time", "region")) {
-		t.Fatalf("drilldown schema = %v", fine.Schema().Dims())
-	}
-	if fine.TotalMeasure() != base.TotalMeasure() {
-		t.Fatal("drilldown must conserve measure")
-	}
-	if _, err := coarse.DrillDown(base, "bogus"); err == nil {
-		t.Fatal("unknown extra dim should error")
-	}
-}
-
-func TestClone(t *testing.T) {
-	c := salesCube(t)
-	cp := c.Clone()
-	if cp.NumCells() != c.NumCells() || cp.NumRows() != c.NumRows() {
-		t.Fatal("clone differs")
-	}
-	_ = cp.Insert(Row{Coords: []string{"2015", "US", "C"}, Measure: 1})
-	if c.NumCells() == cp.NumCells() {
-		t.Fatal("clone must be independent")
-	}
-}
-
 func TestStorageBytesGrows(t *testing.T) {
-	c := NewCube(MustSchema("k"))
-	before := c.StorageBytes()
+	schema := MustSchema("k")
+	var rows []Row
 	for i := 0; i < 100; i++ {
-		_ = c.Insert(Row{Coords: []string{fmt.Sprintf("key-%d", i)}, Measure: 1})
+		rows = append(rows, Row{Coords: []string{fmt.Sprintf("key-%d", i)}, Measure: 1})
 	}
-	if c.StorageBytes() <= before {
+	empty := mustBuild(t, schema, nil)
+	once := mustBuild(t, schema, rows)
+	if once.StorageBytes() <= empty.StorageBytes() {
 		t.Fatal("storage should grow with cells")
 	}
 	// Duplicate keys do not grow storage.
-	mid := c.StorageBytes()
-	for i := 0; i < 100; i++ {
-		_ = c.Insert(Row{Coords: []string{fmt.Sprintf("key-%d", i)}, Measure: 1})
-	}
-	if c.StorageBytes() != mid {
+	twice := mustBuild(t, schema, append(rows, rows...))
+	if twice.StorageBytes() != once.StorageBytes() {
 		t.Fatal("aggregating into existing cells should not grow storage")
 	}
 }
@@ -344,55 +190,28 @@ func TestStorageBytesGrows(t *testing.T) {
 func TestDimensionCubeConservationProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := stats.NewRand(seed)
-		c := NewCube(MustSchema("a", "b", "c"))
 		n := int(nRaw)%200 + 1
-		for i := 0; i < n; i++ {
-			_ = c.Insert(Row{
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{
 				Coords: []string{
 					fmt.Sprintf("a%d", rng.Intn(5)),
 					fmt.Sprintf("b%d", rng.Intn(5)),
 					fmt.Sprintf("c%d", rng.Intn(5)),
 				},
 				Measure: rng.Float64(),
-			})
+			}
 		}
+		c := mustBuild(t, MustSchema("a", "b", "c"), rows)
 		dc, err := c.DimensionCube("b")
 		if err != nil {
 			return false
 		}
-		return math.Abs(dc.TotalMeasure()-c.TotalMeasure()) < 1e-6 &&
+		return math.Abs(totalMeasure(dc)-totalMeasure(c)) < 1e-6 &&
 			dc.TotalCount() == c.TotalCount() &&
 			dc.NumCells() <= c.NumCells()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: slice partitions the cube — summing slices over all observed
-// values of a dimension reproduces the total measure.
-func TestSlicePartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := stats.NewRand(seed)
-		c := NewCube(MustSchema("x", "y"))
-		vals := []string{"p", "q", "r"}
-		for i := 0; i < 100; i++ {
-			_ = c.Insert(Row{
-				Coords:  []string{vals[rng.Intn(3)], fmt.Sprintf("y%d", rng.Intn(10))},
-				Measure: rng.Float64(),
-			})
-		}
-		var total float64
-		for _, v := range vals {
-			s, err := c.Slice("x", v)
-			if err != nil {
-				return false
-			}
-			total += s.TotalMeasure()
-		}
-		return math.Abs(total-c.TotalMeasure()) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,12 +7,9 @@ import (
 	"testing"
 )
 
-// randomCube builds a cube over a 3-dim schema with small value domains
-// (to force cell collisions) from n random rows. Returns the cube and the
-// rows it was built from.
-func randomCube(t *testing.T, rng *rand.Rand, n int) (*Cube, []Row) {
-	t.Helper()
-	schema := MustSchema("region", "product", "day")
+// randomRows draws n rows over a 3-dim schema with small value domains
+// (to force cell collisions).
+func randomRows(rng *rand.Rand, n int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
 		rows[i] = Row{
@@ -24,11 +21,13 @@ func randomCube(t *testing.T, rng *rand.Rand, n int) (*Cube, []Row) {
 			Measure: rng.Float64() * 100,
 		}
 	}
-	c := NewCube(schema)
-	if err := c.InsertAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	return c, rows
+	return rows
+}
+
+// randomCube builds a cube over randomRows' schema from n random rows.
+func randomCube(t *testing.T, rng *rand.Rand, n int) *Cube {
+	t.Helper()
+	return mustBuild(t, MustSchema("region", "product", "day"), randomRows(rng, n))
 }
 
 func approxEq(a, b float64) bool {
@@ -36,19 +35,26 @@ func approxEq(a, b float64) bool {
 }
 
 // TestRollUpPreservesTotals is a property test: aggregating a dimension
-// away must preserve TotalMeasure, TotalCount and NumRows exactly — the
-// rows are the same, only the addressing coarsens.
+// away (a dimension cube over the others, in schema order) must preserve
+// the total measure, TotalCount and NumRows — the rows are the same, only
+// the addressing coarsens.
 func TestRollUpPreservesTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
-		c, _ := randomCube(t, rng, 200+rng.Intn(800))
-		for _, dim := range c.Schema().Dims() {
-			ru, err := c.RollUp(dim)
+		c := randomCube(t, rng, 200+rng.Intn(800))
+		for _, dim := range c.schema.Dims() {
+			var keep []string
+			for _, d := range c.schema.Dims() {
+				if d != dim {
+					keep = append(keep, d)
+				}
+			}
+			ru, err := c.DimensionCube(keep...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !approxEq(ru.TotalMeasure(), c.TotalMeasure()) {
-				t.Errorf("trial %d rollup %q: measure %v != %v", trial, dim, ru.TotalMeasure(), c.TotalMeasure())
+			if !approxEq(totalMeasure(ru), totalMeasure(c)) {
+				t.Errorf("trial %d rollup %q: measure %v != %v", trial, dim, totalMeasure(ru), totalMeasure(c))
 			}
 			if ru.TotalCount() != c.TotalCount() {
 				t.Errorf("trial %d rollup %q: count %d != %d", trial, dim, ru.TotalCount(), c.TotalCount())
@@ -60,75 +66,6 @@ func TestRollUpPreservesTotals(t *testing.T) {
 	}
 }
 
-// TestSlicePartitionsTotals is a property test: slicing a dimension at
-// every one of its observed values partitions the cube — the per-slice
-// totals must sum back to the whole.
-func TestSlicePartitionsTotals(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
-	for trial := 0; trial < 10; trial++ {
-		c, _ := randomCube(t, rng, 200+rng.Intn(800))
-		for di, dim := range c.Schema().Dims() {
-			vals := map[string]bool{}
-			for _, cell := range c.Cells() {
-				vals[cell.Coords[di]] = true
-			}
-			var sumMeasure float64
-			var sumCount int
-			for v := range vals {
-				sl, err := c.Slice(dim, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sumMeasure += sl.TotalMeasure()
-				sumCount += sl.TotalCount()
-			}
-			if !approxEq(sumMeasure, c.TotalMeasure()) {
-				t.Errorf("trial %d slice %q: measures sum to %v, cube has %v", trial, dim, sumMeasure, c.TotalMeasure())
-			}
-			if sumCount != c.TotalCount() {
-				t.Errorf("trial %d slice %q: counts sum to %d, cube has %d", trial, dim, sumCount, c.TotalCount())
-			}
-		}
-	}
-}
-
-// TestDiceSubsetAndIdentity is a property test: dicing with random value
-// subsets never increases totals, and dicing with every observed value of
-// every dimension is the identity on totals and cell count.
-func TestDiceSubsetAndIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(303))
-	for trial := 0; trial < 10; trial++ {
-		c, _ := randomCube(t, rng, 200+rng.Intn(800))
-		full := map[string][]string{}
-		for di, dim := range c.Schema().Dims() {
-			seen := map[string]bool{}
-			for _, cell := range c.Cells() {
-				seen[cell.Coords[di]] = true
-			}
-			for v := range seen {
-				full[dim] = append(full[dim], v)
-			}
-		}
-		id, err := c.Dice(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approxEq(id.TotalMeasure(), c.TotalMeasure()) || id.TotalCount() != c.TotalCount() || id.NumCells() != c.NumCells() {
-			t.Errorf("trial %d: full dice not identity: measure %v/%v count %d/%d cells %d/%d",
-				trial, id.TotalMeasure(), c.TotalMeasure(), id.TotalCount(), c.TotalCount(), id.NumCells(), c.NumCells())
-		}
-		partial := map[string][]string{"region": {"r0", "r1"}, "day": {"d0", "d3", "d5"}}
-		sub, err := c.Dice(partial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub.TotalMeasure() > c.TotalMeasure()+1e-9 || sub.TotalCount() > c.TotalCount() {
-			t.Errorf("trial %d: dice grew totals: measure %v > %v or count %d > %d",
-				trial, sub.TotalMeasure(), c.TotalMeasure(), sub.TotalCount(), c.TotalCount())
-		}
-	}
-}
-
 // TestDimensionCubePreservesTotals is a property test: projecting onto any
 // non-empty dimension subset preserves the totals — every row still lands
 // in exactly one projected cell.
@@ -136,61 +73,76 @@ func TestDimensionCubePreservesTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	subsets := [][]string{{"region"}, {"day"}, {"region", "day"}, {"product", "region"}}
 	for trial := 0; trial < 10; trial++ {
-		c, _ := randomCube(t, rng, 200+rng.Intn(800))
+		c := randomCube(t, rng, 200+rng.Intn(800))
 		for _, dims := range subsets {
 			dc, err := c.DimensionCube(dims...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !approxEq(dc.TotalMeasure(), c.TotalMeasure()) {
-				t.Errorf("trial %d dims %v: measure %v != %v", trial, dims, dc.TotalMeasure(), c.TotalMeasure())
+			if !approxEq(totalMeasure(dc), totalMeasure(c)) {
+				t.Errorf("trial %d dims %v: measure %v != %v", trial, dims, totalMeasure(dc), totalMeasure(c))
 			}
 			if dc.TotalCount() != c.TotalCount() {
 				t.Errorf("trial %d dims %v: count %d != %d", trial, dims, dc.TotalCount(), c.TotalCount())
+			}
+			if dc.NumRows() != c.NumRows() {
+				t.Errorf("trial %d dims %v: rows %d != %d", trial, dims, dc.NumRows(), c.NumRows())
 			}
 		}
 	}
 }
 
-// TestBuildCubeMatchesSequential is a property test for the pooled
-// builder: at widths past 1 it must produce the same cells in the same
-// order with identical counts, and sums equal to the sequential reference
-// within float tolerance. The row count crosses the pooled-path threshold
-// so the chunked fold actually engages.
+// multiChunkRows is the input of the BuildCube tests below: several
+// full chunks plus a ragged tail.
+func multiChunkRows() []Row {
+	return randomRows(rand.New(rand.NewSource(505)), buildGrain*3+137)
+}
+
+// TestBuildCubeMatchesSequential holds BuildCube to one sequential pass
+// of the map-backed reference: the same cells in the same order with
+// identical counts, and sums equal within float tolerance (the chunked
+// fold reassociates the additions).
 func TestBuildCubeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	schema := MustSchema("region", "product", "day")
-	n := buildGrain*3 + 137 // force multiple chunks plus a ragged tail
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{
-			Coords: []string{
-				fmt.Sprintf("r%d", rng.Intn(5)),
-				fmt.Sprintf("p%d", rng.Intn(7)),
-				fmt.Sprintf("d%d", rng.Intn(11)),
-			},
-			Measure: rng.Float64() * 100,
+	rows := multiChunkRows()
+	dims := []string{"region", "product", "day"}
+	ref := newRefCube(dims)
+	for _, r := range rows {
+		ref.add(r.Coords, r.Measure, 1)
+	}
+	for _, width := range []int{1, 4, 8} {
+		got, err := BuildCube(MustSchema(dims...), rows, width)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.NumRows() != len(rows) {
+			t.Fatalf("width %d: rows %d, want %d", width, got.NumRows(), len(rows))
+		}
+		matchCells(t, fmt.Sprintf("width %d", width), got, ref, false)
 	}
-	ref := NewCube(schema)
-	if err := ref.InsertAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{2, 4, 8} {
+}
+
+// TestBuildCubeWidthIndependent pins BuildCube's contract that the pool
+// width changes nothing: widths 1, 4 and 8 give the same cells in the
+// same order with bit-identical sums.
+func TestBuildCubeWidthIndependent(t *testing.T) {
+	rows := multiChunkRows()
+	schema := MustSchema("region", "product", "day")
+	want := mustBuild(t, schema, rows).inOrder()
+	for _, width := range []int{4, 8} {
 		got, err := BuildCube(schema, rows, width)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.NumRows() != ref.NumRows() || got.NumCells() != ref.NumCells() {
-			t.Fatalf("width %d: rows/cells %d/%d, want %d/%d", width, got.NumRows(), got.NumCells(), ref.NumRows(), ref.NumCells())
+		cells := got.inOrder()
+		if len(cells) != len(want) {
+			t.Fatalf("width %d: %d cells, want %d", width, len(cells), len(want))
 		}
-		gc, rc := got.Cells(), ref.Cells()
-		for i := range rc {
-			if fmt.Sprint(gc[i].Coords) != fmt.Sprint(rc[i].Coords) || gc[i].Count != rc[i].Count {
-				t.Fatalf("width %d cell %d: got %v/%d, want %v/%d", width, i, gc[i].Coords, gc[i].Count, rc[i].Coords, rc[i].Count)
-			}
-			if !approxEq(gc[i].Sum, rc[i].Sum) {
-				t.Fatalf("width %d cell %d: sum %v, want %v", width, i, gc[i].Sum, rc[i].Sum)
+		for i, w := range want {
+			g := cells[i]
+			if fmt.Sprint(g.Coords) != fmt.Sprint(w.Coords) || g.Count != w.Count ||
+				math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
+				t.Fatalf("width %d cell %d: got %v sum=%v count=%d, want %v sum=%v count=%d",
+					width, i, g.Coords, g.Sum, g.Count, w.Coords, w.Sum, w.Count)
 			}
 		}
 	}

@@ -1,17 +1,18 @@
-// Package olap implements the OLAP cube substrate Bohr uses to store raw
-// data and to prepare per-query-type dimension cubes for similarity
-// checking (§2.2, §4.1 of the paper).
+// Package olap builds the sparse OLAP cube of §2.2 and §4.1 of the paper:
+// a cell per distinct coordinate tuple, holding the summed measure and
+// the number of raw records folded in.
 //
-// A cube is a sparse multi-dimensional array: each cell is addressed by one
-// coordinate per dimension and holds an aggregated measure plus a record
-// count. Common OLAP operations — slice, dice, roll up, drill down, pivot —
-// produce derived cubes. Dimension cubes (subcubes aggregated down to the
-// dimensions one query type needs) are first-class because Bohr's probes
-// are built from their largest cells.
+// Bohr itself no longer reads a cube: a site's dimension cube is the
+// store's cell column (engine.CellCounts). The cube here is the reference
+// that column is tested against, the storage model behind Table 6, and
+// the builder Table 2, §8.5's overhead and the image workload's LSH
+// buckets run. BuildCube is its one constructor; DimensionCube aggregates
+// a cube down to the dimensions one query type reads.
 package olap
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -80,35 +81,6 @@ func (s *Schema) Project(dims ...string) (*Schema, error) {
 	return NewSchema(dims...)
 }
 
-// Without returns a new schema with the named dimension removed.
-func (s *Schema) Without(dim string) (*Schema, error) {
-	i := s.Index(dim)
-	if i < 0 {
-		return nil, fmt.Errorf("olap: without: unknown dimension %q", dim)
-	}
-	if len(s.dims) == 1 {
-		return nil, fmt.Errorf("olap: without: cannot remove the last dimension %q", dim)
-	}
-	rest := make([]string, 0, len(s.dims)-1)
-	rest = append(rest, s.dims[:i]...)
-	rest = append(rest, s.dims[i+1:]...)
-	return NewSchema(rest...)
-}
-
-// Equal reports whether two schemas have identical dimensions in the same
-// order.
-func (s *Schema) Equal(o *Schema) bool {
-	if len(s.dims) != len(o.dims) {
-		return false
-	}
-	for i := range s.dims {
-		if s.dims[i] != o.dims[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Row is one raw record: a coordinate per schema dimension plus a numeric
 // measure (e.g. a page score, a sale amount).
 type Row struct {
@@ -116,11 +88,15 @@ type Row struct {
 	Measure float64
 }
 
-// Hierarchy coarsens one dimension's coordinates to a higher level, e.g.
-// day → month for a time dimension, or city → region. It backs the
-// roll-up-by-level operation.
-type Hierarchy struct {
-	Dim     string
-	Level   string
-	Coarsen func(coord string) string
+// QueryTypeID names one query type: the set of attributes a class of
+// recurring queries accesses (§4.1). Two queries over the same attributes
+// are the same type and share one dimension cube.
+type QueryTypeID string
+
+// QueryTypeFor derives the canonical ID for an attribute set: sorted,
+// comma-joined dimension names.
+func QueryTypeFor(dims []string) QueryTypeID {
+	cp := append([]string(nil), dims...)
+	sort.Strings(cp)
+	return QueryTypeID(strings.Join(cp, ","))
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"bohr/internal/cache"
@@ -103,5 +104,18 @@ func TestResultCacheEvictsLRU(t *testing.T) {
 	}
 	if got := rc.Len(); got > 2 {
 		t.Fatalf("cache holds %d entries, cap 2", got)
+	}
+}
+
+// TestUnlimitedCapsNeverEvict checks a server built with cache.Unlimited()
+// is not silently capped at the default entry count.
+func TestUnlimitedCapsNeverEvict(t *testing.T) {
+	s := New(newFakeBackend(t), Config{CacheCaps: cache.Unlimited()}, nil)
+	rows := []engine.KV{{Key: "x", Val: 1}}
+	for i := 0; i <= cache.DefaultEntries; i++ {
+		s.results.Insert(fmt.Sprintf("k%d", i), "logs", rows)
+	}
+	if got := s.results.Len(); got != cache.DefaultEntries+1 {
+		t.Fatalf("unlimited cache holds %d entries, want %d", got, cache.DefaultEntries+1)
 	}
 }

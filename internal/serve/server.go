@@ -175,8 +175,8 @@ type TracedBackend interface {
 type Config struct {
 	// Sched configures the fair scheduler (zero value = defaults).
 	Sched SchedConfig
-	// CacheCaps bounds the result cache; the zero value adopts the
-	// process-wide cache defaults.
+	// CacheCaps bounds the result cache; the zero value adopts
+	// cache.DefaultCaps, and cache.Unlimited() never evicts.
 	CacheCaps cache.Caps
 	// DefaultTimeout caps a request's execution when the client did not
 	// send timeout_ms (default 30s; negative disables).

@@ -94,16 +94,13 @@ func (d *ImageDataset) FeatureCube(site int, lsh *similarity.LSH) (*olap.Cube, e
 	if site < 0 || site >= len(d.Vectors) {
 		return nil, fmt.Errorf("workload: site %d out of range", site)
 	}
-	cube := olap.NewCube(olap.MustSchema("lshBucket"))
-	for _, v := range d.Vectors[site] {
+	rows := make([]olap.Row, len(d.Vectors[site]))
+	for i, v := range d.Vectors[site] {
 		sig, err := lsh.Sign(v)
 		if err != nil {
 			return nil, err
 		}
-		key := fmt.Sprintf("%x", sig)
-		if err := cube.Insert(olap.Row{Coords: []string{key}, Measure: 1}); err != nil {
-			return nil, err
-		}
+		rows[i] = olap.Row{Coords: []string{fmt.Sprintf("%x", sig)}, Measure: 1}
 	}
-	return cube, nil
+	return olap.BuildCube(olap.MustSchema("lshBucket"), rows, 0)
 }

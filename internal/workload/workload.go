@@ -386,25 +386,6 @@ func (w *Workload) Populate(c *engine.Cluster) error {
 	return nil
 }
 
-// CubeSets builds one olap.CubeSet per site for a dataset, with every
-// query type registered — the pre-processing step of §4.1.
-func (d *Dataset) CubeSets() ([]*olap.CubeSet, error) {
-	out := make([]*olap.CubeSet, len(d.Rows))
-	for i, rows := range d.Rows {
-		cs := olap.NewCubeSet(d.Schema)
-		if err := cs.Insert(rows...); err != nil {
-			return nil, fmt.Errorf("workload: dataset %q site %d: %w", d.Name, i, err)
-		}
-		for _, q := range d.Queries {
-			if _, err := cs.RegisterQueryType(q.Dims); err != nil {
-				return nil, fmt.Errorf("workload: dataset %q site %d: %w", d.Name, i, err)
-			}
-		}
-		out[i] = cs
-	}
-	return out, nil
-}
-
 // DominantQuery returns the query type with the largest Count — the view
 // data movement optimizes for when a single projection must be chosen.
 func (d *Dataset) DominantQuery() QuerySpec {

@@ -352,31 +352,6 @@ func TestJoinSplitKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCubeSets(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Datasets = 1
-	w, err := Generate(BigDataAggr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := w.Datasets[0]
-	sets, err := ds.CubeSets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != cfg.Sites {
-		t.Fatalf("cube sets = %d", len(sets))
-	}
-	for i, cs := range sets {
-		if cs.Base().NumRows() != len(ds.Rows[i]) {
-			t.Fatalf("site %d cube rows = %d, want %d", i, cs.Base().NumRows(), len(ds.Rows[i]))
-		}
-		if got := len(cs.QueryTypes()); got != len(ds.Queries) {
-			t.Fatalf("site %d registered types = %d, want %d", i, got, len(ds.Queries))
-		}
-	}
-}
-
 func TestGenerateImages(t *testing.T) {
 	cfg := DefaultImageConfig()
 	cfg.Sites = 2
