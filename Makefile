@@ -33,10 +33,15 @@ test:
 # (TestCellCountsMatchOlapCube), the store's clone-aliasing and
 # memo-singleflight tests and concurrent first queries building one layout
 # and one set of key columns per cold site while clones write into the
-# dictionaries they share (engine; none of them is skipped under -short,
-# and race passes no -short), two goroutines planning two clones of one
+# dictionaries they share, with the carried columns' differential against a
+# fresh encode (TestCarriedColumnsMatchFreshEncode) (engine; none of them is
+# skipped under -short, and race passes no -short), the pooled signatures
+# and pair rows reading one flat slice of key hashes, against the kernel
+# that mixed every record (TestPairwiseMatchesRefSignature, rdd), two
+# goroutines planning two clones of one
 # snapshot (placement), the query-miss statements against a naive fold
-# across ingest, replan and Remove (serve), the key indexer's property test
+# across ingest, replan and Remove, and a batch's next miss encoding the
+# batch alone (TestMissAfterBatchEncodesTheBatch) (serve), the key indexer's property test
 # (workload), a compiled statement's coded scan against the reference
 # closure and a naive fold (sql), and the LP solver against its reference
 # (refSolve) with the certificate tests and TestSolvePlacementAllocs, whose
@@ -63,7 +68,7 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/engine/... ./internal/obs/... \
 		./internal/netio/... ./internal/faults/... \
-		./internal/parallel/... ./internal/olap/... ./internal/similarity/... \
+		./internal/parallel/... ./internal/olap/... ./internal/similarity/... ./internal/rdd/... \
 		./internal/cache/... ./internal/serve/... ./internal/ingest/... \
 		./internal/durable/... ./internal/lp/... ./internal/placement/... \
 		./internal/workload/... ./internal/sql/...

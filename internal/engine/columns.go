@@ -50,11 +50,14 @@ func (sel *Select) validate(query string) error {
 }
 
 // Names of round 0's column lookups, one per site a Select scans: a miss
-// re-encoded a site written (or never read) since the last statement.
+// built the columns of a site written (or never read) since the last
+// statement, encoding the records the writes appended (every record, when
+// nothing was carried).
 const (
-	CounterColumnsHits   = "engine.columns.hits"
-	CounterColumnsMisses = "engine.columns.misses"
-	HistColumnsBuild     = "engine.columns.build_s"
+	CounterColumnsHits    = "engine.columns.hits"
+	CounterColumnsMisses  = "engine.columns.misses"
+	CounterColumnsEncoded = "engine.columns.encoded"
+	HistColumnsBuild      = "engine.columns.build_s"
 )
 
 // columns are a content's keys split into dictionary-coded fields — derived
@@ -65,10 +68,77 @@ type columns struct {
 	codes   [][]uint32 // codes[f][i] is field f of record i
 	dict    [][]string // dict[f][code] is its text
 	foreign []int32    // ascending: the records whose key has another width
-	buildS  float64    // wall seconds the encode took
+	encoded int        // records the build encoded; the rest it carried
+	buildS  float64    // wall seconds the build took
 }
 
 type columnsKey struct{ width int } // the memo key of a content's columns
+
+// carried is the last columns of one width built in a lineage, and the
+// Removes since. An Add appends past the records they describe and a Remove
+// keeps order, so those that survive are a prefix of the content: the next
+// build copies their codes, compacts them once per Remove and encodes the
+// rest.
+type carried struct {
+	base    *columns
+	held    int     // records base describes
+	removes [][]int // each Remove's ascending positions, oldest first
+	moved   int     // records added plus removed since base
+}
+
+// restore allocates c's codes for n records and fills in what the carry
+// says of the first live of them — their codes and which are foreign — the
+// records of its base that survived the Removes since. A nil carry says
+// nothing.
+func (cr *carried) restore(c *columns, n int) (live int) {
+	var cuts [][]int
+	stride := n
+	if cr != nil {
+		live = cr.held
+		for _, at := range cr.removes {
+			at = at[:sort.SearchInts(at, live)] // the rest took records appended since
+			cuts = append(cuts, at)
+			live -= len(at)
+		}
+		if len(cuts) > 0 {
+			// The first Remove copies the base's survivors out, possibly
+			// more than n of them; the later ones compact them in place.
+			stride = max(n, cr.held-len(cuts[0]))
+		}
+	}
+	flat := make([]uint32, len(c.codes)*stride)
+	for f := range c.codes {
+		col := flat[f*stride : (f+1)*stride]
+		if cr != nil {
+			src := cr.base.codes[f]
+			if len(cuts) == 0 {
+				copy(col, src)
+			}
+			for _, at := range cuts {
+				src = col[:compact(col, src, at)]
+			}
+			clear(col[live:n]) // compaction's leftovers: a foreign record's codes stay zero
+		}
+		c.codes[f] = col[:n:n]
+	}
+	if cr == nil {
+		return 0
+	}
+	c.foreign = slices.Clone(cr.base.foreign)
+	for _, at := range cuts {
+		kept, k := c.foreign[:0], 0
+		for _, i := range c.foreign {
+			for k < len(at) && at[k] < int(i) {
+				k++
+			}
+			if k == len(at) || at[k] != int(i) {
+				kept = append(kept, i-int32(k))
+			}
+		}
+		c.foreign = kept
+	}
+	return live
+}
 
 // dictionaries intern field texts, by field position, for one lineage (a
 // store, its clones, what their Adds and Removes make of them; Restore
@@ -84,8 +154,10 @@ type fieldDict struct {
 	strs []string
 }
 
-// columns returns the coded keys of the layout's records, encoded once per
-// content; hit is false for the caller that encoded them.
+// columns returns the coded keys of the layout's records, built once per
+// content — from the content's carry when it has one of this width — and
+// carried on to its successors; hit is false for the caller that built
+// them.
 func (l *Layout) columns(width int) (cols *columns, hit bool) {
 	cols, hit, _ = Derive(l.src, columnsKey{width}, func(recs []KV) (*columns, error) {
 		t0, ct := time.Now(), l.src.content
@@ -93,47 +165,65 @@ func (l *Layout) columns(width int) (cols *columns, hit bool) {
 		if ct.dicts == nil {
 			ct.dicts = &dictionaries{}
 		}
-		ds := ct.dicts
+		ds, cr := ct.dicts, ct.takeCarry(width)
 		ct.mu.Unlock()
 
-		n := len(recs)
 		c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
-		flat := make([]uint32, width*n)
-		for f := range c.codes {
-			c.codes[f] = flat[f*n : (f+1)*n : (f+1)*n]
-		}
-		ds.mu.Lock()
-		defer ds.mu.Unlock()
-		for len(ds.fields) < width {
-			ds.fields = append(ds.fields, fieldDict{ids: map[string]uint32{}})
-		}
-		for i, r := range recs {
-			key := r.Key
-			if strings.Count(key, KeySep) != width-1 {
-				c.foreign = append(c.foreign, int32(i))
-				continue
-			}
-			for f := range c.codes {
-				field := key // the last one
-				if j := strings.IndexByte(key, KeySep[0]); j >= 0 {
-					field, key = key[:j], key[j+1:]
-				}
-				d := &ds.fields[f]
-				id, ok := d.ids[field]
-				if !ok {
-					id = uint32(len(d.strs))
-					d.ids[field], d.strs = id, append(d.strs, field)
-				}
-				c.codes[f][i] = id
-			}
-		}
-		for f := range c.dict {
-			c.dict[f] = slices.Clip(ds.fields[f].strs)
-		}
-		c.buildS = time.Since(t0).Seconds()
+		live := cr.restore(c, len(recs))
+		ds.encode(c, recs, live)
+		c.encoded, c.buildS = len(recs)-live, time.Since(t0).Seconds()
+		ct.mu.Lock()
+		ct.carry = append(ct.carry, carried{base: c, held: len(recs)})
+		ct.mu.Unlock()
 		return c, nil
 	})
 	return cols, hit
+}
+
+// takeCarry removes the content's carry of this width and returns it (nil
+// when there is none): the columns built from it replace it. Under ct.mu.
+func (ct *content) takeCarry(width int) *carried {
+	for i, c := range ct.carry {
+		if len(c.base.codes) == width {
+			ct.carry = slices.Delete(ct.carry, i, i+1)
+			return &c
+		}
+	}
+	return nil
+}
+
+// encode codes records from on into c, interning the field values the
+// dictionaries lack, and hands c the dictionaries as they then stand.
+func (ds *dictionaries) encode(c *columns, recs []KV, from int) {
+	width := len(c.codes)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	for len(ds.fields) < width {
+		ds.fields = append(ds.fields, fieldDict{ids: map[string]uint32{}})
+	}
+	for i := from; i < len(recs); i++ {
+		key := recs[i].Key
+		if strings.Count(key, KeySep) != width-1 {
+			c.foreign = append(c.foreign, int32(i))
+			continue
+		}
+		for f := range c.codes {
+			field := key // the last one
+			if j := strings.IndexByte(key, KeySep[0]); j >= 0 {
+				field, key = key[:j], key[j+1:]
+			}
+			d := &ds.fields[f]
+			id, ok := d.ids[field]
+			if !ok {
+				id = uint32(len(d.strs))
+				d.ids[field], d.strs = id, append(d.strs, field)
+			}
+			c.codes[f][i] = id
+		}
+	}
+	for f := range c.dict {
+		c.dict[f] = slices.Clip(ds.fields[f].strs)
+	}
 }
 
 // grouper addresses a scan's groups by the kept fields' codes packed into

@@ -247,3 +247,151 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 		t.Fatal("a restored store kept its predecessor's dictionaries")
 	}
 }
+
+// freshEncode is the build without a carry: every one of the store's records
+// encoded through the lineage's dictionaries, as they stand.
+func freshEncode(st *Store, width int) *columns {
+	c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
+	(*carried)(nil).restore(c, len(st.recs))
+	st.content.dicts.encode(c, st.recs, 0)
+	return c
+}
+
+// TestCarriedColumnsMatchFreshEncode runs seeded sequences of writes — Adds
+// of known, brand-new and foreign-width keys, Removes chosen by RandomMover
+// and SimilarMover, a clone writing beside its source, a Restore, and a run
+// of writes long enough to drop the carry — and after every step builds the
+// store's columns the way a Select does. Within the lineage they must equal,
+// bit for bit, a fresh encode of the same records through the same
+// dictionaries, and every code must decode to the record's field.
+func TestCarriedColumnsMatchFreshEncode(t *testing.T) {
+	const width = 3
+	stage := Stage{Exec: Executors{Machines: 2, PerMachine: 2}}
+	similar := SimilarMover{Project: firstField, Dims: "f0"}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := stats.NewRand(seed)
+		newValues := 0
+		key := func() string {
+			switch r := rng.Intn(20); {
+			case r == 0: // foreign: another width
+				return fmt.Sprintf("k%d%sx", rng.Intn(9), KeySep)
+			case r == 1: // a value no dictionary holds yet
+				newValues++
+				return fmt.Sprintf("k%d%snew%d%sh%d", rng.Intn(9), KeySep, newValues, KeySep, rng.Intn(4))
+			default:
+				return fmt.Sprintf("k%d%sc%d%sh%d", rng.Intn(9), KeySep, rng.Intn(5), KeySep, rng.Intn(4))
+			}
+		}
+		add := func(st *Store, n int) {
+			recs := make([]KV, n)
+			for i := range recs {
+				recs[i] = KV{Key: key(), Val: float64(i)}
+			}
+			st.Add(recs...)
+		}
+		remove := func(st *Store, n int) {
+			var sel Selection
+			if rng.Intn(2) == 0 {
+				sel = st.Select(RandomMover{}, st, n, rng)
+			} else {
+				sel = st.Select(similar, DstCells{fmt.Sprintf("k%d", rng.Intn(9)): 1}, n, rng)
+			}
+			if err := st.Remove(sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write := func(st *Store) {
+			if rng.Intn(2) == 0 || len(st.recs) < 40 {
+				add(st, 1+rng.Intn(30))
+			} else {
+				remove(st, 1+rng.Intn(len(st.recs)/8))
+			}
+		}
+		// check builds st's columns and returns how many records the build
+		// encoded.
+		check := func(step string, st *Store) int {
+			t.Helper()
+			l, _, err := st.Layout(stage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := l.columns(width)
+			want := freshEncode(st, width)
+			for f := range want.codes {
+				if !slices.Equal(got.codes[f], want.codes[f]) || !slices.Equal(got.dict[f], want.dict[f]) {
+					t.Fatalf("seed %d, %s: field %d's codes or dictionary differ from a fresh encode's", seed, step, f)
+				}
+			}
+			if !slices.Equal(got.foreign, want.foreign) {
+				t.Fatalf("seed %d, %s: foreign records %v, a fresh encode has %v", seed, step, got.foreign, want.foreign)
+			}
+			foreign := got.foreign
+			for i, r := range st.recs {
+				if len(foreign) > 0 && int(foreign[0]) == i {
+					foreign = foreign[1:]
+					if strings.Count(r.Key, KeySep) == width-1 {
+						t.Fatalf("seed %d, %s: record %d (%q) is marked foreign", seed, step, i, r.Key)
+					}
+					continue
+				}
+				fields := strings.Split(r.Key, KeySep)
+				if len(fields) != width {
+					t.Fatalf("seed %d, %s: foreign record %d (%q) is not marked", seed, step, i, r.Key)
+				}
+				for f, text := range fields {
+					if got.dict[f][got.codes[f][i]] != text {
+						t.Fatalf("seed %d, %s: record %d field %d decodes to %q, not %q", seed, step, i, f, got.dict[f][got.codes[f][i]], text)
+					}
+				}
+			}
+			return got.encoded
+		}
+
+		st := &Store{}
+		add(st, 300)
+		if n := check("first build", st); n != 300 {
+			t.Fatalf("seed %d: the first build encoded %d of 300 records", seed, n)
+		}
+		carriedBuilds := 0
+		for step := 0; step < 40; step++ {
+			name := fmt.Sprintf("step %d", step)
+			for w := rng.Intn(3); w >= 0; w-- {
+				write(st)
+			}
+			if step%10 == 5 {
+				// A clone writes beside its source, then the source writes.
+				cl := st.clone()
+				write(cl)
+				write(cl)
+				check(name+" clone", cl)
+				write(st)
+			}
+			if check(name, st) < len(st.recs) {
+				carriedBuilds++
+			}
+		}
+		if carriedBuilds < 20 {
+			t.Fatalf("seed %d: only %d of 40 builds carried columns", seed, carriedBuilds)
+		}
+
+		// Writes that move more records than the last build described drop
+		// the carry.
+		held := len(st.recs)
+		for moved := 0; moved <= held; moved += 10 {
+			add(st, 5)
+			remove(st, 5)
+		}
+		if n := check("after a long run of writes", st); n != len(st.recs) {
+			t.Fatalf("seed %d: after the carry's drop the build encoded %d of %d records", seed, n, len(st.recs))
+		}
+
+		recs := slices.Clone(st.recs)
+		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		st.Restore(recs)
+		if n := check("after a Restore", st); n != len(recs) {
+			t.Fatalf("seed %d: the build after a Restore encoded %d of %d records", seed, n, len(recs))
+		}
+		write(st)
+		check("after a Restore and a write", st)
+	}
+}

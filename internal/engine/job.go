@@ -262,7 +262,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			}
 			st.keys = newKeyTable(job.q.Combine, job.taskFrac, hint)
 			crossMB := make([]float64, n)
-			var hits, misses, colsHits int
+			var hits, misses, colsHits, encoded int
 			for i := 0; i < n; i++ {
 				inter, raw, mapT, assignT := outs[i].Inter, outs[i].Raw, outs[i].MapTime, outs[i].AssignOverhead
 				if raw > 0 && job.cfg.Obs != nil {
@@ -275,8 +275,11 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				}
 				if outs[i].colsHit {
 					colsHits++
-				} else if outs[i].cols != nil && job.cfg.Obs.WallClock() {
-					job.cfg.Obs.Observe(HistColumnsBuild, outs[i].cols.buildS)
+				} else if outs[i].cols != nil {
+					encoded += outs[i].cols.encoded
+					if job.cfg.Obs.WallClock() {
+						job.cfg.Obs.Observe(HistColumnsBuild, outs[i].cols.buildS)
+					}
 				}
 				mapT *= fs.ComputeFactor(i, clock)
 				st.mapSite[i] = mapT
@@ -310,6 +313,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				if job.q.Select != nil { // looked up wherever a layout was
 					job.cfg.Obs.Count(CounterColumnsHits, float64(colsHits))
 					job.cfg.Obs.Count(CounterColumnsMisses, float64(hits+misses-colsHits))
+					job.cfg.Obs.Count(CounterColumnsEncoded, float64(encoded))
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"bohr/internal/engine"
 	"bohr/internal/sql"
+	"bohr/internal/wan"
 	"bohr/internal/workload"
 )
 
@@ -20,6 +21,10 @@ import (
 //	encode       what the first statement after a write pays once on top:
 //	             splitting the keys of a never-encoded site (new dictionaries,
 //	             the worst case) and counting them
+//	encode-after-batch
+//	             the same after an ingest batch appended 256 records to the
+//	             site: its key columns carry across the write, so the build
+//	             copies the site's codes and encodes the batch's keys alone
 func BenchmarkScanSelect(b *testing.B) {
 	cfg := workload.DefaultConfig(workload.BigDataScan)
 	cfg.Sites, cfg.Datasets, cfg.RowsPerSite, cfg.KeysPerPool, cfg.Seed = 1, 1, 5000, 100, 42
@@ -84,11 +89,11 @@ func BenchmarkScanSelect(b *testing.B) {
 			perRecord(b, len(qs))
 		})
 	}
+	count, err := sql.CompileString("SELECT COUNT(*) FROM "+ds.Name, ds.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("encode", func(b *testing.B) {
-		count, err := sql.CompileString("SELECT COUNT(*) FROM "+ds.Name, ds.Schema)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -98,6 +103,36 @@ func BenchmarkScanSelect(b *testing.B) {
 			}
 			b.StartTimer()
 			fresh.Scan(&count.Query, true)
+		}
+		perRecord(b, 1)
+	})
+	b.Run("encode-after-batch", func(b *testing.B) {
+		top, err := wan.NewTopology([]string{"site"}, []float64{10}, []float64{10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := engine.NewCluster(top, st.Exec.Machines, st.Exec.PerMachine, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Data[0].Add(ds.Name, recs...)
+		layoutOf := func(c *engine.Cluster) *engine.Layout {
+			l, _, err := c.Data[0].Store(ds.Name).Layout(st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return l
+		}
+		layoutOf(c).Scan(&count.Query, true) // the site as the last statement left it
+		batch := recs[len(recs)-256:]
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			next := c.Clone()
+			next.Data[0].Add(ds.Name, batch...)
+			l := layoutOf(next)
+			b.StartTimer()
+			l.Scan(&count.Query, true)
 		}
 		perRecord(b, 1)
 	})

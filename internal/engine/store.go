@@ -50,19 +50,38 @@ type content struct {
 	mu   sync.Mutex
 	memo map[any]*derived
 	// dicts are the key-field dictionaries of the store's lineage
-	// (columns.go): the one thing a content hands its successor.
+	// (columns.go), and carry, per width, the lineage's last key columns and
+	// the writes since: what a content hands its successor, so that the
+	// successor's columns re-encode only what the writes appended.
 	dicts *dictionaries
+	carry []carried
 }
 
-// successor is the content of the store's next record sequence: a new
-// identity, an empty memo, the lineage's dictionaries.
-func (ct *content) successor() *content {
+// successor is the content of the store's next record sequence after a
+// write that appended added records or took the ones at ascending positions
+// removed: a new identity, an empty memo, the lineage's dictionaries, and
+// its carries with the write noted — or dropped, once the writes since their
+// columns were built have moved more records than those columns describe,
+// past which a fresh encode costs no more. Nothing is encoded here: a store
+// is written about twice between reads, and only a read pays for columns.
+func (ct *content) successor(added int, removed []int) *content {
 	if ct == nil {
 		return &content{}
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return &content{dicts: ct.dicts}
+	next := &content{dicts: ct.dicts}
+	for _, c := range ct.carry {
+		if c.moved += added + len(removed); c.moved > c.held {
+			continue
+		}
+		if len(removed) > 0 {
+			// Clipped: a clone writing beside its source extends its own list.
+			c.removes = append(slices.Clip(c.removes), removed)
+		}
+		next.carry = append(next.carry, c)
+	}
+	return next
 }
 
 // derived is one memoized value; once makes concurrent first lookups
@@ -150,13 +169,13 @@ func (s *Store) Add(records ...KV) {
 			s.idx.add(r.Key)
 		}
 	}
-	s.content = s.content.successor()
+	s.content = s.content.successor(len(records), nil)
 }
 
 // Restore replaces the store's records wholesale (a snapshot load); the
 // store takes ownership of the slice. The index is dropped and rebuilt by
-// the next similarity-aware move, and the key dictionaries start over with
-// the next Select.
+// the next similarity-aware move, and the key dictionaries and columns
+// start over with the next Select: nothing is carried.
 func (s *Store) Restore(records []KV) {
 	s.recs = records
 	s.version++
@@ -265,14 +284,22 @@ func (ix *cellIndex) addCell(cell string) int32 {
 
 // remove takes the records at ascending positions out, in place.
 func (ix *cellIndex) remove(at []int) {
-	w, prev := 0, 0
 	for _, i := range at {
 		ix.count[ix.cell[i]]--
-		w += copy(ix.cell[w:], ix.cell[prev:i])
+	}
+	ix.cell = ix.cell[:compact(ix.cell, ix.cell, at)]
+}
+
+// compact copies src without the elements at ascending positions at into
+// dst, keeping their order, and returns how many it wrote. dst may be src:
+// the copy then compacts in place.
+func compact[T any](dst, src []T, at []int) int {
+	w, prev := 0, 0
+	for _, i := range at {
+		w += copy(dst[w:], src[prev:i])
 		prev = i + 1
 	}
-	w += copy(ix.cell[w:], ix.cell[prev:])
-	ix.cell = ix.cell[:w]
+	return w + copy(dst[w:], src[prev:])
 }
 
 // fork is clone for a dry run, with room for extra incoming records; a
@@ -468,7 +495,9 @@ type Selection struct {
 
 	store *Store
 	gen   uint64
-	at    []int // ascending positions of Records in the store
+	// at are the ascending positions of Records in the store; Remove hands
+	// them to the successor content's carry, so they are never modified.
+	at []int
 }
 
 // Select has the mover choose n records (all of them when n exceeds the
@@ -532,6 +561,6 @@ func (s *Store) Remove(sel Selection) error {
 	s.recs = kept
 	s.version++
 	s.gen++
-	s.content = s.content.successor()
+	s.content = s.content.successor(0, sel.at)
 	return nil
 }

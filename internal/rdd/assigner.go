@@ -69,12 +69,9 @@ func balance(assign []int, parts []engine.Partition, executors int) {
 		total += len(parts[i].Records)
 	}
 	// Allow up to 2× the mean load per executor before spilling.
-	cap := 2 * total / executors
-	if cap == 0 {
-		cap = 1
-	}
+	limit := max(2*total/executors, 1)
 	for e := 0; e < executors; e++ {
-		for load[e] > cap && len(members[e]) > 1 {
+		for load[e] > limit && len(members[e]) > 1 {
 			// Spill the smallest member to the least-loaded executor.
 			smallest := 0
 			for mi, pi := range members[e] {

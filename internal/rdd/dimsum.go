@@ -71,7 +71,9 @@ type pairRow struct {
 
 // PairwiseSimilarity estimates the Jaccard similarity between every pair
 // of partitions. Signatures are built once per partition (m hash
-// functions); per pair only a γ-sample of the signature entries is
+// functions; a partition's distinct keys are mixed with them once each,
+// and Overhead still charges every record × m, the modeled cost QCT
+// includes); per pair only a γ-sample of the signature entries is
 // compared, and a pair whose sampled prefix shows no matches at all is
 // skipped after the prefix — DIMSUM's probabilistic pruning mapped onto
 // minhash signatures.
@@ -90,17 +92,20 @@ func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*Similarity
 	if err != nil {
 		return nil, err
 	}
-	keysets := make([][]string, n)
 	totalRecords := 0
-	for i, p := range parts {
-		keys := make([]string, len(p.Records))
-		for r, rec := range p.Records {
-			keys[r] = rec.Key
-		}
-		keysets[i] = keys
+	for _, p := range parts {
 		totalRecords += len(p.Records)
 	}
-	sigs := hasher.SignatureBatch(keysets, 0)
+	// Every key hashed once into one flat slice, a segment per partition.
+	hashes, sets := make([]uint64, 0, totalRecords), make([][]uint64, n)
+	for i, p := range parts {
+		lo := len(hashes)
+		for _, rec := range p.Records {
+			hashes = append(hashes, similarity.KeyHash(rec.Key))
+		}
+		sets[i] = hashes[lo:len(hashes):len(hashes)]
+	}
+	sigs := hasher.SignatureBatch(sets, 0)
 
 	sample := int(float64(m)*cfg.Gamma + 0.5)
 	if sample < 1 {

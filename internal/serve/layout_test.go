@@ -279,3 +279,63 @@ func TestNoStatementNoColumns(t *testing.T) {
 		t.Fatalf("the first statement: %v column misses, %v hits; want %v, 0", counters[engine.CounterColumnsMisses], counters[engine.CounterColumnsHits], holding)
 	}
 }
+
+// TestMissAfterBatchEncodesTheBatch: the first statement after an ingest
+// batch encodes what the batch wrote — its records, and the resident ones
+// forwarded on its arrival, where they landed — not the dataset, because the
+// written sites' key columns carry across the writes. /metrics shows it as
+// engine.columns.encoded.
+func TestMissAfterBatchEncodesTheBatch(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 3, 1000
+	col := obs.NewCollector(obs.WithWallClock())
+	sys := prepareSystem(t, s, col)
+	sys.Obs = col
+	ds := sys.Workload.Datasets[0]
+	backend := NewEngineBackend(sys)
+	ts := httptest.NewServer(New(backend, Config{}, col).Handler())
+	defer ts.Close()
+	counter := func(name string) float64 { return col.MetricsSnapshot().Counters[name] }
+	query := func(nonce int) {
+		t.Helper()
+		st := missStatements(ds.Name, nonce)[1]
+		resp, out := postQuery(t, ts.URL, "alice", st.text)
+		if resp.StatusCode != http.StatusOK || out.Cached {
+			t.Fatalf("%q: status %d, cached %v", st.text, resp.StatusCode, out.Cached)
+		}
+		if err := checkAgainstFold(st, out.Rows, naiveFold(st, ds.Name, sys.Cluster)); err != nil {
+			t.Fatalf("%q: %v", st.text, err)
+		}
+	}
+	stored := func() (n int) {
+		for i := 0; i < sys.Cluster.N(); i++ {
+			n += len(sys.Cluster.Data[i].Records(ds.Name))
+		}
+		return n
+	}
+
+	query(0)
+	if got, want := counter(engine.CounterColumnsEncoded), float64(stored()); got != want {
+		t.Fatalf("the first statement encoded %v records, want all %v", got, want)
+	}
+	const batch = 256
+	var recs []ingest.Record
+	for i := uint64(0); i < batch; i++ {
+		recs = append(recs, liveRecord(sys, "src", 1+i, int(i)%sys.Cluster.N()))
+	}
+	encoded0, forwarded0 := counter(engine.CounterColumnsEncoded), counter("core.ingest.forwarded")
+	if _, err := backend.ApplyBatch(context.Background(), ingest.Batch{Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	if sys.IngestReplans() != 0 {
+		t.Fatal("setup: the batch replanned")
+	}
+	query(1)
+	// Every record of the batch is encoded where it ended up; a resident
+	// record forwarded on arrival is too, at its destination.
+	forwarded := counter("core.ingest.forwarded") - forwarded0
+	if got := counter(engine.CounterColumnsEncoded) - encoded0; got < batch || got > batch+forwarded {
+		t.Fatalf("the statement after a %d-record batch (%v records forwarded) encoded %v of %d stored records",
+			batch, forwarded, got, stored())
+	}
+}

@@ -8,6 +8,7 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"bohr/internal/parallel"
@@ -48,7 +49,7 @@ func NewMinHasher(m int, seed int64) (*MinHasher, error) {
 // M returns the number of hash functions.
 func (h *MinHasher) M() int { return len(h.seeds) }
 
-// FNV-style constants for baseHash's word lanes (the classic FNV prime
+// FNV-style constants for KeyHash's word lanes (the classic FNV prime
 // with two decorrelated offset bases, one per lane).
 const (
 	fnvOffset64  uint64 = 14695981039346656037
@@ -56,17 +57,16 @@ const (
 	fnvPrime64   uint64 = 1099511628211
 )
 
-// baseHash hashes a key once; per-function values are derived by mixing
-// the base hash with each function's seed through a full-avalanche
-// finalizer, which gives a family that is close enough to min-wise
-// independent for Jaccard estimation. Same two-lane SWAR scheme as the
+// KeyHash hashes a key once, the input a signature is computed from;
+// per-function values are derived by mixing it with each function's seed
+// through a full-avalanche finalizer, which gives a family that is close
+// enough to min-wise independent for Jaccard estimation. Same two-lane SWAR scheme as the
 // olap fold's key hash: two independent FNV lanes over alternating
 // 8-byte words (halving the serial xor-multiply dependency chain that
 // dominates a byte-at-a-time FNV), the tail read as one zero-padded
-// word, combined through a murmur-style avalanche. Internal to the
-// signature computation, never persisted, so it only needs to be fast
-// and well mixed — not stable across releases.
-func baseHash(key string) uint64 {
+// word, combined through a murmur-style avalanche. Never persisted, so it
+// only needs to be fast and well mixed — not stable across releases.
+func KeyHash(key string) uint64 {
 	h1, h2 := fnvOffset64, fnvOffset64b
 	n := len(key)
 	j := 0
@@ -113,12 +113,27 @@ func mix64(x uint64) uint64 {
 // Signature computes the minhash signature of a key set. An empty set
 // yields an all-max signature that matches nothing.
 func (h *MinHasher) Signature(keys []string) []uint64 {
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i] = KeyHash(k)
+	}
+	return h.signature(hashes)
+}
+
+// signature is Signature over the keys' hashes, which it sorts in place. A
+// signature is a per-function minimum over a set, and equal hashes mix to
+// equal values, so each distinct hash is mixed with the seeds once: a
+// partition's repeated keys cost a sort step, not m mixes.
+func (h *MinHasher) signature(hashes []uint64) []uint64 {
 	sig := make([]uint64, len(h.seeds))
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
-	for _, k := range keys {
-		b := baseHash(k)
+	slices.Sort(hashes)
+	for j, b := range hashes {
+		if j > 0 && b == hashes[j-1] {
+			continue
+		}
 		for i, s := range h.seeds {
 			if v := mix64(b ^ s); v < sig[i] {
 				sig[i] = v
@@ -128,18 +143,19 @@ func (h *MinHasher) Signature(keys []string) []uint64 {
 	return sig
 }
 
-// SignatureBatch computes the signatures of many key sets through the
-// worker pool (width <= 0 ⇒ parallel.DefaultWidth). Each signature is an
-// independent pure computation and results are merged in index order, so
-// the output is identical at every width — the batch entry point DIMSUM
-// uses.
-func (h *MinHasher) SignatureBatch(keysets [][]string, width int) [][]uint64 {
-	workers := sigTuner.Workers(len(keysets), parallel.Resolve(width))
+// SignatureBatch computes the signatures of many key sets, given as their
+// keys' hashes (KeyHash), through the worker pool (width <= 0 ⇒
+// parallel.DefaultWidth). Each set is sorted in place, so no two may
+// overlap. Each signature is an independent pure computation and
+// results are merged in index order, so the output is identical at every
+// width.
+func (h *MinHasher) SignatureBatch(hashsets [][]uint64, width int) [][]uint64 {
+	workers := sigTuner.Workers(len(hashsets), parallel.Resolve(width))
 	t0 := time.Now()
-	out, _ := parallel.MapOrdered(workers, len(keysets), func(i int) ([]uint64, error) {
-		return h.Signature(keysets[i]), nil
+	out, _ := parallel.MapOrdered(workers, len(hashsets), func(i int) ([]uint64, error) {
+		return h.signature(hashsets[i]), nil
 	})
-	sigTuner.Observe(len(keysets), workers, time.Since(t0))
+	sigTuner.Observe(len(hashsets), workers, time.Since(t0))
 	return out
 }
 
@@ -210,18 +226,4 @@ func WeightedJaccard(x, y map[string]int) float64 {
 		return 0
 	}
 	return num / den
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

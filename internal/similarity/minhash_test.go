@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,31 @@ func TestEmptySetMatchesNothing(t *testing.T) {
 	j, err := EstimateJaccard(empty, empty)
 	if err != nil || j != 0 {
 		t.Fatalf("two empty sets should estimate 0, got %v (%v)", j, err)
+	}
+}
+
+// TestSignatureOfMultisetIsSignatureOfSet: a signature is a function of the
+// set of keys, so repeating keys or reordering them leaves every bit where
+// it was — what lets the kernel mix each distinct key once.
+func TestSignatureOfMultisetIsSignatureOfSet(t *testing.T) {
+	h, _ := NewMinHasher(64, 11)
+	f := func(seed int64) bool {
+		rng := stats.NewRand(seed)
+		var multiset, set []string
+		seen := map[string]bool{}
+		for i := rng.Intn(300); i > 0; i-- {
+			k := fmt.Sprintf("k%d", rng.Intn(40))
+			multiset = append(multiset, k)
+			if !seen[k] {
+				seen[k] = true
+				set = append(set, k)
+			}
+		}
+		rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+		return slices.Equal(h.Signature(multiset), h.Signature(set))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,7 +212,13 @@ func TestSignatureBatchMatchesSignature(t *testing.T) {
 		want[i] = h.Signature(ks)
 	}
 	for _, width := range []int{1, 2, 4, 8} {
-		got := h.SignatureBatch(keysets, width)
+		hashsets := make([][]uint64, len(keysets))
+		for i, ks := range keysets {
+			for _, k := range ks {
+				hashsets[i] = append(hashsets[i], KeyHash(k))
+			}
+		}
+		got := h.SignatureBatch(hashsets, width)
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
