@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt-check ctxcheck race determinism fuzz-short golden bench bench-smoke crash
+.PHONY: all build test check vet fmt-check ctxcheck docnames race determinism fuzz-short golden bench bench-smoke crash
 
 all: build
 
@@ -41,14 +41,17 @@ test:
 # goroutines planning two clones of one
 # snapshot (placement), the query-miss statements against a naive fold
 # across ingest, replan and Remove, and a batch's next miss encoding the
-# batch alone (TestMissAfterBatchEncodesTheBatch) (serve), the key indexer's property test
-# (workload), a compiled statement's coded scan against the reference
+# batch alone (TestMissAfterBatchEncodesTheBatch) (serve), the key
+# projection's differential against split-pick-join (TestViewKeyAgreesWithSplit,
+# engine) and the generated queries' dims against their Views (workload),
+# a compiled statement's coded scan against the reference
 # closure and a naive fold (sql), and the LP solver against its reference
 # (refSolve) with the certificate tests and TestSolvePlacementAllocs, whose
 # second input is BenchmarkSolvePlacement10Sites20Datasets's (lp). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
-# coverage floor nothing else in check sees.
-check: vet fmt-check ctxcheck race fuzz-short determinism bench-smoke
+# coverage floor nothing else in check sees. docnames fails on a test,
+# benchmark or fuzz target the documents name that no _test.go defines.
+check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -58,6 +61,9 @@ vet:
 # but that do not take a leading context.Context. See cmd/ctxcheck.
 ctxcheck:
 	$(GO) run ./cmd/ctxcheck
+
+docnames:
+	$(GO) test -run '^TestDocNamesExist$$' -count=1 .
 
 fmt-check:
 	@out=$$(gofmt -l .); \

@@ -279,7 +279,7 @@ func runSQL(sys *core.System, w *workload.Workload, text string) error {
 		limit = 20
 	}
 	for _, kv := range rows[:limit] {
-		fmt.Printf("%-50s %v\n", strings.ReplaceAll(kv.Key, "\x1f", "|"), kv.Val)
+		fmt.Printf("%-50s %v\n", strings.Join(workload.SplitKey(kv.Key), "|"), kv.Val)
 	}
 	if len(rows) > limit {
 		fmt.Printf("... (%d more rows)\n", len(rows)-limit)

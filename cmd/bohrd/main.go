@@ -382,7 +382,7 @@ func runLoad(args []string) error {
 
 	var records []engine.KV
 	err := scanCSV(in, schemaDims, func(coords []string, val float64) error {
-		records = append(records, engine.KV{Key: strings.Join(coords, "\x1f"), Val: val})
+		records = append(records, engine.KV{Key: strings.Join(coords, engine.KeySep), Val: val})
 		return nil
 	})
 	if err != nil {
@@ -508,7 +508,7 @@ func runQuery(args []string) error {
 		limit = 20
 	}
 	for _, kv := range res.Output[:limit] {
-		fmt.Printf("%-40s %v\n", strings.ReplaceAll(kv.Key, "\x1f", "|"), kv.Val)
+		fmt.Printf("%-40s %v\n", strings.ReplaceAll(kv.Key, engine.KeySep, "|"), kv.Val)
 	}
 	if len(res.Output) > limit {
 		fmt.Printf("... (%d more rows)\n", len(res.Output)-limit)

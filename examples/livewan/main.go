@@ -61,7 +61,7 @@ func startSites() (*netio.Controller, []*netio.Worker, error) {
 				url = fmt.Sprintf("%s-u%03d", site.Name, rng.Intn(150))
 			}
 			recs[r] = engine.KV{
-				Key: url + "\x1f" + []string{"US", "JP", "DE"}[rng.Intn(3)],
+				Key: url + engine.KeySep + []string{"US", "JP", "DE"}[rng.Intn(3)],
 				Val: rng.Float64() * 10,
 			}
 		}

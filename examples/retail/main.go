@@ -86,7 +86,7 @@ func run() error {
 			limit = 4
 		}
 		for _, kv := range rows[:limit] {
-			fmt.Printf("  %-30s %.1f\n", strings.ReplaceAll(kv.Key, "\x1f", " | "), kv.Val)
+			fmt.Printf("  %-30s %.1f\n", strings.Join(workload.SplitKey(kv.Key), " | "), kv.Val)
 		}
 		fmt.Println()
 	}

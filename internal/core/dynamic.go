@@ -77,9 +77,7 @@ type DynamicReport struct {
 // and at the engine's chunk boundaries below them.
 func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID,
 	dyn DynamicConfig, options ...Option) (*DynamicReport, error) {
-	rc := resolve(options)
-	defer rc.apply()()
-	opts := rc.placement
+	opts := resolve(options)
 	if err := dyn.validate(); err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 					ErrBadArrival, a.Dataset, i, len(r.Coords), ds.Schema.NumDims())
 			}
 			for j, c := range r.Coords {
-				if strings.ContainsRune(c, '\x1f') {
+				if strings.Contains(c, engine.KeySep) {
 					return false, fmt.Errorf("%w: %q row %d coord %d contains reserved separator",
 						ErrBadArrival, a.Dataset, i, j)
 				}

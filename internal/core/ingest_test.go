@@ -182,7 +182,7 @@ func TestIngestBatchValidatesAllOrNothing(t *testing.T) {
 		"wrong dims": {Dataset: ds.Name, Site: 0,
 			Rows: []olap.Row{{Coords: []string{"only-one"}, Measure: 1}}},
 		"reserved separator": {Dataset: ds.Name, Site: 0,
-			Rows: []olap.Row{{Coords: append([]string{"a\x1fb"},
+			Rows: []olap.Row{{Coords: append([]string{workload.JoinKey([]string{"a", "b"})},
 				liveRows(ds, 1)[0].Coords[1:]...), Measure: 1}}},
 	} {
 		_, err := sys.IngestBatch(context.Background(), []Arrival{good, bad})

@@ -139,11 +139,9 @@ func (s *System) Report() *Report {
 // (planning, movement) and at the engine's chunk boundaries, so a
 // deadline or cancellation stops the pipeline within one stage. Options
 // configure placement (WithPlacement adopts a whole placement.Options
-// struct) and the pool width.
+// struct).
 func Run(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opts ...Option) (*Report, error) {
-	rc := resolve(opts)
-	defer rc.apply()()
-	sys, err := New(c, w, scheme, rc.placement)
+	sys, err := New(c, w, scheme, resolve(opts))
 	if err != nil {
 		return nil, err
 	}

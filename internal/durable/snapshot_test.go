@@ -20,7 +20,7 @@ import (
 // hostileKeys and hostileVals are what a text codec gets wrong: the
 // image must carry them bit for bit.
 var (
-	hostileKeys = []string{"", "a|b", "a\x1fb", "100%", "line\nbreak", "\xff\xfe not utf-8", strings.Repeat("k", 100)}
+	hostileKeys = []string{"", "a|b", "a" + engine.KeySep + "b", "100%", "line\nbreak", "\xff\xfe not utf-8", strings.Repeat("k", 100)}
 	hostileVals = []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0x7ff8000000000123), math.SmallestNonzeroFloat64}
 )

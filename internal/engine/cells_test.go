@@ -10,8 +10,8 @@ import (
 	"bohr/internal/wan"
 )
 
-// outerFields projects a three-field key onto its first and last fields:
-// not a substring of the key, so the projection joins.
+// outerFields is what NewView(3, 0, 2) makes of a three-field key: not a
+// substring of the key, so the projection joins.
 func outerFields(key string) string {
 	f := strings.Split(key, KeySep)
 	return f[0] + KeySep + f[2]
@@ -50,10 +50,10 @@ func TestCellCountsMatchOlapCube(t *testing.T) {
 					u := rng.Float64()
 					a, b = int(12*u*u), rng.Intn(3)
 				}
-				c.Data[site].Add("d", KV{Key: fmt.Sprintf("a%d\x1fx%d\x1fb%d", a, r, b), Val: 1})
+				c.Data[site].Add("d", KV{Key: fmt.Sprintf("a%[1]d%[4]sx%[2]d%[4]sb%[3]d", a, r, b, KeySep), Val: 1})
 			}
 		}
-		mover := SimilarMover{Project: outerFields, Dims: "f0,f2", DstTopK: trial % 5}
+		mover := SimilarMover{View: NewView(3, 0, 2), DstTopK: trial % 5}
 		if moved {
 			specs := []MoveSpec{
 				{Dataset: "d", Src: 0, Dst: 1, MB: c.MB(60)},
@@ -67,7 +67,7 @@ func TestCellCountsMatchOlapCube(t *testing.T) {
 		for site := 0; site < c.N(); site++ {
 			name := fmt.Sprintf("trial %d site %d", trial, site)
 			st := c.Data[site].Store("d")
-			cells, _ := st.Cells(mover.Dims, mover.Project)
+			cells, _ := st.Cells(mover.View)
 			rows := make([]olap.Row, 0, len(st.Records()))
 			for _, r := range st.Records() {
 				rows = append(rows, olap.Row{Coords: strings.Split(outerFields(r.Key), KeySep), Measure: r.Val})

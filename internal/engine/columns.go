@@ -10,23 +10,14 @@ import (
 	"time"
 )
 
-// KeySep separates the fields of a record key (workload.JoinKey writes it);
-// a field never contains it.
-const KeySep = "\x1f"
-
-// GroupAll is the group key of a Select that keeps no field.
-const GroupAll = "<all>"
-
 // Select is a map function the engine can read: emit each record whose key
-// fields pass every conjunct under its Keep fields, joined by KeySep in
-// that order (GroupAll when there are none). A key that does not have
-// Fields fields — the width the statement was compiled for — is foreign:
-// dropped when there is a Where, emitted under its full key when only Keep
-// is set, under GroupAll otherwise.
+// fields pass every conjunct under View.Key of its key. A key that does not
+// have the View's width — the one the statement was compiled for — is
+// foreign: dropped when there is a Where, else projected as View.Key leaves
+// it (its full key, or GroupAll when the View keeps no field).
 type Select struct {
-	Fields int
-	Where  []Cond
-	Keep   []int
+	View  View
+	Where []Cond
 }
 
 // Cond is one conjunct: Pass, a pure function, decides on the text of field
@@ -37,13 +28,17 @@ type Cond struct {
 }
 
 func (sel *Select) validate(query string) error {
-	fields := slices.Clone(sel.Keep)
+	width := sel.View.Width()
+	if width < 1 {
+		return fmt.Errorf("engine: query %q selects from keys of %d fields", query, width)
+	}
+	fields := sel.View.Keep()
 	for _, c := range sel.Where {
 		fields = append(fields, c.Field)
 	}
 	for _, f := range fields {
-		if f < 0 || f >= sel.Fields {
-			return fmt.Errorf("engine: query %q reads field %d of keys of %d fields", query, f, sel.Fields)
+		if f < 0 || f >= width {
+			return fmt.Errorf("engine: query %q reads field %d of keys of %d fields", query, f, width)
 		}
 	}
 	return nil
@@ -317,8 +312,9 @@ func (g *grouper) key(recs []KV, i int) string {
 // opens. Records fold in record order and groups come out in first-emit
 // order per executor: the equivalent MapFn's result, bit for bit (DESIGN.md
 // §14).
-func (l *Layout) scanSelect(cols *columns, q *Query, countOnly bool) StageResult {
+func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 	sel, recs, op := q.Select, l.src.recs, q.Combine
+	keep := sel.View.Keep()
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	type test struct {
 		codes []uint32
@@ -339,13 +335,13 @@ func (l *Layout) scanSelect(cols *columns, q *Query, countOnly bool) StageResult
 	for i := range l.execs {
 		share = max(share, l.execs[i].records)
 	}
-	g := newGrouper(cols, sel.Keep, share)
+	g := newGrouper(cols, keep, share)
 	// Groups go by name when their tuples do not pack, and when foreign keys
 	// are grouped: a foreign key's full text may spell what a kept
 	// projection of another key spells, and the two are one group.
 	foreign, filtered := cols.foreign, len(sel.Where) > 0
 	var names map[string]int32
-	if !g.packs || (len(foreign) > 0 && len(sel.Keep) > 0 && !filtered) {
+	if !g.packs || (len(foreign) > 0 && len(keep) > 0 && !filtered) {
 		names = map[string]int32{}
 	}
 	additive := op == OpSum || op == OpCount // the common folds skip a call
@@ -392,13 +388,10 @@ func (l *Layout) scanSelect(cols *columns, q *Query, countOnly bool) StageResult
 					groups++
 					if names != nil {
 						names[key] = groups
-					} else if *slot = groups; !countOnly {
-						key = g.key(recs, i)
+					} else {
+						*slot, key = groups, g.key(recs, i)
 					}
-					if !countOnly {
-						res.Inter = append(res.Inter, KV{Key: key, Val: op.initial(recs[i].Val)})
-					}
-				case countOnly:
+					res.Inter = append(res.Inter, KV{Key: key, Val: op.initial(recs[i].Val)})
 				case additive:
 					res.Inter[ord-1].Val += op.initial(recs[i].Val)
 				default:
@@ -408,6 +401,5 @@ func (l *Layout) scanSelect(cols *columns, q *Query, countOnly bool) StageResult
 		}
 		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
-	res.Count = int(groups)
 	return res
 }

@@ -19,7 +19,7 @@ import (
 func selectQuery(dataset string) (sel, fn Query) {
 	notC0 := func(s string) bool { return s != "c0" }
 	sel = Query{Name: "sel", Dataset: dataset, Combine: OpSum, MapCost: DefaultMapCost, ReduceCost: DefaultReduceCost,
-		Select: &Select{Fields: 2, Where: []Cond{{Field: 1, Pass: notC0}}, Keep: []int{0}}}
+		Select: &Select{View: NewView(2, 0), Where: []Cond{{Field: 1, Pass: notC0}}}}
 	fn = sel
 	fn.Select = nil
 	fn.Map = func(r KV, emit func(string, float64)) {
@@ -62,15 +62,16 @@ func keysOf(recs []KV) []string {
 
 func TestQueryValidateSelect(t *testing.T) {
 	pass := func(string) bool { return true }
-	ok := Query{Name: "q", Dataset: "d", Select: &Select{Fields: 2, Where: []Cond{{Field: 1, Pass: pass}}, Keep: []int{1, 0}}}
+	ok := Query{Name: "q", Dataset: "d", Select: &Select{View: NewView(2, 1, 0), Where: []Cond{{Field: 1, Pass: pass}}}}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(q *Query){
 		"both Map and Select": func(q *Query) { q.Map = func(KV, func(string, float64)) {} },
 		"iterated":            func(q *Query) { q.Iterations = 2 },
-		"conjunct past width": func(q *Query) { q.Select = &Select{Fields: 2, Where: []Cond{{Field: 2, Pass: pass}}} },
-		"keep past width":     func(q *Query) { q.Select = &Select{Fields: 2, Keep: []int{-1}} },
+		"conjunct past width": func(q *Query) { q.Select = &Select{View: NewView(2), Where: []Cond{{Field: 2, Pass: pass}}} },
+		"keep past width":     func(q *Query) { q.Select = &Select{View: NewView(2, -1)} },
+		"no width":            func(q *Query) { q.Select = &Select{} },
 	} {
 		q := ok
 		mutate(&q)
@@ -210,7 +211,7 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	}
 	scan, _ := selectQuery("d")
 	scan.Select = nil
-	if l, _, _ := st.Layout(stage); l.Scan(&scan, false).Raw != 200 || st.content.dicts != nil {
+	if l, _, _ := st.Layout(stage); l.Scan(&scan).Raw != 200 || st.content.dicts != nil {
 		t.Fatal("an identity scan allocated dictionaries (or did not read the 200 records)")
 	}
 	before := colsOf(st)
@@ -267,7 +268,7 @@ func freshEncode(st *Store, width int) *columns {
 func TestCarriedColumnsMatchFreshEncode(t *testing.T) {
 	const width = 3
 	stage := Stage{Exec: Executors{Machines: 2, PerMachine: 2}}
-	similar := SimilarMover{Project: firstField, Dims: "f0"}
+	similar := SimilarMover{View: NewView(width, 0)}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := stats.NewRand(seed)
 		newValues := 0

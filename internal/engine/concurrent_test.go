@@ -233,18 +233,6 @@ func TestProfileIntermediateMatchesRun(t *testing.T) {
 	}
 }
 
-func TestMapCostScaleStillWorks(t *testing.T) {
-	c := testCluster(t)
-	for i := 0; i < 1000; i++ {
-		c.Data[0].Add("d", KV{Key: fmt.Sprintf("k%d", i), Val: 1})
-	}
-	base, _ := c.Run(context.Background(), JobConfig{Query: ScanQuery("s", "d")})
-	scaled, _ := c.Run(context.Background(), JobConfig{Query: ScanQuery("s", "d"), MapCostScale: 0.5})
-	if math.Abs(scaled.Rounds[0].MapTime-base.Rounds[0].MapTime/2) > 1e-12 {
-		t.Fatalf("map scale 0.5: %v vs base %v", scaled.Rounds[0].MapTime, base.Rounds[0].MapTime)
-	}
-}
-
 // countingAssigner is round-robin that counts its calls: one per machine
 // per layout built.
 type countingAssigner struct{ calls *atomic.Int64 }

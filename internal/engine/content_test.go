@@ -26,7 +26,7 @@ func slackStore(t *testing.T, n, drop int) *Store {
 	t.Helper()
 	st := &Store{}
 	for i := 0; i < n; i++ {
-		st.Add(KV{Key: fmt.Sprintf("k%d\x1fc%d", i%7, i%3), Val: float64(i)})
+		st.Add(KV{Key: fmt.Sprintf("k%d%sc%d", i%7, KeySep, i%3), Val: float64(i)})
 	}
 	if err := st.Remove(st.Select(RandomMover{}, st, drop, stats.NewRand(1))); err != nil {
 		t.Fatal(err)
@@ -37,10 +37,11 @@ func slackStore(t *testing.T, n, drop int) *Store {
 	return st
 }
 
-// firstField is the projection of the tests' similarity-aware view.
-func firstField(key string) string { return key[:strings.IndexByte(key, '\x1f')] }
+// firstField is what the tests' similarity-aware view, fieldView, makes of
+// their two-field keys.
+func firstField(key string) string { return key[:strings.Index(key, KeySep)] }
 
-var fieldView = cellView{dims: "f0", project: firstField}
+var fieldView = NewView(2, 0)
 
 // liveCells returns the store's cell counts as its index has them.
 func liveCells(st *Store) map[string]int {
@@ -78,8 +79,8 @@ func checkStore(t *testing.T, name string, st *Store, want []KV) {
 // both orders: neither may see the other's records, cell counts or memo,
 // and every mutation must yield a fresh content.
 func TestStoreCloneAliasing(t *testing.T) {
-	extraA := []KV{{Key: "k1\x1fa", Val: 1}, {Key: "new\x1fa", Val: 2}}
-	extraB := []KV{{Key: "k2\x1fb", Val: 3}}
+	extraA := []KV{{Key: "k1" + KeySep + "a", Val: 1}, {Key: "new" + KeySep + "a", Val: 2}}
+	extraB := []KV{{Key: "k2" + KeySep + "b", Val: 3}}
 	type mutation struct {
 		name  string
 		apply func(t *testing.T, st *Store, want []KV) []KV
@@ -91,7 +92,7 @@ func TestStoreCloneAliasing(t *testing.T) {
 		}}
 	}
 	remove := mutation{"remove", func(t *testing.T, st *Store, want []KV) []KV {
-		sel := st.Select(SimilarMover{Project: firstField, Dims: "f0"}, DstCells{"k3": 1}, 5, nil)
+		sel := st.Select(SimilarMover{View: fieldView}, DstCells{"k3": 1}, 5, nil)
 		if err := st.Remove(sel); err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +160,11 @@ func TestStoreContentFreshOnEveryMutation(t *testing.T) {
 		t.Fatal("an empty store has no content to memoize on")
 	}
 	mutations := map[string]func(){
-		"add":     func() { st.Add(KV{Key: "a\x1fb", Val: 1}) },
+		"add":     func() { st.Add(KV{Key: "a" + KeySep + "b", Val: 1}) },
 		"remove":  func() { _ = st.Remove(st.Select(RandomMover{}, st, 1, stats.NewRand(1))) },
 		"restore": func() { st.Restore(slices.Clone(st.Records())) },
 	}
-	st.Add(KV{Key: "a\x1fb", Val: 1}, KV{Key: "c\x1fd", Val: 2})
+	st.Add(KV{Key: "a" + KeySep + "b", Val: 1}, KV{Key: "c" + KeySep + "d", Val: 2})
 	for _, name := range []string{"add", "remove", "restore"} {
 		if _, hit, _ := Derive(st, countKey{}, countRecords); hit {
 			t.Fatalf("before %s: first lookup hit", name)
@@ -244,7 +245,7 @@ func TestClusterCloneAllocsIndependentOfRecords(t *testing.T) {
 		for i := 0; i < c.N(); i++ {
 			for _, ds := range []string{"x", "y"} {
 				for r := 0; r < records; r++ {
-					c.Data[i].Add(ds, KV{Key: fmt.Sprintf("k%d\x1fc", r%50), Val: 1})
+					c.Data[i].Add(ds, KV{Key: fmt.Sprintf("k%d%sc", r%50, KeySep), Val: 1})
 				}
 			}
 		}

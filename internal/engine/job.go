@@ -30,9 +30,6 @@ type JobConfig struct {
 	// ExtraQCT is added to the final QCT: the paper includes LP solving
 	// and RDD-similarity checking time in measured QCT (§8.5).
 	ExtraQCT float64
-	// MapCostScale scales the query's per-record map cost (generic knob;
-	// zero means 1).
-	MapCostScale float64
 	// CubeInput models OLAP-cube storage: the cube holds pre-aggregated
 	// cells, so scanning costs one map operation per *distinct* key
 	// rather than per raw record (the Iridium-C vs Iridium gain of §8.2).
@@ -131,9 +128,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			return nil, err
 		}
 		q := cfg.Query
-		if cfg.MapCostScale > 0 {
-			q.MapCost *= cfg.MapCostScale
-		}
 		taskFrac := cfg.TaskFrac
 		if taskFrac == nil {
 			taskFrac = UplinkProportional(c.Top)
@@ -245,9 +239,9 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
 				}
 				if sel := job.q.Select; sel != nil {
-					out.cols, out.colsHit = l.columns(sel.Fields)
+					out.cols, out.colsHit = l.columns(sel.View.Width())
 				}
-				out.StageResult = l.Scan(&job.q, false)
+				out.StageResult = l.Scan(&job.q)
 				return out, nil
 			})
 			if err != nil {
@@ -578,14 +572,14 @@ func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
 
 // StageResult is what one site's map→combine stage produced.
 type StageResult struct {
-	// Inter holds the post-combiner records (nil when counting only):
-	// executors in (machine, executor) order, each executor's groups in
-	// first-emit order. Records are NOT combined across executors — exactly
-	// the inefficiency §6's RDD similarity clustering reduces.
+	// Inter holds the post-combiner records: executors in (machine,
+	// executor) order, each executor's groups in first-emit order. Records
+	// are NOT combined across executors — exactly the inefficiency §6's RDD
+	// similarity clustering reduces.
 	Inter []KV
-	// Count is the number of post-combiner records; Raw the pre-combiner
-	// emitted total, the denominator of the combiner reduction ratio.
-	Count, Raw int
+	// Raw is the pre-combiner emitted total, the denominator of the
+	// combiner reduction ratio.
+	Raw int
 	// MapTime is the modeled time of the slowest executor; AssignOverhead
 	// the largest per-machine assignment overhead.
 	MapTime, AssignOverhead float64
@@ -595,28 +589,24 @@ type StageResult struct {
 // implementation the simulated engine and the live netio worker both
 // run: stream each executor's partitions in place through q.Map into
 // that executor's combiner. Nothing is copied per record, so a scan
-// allocates for the groups it opens, not the records it reads. countOnly
-// asks for Count alone: nothing is folded, kept or ordered.
+// allocates for the groups it opens, not the records it reads.
 //
 // The combiner keeps groups in first-emit order instead of sorting them.
 // One key appears at most once per executor, so a reducer still meets each
 // key's partials in (site, machine, executor) order: every reduced sum and
 // every modeled time is bit-identical to a sorting combiner's, at any pool
 // width (DESIGN.md §14).
-func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
+func (l *Layout) Scan(q *Query) StageResult {
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	if len(l.execs) == 0 {
 		return res
 	}
 	if q.Select != nil {
-		cols, _ := l.columns(q.Select.Fields)
-		return l.scanSelect(cols, q, countOnly)
+		cols, _ := l.columns(q.Select.View.Width())
+		return l.scanSelect(cols, q)
 	}
 	cb := newCombiner(q.Combine)
-	emit := cb.emit
-	if countOnly {
-		emit = cb.count
-	}
+	emit := cb.emit // one method value for the whole scan
 	for i := range l.execs {
 		ex := &l.execs[i]
 		cb.next()
@@ -632,7 +622,7 @@ func (l *Layout) Scan(q *Query, countOnly bool) StageResult {
 		// Machines and executors run in parallel.
 		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
-	res.Inter, res.Count, res.Raw = cb.out, cb.groups, cb.raw
+	res.Inter, res.Raw = cb.out, cb.raw
 	return res
 }
 

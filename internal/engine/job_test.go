@@ -141,8 +141,8 @@ func TestRunScanCorrectness(t *testing.T) {
 
 func TestRunAggregationGroups(t *testing.T) {
 	c := testCluster(t)
-	c.Data[0].Add("ds", KV{"us:a", 1}, KV{"us:b", 2}, KV{"eu:c", 4})
-	q := AggregationQuery("agg", "ds", func(k string) string { return k[:2] })
+	c.Data[0].Add("ds", KV{"us" + KeySep + "a", 1}, KV{"us" + KeySep + "b", 2}, KV{"eu" + KeySep + "c", 4})
+	q := AggregationQuery("agg", "ds", NewView(2, 0))
 	res, err := c.Run(context.Background(), JobConfig{Query: q})
 	if err != nil {
 		t.Fatal(err)

@@ -84,9 +84,7 @@ type combiner struct {
 	op   CombineOp
 	slot map[string]int32 // key → index in out, current executor's groups only
 	out  []KV
-	// groups and raw count the groups opened and the records emitted over
-	// the combiner's lifetime; groups == len(out) unless counting only.
-	groups, raw int
+	raw  int // records emitted over the combiner's lifetime
 }
 
 func newCombiner(op CombineOp) *combiner {
@@ -103,17 +101,6 @@ func (c *combiner) emit(key string, val float64) {
 	}
 	c.slot[key] = int32(len(c.out))
 	c.out = append(c.out, KV{Key: key, Val: v})
-	c.groups++
-}
-
-// count is emit for a caller that wants only the number of groups: no
-// value is folded and no record is kept.
-func (c *combiner) count(key string, _ float64) {
-	c.raw++
-	if _, ok := c.slot[key]; !ok {
-		c.slot[key] = 0
-		c.groups++
-	}
 }
 
 // next starts the next executor: its groups are independent of the ones

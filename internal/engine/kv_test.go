@@ -30,7 +30,7 @@ func TestCombineCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := l.Scan(&Query{Combine: OpCount}, false).Inter
+	out := l.Scan(&Query{Combine: OpCount}).Inter
 	if len(out) != 1 || out[0].Val != 3 {
 		t.Fatalf("count = %+v", out)
 	}
@@ -72,7 +72,7 @@ func TestKeyCountsAndDistinct(t *testing.T) {
 	recs := []KV{{"a", 1}, {"a", 2}, {"b", 3}}
 	// Key counts live in the store's cell index, maintained by Add.
 	st := &Store{}
-	ix := st.index(cellView{})
+	ix := st.index(View{})
 	st.Add(recs...)
 	if ix.count[ix.ids["a"]] != 2 || ix.count[ix.ids["b"]] != 1 {
 		t.Fatalf("cell counts = %v over %v", ix.count, ix.keys)

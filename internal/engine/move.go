@@ -49,27 +49,19 @@ func (RandomMover) pick(_ DstView, size int, _ DstView, n int, rng *rand.Rand) [
 // most combinable cells — the cube here being the cell index the source
 // and destination stores maintain for the mover's projection.
 type SimilarMover struct {
-	// Project maps a stored key into the attribute space the dominant
-	// query type combines on (the dimension-cube view of §4.1). nil keeps
-	// full keys.
-	Project func(string) string
-	// Dims identifies Project — a func cannot be compared — so a store
-	// can tell whether the index it keeps was built for this mover's
-	// projection: movers of one dataset with equal Dims must project
-	// identically. The planner passes the dominant dimension list.
-	Dims string
+	// View projects a stored key into the attribute space the dominant
+	// query type combines on (the dimension-cube view of §4.1); the zero
+	// View keeps full keys. A store keeps its cell index for one View.
+	View View
 	// DstTopK bounds what the mover knows about the destination: only the
 	// destination's DstTopK largest (projected) cells — what its probe
 	// carried (§4.2). Zero means full knowledge.
 	DstTopK int
 }
 
-func (m SimilarMover) view() cellView { return cellView{dims: m.Dims, project: m.Project} }
-
 func (m SimilarMover) pick(src DstView, _ int, dst DstView, n int, _ *rand.Rand) []int {
-	view := m.view()
-	ix := src.index(view)
-	dstCount := dst.index(view).known(m.DstTopK)
+	ix := src.index(m.View)
+	dstCount := dst.index(m.View).known(m.DstTopK)
 	// Order cells for maximum combining benefit per moved megabyte.
 	// Destination-shared cells move first: their records vanish into
 	// existing destination cells, and within that class smaller source

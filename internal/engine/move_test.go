@@ -336,13 +336,17 @@ func TestStoreMovesMatchReference(t *testing.T) {
 	const sites = 3
 	prefix := func(fields int) func(string) string {
 		return func(k string) string {
-			return strings.Join(strings.SplitN(k, "|", fields+1)[:fields], "|")
+			return strings.Join(strings.SplitN(k, KeySep, fields+1)[:fields], KeySep)
 		}
 	}
-	movers := []SimilarMover{
-		{}, {DstTopK: 1}, {DstTopK: 500},
-		{Project: prefix(2), Dims: "a,b"}, {Project: prefix(2), Dims: "a,b", DstTopK: 1},
-		{Project: prefix(2), Dims: "a,b", DstTopK: 3}, {Project: prefix(1), Dims: "a", DstTopK: 2},
+	// Each mover beside the reference's projection of its view.
+	movers := []struct {
+		SimilarMover
+		project func(string) string
+	}{
+		{SimilarMover{}, nil}, {SimilarMover{DstTopK: 1}, nil}, {SimilarMover{DstTopK: 500}, nil},
+		{SimilarMover{View: NewView(3, 0, 1)}, prefix(2)}, {SimilarMover{View: NewView(3, 0, 1), DstTopK: 1}, prefix(2)},
+		{SimilarMover{View: NewView(3, 0, 1), DstTopK: 3}, prefix(2)}, {SimilarMover{View: NewView(3, 0), DstTopK: 2}, prefix(1)},
 	}
 	// pair is one cluster and its model; clones join the list and diverge.
 	type pair struct {
@@ -356,7 +360,7 @@ func TestStoreMovesMatchReference(t *testing.T) {
 			out := make([]KV, n)
 			for i := range out {
 				serial++ // distinct values tell records of one key apart
-				out[i] = KV{Key: fmt.Sprintf("a%d|b%d|c%d", rng.Intn(3), rng.Intn(4), rng.Intn(6)), Val: serial}
+				out[i] = KV{Key: fmt.Sprintf("a%[1]d%[4]sb%[2]d%[4]sc%[3]d", rng.Intn(3), rng.Intn(4), rng.Intn(6), KeySep), Val: serial}
 			}
 			return out
 		}
@@ -396,18 +400,20 @@ func TestStoreMovesMatchReference(t *testing.T) {
 				}
 				var mover Mover = RandomMover{}
 				var sm SimilarMover
+				var project func(string) string
 				similar := rng.Intn(4) > 0
 				if similar {
-					sm = movers[rng.Intn(len(movers))]
+					m := movers[rng.Intn(len(movers))]
+					sm, project = m.SimilarMover, m.project
 					mover = sm
 				}
-				what = fmt.Sprintf("move %d %d→%d %T dims=%q topK=%d", n, src, dst, mover, sm.Dims, sm.DstTopK)
+				what = fmt.Sprintf("move %d %d→%d %T view=%v topK=%d", n, src, dst, mover, sm.View, sm.DstTopK)
 				moveSeed := rng.Int63()
 				res, err := p.c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: src, Dst: dst, MB: mb}}, mover, stats.NewRand(moveSeed))
 				if err != nil {
 					t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
 				}
-				moved, kept := refSelect(p.ref[src], p.ref[dst], similar, sm.Project, sm.DstTopK, n, stats.NewRand(moveSeed))
+				moved, kept := refSelect(p.ref[src], p.ref[dst], similar, project, sm.DstTopK, n, stats.NewRand(moveSeed))
 				if res.Records != len(moved) {
 					t.Fatalf("seed %d step %d (%s): moved %d records, reference %d", seed, step, what, res.Records, len(moved))
 				}
@@ -449,10 +455,7 @@ func TestStoreMovesMatchReference(t *testing.T) {
 					}
 					recount := make([]int, len(ix.count))
 					for r, rec := range st.recs {
-						cell := rec.Key
-						if ix.view.project != nil {
-							cell = ix.view.project(cell)
-						}
+						cell := ix.view.Key(rec.Key)
 						if ix.keys[ix.cell[r]] != cell {
 							t.Fatalf("%s: record %d is in cell %q, projects to %q", at, r, ix.keys[ix.cell[r]], cell)
 						}

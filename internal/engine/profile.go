@@ -6,14 +6,14 @@ import (
 	"slices"
 )
 
-// Profile counts at each site what Layout.Scan(q, true) counts under
+// Profile counts at each site the records Layout.Scan(q) puts out under
 // Stage{Exec} — now, or after a move list — on the stores' cell columns,
 // exactly for a map under which a cell's records emit the same keys
 // (DESIGN.md §15). Not safe for concurrent use.
 type Profile struct {
 	c       *Cluster
 	dataset string
-	view    cellView
+	view    View
 	mapFn   MapFn
 	collect func(key string, _ float64)
 	ids     map[string]int32 // emitted key → id
@@ -36,9 +36,9 @@ type column struct {
 type keySpan struct{ lo, hi int32 }
 
 // NewProfile profiles the map function mapFn (nil = identity) over the
-// dataset, in the view dims and project name as SimilarMover's do.
-func NewProfile(c *Cluster, dataset string, mapFn MapFn, dims string, project func(string) string) *Profile {
-	p := &Profile{c: c, dataset: dataset, view: cellView{dims, project}, mapFn: mapFn, ids: map[string]int32{}}
+// dataset, on the cell columns of the view a SimilarMover moves in.
+func NewProfile(c *Cluster, dataset string, mapFn MapFn, view View) *Profile {
+	p := &Profile{c: c, dataset: dataset, view: view, mapFn: mapFn, ids: map[string]int32{}}
 	p.collect = func(key string, _ float64) {
 		id, ok := p.ids[key]
 		if !ok {
@@ -132,8 +132,8 @@ func (p *Profile) dryRun(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]colum
 	}
 	incoming := make([]int, len(p.sites))
 	for _, sp := range steps {
-		if m, ok := mover.(SimilarMover); sp.Dataset != p.dataset || ok && m.view().key() != p.view.key() {
-			return nil, fmt.Errorf("engine: profile of %q in view %q given a move of %q by %T", p.dataset, p.view.dims, sp.Dataset, mover)
+		if m, ok := mover.(SimilarMover); sp.Dataset != p.dataset || ok && m.View != p.view {
+			return nil, fmt.Errorf("engine: profile of %q in %v given a move of %q by %T", p.dataset, p.view, sp.Dataset, mover)
 		}
 		incoming[sp.Dst] += sp.n
 	}

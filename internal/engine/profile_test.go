@@ -18,7 +18,7 @@ func (c *Cluster) ProfileIntermediate(dataset string, q Query, site int) (int, e
 	if err != nil {
 		return 0, err
 	}
-	return l.Scan(&q, true).Count, nil
+	return len(l.Scan(&q).Inter), nil
 }
 
 // linkQuery emits a record's cell and a link key that several cells share,
@@ -50,10 +50,10 @@ func profileCluster(t *testing.T) *Cluster {
 	for site, n := range []int{300, 170, 0, 90} {
 		for r := 0; r < n; r++ {
 			u := rng.Float64()
-			c.Data[site].Add("d", KV{Key: fmt.Sprintf("c%d\x1fx%d", int(40*u*u)+site, r), Val: 1})
+			c.Data[site].Add("d", KV{Key: fmt.Sprintf("c%d%sx%d", int(40*u*u)+site, KeySep, r), Val: 1})
 		}
 	}
-	c.Data[0].Store("d").index(cellView{})
+	c.Data[0].Store("d").index(View{})
 	return c
 }
 
@@ -93,9 +93,9 @@ func TestDryRunMatchesApplyMoves(t *testing.T) {
 		},
 	}
 	movers := map[string]Mover{
-		"similar-top0":   SimilarMover{Project: firstField, Dims: "f0"},
-		"similar-top1":   SimilarMover{Project: firstField, Dims: "f0", DstTopK: 1},
-		"similar-top500": SimilarMover{Project: firstField, Dims: "f0", DstTopK: 500},
+		"similar-top0":   SimilarMover{View: fieldView},
+		"similar-top1":   SimilarMover{View: fieldView, DstTopK: 1},
+		"similar-top500": SimilarMover{View: fieldView, DstTopK: 500},
 		"random":         RandomMover{},
 	}
 	for lname, specs := range lists {
@@ -106,7 +106,7 @@ func TestDryRunMatchesApplyMoves(t *testing.T) {
 			if _, err := moved.ApplyMoves(specs, mover, realRng); err != nil {
 				t.Fatal(err)
 			}
-			prof := NewProfile(base, "d", linkQuery.Map, "f0", firstField)
+			prof := NewProfile(base, "d", linkQuery.Map, fieldView)
 			cols, err := prof.dryRun(specs, mover, dryRng)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +161,7 @@ func TestProfileCountsMatchReplay(t *testing.T) {
 	for i := range versions {
 		versions[i] = c.Data[i].Store("d").Version()
 	}
-	prof := NewProfile(c, "d", linkQuery.Map, "f0", firstField)
+	prof := NewProfile(c, "d", linkQuery.Map, fieldView)
 	counts, err := prof.Counts(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +178,10 @@ func TestProfileCountsMatchReplay(t *testing.T) {
 			t.Errorf("site %d: profiling wrote the store", i)
 		}
 	}
-	if ix := c.Data[0].Store("d").idx; ix == nil || ix.matches(fieldView) {
+	if ix := c.Data[0].Store("d").idx; ix == nil || ix.view == fieldView {
 		t.Error("profiling replaced the store's own index")
 	}
-	if _, err := prof.Counts([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: 1}}, SimilarMover{Dims: "other"}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := prof.Counts([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: 1}}, SimilarMover{View: NewView(2, 1)}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("a mover of another view was profiled")
 	}
 	if _, err := prof.Counts([]MoveSpec{{Dataset: "e", Src: 0, Dst: 1, MB: 1}}, RandomMover{}, rand.New(rand.NewSource(1))); err == nil {

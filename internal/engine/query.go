@@ -89,16 +89,12 @@ func ScanQuery(name, dataset string) Query {
 }
 
 // AggregationQuery builds a group-by-aggregate query: map projects the
-// record's key through groupKey (nil keeps the key), values are summed —
-// the AMPLab "aggregation" class.
-func AggregationQuery(name, dataset string, groupKey func(string) string) Query {
-	var m MapFn
-	if groupKey != nil {
-		m = func(r KV, emit func(string, float64)) { emit(groupKey(r.Key), r.Val) }
-	}
+// record's key in the view (the zero View keeps the key), values are
+// summed — the AMPLab "aggregation" class.
+func AggregationQuery(name, dataset string, view View) Query {
 	return Query{
 		Name: name, Dataset: dataset, QueryType: "aggregation",
-		Map: m, Combine: OpSum,
+		Map: view.Map(), Combine: OpSum,
 		MapCost: DefaultMapCost * 1.5, ReduceCost: DefaultReduceCost,
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"bohr/internal/engine"
@@ -14,9 +15,8 @@ import (
 // bigdata-scan records: url × country × hour) under the three statement
 // shapes bench/querymiss.go sends, per record scanned:
 //
-//	ref-closure  the statement as the MapFn sql.Compile used to emit (index
-//	             the key in place, compare the WHERE fields as strings, fold
-//	             by projected string)
+//	ref-closure  the statement as a MapFn (split the key, compare the WHERE
+//	             fields as strings, fold by the key View.Key projects)
 //	coded        the same statement as a Select over the site's kept columns
 //	encode       what the first statement after a write pays once on top:
 //	             splitting the keys of a never-encoded site (new dictionaries,
@@ -45,24 +45,20 @@ func BenchmarkScanSelect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		proj, err := workload.NewProjection(ds.Schema, plan.Dims)
-		if err != nil {
-			b.Fatal(err)
-		}
-		where := plan.Query.Select.Where
+		sel := plan.Query.Select
 		ref := plan.Query
 		ref.Select = nil
 		ref.Map = func(r engine.KV, emit func(string, float64)) {
-			var x workload.KeyIndex
-			if !proj.Index(&x, r.Key) {
+			fields := strings.Split(r.Key, engine.KeySep)
+			if len(fields) != sel.View.Width() {
 				return
 			}
-			for _, c := range where {
-				if !c.Pass(x.Field(c.Field)) {
+			for _, c := range sel.Where {
+				if !c.Pass(fields[c.Field]) {
 					return
 				}
 			}
-			emit(proj.Key(&x), r.Val)
+			emit(sel.View.Key(r.Key), r.Val)
 		}
 		coded, closure = append(coded, plan.Query), append(closure, ref)
 	}
@@ -71,7 +67,7 @@ func BenchmarkScanSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := range coded {
-		if !sameStage(layout.Scan(&coded[i], false), layout.Scan(&closure[i], false)) {
+		if !sameStage(layout.Scan(&coded[i]), layout.Scan(&closure[i])) {
 			b.Fatalf("statement %d: the closure and the Select scan differently", i)
 		}
 	}
@@ -83,7 +79,7 @@ func BenchmarkScanSelect(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for k := range qs {
-					layout.Scan(&qs[k], false)
+					layout.Scan(&qs[k])
 				}
 			}
 			perRecord(b, len(qs))
@@ -102,7 +98,7 @@ func BenchmarkScanSelect(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			fresh.Scan(&count.Query, true)
+			fresh.Scan(&count.Query)
 		}
 		perRecord(b, 1)
 	})
@@ -123,7 +119,7 @@ func BenchmarkScanSelect(b *testing.B) {
 			}
 			return l
 		}
-		layoutOf(c).Scan(&count.Query, true) // the site as the last statement left it
+		layoutOf(c).Scan(&count.Query) // the site as the last statement left it
 		batch := recs[len(recs)-256:]
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -132,7 +128,7 @@ func BenchmarkScanSelect(b *testing.B) {
 			next.Data[0].Add(ds.Name, batch...)
 			l := layoutOf(next)
 			b.StartTimer()
-			l.Scan(&count.Query, true)
+			l.Scan(&count.Query)
 		}
 		perRecord(b, 1)
 	})

@@ -38,9 +38,6 @@ func refRun(t *testing.T, c *engine.Cluster, cfgs []engine.JobConfig) []*engine.
 	var clock float64
 	for ji, cfg := range cfgs {
 		q := cfg.Query
-		if cfg.MapCostScale > 0 {
-			q.MapCost *= cfg.MapCostScale
-		}
 		frac := cfg.TaskFrac
 		if frac == nil {
 			frac = engine.UplinkProportional(c.Top)
@@ -81,7 +78,7 @@ func refRun(t *testing.T, c *engine.Cluster, cfgs []engine.JobConfig) []*engine.
 				if err != nil {
 					t.Fatal(err)
 				}
-				sr := l.Scan(&j.q, false)
+				sr := l.Scan(&j.q)
 				st.rm.MapTime = max(st.rm.MapTime, sr.MapTime*fs.ComputeFactor(i, clock))
 				st.rm.AssignOverhead = max(st.rm.AssignOverhead, sr.AssignOverhead)
 				st.rm.IntermediateMB[i] = c.MB(len(sr.Inter))
@@ -208,7 +205,7 @@ func shuffleCluster(t *testing.T) (*engine.Cluster, *workload.Dataset) {
 	for i := 0; i < c.N(); i++ {
 		for r := 0; r < 700+150*i; r++ {
 			k := rng.Intn(90)
-			c.Data[i].Add("pages", engine.KV{Key: fmt.Sprintf("p%02d", k*k%90), Val: (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(7)-3))})
+			c.Data[i].Add("pages", engine.KV{Key: fmt.Sprintf("p%d%s%d", k*k%90/10, engine.KeySep, k*k%90%10), Val: (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(7)-3))})
 		}
 	}
 	return c, w.Datasets[0]
@@ -228,16 +225,16 @@ func TestRunMatchesReference(t *testing.T) {
 		}
 		return plan.Query
 	}
-	op := func(name string, combine engine.CombineOp, groupKey func(string) string) engine.Query {
-		q := engine.AggregationQuery(name, "pages", groupKey)
+	op := func(name string, combine engine.CombineOp, view engine.View) engine.Query {
+		q := engine.AggregationQuery(name, "pages", view)
 		q.Combine = combine
 		return q
 	}
-	prefix := func(k string) string { return k[:2] }
+	prefix, whole := engine.NewView(2, 0), engine.View{}
 	batches := [][]engine.Query{
 		{
-			op("sum", engine.OpSum, nil), op("count", engine.OpCount, nil),
-			op("max", engine.OpMax, nil), op("min", engine.OpMin, nil),
+			op("sum", engine.OpSum, whole), op("count", engine.OpCount, whole),
+			op("max", engine.OpMax, whole), op("min", engine.OpMin, whole),
 		},
 		{
 			op("sum by prefix", engine.OpSum, prefix), op("count by prefix", engine.OpCount, prefix),

@@ -86,7 +86,7 @@ func refApplyMap(q *engine.Query, in []engine.KV) []engine.KV {
 // refSelect is what a Select means, one record at a time on split strings.
 func refSelect(sel *engine.Select, r engine.KV, emit func(string, float64)) {
 	fields := strings.Split(r.Key, engine.KeySep)
-	shaped := len(fields) == sel.Fields
+	shaped, keep := len(fields) == sel.View.Width(), sel.View.Keep()
 	if len(sel.Where) > 0 && !shaped {
 		return
 	}
@@ -96,11 +96,11 @@ func refSelect(sel *engine.Select, r engine.KV, emit func(string, float64)) {
 		}
 	}
 	key := engine.GroupAll
-	if len(sel.Keep) > 0 {
+	if len(keep) > 0 {
 		key = r.Key
 		if shaped {
-			kept := make([]string, len(sel.Keep))
-			for k, f := range sel.Keep {
+			kept := make([]string, len(keep))
+			for k, f := range keep {
 				kept[k] = fields[f]
 			}
 			key = strings.Join(kept, engine.KeySep)
@@ -200,14 +200,14 @@ func stageCases(t *testing.T) []stageCase {
 		cases = append(cases, stageCase{name: text, records: amplabRecs, query: plan.Query, rounds: 1})
 	}
 	// Keys of a foreign shape pass through a projection untouched.
-	foreign := append([]engine.KV{{Key: "lonely", Val: 2}, {Key: "a\x1fb", Val: 3}, {Key: "", Val: 4}}, amplabRecs[:50]...)
+	foreign := append([]engine.KV{{Key: "lonely", Val: 2}, {Key: "a" + engine.KeySep + "b", Val: 3}, {Key: "", Val: 4}}, amplabRecs[:50]...)
 	cases = append(cases, stageCase{name: "foreign keys", records: foreign, query: amplab.DominantQuery().Query, rounds: 1})
 	return cases
 }
 
 // sameStage compares two stage results field by field, values bit for bit.
 func sameStage(a, b engine.StageResult) bool {
-	if a.Count != b.Count || a.Raw != b.Raw || a.MapTime != b.MapTime ||
+	if a.Raw != b.Raw || a.MapTime != b.MapTime ||
 		a.AssignOverhead != b.AssignOverhead || len(a.Inter) != len(b.Inter) {
 		return false
 	}
@@ -252,7 +252,7 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got := layout.Scan(&tc.query, false)
+					got := layout.Scan(&tc.query)
 					if round == 0 {
 						// A second assigner of the same configuration is the
 						// same key: a new plan over an unwritten site hits.
@@ -264,7 +264,7 @@ func TestMapCombineMatchesReference(t *testing.T) {
 							if hit != (lookup == 1) {
 								t.Fatalf("%s: lookup %d of the store's layout: hit = %v", name, lookup, hit)
 							}
-							if !sameStage(kept.Scan(&tc.query, false), got) {
+							if !sameStage(kept.Scan(&tc.query), got) {
 								t.Fatalf("%s: lookup %d: the store's layout scans differently from one built from its records", name, lookup)
 							}
 						}
@@ -272,9 +272,6 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					if got.Raw != wantRaw || got.MapTime != wantMap || got.AssignOverhead != wantAssign {
 						t.Fatalf("%s round %d: raw/mapTime/assign = %d/%v/%v, reference %d/%v/%v",
 							name, round, got.Raw, got.MapTime, got.AssignOverhead, wantRaw, wantMap, wantAssign)
-					}
-					if got.Count != len(got.Inter) {
-						t.Fatalf("%s round %d: Count %d but %d records", name, round, got.Count, len(got.Inter))
 					}
 					rest := got.Inter
 					for e, exec := range want {
@@ -292,11 +289,6 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					}
 					if len(rest) != 0 {
 						t.Fatalf("%s round %d: %d records beyond the reference's", name, round, len(rest))
-					}
-					only := layout.Scan(&tc.query, true)
-					if only.Inter != nil || only.Count != got.Count || only.Raw != got.Raw ||
-						only.MapTime != got.MapTime || only.AssignOverhead != got.AssignOverhead {
-						t.Fatalf("%s round %d: count-only scan = %+v, full scan counted %d", name, round, only, got.Count)
 					}
 					// The next round maps what this round's reducer put out.
 					input = engine.CombinePartials(got.Inter, tc.query.Combine)
@@ -355,13 +347,13 @@ func TestLayoutKeyedByAssignerConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameStage(kept.Scan(&tc.query, false), cold.Scan(&tc.query, false)) {
+		if !sameStage(kept.Scan(&tc.query), cold.Scan(&tc.query)) {
 			t.Fatalf("seed %d: the store served a layout of another configuration", step.seed)
 		}
 	}
 	five, _, _ := store.Layout(stage(5))
 	six, _, _ := store.Layout(stage(6))
-	if sameStage(five.Scan(&tc.query, false), six.Scan(&tc.query, false)) {
+	if sameStage(five.Scan(&tc.query), six.Scan(&tc.query)) {
 		t.Fatal("seeds 5 and 6 place alike on this input: the test cannot tell their layouts apart")
 	}
 }
@@ -422,15 +414,16 @@ func TestLayoutUnkeyableAssignerNotMemoized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameStage(l.Scan(&q, false), want.Scan(&q, false)) {
+		if !sameStage(l.Scan(&q), want.Scan(&q)) {
 			t.Fatalf("pointer assigner at offset %d: the store served another configuration's layout", offset)
 		}
 	}
 }
 
 // TestMapCombineAllocsScaleWithGroups pins the point of the streaming
-// stage: scanning a 10,000-record site allocates for the groups it opens
-// (the combiner's table and output growing), never per record.
+// stage: scanning a 10,000-record site — under a Select or the workload's
+// own MapFn — allocates for the groups it opens (the combiner's table and
+// output growing), never per record.
 func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 	cfg := workload.DefaultConfig(workload.BigDataAggr)
 	cfg.Sites, cfg.Datasets, cfg.RowsPerSite = 1, 1, 10000
@@ -444,6 +437,7 @@ func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 		Exec:     engine.Executors{Machines: 2, PerMachine: 4},
 		Assigner: engine.RoundRobinAssigner{}, PartitionsPerExecutor: 4,
 	}
+	queries := map[string]engine.Query{"dominant MapFn": ds.DominantQuery().Query}
 	for _, text := range []string{
 		"SELECT country, hour, SUM(measure) FROM %s WHERE country != 'US' AND url != 'n3' GROUP BY country, hour",
 		"SELECT url, SUM(measure) FROM %s WHERE hour != 'n7' GROUP BY url",
@@ -452,21 +446,24 @@ func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		queries[text] = plan.Query
+	}
+	for text, q := range queries {
 		layout, err := engine.NewLayout(recs, st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var res engine.StageResult
-		allocs := testing.AllocsPerRun(5, func() { res = layout.Scan(&plan.Query, false) })
+		allocs := testing.AllocsPerRun(5, func() { res = layout.Scan(&q) })
 		if res.Raw < len(recs)/2 {
 			t.Fatalf("%s: only %d of %d records passed the filter; the guard needs a scan that emits", text, res.Raw, len(recs))
 		}
 		// A growing slice and map allocate O(log groups) times per
 		// executor; one allocation per group is already a generous bound.
-		if limit := float64(res.Count + 64); allocs > limit {
-			t.Fatalf("%s: %.0f allocations for %d records in %d groups, want at most %.0f", text, allocs, len(recs), res.Count, limit)
+		if limit := float64(len(res.Inter) + 64); allocs > limit {
+			t.Fatalf("%s: %.0f allocations for %d records in %d groups, want at most %.0f", text, allocs, len(recs), len(res.Inter), limit)
 		}
-		t.Logf("%d records, %d groups, %.0f allocations", len(recs), res.Count, allocs)
+		t.Logf("%d records, %d groups, %.0f allocations", len(recs), len(res.Inter), allocs)
 	}
 }
 
@@ -486,7 +483,7 @@ func TestSelectGroupsByNameWhenTuplesDoNotPack(t *testing.T) {
 		recs[i] = engine.KV{Key: strings.Join(fields, engine.KeySep), Val: float64(i) / 7}
 	}
 	q := engine.Query{Name: "wide", Dataset: "d", Combine: engine.OpSum, MapCost: engine.DefaultMapCost,
-		Select: &engine.Select{Fields: width, Keep: []int{8, 7, 6, 5, 4, 3, 2, 1, 0},
+		Select: &engine.Select{View: engine.NewView(width, 8, 7, 6, 5, 4, 3, 2, 1, 0),
 			Where: []engine.Cond{{Field: 0, Pass: func(s string) bool { return s != "v3" }}}}}
 	st := engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 2}, Assigner: engine.RoundRobinAssigner{}, PartitionsPerExecutor: 4}
 	want, wantRaw, _, _, err := refStage(recs, &q, st)
@@ -497,9 +494,9 @@ func TestSelectGroupsByNameWhenTuplesDoNotPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := layout.Scan(&q, false)
-	if only := layout.Scan(&q, true); only.Count != got.Count || only.Raw != got.Raw || got.Raw != wantRaw || only.Inter != nil {
-		t.Fatalf("raw %d, reference %d; count-only scan %+v, full scan counted %d", got.Raw, wantRaw, only, got.Count)
+	got := layout.Scan(&q)
+	if got.Raw != wantRaw {
+		t.Fatalf("raw %d, reference %d", got.Raw, wantRaw)
 	}
 	rest := got.Inter
 	for e, exec := range want {
@@ -510,7 +507,7 @@ func TestSelectGroupsByNameWhenTuplesDoNotPack(t *testing.T) {
 			t.Fatalf("executor %d: %d groups differ from the reference's %d", e, len(mine), len(exec))
 		}
 	}
-	if len(rest) != 0 || got.Count != len(got.Inter) {
-		t.Fatalf("%d groups beyond the reference's; Count %d of %d", len(rest), got.Count, len(got.Inter))
+	if len(rest) != 0 {
+		t.Fatalf("%d groups beyond the reference's", len(rest))
 	}
 }

@@ -194,7 +194,7 @@ func (s *Store) clone() *Store {
 	n := len(s.recs)
 	out := &Store{recs: s.recs[:n:n], version: s.version, gen: s.gen, content: s.content}
 	if s.idx != nil && s.content != nil {
-		out.idx, _, _ = Derive(s, s.idx.view.key(), func([]KV) (*cellIndex, error) { return s.idx, nil })
+		out.idx, _, _ = Derive(s, s.idx.view, func([]KV) (*cellIndex, error) { return s.idx, nil })
 	}
 	return out
 }
@@ -205,7 +205,7 @@ func (s *Store) ownIndex() {
 		return
 	}
 	s.content.mu.Lock()
-	d := s.content.memo[s.idx.view.key()]
+	d := s.content.memo[s.idx.view]
 	shared := d != nil && d.val == any(s.idx)
 	s.content.mu.Unlock()
 	if shared {
@@ -213,31 +213,12 @@ func (s *Store) ownIndex() {
 	}
 }
 
-// cellView names the attribute space a cell index is built in: dims is
-// the comparable identity of the projection (a func is not comparable),
-// project the projection itself (nil keeps full keys).
-type cellView struct {
-	dims    string
-	project func(string) string
-}
-
-// cellViewKey is a view's comparable identity, the memo key of its index.
-// Funcs do not compare, so dims stands for the projection; whether there
-// is one at all is kept too, since dims "" alone does not tell a full-key
-// view apart.
-type cellViewKey struct {
-	dims      string
-	projected bool
-}
-
-func (v cellView) key() cellViewKey { return cellViewKey{v.dims, v.project != nil} }
-
-// cellIndex is the write-time-maintained view similarity-aware movement
-// reads: the store's records grouped into cells by projected key. Cell
+// cellIndex is the write-time-maintained column similarity-aware movement
+// reads: the store's records grouped into cells by their key in a View. Cell
 // ids are dense and stable — a cell whose last record left keeps its id
 // at count zero — so per-cell state is an array lookup.
 type cellIndex struct {
-	view  cellView
+	view  View
 	ids   map[string]int32 // projected key → cell id
 	keys  []string         // cell id → projected key
 	count []int            // cell id → live records
@@ -247,12 +228,9 @@ type cellIndex struct {
 	cell []int32
 }
 
-func newCellIndex(v cellView, sizeHint int) *cellIndex {
+func newCellIndex(v View, sizeHint int) *cellIndex {
 	return &cellIndex{view: v, ids: make(map[string]int32, sizeHint)}
 }
-
-// matches reports whether the index was built for the view.
-func (ix *cellIndex) matches(v cellView) bool { return ix.view.key() == v.key() }
 
 // intern returns the id of the cell with this projected key.
 func (ix *cellIndex) intern(cell string) int32 {
@@ -267,12 +245,7 @@ func (ix *cellIndex) intern(cell string) int32 {
 }
 
 // add indexes one appended record.
-func (ix *cellIndex) add(key string) {
-	if ix.view.project != nil {
-		key = ix.view.project(key)
-	}
-	ix.addCell(key)
-}
+func (ix *cellIndex) add(key string) { ix.addCell(ix.view.Key(key)) }
 
 // addCell indexes one appended record by its cell's key.
 func (ix *cellIndex) addCell(cell string) int32 {
@@ -388,17 +361,17 @@ type Cell struct {
 // writes the store (a store's own column follows its writes).
 type CellCounts struct{ ix *cellIndex }
 
-// Cells returns the store's cell counts in the view dims and project name,
-// as SimilarMover's do (project nil keeps full keys), without writing the
-// store: its own column when it keeps one for the view, else the
-// content's. hit is false for the caller that built the content's.
-func (s *Store) Cells(dims string, project func(string) string) (counts CellCounts, hit bool) {
-	ix, hit := s.cells(cellView{dims, project})
+// Cells returns the store's cell counts in the view, as a SimilarMover in
+// it counts them, without writing the store: its own column when it keeps
+// one for the view, else the content's. hit is false for the caller that
+// built the content's.
+func (s *Store) Cells(v View) (counts CellCounts, hit bool) {
+	ix, hit := s.cells(v)
 	return CellCounts{ix}, hit
 }
 
-// Dims names the view the cells are projected in.
-func (c CellCounts) Dims() string { return c.ix.view.dims }
+// View returns the view the cells are projected in.
+func (c CellCounts) View() View { return c.ix.view }
 
 // Count returns how many records the cell with this projected key holds.
 func (c CellCounts) Count(key string) int {
@@ -440,18 +413,18 @@ func (c CellCounts) Top(k int) []Cell {
 // index returns the store's cell index for the view. When the store has
 // none, or one for another view (a replan with different dominant
 // dimensions), it adopts the content's (cells).
-func (s *Store) index(v cellView) *cellIndex {
+func (s *Store) index(v View) *cellIndex {
 	s.idx, _ = s.cells(v)
 	return s.idx
 }
 
 // cells is index without adopting, so it never writes the store; hit is
 // false for the caller that built the content's. Copy it to write it.
-func (s *Store) cells(v cellView) (ix *cellIndex, hit bool) {
-	if s != nil && s.idx != nil && s.idx.matches(v) {
+func (s *Store) cells(v View) (ix *cellIndex, hit bool) {
+	if s != nil && s.idx != nil && s.idx.view == v {
 		return s.idx, true
 	}
-	ix, hit, _ = Derive(s, v.key(), func(recs []KV) (*cellIndex, error) {
+	ix, hit, _ = Derive(s, v, func(recs []KV) (*cellIndex, error) {
 		ix := newCellIndex(v, 0)
 		ix.cell = make([]int32, 0, len(recs))
 		for _, r := range recs {
@@ -467,18 +440,18 @@ func (s *Store) cells(v cellView) (ix *cellIndex, hit bool) {
 // handshake of §4.2 is a function call) or the cells a probe carried over
 // the wire (DstCells). A mover reads its source through it too.
 type DstView interface {
-	index(v cellView) *cellIndex
+	index(v View) *cellIndex
 }
 
 // index makes a Profile's dry-run column a side of a move.
-func (ix *cellIndex) index(cellView) *cellIndex { return ix }
+func (ix *cellIndex) index(View) *cellIndex { return ix }
 
 // DstCells is a destination described by cell counts already in the
 // mover's attribute space — the probe cells a live worker receives in a
 // move request.
 type DstCells map[string]int
 
-func (d DstCells) index(v cellView) *cellIndex {
+func (d DstCells) index(v View) *cellIndex {
 	ix := newCellIndex(v, len(d))
 	for cell, n := range d {
 		ix.count[ix.intern(cell)] += n

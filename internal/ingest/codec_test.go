@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bohr/internal/engine"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -15,7 +17,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Source: "a|b%c", Offset: 7, Dataset: "with\nnewline", Site: 1,
 			Coords: []string{"", "pipe|pipe", "pct%25", "\r\n"}, Measure: 1e300},
 		{Source: "s", Offset: math.MaxUint64, Dataset: "d", Site: 0,
-			Coords: []string{"\x1f"}, Measure: 0},
+			Coords: []string{engine.KeySep}, Measure: 0},
 	}
 	for _, r := range recs {
 		line := EncodeRecord(r)

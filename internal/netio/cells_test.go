@@ -18,16 +18,16 @@ import (
 // the planner's stores do.
 func localCells(t *testing.T, recs []engine.KV, schema, dims []string) engine.CellCounts {
 	t.Helper()
-	var project func(string) string
+	var view engine.View
 	if len(dims) > 0 {
 		var err error
-		if project, err = workload.Projector(olap.MustSchema(schema...), dims); err != nil {
+		if view, err = workload.ViewOf(olap.MustSchema(schema...), dims); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := new(engine.Store)
 	st.Add(recs...)
-	cells, _ := st.Cells("local", project)
+	cells, _ := st.Cells(view)
 	return cells
 }
 
@@ -112,6 +112,40 @@ func TestStatsScoreMatchProbes(t *testing.T) {
 			if c.Key[0] != names[0][0] {
 				t.Fatalf("under schema %v, url cells read %v", names, got.Top)
 			}
+		}
+	}
+}
+
+// TestPutKeepingPositionsKeepsCells: dims resolve to a View by position, so
+// a Put whose schema keeps the dims' positions finds the cell column already
+// built for them, and one that moves them builds another.
+func TestPutKeepingPositionsKeepsCells(t *testing.T) {
+	ctx := context.Background()
+	ctl, workers := liveCluster(t, 1, 0)
+	recs := []engine.KV{{Key: key("u1", "c1"), Val: 1}, {Key: key("u2", "c1"), Val: 1}, {Key: key("u1", "c2"), Val: 1}}
+	if err := ctl.Put(ctx, 0, "logs", []string{"url", "country"}, recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Stats(ctx, 0, "logs", []string{"url"}, 0); err != nil { // builds the url column
+		t.Fatal(err)
+	}
+	w := workers[0]
+	for _, step := range []struct {
+		names  []string
+		shared bool
+	}{{[]string{"url", "region"}, true}, {[]string{"country", "url"}, false}} {
+		if err := ctl.Put(ctx, 0, "logs", step.names, nil); err != nil {
+			t.Fatal(err)
+		}
+		view, err := w.view("logs", []string{"url"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		_, hit := w.data.Store("logs").Cells(view)
+		w.mu.Unlock()
+		if hit != step.shared {
+			t.Fatalf("schema %v: url column hit = %v, want %v", step.names, hit, step.shared)
 		}
 	}
 }

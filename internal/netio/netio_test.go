@@ -5,13 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
 	"bohr/internal/engine"
 	"bohr/internal/obs"
-	"bohr/internal/olap"
 	"bohr/internal/stats"
 	"bohr/internal/wan"
 	"bohr/internal/workload"
@@ -65,7 +63,7 @@ func TestMsgRoundTrip(t *testing.T) {
 		Type:    MsgPut,
 		Dataset: "ds",
 		Schema:  []string{"a", "b"},
-		Records: []engine.KV{{Key: "x\x1fy", Val: 3.5}},
+		Records: []engine.KV{{Key: key("x", "y"), Val: 3.5}},
 		Cells:   []ProbeCellDTO{{Key: "k", Count: 7}},
 	}
 	if err := WriteMsg(&buf, env); err != nil {
@@ -115,7 +113,7 @@ func liveCluster(t *testing.T, n int, upMBps float64) (*Controller, []*Worker) {
 	return ctl, workers
 }
 
-func key(coords ...string) string { return strings.Join(coords, "\x1f") }
+func key(coords ...string) string { return workload.JoinKey(coords) }
 
 func TestDialValidation(t *testing.T) {
 	if _, err := Dial(context.Background(), nil); err == nil {
@@ -221,7 +219,7 @@ func TestDistributedQueryMatchesLocal(t *testing.T) {
 	// Ground truth: project + sum locally.
 	want := map[string]float64{}
 	for _, kv := range all {
-		url := strings.Split(kv.Key, "\x1f")[0]
+		url := workload.SplitKey(kv.Key)[0]
 		want[url] += kv.Val
 	}
 	if len(res.Output) != len(want) {
@@ -293,21 +291,13 @@ func TestLiveReduceMatchesEngine(t *testing.T) {
 		}
 		c.Data[site].Add("logs", recs...)
 	}
-	schema, err := olap.NewSchema(names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	project, err := workload.Projector(schema, []string{"url"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	frac := []float64{0.2, 0.5, 0.3}
 	for _, op := range []engine.CombineOp{engine.OpSum, engine.OpCount, engine.OpMax} {
 		live, err := ctl.RunQuery(ctx, QueryDTO{ID: "live-" + op.String(), Dataset: "logs", Dims: []string{"url"}, Combine: op}, frac)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := engine.AggregationQuery(op.String(), "logs", project)
+		q := engine.AggregationQuery(op.String(), "logs", engine.NewView(2, 0))
 		q.Combine = op
 		sim, err := c.Run(ctx, engine.JobConfig{Query: q, TaskFrac: frac})
 		if err != nil {

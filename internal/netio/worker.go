@@ -303,37 +303,36 @@ func (w *Worker) handlePut(req *Envelope) *Envelope {
 	return &Envelope{Type: MsgPutOK, Count: len(req.Records)}
 }
 
-// projector builds the key projection for the requested dims against the
-// dataset's registered schema, and names its cell view by both: a Put may
-// replace the schema. No dims means the full key — no projection, the view
+// view resolves the requested dims against the dataset's registered schema,
+// which a Put may replace: a schema that keeps the dims' positions keeps the
+// View, and its cell columns. No dims means the full key, the zero View
 // SimilarMover{} moves in.
-func (w *Worker) projector(dataset string, dims []string) (project func(string) string, view string, err error) {
+func (w *Worker) view(dataset string, dims []string) (engine.View, error) {
 	if len(dims) == 0 {
-		return nil, "", nil
+		return engine.View{}, nil
 	}
 	names := w.schemaOf(dataset)
 	if names == nil {
-		return nil, "", fmt.Errorf("dataset %q has no schema", dataset)
+		return engine.View{}, fmt.Errorf("dataset %q has no schema", dataset)
 	}
 	schema, err := olap.NewSchema(names...)
 	if err != nil {
-		return nil, "", fmt.Errorf("dataset %q: %w", dataset, err)
+		return engine.View{}, fmt.Errorf("dataset %q: %w", dataset, err)
 	}
-	project, err = workload.Projector(schema, dims)
-	return project, fmt.Sprintf("%q %q", names, dims), err
+	return workload.ViewOf(schema, dims)
 }
 
 // handleStats answers from the store's cell counts in the requested view:
 // the top-k cells (every cell when k <= 0) and the record count.
 func (w *Worker) handleStats(req *Envelope) *Envelope {
-	proj, view, err := w.projector(req.Dataset, req.Dims)
+	view, err := w.view(req.Dataset, req.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "stats: %v", err)
 	}
 	// Under the lock: the store's own column, which the mover keeps, changes
 	// with the store.
 	w.mu.Lock()
-	cells, _ := w.data.Store(req.Dataset).Cells(view, proj)
+	cells, _ := w.data.Store(req.Dataset).Cells(view)
 	top, records := cells.Top(req.TopK), cells.Total()
 	w.mu.Unlock()
 	return &Envelope{Type: MsgStatsOK, Count: records, Cells: top}
@@ -342,13 +341,13 @@ func (w *Worker) handleStats(req *Envelope) *Envelope {
 // handleScore scores the request's probe cells against the store's cells
 // in the requested view, over the probe's own mass (ScoreCovered).
 func (w *Worker) handleScore(req *Envelope) *Envelope {
-	proj, view, err := w.projector(req.Dataset, req.Dims)
+	view, err := w.view(req.Dataset, req.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "score: %v", err)
 	}
-	probe := similarity.Probe{Dataset: req.Dataset, Dims: view, Records: req.Cells}
+	probe := similarity.Probe{Dataset: req.Dataset, View: view, Records: req.Cells}
 	w.mu.Lock()
-	cells, _ := w.data.Store(req.Dataset).Cells(view, proj)
+	cells, _ := w.data.Store(req.Dataset).Cells(view)
 	score, err := similarity.ScoreCovered(probe, cells)
 	w.mu.Unlock()
 	if err != nil {
@@ -473,7 +472,7 @@ func (w *Worker) handleTransfer(req *Envelope) *Envelope {
 func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 	tcol := w.beginTrace(req, decode)
 	q := req.Query
-	proj, _, err := w.projector(q.Dataset, q.Dims)
+	view, err := w.view(q.Dataset, q.Dims)
 	if err != nil {
 		return w.errEnv(CodeNotFound, "runmap: %v", err)
 	}
@@ -489,11 +488,7 @@ func (w *Worker) handleRunMap(req *Envelope, decode time.Duration) *Envelope {
 		return w.errEnv(CodeUnknown, "runmap: %v", err)
 	}
 	ms := tcol.StartSpan("map")
-	query := &engine.Query{Combine: q.Combine} // no dims: a nil Map emits full keys
-	if proj != nil {
-		query.Map = func(r engine.KV, emit func(string, float64)) { emit(proj(r.Key), r.Val) }
-	}
-	stage := layout.Scan(query, false)
+	stage := layout.Scan(&engine.Query{Combine: q.Combine, Map: view.Map()})
 	ms.End()
 	inter := stage.Inter
 	w.count2(tcol, "netio.map.records", float64(len(recs)))

@@ -29,7 +29,7 @@ func refVolumes(t *testing.T, c *engine.Cluster, w *workload.Workload, plan *Pla
 			if err != nil {
 				t.Fatal(err)
 			}
-			f[a][i] = clone.MB(l.Scan(&q, true).Count)
+			f[a][i] = clone.MB(len(l.Scan(&q).Inter))
 		}
 	}
 	return f

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"bohr/internal/engine"
 	"bohr/internal/faults"
@@ -302,22 +301,14 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		obs:      opts.Obs,
 		faults:   opts.Faults,
 	}
-	for i, st := range allStats {
+	for _, st := range allStats {
 		if id.usesSimilarity() {
-			proj, perr := workload.Projector(w.Datasets[i].Schema, st.DominantDims)
-			if perr != nil {
-				return nil, nil, perr
-			}
 			// Record selection happens at transfer time, when the source
 			// fetches a larger cell summary from the destination (the live
 			// netio workers exchange the destination's top cells in the
 			// move handshake); the tiny planning probes only bound the
 			// LP's similarity estimates.
-			plan.movers[st.Name] = engine.SimilarMover{
-				Project: proj,
-				Dims:    strings.Join(st.DominantDims, ","),
-				DstTopK: transferSummaryCells,
-			}
+			plan.movers[st.Name] = engine.SimilarMover{View: st.DominantView, DstTopK: transferSummaryCells}
 			plan.CheckTime += st.CheckTime
 		} else {
 			plan.movers[st.Name] = engine.RandomMover{}

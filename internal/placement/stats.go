@@ -8,7 +8,6 @@ package placement
 
 import (
 	"fmt"
-	"strings"
 
 	"bohr/internal/engine"
 	"bohr/internal/parallel"
@@ -41,8 +40,9 @@ type DatasetStats struct {
 	// Queries is the dataset's total recurring query count (its planning
 	// weight in the sequential heuristic).
 	Queries int
-	// DominantDims is the attribute set movement optimizes for.
-	DominantDims []string
+	// DominantView is the projection movement optimizes for: the dominant
+	// query type's attribute set.
+	DominantView engine.View
 	// CheckTime is the modeled pre-processing similarity-checking time
 	// (probing happens before the query arrives, so it is NOT in QCT).
 	CheckTime float64
@@ -87,16 +87,12 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 	}
 	n := c.N()
 	dom := ds.DominantQuery()
-	proj, err := workload.NewProjection(ds.Schema, dom.Dims)
-	if err != nil {
-		return nil, nil, err
-	}
 	domShare := similarity.ProbeShare(probeK, dom.Count, ds.TotalQueries())
 
 	// Each site's dimension cube is the cell column the profile counts on and
 	// the mover selects from: the stored records counted by their projection
 	// onto the dominant query type's attributes (§4.1).
-	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, strings.Join(dom.Dims, ","), proj.Project)
+	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, dom.View)
 	cubes, err := prof.Cells()
 	if err != nil {
 		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
@@ -116,7 +112,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 		SelfSim:      make([]float64, n),
 		CrossSim:     cross,
 		Queries:      ds.TotalQueries(),
-		DominantDims: dom.Dims,
+		DominantView: dom.View,
 		NumDims:      ds.Schema.NumDims(),
 		CubeCells:    totalCells,
 		ProbeShare:   domShare,

@@ -94,7 +94,7 @@ func benchShapedParts(seed int64, n, size int) []engine.Partition {
 	for p := range parts {
 		keys := make([]string, size)
 		for i := range keys {
-			keys[i] = fmt.Sprintf("url%d\x1fc%d", p*size/64+rng.Intn(size/12), rng.Intn(3))
+			keys[i] = fmt.Sprintf("url%d%sc%d", p*size/64+rng.Intn(size/12), engine.KeySep, rng.Intn(3))
 		}
 		parts[p] = mkPartition(p, keys...)
 	}

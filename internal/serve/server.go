@@ -178,9 +178,6 @@ type Config struct {
 	// CacheCaps bounds the result cache; the zero value adopts
 	// cache.DefaultCaps, and cache.Unlimited() never evicts.
 	CacheCaps cache.Caps
-	// DefaultTimeout caps a request's execution when the client did not
-	// send timeout_ms (default 30s; negative disables).
-	DefaultTimeout time.Duration
 	// Flight enables the flight recorder (per-query records on /v1/debug/
 	// flightrec, slow-query trace retention); nil disables it.
 	Flight *FlightConfig
@@ -202,7 +199,6 @@ type Server struct {
 	sched   *Scheduler
 	results *ResultCache
 	col     *obs.Collector
-	timeout time.Duration
 	pipe    *ingest.Pipeline // non-nil after EnableIngest
 	flight  *FlightRecorder  // nil when the recorder is off
 	win     *window.Registry // nil when windowed stats are off
@@ -226,16 +222,11 @@ func New(b Backend, cfg Config, col *obs.Collector) *Server {
 	if caps == (cache.Caps{}) {
 		caps = cache.DefaultCaps()
 	}
-	timeout := cfg.DefaultTimeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
 	s := &Server{
 		backend: b,
 		sched:   NewScheduler(cfg.Sched, col),
 		results: NewResultCache(caps, col),
 		col:     col,
-		timeout: timeout,
 		win:     cfg.Windows,
 		log:     cfg.Logger,
 		start:   time.Now(),
@@ -265,9 +256,13 @@ type QueryRequest struct {
 	Tenant string `json:"tenant"`
 	// Query is one statement in the internal/sql dialect.
 	Query string `json:"query"`
-	// TimeoutMS caps execution; 0 adopts the server default.
+	// TimeoutMS caps execution; 0 adopts defaultTimeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
+
+// defaultTimeout caps a request's execution when the client did not send
+// timeout_ms.
+const defaultTimeout = 30 * time.Second
 
 // QueryRow is one result row.
 type QueryRow struct {
@@ -350,15 +345,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// The request context carries client disconnects; the per-tenant
 	// deadline rides on top of it.
 	ctx := r.Context()
-	timeout := s.timeout
+	timeout := defaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 
 	start := time.Now()
 	// mt is the tenant's metric-safe label: externally supplied tenant

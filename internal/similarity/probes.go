@@ -17,7 +17,7 @@ type ProbeRecord = engine.Cell
 // tiny compared to the dataset.
 type Probe struct {
 	Dataset    string
-	Dims       string // the view the records' keys are projected in
+	View       engine.View // the view the records' keys are projected in
 	Records    []ProbeRecord
 	TotalCount int // total raw records in the sender's dimension cube
 }
@@ -43,7 +43,7 @@ func BuildProbe(dataset string, cube engine.CellCounts, k int) (Probe, error) {
 	}
 	return Probe{
 		Dataset:    dataset,
-		Dims:       cube.Dims(),
+		View:       cube.View(),
 		Records:    cube.Top(k),
 		TotalCount: cube.Total(),
 	}, nil
@@ -81,9 +81,9 @@ func match(p Probe, local engine.CellCounts) (matched, total float64, err error)
 	if len(p.Records) == 0 {
 		return 0, 0, nil // nothing to match: no evidence of similarity
 	}
-	if p.Dims != local.Dims() {
-		return 0, 0, fmt.Errorf("similarity: probe %q in view %q scored against cells in view %q",
-			p.Dataset, p.Dims, local.Dims())
+	if p.View != local.View() {
+		return 0, 0, fmt.Errorf("similarity: probe %q in %v scored against cells in %v",
+			p.Dataset, p.View, local.View())
 	}
 	for _, r := range p.Records {
 		total += float64(r.Count)

@@ -3,7 +3,6 @@ package similarity
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"bohr/internal/engine"
@@ -11,14 +10,13 @@ import (
 	"bohr/internal/stats"
 )
 
-// storeCells stores the keys and counts them in the view dims under
-// project (nil keeps full keys).
-func storeCells(keys []string, dims string, project func(string) string) engine.CellCounts {
+// storeCells stores the keys and counts them in the view.
+func storeCells(keys []string, view engine.View) engine.CellCounts {
 	st := new(engine.Store)
 	for _, k := range keys {
 		st.Add(engine.KV{Key: k, Val: 1})
 	}
-	cells, _ := st.Cells(dims, project)
+	cells, _ := st.Cells(view)
 	return cells
 }
 
@@ -30,12 +28,7 @@ func urlCube(counts map[string]int) engine.CellCounts {
 			keys = append(keys, k)
 		}
 	}
-	return storeCells(keys, "url", nil)
-}
-
-// field projects a two-field key onto one of its fields.
-func field(f int) func(string) string {
-	return func(key string) string { return strings.Split(key, engine.KeySep)[f] }
+	return storeCells(keys, engine.View{})
 }
 
 func TestBuildProbeTopK(t *testing.T) {
@@ -108,7 +101,7 @@ func TestScore(t *testing.T) {
 func TestScoreSchemaMismatch(t *testing.T) {
 	src := urlCube(map[string]int{"a": 1})
 	p, _ := BuildProbe("ds", src, 1)
-	two := storeCells([]string{"a" + engine.KeySep + "b"}, "x,y", nil)
+	two := storeCells([]string{"a" + engine.KeySep + "b"}, engine.NewView(2, 0, 1))
 	if _, err := Score(p, two); err == nil {
 		t.Fatal("view mismatch should error")
 	}
@@ -161,7 +154,7 @@ func TestBuildProbesWeightSplit(t *testing.T) {
 		if share != tc.share {
 			t.Fatalf("%s share = %d, want %d", tc.dims, share, tc.share)
 		}
-		p, err := BuildProbe("ds", storeCells(keys, tc.dims, field(tc.f)), share)
+		p, err := BuildProbe("ds", storeCells(keys, engine.NewView(2, tc.f)), share)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +241,7 @@ func TestCrossSiteMatrixWidthIndependent(t *testing.T) {
 		for r := range keys {
 			keys[r] = fmt.Sprintf("a%d%sb%d", rng.Intn(6), engine.KeySep, rng.Intn(6))
 		}
-		cubes[s] = storeCells(keys, "a,b", nil)
+		cubes[s] = storeCells(keys, engine.View{})
 	}
 
 	run := func(width int) [][]float64 {

@@ -83,7 +83,7 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 		Name:       "sql:" + summarize(stmt),
 		Dataset:    stmt.Dataset,
 		QueryType:  string(olap.QueryTypeFor(dims)),
-		Select:     &engine.Select{Fields: schema.NumDims(), Where: where, Keep: keep},
+		Select:     &engine.Select{View: engine.NewView(schema.NumDims(), keep...), Where: where},
 		Combine:    op,
 		MapCost:    engine.DefaultMapCost,
 		ReduceCost: engine.DefaultReduceCost,

@@ -23,9 +23,9 @@ type refCheck struct {
 	numVal  float64
 }
 
-// refMap is the map function Compile emitted before statements compiled to
-// an engine.Select — index the stored key in place, compare the WHERE
-// fields as strings, project — kept as the oracle the coded scan is held to.
+// refMap is the statement as a map function over split keys — compare the
+// WHERE fields as strings, pick the grouped fields by position — the oracle
+// the coded scan, which reads neither strings nor a View, is held to.
 func refMap(t testing.TB, plan *Plan, schema *olap.Schema) engine.MapFn {
 	t.Helper()
 	checks := make([]refCheck, len(plan.Statement.Where))
@@ -39,36 +39,37 @@ func refMap(t testing.TB, plan *Plan, schema *olap.Schema) engine.MapFn {
 			checks[i].numVal = v
 		}
 	}
-	proj, err := workload.NewProjection(schema, plan.Dims)
-	if err != nil {
-		t.Fatal(err)
+	keep := make([]int, len(plan.Dims))
+	for i, d := range plan.Dims {
+		keep[i] = schema.Index(d)
 	}
-	grouped := len(plan.Dims) > 0
 	return func(r engine.KV, emit func(string, float64)) {
+		fields := strings.Split(r.Key, engine.KeySep)
+		shaped := len(fields) == schema.NumDims()
+		if len(checks) > 0 && !(shaped && passes(checks, fields)) {
+			return
+		}
 		key := "<all>" // a pure aggregate groups on a constant
-		if grouped || len(checks) > 0 {
-			var x workload.KeyIndex
-			shaped := proj.Index(&x, r.Key)
-			if len(checks) > 0 && !(shaped && passes(checks, &x)) {
-				return
-			}
-			if grouped {
-				key = r.Key // foreign key shape: leave untouched
-				if shaped {
-					key = proj.Key(&x)
+		if len(keep) > 0 {
+			key = r.Key // foreign key shape: leave untouched
+			if shaped {
+				kept := make([]string, len(keep))
+				for i, f := range keep {
+					kept[i] = fields[f]
 				}
+				key = strings.Join(kept, engine.KeySep)
 			}
 		}
 		emit(key, r.Val)
 	}
 }
 
-// passes reports whether an indexed, schema-shaped key satisfies every
+// passes reports whether a schema-shaped key's fields satisfy every
 // conjunct.
-func passes(checks []refCheck, x *workload.KeyIndex) bool {
+func passes(checks []refCheck, fields []string) bool {
 	for i := range checks {
 		ch := &checks[i]
-		got := x.Field(ch.idx)
+		got := fields[ch.idx]
 		var cmp int
 		if ch.numeric {
 			gv, err := strconv.ParseFloat(got, 64)
@@ -139,7 +140,7 @@ func naiveFold(stmt *Statement, dims []string, schema *olap.Schema, op engine.Co
 	out := map[string]float64{}
 records:
 	for _, r := range recs {
-		fields := strings.Split(r.Key, "\x1f")
+		fields := strings.Split(r.Key, engine.KeySep)
 		shaped := len(fields) == schema.NumDims()
 		if len(stmt.Where) > 0 && !shaped {
 			continue
@@ -155,7 +156,7 @@ records:
 			for i, d := range dims {
 				kept[i] = fields[schema.Index(d)]
 			}
-			key = strings.Join(kept, "\x1f")
+			key = strings.Join(kept, engine.KeySep)
 		} else if len(dims) > 0 {
 			key = r.Key
 		}
@@ -245,10 +246,10 @@ func genStore(rng *rand.Rand, kind, n int) []engine.KV {
 
 // sameResult compares two stage results field by field, values bit for bit.
 func sameResult(a, b engine.StageResult) error {
-	if a.Count != b.Count || a.Raw != b.Raw || a.MapTime != b.MapTime || a.AssignOverhead != b.AssignOverhead ||
+	if a.Raw != b.Raw || a.MapTime != b.MapTime || a.AssignOverhead != b.AssignOverhead ||
 		len(a.Inter) != len(b.Inter) || (a.Inter == nil) != (b.Inter == nil) {
-		return fmt.Errorf("count/raw/map/assign/records = %d/%d/%v/%v/%d, reference %d/%d/%v/%v/%d",
-			a.Count, a.Raw, a.MapTime, a.AssignOverhead, len(a.Inter), b.Count, b.Raw, b.MapTime, b.AssignOverhead, len(b.Inter))
+		return fmt.Errorf("raw/map/assign/records = %d/%v/%v/%d, reference %d/%v/%v/%d",
+			a.Raw, a.MapTime, a.AssignOverhead, len(a.Inter), b.Raw, b.MapTime, b.AssignOverhead, len(b.Inter))
 	}
 	for i := range a.Inter {
 		if a.Inter[i].Key != b.Inter[i].Key || math.Float64bits(a.Inter[i].Val) != math.Float64bits(b.Inter[i].Val) {
@@ -259,8 +260,8 @@ func sameResult(a, b engine.StageResult) error {
 }
 
 // checkStatement compiles the text and holds its Select to the reference
-// closure through one layout — the whole StageResult, bit for bit, counting
-// only and not — and both to the naive fold on group → value.
+// closure through one layout — the whole StageResult, bit for bit — and
+// both to the naive fold on group → value.
 func checkStatement(t testing.TB, text string, store *engine.Store, stage engine.Stage) {
 	t.Helper()
 	plan, err := CompileString(text, refSchema)
@@ -277,13 +278,12 @@ func checkStatement(t testing.TB, text string, store *engine.Store, stage engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, countOnly := range []bool{false, true} {
-		if err := sameResult(layout.Scan(&plan.Query, countOnly), layout.Scan(&ref, countOnly)); err != nil {
-			t.Fatalf("%s (count only %v): coded scan: %v", text, countOnly, err)
-		}
+	coded := layout.Scan(&plan.Query)
+	if err := sameResult(coded, layout.Scan(&ref)); err != nil {
+		t.Fatalf("%s: coded scan: %v", text, err)
 	}
 	got := map[string]float64{}
-	for _, kv := range engine.CombinePartials(layout.Scan(&plan.Query, false).Inter, plan.Query.Combine) {
+	for _, kv := range engine.CombinePartials(coded.Inter, plan.Query.Combine) {
 		got[kv.Key] = kv.Val
 	}
 	want := naiveFold(plan.Statement, plan.Dims, refSchema, plan.Query.Combine, store.Records())

@@ -122,38 +122,32 @@ func queryCounts(rng *rand.Rand, cfg Config, types int) []int {
 	return counts
 }
 
-// projectedQuery builds an engine query that first projects the stored
-// full-coordinate key down to the query's dimension set and then combines.
-func projectedQuery(name, dataset string, schema *olap.Schema, dims []string, op engine.CombineOp, mapCost, reduceCost float64) (engine.Query, error) {
-	proj, err := Projector(schema, dims)
-	if err != nil {
-		return engine.Query{}, err
-	}
-	return engine.Query{
+// projectedQuery builds a query type whose map projects the stored
+// full-coordinate key down to its dimension set, and then combines. It stays
+// a MapFn rather than a Select, which would build key columns at every site
+// it scans (DESIGN.md §14).
+func projectedQuery(name, dataset string, schema *olap.Schema, dims []string, op engine.CombineOp, mapCost, reduceCost float64) (QuerySpec, error) {
+	view, err := ViewOf(schema, dims)
+	return QuerySpec{Dims: dims, View: view, Query: engine.Query{
 		Name:      name,
 		Dataset:   dataset,
 		QueryType: string(olap.QueryTypeFor(dims)),
-		Map: func(r engine.KV, emit func(string, float64)) {
-			emit(proj(r.Key), r.Val)
-		},
-		Combine: op,
-		MapCost: mapCost, ReduceCost: reduceCost,
-	}, nil
+		Map:       view.Map(),
+		Combine:   op,
+		MapCost:   mapCost, ReduceCost: reduceCost,
+	}}, err
 }
 
 // udfQuery builds the AMPLab UDF: projection to the page URL followed by a
 // simplified PageRank scatter, iterated.
-func udfQuery(name, dataset string, schema *olap.Schema, dims []string, iterations int) (engine.Query, error) {
-	proj, err := Projector(schema, dims)
-	if err != nil {
-		return engine.Query{}, err
-	}
-	return engine.Query{
+func udfQuery(name, dataset string, schema *olap.Schema, dims []string, iterations int) (QuerySpec, error) {
+	view, err := ViewOf(schema, dims)
+	return QuerySpec{Dims: dims, View: view, Query: engine.Query{
 		Name:      name,
 		Dataset:   dataset,
 		QueryType: string(olap.QueryTypeFor(dims)),
 		Map: func(r engine.KV, emit func(string, float64)) {
-			k := proj(r.Key)
+			k := view.Key(r.Key)
 			emit(k, 0.15+0.85*r.Val*0.5)
 			emit(linkTarget(k), 0.85*r.Val*0.5)
 		},
@@ -161,7 +155,7 @@ func udfQuery(name, dataset string, schema *olap.Schema, dims []string, iteratio
 		Iterations: iterations,
 		MapCost:    engine.DefaultMapCost * 1.2,
 		ReduceCost: engine.DefaultReduceCost * 1.5,
-	}, nil
+	}}, err
 }
 
 // poolScope names a pool for key synthesis: the global pool, an affinity
@@ -236,20 +230,11 @@ func generateAMPLab(kind Kind, cfg Config, idx int, seed int64) (*Dataset, error
 	var specs []QuerySpec
 	switch kind {
 	case BigDataScan:
-		specs = []QuerySpec{
-			{Query: scan, Dims: []string{"url"}},
-			{Query: aggr, Dims: []string{"country", "hour"}},
-		}
+		specs = []QuerySpec{scan, aggr}
 	case BigDataUDF:
-		specs = []QuerySpec{
-			{Query: udf, Dims: []string{"url"}},
-			{Query: aggr, Dims: []string{"country", "hour"}},
-		}
+		specs = []QuerySpec{udf, aggr}
 	case BigDataAggr:
-		specs = []QuerySpec{
-			{Query: aggr, Dims: []string{"country", "hour"}},
-			{Query: scan, Dims: []string{"url"}},
-		}
+		specs = []QuerySpec{aggr, scan}
 	default:
 		return nil, fmt.Errorf("workload: %v is not an AMPLab kind", kind)
 	}
@@ -296,11 +281,7 @@ func generateTPCDS(cfg Config, idx int, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []QuerySpec{
-		{Query: byItem, Dims: []string{"item"}},
-		{Query: byStoreDate, Dims: []string{"store", "date"}},
-		{Query: byRegion, Dims: []string{"region"}},
-	}
+	specs := []QuerySpec{byItem, byStoreDate, byRegion}
 	counts := queryCounts(rng, cfg, len(specs))
 	for i := range specs {
 		specs[i].Count = counts[i]
@@ -345,10 +326,7 @@ func generateFacebook(cfg Config, idx int, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []QuerySpec{
-		{Query: jobsByClass, Dims: []string{"jobclass"}},
-		{Query: timeByUser, Dims: []string{"user"}},
-	}
+	specs := []QuerySpec{jobsByClass, timeByUser}
 	counts := queryCounts(rng, cfg, len(specs))
 	for i := range specs {
 		specs[i].Count = counts[i]

@@ -130,6 +130,8 @@ type QuerySpec struct {
 	// reads (§4.1): records that agree on Dims emit the same keys, which
 	// the planner's volume counts rely on (TestQueriesReadOnlyTheirDims).
 	Dims []string
+	// View projects a stored key onto Dims.
+	View engine.View
 	// Count is how many recurring queries of this type the dataset sees;
 	// probe budget weights derive from it (§4.2).
 	Count int
@@ -177,139 +179,24 @@ type Workload struct {
 	Datasets []*Dataset
 }
 
-// keySep joins coordinates into engine keys; olap.Row coordinates never
-// contain it.
-const keySep = engine.KeySep
-
 // JoinKey builds the engine record key from row coordinates.
-func JoinKey(coords []string) string { return strings.Join(coords, keySep) }
+func JoinKey(coords []string) string { return strings.Join(coords, engine.KeySep) }
 
-// SplitKey recovers coordinates from an engine key. The query path indexes
-// keys in place (KeyIndex); SplitKey is the allocating reference the tests
-// and benchmark oracles compare against.
-func SplitKey(key string) []string { return strings.Split(key, keySep) }
+// SplitKey recovers coordinates from an engine key. The query path projects
+// keys in place (engine.View); SplitKey is the allocating reference the
+// tests and benchmark oracles compare against.
+func SplitKey(key string) []string { return strings.Split(key, engine.KeySep) }
 
-// maxKeyFields bounds the schema width KeyIndex can address: separator
-// offsets live in a fixed array so indexing a key allocates nothing.
-const maxKeyFields = 16
-
-// KeyIndex is the in-place field index of one engine key: one scan
-// records where each separator sits, after which any field is a substring
-// of the key. The zero value is ready for Reset.
-type KeyIndex struct {
-	key string
-	n   int
-	sep [maxKeyFields]int32 // sep[i] is the offset of the separator after field i
-}
-
-// Reset indexes key and returns its field count — what len(SplitKey(key))
-// would be. Keys wider than the index can address still report their true
-// count, so a shape check against the schema rejects them.
-func (x *KeyIndex) Reset(key string) int {
-	x.key, x.n = key, 0
-	for start := 0; ; {
-		i := strings.IndexByte(key[start:], keySep[0])
-		if i < 0 {
-			break
-		}
-		if x.n < maxKeyFields {
-			x.sep[x.n] = int32(start + i)
-		}
-		x.n++
-		start += i + 1
-	}
-	x.n++
-	return x.n
-}
-
-// Field returns field i of the indexed key, 0 <= i < min(count, maxKeyFields).
-func (x *KeyIndex) Field(i int) string { return x.key[x.start(i):x.end(i)] }
-
-func (x *KeyIndex) start(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return int(x.sep[i-1]) + 1
-}
-
-func (x *KeyIndex) end(i int) int {
-	if i == x.n-1 {
-		return len(x.key)
-	}
-	return int(x.sep[i])
-}
-
-// Projection maps full engine keys of one schema down to an attribute
-// subset — the dimension-cube view queries combine on.
-type Projection struct {
-	idx []int // schema positions of the projected dimensions, in output order
-	nd  int   // schema width: keys of any other shape are foreign
-	run bool  // idx is an ascending contiguous run: the output is a substring
-}
-
-// NewProjection resolves dims against the schema.
-func NewProjection(schema *olap.Schema, dims []string) (*Projection, error) {
-	if schema.NumDims() > maxKeyFields {
-		return nil, fmt.Errorf("workload: projection: schema has %d dimensions, keys index at most %d", schema.NumDims(), maxKeyFields)
-	}
-	p := &Projection{idx: make([]int, len(dims)), nd: schema.NumDims(), run: len(dims) > 0}
+// ViewOf resolves dims against the schema: the View projecting the schema's
+// keys onto them, in that order.
+func ViewOf(schema *olap.Schema, dims []string) (engine.View, error) {
+	keep := make([]int, len(dims))
 	for i, d := range dims {
-		j := schema.Index(d)
-		if j < 0 {
-			return nil, fmt.Errorf("workload: projector: unknown dimension %q", d)
-		}
-		p.idx[i] = j
-		if i > 0 && j != p.idx[i-1]+1 {
-			p.run = false
+		if keep[i] = schema.Index(d); keep[i] < 0 {
+			return engine.View{}, fmt.Errorf("workload: unknown dimension %q", d)
 		}
 	}
-	return p, nil
-}
-
-// Index indexes key into x and reports whether the key has the schema's
-// shape; only then may x be passed to Key.
-func (p *Projection) Index(x *KeyIndex, key string) bool { return x.Reset(key) == p.nd }
-
-// Key returns the projected key of an indexed, schema-shaped key. A
-// projection onto a contiguous schema-order run of dimensions is a
-// substring of the stored key and allocates nothing; any other projection
-// joins its fields into one new string.
-func (p *Projection) Key(x *KeyIndex) string {
-	if p.run {
-		return x.key[x.start(p.idx[0]):x.end(p.idx[len(p.idx)-1])]
-	}
-	size := max(len(p.idx)-1, 0) // separators
-	for _, j := range p.idx {
-		size += x.end(j) - x.start(j)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for i, j := range p.idx {
-		if i > 0 {
-			b.WriteString(keySep)
-		}
-		b.WriteString(x.Field(j))
-	}
-	return b.String()
-}
-
-// Project projects one key; keys of a foreign shape are left untouched.
-func (p *Projection) Project(key string) string {
-	var x KeyIndex
-	if !p.Index(&x, key) {
-		return key
-	}
-	return p.Key(&x)
-}
-
-// Projector returns a function projecting a full engine key down to the
-// given attribute subset of the schema.
-func Projector(schema *olap.Schema, dims []string) (func(string) string, error) {
-	p, err := NewProjection(schema, dims)
-	if err != nil {
-		return nil, err
-	}
-	return p.Project, nil
+	return engine.NewView(schema.NumDims(), keep...), nil
 }
 
 // Generate builds a workload of the given kind.

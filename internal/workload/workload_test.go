@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"bohr/internal/engine"
 	"bohr/internal/olap"
 	"bohr/internal/similarity"
-	"bohr/internal/stats"
 	"bohr/internal/wan"
 )
 
@@ -267,81 +265,26 @@ func TestPopulatedQueriesRun(t *testing.T) {
 	}
 }
 
-func TestProjector(t *testing.T) {
+// TestViewOf: a View resolved from dimension names projects schema-shaped
+// keys onto them in the order named and leaves keys of another width alone.
+func TestViewOf(t *testing.T) {
 	schema := olap.MustSchema("a", "b", "c")
-	proj, err := Projector(schema, []string{"c", "a"})
+	view, err := ViewOf(schema, []string{"c", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if view != engine.NewView(3, 2, 0) {
+		t.Fatalf("view = %v", view)
+	}
 	key := JoinKey([]string{"x", "y", "z"})
-	if got := proj(key); got != JoinKey([]string{"z", "x"}) {
+	if got := view.Key(key); got != JoinKey([]string{"z", "x"}) {
 		t.Fatalf("projected = %q", got)
 	}
-	// Foreign-shaped keys pass through.
-	if got := proj("just-one-part"); got != "just-one-part" {
+	if got := view.Key("just-one-part"); got != "just-one-part" {
 		t.Fatalf("foreign key mangled: %q", got)
 	}
-	if _, err := Projector(schema, []string{"zzz"}); err == nil {
+	if _, err := ViewOf(schema, []string{"zzz"}); err == nil {
 		t.Fatal("unknown dim should error")
-	}
-}
-
-// Property: the in-place indexer sees the fields strings.Split sees — on
-// keys with empty fields, too many or too few fields, more fields than the
-// index can address, and no separator at all — and every projection built
-// on it equals the split-pick-join it replaced.
-func TestKeyIndexAgreesWithSplit(t *testing.T) {
-	rng := stats.NewRand(5)
-	alphabet := []string{"", "a", "bc", "x/y", "\x1e", "long-coordinate-value", "0"}
-	schema := olap.MustSchema("d0", "d1", "d2", "d3")
-	var projections []*Projection
-	var dimSets [][]string
-	for _, dims := range [][]string{{"d0"}, {"d3"}, {"d1", "d2"}, {"d0", "d1", "d2", "d3"}, {"d2", "d0"}, {"d0", "d2"}, {"d3", "d2"}, {}} {
-		p, err := NewProjection(schema, dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		projections, dimSets = append(projections, p), append(dimSets, dims)
-	}
-	for trial := 0; trial < 5000; trial++ {
-		fields := make([]string, 1+rng.Intn(6))
-		if trial%50 == 0 {
-			fields = make([]string, maxKeyFields+rng.Intn(4))
-		}
-		for i := range fields {
-			fields[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		key := JoinKey(fields)
-		want := SplitKey(key)
-		var x KeyIndex
-		if n := x.Reset(key); n != len(want) {
-			t.Fatalf("key %q: %d fields, strings.Split finds %d", key, n, len(want))
-		}
-		for i := 0; i < len(want) && i < maxKeyFields; i++ {
-			if got := x.Field(i); got != want[i] {
-				t.Fatalf("key %q: field %d = %q, strings.Split gives %q", key, i, got, want[i])
-			}
-		}
-		for pi, p := range projections {
-			wantKey := key
-			if len(want) == schema.NumDims() {
-				wantCoords := make([]string, len(dimSets[pi]))
-				for i, d := range dimSets[pi] {
-					wantCoords[i] = want[schema.Index(d)]
-				}
-				wantKey = JoinKey(wantCoords)
-			}
-			if got := p.Project(key); got != wantKey {
-				t.Fatalf("key %q onto %v = %q, want %q", key, dimSets[pi], got, wantKey)
-			}
-		}
-	}
-	wide := make([]string, maxKeyFields+1)
-	for i := range wide {
-		wide[i] = fmt.Sprintf("d%d", i)
-	}
-	if _, err := NewProjection(olap.MustSchema(wide...), wide[:1]); err == nil {
-		t.Fatal("a schema wider than the key index must be refused")
 	}
 }
 
@@ -481,7 +424,7 @@ func TestWorkloadValidateNames(t *testing.T) {
 // TestQueriesReadOnlyTheirDims pins the query-type contract QuerySpec.Dims
 // states, which the planner's volume profile counts by: for every kind and
 // every query, dominant or not, all records that agree on the query's Dims
-// emit the same set of keys.
+// emit the same set of keys, and the spec's View projects onto Dims.
 func TestQueriesReadOnlyTheirDims(t *testing.T) {
 	for _, kind := range Kinds() {
 		w, err := Generate(kind, smallConfig())
@@ -490,10 +433,6 @@ func TestQueriesReadOnlyTheirDims(t *testing.T) {
 		}
 		for _, ds := range w.Datasets {
 			for _, spec := range ds.Queries {
-				proj, err := NewProjection(ds.Schema, spec.Dims)
-				if err != nil {
-					t.Fatal(err)
-				}
 				byCell := map[string]string{}
 				for _, rows := range ds.Rows {
 					for _, row := range rows {
@@ -504,7 +443,14 @@ func TestQueriesReadOnlyTheirDims(t *testing.T) {
 						})
 						slices.Sort(emitted)
 						set := strings.Join(slices.Compact(emitted), "\n")
-						cell := proj.Project(key)
+						coords := make([]string, len(spec.Dims))
+						for i, d := range spec.Dims {
+							coords[i] = row.Coords[ds.Schema.Index(d)]
+						}
+						cell := JoinKey(coords)
+						if got := spec.View.Key(key); got != cell {
+							t.Fatalf("%v %s: View projects %q to %q, Dims to %q", kind, spec.Query.Name, key, got, cell)
+						}
 						if seen, ok := byCell[cell]; !ok {
 							byCell[cell] = set
 						} else if seen != set {
