@@ -132,7 +132,7 @@ func run(o cliOpts) error {
 			col = obs.NewCollector()
 			opts.Obs = col
 		}
-		rep, err := core.RunDynamic(context.Background(), empty, w, scheme, core.DefaultDynamicConfig(), core.WithPlacement(opts))
+		rep, err := core.RunDynamic(context.Background(), empty, w, scheme, core.DefaultDynamicConfig(), opts)
 		if err != nil {
 			return err
 		}

@@ -39,7 +39,7 @@ func run() error {
 		}
 
 		// Static reference: all data present up front.
-		staticDoc, err := core.Run(context.Background(), cluster.Clone(), w, placement.Bohr, core.WithPlacement(s.PlacementOptions(0)))
+		staticDoc, err := core.Run(context.Background(), cluster.Clone(), w, placement.Bohr, s.PlacementOptions(0))
 		if err != nil {
 			return err
 		}
@@ -52,7 +52,7 @@ func run() error {
 		}
 		dyn := core.DefaultDynamicConfig()
 		dyn.Queries = 16 // 0.25 + 15 × 0.05 delivers the full corpus
-		rep, err := core.RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, core.WithPlacement(s.PlacementOptions(0)))
+		rep, err := core.RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, s.PlacementOptions(0))
 		if err != nil {
 			return err
 		}

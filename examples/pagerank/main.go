@@ -42,7 +42,7 @@ func run() error {
 	fmt.Printf("%-12s %10s %14s %12s\n", "Scheme", "QCT", "Intermediate", "Reduction")
 
 	for _, id := range placement.AllSchemes() {
-		rep, err := core.Run(context.Background(), cluster.Clone(), w, id, core.WithPlacement(s.PlacementOptions(0)))
+		rep, err := core.Run(context.Background(), cluster.Clone(), w, id, s.PlacementOptions(0))
 		if err != nil {
 			return err
 		}

@@ -59,7 +59,7 @@ func run() error {
 		// One-shot pipeline: Prepare (probes, placement, movement in the
 		// lag) + the full workload run, as one machine-readable report.
 		rep, err := core.Run(context.Background(), cluster, w, id,
-			core.WithLag(30), core.WithProbeK(30), core.WithSeed(1))
+			placement.Options{Lag: 30, ProbeK: 30, Seed: 1})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -175,7 +175,7 @@ func TestDynamicConfigValidate(t *testing.T) {
 	c, w := setup(t, workload.TPCDS)
 	empty, _ := engine.NewCluster(c.Top, 1, 2, 100)
 	for i, cfg := range bad {
-		if _, err := RunDynamic(context.Background(), empty, w, placement.Bohr, cfg, WithPlacement(placement.Options{})); err == nil {
+		if _, err := RunDynamic(context.Background(), empty, w, placement.Bohr, cfg, placement.Options{}); err == nil {
 			t.Fatalf("case %d should error", i)
 		}
 	}
@@ -183,7 +183,7 @@ func TestDynamicConfigValidate(t *testing.T) {
 
 func TestRunDynamicNeedsEmptyCluster(t *testing.T) {
 	c, w := setup(t, workload.TPCDS) // populated
-	if _, err := RunDynamic(context.Background(), c, w, placement.Bohr, DefaultDynamicConfig(), WithPlacement(placement.Options{})); err == nil {
+	if _, err := RunDynamic(context.Background(), c, w, placement.Bohr, DefaultDynamicConfig(), placement.Options{}); err == nil {
 		t.Fatal("populated cluster should error")
 	}
 }
@@ -192,7 +192,7 @@ func TestRunDynamic(t *testing.T) {
 	c, w := setup(t, workload.TPCDS)
 	empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
 	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.05, ReplanEvery: 5, Queries: 12}
-	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, WithPlacement(placement.Options{Seed: 3}))
+	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDynamicCloseToStatic(t *testing.T) {
 	empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
 	// Deliver everything by the end: 0.25 + 15×0.05 = 1.0.
 	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.05, ReplanEvery: 5, Queries: 16}
-	dynRep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, WithPlacement(placement.Options{Seed: 4}))
+	dynRep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

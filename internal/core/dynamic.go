@@ -76,8 +76,7 @@ type DynamicReport struct {
 // boundaries (before each replan, each query round, each batch delivery)
 // and at the engine's chunk boundaries below them.
 func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID,
-	dyn DynamicConfig, options ...Option) (*DynamicReport, error) {
-	opts := resolve(options)
+	dyn DynamicConfig, opts placement.Options) (*DynamicReport, error) {
 	if err := dyn.validate(); err != nil {
 		return nil, err
 	}

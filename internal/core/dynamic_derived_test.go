@@ -22,7 +22,7 @@ func dynRun(t *testing.T, w *workload.Workload, c *engine.Cluster, seed int64, d
 	}
 	col := obs.NewCollector()
 	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn,
-		WithPlacement(placement.Options{Seed: seed, Obs: col}))
+		placement.Options{Seed: seed, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}

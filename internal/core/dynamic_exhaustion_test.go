@@ -21,7 +21,7 @@ func TestRunDynamicBatchCursorExhaustion(t *testing.T) {
 	c, w := setup(t, workload.TPCDS)
 	empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
 	dyn := DynamicConfig{InitialFraction: 0.5, BatchFraction: 0.25, ReplanEvery: 3, Queries: 8}
-	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, WithPlacement(placement.Options{Seed: 7}))
+	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunDynamicExhaustionDeterministic(t *testing.T) {
 		c, w := setup(t, workload.TPCDS)
 		empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
 		dyn := DynamicConfig{InitialFraction: 0.5, BatchFraction: 0.25, ReplanEvery: 3, Queries: 8}
-		rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, WithPlacement(placement.Options{Seed: 7}))
+		rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func faultyReport(t *testing.T) *Report {
 		{Kind: faults.KindStraggler, Site: 1, Start: 30, End: 300, Factor: 2},
 	}}
 	opts := placement.Options{Seed: 42, Obs: obs.NewCollector(), Faults: sched}
-	rep, err := Run(context.Background(), c, w, placement.Bohr, WithPlacement(opts))
+	rep, err := Run(context.Background(), c, w, placement.Bohr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFaultyReportResilienceSection(t *testing.T) {
 	}
 	// Fault-free runs must NOT carry the section.
 	c, w := setup(t, workload.BigDataScan)
-	clean, err := Run(context.Background(), c, w, placement.Bohr, WithSeed(42))
+	clean, err := Run(context.Background(), c, w, placement.Bohr, placement.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFaultyReportBytesDeterministic(t *testing.T) {
 
 func TestFaultyRunSlowerThanClean(t *testing.T) {
 	c, w := setup(t, workload.BigDataScan)
-	cleanRep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, WithSeed(42))
+	cleanRep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, placement.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFaultyRunSlowerThanClean(t *testing.T) {
 		{Kind: faults.KindLinkBlackout, Site: 2, Start: 0, End: 300},
 		{Kind: faults.KindStraggler, Site: 1, Start: 0, End: 300, Factor: 3},
 	}}
-	faultyRep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, WithSeed(42), WithFaults(sched))
+	faultyRep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, placement.Options{Seed: 42, Faults: sched})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,10 @@ func (s *System) Report() *Report {
 //
 // The context is the run's lifetime: it is honored at phase boundaries
 // (planning, movement) and at the engine's chunk boundaries, so a
-// deadline or cancellation stops the pipeline within one stage. Options
-// configure placement (WithPlacement adopts a whole placement.Options
-// struct).
-func Run(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opts ...Option) (*Report, error) {
-	sys, err := New(c, w, scheme, resolve(opts))
+// deadline or cancellation stops the pipeline within one stage. opts
+// configure placement, as they do for New.
+func Run(ctx context.Context, c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opts placement.Options) (*Report, error) {
+	sys, err := New(c, w, scheme, opts)
 	if err != nil {
 		return nil, err
 	}

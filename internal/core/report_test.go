@@ -101,7 +101,7 @@ func TestRunOneShot(t *testing.T) {
 	c, w := setup(t, workload.BigDataScan)
 	col := obs.NewCollector()
 	opts := placement.Options{Lag: 30, ProbeK: 30, Seed: 7, Obs: col}
-	rep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, WithPlacement(opts))
+	rep, err := Run(context.Background(), c.Clone(), w, placement.Bohr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ const (
 
 // OverheadCubeGeneration reproduces §8.5's cube-generation measurements:
 // it actually formats the scaled corpus into cubes (logs via olap.BuildCube,
-// images via VSM-style vectors + LSH bucketing) and reports modeled
+// images via synthesized feature vectors + LSH bucketing) and reports modeled
 // seconds at the paper's 40 GB scale.
 func OverheadCubeGeneration(s Setup) ([]OverheadRow, error) {
 	if err := s.validate(); err != nil {

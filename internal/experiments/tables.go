@@ -360,7 +360,7 @@ func Table7(s Setup) ([]Table7Row, error) {
 		dyn := core.DefaultDynamicConfig()
 		dyn.Queries = 16 // 0.25 + 15×0.05 = full corpus by the last query
 		drep, err := core.RunDynamic(context.Background(), emptyC, snap.workload, placement.Bohr, dyn,
-			core.WithPlacement(s.PlacementOptions(0)))
+			s.PlacementOptions(0))
 		if err != nil {
 			return nil, err
 		}

@@ -471,16 +471,6 @@ func (w *workspace) solveTaskPlacementVolumes(f [][]float64, up, down []float64,
 	return r, sol.X[0], sol.Iterations, nil
 }
 
-// SolveTaskPlacement optimizes only the reduce-task fractions r for a
-// fixed (possibly nil) movement plan — the separate task placement step
-// baseline systems perform after their heuristic data placement.
-func SolveTaskPlacement(in *PlacementInput, move [][][]float64) (taskFrac []float64, shuffleTime float64, pivots int, err error) {
-	if err := in.Validate(); err != nil {
-		return nil, 0, 0, err
-	}
-	return new(workspace).solveR(in, move)
-}
-
 // SolvePlacement runs the joint optimization of §5. Constraint (3) couples
 // r_i with f_i(x), so the exact formulation is bilinear; we solve it the
 // standard way by alternating two exact LPs — x for fixed r, then r for

@@ -3,6 +3,7 @@ package olap
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,13 +21,23 @@ func mustBuild(t testing.TB, schema *Schema, rows []Row) *Cube {
 	return c
 }
 
-// totalMeasure sums the cube's cell measures in row order.
+// totalMeasure sums the cube's cell measures in insertion order.
 func totalMeasure(c *Cube) float64 {
 	var s float64
-	for _, v := range c.sums {
-		s += v
+	for _, cell := range c.cells {
+		s += cell.Sum
 	}
 	return s
+}
+
+// find returns the cell at coords, read through Cells.
+func find(c *Cube, coords ...string) (Cell, bool) {
+	for _, cell := range c.Cells() {
+		if slices.Equal(cell.Coords, coords) {
+			return cell, true
+		}
+	}
+	return Cell{}, false
 }
 
 // salesCube builds the paper's Figure-2 style cube: time × region × product.
@@ -68,11 +79,11 @@ func TestInsertAggregates(t *testing.T) {
 	if c.NumCells() != 5 {
 		t.Fatalf("NumCells = %d, want 5 (two rows share a cell)", c.NumCells())
 	}
-	cell, ok := c.Lookup("2014", "US", "A")
+	cell, ok := find(c, "2014", "US", "A")
 	if !ok || cell.Sum != 9 || cell.Count != 2 {
 		t.Fatalf("merged cell = %+v ok=%v", cell, ok)
 	}
-	if _, ok := c.Lookup("1999", "US", "A"); ok {
+	if _, ok := find(c, "1999", "US", "A"); ok {
 		t.Fatal("absent cell should not be found")
 	}
 	if got := totalMeasure(c); got != 35 {
@@ -125,11 +136,11 @@ func TestRollUp(t *testing.T) {
 	if got := fmt.Sprint(r.schema.Dims()); got != "[time product]" {
 		t.Fatalf("rollup schema = %v", got)
 	}
-	cell, ok := r.Lookup("2014", "A")
+	cell, ok := find(r, "2014", "A")
 	if !ok || cell.Sum != 9 || cell.Count != 2 {
 		t.Fatalf("rolled cell = %+v", cell)
 	}
-	if cell, ok := r.Lookup("2012", "A"); !ok || cell.Sum != 10 || cell.Count != 1 {
+	if cell, ok := find(r, "2012", "A"); !ok || cell.Sum != 10 || cell.Count != 1 {
 		t.Fatalf("rolled cell 2012/A = %+v ok=%v", cell, ok)
 	}
 	if r.NumCells() != 5 {
@@ -155,7 +166,7 @@ func TestDimensionCube(t *testing.T) {
 	if got := fmt.Sprint(dc.schema.Dims()); got != "[product time]" {
 		t.Fatalf("dc schema = %v", got)
 	}
-	cell, ok := dc.Lookup("A", "2014")
+	cell, ok := find(dc, "A", "2014")
 	if !ok || cell.Sum != 9 || cell.Count != 2 {
 		t.Fatalf("dc cell = %+v", cell)
 	}
@@ -168,6 +179,11 @@ func TestDimensionCube(t *testing.T) {
 }
 
 func TestStorageBytesGrows(t *testing.T) {
+	// Five cells, each keyed by three coordinates joined with two
+	// separators ("2012\x1fUS\x1fA" is 9 bytes), plus 16 bytes apiece.
+	if got := salesCube(t).StorageBytes(); got != 5*(9+16) {
+		t.Fatalf("sales cube StorageBytes = %d, want %d", got, 5*(9+16))
+	}
 	schema := MustSchema("k")
 	var rows []Row
 	for i := 0; i < 100; i++ {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -92,58 +94,99 @@ func TestDimensionCubePreservesTotals(t *testing.T) {
 	}
 }
 
-// multiChunkRows is the input of the BuildCube tests below: several
-// full chunks plus a ragged tail.
-func multiChunkRows() []Row {
-	return randomRows(rand.New(rand.NewSource(505)), buildGrain*3+137)
+// project returns rows with their coordinates narrowed to sub, in sub's
+// order.
+func project(rows []Row, dims, sub []string) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		coords := make([]string, len(sub))
+		for k, d := range sub {
+			coords[k] = r.Coords[slices.Index(dims, d)]
+		}
+		out[i] = Row{Coords: coords, Measure: r.Measure}
+	}
+	return out
 }
 
-// TestBuildCubeMatchesSequential holds BuildCube to one sequential pass
-// of the map-backed reference: the same cells in the same order with
-// identical counts, and sums equal within float tolerance (the chunked
-// fold reassociates the additions).
-func TestBuildCubeMatchesSequential(t *testing.T) {
-	rows := multiChunkRows()
-	dims := []string{"region", "product", "day"}
-	ref := newRefCube(dims)
-	for _, r := range rows {
-		ref.add(r.Coords, r.Measure, 1)
-	}
-	for _, width := range []int{1, 4, 8} {
-		got, err := BuildCube(MustSchema(dims...), rows, width)
-		if err != nil {
-			t.Fatal(err)
+// sameCells fails unless got and want hold the same cells in the same
+// insertion order and the same Cells() order, with equal counts and sums
+// within tolerance.
+func sameCells(t *testing.T, label string, got, want *Cube) {
+	t.Helper()
+	for _, order := range []struct {
+		name      string
+		got, want []Cell
+	}{{"insertion", got.cells, want.cells}, {"Cells()", got.Cells(), want.Cells()}} {
+		if len(order.got) != len(order.want) {
+			t.Fatalf("%s %s: %d cells, want %d", label, order.name, len(order.got), len(order.want))
 		}
-		if got.NumRows() != len(rows) {
-			t.Fatalf("width %d: rows %d, want %d", width, got.NumRows(), len(rows))
-		}
-		matchCells(t, fmt.Sprintf("width %d", width), got, ref, false)
-	}
-}
-
-// TestBuildCubeWidthIndependent pins BuildCube's contract that the pool
-// width changes nothing: widths 1, 4 and 8 give the same cells in the
-// same order with bit-identical sums.
-func TestBuildCubeWidthIndependent(t *testing.T) {
-	rows := multiChunkRows()
-	schema := MustSchema("region", "product", "day")
-	want := mustBuild(t, schema, rows).inOrder()
-	for _, width := range []int{4, 8} {
-		got, err := BuildCube(schema, rows, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells := got.inOrder()
-		if len(cells) != len(want) {
-			t.Fatalf("width %d: %d cells, want %d", width, len(cells), len(want))
-		}
-		for i, w := range want {
-			g := cells[i]
-			if fmt.Sprint(g.Coords) != fmt.Sprint(w.Coords) || g.Count != w.Count ||
-				math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
-				t.Fatalf("width %d cell %d: got %v sum=%v count=%d, want %v sum=%v count=%d",
-					width, i, g.Coords, g.Sum, g.Count, w.Coords, w.Sum, w.Count)
+		for i, w := range order.want {
+			g := order.got[i]
+			if !slices.Equal(g.Coords, w.Coords) || g.Count != w.Count || !approxEq(g.Sum, w.Sum) {
+				t.Fatalf("%s %s cell %d: got %v sum=%v count=%d, want %v sum=%v count=%d",
+					label, order.name, i, g.Coords, g.Sum, g.Count, w.Coords, w.Sum, w.Count)
 			}
+		}
+	}
+	if got.NumRows() != want.NumRows() || got.StorageBytes() != want.StorageBytes() {
+		t.Fatalf("%s: rows %d storage %d, want rows %d storage %d",
+			label, got.NumRows(), got.StorageBytes(), want.NumRows(), want.StorageBytes())
+	}
+}
+
+// sortedByCountThenKey fails unless Cells() runs by descending count,
+// ties by ascending joined key.
+func sortedByCountThenKey(t *testing.T, label string, c *Cube) {
+	t.Helper()
+	cells := c.Cells()
+	for i := 1; i < len(cells); i++ {
+		a, b := cells[i-1], cells[i]
+		ka, kb := strings.Join(a.Coords, string(sep)), strings.Join(b.Coords, string(sep))
+		if a.Count < b.Count || a.Count == b.Count && ka >= kb {
+			t.Fatalf("%s: Cells()[%d] %v×%d before %v×%d", label, i-1, a.Coords, a.Count, b.Coords, b.Count)
+		}
+	}
+}
+
+// TestDimensionCubeMatchesProjectedBuild holds the two folds to each
+// other over random rows: DimensionCube(sub) of a built cube must equal
+// BuildCube over the rows projected onto sub, for several subsets. Every
+// built cell's Sum must also be bit-equal to a sequential fold of its own
+// rows, and Cells() must be in (count desc, key asc) order.
+func TestDimensionCubeMatchesProjectedBuild(t *testing.T) {
+	dims := []string{"region", "product", "day"}
+	subsets := [][]string{
+		{"region"}, {"day"}, {"day", "region"}, {"product", "day"},
+		{"day", "product", "region"}, {"region", "product", "day"},
+	}
+	rng := rand.New(rand.NewSource(606))
+	for trial := 0; trial < 12; trial++ {
+		rows := randomRows(rng, 1+rng.Intn(3000))
+		c := mustBuild(t, MustSchema(dims...), rows)
+		label := fmt.Sprintf("trial %d (%d rows)", trial, len(rows))
+
+		fold := map[string]float64{}
+		for _, r := range rows {
+			fold[strings.Join(r.Coords, string(sep))] += r.Measure
+		}
+		if len(fold) != c.NumCells() {
+			t.Fatalf("%s: %d cells, the rows have %d distinct keys", label, c.NumCells(), len(fold))
+		}
+		for _, cell := range c.cells {
+			if want := fold[strings.Join(cell.Coords, string(sep))]; math.Float64bits(cell.Sum) != math.Float64bits(want) {
+				t.Fatalf("%s: cell %v sum %v, a sequential fold of its rows %v", label, cell.Coords, cell.Sum, want)
+			}
+		}
+		sortedByCountThenKey(t, label, c)
+
+		for _, sub := range subsets {
+			dc, err := c.DimensionCube(sub...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s dims %v", label, sub)
+			sortedByCountThenKey(t, name, dc)
+			sameCells(t, name, dc, mustBuild(t, dc.schema, project(rows, dims, dc.schema.Dims())))
 		}
 	}
 }

@@ -1,15 +1,16 @@
 // Package parallel is the bounded worker pool shared by the
-// reproduction's hot kernels (olap cube builds, similarity signature
-// batches, DIMSUM pair scoring, per-dataset placement planning).
+// reproduction's hot kernels (similarity signature batches, DIMSUM pair
+// scoring, k-means assignment, per-site map stages, per-dataset placement
+// planning).
 //
 // The package exists to make data parallelism safe for a system whose
 // headline guarantee is byte-determinism: every primitive here assigns
 // work by index and merges results in index order, so the observable
 // output of a kernel depends only on its input — never on goroutine
-// scheduling. Kernels that fold floating-point values additionally keep
-// their reduction tree fixed (chunk boundaries derived from the input
-// size, not the width), so even non-associative float sums are
-// bit-identical across widths; see olap.BuildCube for the pattern.
+// scheduling. Kernels that fold floating-point values pool only the
+// per-element work and fold the results sequentially in index order
+// afterwards, so even non-associative float sums are bit-identical
+// across widths; see rdd.KMeans's weight total for the pattern.
 //
 // Width resolution: an explicit width > 0 wins; width <= 0 means "use
 // the process default", which is GOMAXPROCS at init, overridable by the

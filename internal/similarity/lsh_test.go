@@ -117,83 +117,3 @@ func TestCosine(t *testing.T) {
 		t.Fatal("dim mismatch should error")
 	}
 }
-
-func TestVSM(t *testing.T) {
-	corpus := [][]string{
-		{"apple", "banana", "apple"},
-		{"banana", "cherry"},
-		{"", "apple"},
-	}
-	v, err := BuildVSM(corpus, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Dim() != 3 {
-		t.Fatalf("dim = %d", v.Dim())
-	}
-	// apple freq 3 > banana 2 > cherry 1.
-	if v.Terms()[0] != "apple" || v.Terms()[1] != "banana" {
-		t.Fatalf("term order = %v", v.Terms())
-	}
-	vec := v.Vector([]string{"apple", "apple", "unknown", "cherry"})
-	if vec[0] != 2 || vec[2] != 1 {
-		t.Fatalf("vector = %v", vec)
-	}
-	// maxTerms truncation.
-	v2, _ := BuildVSM(corpus, 2)
-	if v2.Dim() != 2 {
-		t.Fatalf("truncated dim = %d", v2.Dim())
-	}
-	if _, err := BuildVSM(nil, 0); err == nil {
-		t.Fatal("empty corpus should error")
-	}
-	if _, err := BuildVSM([][]string{{""}}, 0); err == nil {
-		t.Fatal("corpus of empty tokens should error")
-	}
-}
-
-func TestTokenize(t *testing.T) {
-	toks := Tokenize("GET /index.html?q=1 HTTP/1.1")
-	want := []string{"get", "index", "html", "q", "1", "http", "1", "1"}
-	if len(toks) != len(want) {
-		t.Fatalf("tokens = %v", toks)
-	}
-	for i := range want {
-		if toks[i] != want[i] {
-			t.Fatalf("token %d = %q, want %q", i, toks[i], want[i])
-		}
-	}
-	if len(Tokenize("")) != 0 {
-		t.Fatal("empty text should yield no tokens")
-	}
-}
-
-func TestVSMLSHPipeline(t *testing.T) {
-	// End-to-end: similar documents should LSH-hash to similar signatures.
-	corpus := [][]string{
-		Tokenize("user clicked product page checkout"),
-		Tokenize("user clicked product page cart"),
-		Tokenize("server error disk failure alert"),
-	}
-	v, err := BuildVSM(corpus, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLSH(v.Dim(), 512, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sign := func(doc []string) []uint64 {
-		s, err := l.Sign(v.Vector(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s0, s1, s2 := sign(corpus[0]), sign(corpus[1]), sign(corpus[2])
-	near, _ := l.HammingSimilarity(s0, s1)
-	far, _ := l.HammingSimilarity(s0, s2)
-	if near <= far {
-		t.Fatalf("similar docs (%v) should out-match dissimilar (%v)", near, far)
-	}
-}

@@ -1,8 +1,7 @@
 // Package similarity implements Bohr's similarity checking machinery (§4):
-// probe construction from OLAP dimension cubes, cross-site similarity
-// scoring, minhash signatures, locality-sensitive hashing for
-// high-dimensional feature vectors, and the vector space model used to
-// turn image-like data into feature vectors.
+// probe construction from a store's cell column (the dimension cube as
+// counts), cross-site similarity scoring, minhash signatures, and
+// locality-sensitive hashing for high-dimensional feature vectors.
 package similarity
 
 import (
@@ -60,11 +59,11 @@ const (
 // KeyHash hashes a key once, the input a signature is computed from;
 // per-function values are derived by mixing it with each function's seed
 // through a full-avalanche finalizer, which gives a family that is close
-// enough to min-wise independent for Jaccard estimation. Same two-lane SWAR scheme as the
-// olap fold's key hash: two independent FNV lanes over alternating
-// 8-byte words (halving the serial xor-multiply dependency chain that
-// dominates a byte-at-a-time FNV), the tail read as one zero-padded
-// word, combined through a murmur-style avalanche. Never persisted, so it
+// enough to min-wise independent for Jaccard estimation. Two independent
+// FNV lanes run over alternating 8-byte words (halving the serial
+// xor-multiply dependency chain that dominates a byte-at-a-time FNV), the
+// tail read as one zero-padded word, combined through a murmur-style
+// avalanche. Never persisted, so it
 // only needs to be fast and well mixed — not stable across releases.
 func KeyHash(key string) uint64 {
 	h1, h2 := fnvOffset64, fnvOffset64b

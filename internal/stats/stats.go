@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers shared across the Bohr
-// reproduction: summary statistics, histograms, and deterministic seeded
-// random sources.
+// reproduction: summary statistics (mean, percentiles, min/max), Zipf
+// draws, and deterministic seeded random sources.
 //
 // Every stochastic component in the repository draws from an explicit
 // *rand.Rand created through this package so experiment runs are
@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -118,39 +117,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Summary holds the usual five-number-ish summary of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary compactly for log lines and harness output.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
-}
-
 // Zipf draws n samples from a Zipf distribution over [0, k) with skew s>1
 // behaviourally similar to real analytics key popularity. The returned
 // values are element indices.
@@ -165,68 +131,3 @@ func Zipf(rng *rand.Rand, s float64, k uint64, n int) []uint64 {
 	}
 	return out
 }
-
-// WeightedChoice picks an index in weights proportionally to its weight.
-// All weights must be non-negative; a zero total picks uniformly.
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return rng.Intn(len(weights))
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Histogram is a fixed-bucket histogram over [lo, hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	under   int
-	over    int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.under + h.over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// OutOfRange returns counts of observations below Lo and at/above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }

@@ -72,19 +72,6 @@ func TestMedianInterpolates(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.P50 != 2 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-	if s.String() == "" {
-		t.Fatal("String should be non-empty")
-	}
-}
-
 func TestSplitDeterministicAndDistinct(t *testing.T) {
 	a := Split(42, 1)
 	b := Split(42, 1)
@@ -119,66 +106,6 @@ func TestZipfRangeAndSkew(t *testing.T) {
 	// Zipf should be heavily skewed toward small indices.
 	if counts[0] < counts[500]*2 {
 		t.Fatalf("expected skew: counts[0]=%d counts[500]=%d", counts[0], counts[500])
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	rng := NewRand(3)
-	w := []float64{0, 0, 1}
-	for i := 0; i < 50; i++ {
-		if got := WeightedChoice(rng, w); got != 2 {
-			t.Fatalf("WeightedChoice picked %d with zero weight", got)
-		}
-	}
-	// Zero total falls back to uniform and must stay in range.
-	for i := 0; i < 50; i++ {
-		if got := WeightedChoice(rng, []float64{0, 0}); got < 0 || got > 1 {
-			t.Fatalf("uniform fallback out of range: %d", got)
-		}
-	}
-}
-
-func TestWeightedChoiceProportions(t *testing.T) {
-	rng := NewRand(9)
-	w := []float64{1, 3}
-	n1 := 0
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		if WeightedChoice(rng, w) == 1 {
-			n1++
-		}
-	}
-	frac := float64(n1) / trials
-	if math.Abs(frac-0.75) > 0.02 {
-		t.Fatalf("weight-3 option chosen %.3f of the time, want ~0.75", frac)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("under=%d over=%d", under, over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Fatalf("bucket4 = %d, want 1", h.Buckets[4])
-	}
-}
-
-func TestHistogramZeroBuckets(t *testing.T) {
-	h := NewHistogram(0, 1, 0)
-	h.Add(0.5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram should still count")
 	}
 }
 

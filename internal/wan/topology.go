@@ -112,23 +112,3 @@ func EC2TenRegions(base float64) *Topology {
 	}
 	return t
 }
-
-// BottleneckSite returns the site with the smallest uplink capacity per
-// byte of pending data: the site that would take longest to drain load[i]
-// bytes through its uplink. Prior geo-analytics work moves data out of this
-// site first. load is indexed by SiteID; sites with zero load are skipped.
-func (t *Topology) BottleneckSite(load []float64) SiteID {
-	best := SiteID(-1)
-	var worst float64 = -1
-	for i, s := range t.Sites {
-		if i >= len(load) || load[i] <= 0 {
-			continue
-		}
-		drain := load[i] / s.UpMBps
-		if drain > worst {
-			worst = drain
-			best = SiteID(i)
-		}
-	}
-	return best
-}

@@ -69,21 +69,6 @@ func TestEC2TenRegionsRatios(t *testing.T) {
 	}
 }
 
-func TestBottleneckSite(t *testing.T) {
-	top := twoSites(t)
-	// Equal load: site a (slower uplink) is the bottleneck.
-	if b := top.BottleneckSite([]float64{100, 100}); b != 0 {
-		t.Fatalf("bottleneck = %d, want 0", b)
-	}
-	// Heavier load at b outweighs its faster uplink (100/10=10 < 300/20=15).
-	if b := top.BottleneckSite([]float64{100, 300}); b != 1 {
-		t.Fatalf("bottleneck = %d, want 1", b)
-	}
-	if b := top.BottleneckSite([]float64{0, 0}); b != -1 {
-		t.Fatalf("bottleneck with no load = %d, want -1", b)
-	}
-}
-
 func TestEstimateSingleFlow(t *testing.T) {
 	top := twoSites(t)
 	// 100 MB from a (10 MBps up) to b (20 MBps down): bound by uplink, 10 s.
