@@ -103,8 +103,10 @@ crash:
 # determinism: two bohrctl runs with the same seed and fault schedule must
 # emit byte-identical JSON reports, and the report must be byte-identical
 # whether the parallel kernels run sequentially (width 1) or pooled
-# (width 8) — the faulted static report and the dynamic one, whose replans
-# and recurring queries go through the stores' derived state.
+# (width 8) — the faulted static report and the dynamic one, whose batches
+# arrive through the served ingest path (experiments.RunDynamic calls
+# core's IngestBatch) and whose replans and recurring queries go through
+# the stores' derived state.
 determinism:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	args="-workload bigdata-scan -scheme bohr -seed 7 -json -faults crash:site=2,start=40,end=70;degrade:site=0,start=0,end=120,factor=0.3"; \

@@ -132,7 +132,7 @@ func run(o cliOpts) error {
 			col = obs.NewCollector()
 			opts.Obs = col
 		}
-		rep, err := core.RunDynamic(context.Background(), empty, w, scheme, core.DefaultDynamicConfig(), opts)
+		rep, err := experiments.RunDynamic(context.Background(), empty, w, scheme, experiments.DefaultDynamicConfig(), opts)
 		if err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"bohr/internal/core"
 	"bohr/internal/experiments"
 	"bohr/internal/placement"
+	"bohr/internal/stats"
 	"bohr/internal/workload"
 )
 
@@ -45,14 +46,14 @@ func run() error {
 		}
 		staticRep := staticDoc.Run
 
-		// Dynamic: empty cluster, batches delivered by the runner.
+		// Dynamic: empty cluster, batches ingested between arrivals.
 		empty, err := s.BuildCluster()
 		if err != nil {
 			return err
 		}
-		dyn := core.DefaultDynamicConfig()
+		dyn := experiments.DefaultDynamicConfig()
 		dyn.Queries = 16 // 0.25 + 15 × 0.05 delivers the full corpus
-		rep, err := core.RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, s.PlacementOptions(0))
+		rep, err := experiments.RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, s.PlacementOptions(0))
 		if err != nil {
 			return err
 		}
@@ -64,12 +65,7 @@ func run() error {
 			bars = append(bars, fmt.Sprintf("%.1f", q))
 		}
 		fmt.Printf("  QCT per arrival: %s\n", strings.Join(bars, " "))
-		tail := rep.QCTs[len(rep.QCTs)-dyn.ReplanEvery:]
-		var tailMean float64
-		for _, q := range tail {
-			tailMean += q
-		}
-		tailMean /= float64(len(tail))
+		tailMean := stats.Mean(rep.QCTs[len(rep.QCTs)-dyn.ReplanEvery:])
 		fmt.Printf("  full-data tail mean %.2fs vs static %.2fs (%d replans, %d batches)\n\n",
 			tailMean, staticRep.MeanQCT, rep.Replans, rep.BatchesDelivered)
 	}

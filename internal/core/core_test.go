@@ -163,90 +163,3 @@ func TestDataReductionEdgeCases(t *testing.T) {
 		t.Fatalf("expected -20%%, got %v", red[0])
 	}
 }
-
-func TestDynamicConfigValidate(t *testing.T) {
-	bad := []DynamicConfig{
-		{InitialFraction: 0, BatchFraction: 0.1, ReplanEvery: 5, Queries: 3},
-		{InitialFraction: 1.5, BatchFraction: 0.1, ReplanEvery: 5, Queries: 3},
-		{InitialFraction: 0.5, BatchFraction: -1, ReplanEvery: 5, Queries: 3},
-		{InitialFraction: 0.5, BatchFraction: 0.1, ReplanEvery: 0, Queries: 3},
-		{InitialFraction: 0.5, BatchFraction: 0.1, ReplanEvery: 5, Queries: 0},
-	}
-	c, w := setup(t, workload.TPCDS)
-	empty, _ := engine.NewCluster(c.Top, 1, 2, 100)
-	for i, cfg := range bad {
-		if _, err := RunDynamic(context.Background(), empty, w, placement.Bohr, cfg, placement.Options{}); err == nil {
-			t.Fatalf("case %d should error", i)
-		}
-	}
-}
-
-func TestRunDynamicNeedsEmptyCluster(t *testing.T) {
-	c, w := setup(t, workload.TPCDS) // populated
-	if _, err := RunDynamic(context.Background(), c, w, placement.Bohr, DefaultDynamicConfig(), placement.Options{}); err == nil {
-		t.Fatal("populated cluster should error")
-	}
-}
-
-func TestRunDynamic(t *testing.T) {
-	c, w := setup(t, workload.TPCDS)
-	empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
-	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.05, ReplanEvery: 5, Queries: 12}
-	rep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.QCTs) != 12 {
-		t.Fatalf("QCTs = %d", len(rep.QCTs))
-	}
-	if rep.MeanQCT <= 0 {
-		t.Fatalf("mean QCT = %v", rep.MeanQCT)
-	}
-	// Replans at q5 and q10 plus the initial plan.
-	if rep.Replans != 3 {
-		t.Fatalf("replans = %d, want 3", rep.Replans)
-	}
-	if rep.BatchesDelivered == 0 {
-		t.Fatal("no batches delivered")
-	}
-	// Data grows over time, so later queries see more data than the first.
-	if rep.QCTs[len(rep.QCTs)-1] <= 0 {
-		t.Fatal("last QCT missing")
-	}
-}
-
-// §8.6's finding: dynamic QCT is close to the normal (all data up front)
-// setting because batch pre-processing happens in the lag. We check the
-// weaker, shape-level property that the dynamic mean QCT with all data
-// delivered stays within 2x of the static mean QCT.
-func TestDynamicCloseToStatic(t *testing.T) {
-	c, w := setup(t, workload.TPCDS)
-
-	// Static: everything up front.
-	static, err := New(c.Clone(), w, placement.Bohr, placement.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := static.Prepare(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	staticRep, err := static.RunAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	empty, _ := engine.NewCluster(c.Top, 1, 4, 100)
-	// Deliver everything by the end: 0.25 + 15×0.05 = 1.0.
-	dyn := DynamicConfig{InitialFraction: 0.25, BatchFraction: 0.05, ReplanEvery: 5, Queries: 16}
-	dynRep, err := RunDynamic(context.Background(), empty, w, placement.Bohr, dyn, placement.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dynamic queries run on partial data for most arrivals, so the mean
-	// must not blow past the static QCT; the last arrivals (full data)
-	// should be in the same ballpark.
-	last := dynRep.QCTs[len(dynRep.QCTs)-1]
-	if last > 2*staticRep.MeanQCT {
-		t.Fatalf("dynamic full-data QCT %v too far above static %v", last, staticRep.MeanQCT)
-	}
-}

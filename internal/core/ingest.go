@@ -30,9 +30,8 @@ type Arrival struct {
 
 // SetReplanEvery configures the live replan cadence: after every n
 // applied ingest batches the similarity checking and placement re-run
-// with up-to-date information, exactly like RunDynamic's periodic replan
-// (0, the default, disables live replanning). Call before serving
-// starts.
+// with up-to-date information, §8.6's periodic replan (0, the default,
+// disables live replanning). Call before serving starts.
 func (s *System) SetReplanEvery(n int) { s.replanEvery = n }
 
 // IngestReplans reports how many live replans ingestion has triggered.
@@ -50,10 +49,11 @@ func (s *System) RestoreIngestProgress(batches int) { s.ingestBatches = batches 
 // system: every arrival is validated up front (all-or-nothing, returning
 // ErrBadArrival-wrapped errors for unappliable batches), then each
 // arrival's rows land in the arrival site's store and are forwarded
-// along the current plan's movement shares — the same §8.6 step-2
-// discipline RunDynamic applies to scripted batches. Every SetReplanEvery
-// batches the system replans, refreshing the plan the serving layer
-// executes queries under.
+// along the current plan's movement shares (§8.6 step 2: a batch is
+// "transferred according to the current placement decision"). Every
+// SetReplanEvery batches the system replans, refreshing the plan the
+// serving layer executes queries under. The same path serves bohrd's
+// ingest and scripts the §8.6 experiment (experiments.RunDynamic).
 //
 // IngestBatch is not safe for concurrent use with queries; the serving
 // layer serializes it against reads (see serve.EngineBackend).
@@ -93,15 +93,10 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 	span := s.Obs.StartSpan("ingest.apply")
 	defer span.End()
 	for _, a := range arrivals {
-		before := snapshotSizes(s.Cluster, a.Dataset)
-		kvs := make([]engine.KV, len(a.Rows))
-		for i, r := range a.Rows {
-			kvs[i] = engine.KV{Key: workload.JoinKey(r.Coords), Val: r.Measure}
-		}
-		s.Cluster.Data[a.Site].Add(a.Dataset, kvs...)
+		s.Cluster.Data[a.Site].Add(a.Dataset, workload.Records(a.Rows)...)
 		// New rows follow the current placement decision (§8.6 step 2).
 		fwd := s.Obs.StartSpan("ingest.forward")
-		forwarded, err := moveBatchByShares(s.Cluster, s.plan, a.Dataset, before, s.shares[a.Dataset])
+		forwarded, err := moveBatchByShares(s.Cluster, s.plan, a.Dataset, a.Site, len(a.Rows), s.shares[a.Dataset])
 		fwd.End()
 		if err != nil {
 			return false, fmt.Errorf("core: ingest move %q: %w", a.Dataset, err)
@@ -130,9 +125,8 @@ func (s *System) datasetNamed(name string) *workload.Dataset {
 }
 
 // replanForIngest re-runs similarity checking and placement with
-// up-to-date information, then re-executes the movement plan — the live
-// counterpart of RunDynamic's periodic replan. The planner reads the
-// stores, so it sees every applied batch.
+// up-to-date information, then re-executes the movement plan (§8.6
+// step 4). The planner reads the stores, so it sees every applied batch.
 func (s *System) replanForIngest(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: ingest replan: %w", err)
@@ -145,7 +139,8 @@ func (s *System) replanForIngest(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: ingest replan: %w", err)
 	}
-	countDerived(s.Obs, plan)
+	s.Obs.Count(placement.CounterDerivedHits, float64(plan.DerivedHits))
+	s.Obs.Count(placement.CounterDerivedMisses, float64(plan.DerivedMisses))
 	if _, err := plan.Execute(s.Cluster, stats.Split(s.Opts.Seed, int64(9000+s.ingestBatches))); err != nil {
 		return fmt.Errorf("core: ingest replan move: %w", err)
 	}
@@ -155,4 +150,57 @@ func (s *System) replanForIngest(ctx context.Context) error {
 	s.Obs.Count("core.ingest.replans", 1)
 	span.Add(plan.CheckTime + plan.LPTime)
 	return nil
+}
+
+// planShares computes, per dataset and source site, the fraction of the
+// site's pre-move data the plan shipped to each destination.
+func planShares(plan *placement.Plan, n int) map[string][][]float64 {
+	inputs := map[string][]float64{} // pre-move MB per dataset and site
+	for _, st := range plan.Stats {
+		inputs[st.Name] = st.InputMB
+	}
+	out := map[string][][]float64{}
+	for _, sp := range plan.Moves {
+		m := out[sp.Dataset]
+		if m == nil {
+			m = make([][]float64, n)
+			for i := range m {
+				m[i] = make([]float64, n)
+			}
+			out[sp.Dataset] = m
+		}
+		if in := inputs[sp.Dataset]; in != nil && in[sp.Src] > 0 {
+			m[sp.Src][sp.Dst] += min(sp.MB/in[sp.Src], 1)
+		}
+	}
+	return out
+}
+
+// moveBatchByShares forwards, from the site arrived records just landed
+// at, the plan's share of the arrived volume along each link, and returns
+// how many records it forwarded. The batch sets how many records leave;
+// the dataset's mover picks which from the site's whole record set, so a
+// resident record whose cell combines at the destination leaves before a
+// just-arrived one whose cell does not (§8.6 step 2 read as fixing the
+// per-link share: DESIGN.md §15, "What a batch forwards").
+func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, site, arrived int, shares [][]float64) (int, error) {
+	if shares == nil {
+		return 0, nil
+	}
+	var specs []engine.MoveSpec
+	for dst, frac := range shares[site] {
+		if frac > 0 {
+			if mb := c.MB(int(float64(arrived) * frac)); mb > 0 {
+				specs = append(specs, engine.MoveSpec{Dataset: dataset, Src: site, Dst: dst, MB: mb})
+			}
+		}
+	}
+	if len(specs) == 0 {
+		return 0, nil
+	}
+	res, err := c.ApplyMoves(specs, plan.MoverFor(dataset), stats.NewRand(int64(len(specs))))
+	if err != nil {
+		return 0, err
+	}
+	return res.Records, nil
 }

@@ -123,7 +123,13 @@ func TestIngestBatchCountsForwarded(t *testing.T) {
 	sys, ds := preparedSystem(t)
 	col := obs.NewCollector()
 	sys.Obs = col
-	sizes := func() []int { return snapshotSizes(sys.Cluster, ds.Name) }
+	sizes := func() []int {
+		out := make([]int, sys.Cluster.N())
+		for i := range out {
+			out[i] = len(sys.Cluster.Data[i].Records(ds.Name))
+		}
+		return out
+	}
 	moved, arrivals := 0, 0
 	for round := 0; round < 3; round++ {
 		for site := 0; site < sys.Cluster.N(); site++ {

@@ -29,10 +29,27 @@ import (
 // v7: the signature cache is gone (a site's executor layout is derived
 // state of its store), so the metrics snapshot loses
 // similarity.sigcache.{hits,misses,entries,bytes,evictions} and reports
-// whose queries ran under the collector (RunAll; not RunDynamic's) gain
-// engine.layout.{hits,misses}, one lookup per query and site holding
-// records of its dataset.
+// whose queries ran under the collector (RunAll, which the §8.6 arrival
+// script also runs once per arrival) gain engine.layout.{hits,misses}, one
+// lookup per query and site holding records of its dataset.
 const ReportSchemaVersion = 7
+
+// DynamicReport summarizes a §8.6 dynamic run: recurring queries over a
+// prepared system while batches arrive through IngestBatch. It marshals
+// stably (fixed field order) and carries no memo or timing state, so two
+// runs of one seed produce byte-identical reports at any pool width.
+type DynamicReport struct {
+	Scheme placement.SchemeID `json:"scheme"`
+	// QCTs per query arrival, averaged over datasets.
+	QCTs []float64 `json:"qcts"`
+	// MeanQCT across all arrivals.
+	MeanQCT float64 `json:"mean_qct_s"`
+	// Replans counts placement computations: Prepare's plus every
+	// ingest-triggered replan (1 + IngestReplans).
+	Replans int `json:"replans"`
+	// BatchesDelivered counts the applied ingest batches (IngestBatches).
+	BatchesDelivered int `json:"batches_delivered"`
+}
 
 // ResilienceReport captures a run's failure handling: the fault events
 // that fired on the modeled timeline and the resilience machinery's

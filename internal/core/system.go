@@ -4,10 +4,11 @@
 // placement (package placement, which probes the dimension cubes the
 // stores' cell columns already count), offline data movement in the
 // query lag, and query execution with runtime RDD similarity. It also
-// implements the §8.6 highly-dynamic-dataset mode where data arrives in
-// batches between recurring queries, and live ingest into a prepared
-// system (ingest.go). A System holds one copy of a site's data: the
-// cluster's engine.Stores.
+// implements live ingest into a prepared system (ingest.go): each batch is
+// forwarded along the current plan and placement re-runs every few
+// batches — §8.6's highly-dynamic-dataset mode, which bohrd serves and
+// the experiments package scripts between recurring queries. A System
+// holds one copy of a site's data: the cluster's engine.Stores.
 package core
 
 import (

@@ -350,16 +350,16 @@ func Table7(s Setup) ([]Table7Row, error) {
 			return nil, err
 		}
 
-		// Dynamic: 25% initial + 5% batches, replan every 5 queries. The
+		// Dynamic: 25% initial + 5% batches, replan every 5 batches. The
 		// final queries see the full corpus; their mean is the comparable
 		// number (earlier arrivals run on less data by design).
 		emptyC, err := s.BuildCluster()
 		if err != nil {
 			return nil, err
 		}
-		dyn := core.DefaultDynamicConfig()
+		dyn := DefaultDynamicConfig()
 		dyn.Queries = 16 // 0.25 + 15×0.05 = full corpus by the last query
-		drep, err := core.RunDynamic(context.Background(), emptyC, snap.workload, placement.Bohr, dyn,
+		drep, err := RunDynamic(context.Background(), emptyC, snap.workload, placement.Bohr, dyn,
 			s.PlacementOptions(0))
 		if err != nil {
 			return nil, err

@@ -263,14 +263,20 @@ func (w *Workload) Populate(c *engine.Cluster) error {
 	}
 	for _, ds := range w.Datasets {
 		for i, rows := range ds.Rows {
-			recs := make([]engine.KV, len(rows))
-			for r, row := range rows {
-				recs[r] = engine.KV{Key: JoinKey(row.Coords), Val: row.Measure}
-			}
-			c.Data[i].Add(ds.Name, recs...)
+			c.Data[i].Add(ds.Name, Records(rows)...)
 		}
 	}
 	return nil
+}
+
+// Records converts rows to engine records: full-coordinate keys, measure
+// as value.
+func Records(rows []olap.Row) []engine.KV {
+	recs := make([]engine.KV, len(rows))
+	for r, row := range rows {
+		recs[r] = engine.KV{Key: JoinKey(row.Coords), Val: row.Measure}
+	}
+	return recs
 }
 
 // DominantQuery returns the query type with the largest Count — the view
