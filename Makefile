@@ -50,7 +50,8 @@ test:
 # second input is BenchmarkSolvePlacement10Sites20Datasets's (lp). bench-smoke
 # runs the end-to-end benchmark's own tests, whose oracles and trace
 # coverage floor nothing else in check sees. docnames fails on a test,
-# benchmark or fuzz target the documents name that no _test.go defines.
+# benchmark or fuzz target the documents name that no _test.go defines,
+# and on an exported config field that only tests or withDefaults write.
 check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke
 
 vet:
@@ -63,7 +64,7 @@ ctxcheck:
 	$(GO) run ./cmd/ctxcheck
 
 docnames:
-	$(GO) test -run '^TestDocNamesExist$$' -count=1 .
+	$(GO) test -run '^(TestDocNamesExist|TestConfigFieldsHaveWriters)$$' -count=1 .
 
 fmt-check:
 	@out=$$(gofmt -l .); \

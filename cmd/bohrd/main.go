@@ -106,10 +106,10 @@ func runServe(args []string) error {
 		fsync     = fs.Bool("fsync", true, "fsync the WAL before acking a push (group commit); needs -data-dir")
 		snapEvery = fs.Int("snapshot-every", 16,
 			"cut a state snapshot every N applied ingest batches, 0 = only at shutdown; needs -data-dir")
-		cacheEntries = fs.Int("cache-entries", -1,
-			"entry cap of the query result cache (0 = unlimited, -1 = default or $BOHR_CACHE_ENTRIES)")
-		cacheBytes = fs.Int64("cache-bytes", -1,
-			"resident-byte cap of the query result cache (0 = unlimited, -1 = default or $BOHR_CACHE_BYTES)")
+		cacheEntries = fs.Int("cache-entries", cache.DefaultEntries,
+			"entry cap of the query result cache (0 = unlimited)")
+		cacheBytes = fs.Int64("cache-bytes", cache.DefaultBytes,
+			"resident-byte cap of the query result cache (0 = unlimited)")
 	)
 	fs.Parse(args)
 	common.Apply()
@@ -255,22 +255,14 @@ func runServe(args []string) error {
 	return nil
 }
 
-// cacheCaps resolves -cache-entries / -cache-bytes: a negative value keeps
-// the default (or $BOHR_CACHE_*), 0 lifts the cap, anything else sets it.
+// cacheCaps turns -cache-entries / -cache-bytes into caps: 0 lifts a cap.
 // Both caps lifted is cache.Unlimited(), because serve.New reads the zero
 // Caps as "use the defaults".
 func cacheCaps(entries int, bytes int64) cache.Caps {
-	caps := cache.DefaultCaps()
-	if entries >= 0 {
-		caps.Entries = entries
-	}
-	if bytes >= 0 {
-		caps.Bytes = bytes
-	}
-	if caps == (cache.Caps{}) {
+	if entries == 0 && bytes == 0 {
 		return cache.Unlimited()
 	}
-	return caps
+	return cache.Caps{Entries: entries, Bytes: bytes}
 }
 
 func runWorker(args []string) error {

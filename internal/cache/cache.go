@@ -18,18 +18,9 @@ package cache
 
 import (
 	"cmp"
-	"os"
-	"strconv"
 	"sync"
 
 	"bohr/internal/obs"
-)
-
-// Environment variables consulted once at init to override the default
-// capacities. A value of 0 or less means unlimited.
-const (
-	EnvEntries = "BOHR_CACHE_ENTRIES"
-	EnvBytes   = "BOHR_CACHE_BYTES"
 )
 
 // Built-in default capacities: generous enough that single-shot runs
@@ -54,26 +45,8 @@ type Caps struct {
 // as "use DefaultCaps".
 func Unlimited() Caps { return Caps{Entries: -1, Bytes: -1} }
 
-var defaultCaps = capsFromEnv()
-
-func capsFromEnv() Caps {
-	c := Caps{Entries: DefaultEntries, Bytes: DefaultBytes}
-	if s := os.Getenv(EnvEntries); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			c.Entries = n
-		}
-	}
-	if s := os.Getenv(EnvBytes); s != "" {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			c.Bytes = n
-		}
-	}
-	return c
-}
-
-// DefaultCaps returns the default capacities: the built-in defaults,
-// overridden by the environment.
-func DefaultCaps() Caps { return defaultCaps }
+// DefaultCaps returns the built-in default capacities.
+func DefaultCaps() Caps { return Caps{Entries: DefaultEntries, Bytes: DefaultBytes} }
 
 // entry is one live memo: the value, its size estimate, and the logical
 // clock stamp of its last touch.

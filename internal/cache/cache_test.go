@@ -218,18 +218,3 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("stress never evicted")
 	}
 }
-
-// TestDefaultCapsOverride checks the environment overrides the built-in
-// default capacities.
-func TestDefaultCapsOverride(t *testing.T) {
-	t.Setenv(EnvEntries, "")
-	t.Setenv(EnvBytes, "")
-	if got := capsFromEnv(); got != (Caps{Entries: DefaultEntries, Bytes: DefaultBytes}) {
-		t.Fatalf("built-in caps = %+v", got)
-	}
-	t.Setenv(EnvEntries, "7")
-	t.Setenv(EnvBytes, "1234")
-	if got := capsFromEnv(); got != (Caps{Entries: 7, Bytes: 1234}) {
-		t.Fatalf("caps from env = %+v, want 7/1234", got)
-	}
-}

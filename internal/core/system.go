@@ -207,17 +207,11 @@ func (s *System) RunAll(ctx context.Context) (*RunReport, error) {
 		Scheme:                s.Scheme,
 		IntermediateMBPerSite: make([]float64, s.Cluster.N()),
 	}
-	// Recurring queries start at the lag boundary on the fault timeline
-	// (moves occupied [0, Lag)); keep the placement default in sync.
-	lag := s.Opts.Lag
-	if lag <= 0 {
-		lag = 30
-	}
 	cfgs := make([]engine.JobConfig, len(s.Workload.Datasets))
 	for i, ds := range s.Workload.Datasets {
 		cfgs[i] = s.plan.JobConfigFor(ds.DominantQuery().Query)
 		cfgs[i].Obs = s.Obs
-		cfgs[i].FaultClock = lag
+		cfgs[i].FaultClock = s.plan.Lag() // moves occupied [0, Lag)
 	}
 	run := s.Obs.StartSpan("run")
 	results, err := s.Cluster.RunConcurrent(ctx, cfgs)

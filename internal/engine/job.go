@@ -25,8 +25,6 @@ type JobConfig struct {
 	// Assigner places partitions on executors per machine; nil uses
 	// round-robin (the Spark default Bohr's RDD similarity replaces).
 	Assigner Assigner
-	// PartitionsPerExecutor controls partition granularity (default 4).
-	PartitionsPerExecutor int
 	// ExtraQCT is added to the final QCT: the paper includes LP solving
 	// and RDD-similarity checking time in measured QCT (§8.5).
 	ExtraQCT float64
@@ -217,10 +215,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				if cerr := ctx.Err(); cerr != nil {
 					return siteStage{}, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, cerr)
 				}
-				stage := Stage{
-					Exec: c.Exec[i], Assigner: job.cfg.Assigner,
-					PartitionsPerExecutor: job.cfg.PartitionsPerExecutor, CubeInput: job.cfg.CubeInput,
-				}
+				stage := Stage{Exec: c.Exec[i], Assigner: job.cfg.Assigner, CubeInput: job.cfg.CubeInput}
 				var out siteStage
 				var l *Layout
 				var lerr error
@@ -415,24 +410,24 @@ const (
 // everything a layout depends on besides the records is in here.
 type Stage struct {
 	// Exec is the site's compute: records split evenly across machines,
-	// each machine's share into PerMachine×PartitionsPerExecutor partitions
-	// (default 4 per executor) that Assigner (default round-robin) places
-	// on the machine's executors.
-	Exec                  Executors
-	Assigner              Assigner
-	PartitionsPerExecutor int
+	// each machine's share into PerMachine×partitionsPerExecutor partitions
+	// that Assigner (default round-robin) places on the machine's
+	// executors.
+	Exec     Executors
+	Assigner Assigner
 	// CubeInput charges an executor's map cost per distinct input key
 	// (pre-aggregated cube cell) instead of per raw record. Only a layout
 	// built with it counts distinct keys.
 	CubeInput bool
 }
 
+// partitionsPerExecutor is the partition granularity: how many partitions
+// a machine's share is cut into per executor.
+const partitionsPerExecutor = 4
+
 func (st Stage) withDefaults() Stage {
 	if st.Assigner == nil {
 		st.Assigner = RoundRobinAssigner{}
-	}
-	if st.PartitionsPerExecutor <= 0 {
-		st.PartitionsPerExecutor = 4
 	}
 	return st
 }
@@ -516,7 +511,7 @@ func (st Stage) lay(n int, records []KV) ([]execLayout, float64, error) {
 	execs := make([]execLayout, 0, (n+perMachine-1)/perMachine*ex.PerMachine)
 	var overhead float64
 	for lo := 0; lo < n; lo += perMachine {
-		spans := partitionSpans(lo, min(lo+perMachine, n), ex.PerMachine*st.PartitionsPerExecutor)
+		spans := partitionSpans(lo, min(lo+perMachine, n), ex.PerMachine*partitionsPerExecutor)
 		parts := make([]Partition, len(spans))
 		for pi, s := range spans {
 			parts[pi].Index = pi

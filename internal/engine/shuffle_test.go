@@ -63,8 +63,7 @@ func refRun(t *testing.T, c *engine.Cluster, cfgs []engine.JobConfig) []*engine.
 			st := &state{rm: engine.RoundMetrics{IntermediateMB: make([]float64, n)}, arriving: make([][]engine.KV, n)}
 			states[ji] = st
 			for i := 0; i < n; i++ {
-				stage := engine.Stage{Exec: c.Exec[i], Assigner: j.cfg.Assigner,
-					PartitionsPerExecutor: j.cfg.PartitionsPerExecutor, CubeInput: j.cfg.CubeInput}
+				stage := engine.Stage{Exec: c.Exec[i], Assigner: j.cfg.Assigner, CubeInput: j.cfg.CubeInput}
 				var l *engine.Layout
 				var err error
 				switch {

@@ -14,6 +14,9 @@ import (
 	"bohr/internal/workload"
 )
 
+// partitionsPerExecutor is the engine's fixed partition granularity.
+const partitionsPerExecutor = 4
+
 // refStage is the map→combine stage as the engine ran it before the
 // streaming rewrite, kept as the oracle a layout's scan is compared against:
 // copy every executor's records into one slice, materialize the mapped
@@ -34,7 +37,7 @@ func refStage(records []engine.KV, q *engine.Query, st engine.Stage) (perExec []
 		if hi > len(records) {
 			hi = len(records)
 		}
-		parts, perr := engine.PartitionRecords(records[lo:hi], ex.PerMachine*st.PartitionsPerExecutor)
+		parts, perr := engine.PartitionRecords(records[lo:hi], ex.PerMachine*partitionsPerExecutor)
 		if perr != nil {
 			return nil, 0, 0, 0, perr
 		}
@@ -240,7 +243,7 @@ func TestMapCombineMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/cube=%v", tc.name, aname, cube)
 				st := engine.Stage{
 					Exec:     engine.Executors{Machines: 2, PerMachine: 3},
-					Assigner: mk(), PartitionsPerExecutor: 4, CubeInput: cube,
+					Assigner: mk(), CubeInput: cube,
 				}
 				input := tc.records
 				for round := 0; round < tc.rounds; round++ {
@@ -256,7 +259,7 @@ func TestMapCombineMatchesReference(t *testing.T) {
 					if round == 0 {
 						// A second assigner of the same configuration is the
 						// same key: a new plan over an unwritten site hits.
-						for lookup, stage := range []engine.Stage{st, {Exec: st.Exec, Assigner: mk(), PartitionsPerExecutor: 4, CubeInput: cube}} {
+						for lookup, stage := range []engine.Stage{st, {Exec: st.Exec, Assigner: mk(), CubeInput: cube}} {
 							kept, hit, err := store.Layout(stage)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
@@ -406,11 +409,11 @@ func TestLayoutUnkeyableAssignerNotMemoized(t *testing.T) {
 	pa := &ptrAssigner{}
 	for _, offset := range []int{0, 1, 0} {
 		pa.offset = offset
-		l, hit, err := store.Layout(engine.Stage{Exec: ex, Assigner: pa, PartitionsPerExecutor: 3})
+		l, hit, err := store.Layout(engine.Stage{Exec: ex, Assigner: pa})
 		if err != nil || hit {
 			t.Fatalf("pointer assigner at offset %d: hit = %v, err = %v", offset, hit, err)
 		}
-		want, err := engine.NewLayout(store.Records(), engine.Stage{Exec: ex, Assigner: pa, PartitionsPerExecutor: 3})
+		want, err := engine.NewLayout(store.Records(), engine.Stage{Exec: ex, Assigner: pa})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +438,7 @@ func TestMapCombineAllocsScaleWithGroups(t *testing.T) {
 	recs := siteRecords(ds, 0)
 	st := engine.Stage{
 		Exec:     engine.Executors{Machines: 2, PerMachine: 4},
-		Assigner: engine.RoundRobinAssigner{}, PartitionsPerExecutor: 4,
+		Assigner: engine.RoundRobinAssigner{},
 	}
 	queries := map[string]engine.Query{"dominant MapFn": ds.DominantQuery().Query}
 	for _, text := range []string{
@@ -485,7 +488,7 @@ func TestSelectGroupsByNameWhenTuplesDoNotPack(t *testing.T) {
 	q := engine.Query{Name: "wide", Dataset: "d", Combine: engine.OpSum, MapCost: engine.DefaultMapCost,
 		Select: &engine.Select{View: engine.NewView(width, 8, 7, 6, 5, 4, 3, 2, 1, 0),
 			Where: []engine.Cond{{Field: 0, Pass: func(s string) bool { return s != "v3" }}}}}
-	st := engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 2}, Assigner: engine.RoundRobinAssigner{}, PartitionsPerExecutor: 4}
+	st := engine.Stage{Exec: engine.Executors{Machines: 1, PerMachine: 2}, Assigner: engine.RoundRobinAssigner{}}
 	want, wantRaw, _, _, err := refStage(recs, &q, st)
 	if err != nil {
 		t.Fatal(err)

@@ -27,12 +27,6 @@ type ClientConfig struct {
 	// BatchRecords is how many records accumulate before an automatic
 	// send (default 256).
 	BatchRecords int
-	// RetryAttempts bounds resends of one batch on 429/5xx/transport
-	// errors (default 8 — ingestion favors persistence).
-	RetryAttempts int
-	// RetryBase is the backoff base, doubled per retry with seeded
-	// jitter (default 20ms).
-	RetryBase time.Duration
 	// Seed feeds the backoff jitter generator.
 	Seed int64
 	// StartOffset is the first offset to assign (default 1). A client
@@ -40,25 +34,29 @@ type ClientConfig struct {
 	// the default replays from the beginning and is deduplicated
 	// server-side.
 	StartOffset uint64
-	// HTTPClient overrides the transport (default http.DefaultClient).
-	HTTPClient *http.Client
+
+	// The package's tests set these hooks.
+	//
+	// retryAttempts bounds resends of one batch on 429/5xx/transport
+	// errors (default 8 — ingestion favors persistence).
+	retryAttempts int
+	// retryBase is the backoff base, doubled per retry with seeded
+	// jitter (default 20ms).
+	retryBase time.Duration
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.BatchRecords <= 0 {
 		c.BatchRecords = 256
 	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 8
+	if c.retryAttempts <= 0 {
+		c.retryAttempts = 8
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 20 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 20 * time.Millisecond
 	}
 	if c.StartOffset == 0 {
 		c.StartOffset = 1
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = http.DefaultClient
 	}
 	return c
 }
@@ -143,10 +141,10 @@ func (c *Client) Flush(ctx context.Context) error {
 func (c *Client) send(ctx context.Context, recs []Record) error {
 	body := EncodeBatch(recs)
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.RetryAttempts; attempt++ {
+	for attempt := 0; attempt <= c.cfg.retryAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.Retries++
-			d := time.Duration(float64(c.cfg.RetryBase<<uint(attempt-1)) * (1 + c.rng.Float64()))
+			d := time.Duration(float64(c.cfg.retryBase<<uint(attempt-1)) * (1 + c.rng.Float64()))
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
@@ -158,7 +156,7 @@ func (c *Client) send(ctx context.Context, recs []Record) error {
 			return err
 		}
 		req.Header.Set("Content-Type", "text/plain; charset=utf-8")
-		resp, err := c.cfg.HTTPClient.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			lastErr = err
 			continue
@@ -188,5 +186,5 @@ func (c *Client) send(ctx context.Context, recs []Record) error {
 			return fmt.Errorf("ingest: server rejected batch (%d): %s", resp.StatusCode, pr.Error)
 		}
 	}
-	return fmt.Errorf("ingest: batch undelivered after %d retries: %w", c.cfg.RetryAttempts, lastErr)
+	return fmt.Errorf("ingest: batch undelivered after %d retries: %w", c.cfg.retryAttempts, lastErr)
 }

@@ -107,7 +107,7 @@ func TestClientRetriesBackpressureAndDrops(t *testing.T) {
 	srv := httptest.NewServer(ep.handler(t))
 	defer srv.Close()
 	cli := NewClient(srv.URL, "src", ClientConfig{
-		BatchRecords: 100, RetryBase: time.Millisecond,
+		BatchRecords: 100, retryBase: time.Millisecond,
 	})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {

@@ -92,17 +92,8 @@ type Config struct {
 	// a one-second burst; beyond it Push returns ErrThrottled (0 =
 	// unlimited).
 	SourceRate float64
-	// RetryAttempts is how many times a failed delivery retries before
-	// the batch is requeued for the next trigger (default 4).
-	RetryAttempts int
-	// RetryBase is the backoff base: retry n sleeps base·2ⁿ scaled by a
-	// seeded jitter in [1,2) (default 10ms).
-	RetryBase time.Duration
 	// Seed feeds the backoff jitter generator.
 	Seed int64
-	// Now overrides the clock for the rate limiter (tests); nil means
-	// time.Now.
-	Now func() time.Time
 	// Logger receives structured delivery-path logs (retries, requeues,
 	// and permanent rejections at Warn, with the source attached); nil
 	// disables logging.
@@ -114,6 +105,19 @@ type Config struct {
 	// state, so a restarted daemon deduplicates client replays exactly
 	// like the pre-crash one.
 	RestoreOffsets []SourceOffsets
+
+	// The package's tests set these hooks.
+	//
+	// retryAttempts is how many times a failed delivery retries before
+	// the batch is requeued for the next trigger (0 means 4, negative
+	// none).
+	retryAttempts int
+	// retryBase is the backoff base: retry n sleeps base·2ⁿ scaled by a
+	// seeded jitter in [1,2) (default 10ms).
+	retryBase time.Duration
+	// now is the clock of the rate limiter and the batch latency gauges;
+	// nil means time.Now.
+	now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -126,16 +130,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4096
 	}
-	if c.RetryAttempts < 0 {
-		c.RetryAttempts = 0
-	} else if c.RetryAttempts == 0 {
-		c.RetryAttempts = 4
+	if c.retryAttempts < 0 {
+		c.retryAttempts = 0
+	} else if c.retryAttempts == 0 {
+		c.retryAttempts = 4
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 10 * time.Millisecond
 	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.now == nil {
+		c.now = time.Now
 	}
 	return c
 }
@@ -369,7 +373,7 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 	}
 	var touched []pushed // sources this push reached, few: scanned, not hashed
 	var cur pushed
-	now := p.cfg.Now()
+	now := p.cfg.now()
 	for _, r := range recs {
 		if r.Source == "" || r.Offset == 0 {
 			pushErr = fmt.Errorf("ingest: record needs a source and a 1-based offset")
@@ -581,7 +585,7 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 			// the successful apply, retries and queueing included.
 			var e2e float64
 			if len(admitAt) > 0 {
-				e2e = p.cfg.Now().Sub(admitAt[0]).Seconds()
+				e2e = p.cfg.now().Sub(admitAt[0]).Seconds()
 			}
 			p.settle(src, n, func() {
 				p.stats.BatchesFlushed++
@@ -605,7 +609,7 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 			})
 			return err
 		}
-		if attempt >= p.cfg.RetryAttempts || ctx.Err() != nil {
+		if attempt >= p.cfg.retryAttempts || ctx.Err() != nil {
 			if p.cfg.Logger != nil {
 				p.cfg.Logger.Warn("ingest: delivery failed, batch requeued",
 					slog.String("source", src), slog.Int("records", n),
@@ -633,7 +637,7 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 		p.col.Count("ingest.retries", 1)
 		// Seeded exponential backoff with jitter in [1,2), abortable by
 		// shutdown or caller cancellation.
-		d := time.Duration(float64(p.cfg.RetryBase<<uint(attempt)) * (1 + p.rng.Float64()))
+		d := time.Duration(float64(p.cfg.retryBase<<uint(attempt)) * (1 + p.rng.Float64()))
 		select {
 		case <-time.After(d):
 		case <-p.stop:

@@ -143,7 +143,7 @@ func TestPipelineThrottlesHotSource(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	app := &recApplier{}
-	p := New(Config{FlushInterval: -1, SourceRate: 2, Now: clock}, app, nil)
+	p := New(Config{FlushInterval: -1, SourceRate: 2, now: clock}, app, nil)
 	defer p.Close()
 	// Burst = SourceRate tokens (2, but min 1): two records pass, third
 	// throttles.
@@ -166,7 +166,7 @@ func TestPipelineThrottlesHotSource(t *testing.T) {
 
 func TestPipelineRetriesTransientFaults(t *testing.T) {
 	app := &recApplier{failNext: 2}
-	p := New(Config{FlushInterval: -1, RetryAttempts: 4, RetryBase: time.Millisecond}, app, nil)
+	p := New(Config{FlushInterval: -1, retryAttempts: 4, retryBase: time.Millisecond}, app, nil)
 	defer p.Close()
 	if _, err := p.Push(context.Background(), rec("s", 1)); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -184,7 +184,7 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 
 func TestPipelineRequeuesAfterRetryBudget(t *testing.T) {
 	app := &recApplier{failNext: 100}
-	p := New(Config{FlushInterval: -1, RetryAttempts: 1, RetryBase: time.Millisecond}, app, nil)
+	p := New(Config{FlushInterval: -1, retryAttempts: 1, retryBase: time.Millisecond}, app, nil)
 	defer p.Close()
 	if _, err := p.Push(context.Background(), rec("s", 1), rec("s", 2)); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -434,8 +434,8 @@ func TestIngestLoggerSeesRetries(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil))
 	app := &recApplier{failNext: 10}
 	p := New(Config{
-		MaxBatchRecords: 2, FlushInterval: -1, RetryAttempts: 1,
-		RetryBase: time.Millisecond, Logger: logger,
+		MaxBatchRecords: 2, FlushInterval: -1, retryAttempts: 1,
+		retryBase: time.Millisecond, Logger: logger,
 	}, app, nil)
 	defer p.Close()
 	p.Push(context.Background(), rec("s1", 1), rec("s1", 2))
@@ -492,7 +492,7 @@ func TestPushCountsPerBatch(t *testing.T) {
 	now := time.Unix(0, 0)
 	col, sink := obs.NewCollector(), &countSink{deltas: map[string][]float64{}}
 	p := New(Config{FlushInterval: -1, MaxBatchRecords: 1 << 20, MaxPending: 1 << 20,
-		SourceRate: 300, Now: func() time.Time { return now }}, &recApplier{}, col)
+		SourceRate: 300, now: func() time.Time { return now }}, &recApplier{}, col)
 	defer p.Close()
 	col.SetSink(sink)
 	ctx := context.Background()

@@ -29,11 +29,6 @@ type PlacementInput struct {
 	// Lag is T, the time between recurring query arrivals within which data
 	// movement must complete.
 	Lag float64
-	// MaxInputMB optionally caps the total post-movement input data each
-	// site may hold across all datasets (compute/storage constraints per
-	// site — the extension §5 names as future work, after Tetrium [22]).
-	// nil or a non-positive entry means unconstrained.
-	MaxInputMB []float64
 	// IncomingInflation conservatively scales the un-combined fraction of
 	// moved data (1 − S) when predicting receiver volume: realized
 	// combining is worse than probe-ideal because moved records land in
@@ -324,30 +319,6 @@ func (w *workspace) xProblem(in *PlacementInput, r []float64) *Problem {
 				}
 			}
 			prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: in.Input[a][i]})
-		}
-	}
-	// Optional per-site input caps (compute/storage constraints, the
-	// Tetrium-flavoured extension): Σ_a (I_i − out + in) ≤ C_i, i.e.
-	// Σ_a (Σ_k x_{k,i} − Σ_j x_{i,j}) ≤ C_i − Σ_a I_i.
-	if in.MaxInputMB != nil {
-		for i := 0; i < n; i++ {
-			cap := in.MaxInputMB[i]
-			if cap <= 0 {
-				continue
-			}
-			row := w.row()
-			rhs := cap
-			for a := 0; a < m; a++ {
-				rhs -= in.Input[a][i]
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					row[xIndex(n, a, j, i)] += 1
-					row[xIndex(n, a, i, j)] -= 1
-				}
-			}
-			prob.Constraints = append(prob.Constraints, Constraint{A: row, Op: LE, B: rhs})
 		}
 	}
 	return prob

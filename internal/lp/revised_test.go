@@ -305,21 +305,10 @@ func TestRejectedSolveRetriesWithHarris(t *testing.T) {
 
 // TestSolveMatchesRefEveryRound replays SolvePlacement's alternating
 // rounds on one workspace and holds each round's x-LP and r-LP to
-// refSolve, at the fig6 shape and on inputs with per-site input caps,
-// the paper's literal objective and inflated incoming volume. The replay
-// must land on SolvePlacement's own task fractions bit for bit.
+// refSolve, at the fig6 shape and on inputs with the paper's literal
+// objective and inflated incoming volume. The replay must land on
+// SolvePlacement's own task fractions bit for bit.
 func TestSolveMatchesRefEveryRound(t *testing.T) {
-	capped := randomInput(rand.New(rand.NewSource(5)))
-	capped.MaxInputMB = make([]float64, capped.Sites)
-	for i := range capped.MaxInputMB {
-		if i%2 == 0 {
-			continue // a non-positive entry is no cap
-		}
-		for a := 0; a < capped.Datasets; a++ {
-			capped.MaxInputMB[i] += capped.Input[a][i]
-		}
-		capped.MaxInputMB[i] *= 1.05
-	}
 	paper := randomInput(rand.New(rand.NewSource(6)))
 	paper.PaperObjective = true
 	inflated := fig6Shaped(11)
@@ -327,7 +316,7 @@ func TestSolveMatchesRefEveryRound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		in   *PlacementInput
-	}{{"fig6", fig6Shaped(11)}, {"max-input", capped}, {"paper-objective", paper}, {"inflated", inflated}} {
+	}{{"fig6", fig6Shaped(11)}, {"paper-objective", paper}, {"inflated", inflated}} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.in
 			plan, err := SolvePlacement(in)

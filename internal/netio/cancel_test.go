@@ -35,8 +35,8 @@ func TestDialHonorsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = DialConfig(ctx, []string{ln.Addr().String()}, Config{
-		DialTimeout: 10 * time.Second, RequestTimeout: 10 * time.Second,
+	_, err = dial(ctx, []string{ln.Addr().String()}, config{
+		dialTimeout: 10 * time.Second, requestTimeout: 10 * time.Second,
 	})
 	if err == nil {
 		t.Fatal("dial against a mute listener succeeded")
@@ -64,10 +64,10 @@ func TestQueryCancellationReleasesResources(t *testing.T) {
 	}
 	col := obs.NewCollector()
 	cfg := fastConfig()
-	cfg.Retries = 1000 // effectively unbounded: only the ctx stops the loop
-	cfg.RetryBase = 200 * time.Millisecond
-	cfg.RetryCap = 400 * time.Millisecond
-	ctl, err := DialConfig(context.Background(), addrs, cfg)
+	cfg.retries = 1000 // effectively unbounded: only the ctx stops the loop
+	cfg.retryBase = 200 * time.Millisecond
+	cfg.retryCap = 400 * time.Millisecond
+	ctl, err := dial(context.Background(), addrs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

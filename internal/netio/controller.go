@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net"
 	"sort"
@@ -17,65 +16,61 @@ import (
 	"bohr/internal/stats"
 )
 
-// Config tunes the controller's resilience machinery. The zero value
-// takes every default, so Dial(addrs) behaves sensibly out of the box.
-type Config struct {
-	// DialTimeout bounds one TCP connect (default 5s).
-	DialTimeout time.Duration
-	// RequestTimeout is the per-request I/O deadline covering the whole
+// config tunes the controller's resilience machinery. Dial takes every
+// default; the package's tests shorten the clocks.
+type config struct {
+	// dialTimeout bounds one TCP connect (default 5s).
+	dialTimeout time.Duration
+	// requestTimeout is the per-request I/O deadline covering the whole
 	// round trip on the site connection (default 30s).
-	RequestTimeout time.Duration
-	// ReduceTimeout is the extra server-side wait a reducer is granted
+	requestTimeout time.Duration
+	// reduceTimeout is the extra server-side wait a reducer is granted
 	// for intermediate records, carried to the worker in Envelope.TimeoutS
 	// (default 10s).
-	ReduceTimeout time.Duration
-	// Retries is the per-request retry budget for idempotent requests;
+	reduceTimeout time.Duration
+	// retries is the per-request retry budget for idempotent requests;
 	// 0 means the default of 3, negative disables retries.
-	Retries int
-	// QueryRetries bounds whole-query re-executions inside RunQuery;
+	retries int
+	// queryRetries bounds whole-query re-executions inside RunQuery;
 	// 0 means the default of 1, negative disables.
-	QueryRetries int
-	// RetryBase is the first backoff step (default 50ms); successive
-	// retries double it up to RetryCap (default 2s), each scaled by a
+	queryRetries int
+	// retryBase is the first backoff step (default 50ms); successive
+	// retries double it up to retryCap (default 2s), each scaled by a
 	// seeded jitter factor in [0.5, 1).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Seed drives the jitter stream, keeping the backoff schedule
+	retryBase time.Duration
+	retryCap  time.Duration
+	// seed drives the jitter stream, keeping the backoff schedule
 	// reproducible for a fixed configuration.
-	Seed int64
-	// Logger receives structured fault-path logs (request timeouts and
-	// retries at Warn, with the site and request type attached); nil
-	// disables logging.
-	Logger *slog.Logger
+	seed int64
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
+func (cfg config) withDefaults() config {
+	if cfg.dialTimeout <= 0 {
+		cfg.dialTimeout = 5 * time.Second
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
+	if cfg.requestTimeout <= 0 {
+		cfg.requestTimeout = 30 * time.Second
 	}
-	if cfg.ReduceTimeout <= 0 {
-		cfg.ReduceTimeout = 10 * time.Second
-	}
-	switch {
-	case cfg.Retries == 0:
-		cfg.Retries = 3
-	case cfg.Retries < 0:
-		cfg.Retries = 0
+	if cfg.reduceTimeout <= 0 {
+		cfg.reduceTimeout = 10 * time.Second
 	}
 	switch {
-	case cfg.QueryRetries == 0:
-		cfg.QueryRetries = 1
-	case cfg.QueryRetries < 0:
-		cfg.QueryRetries = 0
+	case cfg.retries == 0:
+		cfg.retries = 3
+	case cfg.retries < 0:
+		cfg.retries = 0
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
+	switch {
+	case cfg.queryRetries == 0:
+		cfg.queryRetries = 1
+	case cfg.queryRetries < 0:
+		cfg.queryRetries = 0
 	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 2 * time.Second
+	if cfg.retryBase <= 0 {
+		cfg.retryBase = 50 * time.Millisecond
+	}
+	if cfg.retryCap <= 0 {
+		cfg.retryCap = 2 * time.Second
 	}
 	return cfg
 }
@@ -87,7 +82,7 @@ func (cfg Config) withDefaults() Config {
 // are retried with exponential backoff.
 type Controller struct {
 	addrs []string
-	cfg   Config
+	cfg   config
 	conns []*siteConn
 	obs   *obs.Collector
 
@@ -113,15 +108,15 @@ type siteConn struct {
 	conn net.Conn
 }
 
-// Dial connects to the workers at the given addresses (index = site ID)
-// with the default Config. The context bounds the initial connection
-// handshakes; it does not outlive the call.
+// Dial connects to the workers at the given addresses (index = site ID).
+// The context bounds the initial connection handshakes; it does not
+// outlive the call.
 func Dial(ctx context.Context, addrs []string) (*Controller, error) {
-	return DialConfig(ctx, addrs, Config{})
+	return dial(ctx, addrs, config{})
 }
 
-// DialConfig is Dial with explicit resilience tuning.
-func DialConfig(ctx context.Context, addrs []string, cfg Config) (*Controller, error) {
+// dial is Dial with explicit resilience tuning.
+func dial(ctx context.Context, addrs []string, cfg config) (*Controller, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("netio: controller needs at least one worker")
 	}
@@ -130,7 +125,7 @@ func DialConfig(ctx context.Context, addrs []string, cfg Config) (*Controller, e
 		addrs: append([]string(nil), addrs...),
 		cfg:   cfg,
 		start: time.Now(),
-		rng:   stats.NewRand(stats.Split(cfg.Seed, 0x5e71)),
+		rng:   stats.NewRand(stats.Split(cfg.seed, 0x5e71)),
 	}
 	for site := range addrs {
 		conn, err := c.dialSite(ctx, site)
@@ -147,12 +142,12 @@ func DialConfig(ctx context.Context, addrs []string, cfg Config) (*Controller, e
 // context can cut the connect and handshake short of DialTimeout.
 func (c *Controller) dialSite(ctx context.Context, site int) (net.Conn, error) {
 	addr := c.addrs[site]
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	d := net.Dialer{Timeout: c.cfg.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netio: dial worker %d at %s: %w", site, addr, err)
 	}
-	conn.SetDeadline(deadlineFor(ctx, c.cfg.RequestTimeout))
+	conn.SetDeadline(deadlineFor(ctx, c.cfg.requestTimeout))
 	resp, err := call(conn, &Envelope{Type: MsgHello})
 	if err != nil {
 		conn.Close()
@@ -245,12 +240,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoff is exponential from RetryBase, capped at RetryCap, scaled by a
-// seeded jitter factor in [0.5, 1): deterministic for a fixed Config.Seed.
+// backoff is exponential from retryBase, capped at retryCap, scaled by a
+// seeded jitter factor in [0.5, 1): deterministic for a fixed seed.
 func (c *Controller) backoff(attempt int) time.Duration {
-	d := c.cfg.RetryBase << uint(attempt)
-	if d <= 0 || d > c.cfg.RetryCap {
-		d = c.cfg.RetryCap
+	d := c.cfg.retryBase << uint(attempt)
+	if d <= 0 || d > c.cfg.retryCap {
+		d = c.cfg.retryCap
 	}
 	c.rngMu.Lock()
 	f := 0.5 + 0.5*c.rng.Float64()
@@ -268,7 +263,7 @@ func (c *Controller) rpc(ctx context.Context, site int, req *Envelope) (*Envelop
 	}
 	budget := 0
 	if idempotent(req.Type) {
-		budget = c.cfg.Retries
+		budget = c.cfg.retries
 	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -282,11 +277,6 @@ func (c *Controller) rpc(ctx context.Context, site int, req *Envelope) (*Envelop
 		if errors.As(err, &ne) && ne.Timeout() {
 			c.obs.Count("netio.timeouts", 1)
 			c.event("timeout", site, fmt.Sprintf("req=%d: %v", req.Type, err))
-			if c.cfg.Logger != nil {
-				c.cfg.Logger.Warn("netio: request timeout",
-					slog.Int("site", site), slog.Int("req_type", int(req.Type)),
-					slog.String("trace_id", req.TraceID), slog.String("error", err.Error()))
-			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("netio: rpc to site %d: %w (after: %v)", site, cerr, err)
@@ -296,12 +286,6 @@ func (c *Controller) rpc(ctx context.Context, site int, req *Envelope) (*Envelop
 		}
 		c.obs.Count("netio.retries", 1)
 		c.event("retry", site, fmt.Sprintf("req=%d attempt=%d: %v", req.Type, attempt+1, err))
-		if c.cfg.Logger != nil {
-			c.cfg.Logger.Warn("netio: retrying request",
-				slog.Int("site", site), slog.Int("req_type", int(req.Type)),
-				slog.Int("attempt", attempt+1), slog.String("trace_id", req.TraceID),
-				slog.String("error", err.Error()))
-		}
 		if err := sleepCtx(ctx, c.backoff(attempt)); err != nil {
 			return nil, fmt.Errorf("netio: rpc to site %d: %w", site, err)
 		}
@@ -324,11 +308,11 @@ func (c *Controller) attempt(ctx context.Context, site int, req *Envelope) (*Env
 		}
 		sc.conn = conn
 	}
-	deadline := c.cfg.RequestTimeout
+	deadline := c.cfg.requestTimeout
 	if req.Type == MsgReduce {
-		deadline += c.cfg.ReduceTimeout
+		deadline += c.cfg.reduceTimeout
 		if req.TimeoutS == 0 {
-			req.TimeoutS = c.cfg.ReduceTimeout.Seconds()
+			req.TimeoutS = c.cfg.reduceTimeout.Seconds()
 		}
 	}
 	sc.conn.SetDeadline(deadlineFor(ctx, deadline))
@@ -437,7 +421,7 @@ type QueryResult struct {
 // worker maps and combines its local records and scatters intermediate
 // records to their reduce owners (weighted by taskFrac); then each site
 // reduces what it received and the controller merges the outputs. On a
-// retryable failure the whole query is re-executed up to QueryRetries
+// retryable failure the whole query is re-executed up to queryRetries
 // times — safe because reducers key intermediate batches by source site,
 // so a re-scatter replaces rather than double-counts. The context cancels
 // the whole scatter/gather: every per-site RPC inherits it, so a client
@@ -466,15 +450,10 @@ func (c *Controller) RunQuery(ctx context.Context, q QueryDTO, taskFrac []float6
 		if err == nil {
 			return res, nil
 		}
-		if attempt >= c.cfg.QueryRetries || !IsRetryable(err) || ctx.Err() != nil {
+		if attempt >= c.cfg.queryRetries || !IsRetryable(err) || ctx.Err() != nil {
 			return nil, err
 		}
 		c.obs.Count("netio.retries", 1)
-		if c.cfg.Logger != nil {
-			c.cfg.Logger.Warn("netio: re-executing query",
-				slog.String("trace_id", q.ID), slog.Int("attempt", attempt+1),
-				slog.String("error", err.Error()))
-		}
 		if err := sleepCtx(ctx, c.backoff(attempt)); err != nil {
 			return nil, fmt.Errorf("netio: query %s: %w", q.ID, err)
 		}

@@ -16,16 +16,16 @@ import (
 )
 
 // fastConfig keeps retry/timeout machinery on a test-friendly clock.
-func fastConfig() Config {
-	return Config{
-		DialTimeout:    time.Second,
-		RequestTimeout: 2 * time.Second,
-		ReduceTimeout:  time.Second,
-		Retries:        8,
-		QueryRetries:   2,
-		RetryBase:      60 * time.Millisecond,
-		RetryCap:       400 * time.Millisecond,
-		Seed:           7,
+func fastConfig() config {
+	return config{
+		dialTimeout:    time.Second,
+		requestTimeout: 2 * time.Second,
+		reduceTimeout:  time.Second,
+		retries:        8,
+		queryRetries:   2,
+		retryBase:      60 * time.Millisecond,
+		retryCap:       400 * time.Millisecond,
+		seed:           7,
 	}
 }
 
@@ -172,7 +172,7 @@ func TestChaosWorkerKillRestart(t *testing.T) {
 		addrs = append(addrs, w.Addr())
 	}
 	col := obs.NewCollector()
-	ctl, err := DialConfig(context.Background(), addrs, fastConfig())
+	ctl, err := dial(context.Background(), addrs, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestInjectorDropsForceRetries(t *testing.T) {
 		addrs = append(addrs, w.Addr())
 	}
 	col := obs.NewCollector()
-	ctl, err := DialConfig(context.Background(), addrs, fastConfig())
+	ctl, err := dial(context.Background(), addrs, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,42 +157,3 @@ func TestPlannedTimeRanksPlans(t *testing.T) {
 		t.Fatalf("pathological plan %v should profile worse than none %v", tBad, tNone)
 	}
 }
-
-func TestPlannerTopologyJitter(t *testing.T) {
-	c, w := testSetup(t, workload.BigDataScan, false)
-	// Plans under mild bandwidth estimation noise stay valid and still
-	// move data off the slow site.
-	plan, err := PlanScheme(Bohr, c, w, Options{Seed: 3, BandwidthJitter: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Moves) == 0 {
-		t.Fatal("jittered plan should still move data")
-	}
-	var sum float64
-	for _, f := range plan.TaskFrac {
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("task fractions sum %v", sum)
-	}
-	// Zero jitter plans against the truth.
-	top, err := plannerTopology(c.Top, Options{})
-	if err != nil || top != c.Top {
-		t.Fatalf("no jitter should return the true topology: %v %v", top, err)
-	}
-	est, err := plannerTopology(c.Top, Options{BandwidthJitter: 0.2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est == c.Top {
-		t.Fatal("jitter should produce an estimated topology")
-	}
-	for i := range est.Sites {
-		truth := c.Top.Sites[i].UpMBps
-		got := est.Sites[i].UpMBps
-		if got < truth*0.6 || got > truth*1.4 {
-			t.Fatalf("site %d estimate %v too far from truth %v", i, got, truth)
-		}
-	}
-}

@@ -83,7 +83,7 @@ func TestSchemeTraits(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	c, w := testSetup(t, workload.BigDataScan, false)
-	st, err := ComputeStats(c, w.Datasets[0], 30)
+	st, _, err := computeStats(c, w.Datasets[0], 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestComputeStats(t *testing.T) {
 	if st.NumDims != 3 {
 		t.Fatalf("dims = %d", st.NumDims)
 	}
-	if _, err := ComputeStats(c, w.Datasets[0], 0); err == nil {
+	if _, _, err := computeStats(c, w.Datasets[0], 0); err == nil {
 		t.Fatal("k=0 should error")
 	}
 }
 
 func TestReductionProfilesUDF(t *testing.T) {
 	c, w := testSetup(t, workload.BigDataUDF, false)
-	st, err := ComputeStats(c, w.Datasets[0], 30)
+	st, _, err := computeStats(c, w.Datasets[0], 30)
 	if err != nil {
 		t.Fatal(err)
 	}

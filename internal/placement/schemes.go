@@ -116,17 +116,6 @@ type Options struct {
 	// DisableCalibration skips the profiled re-solve loop of the joint
 	// planner (ablation knob).
 	DisableCalibration bool
-	// LPMaxPivots caps simplex pivots per LP phase (0 = solver default).
-	// A joint LP that stalls at the cap degrades to the no-move plan and
-	// a task LP that stalls degrades to uplink-proportional reduce
-	// fractions; both increment the lp.stalled counter on Obs instead of
-	// failing the planning round.
-	LPMaxPivots int
-	// BandwidthJitter > 0 makes the planner consume *estimated* bandwidth
-	// instead of ground truth, the way the prototype periodically probes
-	// links (§7): the true capacities are observed several times with this
-	// relative noise and EWMA-smoothed before planning.
-	BandwidthJitter float64
 	// Faults is an optional fault schedule. The planner consumes the
 	// degraded bandwidth view it implies (sites dead at query start are
 	// demoted to epsilon capacity so the LP re-solves around them), data
@@ -136,6 +125,12 @@ type Options struct {
 	// Obs optionally collects planning phase spans (probes, lp, calibrate,
 	// move) and metrics. Nil disables collection at no cost.
 	Obs *obs.Collector
+	// lpMaxPivots caps simplex pivots per LP phase (0 = solver default);
+	// the package's tests set it to force a stall. A joint LP that stalls
+	// at the cap degrades to the no-move plan and a task LP that stalls
+	// degrades to uplink-proportional reduce fractions; both increment
+	// the lp.stalled counter on Obs instead of failing the planning round.
+	lpMaxPivots int
 }
 
 // withDefaults fills zero fields.
@@ -180,7 +175,13 @@ type Plan struct {
 	// and JobConfigFor forwards it to the engine. The profiler counts
 	// volumes, which no fault changes.
 	faults *faults.Schedule
+	// lag is the Options.Lag the plan was made for, after defaults.
+	lag float64
 }
+
+// Lag is the lag T the plan was made for: its moves occupy [0, Lag) and
+// the recurring queries start at Lag on the fault timeline.
+func (p *Plan) Lag() float64 { return p.lag }
 
 // UseRandomMovers replaces every dataset's record-selection policy with
 // the similarity-agnostic random mover — the "mover only" ablation that
@@ -277,10 +278,7 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err := w.Validate(); err != nil {
 		return nil, nil, err
 	}
-	planTop, err := plannerTopology(c.Top, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+	planTop := plannerTopology(c.Top, opts)
 	probes := opts.Obs.StartSpan("probes")
 	allStats, profiles, err := computeAllStats(c, w, opts.ProbeK)
 	if err != nil {
@@ -300,6 +298,7 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 		Stats:    allStats,
 		obs:      opts.Obs,
 		faults:   opts.Faults,
+		lag:      opts.Lag,
 	}
 	for _, st := range allStats {
 		if id.usesSimilarity() {
@@ -393,7 +392,7 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err != nil {
 		return nil, nil, err
 	}
-	frac, _, pivots, err := lp.SolveTaskPlacementVolumesCapped(fReal, planTop.Uplinks(), planTop.Downlinks(), opts.LPMaxPivots)
+	frac, _, pivots, err := lp.SolveTaskPlacementVolumesCapped(fReal, planTop.Uplinks(), planTop.Downlinks(), opts.lpMaxPivots)
 	if errors.Is(err, lp.ErrStalled) {
 		// Degrade to the bandwidth-proportional prior the alternating
 		// solver itself starts from; the plan stays executable.
@@ -554,30 +553,16 @@ func calibrateIncoming(in *lp.PlacementInput, allStats []*DatasetStats, tensor [
 }
 
 // plannerTopology returns what the planner believes the WAN looks like:
-// the truth, an EWMA-smoothed noisy estimate of it when jitter is on
-// (the §7 periodic bandwidth probing), and — when a fault schedule is
-// set — the degraded view the schedule implies at the start of the
-// query window (t = Lag): probing rounds skip dead sites, degraded
-// links sample at their scaled capacity, and sites that look dead at
-// planning time are demoted to epsilon capacity so the LP re-solves
-// around them.
-func plannerTopology(truth *wan.Topology, opts Options) (*wan.Topology, error) {
-	top := truth
-	if opts.BandwidthJitter > 0 {
-		est, err := wan.NewBandwidthEstimator(truth.N(), 0.3)
-		if err != nil {
-			return nil, err
-		}
-		rng := stats.NewRand(stats.Split(opts.Seed, 4242))
-		for i := 0; i < 6; i++ {
-			est.NoisyProbe(truth, opts.BandwidthJitter, rng)
-		}
-		top = est.Snapshot(truth)
+// the truth, or — when a fault schedule is set — the degraded view the
+// schedule implies at the start of the query window (t = Lag): probing
+// rounds skip dead sites, degraded links sample at their scaled capacity,
+// and sites that look dead at planning time are demoted to epsilon
+// capacity so the LP re-solves around them.
+func plannerTopology(truth *wan.Topology, opts Options) *wan.Topology {
+	if opts.Faults.Empty() {
+		return truth
 	}
-	if !opts.Faults.Empty() {
-		top = faults.PlannerView(top, opts.Faults, opts.Lag, 6)
-	}
-	return top, nil
+	return faults.PlannerView(truth, opts.Faults, opts.Lag, 6)
 }
 
 // buildLPInput assembles the §5 placement input. Similarity-agnostic
@@ -592,7 +577,7 @@ func buildLPInput(planTop *wan.Topology, n int, allStats []*DatasetStats, opts O
 		Lag:               opts.Lag,
 		IncomingInflation: incomingInflation,
 		PaperObjective:    opts.PaperObjective,
-		MaxPivots:         opts.LPMaxPivots,
+		MaxPivots:         opts.lpMaxPivots,
 		Obs:               opts.Obs,
 	}
 	for _, st := range allStats {

@@ -17,7 +17,7 @@ import (
 func TestPlanSchemeStalledLPFallsBack(t *testing.T) {
 	c, w := testSetup(t, workload.BigDataScan, false)
 	col := obs.NewCollector()
-	plan, err := PlanScheme(BohrJoint, c, w, Options{Seed: 1, LPMaxPivots: 1, Obs: col})
+	plan, err := PlanScheme(BohrJoint, c, w, Options{Seed: 1, lpMaxPivots: 1, Obs: col})
 	if err != nil {
 		t.Fatalf("stalled LP must degrade, not fail: %v", err)
 	}

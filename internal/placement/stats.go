@@ -67,20 +67,14 @@ const (
 	CounterDerivedMisses = "placement.derived.misses"
 )
 
-// ComputeStats builds planner statistics for one dataset from the cluster
+// computeStats builds planner statistics for one dataset from the cluster
 // snapshot: per-site dimension cubes for the dominant query type, probe
 // exchange (top-k cells weighted across query types), and map-expansion
 // profiling of the dominant query. A site's cube is its store's cell column
 // in the dominant view, memoized on the store's content; every per-site
 // result is independent and merged in site order, so the statistics are
-// identical at every pool width and memo state.
-func ComputeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, error) {
-	st, _, err := computeStats(c, ds, probeK)
-	return st, err
-}
-
-// computeStats also returns the dataset's volume profile, for the round's
-// profiler.
+// identical at every pool width and memo state. It also returns the
+// dataset's volume profile, for the round's profiler.
 func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, *engine.Profile, error) {
 	if probeK <= 0 {
 		return nil, nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)

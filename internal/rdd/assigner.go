@@ -19,8 +19,6 @@ import (
 // (engine.Store.Layout) for the next plan's.
 type Assigner struct {
 	Config DimsumConfig
-	// KMeansIters bounds Lloyd iterations (default 20).
-	KMeansIters int
 }
 
 // NewAssigner creates an assigner with the default DIMSUM configuration.
@@ -47,7 +45,7 @@ func (a Assigner) Assign(parts []engine.Partition, executors int) ([]int, float6
 	}
 	// Each partition's feature vector is its row of the similarity matrix:
 	// partitions similar to the same neighbours cluster together.
-	assign, err := KMeans(mat.Sim, executors, a.KMeansIters, a.Config.Seed)
+	assign, err := KMeans(mat.Sim, executors, kmeansIters, a.Config.Seed)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -26,6 +26,10 @@ func kmeansWidth(n int) int {
 	return 0 // resolve to the process default
 }
 
+// kmeansIters bounds the Lloyd iterations the assigner runs, and KMeans's
+// when it is given iters <= 0.
+const kmeansIters = 20
+
 // KMeans clusters points into k clusters with Lloyd's algorithm and
 // k-means++ seeding, deterministically for a given seed. It returns the
 // cluster index of each point. k > len(points) is clamped; every cluster
@@ -48,7 +52,7 @@ func KMeans(points [][]float64, k, iters int, seed int64) ([]int, error) {
 		k = n
 	}
 	if iters <= 0 {
-		iters = 20
+		iters = kmeansIters
 	}
 	rng := stats.NewRand(seed)
 

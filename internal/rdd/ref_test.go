@@ -129,7 +129,7 @@ func TestPairwiseMatchesRefSignature(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := KMeans(want.Sim, executors, a.KMeansIters, cfg.Seed)
+			ref, err := KMeans(want.Sim, executors, kmeansIters, cfg.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}

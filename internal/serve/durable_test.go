@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"bohr/internal/core"
 	"bohr/internal/durable"
@@ -57,7 +56,7 @@ func TestIngestServerCrashChaos(t *testing.T) {
 	pcfg := func() ingest.Config {
 		return ingest.Config{MaxBatchRecords: 10, FlushInterval: -1, Seed: 5}
 	}
-	ccfg := ingest.ClientConfig{BatchRecords: 10, RetryBase: time.Millisecond, Seed: 5}
+	ccfg := ingest.ClientConfig{BatchRecords: 10, Seed: 5}
 
 	// First incarnation over an empty directory: nothing to recover.
 	sys1 := smallSystem(t)

@@ -50,13 +50,14 @@ type SlowRecord struct {
 	CritPath []critpath.QueryPath `json:"crit_path,omitempty"`
 }
 
+// slowK bounds how many slow queries keep full traces.
+const slowK = 8
+
 // FlightConfig tunes the recorder. The zero value adopts the defaults
 // noted per field.
 type FlightConfig struct {
 	// RingSize bounds the recent-query ring (default 512).
 	RingSize int
-	// SlowK bounds how many slow queries keep full traces (default 8).
-	SlowK int
 	// SlowThreshold is the latency above which a query qualifies as slow
 	// (default 250ms; <0 disables slow capture).
 	SlowThreshold time.Duration
@@ -65,9 +66,6 @@ type FlightConfig struct {
 func (c FlightConfig) withDefaults() FlightConfig {
 	if c.RingSize <= 0 {
 		c.RingSize = 512
-	}
-	if c.SlowK <= 0 {
-		c.SlowK = 8
 	}
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 250 * time.Millisecond
@@ -139,7 +137,7 @@ func (f *FlightRecorder) Record(rec QueryRecord, trace *obs.Span) {
 	if trace != nil {
 		sr.CritPath = critpath.Analyze(trace, nil)
 	}
-	if len(f.slow) < f.cfg.SlowK {
+	if len(f.slow) < slowK {
 		f.slow = append(f.slow, sr)
 	} else {
 		// Evict the fastest retained slow query if the newcomer beats it.

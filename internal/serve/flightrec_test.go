@@ -53,20 +53,27 @@ func TestFlightRecorderRingAndCursor(t *testing.T) {
 }
 
 func TestFlightRecorderSlowRetention(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{RingSize: 16, SlowK: 2, SlowThreshold: 100 * time.Millisecond})
+	f := NewFlightRecorder(FlightConfig{RingSize: 16, SlowThreshold: 100 * time.Millisecond})
 	trace := fakeQueryTrace()
 	f.Record(QueryRecord{Tenant: "fast", LatencyS: 0.01}, trace)
-	f.Record(QueryRecord{Tenant: "slow1", LatencyS: 0.2}, trace)
-	f.Record(QueryRecord{Tenant: "slow2", LatencyS: 0.5}, trace)
-	f.Record(QueryRecord{Tenant: "slow3", LatencyS: 0.3}, trace) // evicts slow1 (0.2)
-	f.Record(QueryRecord{Tenant: "slow4", LatencyS: 0.15}, nil)  // too fast for the held set
+	f.Record(QueryRecord{Tenant: "slow0", LatencyS: 0.2}, trace)
+	for i := 1; i < slowK; i++ { // fills the held set
+		f.Record(QueryRecord{Tenant: fmt.Sprintf("slow%d", i), LatencyS: 0.4 + float64(i)/10}, trace)
+	}
+	f.Record(QueryRecord{Tenant: "slow-evicts", LatencyS: 0.3}, trace) // evicts slow0 (0.2)
+	f.Record(QueryRecord{Tenant: "slow-late", LatencyS: 0.15}, nil)    // too fast for the held set
 
 	slow := f.Slowest()
-	if len(slow) != 2 {
-		t.Fatalf("held %d slow records, want 2", len(slow))
+	if len(slow) != slowK {
+		t.Fatalf("held %d slow records, want %d", len(slow), slowK)
 	}
-	if slow[0].Tenant != "slow2" || slow[1].Tenant != "slow3" {
-		t.Fatalf("slowest = %s,%s want slow2,slow3", slow[0].Tenant, slow[1].Tenant)
+	if first, last := slow[0].Tenant, slow[slowK-1].Tenant; first != fmt.Sprintf("slow%d", slowK-1) || last != "slow-evicts" {
+		t.Fatalf("slowest = %s..%s want slow%d..slow-evicts", first, last, slowK-1)
+	}
+	for _, s := range slow {
+		if s.Tenant == "slow0" || s.Tenant == "slow-late" {
+			t.Fatalf("held %s; slow0 should be evicted and slow-late never admitted", s.Tenant)
+		}
 	}
 	if slow[0].Trace == nil {
 		t.Fatal("slow record dropped its trace")
@@ -137,7 +144,7 @@ func TestStatsAndFlightrecEndpoints(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&logMu, &logBuf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	backend := &tracedFakeBackend{fakeBackend: newFakeBackend(t), delay: 30 * time.Millisecond}
 	fe := New(backend, Config{
-		Flight:  &FlightConfig{RingSize: 8, SlowK: 2, SlowThreshold: 20 * time.Millisecond},
+		Flight:  &FlightConfig{RingSize: 8, SlowThreshold: 20 * time.Millisecond},
 		Windows: win,
 		Logger:  logger,
 	}, col)

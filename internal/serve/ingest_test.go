@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bohr/internal/core"
 	"bohr/internal/engine"
@@ -423,7 +422,7 @@ func TestIngestEndToEndChaos(t *testing.T) {
 
 	const total, crashAt = 60, 30
 	ctx := context.Background()
-	ccfg := ingest.ClientConfig{BatchRecords: 10, RetryBase: time.Millisecond, Seed: 5}
+	ccfg := ingest.ClientConfig{BatchRecords: 10, Seed: 5}
 	stream := func(cli *ingest.Client, from, to uint64) {
 		t.Helper()
 		for off := from; off <= to; off++ {

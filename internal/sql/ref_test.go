@@ -301,7 +301,7 @@ func checkStatement(t testing.TB, text string, store *engine.Store, stage engine
 var refStages = []engine.Stage{
 	{Exec: engine.Executors{Machines: 1, PerMachine: 1}},
 	{Exec: engine.Executors{Machines: 1, PerMachine: 4}},
-	{Exec: engine.Executors{Machines: 3, PerMachine: 2}, PartitionsPerExecutor: 3},
+	{Exec: engine.Executors{Machines: 3, PerMachine: 2}},
 	{Exec: engine.Executors{Machines: 1, PerMachine: 1}, Assigner: rdd.NewAssigner(11)},
 	{Exec: engine.Executors{Machines: 1, PerMachine: 4}, Assigner: rdd.NewAssigner(11), CubeInput: true},
 	{Exec: engine.Executors{Machines: 3, PerMachine: 2}, Assigner: rdd.NewAssigner(11)},

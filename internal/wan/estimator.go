@@ -2,7 +2,6 @@ package wan
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 )
 
@@ -129,25 +128,4 @@ func (e *BandwidthEstimator) Snapshot(truth *Topology) *Topology {
 		}
 	}
 	return out
-}
-
-// NoisyProbe simulates one round of bandwidth probing against the true
-// topology: each site's capacity is observed with multiplicative noise of
-// relative magnitude jitter (e.g. 0.1 for ±10%). It feeds every sample into
-// the estimator.
-func (e *BandwidthEstimator) NoisyProbe(truth *Topology, jitter float64, rng *rand.Rand) {
-	e.BeginRound()
-	for _, s := range truth.Sites {
-		f := func() float64 { return 1 + jitter*(2*rng.Float64()-1) }
-		up := s.UpMBps * f()
-		down := s.DownMBps * f()
-		if up <= 0 {
-			up = s.UpMBps * 0.01
-		}
-		if down <= 0 {
-			down = s.DownMBps * 0.01
-		}
-		// Errors impossible here: capacities are positive and site IDs valid.
-		_ = e.Observe(s.ID, up, down)
-	}
 }

@@ -274,24 +274,6 @@ func TestBandwidthEstimatorSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-func TestNoisyProbeConverges(t *testing.T) {
-	truth := EC2TenRegions(20)
-	e, _ := NewBandwidthEstimator(truth.N(), 0.3)
-	rng := stats.NewRand(5)
-	for i := 0; i < 200; i++ {
-		e.NoisyProbe(truth, 0.1, rng)
-	}
-	for _, s := range truth.Sites {
-		up, _, ok := e.Estimate(s.ID)
-		if !ok {
-			t.Fatalf("site %s never observed", s.Name)
-		}
-		if math.Abs(up-s.UpMBps)/s.UpMBps > 0.1 {
-			t.Fatalf("site %s estimate %v too far from truth %v", s.Name, up, s.UpMBps)
-		}
-	}
-}
-
 func BenchmarkSimulateShuffle100Flows(b *testing.B) {
 	top := EC2TenRegions(20)
 	rng := stats.NewRand(1)
