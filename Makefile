@@ -138,7 +138,7 @@ determinism:
 # after an intentional schema or trace change, eyeball the diff, and bump
 # core.ReportSchemaVersion if the report layout moved.
 golden:
-	$(GO) test ./internal/experiments -run TestReportSchemaGolden -update
+	$(GO) test ./internal/experiments -run 'TestReportSchemaGolden|TestDynamicGolden|TestOlapTablesGolden|TestFaultSweepGolden' -update
 	$(GO) test ./internal/obs/export -run TestChromeTraceGolden -update
 
 # bench runs the end-to-end benchmark harness (bench/, BENCHMARK.json):
