@@ -36,8 +36,8 @@ type JobConfig struct {
 	CubeInput bool
 	// Faults is an optional fault schedule applied in modeled time:
 	// straggler windows scale per-site map and reduce times, and
-	// degraded/blacked-out links slow the shared shuffle via the fluid
-	// fault model. Concurrent jobs share the schedule of the first config
+	// degraded/blacked-out links slow the shared shuffle through
+	// wan.Topology.Estimate. Concurrent jobs share the schedule of the first config
 	// that sets one (they share the WAN, so they must share its faults).
 	Faults *faults.Schedule
 	// FaultClock is the modeled time at which this execution starts on
@@ -322,12 +322,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		// saturate, so the stage time is the paper's per-link aggregate
 		// model (Eqs. 3-4) over the union of all jobs' flows — drained
 		// through fault-scaled link capacities when a schedule is set.
-		var shuffleTime float64
-		if fs == nil {
-			shuffleTime = c.Top.Estimate(flows)
-		} else {
-			shuffleTime = c.Top.EstimateFaults(flows, fs, mapEnd)
-		}
+		shuffleTime := c.Top.Estimate(flows, fs, mapEnd)
 		reduceStart := mapEnd + shuffleTime
 
 		// Stage boundary: a cancellation arriving during the modeled

@@ -4,7 +4,8 @@
 // It substitutes for Apache Spark in the paper's prototype (§7): the QCT
 // phenomena Bohr targets depend only on map/combine/shuffle/reduce
 // semantics, which are implemented faithfully here, with compute time
-// modeled per record and WAN time taken from the wan package's fluid model.
+// modeled per record and the shuffle's WAN time taken from the wan
+// package's per-link aggregate model (Estimate).
 package engine
 
 import (

@@ -123,7 +123,8 @@ type MoveResult struct {
 	// MovedMB is the total volume moved per (src, dst) pair.
 	Transfers []wan.Transfer
 	// Duration is the WAN time the movement took (fluid model); planners
-	// must keep this within the query lag T.
+	// must keep this within the query lag T. ApplyMoves leaves it zero:
+	// placement's Plan.Execute times a plan's moves together.
 	Duration float64
 	// Records is the total number of records moved.
 	Records int
@@ -156,7 +157,6 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 			Src: wan.SiteID(sp.Src), Dst: wan.SiteID(sp.Dst), MB: c.MB(len(sel.Records)),
 		})
 	}
-	res.Duration = c.Top.Simulate(res.Transfers).Makespan
 	return res, nil
 }
 

@@ -104,10 +104,7 @@ func refRun(t *testing.T, c *engine.Cluster, cfgs []engine.JobConfig) []*engine.
 				mapEnd = max(mapEnd, clock+st.rm.MapTime+st.rm.AssignOverhead)
 			}
 		}
-		shuffle := c.Top.Estimate(flows)
-		if fs != nil {
-			shuffle = c.Top.EstimateFaults(flows, fs, mapEnd)
-		}
+		shuffle := c.Top.Estimate(flows, fs, mapEnd)
 		reduceStart := mapEnd + shuffle
 		var maxReduce float64
 		for ji, j := range jobs {

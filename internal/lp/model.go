@@ -409,15 +409,10 @@ func (w *workspace) rProblem(f [][]float64, up, down []float64, maxPivots int) (
 // per-dataset per-site shuffle volumes f[a][i] (MB) — used inside the
 // alternating solver and by planners that profile realized volumes from a
 // previous run of the recurring query. Variables: t (0), r_0..r_{n-1}.
-func SolveTaskPlacementVolumes(f [][]float64, up, down []float64) (r []float64, t float64, pivots int, err error) {
-	return new(workspace).solveTaskPlacementVolumes(f, up, down, 0)
-}
-
-// SolveTaskPlacementVolumesCapped is SolveTaskPlacementVolumes with an
-// explicit per-phase pivot cap (0 = solver default). A capped solve that
-// stalls returns an error wrapping ErrStalled, so planners can degrade
-// to a heuristic fraction split instead of failing the round.
-func SolveTaskPlacementVolumesCapped(f [][]float64, up, down []float64, maxPivots int) (r []float64, t float64, pivots int, err error) {
+// maxPivots caps pivots per simplex phase (0 = solver default); a capped
+// solve that stalls returns an error wrapping ErrStalled, so planners can
+// degrade to a heuristic fraction split instead of failing the round.
+func SolveTaskPlacementVolumes(f [][]float64, up, down []float64, maxPivots int) (r []float64, t float64, pivots int, err error) {
 	return new(workspace).solveTaskPlacementVolumes(f, up, down, maxPivots)
 }
 

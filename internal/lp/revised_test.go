@@ -90,8 +90,8 @@ func TestStalledSurfacesThroughPlacementWrappers(t *testing.T) {
 		t.Errorf("SolvePlacement with pivot cap 1: err = %v, want ErrStalled", err)
 	}
 	f := in.ShuffleVolumes(nil)
-	if _, _, _, err := SolveTaskPlacementVolumesCapped(f, in.Up, in.Down, 1); !errors.Is(err, ErrStalled) {
-		t.Errorf("SolveTaskPlacementVolumesCapped with cap 1: err = %v, want ErrStalled", err)
+	if _, _, _, err := SolveTaskPlacementVolumes(f, in.Up, in.Down, 1); !errors.Is(err, ErrStalled) {
+		t.Errorf("SolveTaskPlacementVolumes with cap 1: err = %v, want ErrStalled", err)
 	}
 }
 

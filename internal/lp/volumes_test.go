@@ -6,13 +6,13 @@ import (
 )
 
 func TestSolveTaskPlacementVolumesValidation(t *testing.T) {
-	if _, _, _, err := SolveTaskPlacementVolumes(nil, nil, nil); err == nil {
+	if _, _, _, err := SolveTaskPlacementVolumes(nil, nil, nil, 0); err == nil {
 		t.Fatal("empty bandwidth arrays should error")
 	}
-	if _, _, _, err := SolveTaskPlacementVolumes(nil, []float64{1, 2}, []float64{1}); err == nil {
+	if _, _, _, err := SolveTaskPlacementVolumes(nil, []float64{1, 2}, []float64{1}, 0); err == nil {
 		t.Fatal("mismatched bandwidth arrays should error")
 	}
-	if _, _, _, err := SolveTaskPlacementVolumes([][]float64{{1}}, []float64{1, 1}, []float64{1, 1}); err == nil {
+	if _, _, _, err := SolveTaskPlacementVolumes([][]float64{{1}}, []float64{1, 1}, []float64{1, 1}, 0); err == nil {
 		t.Fatal("short volume row should error")
 	}
 }
@@ -24,7 +24,7 @@ func TestSolveTaskPlacementVolumesBalances(t *testing.T) {
 	f := [][]float64{{100, 0}}
 	up := []float64{10, 10}
 	down := []float64{10, 100}
-	r, tOpt, pivots, err := SolveTaskPlacementVolumes(f, up, down)
+	r, tOpt, pivots, err := SolveTaskPlacementVolumes(f, up, down, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSolveTaskPlacementVolumesZeroVolumes(t *testing.T) {
 	f := [][]float64{{0, 0, 0}}
 	up := []float64{1, 1, 1}
 	down := []float64{1, 1, 1}
-	r, tOpt, _, err := SolveTaskPlacementVolumes(f, up, down)
+	r, tOpt, _, err := SolveTaskPlacementVolumes(f, up, down, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

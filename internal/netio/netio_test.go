@@ -23,8 +23,8 @@ func TestBucketValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Rate() != 1000 {
-		t.Fatalf("rate = %v", b.Rate())
+	if b.burst != 1000 {
+		t.Fatalf("burst = %v, want one second of rate", b.burst)
 	}
 }
 

@@ -62,41 +62,21 @@ func (b *Bucket) Take(n int) time.Duration {
 	return time.Duration(-b.tokens / b.rate * float64(time.Second))
 }
 
-// Rate returns the configured rate in bytes/second.
-func (b *Bucket) Rate() float64 { return b.rate }
-
-// ShapedConn wraps a net.Conn so writes are paced by an uplink bucket and
-// reads by a downlink bucket (either may be nil for unshaped).
+// ShapedConn wraps a net.Conn so writes are paced by an uplink bucket.
 type ShapedConn struct {
 	net.Conn
-	up   *Bucket
-	down *Bucket
+	up *Bucket
 }
 
-// Shape wraps conn with the given buckets.
-func Shape(conn net.Conn, up, down *Bucket) *ShapedConn {
-	return &ShapedConn{Conn: conn, up: up, down: down}
+// Shape wraps conn so its writes pace through the uplink bucket up.
+func Shape(conn net.Conn, up *Bucket) *ShapedConn {
+	return &ShapedConn{Conn: conn, up: up}
 }
 
 // Write paces the write through the uplink bucket.
 func (c *ShapedConn) Write(p []byte) (int, error) {
-	if c.up != nil {
-		if d := c.up.Take(len(p)); d > 0 {
-			time.Sleep(d)
-		}
+	if d := c.up.Take(len(p)); d > 0 {
+		time.Sleep(d)
 	}
 	return c.Conn.Write(p)
-}
-
-// Read paces the read through the downlink bucket (the wait lands after
-// the data arrives, which approximates receiver-side throttling well
-// enough for emulation).
-func (c *ShapedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 && c.down != nil {
-		if d := c.down.Take(n); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	return n, err
 }

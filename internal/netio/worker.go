@@ -445,7 +445,7 @@ func (w *Worker) push(addr string, env *Envelope) (*Envelope, int64, error) {
 	conn.SetDeadline(time.Now().Add(idle + write))
 	var rw net.Conn = w.injector().WrapConn(conn)
 	if w.up != nil {
-		rw = Shape(rw, w.up, nil)
+		rw = Shape(rw, w.up)
 	}
 	cw := &countWriter{ReadWriter: rw}
 	resp, err := call(cw, env)

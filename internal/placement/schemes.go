@@ -239,11 +239,7 @@ func (p *Plan) Execute(c *engine.Cluster, seed int64) (*engine.MoveResult, error
 	}
 	// Moves occupy [0, Lag) on the fault timeline, so they drain from
 	// t = 0 through whatever link faults are active then.
-	if p.faults != nil {
-		agg.Duration = c.Top.SimulateFaults(agg.Transfers, p.faults, 0).Makespan
-	} else {
-		agg.Duration = c.Top.Simulate(agg.Transfers).Makespan
-	}
+	agg.Duration = c.Top.Simulate(agg.Transfers, p.faults).Makespan
 	sp.Add(agg.Duration)
 	sp.End()
 	p.obs.Count("engine.records.moved", float64(agg.Records))
@@ -278,7 +274,10 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err := w.Validate(); err != nil {
 		return nil, nil, err
 	}
-	planTop := plannerTopology(c.Top, opts)
+	// What the planner believes the WAN looks like: the truth, or the
+	// probed view a fault schedule implies at the start of the query
+	// window (t = Lag).
+	planTop := faults.PlannerView(c.Top, opts.Faults, opts.Lag)
 	probes := opts.Obs.StartSpan("probes")
 	allStats, profiles, err := computeAllStats(c, w, opts.ProbeK)
 	if err != nil {
@@ -392,7 +391,7 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	if err != nil {
 		return nil, nil, err
 	}
-	frac, _, pivots, err := lp.SolveTaskPlacementVolumesCapped(fReal, planTop.Uplinks(), planTop.Downlinks(), opts.lpMaxPivots)
+	frac, _, pivots, err := lp.SolveTaskPlacementVolumes(fReal, planTop.Uplinks(), planTop.Downlinks(), opts.lpMaxPivots)
 	if errors.Is(err, lp.ErrStalled) {
 		// Degrade to the bandwidth-proportional prior the alternating
 		// solver itself starts from; the plan stays executable.
@@ -493,7 +492,7 @@ func (p *profiler) plannedTime(planTop *wan.Topology, moves []engine.MoveSpec) (
 	if err != nil {
 		return 0, err
 	}
-	_, t, _, err := lp.SolveTaskPlacementVolumes(f, planTop.Uplinks(), planTop.Downlinks())
+	_, t, _, err := lp.SolveTaskPlacementVolumes(f, planTop.Uplinks(), planTop.Downlinks(), 0)
 	return t, err
 }
 
@@ -550,19 +549,6 @@ func calibrateIncoming(in *lp.PlacementInput, allStats []*DatasetStats, tensor [
 		}
 	}
 	return changed
-}
-
-// plannerTopology returns what the planner believes the WAN looks like:
-// the truth, or — when a fault schedule is set — the degraded view the
-// schedule implies at the start of the query window (t = Lag): probing
-// rounds skip dead sites, degraded links sample at their scaled capacity,
-// and sites that look dead at planning time are demoted to epsilon
-// capacity so the LP re-solves around them.
-func plannerTopology(truth *wan.Topology, opts Options) *wan.Topology {
-	if opts.Faults.Empty() {
-		return truth
-	}
-	return faults.PlannerView(truth, opts.Faults, opts.Lag, 6)
 }
 
 // buildLPInput assembles the §5 placement input. Similarity-agnostic

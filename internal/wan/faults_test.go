@@ -3,8 +3,6 @@ package wan
 import (
 	"math"
 	"testing"
-
-	"bohr/internal/stats"
 )
 
 // stubFaults is a hand-rolled LinkFaults for tests: one fault window
@@ -48,27 +46,27 @@ func TestEstimateFaultsHandComputed(t *testing.T) {
 	tr := []Transfer{{Src: 0, Dst: 1, MB: 100}}
 	// Clean: 100 MB / 10 MBps = 10 s, both with nil faults and with a
 	// schedule whose window misses the transfer.
-	if got := top.EstimateFaults(tr, nil, 0); got != 10 {
+	if got := top.Estimate(tr, nil, 0); got != 10 {
 		t.Fatalf("nil faults: %v, want 10", got)
 	}
 	miss := stubFaults{site: 0, start: 100, end: 200, factor: 0.5}
-	if got := top.EstimateFaults(tr, miss, 0); math.Abs(got-10) > 1e-9 {
+	if got := top.Estimate(tr, miss, 0); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("missed window: %v, want 10", got)
 	}
 	// Uplink at half speed for t ∈ [0, 10): drains 50 MB in the window,
 	// the remaining 50 MB at full speed → 10 + 5 = 15 s.
 	half := stubFaults{site: 0, start: 0, end: 10, factor: 0.5}
-	if got := top.EstimateFaults(tr, half, 0); math.Abs(got-15) > 1e-9 {
+	if got := top.Estimate(tr, half, 0); math.Abs(got-15) > 1e-9 {
 		t.Fatalf("half-speed window: %v, want 15", got)
 	}
 	// Blackout for t ∈ [2, 7): 2 s of progress, 5 s stalled, 8 s more →
 	// finishes at 15, i.e. 15 s after start 0.
 	dark := stubFaults{site: 0, start: 2, end: 7, factor: 0}
-	if got := top.EstimateFaults(tr, dark, 0); math.Abs(got-15) > 1e-9 {
+	if got := top.Estimate(tr, dark, 0); math.Abs(got-15) > 1e-9 {
 		t.Fatalf("blackout window: %v, want 15", got)
 	}
 	// Same blackout but the transfer starts at t=7: no overlap, 10 s.
-	if got := top.EstimateFaults(tr, dark, 7); math.Abs(got-10) > 1e-9 {
+	if got := top.Estimate(tr, dark, 7); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("start after blackout: %v, want 10", got)
 	}
 }
@@ -77,17 +75,17 @@ func TestSimulateFaultsHandComputed(t *testing.T) {
 	top := twoEqualSites(t)
 	tr := []Transfer{{Src: 0, Dst: 1, MB: 100}}
 	dark := stubFaults{site: 0, start: 2, end: 7, factor: 0}
-	res := top.SimulateFaults(tr, dark, 0)
+	res := top.Simulate(tr, dark)
 	if math.Abs(res.Makespan-15) > 1e-9 {
 		t.Fatalf("blackout makespan %v, want 15", res.Makespan)
 	}
 	if math.Abs(res.Flows[0].Finish-15) > 1e-9 {
 		t.Fatalf("flow finish %v, want 15", res.Flows[0].Finish)
 	}
-	// Nil faults must agree with Simulate exactly.
-	clean := top.Simulate(tr)
-	if got := top.SimulateFaults(tr, nil, 0); got.Makespan != clean.Makespan {
-		t.Fatalf("nil faults diverged: %v vs %v", got.Makespan, clean.Makespan)
+	// Nil faults must agree exactly with a schedule whose window misses.
+	clean := top.Simulate(tr, nil)
+	if got := top.Simulate(tr, stubFaults{site: 0, start: 100, end: 200, factor: 0.5}); got.Makespan != clean.Makespan {
+		t.Fatalf("nil faults diverged: %v vs %v", clean.Makespan, got.Makespan)
 	}
 	// Two flows sharing site 0's uplink under a half-speed window
 	// [0, 12): each gets 2.5 MBps while degraded, so the 25 MB flow
@@ -95,71 +93,11 @@ func TestSimulateFaultsHandComputed(t *testing.T) {
 	// the whole degraded uplink (5 MBps) until the fault lifts at t=12
 	// (40 MB left), and drains the rest at 10 MBps → done at t=16.
 	trs := []Transfer{{Src: 0, Dst: 1, MB: 25}, {Src: 0, Dst: 1, MB: 75}}
-	res2 := top.SimulateFaults(trs, stubFaults{site: 0, start: 0, end: 12, factor: 0.5}, 0)
+	res2 := top.Simulate(trs, stubFaults{site: 0, start: 0, end: 12, factor: 0.5})
 	if math.Abs(res2.Flows[0].Finish-10) > 1e-6 {
 		t.Errorf("small flow finish %v, want 10", res2.Flows[0].Finish)
 	}
 	if math.Abs(res2.Makespan-16) > 1e-6 {
 		t.Errorf("makespan %v, want 16", res2.Makespan)
-	}
-}
-
-func TestEstimatorDropouts(t *testing.T) {
-	top := twoEqualSites(t)
-	e, err := NewBandwidthEstimator(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(1)
-	// Site 1 reports in round 1 then goes silent for five rounds.
-	e.BeginRound()
-	if err := e.Observe(0, 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Observe(1, 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		e.BeginRound()
-		if err := e.Observe(0, 8+4*rng.Float64(), 8+4*rng.Float64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if age, ok := e.Staleness(0); !ok || age != 0 {
-		t.Errorf("site 0 staleness = %v,%v, want 0,true", age, ok)
-	}
-	if age, ok := e.Staleness(1); !ok || age != 5 {
-		t.Errorf("site 1 staleness = %v,%v, want 5,true", age, ok)
-	}
-	if _, ok := e.Staleness(7); ok {
-		t.Error("out-of-range site reported ok")
-	}
-	stale := e.StaleSites(2)
-	if len(stale) != 1 || stale[0] != 1 {
-		t.Errorf("StaleSites(2) = %v, want [1]", stale)
-	}
-	if got := e.StaleSites(10); got != nil {
-		t.Errorf("StaleSites(10) = %v, want none", got)
-	}
-	// The silent site keeps its last smoothed estimate; Snapshot still
-	// carries it (smoothing over gaps is the §7 behavior).
-	up, down, ok := e.Estimate(1)
-	if !ok || up != 10 || down != 10 {
-		t.Errorf("silent site estimate = %v,%v,%v", up, down, ok)
-	}
-	snap := e.Snapshot(top)
-	if snap.Sites[1].UpMBps != 10 {
-		t.Errorf("snapshot lost silent site estimate: %v", snap.Sites[1].UpMBps)
-	}
-	// A site that has NEVER reported falls back to truth in Snapshot and
-	// shows up stale at any age.
-	e2, _ := NewBandwidthEstimator(2, 0.5)
-	e2.BeginRound()
-	_ = e2.Observe(0, 5, 5)
-	if got := e2.StaleSites(1000); len(got) != 1 || got[0] != 1 {
-		t.Errorf("never-seen site not stale: %v", got)
-	}
-	if snap := e2.Snapshot(top); snap.Sites[1].UpMBps != 10 {
-		t.Errorf("never-seen site should fall back to truth, got %v", snap.Sites[1].UpMBps)
 	}
 }

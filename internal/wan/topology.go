@@ -3,10 +3,11 @@
 // backbone are the only bottleneck (the paper's §5 assumption, validated by
 // empirical measurements it cites).
 //
-// Two facilities are provided. Estimate computes per-site aggregate transfer
-// times exactly as the placement LP models them. Simulate runs a max-min
-// fair fluid simulation of concurrent transfers, which the engine uses to
-// measure the shuffle stage realistically.
+// Two models time a transfer set, each under an optional fault schedule
+// (LinkFaults). Estimate computes per-site aggregate transfer times
+// exactly as the placement LP models them; the engine times the shuffle
+// with it. Simulate runs a max-min fair fluid simulation of concurrent
+// transfers; placement times a plan's data movement with it.
 package wan
 
 import "fmt"

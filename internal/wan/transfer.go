@@ -12,29 +12,43 @@ type Transfer struct {
 	MB       float64
 }
 
+// LinkFaults is the WAN models' view of a fault schedule: a
+// piecewise-constant multiplier on each site's uplink and downlink
+// capacity over modeled time, with NextBoundary exposing the instants
+// where any multiplier changes. faults.Schedule satisfies it; wan
+// deliberately does not import the faults package so the dependency
+// points one way. A nil LinkFaults is the empty schedule: factor 1
+// everywhere and no boundaries.
+type LinkFaults interface {
+	UpFactor(site int, t float64) float64
+	DownFactor(site int, t float64) float64
+	NextBoundary(after float64) (float64, bool)
+}
+
+// noFaults is what a nil LinkFaults reads as.
+type noFaults struct{}
+
+func (noFaults) UpFactor(int, float64) float64        { return 1 }
+func (noFaults) DownFactor(int, float64) float64      { return 1 }
+func (noFaults) NextBoundary(float64) (float64, bool) { return 0, false }
+
+func orNoFaults(f LinkFaults) LinkFaults {
+	if f == nil {
+		return noFaults{}
+	}
+	return f
+}
+
 // Estimate computes the aggregate per-site transfer time under the
 // placement model of §5: each site uploads the sum of its outgoing bytes
 // through its uplink and downloads the sum of its incoming bytes through
-// its downlink, independently. The returned value is the makespan — the
-// maximum over all per-site upload and download times. This is exactly the
-// quantity constraints (3)-(6) of the LP bound.
-func (t *Topology) Estimate(transfers []Transfer) float64 {
-	up, down := t.PerSiteTimes(transfers)
-	var makespan float64
-	for i := range up {
-		if up[i] > makespan {
-			makespan = up[i]
-		}
-		if down[i] > makespan {
-			makespan = down[i]
-		}
-	}
-	return makespan
-}
-
-// PerSiteTimes returns (uploadTime, downloadTime) per site for a transfer
-// set, the per-site decomposition of Estimate.
-func (t *Topology) PerSiteTimes(transfers []Transfer) (up, down []float64) {
+// its downlink, independently, each link's capacity scaled by the
+// schedule's piecewise-constant factors from modeled time start. The
+// returned value is the makespan — the duration (seconds after start)
+// until the last site's upload or download finishes. Without active
+// faults this is exactly the quantity constraints (3)-(6) of the LP bound.
+func (t *Topology) Estimate(transfers []Transfer, f LinkFaults, start float64) float64 {
+	f = orNoFaults(f)
 	upB := make([]float64, t.N())
 	downB := make([]float64, t.N())
 	for _, tr := range transfers {
@@ -44,13 +58,53 @@ func (t *Topology) PerSiteTimes(transfers []Transfer) (up, down []float64) {
 		upB[tr.Src] += tr.MB
 		downB[tr.Dst] += tr.MB
 	}
-	up = make([]float64, t.N())
-	down = make([]float64, t.N())
+	var makespan float64
 	for i, s := range t.Sites {
-		up[i] = upB[i] / s.UpMBps
-		down[i] = downB[i] / s.DownMBps
+		up := drainTime(upB[i], s.UpMBps, func(tm float64) float64 { return f.UpFactor(i, tm) }, f, start)
+		down := drainTime(downB[i], s.DownMBps, func(tm float64) float64 { return f.DownFactor(i, tm) }, f, start)
+		if up > makespan {
+			makespan = up
+		}
+		if down > makespan {
+			makespan = down
+		}
 	}
-	return up, down
+	return makespan
+}
+
+// drainTime integrates mb megabytes through a link whose rate is
+// cap·factor(t), piecewise-constant between fault boundaries, starting
+// at modeled time start. Returns the drain duration.
+func drainTime(mb, cap float64, factor func(float64) float64, f LinkFaults, start float64) float64 {
+	if mb <= 0 {
+		return 0
+	}
+	// Elapsed accumulates separately from the absolute clock so that a
+	// schedule with no active windows yields bit-identical arithmetic to
+	// the plain mb/cap division.
+	var elapsed float64
+	now := start
+	for {
+		rate := cap * factor(now)
+		b, ok := f.NextBoundary(now)
+		if !ok {
+			// No boundaries remain: the factor is constant forever. Fault
+			// windows are finite, so a zero rate here means a malformed
+			// schedule rather than a transient.
+			if rate <= 0 {
+				panic(fmt.Sprintf("wan: link permanently dead at t=%.3f with %.3f MB left", now, mb))
+			}
+			return elapsed + mb/rate
+		}
+		if rate > 0 {
+			if dt := mb / rate; dt <= b-now {
+				return elapsed + dt
+			}
+			mb -= rate * (b - now)
+		}
+		elapsed += b - now
+		now = b
+	}
 }
 
 // flow is the mutable state of one simulated transfer.
@@ -75,14 +129,17 @@ type SimResult struct {
 	Makespan float64
 }
 
-// Simulate runs the transfer set to completion under max-min fair sharing
-// of the per-site uplink and downlink capacities (a fluid model: rates are
-// recomputed by progressive filling at every flow completion event). It
+// Simulate runs the transfer set, starting at modeled time 0, to
+// completion under max-min fair sharing of the per-site uplink and
+// downlink capacities (a fluid model: rates are recomputed by progressive
+// filling at every flow completion and every fault boundary, with
+// capacities scaled by the schedule's factors at the current time). It
 // returns per-flow completion times and the makespan.
 //
-// The fluid model reflects how parallel shuffle flows actually share access
+// The fluid model reflects how parallel flows actually share access
 // links, and is never faster than Estimate's per-link aggregate bound.
-func (t *Topology) Simulate(transfers []Transfer) SimResult {
+func (t *Topology) Simulate(transfers []Transfer, f LinkFaults) SimResult {
+	f = orNoFaults(f)
 	flows := make([]*flow, 0, len(transfers))
 	results := make([]FlowResult, len(transfers))
 	for i, tr := range transfers {
@@ -93,36 +150,54 @@ func (t *Topology) Simulate(transfers []Transfer) SimResult {
 		flows = append(flows, &flow{idx: i, src: tr.Src, dst: tr.Dst, remaining: tr.MB})
 	}
 
+	n := t.N()
+	upCap := make([]float64, n)
+	downCap := make([]float64, n)
 	now := 0.0
 	active := len(flows)
 	for active > 0 {
-		t.fillRates(flows)
+		for i, s := range t.Sites {
+			upCap[i] = s.UpMBps * f.UpFactor(i, now)
+			downCap[i] = s.DownMBps * f.DownFactor(i, now)
+		}
+		fillRates(flows, upCap, downCap)
 		// Earliest completion among active flows.
 		next := math.Inf(1)
-		for _, f := range flows {
-			if f.done || f.rate <= 0 {
+		for _, fl := range flows {
+			if fl.done || fl.rate <= 0 {
 				continue
 			}
-			if dt := f.remaining / f.rate; dt < next {
+			if dt := fl.remaining / fl.rate; dt < next {
 				next = dt
 			}
 		}
+		b, haveB := f.NextBoundary(now)
 		if math.IsInf(next, 1) {
-			panic(fmt.Sprintf("wan: fluid simulation stalled at t=%.3f with %d active flows", now, active))
+			// Every remaining flow is blacked out; jump to the next fault
+			// boundary and retry. No boundary left means a permanent outage.
+			if !haveB {
+				panic(fmt.Sprintf("wan: fluid simulation stalled at t=%.3f with %d active flows", now, active))
+			}
+			now = b
+			continue
 		}
-		now += next
-		for _, f := range flows {
-			if f.done {
+		step := next
+		if haveB && b-now < step {
+			step = b - now
+		}
+		for _, fl := range flows {
+			if fl.done {
 				continue
 			}
-			f.remaining -= f.rate * next
-			if f.remaining <= 1e-9 {
-				f.remaining = 0
-				f.done = true
+			fl.remaining -= fl.rate * step
+			if fl.remaining <= 1e-9 {
+				fl.remaining = 0
+				fl.done = true
 				active--
-				results[f.idx].Finish = now
+				results[fl.idx].Finish = now + step
 			}
 		}
+		now += step
 	}
 	return SimResult{Flows: results, Makespan: now}
 }
@@ -130,23 +205,10 @@ func (t *Topology) Simulate(transfers []Transfer) SimResult {
 // fillRates assigns max-min fair rates to active flows via progressive
 // filling: repeatedly find the most contended link (smallest per-flow fair
 // share), freeze its flows at that share, subtract the frozen rates from
-// link capacities, and repeat until every flow is frozen.
-func (t *Topology) fillRates(flows []*flow) {
-	n := t.N()
-	upCap := make([]float64, n)
-	downCap := make([]float64, n)
-	for i, s := range t.Sites {
-		upCap[i] = s.UpMBps
-		downCap[i] = s.DownMBps
-	}
-	fillRatesCaps(flows, upCap, downCap)
-}
-
-// fillRatesCaps is fillRates on explicit capacity arrays, so the faulty
-// simulator can pass capacities already scaled by the active fault
-// factors. Capacities are consumed (mutated) during filling. A zero
-// capacity leaves its flows at rate 0.
-func fillRatesCaps(flows []*flow, upCap, downCap []float64) {
+// link capacities, and repeat until every flow is frozen. Capacities are
+// consumed (mutated) during filling. A zero capacity leaves its flows at
+// rate 0.
+func fillRates(flows []*flow, upCap, downCap []float64) {
 	n := len(upCap)
 	unfrozen := 0
 	for _, f := range flows {

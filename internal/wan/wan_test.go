@@ -72,7 +72,7 @@ func TestEC2TenRegionsRatios(t *testing.T) {
 func TestEstimateSingleFlow(t *testing.T) {
 	top := twoSites(t)
 	// 100 MB from a (10 MBps up) to b (20 MBps down): bound by uplink, 10 s.
-	got := top.Estimate([]Transfer{{Src: 0, Dst: 1, MB: 100}})
+	got := top.Estimate([]Transfer{{Src: 0, Dst: 1, MB: 100}}, nil, 0)
 	if math.Abs(got-10) > 1e-9 {
 		t.Fatalf("Estimate = %v, want 10", got)
 	}
@@ -84,32 +84,18 @@ func TestEstimateIgnoresLocalAndEmpty(t *testing.T) {
 		{Src: 0, Dst: 0, MB: 1000},
 		{Src: 0, Dst: 1, MB: 0},
 		{Src: 0, Dst: 1, MB: -5},
-	})
+	}, nil, 0)
 	if got != 0 {
 		t.Fatalf("Estimate = %v, want 0", got)
-	}
-}
-
-func TestPerSiteTimes(t *testing.T) {
-	top := twoSites(t)
-	up, down := top.PerSiteTimes([]Transfer{
-		{Src: 0, Dst: 1, MB: 50},
-		{Src: 1, Dst: 0, MB: 40},
-	})
-	if math.Abs(up[0]-5) > 1e-9 || math.Abs(up[1]-2) > 1e-9 {
-		t.Fatalf("up = %v", up)
-	}
-	if math.Abs(down[0]-4) > 1e-9 || math.Abs(down[1]-2.5) > 1e-9 {
-		t.Fatalf("down = %v", down)
 	}
 }
 
 func TestSimulateSingleFlowMatchesEstimate(t *testing.T) {
 	top := twoSites(t)
 	tr := []Transfer{{Src: 0, Dst: 1, MB: 100}}
-	res := top.Simulate(tr)
-	if math.Abs(res.Makespan-top.Estimate(tr)) > 1e-6 {
-		t.Fatalf("simulate %v != estimate %v", res.Makespan, top.Estimate(tr))
+	res := top.Simulate(tr, nil)
+	if math.Abs(res.Makespan-top.Estimate(tr, nil, 0)) > 1e-6 {
+		t.Fatalf("simulate %v != estimate %v", res.Makespan, top.Estimate(tr, nil, 0))
 	}
 	if math.Abs(res.Flows[0].Finish-10) > 1e-6 {
 		t.Fatalf("flow finish = %v", res.Flows[0].Finish)
@@ -122,7 +108,7 @@ func TestSimulateFairSharing(t *testing.T) {
 	res := top.Simulate([]Transfer{
 		{Src: 0, Dst: 1, MB: 50},
 		{Src: 0, Dst: 1, MB: 50},
-	})
+	}, nil)
 	if math.Abs(res.Makespan-10) > 1e-6 {
 		t.Fatalf("makespan = %v, want 10", res.Makespan)
 	}
@@ -136,7 +122,7 @@ func TestSimulateRateReallocation(t *testing.T) {
 	res := top.Simulate([]Transfer{
 		{Src: 0, Dst: 1, MB: 25},
 		{Src: 0, Dst: 1, MB: 75},
-	})
+	}, nil)
 	if math.Abs(res.Flows[0].Finish-5) > 1e-6 {
 		t.Fatalf("small flow finish = %v, want 5", res.Flows[0].Finish)
 	}
@@ -155,7 +141,7 @@ func TestSimulateDownlinkBottleneck(t *testing.T) {
 	res := top.Simulate([]Transfer{
 		{Src: 0, Dst: 2, MB: 25},
 		{Src: 1, Dst: 2, MB: 25},
-	})
+	}, nil)
 	if math.Abs(res.Makespan-10) > 1e-6 {
 		t.Fatalf("makespan = %v, want 10", res.Makespan)
 	}
@@ -174,8 +160,8 @@ func TestSimulateNeverBeatsEstimate(t *testing.T) {
 				MB:  rng.Float64() * 500,
 			})
 		}
-		est := top.Estimate(trs)
-		sim := top.Simulate(trs).Makespan
+		est := top.Estimate(trs, nil, 0)
+		sim := top.Simulate(trs, nil).Makespan
 		if sim < est-1e-6 {
 			t.Fatalf("trial %d: simulate %v beat the per-link bound %v", trial, sim, est)
 		}
@@ -184,11 +170,11 @@ func TestSimulateNeverBeatsEstimate(t *testing.T) {
 
 func TestSimulateEmptyAndLocal(t *testing.T) {
 	top := twoSites(t)
-	res := top.Simulate(nil)
+	res := top.Simulate(nil, nil)
 	if res.Makespan != 0 {
 		t.Fatalf("empty makespan = %v", res.Makespan)
 	}
-	res = top.Simulate([]Transfer{{Src: 1, Dst: 1, MB: 99}})
+	res = top.Simulate([]Transfer{{Src: 1, Dst: 1, MB: 99}}, nil)
 	if res.Makespan != 0 || res.Flows[0].Finish != 0 {
 		t.Fatalf("local flow should complete instantly: %+v", res)
 	}
@@ -214,63 +200,11 @@ func TestSimulateWorkConservationProperty(t *testing.T) {
 			}
 			trs = append(trs, Transfer{Src: src, Dst: dst, MB: mb})
 		}
-		mk := top.Simulate(trs).Makespan
+		mk := top.Simulate(trs, nil).Makespan
 		return mk >= total/totalUp-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBandwidthEstimatorValidation(t *testing.T) {
-	if _, err := NewBandwidthEstimator(0, 0.5); err == nil {
-		t.Fatal("zero sites should error")
-	}
-	if _, err := NewBandwidthEstimator(2, 0); err == nil {
-		t.Fatal("alpha=0 should error")
-	}
-	if _, err := NewBandwidthEstimator(2, 1.5); err == nil {
-		t.Fatal("alpha>1 should error")
-	}
-	e, err := NewBandwidthEstimator(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Observe(5, 1, 1); err == nil {
-		t.Fatal("out-of-range site should error")
-	}
-	if err := e.Observe(0, 0, 1); err == nil {
-		t.Fatal("non-positive sample should error")
-	}
-}
-
-func TestBandwidthEstimatorEWMA(t *testing.T) {
-	e, _ := NewBandwidthEstimator(1, 0.5)
-	if _, _, ok := e.Estimate(0); ok {
-		t.Fatal("unobserved site should report !ok")
-	}
-	_ = e.Observe(0, 10, 20)
-	up, down, ok := e.Estimate(0)
-	if !ok || up != 10 || down != 20 {
-		t.Fatalf("first sample should seed estimate: %v %v %v", up, down, ok)
-	}
-	_ = e.Observe(0, 20, 40)
-	up, down, _ = e.Estimate(0)
-	if up != 15 || down != 30 {
-		t.Fatalf("EWMA(0.5) = %v/%v, want 15/30", up, down)
-	}
-}
-
-func TestBandwidthEstimatorSnapshotFallsBack(t *testing.T) {
-	truth := twoSites(t)
-	e, _ := NewBandwidthEstimator(2, 1)
-	_ = e.Observe(0, 99, 98)
-	snap := e.Snapshot(truth)
-	if snap.Sites[0].UpMBps != 99 || snap.Sites[0].DownMBps != 98 {
-		t.Fatalf("observed site should use estimate: %+v", snap.Sites[0])
-	}
-	if snap.Sites[1].UpMBps != 20 {
-		t.Fatalf("unobserved site should fall back to truth: %+v", snap.Sites[1])
 	}
 }
 
@@ -285,6 +219,6 @@ func BenchmarkSimulateShuffle100Flows(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		top.Simulate(trs)
+		top.Simulate(trs, nil)
 	}
 }
