@@ -25,7 +25,12 @@ test:
 # including cross-pool-width byte identity. The race target also carries the map→combine
 # stage's differential oracle and allocation guard, the job round's key
 # table against the per-record routing it replaced (TestRunMatchesReference)
-# with its allocation guard, the live netio reduce against engine.Run
+# with its allocation guard, each job of a batch sharing combiners and a key
+# index against the job run alone (TestRunConcurrentJobsMatchSolo) with the
+# sharing's allocation guard (TestRunConcurrentSharesStageBuffers), a clone's
+# moves against its snapshot's records (TestApplyMovesOnCloneLeavesSnapshot)
+# and small forwards' amortised growth
+# (TestSmallForwardsGrowDestinationAmortised), the live netio reduce against engine.Run
 # (TestLiveReduceMatchesEngine), the site store's
 # differential against the reference mover with its tie-heavy leg and the
 # selection helper's property test, the cell-count view's differential

@@ -48,7 +48,7 @@ func TestReduceAllocsScaleWithKeys(t *testing.T) {
 	}
 	for _, frac := range [][]float64{{1}, {0.1, 0.2, 0, 0.3, 0.15, 0.25}} {
 		fold := func(recs []KV) *keyTable {
-			tab := newKeyTable(OpSum, frac, 0)
+			tab := newKeyTable(OpSum, frac, 0, nil)
 			for _, r := range recs {
 				tab.add(r)
 			}

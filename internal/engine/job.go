@@ -167,6 +167,12 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 		}
 	}
 
+	// The stages' buffers serve the whole batch, job after job and round
+	// after round: a combiner per site, made at the site's first MapFn scan,
+	// and the key index each job's fold hands to the next (keyTable.done).
+	var combiners []*combiner
+	var index map[string]int32
+
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("engine: run round %d: %w", round, err)
@@ -208,6 +214,10 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				looked, hit, colsHit bool
 				cols                 *columns
 			}
+			if job.q.Select == nil && combiners == nil {
+				combiners = make([]*combiner, n)
+			}
+			cbs := combiners // captured instead of combiners, which then stays off the heap
 			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
 				// cancelled batch stops launching new sites but never
@@ -233,10 +243,14 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				if lerr != nil {
 					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
 				}
+				var cb *combiner
 				if sel := job.q.Select; sel != nil {
 					out.cols, out.colsHit = l.columns(sel.View.Width())
+				} else if cb = cbs[i]; cb == nil {
+					cb = new(combiner)
+					cbs[i] = cb
 				}
-				out.StageResult = l.Scan(&job.q)
+				out.StageResult = l.scan(&job.q, cb)
 				return out, nil
 			})
 			if err != nil {
@@ -244,12 +258,13 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			}
 			// The round's partials fold into one key table in (site, Inter)
 			// order, which routes each key once, on its first arrival. It is
-			// sized for the most partials one site sends.
+			// sized for the most partials one site sends, and the fold is done
+			// before the next job's scans overwrite the combiners.
 			hint := 0
 			for i := range outs {
 				hint = max(hint, len(outs[i].Inter))
 			}
-			st.keys = newKeyTable(job.q.Combine, job.taskFrac, hint)
+			st.keys = newKeyTable(job.q.Combine, job.taskFrac, hint, index)
 			crossMB := make([]float64, n)
 			var hits, misses, colsHits, encoded int
 			for i := 0; i < n; i++ {
@@ -294,6 +309,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					}
 				}
 			}
+			index = st.keys.done()
 			wan.RecordFlows(job.cfg.Obs, c.Top, "shuffle", flows[jobFlowStart:])
 			job.cfg.Obs.Count("engine.shuffle.mb", st.rm.ShuffleMB)
 			if round == 0 {
@@ -586,7 +602,11 @@ type StageResult struct {
 // key's partials in (site, machine, executor) order: every reduced sum and
 // every modeled time is bit-identical to a sorting combiner's, at any pool
 // width (DESIGN.md §14).
-func (l *Layout) Scan(q *Query) StageResult {
+func (l *Layout) Scan(q *Query) StageResult { return l.scan(q, new(combiner)) }
+
+// scan is Scan folding into cb, which a Select does not use: Inter is cb's
+// buffer, valid until cb's next scan.
+func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	if len(l.execs) == 0 {
 		return res
@@ -595,7 +615,7 @@ func (l *Layout) Scan(q *Query) StageResult {
 		cols, _ := l.columns(q.Select.View.Width())
 		return l.scanSelect(cols, q)
 	}
-	cb := newCombiner(q.Combine)
+	cb.reset(q.Combine)
 	emit := cb.emit // one method value for the whole scan
 	for i := range l.execs {
 		ex := &l.execs[i]

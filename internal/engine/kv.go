@@ -80,16 +80,24 @@ func (op CombineOp) initial(v float64) float64 {
 // groups in first-emit order: for one key, values merge in exactly the
 // order they were emitted. One combiner serves the executors of a site
 // stage in turn — groups of every executor land in the same out slice, and
-// next forgets the keys (not the buckets) between executors.
+// next forgets the keys (not the buckets) between executors. RunConcurrent
+// keeps one per site for the whole call and hands it from scan to scan, so
+// out and the slot map's buckets live as long as the call, and a scan's
+// Inter (which is out) only until the same site's next scan: the job's
+// fold must be done by then.
 type combiner struct {
 	op   CombineOp
 	slot map[string]int32 // key → index in out, current executor's groups only
 	out  []KV
-	raw  int // records emitted over the combiner's lifetime
+	raw  int // records emitted since reset
 }
 
-func newCombiner(op CombineOp) *combiner {
-	return &combiner{op: op, slot: make(map[string]int32)}
+// reset readies the combiner for a scan under op, keeping its buffers.
+func (c *combiner) reset(op CombineOp) {
+	if c.slot == nil {
+		c.slot = make(map[string]int32)
+	}
+	c.op, c.out, c.raw = op, c.out[:0], 0
 }
 
 // emit folds one record into its key's group.
@@ -117,18 +125,24 @@ func (c *combiner) next() { clear(c.slot) }
 type keyTable struct {
 	op       CombineOp
 	taskFrac []float64
-	index    map[string]int32
-	slots    []KV
-	owner    []int32
+	// index (key → slot) serves the fold only: done hands it to the next
+	// job's table. slots, owner and arrivals live on to the reduce step.
+	index map[string]int32
+	slots []KV
+	owner []int32
 	// arrivals[j] counts the partials reducer j received.
 	arrivals []int
 }
 
 // newKeyTable sizes a table for about hint keys. Owners are drawn from
-// taskFrac by KeyOwner; none or one fraction is a single reducer.
-func newKeyTable(op CombineOp, taskFrac []float64, hint int) *keyTable {
+// taskFrac by KeyOwner; none or one fraction is a single reducer. index is
+// the empty map an earlier table's done handed on, or nil for a new one.
+func newKeyTable(op CombineOp, taskFrac []float64, hint int, index map[string]int32) *keyTable {
+	if index == nil {
+		index = make(map[string]int32, hint)
+	}
 	return &keyTable{
-		op: op, taskFrac: taskFrac, index: make(map[string]int32, hint),
+		op: op, taskFrac: taskFrac, index: index,
 		slots: make([]KV, 0, hint), owner: make([]int32, 0, hint),
 		arrivals: make([]int, max(len(taskFrac), 1)),
 	}
@@ -155,6 +169,14 @@ func (t *keyTable) add(r KV) int32 {
 	o := t.owner[s]
 	t.arrivals[o]++
 	return o
+}
+
+// done ends the fold and returns the emptied index for the next table.
+func (t *keyTable) done() map[string]int32 {
+	index := t.index
+	clear(index)
+	t.index = nil
+	return index
 }
 
 // sorted returns every slot sorted by key, the reducers' outputs merged:
@@ -193,7 +215,7 @@ func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 // one reducer's output, sorted by key: a round's key table with a single
 // owner, so the live netio reducer and the simulated ones run one fold.
 func CombinePartials(records []KV, op CombineOp) []KV {
-	t := newKeyTable(op, nil, 0)
+	t := newKeyTable(op, nil, 0, nil)
 	for _, r := range records {
 		t.add(r)
 	}

@@ -141,7 +141,7 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 		return nil, err
 	}
 	res := &MoveResult{}
-	for _, sp := range steps {
+	for k, sp := range steps {
 		src := c.Data[sp.Src].Store(sp.Dataset)
 		if len(src.Records()) == 0 {
 			continue
@@ -151,6 +151,20 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 		if err := src.Remove(sel); err != nil {
 			return nil, err
 		}
+		// The destination grows once, at its first arrival, by what this and
+		// the dataset's later steps bring it, with slices.Grow's amortised
+		// growth: an exact reserve would copy a site that takes one small
+		// forward per ingest batch on every forward.
+		want := 0
+		for _, next := range steps[k:] {
+			if next.Dataset != sp.Dataset {
+				break
+			}
+			if next.Dst == sp.Dst {
+				want += next.n
+			}
+		}
+		dst.recs = slices.Grow(dst.recs, want)
 		dst.Add(sel.Records...)
 		res.Records += len(sel.Records)
 		res.Transfers = append(res.Transfers, wan.Transfer{

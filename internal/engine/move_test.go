@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bohr/internal/stats"
 )
@@ -593,6 +595,89 @@ func TestNthElementMatchesSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestApplyMovesOnCloneLeavesSnapshot: moves on a clone grow the clone's
+// destinations — once each, by what the rest of the move list brings them —
+// in arrays of their own. Every record slice the snapshot handed out before
+// holds the same records after, read up to its capacity, where the
+// snapshot's own next Add writes.
+func TestApplyMovesOnCloneLeavesSnapshot(t *testing.T) {
+	c := testCluster(t)
+	for i := 0; i < c.N(); i++ {
+		for r := 0; r < 300+70*i; r++ {
+			c.Data[i].Add("ds", KV{Key: fmt.Sprintf("k%d", r%(13+i)), Val: float64(r)})
+		}
+	}
+	held, want := make([][]KV, c.N()), make([][]KV, c.N())
+	for i := range held {
+		held[i] = c.Data[i].Records("ds")
+		if len(held[i]) == cap(held[i]) {
+			t.Fatalf("site %d has no spare capacity a clone could write into", i)
+		}
+		want[i] = slices.Clone(held[i][:cap(held[i])])
+	}
+	// Every site sends to every other, so each destination takes two arrivals.
+	var specs []MoveSpec
+	for src := 0; src < c.N(); src++ {
+		for dst := 0; dst < c.N(); dst++ {
+			if src != dst {
+				specs = append(specs, MoveSpec{Dataset: "ds", Src: src, Dst: dst, MB: c.MB(40 + 10*src + dst)})
+			}
+		}
+	}
+	for _, m := range []Mover{RandomMover{}, SimilarMover{}, SimilarMover{DstTopK: 3}} {
+		res, err := c.Clone().ApplyMoves(specs, m, stats.NewRand(5))
+		if err != nil || res.Records == 0 {
+			t.Fatalf("%T: moved %+v, %v", m, res, err)
+		}
+		for i := range held {
+			if !slices.Equal(held[i][:cap(held[i])], want[i]) || !slices.Equal(c.Data[i].Records("ds"), want[i][:len(held[i])]) {
+				t.Fatalf("%T: the clone's moves changed the snapshot's records at site %d", m, i)
+			}
+		}
+	}
+}
+
+// TestSmallForwardsGrowDestinationAmortised: a destination that takes one
+// small forward at a time, as a site under ingest does, grows by append's
+// amortised growth. 200 forwards of 10 records into a 4,000-record site
+// allocate at most 4× the site's final record bytes, all that the moves
+// allocate included. A move that reserved exactly what it brings would copy
+// the site on every forward: about 170×.
+func TestSmallForwardsGrowDestinationAmortised(t *testing.T) {
+	const start, forwards, batch = 4000, 200, 10
+	c := testClusterQ(2, 1)
+	recs := func(n, tag int) []KV {
+		out := make([]KV, n)
+		for i := range out {
+			out[i] = KV{Key: fmt.Sprintf("k%d-%d", tag, i%97), Val: float64(i)}
+		}
+		return out
+	}
+	c.Data[1].Add("d", recs(start, -1)...)
+	arrivals := make([][]KV, forwards)
+	for i := range arrivals {
+		arrivals[i] = recs(batch, i)
+	}
+	var allocated uint64
+	var before, after runtime.MemStats
+	for _, a := range arrivals {
+		c.Data[0].Add("d", a...)
+		runtime.ReadMemStats(&before)
+		res, err := c.ApplyMoves([]MoveSpec{{Dataset: "d", Src: 0, Dst: 1, MB: c.MB(batch)}}, RandomMover{}, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Records != batch {
+			t.Fatalf("forwarded %+v, %v", res, err)
+		}
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	final := len(c.Data[1].Records("d")) * int(unsafe.Sizeof(KV{}))
+	ratio := float64(allocated) / float64(final)
+	t.Logf("%d forwards of %d records: %d bytes allocated, %.2f× the final %d record bytes", forwards, batch, allocated, ratio, final)
+	if ratio > 4 {
+		t.Fatalf("%d small forwards allocated %.2f× the destination's final record bytes, want at most 4×", forwards, ratio)
 	}
 }
 

@@ -25,6 +25,9 @@ type Profile struct {
 	// the stamp of the executor that last counted a cell, a key
 	seenCell, seenKey []uint32
 	stamp             uint32
+	// forks are the columns of the last dry run, by site: the next one
+	// forks into their buffers, so they live only until it starts.
+	forks []column
 }
 
 // column is a cell column and its cells' emitted key ids in flat.
@@ -137,12 +140,20 @@ func (p *Profile) dryRun(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]colum
 		}
 		incoming[sp.Dst] += sp.n
 	}
+	if p.forks == nil {
+		p.forks = make([]column, len(p.sites))
+	}
 	cols := make([]column, len(p.sites))
 	col := func(site int) *column {
 		if cols[site].ix == nil {
 			p.hits++
-			b := p.sites[site]
-			cols[site] = column{b.ix.fork(incoming[site]), append(make([]keySpan, 0, len(b.keys)+incoming[site]), b.keys...)}
+			b, f := p.sites[site], &p.forks[site]
+			if f.ix == nil {
+				f.ix = new(cellIndex)
+			}
+			b.ix.forkInto(f.ix, incoming[site])
+			f.keys = append(slices.Grow(f.keys[:0], len(b.keys)+incoming[site]), b.keys...)
+			cols[site] = *f
 		}
 		return &cols[site]
 	}

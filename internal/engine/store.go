@@ -275,17 +275,18 @@ func compact[T any](dst, src []T, at []int) int {
 	return w + copy(dst[w:], src[prev:])
 }
 
-// fork is clone for a dry run, with room for extra incoming records; a
-// fork that receives none shares ix's cell-id map.
-func (ix *cellIndex) fork(extra int) *cellIndex {
-	out := *ix
+// forkInto makes out ix's clone for a dry run, with room for extra
+// incoming records, in out's own count and cell buffers; a fork that
+// receives none shares ix's cell-id map.
+func (ix *cellIndex) forkInto(out *cellIndex, extra int) {
+	count, cell := out.count[:0], out.cell[:0]
+	*out = *ix
 	out.keys = ix.keys[:len(ix.keys):len(ix.keys)]
-	out.count = append(make([]int, 0, len(ix.count)+extra), ix.count...)
-	out.cell = append(make([]int32, 0, len(ix.cell)+extra), ix.cell...)
+	out.count = append(slices.Grow(count, len(ix.count)+extra), ix.count...)
+	out.cell = append(slices.Grow(cell, len(ix.cell)+extra), ix.cell...)
 	if extra > 0 {
 		out.ids = maps.Clone(ix.ids)
 	}
-	return &out
 }
 
 func (ix *cellIndex) clone() *cellIndex {

@@ -100,7 +100,7 @@ func (s Setup) validate() error {
 }
 
 // Topology builds the experiment WAN: the ten-region EC2 structure when
-// Sites == 10, otherwise a tiered topology with the same 1x/2.5x/5x shape.
+// Sites == 10, otherwise a tiered 1x/2.5x/5x topology.
 func (s Setup) Topology() *wan.Topology {
 	if s.Sites == 10 {
 		return wan.EC2TenRegions(s.BaseMBps)
