@@ -39,10 +39,15 @@ test:
 # memo-singleflight tests and concurrent first queries building one layout
 # and one set of key columns per cold site while clones write into the
 # dictionaries they share, with the carried columns' differential against a
-# fresh encode (TestCarriedColumnsMatchFreshEncode) (engine; none of them is
-# skipped under -short, and race passes no -short), the pooled signatures
-# and pair rows reading one flat slice of key hashes, against the kernel
-# that mixed every record (TestPairwiseMatchesRefSignature, rdd), two
+# fresh encode (TestCarriedColumnsMatchFreshEncode), the carried key hashes'
+# against KeyHash and a restored copy's layout
+# (TestCarriedKeyHashesMatchRestoredLayout) and the hashed distinct count
+# under colliding hashes (TestDistinctKeysExactUnderCollidingHashes)
+# (engine; none of them is skipped under -short, and race passes no -short),
+# the pooled signatures and pair rows reading the layout's key hashes in
+# place, against the kernel that mixed every record
+# (TestPairwiseMatchesRefSignature; TestSignatureBatchMatchesRefSignatureAdversarial
+# on zero hashes, repeats and one probe chain, rdd), two
 # goroutines planning two clones of one
 # snapshot (placement), the query-miss statements against a naive fold
 # across ingest, replan and Remove, and a batch's next miss encoding the

@@ -69,16 +69,51 @@ type columns struct {
 
 type columnsKey struct{ width int } // the memo key of a content's columns
 
-// carried is the last columns of one width built in a lineage, and the
-// Removes since. An Add appends past the records they describe and a Remove
-// keeps order, so those that survive are a prefix of the content: the next
-// build copies their codes, compacts them once per Remove and encodes the
-// rest.
+// carried is the last columns of one width, or the last key hashes, built
+// in a lineage, and the Removes since. An Add appends past the records they
+// describe and a Remove keeps order, so those that survive are a prefix of
+// the content: the next build copies their codes (hashes), compacts them
+// once per Remove and encodes (hashes) the rest.
 type carried struct {
-	base    *columns
-	held    int     // records base describes
-	removes [][]int // each Remove's ascending positions, oldest first
-	moved   int     // records added plus removed since base
+	key     any      // the memo key base or hashes were built under
+	base    *columns // under a columnsKey
+	hashes  []uint64 // under hashesKey
+	held    int      // records base or hashes describe
+	removes [][]int  // each Remove's ascending positions, oldest first
+	moved   int      // records added plus removed since base
+}
+
+// plan returns each Remove's cut into what the carry describes — the
+// positions that were still its base's records — how many of those are
+// left, the content's first live records, and how long a column must be to
+// hold n records and, on the way, the survivors of the first cut: the first
+// Remove copies them out, possibly more than n of them, and the later ones
+// compact them in place. A nil carry describes nothing.
+func (cr *carried) plan(n int) (cuts [][]int, live, stride int) {
+	if cr == nil {
+		return nil, 0, n
+	}
+	live = cr.held
+	for _, at := range cr.removes {
+		at = at[:sort.SearchInts(at, live)] // the rest took records appended since
+		cuts = append(cuts, at)
+		live -= len(at)
+	}
+	if len(cuts) > 0 {
+		n = max(n, cr.held-len(cuts[0]))
+	}
+	return cuts, live, n
+}
+
+// carryInto fills col with the survivors of src, a column of the carry's
+// base, through cuts.
+func carryInto[T any](col, src []T, cuts [][]int) {
+	if len(cuts) == 0 {
+		copy(col, src)
+	}
+	for _, at := range cuts {
+		src = col[:compact(col, src, at)]
+	}
 }
 
 // restore allocates c's codes for n records and fills in what the carry
@@ -86,32 +121,12 @@ type carried struct {
 // records of its base that survived the Removes since. A nil carry says
 // nothing.
 func (cr *carried) restore(c *columns, n int) (live int) {
-	var cuts [][]int
-	stride := n
-	if cr != nil {
-		live = cr.held
-		for _, at := range cr.removes {
-			at = at[:sort.SearchInts(at, live)] // the rest took records appended since
-			cuts = append(cuts, at)
-			live -= len(at)
-		}
-		if len(cuts) > 0 {
-			// The first Remove copies the base's survivors out, possibly
-			// more than n of them; the later ones compact them in place.
-			stride = max(n, cr.held-len(cuts[0]))
-		}
-	}
+	cuts, live, stride := cr.plan(n)
 	flat := make([]uint32, len(c.codes)*stride)
 	for f := range c.codes {
 		col := flat[f*stride : (f+1)*stride]
 		if cr != nil {
-			src := cr.base.codes[f]
-			if len(cuts) == 0 {
-				copy(col, src)
-			}
-			for _, at := range cuts {
-				src = col[:compact(col, src, at)]
-			}
+			carryInto(col, cr.base.codes[f], cuts)
 			clear(col[live:n]) // compaction's leftovers: a foreign record's codes stay zero
 		}
 		c.codes[f] = col[:n:n]
@@ -133,6 +148,35 @@ func (cr *carried) restore(c *columns, n int) (live int) {
 		c.foreign = kept
 	}
 	return live
+}
+
+type hashesKey struct{} // the memo key of a content's key hashes
+
+// keyHashes returns KeyHash of each of the store's records, built once per
+// content — from the content's carry of them, hashing only the records the
+// writes since appended — and carried on to its successors. Not for a store
+// that never held a record.
+func (s *Store) keyHashes() []uint64 {
+	hs, _, _ := Derive(s, hashesKey{}, func(recs []KV) ([]uint64, error) {
+		ct := s.content
+		ct.mu.Lock()
+		cr := ct.takeCarry(hashesKey{})
+		ct.mu.Unlock()
+		cuts, live, stride := cr.plan(len(recs))
+		hs := make([]uint64, stride)
+		if cr != nil {
+			carryInto(hs, cr.hashes, cuts)
+		}
+		hs = hs[:len(recs):len(recs)]
+		for i := live; i < len(recs); i++ {
+			hs[i] = KeyHash(recs[i].Key)
+		}
+		ct.mu.Lock()
+		ct.carry = append(ct.carry, carried{key: hashesKey{}, hashes: hs, held: len(recs)})
+		ct.mu.Unlock()
+		return hs, nil
+	})
+	return hs
 }
 
 // dictionaries intern field texts, by field position, for one lineage (a
@@ -160,7 +204,7 @@ func (l *Layout) columns(width int) (cols *columns, hit bool) {
 		if ct.dicts == nil {
 			ct.dicts = &dictionaries{}
 		}
-		ds, cr := ct.dicts, ct.takeCarry(width)
+		ds, cr := ct.dicts, ct.takeCarry(columnsKey{width})
 		ct.mu.Unlock()
 
 		c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
@@ -168,18 +212,18 @@ func (l *Layout) columns(width int) (cols *columns, hit bool) {
 		ds.encode(c, recs, live)
 		c.encoded, c.buildS = len(recs)-live, time.Since(t0).Seconds()
 		ct.mu.Lock()
-		ct.carry = append(ct.carry, carried{base: c, held: len(recs)})
+		ct.carry = append(ct.carry, carried{key: columnsKey{width}, base: c, held: len(recs)})
 		ct.mu.Unlock()
 		return c, nil
 	})
 	return cols, hit
 }
 
-// takeCarry removes the content's carry of this width and returns it (nil
-// when there is none): the columns built from it replace it. Under ct.mu.
-func (ct *content) takeCarry(width int) *carried {
+// takeCarry removes the content's carry under this memo key and returns it
+// (nil when there is none): what is built from it replaces it. Under ct.mu.
+func (ct *content) takeCarry(key any) *carried {
 	for i, c := range ct.carry {
-		if len(c.base.codes) == width {
+		if c.key == key {
 			ct.carry = slices.Delete(ct.carry, i, i+1)
 			return &c
 		}

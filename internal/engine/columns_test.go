@@ -258,59 +258,18 @@ func freshEncode(st *Store, width int) *columns {
 	return c
 }
 
-// TestCarriedColumnsMatchFreshEncode runs seeded sequences of writes — Adds
-// of known, brand-new and foreign-width keys, Removes chosen by RandomMover
-// and SimilarMover, a clone writing beside its source, a Restore, and a run
-// of writes long enough to drop the carry — and after every step builds the
-// store's columns the way a Select does. Within the lineage they must equal,
-// bit for bit, a fresh encode of the same records through the same
-// dictionaries, and every code must decode to the record's field.
+// TestCarriedColumnsMatchFreshEncode runs WriteSequence's seeded writes
+// and after every step builds the store's columns the way a Select does.
+// Within the lineage they must equal, bit for bit, a fresh encode of the
+// same records through the same dictionaries, and every code must decode to
+// the record's field.
 func TestCarriedColumnsMatchFreshEncode(t *testing.T) {
 	const width = 3
 	stage := Stage{Exec: Executors{Machines: 2, PerMachine: 2}}
-	similar := SimilarMover{View: NewView(width, 0)}
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := stats.NewRand(seed)
-		newValues := 0
-		key := func() string {
-			switch r := rng.Intn(20); {
-			case r == 0: // foreign: another width
-				return fmt.Sprintf("k%d%sx", rng.Intn(9), KeySep)
-			case r == 1: // a value no dictionary holds yet
-				newValues++
-				return fmt.Sprintf("k%d%snew%d%sh%d", rng.Intn(9), KeySep, newValues, KeySep, rng.Intn(4))
-			default:
-				return fmt.Sprintf("k%d%sc%d%sh%d", rng.Intn(9), KeySep, rng.Intn(5), KeySep, rng.Intn(4))
-			}
-		}
-		add := func(st *Store, n int) {
-			recs := make([]KV, n)
-			for i := range recs {
-				recs[i] = KV{Key: key(), Val: float64(i)}
-			}
-			st.Add(recs...)
-		}
-		remove := func(st *Store, n int) {
-			var sel Selection
-			if rng.Intn(2) == 0 {
-				sel = st.Select(RandomMover{}, st, n, rng)
-			} else {
-				sel = st.Select(similar, DstCells{fmt.Sprintf("k%d", rng.Intn(9)): 1}, n, rng)
-			}
-			if err := st.Remove(sel); err != nil {
-				t.Fatal(err)
-			}
-		}
-		write := func(st *Store) {
-			if rng.Intn(2) == 0 || len(st.recs) < 40 {
-				add(st, 1+rng.Intn(30))
-			} else {
-				remove(st, 1+rng.Intn(len(st.recs)/8))
-			}
-		}
-		// check builds st's columns and returns how many records the build
-		// encoded.
-		check := func(step string, st *Store) int {
+		// Each step builds st's columns and returns how many records the
+		// build encoded.
+		WriteSequence(t, seed, func(step string, st *Store) int {
 			t.Helper()
 			l, _, err := st.Layout(stage)
 			if err != nil {
@@ -346,53 +305,56 @@ func TestCarriedColumnsMatchFreshEncode(t *testing.T) {
 				}
 			}
 			return got.encoded
-		}
+		})
+	}
+}
 
-		st := &Store{}
-		add(st, 300)
-		if n := check("first build", st); n != 300 {
-			t.Fatalf("seed %d: the first build encoded %d of 300 records", seed, n)
+// TestDistinctKeysExactUnderCollidingHashes counts a cube-input executor's
+// distinct keys with every hash forced equal — each probe runs the whole
+// chain, and only the key compare tells keys apart — and with the keys' own
+// hashes; both must equal a map's count, over executors whose partitions
+// are scattered index ranges of the records.
+func TestDistinctKeysExactUnderCollidingHashes(t *testing.T) {
+	rng := stats.NewRand(3)
+	recs := make([]KV, 900)
+	own := make([]uint64, len(recs))
+	for i := range recs {
+		recs[i].Key = fmt.Sprintf("k%d%sc%d", rng.Intn(60), KeySep, rng.Intn(3))
+		if rng.Intn(30) == 0 {
+			recs[i].Key = ""
 		}
-		carriedBuilds := 0
-		for step := 0; step < 40; step++ {
-			name := fmt.Sprintf("step %d", step)
-			for w := rng.Intn(3); w >= 0; w-- {
-				write(st)
+		own[i] = KeyHash(recs[i].Key)
+	}
+	for _, forced := range []uint64{0, 42} {
+		same := make([]uint64, len(recs))
+		for i := range same {
+			same[i] = forced
+		}
+		for trial := 0; trial < 20; trial++ {
+			// A few disjoint ranges, out of order, as an assigner deals them.
+			bounds := []int{0, len(recs)}
+			for k := rng.Intn(8); k > 0; k-- {
+				bounds = append(bounds, rng.Intn(len(recs)))
 			}
-			if step%10 == 5 {
-				// A clone writes beside its source, then the source writes.
-				cl := st.clone()
-				write(cl)
-				write(cl)
-				check(name+" clone", cl)
-				write(st)
+			slices.Sort(bounds)
+			var parts []span
+			for i := 1; i < len(bounds); i++ {
+				parts = append(parts, span{bounds[i-1], bounds[i]})
 			}
-			if check(name, st) < len(st.recs) {
-				carriedBuilds++
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+			parts = parts[:1+rng.Intn(len(parts))]
+			want, n := map[string]struct{}{}, 0
+			for _, p := range parts {
+				for _, r := range recs[p.lo:p.hi] {
+					want[r.Key] = struct{}{}
+				}
+				n += p.hi - p.lo
+			}
+			for _, hashes := range [][]uint64{same, own} {
+				if got := distinctKeys(recs, hashes, parts, n); got != len(want) {
+					t.Fatalf("hash %d, parts %v: counted %d distinct keys, a map holds %d", forced, parts, got, len(want))
+				}
 			}
 		}
-		if carriedBuilds < 20 {
-			t.Fatalf("seed %d: only %d of 40 builds carried columns", seed, carriedBuilds)
-		}
-
-		// Writes that move more records than the last build described drop
-		// the carry.
-		held := len(st.recs)
-		for moved := 0; moved <= held; moved += 10 {
-			add(st, 5)
-			remove(st, 5)
-		}
-		if n := check("after a long run of writes", st); n != len(st.recs) {
-			t.Fatalf("seed %d: after the carry's drop the build encoded %d of %d records", seed, n, len(st.recs))
-		}
-
-		recs := slices.Clone(st.recs)
-		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-		st.Restore(recs)
-		if n := check("after a Restore", st); n != len(recs) {
-			t.Fatalf("seed %d: the build after a Restore encoded %d of %d records", seed, n, len(recs))
-		}
-		write(st)
-		check("after a Restore and a write", st)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"sync"
 
 	"bohr/internal/faults"
 	"bohr/internal/obs"
@@ -478,37 +480,66 @@ func NewLayout(records []KV, st Stage) (*Layout, error) {
 	return newLayout(&Store{recs: records, content: &content{}}, st)
 }
 
+// newLayout lays out src's records. Their key hashes, kept per content and
+// carried across writes (Store.keyHashes), are read only when something
+// reads keys: an assigner other than round-robin, or a distinct count.
 func newLayout(src *Store, st Stage) (*Layout, error) {
-	execs, overhead, err := st.lay(len(src.recs), src.recs)
+	var hashes []uint64
+	if _, rr := st.withDefaults().Assigner.(RoundRobinAssigner); len(src.recs) > 0 && (!rr || st.CubeInput) {
+		hashes = src.keyHashes()
+	}
+	execs, overhead, err := st.lay(len(src.recs), src.recs, hashes)
 	if err != nil {
 		return nil, err
 	}
 	l := &Layout{AssignOverhead: overhead, src: src, execs: execs}
-	var inputKeys map[string]struct{}
-	if st.CubeInput {
-		inputKeys = make(map[string]struct{})
-	}
 	for e := range l.execs {
 		el := &l.execs[e]
 		el.basis = el.records
-		if !st.CubeInput {
-			continue
+		if st.CubeInput {
+			el.basis = distinctKeys(src.recs, hashes, el.parts, el.records)
 		}
-		clear(inputKeys)
-		for _, p := range el.parts {
-			for _, r := range src.recs[p.lo:p.hi] {
-				inputKeys[r.Key] = struct{}{}
-			}
-		}
-		el.basis = len(inputKeys)
 	}
 	return l, nil
 }
 
+// keySets are the scratch tables of distinctKeys, reused across layouts.
+var keySets = sync.Pool{New: func() any { return new([]openSlot) }}
+
+// distinctKeys counts the distinct keys among the records in parts (n of
+// them) through an open-addressed set of their hashes: a slot holds a hash
+// and the position, from 1, of the first record seen with it. A record
+// whose hash matches a slot's is that key again only when the keys are
+// equal, so the count is exact whatever the hashes are.
+func distinctKeys(recs []KV, hashes []uint64, parts []span, n int) int {
+	set := keySets.Get().(*[]openSlot)
+	defer keySets.Put(set)
+	size := 1 << bits.Len(uint(2*n))
+	if cap(*set) < size {
+		*set = make([]openSlot, size)
+	}
+	tab, mask, distinct := (*set)[:size], uint64(size-1), 0
+	clear(tab)
+	for _, p := range parts {
+		for i := p.lo; i < p.hi; i++ {
+			h, j := hashes[i], hashes[i]&mask
+			for tab[j].ord != 0 && (tab[j].tuple != h || recs[tab[j].ord-1].Key != recs[i].Key) {
+				j = (j + 1) & mask
+			}
+			if tab[j].ord == 0 {
+				tab[j] = openSlot{tuple: h, ord: int32(i + 1)}
+				distinct++
+			}
+		}
+	}
+	return distinct
+}
+
 // lay cuts n records into the stage's executors and returns them with the
 // largest per-machine assignment overhead. records are what the assigner
-// reads; nil under the default one, which counts partitions only.
-func (st Stage) lay(n int, records []KV) ([]execLayout, float64, error) {
+// reads, beside their hashes when those are known; nil under the default
+// one, which counts partitions only.
+func (st Stage) lay(n int, records []KV, hashes []uint64) ([]execLayout, float64, error) {
 	ex := st.Exec
 	if ex.Machines <= 0 || ex.PerMachine <= 0 {
 		return nil, 0, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
@@ -528,6 +559,9 @@ func (st Stage) lay(n int, records []KV) ([]execLayout, float64, error) {
 			parts[pi].Index = pi
 			if records != nil {
 				parts[pi].Records = records[s.lo:s.hi]
+			}
+			if hashes != nil {
+				parts[pi].Hashes = hashes[s.lo:s.hi:s.hi]
 			}
 		}
 		assignment, oh, err := st.Assigner.Assign(parts, ex.PerMachine)

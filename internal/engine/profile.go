@@ -179,7 +179,7 @@ func (p *Profile) dryRun(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]colum
 
 // count sums, over the site's executors, the distinct keys col emits.
 func (p *Profile) count(site int, col column) (int, error) {
-	execs, _, err := Stage{Exec: p.c.Exec[site]}.lay(len(col.ix.cell), nil)
+	execs, _, err := Stage{Exec: p.c.Exec[site]}.lay(len(col.ix.cell), nil, nil)
 	p.grow(len(col.ix.keys))
 	total := 0
 	for _, ex := range execs {

@@ -50,9 +50,10 @@ type content struct {
 	mu   sync.Mutex
 	memo map[any]*derived
 	// dicts are the key-field dictionaries of the store's lineage
-	// (columns.go), and carry, per width, the lineage's last key columns and
-	// the writes since: what a content hands its successor, so that the
-	// successor's columns re-encode only what the writes appended.
+	// (columns.go), and carry, per width, the lineage's last key columns —
+	// and its last key hashes — with the writes since: what a content hands
+	// its successor, so that the successor's columns re-encode, and its
+	// hashes re-hash, only what the writes appended.
 	dicts *dictionaries
 	carry []carried
 }

@@ -71,8 +71,9 @@ type pairRow struct {
 
 // PairwiseSimilarity estimates the Jaccard similarity between every pair
 // of partitions. Signatures are built once per partition (m hash
-// functions; a partition's distinct keys are mixed with them once each,
-// and Overhead still charges every record × m, the modeled cost QCT
+// functions over the keys' hashes, the partition's own when it carries
+// them; a partition's distinct keys are mixed with them once each, and
+// Overhead still charges every record × m, the modeled cost QCT
 // includes); per pair only a γ-sample of the signature entries is
 // compared, and a pair whose sampled prefix shows no matches at all is
 // skipped after the prefix — DIMSUM's probabilistic pruning mapped onto
@@ -96,14 +97,22 @@ func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*Similarity
 	for _, p := range parts {
 		totalRecords += len(p.Records)
 	}
-	// Every key hashed once into one flat slice, a segment per partition.
-	hashes, sets := make([]uint64, 0, totalRecords), make([][]uint64, n)
+	// A partition's keys' hashes are the layout's, read in place; one that
+	// came without them has its keys hashed into one flat slice, a segment
+	// per partition.
+	var flat []uint64
+	sets := make([][]uint64, n)
 	for i, p := range parts {
-		lo := len(hashes)
-		for _, rec := range p.Records {
-			hashes = append(hashes, similarity.KeyHash(rec.Key))
+		if sets[i] = p.Hashes; sets[i] == nil {
+			if flat == nil {
+				flat = make([]uint64, 0, totalRecords)
+			}
+			lo := len(flat)
+			for _, rec := range p.Records {
+				flat = append(flat, engine.KeyHash(rec.Key))
+			}
+			sets[i] = flat[lo:]
 		}
-		sets[i] = hashes[lo:len(hashes):len(hashes)]
 	}
 	sigs := hasher.SignatureBatch(sets, 0)
 

@@ -22,6 +22,15 @@ func refMix(x uint64) uint64 {
 // were mixed once each: every record's key hashed and mixed with every one of
 // the m seeds NewMinHasher(m, seed) derives.
 func refSignature(keys []string, m int, seed int64) []uint64 {
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i] = engine.KeyHash(k)
+	}
+	return refSignatureOf(hashes, m, seed)
+}
+
+// refSignatureOf is refSignature over the keys' hashes.
+func refSignatureOf(hashes []uint64, m int, seed int64) []uint64 {
 	seeds := make([]uint64, m)
 	z := uint64(seed)
 	for i := range seeds {
@@ -32,8 +41,7 @@ func refSignature(keys []string, m int, seed int64) []uint64 {
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
-	for _, k := range keys {
-		b := similarity.KeyHash(k)
+	for _, b := range hashes {
 		for i, s := range seeds {
 			if v := refMix(b ^ s); v < sig[i] {
 				sig[i] = v
@@ -136,6 +144,73 @@ func TestPairwiseMatchesRefSignature(t *testing.T) {
 			balance(ref, parts, executors)
 			if !slices.Equal(assign, ref) || overhead != want.Overhead {
 				t.Fatalf("%+v on %d executors: assigned %v at %v, want %v at %v", cfg, executors, assign, overhead, ref, want.Overhead)
+			}
+		}
+	}
+}
+
+// TestSignatureBatchMatchesRefSignatureAdversarial feeds the signature
+// kernel's dedupe what its open-addressed set treats apart or chains: the
+// zero hash (alone, repeated, beside others), repeats, and hashes that share
+// their low bits and so one probe chain, in sets that overlap one another.
+// At pool widths 1 and 4 every signature must equal the kernel that mixed
+// every hash, and the input must come back unwritten.
+func TestSignatureBatchMatchesRefSignatureAdversarial(t *testing.T) {
+	const m, seed = 64, 11
+	rng := stats.NewRand(5)
+	chain := func(n int) []uint64 { // one low-bit pattern, distinct high bits
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Intn(1<<20))<<44 | 0x5a5
+		}
+		return out
+	}
+	var pool []uint64 // the big sets draw from it, so they repeat
+	pool = append(pool, chain(400)...)
+	for i := 0; i < 400; i++ {
+		pool = append(pool, engine.KeyHash(fmt.Sprint("k", i)))
+	}
+	sets := [][]uint64{
+		nil,
+		{0},
+		{0, 0, 0},
+		{0, 1, 0, 1},
+		{7, 7, 7, 7, 7},
+		{math.MaxUint64, 0, math.MaxUint64},
+		chain(64),
+	}
+	for len(sets) < 14 {
+		set := make([]uint64, 1500)
+		for i := range set {
+			if set[i] = pool[rng.Intn(len(pool))]; rng.Intn(50) == 0 {
+				set[i] = 0
+			}
+		}
+		sets = append(sets, set)
+	}
+	big := sets[len(sets)-1]
+	sets = append(sets, big[:700], big[300:]) // overlapping views of one set
+	want := make([][]uint64, len(sets))
+	for i, set := range sets {
+		want[i] = refSignatureOf(set, m, seed)
+	}
+	h, err := similarity.NewMinHasher(m, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 4} {
+		in := make([][]uint64, len(sets))
+		for i := range sets[:len(sets)-2] {
+			in[i] = slices.Clone(sets[i])
+		}
+		in[len(sets)-2], in[len(sets)-1] = in[len(sets)-3][:700], in[len(sets)-3][300:]
+		got := h.SignatureBatch(in, width)
+		for i := range sets {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("width %d, set %d (%d hashes): signature differs from the reference", width, i, len(sets[i]))
+			}
+			if !slices.Equal(in[i], sets[i]) {
+				t.Fatalf("width %d: set %d was written", width, i)
 			}
 		}
 	}

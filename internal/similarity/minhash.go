@@ -7,8 +7,10 @@ package similarity
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"sync"
 
+	"bohr/internal/engine"
 	"bohr/internal/parallel"
 )
 
@@ -48,59 +50,6 @@ func NewMinHasher(m int, seed int64) (*MinHasher, error) {
 // M returns the number of hash functions.
 func (h *MinHasher) M() int { return len(h.seeds) }
 
-// FNV-style constants for KeyHash's word lanes (the classic FNV prime
-// with two decorrelated offset bases, one per lane).
-const (
-	fnvOffset64  uint64 = 14695981039346656037
-	fnvOffset64b uint64 = 0x9e3779b97f4a7c15
-	fnvPrime64   uint64 = 1099511628211
-)
-
-// KeyHash hashes a key once, the input a signature is computed from;
-// per-function values are derived by mixing it with each function's seed
-// through a full-avalanche finalizer, which gives a family that is close
-// enough to min-wise independent for Jaccard estimation. Two independent
-// FNV lanes run over alternating 8-byte words (halving the serial
-// xor-multiply dependency chain that dominates a byte-at-a-time FNV), the
-// tail read as one zero-padded word, combined through a murmur-style
-// avalanche. Never persisted, so it
-// only needs to be fast and well mixed — not stable across releases.
-func KeyHash(key string) uint64 {
-	h1, h2 := fnvOffset64, fnvOffset64b
-	n := len(key)
-	j := 0
-	for ; j+16 <= n; j += 16 {
-		w1 := uint64(key[j]) | uint64(key[j+1])<<8 | uint64(key[j+2])<<16 | uint64(key[j+3])<<24 |
-			uint64(key[j+4])<<32 | uint64(key[j+5])<<40 | uint64(key[j+6])<<48 | uint64(key[j+7])<<56
-		w2 := uint64(key[j+8]) | uint64(key[j+9])<<8 | uint64(key[j+10])<<16 | uint64(key[j+11])<<24 |
-			uint64(key[j+12])<<32 | uint64(key[j+13])<<40 | uint64(key[j+14])<<48 | uint64(key[j+15])<<56
-		h1 = (h1 ^ w1) * fnvPrime64
-		h2 = (h2 ^ w2) * fnvPrime64
-	}
-	if j+8 <= n {
-		w := uint64(key[j]) | uint64(key[j+1])<<8 | uint64(key[j+2])<<16 | uint64(key[j+3])<<24 |
-			uint64(key[j+4])<<32 | uint64(key[j+5])<<40 | uint64(key[j+6])<<48 | uint64(key[j+7])<<56
-		h1 = (h1 ^ w) * fnvPrime64
-		j += 8
-	}
-	if j < n {
-		var w uint64
-		for k := 0; j+k < n; k++ {
-			w |= uint64(key[j+k]) << (8 * uint(k))
-		}
-		// Fold the key length into the tail word's high byte so "a" and
-		// "a\x00" (and other zero-padding collisions) hash apart.
-		h2 = (h2 ^ (w | uint64(uint8(n))<<56)) * fnvPrime64
-	}
-	h := h1 ^ (h2 * fnvPrime64)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // mix64 is the SplitMix64 finalizer: every input bit affects every output
 // bit.
 func mix64(x uint64) uint64 {
@@ -114,26 +63,45 @@ func mix64(x uint64) uint64 {
 func (h *MinHasher) Signature(keys []string) []uint64 {
 	hashes := make([]uint64, len(keys))
 	for i, k := range keys {
-		hashes[i] = KeyHash(k)
+		hashes[i] = engine.KeyHash(k)
 	}
 	return h.signature(hashes)
 }
 
-// signature is Signature over the keys' hashes, which it sorts in place. A
+// hashSets are the scratch tables of signature's dedupe, reused across
+// calls.
+var hashSets = sync.Pool{New: func() any { return new([]uint64) }}
+
+// signature is Signature over the keys' hashes, which it only reads. A
 // signature is a per-function minimum over a set, and equal hashes mix to
-// equal values, so each distinct hash is mixed with the seeds once: a
-// partition's repeated keys cost a sort step, not m mixes.
+// equal values, so each distinct hash is mixed with the seeds once, found
+// distinct through an open-addressed set (a zero slot is free, so the zero
+// hash is tracked apart): a partition's repeated keys cost a probe, not m
+// mixes.
 func (h *MinHasher) signature(hashes []uint64) []uint64 {
-	sig := make([]uint64, len(h.seeds))
+	seeds := h.seeds
+	sig := make([]uint64, len(seeds))
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
-	slices.Sort(hashes)
-	for j, b := range hashes {
-		if j > 0 && b == hashes[j-1] {
-			continue
+	buf := hashSets.Get().(*[]uint64)
+	defer hashSets.Put(buf)
+	size := 1 << bits.Len(uint(2*len(hashes)))
+	if cap(*buf) < size {
+		*buf = make([]uint64, size)
+	}
+	set, mask, zero := (*buf)[:size], uint64(size-1), false
+	clear(set)
+	for _, b := range hashes {
+		j := b & mask
+		for set[j] != 0 && set[j] != b {
+			j = (j + 1) & mask
 		}
-		for i, s := range h.seeds {
+		if set[j] == b && (b != 0 || zero) {
+			continue // seen before
+		}
+		set[j], zero = b, zero || b == 0
+		for i, s := range seeds {
 			if v := mix64(b ^ s); v < sig[i] {
 				sig[i] = v
 			}
@@ -143,11 +111,11 @@ func (h *MinHasher) signature(hashes []uint64) []uint64 {
 }
 
 // SignatureBatch computes the signatures of many key sets, given as their
-// keys' hashes (KeyHash), through the worker pool (width <= 0 ⇒
+// keys' hashes (engine.KeyHash), through the worker pool (width <= 0 ⇒
 // parallel.DefaultWidth) with at most one worker per sigGrain hashes.
-// Each set is sorted in place, so no two may overlap. Each signature is
-// an independent pure computation and results are merged in index order,
-// so the output is identical at every width.
+// The sets are only read, so they may overlap. Each signature is an
+// independent pure computation and results are merged in index order, so
+// the output is identical at every width.
 func (h *MinHasher) SignatureBatch(hashsets [][]uint64, width int) [][]uint64 {
 	total := 0
 	for _, hs := range hashsets {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bohr/internal/engine"
 	"bohr/internal/stats"
 )
 
@@ -215,7 +216,7 @@ func TestSignatureBatchMatchesSignature(t *testing.T) {
 		hashsets := make([][]uint64, len(keysets))
 		for i, ks := range keysets {
 			for _, k := range ks {
-				hashsets[i] = append(hashsets[i], KeyHash(k))
+				hashsets[i] = append(hashsets[i], engine.KeyHash(k))
 			}
 		}
 		got := h.SignatureBatch(hashsets, width)
