@@ -18,9 +18,8 @@ test:
 # stores' cell columns, obs's
 # collector plus its export/critpath/window subpackages — all covered by
 # the ./internal/obs/... wildcard, including the windowed-metrics bucket
-# rings — the live netio path with a worker's Stats, Score, Put and Move
-# overlapping on one store (TestWorkerCellsConcurrent), fault injector,
-# and the multi-tenant serve front end plus its flight recorder), one
+# rings — the fault schedules and the planner's probed view, and the
+# multi-tenant serve front end plus its flight recorder), one
 # short round of each fuzz harness, and the report determinism check
 # including cross-pool-width byte identity. The race target also carries the map→combine
 # stage's differential oracle and allocation guard, the job round's key
@@ -30,8 +29,7 @@ test:
 # sharing's allocation guard (TestRunConcurrentSharesStageBuffers), a clone's
 # moves against its snapshot's records (TestApplyMovesOnCloneLeavesSnapshot)
 # and small forwards' amortised growth
-# (TestSmallForwardsGrowDestinationAmortised), the live netio reduce against engine.Run
-# (TestLiveReduceMatchesEngine), the site store's
+# (TestSmallForwardsGrowDestinationAmortised), the site store's
 # differential against the reference mover with its tie-heavy leg and the
 # selection helper's property test, the cell-count view's differential
 # against olap's cubes on tie-heavy and moved stores
@@ -68,7 +66,7 @@ vet:
 	$(GO) vet ./...
 
 # ctxcheck rejects exported functions in the I/O-bearing packages
-# (core, engine, netio, serve) whose names announce I/O or execution
+# (core, engine, serve) whose names announce I/O or execution
 # but that do not take a leading context.Context. See cmd/ctxcheck.
 ctxcheck:
 	$(GO) run ./cmd/ctxcheck
@@ -83,8 +81,7 @@ fmt-check:
 	fi
 
 race:
-	$(GO) test -race ./internal/engine/... ./internal/obs/... \
-		./internal/netio/... ./internal/faults/... \
+	$(GO) test -race ./internal/engine/... ./internal/obs/... ./internal/faults/... \
 		./internal/parallel/... ./internal/olap/... ./internal/similarity/... ./internal/rdd/... \
 		./internal/cache/... ./internal/serve/... ./internal/ingest/... \
 		./internal/durable/... ./internal/lp/... ./internal/placement/... \

@@ -92,11 +92,6 @@ func renderTop(doc *serve.StatsDoc, win, server string) {
 		ing := doc.Windows.Counters["ingest.accepted"][win]
 		e2e := doc.Windows.Histograms["ingest.batch_e2e_s"][win]
 		fmt.Printf("ingest    %8.1f rec/s  batch e2e p99 %s\n", ing.Rate, fmtSec(e2e.P99))
-		retries := doc.Windows.Counters["netio.retries"][win]
-		timeouts := doc.Windows.Counters["netio.timeouts"][win]
-		if retries.Sum > 0 || timeouts.Sum > 0 {
-			fmt.Printf("netio     %8.1f retries/s  %.1f timeouts/s\n", retries.Rate, timeouts.Rate)
-		}
 	}
 	fmt.Printf("\nsched     inflight %d  queued %d      cache entries %d\n",
 		doc.Sched.Inflight, doc.Sched.QueueDepth, doc.Cache.Entries)

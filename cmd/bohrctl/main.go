@@ -112,7 +112,6 @@ func run(o cliOpts) error {
 		if err != nil {
 			return err
 		}
-		sched.Seed = s.Seed
 		s.Faults = sched
 	}
 

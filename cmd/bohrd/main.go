@@ -9,30 +9,18 @@
 //	curl -s http://127.0.0.1:8080/v1/query -d \
 //	  '{"tenant":"alice","query":"SELECT url, SUM(measure) FROM ds0 GROUP BY url LIMIT 3"}'
 //
-// Worker mode starts one site daemon:
+// Load mode streams CSV records ("coord1,coord2,...,value" per line) to
+// a serve daemon's ingest endpoint (at-least-once, with per-source
+// offsets so a restarted loader can resume with -offset and replays
+// dedupe server-side):
 //
-//	bohrd worker -site 0 -listen 127.0.0.1:7000 -up 10
-//
-// Load mode pushes CSV records ("coord1,coord2,...,value" per line)
-// either in bulk to a worker or as a stream to a serve daemon's ingest
-// endpoint (at-least-once, with per-source offsets so a restarted
-// loader can resume with -offset and replays dedupe server-side):
-//
-//	bohrd load -workers 127.0.0.1:7000,127.0.0.1:7001 \
-//	      -site 0 -dataset logs -schema url,country -file data.csv
 //	bohrd load -server http://127.0.0.1:8080 -source web-tier \
 //	      -site 0 -dataset ds0 -schema url,country -file data.csv
-//
-// Query mode runs a distributed projection/aggregate across workers:
-//
-//	bohrd query -workers 127.0.0.1:7000,127.0.0.1:7001 \
-//	      -dataset logs -dims url -agg sum
 package main
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,12 +33,9 @@ import (
 	"bohr/internal/cliflags"
 	"bohr/internal/core"
 	"bohr/internal/durable"
-	"bohr/internal/engine"
 	"bohr/internal/experiments"
 	"bohr/internal/ingest"
-	"bohr/internal/netio"
 	"bohr/internal/obs"
-	"bohr/internal/obs/critpath"
 	"bohr/internal/obs/export"
 	"bohr/internal/obs/window"
 	"bohr/internal/serve"
@@ -58,7 +43,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
-		fmt.Fprintln(os.Stderr, "bohrd: usage: bohrd <serve|worker|load|query> [flags]")
+		fmt.Fprintln(os.Stderr, "bohrd: usage: bohrd <serve|load> [flags]")
 		os.Exit(2)
 	}
 	sub, args := os.Args[1], os.Args[2:]
@@ -66,14 +51,10 @@ func main() {
 	switch sub {
 	case "serve":
 		err = runServe(args)
-	case "worker":
-		err = runWorker(args)
 	case "load":
 		err = runLoad(args)
-	case "query":
-		err = runQuery(args)
 	default:
-		err = fmt.Errorf("unknown subcommand %q (want serve, worker, load or query)", sub)
+		err = fmt.Errorf("unknown subcommand %q (want serve or load)", sub)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bohrd: %v\n", err)
@@ -265,49 +246,6 @@ func cacheCaps(entries int, bytes int64) cache.Caps {
 	return cache.Caps{Entries: entries, Bytes: bytes}
 }
 
-func runWorker(args []string) error {
-	fs := flag.NewFlagSet("bohrd worker", flag.ExitOnError)
-	var common cliflags.Common
-	common.Register(fs)
-	var (
-		site   = fs.Int("site", 0, "site ID")
-		listen = fs.String("listen", "127.0.0.1:0", "listen address")
-		up     = fs.Float64("up", 0, "uplink shaping in MB/s, 0 = unshaped")
-		seed   = fs.Int64("seed", 1, "random seed")
-	)
-	fs.Parse(args)
-	common.Apply()
-
-	w, err := netio.NewWorker(*site, *listen, *up, *seed)
-	if err != nil {
-		return err
-	}
-	if common.TelemetryAddr != "" {
-		srv := export.New(w.Obs())
-		srv.GaugeFunc("netio.live_conns", func() float64 { return float64(w.LiveConns()) })
-		addr, err := srv.Start(common.TelemetryAddr)
-		if err != nil {
-			w.Close()
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("bohrd: site %d telemetry on http://%s/metrics\n", *site, addr)
-	}
-	fmt.Printf("bohrd: site %d listening on %s (uplink %s)\n",
-		*site, w.Addr(), shapeDesc(*up))
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	return w.Close()
-}
-
-func shapeDesc(up float64) string {
-	if up <= 0 {
-		return "unshaped"
-	}
-	return fmt.Sprintf("%.1f MB/s", up)
-}
-
 func runLoad(args []string) error {
 	fs := flag.NewFlagSet("bohrd load", flag.ExitOnError)
 	var common cliflags.Common
@@ -315,7 +253,6 @@ func runLoad(args []string) error {
 	var ing cliflags.Ingest
 	ing.Register(fs)
 	var (
-		workers = fs.String("workers", "", "comma-separated worker addresses (netio bulk load)")
 		server  = fs.String("server", "", "bohrd serve base URL for streaming ingest (e.g. http://127.0.0.1:8080)")
 		source  = fs.String("source", "loader", "ingest source name (offsets are per source)")
 		offset  = fs.Uint64("offset", 1, "first ingest offset to assign (resume a restarted source here)")
@@ -332,8 +269,8 @@ func runLoad(args []string) error {
 	if *dataset == "" || len(schemaDims) == 0 {
 		return fmt.Errorf("load needs -dataset and -schema")
 	}
-	if (*workers == "") == (*server == "") {
-		return fmt.Errorf("load needs exactly one of -workers (bulk) or -server (streaming)")
+	if *server == "" {
+		return fmt.Errorf("load needs -server")
 	}
 	in := os.Stdin
 	if *file != "" && *file != "-" {
@@ -345,50 +282,29 @@ func runLoad(args []string) error {
 		in = f
 	}
 
-	// Streaming mode: push batches at POST /v1/ingest through the ingest
-	// client, which assigns monotonic per-source offsets and retries 429s
-	// with seeded backoff (the server's dedupe makes resends safe).
-	if *server != "" {
-		cli := ingest.NewClient(strings.TrimRight(*server, "/")+"/v1/ingest", *source, ingest.ClientConfig{
-			BatchRecords: ing.Batch,
-			Seed:         *seed,
-			StartOffset:  *offset,
-		})
-		ctx := context.Background()
-		rows := 0
-		err := scanCSV(in, schemaDims, func(coords []string, val float64) error {
-			rows++
-			return cli.Add(ctx, *dataset, *site, coords, val)
-		})
-		if err != nil {
-			return err
-		}
-		if err := cli.Flush(ctx); err != nil {
-			return err
-		}
-		st := cli.Stats()
-		fmt.Printf("bohrd: streamed %d records into %q at site %d as source %q (accepted %d, deduped %d, retries %d, next offset %d)\n",
-			rows, *dataset, *site, *source, st.Accepted, st.Deduped, st.Retries, cli.NextOffset())
-		return nil
-	}
-
-	var records []engine.KV
+	// Push batches at POST /v1/ingest through the ingest client, which
+	// assigns monotonic per-source offsets and retries 429s with seeded
+	// backoff (the server's dedupe makes resends safe).
+	cli := ingest.NewClient(strings.TrimRight(*server, "/")+"/v1/ingest", *source, ingest.ClientConfig{
+		BatchRecords: ing.Batch,
+		Seed:         *seed,
+		StartOffset:  *offset,
+	})
+	ctx := context.Background()
+	rows := 0
 	err := scanCSV(in, schemaDims, func(coords []string, val float64) error {
-		records = append(records, engine.KV{Key: strings.Join(coords, engine.KeySep), Val: val})
-		return nil
+		rows++
+		return cli.Add(ctx, *dataset, *site, coords, val)
 	})
 	if err != nil {
 		return err
 	}
-	ctl, err := netio.Dial(context.Background(), cliflags.SplitCSV(*workers))
-	if err != nil {
+	if err := cli.Flush(ctx); err != nil {
 		return err
 	}
-	defer ctl.Close()
-	if err := ctl.Put(context.Background(), *site, *dataset, schemaDims, records); err != nil {
-		return err
-	}
-	fmt.Printf("bohrd: loaded %d records into %q at site %d\n", len(records), *dataset, *site)
+	st := cli.Stats()
+	fmt.Printf("bohrd: streamed %d records into %q at site %d as source %q (accepted %d, deduped %d, retries %d, next offset %d)\n",
+		rows, *dataset, *site, *source, st.Accepted, st.Deduped, st.Retries, cli.NextOffset())
 	return nil
 }
 
@@ -420,90 +336,4 @@ func scanCSV(in *os.File, schemaDims []string, emit func(coords []string, val fl
 		}
 	}
 	return sc.Err()
-}
-
-func runQuery(args []string) error {
-	fs := flag.NewFlagSet("bohrd query", flag.ExitOnError)
-	var common cliflags.Common
-	common.Register(fs)
-	var (
-		workers = fs.String("workers", "", "comma-separated worker addresses")
-		dataset = fs.String("dataset", "", "dataset name")
-		dims    = fs.String("dims", "", "comma-separated projection dimensions")
-		agg     = fs.String("agg", "sum", "sum | count | max | min")
-		queryID = fs.String("id", "q", "query identifier")
-		jsonOut = fs.Bool("json", false, "emit a core.Report JSON (stitched trace + metrics + critical path) instead of rows")
-	)
-	fs.Parse(args)
-	common.Apply()
-
-	if *dataset == "" {
-		return fmt.Errorf("query needs -dataset")
-	}
-	var op engine.CombineOp
-	switch strings.ToLower(*agg) {
-	case "sum":
-		op = engine.OpSum
-	case "count":
-		op = engine.OpCount
-	case "max":
-		op = engine.OpMax
-	case "min":
-		op = engine.OpMin
-	default:
-		return fmt.Errorf("unknown aggregate %q", *agg)
-	}
-	ctl, err := netio.Dial(context.Background(), cliflags.SplitCSV(*workers))
-	if err != nil {
-		return err
-	}
-	defer ctl.Close()
-	// Live runs have no simulator clock: collect wall-clock spans, and
-	// carry the trace context so workers ship their subtrees back.
-	col := obs.NewCollector(obs.WithWallClock())
-	ctl.SetObs(col)
-	if common.TelemetryAddr != "" {
-		srv := export.New(col)
-		srv.GaugeFunc("netio.inflight_queries", func() float64 { return float64(ctl.InflightQueries()) })
-		addr, err := srv.Start(common.TelemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "bohrd: telemetry on http://%s/metrics\n", addr)
-	}
-	res, err := ctl.RunQuery(context.Background(), netio.QueryDTO{
-		ID: *queryID, Dataset: *dataset, Dims: cliflags.SplitCSV(*dims), Combine: op,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		r := &core.Report{
-			SchemaVersion: core.ReportSchemaVersion,
-			Experiment:    "bohrd",
-			Trace:         col.Trace(),
-			Metrics:       col.MetricsSnapshot(),
-		}
-		r.CritPaths = critpath.Analyze(r.Trace, r.Metrics)
-		b, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding report: %w", err)
-		}
-		fmt.Println(string(b))
-		return nil
-	}
-	fmt.Printf("bohrd: query %q finished in %v, %d cross-site records, per-site intermediate %v\n",
-		*queryID, res.Elapsed, res.ShuffledRecords, res.IntermediatePerSite)
-	limit := len(res.Output)
-	if limit > 20 {
-		limit = 20
-	}
-	for _, kv := range res.Output[:limit] {
-		fmt.Printf("%-40s %v\n", strings.ReplaceAll(kv.Key, engine.KeySep, "|"), kv.Val)
-	}
-	if len(res.Output) > limit {
-		fmt.Printf("... (%d more rows)\n", len(res.Output)-limit)
-	}
-	return nil
 }

@@ -1,6 +1,6 @@
 // Command ctxcheck is the repo's context-first API gate. It walks the
 // non-test sources of the packages that perform I/O or long-running
-// execution (core, engine, netio, serve) and rejects any exported
+// execution (core, engine, serve) and rejects any exported
 // function or method whose name announces such work — Run, Dial, Put,
 // Query, Acquire, and friends — but whose first parameter is not a
 // context.Context. The gate is what keeps the PR 6 redesign from
@@ -25,7 +25,6 @@ import (
 var gated = []string{
 	"internal/core",
 	"internal/engine",
-	"internal/netio",
 	"internal/serve",
 }
 

@@ -32,7 +32,10 @@ import (
 // whose queries ran under the collector (RunAll, which the §8.6 arrival
 // script also runs once per arrival) gain engine.layout.{hits,misses}, one
 // lookup per query and site holding records of its dataset.
-const ReportSchemaVersion = 7
+// v8: the live TCP substrate is gone, so the resilience section loses
+// retries and timeouts, whose counters had no writer left, and carries
+// the fault events alone.
+const ReportSchemaVersion = 8
 
 // DynamicReport summarizes a §8.6 dynamic run: recurring queries over a
 // prepared system while batches arrive through IngestBatch. It marshals
@@ -52,16 +55,11 @@ type DynamicReport struct {
 }
 
 // ResilienceReport captures a run's failure handling: the fault events
-// that fired on the modeled timeline and the resilience machinery's
-// counters. Present (non-nil, possibly all-zero) exactly when a fault
-// schedule was attached to the run.
+// on the modeled timeline. Present (non-nil, possibly empty) exactly when
+// a fault schedule was attached to the run.
 type ResilienceReport struct {
-	// Retries counts controller-side request retries (live substrate).
-	Retries int `json:"retries"`
-	// Timeouts counts requests that exhausted their deadline.
-	Timeouts int `json:"timeouts"`
 	// FaultEvents is the run's event timeline in deterministic order:
-	// the injected schedule, plus any live-path occurrences.
+	// the injected schedule's events, in schedule order.
 	FaultEvents []obs.Event `json:"fault_events"`
 }
 
@@ -135,10 +133,6 @@ func (s *System) Report() *Report {
 		res := &ResilienceReport{FaultEvents: s.Obs.EventLog()}
 		if res.FaultEvents == nil {
 			res.FaultEvents = []obs.Event{}
-		}
-		if r.Metrics != nil {
-			res.Retries = int(r.Metrics.Counters["netio.retries"])
-			res.Timeouts = int(r.Metrics.Counters["netio.timeouts"])
 		}
 		r.Resilience = res
 	}

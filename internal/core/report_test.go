@@ -30,11 +30,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		},
 		DataReductionPct: []float64{10, -5},
 		Resilience: &ResilienceReport{
-			Retries:  3,
-			Timeouts: 1,
 			FaultEvents: []obs.Event{
 				{T: 10, Kind: "crash", Site: 2, Detail: "end=20s"},
-				{T: 40.5, Kind: "retry", Site: 1, Detail: "attempt=2"},
+				{T: 40.5, Kind: "degrade", Site: 1, Detail: "end=60s factor=0.5"},
 			},
 		},
 		Trace: &obs.Span{Name: "bohr", Children: []*obs.Span{

@@ -95,19 +95,12 @@ func (s *System) Prepare(ctx context.Context) (*PrepareReport, error) {
 	opts := s.Opts
 	opts.Obs = s.Obs
 	// Log the fault schedule onto the run's event timeline up front, in
-	// schedule order, so reports carry the injected faults even when no
-	// live-path machinery fires.
+	// schedule order, so reports carry the injected faults.
 	if f := opts.Faults; f != nil {
 		for _, e := range f.Events {
 			detail := fmt.Sprintf("end=%gs", e.End)
 			if e.Factor != 0 {
 				detail += fmt.Sprintf(" factor=%g", e.Factor)
-			}
-			if e.Prob != 0 {
-				detail += fmt.Sprintf(" prob=%g", e.Prob)
-			}
-			if e.DelayMs != 0 {
-				detail += fmt.Sprintf(" delay_ms=%g", e.DelayMs)
 			}
 			s.Obs.RecordEvent(obs.Event{T: e.Start, Kind: e.Kind.String(), Site: e.Site, Detail: detail})
 		}

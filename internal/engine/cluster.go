@@ -22,8 +22,8 @@ type SiteData struct {
 	stores map[string]*Store
 }
 
-// NewSiteData creates an empty site.
-func NewSiteData() *SiteData {
+// newSiteData creates an empty site.
+func newSiteData() *SiteData {
 	return &SiteData{stores: make(map[string]*Store)}
 }
 
@@ -87,7 +87,7 @@ func NewCluster(top *wan.Topology, machines, executorsPerMachine int, bytesPerRe
 	}
 	for i := range c.Exec {
 		c.Exec[i] = Executors{Machines: machines, PerMachine: executorsPerMachine}
-		c.Data[i] = NewSiteData()
+		c.Data[i] = newSiteData()
 	}
 	return c, nil
 }
@@ -158,7 +158,7 @@ func (c *Cluster) Clone() *Cluster {
 		BytesPerRecord: c.BytesPerRecord,
 	}
 	for i, sd := range c.Data {
-		nd := NewSiteData()
+		nd := newSiteData()
 		for name, st := range sd.stores {
 			nd.stores[name] = st.clone()
 		}

@@ -625,11 +625,13 @@ type StageResult struct {
 	MapTime, AssignOverhead float64
 }
 
-// Scan is the per-statement half of the map→combine stage, the single
-// implementation the simulated engine and the live netio worker both
-// run: stream each executor's partitions in place through q.Map into
-// that executor's combiner. Nothing is copied per record, so a scan
-// allocates for the groups it opens, not the records it reads.
+// Scan is the map→combine stage of one statement on its own combiner:
+// stream each executor's partitions in place through q.Map into that
+// executor's combiner. Nothing is copied per record, so a scan allocates
+// for the groups it opens, not the records it reads. The engine's jobs
+// run it through scan on a batch's shared combiner; Scan itself is the
+// reference tests read (sql's coded-versus-closure differential,
+// placement's volume profile).
 //
 // The combiner keeps groups in first-emit order instead of sorting them.
 // One key appears at most once per executor, so a reducer still meets each
@@ -672,8 +674,6 @@ func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 
 // KeyOwner picks the reduce site of a key with probability proportional to
 // the task fractions, deterministically, via weighted rendezvous hashing.
-// The live netio workers use the same function so simulated and real
-// shuffles partition identically.
 func KeyOwner(key string, taskFrac []float64) int {
 	h := fnv1a(key)
 	best := 0

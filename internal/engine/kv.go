@@ -213,7 +213,9 @@ func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
 // CombinePartials merges already-combined partial aggregates by key into
 // one reducer's output, sorted by key: a round's key table with a single
-// owner, so the live netio reducer and the simulated ones run one fold.
+// owner. The engine's reduce folds through the same key table; this
+// single-owner form is the reference tests fold a scan's partials with
+// (sql's coded-scan differential, engine's stage tests).
 func CombinePartials(records []KV, op CombineOp) []KV {
 	t := newKeyTable(op, nil, 0, nil)
 	for _, r := range records {

@@ -14,6 +14,19 @@ import (
 	"bohr/internal/stats"
 )
 
+// DstCells is a destination described by cell counts already in the
+// mover's attribute space, so a test can state a destination without
+// building its store.
+type DstCells map[string]int
+
+func (d DstCells) index(v View) *cellIndex {
+	ix := newCellIndex(v, len(d))
+	for cell, n := range d {
+		ix.count[ix.intern(cell)] += n
+	}
+	return ix
+}
+
 // selectFrom has the mover choose n records of src, held in a fresh store,
 // toward a destination described by cell counts.
 func selectFrom(m Mover, src []KV, dst DstCells, n int, rng *rand.Rand) []KV {

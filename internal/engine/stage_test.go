@@ -301,8 +301,8 @@ func TestMapCombineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLayoutRejectsBadStage: a stage is caller-built (the netio worker's
-// is), so a layout refuses one without executors instead of dividing by
+// TestLayoutRejectsBadStage: a stage is caller-built (Stage is
+// exported), so a layout refuses one without executors instead of dividing by
 // it, and an assigner that misplaces a partition; a store keeps neither.
 func TestLayoutRejectsBadStage(t *testing.T) {
 	recs := []engine.KV{{Key: "a", Val: 1}, {Key: "b", Val: 2}, {Key: "c", Val: 3}}

@@ -224,8 +224,7 @@ type cellIndex struct {
 	keys  []string         // cell id → projected key
 	count []int            // cell id → live records
 	// cell is the cell id of each record, parallel to the store's
-	// records; nil for an index that only describes a destination
-	// (DstCells).
+	// records; nil for an index that only describes a destination.
 	cell []int32
 }
 
@@ -438,28 +437,15 @@ func (s *Store) cells(v View) (ix *cellIndex, hit bool) {
 }
 
 // DstView is what a mover may learn about the destination of a move: the
-// destination's own store (the simulated cluster, where the transfer-time
-// handshake of §4.2 is a function call) or the cells a probe carried over
-// the wire (DstCells). A mover reads its source through it too.
+// destination's own store (the transfer-time handshake of §4.2 is a
+// function call between the sites' stores) or a Profile's dry-run column.
+// A mover reads its source through it too.
 type DstView interface {
 	index(v View) *cellIndex
 }
 
 // index makes a Profile's dry-run column a side of a move.
 func (ix *cellIndex) index(View) *cellIndex { return ix }
-
-// DstCells is a destination described by cell counts already in the
-// mover's attribute space — the probe cells a live worker receives in a
-// move request.
-type DstCells map[string]int
-
-func (d DstCells) index(v View) *cellIndex {
-	ix := newCellIndex(v, len(d))
-	for cell, n := range d {
-		ix.count[ix.intern(cell)] += n
-	}
-	return ix
-}
 
 // Selection is the outcome of Store.Select: the records chosen to leave,
 // still in the store until Remove takes them. Records appended in between

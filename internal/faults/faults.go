@@ -1,11 +1,9 @@
 // Package faults is the deterministic fault-injection subsystem of the
-// Bohr reproduction. One seed-driven Schedule of typed events — link
-// degradation and blackout windows, site crash/restart, straggler
-// slow-down factors, per-message drop and delay — is consumed by both
-// substrates: the fluid internal/wan model applies events in modeled
-// time (so results stay byte-deterministic for a fixed seed), and the
-// live internal/netio path applies them through an Injector that wraps
-// net.Conn and kills in-flight messages.
+// Bohr reproduction. A Schedule of typed events — link degradation and
+// blackout windows, site crash/restart, straggler slow-down factors — is
+// applied in modeled time by the fluid internal/wan model and the
+// engine's compute clock, so results stay byte-deterministic for a
+// fixed seed.
 //
 // The timeline convention shared with the engine: t = 0 is the start of
 // the run (Prepare), data moves occupy [0, lag), and recurring queries
@@ -17,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Kind enumerates the typed fault events a Schedule can carry.
@@ -36,18 +33,12 @@ const (
 	// KindStraggler multiplies the site's compute time by Factor
 	// (Factor ≥ 1) for the window.
 	KindStraggler
-	// KindMsgDrop drops each live-path message at the site with
-	// probability Prob while the window is active (live substrate only).
-	KindMsgDrop
-	// KindMsgDelay delays each live-path message at the site by DelayMs
-	// while the window is active (live substrate only).
-	KindMsgDelay
 )
 
-var kindNames = [...]string{"degrade", "blackout", "crash", "straggler", "drop", "delay"}
+var kindNames = [...]string{"degrade", "blackout", "crash", "straggler"}
 
 // String returns the spec-language name of the kind ("degrade",
-// "blackout", "crash", "straggler", "drop", "delay").
+// "blackout", "crash", "straggler").
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
@@ -93,27 +84,21 @@ type Event struct {
 	// (0 < Factor ≤ 1) or the compute-time multiplier for stragglers
 	// (Factor ≥ 1).
 	Factor float64 `json:"factor,omitempty"`
-	// Prob is the per-message drop probability for drop events.
-	Prob float64 `json:"prob,omitempty"`
-	// DelayMs is the per-message added latency for delay events.
-	DelayMs float64 `json:"delay_ms,omitempty"`
 }
 
 // active reports whether the event window covers modeled time t.
 func (e Event) active(t float64) bool { return t >= e.Start && t < e.End }
 
-// Schedule is one run's full fault plan: a seed (for any randomized
-// live-path behavior such as message drops) plus the event list. The
-// zero value and the nil pointer are both valid empty schedules — every
-// query method is nil-safe and reports "no fault".
+// Schedule is one run's full fault plan: its event list. The zero value
+// and the nil pointer are both valid empty schedules — every query method
+// is nil-safe and reports "no fault".
 type Schedule struct {
-	Seed   int64   `json:"seed"`
 	Events []Event `json:"events"`
 }
 
 // Validate checks event well-formedness: non-negative site, a finite
 // window with Start < End, degrade factors in (0, 1], straggler factors
-// ≥ 1, drop probabilities in [0, 1].
+// ≥ 1.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -136,14 +121,6 @@ func (s *Schedule) Validate() error {
 		case KindStraggler:
 			if e.Factor < 1 {
 				return fmt.Errorf("faults: event %d: straggler factor %v < 1", i, e.Factor)
-			}
-		case KindMsgDrop:
-			if e.Prob < 0 || e.Prob > 1 {
-				return fmt.Errorf("faults: event %d: drop prob %v outside [0, 1]", i, e.Prob)
-			}
-		case KindMsgDelay:
-			if e.DelayMs < 0 {
-				return fmt.Errorf("faults: event %d: negative delay %vms", i, e.DelayMs)
 			}
 		case KindLinkBlackout, KindSiteCrash:
 			// window-only events
@@ -212,37 +189,6 @@ func (s *Schedule) SiteDown(site int, t float64) bool {
 		}
 	}
 	return false
-}
-
-// MsgDelay returns the added per-message latency at site at modeled
-// time t (live substrate).
-func (s *Schedule) MsgDelay(site int, t float64) time.Duration {
-	if s == nil {
-		return 0
-	}
-	var ms float64
-	for _, e := range s.Events {
-		if e.Kind == KindMsgDelay && e.Site == site && e.active(t) {
-			ms += e.DelayMs
-		}
-	}
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// DropProb returns the per-message drop probability at site at modeled
-// time t (live substrate). Overlapping drop windows combine as
-// independent coins: 1 − Π(1 − p).
-func (s *Schedule) DropProb(site int, t float64) float64 {
-	if s == nil {
-		return 0
-	}
-	keep := 1.0
-	for _, e := range s.Events {
-		if e.Kind == KindMsgDrop && e.Site == site && e.active(t) {
-			keep *= 1 - e.Prob
-		}
-	}
-	return 1 - keep
 }
 
 // NextBoundary returns the earliest event Start or End strictly after

@@ -4,17 +4,16 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-	"time"
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	spec := "blackout:site=1,start=10,end=20;crash:site=2,start=40,end=70;degrade:site=0,start=30,end=90,factor=0.25;delay:site=0,start=0,end=5,delay_ms=20;drop:site=3,start=0,end=60,prob=0.5;straggler:site=4,start=5,end=95,factor=2.5"
+	spec := "blackout:site=1,start=10,end=20;crash:site=2,start=40,end=70;degrade:site=0,start=30,end=90,factor=0.25;straggler:site=4,start=5,end=95,factor=2.5"
 	s, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Events) != 6 {
-		t.Fatalf("parsed %d events, want 6", len(s.Events))
+	if len(s.Events) != 4 {
+		t.Fatalf("parsed %d events, want 4", len(s.Events))
 	}
 	if got := s.String(); got != spec {
 		t.Errorf("round trip drifted:\n got %s\nwant %s", got, spec)
@@ -40,7 +39,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"degrade:site=0,start=0,end=1,factor=0",     // zero degrade factor
 		"degrade:site=0,start=0,end=1,factor=2",     // factor > 1
 		"straggler:site=0,start=0,end=1,factor=0.5", // speedup straggler
-		"drop:site=0,start=0,end=1,prob=1.5",        // prob > 1
+		"drop:site=0,start=0,end=1,prob=0.5",        // unknown kind
+		"delay:site=0,start=0,end=1,delay_ms=20",    // unknown kind
 		"crash:site=0,start=0,end=1,frob=2",         // unknown field
 	} {
 		if _, err := Parse(spec); err == nil {
@@ -50,7 +50,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 }
 
 func TestKindJSONRoundTrip(t *testing.T) {
-	for k := KindLinkDegrade; k <= KindMsgDelay; k++ {
+	for k := KindLinkDegrade; k <= KindStraggler; k++ {
 		raw, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
@@ -76,9 +76,6 @@ func TestScheduleFactors(t *testing.T) {
 		{Kind: KindLinkBlackout, Site: 1, Start: 5, End: 8},
 		{Kind: KindSiteCrash, Site: 2, Start: 50, End: 60},
 		{Kind: KindStraggler, Site: 3, Start: 0, End: 100, Factor: 3},
-		{Kind: KindMsgDrop, Site: 4, Start: 0, End: 10, Prob: 0.5},
-		{Kind: KindMsgDrop, Site: 4, Start: 5, End: 10, Prob: 0.5},
-		{Kind: KindMsgDelay, Site: 5, Start: 0, End: 10, DelayMs: 25},
 	}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -111,16 +108,9 @@ func TestScheduleFactors(t *testing.T) {
 	if got := s.ComputeFactor(2, 55); got != 1 {
 		t.Errorf("crash must not scale compute, got %v", got)
 	}
-	// Two independent 0.5 coins → 0.75 combined drop probability.
-	if got := s.DropProb(4, 7); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("DropProb = %v, want 0.75", got)
-	}
-	if got := s.MsgDelay(5, 3); got != 25*time.Millisecond {
-		t.Errorf("MsgDelay = %v, want 25ms", got)
-	}
 	// Nil schedule is a no-op.
 	var nils *Schedule
-	if nils.UpFactor(0, 0) != 1 || nils.SiteDown(0, 0) || nils.DropProb(0, 0) != 0 {
+	if nils.UpFactor(0, 0) != 1 || nils.SiteDown(0, 0) || nils.ComputeFactor(0, 0) != 1 {
 		t.Error("nil schedule not a clean no-op")
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 //	crash:site=2,start=40,end=70;degrade:site=0,start=30,end=90,factor=0.25
 //
-// Keys: site, start, end (seconds), factor, prob, delay_ms. Whitespace
+// Keys: site, start, end (seconds), factor. Whitespace
 // around separators is ignored. The result is validated.
 func Parse(spec string) (*Schedule, error) {
 	s := &Schedule{}
@@ -54,10 +54,6 @@ func Parse(spec string) (*Schedule, error) {
 				e.End = x
 			case "factor":
 				e.Factor = x
-			case "prob":
-				e.Prob = x
-			case "delay_ms":
-				e.DelayMs = x
 			default:
 				return nil, fmt.Errorf("faults: unknown field %q in %q", key, part)
 			}
@@ -82,12 +78,6 @@ func (s *Schedule) String() string {
 		fmt.Fprintf(&b, "%s:site=%d,start=%s,end=%s", e.Kind, e.Site, ftoa(e.Start), ftoa(e.End))
 		if e.Factor != 0 {
 			fmt.Fprintf(&b, ",factor=%s", ftoa(e.Factor))
-		}
-		if e.Prob != 0 {
-			fmt.Fprintf(&b, ",prob=%s", ftoa(e.Prob))
-		}
-		if e.DelayMs != 0 {
-			fmt.Fprintf(&b, ",delay_ms=%s", ftoa(e.DelayMs))
 		}
 		parts = append(parts, b.String())
 	}

@@ -13,7 +13,7 @@ import (
 // yields the same schedule — this is what the fault-sweep experiment
 // sweeps.
 func Random(seed int64, sites int, intensity, horizon float64) *Schedule {
-	s := &Schedule{Seed: seed}
+	s := &Schedule{}
 	if intensity <= 0 || sites <= 0 || horizon <= 0 {
 		return s
 	}

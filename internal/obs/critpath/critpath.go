@@ -5,14 +5,12 @@
 // bottleneck link vs. compute), asked of a finished report instead of a
 // spreadsheet.
 //
-// It understands both trace shapes the collectors produce: the modeled
-// engine shape (query spans "qNN:name" with sequential map / assign /
-// shuffle / reduce stage children, per-site children under map and
-// reduce) and the live netio shape (query spans "netio:<id>" with
-// controller stage children plus stitched worker subtrees "map@siteN" /
-// "reduce@siteN"). Durations prefer modeled seconds and fall back to
-// wall seconds, so the same analysis runs on deterministic and
-// wall-clocked reports.
+// It reads the engine's trace shape: query spans "qNN:name" with
+// sequential map / assign / shuffle / reduce stage children, per-site
+// children under map and reduce. Durations prefer modeled seconds and
+// fall back to wall seconds, so the same analysis runs on deterministic
+// reports and on the wall-clocked traces of a serving daemon's flight
+// recorder.
 package critpath
 
 import (
@@ -50,13 +48,6 @@ type QueryPath struct {
 
 var modeledQuery = regexp.MustCompile(`^q\d+:`)
 
-func isQuerySpan(name string) bool {
-	if modeledQuery.MatchString(name) {
-		return true
-	}
-	return strings.HasPrefix(name, "netio:") && !strings.HasPrefix(name, "netio:move:")
-}
-
 // dur is a span's duration: modeled seconds when recorded, else wall.
 func dur(s *obs.Span) float64 {
 	if s == nil {
@@ -85,7 +76,7 @@ func Analyze(trace *obs.Span, metrics *obs.Snapshot) []QueryPath {
 }
 
 func collectQueries(s *obs.Span, out *[]*obs.Span) {
-	if isQuerySpan(s.Name) {
+	if modeledQuery.MatchString(s.Name) {
 		*out = append(*out, s)
 		return
 	}
@@ -95,12 +86,7 @@ func collectQueries(s *obs.Span, out *[]*obs.Span) {
 }
 
 func analyzeQuery(q *obs.Span, metrics *obs.Snapshot) QueryPath {
-	var comps []Component
-	if strings.HasPrefix(q.Name, "netio:") {
-		comps = liveComponents(q, metrics)
-	} else {
-		comps = modeledComponents(q, metrics)
-	}
+	comps := stageComponents(q, metrics)
 	qct := dur(q)
 	var sum float64
 	for _, c := range comps {
@@ -126,9 +112,9 @@ func analyzeQuery(q *obs.Span, metrics *obs.Snapshot) QueryPath {
 	return p
 }
 
-// modeledComponents reads the engine shape: sequential stage children,
+// stageComponents reads the engine shape: sequential stage children,
 // whose per-site children (when present) name the slowest site.
-func modeledComponents(q *obs.Span, metrics *obs.Snapshot) []Component {
+func stageComponents(q *obs.Span, metrics *obs.Snapshot) []Component {
 	var comps []Component
 	for _, stage := range []string{"map", "assign", "shuffle", "reduce"} {
 		st := q.Find(stage)
@@ -152,46 +138,6 @@ func modeledComponents(q *obs.Span, metrics *obs.Snapshot) []Component {
 	return comps
 }
 
-// liveComponents reads the netio shape. The controller's "map" stage
-// child times the whole map+scatter phase; the stitched worker subtrees
-// say which site dominated and how much of the phase its scatter (the
-// WAN shuffle) took, so the phase splits into a compute hop and a link
-// hop without double counting.
-func liveComponents(q *obs.Span, metrics *obs.Snapshot) []Component {
-	var comps []Component
-	mapPhase := dur(q.Find("map"))
-	domMap := dominantPrefixed(q, "map@")
-	var scatter float64
-	if domMap != nil {
-		scatter = dur(domMap.Find("scatter"))
-	}
-	if scatter > mapPhase {
-		scatter = mapPhase
-	}
-	if mapPhase-scatter > 0 {
-		name := "map"
-		if domMap != nil {
-			name = domMap.Name
-		}
-		comps = append(comps, Component{Stage: "map", Name: name, Seconds: mapPhase - scatter})
-	}
-	if scatter > 0 {
-		name := "shuffle"
-		if link := dominantLink(metrics, "netio.scatter.", ".bytes"); link != "" {
-			name = "shuffle " + link
-		}
-		comps = append(comps, Component{Stage: "shuffle", Name: name, Seconds: scatter})
-	}
-	if redPhase := dur(q.Find("reduce")); redPhase > 0 {
-		name := "reduce"
-		if dom := dominantPrefixed(q, "reduce@"); dom != nil {
-			name = dom.Name
-		}
-		comps = append(comps, Component{Stage: "reduce", Name: name, Seconds: redPhase})
-	}
-	return comps
-}
-
 // dominantChild returns the longest-running child (ties keep the first),
 // nil when the span has none.
 func dominantChild(s *obs.Span) *obs.Span {
@@ -200,21 +146,6 @@ func dominantChild(s *obs.Span) *obs.Span {
 	}
 	var best *obs.Span
 	for _, ch := range s.Children {
-		if best == nil || dur(ch) > dur(best) {
-			best = ch
-		}
-	}
-	return best
-}
-
-// dominantPrefixed returns the longest-running direct child whose name
-// carries the prefix (e.g. "map@" over stitched worker subtrees).
-func dominantPrefixed(s *obs.Span, prefix string) *obs.Span {
-	var best *obs.Span
-	for _, ch := range s.Children {
-		if !strings.HasPrefix(ch.Name, prefix) {
-			continue
-		}
 		if best == nil || dur(ch) > dur(best) {
 			best = ch
 		}

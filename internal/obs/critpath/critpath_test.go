@@ -27,103 +27,56 @@ func modeledTrace() *obs.Span {
 	}}
 }
 
+// wallOnly moves every span's modeled seconds to its wall seconds: the
+// engine shape as a wall-clocked collector records it, which is what a
+// serving daemon's flight recorder hands to Analyze.
+func wallOnly(s *obs.Span) *obs.Span {
+	out := &obs.Span{Name: s.Name, Wall: s.Modeled}
+	for _, ch := range s.Children {
+		out.Children = append(out.Children, wallOnly(ch))
+	}
+	return out
+}
+
 func TestAnalyzeModeled(t *testing.T) {
 	snap := &obs.Snapshot{Counters: map[string]float64{
 		"wan.shuffle.site-1->site-0.mb": 80,
 		"wan.shuffle.site-0->site-1.mb": 20,
 		"unrelated.counter":             999,
 	}}
-	paths := Analyze(modeledTrace(), snap)
-	if len(paths) != 1 {
-		t.Fatalf("paths = %d, want 1", len(paths))
-	}
-	p := paths[0]
-	if p.Query != "q00:scan" || p.QCT != 12.5 {
-		t.Fatalf("path header = %+v", p)
-	}
-	wantNames := []string{
-		"map@site-1", "assign", "shuffle site-1->site-0", "reduce@site-0", "other/coordination",
-	}
-	if len(p.Components) != len(wantNames) {
-		t.Fatalf("components = %+v", p.Components)
-	}
-	for i, want := range wantNames {
-		if p.Components[i].Name != want {
-			t.Errorf("component %d = %q, want %q", i, p.Components[i].Name, want)
+	for _, tc := range []struct {
+		name  string
+		trace *obs.Span
+	}{
+		{"modeled", modeledTrace()},
+		{"wall-only", wallOnly(modeledTrace())},
+	} {
+		paths := Analyze(tc.trace, snap)
+		if len(paths) != 1 {
+			t.Fatalf("%s: paths = %d, want 1", tc.name, len(paths))
 		}
-	}
-	// 4 + 0.5 + 6 + 1.5 = 12 explained, residual 0.5 → full coverage.
-	if p.CoveragePct < 90 {
-		t.Errorf("coverage = %.1f%%, want ≥ 90%%", p.CoveragePct)
-	}
-	if got := p.Components[2].PctQCT; got != 48 {
-		t.Errorf("shuffle pct = %v, want 48", got)
-	}
-}
-
-func liveTrace() *obs.Span {
-	return &obs.Span{Name: "bohr", Children: []*obs.Span{
-		{Name: "netio:q1", Modeled: 0.5, Children: []*obs.Span{
-			{Name: "map@site0", Wall: 0.28, Children: []*obs.Span{
-				{Name: "map", Wall: 0.08},
-				{Name: "combine", Wall: 0.02},
-				{Name: "scatter", Wall: 0.18, Children: []*obs.Span{
-					{Name: "->site1", Wall: 0.18, Children: []*obs.Span{
-						{Name: "recv@site1", Wall: 0.03},
-					}},
-				}},
-			}},
-			{Name: "map@site1", Wall: 0.1},
-			{Name: "map", Modeled: 0.3},
-			{Name: "reduce@site0", Wall: 0.05},
-			{Name: "reduce@site1", Wall: 0.15},
-			{Name: "reduce", Modeled: 0.18},
-		}},
-	}}
-}
-
-func TestAnalyzeLive(t *testing.T) {
-	snap := &obs.Snapshot{Counters: map[string]float64{
-		"netio.scatter.site0->site1.bytes": 9000,
-		"netio.scatter.site1->site0.bytes": 1000,
-	}}
-	paths := Analyze(liveTrace(), snap)
-	if len(paths) != 1 {
-		t.Fatalf("paths = %d, want 1", len(paths))
-	}
-	p := paths[0]
-	wantNames := []string{
-		"map@site0", "shuffle site0->site1", "reduce@site1", "other/coordination",
-	}
-	if len(p.Components) != len(wantNames) {
-		t.Fatalf("components = %+v", p.Components)
-	}
-	for i, want := range wantNames {
-		if p.Components[i].Name != want {
-			t.Errorf("component %d = %q, want %q", i, p.Components[i].Name, want)
+		p := paths[0]
+		if p.Query != "q00:scan" || p.QCT != 12.5 {
+			t.Fatalf("%s: path header = %+v", tc.name, p)
 		}
-	}
-	// Map phase 0.3 splits into compute 0.12 + dominant scatter 0.18, so
-	// the chain stays disjoint: 0.12 + 0.18 + 0.18 = 0.48 of 0.5.
-	if got := p.Components[0].Seconds; got < 0.119 || got > 0.121 {
-		t.Errorf("map seconds = %v, want 0.12", got)
-	}
-	if got := p.Components[1].Seconds; got != 0.18 {
-		t.Errorf("shuffle seconds = %v, want 0.18", got)
-	}
-	if p.CoveragePct < 90 {
-		t.Errorf("coverage = %.1f%%, want ≥ 90%%", p.CoveragePct)
-	}
-}
-
-func TestAnalyzeSkipsMoveSpans(t *testing.T) {
-	tr := &obs.Span{Name: "bohr", Children: []*obs.Span{
-		{Name: "netio:move:0->1", Wall: 0.2},
-		{Name: "netio:q9", Modeled: 1, Children: []*obs.Span{{Name: "map", Modeled: 1}}},
-	}}
-	paths := Analyze(tr, nil)
-	if len(paths) != 1 || paths[0].Query != "netio:q9" {
-		t.Fatalf("paths = %+v", paths)
+		wantNames := []string{
+			"map@site-1", "assign", "shuffle site-1->site-0", "reduce@site-0", "other/coordination",
+		}
+		if len(p.Components) != len(wantNames) {
+			t.Fatalf("%s: components = %+v", tc.name, p.Components)
+		}
+		for i, want := range wantNames {
+			if p.Components[i].Name != want {
+				t.Errorf("%s: component %d = %q, want %q", tc.name, i, p.Components[i].Name, want)
+			}
+		}
+		// 4 + 0.5 + 6 + 1.5 = 12 explained, residual 0.5 → full coverage.
+		if p.CoveragePct < 90 {
+			t.Errorf("%s: coverage = %.1f%%, want ≥ 90%%", tc.name, p.CoveragePct)
+		}
+		if got := p.Components[2].PctQCT; got != 48 {
+			t.Errorf("%s: shuffle pct = %v, want 48", tc.name, got)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package export serves a Collector's live state over HTTP using only the
 // standard library: Prometheus text-format metrics on /metrics, a
 // liveness probe on /healthz, and the runtime profiler on /debug/pprof/.
-// Both the controller and the workers can run one (opt-in via the
-// -telemetry-addr flag on the cmd tools); scrape-time callback gauges
-// cover values that live outside the registry, like open connection
-// counts and inflight queries.
+// bohrd serve always runs one, bohrctl when given -telemetry-addr;
+// scrape-time callback gauges cover values that live outside the
+// registry, like scheduler queue depth and inflight queries.
 package export
 
 import (
@@ -34,7 +33,7 @@ type Server struct {
 }
 
 // New wraps a collector for serving. The collector may be shared with a
-// running controller or worker; scrapes snapshot it safely.
+// running daemon; scrapes snapshot it safely.
 func New(col *obs.Collector) *Server {
 	return &Server{col: col, start: time.Now(), gauges: map[string]func() float64{}}
 }

@@ -438,12 +438,12 @@ func (c *Collector) MetricsSnapshot() *Snapshot {
 	return snap
 }
 
-// MergeSnapshot folds a remote snapshot into this collector: counters
-// accumulate, gauges take the remote value. Histogram summaries cannot be
-// merged losslessly, so their Sum/Count fold into "<name>.sum" /
-// "<name>.count" counters instead. This is how the controller absorbs
-// worker-side metric deltas shipped back in netio responses. Nil-safe on
-// both sides.
+// MergeSnapshot folds another collector's snapshot into this one:
+// counters accumulate, gauges take the other value. Histogram summaries
+// cannot be merged losslessly, so their Sum/Count fold into
+// "<name>.sum" / "<name>.count" counters instead. This is how a served
+// query's per-request collector reaches the daemon's. Nil-safe on both
+// sides.
 func (c *Collector) MergeSnapshot(snap *Snapshot) {
 	if c == nil || snap == nil {
 		return
@@ -494,25 +494,6 @@ func copySpan(s *Span) *Span {
 		out.Children = append(out.Children, copySpan(ch))
 	}
 	return out
-}
-
-// Attach grafts a detached span subtree (e.g. one deserialized from a
-// remote worker's response) under this span as a new child, deep-copying
-// it so the caller's tree stays independent. This is the stitching
-// primitive for distributed traces. Nil-safe: a nil receiver or subtree
-// is a no-op.
-func (s *Span) Attach(sub *Span) {
-	if s == nil || sub == nil {
-		return
-	}
-	cp := copySpan(sub)
-	if s.c != nil {
-		s.c.mu.Lock()
-		defer s.c.mu.Unlock()
-	}
-	cp.parent = s
-	cp.c = s.c
-	s.Children = append(s.Children, cp)
 }
 
 // sanitizeMax bounds a sanitized label's length; longer inputs are

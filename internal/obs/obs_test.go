@@ -232,29 +232,6 @@ func TestEndStampsWallOnPoppedDescendants(t *testing.T) {
 	}
 }
 
-func TestAttachGraftsDetachedSubtree(t *testing.T) {
-	c := NewCollector()
-	q := c.StartSpan("query")
-	remote := &Span{Name: "map@site1", Wall: 0.25, Children: []*Span{
-		{Name: "combine", Wall: 0.1},
-	}}
-	q.Attach(remote)
-	q.End()
-	got := c.Trace().Find("query", "map@site1", "combine")
-	if got == nil || got.Wall != 0.1 {
-		t.Fatalf("grafted subtree = %+v", got)
-	}
-	// The graft is a copy: mutating the source must not leak in.
-	remote.Children[0].Wall = 99
-	if got := c.Trace().Find("query", "map@site1", "combine"); got.Wall != 0.1 {
-		t.Fatal("Attach did not deep-copy the subtree")
-	}
-	// Nil-safety.
-	var nilSpan *Span
-	nilSpan.Attach(remote)
-	q.Attach(nil)
-}
-
 func TestMergeSnapshot(t *testing.T) {
 	c := NewCollector()
 	c.Count("shared", 1)

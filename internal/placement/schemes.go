@@ -302,10 +302,9 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	for _, st := range allStats {
 		if id.usesSimilarity() {
 			// Record selection happens at transfer time, when the source
-			// fetches a larger cell summary from the destination (the live
-			// netio workers exchange the destination's top cells in the
-			// move handshake); the tiny planning probes only bound the
-			// LP's similarity estimates.
+			// reads a larger cell summary of the destination (its top
+			// cells, the handshake of §4.2); the tiny planning probes only
+			// bound the LP's similarity estimates.
 			plan.movers[st.Name] = engine.SimilarMover{View: st.DominantView, DstTopK: transferSummaryCells}
 			plan.CheckTime += st.CheckTime
 		} else {

@@ -5,7 +5,7 @@
 // repeat queries from a result cache keyed by (normalized query, dataset
 // content hash). It layers over the reusable engine/core components the
 // rest of the reproduction already exercises; cancellation rides the
-// request context through the context-first core/engine/netio APIs.
+// request context through the context-first core/engine APIs.
 package serve
 
 import (

@@ -57,41 +57,23 @@ func BuildProbe(dataset string, cube engine.CellCounts, k int) (Probe, error) {
 // the true similarity, which is exactly the accuracy-versus-k trade-off
 // Figures 12/13 of the paper measure. The result is in [0, 1].
 func Score(p Probe, local engine.CellCounts) (float64, error) {
-	matched, _, err := match(p, local)
-	if err != nil || p.TotalCount <= 0 {
-		return 0, err
-	}
-	return matched / float64(p.TotalCount), nil
-}
-
-// ScoreCovered is Score normalized by the probe's own mass instead of the
-// sender's total: the match rate among probed records only, ignoring
-// coverage. Useful for diagnostics and for callers that track coverage
-// separately.
-func ScoreCovered(p Probe, local engine.CellCounts) (float64, error) {
-	matched, total, err := match(p, local)
-	if err != nil || total == 0 {
-		return 0, err
-	}
-	return matched / total, nil
-}
-
-// match sums the probe's mass and the part of it with a local cell.
-func match(p Probe, local engine.CellCounts) (matched, total float64, err error) {
 	if len(p.Records) == 0 {
-		return 0, 0, nil // nothing to match: no evidence of similarity
+		return 0, nil // nothing to match: no evidence of similarity
 	}
 	if p.View != local.View() {
-		return 0, 0, fmt.Errorf("similarity: probe %q in %v scored against cells in %v",
+		return 0, fmt.Errorf("similarity: probe %q in %v scored against cells in %v",
 			p.Dataset, p.View, local.View())
 	}
+	if p.TotalCount <= 0 {
+		return 0, nil
+	}
+	var matched float64
 	for _, r := range p.Records {
-		total += float64(r.Count)
 		if local.Count(r.Key) > 0 {
 			matched += float64(r.Count)
 		}
 	}
-	return matched, total, nil
+	return matched / float64(p.TotalCount), nil
 }
 
 // SelfSimilarity is S_i of the paper's Table 1: the combiner-reduction

@@ -86,10 +86,6 @@ func TestScore(t *testing.T) {
 	if s, _ := Score(small, src); s != 0.6 {
 		t.Fatalf("k=1 self score = %v, want 0.6 (coverage-limited)", s)
 	}
-	// ScoreCovered ignores coverage: among probed records all match.
-	if s, _ := ScoreCovered(small, src); s != 1 {
-		t.Fatalf("covered score = %v, want 1", s)
-	}
 
 	// Disjoint destination scores 0.
 	disjoint := urlCube(map[string]int{"x": 3})
@@ -103,9 +99,6 @@ func TestScoreSchemaMismatch(t *testing.T) {
 	p, _ := BuildProbe("ds", src, 1)
 	two := storeCells([]string{"a" + engine.KeySep + "b"}, engine.NewView(2, 0, 1))
 	if _, err := Score(p, two); err == nil {
-		t.Fatal("view mismatch should error")
-	}
-	if _, err := ScoreCovered(p, two); err == nil {
 		t.Fatal("view mismatch should error")
 	}
 }
@@ -219,13 +212,10 @@ func TestScoreBoundsProperty(t *testing.T) {
 			t.Fatalf("score out of bounds: %v (%v)", s, err)
 		}
 		// Self score equals the probe's coverage of its own cube and never
-		// exceeds 1; the covered variant is exactly 1 against itself.
+		// exceeds 1.
 		self, _ := Score(p, cube)
 		if self <= 0 || self > 1 {
 			t.Fatalf("self score = %v", self)
-		}
-		if covered, _ := ScoreCovered(p, cube); covered != 1 {
-			t.Fatalf("covered self score = %v", covered)
 		}
 	}
 }
