@@ -29,7 +29,10 @@ test:
 # sharing's allocation guard (TestRunConcurrentSharesStageBuffers), a clone's
 # moves against its snapshot's records (TestApplyMovesOnCloneLeavesSnapshot)
 # and small forwards' amortised growth
-# (TestSmallForwardsGrowDestinationAmortised), the site store's
+# (TestSmallForwardsGrowDestinationAmortised), a Remove never writing a
+# record slice the store handed out (TestRemoveNeverWritesAHandedOutSlice)
+# and compacting one nobody holds in place
+# (TestRemoveCompactsInPlaceWhenUnshared), the site store's
 # differential against the reference mover with its tie-heavy leg and the
 # selection helper's property test, the cell-count view's differential
 # against olap's cubes on tie-heavy and moved stores
@@ -48,8 +51,10 @@ test:
 # on zero hashes, repeats and one probe chain, rdd), two
 # goroutines planning two clones of one
 # snapshot (placement), the query-miss statements against a naive fold
-# across ingest, replan and Remove, and a batch's next miss encoding the
-# batch alone (TestMissAfterBatchEncodesTheBatch) (serve), the key
+# across ingest, replan and Remove, a batch's next miss encoding the
+# batch alone (TestMissAfterBatchEncodesTheBatch), and a captured checkpoint
+# state surviving forwarding batches (TestCaptureStateSurvivesForwards)
+# (serve), the key
 # projection's differential against split-pick-join (TestViewKeyAgreesWithSplit,
 # engine) and the generated queries' dims against their Views (workload),
 # a compiled statement's coded scan against the reference

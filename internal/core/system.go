@@ -56,7 +56,7 @@ func New(c *engine.Cluster, w *workload.Workload, scheme placement.SchemeID, opt
 	for _, ds := range w.Datasets {
 		found := false
 		for i := 0; i < c.N() && !found; i++ {
-			found = len(c.Data[i].Records(ds.Name)) > 0
+			found = c.Data[i].Store(ds.Name).Len() > 0
 		}
 		if !found {
 			return nil, fmt.Errorf("core: dataset %q has no data in the cluster; call workload.Populate first", ds.Name)

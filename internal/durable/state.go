@@ -28,7 +28,8 @@ type State struct {
 
 // DatasetState is one dataset's applied state, indexed by site. Records
 // holds the slices the engine.Stores handed out, which a store never
-// modifies afterwards (an add appends past the length, a move copies).
+// modifies afterwards (an add appends past the length; a remove copies once
+// the slice was handed out).
 type DatasetState struct {
 	Name    string
 	Records [][]engine.KV

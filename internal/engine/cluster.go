@@ -112,7 +112,7 @@ func (c *Cluster) RecordsFor(mb float64) int {
 func (c *Cluster) InputMB(dataset string) []float64 {
 	out := make([]float64, c.N())
 	for i, sd := range c.Data {
-		out[i] = c.MB(len(sd.Records(dataset)))
+		out[i] = c.MB(sd.Store(dataset).Len())
 	}
 	return out
 }
@@ -125,7 +125,7 @@ func (c *Cluster) Version(dataset string) (v uint64, ok bool) {
 	for _, sd := range c.Data {
 		st := sd.Store(dataset)
 		v += st.Version()
-		ok = ok || len(st.Records()) > 0
+		ok = ok || st.Len() > 0
 	}
 	return v, ok
 }

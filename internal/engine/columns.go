@@ -157,7 +157,7 @@ type hashesKey struct{} // the memo key of a content's key hashes
 // writes since appended — and carried on to its successors. Not for a store
 // that never held a record.
 func (s *Store) keyHashes() []uint64 {
-	hs, _, _ := Derive(s, hashesKey{}, func(recs []KV) ([]uint64, error) {
+	hs, _, _ := derive(s, hashesKey{}, func(recs []KV) ([]uint64, error) {
 		ct := s.content
 		ct.mu.Lock()
 		cr := ct.takeCarry(hashesKey{})
@@ -198,7 +198,7 @@ type fieldDict struct {
 // carried on to its successors; hit is false for the caller that built
 // them.
 func (l *Layout) columns(width int) (cols *columns, hit bool) {
-	cols, hit, _ = Derive(l.src, columnsKey{width}, func(recs []KV) (*columns, error) {
+	cols, hit, _ = derive(l.src, columnsKey{width}, func(recs []KV) (*columns, error) {
 		t0, ct := time.Now(), l.src.content
 		ct.mu.Lock()
 		if ct.dicts == nil {

@@ -13,7 +13,7 @@ import (
 	"bohr/internal/wan"
 )
 
-// countKey is a Derive key of these tests; the derived value is the number
+// countKey is a derive key of these tests; the derived value is the number
 // of records the build saw.
 type countKey struct{}
 
@@ -69,7 +69,7 @@ func checkStore(t *testing.T, name string, st *Store, want []KV) {
 	if got := liveCells(st); fmt.Sprint(got) != fmt.Sprint(cells) {
 		t.Fatalf("%s: indexed cells %v, want %v", name, got, cells)
 	}
-	if n, _, _ := Derive(st, countKey{}, countRecords); n != len(want) {
+	if n, _, _ := derive(st, countKey{}, countRecords); n != len(want) {
 		t.Fatalf("%s: memoized record count %d, want %d", name, n, len(want))
 	}
 }
@@ -115,10 +115,10 @@ func TestStoreCloneAliasing(t *testing.T) {
 				if cl.content != src.content || cl.Version() != src.Version() {
 					t.Fatalf("%s: a clone must start at its source's content and version", name)
 				}
-				if _, hit, _ := Derive(src, countKey{}, countRecords); hit {
+				if _, hit, _ := derive(src, countKey{}, countRecords); hit {
 					t.Fatalf("%s: first lookup on a fresh content hit", name)
 				}
-				if _, hit, _ := Derive(cl, countKey{}, countRecords); !hit {
+				if _, hit, _ := derive(cl, countKey{}, countRecords); !hit {
 					t.Fatalf("%s: the clone does not share its source's memo", name)
 				}
 				first, second := src, cl
@@ -149,14 +149,14 @@ func TestStoreCloneAliasing(t *testing.T) {
 // never held a record memoizes nothing.
 func TestStoreContentFreshOnEveryMutation(t *testing.T) {
 	var none *Store
-	if n, hit, err := Derive(none, countKey{}, countRecords); n != 0 || hit || err != nil {
+	if n, hit, err := derive(none, countKey{}, countRecords); n != 0 || hit || err != nil {
 		t.Fatalf("nil store: got %d, %v, %v", n, hit, err)
 	}
 	st := &Store{}
-	if _, hit, _ := Derive(st, countKey{}, countRecords); hit {
+	if _, hit, _ := derive(st, countKey{}, countRecords); hit {
 		t.Fatal("an empty store has no content to memoize on")
 	}
-	if _, hit, _ := Derive(st, countKey{}, countRecords); hit {
+	if _, hit, _ := derive(st, countKey{}, countRecords); hit {
 		t.Fatal("an empty store has no content to memoize on")
 	}
 	mutations := map[string]func(){
@@ -166,10 +166,10 @@ func TestStoreContentFreshOnEveryMutation(t *testing.T) {
 	}
 	st.Add(KV{Key: "a" + KeySep + "b", Val: 1}, KV{Key: "c" + KeySep + "d", Val: 2})
 	for _, name := range []string{"add", "remove", "restore"} {
-		if _, hit, _ := Derive(st, countKey{}, countRecords); hit {
+		if _, hit, _ := derive(st, countKey{}, countRecords); hit {
 			t.Fatalf("before %s: first lookup hit", name)
 		}
-		if n, hit, _ := Derive(st, countKey{}, countRecords); !hit || n != len(st.Records()) {
+		if n, hit, _ := derive(st, countKey{}, countRecords); !hit || n != len(st.Records()) {
 			t.Fatalf("before %s: second lookup got %d, hit=%v", name, n, hit)
 		}
 		before := st.content
@@ -180,7 +180,7 @@ func TestStoreContentFreshOnEveryMutation(t *testing.T) {
 	}
 	// Other keys are other values.
 	type otherKey struct{}
-	if _, hit, _ := Derive(st, otherKey{}, countRecords); hit {
+	if _, hit, _ := derive(st, otherKey{}, countRecords); hit {
 		t.Fatal("a new key hit")
 	}
 }
@@ -199,7 +199,7 @@ func TestStoreDeriveSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			n, hit, err := Derive(cl, countKey{}, func(recs []KV) (int, error) {
+			n, hit, err := derive(cl, countKey{}, func(recs []KV) (int, error) {
 				builds.Add(1)
 				return len(recs), nil
 			})
@@ -222,10 +222,10 @@ func TestStoreDeriveSingleflight(t *testing.T) {
 func TestStoreDeriveError(t *testing.T) {
 	st := slackStore(t, 8, 1)
 	boom := errors.New("boom")
-	if _, _, err := Derive(st, countKey{}, func([]KV) (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := derive(st, countKey{}, func([]KV) (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if n, hit, err := Derive(st, countKey{}, countRecords); err != nil || hit || n != 7 {
+	if n, hit, err := derive(st, countKey{}, countRecords); err != nil || hit || n != 7 {
 		t.Fatalf("after a failed build: got %d, hit=%v, %v; want a rebuild", n, hit, err)
 	}
 }

@@ -232,7 +232,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				var l *Layout
 				var lerr error
 				switch store := c.Data[i].Store(job.q.Dataset); {
-				case round == 0 && len(store.Records()) > 0:
+				case round == 0 && store.Len() > 0:
 					out.looked = true
 					l, out.hit, lerr = store.Layout(stage)
 				case round > 0 && len(job.input[i]) > 0:
@@ -591,7 +591,7 @@ func (st Stage) lay(n int, records []KV, hashes []uint64) ([]execLayout, float64
 type layoutKey Stage
 
 // Layout returns the store's layout for the stage, built once per content
-// (Derive): a recurring query, a new statement or a new plan over a site
+// (derive): a recurring query, a new statement or a new plan over a site
 // nobody wrote to re-partitions, re-clusters and re-counts nothing. hit is
 // false for the caller that built it. An assigner whose value cannot stand
 // for what it does — not comparable, or a pointer, whose identity says
@@ -607,7 +607,7 @@ func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
 		l, err = build(s.Records())
 		return l, false, err
 	}
-	return Derive(s, layoutKey(st), build)
+	return derive(s, layoutKey(st), build)
 }
 
 // StageResult is what one site's map→combine stage produced.

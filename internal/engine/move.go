@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"bohr/internal/wan"
 )
@@ -59,9 +60,26 @@ type SimilarMover struct {
 	DstTopK int
 }
 
+// rankedCell is one live source cell as SimilarMover ranks it.
+type rankedCell struct {
+	id       int32
+	src, dst int
+}
+
+// pickScratch is SimilarMover.pick's per-cell buffers, reused across moves
+// so that a small forward pays for its records, not the site's cells.
+type pickScratch struct {
+	cells []rankedCell
+	quota []int
+}
+
+var pickScratches = sync.Pool{New: func() any { return new(pickScratch) }}
+
 func (m SimilarMover) pick(src DstView, _ int, dst DstView, n int, _ *rand.Rand) []int {
 	ix := src.index(m.View)
 	dstCount := dst.index(m.View).known(m.DstTopK)
+	scratch := pickScratches.Get().(*pickScratch)
+	defer pickScratches.Put(scratch)
 	// Order cells for maximum combining benefit per moved megabyte.
 	// Destination-shared cells move first: their records vanish into
 	// existing destination cells, and within that class smaller source
@@ -69,16 +87,13 @@ func (m SimilarMover) pick(src DstView, _ int, dst DstView, n int, _ *rand.Rand)
 	// source's post-combiner output regardless of its size, so small
 	// cells relieve the bottleneck fastest. Cells the destination does
 	// not hold follow, smallest first for the same reason.
-	type rankedCell struct {
-		id       int32
-		src, dst int
-	}
-	cells := make([]rankedCell, 0, len(ix.count))
+	cells := scratch.cells[:0]
 	for id, c := range ix.count {
 		if c > 0 {
 			cells = append(cells, rankedCell{int32(id), c, dstCount(ix.keys[id])})
 		}
 	}
+	scratch.cells = cells
 	before := func(a, b rankedCell) bool {
 		if (a.dst > 0) != (b.dst > 0) {
 			return a.dst > 0
@@ -97,7 +112,9 @@ func (m SimilarMover) pick(src DstView, _ int, dst DstView, n int, _ *rand.Rand)
 	for i := len(cells)/2 - 1; i >= 0; i-- {
 		siftDown(cells, i, before)
 	}
-	quota := make([]int, len(ix.count))
+	quota := slices.Grow(scratch.quota[:0], len(ix.count))[:len(ix.count)]
+	clear(quota)
+	scratch.quota = quota
 	for left := n; left > 0 && len(cells) > 0; {
 		c, last := cells[0], len(cells)-1
 		cells[0], cells = cells[last], cells[:last]
@@ -143,7 +160,7 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 	res := &MoveResult{}
 	for k, sp := range steps {
 		src := c.Data[sp.Src].Store(sp.Dataset)
-		if len(src.Records()) == 0 {
+		if src.Len() == 0 {
 			continue
 		}
 		dst := c.Data[sp.Dst].ensure(sp.Dataset)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Store holds the records of one dataset at one site. It owns the record
@@ -14,20 +15,27 @@ import (
 // which bumps the store's version, so "did this site's data change" is a
 // counter comparison instead of a scan, and gives the store a fresh
 // content, so "do these two stores hold the same records" is a pointer
-// comparison and state derived from the records (Derive) lives exactly as
+// comparison and state derived from the records (derive) lives exactly as
 // long as they do. Once a similarity-aware move has touched the store it
 // also keeps a cell index for that mover's projection (the dimension-cube
 // view of §4.1) up to date at write time, so the next move ranks cells
 // instead of re-projecting, re-counting and re-sorting every record.
 //
-// The slice Records returns is never modified afterwards: Add appends
-// beyond its length and Remove and Restore install a new slice. A reader
+// A record slice the store has handed out is never modified afterwards:
+// Add appends beyond its length and Remove installs a new slice. A reader
 // that fetched it under the owner's lock may keep scanning it unlocked,
-// and a clone shares it. No read path (Records, Version, Derive, clone of
-// the source) writes the store, so readers under a shared lock stay
-// read-only; what they memoize goes into the content, under its own lock.
+// and a clone shares it. A slice nobody was handed is the store's alone,
+// so Remove compacts it in place. No read path (Records, Len, Version,
+// derive, clone of the source) writes the records; the ones that hand the
+// slice out only set the atomic escape bit, so readers under a shared lock
+// stay read-only, and what they memoize goes into the content, under its
+// own lock.
 type Store struct {
-	recs    []KV
+	recs []KV
+	// escaped is set once recs may be held outside the store: handed out
+	// by Records, shared with a clone, adopted by Restore, or kept by a
+	// derived value. A Remove copying into a fresh slice clears it.
+	escaped atomic.Bool
 	version uint64
 	// gen counts the mutations that renumber records (Remove, Restore); a
 	// Selection is good for one gen.
@@ -93,7 +101,7 @@ type derived struct {
 	err  error
 }
 
-// Derive returns build(records) memoized under key on the store's
+// derive returns build(records) memoized under key on the store's
 // content: clones of one snapshot share the value, and the store's next
 // mutation leaves it behind with the content it described. build must be
 // a pure function of the records and of what key names — key carries
@@ -101,12 +109,12 @@ type derived struct {
 // Concurrent first lookups run build once; hit is false for the one
 // caller that ran it. A failed build is not kept. A store that never held
 // a record has no content: build runs unmemoized.
-func Derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
+func derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
 	if s == nil || s.content == nil {
 		val, err = build(nil)
 		return val, false, err
 	}
-	ct, recs := s.content, s.recs
+	ct, recs := s.content, s.share()
 	ct.mu.Lock()
 	d := ct.memo[key]
 	if d == nil {
@@ -140,6 +148,23 @@ func Derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val 
 func (s *Store) Records() []KV {
 	if s == nil {
 		return nil
+	}
+	return s.share()
+}
+
+// Len returns the number of records (0 for a nil store) without handing
+// the slice out.
+func (s *Store) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.recs)
+}
+
+// share returns the record slice, marking it as held outside the store.
+func (s *Store) share() []KV {
+	if !s.escaped.Load() {
+		s.escaped.Store(true)
 	}
 	return s.recs
 }
@@ -179,6 +204,7 @@ func (s *Store) Add(records ...KV) {
 // start over with the next Select: nothing is carried.
 func (s *Store) Restore(records []KV) {
 	s.recs = records
+	s.escaped.Store(true)
 	s.version++
 	s.gen++
 	s.idx = nil
@@ -193,9 +219,10 @@ func (s *Store) Restore(records []KV) {
 // copies it.
 func (s *Store) clone() *Store {
 	n := len(s.recs)
-	out := &Store{recs: s.recs[:n:n], version: s.version, gen: s.gen, content: s.content}
+	out := &Store{recs: s.share()[:n:n], version: s.version, gen: s.gen, content: s.content}
+	out.escaped.Store(true)
 	if s.idx != nil && s.content != nil {
-		out.idx, _, _ = Derive(s, s.idx.view, func([]KV) (*cellIndex, error) { return s.idx, nil })
+		out.idx, _, _ = derive(s, s.idx.view, func([]KV) (*cellIndex, error) { return s.idx, nil })
 	}
 	return out
 }
@@ -307,7 +334,10 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 	if topK <= 0 {
 		return all
 	}
-	top := ix.top(topK)
+	buf := topScratch.Get().(*[]int32)
+	defer topScratch.Put(buf)
+	top := ix.top(topK, (*buf)[:0])
+	*buf = top
 	if len(top) < topK {
 		return all
 	}
@@ -323,11 +353,14 @@ func (ix *cellIndex) known(topK int) func(cell string) int {
 	}
 }
 
-// top returns, in a new slice, the ids of the column's k largest live
+// topScratch is known's buffer of live cell ids, reused across moves.
+var topScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// top returns, appended to live, the ids of the column's k largest live
 // cells (larger), the k-th of them last and the rest unordered — or of every
 // live cell, unordered, when k <= 0 or there are fewer than k.
-func (ix *cellIndex) top(k int) []int32 {
-	live := make([]int32, 0, len(ix.count))
+func (ix *cellIndex) top(k int, live []int32) []int32 {
+	live = slices.Grow(live, len(ix.count))
 	for id, n := range ix.count {
 		if n > 0 {
 			live = append(live, int32(id))
@@ -402,7 +435,7 @@ func (c CellCounts) Distinct() int {
 // is what a probe carries (§4.2). The cut is selected, so only the k are
 // sorted.
 func (c CellCounts) Top(k int) []Cell {
-	ids := c.ix.top(k)
+	ids := c.ix.top(k, nil)
 	sort.Slice(ids, func(i, j int) bool { return c.ix.larger(ids[i], ids[j]) })
 	out := make([]Cell, len(ids))
 	for i, id := range ids {
@@ -425,7 +458,7 @@ func (s *Store) cells(v View) (ix *cellIndex, hit bool) {
 	if s != nil && s.idx != nil && s.idx.view == v {
 		return s.idx, true
 	}
-	ix, hit, _ = Derive(s, v, func(recs []KV) (*cellIndex, error) {
+	ix, hit, _ = derive(s, v, func(recs []KV) (*cellIndex, error) {
 		ix := newCellIndex(v, 0)
 		ix.cell = make([]int32, 0, len(recs))
 		for _, r := range recs {
@@ -493,7 +526,10 @@ func selectAt(m Mover, src DstView, size int, dst DstView, n int, rng *rand.Rand
 }
 
 // Remove takes a selection's records out of the store in one
-// order-preserving pass; the kept records keep their relative order.
+// order-preserving pass; the kept records keep their relative order. A
+// slice nobody was handed is compacted in place, unless the kept records
+// would fill less than half of it; otherwise they are copied into a new
+// one, which nobody has been handed either.
 func (s *Store) Remove(sel Selection) error {
 	if sel.store != s || sel.gen != s.gen {
 		return fmt.Errorf("engine: stale selection: the store was reorganised since Select")
@@ -501,25 +537,29 @@ func (s *Store) Remove(sel Selection) error {
 	if len(sel.at) == 0 {
 		return nil
 	}
-	var kept []KV
-	if n := len(s.recs) - len(sel.at); n > 0 {
+	n := len(s.recs) - len(sel.at)
+	switch {
+	case n == 0:
+		s.recs = nil
+		s.escaped.Store(false)
+	case s.escaped.Load() || 2*n < cap(s.recs):
 		// The slack append would leave: without it the next Add, which at
 		// a site under ingest follows every Remove, copies the whole site
 		// once more.
-		kept = make([]KV, 0, n+n/4)
+		kept := make([]KV, n, n+n/4)
+		compact(kept, s.recs, sel.at)
+		s.recs = kept
+		s.escaped.Store(false)
+	default:
+		compact(s.recs, s.recs, sel.at)
+		clear(s.recs[n:])
+		s.recs = s.recs[:n]
 	}
-	prev := 0
-	for _, i := range sel.at {
-		kept = append(kept, s.recs[prev:i]...)
-		prev = i + 1
-	}
-	kept = append(kept, s.recs[prev:]...)
 	if s.idx != nil {
 		// Once private, the cell column is compacted in place.
 		s.ownIndex()
 		s.idx.remove(sel.at)
 	}
-	s.recs = kept
 	s.version++
 	s.gen++
 	s.content = s.content.successor(0, sel.at)

@@ -64,7 +64,7 @@ func RunDynamic(ctx context.Context, c *engine.Cluster, w *workload.Workload, sc
 	pos := make([][]int, len(w.Datasets)) // rows delivered, per dataset and site
 	for d, ds := range w.Datasets {
 		for i := 0; i < c.N(); i++ {
-			if len(c.Data[i].Records(ds.Name)) > 0 {
+			if c.Data[i].Store(ds.Name).Len() > 0 {
 				return nil, fmt.Errorf("experiments: dynamic run needs an empty cluster, dataset %q present at site %d", ds.Name, i)
 			}
 		}

@@ -181,7 +181,7 @@ func rddOverhead(c *engine.Cluster, w *workload.Workload, execs int, seed int64)
 	name := w.Datasets[0].Name
 	largest := 0
 	for i := 1; i < c.N(); i++ {
-		if len(c.Data[i].Records(name)) > len(c.Data[largest].Records(name)) {
+		if c.Data[i].Store(name).Len() > c.Data[largest].Store(name).Len() {
 			largest = i
 		}
 	}
