@@ -20,6 +20,26 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// NewLazyRand is NewRand(seed), draw for draw, but seeds its 4.9 KB source
+// at the first draw, for a caller that may never draw.
+func NewLazyRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.get().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.get().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+
 // Split derives a child seed from a parent seed and a stream index so
 // parallel components get independent but reproducible streams.
 func Split(seed int64, stream int64) int64 {

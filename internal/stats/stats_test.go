@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +90,31 @@ func TestNewRandDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if r1.Int63() != r2.Int63() {
 			t.Fatal("same seed should give same stream")
+		}
+	}
+}
+
+func TestNewLazyRandDrawsLikeNewRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 3, 42} {
+		a, b := NewRand(seed), NewLazyRand(seed)
+		for i := 0; i < 50; i++ {
+			if x, y := a.Int63(), b.Int63(); x != y {
+				t.Fatalf("seed %d draw %d: Int63 %d vs %d", seed, i, x, y)
+			}
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("seed %d draw %d: Uint64 %d vs %d", seed, i, x, y)
+			}
+			if x, y := a.Float64(), b.Float64(); x != y {
+				t.Fatalf("seed %d draw %d: Float64 %v vs %v", seed, i, x, y)
+			}
+		}
+		if x, y := a.Perm(40), b.Perm(40); !slices.Equal(x, y) {
+			t.Fatalf("seed %d: Perm %v vs %v", seed, x, y)
+		}
+		a.Seed(seed + 7)
+		b.Seed(seed + 7)
+		if x, y := a.Intn(1000), b.Intn(1000); x != y {
+			t.Fatalf("seed %d: Intn after Seed %d vs %d", seed, x, y)
 		}
 	}
 }
