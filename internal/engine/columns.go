@@ -307,16 +307,10 @@ func newGrouper(cols *columns, keep []int, share int) *grouper {
 	return g
 }
 
-// slot returns where the ordinal of record i's group lives: the group's
-// slot when this executor opened it, else a free one claimed for it.
-func (g *grouper) slot(i int, base int32) *int32 {
-	var t uint64
-	for k, col := range g.codes {
-		t += uint64(col[i]) * g.stride[k]
-	}
-	if g.dense != nil {
-		return &g.dense[t]
-	}
+// slot returns where the ordinal of the group with tuple t lives in the
+// open-addressed table: the slot this executor gave it, else a free one
+// claimed for it.
+func (g *grouper) slot(t uint64, base int32) *int32 {
 	mask := uint64(len(g.open) - 1)
 	for h := mix(t) & mask; ; h = (h + 1) & mask {
 		if s := &g.open[h]; s.ord <= base || s.tuple == t {
@@ -350,28 +344,40 @@ func (g *grouper) key(recs []KV, i int) string {
 	return recs[i].Key[start : start+size]
 }
 
+// scanBufs are a partition's selection vector — the positions of the
+// records that pass — and its records' group tuples, then ordinals, reused
+// across scans.
+type scanBufs struct {
+	sel []int32
+	tup []uint64
+}
+
+var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
+
 // scanSelect is Scan for a Select: a conjunct is decided once per dictionary
-// entry, a record costs integer work — test its codes, address its group by
-// the kept ones, fold its value — and a group's key is built when the group
-// opens. Records fold in record order and groups come out in first-emit
-// order per executor: the equivalent MapFn's result, bit for bit (DESIGN.md
-// §14).
+// entry, and a partition costs three passes of integer work over its
+// records — select the passing ones a conjunct at a time, pack their kept
+// codes into tuples a column at a time, and find each one's group and fold
+// its value — while a group's key is built when the group opens. Records
+// fold in record order and groups come out in first-emit order per
+// executor: the equivalent MapFn's result, bit for bit (DESIGN.md §14).
 func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 	sel, recs, op := q.Select, l.src.recs, q.Combine
 	keep := sel.View.Keep()
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	type test struct {
 		codes []uint32
-		pass  []bool
+		pass  []uint8
 	}
 	var tests []test // a conjunct every entry passes is not one
 	for _, c := range sel.Where {
-		pass, all := make([]bool, len(cols.dict[c.Field])), true
+		pass := make([]uint8, len(cols.dict[c.Field]))
 		for code, s := range cols.dict[c.Field] {
-			pass[code] = c.Pass(s)
-			all = all && pass[code]
+			if c.Pass(s) {
+				pass[code] = 1
+			}
 		}
-		if !all {
+		if slices.Contains(pass, 0) {
 			tests = append(tests, test{cols.codes[c.Field], pass})
 		}
 	}
@@ -388,62 +394,111 @@ func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 	if !g.packs || (len(foreign) > 0 && len(keep) > 0 && !filtered) {
 		names = map[string]int32{}
 	}
-	additive := op == OpSum || op == OpCount // the common folds skip a call
-	var groups int32
+	bufs := scanBufPool.Get().(*scanBufs)
+	defer scanBufPool.Put(bufs)
+	inter, groups := res.Inter, int32(0)
+	open := func(i int32, key string) { // record i opens a group under key
+		groups++
+		inter = append(inter, KV{Key: key, Val: op.initial(recs[i].Val)})
+	}
 	for e := range l.execs {
 		ex := &l.execs[e]
 		base := groups
 		clear(names)
 		if e == 1 {
 			// The other executors open about as many groups as the first.
-			res.Inter = slices.Grow(res.Inter, len(res.Inter)*(len(l.execs)-1))
+			inter = slices.Grow(inter, len(inter)*(len(l.execs)-1))
 		}
 		for _, p := range ex.parts {
+			if cap(bufs.sel) < p.hi-p.lo {
+				bufs.sel, bufs.tup = make([]int32, p.hi-p.lo), make([]uint64, p.hi-p.lo)
+			}
 			fi := sort.Search(len(foreign), func(k int) bool { return int(foreign[k]) >= p.lo })
-		records:
-			for i := p.lo; i < p.hi; i++ {
-				shaped := true
-				if fi < len(foreign) && int(foreign[fi]) == i {
-					fi++
-					if filtered {
+			// (1) Select: every record (but a foreign one under a WHERE),
+			// then what each conjunct keeps of them.
+			ids, n, rest := bufs.sel[:p.hi-p.lo], 0, tests
+			drop := filtered && fi < len(foreign) && int(foreign[fi]) < p.hi
+			if len(tests) > 0 && !drop { // the first conjunct selects from the range
+				for i, t := p.lo, tests[0]; i < p.hi; i++ {
+					ids[n] = int32(i)
+					n += int(t.pass[t.codes[i]])
+				}
+				rest = tests[1:]
+			} else {
+				for i := p.lo; i < p.hi; i++ {
+					if drop && fi < len(foreign) && int(foreign[fi]) == i {
+						fi++
 						continue
 					}
-					shaped = false
+					ids[n], n = int32(i), n+1
 				}
-				for k := range tests {
-					if t := &tests[k]; !t.pass[t.codes[i]] {
-						continue records
+			}
+			ids = ids[:n]
+			for _, t := range rest {
+				n := 0
+				for _, i := range ids {
+					ids[n] = i
+					n += int(t.pass[t.codes[i]])
+				}
+				ids = ids[:n]
+			}
+			res.Raw += len(ids)
+			// (2) Pack each selected record's kept codes into its tuple and
+			// (3a) turn the tuple into its group's ordinal, 0 for a record
+			// that opened its group (and already folded into it).
+			tup := bufs.tup[:len(ids)]
+			if names != nil {
+				for j, i := range ids {
+					key := recs[i].Key
+					if _, alien := slices.BinarySearch(foreign, i); !alien {
+						key = g.key(recs, int(i))
 					}
-				}
-				res.Raw++
-				var ord int32
-				var slot *int32
-				var key string
-				if names != nil {
-					if key = recs[i].Key; shaped {
-						key = g.key(recs, i)
-					}
-					ord = names[key]
-				} else if slot = g.slot(i, base); *slot > base {
-					ord = *slot
-				}
-				switch {
-				case ord == 0: // the first record of its group under this executor
-					groups++
-					if names != nil {
+					ord := names[key]
+					if ord == 0 {
+						open(i, key)
 						names[key] = groups
-					} else {
-						*slot, key = groups, g.key(recs, i)
 					}
-					res.Inter = append(res.Inter, KV{Key: key, Val: op.initial(recs[i].Val)})
-				case additive:
-					res.Inter[ord-1].Val += op.initial(recs[i].Val)
-				default:
-					res.Inter[ord-1].Val = op.apply(res.Inter[ord-1].Val, recs[i].Val)
+					tup[j] = uint64(ord)
+				}
+			} else {
+				clear(tup)
+				for k, col := range g.codes {
+					for j, i := range ids {
+						tup[j] += uint64(col[i]) * g.stride[k]
+					}
+				}
+				for j, t := range tup {
+					var slot *int32
+					if g.dense != nil {
+						slot = &g.dense[t]
+					} else {
+						slot = g.slot(t, base)
+					}
+					if *slot > base {
+						tup[j] = uint64(*slot)
+					} else {
+						open(ids[j], g.key(recs, int(ids[j])))
+						*slot, tup[j] = groups, 0
+					}
+				}
+			}
+			// (3b) Fold the other records into their groups, in record order.
+			if op == OpSum || op == OpCount { // the common folds skip a call
+				for j, i := range ids {
+					if ord := tup[j]; ord != 0 {
+						inter[ord-1].Val += op.initial(recs[i].Val)
+					}
+				}
+			} else {
+				for j, i := range ids {
+					if ord := tup[j]; ord != 0 {
+						inter[ord-1].Val = op.apply(inter[ord-1].Val, recs[i].Val)
+					}
 				}
 			}
 		}
 		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
+	res.Inter = inter
 	return res
 }

@@ -15,9 +15,10 @@ import (
 // bigdata-scan records: url × country × hour) under the three statement
 // shapes bench/querymiss.go sends, per record scanned:
 //
-//	ref-closure  the statement as a MapFn (split the key, compare the WHERE
+//	ref-closure  the statements as MapFns (split the key, compare the WHERE
 //	             fields as strings, fold by the key View.Key projects)
-//	coded        the same statement as a Select over the site's kept columns
+//	coded/scan, coded/aggr, coded/count
+//	             each statement as a Select over the site's kept columns
 //	encode       what the first statement after a write pays once on top:
 //	             splitting the keys of a never-encoded site (new dictionaries,
 //	             the worst case) and counting them
@@ -74,17 +75,26 @@ func BenchmarkScanSelect(b *testing.B) {
 	perRecord := func(b *testing.B, scans int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*scans*len(recs)), "ns/record")
 	}
-	for name, qs := range map[string][]engine.Query{"ref-closure": closure, "coded": coded} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for k := range qs {
-					layout.Scan(&qs[k])
-				}
+	b.Run("ref-closure", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range closure {
+				layout.Scan(&closure[k])
 			}
-			perRecord(b, len(qs))
-		})
-	}
+		}
+		perRecord(b, len(closure))
+	})
+	b.Run("coded", func(b *testing.B) {
+		for k, shape := range []string{"scan", "aggr", "count"} {
+			b.Run(shape, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					layout.Scan(&coded[k])
+				}
+				perRecord(b, 1)
+			})
+		}
+	})
 	count, err := sql.CompileString("SELECT COUNT(*) FROM "+ds.Name, ds.Schema)
 	if err != nil {
 		b.Fatal(err)

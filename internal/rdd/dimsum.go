@@ -70,14 +70,14 @@ type pairRow struct {
 }
 
 // PairwiseSimilarity estimates the Jaccard similarity between every pair
-// of partitions. Signatures are built once per partition (m hash
-// functions over the keys' hashes, the partition's own when it carries
-// them; a partition's distinct keys are mixed with them once each, and
-// Overhead still charges every record × m, the modeled cost QCT
-// includes); per pair only a γ-sample of the signature entries is
-// compared, and a pair whose sampled prefix shows no matches at all is
-// skipped after the prefix — DIMSUM's probabilistic pruning mapped onto
-// minhash signatures.
+// of partitions. Per pair only a γ-sample of the m hash functions — one
+// seeded sample shared by every pair — is compared, and a pair whose
+// sampled prefix shows no matches at all is skipped after the prefix —
+// DIMSUM's probabilistic pruning mapped onto minhash signatures. So a
+// partition's signature is built once, over the sampled functions alone,
+// from its keys' hashes (the partition's own when it carries them), each
+// distinct key mixed once per function; Overhead still charges every
+// record × m, the modeled cost QCT includes.
 //
 // Signatures are computed as a pooled batch and pair rows fan out over the
 // worker pool; every worker computes an independent half-row merged in
@@ -114,8 +114,6 @@ func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*Similarity
 			sets[i] = flat[lo:]
 		}
 	}
-	sigs := hasher.SignatureBatch(sets, 0)
-
 	sample := int(float64(m)*cfg.Gamma + 0.5)
 	if sample < 1 {
 		sample = 1
@@ -126,15 +124,17 @@ func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*Similarity
 	}
 	rng := stats.NewRand(cfg.Seed)
 	order := rng.Perm(m) // the sampled function subset, shared across pairs
+	// Only the sampled functions are ever compared, so only they are built:
+	// entry s of a signature is function order[s].
+	sigs := hasher.Subset(order[:sample]).SignatureBatch(sets, 0)
 
 	rows, err := parallel.MapOrdered(0, n, func(i int) (pairRow, error) {
 		row := pairRow{vals: make([]float64, n-i-1)}
 		for j := i + 1; j < n; j++ {
 			matches, compared := 0, 0
 			for s := 0; s < sample; s++ {
-				f := order[s]
 				compared++
-				if sigs[i][f] == sigs[j][f] {
+				if sigs[i][s] == sigs[j][s] {
 					matches++
 				}
 				// Probabilistic skip: a pair with zero matches after the

@@ -50,6 +50,16 @@ func NewMinHasher(m int, seed int64) (*MinHasher, error) {
 // M returns the number of hash functions.
 func (h *MinHasher) M() int { return len(h.seeds) }
 
+// Subset returns a hasher over the given functions of h, in that order: its
+// signature's entry k is entry fns[k] of h's.
+func (h *MinHasher) Subset(fns []int) *MinHasher {
+	seeds := make([]uint64, len(fns))
+	for k, f := range fns {
+		seeds[k] = h.seeds[f]
+	}
+	return &MinHasher{seeds: seeds}
+}
+
 // mix64 is the SplitMix64 finalizer: every input bit affects every output
 // bit.
 func mix64(x uint64) uint64 {

@@ -86,6 +86,27 @@ func TestSignatureOfMultisetIsSignatureOfSet(t *testing.T) {
 	}
 }
 
+// TestSubsetSignatureIsSubsetOfSignature: a hasher over some of another's
+// functions computes, in its order, exactly those entries of its signature.
+func TestSubsetSignatureIsSubsetOfSignature(t *testing.T) {
+	h, _ := NewMinHasher(64, 11)
+	rng := stats.NewRand(5)
+	keys := make([]string, 200)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", rng.Intn(90))
+	}
+	fns := rng.Perm(64)[:32]
+	full, sub := h.Signature(keys), h.Subset(fns).Signature(keys)
+	if len(sub) != len(fns) {
+		t.Fatalf("subset signature has %d entries, want %d", len(sub), len(fns))
+	}
+	for k, f := range fns {
+		if sub[k] != full[f] {
+			t.Fatalf("entry %d = %x, want function %d's %x", k, sub[k], f, full[f])
+		}
+	}
+}
+
 func TestEstimateJaccardValidation(t *testing.T) {
 	if _, err := EstimateJaccard([]uint64{1}, []uint64{1, 2}); err == nil {
 		t.Fatal("length mismatch should error")

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -92,37 +93,89 @@ func Compile(stmt *Statement, schema *olap.Schema) (*Plan, error) {
 }
 
 // PostProcess applies the statement's ORDER BY and LIMIT to the engine's
-// (key-sorted) reduce output. The result shares no memory with out, and
-// when LIMIT cuts it, none with the rows cut off either.
+// (key-sorted) reduce output: a stable sort, then the cut. When LIMIT n cuts
+// ordered rows none of which is NaN, a bounded heap of n row positions —
+// ordered by the ORDER BY, then by position — finds the same rows in the
+// same order without sorting the rest; a NaN compares equal to every value,
+// which is no order a heap can keep, so such rows are sorted whole. The
+// result shares no memory with out, and when LIMIT cuts it, none with the
+// rows cut off either.
 func (p *Plan) PostProcess(out []engine.KV) []engine.KV {
-	rows := append([]engine.KV(nil), out...)
 	stmt := p.Statement
-	var less func(a, b engine.KV) bool
+	var order func(a, b engine.KV) int
 	switch stmt.OrderBy {
 	case "value":
-		less = func(a, b engine.KV) bool { return a.Val < b.Val }
-	case "key":
-		less = func(a, b engine.KV) bool { return a.Key < b.Key }
-	}
-	if less != nil {
 		// Rows that do not order (NaN values) compare equal to everything.
-		slices.SortStableFunc(rows, func(a, b engine.KV) int {
-			if stmt.Desc {
-				a, b = b, a
-			}
+		order = func(a, b engine.KV) int {
 			switch {
-			case less(a, b):
+			case a.Val < b.Val:
 				return -1
-			case less(b, a):
+			case a.Val > b.Val:
 				return 1
 			}
 			return 0
-		})
+		}
+	case "key":
+		order = func(a, b engine.KV) int { return strings.Compare(a.Key, b.Key) }
 	}
-	if stmt.Limit > 0 && len(rows) > stmt.Limit {
-		rows = append([]engine.KV(nil), rows[:stmt.Limit]...)
+	if order != nil && stmt.Desc {
+		asc := order
+		order = func(a, b engine.KV) int { return asc(b, a) }
+	}
+	n := len(out)
+	if stmt.Limit > 0 && stmt.Limit < n {
+		n = stmt.Limit
+		if order != nil && !slices.ContainsFunc(out, func(kv engine.KV) bool { return math.IsNaN(kv.Val) }) {
+			return topN(out, n, order)
+		}
+	}
+	rows := append([]engine.KV(nil), out...)
+	if order != nil {
+		slices.SortStableFunc(rows, order)
+	}
+	if n < len(rows) {
+		rows = append([]engine.KV(nil), rows[:n]...)
 	}
 	return rows
+}
+
+// topN returns the first n of rows under order, ties in row order — what a
+// stable sort puts first — through a max-heap of n row positions.
+func topN(rows []engine.KV, n int, order func(a, b engine.KV) int) []engine.KV {
+	by := func(i, j int) int { // a total order on positions: no two tie
+		if c := order(rows[i], rows[j]); c != 0 {
+			return c
+		}
+		return i - j
+	}
+	h := make([]int, n) // a max-heap: sorted last first, the first n rows are one
+	for i := range h {
+		h[i] = i
+	}
+	slices.SortFunc(h, func(i, j int) int { return by(j, i) })
+	down := func(r int) {
+		for c := 2*r + 1; c < n; r, c = c, 2*c+1 {
+			if c+1 < n && by(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if by(h[c], h[r]) < 0 {
+				return
+			}
+			h[r], h[c] = h[c], h[r]
+		}
+	}
+	for i := n; i < len(rows); i++ {
+		if by(i, h[0]) < 0 {
+			h[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(h, by)
+	top := make([]engine.KV, n)
+	for k, i := range h {
+		top[k] = rows[i]
+	}
+	return top
 }
 
 // CompileString parses and compiles in one step.

@@ -2,7 +2,10 @@ package sql
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,5 +359,82 @@ func TestPostProcess(t *testing.T) {
 	out[0].Key = "mutated"
 	if in[0].Key != "z" {
 		t.Fatal("PostProcess must not alias the input")
+	}
+}
+
+// TestPostProcessMatchesStableSort holds PostProcess — the bounded heap
+// under a LIMIT, the stable sort otherwise — to the copy, stable sort and
+// cut it stands for: over rows heavy with tied keys and values, ±0, ±Inf and
+// (in a third of them) NaN, by value and by key, each way, without a LIMIT
+// and at LIMIT 1, rows−1, rows and rows+1, every row equal to the
+// reference's, value bits included, and none shared with the input.
+func TestPostProcessMatchesStableSort(t *testing.T) {
+	schema := olap.MustSchema("k")
+	rng := rand.New(rand.NewSource(46))
+	vals := []float64{-1, 0, math.Copysign(0, -1), 2, 2, 3.5, math.Inf(1), math.Inf(-1)}
+	cases := 0
+	for c := range 150 {
+		rows := make([]engine.KV, rng.Intn(40))
+		for i := range rows {
+			rows[i] = engine.KV{Key: fmt.Sprintf("k%d", rng.Intn(8)), Val: vals[rng.Intn(len(vals))]}
+			if c%3 == 0 && rng.Intn(6) == 0 {
+				rows[i].Val = math.NaN()
+			}
+		}
+		in := slices.Clone(rows)
+		for _, by := range []string{"value", "key"} {
+			for _, desc := range []bool{false, true} {
+				for _, limit := range []int{0, 1, len(rows) - 1, len(rows), len(rows) + 1} {
+					text := "SELECT k, SUM(measure) FROM d GROUP BY k ORDER BY " + by
+					if desc {
+						text += " DESC"
+					}
+					if limit > 0 {
+						text += fmt.Sprintf(" LIMIT %d", limit)
+					}
+					plan, err := CompileString(text, schema)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := slices.Clone(rows)
+					slices.SortStableFunc(want, func(a, b engine.KV) int {
+						if desc {
+							a, b = b, a
+						}
+						switch {
+						case by == "key":
+							return strings.Compare(a.Key, b.Key)
+						case a.Val < b.Val:
+							return -1
+						case b.Val < a.Val:
+							return 1
+						}
+						return 0
+					})
+					if limit > 0 && limit < len(want) {
+						want = want[:limit]
+					}
+					got := plan.PostProcess(rows)
+					if len(got) != len(want) {
+						t.Fatalf("%s over %v: %d rows, want %d", text, rows, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].Key != want[i].Key || math.Float64bits(got[i].Val) != math.Float64bits(want[i].Val) {
+							t.Fatalf("%s over %v: row %d = %v, want %v", text, rows, i, got[i], want[i])
+						}
+						got[i] = engine.KV{Key: "written"}
+					}
+					for i := range rows {
+						if rows[i].Key != in[i].Key || math.Float64bits(rows[i].Val) != math.Float64bits(in[i].Val) {
+							t.Fatalf("%s: writing the result wrote input row %d", text, i)
+						}
+					}
+					cases++
+				}
+			}
+		}
+	}
+	if cases < 500 {
+		t.Fatalf("%d cases", cases)
 	}
 }
