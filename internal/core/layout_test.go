@@ -126,3 +126,44 @@ func TestIngestReplanCountsDerivedLookups(t *testing.T) {
 		t.Errorf("%s = %v, the replan's plan counted %v", placement.CounterDerivedMisses, got, want)
 	}
 }
+
+// TestIngestReplanReusesUntouchedInputs: a replan after a batch that wrote
+// one dataset rebuilds that dataset's planner inputs only — no other
+// dataset's dominant map runs — and misses only the written site's column.
+// The lag leaves no room to move, so the batch is all that changed.
+func TestIngestReplanReusesUntouchedInputs(t *testing.T) {
+	c, w := setup(t, workload.TPCDS)
+	sys, err := New(c, w, placement.Bohr, placement.Options{Seed: 11, Lag: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if moves := sys.Plan().Moves; len(moves) > 0 {
+		t.Fatalf("the plan moves %d times in a lag of 1 ns", len(moves))
+	}
+	mapped := make([]int, len(w.Datasets))
+	for k, ds := range w.Datasets {
+		for q := range ds.Queries {
+			m := ds.Queries[q].Query.Map
+			ds.Queries[q].Query.Map = func(r engine.KV, emit func(string, float64)) {
+				mapped[k]++
+				m(r, emit)
+			}
+		}
+	}
+	sys.SetReplanEvery(1)
+	ds := w.Datasets[0]
+	if replanned, err := sys.IngestBatch(context.Background(), []Arrival{{Dataset: ds.Name, Site: 2, Rows: liveRows(ds, 3)}}); err != nil || !replanned {
+		t.Fatalf("replanned = %v, err = %v", replanned, err)
+	}
+	for k, n := range mapped {
+		if rebuilt := n > 0; rebuilt != (k == 0) {
+			t.Errorf("%s: inputs rebuilt = %v after a batch to %s", w.Datasets[k].Name, rebuilt, ds.Name)
+		}
+	}
+	if misses := sys.Plan().DerivedMisses; misses != 1 {
+		t.Errorf("the replan missed %d columns after a batch to one site", misses)
+	}
+}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"bohr/internal/wan"
 )
@@ -66,6 +68,56 @@ type Cluster struct {
 	Data []*SiteData
 	// BytesPerRecord converts record counts to wire bytes.
 	BytesPerRecord float64
+	lineage        *lineage // shared with every clone (Planned)
+}
+
+// lineage holds, per dataset, the last value Planned built, and what from.
+type lineage struct {
+	mu      sync.Mutex
+	planned map[string]*plannedEntry
+}
+
+type plannedEntry struct {
+	key      any
+	contents []*content // by site
+	exec     []Executors
+	bpr      float64
+	derived
+}
+
+// Planned returns build() memoized on the cluster's lineage — shared with
+// every clone, not with another NewCluster — for the dataset under key: one
+// value per dataset, kept while every site's store of the dataset holds the
+// content it was built from and the executors and record size are the same,
+// and replaced by the build of a lookup that finds any of these changed.
+// build must be a pure function of those and of what key names, and its
+// value (or error) is never modified afterwards. Concurrent first lookups
+// build once; hit is false for the caller that built.
+func Planned[T any](c *Cluster, dataset string, key any, build func() (T, error)) (val T, hit bool, err error) {
+	contents := make([]*content, len(c.Data))
+	for i, sd := range c.Data {
+		if st := sd.Store(dataset); st != nil {
+			contents[i] = st.content
+		}
+	}
+	l := c.lineage
+	l.mu.Lock()
+	e := l.planned[dataset]
+	if e == nil || e.key != key || !slices.Equal(e.contents, contents) || !slices.Equal(e.exec, c.Exec) || e.bpr != c.BytesPerRecord {
+		e = &plannedEntry{key: key, contents: contents, exec: slices.Clone(c.Exec), bpr: c.BytesPerRecord}
+		if l.planned == nil {
+			l.planned = map[string]*plannedEntry{}
+		}
+		l.planned[dataset] = e
+	}
+	l.mu.Unlock()
+	hit = true
+	e.once.Do(func() {
+		hit = false
+		e.val, e.err = build()
+	})
+	val, _ = e.val.(T)
+	return val, hit, e.err
 }
 
 // NewCluster builds a cluster over a topology with uniform executors.
@@ -84,6 +136,7 @@ func NewCluster(top *wan.Topology, machines, executorsPerMachine int, bytesPerRe
 		Exec:           make([]Executors, top.N()),
 		Data:           make([]*SiteData, top.N()),
 		BytesPerRecord: bytesPerRecord,
+		lineage:        &lineage{},
 	}
 	for i := range c.Exec {
 		c.Exec[i] = Executors{Machines: machines, PerMachine: executorsPerMachine}
@@ -148,14 +201,16 @@ func (c *Cluster) DatasetNames() []string {
 
 // Clone copies the cluster's data so a scheme can mutate placement without
 // affecting other schemes run on the same inputs, in O(stores): topology
-// and executors are shared, and each store's clone shares its source's
-// records, content and cell index until either side writes (Store.clone).
+// and executors are shared, each store's clone shares its source's
+// records, content and cell index until either side writes (Store.clone),
+// and the clone plans on its source's lineage (Planned).
 func (c *Cluster) Clone() *Cluster {
 	out := &Cluster{
 		Top:            c.Top,
 		Exec:           append([]Executors(nil), c.Exec...),
 		Data:           make([]*SiteData, len(c.Data)),
 		BytesPerRecord: c.BytesPerRecord,
+		lineage:        c.lineage,
 	}
 	for i, sd := range c.Data {
 		nd := newSiteData()

@@ -36,10 +36,25 @@ type Mover interface {
 type RandomMover struct{}
 
 func (RandomMover) pick(_ DstView, size int, _ DstView, n int, rng *rand.Rand) []int {
-	at := rng.Perm(size)[:n]
+	// rng.Perm(size)[:n], drawing what it draws, in a reused permutation;
+	// the positions are a fresh slice, which Remove hands to the successor
+	// content's carry.
+	buf := perms.Get().(*[]int)
+	defer perms.Put(buf)
+	m := slices.Grow((*buf)[:0], size)[:size]
+	*buf = m
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	at := slices.Clone(m[:n])
 	sort.Ints(at)
 	return at
 }
+
+// perms is RandomMover.pick's permutation buffer, reused across moves.
+var perms = sync.Pool{New: func() any { return new([]int) }}
 
 // SimilarMover implements Bohr's similarity-aware selection: records whose
 // keys the destination already holds leave first (they combine away into

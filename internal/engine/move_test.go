@@ -58,6 +58,40 @@ func TestRandomMoverSelectsN(t *testing.T) {
 	}
 }
 
+// TestRandomMoverPicksAPermPrefix holds RandomMover's pick, which runs
+// rand.Perm's loop in a reused buffer, to rng.Perm(size)[:n] sorted: the
+// same positions, the rng left where Perm leaves it, and a fresh slice that
+// a later pick does not overwrite.
+func TestRandomMoverPicksAPermPrefix(t *testing.T) {
+	sizes := []int{1000}
+	for size := 0; size <= 64; size++ {
+		sizes = append(sizes, size)
+	}
+	for _, seed := range []int64{1, 7, 42, 1009} {
+		for _, size := range sizes {
+			for _, n := range []int{1, size / 3, size - 1, size} {
+				if n < 0 || n > size {
+					continue
+				}
+				got, want := stats.NewRand(seed), stats.NewRand(seed)
+				at := RandomMover{}.pick(nil, size, nil, n, got)
+				perm := want.Perm(size)[:n]
+				sort.Ints(perm)
+				if !slices.Equal(at, perm) {
+					t.Fatalf("seed %d, %d of %d: picked %v, want %v", seed, n, size, at, perm)
+				}
+				if a, b := got.Int63(), want.Int63(); a != b {
+					t.Fatalf("seed %d, %d of %d: the next draw is %d, after Perm %d", seed, n, size, a, b)
+				}
+				RandomMover{}.pick(nil, size, nil, n, got)
+				if !slices.Equal(at, perm) {
+					t.Fatalf("seed %d, %d of %d: the next pick overwrote the positions", seed, n, size)
+				}
+			}
+		}
+	}
+}
+
 func TestSimilarMoverPrefersSharedKeys(t *testing.T) {
 	src := []KV{
 		{"shared-big", 1}, {"shared-big", 1},

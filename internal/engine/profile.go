@@ -4,31 +4,42 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 )
 
 // Profile counts at each site the records Layout.Scan(q) puts out under
 // Stage{Exec} — now, or after a move list — on the stores' cell columns,
 // exactly for a map under which a cell's records emit the same keys
-// (DESIGN.md §15). Not safe for concurrent use.
+// (DESIGN.md §15). Not safe for concurrent use; profiles sharing a counted
+// base (On) are.
 type Profile struct {
-	c       *Cluster
+	*profileBase
+	c            *Cluster
+	hits, misses int // column lookups
+	scratch      *profileScratch
+}
+
+// profileBase is immutable once counted.
+type profileBase struct {
 	dataset string
 	view    View
 	mapFn   MapFn
-	collect func(key string, _ float64)
 	ids     map[string]int32 // emitted key → id
 	flat    []int32          // emitted key ids, cell after cell
-	// the stores' own columns and counts, once counted; column lookups
-	sites        []column
-	base         []int
-	hits, misses int
-	// the stamp of the executor that last counted a cell, a key
+	sites   []column         // the stores' own columns and counts
+	base    []int
+}
+
+// profileScratch is a profile's working memory, pooled: the stamp of the
+// executor that last counted a cell, a key, and the columns of the last dry
+// run by site, which the next one forks into.
+type profileScratch struct {
 	seenCell, seenKey []uint32
 	stamp             uint32
-	// forks are the columns of the last dry run, by site: the next one
-	// forks into their buffers, so they live only until it starts.
-	forks []column
+	forks             []column
 }
+
+var profileScratches = sync.Pool{New: func() any { return new(profileScratch) }}
 
 // column is a cell column and its cells' emitted key ids in flat.
 type column struct {
@@ -41,22 +52,21 @@ type keySpan struct{ lo, hi int32 }
 // NewProfile profiles the map function mapFn (nil = identity) over the
 // dataset, on the cell columns of the view a SimilarMover moves in.
 func NewProfile(c *Cluster, dataset string, mapFn MapFn, view View) *Profile {
-	p := &Profile{c: c, dataset: dataset, view: view, mapFn: mapFn, ids: map[string]int32{}}
-	p.collect = func(key string, _ float64) {
-		id, ok := p.ids[key]
-		if !ok {
-			id = int32(len(p.ids))
-			p.ids[key] = id
-		}
-		p.flat = append(p.flat, id)
-	}
-	return p
+	return &Profile{profileBase: &profileBase{dataset: dataset, view: view, mapFn: mapFn, ids: map[string]int32{}}, c: c}
+}
+
+// On returns p's profile on c, whose stores of the dataset hold the contents
+// p counted: it shares p's counted base, and counts the column lookups that
+// counting made as hits. p must have counted (Cells or Counts).
+func (p *Profile) On(c *Cluster) *Profile {
+	return &Profile{profileBase: p.profileBase, c: c, hits: len(p.sites)}
 }
 
 // Counts returns every site's count after specs — moves of the dataset,
 // run with mover and rng as ApplyMoves would run them, drawing what it
 // draws — and with no specs the stores' own.
 func (p *Profile) Counts(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]int, error) {
+	defer p.release()
 	cols, err := p.dryRun(specs, mover, rng)
 	out := slices.Clone(p.base)
 	for i, col := range cols {
@@ -70,6 +80,7 @@ func (p *Profile) Counts(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]int, 
 // Cells returns every site's cell counts: the stores' own columns the
 // profile counts on, looked up once.
 func (p *Profile) Cells() ([]CellCounts, error) {
+	defer p.release()
 	if err := p.countSites(); err != nil {
 		return nil, err
 	}
@@ -84,6 +95,21 @@ func (p *Profile) Cells() ([]CellCounts, error) {
 // memo, one per site; a dry run's reread of a column is a hit.
 func (p *Profile) Lookups() (hits, misses int) { return p.hits, p.misses }
 
+// scratchpad returns the profile's working memory until release.
+func (p *Profile) scratchpad() *profileScratch {
+	if p.scratch == nil {
+		p.scratch = profileScratches.Get().(*profileScratch)
+	}
+	return p.scratch
+}
+
+func (p *Profile) release() {
+	if p.scratch != nil {
+		profileScratches.Put(p.scratch)
+		p.scratch = nil
+	}
+}
+
 // countSites maps and counts every store's own column, once.
 func (p *Profile) countSites() error {
 	if p.base != nil {
@@ -91,6 +117,15 @@ func (p *Profile) countSites() error {
 	}
 	p.sites = make([]column, p.c.N())
 	base := make([]int, len(p.sites))
+	collect := func(key string, _ float64) {
+		id, ok := p.ids[key]
+		if !ok {
+			id = int32(len(p.ids))
+			p.ids[key] = id
+		}
+		p.flat = append(p.flat, id)
+	}
+	s := p.scratchpad()
 	for i := range p.sites {
 		st := p.c.Data[i].Store(p.dataset)
 		ix, hit := st.cells(p.view)
@@ -100,15 +135,15 @@ func (p *Profile) countSites() error {
 			p.misses++
 		}
 		col := column{ix, make([]keySpan, len(ix.keys))}
-		p.grow(len(ix.keys))
+		s.grow(len(ix.keys), 0)
 		for r, c := range ix.cell {
-			if p.seenCell[c] != p.stamp {
-				p.seenCell[c] = p.stamp
+			if s.seenCell[c] != s.stamp {
+				s.seenCell[c] = s.stamp
 				lo, rec := int32(len(p.flat)), st.recs[r]
 				if p.mapFn == nil {
-					p.collect(rec.Key, rec.Val)
+					collect(rec.Key, rec.Val)
 				} else {
-					p.mapFn(rec, p.collect)
+					p.mapFn(rec, collect)
 				}
 				col.keys[c] = keySpan{lo, int32(len(p.flat))}
 			}
@@ -140,14 +175,13 @@ func (p *Profile) dryRun(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]colum
 		}
 		incoming[sp.Dst] += sp.n
 	}
-	if p.forks == nil {
-		p.forks = make([]column, len(p.sites))
-	}
+	s := p.scratchpad()
+	s.forks = append(s.forks, make([]column, max(len(p.sites)-len(s.forks), 0))...)
 	cols := make([]column, len(p.sites))
 	col := func(site int) *column {
 		if cols[site].ix == nil {
 			p.hits++
-			b, f := p.sites[site], &p.forks[site]
+			b, f := p.sites[site], &s.forks[site]
 			if f.ix == nil {
 				f.ix = new(cellIndex)
 			}
@@ -180,17 +214,17 @@ func (p *Profile) dryRun(specs []MoveSpec, mover Mover, rng *rand.Rand) ([]colum
 // count sums, over the site's executors, the distinct keys col emits.
 func (p *Profile) count(site int, col column) (int, error) {
 	execs, _, err := Stage{Exec: p.c.Exec[site]}.lay(len(col.ix.cell), nil, nil)
-	p.grow(len(col.ix.keys))
+	s := p.scratchpad()
 	total := 0
 	for _, ex := range execs {
-		p.stamp++
-		for _, s := range ex.parts {
-			for _, c := range col.ix.cell[s.lo:s.hi] {
-				if p.seenCell[c] != p.stamp {
-					p.seenCell[c] = p.stamp
+		s.grow(len(col.ix.keys), len(p.ids))
+		for _, part := range ex.parts {
+			for _, c := range col.ix.cell[part.lo:part.hi] {
+				if s.seenCell[c] != s.stamp {
+					s.seenCell[c] = s.stamp
 					for _, k := range p.flat[col.keys[c].lo:col.keys[c].hi] {
-						if p.seenKey[k] != p.stamp {
-							p.seenKey[k] = p.stamp
+						if s.seenKey[k] != s.stamp {
+							s.seenKey[k] = s.stamp
 							total++
 						}
 					}
@@ -201,9 +235,13 @@ func (p *Profile) count(site int, col column) (int, error) {
 	return total, err
 }
 
-// grow makes room to stamp cells cells and every key; a new stamp.
-func (p *Profile) grow(cells int) {
-	p.seenCell = append(p.seenCell, make([]uint32, max(cells-len(p.seenCell), 0))...)
-	p.seenKey = append(p.seenKey, make([]uint32, max(len(p.ids)-len(p.seenKey), 0))...)
-	p.stamp++
+// grow makes room to stamp cells cells and keys keys; a new stamp.
+func (s *profileScratch) grow(cells, keys int) {
+	s.seenCell = append(s.seenCell, make([]uint32, max(cells-len(s.seenCell), 0))...)
+	s.seenKey = append(s.seenKey, make([]uint32, max(keys-len(s.seenKey), 0))...)
+	if s.stamp++; s.stamp == 0 {
+		clear(s.seenCell)
+		clear(s.seenKey)
+		s.stamp = 1
+	}
 }

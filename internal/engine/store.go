@@ -246,10 +246,13 @@ func (s *Store) ownIndex() {
 // ids are dense and stable — a cell whose last record left keeps its id
 // at count zero — so per-cell state is an array lookup.
 type cellIndex struct {
-	view  View
-	ids   map[string]int32 // projected key → cell id
-	keys  []string         // cell id → projected key
-	count []int            // cell id → live records
+	view View
+	ids  map[string]int32 // projected key → cell id
+	// more is a dry run's fork's map of the cells new to it, interned
+	// beside the ids it shares with the column it forked; nil elsewhere.
+	more  map[string]int32
+	keys  []string // cell id → projected key
+	count []int    // cell id → live records
 	// cell is the cell id of each record, parallel to the store's
 	// records; nil for an index that only describes a destination.
 	cell []int32
@@ -261,14 +264,27 @@ func newCellIndex(v View, sizeHint int) *cellIndex {
 
 // intern returns the id of the cell with this projected key.
 func (ix *cellIndex) intern(cell string) int32 {
-	id, ok := ix.ids[cell]
+	id, ok := ix.id(cell)
 	if !ok {
 		id = int32(len(ix.keys))
-		ix.ids[cell] = id
+		if ix.more != nil {
+			ix.more[cell] = id
+		} else {
+			ix.ids[cell] = id
+		}
 		ix.keys = append(ix.keys, cell)
 		ix.count = append(ix.count, 0)
 	}
 	return id
+}
+
+// id looks up the id of the cell with this projected key.
+func (ix *cellIndex) id(cell string) (int32, bool) {
+	if id, ok := ix.ids[cell]; ok {
+		return id, true
+	}
+	id, ok := ix.more[cell]
+	return id, ok
 }
 
 // add indexes one appended record.
@@ -303,17 +319,19 @@ func compact[T any](dst, src []T, at []int) int {
 }
 
 // forkInto makes out ix's clone for a dry run, with room for extra
-// incoming records, in out's own count and cell buffers; a fork that
-// receives none shares ix's cell-id map.
+// incoming records, in out's own count, cell and new-cell buffers: it
+// shares ix's cell-id map and interns the cells new to it in more.
 func (ix *cellIndex) forkInto(out *cellIndex, extra int) {
-	count, cell := out.count[:0], out.cell[:0]
+	count, cell, more := out.count[:0], out.cell[:0], out.more
+	if more == nil {
+		more = map[string]int32{}
+	}
+	clear(more)
 	*out = *ix
+	out.more = more
 	out.keys = ix.keys[:len(ix.keys):len(ix.keys)]
 	out.count = append(slices.Grow(count, len(ix.count)+extra), ix.count...)
 	out.cell = append(slices.Grow(cell, len(ix.cell)+extra), ix.cell...)
-	if extra > 0 {
-		out.ids = maps.Clone(ix.ids)
-	}
 }
 
 func (ix *cellIndex) clone() *cellIndex {
@@ -409,7 +427,7 @@ func (c CellCounts) View() View { return c.ix.view }
 
 // Count returns how many records the cell with this projected key holds.
 func (c CellCounts) Count(key string) int {
-	if id, ok := c.ix.ids[key]; ok {
+	if id, ok := c.ix.id(key); ok {
 		return c.ix.count[id]
 	}
 	return 0

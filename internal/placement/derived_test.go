@@ -136,3 +136,98 @@ func TestPlanSchemeRejectsAmbiguousQueryNames(t *testing.T) {
 		t.Fatal("planned a workload with two queries of one name")
 	}
 }
+
+// TestPlanMemoRebuildsOnlyChangedDatasets is the snapshot memo's
+// invalidation and isolation. After Iridium planned on a clone, Iridium-C
+// on a sibling reuses its dry runs. An Add to two sites of one dataset on a
+// clone makes the clone's next plan rebuild that dataset's inputs, missing
+// exactly the changed sites' columns, and reuse every other dataset's; the
+// plan equals one on a cold copy. A sibling clone still plans on its own
+// snapshot's contents, and a cold copy shares nothing.
+func TestPlanMemoRebuildsOnlyChangedDatasets(t *testing.T) {
+	c, w := testSetup(t, workload.TPCDS, false)
+	opts := Options{Seed: 3}
+	first, before, err := planScheme(Iridium, c.Clone(), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ic, err := planScheme(IridiumC, c.Clone(), w, opts); err != nil || ic.hits == 0 {
+		t.Fatalf("Iridium-C after Iridium: %d dry-run lookups served by the memo, err %v", ic.hits, err)
+	}
+
+	touched := c.Clone()
+	a := w.Datasets[0].Name
+	for _, site := range []int{1, 3} {
+		touched.Data[site].Add(a, touched.Data[site].Records(a)[0])
+	}
+	plan, after, err := planScheme(Iridium, touched, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.DerivedMisses != 2 {
+		t.Errorf("after writes to 2 sites the plan missed %d columns", plan.DerivedMisses)
+	}
+	for k, ds := range w.Datasets {
+		if reused := after.profiles[k].in == before.profiles[k].in; reused != (ds.Name != a) {
+			t.Errorf("%s: inputs reused = %v after a write to %s", ds.Name, reused, a)
+		}
+	}
+	cold, err := PlanScheme(Iridium, coldCopy(t, touched), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "touched", plan, cold)
+
+	sibling, sib, err := planScheme(Iridium, c.Clone(), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "sibling", sibling, first)
+	if sibling.DerivedMisses != 0 {
+		t.Errorf("the sibling missed %d columns of its own snapshot", sibling.DerivedMisses)
+	}
+	if sib.profiles[0].in == after.profiles[0].in {
+		t.Errorf("the sibling planned %s on the touched clone's inputs", a)
+	}
+
+	fresh, isolated, err := planScheme(Iridium, coldCopy(t, c), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "cold copy", fresh, first)
+	if want := c.N() * len(w.Datasets); fresh.DerivedMisses != want {
+		t.Errorf("the cold copy missed %d columns, want all %d", fresh.DerivedMisses, want)
+	}
+	for k, pr := range isolated.profiles {
+		if pr.in == before.profiles[k].in || pr.in == after.profiles[k].in || pr.in == sib.profiles[k].in {
+			t.Errorf("the cold copy shares %s's inputs", w.Datasets[k].Name)
+		}
+	}
+}
+
+// TestDryRunMemoKeysTheRngPosition: a memoized dry run is served only at
+// the rng position it was made at. Two lists, profiled on sibling clones,
+// move the second dataset alike with a RandomMover after first-dataset moves
+// that draw different amounts; each list's volumes equal a replay.
+func TestDryRunMemoKeysTheRngPosition(t *testing.T) {
+	c, w := testSetup(t, workload.TPCDS, false)
+	plan := &Plan{movers: map[string]engine.Mover{}}
+	for _, ds := range w.Datasets {
+		plan.movers[ds.Name] = engine.RandomMover{}
+	}
+	a, b, mb := w.Datasets[0].Name, w.Datasets[1].Name, c.MB(40)
+	same := engine.MoveSpec{Dataset: b, Src: 0, Dst: 2, MB: mb}
+	lists := [][]engine.MoveSpec{
+		{{Dataset: a, Src: 0, Dst: 1, MB: mb}, same},
+		{{Dataset: a, Src: 0, Dst: 1, MB: mb}, {Dataset: a, Src: 2, Dst: 3, MB: mb}, same},
+	}
+	for k, moves := range lists {
+		f, err := newProfiler(t, c.Clone(), w, plan, 5).volumes(moves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refVolumes(t, c, w, plan, 5, moves); !reflect.DeepEqual(f, want) {
+			t.Errorf("list %d profiled\n%v\nreplayed\n%v", k, f, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -162,7 +163,8 @@ type Plan struct {
 	// CheckTime is the modeled pre-processing similarity-checking time,
 	// NOT included in QCT (probing precedes query arrival).
 	CheckTime float64
-	// Stats are the planner inputs, retained for reporting.
+	// Stats are the planner inputs, retained for reporting: the plan's own
+	// copies, so after a joint plan CrossSim holds the calibrated values.
 	Stats []*DatasetStats
 	// DerivedHits and DerivedMisses count this planning round's lookups of
 	// state memoized on store contents (CounterDerivedHits/Misses).
@@ -402,8 +404,9 @@ func planScheme(id SchemeID, c *engine.Cluster, w *workload.Workload, opts Optio
 	}
 	plan.TaskFrac = frac
 	plan.LPTime += float64(pivots) * lpPivotCost
+	plan.DerivedHits = prof.hits
 	for _, pr := range profiles {
-		hits, misses := pr.Lookups()
+		hits, misses := pr.prof.Lookups()
 		plan.DerivedHits += hits
 		plan.DerivedMisses += misses
 	}
@@ -438,12 +441,16 @@ func tensorToMoves(allStats []*DatasetStats, tensor [][][]float64) []engine.Move
 // profile is a pure function of the move list (same snapshot, movers and
 // seed throughout the call), so each distinct list is profiled once: the
 // joint planner's winner is not re-profiled for task placement, nor a
-// calibration round's list for the LP-versus-heuristic comparison.
+// calibration round's list for the LP-versus-heuristic comparison. A
+// dataset's dry run is a pure function of its contents, its moves, its
+// mover and the rng's position, so the inputs memo keeps it for every plan
+// on those contents (counts).
 type profiler struct {
 	c        *engine.Cluster
-	plan     *Plan             // the datasets (Stats) and movers the lists would run under
-	seed     int64             // Execute's, for the rng its moves draw from
-	profiles []*engine.Profile // by dataset, from computeStats
+	plan     *Plan            // the datasets (Stats) and movers the lists would run under
+	seed     int64            // Execute's, for the rng its moves draw from
+	profiles []datasetProfile // by dataset, from computeStats
+	hits     int              // column lookups of the dry runs the memo served
 	done     []profiled
 }
 
@@ -462,7 +469,9 @@ func (p *profiler) volumes(moves []engine.MoveSpec) ([][]float64, error) {
 		}
 	}
 	f := make([][]float64, len(p.profiles))
-	rng := stats.NewRand(stats.Split(p.seed, 501))
+	seed := stats.Split(p.seed, 501)
+	src := &draws{Rand: stats.NewRand(seed), seed: seed}
+	rng := rand.New(src)
 	order, groups := byDataset(moves)
 	for _, st := range p.plan.Stats {
 		if groups[st.Name] == nil {
@@ -471,7 +480,8 @@ func (p *profiler) volumes(moves []engine.MoveSpec) ([][]float64, error) {
 	}
 	for _, name := range order {
 		a := slices.IndexFunc(p.plan.Stats, func(st *DatasetStats) bool { return st.Name == name })
-		counts, err := p.profiles[a].Counts(groups[name], p.plan.MoverFor(name), rng)
+		counts, hits, err := p.profiles[a].counts(groups[name], p.plan.MoverFor(name), src, rng)
+		p.hits += hits
 		if err != nil {
 			return nil, fmt.Errorf("placement: profiling %q: %w", name, err)
 		}
@@ -483,6 +493,58 @@ func (p *profiler) volumes(moves []engine.MoveSpec) ([][]float64, error) {
 	p.done = append(p.done, profiled{moves, f})
 	return f, nil
 }
+
+// dryRun is a dataset's counts after a move list run by a mover with the
+// rng at a seed and position, and the draws and column lookups it made.
+type dryRun struct {
+	specs    []engine.MoveSpec
+	mover    engine.Mover
+	seed     int64
+	position uint64
+	counts   []int
+	draws    uint64
+	hits     int
+}
+
+// counts is the dataset's counts after specs, run by mover with rng, which
+// draws from src: the memo's when a plan on the same contents made that dry
+// run — its draws are then skipped, and its column lookups returned to count
+// as hits.
+func (dp datasetProfile) counts(specs []engine.MoveSpec, mover engine.Mover, src *draws, rng *rand.Rand) (counts []int, memoHits int, err error) {
+	in, at := dp.in, src.n
+	in.mu.Lock()
+	if k := slices.IndexFunc(in.dry, func(d dryRun) bool {
+		return d.mover == mover && d.seed == src.seed && d.position == at && slices.Equal(d.specs, specs)
+	}); k >= 0 {
+		d := in.dry[k]
+		in.mu.Unlock()
+		for range d.draws {
+			src.Int63()
+		}
+		return d.counts, d.hits, nil
+	}
+	in.mu.Unlock()
+	hits, _ := dp.prof.Lookups()
+	if counts, err = dp.prof.Counts(specs, mover, rng); err != nil {
+		return nil, 0, err
+	}
+	after, _ := dp.prof.Lookups()
+	in.mu.Lock()
+	// A joint plan profiles at most four lists; keep the last eight.
+	in.dry = append(in.dry[max(len(in.dry)-7, 0):], dryRun{specs, mover, src.seed, at, counts, src.n - at, after - hits})
+	in.mu.Unlock()
+	return counts, 0, nil
+}
+
+// draws is stats.NewRand(seed) as a source that counts its draws.
+type draws struct {
+	*rand.Rand
+	seed int64
+	n    uint64
+}
+
+func (d *draws) Int63() int64   { d.n++; return d.Rand.Int63() }
+func (d *draws) Uint64() uint64 { d.n++; return d.Rand.Uint64() }
 
 // plannedTime profiles a movement plan and returns the optimal-r shuffle
 // time on the realized volumes — the planner's figure of merit.

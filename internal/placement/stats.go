@@ -8,6 +8,8 @@ package placement
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"bohr/internal/engine"
 	"bohr/internal/parallel"
@@ -67,21 +69,60 @@ const (
 	CounterDerivedMisses = "placement.derived.misses"
 )
 
-// computeStats builds planner statistics for one dataset from the cluster
+// inputs is a dataset's planner inputs on one set of its site contents,
+// memoized on the cluster lineage (engine.Planned) for every plan on those
+// contents: the statistics, which each plan copies, the counted profile,
+// and the dry runs made on it.
+type inputs struct {
+	st   *DatasetStats
+	prof *engine.Profile
+	mu   sync.Mutex
+	dry  []dryRun
+}
+
+// inputsKey is what inputs are a function of besides the contents; on one
+// lineage, a query name is one query.
+type inputsKey struct {
+	query                string
+	view                 engine.View
+	share, queries, dims int
+}
+
+// datasetProfile is a plan's profile on a dataset's inputs.
+type datasetProfile struct {
+	prof *engine.Profile
+	in   *inputs
+}
+
+// computeStats returns the dataset's planner statistics, a private copy, and
+// its profile for the round's profiler, from the memoized inputs.
+func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, datasetProfile, error) {
+	if probeK <= 0 {
+		return nil, datasetProfile{}, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
+	}
+	dom := ds.DominantQuery()
+	key := inputsKey{dom.Query.Name, dom.View, similarity.ProbeShare(probeK, dom.Count, ds.TotalQueries()), ds.TotalQueries(), ds.Schema.NumDims()}
+	in, hit, err := engine.Planned(c, ds.Name, key, func() (*inputs, error) { return buildInputs(c, ds, key.share) })
+	if err != nil {
+		return nil, datasetProfile{}, err
+	}
+	prof := in.prof
+	if hit {
+		prof = prof.On(c)
+	}
+	return in.st.clone(), datasetProfile{prof, in}, nil
+}
+
+// buildInputs builds planner statistics for one dataset from the cluster
 // snapshot: per-site dimension cubes for the dominant query type, probe
 // exchange (top-k cells weighted across query types), and map-expansion
 // profiling of the dominant query. A site's cube is its store's cell column
 // in the dominant view, memoized on the store's content; every per-site
 // result is independent and merged in site order, so the statistics are
-// identical at every pool width and memo state. It also returns the
-// dataset's volume profile, for the round's profiler.
-func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*DatasetStats, *engine.Profile, error) {
-	if probeK <= 0 {
-		return nil, nil, fmt.Errorf("placement: probe budget must be positive, got %d", probeK)
-	}
+// identical at every pool width and memo state.
+func buildInputs(c *engine.Cluster, ds *workload.Dataset, domShare int) (*inputs, error) {
 	n := c.N()
 	dom := ds.DominantQuery()
-	domShare := similarity.ProbeShare(probeK, dom.Count, ds.TotalQueries())
 
 	// Each site's dimension cube is the cell column the profile counts on and
 	// the mover selects from: the stored records counted by their projection
@@ -89,7 +130,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 	prof := engine.NewProfile(c, ds.Name, dom.Query.Map, dom.View)
 	cubes, err := prof.Cells()
 	if err != nil {
-		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
+		return nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
 	}
 	var totalCells int
 	for _, cube := range cubes {
@@ -98,7 +139,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 
 	cross, err := similarity.CrossSiteMatrix(ds.Name, cubes, domShare)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st := &DatasetStats{
 		Name:         ds.Name,
@@ -121,7 +162,7 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 	// similarities to realized combiner efficiency.
 	counts, err := prof.Counts(nil, nil, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
+		return nil, fmt.Errorf("placement: profiling %q: %w", ds.Name, err)
 	}
 	for i := 0; i < n; i++ {
 		ideal := cross[i][i]
@@ -147,7 +188,20 @@ func computeStats(c *engine.Cluster, ds *workload.Dataset, probeK int) (*Dataset
 	dims := float64(st.NumDims)
 	st.CheckTime = float64(totalCells)*dims*cellSortCost +
 		float64(domShare*(n-1))*dims*probeScoreCost
-	return st, prof, nil
+	return &inputs{st: st, prof: prof}, nil
+}
+
+// clone returns a copy of the statistics with private InputMB, SelfSim and
+// CrossSim: a joint plan calibrates its CrossSim in place.
+func (st *DatasetStats) clone() *DatasetStats {
+	out := *st
+	out.InputMB = slices.Clone(st.InputMB)
+	out.SelfSim = slices.Clone(st.SelfSim)
+	out.CrossSim = make([][]float64, len(st.CrossSim))
+	for i, row := range st.CrossSim {
+		out.CrossSim[i] = slices.Clone(row)
+	}
+	return &out
 }
 
 // profileReduction estimates R, the map-stage expansion ratio, by applying
@@ -184,8 +238,8 @@ func ComputeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*Da
 	return all, err
 }
 
-func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, []*engine.Profile, error) {
-	profs := make([]*engine.Profile, len(w.Datasets))
+func computeAllStats(c *engine.Cluster, w *workload.Workload, probeK int) ([]*DatasetStats, []datasetProfile, error) {
+	profs := make([]datasetProfile, len(w.Datasets))
 	all, err := parallel.MapOrdered(0, len(w.Datasets), func(i int) (st *DatasetStats, err error) {
 		st, profs[i], err = computeStats(c, w.Datasets[i], probeK)
 		return st, err
