@@ -10,61 +10,16 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: static checks (including the context-first API
-# gate), the race detector on the packages with real concurrency
-# (engine's pooled job runner, the parallel worker pool, olap's cube
-# read concurrently by many goroutines (TestCubeConcurrentReads),
-# similarity's pooled signature kernels and probe matrix over the
-# stores' cell columns, obs's
-# collector plus its export/critpath/window subpackages — all covered by
-# the ./internal/obs/... wildcard, including the windowed-metrics bucket
-# rings — the fault schedules and the planner's probed view, and the
-# multi-tenant serve front end plus its flight recorder), one
-# short round of each fuzz harness, and the report determinism check
-# including cross-pool-width byte identity. The race target also carries the map→combine
-# stage's differential oracle and allocation guard, the job round's key
-# table against the per-record routing it replaced (TestRunMatchesReference)
-# with its allocation guard, each job of a batch sharing combiners and a key
-# index against the job run alone (TestRunConcurrentJobsMatchSolo) with the
-# sharing's allocation guard (TestRunConcurrentSharesStageBuffers), a clone's
-# moves against its snapshot's records (TestApplyMovesOnCloneLeavesSnapshot)
-# and small forwards' amortised growth
-# (TestSmallForwardsGrowDestinationAmortised), a Remove never writing a
-# record slice the store handed out (TestRemoveNeverWritesAHandedOutSlice)
-# and compacting one nobody holds in place
-# (TestRemoveCompactsInPlaceWhenUnshared), the site store's
-# differential against the reference mover with its tie-heavy leg and the
-# selection helper's property test, the cell-count view's differential
-# against olap's cubes on tie-heavy and moved stores
-# (TestCellCountsMatchOlapCube), the store's clone-aliasing and
-# memo-singleflight tests and concurrent first queries building one layout
-# and one set of key columns per cold site while clones write into the
-# dictionaries they share, with the carried columns' differential against a
-# fresh encode (TestCarriedColumnsMatchFreshEncode), the carried key hashes'
-# against KeyHash and a restored copy's layout
-# (TestCarriedKeyHashesMatchRestoredLayout) and the hashed distinct count
-# under colliding hashes (TestDistinctKeysExactUnderCollidingHashes)
-# (engine; none of them is skipped under -short, and race passes no -short),
-# the pooled signatures and pair rows reading the layout's key hashes in
-# place, against the kernel that mixed every record
-# (TestPairwiseMatchesRefSignature; TestSignatureBatchMatchesRefSignatureAdversarial
-# on zero hashes, repeats and one probe chain, rdd), two
-# goroutines planning two clones of one
-# snapshot (placement), the query-miss statements against a naive fold
-# across ingest, replan and Remove, a batch's next miss encoding the
-# batch alone (TestMissAfterBatchEncodesTheBatch), and a captured checkpoint
-# state surviving forwarding batches (TestCaptureStateSurvivesForwards)
-# (serve), the key
-# projection's differential against split-pick-join (TestViewKeyAgreesWithSplit,
-# engine) and the generated queries' dims against their Views (workload),
-# a compiled statement's coded scan against the reference
-# closure and a naive fold (sql), and the LP solver against its reference
-# (refSolve) with the certificate tests and TestSolvePlacementAllocs, whose
-# second input is BenchmarkSolvePlacement10Sites20Datasets's (lp). bench-smoke
-# runs the end-to-end benchmark's own tests, whose oracles and trace
-# coverage floor nothing else in check sees. docnames fails on a test,
-# benchmark or fuzz target the documents name that no _test.go defines,
-# and on an exported config field that only tests or withDefaults write.
+# check is the CI gate, one target per line:
+#   vet, fmt-check  go vet and gofmt;
+#   ctxcheck        exported I/O-bearing functions take a leading context;
+#   docnames        documents name only tests and identifiers that exist,
+#                   and every config field has a non-test writer;
+#   race            the packages with real concurrency, and their oracles;
+#   fuzz-short      one short round of each fuzz target;
+#   determinism     byte-identical reports across runs and pool widths;
+#   bench-smoke     the end-to-end benchmark's own tests.
+# DESIGN.md §16 lists, once, which tests guard what.
 check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke
 
 vet:

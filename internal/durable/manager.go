@@ -17,10 +17,10 @@ type Config struct {
 	Dir string
 	// Fsync gates group-commit fsync on the WAL (see WALConfig.Fsync).
 	Fsync bool
-	// SegmentBytes overrides the WAL rotation threshold (0 = default).
-	SegmentBytes int64
 	// Logger receives recovery and snapshot events; nil disables.
 	Logger *slog.Logger
+	// segmentBytes is the WAL's rotation threshold (see WALConfig).
+	segmentBytes int64
 }
 
 // Manager owns a site's durable state: the WAL journaling acknowledged
@@ -69,7 +69,7 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("durable: empty data dir")
 	}
-	wal, scan, err := OpenWAL(cfg.Dir, WALConfig{Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes})
+	wal, scan, err := OpenWAL(cfg.Dir, WALConfig{Fsync: cfg.Fsync, segmentBytes: cfg.segmentBytes})
 	if err != nil {
 		return nil, err
 	}

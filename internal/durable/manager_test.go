@@ -226,7 +226,7 @@ func TestManagerRecoverSnapshotPlusTail(t *testing.T) {
 // the snapshot fully covers.
 func TestManagerSnapshotPrunesWAL(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	m, err := Open(Config{Dir: dir, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestManagerSnapshotPrunesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recovery after the prune replays only what the snapshot missed.
-	m2, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	m2, err := Open(Config{Dir: dir, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,7 @@ func TestSnapshotBlockOverCap(t *testing.T) {
 func checkpointAndPrune(t *testing.T, dir string) string {
 	t.Helper()
 	ctx := context.Background()
-	m, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	m, err := Open(Config{Dir: dir, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func checkpointAndPrune(t *testing.T, dir string) string {
 // recoverDir opens dir and recovers it, counting what was applied.
 func recoverDir(t *testing.T, dir string) (sum *RecoverySummary, applied int, err error) {
 	t.Helper()
-	m, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	m, err := Open(Config{Dir: dir, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

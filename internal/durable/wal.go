@@ -20,9 +20,9 @@ const (
 	segSuffix = ".seg"
 )
 
-// DefaultSegmentBytes is the rotation threshold when WALConfig leaves
-// SegmentBytes zero: large enough that steady ingest rarely rotates,
-// small enough that snapshot pruning reclaims space promptly.
+// DefaultSegmentBytes is the rotation threshold: large enough that steady
+// ingest rarely rotates, small enough that snapshot pruning reclaims space
+// promptly.
 const DefaultSegmentBytes = 4 << 20
 
 // WALConfig tunes the log.
@@ -32,9 +32,17 @@ type WALConfig struct {
 	// after the buffered OS write (fast, loses the tail on power/OS
 	// failure but not on process death).
 	Fsync bool
-	// SegmentBytes rotates to a new segment file once the live one
-	// exceeds this size (default DefaultSegmentBytes).
-	SegmentBytes int64
+	// segmentBytes rotates to a new segment file once the live one
+	// exceeds this size (0 = DefaultSegmentBytes): a hook for the
+	// package's tests, which rotate after a few frames.
+	segmentBytes int64
+}
+
+func (cfg WALConfig) withDefaults() WALConfig {
+	if cfg.segmentBytes <= 0 {
+		cfg.segmentBytes = DefaultSegmentBytes
+	}
+	return cfg
 }
 
 // WALScan summarizes what opening the log found on disk.
@@ -124,9 +132,7 @@ func segmentFiles(dir string) ([]string, []uint64, error) {
 // and any later segments — unreachable without trusted sequencing — are
 // dropped), and appending resumes after the last valid frame.
 func OpenWAL(dir string, cfg WALConfig) (*WAL, *WALScan, error) {
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = DefaultSegmentBytes
-	}
+	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: wal dir: %w", err)
 	}
@@ -270,7 +276,7 @@ func (w *WAL) Append(ctx context.Context, payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if w.size >= w.cfg.SegmentBytes {
+	if w.size >= w.cfg.segmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
 			w.mu.Unlock()

@@ -89,7 +89,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 func TestWALSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// ~40-byte frames against a 128-byte threshold force rotations.
-	w, _, err := OpenWAL(dir, WALConfig{SegmentBytes: 128})
+	w, _, err := OpenWAL(dir, WALConfig{segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if seqs[0] != 1 {
 		t.Fatalf("first segment starts at %d", seqs[0])
 	}
-	w2, scan, err := OpenWAL(dir, WALConfig{SegmentBytes: 128})
+	w2, scan, err := OpenWAL(dir, WALConfig{segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptionMidLogDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, WALConfig{SegmentBytes: 128})
+	w, _, err := OpenWAL(dir, WALConfig{segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestWALCorruptionMidLogDropsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, scan, err := OpenWAL(dir, WALConfig{SegmentBytes: 128})
+	w2, scan, err := OpenWAL(dir, WALConfig{segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestWALCorruptionMidLogDropsLaterSegments(t *testing.T) {
 
 func TestWALGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, WALConfig{Fsync: true, SegmentBytes: 4096})
+	w, _, err := OpenWAL(dir, WALConfig{Fsync: true, segmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 
 func TestWALPrune(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, WALConfig{SegmentBytes: 128})
+	w, _, err := OpenWAL(dir, WALConfig{segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,24 +70,24 @@ type columns struct {
 type columnsKey struct{ width int } // the memo key of a content's columns
 
 // carried is the last columns of one width, or the last key hashes, built
-// in a lineage, and the Removes since. An Add appends past the records they
-// describe and a Remove keeps order, so those that survive are a prefix of
+// in a lineage, and the removes since. An Add appends past the records they
+// describe and a remove keeps order, so those that survive are a prefix of
 // the content: the next build copies their codes (hashes), compacts them
-// once per Remove and encodes (hashes) the rest.
+// once per remove and encodes (hashes) the rest.
 type carried struct {
 	key     any      // the memo key base or hashes were built under
 	base    *columns // under a columnsKey
 	hashes  []uint64 // under hashesKey
 	held    int      // records base or hashes describe
-	removes [][]int  // each Remove's ascending positions, oldest first
+	removes [][]int  // each remove's ascending positions, oldest first
 	moved   int      // records added plus removed since base
 }
 
-// plan returns each Remove's cut into what the carry describes — the
+// plan returns each remove's cut into what the carry describes — the
 // positions that were still its base's records — how many of those are
 // left, the content's first live records, and how long a column must be to
 // hold n records and, on the way, the survivors of the first cut: the first
-// Remove copies them out, possibly more than n of them, and the later ones
+// remove copies them out, possibly more than n of them, and the later ones
 // compact them in place. A nil carry describes nothing.
 func (cr *carried) plan(n int) (cuts [][]int, live, stride int) {
 	if cr == nil {
@@ -118,7 +118,7 @@ func carryInto[T any](col, src []T, cuts [][]int) {
 
 // restore allocates c's codes for n records and fills in what the carry
 // says of the first live of them — their codes and which are foreign — the
-// records of its base that survived the Removes since. A nil carry says
+// records of its base that survived the removes since. A nil carry says
 // nothing.
 func (cr *carried) restore(c *columns, n int) (live int) {
 	cuts, live, stride := cr.plan(n)
@@ -152,13 +152,11 @@ func (cr *carried) restore(c *columns, n int) (live int) {
 
 type hashesKey struct{} // the memo key of a content's key hashes
 
-// keyHashes returns KeyHash of each of the store's records, built once per
-// content — from the content's carry of them, hashing only the records the
-// writes since appended — and carried on to its successors. Not for a store
-// that never held a record.
-func (s *Store) keyHashes() []uint64 {
-	hs, _, _ := derive(s, hashesKey{}, func(recs []KV) ([]uint64, error) {
-		ct := s.content
+// keyHashes returns KeyHash of each of the content's records, built once —
+// from the content's carry of them, hashing only the records the writes
+// since appended — and carried on to its successors.
+func (ct *content) keyHashes(records []KV) []uint64 {
+	hs, _, _ := memo(ct, records, hashesKey{}, func(recs []KV) ([]uint64, error) {
 		ct.mu.Lock()
 		cr := ct.takeCarry(hashesKey{})
 		ct.mu.Unlock()
@@ -180,7 +178,7 @@ func (s *Store) keyHashes() []uint64 {
 }
 
 // dictionaries intern field texts, by field position, for one lineage (a
-// store, its clones, what their Adds and Removes make of them; Restore
+// store, its clones, what their Adds and removes make of them; Restore
 // starts another). They only grow: a re-encode after a write interns the new
 // values alone, and a prefix of strs handed out stays valid unlocked.
 type dictionaries struct {
@@ -198,8 +196,8 @@ type fieldDict struct {
 // carried on to its successors; hit is false for the caller that built
 // them.
 func (l *Layout) columns(width int) (cols *columns, hit bool) {
-	cols, hit, _ = derive(l.src, columnsKey{width}, func(recs []KV) (*columns, error) {
-		t0, ct := time.Now(), l.src.content
+	cols, hit, _ = memo(l.ct, l.records, columnsKey{width}, func(recs []KV) (*columns, error) {
+		t0, ct := time.Now(), l.ct
 		ct.mu.Lock()
 		if ct.dicts == nil {
 			ct.dicts = &dictionaries{}
@@ -362,7 +360,7 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 // fold in record order and groups come out in first-emit order per
 // executor: the equivalent MapFn's result, bit for bit (DESIGN.md §14).
 func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
-	sel, recs, op := q.Select, l.src.recs, q.Combine
+	sel, recs, op := q.Select, l.records, q.Combine
 	keep := sel.View.Keep()
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	type test struct {

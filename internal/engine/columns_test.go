@@ -222,7 +222,7 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 
 	clone := st.clone()
 	clone.Add(KV{Key: "k3" + KeySep + "brand-new", Val: 1}, KV{Key: "lonely", Val: 1})
-	if err := st.Remove(st.Select(RandomMover{}, st, 150, stats.NewRand(2))); err != nil {
+	if err := st.remove(st.choose(RandomMover{}, st, 150, stats.NewRand(2))); err != nil {
 		t.Fatal(err)
 	}
 	if clone.content.dicts != dicts || st.content.dicts != dicts {
@@ -246,66 +246,6 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	st.Restore(slices.Clone(st.Records()))
 	if st.content.dicts != nil {
 		t.Fatal("a restored store kept its predecessor's dictionaries")
-	}
-}
-
-// freshEncode is the build without a carry: every one of the store's records
-// encoded through the lineage's dictionaries, as they stand.
-func freshEncode(st *Store, width int) *columns {
-	c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
-	(*carried)(nil).restore(c, len(st.recs))
-	st.content.dicts.encode(c, st.recs, 0)
-	return c
-}
-
-// TestCarriedColumnsMatchFreshEncode runs WriteSequence's seeded writes
-// and after every step builds the store's columns the way a Select does.
-// Within the lineage they must equal, bit for bit, a fresh encode of the
-// same records through the same dictionaries, and every code must decode to
-// the record's field.
-func TestCarriedColumnsMatchFreshEncode(t *testing.T) {
-	const width = 3
-	stage := Stage{Exec: Executors{Machines: 2, PerMachine: 2}}
-	for seed := int64(1); seed <= 6; seed++ {
-		// Each step builds st's columns and returns how many records the
-		// build encoded.
-		WriteSequence(t, seed, func(step string, st *Store) int {
-			t.Helper()
-			l, _, err := st.Layout(stage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := l.columns(width)
-			want := freshEncode(st, width)
-			for f := range want.codes {
-				if !slices.Equal(got.codes[f], want.codes[f]) || !slices.Equal(got.dict[f], want.dict[f]) {
-					t.Fatalf("seed %d, %s: field %d's codes or dictionary differ from a fresh encode's", seed, step, f)
-				}
-			}
-			if !slices.Equal(got.foreign, want.foreign) {
-				t.Fatalf("seed %d, %s: foreign records %v, a fresh encode has %v", seed, step, got.foreign, want.foreign)
-			}
-			foreign := got.foreign
-			for i, r := range st.recs {
-				if len(foreign) > 0 && int(foreign[0]) == i {
-					foreign = foreign[1:]
-					if strings.Count(r.Key, KeySep) == width-1 {
-						t.Fatalf("seed %d, %s: record %d (%q) is marked foreign", seed, step, i, r.Key)
-					}
-					continue
-				}
-				fields := strings.Split(r.Key, KeySep)
-				if len(fields) != width {
-					t.Fatalf("seed %d, %s: foreign record %d (%q) is not marked", seed, step, i, r.Key)
-				}
-				for f, text := range fields {
-					if got.dict[f][got.codes[f][i]] != text {
-						t.Fatalf("seed %d, %s: record %d field %d decodes to %q, not %q", seed, step, i, f, got.dict[f][got.codes[f][i]], text)
-					}
-				}
-			}
-			return got.encoded
-		})
 	}
 }
 

@@ -28,7 +28,7 @@ func slackStore(t *testing.T, n, drop int) *Store {
 	for i := 0; i < n; i++ {
 		st.Add(KV{Key: fmt.Sprintf("k%d%sc%d", i%7, KeySep, i%3), Val: float64(i)})
 	}
-	if err := st.Remove(st.Select(RandomMover{}, st, drop, stats.NewRand(1))); err != nil {
+	if err := st.remove(st.choose(RandomMover{}, st, drop, stats.NewRand(1))); err != nil {
 		t.Fatal(err)
 	}
 	if cap(st.recs) == len(st.recs) {
@@ -92,8 +92,8 @@ func TestStoreCloneAliasing(t *testing.T) {
 		}}
 	}
 	remove := mutation{"remove", func(t *testing.T, st *Store, want []KV) []KV {
-		sel := st.Select(SimilarMover{View: fieldView}, DstCells{"k3": 1}, 5, nil)
-		if err := st.Remove(sel); err != nil {
+		sel := st.choose(SimilarMover{View: fieldView}, DstCells{"k3": 1}, 5, nil)
+		if err := st.remove(sel); err != nil {
 			t.Fatal(err)
 		}
 		kept := slices.Clone(want)
@@ -161,7 +161,7 @@ func TestStoreContentFreshOnEveryMutation(t *testing.T) {
 	}
 	mutations := map[string]func(){
 		"add":     func() { st.Add(KV{Key: "a" + KeySep + "b", Val: 1}) },
-		"remove":  func() { _ = st.Remove(st.Select(RandomMover{}, st, 1, stats.NewRand(1))) },
+		"remove":  func() { _ = st.remove(st.choose(RandomMover{}, st, 1, stats.NewRand(1))) },
 		"restore": func() { st.Restore(slices.Clone(st.Records())) },
 	}
 	st.Add(KV{Key: "a" + KeySep + "b", Val: 1}, KV{Key: "c" + KeySep + "d", Val: 2})

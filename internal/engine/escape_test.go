@@ -92,7 +92,7 @@ func TestRemoveNeverWritesAHandedOutSlice(t *testing.T) {
 					t.Fatal(err)
 				}
 				l.Scan(&Query{Combine: OpSum})
-				hold("Store.Layout", l.src.recs)
+				hold("Store.Layout", l.records)
 			default:
 				if rng.Intn(2) == 0 {
 					kept, _, _ := derive(st, escapeKey{step}, func(recs []KV) ([]KV, error) { return recs, nil })
@@ -108,7 +108,7 @@ func TestRemoveNeverWritesAHandedOutSlice(t *testing.T) {
 	}
 }
 
-// TestRemoveCompactsInPlaceWhenUnshared checks where Remove leaves the kept
+// TestRemoveCompactsInPlaceWhenUnshared checks where remove leaves the kept
 // records: in the store's own array when nobody was handed it, in a new one
 // after Records handed it out, and in a new one when the kept records would
 // fill less than half the array.
@@ -126,7 +126,7 @@ func TestRemoveCompactsInPlaceWhenUnshared(t *testing.T) {
 		for i := range at {
 			at[i] = i
 		}
-		if err := st.Remove(Selection{store: st, gen: st.gen, at: at}); err != nil {
+		if err := st.remove(selection{store: st, gen: st.gen, at: at}); err != nil {
 			t.Fatal(err)
 		}
 		return before, &st.recs[:1][0]

@@ -453,9 +453,11 @@ func (st Stage) withDefaults() Stage {
 type Layout struct {
 	// AssignOverhead is the largest per-machine modeled assignment cost.
 	AssignOverhead float64
-	// src is the store as the layout found it: the records its ranges
-	// index, and the content their key columns are kept under.
-	src *Store
+	// records are what its ranges index: the slice derive handed the
+	// build, or NewLayout's caller. ct is their content, which their key
+	// columns and hashes are kept under.
+	records []KV
+	ct      *content
 	// execs are the executors in (machine, executor) order.
 	execs []execLayout
 }
@@ -477,27 +479,28 @@ type span struct{ lo, hi int }
 // The layout references the records: they must not be modified afterwards
 // (a store's never are).
 func NewLayout(records []KV, st Stage) (*Layout, error) {
-	return newLayout(&Store{recs: records, content: &content{}}, st)
+	return newLayout(records, &content{}, st)
 }
 
-// newLayout lays out src's records. Their key hashes, kept per content and
-// carried across writes (Store.keyHashes), are read only when something
-// reads keys: an assigner other than round-robin, or a distinct count.
-func newLayout(src *Store, st Stage) (*Layout, error) {
+// newLayout lays out records, whose content is ct. Their key hashes, kept
+// per content and carried across writes (content.keyHashes), are read only
+// when something reads keys: an assigner other than round-robin, or a
+// distinct count.
+func newLayout(records []KV, ct *content, st Stage) (*Layout, error) {
 	var hashes []uint64
-	if _, rr := st.withDefaults().Assigner.(RoundRobinAssigner); len(src.recs) > 0 && (!rr || st.CubeInput) {
-		hashes = src.keyHashes()
+	if _, rr := st.withDefaults().Assigner.(RoundRobinAssigner); len(records) > 0 && (!rr || st.CubeInput) {
+		hashes = ct.keyHashes(records)
 	}
-	execs, overhead, err := st.lay(len(src.recs), src.recs, hashes)
+	execs, overhead, err := st.lay(len(records), records, hashes)
 	if err != nil {
 		return nil, err
 	}
-	l := &Layout{AssignOverhead: overhead, src: src, execs: execs}
+	l := &Layout{AssignOverhead: overhead, records: records, ct: ct, execs: execs}
 	for e := range l.execs {
 		el := &l.execs[e]
 		el.basis = el.records
 		if st.CubeInput {
-			el.basis = distinctKeys(src.recs, hashes, el.parts, el.records)
+			el.basis = distinctKeys(records, hashes, el.parts, el.records)
 		}
 	}
 	return l, nil
@@ -602,7 +605,7 @@ func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
 	if s != nil {
 		ct = s.content
 	}
-	build := func(recs []KV) (*Layout, error) { return newLayout(&Store{recs: recs, content: ct}, st) }
+	build := func(recs []KV) (*Layout, error) { return newLayout(recs, ct, st) }
 	if t := reflect.TypeOf(st.Assigner); !t.Comparable() || t.Kind() == reflect.Pointer {
 		l, err = build(s.Records())
 		return l, false, err
@@ -657,7 +660,7 @@ func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 		ex := &l.execs[i]
 		cb.next()
 		for _, p := range ex.parts {
-			for _, r := range l.src.recs[p.lo:p.hi] {
+			for _, r := range l.records[p.lo:p.hi] {
 				if q.Map == nil {
 					emit(r.Key, r.Val)
 				} else {

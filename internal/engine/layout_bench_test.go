@@ -13,7 +13,7 @@ import (
 // after one ingest batch. A 5,000-record site in bohrd serve's shape (its
 // data drawn as at 4 sites, 100 keys per pool; one machine of four
 // executors) under Bohr's assigner with cube input takes a 256-record Add
-// of known coordinates and forwards 256 records (a Select and a Remove),
+// of known coordinates and forwards 256 records (engine.Forward),
 // then is laid out. The write renumbered every partition, so every one is
 // re-signed and re-clustered.
 func BenchmarkLayoutAfterBatch(b *testing.B) {
@@ -39,7 +39,7 @@ func BenchmarkLayoutAfterBatch(b *testing.B) {
 			batch[j] = recs[rng.Intn(len(recs))]
 		}
 		st.Add(batch...)
-		if err := st.Remove(st.Select(engine.RandomMover{}, nil, len(batch), rng)); err != nil {
+		if err := engine.Forward(&st, len(batch), rng); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := st.Layout(stage); err != nil {

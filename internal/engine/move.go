@@ -23,7 +23,7 @@ type MoveSpec struct {
 // Mover chooses which records leave a site when a MoveSpec is executed.
 // The choice is the heart of Bohr: similarity-agnostic systems pick
 // randomly, Bohr picks records that combine at the destination. Movers
-// are applied through Store.Select and a Profile's dry run.
+// are applied through ApplyMoves and a Profile's dry run.
 type Mover interface {
 	// pick returns the ascending positions of n of src's size records
 	// (0 < n < size) to move toward dst.
@@ -37,7 +37,7 @@ type RandomMover struct{}
 
 func (RandomMover) pick(_ DstView, size int, _ DstView, n int, rng *rand.Rand) []int {
 	// rng.Perm(size)[:n], drawing what it draws, in a reused permutation;
-	// the positions are a fresh slice, which Remove hands to the successor
+	// the positions are a fresh slice, which remove hands to the successor
 	// content's carry.
 	buf := perms.Get().(*[]int)
 	defer perms.Put(buf)
@@ -179,8 +179,8 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 			continue
 		}
 		dst := c.Data[sp.Dst].ensure(sp.Dataset)
-		sel := src.Select(mover, dst, sp.n, rng)
-		if err := src.Remove(sel); err != nil {
+		sel := src.choose(mover, dst, sp.n, rng)
+		if err := src.remove(sel); err != nil {
 			return nil, err
 		}
 		// The destination grows once, at its first arrival, by what this and
@@ -196,11 +196,11 @@ func (c *Cluster) ApplyMoves(specs []MoveSpec, mover Mover, rng *rand.Rand) (*Mo
 				want += next.n
 			}
 		}
-		dst.recs = slices.Grow(dst.recs, want)
-		dst.Add(sel.Records...)
-		res.Records += len(sel.Records)
+		dst.reserve(want)
+		dst.Add(sel.records...)
+		res.Records += len(sel.records)
 		res.Transfers = append(res.Transfers, wan.Transfer{
-			Src: wan.SiteID(sp.Src), Dst: wan.SiteID(sp.Dst), MB: c.MB(len(sel.Records)),
+			Src: wan.SiteID(sp.Src), Dst: wan.SiteID(sp.Dst), MB: c.MB(len(sel.records)),
 		})
 	}
 	return res, nil

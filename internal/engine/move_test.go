@@ -32,7 +32,7 @@ func (d DstCells) index(v View) *cellIndex {
 func selectFrom(m Mover, src []KV, dst DstCells, n int, rng *rand.Rand) []KV {
 	st := &Store{}
 	st.Add(src...)
-	return st.Select(m, dst, n, rng).Records
+	return st.choose(m, dst, n, rng).records
 }
 
 func TestRandomMoverSelectsN(t *testing.T) {

@@ -139,7 +139,7 @@ func (p *Profile) countSites() error {
 		for r, c := range ix.cell {
 			if s.seenCell[c] != s.stamp {
 				s.seenCell[c] = s.stamp
-				lo, rec := int32(len(p.flat)), st.recs[r]
+				lo, rec := int32(len(p.flat)), st.record(r)
 				if p.mapFn == nil {
 					collect(rec.Key, rec.Val)
 				} else {

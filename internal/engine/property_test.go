@@ -62,17 +62,17 @@ func TestMoverSelectionProperty(t *testing.T) {
 		if similar {
 			mover = SimilarMover{DstTopK: rng.Intn(10)}
 		}
-		sel := st.Select(mover, dst, ask, rng)
+		sel := st.choose(mover, dst, ask, rng)
 		want := min(ask, n)
-		if len(sel.Records) != want || len(sel.at) != want {
+		if len(sel.records) != want || len(sel.at) != want {
 			return false
 		}
 		for k, i := range sel.at {
-			if i < 0 || i >= n || (k > 0 && i <= sel.at[k-1]) || sel.Records[k] != st.recs[i] {
+			if i < 0 || i >= n || (k > 0 && i <= sel.at[k-1]) || sel.records[k] != st.recs[i] {
 				return false
 			}
 		}
-		return st.Remove(sel) == nil && len(st.Records()) == n-want
+		return st.remove(sel) == nil && len(st.Records()) == n-want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // Store holds the records of one dataset at one site. It owns the record
-// slice: every mutation goes through Add, Remove or Restore, each of
+// slice: every mutation goes through Add, remove or Restore, each of
 // which bumps the store's version, so "did this site's data change" is a
 // counter comparison instead of a scan, and gives the store a fresh
 // content, so "do these two stores hold the same records" is a pointer
@@ -22,23 +22,24 @@ import (
 // instead of re-projecting, re-counting and re-sorting every record.
 //
 // A record slice the store has handed out is never modified afterwards:
-// Add appends beyond its length and Remove installs a new slice. A reader
+// Add appends beyond its length and remove installs a new slice. A reader
 // that fetched it under the owner's lock may keep scanning it unlocked,
 // and a clone shares it. A slice nobody was handed is the store's alone,
-// so Remove compacts it in place. No read path (Records, Len, Version,
+// so remove compacts it in place. No read path (Records, Len, Version,
 // derive, clone of the source) writes the records; the ones that hand the
 // slice out only set the atomic escape bit, so readers under a shared lock
 // stay read-only, and what they memoize goes into the content, under its
-// own lock.
+// own lock. Only this file touches recs (TestOnlyStoreTouchesRecords), so
+// every route by which the slice leaves the store is one that marks it.
 type Store struct {
 	recs []KV
 	// escaped is set once recs may be held outside the store: handed out
 	// by Records, shared with a clone, adopted by Restore, or kept by a
-	// derived value. A Remove copying into a fresh slice clears it.
+	// derived value. A remove copying into a fresh slice clears it.
 	escaped atomic.Bool
 	version uint64
-	// gen counts the mutations that renumber records (Remove, Restore); a
-	// Selection is good for one gen.
+	// gen counts the mutations that renumber records (remove, Restore); a
+	// selection is good for one gen.
 	gen uint64
 	// content identifies the record sequence: replaced on every mutation,
 	// shared with clones. nil only for a store that never held a record.
@@ -114,7 +115,13 @@ func derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val 
 		val, err = build(nil)
 		return val, false, err
 	}
-	ct, recs := s.content, s.share()
+	return memo(s.content, s.share(), key, build)
+}
+
+// memo is derive on a content and the records it identifies, which the
+// caller has already handed out: a layout's, for the key columns and
+// hashes of the records it lays out.
+func memo[T any](ct *content, recs []KV, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
 	ct.mu.Lock()
 	d := ct.memo[key]
 	if d == nil {
@@ -161,6 +168,9 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
+// record returns record i without handing the slice out.
+func (s *Store) record(i int) KV { return s.recs[i] }
+
 // share returns the record slice, marking it as held outside the store.
 func (s *Store) share() []KV {
 	if !s.escaped.Load() {
@@ -170,7 +180,7 @@ func (s *Store) share() []KV {
 }
 
 // Version returns the store's mutation counter. It rises by at least one
-// on every Add of records, every Remove that takes records and every
+// on every Add of records, every remove that takes records and every
 // Restore, and never otherwise; a clone starts at its source's version
 // (the two diverge afterwards, so across objects a version is not a
 // content identity — the content is). A nil store is at version 0.
@@ -498,37 +508,37 @@ type DstView interface {
 // index makes a Profile's dry-run column a side of a move.
 func (ix *cellIndex) index(View) *cellIndex { return ix }
 
-// Selection is the outcome of Store.Select: the records chosen to leave,
-// still in the store until Remove takes them. Records appended in between
-// stay; a Remove or Restore in between makes the selection stale.
-type Selection struct {
-	// Records are the chosen records, in store order.
-	Records []KV
+// selection is the outcome of Store.choose: the records chosen to leave,
+// still in the store until remove takes them. Records appended in between
+// stay; a remove or Restore in between makes the selection stale.
+type selection struct {
+	// records are the chosen records, in store order.
+	records []KV
 
 	store *Store
 	gen   uint64
-	// at are the ascending positions of Records in the store; Remove hands
+	// at are the ascending positions of records in the store; remove hands
 	// them to the successor content's carry, so they are never modified.
 	at []int
 }
 
-// Select has the mover choose n records (all of them when n exceeds the
+// choose has the mover choose n records (all of them when n exceeds the
 // store) to move toward dst. It does not change the store's records; a
 // similarity-aware mover builds the store's — and a store destination's —
 // cell index on first use.
-func (s *Store) Select(m Mover, dst DstView, n int, rng *rand.Rand) Selection {
-	sel := Selection{store: s, gen: s.gen, at: selectAt(m, s, len(s.recs), dst, n, rng)}
+func (s *Store) choose(m Mover, dst DstView, n int, rng *rand.Rand) selection {
+	sel := selection{store: s, gen: s.gen, at: selectAt(m, s, len(s.recs), dst, n, rng)}
 	if len(sel.at) == 0 {
 		return sel
 	}
-	sel.Records = make([]KV, len(sel.at))
+	sel.records = make([]KV, len(sel.at))
 	for k, i := range sel.at {
-		sel.Records[k] = s.recs[i]
+		sel.records[k] = s.recs[i]
 	}
 	return sel
 }
 
-// selectAt is Select's choice of positions out of a source of size records.
+// selectAt is choose's choice of positions out of a source of size records.
 func selectAt(m Mover, src DstView, size int, dst DstView, n int, rng *rand.Rand) []int {
 	if n <= 0 || size == 0 {
 		return nil
@@ -543,14 +553,14 @@ func selectAt(m Mover, src DstView, size int, dst DstView, n int, rng *rand.Rand
 	return at
 }
 
-// Remove takes a selection's records out of the store in one
+// remove takes a selection's records out of the store in one
 // order-preserving pass; the kept records keep their relative order. A
 // slice nobody was handed is compacted in place, unless the kept records
 // would fill less than half of it; otherwise they are copied into a new
 // one, which nobody has been handed either.
-func (s *Store) Remove(sel Selection) error {
+func (s *Store) remove(sel selection) error {
 	if sel.store != s || sel.gen != s.gen {
-		return fmt.Errorf("engine: stale selection: the store was reorganised since Select")
+		return fmt.Errorf("engine: stale selection: the store was reorganised since the selection")
 	}
 	if len(sel.at) == 0 {
 		return nil
@@ -562,7 +572,7 @@ func (s *Store) Remove(sel Selection) error {
 		s.escaped.Store(false)
 	case s.escaped.Load() || 2*n < cap(s.recs):
 		// The slack append would leave: without it the next Add, which at
-		// a site under ingest follows every Remove, copies the whole site
+		// a site under ingest follows every remove, copies the whole site
 		// once more.
 		kept := make([]KV, n, n+n/4)
 		compact(kept, s.recs, sel.at)
@@ -583,3 +593,7 @@ func (s *Store) Remove(sel Selection) error {
 	s.content = s.content.successor(0, sel.at)
 	return nil
 }
+
+// reserve grows the record slice's capacity for n more records, with
+// slices.Grow's amortised growth.
+func (s *Store) reserve(n int) { s.recs = slices.Grow(s.recs, n) }

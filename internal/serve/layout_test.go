@@ -111,7 +111,7 @@ func sitesHolding(c *engine.Cluster, dataset string) (n float64) {
 // TestQueryMissMatchesNaiveFoldAcrossMutations sends the query-miss
 // statement shapes through the handler and checks each reply against a
 // naive fold over the stored records — before any write, and after an
-// ingest batch, a replan's plan-directed moves and a bare Remove. Every
+// ingest batch, a replan's plan-directed moves and one bare move. Every
 // mutation leaves the written sites' layouts and key columns behind (the
 // first statement after it misses there and only there: it pays the
 // re-partition and the re-encode); every other statement, new text or not,
@@ -219,14 +219,14 @@ func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
 	refresh("after a replan's moves", changed(before))
 
 	before = versions()
-	st := sys.Cluster.Data[0].Store(ds.Name)
-	if err := st.Remove(st.Select(engine.RandomMover{}, st, 9, stats.NewRand(4))); err != nil {
+	spec := engine.MoveSpec{Dataset: ds.Name, Src: 0, Dst: 1, MB: sys.Cluster.MB(9)}
+	if _, err := sys.Cluster.ApplyMoves([]engine.MoveSpec{spec}, engine.RandomMover{}, stats.NewRand(4)); err != nil {
 		t.Fatal(err)
 	}
-	if changed(before) != 1 {
-		t.Fatal("the Remove did not change site 0's version alone")
+	if changed(before) != 2 {
+		t.Fatal("the move did not change sites 0 and 1's versions alone")
 	}
-	refresh("after a Remove", 1)
+	refresh("after a move", 2)
 }
 
 // TestNoStatementNoColumns: what fig6-batch and ingest-durable do — plan,
