@@ -45,7 +45,7 @@ race:
 		./internal/parallel/... ./internal/olap/... ./internal/similarity/... ./internal/rdd/... \
 		./internal/cache/... ./internal/serve/... ./internal/ingest/... \
 		./internal/durable/... ./internal/lp/... ./internal/placement/... \
-		./internal/workload/... ./internal/sql/...
+		./internal/workload/... ./internal/sql/... ./internal/core/...
 
 # fuzz-short runs each native fuzz target briefly against its checked-in
 # seed corpus — a smoke round, not a campaign. One -fuzz invocation per

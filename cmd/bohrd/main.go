@@ -165,7 +165,7 @@ func runServe(args []string) error {
 	}
 	fe := serve.New(serve.NewEngineBackend(sys), cfg, col)
 	sys.SetReplanEvery(ing.Replan)
-	ingCfg := ing.Config(s.Seed)
+	ingCfg := ing.Config()
 	ingCfg.Logger = logger
 	var pipe *ingest.Pipeline
 	var dman *durable.Manager

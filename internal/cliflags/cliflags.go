@@ -115,13 +115,12 @@ func (g *Ingest) Register(fs *flag.FlagSet) {
 }
 
 // Config resolves the flags into a pipeline configuration.
-func (g Ingest) Config(seed int64) ingest.Config {
+func (g Ingest) Config() ingest.Config {
 	return ingest.Config{
 		MaxBatchRecords: g.Batch,
 		FlushInterval:   g.Interval,
 		MaxPending:      g.Queue,
 		SourceRate:      g.Rate,
-		Seed:            seed,
 	}
 }
 

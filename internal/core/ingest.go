@@ -46,7 +46,7 @@ func (s *System) IngestBatches() int { return s.ingestBatches }
 func (s *System) RestoreIngestProgress(batches int) { s.ingestBatches = batches }
 
 // IngestBatch applies one delivered batch of arrivals to a prepared
-// system: every arrival is validated up front (all-or-nothing, returning
+// system: every arrival is validated up front (returning
 // ErrBadArrival-wrapped errors for unappliable batches), then each
 // arrival's rows land in the arrival site's store and are forwarded
 // along the current plan's movement shares (§8.6 step 2: a batch is
@@ -54,6 +54,11 @@ func (s *System) RestoreIngestProgress(batches int) { s.ingestBatches = batches 
 // SetReplanEvery batches the system replans, refreshing the plan the
 // serving layer executes queries under. The same path serves bohrd's
 // ingest and scripts the §8.6 experiment (experiments.RunDynamic).
+//
+// The batch commits or changes nothing: IngestBatch fails only before
+// the first row lands (validation, a done ctx, a missing Prepare). A
+// forward or replan failing after that keeps the plan and counts
+// core.ingest.forward_errors or .replan_errors; the batch succeeds.
 //
 // IngestBatch is not safe for concurrent use with queries; the serving
 // layer serializes it against reads (see serve.EngineBackend).
@@ -99,20 +104,21 @@ func (s *System) IngestBatch(ctx context.Context, arrivals []Arrival) (replanned
 		forwarded, err := moveBatchByShares(s.Cluster, s.plan, a.Dataset, a.Site, len(a.Rows), s.shares[a.Dataset])
 		fwd.End()
 		if err != nil {
-			return false, fmt.Errorf("core: ingest move %q: %w", a.Dataset, err)
+			s.Obs.Count("core.ingest.forward_errors", 1)
 		}
 		s.Obs.Count("core.ingest.rows", float64(len(a.Rows)))
 		s.Obs.Count("core.ingest.forwarded", float64(forwarded))
 	}
 	s.ingestBatches++
 	s.Obs.Count("core.ingest.batches", 1)
-	if s.replanEvery > 0 && s.ingestBatches%s.replanEvery == 0 {
-		if err := s.replanForIngest(ctx); err != nil {
-			return false, err
-		}
-		return true, nil
+	if s.replanEvery <= 0 || s.ingestBatches%s.replanEvery != 0 {
+		return false, nil
 	}
-	return false, nil
+	if err := s.replanForIngest(ctx); err != nil {
+		s.Obs.Count("core.ingest.replan_errors", 1)
+		return false, nil
+	}
+	return true, nil
 }
 
 func (s *System) datasetNamed(name string) *workload.Dataset {
@@ -127,6 +133,7 @@ func (s *System) datasetNamed(name string) *workload.Dataset {
 // replanForIngest re-runs similarity checking and placement with
 // up-to-date information, then re-executes the movement plan (§8.6
 // step 4). The planner reads the stores, so it sees every applied batch.
+// On an error the plan stays, and so do moves made before it.
 func (s *System) replanForIngest(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: ingest replan: %w", err)

@@ -247,3 +247,47 @@ func TestIngestBatchRequiresPrepare(t *testing.T) {
 		t.Fatal("ingest before Prepare succeeded")
 	}
 }
+
+// lateCancel is a context cancelled after its entry check: Err reports
+// nil once, then context.Canceled.
+type lateCancel struct {
+	context.Context
+	calls int
+}
+
+func (c *lateCancel) Err() error {
+	if c.calls++; c.calls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestIngestBatchCommitsOrChangesNothing pins the write path's contract:
+// a replan that fails after the batch landed keeps the plan, is counted,
+// and the batch succeeds, so a caller that redelivers on error cannot
+// apply it twice.
+func TestIngestBatchCommitsOrChangesNothing(t *testing.T) {
+	sys, ds := preparedSystem(t)
+	col := obs.NewCollector()
+	sys.Obs = col
+	sys.SetReplanEvery(1)
+	plan, before := sys.Plan(), totalRecords(sys, ds.Name)
+	batch := []Arrival{{Dataset: ds.Name, Site: 0, Rows: liveRows(ds, 10)}}
+	replanned, err := sys.IngestBatch(&lateCancel{Context: context.Background()}, batch)
+	if grown := totalRecords(sys, ds.Name) - before; err != nil || replanned || grown != 10 {
+		t.Fatalf("IngestBatch under a late cancel = %v, %v with %d rows applied; want no replan, no error, 10 rows", replanned, err, grown)
+	}
+	if sys.Plan() != plan || sys.IngestReplans() != 0 || sys.IngestBatches() != 1 {
+		t.Fatalf("plan kept %v, %d replans, %d batches; want the plan kept, 0, 1", sys.Plan() == plan, sys.IngestReplans(), sys.IngestBatches())
+	}
+	if got := col.MetricsSnapshot().Counters["core.ingest.replan_errors"]; got != 1 {
+		t.Fatalf("core.ingest.replan_errors = %v, want 1", got)
+	}
+	// The cadence goes on: the next batch replans.
+	if replanned, err := sys.IngestBatch(context.Background(), batch); err != nil || !replanned {
+		t.Fatalf("next batch = %v, %v; want a replan", replanned, err)
+	}
+	if got := totalRecords(sys, ds.Name); got != before+20 {
+		t.Fatalf("cluster holds %d records, want %d", got, before+20)
+	}
+}

@@ -2,9 +2,11 @@ package durable
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bohr/internal/engine"
@@ -276,5 +278,56 @@ func TestManagerSnapshotPrunesWAL(t *testing.T) {
 	}
 	if sum.SnapshotSeq != 40 || sum.RecordsReplayed != 0 {
 		t.Fatalf("summary = %+v", sum)
+	}
+}
+
+// TestDirSyncFailureKeepsLog: a directory fsync that fails fails the
+// checkpoint before it prunes anything — the WAL segments and the
+// previous snapshot survive — and a WAL rotation syncs the directory.
+func TestDirSyncFailureKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	j := m.Journal()
+	for off := uint64(1); off <= 40; off++ {
+		if err := j.Append(ctx, mkRecs("web", off)); err != nil {
+			t.Fatal(err)
+		}
+		if off == 20 {
+			if _, err := m.WriteSnapshot(&State{WalSeq: m.Seq()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	segs, _, err := segmentFiles(dir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("need ≥2 segments, got %v, %v", segs, err)
+	}
+
+	injected := errors.New("injected directory fsync failure")
+	synced := 0
+	defer func(was func(string) error) { syncDir = was }(syncDir)
+	syncDir = func(string) error { synced++; return injected }
+	if _, err := m.WriteSnapshot(&State{WalSeq: m.Seq()}); !errors.Is(err, injected) {
+		t.Fatalf("WriteSnapshot = %v, want the directory fsync's error", err)
+	}
+	if after, _, err := segmentFiles(dir); err != nil || !slices.Equal(after, segs) {
+		t.Fatalf("segments %v after a failed checkpoint, want %v (%v)", after, segs, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName(20))); err != nil {
+		t.Fatalf("the previous snapshot: %v", err)
+	}
+
+	// Appending until the live segment rotates reaches the hook.
+	synced, err = 0, nil
+	for off := uint64(41); err == nil && off <= 80; off++ {
+		err = j.Append(ctx, mkRecs("web", off))
+	}
+	if !errors.Is(err, injected) || synced != 1 {
+		t.Fatalf("a rotation under a failing directory fsync: %v after %d syncs, want the fsync's error after 1", err, synced)
 	}
 }

@@ -243,7 +243,9 @@ func decodeImage(data []byte) (*State, error) {
 // the frames to a temp file, fsync it, rename into place, fsync the
 // directory. A crash or a failure at any point — a write error, a value
 // no frame can hold — leaves either the old set of snapshots or the old
-// set plus a complete new one — never a visible partial file.
+// set plus a complete new one — never a visible partial file. A failed
+// directory fsync fails the call: the rename may not survive a power
+// loss, so the caller must prune nothing the new file covers.
 func (c *imageCodec) writeFile(dir string, st *State) (int64, error) {
 	final := filepath.Join(dir, snapName(st.WalSeq))
 	tmp := final + ".tmp"
@@ -265,9 +267,8 @@ func (c *imageCodec) writeFile(dir string, st *State) (int64, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("durable: snapshot write: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := syncDir(dir); err != nil {
+		return 0, fmt.Errorf("durable: snapshot dir sync: %w", err)
 	}
 	return size, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,6 +76,10 @@ type WAL struct {
 	firstSeq uint64     // live segment's first frame seq
 	err      error      // sticky write/rotation failure
 	closed   bool
+	// newName: the live segment's directory entry is not known durable
+	// yet; the first fsync that makes a frame in it durable syncs the
+	// directory too.
+	newName bool
 
 	// Group-commit state. Lock ordering: w.mu may be taken while holding
 	// nothing; syncMu may be taken while holding w.mu (rotation advances
@@ -104,7 +107,20 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// segmentFiles lists the directory's WAL segments sorted by first seq.
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable. A variable only so a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return err
+}
+
+// segmentFiles lists the directory's WAL segments in first-seq order:
+// os.ReadDir returns entries sorted by name, and the zero-padded names
+// sort as their seqs do.
 func segmentFiles(dir string) ([]string, []uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -121,8 +137,6 @@ func segmentFiles(dir string) ([]string, []uint64, error) {
 			seqs = append(seqs, first)
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return seqs[i] < seqs[j] })
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return names, seqs, nil
 }
 
@@ -219,15 +233,34 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, *WALScan, error) {
 	return w, scan, nil
 }
 
-// newSegmentLocked creates and switches to the segment whose first frame
-// will be firstSeq. Caller holds w.mu (or owns w exclusively).
+// newSegmentLocked creates the segment whose first frame will be
+// firstSeq and switches to it. Its name is made durable by the first
+// fsync of a frame in it (syncLocked, waitSynced): an empty segment lost
+// to a power loss loses no acked frame. Caller holds w.mu (or owns w
+// exclusively).
 func (w *WAL) newSegmentLocked(firstSeq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(firstSeq)),
 		os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: wal new segment: %w", err)
 	}
-	w.f, w.size, w.firstSeq = f, 0, firstSeq
+	w.f, w.size, w.firstSeq, w.newName = f, 0, firstSeq, true
+	return nil
+}
+
+// syncLocked fsyncs the live segment and, once per segment, the
+// directory holding its name, so the frames in it outlast a power loss.
+// Caller holds w.mu.
+func (w *WAL) syncLocked() error {
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	if w.newName {
+		if err := syncDir(w.dir); err != nil {
+			return fmt.Errorf("dir sync: %w", err)
+		}
+		w.newName = false
+	}
 	return nil
 }
 
@@ -235,7 +268,7 @@ func (w *WAL) newSegmentLocked(firstSeq uint64) error {
 // is durable before the file is abandoned, and advancing the synced
 // position accordingly — then opens the next one. Caller holds w.mu.
 func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncLocked(); err != nil {
 		return fmt.Errorf("durable: wal rotate sync: %w", err)
 	}
 	w.syncMu.Lock()
@@ -304,8 +337,9 @@ func (w *WAL) Append(ctx context.Context, payload []byte) (uint64, error) {
 // waiter as the leader that syncs for the whole group: it captures the
 // live file and the latest assigned seq together under w.mu (so a
 // rotation between capture points cannot mark unsynced frames synced —
-// rotation itself syncs the file it abandons), fsyncs once, publishes
-// the new synced position, and wakes everyone.
+// rotation itself syncs the file it abandons), fsyncs once (and the
+// directory, the first time for a segment), publishes the new synced
+// position, and wakes everyone.
 func (w *WAL) waitSynced(seq uint64) error {
 	w.syncMu.Lock()
 	for {
@@ -326,9 +360,18 @@ func (w *WAL) waitSynced(seq uint64) error {
 		w.syncMu.Unlock()
 
 		w.mu.Lock()
-		f, upto := w.f, w.seq
+		f, upto, newName := w.f, w.seq, w.newName
 		w.mu.Unlock()
 		err := f.Sync()
+		if err == nil && newName {
+			if err = syncDir(w.dir); err == nil {
+				w.mu.Lock()
+				if w.f == f {
+					w.newName = false
+				}
+				w.mu.Unlock()
+			}
+		}
 
 		w.syncMu.Lock()
 		w.syncing = false
@@ -438,7 +481,7 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	if w.cfg.Fsync {
-		if err := w.f.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			w.f.Close()
 			return fmt.Errorf("durable: wal close sync: %w", err)
 		}

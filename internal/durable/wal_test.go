@@ -2,6 +2,7 @@ package durable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,6 +239,60 @@ func TestWALCorruptionMidLogDropsLaterSegments(t *testing.T) {
 	// Log is usable again from seq 1.
 	if seq, err := w2.Append(ctx, []byte("fresh")); err != nil || seq != 1 {
 		t.Fatalf("append after corruption: seq %d, err %v", seq, err)
+	}
+}
+
+// TestWALSyncsDirBeforeFirstAck holds the directory fsync of a new
+// segment to the first fsync-mode append into it: opening or rotating
+// alone syncs no directory, later appends into the same segment sync the
+// file only, and a failing directory fsync fails the append that needed
+// it.
+func TestWALSyncsDirBeforeFirstAck(t *testing.T) {
+	synced := 0
+	var injected error
+	defer func(was func(string) error) { syncDir = was }(syncDir)
+	real := syncDir
+	syncDir = func(dir string) error {
+		synced++
+		if injected != nil {
+			return injected
+		}
+		return real(dir)
+	}
+	dir := t.TempDir()
+	w, _, err := OpenWAL(dir, WALConfig{Fsync: true, segmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if synced != 0 {
+		t.Fatalf("OpenWAL synced the directory %d times, want 0", synced)
+	}
+	ctx := context.Background()
+	segments := func() int {
+		names, _, err := segmentFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+	// Short frames against a 128-byte threshold rotate every few appends;
+	// each segment's first append syncs the directory once.
+	for i := 0; segments() < 3; i++ {
+		if _, err := w.Append(ctx, []byte(fmt.Sprintf("dir-sync-payload-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if n := segments(); synced != n {
+			t.Fatalf("after append %d over %d segments: %d directory syncs", i+1, n, synced)
+		}
+	}
+	injected = errors.New("injected directory fsync failure")
+	for segments() < 4 {
+		if _, err := w.Append(ctx, []byte("dir-sync-payload-tail")); segments() < 4 && err != nil {
+			t.Fatalf("append into a segment whose name is durable: %v", err)
+		} else if segments() == 4 && !errors.Is(err, injected) {
+			t.Fatalf("first append into a new segment = %v, want the directory fsync's error", err)
+		}
 	}
 }
 

@@ -350,16 +350,33 @@ func (w *walk) act() {
 	case op < 14:
 		w.scan(st, d.width)
 	case op < 16:
-		// A store takes ownership of what it restores: a fresh slice, or
-		// the one it just handed out (a reload of a capture).
+		// A store adopts what it restores: a fresh slice, the one it just
+		// handed out (a reload of a capture), or a prefix of one another
+		// live store holds, which the store then appends to.
 		recs, route := w.batch(d.width, 20+w.rng.Intn(40)), "Restore (fresh)"
-		if w.rng.Intn(2) == 0 && st.Len() > 0 {
-			recs, route = st.Records(), "Restore (handed out)"
+		shared := false
+		switch w.rng.Intn(3) {
+		case 0:
+			if st.Len() > 0 {
+				recs, route = st.Records(), "Restore (handed out)"
+			}
+		case 1:
+			if o := w.clusters[w.rng.Intn(len(w.clusters))].Data[w.rng.Intn(3)].Store(d.name); o != st && o.Len() > 1 {
+				held := o.Records()
+				route, shared = "Restore (another store's), then Add", true
+				w.held = append(w.held, heldSlice{route, held, slices.Clone(held)})
+				recs = held[:1+w.rng.Intn(len(held)-1)]
+			}
 		}
 		w.op = route
 		w.held = append(w.held, heldSlice{route, recs, slices.Clone(recs)})
 		c.Data[site].Restore(d.name, recs)
 		written(recs)
+		if shared {
+			added := w.batch(d.width, 1+w.rng.Intn(4))
+			c.Data[site].Add(d.name, added...)
+			written(append(slices.Clone(recs), added...))
+		}
 	case op == 16:
 		v, m := w.mover(di)
 		w.op = fmt.Sprintf("Profile.Counts in %v under %T%+v", v, m, m)
@@ -516,6 +533,9 @@ func (w *walk) check() {
 			}
 		}
 	}
+	// Handed-out slices first: a write through an array two holders share
+	// is named by the route that handed it out, not as a changed store.
+	w.checkHeld(stores, where)
 	done := map[*content]bool{}
 	next := map[*Store]storeState{}
 	for _, st := range stores {
@@ -532,7 +552,6 @@ func (w *walk) check() {
 			}
 		}
 	}
-	w.checkHeld(stores, where)
 	w.prev = next
 }
 

@@ -208,12 +208,14 @@ func (s *Store) Add(records ...KV) {
 	s.content = s.content.successor(len(records), nil)
 }
 
-// Restore replaces the store's records wholesale (a snapshot load); the
-// store takes ownership of the slice. The index is dropped and rebuilt by
-// the next similarity-aware move, and the key dictionaries and columns
-// start over with the next Select: nothing is carried.
+// Restore replaces the store's records wholesale (a snapshot load). The
+// store adopts the slice with its capacity clipped, as a clone does, so
+// its next Add reallocates instead of writing into an array another
+// holder of the slice may still read or append to. The index is dropped
+// and rebuilt by the next similarity-aware move, and the key dictionaries
+// and columns start over with the next Select: nothing is carried.
 func (s *Store) Restore(records []KV) {
-	s.recs = records
+	s.recs = records[:len(records):len(records)]
 	s.escaped.Store(true)
 	s.version++
 	s.gen++

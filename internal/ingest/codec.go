@@ -1,8 +1,8 @@
 // Package ingest implements the streaming-ingestion subsystem: a
 // partitioned pipeline that accepts records continuously, accumulates
 // them in per-source bounded batches with size/interval flush triggers,
-// applies admission control and throttling for hot sources, retries
-// delivery with seeded backoff, and tracks per-source monotonic offsets
+// applies admission control and throttling for hot sources, requeues a
+// batch whose delivery failed, and tracks per-source monotonic offsets
 // so a restarted source replays at-least-once without double-applying
 // (dedupe on (source, offset)). The wire format is line-oriented and
 // self-contained, so the same codec backs the HTTP endpoint, the

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"bohr/internal/obs"
-	"bohr/internal/stats"
 )
 
 // ErrOverloaded is returned by Push when admission control rejects a
@@ -38,22 +36,24 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 var ErrJournal = errors.New("ingest: journal append failed")
 
 // errRejected marks a permanent delivery failure: the applier judged the
-// batch malformed (unknown dataset, bad coordinates), so retrying cannot
-// help and the records are dropped instead of wedging the pipeline.
+// batch malformed (unknown dataset, bad coordinates), so redelivering it
+// cannot help and the records are dropped instead of wedging the pipeline.
 var errRejected = errors.New("ingest: batch rejected")
 
 // Reject wraps an applier error as permanent: the pipeline drops the
-// batch (counting ingest.rejected) instead of retrying it forever.
+// batch (counting ingest.rejected) instead of redelivering it forever.
 func Reject(err error) error { return fmt.Errorf("%w: %w", errRejected, err) }
 
 // IsRejected reports whether an applier error was marked permanent.
 func IsRejected(err error) bool { return errors.Is(err, errRejected) }
 
-// Applier consumes delivered batches. Apply must be atomic-ish from the
-// pipeline's view: on a nil return the batch counts as applied; on a
-// Reject-wrapped return it is dropped; on any other error it is retried
-// with seeded backoff and, once attempts are exhausted, requeued for the
-// next flush trigger — at-least-once delivery.
+// Applier consumes delivered batches. Apply commits the whole batch or
+// changes nothing: on a nil return the batch counts as applied; on a
+// Reject-wrapped return it is dropped; on any other error it is requeued
+// at the head of its source's buffer and delivered again at the next
+// flush trigger. An error that came after part of the batch landed would
+// apply that part twice, so an applier that can fail late must absorb
+// the failure and return nil.
 type Applier interface {
 	Apply(ctx context.Context, b Batch) error
 }
@@ -92,10 +92,11 @@ type Config struct {
 	// a one-second burst; beyond it Push returns ErrThrottled (0 =
 	// unlimited).
 	SourceRate float64
-	// Seed feeds the backoff jitter generator.
+	// Seed is read by nothing: delivery makes one attempt per flush
+	// trigger and draws no randomness.
 	Seed int64
-	// Logger receives structured delivery-path logs (retries, requeues,
-	// and permanent rejections at Warn, with the source attached); nil
+	// Logger receives structured delivery-path logs (requeues and
+	// permanent rejections at Warn, with the source attached); nil
 	// disables logging.
 	Logger *slog.Logger
 	// Journal, when non-nil, persists admitted records before Push
@@ -106,17 +107,8 @@ type Config struct {
 	// like the pre-crash one.
 	RestoreOffsets []SourceOffsets
 
-	// The package's tests set these hooks.
-	//
-	// retryAttempts is how many times a failed delivery retries before
-	// the batch is requeued for the next trigger (0 means 4, negative
-	// none).
-	retryAttempts int
-	// retryBase is the backoff base: retry n sleeps base·2ⁿ scaled by a
-	// seeded jitter in [1,2) (default 10ms).
-	retryBase time.Duration
 	// now is the clock of the rate limiter and the batch latency gauges;
-	// nil means time.Now.
+	// nil means time.Now. The package's tests set it.
 	now func() time.Time
 }
 
@@ -129,14 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4096
-	}
-	if c.retryAttempts < 0 {
-		c.retryAttempts = 0
-	} else if c.retryAttempts == 0 {
-		c.retryAttempts = 4
-	}
-	if c.retryBase <= 0 {
-		c.retryBase = 10 * time.Millisecond
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -159,9 +143,7 @@ type Stats struct {
 	BatchesFlushed uint64
 	// RecordsDelivered records delivered successfully.
 	RecordsDelivered uint64
-	// Retries delivery attempts beyond each batch's first.
-	Retries uint64
-	// DeliveryFailures batches requeued after exhausting retries.
+	// DeliveryFailures batches requeued after a failed delivery.
 	DeliveryFailures uint64
 	// Rejected records dropped on a permanent (Reject-wrapped) applier
 	// error.
@@ -183,7 +165,7 @@ type sourceState struct {
 	metric string
 	// admitAt parallels buf (and then the in-flight batch): each record's
 	// admission time, so a delivered batch's end-to-end latency — admit to
-	// applied, queueing and retries included — is measurable.
+	// applied, queueing and requeues included — is measurable.
 	admitAt  []time.Time
 	accepted uint64
 	deduped  uint64
@@ -285,7 +267,6 @@ type Pipeline struct {
 	// deliverMu serializes deliveries (worker ticks, size kicks, and
 	// explicit Flush calls), keeping per-source batch order intact.
 	deliverMu sync.Mutex
-	rng       *rand.Rand // backoff jitter; guarded by deliverMu
 
 	kick chan struct{}
 	stop chan struct{}
@@ -300,7 +281,6 @@ func New(cfg Config, applier Applier, col *obs.Collector) *Pipeline {
 		applier: applier,
 		col:     col,
 		sources: make(map[string]*sourceState),
-		rng:     stats.NewRand(stats.Split(cfg.Seed, 7001)),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -526,7 +506,7 @@ func (p *Pipeline) flush(ctx context.Context, all bool) error {
 	p.deliverMu.Lock()
 	defer p.deliverMu.Unlock()
 	var firstErr error
-	// A source whose delivery failed (requeued) must not be retried in
+	// A source whose delivery failed (requeued) must not be redelivered in
 	// the same pass, or a dead applier turns Flush into a hot loop.
 	tried := make(map[string]bool)
 	for {
@@ -572,78 +552,57 @@ func (p *Pipeline) flush(ctx context.Context, all bool) error {
 	}
 }
 
-// deliver applies one batch with seeded-backoff retries. Success and
-// permanent rejection settle the records; transient failure beyond the
-// retry budget puts them back at the head of the source's buffer for the
-// next trigger (at-least-once).
+// deliver makes one attempt at a batch. Success and permanent rejection
+// settle the records; any other error puts them back at the head of the
+// source's buffer for the next trigger. The applier changed nothing on
+// an error, so a requeued batch is applied once when it does land.
 func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admitAt []time.Time) error {
 	n := len(batch)
-	for attempt := 0; ; attempt++ {
-		err := p.applier.Apply(ctx, Batch{Source: src, Records: batch})
-		if err == nil {
-			// Batch end-to-end latency: the oldest record's admission to
-			// the successful apply, retries and queueing included.
-			var e2e float64
-			if len(admitAt) > 0 {
-				e2e = p.cfg.now().Sub(admitAt[0]).Seconds()
-			}
-			p.settle(src, n, func() {
-				p.stats.BatchesFlushed++
-				p.stats.RecordsDelivered += uint64(n)
-				p.col.Count("ingest.batches.flushed", 1)
-				p.col.Count("ingest.records.delivered", float64(n))
-				p.col.Observe("ingest.batch_e2e_s", e2e)
-				p.sourceLocked(src).lastE2E = e2e
-			})
-			return nil
+	err := p.applier.Apply(ctx, Batch{Source: src, Records: batch})
+	switch {
+	case err == nil:
+		// Batch end-to-end latency: the oldest record's admission to
+		// the successful apply, queueing and requeues included.
+		var e2e float64
+		if len(admitAt) > 0 {
+			e2e = p.cfg.now().Sub(admitAt[0]).Seconds()
 		}
-		if IsRejected(err) {
-			if p.cfg.Logger != nil {
-				p.cfg.Logger.Warn("ingest: batch rejected",
-					slog.String("source", src), slog.Int("records", n),
-					slog.String("error", err.Error()))
-			}
-			p.settle(src, n, func() {
-				p.stats.Rejected += uint64(n)
-				p.col.Count("ingest.rejected", float64(n))
-			})
-			return err
-		}
-		if attempt >= p.cfg.retryAttempts || ctx.Err() != nil {
-			if p.cfg.Logger != nil {
-				p.cfg.Logger.Warn("ingest: delivery failed, batch requeued",
-					slog.String("source", src), slog.Int("records", n),
-					slog.Int("attempts", attempt+1), slog.String("error", err.Error()))
-			}
-			p.mu.Lock()
-			st := p.sourceLocked(src)
-			st.buf = append(append([]Record(nil), batch...), st.buf...)
-			st.admitAt = append(append([]time.Time(nil), admitAt...), st.admitAt...)
-			st.inflight -= n
-			p.stats.DeliveryFailures++
-			p.col.Count("ingest.delivery.failures", 1)
-			p.publishLocked(st, src)
-			p.mu.Unlock()
-			return err
-		}
+		p.settle(src, n, func() {
+			p.stats.BatchesFlushed++
+			p.stats.RecordsDelivered += uint64(n)
+			p.col.Count("ingest.batches.flushed", 1)
+			p.col.Count("ingest.records.delivered", float64(n))
+			p.col.Observe("ingest.batch_e2e_s", e2e)
+			p.sourceLocked(src).lastE2E = e2e
+		})
+		return nil
+	case IsRejected(err):
 		if p.cfg.Logger != nil {
-			p.cfg.Logger.Warn("ingest: delivery retry",
+			p.cfg.Logger.Warn("ingest: batch rejected",
 				slog.String("source", src), slog.Int("records", n),
-				slog.Int("attempt", attempt+1), slog.String("error", err.Error()))
+				slog.String("error", err.Error()))
 		}
-		p.mu.Lock()
-		p.stats.Retries++
-		p.mu.Unlock()
-		p.col.Count("ingest.retries", 1)
-		// Seeded exponential backoff with jitter in [1,2), abortable by
-		// shutdown or caller cancellation.
-		d := time.Duration(float64(p.cfg.retryBase<<uint(attempt)) * (1 + p.rng.Float64()))
-		select {
-		case <-time.After(d):
-		case <-p.stop:
-		case <-ctx.Done():
-		}
+		p.settle(src, n, func() {
+			p.stats.Rejected += uint64(n)
+			p.col.Count("ingest.rejected", float64(n))
+		})
+		return err
 	}
+	if p.cfg.Logger != nil {
+		p.cfg.Logger.Warn("ingest: delivery failed, batch requeued",
+			slog.String("source", src), slog.Int("records", n),
+			slog.String("error", err.Error()))
+	}
+	p.mu.Lock()
+	st := p.sourceLocked(src)
+	st.buf = append(append([]Record(nil), batch...), st.buf...)
+	st.admitAt = append(append([]time.Time(nil), admitAt...), st.admitAt...)
+	st.inflight -= n
+	p.stats.DeliveryFailures++
+	p.col.Count("ingest.delivery.failures", 1)
+	p.publishLocked(st, src)
+	p.mu.Unlock()
+	return err
 }
 
 // settle finalizes n inflight records of a source and applies the

@@ -48,6 +48,12 @@ func (a *recApplier) delivered() []Batch {
 	return append([]Batch(nil), a.batches...)
 }
 
+func (a *recApplier) attempts() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.applies
+}
+
 func (a *recApplier) records() int {
 	n := 0
 	for _, b := range a.delivered() {
@@ -164,27 +170,36 @@ func TestPipelineThrottlesHotSource(t *testing.T) {
 	}
 }
 
+// TestPipelineRetriesTransientFaults: a transient failure is one attempt
+// and a requeue, with no retry inside the flush; the next trigger
+// delivers the batch, once.
 func TestPipelineRetriesTransientFaults(t *testing.T) {
-	app := &recApplier{failNext: 2}
-	p := New(Config{FlushInterval: -1, retryAttempts: 4, retryBase: time.Millisecond}, app, nil)
+	app := &recApplier{failNext: 1}
+	p := New(Config{FlushInterval: -1}, app, nil)
 	defer p.Close()
 	if _, err := p.Push(context.Background(), rec("s", 1)); err != nil {
 		t.Fatalf("Push: %v", err)
 	}
+	if err := p.Flush(context.Background()); err == nil {
+		t.Fatal("Flush hid a failed delivery")
+	}
+	if app.attempts() != 1 || app.records() != 0 || p.Pending() != 1 {
+		t.Fatalf("after a failed flush: %d applies, %d delivered, %d pending; want 1, 0, 1", app.attempts(), app.records(), p.Pending())
+	}
 	if err := p.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush after retries: %v", err)
+		t.Fatalf("Flush after the fault: %v", err)
 	}
-	if app.records() != 1 {
-		t.Fatalf("delivered %d records", app.records())
+	if app.attempts() != 2 || app.records() != 1 || p.Pending() != 0 {
+		t.Fatalf("after the next flush: %d applies, %d delivered, %d pending; want 2, 1, 0", app.attempts(), app.records(), p.Pending())
 	}
-	if st := p.Stats(); st.Retries != 2 || st.DeliveryFailures != 0 {
-		t.Fatalf("stats %+v: want 2 retries, 0 failures", st)
+	if st := p.Stats(); st.DeliveryFailures != 1 || st.BatchesFlushed != 1 {
+		t.Fatalf("stats %+v: want 1 failure, 1 batch flushed", st)
 	}
 }
 
 func TestPipelineRequeuesAfterRetryBudget(t *testing.T) {
 	app := &recApplier{failNext: 100}
-	p := New(Config{FlushInterval: -1, retryAttempts: 1, retryBase: time.Millisecond}, app, nil)
+	p := New(Config{FlushInterval: -1}, app, nil)
 	defer p.Close()
 	if _, err := p.Push(context.Background(), rec("s", 1), rec("s", 2)); err != nil {
 		t.Fatalf("Push: %v", err)
@@ -192,8 +207,8 @@ func TestPipelineRequeuesAfterRetryBudget(t *testing.T) {
 	if err := p.Flush(context.Background()); err == nil {
 		t.Fatal("Flush succeeded against a dead applier")
 	}
-	if p.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2 requeued records", p.Pending())
+	if p.Pending() != 2 || app.attempts() != 1 {
+		t.Fatalf("pending = %d after %d applies, want 2 requeued records after 1", p.Pending(), app.attempts())
 	}
 	// The applier heals; the requeued batch delivers in original order —
 	// at-least-once, nothing lost.
@@ -208,8 +223,8 @@ func TestPipelineRequeuesAfterRetryBudget(t *testing.T) {
 		got[0].Records[0].Offset != 1 || got[0].Records[1].Offset != 2 {
 		t.Fatalf("delivered %+v, want offsets 1,2 in order", got)
 	}
-	if st := p.Stats(); st.DeliveryFailures == 0 {
-		t.Fatalf("stats %+v: failure not counted", st)
+	if st := p.Stats(); st.DeliveryFailures != 1 {
+		t.Fatalf("stats %+v: want 1 failure", st)
 	}
 }
 
@@ -228,8 +243,8 @@ func TestPipelineDropsRejectedBatch(t *testing.T) {
 	if p.Pending() != 0 {
 		t.Fatalf("pending = %d after rejection", p.Pending())
 	}
-	if st := p.Stats(); st.Rejected != 1 || st.Retries != 0 {
-		t.Fatalf("stats %+v: want 1 rejected, 0 retries", st)
+	if st := p.Stats(); st.Rejected != 1 || st.DeliveryFailures != 0 || app.attempts() != 1 {
+		t.Fatalf("stats %+v after %d applies: want 1 rejected, 0 failures, 1 apply", st, app.attempts())
 	}
 	if _, err := p.Push(context.Background(), rec("s", 2)); err != nil {
 		t.Fatalf("push after rejection: %v", err)
@@ -427,24 +442,21 @@ func TestPerSourceObservability(t *testing.T) {
 }
 
 // TestIngestLoggerSeesRetries wires a logger into the pipeline and checks
-// the retry and requeue paths emit structured lines with the source name.
+// a failed delivery logs one requeue line with the source name.
 func TestIngestLoggerSeesRetries(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil))
 	app := &recApplier{failNext: 10}
-	p := New(Config{
-		MaxBatchRecords: 2, FlushInterval: -1, retryAttempts: 1,
-		retryBase: time.Millisecond, Logger: logger,
-	}, app, nil)
+	p := New(Config{MaxBatchRecords: 2, FlushInterval: -1, Logger: logger}, app, nil)
 	defer p.Close()
 	p.Push(context.Background(), rec("s1", 1), rec("s1", 2))
-	p.Flush(context.Background()) // 1 retry, then requeue
+	p.Flush(context.Background()) // one attempt, then requeue
 	mu.Lock()
 	text := buf.String()
 	mu.Unlock()
-	if !strings.Contains(text, "delivery retry") || !strings.Contains(text, "requeued") {
-		t.Fatalf("log missing retry/requeue lines:\n%s", text)
+	if strings.Count(text, "\n") != 1 || !strings.Contains(text, "requeued") {
+		t.Fatalf("log wants one requeue line:\n%s", text)
 	}
 	if !strings.Contains(text, `"source":"s1"`) {
 		t.Fatalf("log lines lack the source attr:\n%s", text)

@@ -14,7 +14,10 @@ import (
 // RowApplier is implemented by backends that accept live row arrivals
 // from the streaming-ingest pipeline. ApplyBatch applies one delivered
 // batch and returns the names of the datasets it changed, so the serving
-// layer can invalidate cached results for them.
+// layer can invalidate cached results for them. It commits the batch or
+// changes nothing: the pipeline drops a batch whose error is
+// ingest.Reject-wrapped and redelivers any other at its next flush, so
+// an error after part of the batch landed would apply that part twice.
 type RowApplier interface {
 	ApplyBatch(ctx context.Context, b ingest.Batch) (datasets []string, err error)
 }

@@ -242,6 +242,91 @@ func TestApplyBatchReportsReplannedDatasets(t *testing.T) {
 	}
 }
 
+// lateCancel is a context cancelled after its first check: Err reports
+// nil once, then context.Canceled — between IngestBatch's entry check
+// and its replan.
+type lateCancel struct {
+	context.Context
+	calls int
+}
+
+func (c *lateCancel) Err() error {
+	if c.calls++; c.calls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAckedBatchAppliesOnce: a batch whose cadence replan fails after the
+// rows landed is delivered, not requeued, so a second flush has nothing
+// to apply and the dataset grows by the acked records, once.
+func TestAckedBatchAppliesOnce(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 1, 120
+	col := obs.NewCollector()
+	sys := prepareSystem(t, s, col)
+	sys.SetReplanEvery(1)
+	ds := sys.Workload.Datasets[0]
+	fe := New(NewEngineBackend(sys), Config{}, col)
+	pipe, err := fe.EnableIngest(ingest.Config{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	before := clusterRecords(sys, ds.Name)
+	for off := uint64(1); off <= 5; off++ {
+		if _, err := pipe.Push(context.Background(), liveRecord(sys, "src", off, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := pipe.Flush(&lateCancel{Context: context.Background()})
+	next := pipe.Flush(context.Background())
+	if got := clusterRecords(sys, ds.Name) - before; got != 5 || late != nil || next != nil {
+		t.Fatalf("the dataset grew by %d records for 5 acked (flushes: %v, %v)", got, late, next)
+	}
+	if got := col.MetricsSnapshot().Counters["core.ingest.replan_errors"]; got != 1 {
+		t.Fatalf("core.ingest.replan_errors = %v, want 1", got)
+	}
+}
+
+// TestApplyBatchKeepsDaemonTraceFlat: each batch runs under its own
+// collector, so the system's trace does not grow with the batches it
+// applies (replans included) while their counters and histograms still
+// reach it as counters and histograms.
+func TestApplyBatchKeepsDaemonTraceFlat(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 1, 120
+	col := obs.NewCollector(obs.WithWallClock())
+	sys := prepareSystem(t, s, col)
+	sys.SetReplanEvery(2)
+	b := NewEngineBackend(sys)
+	var spans func(*obs.Span) int
+	spans = func(sp *obs.Span) int {
+		n := 1
+		for _, ch := range sp.Children {
+			n += spans(ch)
+		}
+		return n
+	}
+	was, solves := spans(col.Trace()), col.MetricsSnapshot().Histograms["lp.solve.rounds"].Count
+	const n = 6
+	for i := range n {
+		if _, err := b.ApplyBatch(context.Background(), ingest.Batch{Records: []ingest.Record{liveRecord(sys, "src", uint64(i+1), i%2)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := spans(col.Trace()); got != was {
+		t.Fatalf("%d batches took the trace from %d spans to %d", n, was, got)
+	}
+	snap := col.MetricsSnapshot()
+	if snap.Counters["core.ingest.batches"] != n || snap.Counters["core.ingest.replans"] != n/2 {
+		t.Fatalf("core.ingest.batches = %v, .replans = %v; want %d, %d", snap.Counters["core.ingest.batches"], snap.Counters["core.ingest.replans"], n, n/2)
+	}
+	if got := snap.Histograms["lp.solve.rounds"].Count; got <= solves || snap.Counters["lp.solve.rounds.count"] != 0 {
+		t.Fatalf("lp.solve.rounds: %d observations after %d, and %v folded into a counter; want the replans' solves observed", got, solves, snap.Counters["lp.solve.rounds.count"])
+	}
+}
+
 // applierShim adds a trivial RowApplier to the fakeBackend so endpoint
 // plumbing can be tested without a real system.
 type applierShim struct {

@@ -121,7 +121,10 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 // live replan re-executes moves for datasets the batch did not name — so
 // the result cache drops their now-unreachable entries at once. Batches
 // the system can never apply come back Reject-wrapped, telling the
-// pipeline to drop rather than retry.
+// pipeline to drop them; any other error means nothing changed. The
+// batch runs under a collector of its own that passes every metric on to
+// the system's (its sink), so the daemon's trace does not grow with every
+// batch while its counters and histograms read as before.
 func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]string, error) {
 	type groupKey struct {
 		dataset string
@@ -149,7 +152,12 @@ func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]s
 	for i, ds := range dss {
 		before[i], _ = b.sys.Cluster.Version(ds.Name)
 	}
-	if _, err := b.sys.IngestBatch(ctx, arrivals); err != nil {
+	daemon := b.sys.Obs
+	b.sys.Obs = obs.NewCollector()
+	b.sys.Obs.SetSink(daemon)
+	_, err := b.sys.IngestBatch(ctx, arrivals)
+	b.sys.Obs = daemon
+	if err != nil {
 		if errors.Is(err, core.ErrBadArrival) {
 			return nil, ingest.Reject(err)
 		}
