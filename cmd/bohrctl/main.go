@@ -270,7 +270,7 @@ func runSQL(sys *core.System, w *workload.Workload, text string) error {
 	if err != nil {
 		return err
 	}
-	rows := plan.PostProcess(res.Output)
+	rows := plan.PostProcess(res.Output())
 	fmt.Printf("%s: QCT %.2fs, %.1f MB shuffled, %d output rows\n",
 		plan.Query.Name, res.QCT, res.TotalShuffleMB, len(rows))
 	limit := len(rows)

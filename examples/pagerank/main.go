@@ -65,7 +65,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nTop pages of %s after %d rank rounds:\n", w.Datasets[0].Name, len(res.Rounds))
-	top := res.Output
+	top := res.Output()
 	// Output is key-sorted; select the 5 highest scores.
 	for rank := 0; rank < 5; rank++ {
 		best := -1

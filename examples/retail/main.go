@@ -79,7 +79,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rows := plan.PostProcess(res.Output)
+		rows := plan.PostProcess(res.Output())
 		fmt.Printf("%s\n  QCT %.2fs, %d rows\n", text, res.QCT, len(rows))
 		limit := len(rows)
 		if limit > 4 {

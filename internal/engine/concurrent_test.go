@@ -72,8 +72,9 @@ func TestReduceAllocsScaleWithKeys(t *testing.T) {
 		if cut := testing.AllocsPerRun(5, func() { tab.runs() }); cut != 3 {
 			t.Fatalf("%d reducers: cutting the table into outputs took %.0f allocations, want 3", len(frac), cut)
 		}
-		if sorted := testing.AllocsPerRun(1, func() { tab.sorted() }); sorted != 0 {
-			t.Fatalf("%d reducers: the sorted table took %.0f allocations", len(frac), sorted)
+		results, r := make([]RunResult, 2), 0 // AllocsPerRun's warm-up call, then the measured one
+		if sorted := testing.AllocsPerRun(1, func() { results[r].output = tab.slots; results[r].Output(); r++ }); sorted != 0 {
+			t.Fatalf("%d reducers: the sorted output took %.0f allocations", len(frac), sorted)
 		}
 		t.Logf("%d reducers, %d keys: %.0f allocations for %d or %d partials", len(frac), keys, fewAllocs, len(few), len(many))
 	}
@@ -97,7 +98,7 @@ func TestTwoStageCountCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total float64
-	for _, kv := range res.Output {
+	for _, kv := range res.Output() {
 		total += kv.Val
 	}
 	want := float64(40 + 50 + 60)
@@ -133,10 +134,10 @@ func TestRunConcurrentSharesShuffle(t *testing.T) {
 			both[0].Rounds[0].ShuffleTime, both[1].Rounds[0].ShuffleTime)
 	}
 	// Outputs stay per-job.
-	if len(both[0].Output) == 0 || len(both[1].Output) == 0 {
+	if len(both[0].Output()) == 0 || len(both[1].Output()) == 0 {
 		t.Fatal("missing outputs")
 	}
-	if both[0].Output[0].Key[0] != 'a' || both[1].Output[0].Key[0] != 'b' {
+	if both[0].Output()[0].Key[0] != 'a' || both[1].Output()[0].Key[0] != 'b' {
 		t.Fatal("job outputs mixed up")
 	}
 }
@@ -191,11 +192,11 @@ func TestCubeInputReducesMapTime(t *testing.T) {
 			cube.Rounds[0].MapTime, raw.Rounds[0].MapTime)
 	}
 	// Data semantics unchanged: identical outputs.
-	if len(raw.Output) != len(cube.Output) {
+	if len(raw.Output()) != len(cube.Output()) {
 		t.Fatal("cube input changed query results")
 	}
-	for i := range raw.Output {
-		if raw.Output[i] != cube.Output[i] {
+	for i := range raw.Output() {
+		if raw.Output()[i] != cube.Output()[i] {
 			t.Fatal("cube input changed query results")
 		}
 	}

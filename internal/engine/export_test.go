@@ -7,3 +7,28 @@ import "math/rand"
 func Forward(st *Store, n int, rng *rand.Rand) error {
 	return st.remove(st.choose(RandomMover{}, nil, n, rng))
 }
+
+// SetOutput makes out what r.Output returns: the output of a run made
+// outside the package, such as the tests' reference run.
+func (r *RunResult) SetOutput(out []KV) { r.output = out }
+
+// PooledCombinerKeys takes up to n combiners from the pool, puts them back
+// and returns how many keys they held: in the slot map, or anywhere in the
+// capacity of the groups buffer.
+func PooledCombinerKeys(n int) int {
+	cbs := make([]*combiner, n)
+	keys := 0
+	for i := range cbs {
+		cbs[i] = combinerPool.Get().(*combiner)
+		keys += len(cbs[i].slot)
+		for _, kv := range cbs[i].out[:cap(cbs[i].out)] {
+			if kv != (KV{}) {
+				keys++
+			}
+		}
+	}
+	for _, cb := range cbs {
+		combinerPool.Put(cb)
+	}
+	return keys
+}

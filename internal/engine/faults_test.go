@@ -34,8 +34,8 @@ func TestRunWithFaultsSlowsAndStaysDeterministic(t *testing.T) {
 	if faulty.QCT <= clean.QCT {
 		t.Fatalf("faulty QCT %v not slower than clean %v", faulty.QCT, clean.QCT)
 	}
-	if faulty.Output == nil || len(faulty.Output) != len(clean.Output) {
-		t.Fatalf("faults changed query OUTPUT: %d vs %d records", len(faulty.Output), len(clean.Output))
+	if faulty.Output() == nil || len(faulty.Output()) != len(clean.Output()) {
+		t.Fatalf("faults changed query OUTPUT: %d vs %d records", len(faulty.Output()), len(clean.Output()))
 	}
 	if again := run(); again.QCT != faulty.QCT {
 		t.Fatalf("same schedule produced different QCT: %v vs %v", again.QCT, faulty.QCT)

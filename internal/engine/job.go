@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 
 	"bohr/internal/faults"
@@ -71,9 +72,18 @@ type RunResult struct {
 	IntermediateMBPerSite []float64
 	// TotalShuffleMB sums cross-WAN shuffle volume over all rounds.
 	TotalShuffleMB float64
-	// Output is the final reduce output across all sites, merged and
-	// sorted by key.
-	Output []KV
+	// output is the last round's key table, sorted on the first Output.
+	output     []KV
+	sortOutput sync.Once
+}
+
+// Output is the final reduce output across all sites, merged and sorted
+// by key. The sort runs on the first call, so a run whose output nobody
+// reads (every modeled experiment) never sorts; any number of goroutines
+// may call it.
+func (r *RunResult) Output() []KV {
+	r.sortOutput.Do(func() { slices.SortFunc(r.output, byKey) })
+	return r.output
 }
 
 // Run executes the query on the cluster and returns timing and volume
@@ -170,9 +180,18 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 	}
 
 	// The stages' buffers serve the whole batch, job after job and round
-	// after round: a combiner per site, made at the site's first MapFn scan,
-	// and the key index each job's fold hands to the next (keyTable.done).
-	var combiners []*combiner
+	// after round: a combiner per site, taken from the pool at the site's
+	// first MapFn scan and put back emptied when the call ends, and the key
+	// index each job's fold hands to the next (keyTable.done).
+	combiners := make([]*combiner, n)
+	defer func() {
+		for _, cb := range combiners {
+			if cb != nil {
+				cb.empty()
+				combinerPool.Put(cb)
+			}
+		}
+	}()
 	var index map[string]int32
 
 	for round := 0; round < maxRounds; round++ {
@@ -216,10 +235,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				looked, hit, colsHit bool
 				cols                 *columns
 			}
-			if job.q.Select == nil && combiners == nil {
-				combiners = make([]*combiner, n)
-			}
-			cbs := combiners // captured instead of combiners, which then stays off the heap
 			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
 				// cancelled batch stops launching new sites but never
@@ -248,9 +263,9 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				var cb *combiner
 				if sel := job.q.Select; sel != nil {
 					out.cols, out.colsHit = l.columns(sel.View.Width())
-				} else if cb = cbs[i]; cb == nil {
-					cb = new(combiner)
-					cbs[i] = cb
+				} else if cb = combiners[i]; cb == nil {
+					cb = combinerPool.Get().(*combiner)
+					combiners[i] = cb
 				}
 				out.StageResult = l.scan(&job.q, cb)
 				return out, nil
@@ -389,12 +404,12 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				}
 			}
 			// The next round maps each reducer's output where it ran; the
-			// last round's outputs, disjoint by owner, sorted together are
-			// the query's.
+			// last round's outputs, disjoint by owner, sorted together on
+			// demand are the query's.
 			if round+1 < job.q.rounds() {
 				job.input = st.keys.runs()
 			} else {
-				job.res.Output = st.keys.sorted()
+				job.res.output = st.keys.slots
 			}
 		}
 		clock = reduceStart + maxReduce

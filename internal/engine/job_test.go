@@ -125,7 +125,7 @@ func TestRunScanCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
-	for _, kv := range res.Output {
+	for _, kv := range res.Output() {
 		got[kv.Key] = kv.Val
 	}
 	if got["k"] != 7 || got["x"] != 5 {
@@ -148,7 +148,7 @@ func TestRunAggregationGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
-	for _, kv := range res.Output {
+	for _, kv := range res.Output() {
 		got[kv.Key] = kv.Val
 	}
 	if got["us"] != 3 || got["eu"] != 4 {
@@ -167,7 +167,7 @@ func TestRunUDFIterates(t *testing.T) {
 	if len(res.Rounds) != 3 {
 		t.Fatalf("rounds = %d, want 3", len(res.Rounds))
 	}
-	if len(res.Output) == 0 {
+	if len(res.Output()) == 0 {
 		t.Fatal("pagerank produced no output")
 	}
 }
@@ -258,7 +258,7 @@ func TestRunDeterministic(t *testing.T) {
 	if r1.QCT != r2.QCT || r1.TotalShuffleMB != r2.TotalShuffleMB {
 		t.Fatal("identical runs must produce identical metrics")
 	}
-	if len(r1.Output) != len(r2.Output) {
+	if len(r1.Output()) != len(r2.Output()) {
 		t.Fatal("outputs differ")
 	}
 }

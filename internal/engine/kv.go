@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // KV is one record: a combine key and a numeric value. Workloads project
@@ -81,9 +82,9 @@ func (op CombineOp) initial(v float64) float64 {
 // order they were emitted. One combiner serves the executors of a site
 // stage in turn — groups of every executor land in the same out slice, and
 // next forgets the keys (not the buckets) between executors. RunConcurrent
-// keeps one per site for the whole call and hands it from scan to scan, so
-// out and the slot map's buckets live as long as the call, and a scan's
-// Inter (which is out) only until the same site's next scan: the job's
+// takes one per site from combinerPool and hands it from scan to scan, so
+// out and the slot map's buckets outlive the call, and a scan's Inter
+// (which is out) lives only until the same site's next scan: the job's
 // fold must be done by then.
 type combiner struct {
 	op   CombineOp
@@ -115,6 +116,17 @@ func (c *combiner) emit(key string, val float64) {
 // next starts the next executor: its groups are independent of the ones
 // already in out.
 func (c *combiner) next() { clear(c.slot) }
+
+// empty drops every key the combiner holds, keeping its buffers, so a
+// pooled combiner pins no strings of the run that used it.
+func (c *combiner) empty() {
+	clear(c.slot)
+	clear(c.out[:cap(c.out)])
+	c.out = c.out[:0]
+}
+
+// combinerPool holds emptied combiners between RunConcurrent calls.
+var combinerPool = sync.Pool{New: func() any { return new(combiner) }}
 
 // keyTable is the reduce side of one job round: a slot per distinct key, in
 // first-arrival order, holding the key's folded partials and its reduce
@@ -179,14 +191,6 @@ func (t *keyTable) done() map[string]int32 {
 	return index
 }
 
-// sorted returns every slot sorted by key, the reducers' outputs merged:
-// their keys are disjoint. It ends the table, whose owners no longer line
-// up with its slots.
-func (t *keyTable) sorted() []KV {
-	slices.SortFunc(t.slots, byKey)
-	return t.slots
-}
-
 // runs returns each reducer's output, its slots sorted by key, cut from one
 // array that a count pass sizes exactly before the fill pass.
 func (t *keyTable) runs() [][]KV {
@@ -221,7 +225,8 @@ func CombinePartials(records []KV, op CombineOp) []KV {
 	for _, r := range records {
 		t.add(r)
 	}
-	return t.sorted()
+	slices.SortFunc(t.slots, byKey)
+	return t.slots
 }
 
 // DistinctKeys returns the number of distinct keys in records.

@@ -32,7 +32,7 @@ func TestRunConservesMassProperty(t *testing.T) {
 			return false
 		}
 		var got float64
-		for _, kv := range res.Output {
+		for _, kv := range res.Output() {
 			got += kv.Val
 		}
 		return math.Abs(got-total) < 1e-6

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"bohr/internal/engine"
@@ -133,7 +134,7 @@ func refRun(t *testing.T, c *engine.Cluster, cfgs []engine.JobConfig) []*engine.
 		for _, recs := range j.input {
 			all = append(all, recs...)
 		}
-		j.res.Output = refReduce(all, j.q.Combine)
+		j.res.SetOutput(refReduce(all, j.q.Combine))
 		out[ji] = j.res
 	}
 	return out
@@ -168,7 +169,7 @@ func runBits(r *engine.RunResult) []string {
 			f(fmt.Sprintf("Rounds[%d].IntermediateMB[%d]", k, i), v)
 		}
 	}
-	for _, kv := range r.Output {
+	for _, kv := range r.Output() {
 		f(fmt.Sprintf("Output[%q]", kv.Key), kv.Val)
 	}
 	return out
@@ -267,7 +268,7 @@ func TestRunMatchesReference(t *testing.T) {
 					}
 					want := refRun(t, c, cfgs)
 					for k := range want {
-						if len(want[k].Output) == 0 {
+						if len(want[k].Output()) == 0 {
 							t.Fatalf("%s: %s has no output to compare", label, qs[k].Name)
 						}
 						g, w := runBits(got[k]), runBits(want[k])
@@ -278,6 +279,51 @@ func TestRunMatchesReference(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOutputSortsOnceUnderConcurrentReads calls Output on each result of a
+// batch from many goroutines at once, the first call being the one that
+// sorts: every call must return refRun's sorted output, bit for bit, and
+// (under -race) without a data race.
+func TestOutputSortsOnceUnderConcurrentReads(t *testing.T) {
+	c, amplab := shuffleCluster(t)
+	cfgs := []engine.JobConfig{
+		{Query: engine.UDFQuery("udf x3", "pages", 3)},
+		{Query: amplab.DominantQuery().Query},
+		{Query: engine.AggregationQuery("count", "pages", engine.NewView(2, 0))},
+	}
+	got, err := c.RunConcurrent(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refRun(t, c, cfgs)
+	const readers = 8
+	for k, res := range got {
+		outs := make([][]engine.KV, readers)
+		var wg sync.WaitGroup
+		for r := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[r] = res.Output()
+			}()
+		}
+		wg.Wait()
+		ref := want[k].Output()
+		if len(ref) == 0 {
+			t.Fatalf("%s: no output to compare", cfgs[k].Query.Name)
+		}
+		for r, out := range outs {
+			if len(out) != len(ref) {
+				t.Fatalf("%s: reader %d got %d rows, reference %d", cfgs[k].Query.Name, r, len(out), len(ref))
+			}
+			for i := range out {
+				if out[i].Key != ref[i].Key || math.Float64bits(out[i].Val) != math.Float64bits(ref[i].Val) {
+					t.Fatalf("%s: reader %d row %d = %+v, reference %+v", cfgs[k].Query.Name, r, i, out[i], ref[i])
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package export
 
 import (
 	"encoding/json"
-	"strings"
 
 	"bohr/internal/obs"
 )
@@ -32,9 +31,9 @@ const (
 
 // ChromeTrace renders a span tree as Chrome trace-event JSON. Spans carry
 // only durations, so the layout is synthetic: children are laid out
-// sequentially inside their parent, except parallel groups (children of a
-// "run" span, or siblings whose names carry an "@site" marker), which
-// share their parent's start on separate tracks.
+// sequentially inside their parent, except the children of a "run" span
+// (concurrent queries), which share their parent's start on separate
+// tracks.
 // The modeled timeline is emitted as process 0; if any span in the tree
 // carries a wall-clock duration, the wall timeline is emitted again as
 // process 1. Output is deterministic for a deterministic tree.
@@ -82,17 +81,7 @@ func hasWall(s *obs.Span) bool {
 
 // parallelChildren reports whether a span's children represent concurrent
 // work rather than sequential stages.
-func parallelChildren(s *obs.Span) bool {
-	if s.Name == "run" {
-		return true
-	}
-	for _, ch := range s.Children {
-		if strings.Contains(ch.Name, "@site") {
-			return true
-		}
-	}
-	return false
-}
+func parallelChildren(s *obs.Span) bool { return s.Name == "run" }
 
 // extent is the span's total footprint on the timeline: its own recorded
 // duration, or its children's layout if they run longer (a parent that

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -162,8 +163,8 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
-// chromeFixture is a deterministic stand-in for a stitched trace: modeled
-// engine spans plus a wall-only netio subtree.
+// chromeFixture is a deterministic stand-in for a trace: modeled engine
+// spans, with a "run" of concurrent queries.
 func chromeFixture() *obs.Span {
 	return &obs.Span{Name: "bohr", Children: []*obs.Span{
 		{Name: "prepare", Modeled: 2},
@@ -177,17 +178,6 @@ func chromeFixture() *obs.Span {
 				{Name: "map", Modeled: 1.5},
 				{Name: "reduce", Modeled: 2.5},
 			}},
-		}},
-		{Name: "netio:q1", Wall: 0.25, Children: []*obs.Span{
-			{Name: "map@site0", Wall: 0.1, Children: []*obs.Span{
-				{Name: "map", Wall: 0.04},
-				{Name: "scatter", Wall: 0.06, Children: []*obs.Span{
-					{Name: "->site1", Wall: 0.06, Children: []*obs.Span{
-						{Name: "recv@site1", Wall: 0.02},
-					}},
-				}},
-			}},
-			{Name: "reduce@site1", Wall: 0.12},
 		}},
 	}}
 }
@@ -223,5 +213,45 @@ func TestChromeTraceEmpty(t *testing.T) {
 	}
 	if !strings.Contains(string(out), `"traceEvents": []`) {
 		t.Fatalf("nil trace = %s", out)
+	}
+}
+
+// TestChromeTraceWallTimeline: a tree that carries any wall-clock duration
+// is laid out a second time as process 1, on wall durations, and a tree
+// without one is not.
+func TestChromeTraceWallTimeline(t *testing.T) {
+	decode := func(root *obs.Span) []chromeEvent {
+		out, err := ChromeTrace(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f chromeFile
+		if err := json.Unmarshal(out, &f); err != nil {
+			t.Fatal(err)
+		}
+		return f.TraceEvents
+	}
+	for _, ev := range decode(chromeFixture()) {
+		if ev.Pid == pidWall {
+			t.Fatalf("a modeled-only tree has a wall event %+v", ev)
+		}
+	}
+	root := &obs.Span{Name: "serve", Children: []*obs.Span{
+		{Name: "query", Wall: 0.003, Modeled: 2},
+		{Name: "encode", Wall: 0.001},
+	}}
+	var wall []chromeEvent
+	for _, ev := range decode(root) {
+		if ev.Pid == pidWall && ev.Ph == "X" {
+			wall = append(wall, ev)
+		}
+	}
+	want := []chromeEvent{
+		{Name: "serve", Ph: "X", Ts: 0, Dur: 4000, Pid: pidWall, Tid: 1},
+		{Name: "query", Ph: "X", Ts: 0, Dur: 3000, Pid: pidWall, Tid: 1},
+		{Name: "encode", Ph: "X", Ts: 3000, Dur: 1000, Pid: pidWall, Tid: 1},
+	}
+	if fmt.Sprint(wall) != fmt.Sprint(want) {
+		t.Fatalf("wall timeline %+v, want %+v", wall, want)
 	}
 }

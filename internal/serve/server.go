@@ -87,7 +87,7 @@ func (b *EngineBackend) Run(ctx context.Context, plan *sql.Plan) ([]engine.KV, e
 	if err != nil {
 		return nil, err
 	}
-	return res.Output, nil
+	return res.Output(), nil
 }
 
 // RunTraced executes the plan under a per-query collector and returns the
@@ -110,7 +110,7 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 	if err != nil {
 		return nil, col.Trace(), err
 	}
-	return res.Output, col.Trace(), nil
+	return res.Output(), col.Trace(), nil
 }
 
 // ApplyBatch implements the ingest pipeline's delivery side over the

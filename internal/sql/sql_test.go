@@ -168,7 +168,7 @@ func TestCompileAndRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
-	for _, kv := range res.Output {
+	for _, kv := range res.Output() {
 		got[kv.Key] = kv.Val
 	}
 	if got["u1"] != 10 || got["u2"] != 7 {
@@ -198,8 +198,8 @@ func TestCompileWhereFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Output) != 1 || res.Output[0].Val != 5 {
-		t.Fatalf("filtered output = %+v", res.Output)
+	if len(res.Output()) != 1 || res.Output()[0].Val != 5 {
+		t.Fatalf("filtered output = %+v", res.Output())
 	}
 }
 
@@ -220,11 +220,11 @@ func TestCompileNumericComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Output) != 1 || res.Output[0].Val != 2 {
-		t.Fatalf("numeric filter output = %+v", res.Output)
+	if len(res.Output()) != 1 || res.Output()[0].Val != 2 {
+		t.Fatalf("numeric filter output = %+v", res.Output())
 	}
-	if res.Output[0].Key != "<all>" {
-		t.Fatalf("ungrouped aggregate key = %q", res.Output[0].Key)
+	if res.Output()[0].Key != "<all>" {
+		t.Fatalf("ungrouped aggregate key = %q", res.Output()[0].Key)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestCompileAggregateOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
-		if math.Abs(res.Output[0].Val-tc.want) > 1e-9 {
-			t.Errorf("%s = %v, want %v", tc.q, res.Output[0].Val, tc.want)
+		if math.Abs(res.Output()[0].Val-tc.want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", tc.q, res.Output()[0].Val, tc.want)
 		}
 	}
 }

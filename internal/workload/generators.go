@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"bohr/internal/engine"
@@ -32,7 +34,10 @@ func newTuplePool(rng *rand.Rand, tuples [][]string, skew float64) *tuplePool {
 func (p *tuplePool) draw() []string { return p.tuples[p.zipf.Uint64()] }
 
 // rowSource generates rows for one dataset: a global pool, optional
-// per-affinity-group pools, and one pool per site.
+// per-affinity-group pools, and one pool per site. Every row drawn from a
+// pool tuple shares that tuple's Coords slice; Populate joins each tuple's
+// key once by that identity, so a generator that copied Coords per row
+// would make it slower, not wrong.
 type rowSource struct {
 	rng    *rand.Rand
 	cfg    Config
@@ -41,14 +46,15 @@ type rowSource struct {
 	local  []*tuplePool
 }
 
-// newRowSource builds pools using mk to synthesize tuple t of pool p.
-// Pool ids: -1 is the global pool, -(2+g) is affinity group g, and a
-// non-negative id is the site-local pool.
-func newRowSource(rng *rand.Rand, cfg Config, mk func(pool, t int) []string) *rowSource {
+// newRowSource builds pools using mk to synthesize tuple t of the pool
+// named scope (poolScope). Pool ids: -1 is the global pool, -(2+g) is
+// affinity group g, and a non-negative id is the site-local pool.
+func newRowSource(rng *rand.Rand, cfg Config, mk func(scope string, t int) []string) *rowSource {
 	mkPool := func(pool int) *tuplePool {
+		scope := poolScope(pool)
 		tuples := make([][]string, cfg.KeysPerPool)
 		for t := range tuples {
-			tuples[t] = mk(pool, t)
+			tuples[t] = mk(scope, t)
 		}
 		return newTuplePool(rng, tuples, cfg.KeySkew)
 	}
@@ -75,9 +81,19 @@ func (s *rowSource) groupOf(site int) int {
 // random placement scatters them uniformly. The Overlap fraction of rows
 // carries cross-site similarity, split between the global pool (similar
 // everywhere) and the site's affinity-group pool (similar within the
-// group only) when grouping is on.
+// group only) when grouping is on. Each site's slice is sized once: for
+// RowsPerSite, plus under random placement four standard deviations of
+// the binomial count it scatters to a site, which an append may still
+// overshoot.
 func (s *rowSource) generateRows(measure func() float64) [][]olap.Row {
+	size := s.cfg.RowsPerSite
+	if !s.cfg.LocalityAware {
+		size += int(4 * math.Sqrt(float64(size)))
+	}
 	rows := make([][]olap.Row, s.cfg.Sites)
+	for site := range rows {
+		rows[site] = make([]olap.Row, 0, size)
+	}
 	for site := 0; site < s.cfg.Sites; site++ {
 		g := s.groupOf(site)
 		for r := 0; r < s.cfg.RowsPerSite; r++ {
@@ -171,6 +187,42 @@ func poolScope(pool int) string {
 	}
 }
 
+// padded appends n ≥ 0 in decimal, zero-padded to width: fmt's %0*d.
+func padded(b []byte, n, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(n), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
+// scoped is prefix, scope, '-' and n zero-padded to width.
+func scoped(prefix, scope string, n, width int) string {
+	var b [64]byte
+	return string(padded(append(append(append(b[:0], prefix...), scope...), '-'), n, width))
+}
+
+// table returns f(0) … f(n-1), formatted on first use.
+func table(n int, f func(i int) string) func() []string {
+	return sync.OnceValue(func() []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	})
+}
+
+// The coordinates and page names that depend on t alone, formatted once:
+// a date's (month, day) pair repeats every 84 tuples.
+var (
+	hours       = table(24, func(h int) string { return fmt.Sprintf("%02d", h) })
+	stores      = table(50, func(s int) string { return fmt.Sprintf("store-%03d", s) })
+	dates       = table(84, func(d int) string { return fmt.Sprintf("2018-%02d-%02d", d%12+1, d%28+1) })
+	linkTargets = table(4096, func(i int) string { return fmt.Sprintf("link-%d", i) })
+)
+
 // linkTarget deterministically maps a page to a page it links to, within a
 // closed ring so PageRank rounds stay well-defined and identical pages at
 // different sites scatter to identical targets.
@@ -183,14 +235,40 @@ func linkTarget(key string) string {
 	return linkTargets()[h%4096]
 }
 
-// linkTargets names the ring's pages, formatted once instead of per call.
-var linkTargets = sync.OnceValue(func() []string {
-	names := make([]string, 4096)
-	for i := range names {
-		names[i] = fmt.Sprintf("link-%d", i)
+var (
+	countries = []string{"US", "JP", "DE", "BR", "IN", "AU", "GB", "KR", "SG", "IE"}
+	regions   = []string{"AMER", "EMEA", "APAC", "LATAM"}
+)
+
+// amplabTuple is tuple t of a pool's (url, country, hour) coordinates.
+func amplabTuple(scope string, t int) []string {
+	var b [64]byte
+	url := append(padded(append(append(b[:0], scope...), ".u"...), t, 4), ".example.com/page"...)
+	return []string{
+		string(strconv.AppendInt(url, int64(t%97), 10)),
+		countries[t%len(countries)],
+		hours()[t%24],
 	}
-	return names
-})
+}
+
+// tpcdsTuple is tuple t of a pool's (item, store, date, region) coordinates.
+func tpcdsTuple(scope string, t int) []string {
+	return []string{
+		scoped("item-", scope, t, 4),
+		stores()[t%50],
+		dates()[t%84],
+		regions[t%len(regions)],
+	}
+}
+
+// facebookTuple is tuple t of a pool's (jobclass, user, hour) coordinates.
+func facebookTuple(scope string, t int) []string {
+	return []string{
+		scoped("class-", scope, t%120, 3),
+		scoped("user-", scope, t, 4),
+		hours()[t%24],
+	}
+}
 
 // generateAMPLab builds one AMPLab big-data-benchmark dataset: the
 // rankings/uservisits schema reduced to (url, country, hour) with a page
@@ -199,17 +277,7 @@ func generateAMPLab(kind Kind, cfg Config, idx int, seed int64) (*Dataset, error
 	rng := stats.NewRand(seed)
 	schema := olap.MustSchema("url", "country", "hour")
 	name := fmt.Sprintf("amplab-%03d", idx)
-	countries := []string{"US", "JP", "DE", "BR", "IN", "AU", "GB", "KR", "SG", "IE"}
-
-	mk := func(pool, t int) []string {
-		scope := poolScope(pool)
-		return []string{
-			fmt.Sprintf("%s.u%04d.example.com/page%d", scope, t, t%97),
-			countries[t%len(countries)],
-			fmt.Sprintf("%02d", t%24),
-		}
-	}
-	src := newRowSource(rng, cfg, mk)
+	src := newRowSource(rng, cfg, amplabTuple)
 	rows := src.generateRows(func() float64 { return 1 + rng.Float64()*9 })
 
 	scan, err := projectedQuery(name+"/scan", name, schema, []string{"url"},
@@ -252,18 +320,7 @@ func generateTPCDS(cfg Config, idx int, seed int64) (*Dataset, error) {
 	rng := stats.NewRand(seed)
 	schema := olap.MustSchema("item", "store", "date", "region")
 	name := fmt.Sprintf("tpcds-%03d", idx)
-	regions := []string{"AMER", "EMEA", "APAC", "LATAM"}
-
-	mk := func(pool, t int) []string {
-		scope := poolScope(pool)
-		return []string{
-			fmt.Sprintf("item-%s-%04d", scope, t),
-			fmt.Sprintf("store-%03d", t%50),
-			fmt.Sprintf("2018-%02d-%02d", t%12+1, t%28+1),
-			regions[t%len(regions)],
-		}
-	}
-	src := newRowSource(rng, cfg, mk)
+	src := newRowSource(rng, cfg, tpcdsTuple)
 	rows := src.generateRows(func() float64 { return 5 + rng.Float64()*195 })
 
 	byItem, err := projectedQuery(name+"/sales-by-item", name, schema, []string{"item"},
@@ -297,16 +354,7 @@ func generateFacebook(cfg Config, idx int, seed int64) (*Dataset, error) {
 	rng := stats.NewRand(seed)
 	schema := olap.MustSchema("jobclass", "user", "hour")
 	name := fmt.Sprintf("facebook-%03d", idx)
-
-	mk := func(pool, t int) []string {
-		scope := poolScope(pool)
-		return []string{
-			fmt.Sprintf("class-%s-%03d", scope, t%120),
-			fmt.Sprintf("user-%s-%04d", scope, t),
-			fmt.Sprintf("%02d", t%24),
-		}
-	}
-	src := newRowSource(rng, cfg, mk)
+	src := newRowSource(rng, cfg, facebookTuple)
 	// Heavy-tailed durations: mostly seconds, occasionally hours.
 	rows := src.generateRows(func() float64 {
 		d := rng.ExpFloat64() * 30

@@ -255,15 +255,38 @@ func (w *Workload) Validate() error {
 }
 
 // Populate loads every dataset's rows into the cluster as engine records
-// (full-coordinate keys, measure as value). The cluster must have at least
-// cfg.Sites sites.
+// (full-coordinate keys, measure as value), the records Records makes. The
+// cluster must have at least cfg.Sites sites. A generated dataset's rows
+// share their pool tuple's Coords slice (rowSource), so each tuple's key is
+// joined once, interned by the slice's identity: rows whose Coords share
+// no array only cost a join each.
 func (w *Workload) Populate(c *engine.Cluster) error {
 	if c.N() < w.Config.Sites {
 		return fmt.Errorf("workload: cluster has %d sites, workload needs %d", c.N(), w.Config.Sites)
 	}
+	type tuple struct {
+		first *string
+		n     int
+	}
+	keys := make(map[tuple]string)
+	var recs []engine.KV // Add copies it, so every site reuses it
 	for _, ds := range w.Datasets {
+		clear(keys) // a pool's tuples belong to one dataset
 		for i, rows := range ds.Rows {
-			c.Data[i].Add(ds.Name, Records(rows)...)
+			recs = recs[:0]
+			for _, row := range rows {
+				key := ""
+				if len(row.Coords) > 0 {
+					id := tuple{&row.Coords[0], len(row.Coords)}
+					var ok bool
+					if key, ok = keys[id]; !ok {
+						key = JoinKey(row.Coords)
+						keys[id] = key
+					}
+				}
+				recs = append(recs, engine.KV{Key: key, Val: row.Measure})
+			}
+			c.Data[i].Add(ds.Name, recs...)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -237,6 +238,105 @@ func TestPopulate(t *testing.T) {
 	}
 }
 
+// TestTuplesMatchFmtFormats holds the generators' tuple text to the fmt
+// formats it was first written with, kept here as the reference: every
+// kind, every pool scope (shared, affinity groups, sites) and every tuple
+// index in [0, 10050), which crosses %04d's width.
+func TestTuplesMatchFmtFormats(t *testing.T) {
+	kinds := []struct {
+		name string
+		mk   func(scope string, t int) []string
+		ref  func(scope string, t int) []string
+	}{
+		{"amplab", amplabTuple, func(scope string, t int) []string {
+			return []string{fmt.Sprintf("%s.u%04d.example.com/page%d", scope, t, t%97),
+				countries[t%len(countries)], fmt.Sprintf("%02d", t%24)}
+		}},
+		{"tpcds", tpcdsTuple, func(scope string, t int) []string {
+			return []string{fmt.Sprintf("item-%s-%04d", scope, t), fmt.Sprintf("store-%03d", t%50),
+				fmt.Sprintf("2018-%02d-%02d", t%12+1, t%28+1), regions[t%len(regions)]}
+		}},
+		{"facebook", facebookTuple, func(scope string, t int) []string {
+			return []string{fmt.Sprintf("class-%s-%03d", scope, t%120),
+				fmt.Sprintf("user-%s-%04d", scope, t), fmt.Sprintf("%02d", t%24)}
+		}},
+	}
+	scopes := map[int]string{-1: "shared"}
+	for g := range 4 {
+		scopes[-(2 + g)] = fmt.Sprintf("group%d", g)
+	}
+	for i := range 12 {
+		scopes[i] = fmt.Sprintf("site%d", i)
+	}
+	for pool, want := range scopes {
+		if got := poolScope(pool); got != want {
+			t.Fatalf("pool %d: scope %q, want %q", pool, got, want)
+		}
+	}
+	for _, k := range kinds {
+		for _, scope := range scopes {
+			for tuple := range 10050 {
+				if got, want := k.mk(scope, tuple), k.ref(scope, tuple); !slices.Equal(got, want) {
+					t.Fatalf("%s %s tuple %d = %q, want %q", k.name, scope, tuple, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPopulateJoinsEachRow holds Populate's interned keys to the plain
+// join: every store's records are JoinKey of its rows with their measures,
+// in order, for every kind, and rows whose Coords share no array (each
+// copied) populate identical records.
+func TestPopulateJoinsEachRow(t *testing.T) {
+	top, _ := wan.NewTopology([]string{"a", "b", "c"}, []float64{1, 1, 1}, []float64{1, 1, 1})
+	for _, kind := range Kinds() {
+		cfg := smallConfig()
+		cfg.LocalityAware = kind == TPCDS
+		w, err := Generate(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate := func(w *Workload) *engine.Cluster {
+			c, _ := engine.NewCluster(top, 1, 2, 100)
+			if err := w.Populate(c); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		shared := populate(w)
+		unshared := *w
+		unshared.Datasets = nil
+		for _, ds := range w.Datasets {
+			copied := *ds
+			copied.Rows = make([][]olap.Row, len(ds.Rows))
+			for i, rows := range ds.Rows {
+				for _, row := range rows {
+					copied.Rows[i] = append(copied.Rows[i], olap.Row{Coords: slices.Clone(row.Coords), Measure: row.Measure})
+				}
+			}
+			unshared.Datasets = append(unshared.Datasets, &copied)
+		}
+		fresh := populate(&unshared)
+		for _, ds := range w.Datasets {
+			for i, rows := range ds.Rows {
+				got := shared.Data[i].Records(ds.Name)
+				if len(got) != len(rows) {
+					t.Fatalf("%v %s site %d: %d records for %d rows", kind, ds.Name, i, len(got), len(rows))
+				}
+				for r, row := range rows {
+					if want := (engine.KV{Key: JoinKey(row.Coords), Val: row.Measure}); got[r] != want {
+						t.Fatalf("%v %s site %d record %d = %+v, want %+v", kind, ds.Name, i, r, got[r], want)
+					}
+				}
+				if !slices.Equal(got, fresh.Data[i].Records(ds.Name)) {
+					t.Fatalf("%v %s site %d: rows with unshared coords populate other records", kind, ds.Name, i)
+				}
+			}
+		}
+	}
+}
+
 func TestPopulatedQueriesRun(t *testing.T) {
 	for _, kind := range Kinds() {
 		cfg := smallConfig()
@@ -255,7 +355,7 @@ func TestPopulatedQueriesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s: %v", kind, q.Query.Name, err)
 			}
-			if len(res.Output) == 0 {
+			if len(res.Output()) == 0 {
 				t.Fatalf("%v/%s produced no output", kind, q.Query.Name)
 			}
 			if res.QCT <= 0 {
