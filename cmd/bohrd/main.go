@@ -192,10 +192,9 @@ func runServe(args []string) error {
 
 	srv := export.New(col)
 	srv.Handle("/v1/", fe.Handler())
-	srv.GaugeFunc("serve.sched.inflight", func() float64 { return float64(fe.Scheduler().Inflight()) })
-	srv.GaugeFunc("serve.sched.queue_depth", func() float64 { return float64(fe.Scheduler().QueueDepth()) })
-	// ingest.queue_depth is pushed by the pipeline itself on every admit
-	// and settle — no scrape-time callback, one source of truth.
+	// Live levels are gauges their owners push (the scheduler's
+	// serve.inflight and serve.queue.depth, the pipeline's
+	// ingest.queue_depth): /metrics reads the one registry.
 	listen := common.TelemetryAddr
 	if listen == "" {
 		listen = "127.0.0.1:8080"

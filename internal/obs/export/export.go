@@ -1,9 +1,10 @@
 // Package export serves a Collector's live state over HTTP using only the
 // standard library: Prometheus text-format metrics on /metrics, a
 // liveness probe on /healthz, and the runtime profiler on /debug/pprof/.
-// bohrd serve always runs one, bohrctl when given -telemetry-addr;
-// scrape-time callback gauges cover values that live outside the
-// registry, like scheduler queue depth and inflight queries.
+// bohrd serve always runs one, bohrctl when given -telemetry-addr. Every
+// value it exposes is one the collector holds: live levels (scheduler
+// inflight and queue depth, ingest queue depth) are gauges their owners
+// push, so a scrape reads one registry and each name appears once.
 package export
 
 import (
@@ -25,25 +26,16 @@ type Server struct {
 	col   *obs.Collector
 	start time.Time
 
-	mu     sync.Mutex
-	gauges map[string]func() float64
-	extra  map[string]http.Handler
-	ln     net.Listener
-	srv    *http.Server
+	mu    sync.Mutex
+	extra map[string]http.Handler
+	ln    net.Listener
+	srv   *http.Server
 }
 
 // New wraps a collector for serving. The collector may be shared with a
 // running daemon; scrapes snapshot it safely.
 func New(col *obs.Collector) *Server {
-	return &Server{col: col, start: time.Now(), gauges: map[string]func() float64{}}
-}
-
-// GaugeFunc registers a callback gauge evaluated at scrape time, for
-// values not pushed into the registry (live conns, inflight queries).
-func (s *Server) GaugeFunc(name string, f func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gauges[name] = f
+	return &Server{col: col, start: time.Now()}
 }
 
 // Handle mounts an application handler on the telemetry mux (for example
@@ -125,27 +117,10 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	if snap == nil {
 		snap = &obs.Snapshot{}
 	}
-	s.mu.Lock()
-	live := make(map[string]float64, len(s.gauges))
-	for name, f := range s.gauges {
-		live[name] = f()
-	}
-	s.mu.Unlock()
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
 	writeFamily(&b, "counter", snap.Counters)
-	// Merge scrape-time callback gauges over registry gauges (callbacks
-	// win): a name registered in both places must expose one sample, not a
-	// duplicate family.
-	gauges := make(map[string]float64, len(snap.Gauges)+len(live))
-	for name, v := range snap.Gauges {
-		gauges[name] = v
-	}
-	for name, v := range live {
-		gauges[name] = v
-	}
-	writeFamily(&b, "gauge", gauges)
+	writeFamily(&b, "gauge", snap.Gauges)
 	for _, name := range sortedKeys(snap.Histograms) {
 		h := snap.Histograms[name]
 		m := promName(name)

@@ -18,7 +18,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-func startServer(t *testing.T, col *obs.Collector) (*Server, string) {
+func startServer(t *testing.T, col *obs.Collector) string {
 	t.Helper()
 	s := New(col)
 	addr, err := s.Start("127.0.0.1:0")
@@ -26,7 +26,7 @@ func startServer(t *testing.T, col *obs.Collector) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, addr
+	return addr
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -56,8 +56,7 @@ func TestMetricsExposition(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		col.Observe("netio.query.elapsed_s", float64(i))
 	}
-	s, addr := startServer(t, col)
-	s.GaugeFunc("netio.live_conns", func() float64 { return 7 })
+	addr := startServer(t, col)
 
 	code, body := get(t, "http://"+addr+"/metrics")
 	if code != http.StatusOK {
@@ -78,7 +77,6 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE bohr_netio_retries counter\nbohr_netio_retries 3\n",
 		"bohr_wan_move_site_0__site_2_mb 1.5\n",
 		"# TYPE bohr_placement_sites gauge\nbohr_placement_sites 4\n",
-		"# TYPE bohr_netio_live_conns gauge\nbohr_netio_live_conns 7\n",
 		"# TYPE bohr_netio_query_elapsed_s summary\n",
 		"bohr_netio_query_elapsed_s{quantile=\"0.5\"} 50\n",
 		"bohr_netio_query_elapsed_s{quantile=\"0.99\"} 99\n",
@@ -92,7 +90,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestHealthzAndPprof(t *testing.T) {
-	_, addr := startServer(t, obs.NewCollector())
+	addr := startServer(t, obs.NewCollector())
 	code, body := get(t, "http://"+addr+"/healthz")
 	if code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("GET /healthz = %d %q", code, body)
@@ -107,9 +105,7 @@ func TestHealthzAndPprof(t *testing.T) {
 // registry keeps filling while clients scrape.
 func TestConcurrentScrapes(t *testing.T) {
 	col := obs.NewCollector()
-	s, addr := startServer(t, col)
-	var conns int64
-	s.GaugeFunc("live", func() float64 { return float64(conns) })
+	addr := startServer(t, col)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -61,11 +61,11 @@ type Event struct {
 }
 
 // Sink mirrors the stream of metric updates entering a Collector. A
-// registered sink sees every Count, Gauge and Observe (including the
-// counter and gauge folds of MergeSnapshot) after the collector's own
-// registry has absorbed it. Sinks must not call back into the collector;
-// the windowed-aggregation registry (internal/obs/window) is the
-// canonical implementation.
+// registered sink sees every Count, Gauge and Observe after the
+// collector's own registry has absorbed it. Sinks must not call back into
+// the collector. A Collector is itself a Sink: a served request's own
+// collector forwards to the daemon's this way, and the daemon's forwards
+// on to the windowed-aggregation registry (internal/obs/window).
 type Sink interface {
 	Count(name string, delta float64)
 	Gauge(name string, v float64)
@@ -436,44 +436,6 @@ func (c *Collector) MetricsSnapshot() *Snapshot {
 		}
 	}
 	return snap
-}
-
-// MergeSnapshot folds another collector's snapshot into this one:
-// counters accumulate, gauges take the other value. Histogram summaries
-// cannot be merged losslessly, so their Sum/Count fold into
-// "<name>.sum" / "<name>.count" counters instead. This is how a served
-// query's per-request collector reaches the daemon's. Nil-safe on both
-// sides.
-func (c *Collector) MergeSnapshot(snap *Snapshot) {
-	if c == nil || snap == nil {
-		return
-	}
-	c.mu.Lock()
-	for k, v := range snap.Counters {
-		c.counters[k] += v
-	}
-	for k, v := range snap.Gauges {
-		c.gauges[k] = v
-	}
-	for k, st := range snap.Histograms {
-		c.counters[k+".sum"] += st.Sum
-		c.counters[k+".count"] += float64(st.Count)
-	}
-	sink := c.sink
-	c.mu.Unlock()
-	if sink == nil {
-		return
-	}
-	for k, v := range snap.Counters {
-		sink.Count(k, v)
-	}
-	for k, v := range snap.Gauges {
-		sink.Gauge(k, v)
-	}
-	for k, st := range snap.Histograms {
-		sink.Count(k+".sum", st.Sum)
-		sink.Count(k+".count", float64(st.Count))
-	}
 }
 
 // Trace returns a deep copy of the trace tree, detached from the

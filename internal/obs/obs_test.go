@@ -232,27 +232,48 @@ func TestEndStampsWallOnPoppedDescendants(t *testing.T) {
 	}
 }
 
+// TestMergeSnapshot pins how one collector's metrics reach another: a
+// child whose sink is the parent forwards every update as it happens, so
+// counters add up on the parent, gauges take the child's value and
+// histograms arrive as histograms, with no ".sum"/".count" counters. A
+// nil parent or child is safe.
 func TestMergeSnapshot(t *testing.T) {
-	c := NewCollector()
-	c.Count("shared", 1)
-	c.MergeSnapshot(&Snapshot{
-		Counters:   map[string]float64{"shared": 2, "remote.only": 5},
-		Gauges:     map[string]float64{"conns": 3},
-		Histograms: map[string]HistogramStats{"lat": {Count: 4, Sum: 8}},
-	})
-	snap := c.MetricsSnapshot()
-	if snap.Counters["shared"] != 3 || snap.Counters["remote.only"] != 5 {
-		t.Fatalf("merged counters = %+v", snap.Counters)
+	parent := NewCollector()
+	parent.Count("shared", 1)
+	parent.Observe("lat", 1)
+	child := NewCollector()
+	child.SetSink(parent)
+	child.Count("shared", 2)
+	child.Count("child.only", 5)
+	child.Gauge("conns", 3)
+	for _, v := range []float64{2, 3, 4} {
+		child.Observe("lat", v)
+	}
+	snap := parent.MetricsSnapshot()
+	if snap.Counters["shared"] != 3 || snap.Counters["child.only"] != 5 {
+		t.Fatalf("forwarded counters = %+v", snap.Counters)
 	}
 	if snap.Gauges["conns"] != 3 {
-		t.Fatalf("merged gauges = %+v", snap.Gauges)
+		t.Fatalf("forwarded gauges = %+v", snap.Gauges)
 	}
-	if snap.Counters["lat.sum"] != 8 || snap.Counters["lat.count"] != 4 {
-		t.Fatalf("histogram fold = %+v", snap.Counters)
+	if h := snap.Histograms["lat"]; h.Count != 4 || h.Sum != 10 || h.Max != 4 {
+		t.Fatalf("forwarded histogram = %+v, want count 4 sum 10 max 4", h)
 	}
-	c.MergeSnapshot(nil)
+	if _, ok := snap.Counters["lat.sum"]; ok {
+		t.Fatalf("histogram folded into counters: %+v", snap.Counters)
+	}
+	if _, ok := snap.Counters["lat.count"]; ok {
+		t.Fatalf("histogram folded into counters: %+v", snap.Counters)
+	}
 	var nilC *Collector
-	nilC.MergeSnapshot(snap)
+	child.SetSink(nilC)
+	child.Count("shared", 1)
+	child.Observe("lat", 1)
+	nilC.SetSink(parent)
+	nilC.Count("shared", 1)
+	if got := parent.MetricsSnapshot().Counters["shared"]; got != 3 {
+		t.Fatalf("parent counter after nil links = %v, want 3", got)
+	}
 }
 
 func TestEventLogConcurrentWriters(t *testing.T) {
@@ -400,7 +421,7 @@ func TestSanitizeLabel(t *testing.T) {
 }
 
 // TestSinkReceivesAllPaths checks the Collector forwards counters,
-// gauges, observations, and merged snapshots to an attached Sink.
+// gauges and observations to an attached Sink.
 func TestSinkReceivesAllPaths(t *testing.T) {
 	col := NewCollector()
 	sink := &recordingSink{events: map[string]float64{}}
@@ -408,15 +429,10 @@ func TestSinkReceivesAllPaths(t *testing.T) {
 	col.Count("c", 2)
 	col.Gauge("g", 7)
 	col.Observe("h", 0.5)
-	col.MergeSnapshot(&Snapshot{
-		Counters: map[string]float64{"remote.c": 3},
-		Gauges:   map[string]float64{"remote.g": 4},
-	})
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	for name, want := range map[string]float64{
 		"count:c": 2, "gauge:g": 7, "observe:h": 0.5,
-		"count:remote.c": 3, "gauge:remote.g": 4,
 	} {
 		if got := sink.events[name]; got != want {
 			t.Fatalf("sink %s = %v, want %v (events: %v)", name, got, want, sink.events)

@@ -83,14 +83,6 @@ func New(now func() time.Time, defs ...Def) *Registry {
 	}
 }
 
-// Defs returns the registry's window definitions.
-func (r *Registry) Defs() []Def {
-	if r == nil {
-		return nil
-	}
-	return append([]Def(nil), r.defs...)
-}
-
 // counterSeries is one counter's rings: per window, a slot sum and the
 // epoch (absolute bucket number) it belongs to, so stale slots are lazily
 // reset on first touch after the ring wraps.

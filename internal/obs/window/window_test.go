@@ -182,9 +182,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
-	if r.Defs() != nil {
-		t.Fatal("nil registry defs should be nil")
-	}
 }
 
 // TestCollectorSinkMirrorsIntoWindows exercises the obs tap end to end:
@@ -198,8 +195,6 @@ func TestCollectorSinkMirrorsIntoWindows(t *testing.T) {
 	col.Count("serve.requests", 3)
 	col.Gauge("serve.inflight", 2)
 	col.Observe("serve.latency_s", 0.25)
-	// Merged worker deltas must flow through too.
-	col.MergeSnapshot(&obs.Snapshot{Counters: map[string]float64{"netio.retries": 2}})
 
 	snap := r.Snapshot()
 	if got := snap.Counters["serve.requests"]["1m"].Sum; got != 3 {
@@ -210,9 +205,6 @@ func TestCollectorSinkMirrorsIntoWindows(t *testing.T) {
 	}
 	if got := snap.Histograms["serve.latency_s"]["1m"].Count; got != 1 {
 		t.Fatalf("mirrored histogram count = %v, want 1", got)
-	}
-	if got := snap.Counters["netio.retries"]["1m"].Sum; got != 2 {
-		t.Fatalf("merged counter = %v, want 2", got)
 	}
 }
 

@@ -2,14 +2,20 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bohr/internal/core"
+	"bohr/internal/engine"
 	"bohr/internal/experiments"
 	"bohr/internal/obs"
+	"bohr/internal/obs/export"
+	"bohr/internal/obs/window"
 	"bohr/internal/placement"
 	"bohr/internal/sql"
 	"bohr/internal/workload"
@@ -162,5 +168,121 @@ func TestCacheKeyKeepsLiteralKinds(t *testing.T) {
 		if outs[0].RowCount == outs[1].RowCount {
 			t.Fatalf("%q and %q both returned %d rows; the statements select different rows", pair[0], pair[1], outs[0].RowCount)
 		}
+	}
+}
+
+// spanCount is the number of spans in the tree under sp, sp included.
+func spanCount(sp *obs.Span) int {
+	n := 1
+	for _, ch := range sp.Children {
+		n += spanCount(ch)
+	}
+	return n
+}
+
+// TestServedQueryHistogramsStayHistograms: a served query's metrics reach
+// the daemon's collector, and through it the window registry, as they
+// happen, so a histogram the query observes stays a histogram there — no
+// "<name>.sum"/"<name>.count" counters beside it — and /metrics names
+// every sample once.
+func TestServedQueryHistogramsStayHistograms(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 1, 120
+	col := obs.NewCollector(obs.WithWallClock())
+	win := window.New(nil)
+	col.SetSink(win)
+	sys := prepareSystem(t, s, col)
+	if _, err := sys.RunAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	const ratio = "combine.reduction.ratio"
+	before := col.MetricsSnapshot().Histograms[ratio].Count
+	if before == 0 {
+		t.Fatalf("RunAll observed no %s", ratio)
+	}
+	// Configured as bohrd configures it: windows and a flight recorder.
+	fe := New(NewEngineBackend(sys), Config{Windows: win, Flight: &FlightConfig{}}, col)
+	exp := export.New(col)
+	exp.Handle("/v1/", fe.Handler())
+	ts := httptest.NewServer(exp.Handler())
+	defer ts.Close()
+
+	ds := sys.Workload.Datasets[0]
+	dims := ds.Schema.Dims()
+	for _, q := range []string{
+		"SELECT " + dims[0] + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + dims[0],
+		"SELECT " + dims[1] + ", COUNT(*) FROM " + ds.Name + " GROUP BY " + dims[1],
+		"SELECT " + dims[0] + ", SUM(measure) FROM " + ds.Name + " GROUP BY " + dims[0] + " ORDER BY value DESC LIMIT 3",
+	} {
+		if resp, out := postQuery(t, ts.URL, "alice", q); resp.StatusCode != http.StatusOK || out.Cached {
+			t.Fatalf("%q: status %d, cached %v; want an uncached answer", q, resp.StatusCode, out.Cached)
+		}
+	}
+
+	snap := col.MetricsSnapshot()
+	if got := snap.Histograms[ratio].Count; got <= before {
+		t.Fatalf("%s: %d observations after %d before the served queries; want more", ratio, got, before)
+	}
+	if snap.Histograms[engine.HistColumnsBuild].Count == 0 {
+		t.Fatalf("%s never reached the daemon as a histogram", engine.HistColumnsBuild)
+	}
+	for _, h := range []string{ratio, engine.HistColumnsBuild} {
+		for _, folded := range []string{h + ".sum", h + ".count"} {
+			if v, ok := snap.Counters[folded]; ok {
+				t.Fatalf("histogram %s folded into counter %s = %v", h, folded, v)
+			}
+		}
+		if w := win.Snapshot().Histograms[h]["1m"]; w.Count == 0 {
+			t.Fatalf("window registry holds no %s histogram", h)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		if seen[name] {
+			t.Fatalf("/metrics names %s twice", name)
+		}
+		seen[name] = true
+	}
+}
+
+// TestServedQueriesKeepDaemonTraceFlat: a served query's spans stay on its
+// own request collector, also with the flight recorder at its defaults
+// (a zero Config), so the daemon's trace does not grow by one subtree per
+// query.
+func TestServedQueriesKeepDaemonTraceFlat(t *testing.T) {
+	s := experiments.QuickSetup()
+	s.Datasets, s.RowsPerSite = 1, 120
+	col := obs.NewCollector()
+	sys := prepareSystem(t, s, col)
+	fe := New(NewEngineBackend(sys), Config{}, col)
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+
+	ds := sys.Workload.Datasets[0]
+	dim := ds.Schema.Dims()[0]
+	was := spanCount(col.Trace())
+	const n = 5
+	for i := 1; i <= n; i++ {
+		q := fmt.Sprintf("SELECT %s, SUM(measure) FROM %s GROUP BY %s LIMIT %d", dim, ds.Name, dim, i)
+		if resp, out := postQuery(t, ts.URL, "alice", q); resp.StatusCode != http.StatusOK || out.Cached {
+			t.Fatalf("%q: status %d, cached %v; want an uncached answer", q, resp.StatusCode, out.Cached)
+		}
+	}
+	if got := spanCount(col.Trace()); got != was {
+		t.Fatalf("%d served queries took the daemon's trace from %d spans to %d", n, was, got)
 	}
 }

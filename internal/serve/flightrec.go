@@ -87,8 +87,7 @@ type FlightStats struct {
 
 // FlightRecorder is the daemon's bounded query black box: a ring of the
 // last RingSize query records, plus full trace + critical-path retention
-// for the K slowest queries over the threshold. A nil recorder is a
-// valid no-op, so the serving path can run with the plane off.
+// for the K slowest queries over the threshold. Every server has one.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	cfg  FlightConfig
@@ -114,11 +113,8 @@ func StmtHash(normalized string) string {
 // Record stamps the record's sequence number and stores it; when the
 // latency clears the slow threshold, the query's trace and critical-path
 // decomposition are retained in the K-slowest set (trace may be nil, e.g.
-// for cache hits or backends that cannot trace). Nil-safe.
+// for cache hits or backends that cannot trace).
 func (f *FlightRecorder) Record(rec QueryRecord, trace *obs.Span) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
@@ -155,11 +151,8 @@ func (f *FlightRecorder) Record(rec QueryRecord, trace *obs.Span) {
 }
 
 // Recent returns up to limit records with Seq > after, oldest first
-// (limit <= 0 means all). Nil-safe.
+// (limit <= 0 means all).
 func (f *FlightRecorder) Recent(after uint64, limit int) []QueryRecord {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]QueryRecord, 0, len(f.ring))
@@ -181,11 +174,8 @@ func (f *FlightRecorder) Recent(after uint64, limit int) []QueryRecord {
 	return out
 }
 
-// Slowest returns the retained slow queries, slowest first. Nil-safe.
+// Slowest returns the retained slow queries, slowest first.
 func (f *FlightRecorder) Slowest() []SlowRecord {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := append([]SlowRecord(nil), f.slow...)
@@ -198,11 +188,8 @@ func (f *FlightRecorder) Slowest() []SlowRecord {
 	return out
 }
 
-// Stats summarizes the recorder. Nil-safe: a nil recorder returns nil.
+// Summary summarizes the recorder.
 func (f *FlightRecorder) Summary() *FlightStats {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return &FlightStats{

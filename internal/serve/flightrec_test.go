@@ -89,11 +89,24 @@ func TestFlightRecorderSlowRetention(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderNilSafe: a nil Config.Flight is the recorder's
+// defaults, not an off switch. Every server records every query, and
+// /v1/debug/flightrec answers.
 func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(QueryRecord{}, nil)
-	if f.Recent(0, 0) != nil || f.Slowest() != nil || f.Summary() != nil {
-		t.Fatal("nil recorder must be inert")
+	fe := New(newFakeBackend(t), Config{}, nil)
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+	if resp, _ := postQuery(t, ts.URL, "alice", "SELECT url, SUM(measure) FROM logs GROUP BY url"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d", resp.StatusCode)
+	}
+	want := FlightConfig{}.withDefaults()
+	if st := fe.Flight().Summary(); st.Recorded != 1 || st.SlowThresholdS != want.SlowThreshold.Seconds() {
+		t.Fatalf("summary = %+v, want 1 recorded under the default threshold", st)
+	}
+	var doc FlightDoc
+	getJSON(t, ts.URL+"/v1/debug/flightrec", &doc)
+	if len(doc.Recent) != 1 || doc.Recent[0].Tenant != "alice" {
+		t.Fatalf("flightrec recent = %+v, want alice's query", doc.Recent)
 	}
 }
 
@@ -119,7 +132,7 @@ type tracedFakeBackend struct {
 }
 
 func (b *tracedFakeBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error) {
-	rows, err := b.fakeBackend.Run(ctx, plan)
+	rows, _, err := b.fakeBackend.RunTraced(ctx, plan)
 	if b.delay > 0 {
 		select {
 		case <-time.After(b.delay):

@@ -300,22 +300,14 @@ func TestApplyBatchKeepsDaemonTraceFlat(t *testing.T) {
 	sys := prepareSystem(t, s, col)
 	sys.SetReplanEvery(2)
 	b := NewEngineBackend(sys)
-	var spans func(*obs.Span) int
-	spans = func(sp *obs.Span) int {
-		n := 1
-		for _, ch := range sp.Children {
-			n += spans(ch)
-		}
-		return n
-	}
-	was, solves := spans(col.Trace()), col.MetricsSnapshot().Histograms["lp.solve.rounds"].Count
+	was, solves := spanCount(col.Trace()), col.MetricsSnapshot().Histograms["lp.solve.rounds"].Count
 	const n = 6
 	for i := range n {
 		if _, err := b.ApplyBatch(context.Background(), ingest.Batch{Records: []ingest.Record{liveRecord(sys, "src", uint64(i+1), i%2)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := spans(col.Trace()); got != was {
+	if got := spanCount(col.Trace()); got != was {
 		t.Fatalf("%d batches took the trace from %d spans to %d", n, was, got)
 	}
 	snap := col.MetricsSnapshot()

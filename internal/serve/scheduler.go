@@ -94,9 +94,13 @@ type Scheduler struct {
 	col      *obs.Collector
 }
 
-// NewScheduler builds a scheduler; col may be nil.
+// NewScheduler builds a scheduler; col may be nil. Its two global gauges
+// start at zero, so a scrape before the first query shows them.
 func NewScheduler(cfg SchedConfig, col *obs.Collector) *Scheduler {
-	return &Scheduler{cfg: cfg.withDefaults(), tenants: map[string]*tenantState{}, col: col}
+	s := &Scheduler{cfg: cfg.withDefaults(), tenants: map[string]*tenantState{}, col: col}
+	s.gauge("serve.inflight", 0)
+	s.gauge("serve.queue.depth", 0)
+	return s
 }
 
 func (s *Scheduler) state(tenant string) *tenantState {
@@ -141,16 +145,6 @@ func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiting
-}
-
-// TenantInflight reports one tenant's executing queries.
-func (s *Scheduler) TenantInflight(tenant string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ts, ok := s.tenants[tenant]; ok {
-		return ts.inflight
-	}
-	return 0
 }
 
 // Acquire blocks until the tenant is granted an execution slot, the

@@ -22,18 +22,20 @@ import (
 	"bohr/internal/sql"
 )
 
-// Backend executes compiled statements for the front end. Run must honor
-// the context at the engine's chunk boundaries, so cancelled requests
-// unwind within one stage.
+// Backend executes compiled statements for the front end. RunTraced must
+// honor the context at the engine's chunk boundaries, so cancelled
+// requests unwind within one stage.
 type Backend interface {
 	// Schema resolves a dataset's schema, or nil when unknown.
 	Schema(dataset string) *olap.Schema
 	// ContentHash returns a stable hash of the dataset's current
 	// contents, keying the result cache.
 	ContentHash(dataset string) (uint64, bool)
-	// Run executes the plan's engine query and returns the raw reduce
-	// output (pre ORDER BY / LIMIT).
-	Run(ctx context.Context, plan *sql.Plan) ([]engine.KV, error)
+	// RunTraced executes the plan's engine query and returns the raw
+	// reduce output (pre ORDER BY / LIMIT) with the query's own trace,
+	// which the flight recorder keeps when the query is slow (nil when
+	// the backend cannot trace).
+	RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error)
 }
 
 // EngineBackend serves queries against a prepared core.System: the
@@ -77,36 +79,42 @@ func (b *EngineBackend) ContentHash(dataset string) (uint64, bool) {
 	return b.sys.Cluster.Version(dataset)
 }
 
-// Run executes the plan under the system's placement. It holds the
-// backend's shared state lock, so ingest applies wait for in-flight
-// queries and queries never observe a half-applied batch.
-func (b *EngineBackend) Run(ctx context.Context, plan *sql.Plan) ([]engine.KV, error) {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	res, err := b.sys.RunQuery(ctx, plan.Query)
-	if err != nil {
-		return nil, err
-	}
-	return res.Output(), nil
-}
-
-// RunTraced executes the plan under a per-query collector and returns the
-// query's own trace next to the rows. Metric deltas fold back into the
-// system's long-lived collector (so /metrics stays whole), but spans stay
-// on the per-query tree — which both hands the flight recorder a
-// retainable trace and keeps a long-running daemon's root collector from
-// accreting one span subtree per query forever.
-func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error) {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
+// requestObs builds the collector one served request runs under: it
+// stamps wall-clock time when the system's collector does, and its sink is
+// the system's collector, so every count, gauge and observation reaches
+// the daemon (and its window registry) as it happens, histograms as
+// histograms. The request's spans stay on its own tree, so a long-running
+// daemon's trace does not grow by one subtree per request. Queries and
+// ingest batches both run under one; nothing else builds request
+// collectors.
+func (b *EngineBackend) requestObs() *obs.Collector {
 	var col *obs.Collector
 	if b.sys.Obs.WallClock() {
 		col = obs.NewCollector(obs.WithWallClock())
 	} else {
 		col = obs.NewCollector()
 	}
+	col.SetSink(b.sys.Obs)
+	return col
+}
+
+// Run is RunTraced without the trace. The front end calls RunTraced; Run
+// stays for the benchmark harness, which calls it directly.
+func (b *EngineBackend) Run(ctx context.Context, plan *sql.Plan) ([]engine.KV, error) {
+	rows, _, err := b.RunTraced(ctx, plan)
+	return rows, err
+}
+
+// RunTraced executes the plan under the system's placement and a
+// request collector (requestObs), and returns the query's own trace next
+// to the rows. It holds the backend's shared state lock, so ingest
+// applies wait for in-flight queries and queries never observe a
+// half-applied batch.
+func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error) {
+	b.stateMu.RLock()
+	defer b.stateMu.RUnlock()
+	col := b.requestObs()
 	res, err := b.sys.RunQueryObs(ctx, plan.Query, col)
-	b.sys.Obs.MergeSnapshot(col.MetricsSnapshot())
 	if err != nil {
 		return nil, col.Trace(), err
 	}
@@ -122,9 +130,7 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 // the result cache drops their now-unreachable entries at once. Batches
 // the system can never apply come back Reject-wrapped, telling the
 // pipeline to drop them; any other error means nothing changed. The
-// batch runs under a collector of its own that passes every metric on to
-// the system's (its sink), so the daemon's trace does not grow with every
-// batch while its counters and histograms read as before.
+// batch runs under a request collector (requestObs).
 func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]string, error) {
 	type groupKey struct {
 		dataset string
@@ -153,8 +159,7 @@ func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]s
 		before[i], _ = b.sys.Cluster.Version(ds.Name)
 	}
 	daemon := b.sys.Obs
-	b.sys.Obs = obs.NewCollector()
-	b.sys.Obs.SetSink(daemon)
+	b.sys.Obs = b.requestObs()
 	_, err := b.sys.IngestBatch(ctx, arrivals)
 	b.sys.Obs = daemon
 	if err != nil {
@@ -172,13 +177,6 @@ func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]s
 	return changed, nil
 }
 
-// TracedBackend is the optional backend extension the flight recorder
-// uses: Run one query under its own collector and hand back the query's
-// trace for slow-query retention.
-type TracedBackend interface {
-	RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error)
-}
-
 // Config tunes the front end.
 type Config struct {
 	// Sched configures the fair scheduler (zero value = defaults).
@@ -186,8 +184,8 @@ type Config struct {
 	// CacheCaps bounds the result cache; the zero value adopts
 	// cache.DefaultCaps, and cache.Unlimited() never evicts.
 	CacheCaps cache.Caps
-	// Flight enables the flight recorder (per-query records on /v1/debug/
-	// flightrec, slow-query trace retention); nil disables it.
+	// Flight tunes the flight recorder (per-query records on /v1/debug/
+	// flightrec, slow-query trace retention); nil adopts its defaults.
 	Flight *FlightConfig
 	// Windows is the rolling-window metrics registry rendered on
 	// /v1/stats; wire it to the daemon's collector with SetSink. Nil omits
@@ -208,7 +206,7 @@ type Server struct {
 	results *ResultCache
 	col     *obs.Collector
 	pipe    *ingest.Pipeline // non-nil after EnableIngest
-	flight  *FlightRecorder  // nil when the recorder is off
+	flight  *FlightRecorder
 	win     *window.Registry // nil when windowed stats are off
 	log     *slog.Logger     // nil when logging is off
 	start   time.Time
@@ -240,14 +238,15 @@ func New(b Backend, cfg Config, col *obs.Collector) *Server {
 		start:   time.Now(),
 	}
 	s.traceHi = fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
+	var flight FlightConfig
 	if cfg.Flight != nil {
-		s.flight = NewFlightRecorder(*cfg.Flight)
+		flight = *cfg.Flight
 	}
+	s.flight = NewFlightRecorder(flight)
 	return s
 }
 
-// Flight exposes the flight recorder (nil when disabled), for tests and
-// operator tooling.
+// Flight exposes the flight recorder, for tests and operator tooling.
 func (s *Server) Flight() *FlightRecorder { return s.flight }
 
 // nextTraceID mints a process-unique trace ID for one request.
@@ -255,7 +254,7 @@ func (s *Server) nextTraceID() string {
 	return fmt.Sprintf("%s-%06x", s.traceHi, atomic.AddUint64(&s.traceLo, 1))
 }
 
-// Scheduler exposes the fair scheduler (for gauges and tests).
+// Scheduler exposes the fair scheduler, for tests.
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
 // QueryRequest is the POST /v1/query body.
@@ -410,15 +409,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// With the flight recorder on and a trace-capable backend, the query
-	// runs under its own collector so its trace can be retained if slow.
-	var rows []engine.KV
-	var trace *obs.Span
-	if tb, ok := s.backend.(TracedBackend); ok && s.flight != nil {
-		rows, trace, err = tb.RunTraced(ctx, plan)
-	} else {
-		rows, err = s.backend.Run(ctx, plan)
-	}
+	rows, trace, err := s.backend.RunTraced(ctx, plan)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.count("serve.cancelled", 1)

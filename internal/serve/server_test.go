@@ -22,8 +22,8 @@ import (
 	"bohr/internal/sql"
 )
 
-// fakeBackend answers from a fixed row set; block (when non-nil) parks
-// Run until the channel closes or the context ends, modeling a long
+// fakeBackend answers from a fixed row set and no trace; block (when
+// non-nil) parks RunTraced until the channel closes or the context ends, modeling a long
 // scatter the front end must be able to cancel out of.
 type fakeBackend struct {
 	schema *olap.Schema
@@ -55,16 +55,16 @@ func (b *fakeBackend) Schema(dataset string) *olap.Schema {
 
 func (b *fakeBackend) ContentHash(dataset string) (uint64, bool) { return b.hash.Load(), true }
 
-func (b *fakeBackend) Run(ctx context.Context, plan *sql.Plan) ([]engine.KV, error) {
+func (b *fakeBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error) {
 	b.runs.Add(1)
 	if b.block != nil {
 		select {
 		case <-b.block:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("fake: run: %w", ctx.Err())
+			return nil, nil, fmt.Errorf("fake: run: %w", ctx.Err())
 		}
 	}
-	return b.rows, nil
+	return b.rows, nil, nil
 }
 
 func postQuery(t *testing.T, url, tenant, query string) (*http.Response, QueryResponse) {
@@ -184,7 +184,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 func TestClientDisconnectReleasesSlot(t *testing.T) {
 	col := obs.NewCollector(obs.WithWallClock())
 	backend := newFakeBackend(t)
-	backend.block = make(chan struct{}) // park every Run until cancelled
+	backend.block = make(chan struct{}) // park every RunTraced until cancelled
 	fe := New(backend, Config{Sched: SchedConfig{MaxConcurrent: 2, TenantQuota: 2}}, col)
 	ts := httptest.NewServer(fe.Handler())
 	defer ts.Close()
@@ -207,10 +207,10 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 		t.Fatal("disconnected request reported success")
 	}
 	waitFor(t, func() bool { return fe.Scheduler().Inflight() == 0 })
-	if got := fe.Scheduler().TenantInflight("alice"); got != 0 {
-		t.Fatalf("tenant inflight = %d after disconnect, want 0", got)
-	}
 	snap := col.MetricsSnapshot()
+	if got, ok := snap.Gauges["serve.tenant.alice.inflight"]; !ok || got != 0 {
+		t.Fatalf("tenant inflight gauge = %v (set %v) after disconnect, want 0", got, ok)
+	}
 	if snap.Gauges["serve.inflight"] != 0 {
 		t.Fatalf("serve.inflight gauge = %v, want 0", snap.Gauges["serve.inflight"])
 	}

@@ -83,10 +83,6 @@ func (s *Server) serveFlightrec(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.flight == nil {
-		s.fail(w, http.StatusServiceUnavailable, "flight recorder not enabled")
-		return
-	}
 	q := r.URL.Query()
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
 	limit, _ := strconv.Atoi(q.Get("limit"))
