@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt-check ctxcheck docnames race determinism fuzz-short golden bench bench-smoke crash
+.PHONY: all build test check vet fmt-check ctxcheck docnames race determinism fuzz-short golden bench bench-smoke bench-micro crash
 
 all: build
 
@@ -18,9 +18,10 @@ test:
 #   race            the packages with real concurrency, and their oracles;
 #   fuzz-short      one short round of each fuzz target;
 #   determinism     byte-identical reports across runs and pool widths;
-#   bench-smoke     the end-to-end benchmark's own tests.
+#   bench-smoke     the end-to-end benchmark's own tests;
+#   bench-micro     every in-package benchmark, run once.
 # DESIGN.md §16 lists, once, which tests guard what.
-check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke
+check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke bench-micro
 
 vet:
 	$(GO) vet ./...
@@ -126,3 +127,10 @@ bench:
 # spanned ones fails it) must hold on each.
 bench-smoke:
 	$(GO) test ./bench -count=3
+
+# bench-micro runs each benchmark under internal/ for one iteration, so the
+# layer benchmarks the documents quote (BenchmarkQueryMissRefresh,
+# BenchmarkRunConcurrentFig6, BenchmarkScanSelect, ...) keep building and
+# running. It measures nothing; about 6 s on 2 vCPUs.
+bench-micro:
+	$(GO) test ./internal/... -run '^$$' -bench . -benchtime 1x

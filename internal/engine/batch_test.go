@@ -35,6 +35,18 @@ func fig6Batch(tb testing.TB, kind workload.Kind) (*engine.Cluster, *workload.Wo
 	return c, w, cfgs
 }
 
+// selectJob compiles a statement over dataset d of w, whose name fills the
+// statement's %s.
+func selectJob(tb testing.TB, w *workload.Workload, d int, stmt string) engine.JobConfig {
+	tb.Helper()
+	ds := w.Datasets[d]
+	plan, err := sql.CompileString(fmt.Sprintf(stmt, ds.Name), ds.Schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return engine.JobConfig{Query: plan.Query}
+}
+
 // TestRunConcurrentJobsMatchSolo holds the buffers a batch shares — one
 // combiner per site and one key index, job after job and round after round
 // — to the batch's contract: what a job computes is its own. Each job of a
@@ -134,12 +146,15 @@ func allocBytes(runs int, fn func()) float64 {
 // Within a call, a fig6-shaped batch of four jobs allocates at most 0.6 of
 // what its jobs allocate run one by one, each growing its own combiners and
 // key index from nothing (reads 0.41; 1.0 before a batch shared them).
-// Across calls, the combiners come back from their pool: the same batch
-// allocates at most 0.8 of what it does on an empty pool (reads 0.59, and
-// about 0.7 under -race, where the pool drops a quarter of what it is
-// given). Two collections empty a sync.Pool.
+// Across calls, the combiners and the key index come back from their pools:
+// the same batch allocates at most 0.8 of what it does on empty pools
+// (reads 0.51, 0.59 before the key index was pooled, and about 0.65 under
+// -race, where a pool drops a quarter of what it is given). So does a
+// batch of four SQL Selects, whose groups, key index and grouper tables are
+// all pooled: at most 0.8 (reads 0.53, about 0.7 under -race; 1.00 when a
+// Select built them all anew). Two collections empty a sync.Pool.
 func TestRunConcurrentSharesStageBuffers(t *testing.T) {
-	c, _, cfgs := fig6Batch(t, workload.TPCDS)
+	c, w, cfgs := fig6Batch(t, workload.TPCDS)
 	ctx := context.Background()
 	run := func(cfgs ...engine.JobConfig) {
 		if _, err := c.RunConcurrent(ctx, cfgs); err != nil {
@@ -165,20 +180,39 @@ func TestRunConcurrentSharesStageBuffers(t *testing.T) {
 	if ratio := warm / batch; ratio > 0.8 {
 		t.Fatalf("a %d-job batch on a warm pool allocates %.2f of one on an empty pool, want at most 0.8", len(cfgs), ratio)
 	}
+
+	dims := w.Datasets[0].Schema.Dims()
+	var sels []engine.JobConfig
+	for d := range w.Datasets {
+		sels = append(sels, selectJob(t, w, d, fmt.Sprintf("SELECT %s, %s, SUM(measure) FROM %%s GROUP BY %s, %s", dims[0], dims[1], dims[0], dims[1])))
+	}
+	run(sels...) // builds the key columns both sides then find
+	selCold := allocBytes(runs, cold(sels...))
+	selWarm := allocBytes(runs, func() { run(sels...) })
+	t.Logf("%d-Select batch: %.0f kB on empty pools, %.0f kB on warm ones (%.2f)",
+		len(sels), selCold/1e3, selWarm/1e3, selWarm/selCold)
+	if ratio := selWarm / selCold; ratio > 0.8 {
+		t.Fatalf("a %d-Select batch on warm pools allocates %.2f of one on empty pools, want at most 0.8", len(sels), ratio)
+	}
 }
 
 // TestPooledCombinersCarryNothing runs a batch right after a different
-// batch, so the combiner pool holds that batch's buffers, and holds it to
-// the same batch on fresh combiners (the pool emptied by two collections):
-// equal bit for bit in every number it reports and every metric it
-// records, at pool width 1 and 4. After either run, the pooled combiners
-// hold no key.
+// batch, so the pools hold that batch's combiners and key index, and holds
+// it to the same batch on fresh buffers (the pools emptied by two
+// collections): equal bit for bit in every number it reports and every
+// metric it records, at pool width 1 and 4. Both batches mix MapFn jobs
+// with SQL Selects, whose groups go in the same pooled combiners. After
+// either run, the pooled combiners and key indexes hold no key.
 func TestPooledCombinersCarryNothing(t *testing.T) {
 	c, w, cfgs := fig6Batch(t, workload.Facebook)
 	ds := w.Datasets
+	dims := ds[0].Schema.Dims()
+	cfgs = append(cfgs, selectJob(t, w, 0, fmt.Sprintf("SELECT %s, COUNT(*) FROM %%s GROUP BY %s", dims[1], dims[1])))
 	other := []engine.JobConfig{
 		{Query: engine.UDFQuery("udf x2", ds[1].Name, 2)},
+		selectJob(t, w, 0, fmt.Sprintf("SELECT %s, %s, MAX(measure) FROM %%s GROUP BY %s, %s", dims[0], dims[1], dims[0], dims[1])),
 		{Query: ds[2].Queries[1].Query},
+		selectJob(t, w, 3, "SELECT SUM(measure) FROM %s"),
 		{Query: engine.ScanQuery("scan", ds[3].Name)},
 	}
 	collected := func() []engine.JobConfig {
@@ -195,6 +229,9 @@ func TestPooledCombinersCarryNothing(t *testing.T) {
 		}
 		if keys := engine.PooledCombinerKeys(c.N()); keys != 0 {
 			t.Fatalf("the pooled combiners hold %d keys after a run", keys)
+		}
+		if keys := engine.PooledKeyIndexKeys(4); keys != 0 {
+			t.Fatalf("the pooled key indexes hold %d keys after a run", keys)
 		}
 		return res
 	}

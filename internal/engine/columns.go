@@ -285,7 +285,8 @@ type openSlot struct {
 	ord   int32
 }
 
-func newGrouper(cols *columns, keep []int, share int) *grouper {
+// newGrouper sizes the tables for share records, in bufs' buffers.
+func newGrouper(cols *columns, keep []int, share int, bufs *scanBufs) *grouper {
 	g := &grouper{cols: cols, keep: keep, packs: true, run: true,
 		codes: make([][]uint32, len(keep)), stride: make([]uint64, len(keep))}
 	product := uint64(1)
@@ -298,11 +299,22 @@ func newGrouper(cols *columns, keep []int, share int) *grouper {
 	switch {
 	case !g.packs:
 	case product <= uint64(share):
-		g.dense = make([]int32, product)
+		g.dense = cleared(&bufs.dense, int(product))
 	default:
-		g.open = make([]openSlot, 1<<bits.Len(uint(2*share)))
+		g.open = cleared(&bufs.open, 1<<bits.Len(uint(2*share)))
 	}
 	return g
+}
+
+// cleared returns the first n elements of *buf zeroed, growing it first
+// when it is shorter.
+func cleared[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // slot returns where the ordinal of the group with tuple t lives in the
@@ -343,11 +355,13 @@ func (g *grouper) key(recs []KV, i int) string {
 }
 
 // scanBufs are a partition's selection vector — the positions of the
-// records that pass — and its records' group tuples, then ordinals, reused
-// across scans.
+// records that pass — and its records' group tuples, then ordinals, and
+// the grouper's tables, reused across scans.
 type scanBufs struct {
-	sel []int32
-	tup []uint64
+	sel   []int32
+	tup   []uint64
+	dense []int32
+	open  []openSlot
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
@@ -359,7 +373,8 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 // its value — while a group's key is built when the group opens. Records
 // fold in record order and groups come out in first-emit order per
 // executor: the equivalent MapFn's result, bit for bit (DESIGN.md §14).
-func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
+// The groups go in cb's buffer, which Inter then is.
+func (l *Layout) scanSelect(cols *columns, q *Query, cb *combiner) StageResult {
 	sel, recs, op := q.Select, l.records, q.Combine
 	keep := sel.View.Keep()
 	res := StageResult{AssignOverhead: l.AssignOverhead}
@@ -383,7 +398,9 @@ func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 	for i := range l.execs {
 		share = max(share, l.execs[i].records)
 	}
-	g := newGrouper(cols, keep, share)
+	bufs := scanBufPool.Get().(*scanBufs)
+	defer scanBufPool.Put(bufs)
+	g := newGrouper(cols, keep, share, bufs)
 	// Groups go by name when their tuples do not pack, and when foreign keys
 	// are grouped: a foreign key's full text may spell what a kept
 	// projection of another key spells, and the two are one group.
@@ -392,9 +409,7 @@ func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 	if !g.packs || (len(foreign) > 0 && len(keep) > 0 && !filtered) {
 		names = map[string]int32{}
 	}
-	bufs := scanBufPool.Get().(*scanBufs)
-	defer scanBufPool.Put(bufs)
-	inter, groups := res.Inter, int32(0)
+	inter, groups := cb.out[:0], int32(0)
 	open := func(i int32, key string) { // record i opens a group under key
 		groups++
 		inter = append(inter, KV{Key: key, Val: op.initial(recs[i].Val)})
@@ -497,6 +512,6 @@ func (l *Layout) scanSelect(cols *columns, q *Query) StageResult {
 		}
 		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
-	res.Inter = inter
+	cb.out, res.Inter = inter, inter
 	return res
 }

@@ -32,3 +32,20 @@ func PooledCombinerKeys(n int) int {
 	}
 	return keys
 }
+
+// PooledKeyIndexKeys takes up to n key indexes from the pool, puts them
+// back and returns how many keys they held.
+func PooledKeyIndexKeys(n int) int {
+	var held []map[string]int32
+	keys := 0
+	for range n {
+		if index, ok := keyIndexPool.Get().(map[string]int32); ok {
+			held = append(held, index)
+			keys += len(index)
+		}
+	}
+	for _, index := range held {
+		keyIndexPool.Put(index)
+	}
+	return keys
+}

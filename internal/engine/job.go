@@ -180,10 +180,13 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 	}
 
 	// The stages' buffers serve the whole batch, job after job and round
-	// after round: a combiner per site, taken from the pool at the site's
-	// first MapFn scan and put back emptied when the call ends, and the key
-	// index each job's fold hands to the next (keyTable.done).
+	// after round, and come from pools that keep them across calls: a
+	// combiner per site, taken at the site's first scan, and the key index
+	// each job's fold hands to the next (keyTable.done). Both go back
+	// emptied when the call ends, however it ends; the index is empty
+	// already unless a fold stopped halfway.
 	combiners := make([]*combiner, n)
+	index, _ := keyIndexPool.Get().(map[string]int32)
 	defer func() {
 		for _, cb := range combiners {
 			if cb != nil {
@@ -191,8 +194,11 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				combinerPool.Put(cb)
 			}
 		}
+		if index != nil {
+			clear(index)
+			keyIndexPool.Put(index)
+		}
 	}()
-	var index map[string]int32
 
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -260,10 +266,11 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				if lerr != nil {
 					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
 				}
-				var cb *combiner
 				if sel := job.q.Select; sel != nil {
 					out.cols, out.colsHit = l.columns(sel.View.Width())
-				} else if cb = combiners[i]; cb == nil {
+				}
+				cb := combiners[i]
+				if cb == nil {
 					cb = combinerPool.Get().(*combiner)
 					combiners[i] = cb
 				}
@@ -533,11 +540,7 @@ func distinctKeys(recs []KV, hashes []uint64, parts []span, n int) int {
 	set := keySets.Get().(*[]openSlot)
 	defer keySets.Put(set)
 	size := 1 << bits.Len(uint(2*n))
-	if cap(*set) < size {
-		*set = make([]openSlot, size)
-	}
-	tab, mask, distinct := (*set)[:size], uint64(size-1), 0
-	clear(tab)
+	tab, mask, distinct := cleared(set, size), uint64(size-1), 0
 	for _, p := range parts {
 		for i := p.lo; i < p.hi; i++ {
 			h, j := hashes[i], hashes[i]&mask
@@ -658,8 +661,8 @@ type StageResult struct {
 // width (DESIGN.md §14).
 func (l *Layout) Scan(q *Query) StageResult { return l.scan(q, new(combiner)) }
 
-// scan is Scan folding into cb, which a Select does not use: Inter is cb's
-// buffer, valid until cb's next scan.
+// scan is Scan folding into cb: Inter is cb's buffer, valid until cb's
+// next scan.
 func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	if len(l.execs) == 0 {
@@ -667,7 +670,7 @@ func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 	}
 	if q.Select != nil {
 		cols, _ := l.columns(q.Select.View.Width())
-		return l.scanSelect(cols, q)
+		return l.scanSelect(cols, q, cb)
 	}
 	cb.reset(q.Combine)
 	emit := cb.emit // one method value for the whole scan

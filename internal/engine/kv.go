@@ -81,11 +81,12 @@ func (op CombineOp) initial(v float64) float64 {
 // groups in first-emit order: for one key, values merge in exactly the
 // order they were emitted. One combiner serves the executors of a site
 // stage in turn — groups of every executor land in the same out slice, and
-// next forgets the keys (not the buckets) between executors. RunConcurrent
-// takes one per site from combinerPool and hands it from scan to scan, so
-// out and the slot map's buckets outlive the call, and a scan's Inter
-// (which is out) lives only until the same site's next scan: the job's
-// fold must be done by then.
+// next forgets the keys (not the buckets) between executors. A Select's
+// scan appends its groups to out too, and leaves the slot map alone.
+// RunConcurrent takes one per site from combinerPool and hands it from
+// scan to scan, so out and the slot map's buckets outlive the call, and a
+// scan's Inter (which is out) lives only until the same site's next scan:
+// the job's fold must be done by then.
 type combiner struct {
 	op   CombineOp
 	slot map[string]int32 // key → index in out, current executor's groups only
@@ -125,8 +126,10 @@ func (c *combiner) empty() {
 	c.out = c.out[:0]
 }
 
-// combinerPool holds emptied combiners between RunConcurrent calls.
+// combinerPool holds emptied combiners between RunConcurrent calls, and
+// keyIndexPool the key tables' emptied indexes (keyTable.done).
 var combinerPool = sync.Pool{New: func() any { return new(combiner) }}
+var keyIndexPool sync.Pool
 
 // keyTable is the reduce side of one job round: a slot per distinct key, in
 // first-arrival order, holding the key's folded partials and its reduce
@@ -138,7 +141,9 @@ type keyTable struct {
 	op       CombineOp
 	taskFrac []float64
 	// index (key → slot) serves the fold only: done hands it to the next
-	// job's table. slots, owner and arrivals live on to the reduce step.
+	// job's table, and the call's last one back to keyIndexPool. slots,
+	// owner and arrivals live on to the reduce step, and the last round's
+	// slots are the query's output: never pooled.
 	index map[string]int32
 	slots []KV
 	owner []int32
@@ -148,7 +153,7 @@ type keyTable struct {
 
 // newKeyTable sizes a table for about hint keys. Owners are drawn from
 // taskFrac by KeyOwner; none or one fraction is a single reducer. index is
-// the empty map an earlier table's done handed on, or nil for a new one.
+// an empty map an earlier table's done handed on, or nil for a new one.
 func newKeyTable(op CombineOp, taskFrac []float64, hint int, index map[string]int32) *keyTable {
 	if index == nil {
 		index = make(map[string]int32, hint)

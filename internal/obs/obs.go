@@ -30,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"bohr/internal/stats"
 )
 
 // Span is one named phase in the trace tree.
@@ -281,7 +283,9 @@ type histSeries struct {
 func newHistSeries(name string) *histSeries {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return &histSeries{rng: rand.New(rand.NewSource(int64(h.Sum64())))}
+	// The source is seeded on the first draw past the cap: most series
+	// never reach it, and a seeded source is about 5 kB.
+	return &histSeries{rng: stats.NewLazyRand(int64(h.Sum64()))}
 }
 
 func (h *histSeries) observe(v float64) {

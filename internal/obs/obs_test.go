@@ -2,6 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +173,33 @@ func TestPercentileBoundaries(t *testing.T) {
 	two := c3.MetricsSnapshot().Histograms["two"]
 	if two.P50 != 10 || two.P99 != 20 {
 		t.Fatalf("n=2 percentiles = %+v", two)
+	}
+}
+
+// TestHistogramReservoirMatchesEagerSource holds a series observed past
+// the cap, whose source is seeded on its first draw, to the reservoir an
+// eagerly seeded source of the same seed keeps, value for value.
+func TestHistogramReservoirMatchesEagerSource(t *testing.T) {
+	const name, n = "combine.reduction.ratio", 3*HistogramCap + 17
+	c := NewCollector()
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	want := make([]float64, 0, HistogramCap)
+	for i := range n {
+		v := float64(i%997) / 7
+		c.Observe(name, v)
+		if len(want) < HistogramCap {
+			want = append(want, v)
+		} else if j := rng.Intn(i + 1); j < HistogramCap {
+			want[j] = v
+		}
+	}
+	c.mu.Lock()
+	got := slices.Clone(c.hists[name].vals)
+	c.mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("the reservoir of a series observed %d times differs from an eagerly seeded one", n)
 	}
 }
 

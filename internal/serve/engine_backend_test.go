@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -125,6 +126,66 @@ func TestEngineBackendServesRealQueries(t *testing.T) {
 	cancel()
 	if _, err := backend.Run(cancelled, plan); err == nil {
 		t.Fatal("cancelled engine run succeeded")
+	}
+}
+
+// TestServedRowsOutlivePooledBuffers keeps the rows one served Select
+// returned, as the result cache does, and runs three more batches on the
+// same cluster: served Selects over both datasets, a MapFn UDF beside a
+// Select, and the recurring queries. The engine reuses its combiners, key
+// index and scan buffers across calls, but the rows are the query's key
+// table, which must never be one of them: the kept rows stay bit-identical.
+func TestServedRowsOutlivePooledBuffers(t *testing.T) {
+	sys := systemOf(t, 2)
+	backend := NewEngineBackend(sys)
+	ctx := context.Background()
+	ds := sys.Workload.Datasets
+	dims := ds[0].Schema.Dims()
+	serve := func(d int, stmt string) []engine.KV {
+		plan, err := sql.CompileString(fmt.Sprintf(stmt, ds[d].Name), ds[d].Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := backend.RunTraced(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	kept := serve(0, fmt.Sprintf("SELECT %s, SUM(measure) FROM %%s GROUP BY %s", dims[0], dims[0]))
+	if len(kept) < 2 {
+		t.Fatalf("the kept query returned %d rows, want several", len(kept))
+	}
+	bits := func(rows []engine.KV) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%q=%x", r.Key, math.Float64bits(r.Val))
+		}
+		return out
+	}
+	want := bits(kept)
+
+	other := fmt.Sprintf("SELECT %s, MAX(measure) FROM %%s GROUP BY %s", dims[1], dims[1])
+	serve(0, other)
+	serve(1, other)
+	plan, err := sql.CompileString(fmt.Sprintf("SELECT %s, COUNT(*) FROM %s GROUP BY %s", dims[0], ds[1].Name, dims[0]), ds[1].Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := []engine.JobConfig{
+		{Query: engine.UDFQuery("udf x2", ds[0].Name, 2)},
+		{Query: plan.Query},
+	}
+	if _, err := sys.Cluster.RunConcurrent(ctx, mixed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range bits(kept) {
+		if got != want[i] {
+			t.Fatalf("kept row %d of %d changed under later batches: %s, was %s", i, len(want), got, want[i])
+		}
 	}
 }
 
