@@ -14,13 +14,14 @@ test:
 #   vet, fmt-check  go vet and gofmt;
 #   ctxcheck        exported I/O-bearing functions take a leading context;
 #   docnames        documents name only tests and identifiers that exist,
-#                   and every config field has a non-test writer;
+#                   DESIGN.md's module map matches the package tree, and
+#                   every config field has a non-test writer;
 #   race            the packages with real concurrency, and their oracles;
 #   fuzz-short      one short round of each fuzz target;
 #   determinism     byte-identical reports across runs and pool widths;
 #   bench-smoke     the end-to-end benchmark's own tests;
 #   bench-micro     every in-package benchmark, run once.
-# DESIGN.md §16 lists, once, which tests guard what.
+# DESIGN.md §14 lists where each invariant's test runs.
 check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke bench-micro
 
 vet:
@@ -33,7 +34,7 @@ ctxcheck:
 	$(GO) run ./cmd/ctxcheck
 
 docnames:
-	$(GO) test -run '^(TestDocNamesExist|TestConfigFieldsHaveWriters)$$' -count=1 .
+	$(GO) test -run '^(TestDocNamesExist|TestModuleMapMatchesTree|TestModuleMapCheckNamesEachProblem|TestConfigFieldsHaveWriters)$$' -count=1 .
 
 fmt-check:
 	@out=$$(gofmt -l .); \

@@ -1,5 +1,5 @@
 // Package cache is the bounded memo store under serve's query result
-// cache. The wrapper keeps its own content-hash validation, dataset
+// cache. The wrapper keeps its own change-counter keying, dataset
 // index and hit/miss accounting; this package owns capacity.
 //
 // A Store evicts least-recently-used entries over a *logical clock*,
@@ -147,7 +147,7 @@ func (s *Store[K, V]) Put(k K, v V) {
 }
 
 // Delete removes the entry under k, if present. This is the immediate
-// drop for entries known stale (a content-hash mismatch), as opposed to
+// drop for entries known stale (their dataset changed), as opposed to
 // aging out via Advance.
 func (s *Store[K, V]) Delete(k K) {
 	if s == nil {

@@ -189,7 +189,7 @@ func planShares(plan *placement.Plan, n int) map[string][][]float64 {
 // the dataset's mover picks which from the site's whole record set, so a
 // resident record whose cell combines at the destination leaves before a
 // just-arrived one whose cell does not (§8.6 step 2 read as fixing the
-// per-link share: DESIGN.md §15, "What a batch forwards").
+// per-link share: DESIGN.md §10, "What a batch forwards").
 func moveBatchByShares(c *engine.Cluster, plan *placement.Plan, dataset string, site, arrived int, shares [][]float64) (int, error) {
 	if shares == nil {
 		return 0, nil

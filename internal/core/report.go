@@ -93,7 +93,7 @@ type Report struct {
 	// DataReductionPct is the per-site data reduction vs the vanilla
 	// baseline (entries ≤ ReductionUndefined flag an undefined ratio).
 	DataReductionPct []float64 `json:"data_reduction_pct,omitempty"`
-	// Resilience reports fault events and retry/timeout counters; nil
+	// Resilience reports the injected schedule's fault events; nil
 	// unless the run carried a fault schedule.
 	Resilience *ResilienceReport `json:"resilience,omitempty"`
 	// Dynamic summarizes a §8.6 dynamic run (per-arrival QCTs, replan

@@ -372,7 +372,7 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 // codes into tuples a column at a time, and find each one's group and fold
 // its value — while a group's key is built when the group opens. Records
 // fold in record order and groups come out in first-emit order per
-// executor: the equivalent MapFn's result, bit for bit (DESIGN.md §14).
+// executor: the equivalent MapFn's result, bit for bit (DESIGN.md §8).
 // The groups go in cb's buffer, which Inter then is.
 func (l *Layout) scanSelect(cols *columns, q *Query, cb *combiner) StageResult {
 	sel, recs, op := q.Select, l.records, q.Combine

@@ -658,7 +658,7 @@ type StageResult struct {
 // One key appears at most once per executor, so a reducer still meets each
 // key's partials in (site, machine, executor) order: every reduced sum and
 // every modeled time is bit-identical to a sorting combiner's, at any pool
-// width (DESIGN.md §14).
+// width (DESIGN.md §8).
 func (l *Layout) Scan(q *Query) StageResult { return l.scan(q, new(combiner)) }
 
 // scan is Scan folding into cb: Inter is cb's buffer, valid until cb's

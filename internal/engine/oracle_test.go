@@ -240,7 +240,7 @@ type walk struct {
 }
 
 // TestDerivedStateWalk is the oracle for a store's derived state (DESIGN.md
-// §15): a seeded walk drives a cluster and up to three clones through the
+// §6): a seeded walk drives a cluster and up to three clones through the
 // mutating and reading API and, after every step, holds every memo, carry
 // and store-owned cell column to its fresh build (derivedKinds), every
 // handed-out slice and shared array to the escape rule, and each store's

@@ -10,7 +10,7 @@ import (
 // Profile counts at each site the records Layout.Scan(q) puts out under
 // Stage{Exec} — now, or after a move list — on the stores' cell columns,
 // exactly for a map under which a cell's records emit the same keys
-// (DESIGN.md §15). Not safe for concurrent use; profiles sharing a counted
+// (DESIGN.md §7). Not safe for concurrent use; profiles sharing a counted
 // base (On) are.
 type Profile struct {
 	*profileBase

@@ -22,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"bohr/internal/stats"
 )
 
 // Def describes one rolling window as a ring of Count buckets each
@@ -94,7 +96,8 @@ type counterSeries struct {
 // histSeries is one histogram's rings: per window and slot, a bounded
 // observation reservoir plus exact count and max. One seeded generator
 // per series keeps reservoir decisions reproducible for a fixed
-// observation order.
+// observation order; its source is seeded at the first draw, so a series
+// that never passes BucketCap in a bucket never seeds one.
 type histSeries struct {
 	vals   [][][]float64
 	seen   [][]int
@@ -132,7 +135,7 @@ func (r *Registry) hist(name string) *histSeries {
 			seen:   make([][]int, len(r.defs)),
 			maxs:   make([][]float64, len(r.defs)),
 			epochs: make([][]int64, len(r.defs)),
-			rng:    rand.New(rand.NewSource(int64(h.Sum64()))),
+			rng:    stats.NewLazyRand(int64(h.Sum64())),
 		}
 		for i, d := range r.defs {
 			hs.vals[i] = make([][]float64, d.Count)

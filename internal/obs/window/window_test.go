@@ -2,6 +2,8 @@ package window
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -143,6 +145,33 @@ func TestHistogramBucketCapExactCount(t *testing.T) {
 	}
 	if hw.P50 != 1 || hw.P99 != 1 {
 		t.Fatalf("degenerate percentiles = %v/%v, want 1/1", hw.P50, hw.P99)
+	}
+}
+
+// TestHistogramBucketPastCapMatchesEagerSource holds a bucket observed
+// past BucketCap, whose series seeds its source at the first draw, to the
+// same bucket under an eagerly seeded source of the same seed: the same
+// reservoir, so the same percentiles.
+func TestHistogramBucketPastCapMatchesEagerSource(t *testing.T) {
+	const name, n = "serve.latency_s", 3*BucketCap + 17
+	clk := newFakeClock()
+	lazy, eager := New(clk.Now), New(clk.Now)
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	eager.hist(name).rng = rand.New(rand.NewSource(int64(h.Sum64())))
+	for i := range n {
+		v := float64(i%997) / 7
+		lazy.Observe(name, v)
+		eager.Observe(name, v)
+	}
+	got, want := lazy.Snapshot().Histograms[name], eager.Snapshot().Histograms[name]
+	for _, w := range []string{"10s", "1m", "5m"} {
+		if got[w].Count != n {
+			t.Fatalf("%s count = %d, want %d", w, got[w].Count, n)
+		}
+		if got[w] != want[w] {
+			t.Fatalf("%s: lazily seeded bucket reports %+v, eagerly seeded %+v", w, got[w], want[w])
+		}
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 )
 
 // ResultCache memoizes finished query results on the bounded LRU store.
-// Keys pair the statement's canonical rendering with a hash of the
-// dataset contents the statement read, so textual variants of one query
-// hit the same entry while any data change misses (and the stale entry
-// ages out instead of being served). The ingest path additionally
-// invalidates eagerly: when new rows land for a dataset,
-// InvalidateDataset drops its entries immediately instead of waiting for
-// LRU aging, so a cached result is never one hash-collision away from
-// being served stale and the memory frees at once.
+// Keys pair the statement's canonical rendering with the change counter
+// of the dataset the statement read (Backend.ContentHash), so textual
+// variants of one query hit the same entry while any data change misses
+// (and the stale entry ages out instead of being served). The ingest
+// path additionally invalidates eagerly: when new rows land for a
+// dataset, InvalidateDataset drops its entries immediately instead of
+// waiting for LRU aging, so the memory frees at once.
 type ResultCache struct {
 	store *cache.Store[string, []engine.KV]
 
@@ -46,10 +45,10 @@ func NewResultCache(caps cache.Caps, col *obs.Collector) *ResultCache {
 	}
 }
 
-// Key derives the cache key for a statement over data with the given
-// content hash.
-func (rc *ResultCache) Key(stmt *sql.Statement, contentHash uint64) string {
-	return fmt.Sprintf("%s\x00%016x", Normalize(stmt), contentHash)
+// Key derives the cache key for a statement, given as its Normalize
+// rendering, over a dataset at the given change counter.
+func (rc *ResultCache) Key(norm string, contentHash uint64) string {
+	return fmt.Sprintf("%s\x00%016x", norm, contentHash)
 }
 
 // Get returns the cached rows for the key, if present.

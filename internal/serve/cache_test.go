@@ -50,10 +50,13 @@ func TestResultCacheKeyIncludesContentHash(t *testing.T) {
 	rc := NewResultCache(cache.Caps{Entries: 8}, nil)
 	stmt := mustParse(t, "SELECT url, SUM(measure) FROM logs GROUP BY url")
 	rows := []engine.KV{{Key: "a", Val: 1}}
-	k1 := rc.Key(stmt, 0x1111)
-	k2 := rc.Key(stmt, 0x2222)
+	k1 := rc.Key(Normalize(stmt), 0x1111)
+	k2 := rc.Key(Normalize(stmt), 0x2222)
 	if k1 == k2 {
 		t.Fatal("keys over different content hashes collide")
+	}
+	if want := Normalize(stmt) + "\x000000000000001111"; k1 != want {
+		t.Fatalf("key = %q, want %q", k1, want)
 	}
 	rc.Insert(k1, stmt.Dataset, rows)
 	if _, ok := rc.Get(k2); ok {
@@ -69,9 +72,9 @@ func TestResultCacheInvalidateDataset(t *testing.T) {
 	rc := NewResultCache(cache.Caps{Entries: 16}, nil)
 	logs := mustParse(t, "SELECT url, SUM(measure) FROM logs GROUP BY url")
 	other := mustParse(t, "SELECT url, SUM(measure) FROM events GROUP BY url")
-	k1 := rc.Key(logs, 1)
-	k2 := rc.Key(logs, 2)
-	k3 := rc.Key(other, 1)
+	k1 := rc.Key(Normalize(logs), 1)
+	k2 := rc.Key(Normalize(logs), 2)
+	k3 := rc.Key(Normalize(other), 1)
 	rc.Insert(k1, logs.Dataset, []engine.KV{{Key: "a", Val: 1}})
 	rc.Insert(k2, logs.Dataset, []engine.KV{{Key: "b", Val: 2}})
 	rc.Insert(k3, other.Dataset, []engine.KV{{Key: "c", Val: 3}})
@@ -100,7 +103,7 @@ func TestResultCacheEvictsLRU(t *testing.T) {
 	rc := NewResultCache(cache.Caps{Entries: 2}, nil)
 	stmt := mustParse(t, "SELECT url, SUM(measure) FROM logs GROUP BY url")
 	for i := uint64(0); i < 5; i++ {
-		rc.Insert(rc.Key(stmt, i), stmt.Dataset, []engine.KV{{Key: "x", Val: float64(i)}})
+		rc.Insert(rc.Key(Normalize(stmt), i), stmt.Dataset, []engine.KV{{Key: "x", Val: float64(i)}})
 	}
 	if got := rc.Len(); got > 2 {
 		t.Fatalf("cache holds %d entries, cap 2", got)

@@ -48,8 +48,8 @@ func (b *EngineBackend) CaptureState() *durable.State {
 
 // RestoreState loads a decoded snapshot into the backend: every
 // dataset's per-site records are replaced wholesale and the ingest batch
-// counter resumes. Every restored store's version rises, so content
-// hashes taken before the restore no longer match.
+// counter resumes. Every restored store's version rises, so change
+// counters read before the restore no longer match.
 func (b *EngineBackend) RestoreState(st *durable.State) error {
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()

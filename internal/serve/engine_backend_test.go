@@ -111,7 +111,7 @@ func TestEngineBackendServesRealQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash, _ := backend.ContentHash(ds.Name)
-	held, ok := fe.results.Get(fe.results.Key(stmt, hash))
+	held, ok := fe.results.Get(fe.results.Key(Normalize(stmt), hash))
 	if !ok || len(held) != 3 || cap(held) != 3 || !(held[0].Val >= held[1].Val && held[1].Val >= held[2].Val) {
 		t.Fatalf("cache holds %v (cap %d, present %v), want the 3 rows served, largest first", held, cap(held), ok)
 	}
@@ -216,7 +216,7 @@ func TestCacheKeyKeepsLiteralKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys[i] = fe.results.Key(stmt, 1)
+			keys[i] = fe.results.Key(Normalize(stmt), 1)
 			var resp *http.Response
 			resp, outs[i] = postQuery(t, ts.URL, "alice", text)
 			if resp.StatusCode != http.StatusOK || outs[i].Cached {

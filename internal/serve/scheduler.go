@@ -3,7 +3,7 @@
 // every request through a weighted fair scheduler with per-tenant
 // concurrency quotas and queue-depth admission control, and answers
 // repeat queries from a result cache keyed by (normalized query, dataset
-// content hash). It layers over the reusable engine/core components the
+// change counter). It layers over the reusable engine/core components the
 // rest of the reproduction already exercises; cancellation rides the
 // request context through the context-first core/engine APIs.
 package serve

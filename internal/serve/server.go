@@ -28,8 +28,10 @@ import (
 type Backend interface {
 	// Schema resolves a dataset's schema, or nil when unknown.
 	Schema(dataset string) *olap.Schema
-	// ContentHash returns a stable hash of the dataset's current
-	// contents, keying the result cache.
+	// ContentHash returns the dataset's change counter, which keys the
+	// result cache: it moves on every change to the dataset's data. It
+	// is not a hash and says nothing about two datasets holding equal
+	// content.
 	ContentHash(dataset string) (uint64, bool)
 	// RunTraced executes the plan's engine query and returns the raw
 	// reduce output (pre ORDER BY / LIMIT) with the query's own trace,
@@ -40,15 +42,15 @@ type Backend interface {
 
 // EngineBackend serves queries against a prepared core.System: the
 // simulated cluster with data already placed, the same substrate bohrctl
-// drives. A dataset's content hash is read off its site stores' version
-// counters, so the result cache's keys track every data change. Queries
+// drives. A dataset's change counter is the sum of its site stores'
+// versions, so the result cache's keys track every data change. Queries
 // read under a shared lock; ingest applies under the exclusive lock, so
 // live arrivals never race in-flight scans.
 type EngineBackend struct {
 	sys *core.System
 
 	// stateMu guards the system's mutable serving state: the site stores
-	// and the placement plan. Queries and content hashing hold it
+	// and the placement plan. Queries and change-counter reads hold it
 	// shared; ingest batch application holds it exclusively.
 	stateMu sync.RWMutex
 }
@@ -381,7 +383,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// as served and a hit replies with them as they are.
 	var key string
 	if hash, ok := s.backend.ContentHash(stmt.Dataset); ok {
-		key = s.results.Key(stmt, hash)
+		key = s.results.Key(norm, hash)
 		if rows, ok := s.results.Get(key); ok {
 			s.count("serve.cache.hits", 1)
 			s.count("serve.tenant."+mt+".cache.hits", 1)

@@ -141,7 +141,7 @@ func queryCounts(rng *rand.Rand, cfg Config, types int) []int {
 // projectedQuery builds a query type whose map projects the stored
 // full-coordinate key down to its dimension set, and then combines. It stays
 // a MapFn rather than a Select, which would build key columns at every site
-// it scans (DESIGN.md §14).
+// it scans (DESIGN.md §8).
 func projectedQuery(name, dataset string, schema *olap.Schema, dims []string, op engine.CombineOp, mapCost, reduceCost float64) (QuerySpec, error) {
 	view, err := ViewOf(schema, dims)
 	return QuerySpec{Dims: dims, View: view, Query: engine.Query{
