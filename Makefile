@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt-check ctxcheck docnames race determinism fuzz-short golden bench bench-smoke bench-micro crash
+.PHONY: all build test check vet fmt-check docnames race determinism fuzz-short golden bench bench-smoke bench-micro crash
 
 all: build
 
@@ -12,29 +12,23 @@ test:
 
 # check is the CI gate, one target per line:
 #   vet, fmt-check  go vet and gofmt;
-#   ctxcheck        exported I/O-bearing functions take a leading context;
 #   docnames        documents name only tests and identifiers that exist,
-#                   DESIGN.md's module map matches the package tree, and
-#                   every config field has a non-test writer;
+#                   DESIGN.md's module map matches the package tree,
+#                   every config field has a non-test writer, and
+#                   exported I/O-bearing functions take a leading context;
 #   race            the packages with real concurrency, and their oracles;
 #   fuzz-short      one short round of each fuzz target;
 #   determinism     byte-identical reports across runs and pool widths;
 #   bench-smoke     the end-to-end benchmark's own tests;
 #   bench-micro     every in-package benchmark, run once.
 # DESIGN.md §14 lists where each invariant's test runs.
-check: vet fmt-check ctxcheck docnames race fuzz-short determinism bench-smoke bench-micro
+check: vet fmt-check docnames race fuzz-short determinism bench-smoke bench-micro
 
 vet:
 	$(GO) vet ./...
 
-# ctxcheck rejects exported functions in the I/O-bearing packages
-# (core, engine, serve) whose names announce I/O or execution
-# but that do not take a leading context.Context. See cmd/ctxcheck.
-ctxcheck:
-	$(GO) run ./cmd/ctxcheck
-
 docnames:
-	$(GO) test -run '^(TestDocNamesExist|TestModuleMapMatchesTree|TestModuleMapCheckNamesEachProblem|TestConfigFieldsHaveWriters)$$' -count=1 .
+	$(GO) test -run '^(TestDocNamesExist|TestModuleMapMatchesTree|TestModuleMapCheckNamesEachProblem|TestConfigFieldsHaveWriters|TestExportedIOTakesContextFirst)$$' -count=1 .
 
 fmt-check:
 	@out=$$(gofmt -l .); \

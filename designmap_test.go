@@ -15,11 +15,15 @@ import (
 // and CHANGES.md keeps the history.
 const designMaxLines = 700
 
+// prNamed are the documents that describe the system as it stands, so
+// they name no PR: the history is CHANGES.md's.
+var prNamed = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
 // TestModuleMapMatchesTree holds DESIGN.md to the package tree: every
 // directory holding Go files (dot-directories and testdata aside) has
 // exactly one entry in its module map, every entry names such a
-// directory, the file stays within designMaxLines lines and it names no
-// PR.
+// directory and the file stays within designMaxLines lines. No document
+// in prNamed names a PR.
 func TestModuleMapMatchesTree(t *testing.T) {
 	for _, p := range designProblems(".") {
 		t.Error(p)
@@ -32,15 +36,16 @@ func TestModuleMapCheckNamesEachProblem(t *testing.T) {
 	const good = "# Design\n\n## 2. Module map\n\n| Directory | Package |\n|---|---|\n" +
 		"| `.` | root tests |\n| `cmd/tool/` | a tool |\n\n## 3. Next\n"
 	for _, tc := range []struct {
-		name, design, want string
-		dirs               []string
+		name, design, readme, want string
+		dirs                       []string
 	}{
-		{"clean", good, "", []string{"cmd/tool"}},
-		{"unmapped package", good, "internal/extra has Go files but no module-map entry", []string{"cmd/tool", "internal/extra"}},
-		{"entry without directory", good, "cmd/tool, which does not exist", nil},
-		{"entry twice", strings.Replace(good, "| `.` |", "| `cmd/tool` | again |\n| `.` |", 1), "cmd/tool twice", []string{"cmd/tool"}},
-		{"PR number", good + "Added in PR 99.\n", "DESIGN.md:11 names a PR", []string{"cmd/tool"}},
-		{"701st line", good + strings.Repeat("\n", designMaxLines-9), "DESIGN.md has 701 lines", []string{"cmd/tool"}},
+		{"clean", good, "", "", []string{"cmd/tool"}},
+		{"unmapped package", good, "", "internal/extra has Go files but no module-map entry", []string{"cmd/tool", "internal/extra"}},
+		{"entry without directory", good, "", "cmd/tool, which does not exist", nil},
+		{"entry twice", strings.Replace(good, "| `.` |", "| `cmd/tool` | again |\n| `.` |", 1), "", "cmd/tool twice", []string{"cmd/tool"}},
+		{"PR number", good + "Added in PR 99.\n", "", "DESIGN.md:11 names a PR", []string{"cmd/tool"}},
+		{"PR number in the README", good, "# Tool\nSince PR 7 it runs faster.\n", "README.md:2 names a PR", []string{"cmd/tool"}},
+		{"701st line", good + strings.Repeat("\n", designMaxLines-9), "", "DESIGN.md has 701 lines", []string{"cmd/tool"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -54,6 +59,7 @@ func TestModuleMapCheckNamesEachProblem(t *testing.T) {
 				}
 			}
 			write("DESIGN.md", tc.design)
+			write("README.md", tc.readme)
 			write("root_test.go", "package root\n")
 			write(".hidden/x.go", "package hidden\n")
 			write("testdata/x.go", "package data\n")
@@ -78,7 +84,8 @@ func TestModuleMapCheckNamesEachProblem(t *testing.T) {
 }
 
 // designProblems lists every way DESIGN.md under root disagrees with the
-// package tree under root, or outgrows its bounds. The module map is the
+// package tree under root or outgrows its bounds, and every line of a
+// prNamed document under root that names a PR. The module map is the
 // table in the section whose heading says "Module map": each row opens
 // with a backticked directory relative to root ("." for root itself).
 func designProblems(root string) []string {
@@ -92,13 +99,21 @@ func designProblems(root string) []string {
 		problems = append(problems, fmt.Sprintf("DESIGN.md has %d lines, more than %d", len(lines), designMaxLines))
 	}
 	pr := regexp.MustCompile(`\bPRs? ?#?[0-9]`)
+	for _, doc := range prNamed {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			continue // only DESIGN.md is required, and it was read above
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			if pr.MatchString(line) {
+				problems = append(problems, fmt.Sprintf("%s:%d names a PR: %q", doc, i+1, line))
+			}
+		}
+	}
 	entry := regexp.MustCompile("^\\| `([^`]+)` \\|")
 	mapped := map[string]int{}
 	inMap := false
-	for i, line := range lines {
-		if pr.MatchString(line) {
-			problems = append(problems, fmt.Sprintf("DESIGN.md:%d names a PR: %q", i+1, line))
-		}
+	for _, line := range lines {
 		if strings.HasPrefix(line, "## ") {
 			inMap = strings.Contains(line, "Module map")
 			continue

@@ -76,9 +76,6 @@ func Open(cfg Config) (*Manager, error) {
 	return &Manager{cfg: cfg, wal: wal, scan: *scan}, nil
 }
 
-// Scan reports what opening the WAL found.
-func (m *Manager) Scan() WALScan { return m.scan }
-
 // Seq is the WAL's last assigned frame sequence number.
 func (m *Manager) Seq() uint64 { return m.wal.Seq() }
 

@@ -225,18 +225,27 @@ func (s Setup) kSweep(metricQCT bool) ([]KSweepRow, error) {
 	if s.Datasets > 4 {
 		s.Datasets = 4
 	}
+	// The snapshots do not depend on k and runScheme plans on a clone, so
+	// each (workload, run) is built once for the whole sweep.
+	kinds := kSweepKinds()
+	snaps := make([][]*coreSnapshot, len(kinds))
+	for i, kind := range kinds {
+		for run := 0; run < s.Runs; run++ {
+			snap, err := s.snapshot(kind, false, run)
+			if err != nil {
+				return nil, err
+			}
+			snaps[i] = append(snaps[i], snap)
+		}
+	}
 	var rows []KSweepRow
 	for _, k := range ProbeKValues {
 		row := KSweepRow{K: k, Value: map[string]float64{}}
 		sk := s
 		sk.ProbeK = k
-		for _, kind := range kSweepKinds() {
+		for i, kind := range kinds {
 			var sum float64
-			for run := 0; run < s.Runs; run++ {
-				snap, err := s.snapshot(kind, false, run)
-				if err != nil {
-					return nil, err
-				}
+			for run, snap := range snaps[i] {
 				res, err := sk.runScheme(placement.Bohr, snap, run)
 				if err != nil {
 					return nil, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -107,7 +106,7 @@ type Config struct {
 	// like the pre-crash one.
 	RestoreOffsets []SourceOffsets
 
-	// now is the clock of the rate limiter and the batch latency gauges;
+	// now is the clock of the rate limiter and the batch latency;
 	// nil means time.Now. The package's tests set it.
 	now func() time.Time
 }
@@ -159,10 +158,6 @@ type sourceState struct {
 	lastFill time.Time
 	hasRate  bool
 
-	// metric is the source's sanitized metric label: gauges publish as
-	// ingest.source.<metric>.*, so hostile source names cannot smuggle
-	// structure into the registry.
-	metric string
 	// admitAt parallels buf (and then the in-flight batch): each record's
 	// admission time, so a delivered batch's end-to-end latency — admit to
 	// applied, queueing and requeues included — is measurable.
@@ -206,20 +201,9 @@ func (st *sourceState) snapshot(name string) SourceStats {
 	return s
 }
 
-// publishLocked refreshes the source's ingest.source.<metric>.* gauges on
-// the collector; the caller holds p.mu.
-func (p *Pipeline) publishLocked(st *sourceState, name string) {
-	snap := st.snapshot(name)
-	prefix := "ingest.source." + st.metric + "."
-	p.col.Gauge(prefix+"watermark", float64(snap.Watermark))
-	p.col.Gauge(prefix+"sparse", float64(snap.Sparse))
-	p.col.Gauge(prefix+"pending", float64(snap.Pending))
-	p.col.Gauge(prefix+"dedupe_rate", snap.DedupeRate)
-	p.col.Gauge(prefix+"batch_e2e_s", snap.LastBatchE2ES)
-}
-
 // SourcesSnapshot returns every source's observability snapshot, name
-// order, for /v1/stats.
+// order, for /v1/stats. It is the only surface of per-source state: no
+// collector series carries it, so a source name never names a metric.
 func (p *Pipeline) SourcesSnapshot() []SourceStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -347,25 +331,17 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 	if p.cfg.Journal != nil {
 		accepted = make([]Record, 0, len(recs))
 	}
-	type pushed struct {
-		name string
-		st   *sourceState
-	}
-	var touched []pushed // sources this push reached, few: scanned, not hashed
-	var cur pushed
+	var curName string
+	var st *sourceState
 	now := p.cfg.now()
 	for _, r := range recs {
 		if r.Source == "" || r.Offset == 0 {
 			pushErr = fmt.Errorf("ingest: record needs a source and a 1-based offset")
 			break
 		}
-		if r.Source != cur.name { // never "": the first record looks its source up
-			cur = pushed{r.Source, p.sourceLocked(r.Source)}
-			if !slices.Contains(touched, cur) {
-				touched = append(touched, cur)
-			}
+		if r.Source != curName { // never "": the first record looks its source up
+			curName, st = r.Source, p.sourceLocked(r.Source)
 		}
-		st := cur.st
 		if st.offsets.Seen(r.Offset) {
 			res.Deduped++
 			st.deduped++
@@ -405,9 +381,6 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 		p.col.Count("ingest.replay.deduped", float64(res.Deduped))
 	}
 	p.col.Gauge("ingest.queue_depth", float64(p.pending))
-	for _, t := range touched {
-		p.publishLocked(t.st, t.name)
-	}
 	p.mu.Unlock()
 	if kick {
 		select {
@@ -465,7 +438,7 @@ func (p *Pipeline) takeTokenLocked(st *sourceState, now time.Time) bool {
 func (p *Pipeline) sourceLocked(name string) *sourceState {
 	st, ok := p.sources[name]
 	if !ok {
-		st = &sourceState{metric: obs.SanitizeLabel(name)}
+		st = &sourceState{}
 		p.sources[name] = st
 	}
 	return st
@@ -600,7 +573,6 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 	st.inflight -= n
 	p.stats.DeliveryFailures++
 	p.col.Count("ingest.delivery.failures", 1)
-	p.publishLocked(st, src)
 	p.mu.Unlock()
 	return err
 }
@@ -614,7 +586,6 @@ func (p *Pipeline) settle(src string, n int, counters func()) {
 	p.pending -= n
 	counters()
 	p.col.Gauge("ingest.queue_depth", float64(p.pending))
-	p.publishLocked(st, src)
 	p.mu.Unlock()
 }
 

@@ -26,6 +26,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ type Collector struct {
 	wall     bool
 	counters map[string]float64
 	gauges   map[string]float64
-	hists    map[string]*histSeries
+	hists    map[string]*histogram
 	events   []Event
 	sink     Sink
 }
@@ -111,7 +112,7 @@ func NewCollector(opts ...Option) *Collector {
 	c := &Collector{
 		counters: map[string]float64{},
 		gauges:   map[string]float64{},
-		hists:    map[string]*histSeries{},
+		hists:    map[string]*histogram{},
 	}
 	c.root = &Span{Name: "bohr", c: c}
 	c.cur = c.root
@@ -269,41 +270,91 @@ func (c *Collector) Gauge(name string, v float64) {
 // for the percentile estimates while Count/Sum/Min/Max stay exact.
 const HistogramCap = 4096
 
-// histSeries is one bounded histogram: an observation reservoir plus
-// exact running aggregates.
-type histSeries struct {
+// Sample is one bounded histogram: a reservoir of observations plus the
+// exact count, sum, min and max. The zero value is empty. The collector
+// keeps one per series and window.Registry one per bucket.
+type Sample struct {
 	vals []float64
 	seen int
 	sum  float64
 	min  float64
 	max  float64
-	rng  *rand.Rand
 }
 
-func newHistSeries(name string) *histSeries {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	// The source is seeded on the first draw past the cap: most series
-	// never reach it, and a seeded source is about 5 kB.
-	return &histSeries{rng: stats.NewLazyRand(int64(h.Sum64()))}
+// Observe records v. The reservoir keeps the first limit observations;
+// past it the n-th replaces a slot drawn from rng with probability
+// limit/n, so it stays a uniform sample.
+func (s *Sample) Observe(v float64, limit int, rng *rand.Rand) {
+	if s.seen == 0 || v < s.min {
+		s.min = v
+	}
+	if s.seen == 0 || v > s.max {
+		s.max = v
+	}
+	s.seen++
+	s.sum += v
+	if len(s.vals) < limit {
+		s.vals = append(s.vals, v)
+	} else if j := rng.Intn(s.seen); j < limit {
+		s.vals[j] = v
+	}
 }
 
-func (h *histSeries) observe(v float64) {
-	if h.seen == 0 || v < h.min {
-		h.min = v
-	}
-	if h.seen == 0 || v > h.max {
-		h.max = v
-	}
-	h.seen++
-	h.sum += v
-	if len(h.vals) < HistogramCap {
-		h.vals = append(h.vals, v)
+// Reset empties the sample and keeps the reservoir's storage.
+func (s *Sample) Reset() { *s = Sample{vals: s.vals[:0]} }
+
+// Merge folds o into s for a summary over several samples: the exact
+// aggregates combine and the reservoirs concatenate, unbounded.
+func (s *Sample) Merge(o *Sample) {
+	if o.seen == 0 {
 		return
 	}
-	if j := h.rng.Intn(h.seen); j < HistogramCap {
-		h.vals[j] = v
+	if s.seen == 0 || o.min < s.min {
+		s.min = o.min
 	}
+	if s.seen == 0 || o.max > s.max {
+		s.max = o.max
+	}
+	s.seen += o.seen
+	s.sum += o.sum
+	s.vals = append(s.vals, o.vals...)
+}
+
+// Stats summarizes the sample: Count, Sum, Min and Max exact, the
+// percentiles over the reservoir.
+func (s *Sample) Stats() HistogramStats {
+	st := HistogramStats{Count: s.seen, Sum: s.sum, Min: s.min, Max: s.max}
+	st.P50, st.P90, st.P99 = percentiles(slices.Clone(s.vals))
+	return st
+}
+
+// percentiles sorts vals in place and returns its p50, p90 and p99 by
+// nearest rank: the ⌈q·n⌉-th smallest value. No values give zeros.
+func percentiles(vals []float64) (p50, p90, p99 float64) {
+	if len(vals) == 0 {
+		return 0, 0, 0
+	}
+	sort.Float64s(vals)
+	rank := func(q float64) float64 {
+		return vals[max(int(math.Ceil(q*float64(len(vals))))-1, 0)]
+	}
+	return rank(0.50), rank(0.90), rank(0.99)
+}
+
+// SeriesRand is the generator a series named name samples its reservoir
+// with: seeded from the name, and only at its first draw, since most
+// series never pass their cap and a seeded source is about 5 kB.
+func SeriesRand(name string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return stats.NewLazyRand(int64(h.Sum64()))
+}
+
+// histogram is one collector series: a Sample capped at HistogramCap and
+// the generator its reservoir draws from.
+type histogram struct {
+	Sample
+	rng *rand.Rand
 }
 
 // Observe records one observation into a named histogram. Nil-safe.
@@ -314,10 +365,10 @@ func (c *Collector) Observe(name string, v float64) {
 	c.mu.Lock()
 	h := c.hists[name]
 	if h == nil {
-		h = newHistSeries(name)
+		h = &histogram{rng: SeriesRand(name)}
 		c.hists[name] = h
 	}
-	h.observe(v)
+	h.Observe(v, HistogramCap, h.rng)
 	sink := c.sink
 	c.mu.Unlock()
 	if sink != nil {
@@ -349,8 +400,7 @@ func (c *Collector) EventLog() []Event {
 	return append([]Event(nil), c.events...)
 }
 
-// HistogramStats summarizes a histogram's observations. Percentiles use
-// the nearest-rank method on the sorted observations.
+// HistogramStats summarizes a histogram's observations (Sample.Stats).
 type HistogramStats struct {
 	Count int     `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -367,49 +417,6 @@ type Snapshot struct {
 	Counters   map[string]float64        `json:"counters,omitempty"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
-}
-
-// summarize computes HistogramStats for one observation series using the
-// nearest-rank percentile definition: the ⌈q·n⌉-th smallest value.
-func summarize(vals []float64) HistogramStats {
-	st := HistogramStats{Count: len(vals)}
-	if len(vals) == 0 {
-		return st
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	st.Min = sorted[0]
-	st.Max = sorted[len(sorted)-1]
-	for _, v := range sorted {
-		st.Sum += v
-	}
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	st.P50 = rank(0.50)
-	st.P90 = rank(0.90)
-	st.P99 = rank(0.99)
-	return st
-}
-
-// stats summarizes the series: percentiles come from the reservoir,
-// Count/Sum/Min/Max from the exact running aggregates.
-func (h *histSeries) stats() HistogramStats {
-	st := summarize(h.vals)
-	st.Count = h.seen
-	if h.seen > 0 {
-		st.Sum = h.sum
-		st.Min = h.min
-		st.Max = h.max
-	}
-	return st
 }
 
 // MetricsSnapshot copies the current metric values. Nil-safe: a nil
@@ -436,7 +443,7 @@ func (c *Collector) MetricsSnapshot() *Snapshot {
 	if len(c.hists) > 0 {
 		snap.Histograms = make(map[string]HistogramStats, len(c.hists))
 		for k, h := range c.hists {
-			snap.Histograms[k] = h.stats()
+			snap.Histograms[k] = h.Stats()
 		}
 	}
 	return snap
@@ -466,8 +473,8 @@ func copySpan(s *Span) *Span {
 // truncated and suffixed with a hash of the original.
 const sanitizeMax = 48
 
-// SanitizeLabel maps an externally supplied string (a tenant ID, an
-// ingest source name) onto the safe metric-label charset [a-zA-Z0-9_-]:
+// SanitizeLabel maps an externally supplied string (a tenant ID) onto
+// the safe metric-label charset [a-zA-Z0-9_-]:
 // every other rune becomes '_', and inputs that were altered or exceed
 // sanitizeMax runes are truncated and suffixed with an 8-hex FNV-1a hash
 // of the original, so distinct hostile inputs cannot collide onto one

@@ -16,14 +16,11 @@
 package window
 
 import (
-	"hash/fnv"
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"bohr/internal/stats"
+	"bohr/internal/obs"
 )
 
 // Def describes one rolling window as a ring of Count buckets each
@@ -50,9 +47,9 @@ func DefaultDefs() []Def {
 	}
 }
 
-// BucketCap bounds the observations retained per histogram bucket.
-// Beyond it, seeded reservoir sampling keeps a uniform sample per bucket;
-// per-bucket counts and maxima stay exact.
+// BucketCap bounds the observations retained per histogram bucket. Each
+// bucket is an obs.Sample: beyond the cap seeded reservoir sampling keeps
+// a uniform sample, and its count and max stay exact.
 const BucketCap = 256
 
 // Registry holds the windowed series. It implements obs.Sink, so
@@ -62,7 +59,7 @@ type Registry struct {
 	mu       sync.Mutex
 	defs     []Def
 	now      func() time.Time
-	counters map[string]*counterSeries
+	counters map[string]*ring[float64]
 	hists    map[string]*histSeries
 	gauges   map[string]float64
 }
@@ -79,47 +76,68 @@ func New(now func() time.Time, defs ...Def) *Registry {
 	return &Registry{
 		defs:     defs,
 		now:      now,
-		counters: map[string]*counterSeries{},
+		counters: map[string]*ring[float64]{},
 		hists:    map[string]*histSeries{},
 		gauges:   map[string]float64{},
 	}
 }
 
-// counterSeries is one counter's rings: per window, a slot sum and the
-// epoch (absolute bucket number) it belongs to, so stale slots are lazily
-// reset on first touch after the ring wraps.
-type counterSeries struct {
-	sums   [][]float64
+// ring is one series' buckets in every window: per window, the slots
+// and the epoch (absolute bucket number) each slot holds, -1 before its
+// first touch. A slot left over from an older epoch is reset lazily, at
+// its first touch after the ring wraps.
+type ring[T any] struct {
+	slots  [][]T
 	epochs [][]int64
+	reset  func(*T)
 }
 
-// histSeries is one histogram's rings: per window and slot, a bounded
-// observation reservoir plus exact count and max. One seeded generator
-// per series keeps reservoir decisions reproducible for a fixed
-// observation order; its source is seeded at the first draw, so a series
-// that never passes BucketCap in a bucket never seeds one.
+func newRing[T any](defs []Def, reset func(*T)) *ring[T] {
+	r := &ring[T]{slots: make([][]T, len(defs)), epochs: make([][]int64, len(defs)), reset: reset}
+	for i, d := range defs {
+		r.slots[i] = make([]T, d.Count)
+		r.epochs[i] = make([]int64, d.Count)
+		for j := range r.epochs[i] {
+			r.epochs[i][j] = -1
+		}
+	}
+	return r
+}
+
+// at returns window i's slot for now, reset if it held an older epoch.
+func (r *ring[T]) at(i int, d Def, now time.Time) *T {
+	e := epoch(d, now)
+	slot := int(e % int64(d.Count))
+	if r.epochs[i][slot] != e {
+		r.epochs[i][slot] = e
+		r.reset(&r.slots[i][slot])
+	}
+	return &r.slots[i][slot]
+}
+
+// each calls fn on window i's slots that still lie inside the window at
+// now.
+func (r *ring[T]) each(i int, d Def, now time.Time, fn func(*T)) {
+	e := epoch(d, now)
+	for slot, be := range r.epochs[i] {
+		if be >= 0 && be > e-int64(d.Count) {
+			fn(&r.slots[i][slot])
+		}
+	}
+}
+
+// histSeries is one histogram's rings of bucket samples, each capped at
+// BucketCap, and the one generator all its reservoirs draw from, so
+// reservoir decisions are reproducible for a fixed observation order.
 type histSeries struct {
-	vals   [][][]float64
-	seen   [][]int
-	maxs   [][]float64
-	epochs [][]int64
-	rng    *rand.Rand
+	*ring[obs.Sample]
+	rng *rand.Rand
 }
 
-func (r *Registry) counter(name string) *counterSeries {
+func (r *Registry) counter(name string) *ring[float64] {
 	cs, ok := r.counters[name]
 	if !ok {
-		cs = &counterSeries{
-			sums:   make([][]float64, len(r.defs)),
-			epochs: make([][]int64, len(r.defs)),
-		}
-		for i, d := range r.defs {
-			cs.sums[i] = make([]float64, d.Count)
-			cs.epochs[i] = make([]int64, d.Count)
-			for j := range cs.epochs[i] {
-				cs.epochs[i][j] = -1
-			}
-		}
+		cs = newRing(r.defs, func(v *float64) { *v = 0 })
 		r.counters[name] = cs
 	}
 	return cs
@@ -128,24 +146,7 @@ func (r *Registry) counter(name string) *counterSeries {
 func (r *Registry) hist(name string) *histSeries {
 	hs, ok := r.hists[name]
 	if !ok {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		hs = &histSeries{
-			vals:   make([][][]float64, len(r.defs)),
-			seen:   make([][]int, len(r.defs)),
-			maxs:   make([][]float64, len(r.defs)),
-			epochs: make([][]int64, len(r.defs)),
-			rng:    stats.NewLazyRand(int64(h.Sum64())),
-		}
-		for i, d := range r.defs {
-			hs.vals[i] = make([][]float64, d.Count)
-			hs.seen[i] = make([]int, d.Count)
-			hs.maxs[i] = make([]float64, d.Count)
-			hs.epochs[i] = make([]int64, d.Count)
-			for j := range hs.epochs[i] {
-				hs.epochs[i][j] = -1
-			}
-		}
+		hs = &histSeries{ring: newRing(r.defs, (*obs.Sample).Reset), rng: obs.SeriesRand(name)}
 		r.hists[name] = hs
 	}
 	return hs
@@ -165,13 +166,7 @@ func (r *Registry) Count(name string, delta float64) {
 	now := r.now()
 	cs := r.counter(name)
 	for i, d := range r.defs {
-		e := epoch(d, now)
-		slot := int(e % int64(d.Count))
-		if cs.epochs[i][slot] != e {
-			cs.epochs[i][slot] = e
-			cs.sums[i][slot] = 0
-		}
-		cs.sums[i][slot] += delta
+		*cs.at(i, d, now) += delta
 	}
 }
 
@@ -197,23 +192,7 @@ func (r *Registry) Observe(name string, v float64) {
 	now := r.now()
 	hs := r.hist(name)
 	for i, d := range r.defs {
-		e := epoch(d, now)
-		slot := int(e % int64(d.Count))
-		if hs.epochs[i][slot] != e {
-			hs.epochs[i][slot] = e
-			hs.vals[i][slot] = hs.vals[i][slot][:0]
-			hs.seen[i][slot] = 0
-			hs.maxs[i][slot] = 0
-		}
-		if hs.seen[i][slot] == 0 || v > hs.maxs[i][slot] {
-			hs.maxs[i][slot] = v
-		}
-		hs.seen[i][slot]++
-		if len(hs.vals[i][slot]) < BucketCap {
-			hs.vals[i][slot] = append(hs.vals[i][slot], v)
-		} else if j := hs.rng.Intn(hs.seen[i][slot]); j < BucketCap {
-			hs.vals[i][slot][j] = v
-		}
+		hs.at(i, d, now).Observe(v, BucketCap, hs.rng)
 	}
 }
 
@@ -267,13 +246,8 @@ func (r *Registry) Snapshot() *Snapshot {
 		for name, cs := range r.counters {
 			per := make(map[string]CounterWindow, len(r.defs))
 			for i, d := range r.defs {
-				e := epoch(d, now)
 				var sum float64
-				for slot := 0; slot < d.Count; slot++ {
-					if be := cs.epochs[i][slot]; be >= 0 && be > e-int64(d.Count) {
-						sum += cs.sums[i][slot]
-					}
-				}
+				cs.each(i, d, now, func(v *float64) { sum += *v })
 				per[d.Name] = CounterWindow{Sum: sum, Rate: sum / d.Span().Seconds()}
 			}
 			snap.Counters[name] = per
@@ -290,35 +264,11 @@ func (r *Registry) Snapshot() *Snapshot {
 		for name, hs := range r.hists {
 			per := make(map[string]HistWindow, len(r.defs))
 			for i, d := range r.defs {
-				e := epoch(d, now)
-				var vals []float64
-				var count int
-				var max float64
-				for slot := 0; slot < d.Count; slot++ {
-					if be := hs.epochs[i][slot]; be >= 0 && be > e-int64(d.Count) {
-						vals = append(vals, hs.vals[i][slot]...)
-						if hs.seen[i][slot] > 0 && (count == 0 || hs.maxs[i][slot] > max) {
-							max = hs.maxs[i][slot]
-						}
-						count += hs.seen[i][slot]
-					}
-				}
-				hw := HistWindow{Count: count, Rate: float64(count) / d.Span().Seconds(), Max: max}
-				if len(vals) > 0 {
-					sort.Float64s(vals)
-					rank := func(q float64) float64 {
-						i := int(math.Ceil(q*float64(len(vals)))) - 1
-						if i < 0 {
-							i = 0
-						}
-						if i >= len(vals) {
-							i = len(vals) - 1
-						}
-						return vals[i]
-					}
-					hw.P50, hw.P90, hw.P99 = rank(0.50), rank(0.90), rank(0.99)
-				}
-				per[d.Name] = hw
+				var all obs.Sample
+				hs.each(i, d, now, all.Merge)
+				st := all.Stats()
+				per[d.Name] = HistWindow{Count: st.Count, Rate: float64(st.Count) / d.Span().Seconds(),
+					P50: st.P50, P90: st.P90, P99: st.P99, Max: st.Max}
 			}
 			snap.Histograms[name] = per
 		}

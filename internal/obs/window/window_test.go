@@ -3,7 +3,9 @@ package window
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -269,5 +271,65 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 	if total != 8*2000 {
 		t.Fatalf("total counted = %v, want %v", total, 8*2000)
+	}
+}
+
+// TestCollectorAndBucketRankAlike feeds one stream into a Collector and
+// into a one-bucket Registry, below both caps, past BucketCap and past
+// HistogramCap. Count and Max are exact on both sides at every length.
+// The percentiles are the ⌈q·n⌉-th smallest of the reservoir an eagerly
+// seeded source keeps at each side's cap, ranked here independently of
+// the package; below both caps the reservoirs hold the whole stream, so
+// the two sides report the same p50/p90/p99.
+func TestCollectorAndBucketRankAlike(t *testing.T) {
+	const name = "serve.latency_s"
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	seed := int64(h.Sum64())
+	reservoir := func(vals []float64, limit int) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		var kept []float64
+		for i, v := range vals {
+			if len(kept) < limit {
+				kept = append(kept, v)
+			} else if j := rng.Intn(i + 1); j < limit {
+				kept[j] = v
+			}
+		}
+		return kept
+	}
+	ranks := func(kept []float64) [3]float64 {
+		sorted := append([]float64(nil), kept...)
+		sort.Float64s(sorted)
+		var out [3]float64
+		for i, q := range []float64{0.50, 0.90, 0.99} {
+			out[i] = sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+		}
+		return out
+	}
+	for _, n := range []int{BucketCap / 2, BucketCap + 17, obs.HistogramCap + 17} {
+		clk := newFakeClock()
+		col, reg := obs.NewCollector(), New(clk.Now, Def{Name: "all", Bucket: time.Hour, Count: 1})
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64((i*7919)%1009) / 3
+			col.Observe(name, vals[i])
+			reg.Observe(name, vals[i])
+		}
+		cs := col.MetricsSnapshot().Histograms[name]
+		ws := reg.Snapshot().Histograms[name]["all"]
+		if cs.Count != n || ws.Count != n || cs.Max != ws.Max {
+			t.Fatalf("n=%d: collector count %d max %v, bucket count %d max %v", n, cs.Count, cs.Max, ws.Count, ws.Max)
+		}
+		gotC, gotW := [3]float64{cs.P50, cs.P90, cs.P99}, [3]float64{ws.P50, ws.P90, ws.P99}
+		if want := ranks(reservoir(vals, obs.HistogramCap)); gotC != want {
+			t.Fatalf("n=%d: collector p50/p90/p99 = %v, want %v", n, gotC, want)
+		}
+		if want := ranks(reservoir(vals, BucketCap)); gotW != want {
+			t.Fatalf("n=%d: bucket p50/p90/p99 = %v, want %v", n, gotW, want)
+		}
+		if n <= BucketCap && gotC != gotW {
+			t.Fatalf("n=%d, below both caps: collector %v, bucket %v", n, gotC, gotW)
+		}
 	}
 }

@@ -128,10 +128,10 @@ func (s *Server) SnapshotNow(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.count("serve.durable.snapshots", 1)
-	s.observe("serve.durable.barrier_ms", float64(barrier.Nanoseconds())/1e6)
-	s.observe("serve.durable.snapshot_ms", float64(time.Since(start).Nanoseconds())/1e6)
-	s.observe("serve.durable.snapshot_bytes", float64(size))
+	s.col.Count("serve.durable.snapshots", 1)
+	s.col.Observe("serve.durable.barrier_ms", float64(barrier.Nanoseconds())/1e6)
+	s.col.Observe("serve.durable.snapshot_ms", float64(time.Since(start).Nanoseconds())/1e6)
+	s.col.Observe("serve.durable.snapshot_bytes", float64(size))
 	return nil
 }
 
@@ -156,7 +156,7 @@ func (s *Server) maybeSnapshot() {
 		defer s.snapWG.Done()
 		defer s.snapBusy.Store(false)
 		if err := s.SnapshotNow(context.Background()); err != nil {
-			s.count("serve.durable.snapshot_errors", 1)
+			s.col.Count("serve.durable.snapshot_errors", 1)
 			if s.log != nil {
 				s.log.Error("serve: background snapshot failed", slog.String("error", err.Error()))
 			}

@@ -52,16 +52,12 @@ func (s *Server) EnableIngest(cfg ingest.Config) (*ingest.Pipeline, error) {
 	return s.pipe, nil
 }
 
-// Pipeline exposes the ingest pipeline (nil before EnableIngest), for
-// gauges and tests.
-func (s *Server) Pipeline() *ingest.Pipeline { return s.pipe }
-
 // InvalidateDataset drops every cached query result that read the named
 // dataset. The ingest path calls it after applying a batch; it is also
 // safe to call directly (e.g. from an operator endpoint).
 func (s *Server) InvalidateDataset(dataset string) {
 	if n := s.results.InvalidateDataset(dataset); n > 0 {
-		s.count("serve.ingest.invalidations", float64(n))
+		s.col.Count("serve.ingest.invalidations", float64(n))
 	}
 }
 
@@ -79,7 +75,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, "ingest not enabled")
 		return
 	}
-	s.count("serve.ingest.requests", 1)
+	s.col.Count("serve.ingest.requests", 1)
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody+1))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "reading body: %v", err)

@@ -98,8 +98,8 @@ type Scheduler struct {
 // start at zero, so a scrape before the first query shows them.
 func NewScheduler(cfg SchedConfig, col *obs.Collector) *Scheduler {
 	s := &Scheduler{cfg: cfg.withDefaults(), tenants: map[string]*tenantState{}, col: col}
-	s.gauge("serve.inflight", 0)
-	s.gauge("serve.queue.depth", 0)
+	s.col.Gauge("serve.inflight", 0)
+	s.col.Gauge("serve.queue.depth", 0)
 	return s
 }
 
@@ -164,13 +164,13 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string) (release func(),
 	}
 	if s.waiting >= s.cfg.MaxQueue {
 		s.mu.Unlock()
-		s.count("serve.rejected", 1)
+		s.col.Count("serve.rejected", 1)
 		return nil, ErrOverloaded
 	}
 	w := &waiter{tenant: tenant, ready: make(chan struct{})}
 	ts.queue = append(ts.queue, w)
 	s.waiting++
-	s.gauge("serve.queue.depth", float64(s.waiting))
+	s.col.Gauge("serve.queue.depth", float64(s.waiting))
 	s.mu.Unlock()
 
 	select {
@@ -191,7 +191,7 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string) (release func(),
 			}
 		}
 		s.waiting--
-		s.gauge("serve.queue.depth", float64(s.waiting))
+		s.col.Gauge("serve.queue.depth", float64(s.waiting))
 		s.mu.Unlock()
 		return nil, fmt.Errorf("serve: acquire for %q: %w", tenant, ctx.Err())
 	}
@@ -202,8 +202,8 @@ func (s *Scheduler) grantLocked(tenant string, ts *tenantState) {
 	ts.pass += ts.stride
 	ts.inflight++
 	s.inflight++
-	s.gauge("serve.inflight", float64(s.inflight))
-	s.gauge("serve.tenant."+ts.metric+".inflight", float64(ts.inflight))
+	s.col.Gauge("serve.inflight", float64(s.inflight))
+	s.col.Gauge("serve.tenant."+ts.metric+".inflight", float64(ts.inflight))
 }
 
 func (s *Scheduler) release(tenant string) {
@@ -218,8 +218,8 @@ func (s *Scheduler) releaseLocked(tenant string) {
 	ts := s.tenants[tenant]
 	ts.inflight--
 	s.inflight--
-	s.gauge("serve.inflight", float64(s.inflight))
-	s.gauge("serve.tenant."+ts.metric+".inflight", float64(ts.inflight))
+	s.col.Gauge("serve.inflight", float64(s.inflight))
+	s.col.Gauge("serve.tenant."+ts.metric+".inflight", float64(ts.inflight))
 	s.dispatchLocked()
 }
 
@@ -245,21 +245,9 @@ func (s *Scheduler) dispatchLocked() {
 		w := bestTS.queue[0]
 		bestTS.queue = bestTS.queue[1:]
 		s.waiting--
-		s.gauge("serve.queue.depth", float64(s.waiting))
+		s.col.Gauge("serve.queue.depth", float64(s.waiting))
 		s.grantLocked(best, bestTS)
 		w.granted = true
 		close(w.ready)
-	}
-}
-
-func (s *Scheduler) gauge(name string, v float64) {
-	if s.col != nil {
-		s.col.Gauge(name, v)
-	}
-}
-
-func (s *Scheduler) count(name string, v float64) {
-	if s.col != nil {
-		s.col.Count(name, v)
 	}
 }

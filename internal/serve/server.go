@@ -374,8 +374,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		StmtHash: StmtHash(norm),
 		Start:    start.UTC().Format(time.RFC3339Nano),
 	}
-	s.count("serve.requests", 1)
-	s.count("serve.tenant."+mt+".requests", 1)
+	s.col.Count("serve.requests", 1)
+	s.col.Count("serve.tenant."+mt+".requests", 1)
 
 	// Result cache: textual variants of one statement over unchanged
 	// data are answered without touching the scheduler or the engine.
@@ -385,15 +385,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if hash, ok := s.backend.ContentHash(stmt.Dataset); ok {
 		key = s.results.Key(norm, hash)
 		if rows, ok := s.results.Get(key); ok {
-			s.count("serve.cache.hits", 1)
-			s.count("serve.tenant."+mt+".cache.hits", 1)
+			s.col.Count("serve.cache.hits", 1)
+			s.col.Count("serve.tenant."+mt+".cache.hits", 1)
 			rec.Cached = true
 			s.finish(&rec, start, "ok", nil, nil)
 			s.reply(w, req.Tenant, rows, true, start)
 			return
 		}
 	}
-	s.count("serve.cache.misses", 1)
+	s.col.Count("serve.cache.misses", 1)
 
 	waitStart := time.Now()
 	release, err := s.sched.Acquire(ctx, req.Tenant)
@@ -404,7 +404,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusTooManyRequests, "%v", err)
 			return
 		}
-		s.count("serve.cancelled", 1)
+		s.col.Count("serve.cancelled", 1)
 		s.finish(&rec, start, "cancelled", err, nil)
 		s.fail(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -414,7 +414,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	rows, trace, err := s.backend.RunTraced(ctx, plan)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.count("serve.cancelled", 1)
+			s.col.Count("serve.cancelled", 1)
 			s.finish(&rec, start, "cancelled", err, trace)
 			s.fail(w, http.StatusServiceUnavailable, "%v", err)
 			return
@@ -427,8 +427,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if key != "" {
 		s.results.Insert(key, stmt.Dataset, rows)
 	}
-	s.observe("serve.tenant."+mt+".latency_s", time.Since(start).Seconds())
-	s.observe("serve.latency_s", time.Since(start).Seconds())
+	s.col.Observe("serve.tenant."+mt+".latency_s", time.Since(start).Seconds())
+	s.col.Observe("serve.latency_s", time.Since(start).Seconds())
 	s.finish(&rec, start, "ok", nil, trace)
 	s.reply(w, req.Tenant, rows, false, start)
 }
@@ -477,6 +477,3 @@ func (s *Server) reply(w http.ResponseWriter, tenant string, rows []engine.KV, c
 		Cached: cached, ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
-
-func (s *Server) count(name string, v float64)   { s.col.Count(name, v) }
-func (s *Server) observe(name string, v float64) { s.col.Observe(name, v) }
