@@ -70,7 +70,9 @@ crash:
 # (width 8) — the faulted static report and the dynamic one, whose batches
 # arrive through the served ingest path (experiments.RunDynamic calls
 # core's IngestBatch) and whose replans and recurring queries go through
-# the stores' derived state.
+# the stores' derived state. bohrbench's whole -json document, every
+# report of which comes through the run table, must not depend on the
+# width either.
 determinism:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	args="-workload bigdata-scan -scheme bohr -seed 7 -json -faults crash:site=2,start=40,end=70;degrade:site=0,start=0,end=120,factor=0.3"; \
@@ -95,7 +97,14 @@ determinism:
 		echo "determinism: dynamic reports differ between pool width 1 and 8"; \
 		diff "$$tmp/d1.json" "$$tmp/d8.json" | head; exit 1; \
 	fi; \
-	echo "determinism: OK (byte-identical faulted reports, width-independent static and dynamic)"
+	$(GO) build -o "$$tmp/bohrbench" ./cmd/bohrbench; \
+	"$$tmp/bohrbench" -quick -exp all -width 1 -json "$$tmp/b1.json" > /dev/null; \
+	"$$tmp/bohrbench" -quick -exp all -width 8 -json "$$tmp/b8.json" > /dev/null; \
+	if ! cmp -s "$$tmp/b1.json" "$$tmp/b8.json"; then \
+		echo "determinism: bohrbench documents differ between pool width 1 and 8"; \
+		diff "$$tmp/b1.json" "$$tmp/b8.json" | head; exit 1; \
+	fi; \
+	echo "determinism: OK (byte-identical faulted reports, width-independent static, dynamic and bohrbench)"
 
 # golden rebuilds every checked-in golden file from current code. Run it
 # after an intentional schema or trace change, eyeball the diff, and bump

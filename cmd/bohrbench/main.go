@@ -8,9 +8,10 @@
 //	bohrbench -exp fig6,fig8,tab5 -datasets 12 -runs 5
 //	bohrbench -exp fig6 -json out.json
 //
-// With -json, every scheme run additionally records a phase-span trace and
-// metrics, and the whole invocation is written as one core.Report document
-// (stable schema, byte-identical across runs with the same seed).
+// Each scheme run is made once per invocation, with a phase-span trace and
+// metrics: Figure 8 reads Figure 6's runs. With -json the invocation is
+// written as one core.Report document (stable schema, byte-identical
+// across runs with the same seed).
 package main
 
 import (
@@ -27,8 +28,12 @@ import (
 )
 
 func main() {
+	var names []string
+	for _, x := range experiments.Exhibits {
+		names = append(names, x.Name)
+	}
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: fig6..fig13, tab2..tab7, overhead, ablation, faults, or all")
+		exp      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ", ")+", or all")
 		sites    = flag.Int("sites", 0, "override number of sites")
 		datasets = flag.Int("datasets", 0, "override datasets per workload")
 		rows     = flag.Int("rows", 0, "override rows per site per dataset")
@@ -47,131 +52,47 @@ func main() {
 	if *quick {
 		s = experiments.QuickSetup()
 	}
-	if *sites > 0 {
-		s.Sites = *sites
-	}
-	if *datasets > 0 {
-		s.Datasets = *datasets
-	}
-	if *rows > 0 {
-		s.RowsPerSite = *rows
-	}
-	if *runs > 0 {
-		s.Runs = *runs
-	}
-	if *probeK > 0 {
-		s.ProbeK = *probeK
+	for _, o := range []struct{ flag, field *int }{
+		{sites, &s.Sites}, {datasets, &s.Datasets}, {rows, &s.RowsPerSite}, {runs, &s.Runs}, {probeK, &s.ProbeK},
+	} {
+		if *o.flag > 0 {
+			*o.field = *o.flag
+		}
 	}
 	if *seed != 0 {
 		s.Seed = *seed
 	}
-	if *jsonOut != "" {
-		s.EnableReports()
-	}
+	s.OpenRunTable()
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
 		want[strings.TrimSpace(strings.ToLower(e))] = true
 	}
-	all := want["all"]
 	ran := 0
 	var jsonExps []*core.Report
-	run := func(name string, f func() (string, error)) {
-		if !all && !want[name] {
-			return
+	for _, x := range experiments.Exhibits {
+		if !want["all"] && !want[x.Name] {
+			continue
 		}
 		ran++
 		start := time.Now()
-		out, err := f()
+		out, err := x.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bohrbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "bohrbench: %s: %v\n", x.Name, err)
 			os.Exit(1)
 		}
 		fmt.Print(out)
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-		if reps := s.DrainReports(); len(reps) > 0 {
+		fmt.Printf("(%s in %.1fs)\n\n", x.Name, time.Since(start).Seconds())
+		if reps := s.DrainReports(); *jsonOut != "" && len(reps) > 0 {
 			jsonExps = append(jsonExps, &core.Report{
 				SchemaVersion: core.ReportSchemaVersion,
-				Experiment:    name,
+				Experiment:    x.Name,
 				Children:      reps,
 			})
 		}
 	}
-
-	comparison := []string{"Iridium", "Iridium-C", "Bohr"}
-	micro := []string{"Iridium-C", "Bohr-Sim", "Bohr-Joint", "Bohr-RDD"}
-
-	run("fig6", func() (string, error) {
-		rows, err := experiments.Figure6(s)
-		return experiments.FormatQCT("Figure 6: QCT comparison (random initial placement)", rows, comparison), err
-	})
-	run("fig7", func() (string, error) {
-		rows, err := experiments.Figure7(s)
-		return experiments.FormatQCT("Figure 7: QCT comparison (locality-aware initial placement)", rows, comparison), err
-	})
-	run("fig8", func() (string, error) {
-		rows, err := experiments.Figure8(s)
-		return experiments.FormatReduction("Figure 8: intermediate data reduction (random initial placement)", rows, comparison), err
-	})
-	run("fig9", func() (string, error) {
-		rows, err := experiments.Figure9(s)
-		return experiments.FormatReduction("Figure 9: intermediate data reduction (locality-aware initial placement)", rows, comparison), err
-	})
-	run("fig10", func() (string, error) {
-		rows, err := experiments.Figure10(s)
-		return experiments.FormatQCT("Figure 10: component benefit in QCT", rows, micro), err
-	})
-	run("fig11", func() (string, error) {
-		rows, err := experiments.Figure11(s)
-		return experiments.FormatReduction("Figure 11: component benefit in data reduction", rows, micro), err
-	})
-	run("fig12", func() (string, error) {
-		rows, err := experiments.Figure12(s)
-		return experiments.FormatKSweep("Figure 12: effect of k on data reduction ratio", "%", rows), err
-	})
-	run("fig13", func() (string, error) {
-		rows, err := experiments.Figure13(s)
-		return experiments.FormatKSweep("Figure 13: effect of k on QCT", "s", rows), err
-	})
-	run("tab2", func() (string, error) {
-		rows, err := experiments.Table2(s)
-		return experiments.FormatTable2(rows), err
-	})
-	run("tab3", func() (string, error) {
-		rows, err := experiments.Table3(s)
-		return experiments.FormatTable3(rows), err
-	})
-	run("tab4", func() (string, error) {
-		rows, err := experiments.Table4(s)
-		return experiments.FormatTable4(rows), err
-	})
-	run("tab5", func() (string, error) {
-		rows, err := experiments.Table5(s)
-		return experiments.FormatTable5(rows), err
-	})
-	run("tab6", func() (string, error) {
-		rows, err := experiments.Table6(s)
-		return experiments.FormatTable6(rows), err
-	})
-	run("tab7", func() (string, error) {
-		rows, err := experiments.Table7(s)
-		return experiments.FormatTable7(rows), err
-	})
-	run("overhead", func() (string, error) {
-		rows, err := experiments.OverheadCubeGeneration(s)
-		return experiments.FormatOverhead(rows), err
-	})
-	run("ablation", func() (string, error) {
-		rows, err := experiments.AblationPlacement(s)
-		return experiments.FormatAblation(rows), err
-	})
-	run("faults", func() (string, error) {
-		rows, err := experiments.FaultSweep(s)
-		return experiments.FormatFaultSweep(rows, comparison), err
-	})
-
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "bohrbench: no experiment matched %q (use fig6..fig13, tab2..tab7, overhead, ablation, faults, all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "bohrbench: no experiment matched %q (use %s or all)\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
 	}
 

@@ -68,13 +68,12 @@ func AblationPlacement(s Setup) ([]AblationRow, error) {
 			if _, err := plan.Execute(c, s.Seed+int64(run)); err != nil {
 				return nil, err
 			}
-			sys := resultOf(c, snap, plan)
-			res, err := sys()
+			qct, reduction, err := dominantRun(c, snap, plan)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 			}
-			sums[v.name].MeanQCT += res.qct
-			sums[v.name].MeanReduction += res.reduction
+			sums[v.name].MeanQCT += qct
+			sums[v.name].MeanReduction += reduction
 		}
 	}
 	out := make([]AblationRow, 0, len(variants))
@@ -87,37 +86,25 @@ func AblationPlacement(s Setup) ([]AblationRow, error) {
 	return out, nil
 }
 
-type ablationResult struct {
-	qct       float64
-	reduction float64
-}
-
-// resultOf runs every dataset's dominant query on an already-moved cluster
-// under the plan and aggregates QCT and mean data reduction.
-func resultOf(c *engine.Cluster, snap *coreSnapshot, plan *placement.Plan) func() (ablationResult, error) {
-	return func() (ablationResult, error) {
-		cfgs := make([]engine.JobConfig, len(snap.workload.Datasets))
-		for i, ds := range snap.workload.Datasets {
-			cfgs[i] = plan.JobConfigFor(ds.DominantQuery().Query)
-		}
-		results, err := c.RunConcurrent(context.Background(), cfgs)
-		if err != nil {
-			return ablationResult{}, err
-		}
-		var qct float64
-		inter := make([]float64, c.N())
-		for _, res := range results {
-			qct += res.QCT
-			for i, mb := range res.IntermediateMBPerSite {
-				inter[i] += mb
-			}
-		}
-		red := core.DataReduction(snap.vanilla, inter)
-		return ablationResult{
-			qct:       qct / float64(len(results)),
-			reduction: stats.Mean(red),
-		}, nil
+// dominantRun runs every dataset's dominant query on an already-moved
+// cluster under the plan and returns the mean QCT and mean data reduction.
+func dominantRun(c *engine.Cluster, snap *coreSnapshot, plan *placement.Plan) (qct, reduction float64, err error) {
+	cfgs := make([]engine.JobConfig, len(snap.workload.Datasets))
+	for i, ds := range snap.workload.Datasets {
+		cfgs[i] = plan.JobConfigFor(ds.DominantQuery().Query)
 	}
+	results, err := c.RunConcurrent(context.Background(), cfgs)
+	if err != nil {
+		return 0, 0, err
+	}
+	inter := make([]float64, c.N())
+	for _, res := range results {
+		qct += res.QCT
+		for i, mb := range res.IntermediateMBPerSite {
+			inter[i] += mb
+		}
+	}
+	return qct / float64(len(results)), stats.Mean(core.DataReduction(snap.vanilla, inter)), nil
 }
 
 // FormatAblation renders the ablation rows.

@@ -51,69 +51,95 @@ func TestTopologyShapes(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6(miniSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("figure 6 needs 5 workloads, got %d", len(rows))
-	}
-	for _, r := range rows {
-		for _, scheme := range []string{"Iridium", "Iridium-C", "Bohr"} {
-			if r.QCT[scheme] <= 0 {
-				t.Fatalf("%s: %s QCT = %v", r.Workload, scheme, r.QCT[scheme])
+	for _, fig := range []struct {
+		name string
+		run  func(Setup) ([]QCTRow, error)
+	}{{"Figure 6", Figure6}, {"Figure 7", Figure7}} {
+		t.Run(fig.name, func(t *testing.T) {
+			rows, err := fig.run(miniSetup())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The paper's headline: Bohr ≤ Iridium-C ≤ Iridium. At mini test
-		// scale allow a 5% tie band per workload; the aggregate check
-		// below demands a real win on average.
-		if r.QCT["Bohr"] > r.QCT["Iridium-C"]*1.05 {
-			t.Errorf("%s: Bohr %v should beat Iridium-C %v",
-				r.Workload, r.QCT["Bohr"], r.QCT["Iridium-C"])
-		}
-		if r.QCT["Iridium-C"] > r.QCT["Iridium"]*1.02 {
-			t.Errorf("%s: Iridium-C %v should not lose to Iridium %v",
-				r.Workload, r.QCT["Iridium-C"], r.QCT["Iridium"])
-		}
-	}
-	var bohrTotal, ircTotal float64
-	for _, r := range rows {
-		bohrTotal += r.QCT["Bohr"]
-		ircTotal += r.QCT["Iridium-C"]
-	}
-	if bohrTotal >= ircTotal {
-		t.Errorf("Bohr mean QCT %v should beat Iridium-C %v across workloads",
-			bohrTotal/5, ircTotal/5)
-	}
-	// Rendering works.
-	out := FormatQCT("Figure 6", rows, []string{"Iridium", "Iridium-C", "Bohr"})
-	if !strings.Contains(out, "Big data (scan)") || !strings.Contains(out, "TPC-DS") {
-		t.Fatalf("format missing workloads:\n%s", out)
+			if len(rows) != 5 {
+				t.Fatalf("%s needs 5 workloads, got %d", fig.name, len(rows))
+			}
+			for _, r := range rows {
+				for _, scheme := range []string{"Iridium", "Iridium-C", "Bohr"} {
+					if r.QCT[scheme] <= 0 {
+						t.Fatalf("%s: %s QCT = %v", r.Workload, scheme, r.QCT[scheme])
+					}
+				}
+				// The paper's headline: Bohr ≤ Iridium-C ≤ Iridium, under
+				// random and locality-aware placement alike. At mini test
+				// scale allow a 5% tie band per workload; the aggregate
+				// check below demands a real win on average.
+				if r.QCT["Bohr"] > r.QCT["Iridium-C"]*1.05 {
+					t.Errorf("%s: Bohr %v should beat Iridium-C %v",
+						r.Workload, r.QCT["Bohr"], r.QCT["Iridium-C"])
+				}
+				if r.QCT["Iridium-C"] > r.QCT["Iridium"]*1.02 {
+					t.Errorf("%s: Iridium-C %v should not lose to Iridium %v",
+						r.Workload, r.QCT["Iridium-C"], r.QCT["Iridium"])
+				}
+			}
+			var bohrTotal, ircTotal float64
+			for _, r := range rows {
+				bohrTotal += r.QCT["Bohr"]
+				ircTotal += r.QCT["Iridium-C"]
+			}
+			if bohrTotal >= ircTotal {
+				t.Errorf("Bohr mean QCT %v should beat Iridium-C %v across workloads",
+					bohrTotal/5, ircTotal/5)
+			}
+			// Rendering works.
+			out := FormatQCT(fig.name, rows, []string{"Iridium", "Iridium-C", "Bohr"})
+			if !strings.Contains(out, "Big data (scan)") || !strings.Contains(out, "TPC-DS") {
+				t.Fatalf("format missing workloads:\n%s", out)
+			}
+		})
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	s := miniSetup()
-	rows, err := Figure8(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != s.Sites {
-		t.Fatalf("figure 8 rows = %d, want %d", len(rows), s.Sites)
-	}
-	var bohrSum, iridiumSum float64
-	for _, r := range rows {
-		bohrSum += r.Reduction["Bohr"]
-		iridiumSum += r.Reduction["Iridium"]
-	}
-	// Bohr's mean per-site reduction must clearly exceed Iridium's.
-	if bohrSum <= iridiumSum {
-		t.Fatalf("Bohr mean reduction %v should exceed Iridium %v",
-			bohrSum/float64(len(rows)), iridiumSum/float64(len(rows)))
-	}
-	out := FormatReduction("Figure 8", rows, []string{"Iridium", "Iridium-C", "Bohr"})
-	if !strings.Contains(out, "Tokyo") {
-		t.Fatalf("format missing sites:\n%s", out)
+	for _, fig := range []struct {
+		name string
+		run  func(Setup) ([]ReductionRow, error)
+		// Each of better must reduce more than baseline, on the mean
+		// over sites.
+		better   []string
+		baseline string
+	}{
+		{"Figure 8", Figure8, []string{"Bohr"}, "Iridium"},
+		{"Figure 9", Figure9, []string{"Bohr"}, "Iridium"},
+		{"Figure 11", Figure11, []string{"Bohr-Sim", "Bohr-Joint", "Bohr-RDD"}, "Iridium-C"},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			s := miniSetup()
+			rows, err := fig.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != s.Sites {
+				t.Fatalf("%s rows = %d, want %d", fig.name, len(rows), s.Sites)
+			}
+			mean := func(scheme string) float64 {
+				var sum float64
+				for _, r := range rows {
+					sum += r.Reduction[scheme]
+				}
+				return sum / float64(len(rows))
+			}
+			for _, scheme := range fig.better {
+				if mean(scheme) <= mean(fig.baseline) {
+					t.Errorf("%s mean reduction %v should exceed %s %v",
+						scheme, mean(scheme), fig.baseline, mean(fig.baseline))
+				}
+			}
+			out := FormatReduction(fig.name, rows, append([]string{fig.baseline}, fig.better...))
+			if !strings.Contains(out, "Tokyo") {
+				t.Fatalf("format missing sites:\n%s", out)
+			}
+		})
 	}
 }
 
@@ -142,6 +168,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFigure12And13Shape(t *testing.T) {
 	s := miniSetup()
+	s.OpenRunTable() // Figure 13 reads Figure 12's runs
 	red, err := Figure12(s)
 	if err != nil {
 		t.Fatal(err)

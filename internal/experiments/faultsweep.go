@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"bohr/internal/faults"
-	"bohr/internal/placement"
 	"bohr/internal/stats"
 	"bohr/internal/workload"
 )
@@ -33,7 +31,6 @@ func FaultSweep(s Setup) ([]FaultSweepRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	schemes := []placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}
 	// Horizon covers the movement lag plus the query window the modeled
 	// runs actually occupy at this scale.
 	horizon := s.Lag + 60
@@ -44,44 +41,19 @@ func FaultSweep(s Setup) ([]FaultSweepRow, error) {
 		if !sched.Empty() {
 			sf.Faults = sched
 		}
-		row := FaultSweepRow{Intensity: intensity, Events: len(sched.Events), QCT: map[string]float64{}}
-		sums := make(map[string]float64, len(schemes))
-		for run := 0; run < s.Runs; run++ {
-			snap, err := sf.snapshot(workload.BigDataScan, false, run)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range schemes {
-				res, err := sf.runScheme(id, snap, run)
-				if err != nil {
-					return nil, err
-				}
-				sums[id.String()] += res.MeanQCT
-			}
+		qct, err := sf.meanQCT(workload.BigDataScan, false, comparisonSchemes())
+		if err != nil {
+			return nil, err
 		}
-		for name, sum := range sums {
-			row.QCT[name] = sum / float64(s.Runs)
-		}
-		rows = append(rows, row)
+		rows = append(rows, FaultSweepRow{Intensity: intensity, Events: len(sched.Events), QCT: qct})
 	}
 	return rows, nil
 }
 
 // FormatFaultSweep renders fault sweep rows as an aligned text table.
 func FormatFaultSweep(rows []FaultSweepRow, schemes []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault sweep: QCT vs fault intensity (big data scan)\n")
-	fmt.Fprintf(&b, "%-10s %7s", "Intensity", "Events")
-	for _, s := range schemes {
-		fmt.Fprintf(&b, "%12s", s)
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10.2f %7d", r.Intensity, r.Events)
-		for _, s := range schemes {
-			fmt.Fprintf(&b, "%11.2fs", r.QCT[s])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return formatColumns("Fault sweep: QCT vs fault intensity (big data scan)",
+		fmt.Sprintf("%-10s %7s", "Intensity", "Events"), schemes, 12, "s", rows,
+		func(r FaultSweepRow) string { return fmt.Sprintf("%-10.2f %7d", r.Intensity, r.Events) },
+		func(r FaultSweepRow, s string) float64 { return r.QCT[s] })
 }

@@ -63,7 +63,7 @@ const goldenFaults = "crash:site=2,start=40,end=70;degrade:site=0,start=0,end=12
 // go test ./internal/experiments -run FaultSweepGolden -update
 func TestFaultSweepGolden(t *testing.T) {
 	s := QuickSetup()
-	s.EnableReports()
+	s.OpenRunTable()
 	if _, err := FaultSweep(s); err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,12 @@ func TestFaultSweepGolden(t *testing.T) {
 	}
 	sf := s
 	sf.Faults = sched
-	snap, err := sf.snapshot(workload.BigDataScan, false, 0)
+	res, err := schemeRuns(workload.BigDataScan, false, 0, []placement.SchemeID{placement.IridiumC, placement.Bohr}, sf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []placement.SchemeID{placement.IridiumC, placement.Bohr} {
-		if _, err := sf.runScheme(id, snap, 0); err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range res {
+		sf.file(r)
 	}
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder

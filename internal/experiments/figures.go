@@ -1,82 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
-	"bohr/internal/core"
-	"bohr/internal/engine"
-	"bohr/internal/obs"
 	"bohr/internal/placement"
 	"bohr/internal/stats"
 	"bohr/internal/wan"
 	"bohr/internal/workload"
 )
-
-// SchemeResult is one scheme's aggregate outcome on one workload run.
-type SchemeResult struct {
-	MeanQCT float64
-	// ReductionPerSite is the per-site data reduction ratio (%) versus
-	// vanilla in-place processing.
-	ReductionPerSite []float64
-	// IntermediateMB per site (summed across queries).
-	IntermediateMB []float64
-}
-
-// runScheme prepares and runs one scheme against a cloned snapshot and
-// returns its metrics, including data reduction against the vanilla
-// baseline computed on the same snapshot.
-func (s Setup) runScheme(id placement.SchemeID, snapshot *coreSnapshot, run int) (*SchemeResult, error) {
-	c := snapshot.cluster.Clone()
-	opts := s.PlacementOptions(run)
-	if s.sink != nil {
-		opts.Obs = obs.NewCollector()
-	}
-	sys, err := core.New(c, snapshot.workload, id, opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sys.Prepare(context.Background()); err != nil {
-		return nil, fmt.Errorf("experiments: %v prepare: %w", id, err)
-	}
-	rep, err := sys.RunAll(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %v run: %w", id, err)
-	}
-	reduction := core.DataReduction(snapshot.vanilla, rep.IntermediateMBPerSite)
-	if s.sink != nil {
-		r := sys.Report()
-		r.Rep = run + 1
-		r.DataReductionPct = reduction
-		s.sink.reports = append(s.sink.reports, r)
-	}
-	return &SchemeResult{
-		MeanQCT:          rep.MeanQCT,
-		ReductionPerSite: reduction,
-		IntermediateMB:   rep.IntermediateMBPerSite,
-	}, nil
-}
-
-// coreSnapshot is one generated workload instance with its vanilla
-// baseline, shared across schemes so every scheme sees identical data.
-type coreSnapshot struct {
-	cluster  *engine.Cluster
-	workload *workload.Workload
-	vanilla  []float64
-}
-
-// snapshot builds the shared instance for one (kind, locality, run).
-func (s Setup) snapshot(kind workload.Kind, locality bool, run int) (*coreSnapshot, error) {
-	c, w, err := s.Populated(kind, locality, run)
-	if err != nil {
-		return nil, err
-	}
-	vanilla, err := core.VanillaBaseline(context.Background(), c.Clone(), w)
-	if err != nil {
-		return nil, err
-	}
-	return &coreSnapshot{cluster: c, workload: w, vanilla: vanilla}, nil
-}
 
 // QCTRow is one bar group of Figures 6, 7 and 10: a workload's mean QCT
 // under each scheme.
@@ -93,38 +22,49 @@ func (s Setup) qctFigure(schemes []placement.SchemeID, locality bool) ([]QCTRow,
 	}
 	var rows []QCTRow
 	for _, kind := range workload.Kinds() {
-		row := QCTRow{Workload: kind.String(), QCT: map[string]float64{}}
-		sums := make(map[string]float64, len(schemes))
-		for run := 0; run < s.Runs; run++ {
-			snap, err := s.snapshot(kind, locality, run)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range schemes {
-				res, err := s.runScheme(id, snap, run)
-				if err != nil {
-					return nil, err
-				}
-				sums[id.String()] += res.MeanQCT
-			}
+		qct, err := s.meanQCT(kind, locality, schemes)
+		if err != nil {
+			return nil, err
 		}
-		for name, sum := range sums {
-			row.QCT[name] = sum / float64(s.Runs)
-		}
-		rows = append(rows, row)
+		rows = append(rows, QCTRow{Workload: kind.String(), QCT: qct})
 	}
 	return rows, nil
+}
+
+// meanQCT averages each scheme's mean QCT on one workload over Setup.Runs
+// repetitions, keyed by scheme name.
+func (s Setup) meanQCT(kind workload.Kind, locality bool, schemes []placement.SchemeID) (map[string]float64, error) {
+	sums := make([]float64, len(schemes))
+	for run := 0; run < s.Runs; run++ {
+		res, err := schemeRuns(kind, locality, run, schemes, s)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range res {
+			sums[i] += s.file(r).MeanQCT
+		}
+	}
+	qct := make(map[string]float64, len(schemes))
+	for i, id := range schemes {
+		qct[id.String()] = sums[i] / float64(s.Runs)
+	}
+	return qct, nil
+}
+
+// comparisonSchemes are the schemes of Figures 6–9 and the fault sweep.
+func comparisonSchemes() []placement.SchemeID {
+	return []placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}
 }
 
 // Figure6 reproduces the QCT comparison with random initial placement:
 // Iridium vs Iridium-C vs Bohr over the five workloads.
 func Figure6(s Setup) ([]QCTRow, error) {
-	return s.qctFigure([]placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}, false)
+	return s.qctFigure(comparisonSchemes(), false)
 }
 
 // Figure7 is Figure 6 with locality-aware initial placement.
 func Figure7(s Setup) ([]QCTRow, error) {
-	return s.qctFigure([]placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}, true)
+	return s.qctFigure(comparisonSchemes(), true)
 }
 
 // ReductionRow is one site's bar group of Figures 8, 9 and 11.
@@ -139,31 +79,27 @@ func (s Setup) reductionFigure(schemes []placement.SchemeID, locality bool) ([]R
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	sums := map[string][]float64{}
-	top := s.Topology()
+	sums := make([][]float64, len(schemes))
+	for i := range sums {
+		sums[i] = make([]float64, s.Sites)
+	}
 	for run := 0; run < s.Runs; run++ {
-		snap, err := s.snapshot(workload.BigDataScan, locality, run)
+		res, err := schemeRuns(workload.BigDataScan, locality, run, schemes, s)
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range schemes {
-			res, err := s.runScheme(id, snap, run)
-			if err != nil {
-				return nil, err
-			}
-			if sums[id.String()] == nil {
-				sums[id.String()] = make([]float64, s.Sites)
-			}
-			for i, r := range res.ReductionPerSite {
-				sums[id.String()][i] += r
+		for i, r := range res {
+			for site, red := range s.file(r).ReductionPerSite {
+				sums[i][site] += red
 			}
 		}
 	}
+	top := s.Topology()
 	rows := make([]ReductionRow, s.Sites)
-	for i := 0; i < s.Sites; i++ {
-		rows[i] = ReductionRow{Site: top.Site(wan.SiteID(i)).Name, Reduction: map[string]float64{}}
-		for _, id := range schemes {
-			rows[i].Reduction[id.String()] = sums[id.String()][i] / float64(s.Runs)
+	for site := range rows {
+		rows[site] = ReductionRow{Site: top.Site(wan.SiteID(site)).Name, Reduction: map[string]float64{}}
+		for i, id := range schemes {
+			rows[site].Reduction[id.String()] = sums[i][site] / float64(s.Runs)
 		}
 	}
 	return rows, nil
@@ -172,12 +108,12 @@ func (s Setup) reductionFigure(schemes []placement.SchemeID, locality bool) ([]R
 // Figure8 reproduces per-site intermediate data reduction (random
 // placement): Iridium vs Iridium-C vs Bohr on the big data workload.
 func Figure8(s Setup) ([]ReductionRow, error) {
-	return s.reductionFigure([]placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}, false)
+	return s.reductionFigure(comparisonSchemes(), false)
 }
 
 // Figure9 is Figure 8 with locality-aware initial placement.
 func Figure9(s Setup) ([]ReductionRow, error) {
-	return s.reductionFigure([]placement.SchemeID{placement.Iridium, placement.IridiumC, placement.Bohr}, true)
+	return s.reductionFigure(comparisonSchemes(), true)
 }
 
 // microSchemes are the component micro-benchmark schemes of Figures 10/11.
@@ -225,35 +161,34 @@ func (s Setup) kSweep(metricQCT bool) ([]KSweepRow, error) {
 	if s.Datasets > 4 {
 		s.Datasets = 4
 	}
-	// The snapshots do not depend on k and runScheme plans on a clone, so
-	// each (workload, run) is built once for the whole sweep.
+	// The instances do not depend on k, so each (workload, run) is asked
+	// for every k at once and built at most once for the whole sweep.
+	sks := make([]Setup, len(ProbeKValues))
+	for j, k := range ProbeKValues {
+		sks[j] = s
+		sks[j].ProbeK = k
+	}
 	kinds := kSweepKinds()
-	snaps := make([][]*coreSnapshot, len(kinds))
+	res := make([][][]*SchemeResult, len(kinds)) // [kind][run][k]
 	for i, kind := range kinds {
 		for run := 0; run < s.Runs; run++ {
-			snap, err := s.snapshot(kind, false, run)
+			r, err := schemeRuns(kind, false, run, []placement.SchemeID{placement.Bohr}, sks...)
 			if err != nil {
 				return nil, err
 			}
-			snaps[i] = append(snaps[i], snap)
+			res[i] = append(res[i], r)
 		}
 	}
 	var rows []KSweepRow
-	for _, k := range ProbeKValues {
+	for j, k := range ProbeKValues {
 		row := KSweepRow{K: k, Value: map[string]float64{}}
-		sk := s
-		sk.ProbeK = k
 		for i, kind := range kinds {
 			var sum float64
-			for run, snap := range snaps[i] {
-				res, err := sk.runScheme(placement.Bohr, snap, run)
-				if err != nil {
-					return nil, err
-				}
-				if metricQCT {
-					sum += res.MeanQCT
+			for _, runs := range res[i] {
+				if r := s.file(runs[j]); metricQCT {
+					sum += r.MeanQCT
 				} else {
-					sum += stats.Mean(res.ReductionPerSite)
+					sum += stats.Mean(r.ReductionPerSite)
 				}
 			}
 			row.Value[kind.String()] = sum / float64(s.Runs)

@@ -20,14 +20,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func oneReport(t *testing.T) *core.Report {
 	t.Helper()
 	s := QuickSetup()
-	s.EnableReports()
-	snap, err := s.snapshot(workload.BigDataScan, false, 0)
+	s.OpenRunTable()
+	res, err := schemeRuns(workload.BigDataScan, false, 0, []placement.SchemeID{placement.Bohr}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runScheme(placement.Bohr, snap, 0); err != nil {
-		t.Fatal(err)
-	}
+	s.file(res[0])
 	reps := s.DrainReports()
 	if len(reps) != 1 {
 		t.Fatalf("drained %d reports, want 1", len(reps))
@@ -117,18 +115,18 @@ func TestReportBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestReportsOffByDefault checks the sink stays nil-cost: without
-// EnableReports, runScheme attaches no collector and drains nothing.
+// TestReportsOffByDefault checks a closed run table stays nil-cost:
+// without OpenRunTable, a run attaches no collector and drains nothing.
 func TestReportsOffByDefault(t *testing.T) {
 	s := QuickSetup()
-	snap, err := s.snapshot(workload.BigDataScan, false, 0)
+	res, err := schemeRuns(workload.BigDataScan, false, 0, []placement.SchemeID{placement.Bohr}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runScheme(placement.Bohr, snap, 0); err != nil {
-		t.Fatal(err)
+	if s.file(res[0]).report != nil {
+		t.Fatal("a run without OpenRunTable made a report")
 	}
 	if reps := s.DrainReports(); reps != nil {
-		t.Fatalf("expected nil reports without EnableReports, got %d", len(reps))
+		t.Fatalf("expected nil reports without OpenRunTable, got %d", len(reps))
 	}
 }

@@ -53,9 +53,9 @@ type Setup struct {
 	// run: degraded planning plus faulty modeled execution (nil = clean).
 	Faults *faults.Schedule
 
-	// sink collects machine-readable reports when EnableReports was
-	// called; nil keeps experiments collector-free.
-	sink *reportSink
+	// table keeps the invocation's scheme runs once OpenRunTable was
+	// called; nil keeps experiments collector-free and recomputing.
+	table *runTable
 }
 
 // DefaultSetup is calibrated so QCTs land in the paper's 1–16 s range and

@@ -340,12 +340,8 @@ func Table7(s Setup) ([]Table7Row, error) {
 	}
 	var rows []Table7Row
 	for _, kind := range table7Kinds() {
-		snap, err := s.snapshot(kind, false, 0)
-		if err != nil {
-			return nil, err
-		}
 		// Normal: everything up front.
-		res, err := s.runScheme(placement.Bohr, snap, 0)
+		res, err := schemeRuns(kind, false, 0, []placement.SchemeID{placement.Bohr}, s)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +355,11 @@ func Table7(s Setup) ([]Table7Row, error) {
 		}
 		dyn := DefaultDynamicConfig()
 		dyn.Queries = 16 // 0.25 + 15×0.05 = full corpus by the last query
-		drep, err := RunDynamic(context.Background(), emptyC, snap.workload, placement.Bohr, dyn,
+		w, err := workload.Generate(kind, s.workloadConfig(kind, false, 0))
+		if err != nil {
+			return nil, err
+		}
+		drep, err := RunDynamic(context.Background(), emptyC, w, placement.Bohr, dyn,
 			s.PlacementOptions(0))
 		if err != nil {
 			return nil, err
@@ -368,7 +368,7 @@ func Table7(s Setup) ([]Table7Row, error) {
 		tail := drep.QCTs[len(drep.QCTs)-dyn.ReplanEvery:]
 		rows = append(rows, Table7Row{
 			Workload:   kind.String(),
-			NormalQCT:  res.MeanQCT,
+			NormalQCT:  s.file(res[0]).MeanQCT,
 			DynamicQCT: stats.Mean(tail),
 		})
 	}
