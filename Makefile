@@ -51,6 +51,7 @@ fuzz-short:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzSelect -fuzztime 5s
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzRecordCodec -fuzztime 5s
+	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzWALFrame -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzSnapshotImage -fuzztime 5s
 

@@ -80,14 +80,16 @@ func Open(cfg Config) (*Manager, error) {
 func (m *Manager) Seq() uint64 { return m.wal.Seq() }
 
 // journal adapts the WAL to the pipeline's Journal interface: one
-// acknowledged push = one frame, payload in the ingest wire codec.
+// acknowledged push = one frame, payload in the ingest wire codec. The
+// records are rendered straight into the WAL's frame buffer; recs is not
+// retained.
 type journal struct{ m *Manager }
 
 func (j journal) Append(ctx context.Context, recs []ingest.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	_, err := j.m.wal.Append(ctx, ingest.EncodeBatch(recs))
+	_, err := j.m.wal.appendFrame(ctx, func(dst []byte) []byte { return ingest.AppendBatch(dst, recs) })
 	return err
 }
 

@@ -76,6 +76,10 @@ type WAL struct {
 	firstSeq uint64     // live segment's first frame seq
 	err      error      // sticky write/rotation failure
 	closed   bool
+	// frame is the buffer every append builds its frame in: header and
+	// payload, handed to one Write. It keeps the capacity of the largest
+	// frame so far (at most MaxFramePayload plus the header).
+	frame []byte
 	// newName: the live segment's directory entry is not known durable
 	// yet; the first fsync that makes a frame in it durable syncs the
 	// directory too.
@@ -288,17 +292,17 @@ func (w *WAL) rotateLocked() error {
 // concurrent appenders share fsyncs (group commit). Errors are sticky:
 // a WAL that failed to write refuses further appends.
 func (w *WAL) Append(ctx context.Context, payload []byte) (uint64, error) {
+	return w.appendFrame(ctx, func(dst []byte) []byte { return append(dst, payload...) })
+}
+
+// appendFrame is Append with the payload rendered by encode, which
+// appends it to the dst it is given and returns the result. encode runs
+// under w.mu, straight into the WAL's frame buffer, so a steady-state
+// append allocates nothing; it must not call back into the WAL.
+func (w *WAL) appendFrame(ctx context.Context, encode func(dst []byte) []byte) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if len(payload) == 0 {
-		return 0, fmt.Errorf("durable: wal append: empty payload")
-	}
-	if len(payload) > MaxFramePayload {
-		return 0, fmt.Errorf("durable: wal append: payload %d over cap %d", len(payload), MaxFramePayload)
-	}
-	frame := EncodeFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
-
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -309,6 +313,18 @@ func (w *WAL) Append(ctx context.Context, payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
+	frame := encode(append(w.frame[:0], make([]byte, frameHeaderLen)...))
+	payload := frame[frameHeaderLen:]
+	if len(payload) == 0 || len(payload) > MaxFramePayload {
+		w.mu.Unlock()
+		if len(payload) == 0 {
+			return 0, fmt.Errorf("durable: wal append: empty payload")
+		}
+		return 0, fmt.Errorf("durable: wal append: payload %d over cap %d", len(payload), MaxFramePayload)
+	}
+	w.frame = frame
+	hdr := frameHeader(payload)
+	copy(frame, hdr[:])
 	if w.size >= w.cfg.segmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err

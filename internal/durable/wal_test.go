@@ -398,3 +398,36 @@ func TestWALPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWALAppendAllocs bounds a steady-state append without fsync: the
+// frame is built in the WAL's own buffer, which the first append sized,
+// and written with one call — 0 allocations.
+func TestWALAppendAllocs(t *testing.T) {
+	w, _, err := OpenWAL(t.TempDir(), WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ctx := context.Background()
+	payload := make([]byte, 32<<10)
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
+	}
+	if _, err := w.Append(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := w.Append(ctx, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state Append: %v allocations, want 0", allocs)
+	}
+	_, payloads := collectReplay(t, w, 0)
+	for i, p := range payloads {
+		if string(p) != string(payload) {
+			t.Fatalf("frame %d does not hold the payload", i+1)
+		}
+	}
+}

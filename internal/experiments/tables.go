@@ -147,12 +147,11 @@ func Table4(s Setup) ([]Table4Row, error) {
 	for _, execs := range Table4Executors {
 		se := s
 		se.ExecutorsPerMachine = execs
-		snap, err := se.snapshot(workload.TPCDS, false, 0)
+		c, w, err := se.Populated(workload.TPCDS, false, 0)
 		if err != nil {
 			return nil, err
 		}
-		c := snap.cluster.Clone()
-		sys, err := core.New(c, snap.workload, placement.Bohr, se.PlacementOptions(0))
+		sys, err := core.New(c, w, placement.Bohr, se.PlacementOptions(0))
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +164,7 @@ func Table4(s Setup) ([]Table4Row, error) {
 		}
 		// RDD checking overhead: re-run the assigner on the realized
 		// partitions of the busiest site to report the per-query cost.
-		overhead := rddOverhead(c, snap.workload, execs, se.Seed)
+		overhead := rddOverhead(c, w, execs, se.Seed)
 		rows = append(rows, Table4Row{
 			Executors:    execs,
 			RDDCheckSecs: overhead,

@@ -12,6 +12,7 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -145,54 +146,80 @@ func EncodeRecord(r Record) string { return string(appendRecord(nil, &r)) }
 // missing fields, a zero or non-numeric offset, a negative site, a
 // non-finite measure, a broken escape — yields an error.
 func DecodeRecord(line string) (Record, error) {
-	parts := strings.Split(line, string(fieldSep))
-	if len(parts) < 5 {
-		return Record{}, fmt.Errorf("ingest: record has %d fields, want at least 5", len(parts))
-	}
-	source, err := unescapeField(parts[0])
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: source: %w", err)
-	}
-	if source == "" {
-		return Record{}, fmt.Errorf("ingest: record needs a non-empty source")
-	}
-	offset, err := strconv.ParseUint(parts[1], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: offset %q: %w", parts[1], err)
-	}
-	if offset == 0 {
-		return Record{}, fmt.Errorf("ingest: offsets are 1-based, got 0")
-	}
-	dataset, err := unescapeField(parts[2])
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: dataset: %w", err)
-	}
-	if dataset == "" {
-		return Record{}, fmt.Errorf("ingest: record needs a non-empty dataset")
-	}
-	site, err := strconv.Atoi(parts[3])
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: site %q: %w", parts[3], err)
-	}
-	if site < 0 {
-		return Record{}, fmt.Errorf("ingest: site %d negative", site)
-	}
-	measure, err := strconv.ParseFloat(parts[4], 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("ingest: measure %q: %w", parts[4], err)
-	}
-	if math.IsNaN(measure) || math.IsInf(measure, 0) {
-		return Record{}, fmt.Errorf("ingest: measure %v not finite", measure)
-	}
-	r := Record{Source: source, Offset: offset, Dataset: dataset, Site: site, Measure: measure}
-	for i, p := range parts[5:] {
-		c, err := unescapeField(p)
-		if err != nil {
-			return Record{}, fmt.Errorf("ingest: coord %d: %w", i, err)
-		}
-		r.Coords = append(r.Coords, c)
+	var r Record
+	if _, err := decodeRecord(line, &r, nil); err != nil {
+		return Record{}, err
 	}
 	return r, nil
+}
+
+// decodeRecord parses one wire line into r, scanning field by field. The
+// coordinates are appended to slab and r.Coords is cut from it with its
+// capacity clipped (nil for a record without any); the extended slab is
+// returned. Strings alias line unless they held an escape.
+func decodeRecord(line string, r *Record, slab []string) ([]string, error) {
+	const sep = string(fieldSep)
+	fields := strings.Count(line, sep) + 1
+	if fields < 5 {
+		return slab, fmt.Errorf("ingest: record has %d fields, want at least 5", fields)
+	}
+	f, rest, _ := strings.Cut(line, sep)
+	source, err := unescapeField(f)
+	if err != nil {
+		return slab, fmt.Errorf("ingest: source: %w", err)
+	}
+	if source == "" {
+		return slab, fmt.Errorf("ingest: record needs a non-empty source")
+	}
+	f, rest, _ = strings.Cut(rest, sep)
+	offset, err := strconv.ParseUint(f, 10, 64)
+	if err != nil {
+		return slab, fmt.Errorf("ingest: offset %q: %w", f, err)
+	}
+	if offset == 0 {
+		return slab, fmt.Errorf("ingest: offsets are 1-based, got 0")
+	}
+	f, rest, _ = strings.Cut(rest, sep)
+	dataset, err := unescapeField(f)
+	if err != nil {
+		return slab, fmt.Errorf("ingest: dataset: %w", err)
+	}
+	if dataset == "" {
+		return slab, fmt.Errorf("ingest: record needs a non-empty dataset")
+	}
+	f, rest, _ = strings.Cut(rest, sep)
+	site, err := strconv.Atoi(f)
+	if err != nil {
+		return slab, fmt.Errorf("ingest: site %q: %w", f, err)
+	}
+	if site < 0 {
+		return slab, fmt.Errorf("ingest: site %d negative", site)
+	}
+	f, rest, _ = strings.Cut(rest, sep)
+	measure, err := strconv.ParseFloat(f, 64)
+	if err != nil {
+		return slab, fmt.Errorf("ingest: measure %q: %w", f, err)
+	}
+	if math.IsNaN(measure) || math.IsInf(measure, 0) {
+		return slab, fmt.Errorf("ingest: measure %v not finite", measure)
+	}
+	*r = Record{Source: source, Offset: offset, Dataset: dataset, Site: site, Measure: measure}
+	n := fields - 5
+	if n == 0 {
+		return slab, nil
+	}
+	slab = slices.Grow(slab, n)
+	from := len(slab)
+	for i := range n {
+		f, rest, _ = strings.Cut(rest, sep)
+		c, err := unescapeField(f)
+		if err != nil {
+			return slab, fmt.Errorf("ingest: coord %d: %w", i, err)
+		}
+		slab = append(slab, c)
+	}
+	r.Coords = slab[from:len(slab):len(slab)]
+	return slab, nil
 }
 
 // EncodeBatch renders records one per line with a trailing newline —
@@ -209,27 +236,60 @@ func EncodeBatch(recs []Record) []byte {
 			size += len(c)
 		}
 	}
-	out := make([]byte, 0, size)
+	return AppendBatch(make([]byte, 0, size), recs)
+}
+
+// AppendBatch appends EncodeBatch's rendering of recs to dst — the same
+// bytes, into a buffer the caller reuses.
+func AppendBatch(dst []byte, recs []Record) []byte {
 	for i := range recs {
-		out = appendRecord(out, &recs[i])
-		out = append(out, '\n')
+		dst = appendRecord(dst, &recs[i])
+		dst = append(dst, '\n')
 	}
-	return out
+	return dst
 }
 
 // DecodeBatch parses a request body: one record per line, blank lines
-// ignored. Errors carry the 1-based line number.
+// ignored. Errors carry the 1-based line number. The body is copied to
+// one string, which every decoded field without an escape aliases; the
+// records and their coordinates are two allocations sized by a first
+// pass over the lines, each record's Coords cut from the shared one with
+// its capacity clipped.
 func DecodeBatch(data []byte) ([]Record, error) {
-	var out []Record
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.TrimRight(line, "\r") == "" {
+	text := string(data)
+	nrec, ncoord := 0, 0
+	for rest := text; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if blankLine(line) {
 			continue
 		}
-		r, err := DecodeRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+		nrec++
+		if seps := strings.Count(line, string(fieldSep)); seps > 4 {
+			ncoord += seps - 4
 		}
-		out = append(out, r)
+	}
+	if nrec == 0 {
+		return nil, nil
+	}
+	out := make([]Record, nrec)
+	slab := make([]string, 0, ncoord)
+	k := 0
+	for i, rest := 1, text; rest != ""; i++ {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if blankLine(line) {
+			continue
+		}
+		var err error
+		if slab, err = decodeRecord(line, &out[k], slab); err != nil {
+			return nil, fmt.Errorf("line %d: %w", i, err)
+		}
+		k++
 	}
 	return out, nil
 }
+
+// blankLine reports a line DecodeBatch skips: empty but for carriage
+// returns.
+func blankLine(line string) bool { return strings.TrimRight(line, "\r") == "" }

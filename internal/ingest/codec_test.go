@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -105,5 +106,31 @@ func TestEncodeBatchEmpty(t *testing.T) {
 	recs, err := DecodeBatch(nil)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("DecodeBatch(nil) = %v, %v", recs, err)
+	}
+}
+
+// TestDecodeBatchAllocs bounds what decoding a 256-record body allocates:
+// the body copied to one string, the records, and one slab for every
+// record's coordinates — 3, whatever the batch size, for a body without
+// escapes (each escaped field adds its unescaped string).
+func TestDecodeBatchAllocs(t *testing.T) {
+	recs := make([]Record, 256)
+	for i := range recs {
+		recs[i] = Record{Source: "bench", Offset: uint64(i + 1), Dataset: fmt.Sprintf("ds%d", i%3),
+			Site: i % 4, Coords: []string{fmt.Sprintf("url-%d", i), "US", "mobile"}, Measure: 1.5}
+	}
+	body := EncodeBatch(recs)
+	var got []Record
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if got, err = DecodeBatch(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatal("decoded batch differs from the encoded one")
+	}
+	if allocs > 3 {
+		t.Fatalf("DecodeBatch of %d records: %v allocations, want at most 3", len(recs), allocs)
 	}
 }

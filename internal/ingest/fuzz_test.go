@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,4 +46,53 @@ func FuzzRecordCodec(f *testing.F) {
 			t.Fatalf("canonical line %q breaks framing", canon)
 		}
 	})
+}
+
+// FuzzDecodeBatch holds the scanning DecodeBatch to the strings.Split
+// decoder it replaced (refDecodeBatch): on any body both accept, the
+// records match field by field, coordinates by value (nil equals empty);
+// on any body the reference rejects, DecodeBatch rejects naming the same
+// line.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add([]byte("s|1|ds0|0|1.5\nweb|42|logs|3|-0.25|url=/a|US\n"))
+	f.Add([]byte("s|1|ds|0|1\r\ns|2|ds|0|2|a\r\n"))              // CRLF
+	f.Add([]byte("\n\r\n\ns|1|ds|0|1|x\n\n\r\n"))                // blank lines
+	f.Add([]byte("a%7Cb|7|d%0As|1|1e300||p%7Cq|%25\ns|8|d|0|0")) // escapes, no final newline
+	f.Add([]byte("s|1|ds|0|1\ns|2|ds|0|2\ns|3|ds|0|3|c"))        // zero-coordinate records
+	f.Add([]byte("s|1|ds|0|1\nbroken\ns|3|ds|0|NaN\n"))
+	f.Add([]byte("s|1|ds|0|1|ok|bad%9\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := refDecodeBatch(body)
+		got, err := DecodeBatch(body)
+		if wantErr != nil {
+			if err == nil {
+				t.Fatalf("reference rejects %q (%v), DecodeBatch accepts it", body, wantErr)
+			}
+			if errLine(err) != errLine(wantErr) {
+				t.Fatalf("%q: DecodeBatch error %q, reference %q", body, err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("reference accepts %q, DecodeBatch rejects it: %v", body, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d records, reference %d", body, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Source != w.Source || g.Offset != w.Offset || g.Dataset != w.Dataset ||
+				g.Site != w.Site || math.Float64bits(g.Measure) != math.Float64bits(w.Measure) ||
+				!slices.Equal(g.Coords, w.Coords) {
+				t.Fatalf("%q: record %d = %+v, reference %+v", body, i, g, w)
+			}
+		}
+	})
+}
+
+// errLine is the "line N" prefix DecodeBatch errors carry.
+func errLine(err error) string {
+	line, _, _ := strings.Cut(err.Error(), ":")
+	return line
 }

@@ -53,6 +53,11 @@ func IsRejected(err error) bool { return errors.Is(err, errRejected) }
 // flush trigger. An error that came after part of the batch landed would
 // apply that part twice, so an applier that can fail late must absorb
 // the failure and return nil.
+//
+// Apply must not retain b.Records after it returns: the slice is a window
+// on its source's buffer, which later pushes refill once the batch
+// settles. The records' strings and Coords are never rewritten and may be
+// kept.
 type Applier interface {
 	Apply(ctx context.Context, b Batch) error
 }
@@ -149,18 +154,23 @@ type Stats struct {
 	Rejected uint64
 }
 
-// sourceState is one partition of the pipeline.
+// sourceState is one partition of the pipeline. buf[head:] is buffered,
+// the inflight records just before head are out for delivery, and
+// anything before those has settled. buf and admitAt keep their capacity
+// for the source's lifetime: settle reclaims the settled prefix once no
+// batch is in flight, and a requeue just moves head back.
 type sourceState struct {
 	buf      []Record
+	head     int
 	inflight int
 	offsets  Offsets
 	tokens   float64
 	lastFill time.Time
 	hasRate  bool
 
-	// admitAt parallels buf (and then the in-flight batch): each record's
-	// admission time, so a delivered batch's end-to-end latency — admit to
-	// applied, queueing and requeues included — is measurable.
+	// admitAt parallels buf: each record's admission time, so a
+	// delivered batch's end-to-end latency — admit to applied, queueing
+	// and requeues included — is measurable.
 	admitAt  []time.Time
 	accepted uint64
 	deduped  uint64
@@ -185,12 +195,35 @@ type SourceStats struct {
 	LastBatchE2ES float64 `json:"last_batch_e2e_s"`
 }
 
+// pending is the source's buffered-plus-inflight record count.
+func (st *sourceState) pending() int { return len(st.buf) - st.head + st.inflight }
+
+// reclaim runs after a batch of the source settled: with nothing in
+// flight, the settled prefix is dropped — the whole buffer rewinds when
+// nothing is left, and otherwise the remainder moves to the front once
+// it is no longer than the prefix, so a backlog of k batches costs O(k)
+// record copies, not O(k²). Settled slots are zeroed, so the buffer pins
+// no request body.
+func (st *sourceState) reclaim() {
+	if st.inflight > 0 || st.head == 0 {
+		return
+	}
+	live := len(st.buf) - st.head
+	if live > st.head {
+		return
+	}
+	copy(st.buf, st.buf[st.head:])
+	copy(st.admitAt, st.admitAt[st.head:])
+	clear(st.buf[live:])
+	st.buf, st.admitAt, st.head = st.buf[:live], st.admitAt[:live], 0
+}
+
 func (st *sourceState) snapshot(name string) SourceStats {
 	s := SourceStats{
 		Source:        name,
 		Watermark:     st.offsets.Watermark(),
 		Sparse:        st.offsets.Above(),
-		Pending:       len(st.buf) + st.inflight,
+		Pending:       st.pending(),
 		Accepted:      st.accepted,
 		Deduped:       st.deduped,
 		LastBatchE2ES: st.lastE2E,
@@ -326,15 +359,16 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 	// The push, not the record, is the unit of bookkeeping: one clock
 	// reading, one lookup per run of records from one source, and the
 	// collector's counters moved once with the push's totals.
+	//
+	// The journal gets the accepted records in admission order. Until a
+	// record is deduped they are a prefix of recs, which is journaled as
+	// is; from the first dedupe on, accepted collects them instead.
 	var pushErr error
-	var accepted []Record // records to journal, in admission order
-	if p.cfg.Journal != nil {
-		accepted = make([]Record, 0, len(recs))
-	}
+	var accepted []Record
 	var curName string
 	var st *sourceState
 	now := p.cfg.now()
-	for _, r := range recs {
+	for i, r := range recs {
 		if r.Source == "" || r.Offset == 0 {
 			pushErr = fmt.Errorf("ingest: record needs a source and a 1-based offset")
 			break
@@ -343,6 +377,9 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 			curName, st = r.Source, p.sourceLocked(r.Source)
 		}
 		if st.offsets.Seen(r.Offset) {
+			if p.cfg.Journal != nil && accepted == nil {
+				accepted = append(make([]Record, 0, len(recs)-1), recs[:i]...)
+			}
 			res.Deduped++
 			st.deduped++
 			continue
@@ -353,7 +390,7 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 			pushErr = ErrThrottled
 			break
 		}
-		if len(st.buf)+st.inflight >= p.cfg.MaxPending {
+		if st.pending() >= p.cfg.MaxPending {
 			p.stats.Overloaded++
 			p.col.Count("ingest.overloaded", 1)
 			pushErr = ErrOverloaded
@@ -364,10 +401,10 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 		st.admitAt = append(st.admitAt, now)
 		res.Accepted++
 		st.accepted++
-		if p.cfg.Journal != nil {
+		if accepted != nil {
 			accepted = append(accepted, r)
 		}
-		if len(st.buf) >= p.cfg.MaxBatchRecords {
+		if len(st.buf)-st.head >= p.cfg.MaxBatchRecords {
 			kick = true
 		}
 	}
@@ -394,7 +431,10 @@ func (p *Pipeline) Push(ctx context.Context, recs ...Record) (PushResult, error)
 	// The admitted records stay admitted either way: on failure they were
 	// never acked, so the client resends after the operator repairs the
 	// journal — or, across a crash, replays from its last acked offset.
-	if len(accepted) > 0 {
+	if p.cfg.Journal != nil && res.Accepted > 0 {
+		if accepted == nil {
+			accepted = recs[:res.Accepted]
+		}
 		if err := p.cfg.Journal.Append(ctx, accepted); err != nil {
 			p.mu.Lock()
 			if p.journalErr == nil {
@@ -474,7 +514,10 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 
 // flush repeatedly cuts the next due batch — sources in name order, so
 // flushing is deterministic given the same buffered state — and delivers
-// it. With all=false only full buffers (size trigger) are cut.
+// it. With all=false only full buffers (size trigger) are cut. A batch is
+// a window on its source's buffer, not a copy: deliveries are serialized
+// by deliverMu, so at most one window is out at a time, and pushes only
+// append past it.
 func (p *Pipeline) flush(ctx context.Context, all bool) error {
 	p.deliverMu.Lock()
 	defer p.deliverMu.Unlock()
@@ -482,9 +525,10 @@ func (p *Pipeline) flush(ctx context.Context, all bool) error {
 	// A source whose delivery failed (requeued) must not be redelivered in
 	// the same pass, or a dead applier turns Flush into a hot loop.
 	tried := make(map[string]bool)
+	var names []string
 	for {
 		p.mu.Lock()
-		names := make([]string, 0, len(p.sources))
+		names = names[:0]
 		for name := range p.sources {
 			names = append(names, name)
 		}
@@ -494,20 +538,18 @@ func (p *Pipeline) flush(ctx context.Context, all bool) error {
 		var admitAt []time.Time
 		for _, name := range names {
 			st := p.sources[name]
-			if tried[name] || len(st.buf) == 0 {
+			buffered := len(st.buf) - st.head
+			if tried[name] || buffered == 0 {
 				continue
 			}
-			if !all && len(st.buf) < p.cfg.MaxBatchRecords {
+			if !all && buffered < p.cfg.MaxBatchRecords {
 				continue
 			}
-			n := len(st.buf)
-			if n > p.cfg.MaxBatchRecords {
-				n = p.cfg.MaxBatchRecords
-			}
-			batch = append([]Record(nil), st.buf[:n]...)
-			st.buf = append([]Record(nil), st.buf[n:]...)
-			admitAt = append([]time.Time(nil), st.admitAt[:n]...)
-			st.admitAt = append([]time.Time(nil), st.admitAt[n:]...)
+			n := min(buffered, p.cfg.MaxBatchRecords)
+			end := st.head + n
+			batch = st.buf[st.head:end:end]
+			admitAt = st.admitAt[st.head:end:end]
+			st.head = end
 			st.inflight += n
 			src = name
 			break
@@ -527,8 +569,10 @@ func (p *Pipeline) flush(ctx context.Context, all bool) error {
 
 // deliver makes one attempt at a batch. Success and permanent rejection
 // settle the records; any other error puts them back at the head of the
-// source's buffer for the next trigger. The applier changed nothing on
-// an error, so a requeued batch is applied once when it does land.
+// source's buffer for the next trigger — the window is still in place
+// there, so that is moving head back over it. The applier changed
+// nothing on an error, so a requeued batch is applied once when it does
+// land.
 func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admitAt []time.Time) error {
 	n := len(batch)
 	err := p.applier.Apply(ctx, Batch{Source: src, Records: batch})
@@ -568,8 +612,7 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 	}
 	p.mu.Lock()
 	st := p.sourceLocked(src)
-	st.buf = append(append([]Record(nil), batch...), st.buf...)
-	st.admitAt = append(append([]time.Time(nil), admitAt...), st.admitAt...)
+	st.head -= n
 	st.inflight -= n
 	p.stats.DeliveryFailures++
 	p.col.Count("ingest.delivery.failures", 1)
@@ -577,12 +620,13 @@ func (p *Pipeline) deliver(ctx context.Context, src string, batch []Record, admi
 	return err
 }
 
-// settle finalizes n inflight records of a source and applies the
-// outcome's counter updates under the pipeline lock.
+// settle finalizes n inflight records of a source, reclaims its buffer
+// and applies the outcome's counter updates under the pipeline lock.
 func (p *Pipeline) settle(src string, n int, counters func()) {
 	p.mu.Lock()
 	st := p.sourceLocked(src)
 	st.inflight -= n
+	st.reclaim()
 	p.pending -= n
 	counters()
 	p.col.Gauge("ingest.queue_depth", float64(p.pending))

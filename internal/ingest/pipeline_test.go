@@ -228,6 +228,58 @@ func TestPipelineRequeuesAfterRetryBudget(t *testing.T) {
 	}
 }
 
+// TestPipelineBacklogReusesBuffer drives one source through 50 rounds of
+// pushes, flushes and transient faults, so batches are cut from a backlog,
+// requeued in place and pushed behind: every record is delivered once, in
+// offset order, and the source's buffer stays near the largest backlog
+// instead of growing with the records that went through it.
+func TestPipelineBacklogReusesBuffer(t *testing.T) {
+	ctx := context.Background()
+	app := &recApplier{}
+	p := New(Config{MaxBatchRecords: 4, FlushInterval: -1, MaxPending: 1 << 10}, app, nil)
+	defer p.Close()
+	off := uint64(1)
+	for round := 0; round < 50; round++ {
+		recs := make([]Record, 10)
+		for i := range recs {
+			recs[i] = rec("s", off)
+			off++
+		}
+		if _, err := p.Push(ctx, recs...); err != nil {
+			t.Fatalf("round %d: Push: %v", round, err)
+		}
+		if round%2 == 1 {
+			app.mu.Lock()
+			app.failNext = 1
+			app.mu.Unlock()
+		}
+		p.Flush(ctx) // a fault leaves the rest buffered for the next round
+	}
+	for i := 0; p.Pending() > 0; i++ {
+		if i == 10 {
+			t.Fatalf("%d records still pending", p.Pending())
+		}
+		p.Flush(ctx)
+	}
+	want := uint64(1)
+	for _, b := range app.delivered() {
+		for _, r := range b.Records {
+			if r.Offset != want {
+				t.Fatalf("delivered offset %d, want %d", r.Offset, want)
+			}
+			want++
+		}
+	}
+	if want != off {
+		t.Fatalf("delivered %d records, pushed %d", want-1, off-1)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c := cap(p.sources["s"].buf); c > 64 {
+		t.Fatalf("buffer capacity %d after a backlog of at most 20 records", c)
+	}
+}
+
 func TestPipelineDropsRejectedBatch(t *testing.T) {
 	app := &recApplier{failNext: 1, permanent: true}
 	p := New(Config{FlushInterval: -1}, app, nil)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"bohr/internal/ingest"
 )
@@ -76,22 +77,13 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.col.Count("serve.ingest.requests", 1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody+1))
+	recs, status, err := s.decodeIngestBody(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxIngestBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, "batch over %d bytes", maxIngestBody)
-		return
-	}
-	recs, err := ingest.DecodeBatch(body)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, status, "%v", err)
 		return
 	}
 	res, err := s.pipe.Push(r.Context(), recs...)
-	status := http.StatusOK
+	status = http.StatusOK
 	resp := ingest.PushResponse{Accepted: res.Accepted, Deduped: res.Deduped}
 	if err != nil {
 		resp.Error = err.Error()
@@ -109,4 +101,54 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(resp)
+}
+
+// decodeIngestBody reads and decodes one POST /v1/ingest body, returning
+// the HTTP status of a failure. It reads into the server's spare body
+// buffer unless another request holds it, and puts the buffer back before
+// it returns: DecodeBatch copies what the records keep, so nothing aliases
+// the buffer afterwards. The buffer keeps the capacity of the largest
+// body read so far, at most maxIngestBody+1 bytes.
+func (s *Server) decodeIngestBody(r *http.Request) ([]ingest.Record, int, error) {
+	buf := s.ingestBody.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer s.ingestBody.Store(buf)
+	body, err := readBody((*buf)[:0], r)
+	*buf = body
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	}
+	if len(body) > maxIngestBody {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("batch over %d bytes", maxIngestBody)
+	}
+	recs, err := ingest.DecodeBatch(body)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return recs, http.StatusOK, nil
+}
+
+// readBody appends r's body to buf, reading at most maxIngestBody+1
+// bytes. A known ContentLength sizes buf once up front (one byte more,
+// for the read that meets EOF); otherwise buf grows as io.ReadAll's does.
+func readBody(buf []byte, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxIngestBody {
+		buf = slices.Grow(buf, int(n)+1)
+	}
+	lr := io.LimitedReader{R: r.Body, N: maxIngestBody + 1}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }

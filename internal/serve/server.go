@@ -134,12 +134,18 @@ func (b *EngineBackend) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine
 // pipeline to drop them; any other error means nothing changed. The
 // batch runs under a request collector (requestObs).
 func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]string, error) {
+	if len(batch.Records) == 0 {
+		return nil, nil
+	}
+	// Two passes: count each arrival's rows, then fill one slab of rows,
+	// cut per arrival with its capacity clipped, in acceptance order.
 	type groupKey struct {
 		dataset string
 		site    int
 	}
 	groups := map[groupKey]int{}
 	var arrivals []core.Arrival
+	var counts []int
 	for _, r := range batch.Records {
 		gk := groupKey{r.Dataset, r.Site}
 		g, ok := groups[gk]
@@ -147,11 +153,17 @@ func (b *EngineBackend) ApplyBatch(ctx context.Context, batch ingest.Batch) ([]s
 			g = len(arrivals)
 			groups[gk] = g
 			arrivals = append(arrivals, core.Arrival{Dataset: r.Dataset, Site: r.Site})
+			counts = append(counts, 0)
 		}
-		arrivals[g].Rows = append(arrivals[g].Rows, olap.Row{Coords: r.Coords, Measure: r.Measure})
+		counts[g]++
 	}
-	if len(arrivals) == 0 {
-		return nil, nil
+	rows := make([]olap.Row, len(batch.Records))
+	for g, n := range counts {
+		arrivals[g].Rows, rows = rows[:0:n], rows[n:]
+	}
+	for _, r := range batch.Records {
+		a := &arrivals[groups[groupKey{r.Dataset, r.Site}]]
+		a.Rows = append(a.Rows, olap.Row{Coords: r.Coords, Measure: r.Measure})
 	}
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
@@ -214,6 +226,10 @@ type Server struct {
 	start   time.Time
 	traceHi string // per-process trace ID prefix
 	traceLo uint64 // atomic per-request trace sequence
+
+	// ingestBody is the spare POST /v1/ingest body buffer (see
+	// decodeIngestBody); nil while a request holds it.
+	ingestBody atomic.Pointer[[]byte]
 
 	// Durability wiring (see durable.go; all nil/zero without it).
 	dman        *durable.Manager
