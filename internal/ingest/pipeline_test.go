@@ -491,7 +491,11 @@ func TestIngestLoggerSeesRetries(t *testing.T) {
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil))
 	app := &recApplier{failNext: 10}
-	p := New(Config{MaxBatchRecords: 2, FlushInterval: -1, Logger: logger}, app, nil)
+	// Two records stay under MaxBatchRecords, so the push does not wake
+	// the flush worker: the Flush below is the only delivery attempt. At
+	// MaxBatchRecords 2 the worker could try first and Flush retry, two
+	// requeue lines.
+	p := New(Config{MaxBatchRecords: 10, FlushInterval: -1, Logger: logger}, app, nil)
 	defer p.Close()
 	p.Push(context.Background(), rec("s1", 1), rec("s1", 2))
 	p.Flush(context.Background()) // one attempt, then requeue
