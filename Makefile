@@ -135,7 +135,8 @@ bench-smoke:
 
 # bench-micro runs each benchmark under internal/ for one iteration, so the
 # layer benchmarks the documents quote (BenchmarkQueryMissRefresh,
-# BenchmarkRunConcurrentFig6, BenchmarkScanSelect, ...) keep building and
-# running. It measures nothing; about 6 s on 2 vCPUs.
+# BenchmarkQueryIngestMixCycle, BenchmarkRunConcurrentFig6,
+# BenchmarkScanSelect, ...) keep building and running. It measures nothing;
+# about 6 s on 2 vCPUs.
 bench-micro:
 	$(GO) test ./internal/... -run '^$$' -bench . -benchtime 1x

@@ -48,12 +48,15 @@ func Unlimited() Caps { return Caps{Entries: -1, Bytes: -1} }
 // DefaultCaps returns the built-in default capacities.
 func DefaultCaps() Caps { return Caps{Entries: DefaultEntries, Bytes: DefaultBytes} }
 
-// entry is one live memo: the value, its size estimate, and the logical
-// clock stamp of its last touch.
-type entry[V any] struct {
+// entry is one live memo: its key, the value, its size estimate, the
+// logical clock stamp of its last touch, and where it sits in the victim
+// heap.
+type entry[K cmp.Ordered, V any] struct {
+	key   K
 	val   V
 	bytes int64
 	used  uint64
+	at    int
 }
 
 // Store is a bounded memo store with deterministic LRU eviction. All
@@ -64,7 +67,10 @@ type Store[K cmp.Ordered, V any] struct {
 	name    string
 	caps    Caps
 	sizeOf  func(K, V) int64
-	entries map[K]*entry[V]
+	entries map[K]*entry[K, V]
+	// victims orders the live entries as eviction takes them: a binary
+	// min-heap on (stamp, key), so the next victim is its root.
+	victims []*entry[K, V]
 	bytes   int64
 	clock   uint64
 	col     *obs.Collector
@@ -80,7 +86,7 @@ func New[K cmp.Ordered, V any](name string, caps Caps, col *obs.Collector, sizeO
 		name:    name,
 		caps:    caps,
 		sizeOf:  sizeOf,
-		entries: make(map[K]*entry[V]),
+		entries: make(map[K]*entry[K, V]),
 		col:     col,
 	}
 	col.Count(name+".evictions", 0)
@@ -101,7 +107,7 @@ func (s *Store[K, V]) Get(k K) (V, bool) {
 	if !ok {
 		return zero, false
 	}
-	e.used = s.clock
+	s.touch(e)
 	return e.val, true
 }
 
@@ -137,13 +143,69 @@ func (s *Store[K, V]) Put(k K, v V) {
 	}
 	e, ok := s.entries[k]
 	if !ok {
-		e = &entry[V]{}
+		e = &entry[K, V]{key: k, used: s.clock, at: len(s.victims)}
 		s.entries[k] = e
+		s.victims = append(s.victims, e)
+		s.up(e.at)
 		s.col.Count(s.name+".entries", 1)
 	}
 	s.col.Count(s.name+".bytes", float64(size-e.bytes))
 	s.bytes += size - e.bytes
-	e.val, e.bytes, e.used = v, size, s.clock
+	e.val, e.bytes = v, size
+	s.touch(e)
+}
+
+// touch stamps e as used this round. A stamp only rises, so e can only
+// move down the heap. Callers hold s.mu.
+func (s *Store[K, V]) touch(e *entry[K, V]) {
+	if e.used != s.clock {
+		e.used = s.clock
+		s.down(e.at)
+	}
+}
+
+// before reports whether a is evicted before b: stamp ascending, then key
+// ascending — a total, deterministic order.
+func before[K cmp.Ordered, V any](a, b *entry[K, V]) bool {
+	return a.used < b.used || a.used == b.used && a.key < b.key
+}
+
+// swap exchanges heap positions i and j. Callers hold s.mu.
+func (s *Store[K, V]) swap(i, j int) {
+	h := s.victims
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
+}
+
+// up moves the entry at heap position i toward the root until its parent
+// goes first. Callers hold s.mu.
+func (s *Store[K, V]) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(s.victims[i], s.victims[parent]) {
+			return
+		}
+		s.swap(i, parent)
+		i = parent
+	}
+}
+
+// down moves the entry at heap position i toward the leaves until it goes
+// before both children. Callers hold s.mu.
+func (s *Store[K, V]) down(i int) {
+	for n := len(s.victims); ; {
+		first := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && before(s.victims[c], s.victims[first]) {
+				first = c
+			}
+		}
+		if first == i {
+			return
+		}
+		s.swap(i, first)
+		i = first
+	}
 }
 
 // Delete removes the entry under k, if present. This is the immediate
@@ -166,6 +228,14 @@ func (s *Store[K, V]) dropLocked(k K) {
 		return
 	}
 	delete(s.entries, k)
+	i, last := e.at, len(s.victims)-1
+	s.swap(i, last)
+	s.victims[last] = nil
+	s.victims = s.victims[:last]
+	if i < last { // the entry that took e's place
+		s.down(i)
+		s.up(i)
+	}
 	s.bytes -= e.bytes
 	s.col.Count(s.name+".entries", -1)
 	s.col.Count(s.name+".bytes", -float64(e.bytes))
@@ -199,20 +269,12 @@ func (s *Store[K, V]) overLocked() bool {
 // enforceLocked evicts least-recently-used entries until both caps
 // hold. Victims go in (stamp ascending, key ascending) order — a total,
 // deterministic order, so the same access history always evicts the same
-// entries. Each victim is the minimum of one
-// scan over the live entries: the common over-cap insert evicts exactly
-// one entry and pays no sort and no allocation. Callers hold s.mu.
+// entries. Each victim is the heap's root, taken in O(log n): the common
+// over-cap insert evicts exactly one entry and allocates nothing. Callers
+// hold s.mu.
 func (s *Store[K, V]) enforceLocked() {
-	for s.overLocked() && len(s.entries) > 0 {
-		var victim K
-		var oldest uint64
-		first := true
-		for k, e := range s.entries {
-			if first || e.used < oldest || e.used == oldest && k < victim {
-				victim, oldest, first = k, e.used, false
-			}
-		}
-		s.dropLocked(victim)
+	for s.overLocked() && len(s.victims) > 0 {
+		s.dropLocked(s.victims[0].key)
 		s.col.Count(s.name+".evictions", 1)
 	}
 }

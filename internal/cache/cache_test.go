@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -216,5 +217,93 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if s.evictions() == 0 {
 		t.Fatal("stress never evicted")
+	}
+}
+
+// refStore is the eviction order before the victim heap: each victim the
+// minimum of one scan over the live entries, by stamp, then key.
+type refStore struct {
+	caps      Caps
+	vals      map[string]int
+	used      map[string]uint64
+	bytes     int64
+	clock     uint64
+	evictions int
+}
+
+func (r *refStore) put(k string, v int) {
+	r.bytes += int64(v - r.vals[k])
+	r.vals[k], r.used[k] = v, r.clock
+}
+
+func (r *refStore) drop(k string) {
+	if v, ok := r.vals[k]; ok {
+		r.bytes -= int64(v)
+		delete(r.vals, k)
+		delete(r.used, k)
+	}
+}
+
+func (r *refStore) advance() {
+	r.clock++
+	for len(r.vals) > 0 && (r.caps.Entries > 0 && len(r.vals) > r.caps.Entries || r.caps.Bytes > 0 && r.bytes > r.caps.Bytes) {
+		victim, first := "", true
+		for k, u := range r.used {
+			if first || u < r.used[victim] || u == r.used[victim] && k < victim {
+				victim, first = k, false
+			}
+		}
+		r.drop(victim)
+		r.evictions++
+	}
+}
+
+// TestVictimHeapMatchesScan runs random Get, Put, Delete and Advance
+// histories, under entry caps, byte caps and both, against refStore: after
+// every step the live entries, their values, the resident bytes and the
+// evictions must agree, and every entry must sit where the heap says.
+func TestVictimHeapMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial, caps := range []Caps{{Entries: 8}, {Bytes: 60}, {Entries: 12, Bytes: 90}, {Entries: 1}} {
+		s := sized(caps)
+		ref := &refStore{caps: caps, vals: map[string]int{}, used: map[string]uint64{}}
+		for step := 0; step < 3000; step++ {
+			k := fmt.Sprintf("k%02d", rng.Intn(30))
+			switch op := rng.Intn(10); {
+			case op < 3:
+				if _, ok := s.Get(k); ok {
+					ref.used[k] = ref.clock
+				}
+			case op < 7:
+				v := 1 + rng.Intn(12)
+				s.Put(k, v)
+				ref.put(k, v)
+			case op < 8:
+				s.Delete(k)
+				ref.drop(k)
+			default:
+				s.Advance()
+				ref.advance()
+			}
+			want := make([]string, 0, len(ref.vals))
+			for k := range ref.vals {
+				want = append(want, k)
+			}
+			sort.Strings(want)
+			if got := s.keys(); !reflect.DeepEqual(got, want) || s.resident() != ref.bytes || s.evictions() != ref.evictions {
+				t.Fatalf("trial %d step %d: keys %v, %d B, %d evictions; the scan's %v, %d B, %d", trial, step,
+					got, s.resident(), s.evictions(), want, ref.bytes, ref.evictions)
+			}
+			for _, k := range want {
+				if v, _ := s.Peek(k); v != ref.vals[k] {
+					t.Fatalf("trial %d step %d: %s = %d, want %d", trial, step, k, v, ref.vals[k])
+				}
+			}
+			for i, e := range s.victims {
+				if e.at != i || i > 0 && before(e, s.victims[(i-1)/2]) {
+					t.Fatalf("trial %d step %d: heap entry %d (at %d) out of place", trial, step, i, e.at)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -44,9 +45,9 @@ func (sel *Select) validate(query string) error {
 	return nil
 }
 
-// Names of round 0's column lookups, one per site a Select scans: a miss
-// built the columns of a site written (or never read) since the last
-// statement, encoding the records the writes appended (every record, when
+// Names of round 0's key-id column lookups, one per site a Select scans: a
+// miss built the column of a site written (or never read) since the last
+// statement, interning the records the writes appended (every record, when
 // nothing was carried).
 const (
 	CounterColumnsHits    = "engine.columns.hits"
@@ -55,227 +56,273 @@ const (
 	HistColumnsBuild      = "engine.columns.build_s"
 )
 
-// columns are a content's keys split into dictionary-coded fields — derived
-// state like a layout: a pure function of records and width that dies with
-// the content. A code means something only through dict; nothing a scan
-// puts out depends on its value.
-type columns struct {
-	codes   [][]uint32 // codes[f][i] is field f of record i
-	dict    [][]string // dict[f][code] is its text
-	foreign []int32    // ascending: the records whose key has another width
-	encoded int        // records the build encoded; the rest it carried
-	buildS  float64    // wall seconds the build took
+// keyDict interns the keys of one lineage — a store, its clones and what
+// their Adds and removes make of them; Restore starts another, and so does
+// every NewLayout. Each distinct key gets the next id when first met, and
+// beside it its KeyHash; the first Select over a key splits it into field
+// codes, in one field dictionary per position. It only grows: an id never
+// changes meaning, so a content's ids carry across writes, and a prefix of
+// the tables handed out stays valid unlocked.
+type keyDict struct {
+	mu sync.Mutex
+	// hash is KeyHash, or what a test makes keys collide under.
+	hash func(string) uint64
+	// slot is the interning table, open-addressed by hash: id+1, 0 free. A
+	// key whose hash matches an entry's is that key only when the texts
+	// are equal, so ids are exact whatever the hashes are.
+	slot []int32
+	tab  keyEntries
+	// coded holds the field codes of the first keys, ids below
+	// len(coded.at)-1, and fields maps each position's texts to codes.
+	coded  keyFields
+	fields []map[string]uint32
 }
 
-type columnsKey struct{ width int } // the memo key of a content's columns
+// keyEntries are a lineage's keys with ids below len(keys), as some build
+// left the dictionary.
+type keyEntries struct {
+	keys   []string // id → key
+	hashes []uint64 // id → its hash (KeyHash)
+}
 
-// carried is the last columns of one width, or the last key hashes, built
-// in a lineage, and the removes since. An Add appends past the records they
-// describe and a remove keeps order, so those that survive are a prefix of
-// the content: the next build copies their codes (hashes), compacts them
-// once per remove and encodes (hashes) the rest.
+// keyFields are the field codes of a lineage's first keys.
+type keyFields struct {
+	at     []int32 // id → its field codes are codes[at[id]:at[id+1]]
+	codes  []uint32
+	fields [][]string // fields[f][code] is the text a code at position f stands for
+	widths []int      // the field counts the keys have, first met first
+}
+
+// key returns the field codes of key id; their count is its width.
+func (c *keyFields) key(id int32) []uint32 { return c.codes[c.at[id]:c.at[id+1]] }
+
+// foreign reports whether a key of another width than width is among the
+// coded keys.
+func (c *keyFields) foreign(width int) bool {
+	return slices.ContainsFunc(c.widths, func(w int) bool { return w != width })
+}
+
+// intern writes the id of each record's key into ids, giving each key not
+// met before the next one, and returns the dictionary as it then stands.
+// When the tables are full it makes room for as many keys as the call's
+// rate of new keys so far projects for its remaining records, so an intern
+// over a content's records sizes them about once.
+func (d *keyDict) intern(recs []KV, ids []int32) keyEntries {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.hash == nil {
+		d.hash = KeyHash
+	}
+	from := len(d.tab.keys)
+	for i, r := range recs {
+		if len(d.tab.keys) == cap(d.tab.keys) {
+			d.reserve((len(d.tab.keys) - from) * (len(recs) - i) / max(i, 1))
+		}
+		ids[i] = d.id(r.Key)
+	}
+	return d.tab
+}
+
+// reserve makes room for about more keys — at least half again what the
+// tables hold, at most four times it: the key and hash tables grow to hold
+// them, and the interning table to hold them at most three-quarters full,
+// re-slotting every id by its stored hash.
+func (d *keyDict) reserve(more int) {
+	n := len(d.tab.keys)
+	size := n + min(max(more, n/2, 16), 4*max(n, 16))
+	d.tab.keys = append(make([]string, 0, size), d.tab.keys...)
+	d.tab.hashes = append(make([]uint64, 0, size), d.tab.hashes...)
+	slots := 32
+	for 3*slots < 4*size {
+		slots *= 2
+	}
+	if slots <= len(d.slot) {
+		return
+	}
+	d.slot = make([]int32, slots)
+	mask := uint64(slots - 1)
+	for id, h := range d.tab.hashes {
+		j := h & mask
+		for d.slot[j] != 0 {
+			j = (j + 1) & mask
+		}
+		d.slot[j] = int32(id) + 1
+	}
+}
+
+// id returns the id of key, interning it when it is new. Under mu.
+func (d *keyDict) id(key string) int32 {
+	if len(d.tab.keys) == cap(d.tab.keys) {
+		d.reserve(0)
+	}
+	h := d.hash(key)
+	mask := uint64(len(d.slot) - 1)
+	j := h & mask
+	for ; d.slot[j] != 0; j = (j + 1) & mask {
+		if id := d.slot[j] - 1; d.tab.hashes[id] == h && d.tab.keys[id] == key {
+			return id
+		}
+	}
+	id := int32(len(d.tab.keys))
+	d.slot[j] = id + 1
+	d.tab.keys, d.tab.hashes = append(d.tab.keys, key), append(d.tab.hashes, h)
+	return id
+}
+
+// code splits the first n keys into field codes, those not split yet, and
+// returns the codes as they then stand.
+func (d *keyDict) code(n int) keyFields {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := &d.coded
+	if c.at == nil {
+		c.at = []int32{0}
+	}
+	for id := len(c.at) - 1; id < n; id++ {
+		width := 0
+		for rest, more := d.tab.keys[id], true; more; width++ {
+			field := rest
+			if j := strings.IndexByte(rest, KeySep[0]); j >= 0 {
+				field, rest = rest[:j], rest[j+1:]
+			} else {
+				more = false
+			}
+			if width == len(d.fields) {
+				d.fields, c.fields = append(d.fields, map[string]uint32{}), append(c.fields, nil)
+			}
+			code, ok := d.fields[width][field]
+			if !ok {
+				code = uint32(len(c.fields[width]))
+				d.fields[width][field], c.fields[width] = code, append(c.fields[width], field)
+			}
+			c.codes = append(c.codes, code)
+		}
+		c.at = append(c.at, int32(len(c.codes)))
+		if !slices.Contains(c.widths, width) {
+			c.widths = append(c.widths, width)
+		}
+	}
+	out := *c
+	out.fields = make([][]string, len(c.fields))
+	for f, strs := range c.fields {
+		out.fields[f] = slices.Clip(strs)
+	}
+	return out
+}
+
+// keyColumn is a content's key ids: derived state like a layout, a pure
+// function of the records and their lineage's dictionary that dies with the
+// content. An id means something only through dict; nothing a scan or a
+// layout puts out depends on its value.
+type keyColumn struct {
+	ids     []int32 // ids[i] is the id of record i's key
+	dict    keyEntries
+	encoded int     // records the build interned; the rest it carried
+	buildS  float64 // wall seconds the build took
+	// lineage is the dictionary dict is a prefix of, which codes the keys'
+	// fields once a Select asks (coded).
+	lineage *keyDict
+	once    sync.Once
+	fields  keyFields
+}
+
+// coded returns the field codes of the column's keys.
+func (kc *keyColumn) coded() *keyFields {
+	kc.once.Do(func() { kc.fields = kc.lineage.code(len(kc.dict.keys)) })
+	return &kc.fields
+}
+
+type keyIDsKey struct{} // the memo key of a content's key ids
+
+// carried is the last key ids built in a lineage, and the removes since. An
+// Add appends past the records they describe and a remove keeps order, so
+// those that survive are a prefix of the content: the next build copies
+// their ids, compacts them once per remove and interns the rest.
 type carried struct {
-	key     any      // the memo key base or hashes were built under
-	base    *columns // under a columnsKey
-	hashes  []uint64 // under hashesKey
-	held    int      // records base or hashes describe
-	removes [][]int  // each remove's ascending positions, oldest first
-	moved   int      // records added plus removed since base
+	ids     []int32
+	removes [][]int // each remove's ascending positions, oldest first
+	moved   int     // records added plus removed since ids
 }
 
 // plan returns each remove's cut into what the carry describes — the
-// positions that were still its base's records — how many of those are
-// left, the content's first live records, and how long a column must be to
-// hold n records and, on the way, the survivors of the first cut: the first
-// remove copies them out, possibly more than n of them, and the later ones
-// compact them in place. A nil carry describes nothing.
+// positions that were still its records — how many of those are left, the
+// content's first live records, and how long a column must be to hold n
+// records and, on the way, the survivors of the first cut: the first remove
+// copies them out, possibly more than n of them, and the later ones compact
+// them in place. A nil carry describes nothing.
 func (cr *carried) plan(n int) (cuts [][]int, live, stride int) {
 	if cr == nil {
 		return nil, 0, n
 	}
-	live = cr.held
+	live = len(cr.ids)
 	for _, at := range cr.removes {
 		at = at[:sort.SearchInts(at, live)] // the rest took records appended since
 		cuts = append(cuts, at)
 		live -= len(at)
 	}
 	if len(cuts) > 0 {
-		n = max(n, cr.held-len(cuts[0]))
+		n = max(n, len(cr.ids)-len(cuts[0]))
 	}
 	return cuts, live, n
 }
 
-// carryInto fills col with the survivors of src, a column of the carry's
-// base, through cuts.
-func carryInto[T any](col, src []T, cuts [][]int) {
-	if len(cuts) == 0 {
-		copy(col, src)
-	}
-	for _, at := range cuts {
-		src = col[:compact(col, src, at)]
-	}
-}
-
-// restore allocates c's codes for n records and fills in what the carry
-// says of the first live of them — their codes and which are foreign — the
-// records of its base that survived the removes since. A nil carry says
-// nothing.
-func (cr *carried) restore(c *columns, n int) (live int) {
+// restore returns a column for n records whose first live entries are the
+// carry's ids of the records that survived the removes since.
+func (cr *carried) restore(n int) (ids []int32, live int) {
 	cuts, live, stride := cr.plan(n)
-	flat := make([]uint32, len(c.codes)*stride)
-	for f := range c.codes {
-		col := flat[f*stride : (f+1)*stride]
-		if cr != nil {
-			carryInto(col, cr.base.codes[f], cuts)
-			clear(col[live:n]) // compaction's leftovers: a foreign record's codes stay zero
+	ids = make([]int32, stride)
+	if cr != nil {
+		src := cr.ids
+		if len(cuts) == 0 {
+			copy(ids, src)
 		}
-		c.codes[f] = col[:n:n]
+		for _, at := range cuts {
+			src = ids[:compact(ids, src, at)]
+		}
 	}
-	if cr == nil {
-		return 0
-	}
-	c.foreign = slices.Clone(cr.base.foreign)
-	for _, at := range cuts {
-		kept, k := c.foreign[:0], 0
-		for _, i := range c.foreign {
-			for k < len(at) && at[k] < int(i) {
-				k++
-			}
-			if k == len(at) || at[k] != int(i) {
-				kept = append(kept, i-int32(k))
-			}
-		}
-		c.foreign = kept
-	}
-	return live
+	return ids[:n:n], live
 }
 
-type hashesKey struct{} // the memo key of a content's key hashes
-
-// keyHashes returns KeyHash of each of the content's records, built once —
-// from the content's carry of them, hashing only the records the writes
-// since appended — and carried on to its successors.
-func (ct *content) keyHashes(records []KV) []uint64 {
-	hs, _, _ := memo(ct, records, hashesKey{}, func(recs []KV) ([]uint64, error) {
-		ct.mu.Lock()
-		cr := ct.takeCarry(hashesKey{})
-		ct.mu.Unlock()
-		cuts, live, stride := cr.plan(len(recs))
-		hs := make([]uint64, stride)
-		if cr != nil {
-			carryInto(hs, cr.hashes, cuts)
-		}
-		hs = hs[:len(recs):len(recs)]
-		for i := live; i < len(recs); i++ {
-			hs[i] = KeyHash(recs[i].Key)
-		}
-		ct.mu.Lock()
-		ct.carry = append(ct.carry, carried{key: hashesKey{}, hashes: hs, held: len(recs)})
-		ct.mu.Unlock()
-		return hs, nil
-	})
-	return hs
-}
-
-// dictionaries intern field texts, by field position, for one lineage (a
-// store, its clones, what their Adds and removes make of them; Restore
-// starts another). They only grow: a re-encode after a write interns the new
-// values alone, and a prefix of strs handed out stays valid unlocked.
-type dictionaries struct {
-	mu     sync.Mutex
-	fields []fieldDict
-}
-
-type fieldDict struct {
-	ids  map[string]uint32
-	strs []string
-}
-
-// columns returns the coded keys of the layout's records, built once per
-// content — from the content's carry when it has one of this width — and
-// carried on to its successors; hit is false for the caller that built
+// keyColumn returns the key ids of the content's records, built once — from
+// the content's carry, interning only the records the writes since appended —
+// and carried on to its successors; hit is false for the caller that built
 // them.
-func (l *Layout) columns(width int) (cols *columns, hit bool) {
-	cols, hit, _ = memo(l.ct, l.records, columnsKey{width}, func(recs []KV) (*columns, error) {
-		t0, ct := time.Now(), l.ct
+func (ct *content) keyColumn(records []KV) (kc *keyColumn, hit bool) {
+	kc, hit, _ = memo(ct, records, keyIDsKey{}, func(recs []KV) (*keyColumn, error) {
+		t0 := time.Now()
 		ct.mu.Lock()
-		if ct.dicts == nil {
-			ct.dicts = &dictionaries{}
-		}
-		ds, cr := ct.dicts, ct.takeCarry(columnsKey{width})
+		d, cr := ct.dict, ct.carry
+		ct.carry = nil // what is built from it replaces it
 		ct.mu.Unlock()
 
-		c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
-		live := cr.restore(c, len(recs))
-		ds.encode(c, recs, live)
-		c.encoded, c.buildS = len(recs)-live, time.Since(t0).Seconds()
+		ids, live := cr.restore(len(recs))
+		kc := &keyColumn{ids: ids, dict: d.intern(recs[live:], ids[live:]), encoded: len(recs) - live, lineage: d}
+		kc.buildS = time.Since(t0).Seconds()
 		ct.mu.Lock()
-		ct.carry = append(ct.carry, carried{key: columnsKey{width}, base: c, held: len(recs)})
+		ct.carry = &carried{ids: ids}
 		ct.mu.Unlock()
-		return c, nil
+		return kc, nil
 	})
-	return cols, hit
+	return kc, hit
 }
 
-// takeCarry removes the content's carry under this memo key and returns it
-// (nil when there is none): what is built from it replaces it. Under ct.mu.
-func (ct *content) takeCarry(key any) *carried {
-	for i, c := range ct.carry {
-		if c.key == key {
-			ct.carry = slices.Delete(ct.carry, i, i+1)
-			return &c
-		}
-	}
-	return nil
-}
+// keyColumn returns the key ids of the layout's records (content.keyColumn).
+func (l *Layout) keyColumn() (*keyColumn, bool) { return l.ct.keyColumn(l.records) }
 
-// encode codes records from on into c, interning the field values the
-// dictionaries lack, and hands c the dictionaries as they then stand.
-func (ds *dictionaries) encode(c *columns, recs []KV, from int) {
-	width := len(c.codes)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for len(ds.fields) < width {
-		ds.fields = append(ds.fields, fieldDict{ids: map[string]uint32{}})
-	}
-	for i := from; i < len(recs); i++ {
-		key := recs[i].Key
-		if strings.Count(key, KeySep) != width-1 {
-			c.foreign = append(c.foreign, int32(i))
-			continue
-		}
-		for f := range c.codes {
-			field := key // the last one
-			if j := strings.IndexByte(key, KeySep[0]); j >= 0 {
-				field, key = key[:j], key[j+1:]
-			}
-			d := &ds.fields[f]
-			id, ok := d.ids[field]
-			if !ok {
-				id = uint32(len(d.strs))
-				d.ids[field], d.strs = id, append(d.strs, field)
-			}
-			c.codes[f][i] = id
-		}
-	}
-	for f := range c.dict {
-		c.dict[f] = slices.Clip(ds.fields[f].strs)
-	}
-}
+// keyColumn returns the key ids of a store's records (content.keyColumn),
+// which must not be empty.
+func (s *Store) keyColumn() (*keyColumn, bool) { return s.content.keyColumn(s.Records()) }
 
-// grouper addresses a scan's groups by the kept fields' codes packed into
-// one integer: a table indexed by it when the kept dictionaries' product is
-// no larger than the busiest executor's share, an open-addressed one
-// otherwise. A slot holds the ordinal (from 1, over the whole scan) of the
-// group it was last given; ordinals at or below the executor's base are an
-// earlier executor's and read as free, so nothing is cleared in between.
+// grouper addresses an executor's groups by the kept fields' codes of a key
+// packed into one integer: a table indexed by it when the kept dictionaries'
+// product is no larger than the busiest executor's share, an open-addressed
+// one otherwise. A slot holds the ordinal (from 1, over the whole scan) of
+// the group it was last given; ordinals at or below the executor's base are
+// an earlier executor's and read as free, so nothing is cleared in between.
 type grouper struct {
-	cols   *columns
 	keep   []int
-	codes  [][]uint32 // the kept fields' columns
 	stride []uint64
 	packs  bool // the product fits 64 bits; if not, groups go by name
-	run    bool // keep is an ascending contiguous run: a group key is a substring
 	dense  []int32
 	open   []openSlot
 }
@@ -286,15 +333,17 @@ type openSlot struct {
 }
 
 // newGrouper sizes the tables for share records, in bufs' buffers.
-func newGrouper(cols *columns, keep []int, share int, bufs *scanBufs) *grouper {
-	g := &grouper{cols: cols, keep: keep, packs: true, run: true,
-		codes: make([][]uint32, len(keep)), stride: make([]uint64, len(keep))}
+func newGrouper(d *keyFields, keep []int, share int, bufs *scanBufs) *grouper {
+	g := &grouper{keep: keep, packs: true, stride: make([]uint64, len(keep))}
 	product := uint64(1)
 	for k, f := range keep {
-		g.codes[k], g.stride[k] = cols.codes[f], product
-		hi, lo := bits.Mul64(product, uint64(max(len(cols.dict[f]), 1)))
+		size := 1
+		if f < len(d.fields) {
+			size = max(len(d.fields[f]), 1)
+		}
+		g.stride[k] = product
+		hi, lo := bits.Mul64(product, uint64(size))
 		g.packs, product = g.packs && hi == 0, lo
-		g.run = g.run && (k == 0 || f == keep[k-1]+1)
 	}
 	switch {
 	case !g.packs:
@@ -317,10 +366,22 @@ func cleared[T any](buf *[]T, n int) []T {
 	return s
 }
 
-// slot returns where the ordinal of the group with tuple t lives in the
-// open-addressed table: the slot this executor gave it, else a free one
-// claimed for it.
+// tuple packs the kept field codes of a key into one integer.
+func (g *grouper) tuple(codes []uint32) uint64 {
+	var t uint64
+	for k, f := range g.keep {
+		t += uint64(codes[f]) * g.stride[k]
+	}
+	return t
+}
+
+// slot returns where the ordinal of the group with tuple t lives: in the
+// dense table, or in the open-addressed one the slot this executor gave it,
+// else a free one claimed for it.
 func (g *grouper) slot(t uint64, base int32) *int32 {
+	if g.dense != nil {
+		return &g.dense[t]
+	}
 	mask := uint64(len(g.open) - 1)
 	for h := mix(t) & mask; ; h = (h + 1) & mask {
 		if s := &g.open[h]; s.ord <= base || s.tuple == t {
@@ -330,188 +391,198 @@ func (g *grouper) slot(t uint64, base int32) *int32 {
 	}
 }
 
-// key builds record i's group key: when keep is a run, the substring of the
-// stored key that the lengths of the fields before and in it locate.
-func (g *grouper) key(recs []KV, i int) string {
-	if len(g.keep) == 0 {
-		return GroupAll
-	}
-	text := func(f int) string { return g.cols.dict[f][g.cols.codes[f][i]] }
-	if !g.run {
-		kept := make([]string, len(g.keep))
-		for k, f := range g.keep {
-			kept[k] = text(f)
-		}
-		return strings.Join(kept, KeySep)
-	}
-	start, size := 0, len(g.keep)-1
-	for f := 0; f < g.keep[0]; f++ {
-		start += len(text(f)) + 1
-	}
-	for _, f := range g.keep {
-		size += len(text(f))
-	}
-	return recs[i].Key[start : start+size]
-}
-
-// scanBufs are a partition's selection vector — the positions of the
-// records that pass — and its records' group tuples, then ordinals, and
-// the grouper's tables, reused across scans.
+// scanBufs are a scan's per-key state — each key's tuple, or dropped, for
+// the scan (valid where seen holds the scan's stamp), and the ordinal of
+// the group it falls in for the executor (stamped with the executor's, so
+// that a new executor starts with none) — its conjuncts' decisions and the
+// grouper's tables, reused across scans.
 type scanBufs struct {
-	sel   []int32
+	gen   uint32 // the last stamp handed out, to a scan or an executor
+	seen  []uint32
 	tup   []uint64
+	ord   []uint64 // stamp<<32 | ordinal
+	pass  []uint8
 	dense []int32
 	open  []openSlot
 }
 
+// stamp returns a stamp no key holds: a new one, or 1 once every key's
+// stamps are cleared when the count wraps.
+func (b *scanBufs) stamp() uint32 {
+	if b.gen++; b.gen == 0 {
+		clear(b.seen)
+		clear(b.ord)
+		b.gen = 1
+	}
+	return b.gen
+}
+
+// dropped is the tuple of a key the statement drops: no packed tuple is
+// as large, since the packed ones stay below the product of the kept
+// dictionaries' sizes.
+const dropped = math.MaxUint64
+
 var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 
-// scanSelect is Scan for a Select: a conjunct is decided once per dictionary
-// entry, and a partition costs three passes of integer work over its
-// records — select the passing ones a conjunct at a time, pack their kept
-// codes into tuples a column at a time, and find each one's group and fold
-// its value — while a group's key is built when the group opens. Records
-// fold in record order and groups come out in first-emit order per
-// executor: the equivalent MapFn's result, bit for bit (DESIGN.md §8).
-// The groups go in cb's buffer, which Inter then is.
-func (l *Layout) scanSelect(cols *columns, q *Query, cb *combiner) StageResult {
-	sel, recs, op := q.Select, l.records, q.Combine
-	keep := sel.View.Keep()
+// scanSelect is Scan for a Select over the records' key ids. A key is
+// decided once per executor that meets it — its conjuncts (each field value
+// once per scan), whether it is foreign, and the group it falls in, opened
+// by its first record — and then one pass over the records maps each to
+// its key's id, the id to its group's ordinal and folds the value; a
+// group's key is built when the group opens. Records fold in record order
+// and groups come out in first-emit order per executor: the equivalent
+// MapFn's result, bit for bit (DESIGN.md §8). The groups go in cb's buffer,
+// which Inter then is.
+func (l *Layout) scanSelect(kc *keyColumn, q *Query, cb *combiner) StageResult {
+	sel, recs, op, keys, d := q.Select, l.records, q.Combine, kc.dict.keys, kc.coded()
+	width, keep, filtered := sel.View.Width(), sel.View.Keep(), len(sel.Where) > 0
 	res := StageResult{AssignOverhead: l.AssignOverhead}
-	type test struct {
-		codes []uint32
-		pass  []uint8
-	}
-	var tests []test // a conjunct every entry passes is not one
-	for _, c := range sel.Where {
-		pass := make([]uint8, len(cols.dict[c.Field]))
-		for code, s := range cols.dict[c.Field] {
-			if c.Pass(s) {
-				pass[code] = 1
-			}
-		}
-		if slices.Contains(pass, 0) {
-			tests = append(tests, test{cols.codes[c.Field], pass})
-		}
-	}
 	share := 0
 	for i := range l.execs {
 		share = max(share, l.execs[i].records)
 	}
 	bufs := scanBufPool.Get().(*scanBufs)
 	defer scanBufPool.Put(bufs)
-	g := newGrouper(cols, keep, share, bufs)
+	g := newGrouper(d, keep, share, bufs)
+	// pass[k][code] is conjunct k's decision on a field value: 0 undecided,
+	// 1 fails, 2 passes.
+	pass, size := make([][]uint8, len(sel.Where)), 0
+	for _, c := range sel.Where {
+		if c.Field < len(d.fields) {
+			size += len(d.fields[c.Field])
+		}
+	}
+	flat := cleared(&bufs.pass, size)
+	for k, c := range sel.Where {
+		if c.Field < len(d.fields) {
+			pass[k], flat = flat[:len(d.fields[c.Field])], flat[len(d.fields[c.Field]):]
+		}
+	}
 	// Groups go by name when their tuples do not pack, and when foreign keys
 	// are grouped: a foreign key's full text may spell what a kept
 	// projection of another key spells, and the two are one group.
-	foreign, filtered := cols.foreign, len(sel.Where) > 0
 	var names map[string]int32
-	if !g.packs || (len(foreign) > 0 && len(keep) > 0 && !filtered) {
+	if !g.packs || (len(keep) > 0 && !filtered && d.foreign(width)) {
 		names = map[string]int32{}
 	}
-	inter, groups := cb.out[:0], int32(0)
-	open := func(i int32, key string) { // record i opens a group under key
-		groups++
+	// A group's ordinal is its place in inter, whose first element takes
+	// the values of the records the statement drops: the fold has no branch.
+	buf := cb.out[:0]
+	inter := append(buf, KV{})
+	// open appends the group record i opens under key and returns its
+	// ordinal.
+	open := func(i int, key string) int32 {
 		inter = append(inter, KV{Key: key, Val: op.initial(recs[i].Val)})
+		return int32(len(inter) - 1)
 	}
+	// name is View.Key of key id, whose field codes are codes, when it has
+	// the View's width: when the kept fields are a run, the substring the
+	// lengths of the fields before and in it locate.
+	name := func(id int32, codes []uint32) string {
+		if len(keep) == 0 || !sel.View.run {
+			return sel.View.Key(keys[id])
+		}
+		start, size := 0, len(keep)-1
+		for f := 0; f < keep[0]; f++ {
+			start += len(d.fields[f][codes[f]]) + 1
+		}
+		for _, f := range keep {
+			size += len(d.fields[f][codes[f]])
+		}
+		return keys[id][start : start+size]
+	}
+	// decide returns the tuple of key id, once per scan: dropped when the
+	// statement drops it, 0 when groups go by name.
+	decide := func(id int32) uint64 {
+		codes := d.key(id)
+		if len(codes) != width && filtered {
+			return dropped
+		}
+		for k, c := range sel.Where {
+			p := &pass[k][codes[c.Field]]
+			if *p == 0 {
+				*p = 1
+				if c.Pass(d.fields[c.Field][codes[c.Field]]) {
+					*p = 2
+				}
+			}
+			if *p == 1 {
+				return dropped
+			}
+		}
+		if names != nil {
+			return 0
+		}
+		return g.tuple(codes)
+	}
+	if len(bufs.ord) < len(keys) {
+		bufs.seen, bufs.tup, bufs.ord, bufs.gen = make([]uint32, len(keys)), make([]uint64, len(keys)), make([]uint64, len(keys)), 0
+	}
+	seen, tup, ord, scan := bufs.seen, bufs.tup, bufs.ord, bufs.stamp()
+	// group returns the ordinal of the group key id falls in, opening it
+	// with record i when the executor, whose groups follow base, has none:
+	// 0 for a key the statement drops; opened says that i opened it.
+	group := func(id int32, i int, base int32) (ord int32, opened bool) {
+		if seen[id] != scan {
+			seen[id], tup[id] = scan, decide(id)
+		}
+		t := tup[id]
+		switch {
+		case t == dropped:
+			return 0, false
+		case names != nil:
+			key := sel.View.Key(keys[id]) // a foreign key's too
+			if ord := names[key]; ord != 0 {
+				return ord, false
+			}
+			names[key] = open(i, key)
+			return names[key], true
+		}
+		slot := g.slot(t, base)
+		if *slot > base {
+			return *slot, false
+		}
+		*slot = open(i, name(id, d.key(id)))
+		return *slot, true
+	}
+	sumLike := op == OpSum || op == OpCount // the common folds skip a call
+	kept := 0
 	for e := range l.execs {
 		ex := &l.execs[e]
-		base := groups
+		base := int32(len(inter) - 1)
 		clear(names)
+		gen := uint64(bufs.stamp()) << 32
 		if e == 1 {
 			// The other executors open about as many groups as the first.
 			inter = slices.Grow(inter, len(inter)*(len(l.execs)-1))
 		}
 		for _, p := range ex.parts {
-			if cap(bufs.sel) < p.hi-p.lo {
-				bufs.sel, bufs.tup = make([]int32, p.hi-p.lo), make([]uint64, p.hi-p.lo)
-			}
-			fi := sort.Search(len(foreign), func(k int) bool { return int(foreign[k]) >= p.lo })
-			// (1) Select: every record (but a foreign one under a WHERE),
-			// then what each conjunct keeps of them.
-			ids, n, rest := bufs.sel[:p.hi-p.lo], 0, tests
-			drop := filtered && fi < len(foreign) && int(foreign[fi]) < p.hi
-			if len(tests) > 0 && !drop { // the first conjunct selects from the range
-				for i, t := p.lo, tests[0]; i < p.hi; i++ {
-					ids[n] = int32(i)
-					n += int(t.pass[t.codes[i]])
-				}
-				rest = tests[1:]
-			} else {
-				for i := p.lo; i < p.hi; i++ {
-					if drop && fi < len(foreign) && int(foreign[fi]) == i {
-						fi++
+			for i := p.lo; i < p.hi; i++ {
+				id := kc.ids[i]
+				v := ord[id]
+				if v&^(1<<32-1) != gen { // the executor's first record of the key
+					o, opened := group(id, i, base)
+					if v = gen | uint64(o); opened {
+						ord[id] = v
+						kept++
 						continue
 					}
-					ids[n], n = int32(i), n+1
+					ord[id] = v
 				}
-			}
-			ids = ids[:n]
-			for _, t := range rest {
-				n := 0
-				for _, i := range ids {
-					ids[n] = i
-					n += int(t.pass[t.codes[i]])
-				}
-				ids = ids[:n]
-			}
-			res.Raw += len(ids)
-			// (2) Pack each selected record's kept codes into its tuple and
-			// (3a) turn the tuple into its group's ordinal, 0 for a record
-			// that opened its group (and already folded into it).
-			tup := bufs.tup[:len(ids)]
-			if names != nil {
-				for j, i := range ids {
-					key := recs[i].Key
-					if _, alien := slices.BinarySearch(foreign, i); !alien {
-						key = g.key(recs, int(i))
-					}
-					ord := names[key]
-					if ord == 0 {
-						open(i, key)
-						names[key] = groups
-					}
-					tup[j] = uint64(ord)
-				}
-			} else {
-				clear(tup)
-				for k, col := range g.codes {
-					for j, i := range ids {
-						tup[j] += uint64(col[i]) * g.stride[k]
-					}
-				}
-				for j, t := range tup {
-					var slot *int32
-					if g.dense != nil {
-						slot = &g.dense[t]
-					} else {
-						slot = g.slot(t, base)
-					}
-					if *slot > base {
-						tup[j] = uint64(*slot)
-					} else {
-						open(ids[j], g.key(recs, int(ids[j])))
-						*slot, tup[j] = groups, 0
-					}
-				}
-			}
-			// (3b) Fold the other records into their groups, in record order.
-			if op == OpSum || op == OpCount { // the common folds skip a call
-				for j, i := range ids {
-					if ord := tup[j]; ord != 0 {
-						inter[ord-1].Val += op.initial(recs[i].Val)
-					}
-				}
-			} else {
-				for j, i := range ids {
-					if ord := tup[j]; ord != 0 {
-						inter[ord-1].Val = op.apply(inter[ord-1].Val, recs[i].Val)
-					}
+				o := int32(uint32(v))
+				kept += int(uint32(-o) >> 31) // 1 for a kept record, whose o > 0
+				if sumLike {
+					inter[o].Val += op.initial(recs[i].Val)
+				} else {
+					inter[o].Val = op.apply(inter[o].Val, recs[i].Val)
 				}
 			}
 		}
 		res.MapTime = max(res.MapTime, float64(ex.basis)*q.MapCost)
 	}
-	cb.out, res.Inter = inter, inter
+	cb.out, res.Inter, res.Raw = inter, inter[1:], kept
+	if len(res.Inter) == 0 {
+		res.Inter = buf // as a scan that opens no group leaves it
+	}
 	return res
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -39,17 +40,26 @@ func loadTwoFields(c *Cluster, dataset string) {
 	}
 }
 
-// decode rebuilds the keys the columns stand for.
-func (c *columns) decode(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		fields := make([]string, len(c.codes))
-		for f := range fields {
-			fields[f] = c.dict[f][c.codes[f][i]]
+// decode rebuilds the keys the ids stand for from their field codes.
+func (kc *keyColumn) decode() []string {
+	out := make([]string, len(kc.ids))
+	coded := kc.coded()
+	for i, id := range kc.ids {
+		codes := coded.key(id)
+		fields := make([]string, len(codes))
+		for f, c := range codes {
+			fields[f] = coded.fields[f][c]
 		}
 		out[i] = strings.Join(fields, KeySep)
 	}
 	return out
+}
+
+// len returns how many keys the dictionary holds.
+func (d *keyDict) len() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.tab.keys)
 }
 
 func keysOf(recs []KV) []string {
@@ -83,11 +93,11 @@ func TestQueryValidateSelect(t *testing.T) {
 
 // TestColumnsBuiltOncePerContent has many goroutines send the first Select
 // over stores nobody has scanned, each through its own clone of the cluster:
-// every site's keys are encoded once, exactly one query is told it missed
+// every site's keys are interned once, exactly one query is told it missed
 // at each site, all get what the equivalent MapFn gets, and a write to one
-// site re-encodes that site only. Then the clones write — each interning
-// new values into the dictionaries it shares with the source — while the
-// source's columns are decoded: they keep standing for the source's keys.
+// site re-interns that site only. Then the clones write — each interning
+// new keys into the dictionary it shares with the source — while the
+// source's key ids are decoded: they keep standing for the source's keys.
 // Run under -race (make race).
 func TestColumnsBuiltOncePerContent(t *testing.T) {
 	c := testCluster(t)
@@ -99,8 +109,8 @@ func TestColumnsBuiltOncePerContent(t *testing.T) {
 	}
 	sites := int64(c.N())
 	for i := 0; i < c.N(); i++ {
-		if c.Data[i].Store("d").content.dicts != nil {
-			t.Fatalf("site %d: a MapFn query allocated dictionaries", i)
+		if c.Data[i].Store("d").content.dict.len() != 0 {
+			t.Fatalf("site %d: a MapFn query interned keys", i)
 		}
 	}
 
@@ -139,16 +149,16 @@ func TestColumnsBuiltOncePerContent(t *testing.T) {
 			queries, sites, misses.Load(), hits.Load(), sites, (queries-1)*sites)
 	}
 
-	// The source's columns, as every clone shares them.
-	source := make([]*columns, c.N())
+	// The source's key ids, as every clone shares them.
+	source := make([]*keyColumn, c.N())
 	for i := range source {
 		l, _, err := c.Data[i].Store("d").Layout(Stage{Exec: c.Exec[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var hit bool
-		if source[i], hit = l.columns(2); !hit {
-			t.Fatalf("site %d: the source's columns were not the ones its clones built", i)
+		if source[i], hit = l.keyColumn(); !hit {
+			t.Fatalf("site %d: the source's key ids were not the ones its clones built", i)
 		}
 	}
 	for g, clone := range clones {
@@ -163,19 +173,19 @@ func TestColumnsBuiltOncePerContent(t *testing.T) {
 			}
 		}()
 	}
-	for i, cols := range source {
-		if recs := c.Data[i].Records("d"); !slices.Equal(cols.decode(len(recs)), keysOf(recs)) {
-			t.Fatalf("site %d: the source's columns no longer decode to its keys", i)
+	for i, kc := range source {
+		if recs := c.Data[i].Records("d"); !slices.Equal(kc.decode(), keysOf(recs)) {
+			t.Fatalf("site %d: the source's key ids no longer decode to its keys", i)
 		}
 	}
 	wg.Wait()
-	for i, cols := range source {
-		if recs := c.Data[i].Records("d"); !slices.Equal(cols.decode(len(recs)), keysOf(recs)) {
-			t.Fatalf("site %d: after its clones' writes the source's columns no longer decode to its keys", i)
+	for i, kc := range source {
+		if recs := c.Data[i].Records("d"); !slices.Equal(kc.decode(), keysOf(recs)) {
+			t.Fatalf("site %d: after its clones' writes the source's key ids no longer decode to its keys", i)
 		}
 	}
 
-	// A write to one site leaves that site's columns behind, and only that.
+	// A write to one site leaves that site's key ids behind, and only that.
 	c.Data[1].Add("d", KV{Key: "k1" + KeySep + "c9", Val: 1})
 	col := obs.NewCollector()
 	if _, err := c.Run(context.Background(), JobConfig{Query: sel, Obs: col}); err != nil {
@@ -191,33 +201,34 @@ func TestColumnsBuiltOncePerContent(t *testing.T) {
 }
 
 // TestDictionarySharedAcrossClonesOnlyGrows: a store, its clones and what
-// their writes make of them intern into one set of dictionaries, which never
-// renumbers or forgets a value — so a re-encode after a write interns the
-// new values alone — and a Restore starts another. Queries that are not
-// Selects never allocate one.
+// their writes make of them intern into one key dictionary, which never
+// renumbers or forgets a key — so the ids after a write intern the new keys
+// alone — and a Restore starts another. Queries that read no key never
+// intern one.
 func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	st := &Store{}
 	for i := 0; i < 200; i++ {
 		st.Add(KV{Key: fmt.Sprintf("k%d%sc%d", i%17, KeySep, i%3), Val: 1})
 	}
 	stage := Stage{Exec: Executors{Machines: 1, PerMachine: 2}}
-	colsOf := func(s *Store) *columns {
+	idsOf := func(s *Store) *keyColumn {
 		l, _, err := s.Layout(stage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols, _ := l.columns(2)
-		return cols
+		kc, _ := l.keyColumn()
+		return kc
 	}
 	scan, _ := selectQuery("d")
 	scan.Select = nil
-	if l, _, _ := st.Layout(stage); l.Scan(&scan).Raw != 200 || st.content.dicts != nil {
-		t.Fatal("an identity scan allocated dictionaries (or did not read the 200 records)")
+	if l, _, _ := st.Layout(stage); l.Scan(&scan).Raw != 200 || st.content.dict.len() != 0 {
+		t.Fatal("an identity scan interned keys (or did not read the 200 records)")
 	}
-	before := colsOf(st)
-	dicts := st.content.dicts
-	if dicts == nil || len(before.dict[0]) != 17 || len(before.dict[1]) != 3 || len(before.foreign) != 0 {
-		t.Fatalf("dictionaries of %d and %d values, %d foreign keys; want 17, 3, 0", len(before.dict[0]), len(before.dict[1]), len(before.foreign))
+	before := idsOf(st)
+	dict, fields := st.content.dict, before.coded()
+	if len(before.dict.keys) != 51 || len(fields.fields[0]) != 17 || len(fields.fields[1]) != 3 || fields.foreign(2) {
+		t.Fatalf("%d keys, fields of %d and %d values, foreign keys %v; want 51, 17, 3, none",
+			len(before.dict.keys), len(fields.fields[0]), len(fields.fields[1]), fields.widths)
 	}
 
 	clone := st.clone()
@@ -225,50 +236,77 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	if err := st.remove(st.choose(RandomMover{}, st, 150, stats.NewRand(2))); err != nil {
 		t.Fatal(err)
 	}
-	if clone.content.dicts != dicts || st.content.dicts != dicts {
-		t.Fatal("a write left the lineage's dictionaries behind")
+	if clone.content.dict != dict || st.content.dict != dict {
+		t.Fatal("a write left the lineage's dictionary behind")
 	}
-	after := colsOf(clone)
-	if !slices.Equal(after.dict[0], before.dict[0]) || !slices.Equal(after.dict[1][:3], before.dict[1]) ||
-		len(after.dict[1]) != 4 || !slices.Equal(after.foreign, []int32{201}) {
-		t.Fatalf("after the clone's write: dictionaries %v / %v, foreign %v", after.dict[0], after.dict[1], after.foreign)
+	after := idsOf(clone)
+	afterFields := after.coded()
+	if !slices.Equal(after.dict.keys[:51], before.dict.keys) || !slices.Equal(after.dict.keys[51:], []string{"k3" + KeySep + "brand-new", "lonely"}) ||
+		!slices.Equal(after.ids[:200], before.ids) || after.ids[200] != 51 || after.ids[201] != 52 ||
+		!slices.Equal(afterFields.fields[1], append(slices.Clone(fields.fields[1]), "brand-new")) || !afterFields.foreign(2) {
+		t.Fatalf("after the clone's write: keys %q, ids %v, fields %v / %v", after.dict.keys, after.ids[198:], afterFields.fields[0], afterFields.fields[1])
 	}
 	// The source lost 150 records; its dictionary did not shrink, and the
-	// codes it assigns are the ones it assigned before.
-	shrunk := colsOf(st)
-	if len(shrunk.dict[0]) != 17 || len(shrunk.dict[1]) != 4 {
-		t.Fatalf("after a Remove the dictionaries hold %d and %d values, want 17 and 4", len(shrunk.dict[0]), len(shrunk.dict[1]))
+	// ids it gives are the ones it gave before.
+	shrunk := idsOf(st)
+	if len(shrunk.dict.keys) != 53 || shrunk.encoded != 0 {
+		t.Fatalf("after a Remove the dictionary holds %d keys and the ids interned %d records, want 53 and 0", len(shrunk.dict.keys), shrunk.encoded)
 	}
-	if recs := st.Records(); !slices.Equal(shrunk.decode(len(recs)), keysOf(recs)) {
-		t.Fatal("the re-encoded columns do not decode to the store's keys")
+	if recs := st.Records(); !slices.Equal(shrunk.decode(), keysOf(recs)) {
+		t.Fatal("the carried ids do not decode to the store's keys")
 	}
 
 	st.Restore(slices.Clone(st.Records()))
-	if st.content.dicts != nil {
-		t.Fatal("a restored store kept its predecessor's dictionaries")
+	if st.content.dict == dict || st.content.dict.len() != 0 {
+		t.Fatal("a restored store kept its predecessor's dictionary")
 	}
 }
 
-// TestDistinctKeysExactUnderCollidingHashes counts a cube-input executor's
-// distinct keys with every hash forced equal — each probe runs the whole
-// chain, and only the key compare tells keys apart — and with the keys' own
-// hashes; both must equal a map's count, over executors whose partitions
-// are scattered index ranges of the records.
+// refDistinctKeys is the distinct count before key ids: an open-addressed
+// set of the records' hashes, a slot holding a hash and the position, from
+// 1, of the first record seen with it. A record whose hash matches a slot's
+// is that key again only when the keys are equal.
+func refDistinctKeys(recs []KV, hashes []uint64, parts []span, n int) int {
+	size := 1 << bits.Len(uint(2*n))
+	tab, mask, distinct := make([]openSlot, size), uint64(size-1), 0
+	for _, p := range parts {
+		for i := p.lo; i < p.hi; i++ {
+			h, j := hashes[i], hashes[i]&mask
+			for tab[j].ord != 0 && (tab[j].tuple != h || recs[tab[j].ord-1].Key != recs[i].Key) {
+				j = (j + 1) & mask
+			}
+			if tab[j].ord == 0 {
+				tab[j] = openSlot{tuple: h, ord: int32(i + 1)}
+				distinct++
+			}
+		}
+	}
+	return distinct
+}
+
+// TestDistinctKeysExactUnderCollidingHashes interns a cube-input executor's
+// keys with every hash forced equal — each lookup in the interning table
+// runs the whole chain, and only the key compare tells keys apart — and
+// with the keys' own hashes, then counts the distinct ids: both must equal
+// a map's count and the hash-set reference's, over executors whose
+// partitions are scattered index ranges of the records.
 func TestDistinctKeysExactUnderCollidingHashes(t *testing.T) {
 	rng := stats.NewRand(3)
 	recs := make([]KV, 900)
-	own := make([]uint64, len(recs))
 	for i := range recs {
 		recs[i].Key = fmt.Sprintf("k%d%sc%d", rng.Intn(60), KeySep, rng.Intn(3))
 		if rng.Intn(30) == 0 {
 			recs[i].Key = ""
 		}
-		own[i] = KeyHash(recs[i].Key)
 	}
-	for _, forced := range []uint64{0, 42} {
-		same := make([]uint64, len(recs))
-		for i := range same {
-			same[i] = forced
+	forced := func(h uint64) func(string) uint64 { return func(string) uint64 { return h } }
+	for _, hash := range []func(string) uint64{forced(0), forced(42), KeyHash} {
+		d := &keyDict{hash: hash}
+		kc := &keyColumn{ids: make([]int32, len(recs))}
+		kc.dict = d.intern(recs, kc.ids)
+		hashes := make([]uint64, len(recs))
+		for i, r := range recs {
+			hashes[i] = hash(r.Key)
 		}
 		for trial := 0; trial < 20; trial++ {
 			// A few disjoint ranges, out of order, as an assigner deals them.
@@ -290,10 +328,8 @@ func TestDistinctKeysExactUnderCollidingHashes(t *testing.T) {
 				}
 				n += p.hi - p.lo
 			}
-			for _, hashes := range [][]uint64{same, own} {
-				if got := distinctKeys(recs, hashes, parts, n); got != len(want) {
-					t.Fatalf("hash %d, parts %v: counted %d distinct keys, a map holds %d", forced, parts, got, len(want))
-				}
+			if got, ref := distinctKeys(kc, parts), refDistinctKeys(recs, hashes, parts, n); got != len(want) || ref != len(want) {
+				t.Fatalf("hash of %q = %x, parts %v: counted %d distinct keys, the reference %d, a map holds %d", "k1", hash("k1"), parts, got, ref, len(want))
 			}
 		}
 	}

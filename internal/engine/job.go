@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"reflect"
 	"slices"
 	"sync"
@@ -235,11 +234,12 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 			// order below, preserving the sequential path byte for byte.
 			// looked says the site's layout was asked of its store; hit that
 			// the store already had it; cols and colsHit the same of the key
-			// columns a Select reads.
+			// ids a Select reads, looked up first, so that they count the
+			// column's build whether or not the layout reads keys too.
 			type siteStage struct {
 				StageResult
 				looked, hit, colsHit bool
-				cols                 *columns
+				cols                 *keyColumn
 			}
 			outs, err := parallel.MapOrdered(0, n, func(i int) (siteStage, error) {
 				// One site's map+combine is the cancellation chunk: a
@@ -254,6 +254,9 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				var lerr error
 				switch store := c.Data[i].Store(job.q.Dataset); {
 				case round == 0 && store.Len() > 0:
+					if job.q.Select != nil {
+						out.cols, out.colsHit = store.keyColumn()
+					}
 					out.looked = true
 					l, out.hit, lerr = store.Layout(stage)
 				case round > 0 && len(job.input[i]) > 0:
@@ -265,9 +268,6 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				}
 				if lerr != nil {
 					return out, fmt.Errorf("engine: job %d site %d round %d: %w", ji, i, round, lerr)
-				}
-				if sel := job.q.Select; sel != nil {
-					out.cols, out.colsHit = l.columns(sel.View.Width())
 				}
 				cb := combiners[i]
 				if cb == nil {
@@ -477,7 +477,7 @@ type Layout struct {
 	AssignOverhead float64
 	// records are what its ranges index: the slice derive handed the
 	// build, or NewLayout's caller. ct is their content, which their key
-	// columns and hashes are kept under.
+	// ids are kept under.
 	records []KV
 	ct      *content
 	// execs are the executors in (machine, executor) order.
@@ -486,7 +486,7 @@ type Layout struct {
 
 type execLayout struct {
 	// parts are the executor's partitions in partition order, each an index
-	// range of the site's records — and of their columns.
+	// range of the site's records — and of their key ids.
 	parts []span
 	// records counts the parts' records; basis is what the executor's
 	// modeled map cost is charged per: them, or under CubeInput their
@@ -501,19 +501,19 @@ type span struct{ lo, hi int }
 // The layout references the records: they must not be modified afterwards
 // (a store's never are).
 func NewLayout(records []KV, st Stage) (*Layout, error) {
-	return newLayout(records, &content{}, st)
+	return newLayout(records, newContent(), st)
 }
 
-// newLayout lays out records, whose content is ct. Their key hashes, kept
-// per content and carried across writes (content.keyHashes), are read only
-// when something reads keys: an assigner other than round-robin, or a
-// distinct count.
+// newLayout lays out records, whose content is ct. Their key ids, kept per
+// content and carried across writes (content.keyColumn), are read only when
+// something reads keys: an assigner other than round-robin, or a distinct
+// count.
 func newLayout(records []KV, ct *content, st Stage) (*Layout, error) {
-	var hashes []uint64
+	var kc *keyColumn
 	if _, rr := st.withDefaults().Assigner.(RoundRobinAssigner); len(records) > 0 && (!rr || st.CubeInput) {
-		hashes = ct.keyHashes(records)
+		kc, _ = ct.keyColumn(records)
 	}
-	execs, overhead, err := st.lay(len(records), records, hashes)
+	execs, overhead, err := st.lay(len(records), records, kc)
 	if err != nil {
 		return nil, err
 	}
@@ -522,35 +522,45 @@ func newLayout(records []KV, ct *content, st Stage) (*Layout, error) {
 		el := &l.execs[e]
 		el.basis = el.records
 		if st.CubeInput {
-			el.basis = distinctKeys(records, hashes, el.parts, el.records)
+			el.basis = distinctKeys(kc, el.parts)
 		}
 	}
 	return l, nil
 }
 
-// keySets are the scratch tables of distinctKeys, reused across layouts.
-var keySets = sync.Pool{New: func() any { return new([]openSlot) }}
+// marks is a set of key ids that empties in O(1): id is in it when
+// mark[id] == gen.
+type marks struct {
+	mark []uint32
+	gen  uint32
+}
 
-// distinctKeys counts the distinct keys among the records in parts (n of
-// them) through an open-addressed set of their hashes: a slot holds a hash
-// and the position, from 1, of the first record seen with it. A record
-// whose hash matches a slot's is that key again only when the keys are
-// equal, so the count is exact whatever the hashes are.
-func distinctKeys(recs []KV, hashes []uint64, parts []span, n int) int {
-	set := keySets.Get().(*[]openSlot)
+// reset empties the set and makes room for ids below n.
+func (m *marks) reset(n int) {
+	if len(m.mark) < n {
+		m.mark, m.gen = make([]uint32, n), 0
+	}
+	if m.gen++; m.gen == 0 {
+		clear(m.mark)
+		m.gen = 1
+	}
+}
+
+// keySets are the scratch sets of distinctKeys, reused across layouts.
+var keySets = sync.Pool{New: func() any { return new(marks) }}
+
+// distinctKeys counts the distinct keys among the records in parts by their
+// ids: one stamp compare per record, without a branch.
+func distinctKeys(kc *keyColumn, parts []span) int {
+	set := keySets.Get().(*marks)
 	defer keySets.Put(set)
-	size := 1 << bits.Len(uint(2*n))
-	tab, mask, distinct := cleared(set, size), uint64(size-1), 0
+	set.reset(len(kc.dict.keys))
+	distinct, gen := 0, set.gen
 	for _, p := range parts {
-		for i := p.lo; i < p.hi; i++ {
-			h, j := hashes[i], hashes[i]&mask
-			for tab[j].ord != 0 && (tab[j].tuple != h || recs[tab[j].ord-1].Key != recs[i].Key) {
-				j = (j + 1) & mask
-			}
-			if tab[j].ord == 0 {
-				tab[j] = openSlot{tuple: h, ord: int32(i + 1)}
-				distinct++
-			}
+		for _, id := range kc.ids[p.lo:p.hi] {
+			d := set.mark[id] ^ gen // 0 for a key met before
+			distinct += int((d | -d) >> 31)
+			set.mark[id] = gen
 		}
 	}
 	return distinct
@@ -558,9 +568,9 @@ func distinctKeys(recs []KV, hashes []uint64, parts []span, n int) int {
 
 // lay cuts n records into the stage's executors and returns them with the
 // largest per-machine assignment overhead. records are what the assigner
-// reads, beside their hashes when those are known; nil under the default
+// reads, beside their key ids when those are known; nil under the default
 // one, which counts partitions only.
-func (st Stage) lay(n int, records []KV, hashes []uint64) ([]execLayout, float64, error) {
+func (st Stage) lay(n int, records []KV, kc *keyColumn) ([]execLayout, float64, error) {
 	ex := st.Exec
 	if ex.Machines <= 0 || ex.PerMachine <= 0 {
 		return nil, 0, fmt.Errorf("engine: stage needs positive executors, got %d×%d", ex.Machines, ex.PerMachine)
@@ -581,8 +591,8 @@ func (st Stage) lay(n int, records []KV, hashes []uint64) ([]execLayout, float64
 			if records != nil {
 				parts[pi].Records = records[s.lo:s.hi]
 			}
-			if hashes != nil {
-				parts[pi].Hashes = hashes[s.lo:s.hi:s.hi]
+			if kc != nil {
+				parts[pi].KeyIDs, parts[pi].Hashes = kc.ids[s.lo:s.hi:s.hi], kc.dict.hashes
 			}
 		}
 		assignment, oh, err := st.Assigner.Assign(parts, ex.PerMachine)
@@ -669,8 +679,8 @@ func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 		return res
 	}
 	if q.Select != nil {
-		cols, _ := l.columns(q.Select.View.Width())
-		return l.scanSelect(cols, q, cb)
+		kc, _ := l.keyColumn()
+		return l.scanSelect(kc, q, cb)
 	}
 	cb.reset(q.Combine)
 	emit := cb.emit // one method value for the whole scan

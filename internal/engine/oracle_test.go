@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"unsafe"
@@ -34,10 +33,9 @@ type derivedKind struct {
 // Planned built (checked by the walk's probe, a pure function of the
 // records).
 var derivedKinds = map[reflect.Type]derivedKind{
-	reflect.TypeFor[View]():       {"cell column", checkCellsMemo, nil},
-	reflect.TypeFor[columnsKey](): {"key columns", checkColumns, checkCarriedColumns},
-	reflect.TypeFor[hashesKey]():  {"key hashes", checkHashes, checkCarriedHashes},
-	reflect.TypeFor[layoutKey]():  {"layout", checkLayout, nil},
+	reflect.TypeFor[View]():      {"cell column", checkCellsMemo, nil},
+	reflect.TypeFor[keyIDsKey](): {"key ids", checkKeyIDs, checkCarriedKeyIDs},
+	reflect.TypeFor[layoutKey](): {"layout", checkLayout, nil},
 }
 
 // fresh builds one content's derived state from scratch, over a deep copy
@@ -69,29 +67,62 @@ func (f *fresh) cells(v View) []Cell {
 	return CellCounts{ix}.Top(0)
 }
 
-func (f *fresh) keyHashes() []uint64 {
-	hs := make([]uint64, len(f.recs))
-	for i, r := range f.recs {
-		hs[i] = KeyHash(r.Key)
+// checkEntries holds a lineage's dictionary as a build left it, e, and the
+// field codes it handed out, c (nil: none yet), to their keys and to the
+// lineage's: every id's hash is its key's under the dictionary's hash, the
+// lineage maps it back to the id, its field codes spell it, and each table
+// is a prefix of the lineage's.
+func checkEntries(e *keyEntries, c *keyFields, d *keyDict) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch {
+	case len(e.hashes) != len(e.keys) || len(e.keys) > len(d.tab.keys):
+		return fmt.Errorf("%d keys, %d hashes; the lineage holds %d keys", len(e.keys), len(e.hashes), len(d.tab.keys))
+	case !slices.Equal(e.keys, d.tab.keys[:len(e.keys)]) || !slices.Equal(e.hashes, d.tab.hashes[:len(e.keys)]):
+		return fmt.Errorf("the entries are not a prefix of the lineage's")
+	case c != nil && (len(c.at) != len(e.keys)+1 || len(c.at) > len(d.coded.at)):
+		return fmt.Errorf("field codes of %d keys for %d; the lineage coded %d", len(c.at)-1, len(e.keys), len(d.coded.at)-1)
 	}
-	return hs
+	widths := map[int]bool{}
+	for id, key := range e.keys {
+		switch {
+		case e.hashes[id] != d.hash(key):
+			return fmt.Errorf("key %d (%q) has hash %x, want %x", id, key, e.hashes[id], d.hash(key))
+		case d.id(key) != int32(id):
+			return fmt.Errorf("the lineage gives %q the id %d, not %d", key, d.id(key), id)
+		case c == nil:
+			continue
+		}
+		codes := c.key(int32(id))
+		fields := make([]string, len(codes))
+		for f, code := range codes {
+			fields[f] = c.fields[f][code]
+		}
+		widths[len(codes)] = true
+		if strings.Join(fields, KeySep) != key {
+			return fmt.Errorf("key %d's field codes spell %q, not %q", id, strings.Join(fields, KeySep), key)
+		}
+	}
+	if c != nil {
+		for _, w := range c.widths {
+			delete(widths, w)
+		}
+		if len(widths) > 0 {
+			return fmt.Errorf("widths %v of its keys are not among %v", widths, c.widths)
+		}
+	}
+	return nil
 }
 
-// columns encodes the keys of width fields with no carry, through a copy of
-// the lineage's dictionaries.
-func (f *fresh) columns(ds *dictionaries, width int) *columns {
-	cp := &dictionaries{}
-	if ds != nil {
-		ds.mu.Lock()
-		for _, d := range ds.fields {
-			cp.fields = append(cp.fields, fieldDict{maps.Clone(d.ids), slices.Clone(d.strs)})
+// sameKeys holds the first n of ids, read through the entries, to the
+// records' keys.
+func sameKeys(ids []int32, e *keyEntries, recs []KV, n int) error {
+	for i, r := range recs[:n] {
+		if id := ids[i]; int(id) >= len(e.keys) || e.keys[id] != r.Key {
+			return fmt.Errorf("record %d has id %d, which is not its key %q", i, id, r.Key)
 		}
-		ds.mu.Unlock()
 	}
-	c := &columns{codes: make([][]uint32, width), dict: make([][]string, width)}
-	(*carried)(nil).restore(c, len(f.recs))
-	cp.encode(c, f.recs, 0)
-	return c
+	return nil
 }
 
 // checkCells holds a cell column to the records' keys in its view, proj.
@@ -124,42 +155,29 @@ func checkCellsMemo(key, val any, f *fresh, _ *content) error {
 	return checkCells(key.(View), val.(*cellIndex), f.projected(key.(View)))
 }
 
-// checkColumns holds key columns to a fresh encode through the lineage's
-// dictionaries, bit for bit.
-func checkColumns(key, val any, f *fresh, ct *content) error {
-	return sameColumns(val.(*columns), f.columns(ct.dicts, key.(columnsKey).width), len(f.recs))
-}
-
-// sameColumns compares the codes and foreign keys of the first n records,
-// and the dictionaries the columns hold, if any.
-func sameColumns(c, want *columns, n int) error {
-	foreign := want.foreign[:sort.Search(len(want.foreign), func(k int) bool { return int(want.foreign[k]) >= n })]
-	if len(c.codes) != len(want.codes) || !slices.Equal(c.foreign, foreign) {
-		return fmt.Errorf("%d fields, foreign records %v; want %d, %v", len(c.codes), c.foreign, len(want.codes), foreign)
+// checkKeyIDs holds a content's key ids to its records' keys, through a
+// dictionary that is a prefix of the lineage's and holds to its keys.
+func checkKeyIDs(_, val any, f *fresh, ct *content) error {
+	kc := val.(*keyColumn)
+	if len(kc.ids) != len(f.recs) || ct.dict == nil {
+		return fmt.Errorf("%d ids for %d records, dictionary %p", len(kc.ids), len(f.recs), ct.dict)
 	}
-	for i := range want.codes {
-		if !slices.Equal(c.codes[i][:n], want.codes[i][:n]) {
-			return fmt.Errorf("field %d's codes of %d records differ from a fresh encode's", i, n)
-		}
+	var fields *keyFields
+	if kc.lineage != ct.dict {
+		return fmt.Errorf("built in another lineage's dictionary")
 	}
-	for i, d := range c.dict { // a prefix of the lineage's, which only grows
-		if len(d) > len(want.dict[i]) || !slices.Equal(d, want.dict[i][:len(d)]) {
-			return fmt.Errorf("field %d's dictionary is not a prefix of the lineage's", i)
-		}
+	if kc.fields.at != nil { // the codes a Select was handed (the walk is sequential)
+		fields = &kc.fields
 	}
-	return nil
-}
-
-func checkHashes(_, val any, f *fresh, _ *content) error {
-	if !slices.Equal(val.([]uint64), f.keyHashes()) {
-		return fmt.Errorf("the hashes of %d records differ from their keys'", len(f.recs))
+	if err := checkEntries(&kc.dict, fields, ct.dict); err != nil {
+		return err
 	}
-	return nil
+	return sameKeys(kc.ids, &kc.dict, f.recs, len(f.recs))
 }
 
 func checkLayout(key, val any, f *fresh, ct *content) error {
 	l := val.(*Layout)
-	want, err := newLayout(f.recs, &content{}, Stage(key.(layoutKey)))
+	want, err := newLayout(f.recs, newContent(), Stage(key.(layoutKey)))
 	switch {
 	case err != nil:
 		return err
@@ -174,32 +192,21 @@ func checkLayout(key, val any, f *fresh, ct *content) error {
 // carriedPrefix returns how a carry describes the first live of n records.
 func carriedPrefix(cr *carried, n int) (cuts [][]int, live, stride int, err error) {
 	cuts, live, stride = cr.plan(n)
-	if cr.moved > cr.held || live < 0 || live > n {
-		err = fmt.Errorf("%d survivors of %d records, after %d moved of the %d it describes", live, n, cr.moved, cr.held)
+	if cr.moved > len(cr.ids) || live < 0 || live > n {
+		err = fmt.Errorf("%d survivors of %d records, after %d moved of the %d it describes", live, n, cr.moved, len(cr.ids))
 	}
 	return cuts, live, stride, err
 }
 
-func checkCarriedColumns(cr *carried, f *fresh, ct *content) error {
+func checkCarriedKeyIDs(cr *carried, f *fresh, ct *content) error {
 	if _, _, _, err := carriedPrefix(cr, len(f.recs)); err != nil {
 		return err
 	}
-	c := &columns{codes: make([][]uint32, cr.key.(columnsKey).width)}
-	live := cr.restore(c, len(f.recs))
-	return sameColumns(c, f.columns(ct.dicts, len(c.codes)), live)
-}
-
-func checkCarriedHashes(cr *carried, f *fresh, _ *content) error {
-	cuts, live, stride, err := carriedPrefix(cr, len(f.recs))
-	if err != nil {
-		return err
-	}
-	hs := make([]uint64, stride)
-	carryInto(hs, cr.hashes, cuts)
-	if !slices.Equal(hs[:live], f.keyHashes()[:live]) {
-		return fmt.Errorf("the hashes of %d survivors differ from their keys'", live)
-	}
-	return nil
+	ids, live := cr.restore(len(f.recs))
+	ct.dict.mu.Lock()
+	e := ct.dict.tab
+	ct.dict.mu.Unlock()
+	return sameKeys(ids, &e, f.recs, live)
 }
 
 // walkData are the walk's datasets: keys of width fields (a twentieth of
@@ -455,8 +462,8 @@ func (w *walk) move(c *Cluster, src, di int) {
 }
 
 // scan lays the store out, holds the layout's records and scans them under
-// a MapFn and under a Select, which builds the key columns: both read what
-// a fresh layout reads.
+// a MapFn and under a Select, which builds the key ids: both read what a
+// fresh layout reads.
 func (w *walk) scan(st *Store, width int) {
 	stage := []Stage{{Exec: Executors{Machines: 2, PerMachine: 2}}, {Exec: Executors{Machines: 1, PerMachine: 3}, CubeInput: true}}[w.rng.Intn(2)]
 	w.op = fmt.Sprintf("Layout%+v and Scan", stage)
@@ -577,7 +584,7 @@ func (w *walk) checkStore(where string, st *Store, f *fresh) {
 // checkContent holds every memo and carry of ct to its kind's fresh build.
 func (w *walk) checkContent(where string, ct *content, f *fresh) {
 	ct.mu.Lock()
-	memo, carry := maps.Clone(ct.memo), slices.Clone(ct.carry)
+	memo, carry := maps.Clone(ct.memo), ct.carry
 	ct.mu.Unlock()
 	check := func(key any, prefix string, run func(derivedKind) error) {
 		k, ok := derivedKinds[reflect.TypeOf(key)]
@@ -592,13 +599,8 @@ func (w *walk) checkContent(where string, ct *content, f *fresh) {
 	for key, d := range memo {
 		check(key, "", func(k derivedKind) error { return k.check(key, d.val, f, ct) })
 	}
-	for _, cr := range carry {
-		check(cr.key, "carried ", func(k derivedKind) error {
-			if k.carried == nil {
-				return fmt.Errorf("a kind that is never carried")
-			}
-			return k.carried(&cr, f, ct)
-		})
+	if carry != nil {
+		check(keyIDsKey{}, "carried ", func(k derivedKind) error { return k.carried(carry, f, ct) })
 	}
 }
 

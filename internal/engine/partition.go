@@ -9,10 +9,51 @@ import "fmt"
 type Partition struct {
 	Index   int
 	Records []KV
-	// Hashes are KeyHash of each of Records, when the layout had them
-	// (a store's are kept per content and carried across writes), or nil.
-	// They are the store's: an assigner only reads them.
+	// KeyIDs are the interned ids of Records' keys and Hashes their
+	// lineage's hash table, Hashes[KeyIDs[r]] being KeyHash of record r's
+	// key, when the layout had them (a store's are kept per content and
+	// carried across writes), or nil. Every partition of one layout shares
+	// one table. They are the store's: an assigner only reads them.
+	KeyIDs []int32
 	Hashes []uint64
+}
+
+// PartitionKeys returns each partition's key ids and the hash table they
+// index: the partitions' own when every one carries ids into one table, as
+// a layout's do, else their records' keys interned through one new
+// dictionary, as a store's lineage interns them.
+func PartitionKeys(parts []Partition) (ids [][]int32, hashes []uint64) {
+	ids = make([][]int32, len(parts))
+	if len(parts) > 0 && sharesTable(parts) {
+		for i, p := range parts {
+			ids[i] = p.KeyIDs
+		}
+		return ids, parts[0].Hashes
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p.Records)
+	}
+	flat, d := make([]int32, n), &keyDict{}
+	var dict keyEntries
+	for i, p := range parts {
+		ids[i], flat = flat[:len(p.Records):len(p.Records)], flat[len(p.Records):]
+		dict = d.intern(p.Records, ids[i])
+	}
+	return ids, dict.hashes
+}
+
+// sharesTable reports whether every partition carries an id per record
+// into the first one's hash table.
+func sharesTable(parts []Partition) bool {
+	h := parts[0].Hashes
+	for _, p := range parts {
+		if p.KeyIDs == nil || len(p.KeyIDs) != len(p.Records) || len(p.Hashes) != len(h) ||
+			len(h) > 0 && &p.Hashes[0] != &h[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // FNV-style constants for KeyHash's word lanes (the classic FNV prime
@@ -26,8 +67,8 @@ const (
 // KeyHash hashes a key once: the input a minhash signature is computed
 // from (similarity mixes it with each function's seed through a
 // full-avalanche finalizer, a family close enough to min-wise independent
-// for Jaccard estimation) and what a layout counts distinct keys by. A
-// store keeps its records' hashes per content. Two independent
+// for Jaccard estimation). A store's lineage dictionary keeps each
+// distinct key's hash beside its id. Two independent
 // FNV lanes run over alternating 8-byte words (halving the serial
 // xor-multiply dependency chain that dominates a byte-at-a-time FNV), the
 // tail read as one zero-padded word, combined through a murmur-style
@@ -70,7 +111,7 @@ func KeyHash(key string) uint64 {
 }
 
 // PartitionRecords splits records into n contiguous partitions of
-// near-equal size, without Hashes. Fewer partitions are returned when
+// near-equal size, without key ids. Fewer partitions are returned when
 // there are fewer records than n; zero records yield zero partitions.
 func PartitionRecords(records []KV, n int) ([]Partition, error) {
 	if n <= 0 {

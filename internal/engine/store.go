@@ -58,41 +58,44 @@ type Store struct {
 type content struct {
 	mu   sync.Mutex
 	memo map[any]*derived
-	// dicts are the key-field dictionaries of the store's lineage
-	// (columns.go), and carry, per width, the lineage's last key columns —
-	// and its last key hashes — with the writes since: what a content hands
-	// its successor, so that the successor's columns re-encode, and its
-	// hashes re-hash, only what the writes appended.
-	dicts *dictionaries
-	carry []carried
+	// dict is the key dictionary of the store's lineage (columns.go), and
+	// carry the lineage's last key ids with the writes since: what a content
+	// hands its successor, so that the successor's ids intern only what the
+	// writes appended, into the dictionary its predecessors filled.
+	dict  *keyDict
+	carry *carried
 }
 
 // successor is the content of the store's next record sequence after a
 // write that appended added records or took the ones at ascending positions
-// removed: a new identity, an empty memo, the lineage's dictionaries, and
-// its carries with the write noted — or dropped, once the writes since their
-// columns were built have moved more records than those columns describe,
-// past which a fresh encode costs no more. Nothing is encoded here: a store
-// is written about twice between reads, and only a read pays for columns.
+// removed: a new identity, an empty memo, the lineage's dictionary, and its
+// carry with the write noted — or dropped, once the writes since its ids
+// were built have moved more records than those ids describe, past which a
+// fresh intern costs no more. Nothing is interned here: a store is written
+// about twice between reads, and only a read pays for ids.
 func (ct *content) successor(added int, removed []int) *content {
 	if ct == nil {
-		return &content{}
+		return newContent()
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	next := &content{dicts: ct.dicts}
-	for _, c := range ct.carry {
-		if c.moved += added + len(removed); c.moved > c.held {
-			continue
-		}
+	next := &content{dict: ct.dict}
+	if c := ct.carry; c != nil && c.moved+added+len(removed) <= len(c.ids) {
+		cr := *c
+		cr.moved += added + len(removed)
 		if len(removed) > 0 {
 			// Clipped: a clone writing beside its source extends its own list.
-			c.removes = append(slices.Clip(c.removes), removed)
+			cr.removes = append(slices.Clip(c.removes), removed)
 		}
-		next.carry = append(next.carry, c)
+		next.carry = &cr
 	}
 	return next
 }
+
+// newContent returns the first content of a lineage, with the lineage's
+// key dictionary: every content the lineage's writes make shares it, from
+// the first, so clones that write apart still intern each key once.
+func newContent() *content { return &content{dict: &keyDict{}} }
 
 // derived is one memoized value; once makes concurrent first lookups
 // share a single build.
@@ -119,8 +122,8 @@ func derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val 
 }
 
 // memo is derive on a content and the records it identifies, which the
-// caller has already handed out: a layout's, for the key columns and
-// hashes of the records it lays out.
+// caller has already handed out: a layout's, for the key ids of the records
+// it lays out.
 func memo[T any](ct *content, recs []KV, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
 	ct.mu.Lock()
 	d := ct.memo[key]
@@ -212,15 +215,15 @@ func (s *Store) Add(records ...KV) {
 // store adopts the slice with its capacity clipped, as a clone does, so
 // its next Add reallocates instead of writing into an array another
 // holder of the slice may still read or append to. The index is dropped
-// and rebuilt by the next similarity-aware move, and the key dictionaries
-// and columns start over with the next Select: nothing is carried.
+// and rebuilt by the next similarity-aware move, and the key dictionary
+// and ids start over with the next read of keys: nothing is carried.
 func (s *Store) Restore(records []KV) {
 	s.recs = records[:len(records):len(records)]
 	s.escaped.Store(true)
 	s.version++
 	s.gen++
 	s.idx = nil
-	s.content = &content{}
+	s.content = newContent()
 }
 
 // clone returns a store with the same records, version and content in

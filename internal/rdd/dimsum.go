@@ -7,6 +7,7 @@ package rdd
 
 import (
 	"fmt"
+	"sync"
 
 	"bohr/internal/engine"
 	"bohr/internal/parallel"
@@ -44,7 +45,7 @@ func (c DimsumConfig) validate() error {
 	if c.HashFunctions <= 0 {
 		return fmt.Errorf("rdd: dimsum needs at least one hash function, got %d", c.HashFunctions)
 	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
+	if !(c.Gamma > 0 && c.Gamma <= 1) { // NaN too
 		return fmt.Errorf("rdd: dimsum gamma must be in (0,1], got %v", c.Gamma)
 	}
 	return nil
@@ -61,6 +62,36 @@ type SimilarityMatrix struct {
 	Overhead float64
 }
 
+// sampler is what PairwiseSimilarity draws from its configuration alone:
+// the hasher over the sampled functions, one seeded sample shared by every
+// pair — entry s of a signature is function order[s] of the m — and how
+// many of them a pair compares before it may be skipped.
+type sampler struct {
+	hasher         *similarity.MinHasher
+	sample, prefix int
+}
+
+// samplers keeps each configuration's sampler, a pure function of it:
+// drawing the sample anew would seed a 4.9 KB source on every Assign.
+var samplers sync.Map // DimsumConfig → *sampler
+
+func samplerOf(cfg DimsumConfig) (*sampler, error) {
+	if sp, ok := samplers.Load(cfg); ok {
+		return sp.(*sampler), nil
+	}
+	m := cfg.HashFunctions
+	hasher, err := similarity.NewMinHasher(m, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	sample := max(int(float64(m)*cfg.Gamma+0.5), 1)
+	order := stats.NewRand(cfg.Seed).Perm(m)
+	// Only the sampled functions are ever compared, so only they are built.
+	sp := &sampler{hasher: hasher.Subset(order[:sample]), sample: sample, prefix: max(sample/4, 1)}
+	samplers.Store(cfg, sp)
+	return sp, nil
+}
+
 // pairRow is one partition's half-row of pairwise estimates: vals[l] is
 // the estimate for the pair (i, i+1+l) and compared counts the signature
 // entries that survived probabilistic skipping.
@@ -75,9 +106,9 @@ type pairRow struct {
 // sampled prefix shows no matches at all is skipped after the prefix —
 // DIMSUM's probabilistic pruning mapped onto minhash signatures. So a
 // partition's signature is built once, over the sampled functions alone,
-// from its keys' hashes (the partition's own when it carries them), each
-// distinct key mixed once per function; Overhead still charges every
-// record × m, the modeled cost QCT includes.
+// from its key ids (the partition's own when it carries them), each
+// distinct key of the machine mixed once per function; Overhead still
+// charges every record × m, the modeled cost QCT includes.
 //
 // Signatures are computed as a pooled batch and pair rows fan out over the
 // worker pool; every worker computes an independent half-row merged in
@@ -87,46 +118,20 @@ func PairwiseSimilarity(parts []engine.Partition, cfg DimsumConfig) (*Similarity
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := len(parts)
-	m := cfg.HashFunctions
-	hasher, err := similarity.NewMinHasher(m, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	n, m := len(parts), cfg.HashFunctions
 	totalRecords := 0
 	for _, p := range parts {
 		totalRecords += len(p.Records)
 	}
-	// A partition's keys' hashes are the layout's, read in place; one that
-	// came without them has its keys hashed into one flat slice, a segment
-	// per partition.
-	var flat []uint64
-	sets := make([][]uint64, n)
-	for i, p := range parts {
-		if sets[i] = p.Hashes; sets[i] == nil {
-			if flat == nil {
-				flat = make([]uint64, 0, totalRecords)
-			}
-			lo := len(flat)
-			for _, rec := range p.Records {
-				flat = append(flat, engine.KeyHash(rec.Key))
-			}
-			sets[i] = flat[lo:]
-		}
+	// A partition's key ids are the layout's, read in place; partitions that
+	// came without them have their keys interned here.
+	ids, hashes := engine.PartitionKeys(parts)
+	sp, err := samplerOf(cfg)
+	if err != nil {
+		return nil, err
 	}
-	sample := int(float64(m)*cfg.Gamma + 0.5)
-	if sample < 1 {
-		sample = 1
-	}
-	prefix := sample / 4
-	if prefix < 1 {
-		prefix = 1
-	}
-	rng := stats.NewRand(cfg.Seed)
-	order := rng.Perm(m) // the sampled function subset, shared across pairs
-	// Only the sampled functions are ever compared, so only they are built:
-	// entry s of a signature is function order[s].
-	sigs := hasher.Subset(order[:sample]).SignatureBatch(sets, 0)
+	sample, prefix := sp.sample, sp.prefix
+	sigs := sp.hasher.SignatureBatch(ids, hashes, 0)
 
 	rows, err := parallel.MapOrdered(0, n, func(i int) (pairRow, error) {
 		row := pairRow{vals: make([]float64, n-i-1)}

@@ -54,7 +54,7 @@ func KMeans(points [][]float64, k, iters int, seed int64) ([]int, error) {
 	if iters <= 0 {
 		iters = kmeansIters
 	}
-	rng := stats.NewRand(seed)
+	rng := stats.NewReplayRand(seed) // an assigner draws every layout's under one seed
 
 	// k-means++ initialization.
 	centroids := make([][]float64, 0, k)

@@ -150,41 +150,39 @@ func TestPairwiseMatchesRefSignature(t *testing.T) {
 }
 
 // TestSignatureBatchMatchesRefSignatureAdversarial feeds the signature
-// kernel's dedupe what its open-addressed set treats apart or chains: the
-// zero hash (alone, repeated, beside others), repeats, and hashes that share
-// their low bits and so one probe chain, in sets that overlap one another.
-// At pool widths 1 and 4 every signature must equal the kernel that mixed
-// every hash, and the input must come back unwritten.
+// kernel what its id dedupe and shared mixes could get wrong: the zero hash
+// (alone, repeated, beside others), one hash under several ids (keys that
+// collide), repeats, hashes that share their low bits, and sets that
+// overlap one another or list ids the batch met in an earlier set. At pool
+// widths 1 and 4 every signature must equal the kernel that mixed every
+// record's hash, and the input must come back unwritten.
 func TestSignatureBatchMatchesRefSignatureAdversarial(t *testing.T) {
 	const m, seed = 64, 11
 	rng := stats.NewRand(5)
-	chain := func(n int) []uint64 { // one low-bit pattern, distinct high bits
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = uint64(rng.Intn(1<<20))<<44 | 0x5a5
-		}
-		return out
-	}
-	var pool []uint64 // the big sets draw from it, so they repeat
-	pool = append(pool, chain(400)...)
+	// The table: ids 0-2 hash to zero, 3-4 to MaxUint64, 5-404 share their
+	// low bits, 405-804 are keys' hashes and 805-1004 repeat some of those.
+	table := []uint64{0, 0, 0, math.MaxUint64, math.MaxUint64}
 	for i := 0; i < 400; i++ {
-		pool = append(pool, engine.KeyHash(fmt.Sprint("k", i)))
+		table = append(table, uint64(rng.Intn(1<<20))<<44|0x5a5)
 	}
-	sets := [][]uint64{
+	for i := 0; i < 400; i++ {
+		table = append(table, engine.KeyHash(fmt.Sprint("k", i)))
+	}
+	for i := 0; i < 200; i++ {
+		table = append(table, table[5+rng.Intn(800)])
+	}
+	sets := [][]int32{
 		nil,
 		{0},
-		{0, 0, 0},
-		{0, 1, 0, 1},
-		{7, 7, 7, 7, 7},
-		{math.MaxUint64, 0, math.MaxUint64},
-		chain(64),
+		{0, 1, 2, 0},
+		{0, 7, 1, 7},
+		{9, 9, 9, 9, 9},
+		{3, 0, 4, 3},
 	}
 	for len(sets) < 14 {
-		set := make([]uint64, 1500)
+		set := make([]int32, 1500)
 		for i := range set {
-			if set[i] = pool[rng.Intn(len(pool))]; rng.Intn(50) == 0 {
-				set[i] = 0
-			}
+			set[i] = int32(rng.Intn(len(table)))
 		}
 		sets = append(sets, set)
 	}
@@ -192,35 +190,47 @@ func TestSignatureBatchMatchesRefSignatureAdversarial(t *testing.T) {
 	sets = append(sets, big[:700], big[300:]) // overlapping views of one set
 	want := make([][]uint64, len(sets))
 	for i, set := range sets {
-		want[i] = refSignatureOf(set, m, seed)
+		hashes := make([]uint64, len(set))
+		for r, id := range set {
+			hashes[r] = table[id]
+		}
+		want[i] = refSignatureOf(hashes, m, seed)
 	}
 	h, err := similarity.NewMinHasher(m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{1, 4} {
-		in := make([][]uint64, len(sets))
+		in, tab := make([][]int32, len(sets)), slices.Clone(table)
 		for i := range sets[:len(sets)-2] {
 			in[i] = slices.Clone(sets[i])
 		}
 		in[len(sets)-2], in[len(sets)-1] = in[len(sets)-3][:700], in[len(sets)-3][300:]
-		got := h.SignatureBatch(in, width)
+		got := h.SignatureBatch(in, tab, width)
 		for i := range sets {
 			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("width %d, set %d (%d hashes): signature differs from the reference", width, i, len(sets[i]))
+				t.Fatalf("width %d, set %d (%d ids): signature differs from the reference", width, i, len(sets[i]))
 			}
 			if !slices.Equal(in[i], sets[i]) {
 				t.Fatalf("width %d: set %d was written", width, i)
 			}
+		}
+		if !slices.Equal(tab, table) {
+			t.Fatalf("width %d: the hash table was written", width)
 		}
 	}
 }
 
 // BenchmarkPairwiseSimilarity sizes one machine's similarity step on a
 // bench-shaped site: 16 partitions of 320 records, about a quarter of each
-// partition's records distinct keys.
+// partition's records distinct keys, carrying their key ids as a layout's
+// partitions do.
 func BenchmarkPairwiseSimilarity(b *testing.B) {
 	parts := benchShapedParts(7, 16, 320)
+	ids, hashes := engine.PartitionKeys(parts)
+	for i := range parts {
+		parts[i].KeyIDs, parts[i].Hashes = ids[i], hashes
+	}
 	records, distinct := 0, 0
 	for _, p := range parts {
 		seen := map[string]bool{}

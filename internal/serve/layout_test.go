@@ -231,10 +231,11 @@ func TestQueryMissMatchesNaiveFoldAcrossMutations(t *testing.T) {
 
 // TestNoStatementNoColumns: what fig6-batch and ingest-durable do — plan,
 // run the recurring queries, apply ingest batches with a replan — never
-// sends a Select, so no site's keys are ever looked up as columns (only a
-// Select's scan encodes them or allocates a dictionary:
-// engine.TestColumnsBuiltOncePerContent), and the first statement then
-// misses at every site holding its dataset.
+// sends a Select, so no site's key ids are ever looked up for one (the
+// columns counters count a Select's lookups alone:
+// engine.TestColumnsBuiltOncePerContent), and the first statement after
+// batches that wrote every site then misses at every site holding its
+// dataset.
 func TestNoStatementNoColumns(t *testing.T) {
 	s := experiments.QuickSetup()
 	s.Datasets, s.RowsPerSite = 2, 120

@@ -14,12 +14,10 @@ import (
 	"bohr/internal/parallel"
 )
 
-// sigGrain is how many key hashes one pool worker takes in a signature
-// batch, so a batch smaller than two grains runs inline. On 2 vCPUs, 16
-// sets of a quarter-distinct keys took as long on two workers as on one
-// at 2,048 hashes in all, and 1.35× less time at 4,096. Worker count
-// never affects the output (results merge in index order).
-const sigGrain = 2048
+// mixGrain is how many mixes one pool worker takes in a signature batch,
+// so a batch of fewer functions × distinct keys runs inline. Worker count
+// never affects the output (each value has its own place).
+const mixGrain = 16384
 
 // MinHasher computes m-function minhash signatures over string sets, the
 // estimator behind Jaccard similarity checks. Signatures of two sets agree
@@ -71,70 +69,150 @@ func mix64(x uint64) uint64 {
 // Signature computes the minhash signature of a key set. An empty set
 // yields an all-max signature that matches nothing.
 func (h *MinHasher) Signature(keys []string) []uint64 {
-	hashes := make([]uint64, len(keys))
+	ids, hashes, seen := make([]int32, len(keys)), []uint64(nil), map[string]int32{}
 	for i, k := range keys {
-		hashes[i] = engine.KeyHash(k)
+		id, ok := seen[k]
+		if !ok {
+			id = int32(len(hashes))
+			seen[k], hashes = id, append(hashes, engine.KeyHash(k))
+		}
+		ids[i] = id
 	}
-	return h.signature(hashes)
+	return h.SignatureBatch([][]int32{ids}, hashes, 1)[0]
 }
 
-// hashSets are the scratch tables of signature's dedupe, reused across
-// calls.
-var hashSets = sync.Pool{New: func() any { return new([]uint64) }}
+// sigScratch is SignatureBatch's working state, reused across calls: which
+// ids the batch met (seen[id] == gen) and the slot each got, every slot's
+// id and the sets that list it (a bit per set), and per worker a function's
+// column of mixes, its candidates and the sets they cover.
+type sigScratch struct {
+	gen     uint32
+	seen    []uint32
+	slot    []int32
+	ids     []int32
+	masks   []uint64
+	col     []uint64
+	cand    []int32
+	covered []uint64
+}
 
-// signature is Signature over the keys' hashes, which it only reads. A
-// signature is a per-function minimum over a set, and equal hashes mix to
-// equal values, so each distinct hash is mixed with the seeds once, found
-// distinct through an open-addressed set (a zero slot is free, so the zero
-// hash is tracked apart): a partition's repeated keys cost a probe, not m
-// mixes.
-func (h *MinHasher) signature(hashes []uint64) []uint64 {
-	seeds := h.seeds
-	sig := make([]uint64, len(seeds))
-	for i := range sig {
-		sig[i] = math.MaxUint64
+var sigScratches = sync.Pool{New: func() any { return new(sigScratch) }}
+
+// sized returns buf emptied, with room for n elements: itself, or an
+// array of exactly n when it is shorter.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
 	}
-	buf := hashSets.Get().(*[]uint64)
-	defer hashSets.Put(buf)
-	size := 1 << bits.Len(uint(2*len(hashes)))
-	if cap(*buf) < size {
-		*buf = make([]uint64, size)
+	return buf[:0]
+}
+
+// candidates is how many of a set's distinct keys SignatureBatch expects
+// below its threshold: a set with none there (each function's chance is
+// about e^-candidates) has its minimum taken over all of its keys instead.
+const candidates = 8
+
+// SignatureBatch computes the signatures of many key sets, each given as
+// key ids, repeats allowed, into hashes: hashes[id] is the KeyHash of key
+// id. A signature is a per-function minimum over a set, and equal keys mix
+// to equal values, so per function the batch mixes each distinct id once,
+// into a pooled column, and hands the values below a threshold to the sets
+// that list the id (found by stamp and a bit per set); only a set none of
+// whose keys mixed below it reads its keys' values from the column.
+// Every set's minimum is exact either way, so the threshold — sized from
+// the sets' mean distinct count — moves work, never a result. Functions run
+// on the worker pool (width <= 0 ⇒ parallel.DefaultWidth), a contiguous
+// share per worker, with at most one worker per mixGrain mixes. The sets
+// are only read, so they may overlap; each entry of each signature is
+// written by one worker, so the output is identical at every width.
+func (h *MinHasher) SignatureBatch(sets [][]int32, hashes []uint64, width int) [][]uint64 {
+	m, n := len(h.seeds), len(sets)
+	sc := sigScratches.Get().(*sigScratch)
+	defer sigScratches.Put(sc)
+	if len(sc.seen) < len(hashes) {
+		sc.seen, sc.slot = make([]uint32, len(hashes)), make([]int32, len(hashes))
 	}
-	set, mask, zero := (*buf)[:size], uint64(size-1), false
-	clear(set)
-	for _, b := range hashes {
-		j := b & mask
-		for set[j] != 0 && set[j] != b {
-			j = (j + 1) & mask
+	if sc.gen++; sc.gen == 0 {
+		clear(sc.seen)
+		sc.gen = 1
+	}
+	words, total := (n+63)/64, 0
+	for _, set := range sets {
+		total += len(set)
+	}
+	distinct := min(total, len(hashes))
+	sc.ids, sc.masks = sized(sc.ids, distinct), sized(sc.masks, distinct*words)
+	pairs := 0 // the sets' distinct ids, summed
+	for i, set := range sets {
+		word, bit := i/64, uint64(1)<<(i%64)
+		for _, id := range set {
+			if sc.seen[id] != sc.gen {
+				sc.seen[id], sc.slot[id] = sc.gen, int32(len(sc.ids))
+				sc.ids = append(sc.ids, id)
+				for range words {
+					sc.masks = append(sc.masks, 0)
+				}
+			}
+			mask := &sc.masks[int(sc.slot[id])*words+word]
+			pairs += int(^*mask>>(i%64)) & 1 // the set's first listing of the id
+			*mask |= bit
 		}
-		if set[j] == b && (b != 0 || zero) {
-			continue // seen before
-		}
-		set[j], zero = b, zero || b == 0
-		for i, s := range seeds {
-			if v := mix64(b ^ s); v < sig[i] {
-				sig[i] = v
+	}
+	tau := uint64(math.MaxUint64)
+	if x := float64(candidates*n) / float64(max(pairs, 1)); x < 1 {
+		tau = uint64(x * (1 << 64))
+	}
+
+	flat := make([]uint64, n*m)
+	for i := range flat {
+		flat[i] = math.MaxUint64
+	}
+	slots := len(sc.ids)
+	workers := max(1, min(parallel.Resolve(width), m, slots*m/mixGrain))
+	sc.col = sized(sc.col, workers*slots)[:workers*slots]
+	sc.cand = sized(sc.cand, workers*slots)[:workers*slots]
+	sc.covered = sized(sc.covered, workers*words)[:workers*words]
+	parallel.ForEach(workers, workers, func(w int) error {
+		col, cand := sc.col[w*slots:(w+1)*slots], sc.cand[w*slots:(w+1)*slots]
+		covered := sc.covered[w*words : (w+1)*words]
+		for f := w * m / workers; f < (w+1)*m/workers; f++ {
+			seed := h.seeds[f]
+			clear(covered)
+			k := 0
+			for s, id := range sc.ids {
+				v := mix64(hashes[id] ^ seed)
+				col[s], cand[k] = v, int32(s)
+				if v < tau {
+					k++
+				}
+			}
+			for _, s := range cand[:k] {
+				v := col[s]
+				for word, sets := range sc.masks[int(s)*words : int(s)*words+words] {
+					covered[word] |= sets
+					for ; sets != 0; sets &= sets - 1 {
+						at := &flat[(word*64+bits.TrailingZeros64(sets))*m+f]
+						*at = min(*at, v)
+					}
+				}
+			}
+			for i := range n {
+				if covered[i/64]&(1<<(i%64)) != 0 {
+					continue
+				}
+				v := uint64(math.MaxUint64)
+				for _, id := range sets[i] {
+					v = min(v, col[sc.slot[id]])
+				}
+				flat[i*m+f] = v
 			}
 		}
-	}
-	return sig
-}
-
-// SignatureBatch computes the signatures of many key sets, given as their
-// keys' hashes (engine.KeyHash), through the worker pool (width <= 0 ⇒
-// parallel.DefaultWidth) with at most one worker per sigGrain hashes.
-// The sets are only read, so they may overlap. Each signature is an
-// independent pure computation and results are merged in index order, so
-// the output is identical at every width.
-func (h *MinHasher) SignatureBatch(hashsets [][]uint64, width int) [][]uint64 {
-	total := 0
-	for _, hs := range hashsets {
-		total += len(hs)
-	}
-	workers := max(1, min(parallel.Resolve(width), total/sigGrain))
-	out, _ := parallel.MapOrdered(workers, len(hashsets), func(i int) ([]uint64, error) {
-		return h.signature(hashsets[i]), nil
+		return nil
 	})
+	out := make([][]uint64, n)
+	for i := range out {
+		out[i] = flat[i*m : (i+1)*m : (i+1)*m]
+	}
 	return out
 }
 

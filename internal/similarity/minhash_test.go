@@ -3,6 +3,7 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -221,30 +222,77 @@ func testKeysets(rng *rand.Rand, sets, keys int) [][]string {
 	return out
 }
 
+// refSignatureSet is the signature kernel before key ids: per set, each
+// distinct hash mixed with the seeds once, found distinct through an
+// open-addressed set (a zero slot is free, so the zero hash is tracked
+// apart).
+func refSignatureSet(h *MinHasher, hashes []uint64) []uint64 {
+	sig := make([]uint64, len(h.seeds))
+	for i := range sig {
+		sig[i] = math.MaxUint64
+	}
+	size := 1 << bits.Len(uint(2*len(hashes)))
+	set, mask, zero := make([]uint64, size), uint64(size-1), false
+	for _, b := range hashes {
+		j := b & mask
+		for set[j] != 0 && set[j] != b {
+			j = (j + 1) & mask
+		}
+		if set[j] == b && (b != 0 || zero) {
+			continue // seen before
+		}
+		set[j], zero = b, zero || b == 0
+		for i, s := range h.seeds {
+			if v := mix64(b ^ s); v < sig[i] {
+				sig[i] = v
+			}
+		}
+	}
+	return sig
+}
+
 // TestSignatureBatchMatchesSignature checks the pooled batch kernel
-// returns exactly what per-set Signature calls return, at every width.
+// returns exactly what per-set Signature calls and the hash-set kernel
+// return, at every width, whether the sets' ids share one table (as a
+// layout's partitions do) or each key has one id per occurrence.
 func TestSignatureBatchMatchesSignature(t *testing.T) {
 	h, err := NewMinHasher(64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keysets := testKeysets(rand.New(rand.NewSource(1)), 37, 50)
+	keysets = append(keysets, nil, []string{"", "", "x"})
 	want := make([][]uint64, len(keysets))
+	var shared, each [][]int32
+	var table, perRecord []uint64
+	ids := map[string]int32{}
 	for i, ks := range keysets {
 		want[i] = h.Signature(ks)
+		hashes := make([]uint64, len(ks))
+		var sharedIDs, eachIDs []int32
+		for j, k := range ks {
+			hashes[j] = engine.KeyHash(k)
+			id, ok := ids[k]
+			if !ok {
+				id, ids[k], table = int32(len(table)), int32(len(table)), append(table, hashes[j])
+			}
+			sharedIDs, eachIDs = append(sharedIDs, id), append(eachIDs, int32(len(perRecord)))
+			perRecord = append(perRecord, hashes[j])
+		}
+		if ref := refSignatureSet(h, hashes); !slices.Equal(want[i], ref) {
+			t.Fatalf("set %d: Signature differs from the hash-set kernel", i)
+		}
+		shared, each = append(shared, sharedIDs), append(each, eachIDs)
 	}
 	for _, width := range []int{1, 2, 4, 8} {
-		hashsets := make([][]uint64, len(keysets))
-		for i, ks := range keysets {
-			for _, k := range ks {
-				hashsets[i] = append(hashsets[i], engine.KeyHash(k))
-			}
-		}
-		got := h.SignatureBatch(hashsets, width)
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("width %d set %d slot %d: %d != %d", width, i, j, got[i][j], want[i][j])
+		for _, in := range []struct {
+			sets   [][]int32
+			hashes []uint64
+		}{{shared, table}, {each, perRecord}} {
+			got := h.SignatureBatch(in.sets, in.hashes, width)
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("width %d set %d: %v != %v", width, i, got[i], want[i])
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // NewRand returns a deterministic random source for the given seed.
@@ -39,6 +40,59 @@ func (l *lazySource) get() rand.Source64 {
 func (l *lazySource) Int63() int64    { return l.get().Int63() }
 func (l *lazySource) Uint64() uint64  { return l.get().Uint64() }
 func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+
+// NewReplayRand is NewRand(seed), draw for draw, replaying what earlier
+// sources of the seed drew: a caller that takes a few draws per call under
+// one seed seeds the 4.9 KB source once per process instead of once per
+// call. Each returned *rand.Rand is its caller's alone, as NewRand's is;
+// any number of them may draw at once.
+func NewReplayRand(seed int64) *rand.Rand { return rand.New(&replaySource{st: streamOf(seed)}) }
+
+// streams holds each replayed seed's stream.
+var streams sync.Map // int64 → *stream
+
+// stream is one seed's draws so far, and the source that draws the next.
+type stream struct {
+	mu   sync.Mutex
+	seed int64
+	src  rand.Source64
+	vals []uint64
+}
+
+func streamOf(seed int64) *stream {
+	st, _ := streams.LoadOrStore(seed, &stream{seed: seed})
+	return st.(*stream)
+}
+
+// replaySource reads a stream from its start; seen is a prefix of its
+// draws, read without the lock.
+type replaySource struct {
+	st   *stream
+	seen []uint64
+	pos  int
+}
+
+func (r *replaySource) Uint64() uint64 {
+	if r.pos == len(r.seen) {
+		st := r.st
+		st.mu.Lock()
+		if r.pos == len(st.vals) {
+			if st.src == nil {
+				st.src = rand.NewSource(st.seed).(rand.Source64)
+			}
+			st.vals = append(st.vals, st.src.Uint64())
+		}
+		r.seen = st.vals
+		st.mu.Unlock()
+	}
+	r.pos++
+	return r.seen[r.pos-1]
+}
+
+// Int63 is the source's Int63: its Uint64 with the top bit cleared.
+func (r *replaySource) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+
+func (r *replaySource) Seed(seed int64) { *r = replaySource{st: streamOf(seed)} }
 
 // Split derives a child seed from a parent seed and a stream index so
 // parallel components get independent but reproducible streams.

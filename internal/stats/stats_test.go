@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,50 @@ func TestNewLazyRandDrawsLikeNewRand(t *testing.T) {
 		if x, y := a.Perm(40), b.Perm(40); !slices.Equal(x, y) {
 			t.Fatalf("seed %d: Perm %v vs %v", seed, x, y)
 		}
+		a.Seed(seed + 7)
+		b.Seed(seed + 7)
+		if x, y := a.Intn(1000), b.Intn(1000); x != y {
+			t.Fatalf("seed %d: Intn after Seed %d vs %d", seed, x, y)
+		}
+	}
+}
+
+// TestNewReplayRandDrawsLikeNewRand: sources of one seed drawing at once,
+// each a different amount and through every draw kind, read what NewRand
+// of the seed reads, whichever of them drew a value first — and so does a
+// source that starts over from the kept draws, or after a Seed. Run under
+// -race (make race).
+func TestNewReplayRandDrawsLikeNewRand(t *testing.T) {
+	draws := func(r interface {
+		Int63() int64
+		Uint64() uint64
+		Float64() float64
+		Intn(int) int
+	}, n int) []uint64 {
+		out := make([]uint64, 0, 4*n)
+		for i := 0; i < n; i++ {
+			out = append(out, uint64(r.Int63()), r.Uint64(), uint64(r.Float64()*(1<<53)), uint64(r.Intn(1000+i)))
+		}
+		return out
+	}
+	for _, seed := range []int64{0, 3, 42} {
+		want := draws(NewRand(seed), 60)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n := 15 * (g + 1)
+				if got := draws(NewReplayRand(seed), n); !slices.Equal(got, want[:4*n]) {
+					t.Errorf("seed %d, source %d: its %d draws differ from NewRand's", seed, g, n)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := draws(NewReplayRand(seed), 60); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: a source over the kept draws differs from NewRand's", seed)
+		}
+		a, b := NewRand(seed), NewReplayRand(seed)
 		a.Seed(seed + 7)
 		b.Seed(seed + 7)
 		if x, y := a.Intn(1000), b.Intn(1000); x != y {
