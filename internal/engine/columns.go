@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -242,6 +243,10 @@ type carried struct {
 	ids     []int32
 	removes [][]int // each remove's ascending positions, oldest first
 	moved   int     // records added plus removed since ids
+	// tail is claimed by the one build that extends ids in their own array,
+	// past their length; every copy of the carry (a clone's, a later
+	// write's) shares it, so any other build copies.
+	tail *atomic.Bool
 }
 
 // plan returns each remove's cut into what the carry describes — the
@@ -267,20 +272,33 @@ func (cr *carried) plan(n int) (cuts [][]int, live, stride int) {
 }
 
 // restore returns a column for n records whose first live entries are the
-// carry's ids of the records that survived the removes since.
+// carry's ids of the records that survived the removes since. When the
+// writes since only appended, the first build to claim the carry's tail
+// extends its ids in their own array, as Store.Add extends records, if it
+// has room; any other copies them, with a quarter's slack for the appends
+// that follow. After a remove the copy is exact: a site that forwards
+// copies at every rebuild anyway. A nil carry says nothing.
 func (cr *carried) restore(n int) (ids []int32, live int) {
 	cuts, live, stride := cr.plan(n)
-	ids = make([]int32, stride)
-	if cr != nil {
-		src := cr.ids
-		if len(cuts) == 0 {
-			copy(ids, src)
-		}
-		for _, at := range cuts {
-			src = ids[:compact(ids, src, at)]
-		}
+	if cr == nil {
+		return make([]int32, n), 0
 	}
-	return ids[:n:n], live
+	appended := live == len(cr.ids)
+	if appended && n <= cap(cr.ids) && cr.tail.CompareAndSwap(false, true) {
+		return cr.ids[:n], live
+	}
+	if appended {
+		stride = n + n/4
+	}
+	ids = make([]int32, stride)
+	src := cr.ids
+	if len(cuts) == 0 {
+		copy(ids, src)
+	}
+	for _, at := range cuts {
+		src = ids[:compact(ids, src, at)]
+	}
+	return ids[:n], live
 }
 
 // keyColumn returns the key ids of the content's records, built once — from
@@ -299,7 +317,7 @@ func (ct *content) keyColumn(records []KV) (kc *keyColumn, hit bool) {
 		kc := &keyColumn{ids: ids, dict: d.intern(recs[live:], ids[live:]), encoded: len(recs) - live, lineage: d}
 		kc.buildS = time.Since(t0).Seconds()
 		ct.mu.Lock()
-		ct.carry = &carried{ids: ids}
+		ct.carry = &carried{ids: ids, tail: new(atomic.Bool)}
 		ct.mu.Unlock()
 		return kc, nil
 	})

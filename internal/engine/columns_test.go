@@ -262,6 +262,56 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	}
 }
 
+// TestCarriedIDsExtendedByOneBuild: ids rebuilt from a carry keep room to
+// grow, and of two stores that append to one content — a store and its
+// clone, building at once — exactly one extends the ids in their own array
+// and the other copies them: each column decodes to its own store's keys,
+// and the content both came from still to its own. Run under -race.
+func TestCarriedIDsExtendedByOneBuild(t *testing.T) {
+	batch := func(tag string, n int) []KV {
+		out := make([]KV, n)
+		for i := range out {
+			out[i] = KV{Key: fmt.Sprintf("%s%d%sc%d", tag, i%23, KeySep, i%3), Val: 1}
+		}
+		return out
+	}
+	for trial := 0; trial < 20; trial++ {
+		st := &Store{}
+		st.Add(batch("k", 300)...)
+		st.keyColumn()            // a fresh build: no room
+		st.Add(batch("k", 40)...) // appended: the next build copies, with room
+		base, _ := st.keyColumn()
+		if cap(base.ids) <= len(base.ids) {
+			t.Fatalf("ids rebuilt from a carry have no room to grow: len %d, cap %d", len(base.ids), cap(base.ids))
+		}
+		clone := st.clone()
+		st.Add(batch("a", 20)...)
+		clone.Add(batch("b", 30)...)
+		cols := make([]*keyColumn, 2)
+		var wg sync.WaitGroup
+		for i, s := range []*Store{st, clone} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cols[i], _ = s.keyColumn()
+			}()
+		}
+		wg.Wait()
+		inPlace := 0
+		for i, s := range []*Store{st, clone} {
+			if !slices.Equal(cols[i].decode(), keysOf(s.Records())) {
+				t.Fatalf("trial %d: store %d's ids do not decode to its keys", trial, i)
+			}
+			if &cols[i].ids[0] == &base.ids[0] {
+				inPlace++
+			}
+		}
+		if !slices.Equal(base.decode(), keysOf(st.Records()[:len(base.ids)])) || inPlace != 1 {
+			t.Fatalf("trial %d: the common content's ids decode to other keys, or %d builds extended them in place, want 1", trial, inPlace)
+		}
+	}
+}
+
 // refDistinctKeys is the distinct count before key ids: an open-addressed
 // set of the records' hashes, a slot holding a hash and the position, from
 // 1, of the first record seen with it. A record whose hash matches a slot's

@@ -198,11 +198,23 @@ func carriedPrefix(cr *carried, n int) (cuts [][]int, live, stride int, err erro
 	return cuts, live, stride, err
 }
 
+// checkCarriedKeyIDs holds what a carry says of the records that survive
+// it — its ids with each remove's cut taken out, one at a time, without
+// claiming its tail — to their keys.
 func checkCarriedKeyIDs(cr *carried, f *fresh, ct *content) error {
-	if _, _, _, err := carriedPrefix(cr, len(f.recs)); err != nil {
+	cuts, live, _, err := carriedPrefix(cr, len(f.recs))
+	if err != nil {
 		return err
 	}
-	ids, live := cr.restore(len(f.recs))
+	ids := slices.Clone(cr.ids)
+	for _, at := range cuts {
+		for k := len(at) - 1; k >= 0; k-- {
+			ids = slices.Delete(ids, at[k], at[k]+1)
+		}
+	}
+	if len(ids) != live {
+		return fmt.Errorf("%d ids survive the cuts, the plan says %d", len(ids), live)
+	}
 	ct.dict.mu.Lock()
 	e := ct.dict.tab
 	ct.dict.mu.Unlock()
