@@ -113,6 +113,8 @@ determinism:
 golden:
 	$(GO) test ./internal/experiments -run 'TestReportSchemaGolden|TestDynamicGolden|TestOlapTablesGolden|TestFaultSweepGolden' -update
 	$(GO) test ./internal/obs/export -run TestChromeTraceGolden -update
+	$(GO) test ./cmd/bohrctl -run 'TestGolden|TestSchemeTable' -update
+	$(GO) test ./cmd/bohrbench -run TestQuickAllGolden -update
 
 # bench runs the end-to-end benchmark harness (bench/, BENCHMARK.json):
 # one workload when W names it, all four otherwise. TRACE=1 prints the

@@ -15,10 +15,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -28,39 +32,38 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	context.AfterFunc(ctx, stop) // a second interrupt kills
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "bohrbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is bohrbench with its arguments (without the program name). An
+// interrupt stops it between exhibits.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var names []string
 	for _, x := range experiments.Exhibits {
 		names = append(names, x.Name)
 	}
+	fs := cliflags.FlagSet("bohrbench", stderr)
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ", ")+", or all")
-		sites    = flag.Int("sites", 0, "override number of sites")
-		datasets = flag.Int("datasets", 0, "override datasets per workload")
-		rows     = flag.Int("rows", 0, "override rows per site per dataset")
-		runs     = flag.Int("runs", 0, "override experiment repetitions")
-		probeK   = flag.Int("k", 0, "override probe record budget")
-		seed     = flag.Int64("seed", 0, "override random seed")
-		quick    = flag.Bool("quick", false, "use the small quick setup")
-		jsonOut  = flag.String("json", "", "write the machine-readable core.Report document to this file")
+		exp     = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ", ")+", or all")
+		jsonOut = fs.String("json", "", "write the machine-readable core.Report document to this file")
+		sf      cliflags.SetupFlags
 	)
-	var common cliflags.Common
-	common.Register(flag.CommandLine)
-	flag.Parse()
-	common.Apply()
-
-	s := experiments.DefaultSetup()
-	if *quick {
-		s = experiments.QuickSetup()
+	sf.Register(fs, "quick", "sites", "datasets", "rows", "runs", "k", "seed")
+	width := cliflags.Width(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	for _, o := range []struct{ flag, field *int }{
-		{sites, &s.Sites}, {datasets, &s.Datasets}, {rows, &s.RowsPerSite}, {runs, &s.Runs}, {probeK, &s.ProbeK},
-	} {
-		if *o.flag > 0 {
-			*o.field = *o.flag
-		}
-	}
-	if *seed != 0 {
-		s.Seed = *seed
+	width()
+	s, err := sf.Setup()
+	if err != nil {
+		return err
 	}
 	s.OpenRunTable()
 
@@ -74,15 +77,17 @@ func main() {
 		if !want["all"] && !want[x.Name] {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		ran++
 		start := time.Now()
 		out, err := x.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bohrbench: %s: %v\n", x.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", x.Name, err)
 		}
-		fmt.Print(out)
-		fmt.Printf("(%s in %.1fs)\n\n", x.Name, time.Since(start).Seconds())
+		fmt.Fprint(stdout, out)
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", x.Name, time.Since(start).Seconds())
 		if reps := s.DrainReports(); *jsonOut != "" && len(reps) > 0 {
 			jsonExps = append(jsonExps, &core.Report{
 				SchemaVersion: core.ReportSchemaVersion,
@@ -92,27 +97,23 @@ func main() {
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "bohrbench: no experiment matched %q (use %s or all)\n", *exp, strings.Join(names, ", "))
-		os.Exit(2)
+		return fmt.Errorf("no experiment matched %q (use %s or all)", *exp, strings.Join(names, ", "))
 	}
-
-	if *jsonOut != "" {
-		doc := &core.Report{
-			SchemaVersion: core.ReportSchemaVersion,
-			Experiment:    "bohrbench",
-			Seed:          s.Seed,
-			Children:      jsonExps,
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bohrbench: encoding report: %v\n", err)
-			os.Exit(1)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*jsonOut, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bohrbench: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+	if *jsonOut == "" {
+		return nil
 	}
+	b, err := json.MarshalIndent(&core.Report{
+		SchemaVersion: core.ReportSchemaVersion,
+		Experiment:    "bohrbench",
+		Seed:          s.Seed,
+		Children:      jsonExps,
+	}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding report: %w", err)
+	}
+	if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing %s: %w", *jsonOut, err)
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
+	return nil
 }

@@ -6,24 +6,28 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"time"
 
+	"bohr/internal/cliflags"
 	"bohr/internal/obs/critpath"
 	"bohr/internal/obs/window"
 	"bohr/internal/serve"
 )
 
 // fetchJSON GETs url and decodes the JSON body into out.
-func fetchJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
+func fetchJSON(ctx context.Context, client *http.Client, url string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -34,36 +38,40 @@ func fetchJSON(client *http.Client, url string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func runTop(args []string) error {
-	fs := flag.NewFlagSet("bohrctl top", flag.ExitOnError)
+// runTop is `bohrctl top`: it redraws the dashboard every -interval until
+// ctx ends, or draws it once.
+func runTop(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliflags.FlagSet("bohrctl top", stderr)
 	var (
 		server   = fs.String("server", "http://127.0.0.1:8080", "bohrd serve base URL")
 		interval = fs.Duration("interval", 2*time.Second, "refresh interval")
 		win      = fs.String("window", "10s", "window to render (10s, 1m, 5m)")
 		once     = fs.Bool("once", false, "render one frame and exit (no screen clearing)")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	url := strings.TrimRight(*server, "/") + "/v1/stats"
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	for {
 		var doc serve.StatsDoc
-		err := fetchJSON(client, url, &doc)
+		err := fetchJSON(ctx, client, url, &doc)
+		if ctx.Err() != nil {
+			return nil
+		}
 		if !*once {
-			fmt.Print("\x1b[H\x1b[2J") // cursor home + clear screen
+			fmt.Fprint(stdout, "\x1b[H\x1b[2J") // cursor home + clear screen
 		}
 		if err != nil {
-			fmt.Printf("bohrctl top: %v (retrying every %v)\n", err, *interval)
+			fmt.Fprintf(stdout, "bohrctl top: %v (retrying every %v)\n", err, *interval)
 		} else {
-			renderTop(&doc, *win, *server)
+			renderTop(stdout, &doc, *win, *server)
 		}
 		if *once {
 			return err
 		}
 		select {
-		case <-sig:
+		case <-ctx.Done():
 			return nil
 		case <-time.After(*interval):
 		}
@@ -71,12 +79,12 @@ func runTop(args []string) error {
 }
 
 // renderTop prints one dashboard frame from a stats document.
-func renderTop(doc *serve.StatsDoc, win, server string) {
-	fmt.Printf("bohrd %s  up %s  window %s  (refreshed %s)\n\n",
+func renderTop(w io.Writer, doc *serve.StatsDoc, win, server string) {
+	fmt.Fprintf(w, "bohrd %s  up %s  window %s  (refreshed %s)\n\n",
 		server, (time.Duration(doc.UptimeS * float64(time.Second))).Round(time.Second),
 		win, time.Now().Format("15:04:05"))
 	if doc.Windows == nil {
-		fmt.Println("windowed metrics not enabled on this daemon")
+		fmt.Fprintln(w, "windowed metrics not enabled on this daemon")
 	} else {
 		req := doc.Windows.Counters["serve.requests"][win]
 		hits := doc.Windows.Counters["serve.cache.hits"][win]
@@ -85,38 +93,38 @@ func renderTop(doc *serve.StatsDoc, win, server string) {
 		if req.Sum > 0 {
 			hitPct = 100 * hits.Sum / req.Sum
 		}
-		fmt.Printf("queries   %8.1f/s   (%d in window, cache hit %.0f%%)\n",
+		fmt.Fprintf(w, "queries   %8.1f/s   (%d in window, cache hit %.0f%%)\n",
 			req.Rate, int(req.Sum), hitPct)
-		fmt.Printf("latency   p50 %s  p90 %s  p99 %s  max %s\n",
+		fmt.Fprintf(w, "latency   p50 %s  p90 %s  p99 %s  max %s\n",
 			fmtSec(lat.P50), fmtSec(lat.P90), fmtSec(lat.P99), fmtSec(lat.Max))
 		ing := doc.Windows.Counters["ingest.accepted"][win]
 		e2e := doc.Windows.Histograms["ingest.batch_e2e_s"][win]
-		fmt.Printf("ingest    %8.1f rec/s  batch e2e p99 %s\n", ing.Rate, fmtSec(e2e.P99))
+		fmt.Fprintf(w, "ingest    %8.1f rec/s  batch e2e p99 %s\n", ing.Rate, fmtSec(e2e.P99))
 	}
-	fmt.Printf("\nsched     inflight %d  queued %d      cache entries %d\n",
+	fmt.Fprintf(w, "\nsched     inflight %d  queued %d      cache entries %d\n",
 		doc.Sched.Inflight, doc.Sched.QueueDepth, doc.Cache.Entries)
 	if doc.Flight != nil {
-		fmt.Printf("flightrec %d recorded, %d in ring, %d slow traces held (threshold %s)\n",
+		fmt.Fprintf(w, "flightrec %d recorded, %d in ring, %d slow traces held (threshold %s)\n",
 			doc.Flight.Recorded, doc.Flight.RingLen, doc.Flight.SlowHeld,
 			fmtSec(doc.Flight.SlowThresholdS))
 	}
 	if len(doc.IngestSources) > 0 {
-		fmt.Printf("\n%-20s %10s %8s %8s %10s %8s %12s\n",
+		fmt.Fprintf(w, "\n%-20s %10s %8s %8s %10s %8s %12s\n",
 			"SOURCE", "WATERMARK", "SPARSE", "PENDING", "ACCEPTED", "DEDUPE%", "BATCH E2E")
 		for _, s := range doc.IngestSources {
-			fmt.Printf("%-20s %10d %8d %8d %10d %7.1f%% %12s\n",
+			fmt.Fprintf(w, "%-20s %10d %8d %8d %10d %7.1f%% %12s\n",
 				s.Source, s.Watermark, s.Sparse, s.Pending, s.Accepted,
 				100*s.DedupeRate, fmtSec(s.LastBatchE2ES))
 		}
 	}
 	if doc.Windows != nil {
-		renderTenants(doc.Windows, win)
+		renderTenants(w, doc.Windows, win)
 	}
 }
 
 // renderTenants lists per-tenant windowed request rates and p99, derived
 // from the serve.tenant.<t>.* series the serving path maintains.
-func renderTenants(snap *window.Snapshot, win string) {
+func renderTenants(w io.Writer, snap *window.Snapshot, win string) {
 	var tenants []string
 	for name := range snap.Counters {
 		if t, ok := tenantOf(name, ".requests"); ok {
@@ -127,11 +135,11 @@ func renderTenants(snap *window.Snapshot, win string) {
 		return
 	}
 	sort.Strings(tenants)
-	fmt.Printf("\n%-20s %10s %10s %10s %10s\n", "TENANT", "REQ/S", "REQS", "P99", "INFLIGHT")
+	fmt.Fprintf(w, "\n%-20s %10s %10s %10s %10s\n", "TENANT", "REQ/S", "REQS", "P99", "INFLIGHT")
 	for _, t := range tenants {
 		req := snap.Counters["serve.tenant."+t+".requests"][win]
 		lat := snap.Histograms["serve.tenant."+t+".latency_s"][win]
-		fmt.Printf("%-20s %10.1f %10d %10s %10.0f\n",
+		fmt.Fprintf(w, "%-20s %10.1f %10d %10s %10.0f\n",
 			t, req.Rate, int(req.Sum), fmtSec(lat.P99),
 			snap.Gauges["serve.tenant."+t+".inflight"])
 	}
@@ -162,8 +170,11 @@ func fmtSec(s float64) string {
 	}
 }
 
-func runTail(args []string) error {
-	fs := flag.NewFlagSet("bohrctl tail", flag.ExitOnError)
+// runTail is `bohrctl tail`: it prints the flight recorder's recent
+// records (and, first, the slow ones), then with -follow keeps polling
+// until ctx ends.
+func runTail(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliflags.FlagSet("bohrctl tail", stderr)
 	var (
 		server   = fs.String("server", "http://127.0.0.1:8080", "bohrd serve base URL")
 		follow   = fs.Bool("follow", false, "keep polling for new records (like tail -f)")
@@ -171,12 +182,11 @@ func runTail(args []string) error {
 		limit    = fs.Int("limit", 20, "max recent records per fetch")
 		slow     = fs.Bool("slow", true, "print the retained slow queries with critical paths")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	base := strings.TrimRight(*server, "/") + "/v1/debug/flightrec"
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	var cursor uint64
 	first := true
 	for {
@@ -187,35 +197,39 @@ func runTail(args []string) error {
 			url += "&slow=0"
 		}
 		var doc serve.FlightDoc
-		if err := fetchJSON(client, url, &doc); err != nil {
+		err := fetchJSON(ctx, client, url, &doc)
+		if ctx.Err() != nil {
+			return nil
+		}
+		if err != nil {
 			if !*follow {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "bohrctl tail: %v\n", err)
+			fmt.Fprintf(stderr, "bohrctl tail: %v\n", err)
 		}
 		if first {
-			fmt.Printf("%-19s %-15s %-12s %-10s %-9s %8s %8s %6s\n",
+			fmt.Fprintf(stdout, "%-19s %-15s %-12s %-10s %-9s %8s %8s %6s\n",
 				"TIME", "TRACE", "TENANT", "DATASET", "STATUS", "LATENCY", "QWAIT", "CACHED")
 		}
 		for _, r := range doc.Recent {
-			printRecord(r)
+			printRecord(stdout, r)
 			if r.Seq > cursor {
 				cursor = r.Seq
 			}
 		}
 		if first && *slow && len(doc.Slow) > 0 {
-			fmt.Printf("\nslowest retained queries (full traces held):\n")
+			fmt.Fprintf(stdout, "\nslowest retained queries (full traces held):\n")
 			for _, s := range doc.Slow {
-				fmt.Printf("\n#%d %s tenant=%s %s latency=%s\n  stmt: %s\n",
+				fmt.Fprintf(stdout, "\n#%d %s tenant=%s %s latency=%s\n  stmt: %s\n",
 					s.Seq, s.TraceID, s.Tenant, s.Dataset, fmtSec(s.LatencyS), s.Stmt)
 				if len(s.CritPath) > 0 {
 					for _, line := range strings.Split(strings.TrimRight(critpath.Format(s.CritPath), "\n"), "\n") {
-						fmt.Printf("  %s\n", line)
+						fmt.Fprintf(stdout, "  %s\n", line)
 					}
 				}
 			}
 			if *follow {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
 		if !*follow {
@@ -223,7 +237,7 @@ func runTail(args []string) error {
 		}
 		first = false
 		select {
-		case <-sig:
+		case <-ctx.Done():
 			return nil
 		case <-time.After(*interval):
 		}
@@ -231,7 +245,7 @@ func runTail(args []string) error {
 }
 
 // printRecord renders one flight-recorder line.
-func printRecord(r serve.QueryRecord) {
+func printRecord(w io.Writer, r serve.QueryRecord) {
 	ts := r.Start
 	if t, err := time.Parse(time.RFC3339Nano, r.Start); err == nil {
 		ts = t.Local().Format("2006-01-02 15:04:05")
@@ -244,11 +258,11 @@ func printRecord(r serve.QueryRecord) {
 	if r.Cached {
 		cached = "yes"
 	}
-	fmt.Printf("%-19s %-15s %-12s %-10s %-9s %8s %8s %6s\n",
+	fmt.Fprintf(w, "%-19s %-15s %-12s %-10s %-9s %8s %8s %6s\n",
 		ts, r.TraceID, clip(r.Tenant, 12), clip(r.Dataset, 10), status,
 		fmtSec(r.LatencyS), fmtSec(r.QueueWaitS), cached)
 	if r.Err != "" {
-		fmt.Printf("    error: %s\n", clip(r.Err, 120))
+		fmt.Fprintf(w, "    error: %s\n", clip(r.Err, 120))
 	}
 }
 

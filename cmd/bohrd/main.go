@@ -1,5 +1,6 @@
 // Command bohrd runs the live pieces of the Bohr reproduction as
-// subcommands sharing one flag surface (see internal/cliflags).
+// subcommands; each registers only the flags it reads (the shared
+// definitions are in internal/cliflags).
 //
 // Serve mode runs the multi-tenant query daemon: data is generated and
 // placed once, then POST /v1/query accepts SQL + a tenant ID, with
@@ -21,8 +22,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -33,7 +36,6 @@ import (
 	"bohr/internal/cliflags"
 	"bohr/internal/core"
 	"bohr/internal/durable"
-	"bohr/internal/experiments"
 	"bohr/internal/ingest"
 	"bohr/internal/obs"
 	"bohr/internal/obs/export"
@@ -42,39 +44,47 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
-		fmt.Fprintln(os.Stderr, "bohrd: usage: bohrd <serve|load> [flags]")
-		os.Exit(2)
-	}
-	sub, args := os.Args[1], os.Args[2:]
-	var err error
-	switch sub {
-	case "serve":
-		err = runServe(args)
-	case "load":
-		err = runLoad(args)
-	default:
-		err = fmt.Errorf("unknown subcommand %q (want serve or load)", sub)
-	}
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	context.AfterFunc(ctx, stop) // a second interrupt kills
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "bohrd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("bohrd serve", flag.ExitOnError)
-	var common cliflags.Common
-	common.Register(fs)
-	var ing cliflags.Ingest
+// run is bohrd with its arguments (without the program name).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return errors.New("usage: bohrd <serve|load> [flags]")
+	}
+	switch args[0] {
+	case "serve":
+		return runServe(ctx, args[1:], stdout, stderr)
+	case "load":
+		return runLoad(ctx, args[1:], stdout, stderr)
+	}
+	return fmt.Errorf("unknown subcommand %q (want serve or load)", args[0])
+}
+
+// runServe is `bohrd serve`: it serves until ctx ends, then shuts down in
+// order.
+func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliflags.FlagSet("bohrd serve", stderr)
+	var (
+		ing  cliflags.Ingest
+		logs cliflags.Logging
+		sf   = cliflags.SetupFlags{Quick: true}
+	)
 	ing.Register(fs)
+	logs.Register(fs)
+	sf.Register(fs, "quick", "datasets", "rows", "seed")
+	width := cliflags.Width(fs)
+	telemetry := cliflags.TelemetryAddr(fs)
 	var (
 		kindName   = fs.String("workload", "bigdata-scan", "workload to generate and serve")
 		schemeName = fs.String("scheme", "bohr", "placement scheme")
-		datasets   = fs.Int("datasets", 0, "datasets per workload (0 = default)")
-		rows       = fs.Int("rows", 0, "rows per site per dataset (0 = default)")
-		seed       = fs.Int64("seed", 0, "random seed (0 = default)")
-		quick      = fs.Bool("quick", true, "use the small quick setup")
 		maxConc    = fs.Int("max-concurrent", 8, "queries executing at once across tenants")
 		quota      = fs.Int("tenant-quota", 2, "concurrently executing queries per tenant")
 		maxQueue   = fs.Int("max-queue", 64, "waiting requests before admission control rejects")
@@ -92,9 +102,11 @@ func runServe(args []string) error {
 		cacheBytes = fs.Int64("cache-bytes", cache.DefaultBytes,
 			"resident-byte cap of the query result cache (0 = unlimited)")
 	)
-	fs.Parse(args)
-	common.Apply()
-	logger, err := common.Logger(os.Stderr)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	width()
+	logger, err := logs.Logger(stderr)
 	if err != nil {
 		return err
 	}
@@ -107,18 +119,9 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	s := experiments.DefaultSetup()
-	if *quick {
-		s = experiments.QuickSetup()
-	}
-	if *datasets > 0 {
-		s.Datasets = *datasets
-	}
-	if *rows > 0 {
-		s.RowsPerSite = *rows
-	}
-	if *seed != 0 {
-		s.Seed = *seed
+	s, err := sf.Setup()
+	if err != nil {
+		return err
 	}
 	cluster, w, err := s.Populated(kind, false, 0)
 	if err != nil {
@@ -136,8 +139,8 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bohrd: placing %d datasets under %s...\n", len(w.Datasets), scheme)
-	if _, err := sys.Prepare(context.Background()); err != nil {
+	fmt.Fprintf(stderr, "bohrd: placing %d datasets under %s...\n", len(w.Datasets), scheme)
+	if _, err := sys.Prepare(ctx); err != nil {
 		return err
 	}
 
@@ -174,12 +177,13 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
+		defer dman.Close() // error paths; the orderly shutdown closes it first
 		var sum *durable.RecoverySummary
-		pipe, sum, err = fe.EnableDurableIngest(context.Background(), ingCfg, dman, *snapEvery)
+		pipe, sum, err = fe.EnableDurableIngest(ctx, ingCfg, dman, *snapEvery)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"bohrd: recovered %s: snapshot seq %d, replayed %d frames (%d records, %d deduped), wal seq %d, torn bytes %d\n",
 			*dataDir, sum.SnapshotSeq, sum.FramesReplayed, sum.RecordsReplayed,
 			sum.RecordsDeduped, sum.WalSeq, sum.TruncatedBytes)
@@ -189,13 +193,14 @@ func runServe(args []string) error {
 			return err
 		}
 	}
+	defer pipe.Close() // error paths, as dman
 
 	srv := export.New(col)
 	srv.Handle("/v1/", fe.Handler())
 	// Live levels are gauges their owners push (the scheduler's
 	// serve.inflight and serve.queue.depth, the pipeline's
 	// ingest.queue_depth): /metrics reads the one registry.
-	listen := common.TelemetryAddr
+	listen := *telemetry
 	if listen == "" {
 		listen = "127.0.0.1:8080"
 	}
@@ -212,21 +217,19 @@ func runServe(args []string) error {
 			break
 		}
 	}
-	fmt.Printf("bohrd: serving %d datasets (%s) on http://%s/v1/query (ingest on /v1/ingest, metrics on /metrics)\n",
+	fmt.Fprintf(stdout, "bohrd: serving %d datasets (%s) on http://%s/v1/query (ingest on /v1/ingest, metrics on /metrics)\n",
 		len(w.Datasets), strings.Join(names, ","), addr)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	<-ctx.Done()
 	// Orderly shutdown: drain the pipeline (delivering buffered batches),
 	// let any in-flight background snapshot finish, cut a final snapshot
 	// so the next start replays nothing, and seal the WAL.
 	if err := pipe.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "bohrd: ingest drain: %v\n", err)
+		fmt.Fprintf(stderr, "bohrd: ingest drain: %v\n", err)
 	}
 	if dman != nil {
 		fe.DrainSnapshots()
-		if err := fe.SnapshotNow(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "bohrd: shutdown snapshot: %v\n", err)
+		if err := fe.SnapshotNow(context.WithoutCancel(ctx)); err != nil {
+			fmt.Fprintf(stderr, "bohrd: shutdown snapshot: %v\n", err)
 		}
 		if err := dman.Close(); err != nil {
 			return err
@@ -245,12 +248,12 @@ func cacheCaps(entries int, bytes int64) cache.Caps {
 	return cache.Caps{Entries: entries, Bytes: bytes}
 }
 
-func runLoad(args []string) error {
-	fs := flag.NewFlagSet("bohrd load", flag.ExitOnError)
-	var common cliflags.Common
-	common.Register(fs)
-	var ing cliflags.Ingest
-	ing.Register(fs)
+// runLoad is `bohrd load`: it streams a CSV file (or stdin) into a serve
+// daemon's ingest endpoint.
+func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliflags.FlagSet("bohrd load", stderr)
+	var batch int
+	cliflags.IngestBatch(fs, &batch)
 	var (
 		server  = fs.String("server", "", "bohrd serve base URL for streaming ingest (e.g. http://127.0.0.1:8080)")
 		source  = fs.String("source", "loader", "ingest source name (offsets are per source)")
@@ -261,9 +264,9 @@ func runLoad(args []string) error {
 		file    = fs.String("file", "", "CSV file of records; - for stdin")
 		seed    = fs.Int64("seed", 1, "random seed for retry backoff jitter")
 	)
-	fs.Parse(args)
-	common.Apply()
-
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	schemaDims := cliflags.SplitCSV(*schema)
 	if *dataset == "" || len(schemaDims) == 0 {
 		return fmt.Errorf("load needs -dataset and -schema")
@@ -271,7 +274,7 @@ func runLoad(args []string) error {
 	if *server == "" {
 		return fmt.Errorf("load needs -server")
 	}
-	in := os.Stdin
+	var in io.Reader = os.Stdin
 	if *file != "" && *file != "-" {
 		f, err := os.Open(*file)
 		if err != nil {
@@ -285,11 +288,10 @@ func runLoad(args []string) error {
 	// assigns monotonic per-source offsets and retries 429s with seeded
 	// backoff (the server's dedupe makes resends safe).
 	cli := ingest.NewClient(strings.TrimRight(*server, "/")+"/v1/ingest", *source, ingest.ClientConfig{
-		BatchRecords: ing.Batch,
+		BatchRecords: batch,
 		Seed:         *seed,
 		StartOffset:  *offset,
 	})
-	ctx := context.Background()
 	rows := 0
 	err := scanCSV(in, schemaDims, func(coords []string, val float64) error {
 		rows++
@@ -302,14 +304,14 @@ func runLoad(args []string) error {
 		return err
 	}
 	st := cli.Stats()
-	fmt.Printf("bohrd: streamed %d records into %q at site %d as source %q (accepted %d, deduped %d, retries %d, next offset %d)\n",
+	fmt.Fprintf(stdout, "bohrd: streamed %d records into %q at site %d as source %q (accepted %d, deduped %d, retries %d, next offset %d)\n",
 		rows, *dataset, *site, *source, st.Accepted, st.Deduped, st.Retries, cli.NextOffset())
 	return nil
 }
 
 // scanCSV reads "coord1,...,coordN,value" lines (blank and # lines
 // skipped) and hands each parsed record to emit.
-func scanCSV(in *os.File, schemaDims []string, emit func(coords []string, val float64) error) error {
+func scanCSV(in io.Reader, schemaDims []string, emit func(coords []string, val float64) error) error {
 	sc := bufio.NewScanner(in)
 	line := 0
 	for sc.Scan() {

@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// TestDocNamesExist holds the documents to the code: every test, benchmark
-// or fuzz target DESIGN.md, EXPERIMENTS.md, README.md and the skill notes
-// name in backticks (or in a fenced block) is one a _test.go file of the
-// repository defines, and every qualified Go name they write there —
+// TestDocNamesExist holds the documents to the code: every test, benchmark,
+// fuzz target or example DESIGN.md, EXPERIMENTS.md, README.md and the skill
+// notes name in backticks (or in a fenced block) is one a _test.go file of
+// the repository defines, and every qualified Go name they write there —
 // `pkg.Name`, where pkg is a package directory under internal/ — is a
 // top-level func, type, var or const, or a method, of that package. So a
 // rename or a deletion cannot leave a document pointing at nothing. Only
@@ -23,7 +23,7 @@ import (
 // `core.ingest.rows` share the spelling and are all lower case.
 func TestDocNamesExist(t *testing.T) {
 	defined := map[string]bool{}
-	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
 	pkgs := map[string]map[string]bool{} // package directory name → declared names
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -51,7 +51,7 @@ func TestDocNamesExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	code := regexp.MustCompile("(?s)```.*?```|`[^`]*`")
-	names := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	names := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z]\w*`)
 	qualified := regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.(\w*[A-Z]\w*)`)
 	skills, err := filepath.Glob(".*/skills/*/SKILL.md") // the build-and-verify notes
 	if err != nil {

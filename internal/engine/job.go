@@ -587,7 +587,6 @@ func (st Stage) lay(n int, records []KV, kc *keyColumn) ([]execLayout, float64, 
 		spans := partitionSpans(lo, min(lo+perMachine, n), ex.PerMachine*partitionsPerExecutor)
 		parts := make([]Partition, len(spans))
 		for pi, s := range spans {
-			parts[pi].Index = pi
 			if records != nil {
 				parts[pi].Records = records[s.lo:s.hi]
 			}

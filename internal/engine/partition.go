@@ -7,7 +7,6 @@ import "fmt"
 // together stays together — the locality the RDD-similarity assigner
 // exploits.
 type Partition struct {
-	Index   int
 	Records []KV
 	// KeyIDs are the interned ids of Records' keys and Hashes their
 	// lineage's hash table, Hashes[KeyIDs[r]] being KeyHash of record r's
@@ -123,7 +122,7 @@ func PartitionRecords(records []KV, n int) ([]Partition, error) {
 	}
 	out := make([]Partition, len(spans))
 	for i, s := range spans {
-		out[i] = Partition{Index: i, Records: records[s.lo:s.hi]}
+		out[i] = Partition{Records: records[s.lo:s.hi]}
 	}
 	return out, nil
 }

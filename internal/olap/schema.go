@@ -5,8 +5,7 @@
 // Bohr itself no longer reads a cube: a site's dimension cube is the
 // store's cell column (engine.CellCounts). The cube here is the reference
 // that column is tested against, the storage model behind Table 6, and
-// the builder Table 2, §8.5's overhead and the image workload's LSH
-// buckets run. BuildCube is its one constructor; DimensionCube aggregates
+// the builder Table 2 times. BuildCube is its one constructor; DimensionCube aggregates
 // a cube down to the dimensions one query type reads.
 package olap
 

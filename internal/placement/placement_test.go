@@ -311,24 +311,6 @@ func TestBohrSimBeatsIridiumC(t *testing.T) {
 	}
 }
 
-func TestMovesToTensor(t *testing.T) {
-	sts := []*DatasetStats{{Name: "a"}, {Name: "b"}}
-	moves := []engine.MoveSpec{
-		{Dataset: "a", Src: 0, Dst: 1, MB: 5},
-		{Dataset: "a", Src: 0, Dst: 1, MB: 3},
-		{Dataset: "b", Src: 1, Dst: 0, MB: 2},
-		{Dataset: "zzz", Src: 0, Dst: 1, MB: 9}, // unknown: ignored
-		{Dataset: "a", Src: 1, Dst: 1, MB: 9},   // self: ignored
-	}
-	tns := movesToTensor(2, sts, moves)
-	if tns[0][0][1] != 8 || tns[1][1][0] != 2 {
-		t.Fatalf("tensor = %v", tns)
-	}
-	if tns[0][1][1] != 0 {
-		t.Fatal("self moves must be ignored")
-	}
-}
-
 func TestSequentialHeuristicRespectsBudgets(t *testing.T) {
 	c, w := testSetup(t, workload.TPCDS, false)
 	sts, err := ComputeAllStats(c, w, 30)

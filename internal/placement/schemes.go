@@ -645,28 +645,6 @@ func buildLPInput(planTop *wan.Topology, n int, allStats []*DatasetStats, opts O
 	return in
 }
 
-// movesToTensor converts MoveSpecs to the x[a][i][j] tensor the LP
-// evaluates shuffle volumes with.
-func movesToTensor(n int, allStats []*DatasetStats, moves []engine.MoveSpec) [][][]float64 {
-	idx := map[string]int{}
-	for a, st := range allStats {
-		idx[st.Name] = a
-	}
-	t := make([][][]float64, len(allStats))
-	for a := range t {
-		t[a] = make([][]float64, n)
-		for i := range t[a] {
-			t[a][i] = make([]float64, n)
-		}
-	}
-	for _, sp := range moves {
-		if a, ok := idx[sp.Dataset]; ok && sp.Src != sp.Dst {
-			t[a][sp.Src][sp.Dst] += sp.MB
-		}
-	}
-	return t
-}
-
 // sequentialHeuristic reproduces the prior-work placement loop ([27], as
 // §4.3 describes it): score datasets by value (query count × bottleneck
 // drain time), then for each dataset in descending value move data out of

@@ -11,8 +11,8 @@ import (
 	"bohr/internal/wan"
 )
 
-func mkPartition(idx int, keys ...string) engine.Partition {
-	p := engine.Partition{Index: idx}
+func mkPartition(keys ...string) engine.Partition {
+	var p engine.Partition
 	for _, k := range keys {
 		p.Records = append(p.Records, engine.KV{Key: k, Val: 1})
 	}
@@ -20,7 +20,7 @@ func mkPartition(idx int, keys ...string) engine.Partition {
 }
 
 func TestDimsumValidation(t *testing.T) {
-	parts := []engine.Partition{mkPartition(0, "a")}
+	parts := []engine.Partition{mkPartition("a")}
 	if _, err := PairwiseSimilarity(parts, DimsumConfig{HashFunctions: 0, Gamma: 0.5}); err == nil {
 		t.Fatal("m=0 should error")
 	}
@@ -34,9 +34,9 @@ func TestDimsumValidation(t *testing.T) {
 
 func TestPairwiseSimilarityIdenticalAndDisjoint(t *testing.T) {
 	parts := []engine.Partition{
-		mkPartition(0, "a", "b", "c"),
-		mkPartition(1, "a", "b", "c"),
-		mkPartition(2, "x", "y", "z"),
+		mkPartition("a", "b", "c"),
+		mkPartition("a", "b", "c"),
+		mkPartition("x", "y", "z"),
 	}
 	mat, err := PairwiseSimilarity(parts, DimsumConfig{HashFunctions: 128, Gamma: 1, Seed: 3})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestGammaTradesComparisonsForAccuracy(t *testing.T) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("k%d", rng.Intn(600))
 		}
-		parts = append(parts, mkPartition(p, keys...))
+		parts = append(parts, mkPartition(keys...))
 	}
 	full, err := PairwiseSimilarity(parts, DimsumConfig{HashFunctions: 128, Gamma: 1, Seed: 1})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestDimsumSkipsDissimilarPairs(t *testing.T) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("p%d-k%d", p, i)
 		}
-		parts = append(parts, mkPartition(p, keys...))
+		parts = append(parts, mkPartition(keys...))
 	}
 	cfg := DimsumConfig{HashFunctions: 64, Gamma: 1, Seed: 2}
 	mat, err := PairwiseSimilarity(parts, cfg)
@@ -211,7 +211,7 @@ func TestAssignerGroupsSimilarPartitions(t *testing.T) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("g%d-k%d", group, i%50)
 		}
-		parts = append(parts, mkPartition(p, keys...))
+		parts = append(parts, mkPartition(keys...))
 	}
 	a := NewAssigner(3)
 	assign, overhead, err := a.Assign(parts, 2)
@@ -234,7 +234,7 @@ func TestAssignerGroupsSimilarPartitions(t *testing.T) {
 
 func TestAssignerEdgeCases(t *testing.T) {
 	a := NewAssigner(1)
-	if _, _, err := a.Assign([]engine.Partition{mkPartition(0, "k")}, 0); err == nil {
+	if _, _, err := a.Assign([]engine.Partition{mkPartition("k")}, 0); err == nil {
 		t.Fatal("zero executors should error")
 	}
 	got, overhead, err := a.Assign(nil, 4)
@@ -242,7 +242,7 @@ func TestAssignerEdgeCases(t *testing.T) {
 		t.Fatalf("empty parts: %v %v %v", got, overhead, err)
 	}
 	// Single executor: no checking needed, zero overhead.
-	got, overhead, err = a.Assign([]engine.Partition{mkPartition(0, "k"), mkPartition(1, "j")}, 1)
+	got, overhead, err = a.Assign([]engine.Partition{mkPartition("k"), mkPartition("j")}, 1)
 	if err != nil || overhead != 0 {
 		t.Fatalf("single executor: %v %v", overhead, err)
 	}
@@ -262,7 +262,7 @@ func TestAssignerBalancesLoad(t *testing.T) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("k%d", i)
 		}
-		parts = append(parts, mkPartition(p, keys...))
+		parts = append(parts, mkPartition(keys...))
 	}
 	a := NewAssigner(5)
 	assign, _, err := a.Assign(parts, 4)

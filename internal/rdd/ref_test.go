@@ -104,7 +104,7 @@ func benchShapedParts(seed int64, n, size int) []engine.Partition {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("url%d%sc%d", p*size/64+rng.Intn(size/12), engine.KeySep, rng.Intn(3))
 		}
-		parts[p] = mkPartition(p, keys...)
+		parts[p] = mkPartition(keys...)
 	}
 	return parts
 }
@@ -115,7 +115,7 @@ func benchShapedParts(seed int64, n, size int) []engine.Partition {
 // and the assignment built on it.
 func TestPairwiseMatchesRefSignature(t *testing.T) {
 	parts := benchShapedParts(3, 16, 320)
-	parts = append(parts, mkPartition(len(parts)), mkPartition(len(parts)+1, "lone", "lone", "lone"))
+	parts = append(parts, mkPartition(), mkPartition("lone", "lone", "lone"))
 	for _, cfg := range []DimsumConfig{DefaultDimsum(), {HashFunctions: 128, Gamma: 1, Seed: 9}} {
 		want := refPairwise(parts, cfg)
 		got, err := PairwiseSimilarity(parts, cfg)

@@ -395,62 +395,6 @@ func TestJoinSplitKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGenerateImages(t *testing.T) {
-	cfg := DefaultImageConfig()
-	cfg.Sites = 2
-	cfg.VectorsPerSit = 50
-	cfg.Dim = 16
-	ds, err := GenerateImages("img", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Vectors) != 2 || len(ds.Vectors[0]) != 50 || len(ds.Vectors[0][0]) != 16 {
-		t.Fatalf("shape: %d sites, %d vecs, %d dim", len(ds.Vectors), len(ds.Vectors[0]), len(ds.Vectors[0][0]))
-	}
-	bad := cfg
-	bad.Dim = 0
-	if _, err := GenerateImages("img", bad); err == nil {
-		t.Fatal("dim=0 should error")
-	}
-	bad = cfg
-	bad.Overlap = -1
-	if _, err := GenerateImages("img", bad); err == nil {
-		t.Fatal("overlap<0 should error")
-	}
-}
-
-func TestFeatureCubeClustersClasses(t *testing.T) {
-	cfg := DefaultImageConfig()
-	cfg.Sites = 1
-	cfg.VectorsPerSit = 200
-	cfg.Dim = 32
-	cfg.Classes = 5
-	cfg.Noise = 0.05
-	ds, err := GenerateImages("img", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsh, err := similarity.NewLSH(32, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cube, err := ds.FeatureCube(0, lsh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200 low-noise vectors from ≤10 populated classes must collapse into
-	// far fewer LSH buckets than vectors.
-	if cube.NumCells() >= 100 {
-		t.Fatalf("LSH buckets = %d, expected strong clustering", cube.NumCells())
-	}
-	if cube.TotalCount() != 200 {
-		t.Fatalf("cube rows = %d", cube.TotalCount())
-	}
-	if _, err := ds.FeatureCube(9, lsh); err == nil {
-		t.Fatal("out-of-range site should error")
-	}
-}
-
 func TestAffinityGroupsCreateAsymmetricSimilarity(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Sites = 6
