@@ -81,8 +81,9 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	logs.Register(fs)
 	sf.Register(fs, "quick", "datasets", "rows", "seed")
 	width := cliflags.Width(fs)
-	telemetry := cliflags.TelemetryAddr(fs)
 	var (
+		listen = fs.String("telemetry-addr", "127.0.0.1:8080",
+			"serve /v1/query, /v1/ingest, /v1/stats, /metrics, /healthz and /debug/pprof on this address")
 		kindName   = fs.String("workload", "bigdata-scan", "workload to generate and serve")
 		schemeName = fs.String("scheme", "bohr", "placement scheme")
 		maxConc    = fs.Int("max-concurrent", 8, "queries executing at once across tenants")
@@ -200,11 +201,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	// Live levels are gauges their owners push (the scheduler's
 	// serve.inflight and serve.queue.depth, the pipeline's
 	// ingest.queue_depth): /metrics reads the one registry.
-	listen := *telemetry
-	if listen == "" {
-		listen = "127.0.0.1:8080"
-	}
-	addr, err := srv.Start(listen)
+	addr, err := srv.Start(*listen)
 	if err != nil {
 		return err
 	}

@@ -188,7 +188,8 @@ func TestScanCSV(t *testing.T) {
 }
 
 // TestFlagsAndErrors pins the flags each subcommand registers (each one it
-// reads) and the rejected invocations.
+// reads), serve's -telemetry-addr default (the address it listens on when
+// the flag is not given) and the rejected invocations.
 func TestFlagsAndErrors(t *testing.T) {
 	for sub, want := range map[string][]string{
 		"serve": {"cache-bytes", "cache-entries", "data-dir", "datasets", "flight-ring", "fsync",
@@ -207,6 +208,9 @@ func TestFlagsAndErrors(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("bohrd %s flags = %v, want %v", sub, got, want)
+		}
+		if sub == "serve" && !regexp.MustCompile(`(?m)^  -telemetry-addr string\n.*\(default "127\.0\.0\.1:8080"\)$`).MatchString(errOut.String()) {
+			t.Errorf("bohrd serve -h does not give -telemetry-addr the default it listens on:\n%s", errOut.String())
 		}
 	}
 

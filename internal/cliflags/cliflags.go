@@ -40,7 +40,8 @@ func Width(fs *flag.FlagSet) (apply func()) {
 }
 
 // TelemetryAddr registers -telemetry-addr: serve /metrics, /healthz and
-// /debug/pprof there when non-empty.
+// /debug/pprof there when non-empty. bohrd serve, which always listens,
+// registers its own with the address it listens on by default.
 func TelemetryAddr(fs *flag.FlagSet) *string {
 	return fs.String("telemetry-addr", "",
 		"serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9100)")

@@ -58,7 +58,8 @@ func runMain(m *testing.M) int {
 // A seeded subset of trials also appends a torn tail (zeros, random
 // garbage, or a truncated valid frame) to the newest WAL segment before
 // restarting. Every trial asserts the recovered watermark covers every
-// acked offset: zero acked loss.
+// acked offset: zero acked loss. One more trial stops the daemon with an
+// interrupt instead of a kill (runInterruptTrial).
 func TestCrashRecovery(t *testing.T) {
 	trials := 20
 	if testing.Short() {
@@ -70,6 +71,67 @@ func TestCrashRecovery(t *testing.T) {
 			t.Parallel()
 			runTrial(t, seed)
 		})
+	}
+	t.Run("interrupt", func(t *testing.T) {
+		t.Parallel()
+		runInterruptTrial(t)
+	})
+}
+
+// runInterruptTrial is the shutdown-snapshot path end to end: stream, wait
+// until applied, pin the query, interrupt the daemon (no cadence snapshot,
+// so only the shutdown snapshot covers the stream) and restart it. The
+// daemon must exit cleanly, and the restart must replay 0 WAL frames and
+// answer the pinned query byte-identically.
+func runInterruptTrial(t *testing.T) {
+	ctx := context.Background()
+	dataDir := t.TempDir()
+	var stderr1, stderr2 bytes.Buffer
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("first daemon stderr:\n%s", stderr1.String())
+			t.Logf("second daemon stderr:\n%s", stderr2.String())
+		}
+	})
+	d1, err := StartDaemon(ctx, DaemonConfig{Bin: bohrdBin, DataDir: dataDir, Stderr: &stderr1})
+	if err != nil {
+		t.Fatalf("starting daemon: %v", err)
+	}
+	defer d1.Kill()
+	st := &Stream{Base: d1.Base, Source: "interrupt", BatchSize: 6}
+	const total = 60
+	if acked, err := st.SendRange(ctx, 1, total); err != nil || acked != total {
+		t.Fatalf("streaming: acked %d/%d: %v", acked, total, err)
+	}
+	if err := WaitApplied(ctx, d1.Base, st.Source, total, 30*time.Second); err != nil {
+		t.Fatalf("quiescing: %v", err)
+	}
+	before, _, err := PinnedQuery(ctx, d1.Base)
+	if err != nil {
+		t.Fatalf("pinned query before the interrupt: %v", err)
+	}
+	if err := d1.Interrupt(30 * time.Second); err != nil {
+		t.Fatalf("interrupted daemon: %v", err)
+	}
+
+	d2, err := StartDaemon(ctx, DaemonConfig{Bin: bohrdBin, DataDir: dataDir, Stderr: &stderr2})
+	if err != nil {
+		t.Fatalf("restarting daemon: %v", err)
+	}
+	defer d2.Kill()
+	if wm, err := SourceWatermark(ctx, d2.Base, st.Source); err != nil || wm != total {
+		t.Fatalf("recovered watermark %d, want %d: %v", wm, total, err)
+	}
+	after, _, err := PinnedQuery(ctx, d2.Base)
+	if err != nil {
+		t.Fatalf("pinned query after the restart: %v", err)
+	}
+	d2.Kill() // its stderr is complete once it is reaped
+	if !bytes.Equal(before, after) {
+		t.Fatalf("pinned query diverged across the restart:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if !strings.Contains(stderr2.String(), "replayed 0 frames") {
+		t.Fatalf("the restart replayed WAL frames the shutdown snapshot should cover:\n%s", stderr2.String())
 	}
 }
 

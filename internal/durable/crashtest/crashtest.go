@@ -1,10 +1,10 @@
 // Package crashtest is a crash-consistency harness for the durable
 // ingest path. It drives a real bohrd serve process over a durability
 // directory, SIGKILLs it at seeded points (optionally appending a torn
-// tail to the newest WAL segment first), restarts it on the same
-// directory, and checks the recovery invariants: no acked record is
-// lost, no record is applied twice, and a pinned query answers
-// byte-identically after recovery.
+// tail to the newest WAL segment first) or interrupts it for an orderly
+// shutdown, restarts it on the same directory, and checks the recovery
+// invariants: no acked record is lost, no record is applied twice, and a
+// pinned query answers byte-identically after recovery.
 //
 // The harness is deliberately end-to-end: records travel through the
 // real HTTP ingest endpoint, the real WAL and snapshot files, and a
@@ -135,6 +135,23 @@ func (d *Daemon) Kill() {
 		d.cmd.Process.Kill()
 		<-d.done
 	})
+}
+
+// Interrupt sends the child os.Interrupt — the orderly shutdown, which
+// drains the pipeline and cuts a final snapshot — and waits up to timeout
+// for it to exit, returning how it exited. After a timeout it kills it.
+func (d *Daemon) Interrupt(timeout time.Duration) error {
+	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
+		return err
+	}
+	select {
+	case err := <-d.done:
+		d.killOnce.Do(func() {}) // reaped: a later Kill has nothing to do
+		return err
+	case <-time.After(timeout):
+		d.Kill()
+		return fmt.Errorf("bohrd did not exit within %s of an interrupt", timeout)
+	}
 }
 
 // Stream sends deterministic records for one source at a daemon's

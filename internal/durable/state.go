@@ -24,12 +24,26 @@ type State struct {
 	Sources []ingest.SourceOffsets
 	// Datasets holds per-dataset site state, in serving order.
 	Datasets []DatasetState
+	// Leases are the releases of the leases a capture took on the live
+	// stores (Release); none on a decoded state.
+	Leases []func()
 }
 
-// DatasetState is one dataset's applied state, indexed by site. Records
-// holds the slices the engine.Stores handed out, which a store never
-// modifies afterwards (an add appends past the length; a remove copies once
-// the slice was handed out).
+// Release ends a captured state's leases: the stores compact their records
+// in place again, so nothing may read Datasets afterwards. A second call,
+// or one on a decoded state, does nothing.
+func (st *State) Release() {
+	for _, release := range st.Leases {
+		release()
+	}
+	st.Leases = nil
+}
+
+// DatasetState is one dataset's applied state, indexed by site. On a
+// captured state Records holds the slices the engine.Stores leased
+// (engine.Store.Lease), which a store does not modify until the state's
+// Release: an add appends past the length, and a remove copies while a
+// lease is out.
 type DatasetState struct {
 	Name    string
 	Records [][]engine.KV

@@ -324,13 +324,6 @@ func (ct *content) keyColumn(records []KV) (kc *keyColumn, hit bool) {
 	return kc, hit
 }
 
-// keyColumn returns the key ids of the layout's records (content.keyColumn).
-func (l *Layout) keyColumn() (*keyColumn, bool) { return l.ct.keyColumn(l.records) }
-
-// keyColumn returns the key ids of a store's records (content.keyColumn),
-// which must not be empty.
-func (s *Store) keyColumn() (*keyColumn, bool) { return s.content.keyColumn(s.Records()) }
-
 // grouper addresses an executor's groups by the kept fields' codes of a key
 // packed into one integer: a table indexed by it when the kept dictionaries'
 // product is no larger than the busiest executor's share, an open-addressed
@@ -451,8 +444,8 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 // and groups come out in first-emit order per executor: the equivalent
 // MapFn's result, bit for bit (DESIGN.md §8). The groups go in cb's buffer,
 // which Inter then is.
-func (l *Layout) scanSelect(kc *keyColumn, q *Query, cb *combiner) StageResult {
-	sel, recs, op, keys, d := q.Select, l.records, q.Combine, kc.dict.keys, kc.coded()
+func (l *Layout) scanSelect(recs []KV, kc *keyColumn, q *Query, cb *combiner) StageResult {
+	sel, op, keys, d := q.Select, q.Combine, kc.dict.keys, kc.coded()
 	width, keep, filtered := sel.View.Width(), sel.View.Keep(), len(sel.Where) > 0
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	share := 0

@@ -152,12 +152,8 @@ func TestColumnsBuiltOncePerContent(t *testing.T) {
 	// The source's key ids, as every clone shares them.
 	source := make([]*keyColumn, c.N())
 	for i := range source {
-		l, _, err := c.Data[i].Store("d").Layout(Stage{Exec: c.Exec[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var hit bool
-		if source[i], hit = l.keyColumn(); !hit {
+		if source[i], hit = c.Data[i].Store("d").keyColumn(); !hit {
 			t.Fatalf("site %d: the source's key ids were not the ones its clones built", i)
 		}
 	}
@@ -212,11 +208,10 @@ func TestDictionarySharedAcrossClonesOnlyGrows(t *testing.T) {
 	}
 	stage := Stage{Exec: Executors{Machines: 1, PerMachine: 2}}
 	idsOf := func(s *Store) *keyColumn {
-		l, _, err := s.Layout(stage)
-		if err != nil {
+		if _, _, err := s.Layout(stage); err != nil {
 			t.Fatal(err)
 		}
-		kc, _ := l.keyColumn()
+		kc, _ := s.keyColumn()
 		return kc
 	}
 	scan, _ := selectQuery("d")

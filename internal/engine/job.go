@@ -251,6 +251,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 				stage := Stage{Exec: c.Exec[i], Assigner: job.cfg.Assigner, CubeInput: job.cfg.CubeInput}
 				var out siteStage
 				var l *Layout
+				var recs []KV
 				var lerr error
 				switch store := c.Data[i].Store(job.q.Dataset); {
 				case round == 0 && store.Len() > 0:
@@ -258,11 +259,14 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 						out.cols, out.colsHit = store.keyColumn()
 					}
 					out.looked = true
-					l, out.hit, lerr = store.Layout(stage)
+					if l, out.hit, lerr = store.layout(stage); lerr == nil {
+						recs, lerr = store.current(l.ct)
+					}
 				case round > 0 && len(job.input[i]) > 0:
 					// Reduce output: nobody scans it again, nobody keeps
 					// its layout.
-					l, lerr = NewLayout(job.input[i], stage)
+					recs = job.input[i]
+					l, lerr = NewLayout(recs, stage)
 				default:
 					return out, nil
 				}
@@ -274,7 +278,7 @@ func (c *Cluster) RunConcurrent(ctx context.Context, cfgs []JobConfig) ([]*RunRe
 					cb = combinerPool.Get().(*combiner)
 					combiners[i] = cb
 				}
-				out.StageResult = l.scan(&job.q, cb)
+				out.StageResult = l.scan(recs, &job.q, cb)
 				return out, nil
 			})
 			if err != nil {
@@ -475,10 +479,13 @@ func (st Stage) withDefaults() Stage {
 type Layout struct {
 	// AssignOverhead is the largest per-machine modeled assignment cost.
 	AssignOverhead float64
-	// records are what its ranges index: the slice derive handed the
-	// build, or NewLayout's caller. ct is their content, which their key
-	// ids are kept under.
+	// records are what its ranges index when NewLayout's caller gave them.
+	// A store's layout keeps none: it reads src's records at every scan,
+	// src being the store it was looked up on, and only while src still
+	// holds ct. ct is the records' content, which their key ids are kept
+	// under.
 	records []KV
+	src     *Store
 	ct      *content
 	// execs are the executors in (machine, executor) order.
 	execs []execLayout
@@ -625,19 +632,44 @@ type layoutKey Stage
 // nobody wrote to re-partitions, re-clusters and re-counts nothing. hit is
 // false for the caller that built it. An assigner whose value cannot stand
 // for what it does — not comparable, or a pointer, whose identity says
-// nothing about its configuration — is never memoized.
-func (s *Store) Layout(st Stage) (l *Layout, hit bool, err error) {
+// nothing about its configuration — is never memoized. The layout reads
+// the store's records when it scans, so it is good until the store's next
+// write: scanning it after that fails as a stale layout.
+func (s *Store) Layout(st Stage) (*Layout, bool, error) {
+	l, hit, err := s.layout(st)
+	if err != nil {
+		return nil, hit, err
+	}
+	on := *l
+	on.src = s
+	return &on, hit, nil
+}
+
+// layout is Layout as the memo keeps it, bound to no store: its caller
+// scans it over the store's records before the store's next write.
+func (s *Store) layout(st Stage) (l *Layout, hit bool, err error) {
 	st = st.withDefaults()
 	var ct *content
 	if s != nil {
 		ct = s.content
 	}
-	build := func(recs []KV) (*Layout, error) { return newLayout(recs, ct, st) }
-	if t := reflect.TypeOf(st.Assigner); !t.Comparable() || t.Kind() == reflect.Pointer {
-		l, err = build(s.Records())
-		return l, false, err
+	build := func(recs []KV) (*Layout, error) {
+		l, err := newLayout(recs, ct, st)
+		if l != nil {
+			l.records = nil // the store's own array, read afresh at each scan
+		}
+		return l, err
 	}
-	return derive(s, layoutKey(st), build)
+	if t := reflect.TypeOf(st.Assigner); !t.Comparable() || t.Kind() == reflect.Pointer {
+		var recs []KV
+		if s != nil {
+			recs, _ = s.current(ct)
+		}
+		l, err = build(recs)
+	} else {
+		l, hit, err = derive(s, layoutKey(st), build)
+	}
+	return l, hit, err
 }
 
 // StageResult is what one site's map→combine stage produced.
@@ -667,19 +699,29 @@ type StageResult struct {
 // One key appears at most once per executor, so a reducer still meets each
 // key's partials in (site, machine, executor) order: every reduced sum and
 // every modeled time is bit-identical to a sorting combiner's, at any pool
-// width (DESIGN.md §8).
-func (l *Layout) Scan(q *Query) StageResult { return l.scan(q, new(combiner)) }
+// width (DESIGN.md §8). A store's layout scans the store's records, and
+// panics as a stale layout once the store was written (Store.Layout).
+func (l *Layout) Scan(q *Query) StageResult {
+	recs := l.records
+	if l.src != nil {
+		var err error
+		if recs, err = l.src.current(l.ct); err != nil {
+			panic(err)
+		}
+	}
+	return l.scan(recs, q, new(combiner))
+}
 
-// scan is Scan folding into cb: Inter is cb's buffer, valid until cb's
-// next scan.
-func (l *Layout) scan(q *Query, cb *combiner) StageResult {
+// scan is Scan over recs, the records the layout was laid out over,
+// folding into cb: Inter is cb's buffer, valid until cb's next scan.
+func (l *Layout) scan(recs []KV, q *Query, cb *combiner) StageResult {
 	res := StageResult{AssignOverhead: l.AssignOverhead}
 	if len(l.execs) == 0 {
 		return res
 	}
 	if q.Select != nil {
-		kc, _ := l.keyColumn()
-		return l.scanSelect(kc, q, cb)
+		kc, _ := l.ct.keyColumn(recs)
+		return l.scanSelect(recs, kc, q, cb)
 	}
 	cb.reset(q.Combine)
 	emit := cb.emit // one method value for the whole scan
@@ -687,7 +729,7 @@ func (l *Layout) scan(q *Query, cb *combiner) StageResult {
 		ex := &l.execs[i]
 		cb.next()
 		for _, p := range ex.parts {
-			for _, r := range l.records[p.lo:p.hi] {
+			for _, r := range recs[p.lo:p.hi] {
 				if q.Map == nil {
 					emit(r.Key, r.Val)
 				} else {

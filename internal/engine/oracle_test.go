@@ -181,8 +181,8 @@ func checkLayout(key, val any, f *fresh, ct *content) error {
 	switch {
 	case err != nil:
 		return err
-	case l.ct != ct || !slices.Equal(l.records, f.recs):
-		return fmt.Errorf("lays out another content's records")
+	case l.ct != ct || l.records != nil || l.src != nil:
+		return fmt.Errorf("lays out another content, or keeps records or a store")
 	case l.AssignOverhead != want.AssignOverhead || !reflect.DeepEqual(l.execs, want.execs):
 		return fmt.Errorf("executors differ from a fresh layout's")
 	}
@@ -238,9 +238,22 @@ type storeState struct {
 	content *content
 }
 
+// heldSlice is a slice some route took out of a store, with the deep copy
+// taken then; leased says the route was Lease, which only pins it until
+// the lease's release (then the slice is no longer held).
 type heldSlice struct {
 	route     string
 	recs, was []KV
+	leased    bool
+}
+
+// heldLayout is a store's layout kept past the step that looked it up:
+// while its store holds ct it must scan as fresh, built over a copy of
+// the records then, does; once the store is written it must fail by name.
+type heldLayout struct {
+	l, fresh *Layout
+	ct       *content
+	width    int
 }
 
 // walk is the state of one seeded run of TestDerivedStateWalk.
@@ -256,15 +269,19 @@ type walk struct {
 	writes   map[*Store]uint64     // the writes of the current step
 	seen     map[*content]*fresh
 	held     []heldSlice
+	layouts  []heldLayout
+	release  []func() // the last snapshot's leases
 }
 
 // TestDerivedStateWalk is the oracle for a store's derived state (DESIGN.md
 // §6): a seeded walk drives a cluster and up to three clones through the
 // mutating and reading API and, after every step, holds every memo, carry
-// and store-owned cell column to its fresh build (derivedKinds), every
-// handed-out slice and shared array to the escape rule, and each store's
-// records, Len, Version and content to what the step wrote. A failure names
-// the seed (the subtest), the step and the kind.
+// and store-owned cell column to its fresh build (derivedKinds) and to
+// referencing no store's record array, every handed-out or leased slice
+// and shared array to the escape rule, every kept layout to scanning as a
+// fresh one until its store is written and failing by name after, and
+// each store's records, Len, Version and content to what the step wrote. A
+// failure names the seed (the subtest), the step and the kind.
 func TestDerivedStateWalk(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -383,12 +400,12 @@ func (w *walk) act() {
 			if o := w.clusters[w.rng.Intn(len(w.clusters))].Data[w.rng.Intn(3)].Store(d.name); o != st && o.Len() > 1 {
 				held := o.Records()
 				route, shared = "Restore (another store's), then Add", true
-				w.held = append(w.held, heldSlice{route, held, slices.Clone(held)})
+				w.held = append(w.held, heldSlice{route, held, slices.Clone(held), false})
 				recs = held[:1+w.rng.Intn(len(held)-1)]
 			}
 		}
 		w.op = route
-		w.held = append(w.held, heldSlice{route, recs, slices.Clone(recs)})
+		w.held = append(w.held, heldSlice{route, recs, slices.Clone(recs), false})
 		c.Data[site].Restore(d.name, recs)
 		written(recs)
 		if shared {
@@ -406,11 +423,27 @@ func (w *walk) act() {
 	case op < 19:
 		w.probe(c, d.name, d.views[w.rng.Intn(2)])
 	default:
-		w.op = "snapshot"
+		// A checkpoint leases every store until the next snapshot ends the
+		// lease; a snapshot by Records hands them out for good.
+		leased := w.rng.Intn(2) == 0
+		w.op = map[bool]string{false: "snapshot (Records)", true: "snapshot (Lease)"}[leased]
+		for _, release := range w.release {
+			release()
+		}
+		w.release = nil
+		w.held = slices.DeleteFunc(w.held, func(h heldSlice) bool { return h.leased })
 		for _, sd := range c.Data {
 			for _, st := range sd.stores {
-				recs := st.Records()
-				w.held = append(w.held, heldSlice{w.op, recs, slices.Clone(recs)})
+				recs := st.Records
+				if leased {
+					recs = func() []KV {
+						held, release := st.Lease()
+						w.release = append(w.release, release)
+						return held
+					}
+				}
+				held := recs()
+				w.held = append(w.held, heldSlice{w.op, held, slices.Clone(held), leased})
 			}
 		}
 	}
@@ -473,9 +506,7 @@ func (w *walk) move(c *Cluster, src, di int) {
 	}
 }
 
-// scan lays the store out, holds the layout's records and scans them under
-// a MapFn and under a Select, which builds the key ids: both read what a
-// fresh layout reads.
+// scan lays the store out, keeps the layout and scans it (scanLayout).
 func (w *walk) scan(st *Store, width int) {
 	stage := []Stage{{Exec: Executors{Machines: 2, PerMachine: 2}}, {Exec: Executors{Machines: 1, PerMachine: 3}, CubeInput: true}}[w.rng.Intn(2)]
 	w.op = fmt.Sprintf("Layout%+v and Scan", stage)
@@ -483,14 +514,37 @@ func (w *walk) scan(st *Store, width int) {
 	if err != nil {
 		w.fail("layout", "%v", err)
 	}
-	w.held = append(w.held, heldSlice{"Layout", l.records, slices.Clone(l.records)})
-	fresh, _ := NewLayout(slices.Clone(l.records), stage)
+	fresh, _ := NewLayout(slices.Clone(st.recs), stage)
+	w.layouts = append(w.layouts, heldLayout{l, fresh, st.content, width})
+	w.scanLayout(l, fresh, width)
+}
+
+// scanLayout scans the layout under a MapFn and under a Select, which
+// builds the key ids: both must read what fresh reads.
+func (w *walk) scanLayout(l, fresh *Layout, width int) {
 	v := NewView(width, w.rng.Intn(width))
 	for _, q := range []Query{{Map: v.Map()}, {Select: &Select{View: v, Where: []Cond{{Field: 1, Pass: func(s string) bool { return s < "c3" }}}}}} {
 		if got, want := l.Scan(&q), fresh.Scan(&q); !reflect.DeepEqual(got, want) {
 			w.fail("layout", "a scan (Select %v) reads %d groups of %d records, a fresh layout's %d of %d", q.Select != nil, len(got.Inter), got.Raw, len(want.Inter), want.Raw)
 		}
 	}
+}
+
+// checkLayouts scans every kept layout whose store holds the content it
+// was laid out for, and holds one whose store was written since to
+// failing by name; the walk then forgets it.
+func (w *walk) checkLayouts() {
+	w.kind = "kept layout"
+	w.layouts = slices.DeleteFunc(w.layouts, func(h heldLayout) bool {
+		if h.l.src.content == h.ct {
+			w.scanLayout(h.l, h.fresh, h.width)
+			return false
+		}
+		if err := scanErr(h.l); err == nil || !strings.Contains(err.Error(), "stale layout") {
+			w.fail(w.kind, "a scan after its store's write returned %v, want a stale layout", err)
+		}
+		return true
+	})
 }
 
 // probe asks the cluster's lineage twice for every site's cell counts in
@@ -555,6 +609,8 @@ func (w *walk) check() {
 	// Handed-out slices first: a write through an array two holders share
 	// is named by the route that handed it out, not as a changed store.
 	w.checkHeld(stores, where)
+	w.checkLayouts()
+	arrays := recordArrays(stores)
 	done := map[*content]bool{}
 	next := map[*Store]storeState{}
 	for _, st := range stores {
@@ -563,7 +619,7 @@ func (w *walk) check() {
 		next[st] = storeState{f.recs, st.version, st.content}
 		if st.content != nil && !done[st.content] {
 			done[st.content] = true
-			w.checkContent(where[st], st.content, f)
+			w.checkContent(where[st], st.content, f, arrays)
 		}
 		if st.idx != nil {
 			if err := checkCells(st.idx.view, st.idx, f.projected(st.idx.view)); err != nil {
@@ -593,8 +649,9 @@ func (w *walk) checkStore(where string, st *Store, f *fresh) {
 	}
 }
 
-// checkContent holds every memo and carry of ct to its kind's fresh build.
-func (w *walk) checkContent(where string, ct *content, f *fresh) {
+// checkContent holds every memo and carry of ct to its kind's fresh build,
+// and every memoized value to referencing none of the stores' arrays.
+func (w *walk) checkContent(where string, ct *content, f *fresh, arrays []span) {
 	ct.mu.Lock()
 	memo, carry := maps.Clone(ct.memo), ct.carry
 	ct.mu.Unlock()
@@ -610,22 +667,27 @@ func (w *walk) checkContent(where string, ct *content, f *fresh) {
 	}
 	for key, d := range memo {
 		check(key, "", func(k derivedKind) error { return k.check(key, d.val, f, ct) })
+		check(key, "records kept by ", func(derivedKind) error {
+			return pointsInto(reflect.ValueOf(d.val), arrays, map[uintptr]bool{})
+		})
 	}
 	if carry != nil {
 		check(keyIDsKey{}, "carried ", func(k derivedKind) error { return k.carried(carry, f, ct) })
 	}
 }
 
-// checkHeld holds every slice handed out to what it read when handed out,
+// checkHeld holds every slice handed out or leased to what it read then,
 // and every store whose record array a handed-out slice or another store
-// shares to the escape rule: its escape bit is set, so no remove compacts
-// the array in place. A slice whose array no store holds any more is
-// forgotten: nothing can write it.
+// shares to the escape rule — its escape bit is set — and one whose array a
+// leased slice shares to it or to a lease being out: either way no remove
+// compacts the array in place. A slice whose array no store holds any more
+// is forgotten: nothing can write it.
 func (w *walk) checkHeld(stores []*Store, where map[*Store]string) {
-	holders := map[*KV][]string{}
+	holders := map[*KV][]heldSlice{}
 	for _, st := range stores {
 		if len(st.recs) > 0 {
-			holders[unsafe.SliceData(st.recs)] = append(holders[unsafe.SliceData(st.recs)], "the store at "+where[st])
+			p := unsafe.SliceData(st.recs)
+			holders[p] = append(holders[p], heldSlice{route: "the store at " + where[st]})
 		}
 	}
 	kept := w.held[:0]
@@ -634,21 +696,127 @@ func (w *walk) checkHeld(stores []*Store, where map[*Store]string) {
 			w.fail("handed-out slice", "a slice %s handed out changed", h.route)
 		}
 		if p := unsafe.SliceData(h.recs); len(h.recs) > 0 && holders[p] != nil {
-			holders[p] = append(holders[p], h.route)
+			holders[p] = append(holders[p], h)
 			kept = append(kept, h)
 		}
 	}
 	w.held = kept
 	for _, st := range stores {
-		if hs := holders[unsafe.SliceData(st.recs)]; len(st.recs) > 0 && len(hs) > 1 && !st.escaped.Load() {
-			w.fail("escape bit", "%s: unset on records %v hold", where[st], hs)
+		hs := holders[unsafe.SliceData(st.recs)]
+		if len(st.recs) == 0 || len(hs) < 2 || st.escaped.Load() {
+			continue
+		}
+		for _, h := range hs[1:] {
+			if !h.leased || st.leases.Load() == 0 {
+				w.fail("escape bit", "%s: unset, and no lease out, on records %s holds", where[st], h.route)
+			}
 		}
 	}
 }
 
+// recordArrays returns the extent of every store's record array, as
+// address ranges.
+func recordArrays(stores []*Store) []span {
+	var out []span
+	for _, st := range stores {
+		if cap(st.recs) > 0 {
+			lo := int(uintptr(unsafe.Pointer(unsafe.SliceData(st.recs))))
+			out = append(out, span{lo, lo + cap(st.recs)*int(unsafe.Sizeof(KV{}))})
+		}
+	}
+	return out
+}
+
+// pointsInto walks everything v reaches — pointers, slices, maps,
+// interfaces and struct fields, exported or not — and returns an error
+// naming the first pointer or slice whose address falls inside one of
+// arrays. Strings are not followed: their bytes are never a record array.
+func pointsInto(v reflect.Value, arrays []span, seen map[uintptr]bool) error {
+	inside := func(p uintptr) bool {
+		for _, a := range arrays {
+			if int(p) >= a.lo && int(p) < a.hi {
+				return true
+			}
+		}
+		return false
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		if v.IsNil() {
+			return nil
+		}
+		p := v.Pointer()
+		if inside(p) {
+			return fmt.Errorf("a %s points into a store's record array", v.Type())
+		}
+		if seen[p] && v.Kind() == reflect.Pointer {
+			return nil
+		}
+		seen[p] = true
+		if v.Kind() == reflect.Pointer {
+			return pointsInto(v.Elem(), arrays, seen)
+		}
+		if v.Type().Elem().Kind() == reflect.String || !hasPointers(v.Type().Elem()) {
+			return nil
+		}
+		for i := range v.Len() {
+			if err := pointsInto(v.Index(i), arrays, seen); err != nil {
+				return err
+			}
+		}
+	case reflect.Interface:
+		return pointsInto(v.Elem(), arrays, seen)
+	case reflect.Map:
+		if v.IsNil() || seen[v.Pointer()] {
+			return nil
+		}
+		seen[v.Pointer()] = true
+		for it := v.MapRange(); it.Next(); {
+			if err := pointsInto(it.Key(), arrays, seen); err != nil {
+				return err
+			}
+			if err := pointsInto(it.Value(), arrays, seen); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if err := pointsInto(v.Field(i), arrays, seen); err != nil {
+				return err
+			}
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			if err := pointsInto(v.Index(i), arrays, seen); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// hasPointers reports whether a value of type t can hold a pointer the
+// walk follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface:
+		return true
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	}
+	return false
+}
+
 // TestOnlyStoreTouchesRecords is the record-slice rule as a source check:
 // no non-test file of the package but store.go selects a store's recs, so
-// every route by which the slice leaves the store is one store.go marks.
+// every route by which the slice leaves the store is one store.go marks or
+// leases, or one whose reader keeps nothing past the store's next write.
 func TestOnlyStoreTouchesRecords(t *testing.T) {
 	fset := token.NewFileSet()
 	others := func(fi fs.FileInfo) bool { return fi.Name() != "store.go" && !strings.HasSuffix(fi.Name(), "_test.go") }

@@ -21,22 +21,31 @@ import (
 // view of §4.1) up to date at write time, so the next move ranks cells
 // instead of re-projecting, re-counting and re-sorting every record.
 //
-// A record slice the store has handed out is never modified afterwards:
-// Add appends beyond its length and remove installs a new slice. A reader
-// that fetched it under the owner's lock may keep scanning it unlocked,
-// and a clone shares it. A slice nobody was handed is the store's alone,
-// so remove compacts it in place. No read path (Records, Len, Version,
-// derive, clone of the source) writes the records; the ones that hand the
-// slice out only set the atomic escape bit, so readers under a shared lock
-// stay read-only, and what they memoize goes into the content, under its
-// own lock. Only this file touches recs (TestOnlyStoreTouchesRecords), so
-// every route by which the slice leaves the store is one that marks it.
+// A store pins its record array only for holders that can outlive its
+// next write. Records, a clone and Restore hand the array out for good:
+// they set the escape bit, which only a remove copying into a fresh array
+// clears. A checkpoint holds it for a while: Lease counts it until the
+// lease's release. While either holds, Add appends beyond the holders'
+// length and remove installs a new array; otherwise remove compacts the
+// array in place. Readers that finish before the store's next write — a
+// derive build, a layout's scan, a key-id build — read the records
+// unmarked and keep no reference to them: what they memoize goes into the
+// content, under its own lock, and a layout reads its store's records
+// afresh at every scan, checked against its content. No read path writes
+// the records, so readers under a shared lock stay read-only. Only this
+// file touches recs (TestOnlyStoreTouchesRecords), so every route by which
+// the array leaves the store is one that marks or leases it.
 type Store struct {
 	recs []KV
-	// escaped is set once recs may be held outside the store: handed out
-	// by Records, shared with a clone, adopted by Restore, or kept by a
-	// derived value. A remove copying into a fresh slice clears it.
+	// escaped is set once recs may be held outside the store for good:
+	// handed out by Records, shared with a clone or adopted by Restore. A
+	// remove copying into a fresh array clears it.
 	escaped atomic.Bool
+	// leases counts the leases out on recs (Lease). A remove copies while
+	// any is out, and a copy leaves the count as it is: a lease on an
+	// earlier array keeps the store copying until it ends, where clearing
+	// the count would let its release end a later lease.
+	leases  atomic.Int32
 	version uint64
 	// gen counts the mutations that renumber records (remove, Restore); a
 	// selection is good for one gen.
@@ -109,21 +118,21 @@ type derived struct {
 // content: clones of one snapshot share the value, and the store's next
 // mutation leaves it behind with the content it described. build must be
 // a pure function of the records and of what key names — key carries
-// every other input — and its value must not be modified afterwards.
-// Concurrent first lookups run build once; hit is false for the one
-// caller that ran it. A failed build is not kept. A store that never held
-// a record has no content: build runs unmemoized.
+// every other input — and its value must not be modified afterwards, nor
+// reference the records: they are the store's own array, which its next
+// remove may compact in place. Concurrent first lookups run build once;
+// hit is false for the one caller that ran it. A failed build is not kept.
+// A store that never held a record has no content: build runs unmemoized.
 func derive[T any](s *Store, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
 	if s == nil || s.content == nil {
 		val, err = build(nil)
 		return val, false, err
 	}
-	return memo(s.content, s.share(), key, build)
+	return memo(s.content, s.recs, key, build)
 }
 
-// memo is derive on a content and the records it identifies, which the
-// caller has already handed out: a layout's, for the key ids of the records
-// it lays out.
+// memo is derive on a content and the records it identifies, which build
+// reads and keeps no reference to.
 func memo[T any](ct *content, recs []KV, key any, build func(records []KV) (T, error)) (val T, hit bool, err error) {
 	ct.mu.Lock()
 	d := ct.memo[key]
@@ -181,6 +190,37 @@ func (s *Store) share() []KV {
 	}
 	return s.recs
 }
+
+// Lease returns the store's records for a holder that reads them after the
+// lock it took them under is gone (a checkpoint's encoder): until release
+// is called, no remove compacts them in place. release is idempotent. A
+// nil store leases nothing.
+func (s *Store) Lease() (records []KV, release func()) {
+	if s == nil {
+		return nil, func() {}
+	}
+	s.leases.Add(1)
+	var done atomic.Bool
+	return s.recs, func() {
+		if done.CompareAndSwap(false, true) {
+			s.leases.Add(-1)
+		}
+	}
+}
+
+// current returns the records of content ct for a reader that keeps no
+// reference to them past the store's next write — a layout's scan — or
+// an error when the store holds another content by now.
+func (s *Store) current(ct *content) ([]KV, error) {
+	if s.content != ct {
+		return nil, fmt.Errorf("engine: stale layout: its store was written after the layout was looked up")
+	}
+	return s.recs, nil
+}
+
+// keyColumn returns the key ids of a store's records (content.keyColumn),
+// which must not be empty.
+func (s *Store) keyColumn() (*keyColumn, bool) { return s.content.keyColumn(s.recs) }
 
 // Version returns the store's mutation counter. It rises by at least one
 // on every Add of records, every remove that takes records and every
@@ -559,10 +599,10 @@ func selectAt(m Mover, src DstView, size int, dst DstView, n int, rng *rand.Rand
 }
 
 // remove takes a selection's records out of the store in one
-// order-preserving pass; the kept records keep their relative order. A
-// slice nobody was handed is compacted in place, unless the kept records
-// would fill less than half of it; otherwise they are copied into a new
-// one, which nobody has been handed either.
+// order-preserving pass; the kept records keep their relative order. An
+// array nobody holds — not handed out, no lease out — is compacted in
+// place, unless the kept records would fill less than half of it;
+// otherwise they are copied into a new one, which nobody holds either.
 func (s *Store) remove(sel selection) error {
 	if sel.store != s || sel.gen != s.gen {
 		return fmt.Errorf("engine: stale selection: the store was reorganised since the selection")
@@ -575,7 +615,7 @@ func (s *Store) remove(sel selection) error {
 	case n == 0:
 		s.recs = nil
 		s.escaped.Store(false)
-	case s.escaped.Load() || 2*n < cap(s.recs):
+	case s.escaped.Load() || s.leases.Load() > 0 || 2*n < cap(s.recs):
 		// The slack append would leave: without it the next Add, which at
 		// a site under ingest follows every remove, copies the whole site
 		// once more.

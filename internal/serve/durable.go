@@ -18,9 +18,10 @@ type DurableBackend interface {
 	RowApplier
 	// CaptureState takes a handle on the applied serving state (every
 	// store's records, ingest progress) that stays valid, and unchanged,
-	// while ingest carries on. The caller fills in WalSeq and Sources —
-	// both live at the pipeline layer — and must hold the pipeline
-	// barriered so the state and the WAL position agree.
+	// while ingest carries on, until the state's Release. The caller
+	// fills in WalSeq and Sources — both live at the pipeline layer — and
+	// must hold the pipeline barriered so the state and the WAL position
+	// agree.
 	CaptureState() *durable.State
 	// RestoreState replaces the applied state with a decoded snapshot,
 	// which it takes ownership of. Call on a freshly prepared backend
@@ -28,9 +29,10 @@ type DurableBackend interface {
 	RestoreState(st *durable.State) error
 }
 
-// CaptureState takes, under the shared state lock (capture only reads;
+// CaptureState leases, under the shared state lock (capture only reads;
 // the pipeline barrier has already quiesced writers), the record slice
-// of every (dataset, site) store — O(stores), no record is touched.
+// of every (dataset, site) store — O(stores), no record is touched. The
+// state's Release ends the leases, and the stores compact in place again.
 func (b *EngineBackend) CaptureState() *durable.State {
 	b.stateMu.RLock()
 	defer b.stateMu.RUnlock()
@@ -39,7 +41,9 @@ func (b *EngineBackend) CaptureState() *durable.State {
 	for _, ds := range b.sys.Workload.Datasets {
 		dstate := durable.DatasetState{Name: ds.Name, Records: make([][]engine.KV, c.N())}
 		for site := range dstate.Records {
-			dstate.Records[site] = c.Data[site].Records(ds.Name)
+			recs, release := c.Data[site].Store(ds.Name).Lease()
+			dstate.Records[site] = recs
+			st.Leases = append(st.Leases, release)
 		}
 		st.Datasets = append(st.Datasets, dstate)
 	}
@@ -107,13 +111,19 @@ func (s *Server) EnableDurableIngest(ctx context.Context, cfg ingest.Config, m *
 // buffers drain through the applier, and a handle on the applied state
 // is captured together with the WAL position it corresponds to. Encoding,
 // the file write and the WAL prune happen after the barrier releases:
-// nothing the handle refers to is modified afterwards.
+// nothing the handle refers to is modified until WriteSnapshot returns,
+// when the handle is released on every path.
 func (s *Server) SnapshotNow(ctx context.Context) error {
 	if s.dman == nil || s.pipe == nil {
 		return fmt.Errorf("serve: durable ingest not enabled")
 	}
 	start := time.Now()
 	var st *durable.State
+	defer func() {
+		if st != nil {
+			st.Release()
+		}
+	}()
 	err := s.pipe.Barrier(ctx, func() error {
 		st = s.dback.CaptureState()
 		st.WalSeq = s.dman.Seq()

@@ -347,6 +347,7 @@ func TestRecoverEquivalentToNeverCrashed(t *testing.T) {
 func liveState(b *EngineBackend) string {
 	var out strings.Builder
 	st := b.CaptureState()
+	defer st.Release()
 	fmt.Fprintf(&out, "batches %d\n", st.IngestBatches)
 	for _, ds := range st.Datasets {
 		for i, recs := range ds.Records {
