@@ -16,7 +16,8 @@ test:
 #                   DESIGN.md's module map matches the package tree,
 #                   every config field has a non-test writer, and
 #                   exported I/O-bearing functions take a leading context;
-#   race            the packages with real concurrency, and their oracles;
+#   race            the packages with real concurrency, their oracles, and
+#                   bohrd serve run in-process (TestLoadIntoServe);
 #   fuzz-short      one short round of each fuzz target;
 #   determinism     byte-identical reports across runs and pool widths;
 #   bench-smoke     the end-to-end benchmark's own tests;
@@ -41,7 +42,8 @@ race:
 		./internal/parallel/... ./internal/olap/... ./internal/similarity/... ./internal/rdd/... \
 		./internal/cache/... ./internal/serve/... ./internal/ingest/... \
 		./internal/durable/... ./internal/lp/... ./internal/placement/... \
-		./internal/workload/... ./internal/sql/... ./internal/core/...
+		./internal/workload/... ./internal/sql/... ./internal/core/... \
+		./cmd/bohrd/...
 
 # fuzz-short runs each native fuzz target briefly against its checked-in
 # seed corpus — a smoke round, not a campaign. One -fuzz invocation per

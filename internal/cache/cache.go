@@ -1,25 +1,24 @@
-// Package cache is the bounded memo store under serve's query result
-// cache. The wrapper keeps its own change-counter keying, dataset
-// index and hit/miss accounting; this package owns capacity.
+// Package cache is serve's query result cache: finished rows under a key
+// the caller derives (serve keys on the normalized statement and the
+// change counter of the dataset it read), each entry filed under that
+// dataset so ingest can drop a dataset's entries at once.
 //
-// A Store evicts least-recently-used entries over a *logical clock*,
-// never wall time. The clock only moves when the driver calls Advance at
-// a deterministic point (a result insert), so eviction order is a pure
-// function of (stamp, key): which entries die never depends on which
-// goroutine touched them first.
+// The cache evicts least-recently-used entries over a *logical clock*,
+// never wall time. The clock moves once per Insert, so eviction order is
+// a pure function of (stamp, key): which entries die never depends on
+// which goroutine touched them first.
 //
-// Capacity is enforced in both entry count and estimated resident
-// bytes, at Advance time. Between advances the store may transiently
-// overshoot. Eviction, live-entry and resident-byte levels are
-// published on an obs.Collector as *additive counter deltas*, so stores
-// sharing one metric name aggregate correctly, which a last-writer-wins
+// Capacity is enforced in both entry count and estimated resident bytes,
+// at each Insert. Eviction, live-entry and resident-byte levels are
+// published on an obs.Collector as *additive counter deltas*, so caches
+// sharing one collector aggregate correctly, which a last-writer-wins
 // gauge would not.
 package cache
 
 import (
-	"cmp"
 	"sync"
 
+	"bohr/internal/engine"
 	"bohr/internal/obs"
 )
 
@@ -31,7 +30,11 @@ const (
 	DefaultBytes   = 256 << 20 // 256 MiB of estimated resident bytes
 )
 
-// Caps bounds a store. A zero or negative field means unlimited in that
+// metricPrefix names the level counters: metricPrefix+".evictions",
+// ".entries" and ".bytes".
+const metricPrefix = "serve.results"
+
+// Caps bounds a cache. A zero or negative field means unlimited in that
 // dimension.
 type Caps struct {
 	// Entries caps live entry count.
@@ -48,243 +51,215 @@ func Unlimited() Caps { return Caps{Entries: -1, Bytes: -1} }
 // DefaultCaps returns the built-in default capacities.
 func DefaultCaps() Caps { return Caps{Entries: DefaultEntries, Bytes: DefaultBytes} }
 
-// entry is one live memo: its key, the value, its size estimate, the
-// logical clock stamp of its last touch, and where it sits in the victim
-// heap.
-type entry[K cmp.Ordered, V any] struct {
-	key   K
-	val   V
-	bytes int64
-	used  uint64
-	at    int
+// entry is one live result: its key, the dataset it read, its rows, its
+// size estimate, the logical clock stamp of its last touch, and where it
+// sits in the victim heap.
+type entry struct {
+	key, dataset string
+	rows         []engine.KV
+	bytes        int64
+	used         uint64
+	at           int
 }
 
-// Store is a bounded memo store with deterministic LRU eviction. All
-// methods are mutex-guarded and safe for concurrent use; a nil *Store
-// is a valid no-op that never holds anything.
-type Store[K cmp.Ordered, V any] struct {
+// Results is a bounded result cache with deterministic LRU eviction.
+// All methods are guarded by one mutex and safe for concurrent use; a
+// nil *Results is a valid no-op that never holds anything.
+type Results struct {
 	mu      sync.Mutex
-	name    string
 	caps    Caps
-	sizeOf  func(K, V) int64
-	entries map[K]*entry[K, V]
+	entries map[string]*entry
+	// files holds every live entry under the dataset it read; each drop
+	// updates it, so it always matches entries.
+	files map[string]map[string]*entry
 	// victims orders the live entries as eviction takes them: a binary
 	// min-heap on (stamp, key), so the next victim is its root.
-	victims []*entry[K, V]
+	victims []*entry
 	bytes   int64
 	clock   uint64
 	col     *obs.Collector
 }
 
-// New creates a store. name prefixes the metric names registered on the
-// collector ("<name>.evictions", "<name>.entries", "<name>.bytes", all
-// registered at zero immediately so they appear in snapshots before the
-// first access). sizeOf estimates one entry's resident bytes; nil
-// disables byte accounting (entry-count cap only). col may be nil.
-func New[K cmp.Ordered, V any](name string, caps Caps, col *obs.Collector, sizeOf func(K, V) int64) *Store[K, V] {
-	s := &Store[K, V]{
-		name:    name,
+// New creates a cache; col may be nil. The level counters
+// serve.results.{evictions,entries,bytes} are registered at zero
+// immediately, so they appear in snapshots before the first access.
+func New(caps Caps, col *obs.Collector) *Results {
+	col.Count(metricPrefix+".evictions", 0)
+	col.Count(metricPrefix+".entries", 0)
+	col.Count(metricPrefix+".bytes", 0)
+	return &Results{
 		caps:    caps,
-		sizeOf:  sizeOf,
-		entries: make(map[K]*entry[K, V]),
+		entries: map[string]*entry{},
+		files:   map[string]map[string]*entry{},
 		col:     col,
 	}
-	col.Count(name+".evictions", 0)
-	col.Count(name+".entries", 0)
-	col.Count(name+".bytes", 0)
-	return s
 }
 
-// Get returns the value under k and stamps it as used this round.
-func (s *Store[K, V]) Get(k K) (V, bool) {
-	var zero V
-	if s == nil {
-		return zero, false
+// sizeOf estimates an entry's resident bytes: its key, and each row's
+// key and value.
+func sizeOf(key string, rows []engine.KV) int64 {
+	n := int64(len(key))
+	for _, kv := range rows {
+		n += int64(len(kv.Key)) + 8
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
+	return n
+}
+
+// Get returns the rows under key and stamps the entry as used this
+// round.
+func (r *Results) Get(key string) ([]engine.KV, bool) {
+	if r == nil {
+		return nil, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[key]
 	if !ok {
-		return zero, false
+		return nil, false
 	}
-	s.touch(e)
-	return e.val, true
+	r.touch(e)
+	return e.rows, true
 }
 
-// Peek returns the value under k without touching its recency — the
-// accessor form for introspection that must not perturb LRU order.
-func (s *Store[K, V]) Peek(k K) (V, bool) {
-	var zero V
-	if s == nil {
-		return zero, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		return zero, false
-	}
-	return e.val, true
-}
-
-// Put inserts or replaces the value under k, re-estimating its size and
-// stamping it as used this round. Capacity is NOT enforced here — only
-// Advance evicts — so concurrent puts inside one round cannot race the
-// choice of victim.
-func (s *Store[K, V]) Put(k K, v V) {
-	if s == nil {
+// Insert stores rows under key, filed under the dataset the statement
+// read, replacing any entry the key held. The entry is stamped this
+// round; then the clock moves one round and least-recently-used entries
+// go until both caps hold, so entries untouched for a full capacity
+// cycle age out.
+func (r *Results) Insert(key, dataset string, rows []engine.KV) {
+	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var size int64
-	if s.sizeOf != nil {
-		size = s.sizeOf(k, v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, ok := r.entries[key]; ok {
+		r.drop(old)
 	}
-	e, ok := s.entries[k]
-	if !ok {
-		e = &entry[K, V]{key: k, used: s.clock, at: len(s.victims)}
-		s.entries[k] = e
-		s.victims = append(s.victims, e)
-		s.up(e.at)
-		s.col.Count(s.name+".entries", 1)
+	e := &entry{key: key, dataset: dataset, rows: rows, bytes: sizeOf(key, rows), used: r.clock, at: len(r.victims)}
+	r.entries[key] = e
+	file := r.files[dataset]
+	if file == nil {
+		file = map[string]*entry{}
+		r.files[dataset] = file
 	}
-	s.col.Count(s.name+".bytes", float64(size-e.bytes))
-	s.bytes += size - e.bytes
-	e.val, e.bytes = v, size
-	s.touch(e)
+	file[key] = e
+	r.victims = append(r.victims, e)
+	r.up(e.at)
+	r.bytes += e.bytes
+	r.col.Count(metricPrefix+".entries", 1)
+	r.col.Count(metricPrefix+".bytes", float64(e.bytes))
+
+	r.clock++
+	for r.over() {
+		r.drop(r.victims[0])
+		r.col.Count(metricPrefix+".evictions", 1)
+	}
+}
+
+// InvalidateDataset drops every entry filed under dataset and returns
+// how many it dropped. The ingest path calls it when new rows land, so
+// the memory frees at once instead of waiting for LRU aging.
+func (r *Results) InvalidateDataset(dataset string) int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	file := r.files[dataset]
+	n := len(file)
+	for _, e := range file {
+		r.drop(e)
+	}
+	return n
+}
+
+// Len reports the number of live entries.
+func (r *Results) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
+}
+
+// drop removes e from the index, its dataset's file and the heap, and
+// maintains byte and level accounting. Callers hold r.mu.
+func (r *Results) drop(e *entry) {
+	delete(r.entries, e.key)
+	file := r.files[e.dataset]
+	delete(file, e.key)
+	if len(file) == 0 {
+		delete(r.files, e.dataset)
+	}
+	i, last := e.at, len(r.victims)-1
+	r.swap(i, last)
+	r.victims[last] = nil
+	r.victims = r.victims[:last]
+	if i < last { // the entry that took e's place
+		r.down(i)
+		r.up(i)
+	}
+	r.bytes -= e.bytes
+	r.col.Count(metricPrefix+".entries", -1)
+	r.col.Count(metricPrefix+".bytes", -float64(e.bytes))
+}
+
+// over reports whether a cap is exceeded. Callers hold r.mu.
+func (r *Results) over() bool {
+	return r.caps.Entries > 0 && len(r.entries) > r.caps.Entries ||
+		r.caps.Bytes > 0 && r.bytes > r.caps.Bytes
 }
 
 // touch stamps e as used this round. A stamp only rises, so e can only
-// move down the heap. Callers hold s.mu.
-func (s *Store[K, V]) touch(e *entry[K, V]) {
-	if e.used != s.clock {
-		e.used = s.clock
-		s.down(e.at)
+// move down the heap. Callers hold r.mu.
+func (r *Results) touch(e *entry) {
+	if e.used != r.clock {
+		e.used = r.clock
+		r.down(e.at)
 	}
 }
 
 // before reports whether a is evicted before b: stamp ascending, then key
 // ascending — a total, deterministic order.
-func before[K cmp.Ordered, V any](a, b *entry[K, V]) bool {
+func before(a, b *entry) bool {
 	return a.used < b.used || a.used == b.used && a.key < b.key
 }
 
-// swap exchanges heap positions i and j. Callers hold s.mu.
-func (s *Store[K, V]) swap(i, j int) {
-	h := s.victims
+// swap exchanges heap positions i and j. Callers hold r.mu.
+func (r *Results) swap(i, j int) {
+	h := r.victims
 	h[i], h[j] = h[j], h[i]
 	h[i].at, h[j].at = i, j
 }
 
 // up moves the entry at heap position i toward the root until its parent
-// goes first. Callers hold s.mu.
-func (s *Store[K, V]) up(i int) {
+// goes first. Callers hold r.mu.
+func (r *Results) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(s.victims[i], s.victims[parent]) {
+		if !before(r.victims[i], r.victims[parent]) {
 			return
 		}
-		s.swap(i, parent)
+		r.swap(i, parent)
 		i = parent
 	}
 }
 
 // down moves the entry at heap position i toward the leaves until it goes
-// before both children. Callers hold s.mu.
-func (s *Store[K, V]) down(i int) {
-	for n := len(s.victims); ; {
+// before both children. Callers hold r.mu.
+func (r *Results) down(i int) {
+	for n := len(r.victims); ; {
 		first := i
 		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < n && before(s.victims[c], s.victims[first]) {
+			if c < n && before(r.victims[c], r.victims[first]) {
 				first = c
 			}
 		}
 		if first == i {
 			return
 		}
-		s.swap(i, first)
+		r.swap(i, first)
 		i = first
 	}
-}
-
-// Delete removes the entry under k, if present. This is the immediate
-// drop for entries known stale (their dataset changed), as opposed to
-// aging out via Advance.
-func (s *Store[K, V]) Delete(k K) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropLocked(k)
-}
-
-// dropLocked removes k and maintains byte and level accounting.
-// Callers hold s.mu.
-func (s *Store[K, V]) dropLocked(k K) {
-	e, ok := s.entries[k]
-	if !ok {
-		return
-	}
-	delete(s.entries, k)
-	i, last := e.at, len(s.victims)-1
-	s.swap(i, last)
-	s.victims[last] = nil
-	s.victims = s.victims[:last]
-	if i < last { // the entry that took e's place
-		s.down(i)
-		s.up(i)
-	}
-	s.bytes -= e.bytes
-	s.col.Count(s.name+".entries", -1)
-	s.col.Count(s.name+".bytes", -float64(e.bytes))
-}
-
-// Advance moves the logical clock one round forward and enforces the
-// capacity limits. Call it from sequential driver code at round
-// boundaries — never from inside a pooled kernel — so eviction decisions
-// stay scheduling-independent.
-func (s *Store[K, V]) Advance() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock++
-	s.enforceLocked()
-}
-
-// overLocked reports whether either cap is exceeded. Callers hold s.mu.
-func (s *Store[K, V]) overLocked() bool {
-	if s.caps.Entries > 0 && len(s.entries) > s.caps.Entries {
-		return true
-	}
-	if s.caps.Bytes > 0 && s.bytes > s.caps.Bytes {
-		return true
-	}
-	return false
-}
-
-// enforceLocked evicts least-recently-used entries until both caps
-// hold. Victims go in (stamp ascending, key ascending) order — a total,
-// deterministic order, so the same access history always evicts the same
-// entries. Each victim is the heap's root, taken in O(log n): the common
-// over-cap insert evicts exactly one entry and allocates nothing. Callers
-// hold s.mu.
-func (s *Store[K, V]) enforceLocked() {
-	for s.overLocked() && len(s.victims) > 0 {
-		s.dropLocked(s.victims[0].key)
-		s.col.Count(s.name+".evictions", 1)
-	}
-}
-
-// Len reports the number of live entries.
-func (s *Store[K, V]) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
 }

@@ -8,123 +8,146 @@ import (
 	"sync"
 	"testing"
 
+	"bohr/internal/engine"
 	"bohr/internal/obs"
 )
 
-// sized builds a store whose entries weigh their value in bytes, with a
-// collector so tests can read the eviction counter.
-func sized(caps Caps) *Store[string, int] {
-	return New[string, int]("test.store", caps, obs.NewCollector(), func(k string, v int) int64 { return int64(v) })
-}
+// counted builds a cache with a collector, so tests can read the eviction
+// counter.
+func counted(caps Caps) *Results { return New(caps, obs.NewCollector()) }
+
+// rowsOf returns n rows with empty keys: an entry holding them under a
+// key of length l weighs l + 8n bytes.
+func rowsOf(n int) []engine.KV { return make([]engine.KV, n) }
 
 // keys returns the live keys in ascending order.
-func (s *Store[K, V]) keys() []K {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]K, 0, len(s.entries))
-	for k := range s.entries {
+func (r *Results) keys() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, 0, len(r.entries))
+	for k := range r.entries {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Strings(out)
 	return out
 }
 
 // resident returns the summed size estimates of live entries.
-func (s *Store[K, V]) resident() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
+func (r *Results) resident() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.bytes
 }
 
-// evictions reads the store's eviction counter off its collector.
-func (s *Store[K, V]) evictions() int {
-	return int(s.col.MetricsSnapshot().Counters[s.name+".evictions"])
+// evictions reads the cache's eviction counter off its collector.
+func (r *Results) evictions() int {
+	return int(r.col.MetricsSnapshot().Counters[metricPrefix+".evictions"])
+}
+
+// filed returns each dataset's filed keys in ascending order, and fails
+// the test when a filed entry is not the live entry under its key, sits
+// under a dataset it did not read, or a live entry is filed nowhere.
+func (r *Results) filed(t *testing.T) map[string][]string {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out, n := map[string][]string{}, 0
+	for ds, file := range r.files {
+		if len(file) == 0 {
+			t.Fatalf("dataset %q keeps an empty file", ds)
+		}
+		for k, e := range file {
+			if r.entries[k] != e || e.dataset != ds {
+				t.Fatalf("dataset %q files %q, which is not live under it", ds, k)
+			}
+			out[ds] = append(out[ds], k)
+		}
+		sort.Strings(out[ds])
+		n += len(file)
+	}
+	if n != len(r.entries) {
+		t.Fatalf("%d entries filed, %d live", n, len(r.entries))
+	}
+	return out
 }
 
 // TestLRUEvictionOrder pins the eviction contract: least-recent stamp
-// first, key order breaking ties, enforcement only at Advance.
+// first, key order breaking ties, one clock round per Insert.
 func TestLRUEvictionOrder(t *testing.T) {
-	s := sized(Caps{Entries: 2})
-	s.Put("a", 1)
-	s.Put("b", 1)
-	s.Put("c", 1) // over cap, but no eviction until Advance
-	if s.Len() != 3 {
-		t.Fatalf("Put evicted early: len=%d", s.Len())
+	r := counted(Caps{Entries: 2})
+	r.Insert("a", "d", rowsOf(1))
+	r.Insert("b", "d", rowsOf(1))
+	r.Get("b") // a and b now share this round's stamp
+	r.Get("a")
+	r.Insert("c", "d", rowsOf(1)) // a, b and c share a stamp -> "a" dies on key order
+	if got := r.keys(); !reflect.DeepEqual(got, []string{"b", "c"}) {
+		t.Fatalf("keys after the third insert = %v, want [b c]", got)
 	}
-	s.Advance() // all three share stamp 0 -> "a" dies on key order
-	if got := s.keys(); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("keys after advance = %v, want [b c]", got)
-	}
-	if s.evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", s.evictions())
+	if r.evictions() != 1 {
+		t.Fatalf("evictions = %d, want 1", r.evictions())
 	}
 
 	// Touch "b" this round, add "d": "c" is now the coldest.
-	if _, ok := s.Get("b"); !ok {
+	if _, ok := r.Get("b"); !ok {
 		t.Fatal("b missing")
 	}
-	s.Put("d", 1)
-	s.Advance()
-	if got := s.keys(); !reflect.DeepEqual(got, []string{"b", "d"}) {
-		t.Fatalf("keys after second advance = %v, want [b d]", got)
+	r.Insert("d", "d", rowsOf(1))
+	if got := r.keys(); !reflect.DeepEqual(got, []string{"b", "d"}) {
+		t.Fatalf("keys after the fourth insert = %v, want [b d]", got)
 	}
 }
 
 // TestByteCap checks the byte-dimension limit and the byte accounting
-// across Put/replace/Delete.
+// across insert, replace and invalidation.
 func TestByteCap(t *testing.T) {
-	s := sized(Caps{Bytes: 100})
-	s.Put("a", 40)
-	s.Put("b", 40)
-	if s.resident() != 80 {
-		t.Fatalf("bytes = %d, want 80", s.resident())
+	r := counted(Caps{Bytes: 100})
+	r.Insert("a", "x", rowsOf(4)) // 33 B
+	r.Insert("b", "y", rowsOf(4)) // 33 B
+	if r.resident() != 66 {
+		t.Fatalf("bytes = %d, want 66", r.resident())
 	}
-	s.Put("a", 50) // replace re-estimates
-	if s.resident() != 90 {
-		t.Fatalf("bytes after replace = %d, want 90", s.resident())
+	r.Insert("a", "x", rowsOf(6)) // replace re-estimates: 49 B
+	if r.resident() != 82 {
+		t.Fatalf("bytes after replace = %d, want 82", r.resident())
 	}
-	s.Put("c", 40) // 130 total, over the 100 cap
-	s.Advance()    // a and b share stamp 0; evicting "a" (50) gets to 80
-	if s.resident() > 100 {
-		t.Fatalf("bytes %d still over cap", s.resident())
+	r.Insert("c", "x", rowsOf(4)) // 115 B total, over the 100 cap: "b" is the coldest
+	if r.resident() > 100 {
+		t.Fatalf("bytes %d still over cap", r.resident())
 	}
-	if got := s.keys(); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("keys = %v, want [b c]", got)
+	if got := r.keys(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("keys = %v, want [a c]", got)
 	}
-	s.Delete("b")
-	if s.resident() != 40 || s.Len() != 1 {
-		t.Fatalf("after delete: bytes=%d len=%d", s.resident(), s.Len())
+	if n := r.InvalidateDataset("x"); n != 2 || r.resident() != 0 || r.Len() != 0 {
+		t.Fatalf("after invalidation: dropped %d, bytes=%d len=%d", n, r.resident(), r.Len())
 	}
 }
 
 // TestUnlimitedNeverEvicts checks Unlimited() caps never evict.
 func TestUnlimitedNeverEvicts(t *testing.T) {
-	s := sized(Unlimited())
+	r := counted(Unlimited())
 	for i := 0; i < 500; i++ {
-		s.Put(fmt.Sprintf("k%03d", i), 1000)
-		s.Advance()
+		r.Insert(fmt.Sprintf("k%03d", i), "d", rowsOf(100))
 	}
-	if s.Len() != 500 || s.evictions() != 0 {
-		t.Fatalf("len=%d evictions=%d, want 500/0", s.Len(), s.evictions())
+	if r.Len() != 500 || r.evictions() != 0 {
+		t.Fatalf("len=%d evictions=%d, want 500/0", r.Len(), r.evictions())
 	}
 }
 
 // TestDeterministicAcrossAccessOrder is the heart of the logical-clock
-// design: two stores seeing the same per-round access *sets* in
+// design: two caches seeing the same per-round access *sets* in
 // different within-round orders evict identically.
 func TestDeterministicAcrossAccessOrder(t *testing.T) {
 	run := func(perm []string) []string {
-		s := sized(Caps{Entries: 3})
+		r := counted(Caps{Entries: 3})
 		for _, k := range []string{"a", "b", "c", "d", "e"} {
-			s.Put(k, 1)
+			r.Insert(k, "d", rowsOf(1))
 		}
-		s.Advance()
 		for _, k := range perm { // same set, different order
-			s.Get(k)
+			r.Get(k)
 		}
-		s.Put("f", 1)
-		s.Advance()
-		return s.keys()
+		r.Insert("f", "d", rowsOf(1))
+		r.Insert("g", "d", rowsOf(1))
+		return r.keys()
 	}
 	want := run([]string{"c", "d"})
 	if got := run([]string{"d", "c"}); !reflect.DeepEqual(got, want) {
@@ -133,67 +156,70 @@ func TestDeterministicAcrossAccessOrder(t *testing.T) {
 }
 
 // TestCollectorLevels checks the additive level counters, including two
-// stores sharing one name.
+// caches sharing one collector.
 func TestCollectorLevels(t *testing.T) {
 	col := obs.NewCollector()
-	s := New[string, int]("lvl", Caps{Entries: 1}, col, func(_ string, v int) int64 { return int64(v) })
-	s.Put("a", 10)
-	s.Put("b", 20)
-	s.Advance()
+	r := New(Caps{Entries: 1}, col)
+	r.Insert("a", "d", rowsOf(1)) // 9 B
+	r.Insert("b", "d", rowsOf(2)) // 17 B, evicts "a"
 	snap := col.MetricsSnapshot()
-	if snap.Counters["lvl.entries"] != 1 || snap.Counters["lvl.bytes"] != 20 || snap.Counters["lvl.evictions"] != 1 {
-		t.Fatalf("levels = %v/%v/%v, want 1/20/1",
-			snap.Counters["lvl.entries"], snap.Counters["lvl.bytes"], snap.Counters["lvl.evictions"])
+	if snap.Counters["serve.results.entries"] != 1 || snap.Counters["serve.results.bytes"] != 17 || snap.Counters["serve.results.evictions"] != 1 {
+		t.Fatalf("levels = %v/%v/%v, want 1/17/1",
+			snap.Counters["serve.results.entries"], snap.Counters["serve.results.bytes"], snap.Counters["serve.results.evictions"])
 	}
 
-	// A second store under the same name aggregates additively.
-	s2 := New[string, int]("lvl", Unlimited(), col, func(_ string, v int) int64 { return int64(v) })
-	s2.Put("x", 5)
+	// A second cache on the same collector aggregates additively.
+	New(Unlimited(), col).Insert("x", "d", rowsOf(0)) // 1 B
 	snap = col.MetricsSnapshot()
-	if snap.Counters["lvl.entries"] != 2 || snap.Counters["lvl.bytes"] != 25 {
-		t.Fatalf("shared-name levels = %v/%v, want 2/25",
-			snap.Counters["lvl.entries"], snap.Counters["lvl.bytes"])
+	if snap.Counters["serve.results.entries"] != 2 || snap.Counters["serve.results.bytes"] != 18 {
+		t.Fatalf("shared levels = %v/%v, want 2/18",
+			snap.Counters["serve.results.entries"], snap.Counters["serve.results.bytes"])
 	}
 }
 
-// TestNilStore checks every method on the nil no-op store.
+// TestNilStore checks every method on the nil no-op cache.
 func TestNilStore(t *testing.T) {
-	var s *Store[string, int]
-	s.Put("a", 1)
-	s.Delete("a")
-	s.Advance()
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("nil store hit")
+	var r *Results
+	r.Insert("a", "d", rowsOf(1))
+	if _, ok := r.Get("a"); ok {
+		t.Fatal("nil cache hit")
 	}
-	if _, ok := s.Peek("a"); ok {
-		t.Fatal("nil store peek hit")
+	if n := r.InvalidateDataset("d"); n != 0 {
+		t.Fatalf("nil cache dropped %d", n)
 	}
-	if s.Len() != 0 {
-		t.Fatal("nil store not empty")
+	if r.Len() != 0 {
+		t.Fatal("nil cache not empty")
 	}
 }
 
-// TestPeekDoesNotTouch checks Peek leaves recency alone: a peeked-only
-// entry still dies first.
+// TestPeekDoesNotTouch checks the reads other than Get — Len, and
+// invalidating another dataset — leave recency alone: the coldest entry
+// still dies first.
 func TestPeekDoesNotTouch(t *testing.T) {
-	s := sized(Caps{Entries: 2})
-	s.Put("a", 1)
-	s.Put("b", 1)
-	s.Advance()
-	s.Peek("a") // no stamp
-	s.Get("b")  // stamp
-	s.Put("c", 1)
-	s.Advance()
-	if got := s.keys(); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("keys = %v, want [b c]", got)
+	r := counted(Caps{Entries: 3})
+	r.Insert("a", "x", rowsOf(1))
+	r.Insert("b", "x", rowsOf(1))
+	r.Insert("o", "y", rowsOf(1))
+	r.Get("a") // stamp: "b" is now the coldest
+	if r.Len() != 3 {
+		t.Fatalf("len = %d, want 3", r.Len())
+	}
+	if n := r.InvalidateDataset("y"); n != 1 {
+		t.Fatalf("invalidation dropped %d, want 1", n)
+	}
+	r.Insert("c", "x", rowsOf(1))
+	r.Insert("d", "x", rowsOf(1))
+	if got := r.keys(); !reflect.DeepEqual(got, []string{"a", "c", "d"}) {
+		t.Fatalf("keys = %v, want [a c d]", got)
 	}
 }
 
-// TestConcurrentStress hammers one store from many goroutines with a
-// sequential Advance between rounds; run with -race. The store must be
-// within its cap after every round.
+// TestConcurrentStress hammers one cache from many goroutines with Get,
+// Insert and InvalidateDataset interleaved; run with -race. The cache
+// must be within its cap and its dataset files must match the live
+// entries after every round.
 func TestConcurrentStress(t *testing.T) {
-	s := sized(Caps{Entries: 16, Bytes: 1 << 20})
+	r := counted(Caps{Entries: 16, Bytes: 1 << 20})
 	for round := 0; round < 20; round++ {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -202,105 +228,127 @@ func TestConcurrentStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
 					k := fmt.Sprintf("k%02d", (g*7+i)%40)
-					if _, ok := s.Get(k); !ok {
-						s.Put(k, 8)
+					ds := fmt.Sprintf("d%d", (g*7+i)%40%3)
+					if _, ok := r.Get(k); !ok {
+						r.Insert(k, ds, rowsOf(1))
 					}
-					s.Peek(k)
+					if i%10 == g {
+						r.InvalidateDataset(ds)
+					}
 				}
 			}(g)
 		}
 		wg.Wait()
-		s.Advance() // sequential round boundary
-		if s.Len() > 16 {
-			t.Fatalf("round %d: len %d over cap after advance", round, s.Len())
+		if r.Len() > 16 {
+			t.Fatalf("round %d: len %d over cap", round, r.Len())
 		}
+		r.filed(t)
 	}
-	if s.evictions() == 0 {
+	if r.evictions() == 0 {
 		t.Fatal("stress never evicted")
 	}
 }
 
-// refStore is the eviction order before the victim heap: each victim the
-// minimum of one scan over the live entries, by stamp, then key.
-type refStore struct {
+// refCache is the eviction order before the victim heap: each victim the
+// minimum of one scan over the live entries, by stamp, then key; and
+// invalidation a scan for the entries that read the dataset.
+type refCache struct {
 	caps      Caps
-	vals      map[string]int
+	size      map[string]int64
+	dataset   map[string]string
 	used      map[string]uint64
 	bytes     int64
 	clock     uint64
 	evictions int
 }
 
-func (r *refStore) put(k string, v int) {
-	r.bytes += int64(v - r.vals[k])
-	r.vals[k], r.used[k] = v, r.clock
-}
-
-func (r *refStore) drop(k string) {
-	if v, ok := r.vals[k]; ok {
-		r.bytes -= int64(v)
-		delete(r.vals, k)
-		delete(r.used, k)
-	}
-}
-
-func (r *refStore) advance() {
-	r.clock++
-	for len(r.vals) > 0 && (r.caps.Entries > 0 && len(r.vals) > r.caps.Entries || r.caps.Bytes > 0 && r.bytes > r.caps.Bytes) {
+func (c *refCache) insert(k, ds string, size int64) {
+	c.drop(k)
+	c.size[k], c.dataset[k], c.used[k] = size, ds, c.clock
+	c.bytes += size
+	c.clock++
+	for len(c.size) > 0 && (c.caps.Entries > 0 && len(c.size) > c.caps.Entries || c.caps.Bytes > 0 && c.bytes > c.caps.Bytes) {
 		victim, first := "", true
-		for k, u := range r.used {
-			if first || u < r.used[victim] || u == r.used[victim] && k < victim {
+		for k, u := range c.used {
+			if first || u < c.used[victim] || u == c.used[victim] && k < victim {
 				victim, first = k, false
 			}
 		}
-		r.drop(victim)
-		r.evictions++
+		c.drop(victim)
+		c.evictions++
 	}
 }
 
-// TestVictimHeapMatchesScan runs random Get, Put, Delete and Advance
-// histories, under entry caps, byte caps and both, against refStore: after
-// every step the live entries, their values, the resident bytes and the
-// evictions must agree, and every entry must sit where the heap says.
+func (c *refCache) drop(k string) {
+	if size, ok := c.size[k]; ok {
+		c.bytes -= size
+		delete(c.size, k)
+		delete(c.dataset, k)
+		delete(c.used, k)
+	}
+}
+
+func (c *refCache) invalidate(ds string) (n int) {
+	for k, d := range c.dataset {
+		if d == ds {
+			c.drop(k)
+			n++
+		}
+	}
+	return n
+}
+
+// TestVictimHeapMatchesScan runs random Get, Insert and InvalidateDataset
+// histories over three datasets, under entry caps, byte caps and both,
+// against refCache: after every step the live entries, their sizes, the
+// resident bytes, the evictions and each dataset's filed entries must
+// agree, and every entry must sit where the heap says.
 func TestVictimHeapMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial, caps := range []Caps{{Entries: 8}, {Bytes: 60}, {Entries: 12, Bytes: 90}, {Entries: 1}} {
-		s := sized(caps)
-		ref := &refStore{caps: caps, vals: map[string]int{}, used: map[string]uint64{}}
+	for trial, caps := range []Caps{{Entries: 8}, {Bytes: 300}, {Entries: 12, Bytes: 450}, {Entries: 1}} {
+		r := counted(caps)
+		ref := &refCache{caps: caps, size: map[string]int64{}, dataset: map[string]string{}, used: map[string]uint64{}}
 		for step := 0; step < 3000; step++ {
 			k := fmt.Sprintf("k%02d", rng.Intn(30))
+			ds := fmt.Sprintf("d%d", rng.Intn(3))
 			switch op := rng.Intn(10); {
-			case op < 3:
-				if _, ok := s.Get(k); ok {
+			case op < 4:
+				if _, ok := r.Get(k); ok {
 					ref.used[k] = ref.clock
 				}
-			case op < 7:
-				v := 1 + rng.Intn(12)
-				s.Put(k, v)
-				ref.put(k, v)
-			case op < 8:
-				s.Delete(k)
-				ref.drop(k)
+			case op < 9:
+				rows := rowsOf(rng.Intn(8))
+				r.Insert(k, ds, rows)
+				ref.insert(k, ds, sizeOf(k, rows))
 			default:
-				s.Advance()
-				ref.advance()
-			}
-			want := make([]string, 0, len(ref.vals))
-			for k := range ref.vals {
-				want = append(want, k)
-			}
-			sort.Strings(want)
-			if got := s.keys(); !reflect.DeepEqual(got, want) || s.resident() != ref.bytes || s.evictions() != ref.evictions {
-				t.Fatalf("trial %d step %d: keys %v, %d B, %d evictions; the scan's %v, %d B, %d", trial, step,
-					got, s.resident(), s.evictions(), want, ref.bytes, ref.evictions)
-			}
-			for _, k := range want {
-				if v, _ := s.Peek(k); v != ref.vals[k] {
-					t.Fatalf("trial %d step %d: %s = %d, want %d", trial, step, k, v, ref.vals[k])
+				if got, want := r.InvalidateDataset(ds), ref.invalidate(ds); got != want {
+					t.Fatalf("trial %d step %d: invalidating %s dropped %d, the scan %d", trial, step, ds, got, want)
 				}
 			}
-			for i, e := range s.victims {
-				if e.at != i || i > 0 && before(e, s.victims[(i-1)/2]) {
+			want := make([]string, 0, len(ref.size))
+			wantFiled := map[string][]string{}
+			for k := range ref.size {
+				want = append(want, k)
+				wantFiled[ref.dataset[k]] = append(wantFiled[ref.dataset[k]], k)
+			}
+			sort.Strings(want)
+			for _, keys := range wantFiled {
+				sort.Strings(keys)
+			}
+			if got := r.keys(); !reflect.DeepEqual(got, want) || r.resident() != ref.bytes || r.evictions() != ref.evictions {
+				t.Fatalf("trial %d step %d: keys %v, %d B, %d evictions; the scan's %v, %d B, %d", trial, step,
+					got, r.resident(), r.evictions(), want, ref.bytes, ref.evictions)
+			}
+			if got := r.filed(t); !reflect.DeepEqual(got, wantFiled) {
+				t.Fatalf("trial %d step %d: filed %v, the scan's %v", trial, step, got, wantFiled)
+			}
+			for _, k := range want {
+				if e := r.entries[k]; e.bytes != ref.size[k] {
+					t.Fatalf("trial %d step %d: %s weighs %d, want %d", trial, step, k, e.bytes, ref.size[k])
+				}
+			}
+			for i, e := range r.victims {
+				if e.at != i || i > 0 && before(e, r.victims[(i-1)/2]) {
 					t.Fatalf("trial %d step %d: heap entry %d (at %d) out of place", trial, step, i, e.at)
 				}
 			}

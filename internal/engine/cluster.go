@@ -57,6 +57,18 @@ func (s *SiteData) Restore(dataset string, records []KV) {
 // Records returns the records of one dataset (nil if absent).
 func (s *SiteData) Records(dataset string) []KV { return s.stores[dataset].Records() }
 
+// Sample copies out up to the first n records of one dataset. Unlike
+// Records it hands nothing of the store out, so the store's next remove
+// may still compact in place.
+func (s *SiteData) Sample(dataset string, n int) []KV {
+	st := s.stores[dataset]
+	out := make([]KV, min(n, st.Len()))
+	for i := range out {
+		out[i] = st.record(i)
+	}
+	return out
+}
+
 // Cluster is the geo-distributed deployment: the WAN topology, per-site
 // executors, per-site data, and the record-size constant that converts
 // record counts to MB.

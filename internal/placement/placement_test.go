@@ -3,7 +3,9 @@ package placement
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"bohr/internal/engine"
 	"bohr/internal/stats"
@@ -126,6 +128,32 @@ func TestReductionProfilesUDF(t *testing.T) {
 	// The UDF map emits two records per input.
 	if math.Abs(st.Reduction-2) > 1e-9 {
 		t.Fatalf("UDF reduction = %v, want 2", st.Reduction)
+	}
+}
+
+// TestStatsLeaveStoresCompactable: the statistics read their reduction
+// sample out of a store without handing its records out, so after
+// ComputeAllStats on a fresh cluster the first forward out of the sampled
+// store compacts its array in place instead of copying the site.
+func TestStatsLeaveStoresCompactable(t *testing.T) {
+	c, w := testSetup(t, workload.BigDataScan, false)
+	if _, err := ComputeAllStats(c, w, 30); err != nil {
+		t.Fatal(err)
+	}
+	ds := w.Datasets[0].Name
+	st := c.Data[0].Store(ds) // the first site holds the whole sample
+	array := func() *engine.KV {
+		recs, release := st.Lease()
+		defer release()
+		return unsafe.SliceData(recs)
+	}
+	before := array()
+	spec := engine.MoveSpec{Dataset: ds, Src: 0, Dst: 1, MB: c.MB(3)}
+	if _, err := c.ApplyMoves([]engine.MoveSpec{spec}, engine.RandomMover{}, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if array() != before {
+		t.Fatal("the first forward after ComputeAllStats copied the sampled store's records to a new array")
 	}
 }
 

@@ -212,10 +212,7 @@ func profileReduction(c *engine.Cluster, dataset string, q engine.Query) float64
 	in, out := 0, 0
 	count := func(string, float64) { out++ }
 	for i := 0; i < c.N() && in < sample; i++ {
-		for _, rec := range c.Data[i].Records(dataset) {
-			if in >= sample {
-				break
-			}
+		for _, rec := range c.Data[i].Sample(dataset, sample-in) {
 			in++
 			if q.Map == nil {
 				out++

@@ -45,21 +45,14 @@ func (s *Server) EnableIngest(cfg ingest.Config) (*ingest.Pipeline, error) {
 			return err
 		}
 		for _, ds := range datasets {
-			s.InvalidateDataset(ds)
+			if n := s.results.InvalidateDataset(ds); n > 0 {
+				s.col.Count("serve.ingest.invalidations", float64(n))
+			}
 		}
 		s.maybeSnapshot()
 		return nil
 	}), s.col)
 	return s.pipe, nil
-}
-
-// InvalidateDataset drops every cached query result that read the named
-// dataset. The ingest path calls it after applying a batch; it is also
-// safe to call directly (e.g. from an operator endpoint).
-func (s *Server) InvalidateDataset(dataset string) {
-	if n := s.results.InvalidateDataset(dataset); n > 0 {
-		s.col.Count("serve.ingest.invalidations", float64(n))
-	}
 }
 
 // serveIngest is POST /v1/ingest: a text/plain body of codec lines (one

@@ -17,6 +17,17 @@ import (
 	"bohr/internal/stats"
 )
 
+// post builds a POST of body to path for Server.Handler(). It uses
+// http.NewRequest: httptest.NewRequest allocates a 4 kB bufio.Reader per
+// request, which would count against the server's bytes per op.
+func post(b *testing.B, path string, body []byte) *http.Request {
+	req, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return req
+}
+
 // BenchmarkDurableIngestBatch is bench/'s ingest-durable op under `go
 // test`, so the write path can be profiled (-cpuprofile, -memprofile)
 // without editing bench/: the deployment bench/system.go builds (4 sites,
@@ -69,7 +80,7 @@ func BenchmarkDurableIngestBatch(b *testing.B) {
 			offset++
 		}
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(ingest.EncodeBatch(recs))))
+		handler.ServeHTTP(rec, post(b, "/v1/ingest", ingest.EncodeBatch(recs)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("batch %d: status %d: %s", i, rec.Code, rec.Body)
 		}
@@ -130,7 +141,7 @@ func BenchmarkQueryIngestMixCycle(b *testing.B) {
 	query := func(stmt string) (cached bool) {
 		body, _ := json.Marshal(QueryRequest{Tenant: "bench", Query: stmt})
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		handler.ServeHTTP(rec, post(b, "/v1/query", body))
 		var resp QueryResponse
 		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
 			b.Fatalf("%q: status %d: %s", stmt, rec.Code, rec.Body)
@@ -157,7 +168,7 @@ func BenchmarkQueryIngestMixCycle(b *testing.B) {
 			offset++
 		}
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(ingest.EncodeBatch(recs))))
+		handler.ServeHTTP(rec, post(b, "/v1/ingest", ingest.EncodeBatch(recs)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("batch %d: status %d: %s", i, rec.Code, rec.Body)
 		}
@@ -198,7 +209,7 @@ func BenchmarkQueryMissRefresh(b *testing.B) {
 		for _, st := range missStatements(dss[i%len(dss)].Name, nonce) {
 			body, _ := json.Marshal(QueryRequest{Tenant: "bench", Query: st.text})
 			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+			handler.ServeHTTP(rec, post(b, "/v1/query", body))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("refresh %d: %q: status %d: %s", i, st.text, rec.Code, rec.Body)
 			}

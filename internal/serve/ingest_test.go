@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bohr/internal/core"
 	"bohr/internal/engine"
@@ -102,6 +106,149 @@ func TestIngestInvalidatesCachedQuery(t *testing.T) {
 	if snap.Counters["serve.ingest.invalidations"] == 0 {
 		t.Fatal("invalidation not counted")
 	}
+}
+
+// slowReplies holds every answer the engine computed back a millisecond
+// before the server caches and sends it, so batches land between a miss's
+// scan and its cache insert.
+type slowReplies struct{ *EngineBackend }
+
+func (b slowReplies) RunTraced(ctx context.Context, plan *sql.Plan) ([]engine.KV, *obs.Span, error) {
+	rows, trace, err := b.EngineBackend.RunTraced(ctx, plan)
+	time.Sleep(time.Millisecond)
+	return rows, trace, err
+}
+
+// TestCachedAnswerNeverPredatesAckedBatch: while one goroutine pushes and
+// flushes batches, with a replan every fourth, readers repeat a COUNT(*)
+// and a GROUP BY through the handler, most of them answered from the
+// cache; every other batch lands at once, while readers still miss on the
+// one before. Every answer equals the naive fold over the seed records plus
+// some prefix of the batches (ROADMAP item 12(e)'s prefix property), and
+// a query issued after a flush returned folds in at least that flush.
+func TestCachedAnswerNeverPredatesAckedBatch(t *testing.T) {
+	const batches, perBatch, readers = 24, 4, 4
+	ctx := context.Background()
+	sys := smallSystem(t)
+	sys.SetReplanEvery(4)
+	ds := sys.Workload.Datasets[0]
+	dim := ds.Schema.Dims()[0]
+	seed := map[string]float64{} // the GROUP BY's naive fold before any batch
+	for site := 0; site < sys.Cluster.N(); site++ {
+		for _, kv := range sys.Cluster.Data[site].Records(ds.Name) {
+			seed[workload.SplitKey(kv.Key)[0]]++
+		}
+	}
+	if seed["liveA"] != 0 {
+		t.Fatal("the seed records already hold the batches' group")
+	}
+	seedCount := float64(clusterRecords(sys, ds.Name))
+	pushes := make([][]ingest.Record, batches)
+	for k := range pushes {
+		for j := range perBatch {
+			off := uint64(k*perBatch + j + 1)
+			pushes[k] = append(pushes[k], liveRecord(sys, "src", off, j%sys.Cluster.N()))
+		}
+	}
+
+	fe := New(slowReplies{NewEngineBackend(sys)}, Config{}, nil)
+	pipe, err := fe.EnableIngest(ingest.Config{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	handler := fe.Handler()
+	count := "SELECT COUNT(*) FROM " + ds.Name
+	group := "SELECT " + dim + ", COUNT(*) FROM " + ds.Name + " GROUP BY " + dim
+	// prefix asks stmt and returns how many batches its answer folds in.
+	prefix := func(stmt string) (p int, cached bool, err error) {
+		body, _ := json.Marshal(QueryRequest{Tenant: "reader", Query: stmt})
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		var resp QueryResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			return 0, false, fmt.Errorf("%q: status %d: %s", stmt, rec.Code, rec.Body)
+		}
+		got := map[string]float64{}
+		for _, r := range resp.Rows {
+			got[r.Key] = r.Val
+		}
+		var live float64
+		if stmt == count {
+			if len(resp.Rows) != 1 {
+				return 0, false, fmt.Errorf("%q: %d rows", stmt, len(resp.Rows))
+			}
+			live = resp.Rows[0].Val - seedCount
+		} else {
+			live = got["liveA"]
+			want := maps.Clone(seed)
+			if live > 0 {
+				want["liveA"] = live
+			}
+			if !maps.Equal(got, want) {
+				return 0, false, fmt.Errorf("%q: %v is the seed fold plus %v live rows at no prefix", stmt, got, live)
+			}
+		}
+		p = int(live) / perBatch
+		if live != float64(p*perBatch) || p < 0 || p > batches {
+			return 0, false, fmt.Errorf("%q: %v live rows are no prefix of %d batches of %d", stmt, live, batches, perBatch)
+		}
+		return p, resp.Cached, nil
+	}
+
+	var acked atomic.Int64 // batches whose Flush has returned
+	var done atomic.Bool
+	var hits, asks atomic.Int64
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				for _, stmt := range []string{count, group} {
+					floor := acked.Load()
+					p, cached, err := prefix(stmt)
+					if err == nil && int64(p) < floor {
+						err = fmt.Errorf("%q asked after flush %d returned is answered at prefix %d (cached %v)", stmt, floor, p, cached)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					asks.Add(1)
+					if cached {
+						hits.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	for k, recs := range pushes {
+		if _, err := pipe.Push(ctx, recs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		acked.Store(int64(k + 1))
+		if k%2 == 0 {
+			continue // the next batch lands while readers still miss on this one
+		}
+		for from := asks.Load(); asks.Load() < from+16*readers && !t.Failed(); {
+			time.Sleep(50 * time.Microsecond) // let the readers hit the refilled cache
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	for _, stmt := range []string{count, group} {
+		if p, _, err := prefix(stmt); err != nil || p != batches {
+			t.Fatalf("%q after the last flush: prefix %d, %v; want %d", stmt, p, err, batches)
+		}
+	}
+	if 2*hits.Load() <= asks.Load() {
+		t.Fatalf("%d of %d answers came from the cache, want most", hits.Load(), asks.Load())
+	}
+	t.Logf("%d of %d answers came from the cache", hits.Load(), asks.Load())
 }
 
 // TestContentHashTracksVersion pins what the result cache's key rests on

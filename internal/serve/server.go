@@ -217,7 +217,7 @@ type Config struct {
 type Server struct {
 	backend Backend
 	sched   *Scheduler
-	results *ResultCache
+	results *cache.Results
 	col     *obs.Collector
 	pipe    *ingest.Pipeline // non-nil after EnableIngest
 	flight  *FlightRecorder
@@ -399,7 +399,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// as served and a hit replies with them as they are.
 	var key string
 	if hash, ok := s.backend.ContentHash(stmt.Dataset); ok {
-		key = s.results.Key(norm, hash)
+		key = cacheKey(norm, hash)
 		if rows, ok := s.results.Get(key); ok {
 			s.col.Count("serve.cache.hits", 1)
 			s.col.Count("serve.tenant."+mt+".cache.hits", 1)
